@@ -17,15 +17,12 @@ Reading the table:
 * ``sim_query_ms`` — the query component of the same model, isolating the
   database-side speedup from the network term.
 * ``wire_bytes_per_step`` — bytes that actually crossed the shard
-  transport (payload plus frame headers, both directions) per pan step;
-  ``--codec`` picks the shard-boundary wire codec (``auto`` negotiates
-  the binary columnar codec with JSON fallback, ``json`` pins the legacy
-  envelope), so the codec's byte cut is directly measurable.
+  transport (payload plus frame headers, both directions) per pan step.
 
 Shard calls cross the wire-level transport (`repro.serving.transport`) by
 default, exactly like a multi-node deployment; ``--no-wire`` keeps them
 in-process.  ``--workers processes`` forks one worker process per shard
-replica (`repro.serving.worker`) speaking the same envelope over
+replica (`repro.serving.worker`) speaking the same messages over
 length-prefixed frames on localhost TCP — pure-Python shard queries then
 execute on real parallel cores instead of time-slicing one GIL.  The
 ``eeg`` dataset replays time sweeps over a synthetic EEG recording, the
@@ -129,13 +126,6 @@ def main(argv: list[str] | None = None) -> list[ClusterScalingResult]:
         help="shard execution topology: in-process threads or worker processes",
     )
     parser.add_argument(
-        "--codec",
-        default="auto",
-        choices=("auto", "json", "binary"),
-        help="shard-boundary wire codec: auto negotiates the binary "
-        "columnar codec with JSON fallback, json pins the legacy envelope",
-    )
-    parser.add_argument(
         "--no-coalescing", action="store_true", help="disable request coalescing"
     )
     parser.add_argument(
@@ -186,7 +176,6 @@ def main(argv: list[str] | None = None) -> list[ClusterScalingResult]:
         parallel=not args.sequential,
         wire_shards=False if args.no_wire else None,
         worker_mode=args.workers,
-        wire_codec=args.codec,
         telemetry=args.telemetry,
     )
     _print_table(results)
@@ -289,31 +278,6 @@ def test_process_workers_scale_on_eeg():
             f"{processes_at_4.measured_step_ms:.3f} ms vs "
             f"{threads_at_4.measured_step_ms:.3f} ms"
         )
-
-
-def test_binary_codec_cuts_wire_bytes_on_eeg():
-    """pytest entry point: the columnar codec beats JSON on wide EEG rows.
-
-    Byte-identical payloads are asserted elsewhere (the codec parity
-    suite); this gate measures the codec's reason to exist — the same EEG
-    responses must cost strictly fewer bytes on the wire — and keeps the
-    wall-clock per step from regressing (the margin covers scheduler noise
-    on shared runners; the cut itself is visible in the printed tables and
-    the gated ``wire_bytes_per_step`` artifact column).
-    """
-    base_args = ["--scale", "tiny", "--shards", "2", "--datasets", "eeg"]
-    (via_json,) = main(base_args + ["--codec", "json"])
-    (via_binary,) = main(base_args + ["--codec", "binary"])
-    assert via_binary.objects_fetched == via_json.objects_fetched > 0
-    assert 0 < via_binary.wire_bytes_total < via_json.wire_bytes_total, (
-        f"binary codec moved {via_binary.wire_bytes_total} wire bytes vs "
-        f"{via_json.wire_bytes_total} for JSON on the same EEG workload"
-    )
-    assert via_binary.measured_step_ms <= via_json.measured_step_ms * 1.25, (
-        f"binary codec regressed wall-clock per step: "
-        f"{via_binary.measured_step_ms:.3f} ms vs "
-        f"{via_json.measured_step_ms:.3f} ms for JSON"
-    )
 
 
 if __name__ == "__main__":

@@ -53,18 +53,6 @@ class DotsStack:
     def canvas_id(self) -> str:
         return "dots"
 
-    @property
-    def serving(self) -> "DataService":
-        """Deprecated alias of :attr:`service` (kept for one release)."""
-        import warnings
-
-        warnings.warn(
-            "DotsStack.serving is deprecated; use DotsStack.service",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.service if self.service is not None else self.backend
-
 
 @dataclass
 class EEGStack:

@@ -354,10 +354,6 @@ class ClusterScalingResult:
     router_cache_hits: int
     duplicates_removed: int
     per_shard_requests: dict[int, int]
-    #: Wire codec requested for shard traffic (``cluster.wire_codec``):
-    #: ``"auto"`` negotiates binary with fallback, ``"json"`` pins the
-    #: legacy envelope, ``"binary"`` requires the columnar codec.
-    codec: str = "auto"
     #: Total bytes that crossed the shard transport boundary (payload plus
     #: frame headers, both directions), summed over every stub in the
     #: cluster via :func:`repro.serving.collect_wire_stats`.  Zero when the
@@ -374,7 +370,6 @@ class ClusterScalingResult:
             "shards": self.shard_count,
             "strategy": self.strategy,
             "workers": self.workers,
-            "codec": self.codec,
             "sessions": self.sessions,
             "steps": self.steps,
             "throughput_steps_s": round(self.throughput_steps_per_s, 1),
@@ -579,7 +574,6 @@ def cluster_scaling(
     parallel: bool = True,
     wire_shards: bool | None = None,
     worker_mode: str = "threads",
-    wire_codec: str = "auto",
     telemetry: bool = False,
 ) -> list[ClusterScalingResult]:
     """Throughput/latency of the sharded cluster at increasing shard counts.
@@ -605,12 +599,8 @@ def cluster_scaling(
     span-duration percentiles (``stage_percentiles``) flattened into the
     ``--json`` artifact as ``<stage>_p50_ms`` / ``<stage>_p99_ms`` columns.
 
-    ``wire_codec`` selects the shard-boundary wire codec
-    (``cluster.wire_codec``: ``"auto"`` negotiates the binary columnar
-    codec with JSON fallback, ``"json"`` pins the legacy envelope,
-    ``"binary"`` requires the columnar codec); every result reports the
-    bytes that actually crossed the transport (``wire_bytes_total``,
-    flattened as ``wire_bytes_per_step``) so codec runs are comparable.
+    Every result reports the bytes that actually crossed the shard
+    transport (``wire_bytes_total``, flattened as ``wire_bytes_per_step``).
     """
     results: list[ClusterScalingResult] = []
     for dataset_name in datasets:
@@ -632,7 +622,6 @@ def cluster_scaling(
                 parallel=parallel,
                 wire_shards=wire_shards,
                 worker_mode=worker_mode,
-                wire_codec=wire_codec,
                 telemetry=True if telemetry else None,
             )
             # Report what actually ran: the KD partitioner falls back to the
@@ -702,7 +691,6 @@ def cluster_scaling(
                     router_cache_hits=router_stats.cache_hits,
                     duplicates_removed=router_stats.duplicates_removed,
                     per_shard_requests=dict(router_stats.per_shard_requests),
-                    codec=wire_codec,
                     wire_bytes_total=wire_bytes,
                     stage_percentiles=stage_percentiles,
                 )

@@ -16,7 +16,6 @@ headline metric, average response time per interaction.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any
 
 from ..compiler.plan import LayerPlan
@@ -37,26 +36,6 @@ from .renderer import RasterRenderer
 
 if TYPE_CHECKING:
     from ..serving.base import DataService
-
-
-def _warn_on_hand_built_endpoint(service: "DataService") -> None:
-    """Deprecation gate: bare ``KyrixBackend``/``ClusterRouter`` endpoints
-    must come out of :func:`repro.serving.build_service` (which marks what
-    it returns); hand-constructed ones get one release of warnings."""
-    from ..cluster.router import ClusterRouter
-    from ..server.backend import KyrixBackend
-    from ..serving.factory import is_factory_built
-
-    if isinstance(service, (KyrixBackend, ClusterRouter)) and not is_factory_built(
-        service
-    ):
-        warnings.warn(
-            f"passing a hand-constructed {type(service).__name__} as a frontend "
-            "endpoint is deprecated; build the serving stack with "
-            "repro.serving.build_service",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 class KyrixFrontend:
@@ -81,7 +60,6 @@ class KyrixFrontend:
         prefetcher: Prefetcher | None = None,
         render: bool = False,
     ) -> None:
-        _warn_on_hand_built_endpoint(service)
         self.service = service
         self.scheme = scheme or dbox_scheme()
         self.config = config or service.config
@@ -110,16 +88,6 @@ class KyrixFrontend:
         self.visible_objects: dict[int, list[dict[str, Any]]] = {}
 
     # -- application lifecycle ---------------------------------------------------------
-
-    @property
-    def backend(self) -> "DataService":
-        """Deprecated alias of :attr:`service` (kept for one release)."""
-        warnings.warn(
-            "KyrixFrontend.backend is deprecated; use KyrixFrontend.service",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.service
 
     def load_initial_canvas(self) -> LatencyBreakdown:
         """Load the application's initial canvas at its initial viewport."""

@@ -70,29 +70,6 @@ class ExplorationSession:
         )
         return cls(frontend)
 
-    @classmethod
-    def from_backend(
-        cls,
-        backend: "DataService",
-        scheme: "FetchScheme | None" = None,
-        *,
-        config: "KyrixConfig | None" = None,
-        prefetcher: "Prefetcher | None" = None,
-        render: bool = False,
-    ) -> "ExplorationSession":
-        """Deprecated alias of :meth:`for_service` (kept for one release)."""
-        import warnings
-
-        warnings.warn(
-            "ExplorationSession.from_backend is deprecated; use "
-            "ExplorationSession.for_service",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.for_service(
-            backend, scheme, config=config, prefetcher=prefetcher, render=render
-        )
-
     def run_trace(
         self,
         canvas_id: str,

@@ -37,7 +37,7 @@ coalesced behind one scatter-gather (via
 :mod:`~repro.cluster.coalescer`), and a shared router LRU cache
 (:class:`~repro.serving.middleware.CachingService`) sits in front of
 everything.  With ``cluster.wire_shards`` (the default), every shard call
-crosses the :mod:`repro.net.protocol` JSON encoding through a
+crosses the :mod:`repro.net.columnar` binary wire format through a
 :class:`~repro.serving.transport.TransportService`, so shard conversations
 are exactly what a multi-node deployment would put on the network.
 

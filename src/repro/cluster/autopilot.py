@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING, Any
 
 from ..config import AutopilotConfig
 from ..errors import KyrixError
-from ..net.columnar import codec_preference
 from ..serving.replica import MonotonicClock, ReplicaService
 from ..serving.transport import RemoteBackendStub
 from ..serving.worker import build_shard_spec, database_checksum
@@ -420,7 +419,6 @@ class ClusterAutopilot:
                 "(build the cluster with build_cluster / build_service)"
             )
         pool = cluster.worker_pool
-        codecs = codec_preference(router.cluster_config.wire_codec)
         indexer = ShardedIndexer(
             cluster.source.database,
             router.compiled,
@@ -436,11 +434,7 @@ class ClusterAutopilot:
                 shard for shard in shards if shard.shard_id == shard_id
             )
             spec = build_shard_spec(
-                target.database,
-                router.compiled,
-                router.config,
-                shard_id=shard_id,
-                codecs=codecs,
+                target.database, router.compiled, router.config, shard_id=shard_id
             )
             expected = spec.checksum()
             for key in sorted(checksums):
@@ -449,10 +443,7 @@ class ClusterAutopilot:
                 replica_index = _replica_index(key)
                 handle = pool.respawn(spec, replica_index=replica_index)
                 stub = RemoteBackendStub(
-                    handle.transport(),
-                    router.compiled,
-                    router.config,
-                    codecs=codecs,
+                    handle.transport(), router.compiled, router.config
                 )
                 replica_set.swap_replica(
                     replica_index,
@@ -498,17 +489,13 @@ class ClusterAutopilot:
         if shard is None or shard.database is None:
             return []
         expected = database_checksum(shard.database)
-        codecs = codec_preference(router.cluster_config.wire_codec)
         repaired: list[dict[str, Any]] = []
         for key in sorted(checksums):
             if checksums[key] == expected:
                 continue
             replica_index = _replica_index(key)
             replacement = replica_stack(
-                shard,
-                router.config,
-                wire=router.cluster_config.wire_shards,
-                codecs=codecs,
+                shard, router.config, wire=router.cluster_config.wire_shards
             )
             replica_set.swap_replica(
                 replica_index,

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from ..config import ClusterConfig, KyrixConfig
-from ..net.columnar import codec_preference
 from ..server.backend import KyrixBackend
 from ..telemetry import configure as configure_telemetry
 from ..serving.base import DataService
@@ -77,9 +76,7 @@ class ShardedCluster:
             self.worker_pool.close()
 
 
-def shard_service(
-    shard: ShardHandle, *, wire: bool, codecs: tuple[str, ...] | None = None
-) -> DataService:
+def shard_service(shard: ShardHandle, *, wire: bool) -> DataService:
     """The single-copy serving stack of one shard.
 
     Always a :class:`~repro.serving.middleware.SerializedService` guarding
@@ -87,23 +84,16 @@ def shard_service(
     process).  With ``wire=True`` a
     :class:`~repro.serving.transport.TransportService` sits on top, so every
     call the router makes crosses the :mod:`repro.net` encoding both ways —
-    exactly the bytes a multi-node deployment would exchange.  ``codecs``
-    is the transport seam's wire-codec preference (from
-    ``cluster.wire_codec``, which lives on the *effective* cluster config,
-    not necessarily the backend's own).
+    exactly the bytes a multi-node deployment would exchange.
     """
     stack: DataService = SerializedService(shard.backend, lock=shard.lock)
     if wire:
-        stack = TransportService(stack, codecs=codecs)
+        stack = TransportService(stack)
     return stack
 
 
 def replica_stack(
-    shard: ShardHandle,
-    config: "KyrixConfig",
-    *,
-    wire: bool,
-    codecs: tuple[str, ...] | None = None,
+    shard: ShardHandle, config: "KyrixConfig", *, wire: bool
 ) -> DataService:
     """One in-process replica's serving stack over a shard's shared index.
 
@@ -117,7 +107,7 @@ def replica_stack(
     )
     stack = CachingService(stack, entries=cache_entries)
     if wire:
-        stack = TransportService(stack, codecs=codecs)
+        stack = TransportService(stack)
     return stack
 
 
@@ -127,7 +117,6 @@ def replica_service(
     config: "KyrixConfig",
     *,
     wire: bool,
-    codecs: tuple[str, ...] | None = None,
 ) -> ReplicaService:
     """A replica set fronting one shard's immutable index.
 
@@ -144,7 +133,7 @@ def replica_service(
     index).
     """
     replicas: list[DataService] = [
-        replica_stack(shard, config, wire=wire, codecs=codecs)
+        replica_stack(shard, config, wire=wire)
         for _ in range(cluster_config.replicas)
     ]
     return ReplicaService(
@@ -186,14 +175,13 @@ def spawn_worker_topology(
     while the old one still serves, and the generation keeps their process
     names and fixed-port ranges apart.
     """
-    codecs = codec_preference(cluster_config.wire_codec)
     specs: list[ShardSpec] = []
     for shard in shards:
         # One dump (and one pickled payload) per shard: the pool runs the
         # same spec object once per replica, so N replicas do not mean N
         # copies of the rows in the parent.
         shard_spec = build_shard_spec(
-            shard.database, compiled, config, shard_id=shard.shard_id, codecs=codecs
+            shard.database, compiled, config, shard_id=shard.shard_id
         )
         specs.extend([shard_spec] * cluster_config.replicas)
     pool = WorkerPool(
@@ -209,7 +197,6 @@ def spawn_worker_topology(
                 pool.handle_for(shard.shard_id, replica_index).transport(),
                 compiled,
                 config,
-                codecs=codecs,
             )
             for replica_index in range(cluster_config.replicas)
         ]
@@ -248,20 +235,13 @@ def attach_shard_services(
         return spawn_worker_topology(
             shards, cluster_config, config, compiled, generation=generation
         )
-    codecs = codec_preference(cluster_config.wire_codec)
     for shard in shards:
         if cluster_config.replicas > 1:
             shard.service = replica_service(
-                shard,
-                cluster_config,
-                config,
-                wire=cluster_config.wire_shards,
-                codecs=codecs,
+                shard, cluster_config, config, wire=cluster_config.wire_shards
             )
         else:
-            shard.service = shard_service(
-                shard, wire=cluster_config.wire_shards, codecs=codecs
-            )
+            shard.service = shard_service(shard, wire=cluster_config.wire_shards)
     return None
 
 
@@ -305,7 +285,6 @@ def build_cluster(
     replicas: int | None = None,
     replica_policy: str | None = None,
     worker_mode: str | None = None,
-    wire_codec: str | None = None,
     rebalance: bool | None = None,
     autopilot: bool | None = None,
     telemetry: bool | None = None,
@@ -354,7 +333,6 @@ def build_cluster(
             ("replicas", replicas),
             ("replica_policy", replica_policy),
             ("worker_mode", worker_mode),
-            ("wire_codec", wire_codec),
             ("rebalance_enabled", rebalance),
         )
         if value is not None
@@ -402,11 +380,6 @@ def build_cluster(
     # service stack (e.g. `serving.build_service` output) can reach shard
     # bookkeeping without rebuilding a second ShardedCluster.
     router.cluster = cluster
-    # A router assembled here is a sanctioned endpoint, whether reached
-    # through build_service or through build_cluster directly.
-    from ..serving.factory import mark_factory_built
-
-    mark_factory_built(router)
     if cluster_config.rebalance_enabled or cluster_config.autopilot.enabled:
         # Local import: the rebalancer composes builder pieces, so a
         # top-level import would be circular.  The autopilot steers the

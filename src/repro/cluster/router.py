@@ -34,8 +34,8 @@ the *measured* shape of the request too, not just the modelled one.
 ``DataResponse.shard_ms`` keeps the per-shard timings so latency breakdowns
 stay attributable.
 
-Constructing a ``ClusterRouter`` directly as a frontend endpoint is
-deprecated; use :func:`repro.serving.build_service`.
+Call sites do not construct a ``ClusterRouter`` themselves; they use
+:func:`repro.serving.build_service` (repolint's ``factory-only`` rule).
 """
 
 from __future__ import annotations

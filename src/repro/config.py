@@ -227,16 +227,9 @@ class AutopilotConfig:
 
 #: How shard replicas execute: ``"threads"`` keeps every shard engine in
 #: the router's process behind a lock; ``"processes"`` forks one worker
-#: process per shard replica speaking the wire envelope over localhost TCP
+#: process per shard replica speaking the shard wire over localhost TCP
 #: (:mod:`repro.serving.worker`), removing the GIL from the scatter path.
 WORKER_MODES = ("threads", "processes")
-
-#: What the shard-boundary ``handle`` hot path speaks on the wire:
-#: ``"auto"`` prefers the :mod:`repro.net.columnar` binary codec and falls
-#: back to the JSON envelope when the peer cannot negotiate it, ``"json"``
-#: pins the legacy JSON envelope (byte-identical to pre-codec deployments),
-#: ``"binary"`` requires the binary codec and refuses JSON ``handle`` calls.
-WIRE_CODECS = ("auto", "json", "binary")
 
 
 @dataclass
@@ -276,7 +269,7 @@ class ClusterConfig:
     wire_shards:
         When true, every shard call crosses a wire-level transport
         (``encode -> decode -> handle -> encode -> decode`` through
-        :mod:`repro.net.protocol`), so shard conversations are exactly what
+        :mod:`repro.net.columnar`), so shard conversations are exactly what
         a multi-node deployment would put on the network.
     replicas:
         Number of interchangeable replicas serving each shard.  With more
@@ -303,15 +296,9 @@ class ClusterConfig:
         ``"threads"`` (default) serves every shard replica in-process
         behind a :class:`~repro.serving.middleware.SerializedService`
         lock; ``"processes"`` forks one worker process per shard replica
-        (:mod:`repro.serving.worker`) speaking the wire envelope over
+        (:mod:`repro.serving.worker`) speaking the shard wire over
         length-prefixed frames on localhost TCP, so pure-Python shard
         queries execute on real parallel cores.
-    wire_codec:
-        Codec preference for the shard-boundary ``handle`` hot path (one
-        of :data:`WIRE_CODECS`): ``"auto"`` (default) negotiates the
-        binary columnar codec with JSON fallback, ``"json"`` pins the
-        legacy JSON envelope, ``"binary"`` requires the binary codec.
-        Metadata operations always ride JSON regardless.
     worker_port_base:
         First TCP port assigned to worker processes (worker ``i`` binds
         ``worker_port_base + i``); ``0`` (default) lets every worker bind
@@ -368,7 +355,6 @@ class ClusterConfig:
     breaker_threshold: int = 3
     breaker_reset_s: float = 30.0
     worker_mode: str = "threads"
-    wire_codec: str = "auto"
     worker_port_base: int = 0
     worker_spawn_timeout_s: float = 10.0
     rebalance_enabled: bool = False
@@ -410,8 +396,6 @@ class ClusterConfig:
             raise KyrixError("breaker_reset_s must be non-negative")
         if self.worker_mode not in WORKER_MODES:
             raise KyrixError(f"unknown worker mode: {self.worker_mode!r}")
-        if self.wire_codec not in WIRE_CODECS:
-            raise KyrixError(f"unknown wire codec: {self.wire_codec!r}")
         if not 0 <= self.worker_port_base <= 65535:
             raise KyrixError(
                 f"worker_port_base must be in [0, 65535], got {self.worker_port_base}"

@@ -1,57 +1,46 @@
-"""Binary columnar wire codec for shard conversations.
+"""The shard wire: one binary message format for every shard conversation.
 
-The JSON envelope (:mod:`repro.serving.transport`) made shard calls
-wire-faithful, but every scatter pays ``DataResponse`` ⇄ JSON text both
-ways — the dominant per-step cost for wide responses (ROADMAP open item 2).
-This module is the compact alternative: requests and responses cross as
-packed binary messages, with each response's objects laid out as **typed
-columns** (int / float / str / tuple-of-float bbox) instead of repeating
-every column name and textual value per row.
+Everything that crosses a shard boundary — between the router's
+:class:`~repro.serving.transport.RemoteBackendStub` and a
+:class:`~repro.serving.transport.LocalTransport`, in process or over a
+worker's socket — is one message of this module.  JSON survives only at
+the HTTP edge (:mod:`repro.server.http_server`) and as the reference
+encoding the parity suites compare this codec against.  Responses lay
+their objects out as **typed columns** (int / float / str / tuple-of-float
+bbox) instead of repeating every column name and textual value per row.
 
-Framing and negotiation
------------------------
-The length-prefixed transport (:mod:`repro.net.socket_transport`) is
-unchanged; this codec only redefines the frame *payload*.  Every new-style
-payload starts with a one-byte codec tag:
-
-* ``H`` — a negotiation hello.  The client offers its codec preference
-  (``{"codecs": ["binary", "json"]}``); the server answers with the first
-  offered codec it accepts (``{"codec": "binary"}``).
-* ``B`` — a binary message (request, response or error; see below).
-* ``J`` — a JSON envelope, byte-identical to the legacy payload after the
-  tag.
-
-A payload starting with ``{`` is a **legacy untagged JSON envelope**: new
-servers answer it with an untagged JSON reply, and a client whose hello is
-answered with untagged JSON (a legacy server choking on the ``H`` frame)
-marks the connection legacy and falls back to untagged JSON — so mixed-
-version peers interoperate in both directions, as do clusters whose router
-and workers negotiate different codecs per connection.
-
-Binary messages
----------------
-After the ``B`` tag, one kind byte selects the message:
+Messages
+--------
+The length-prefixed transport (:mod:`repro.net.socket_transport`) frames
+the bytes; a frame's payload is exactly one message, and its first byte
+selects the kind:
 
 * ``MSG_REQUEST`` — a packed :class:`~repro.net.protocol.DataRequest`
-  (the ``handle`` hot path; metadata operations stay JSON envelopes).
-  A trace context rides the message exactly as it rides the JSON wire
-  form: stamped at encode time, popped server-side before the request
-  object is rebuilt, so caches never see it.
+  (the ``handle`` hot path).  A trace context rides the message on the
+  wire form only: stamped at encode time, popped server-side before the
+  request object is rebuilt, so caches never see it.
 * ``MSG_RESPONSE`` — a packed :class:`~repro.net.protocol.DataResponse`:
   scalar fields, the per-shard timing map, remotely-collected trace spans
-  (a JSON blob, exactly the envelope's ``trace`` field), and the objects
-  as a columnar block.
-* ``MSG_ERROR`` — an exception type name and message, the binary peer of
-  :func:`repro.serving.transport.encode_error`.
+  (a JSON blob), and the objects as a columnar block.
+* ``MSG_ERROR`` — an exception type name and message; the stub re-raises
+  it as a :class:`~repro.serving.transport.TransportError`.
+* ``MSG_CALL`` / ``MSG_RESULT`` — the metadata operations (``warm`` /
+  ``canvas_info`` / ``layer_density``): an operation name plus a small
+  JSON parameter body one way, a JSON value the other.
+
+An unknown kind byte, a truncated body or trailing bytes raise a typed
+:class:`~repro.errors.ProtocolError` — a garbled frame never decodes to a
+plausible value.
 
 The columnar block stores, per column: the name, a one-byte type tag, a
 presence bitmap (key absent vs present), a null bitmap, then the packed
 values of the present non-null rows in row order.  Columns that are not
 homogeneously typed — or hold values with no fixed-width representation —
 fall back to per-cell canonical JSON, decoded through the same recursive
-canonicalisation as the JSON wire path, so **decoded payloads are
-identical across codecs** and ``decode(encode(r)) == r`` holds for every
-response the JSON codec can carry (and some it cannot, e.g. NaN floats).
+canonicalisation as :meth:`DataResponse.from_json`, so **a decoded payload
+equals its JSON-decoded twin** and ``decode(encode(r)) == r`` holds for
+every response the JSON encoding can carry (and some it cannot, e.g. NaN
+floats).
 
 Integers outside the signed 64-bit range and mixed int/float columns use
 the JSON fallback deliberately: packing them as doubles would round or
@@ -74,41 +63,30 @@ from .protocol import (
 )
 
 __all__ = [
-    "CODEC_BINARY",
-    "CODEC_JSON",
-    "TAG_BINARY",
-    "TAG_HELLO",
-    "TAG_JSON",
+    "MSG_CALL",
     "MSG_ERROR",
     "MSG_REQUEST",
     "MSG_RESPONSE",
-    "answer_hello",
-    "codec_preference",
+    "MSG_RESULT",
+    "decode_call",
     "decode_error",
     "decode_request",
     "decode_response",
+    "decode_result",
+    "encode_call",
     "encode_error",
-    "encode_hello",
     "encode_request",
     "encode_response",
+    "encode_result",
     "message_kind",
-    "negotiate_codec",
-    "parse_hello_reply",
 ]
 
-#: Codec names as they appear in hellos and ``cluster.wire_codec``.
-CODEC_BINARY = "binary"
-CODEC_JSON = "json"
-
-#: One-byte codec tags prefixed to every new-style frame payload.
-TAG_HELLO = b"H"
-TAG_JSON = b"J"
-TAG_BINARY = b"B"
-
-#: Binary message kinds (the byte after the ``B`` tag).
+#: Message kinds (the first byte of every frame payload).
 MSG_REQUEST = 1
 MSG_RESPONSE = 2
 MSG_ERROR = 3
+MSG_CALL = 4
+MSG_RESULT = 5
 
 #: Column type tags of the columnar block.
 COL_JSON = 0  # per-cell canonical JSON (mixed / nested / exotic columns)
@@ -125,80 +103,6 @@ _F64 = struct.Struct(">d")
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
-
-
-# ---------------------------------------------------------------------------
-# Codec negotiation
-# ---------------------------------------------------------------------------
-
-
-def codec_preference(mode: str) -> tuple[str, ...]:
-    """The codec preference list for a ``cluster.wire_codec`` mode.
-
-    ``auto`` prefers binary with JSON fallback; ``binary`` and ``json``
-    pin the single codec (a ``json`` peer also keeps legacy untagged
-    framing, so it interoperates with pre-codec peers byte-for-byte).
-    """
-    if mode == CODEC_JSON:
-        return (CODEC_JSON,)
-    if mode == CODEC_BINARY:
-        return (CODEC_BINARY,)
-    return (CODEC_BINARY, CODEC_JSON)
-
-
-def negotiate_codec(
-    preference: tuple[str, ...], allowed: tuple[str, ...]
-) -> str | None:
-    """The first client-preferred codec the server accepts, or ``None``."""
-    for name in preference:
-        if name in allowed:
-            return name
-    return None
-
-
-def encode_hello(preference: tuple[str, ...]) -> bytes:
-    """The client's negotiation frame payload (tag included)."""
-    return TAG_HELLO + json.dumps(
-        {"codecs": list(preference)}, sort_keys=True
-    ).encode("utf-8")
-
-
-def answer_hello(body: bytes, allowed: tuple[str, ...]) -> bytes:
-    """The server's reply payload (tag included) to a hello ``body``."""
-    try:
-        offered = json.loads(body.decode("utf-8")).get("codecs") or []
-    except (ValueError, UnicodeDecodeError, AttributeError):
-        offered = []
-    chosen = negotiate_codec(tuple(offered), allowed)
-    if chosen is None:
-        reply = {"codecs": list(allowed), "error": "no common wire codec"}
-    else:
-        reply = {"codec": chosen}
-    return TAG_HELLO + json.dumps(reply, sort_keys=True).encode("utf-8")
-
-
-def parse_hello_reply(payload: bytes) -> str | None:
-    """The codec a hello reply selected.
-
-    Returns ``None`` when the peer is a legacy JSON server that answered
-    the hello with an untagged JSON error envelope (it cannot speak tagged
-    frames at all); raises :class:`~repro.errors.ProtocolError` when the
-    peer understood the hello but accepts no offered codec.
-    """
-    if payload[:1] != TAG_HELLO:
-        return None
-    try:
-        data = json.loads(payload[1:].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        raise ProtocolError(f"malformed hello reply: {error}") from error
-    codec = data.get("codec")
-    if isinstance(codec, str):
-        return codec
-    raise ProtocolError(
-        "codec negotiation failed: "
-        f"{data.get('error', 'no codec selected')} "
-        f"(server accepts {data.get('codecs')})"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +138,13 @@ def _w_json_or_none(out: bytearray, value: Any) -> None:
         out += _U32.pack(0)
         return
     _w_text(out, json.dumps(value, sort_keys=True, default=_reject_unencodable))
+
+
+def _loads(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except ValueError as error:
+        raise ProtocolError(f"binary message holds invalid JSON: {error}") from error
 
 
 class _Reader:
@@ -281,14 +192,12 @@ class _Reader:
     def opt_f64(self) -> float | None:
         return self.f64() if self.u8() else None
 
+    def json(self) -> Any:
+        return _loads(self.text())
+
     def json_or_none(self) -> Any:
-        length = self.u32()
-        if length == 0:
-            return None
-        try:
-            return json.loads(self.raw(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise ProtocolError(f"binary message holds invalid JSON: {error}") from error
+        text = self.text()
+        return _loads(text) if text else None
 
     def expect_end(self) -> None:
         if self._offset != len(self._data):
@@ -296,6 +205,15 @@ class _Reader:
                 f"binary message has {len(self._data) - self._offset} "
                 "trailing byte(s)"
             )
+
+
+def _open(body: bytes, kind: int, name: str) -> _Reader:
+    """A reader positioned after the kind byte, which must be ``kind``."""
+    reader = _Reader(body)
+    got = reader.u8()
+    if got != kind:
+        raise ProtocolError(f"expected {name} message, got kind {got}")
+    return reader
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +228,7 @@ def _pack_request(
 
     ``trace`` overrides the request's own ``trace`` field for this one
     encoding — the transport stub stamps the caller's context onto the
-    wire form only, exactly as the JSON path does.
+    wire form only.
     """
     _w_text(out, request.app_name)
     _w_text(out, request.canvas_id)
@@ -349,7 +267,7 @@ def _unpack_request(reader: _Reader) -> DataRequest:
 def encode_request(
     request: DataRequest, *, trace: dict[str, Any] | None = None
 ) -> bytes:
-    """Encode one ``handle`` request as a binary message body (no tag)."""
+    """Encode one ``handle`` request as a ``MSG_REQUEST`` message."""
     out = bytearray()
     out += _U8.pack(MSG_REQUEST)
     _pack_request(out, request, trace)
@@ -361,12 +279,9 @@ def decode_request(body: bytes) -> tuple[DataRequest, dict[str, Any] | None]:
 
     The trace context is popped off the rebuilt request — server-side
     caches and responses must stay identical whether or not the caller
-    traces, matching the JSON path's lift-before-rebuild.
+    traces.
     """
-    reader = _Reader(body)
-    kind = reader.u8()
-    if kind != MSG_REQUEST:
-        raise ProtocolError(f"expected a request message, got kind {kind}")
+    reader = _open(body, MSG_REQUEST, "a request")
     request = _unpack_request(reader)
     reader.expect_end()
     context = request.trace
@@ -488,7 +403,7 @@ def _decode_objects(reader: _Reader) -> list[dict[str, Any]]:
                 size = reader.u8()
                 values.append(struct.unpack(f">{size}d", reader.raw(8 * size)))
         elif tag == COL_JSON:
-            values = [_canonical_value(json.loads(reader.text())) for _ in range(count)]
+            values = [_canonical_value(reader.json()) for _ in range(count)]
         else:
             raise ProtocolError(f"unknown column type tag {tag}")
         cursor = iter(values)
@@ -508,11 +423,11 @@ def _decode_objects(reader: _Reader) -> list[dict[str, Any]]:
 def encode_response(
     response: DataResponse, *, trace: list[dict[str, Any]] | None = None
 ) -> bytes:
-    """Encode one response as a binary message body (no tag).
+    """Encode one response as a ``MSG_RESPONSE`` message.
 
     ``trace`` overrides the response's own span list for this one
-    encoding, exactly like :meth:`DataResponse.to_json` — transports ship
-    remotely-collected spans home without mutating a cached response.
+    encoding — transports ship remotely-collected spans home without
+    mutating a cached response.
     """
     out = bytearray()
     out += _U8.pack(MSG_RESPONSE)
@@ -539,10 +454,7 @@ def decode_response(body: bytes) -> tuple[DataResponse, list[dict[str, Any]]]:
     own tracer, keeping responses above transports byte-identical whether
     or not the far side traced.
     """
-    reader = _Reader(body)
-    kind = reader.u8()
-    if kind != MSG_RESPONSE:
-        raise ProtocolError(f"expected a response message, got kind {kind}")
+    reader = _open(body, MSG_RESPONSE, "a response")
     request = _unpack_request(reader)
     query_ms = reader.f64()
     from_cache = reader.u8() != 0
@@ -566,7 +478,7 @@ def decode_response(body: bytes) -> tuple[DataResponse, list[dict[str, Any]]]:
 
 
 def encode_error(error: BaseException) -> bytes:
-    """Encode a server-side failure as a binary message body (no tag)."""
+    """Encode a server-side failure as a ``MSG_ERROR`` message."""
     out = bytearray()
     out += _U8.pack(MSG_ERROR)
     _w_text(out, type(error).__name__)
@@ -576,18 +488,51 @@ def encode_error(error: BaseException) -> bytes:
 
 def decode_error(body: bytes) -> tuple[str, str]:
     """Decode an error body into ``(type_name, message)``."""
-    reader = _Reader(body)
-    kind = reader.u8()
-    if kind != MSG_ERROR:
-        raise ProtocolError(f"expected an error message, got kind {kind}")
+    reader = _open(body, MSG_ERROR, "an error")
     name = reader.text()
     message = reader.text()
     reader.expect_end()
     return name, message
 
 
+def encode_call(op: str, params: dict[str, Any]) -> bytes:
+    """Encode one metadata operation as a ``MSG_CALL`` message."""
+    out = bytearray()
+    out += _U8.pack(MSG_CALL)
+    _w_text(out, op)
+    _w_text(out, json.dumps(params, sort_keys=True))
+    return bytes(out)
+
+
+def decode_call(body: bytes) -> tuple[str, dict[str, Any]]:
+    """Decode a call message into ``(op, params)``."""
+    reader = _open(body, MSG_CALL, "a call")
+    op = reader.text()
+    params = reader.json()
+    reader.expect_end()
+    if not isinstance(params, dict):
+        raise ProtocolError("call parameters must be a JSON object")
+    return op, params
+
+
+def encode_result(value: Any) -> bytes:
+    """Encode a metadata operation's return value as a ``MSG_RESULT`` message."""
+    out = bytearray()
+    out += _U8.pack(MSG_RESULT)
+    _w_text(out, json.dumps(value, sort_keys=True, default=_reject_unencodable))
+    return bytes(out)
+
+
+def decode_result(body: bytes) -> Any:
+    """Decode a result message into the value it carries."""
+    reader = _open(body, MSG_RESULT, "a result")
+    value = reader.json()
+    reader.expect_end()
+    return value
+
+
 def message_kind(body: bytes) -> int:
-    """The kind byte of a binary message body."""
+    """The kind byte of a message."""
     if not body:
         raise ProtocolError("empty binary message")
     return body[0]

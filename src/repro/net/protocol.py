@@ -2,7 +2,10 @@
 
 Requests and responses are plain dataclasses with a JSON encoding, mirroring
 the HTTP+JSON protocol of the original system.  The encoded payload size is
-what the simulated link charges transfer time for.
+what the simulated link charges transfer time for.  Behind the HTTP edge,
+shard conversations carry the same dataclasses as
+:mod:`repro.net.columnar` binary messages; the JSON encoding here is the
+reference the parity suites compare that codec against.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class DataRequest:
         return replace(self, shard_id=shard_id)
 
     def to_dict(self) -> dict[str, Any]:
-        """The JSON-serialisable form (what transports put on the wire)."""
+        """The JSON-serialisable form."""
         return asdict(self)
 
     def to_json(self) -> str:
@@ -99,9 +102,8 @@ def _canonical_object(obj: dict[str, Any]) -> dict[str, Any]:
     Rows are immutable: sequence-valued columns (``bbox``) are tuples in
     every in-process response, but JSON has no tuple type and decodes them
     as lists.  Converting them back — at every nesting depth — makes the
-    wire encoding lossless — ``DataResponse.from_json(r.to_json()) == r``
-    — which the shard transport depends on for parity with in-process
-    calls.
+    JSON encoding lossless — ``DataResponse.from_json(r.to_json()) == r``
+    — the same canonical form the binary shard wire decodes to.
     """
     return {name: _canonical_value(value) for name, value in obj.items()}
 
@@ -158,13 +160,8 @@ class DataResponse:
     def object_count(self) -> int:
         return len(self.objects)
 
-    def to_json(self, *, trace: list[dict[str, Any]] | None = None) -> str:
-        """Canonical JSON encoding.
-
-        ``trace`` overrides the response's own span list for this one
-        encoding — transports use it to ship remotely-collected spans home
-        without mutating a response object that may live in a cache.
-        """
+    def to_json(self) -> str:
+        """Canonical JSON encoding."""
         return json.dumps(
             {
                 "request": asdict(self.request),
@@ -174,7 +171,7 @@ class DataResponse:
                 "queries_issued": self.queries_issued,
                 "shard_ms": self.shard_ms,
                 "coalesced": self.coalesced,
-                "trace": self.trace if trace is None else trace,
+                "trace": self.trace,
             },
             sort_keys=True,
             default=_reject_unencodable,

@@ -1,14 +1,15 @@
 """A real socket transport for shard conversations.
 
-:mod:`repro.serving.transport` put the JSON envelope on the shard boundary;
-this module puts a *network* under it.  Envelopes cross a localhost (or any)
-TCP connection as length-prefixed frames:
+:mod:`repro.serving.transport` put the :mod:`repro.net.columnar` wire
+format on the shard boundary; this module puts a *network* under it.
+Messages cross a localhost (or any) TCP connection as length-prefixed
+frames:
 
-* **Frame codec** — every payload (UTF-8 text, or raw bytes for the
-  binary columnar codec) is preceded by a 4-byte big-endian length.
-  :func:`encode_frame` / :class:`FrameDecoder` are pure functions of bytes
-  (no sockets), so the property suite can hammer them with arbitrary
-  unicode and arbitrary chunk boundaries.  Oversized frames raise
+* **Frame codec** — every payload (one encoded message, opaque bytes here)
+  is preceded by a 4-byte big-endian length.  :func:`encode_frame` /
+  :class:`FrameDecoder` are pure functions of bytes (no sockets), so the
+  property suite can hammer them with arbitrary payloads and arbitrary
+  chunk boundaries.  Oversized frames raise
   :class:`~repro.errors.FrameTooLargeError`, streams that end mid-frame
   raise :class:`~repro.errors.TruncatedFrameError`, and a peer that sends
   *extra* frames for one round-trip raises
@@ -17,22 +18,16 @@ TCP connection as length-prefixed frames:
 * :class:`SocketTransport` — the client side of the wire: a
   :class:`~repro.serving.transport.ShardTransport` that connects lazily,
   serialises request/reply pairs on one connection, and reconnects after a
-  failure.  On first use it negotiates the frame payload codec with one
-  :data:`~repro.net.columnar.TAG_HELLO` exchange (binary preferred, JSON
-  fallback); a legacy peer that answers the hello with untagged JSON
-  drops the connection back to the pre-codec framing, so mixed-version
-  clusters keep talking.  Socket-level failures (connection refused,
-  reset, torn reply) surface as
-  :class:`~repro.errors.WorkerConnectionError` so the replica layer can
-  treat them as a dead worker rather than a query error.
+  failure.  Socket-level failures (connection refused, reset, torn reply)
+  surface as :class:`~repro.errors.WorkerConnectionError` so the replica
+  layer can treat them as a dead worker rather than a query error.
 * :func:`serve_connection` — the server side's per-connection loop, used by
   :mod:`repro.serving.worker`: read a frame, hand the payload to a
   handler, write the reply frame, until the peer disconnects.
 
-The framing stays minimal (no multiplexing): one frame out, one frame
-back, exactly the conversation
-:class:`~repro.serving.transport.RemoteBackendStub` already has; codec
-negotiation is one ordinary frame exchange on top.
+The framing stays minimal (no multiplexing, no handshake): one frame out,
+one frame back, exactly the conversation
+:class:`~repro.serving.transport.RemoteBackendStub` already has.
 """
 
 from __future__ import annotations
@@ -47,14 +42,6 @@ from ..errors import (
     ProtocolViolationError,
     TruncatedFrameError,
     WorkerConnectionError,
-)
-from .columnar import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    TAG_BINARY,
-    TAG_JSON,
-    encode_hello,
-    parse_hello_reply,
 )
 
 #: 4-byte big-endian unsigned length prefix.
@@ -71,34 +58,26 @@ DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 # ---------------------------------------------------------------------------
 
 
-def encode_frame(
-    payload: str | bytes, *, max_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> bytes:
-    """Encode one payload as ``length || bytes`` (text is sent as UTF-8)."""
-    data = payload.encode("utf-8") if isinstance(payload, str) else payload
-    if len(data) > max_bytes:
+def encode_frame(payload: bytes, *, max_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
+    """Encode one payload as ``length || bytes``."""
+    if len(payload) > max_bytes:
         raise FrameTooLargeError(
-            f"frame payload is {len(data)} bytes (> {max_bytes} byte limit)"
+            f"frame payload is {len(payload)} bytes (> {max_bytes} byte limit)"
         )
-    return FRAME_HEADER.pack(len(data)) + data
+    return FRAME_HEADER.pack(len(payload)) + payload
 
 
 class FrameDecoder:
     """Incremental decoder for a stream of length-prefixed frames.
 
     Feed it byte chunks of *any* size (single bytes, frames split mid-header,
-    several frames glued together) and it yields complete payloads in order
-    — UTF-8 text by default, raw ``bytes`` with ``text=False`` (the binary
-    columnar codec's payloads are not text).  Call :meth:`finish` when the
-    stream ends: a stream that stops inside a header or payload raises
-    :class:`TruncatedFrameError`.
+    several frames glued together) and it yields complete payloads in
+    order.  Call :meth:`finish` when the stream ends: a stream that stops
+    inside a header or payload raises :class:`TruncatedFrameError`.
     """
 
-    def __init__(
-        self, *, max_bytes: int = DEFAULT_MAX_FRAME_BYTES, text: bool = True
-    ) -> None:
+    def __init__(self, *, max_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
         self.max_bytes = max_bytes
-        self.text = text
         self._buffer = bytearray()
 
     @property
@@ -106,10 +85,10 @@ class FrameDecoder:
         """Bytes buffered but not yet decoded into a complete frame."""
         return len(self._buffer)
 
-    def feed(self, chunk: bytes) -> list[str] | list[bytes]:
+    def feed(self, chunk: bytes) -> list[bytes]:
         """Absorb one chunk and return every frame it completed."""
         self._buffer.extend(chunk)
-        frames: list = []
+        frames: list[bytes] = []
         while True:
             if len(self._buffer) < FRAME_HEADER.size:
                 break
@@ -121,8 +100,7 @@ class FrameDecoder:
             end = FRAME_HEADER.size + length
             if len(self._buffer) < end:
                 break
-            payload = bytes(self._buffer[FRAME_HEADER.size:end])
-            frames.append(payload.decode("utf-8") if self.text else payload)
+            frames.append(bytes(self._buffer[FRAME_HEADER.size:end]))
             del self._buffer[:end]
         return frames
 
@@ -140,21 +118,15 @@ class FrameDecoder:
 
 
 def write_frame(
-    sock: socket.socket,
-    payload: str | bytes,
-    *,
-    max_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    sock: socket.socket, payload: bytes, *, max_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ) -> None:
     """Write one frame to a connected socket."""
     sock.sendall(encode_frame(payload, max_bytes=max_bytes))
 
 
 def read_frame(
-    sock: socket.socket,
-    *,
-    max_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    text: bool = True,
-) -> str | bytes | None:
+    sock: socket.socket, *, max_bytes: int = DEFAULT_MAX_FRAME_BYTES
+) -> bytes | None:
     """Read one frame from a connected socket.
 
     Returns ``None`` on a clean end-of-stream (the peer closed between
@@ -162,7 +134,7 @@ def read_frame(
     a frame and :class:`ProtocolViolationError` if the peer pipelines
     extra frames into the single round-trip.
     """
-    decoder = FrameDecoder(max_bytes=max_bytes, text=text)
+    decoder = FrameDecoder(max_bytes=max_bytes)
     while True:
         chunk = sock.recv(65536)
         if not chunk:
@@ -183,23 +155,18 @@ def read_frame(
 
 def serve_connection(
     sock: socket.socket,
-    handler: Callable[[str], str] | Callable[[bytes], bytes],
+    handler: Callable[[bytes], bytes],
     *,
     max_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    text: bool = True,
 ) -> Iterator[None]:
     """Serve one connection: frame in, ``handler`` reply, frame out.
 
-    With ``text=True`` (the legacy JSON wire) the handler maps ``str`` to
-    ``str``; with ``text=False`` it maps raw frame payload ``bytes`` to
-    reply ``bytes`` (the codec-tagged wire, where the handler dispatches
-    on the tag byte itself).  A generator so the caller (the worker's
-    connection thread) can check a shutdown flag between requests;
-    iteration ends when the peer closes.
+    A generator so the caller (the worker's connection thread) can check a
+    shutdown flag between requests; iteration ends when the peer closes.
     """
     while True:
         try:
-            payload = read_frame(sock, max_bytes=max_bytes, text=text)
+            payload = read_frame(sock, max_bytes=max_bytes)
         except (TruncatedFrameError, FrameTooLargeError, OSError):
             # Peer vanished mid-frame, or sent an over-limit/forged header:
             # nothing sane to reply to — drop the connection quietly.
@@ -221,7 +188,7 @@ class SocketTransport:
     """The client end of the wire: one shard worker behind a TCP address.
 
     Implements the :class:`~repro.serving.transport.ShardTransport` seam
-    (``roundtrip(str) -> str``), so a
+    (``roundtrip(bytes) -> bytes``), so a
     :class:`~repro.serving.transport.RemoteBackendStub` pointed here is
     indistinguishable from one pointed at an in-process
     :class:`~repro.serving.transport.LocalTransport`.
@@ -231,14 +198,8 @@ class SocketTransport:
     concurrent sessions at the same worker).  Every socket-level failure —
     connection refused, reset, a reply cut off mid-frame — tears the
     connection down and raises :class:`~repro.errors.WorkerConnectionError`;
-    the next round-trip reconnects from scratch (and renegotiates its
-    codec), so a restarted worker is picked up without special handling.
-
-    Two client surfaces share the connection: the legacy
-    ``roundtrip(str) -> str`` (untagged JSON payloads, byte-identical to
-    the pre-codec wire) and the codec-aware pair
-    :meth:`negotiate` / :meth:`exchange` the
-    :class:`~repro.serving.transport.RemoteBackendStub` drives.
+    the next round-trip reconnects from scratch, so a restarted worker is
+    picked up without special handling.
     """
 
     def __init__(
@@ -263,12 +224,6 @@ class SocketTransport:
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
         self._closed = False
-        #: Codec negotiated on the live connection (None = not negotiated
-        #: yet); reset on teardown so a replacement worker renegotiates.
-        self._codec: str | None = None
-        #: True when the peer turned out to be a legacy JSON server that
-        #: cannot speak tagged frames at all: payloads go untagged.
-        self._legacy = False
 
     def _connect(self) -> socket.socket:  # repolint: disable=lock-discipline
         # Caller (roundtrip/close) holds self._lock.
@@ -288,115 +243,47 @@ class SocketTransport:
         return self._sock
 
     def _teardown(self) -> None:  # repolint: disable=lock-discipline
-        # Caller (roundtrip/negotiate/exchange/close) holds self._lock.
+        # Caller (roundtrip/close) holds self._lock.
         sock, self._sock = self._sock, None
-        self._codec = None
-        self._legacy = False
         if sock is not None:
             try:
                 sock.close()
             except OSError:
                 pass
 
-    def _roundtrip_locked(self, payload: str | bytes, *, text: bool) -> str | bytes:
-        # Caller holds self._lock.
-        try:
-            sock = self._connect()
-            write_frame(sock, payload, max_bytes=self.max_bytes)
-            reply = read_frame(sock, max_bytes=self.max_bytes, text=text)
-        except ProtocolViolationError as error:
-            # A live peer pipelined extra frames: the conversation is
-            # desynchronised beyond repair — drop the connection, but say
-            # what actually happened instead of blaming a truncated
-            # stream.
-            self._teardown()
-            raise WorkerConnectionError(
-                f"worker at {self.host}:{self.port} violated the framing "
-                f"protocol: {error}"
-            ) from error
-        except (OSError, TruncatedFrameError, FrameTooLargeError) as error:
-            # Any failure — dead socket, torn reply, or an over-limit
-            # frame whose tail is still buffered on the wire — leaves
-            # the connection unusable or desynchronized: drop it so
-            # the next round-trip reconnects from a clean stream.
-            self._teardown()
-            raise WorkerConnectionError(
-                f"worker at {self.host}:{self.port} unreachable: "
-                f"{type(error).__name__}: {error}"
-            ) from error
-        if reply is None:
-            self._teardown()
-            raise WorkerConnectionError(
-                f"worker at {self.host}:{self.port} closed the connection "
-                "before replying"
-            )
-        return reply
-
-    def roundtrip(self, payload: str) -> str:
+    def roundtrip(self, payload: bytes) -> bytes:
         with self._lock:
-            return self._roundtrip_locked(payload, text=True)
-
-    # -- codec negotiation ----------------------------------------------------
-
-    def _negotiate_locked(self, preference: tuple[str, ...]) -> str:
-        # Caller holds self._lock.
-        if self._codec is not None:
-            return self._codec
-        if tuple(preference) == (CODEC_JSON,):
-            # A JSON-pinned client skips the hello and keeps the untagged
-            # legacy framing, so its wire stays byte-identical to the
-            # pre-codec protocol against both old and new servers.
-            self._codec, self._legacy = CODEC_JSON, True
-            return self._codec
-        reply = self._roundtrip_locked(encode_hello(preference), text=False)
-        chosen = parse_hello_reply(reply)
-        if chosen is None:
-            # A legacy peer answered the hello with an untagged JSON error
-            # envelope: discard it and fall back to the untagged wire.
-            self._codec, self._legacy = CODEC_JSON, True
-        else:
-            self._codec, self._legacy = chosen, False
-        return self._codec
-
-    def negotiate(self, preference: tuple[str, ...]) -> str:
-        """The codec this connection speaks, negotiating it if needed."""
-        with self._lock:
-            return self._negotiate_locked(preference)
-
-    def exchange(self, codec: str, body: bytes) -> tuple[str, bytes]:
-        """One tagged round-trip: send ``body`` under ``codec``, return the
-        reply as ``(reply_codec, reply_body)``.
-
-        JSON payloads are always sendable — metadata operations ride the
-        JSON envelope even on a binary-negotiated connection (tagged, or
-        untagged against a legacy peer).  A *binary* payload requires the
-        negotiated codec to be binary; if a reconnect renegotiated the
-        connection down to JSON in between, the mismatch surfaces as
-        :class:`WorkerConnectionError` so the caller re-encodes on a clean
-        attempt.
-        """
-        with self._lock:
-            if self._codec is None:
-                fallback = (codec,) if codec == CODEC_JSON else (codec, CODEC_JSON)
-                self._negotiate_locked(fallback)
-            if codec == CODEC_JSON and self._legacy:
-                payload = body
-            elif codec == CODEC_JSON:
-                payload = TAG_JSON + body
-            elif codec != self._codec:
+            try:
+                sock = self._connect()
+                write_frame(sock, payload, max_bytes=self.max_bytes)
+                reply = read_frame(sock, max_bytes=self.max_bytes)
+            except ProtocolViolationError as error:
+                # A live peer pipelined extra frames: the conversation is
+                # desynchronised beyond repair — drop the connection, but say
+                # what actually happened instead of blaming a truncated
+                # stream.
+                self._teardown()
                 raise WorkerConnectionError(
-                    f"worker at {self.host}:{self.port} renegotiated codec "
-                    f"{self._codec!r} mid-conversation (payload was {codec!r})"
+                    f"worker at {self.host}:{self.port} violated the framing "
+                    f"protocol: {error}"
+                ) from error
+            except (OSError, TruncatedFrameError, FrameTooLargeError) as error:
+                # Any failure — dead socket, torn reply, or an over-limit
+                # frame whose tail is still buffered on the wire — leaves
+                # the connection unusable or desynchronized: drop it so
+                # the next round-trip reconnects from a clean stream.
+                self._teardown()
+                raise WorkerConnectionError(
+                    f"worker at {self.host}:{self.port} unreachable: "
+                    f"{type(error).__name__}: {error}"
+                ) from error
+            if reply is None:
+                self._teardown()
+                raise WorkerConnectionError(
+                    f"worker at {self.host}:{self.port} closed the connection "
+                    "before replying"
                 )
-            else:
-                payload = TAG_BINARY + body
-            reply = self._roundtrip_locked(payload, text=False)
-            first = reply[:1]
-            if first == TAG_BINARY:
-                return CODEC_BINARY, reply[1:]
-            if first == TAG_JSON:
-                return CODEC_JSON, reply[1:]
-            return CODEC_JSON, reply
+            return reply
 
     def close(self) -> None:
         with self._lock:

@@ -13,7 +13,7 @@ frontend and the backend serving surface:
   hard-wired into ``KyrixBackend`` and ``ClusterRouter``,
 * :mod:`repro.serving.transport` — :class:`LocalTransport` /
   :class:`RemoteBackendStub` / :class:`TransportService`, putting the
-  :mod:`repro.net.protocol` JSON encoding on the shard boundary,
+  :mod:`repro.net.columnar` binary wire format on the shard boundary,
 * :mod:`repro.serving.replica` — :class:`ReplicaService`, fronting N
   interchangeable replicas of a shard with load balancing, circuit
   breaking and failover,
@@ -32,7 +32,7 @@ Quickstart::
 """
 
 from .base import DataService, ServiceMiddleware, stack_layers, unwrap
-from .factory import build_service, is_factory_built, mark_factory_built
+from .factory import build_service
 from .faults import (
     FaultInjectingService,
     FaultInjectingTransport,
@@ -95,8 +95,6 @@ __all__ = [
     "WorkerPool",
     "build_service",
     "collect_wire_stats",
-    "is_factory_built",
-    "mark_factory_built",
     "build_shard_spec",
     "database_checksum",
     "fault_replica",

@@ -10,14 +10,13 @@ give it a configuration plus either a precomputed backend or the raw
 ``config.cluster`` (sharding, parallel fan-out, wire-level shard calls,
 coalescing) and the keyword overrides.
 
-Direct construction of ``KyrixBackend`` / ``ClusterRouter`` as *frontend
-endpoints* is deprecated in favour of this factory (the constructors keep
-working for one release; building blocks stay public).
+Call sites never construct ``KyrixBackend`` / ``ClusterRouter`` as frontend
+endpoints themselves — repolint's ``factory-only`` rule enforces that at
+check time; the building blocks stay public.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING
 
 from ..errors import KyrixError
@@ -28,30 +27,6 @@ if TYPE_CHECKING:
     from ..server.backend import KyrixBackend
     from ..storage.database import Database
     from .base import DataService
-
-#: Services this factory built (or that are reachable inside one it built).
-#: Frontends consult this to tell a sanctioned bare endpoint (a
-#: ``KyrixBackend`` the factory returned for a non-cluster config) from a
-#: hand-constructed one, which is deprecated as a frontend endpoint.
-_FACTORY_BUILT: "weakref.WeakSet[object]" = weakref.WeakSet()
-
-
-def mark_factory_built(service: "DataService") -> "DataService":
-    """Record ``service`` as a sanctioned :func:`build_service` product."""
-    try:
-        _FACTORY_BUILT.add(service)
-    except TypeError:  # non-weakrefable duck types stay unmarked
-        pass
-    return service
-
-
-def is_factory_built(service: object) -> bool:
-    """True when ``service`` came out of :func:`build_service`."""
-    try:
-        return service in _FACTORY_BUILT
-    except TypeError:
-        return False
-
 
 def build_service(
     config: "KyrixConfig | None" = None,
@@ -69,7 +44,6 @@ def build_service(
     replicas: int | None = None,
     replica_policy: str | None = None,
     worker_mode: str | None = None,
-    wire_codec: str | None = None,
     rebalance: bool | None = None,
     autopilot: bool | None = None,
     telemetry: bool | None = None,
@@ -107,12 +81,6 @@ def build_service(
         ``"processes"`` forks one worker process per shard replica behind
         a socket transport (:mod:`repro.serving.worker`) instead of the
         in-process thread topology.  Only meaningful for sharded stacks.
-    wire_codec:
-        Per-build override of ``config.cluster.wire_codec``: what the
-        shard-boundary ``handle`` hot path speaks (``"auto"`` negotiates
-        the :mod:`repro.net.columnar` binary codec with JSON fallback,
-        ``"json"`` pins the legacy envelope, ``"binary"`` requires the
-        binary codec).  Only meaningful for sharded wire-level stacks.
     rebalance:
         Per-build override of ``config.cluster.rebalance_enabled``: when
         true the built cluster carries a
@@ -151,9 +119,6 @@ def build_service(
             precompute = True
     if precompute:
         backend.precompute(tile_sizes=tile_sizes)
-    # The backend the factory constructed (or adopted and prepared) is a
-    # sanctioned endpoint even when the returned stack wraps it.
-    mark_factory_built(backend)
     config = config or backend.config
 
     sharded = config.cluster.enabled or shard_count is not None or strategy is not None
@@ -170,7 +135,6 @@ def build_service(
             replicas=replicas,
             replica_policy=replica_policy,
             worker_mode=worker_mode,
-            wire_codec=wire_codec,
             rebalance=rebalance,
             autopilot=autopilot,
             telemetry=telemetry,
@@ -188,6 +152,5 @@ def build_service(
     if metrics:
         from .middleware import MetricsService
 
-        mark_factory_built(service)
         service = MetricsService(service)
-    return mark_factory_built(service)
+    return service

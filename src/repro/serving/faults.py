@@ -17,8 +17,8 @@ first-class seam rather than ad-hoc monkeypatching: both the test suites and
   response payload with a recognisably wrong one.
 * :class:`FaultInjectingTransport` — the same idea one level down, on the
   :class:`~repro.serving.transport.ShardTransport` wire: error faults raise
-  before the envelope is delivered (a dead connection), corruption faults
-  garble the reply bytes so the client-side decode fails.
+  before the message is delivered (a dead connection), corruption faults
+  garble the reply bytes so the client-side decode fails typed.
 
 :func:`fault_replica` is the convenience hook tests and benchmarks use to
 wrap one replica of a built cluster in place (via the
@@ -237,8 +237,10 @@ class FaultInjectingTransport:
 
     Error faults raise before delivery (the connection died); latency
     faults charge the virtual clock per round-trip; corruption faults
-    garble the reply text so the client-side JSON decode blows up — the
-    three failure shapes a networked shard actually exhibits.
+    garble the reply bytes (an unknown kind byte, then a torn body) so the
+    client-side decode raises a typed
+    :class:`~repro.errors.ProtocolError` — the three failure shapes a
+    networked shard actually exhibits.
     """
 
     def __init__(
@@ -252,7 +254,7 @@ class FaultInjectingTransport:
         self.schedule = schedule
         self.clock = clock
 
-    def roundtrip(self, payload: str) -> str:
+    def roundtrip(self, payload: bytes) -> bytes:
         rules = self.schedule.consult("roundtrip")
         _record_fault_events(rules, seam="transport")
         for rule in rules:
@@ -263,7 +265,7 @@ class FaultInjectingTransport:
                 raise InjectedFaultError(rule.message)
         reply = self.inner.roundtrip(payload)
         if any(rule.kind == "corrupt" for rule in rules):
-            return "<<corrupted envelope>>" + reply[:16]
+            return b"\xffcorrupted" + reply[:16]
         return reply
 
     def close(self) -> None:

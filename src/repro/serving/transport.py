@@ -1,31 +1,31 @@
 """Wire-level transport for the serving surface.
 
 The router used to call shard backends in-process with live Python objects;
-nothing guaranteed the :mod:`repro.net.protocol` JSON encoding could carry
-a shard conversation losslessly.  This module puts the protocol on the
-shard boundary for real:
+nothing guaranteed a shard conversation could cross a wire losslessly.
+This module puts the wire on the shard boundary for real:
 
-* :class:`LocalTransport` — the server side of the wire: it accepts an
-  encoded *envelope* (operation name + JSON params), decodes it, dispatches
-  to a server-side :class:`~repro.serving.base.DataService`, and returns the
-  encoded reply.  It is the in-process stand-in for an HTTP endpoint — the
-  bytes that cross it are exactly the bytes a remote deployment would send.
+* :class:`LocalTransport` — the server side of the wire: it accepts one
+  encoded :mod:`repro.net.columnar` message, decodes it, dispatches to a
+  server-side :class:`~repro.serving.base.DataService`, and returns the
+  encoded reply.  It is the in-process stand-in for a worker's socket
+  endpoint — the bytes that cross it are exactly the bytes a remote
+  deployment would send.
 * :class:`RemoteBackendStub` — the client side: a :class:`DataService`
   whose every call is encoded, pushed through a transport, and decoded
   back.  Point it at a :class:`LocalTransport` for wire-faithful in-process
-  shards today, or at a socket/HTTP transport for a multi-node deployment
-  tomorrow; the router cannot tell the difference.
+  shards, or at a :class:`~repro.net.socket_transport.SocketTransport` for
+  worker processes; the router cannot tell the difference.
 * :class:`TransportService` — middleware gluing the two together around an
   inner service, so ``TransportService(shard)`` makes every shard call
   round-trip ``encode -> decode -> handle -> encode -> decode``.
 
-Both ends speak two codecs.  The ``handle`` hot path crosses either as
-the legacy JSON envelope or as a :mod:`repro.net.columnar` binary message,
-selected per connection by a one-frame hello (``cluster.wire_codec``
-decides the preference: ``auto`` prefers binary with JSON fallback);
-metadata operations (``warm``/``canvas_info``/``layer_density``) always
-ride JSON envelopes.  Decoded responses are byte-identical across codecs —
-that is the law this seam exists to enforce.
+There is one wire format: every payload is a :mod:`repro.net.columnar`
+message selected by its kind byte — ``handle`` crosses as a
+request/response pair, the metadata operations (``warm`` /
+``canvas_info`` / ``layer_density``) as a call/result pair, and a
+server-side failure as an error message the stub re-raises.  Decoded
+responses equal their in-process originals — that is the law this seam
+exists to enforce.
 
 An optional :class:`~repro.net.link.SimulatedLink` charges each reply's
 measured byte size, so shard-boundary traffic shows up in link statistics
@@ -37,7 +37,6 @@ what the scaling benchmark reports as ``wire_bytes_per_step``.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
@@ -57,52 +56,13 @@ if TYPE_CHECKING:
 
 @runtime_checkable
 class ShardTransport(Protocol):
-    """One request/reply exchange of encoded payloads.
+    """One request/reply exchange of encoded :mod:`repro.net.columnar` messages."""
 
-    ``roundtrip`` is the minimal (legacy) surface: untagged JSON text both
-    ways.  Codec-aware transports additionally expose
-    ``negotiate(preference) -> str`` and
-    ``exchange(codec, body) -> (reply_codec, reply_body)``; the stub
-    detects them by presence and falls back to ``roundtrip`` otherwise, so
-    wrappers like
-    :class:`~repro.serving.faults.FaultInjectingTransport` keep working
-    unchanged (their conversations simply stay JSON).
-    """
-
-    def roundtrip(self, payload: str) -> str:
-        """Send one encoded envelope, return the encoded reply."""
+    def roundtrip(self, payload: bytes) -> bytes:
+        """Send one encoded message, return the encoded reply."""
         ...
 
     def close(self) -> None: ...
-
-
-def encode_envelope(op: str, params: dict[str, Any]) -> str:
-    """Encode one operation envelope (the transport's request payload)."""
-    return json.dumps({"op": op, "params": params}, sort_keys=True)
-
-
-def encode_reply(result: Any) -> str:
-    """Encode a successful reply."""
-    return json.dumps({"ok": True, "result": result}, sort_keys=True)
-
-
-def splice_reply(result_json: str) -> str:
-    """Encode a successful reply around an already-encoded result.
-
-    ``result_json`` must be valid JSON text (e.g. ``DataResponse.to_json()``
-    output); splicing it verbatim keeps the hot path at exactly one encode
-    on the server and one decode on the client instead of re-parsing the
-    payload just to nest it.
-    """
-    return f'{{"ok": true, "result": {result_json}}}'
-
-
-def encode_error(error: BaseException) -> str:
-    """Encode a server-side failure so the stub can re-raise it."""
-    return json.dumps(
-        {"ok": False, "error": {"type": type(error).__name__, "message": str(error)}},
-        sort_keys=True,
-    )
 
 
 class TransportError(KyrixError):
@@ -135,116 +95,39 @@ class WireStats:
 
 
 class LocalTransport:
-    """The server end of the wire, dispatching envelopes to a service.
+    """The server end of the wire, dispatching messages to a service.
 
-    Every operation crosses fully encoded both ways — responses are
-    produced with :meth:`DataResponse.to_json` (or
-    :func:`repro.net.columnar.encode_response` on a binary conversation)
-    and never leak live objects, which is what makes the pair
-    wire-faithful.  ``codecs`` is the set this endpoint accepts for the
-    ``handle`` hot path; :meth:`roundtrip_frame` is the tagged-frame
-    server surface (hello negotiation, binary messages, tagged JSON and
-    legacy untagged JSON), :meth:`roundtrip` the legacy text surface.
+    Every operation crosses fully encoded both ways and never leaks live
+    objects, which is what makes the pair wire-faithful.  A failure while
+    serving — including an undecodable or unexpected message — is answered
+    with an error message rather than raised, so faults cross the wire.
     """
 
-    def __init__(
-        self, service: DataService, *, codecs: tuple[str, ...] | None = None
-    ) -> None:
+    def __init__(self, service: DataService) -> None:
         self.service = service
-        self.codecs = (
-            tuple(codecs)
-            if codecs
-            else (columnar.CODEC_BINARY, columnar.CODEC_JSON)
-        )
 
-    def roundtrip(self, payload: str) -> str:
+    def roundtrip(self, payload: bytes) -> bytes:
         try:
-            envelope = json.loads(payload)
-            op = envelope["op"]
-            params = envelope.get("params", {})
-            if op == "handle":
-                if columnar.CODEC_JSON not in self.codecs:
-                    raise ProtocolError(
-                        "this endpoint serves 'handle' only under the "
-                        "binary wire codec (wire_codec='binary')"
-                    )
-                # Hot path: one decode (the envelope) and one encode (the
-                # response), spliced into the reply frame verbatim.  A
-                # trace context riding the request is lifted off before the
-                # request is rebuilt, so server-side caches and responses
-                # stay identical whether or not the caller traces.
-                raw_request = dict(params["request"])
-                context = raw_request.pop("trace", None)
-                request = DataRequest(**raw_request)
-                tracer = get_tracer()
-                with tracer.remote_trace(context) as collected:
+            kind = columnar.message_kind(payload)
+            if kind == columnar.MSG_REQUEST:
+                # A trace context riding the request is lifted off before
+                # the request is rebuilt, so server-side caches and
+                # responses stay identical whether or not the caller traces.
+                request, context = columnar.decode_request(payload)
+                with get_tracer().remote_trace(context) as collected:
                     response = self.service.handle(request)
                 if collected is not None and collected.spans:
-                    return splice_reply(response.to_json(trace=collected.spans))
-                return splice_reply(response.to_json())
-            return encode_reply(self._dispatch(op, params))
-        except Exception as error:  # noqa: BLE001 - faults must cross the wire
-            return encode_error(error)
-
-    def roundtrip_frame(self, payload: bytes) -> bytes:
-        """The tagged-frame server: dispatch one payload on its codec tag.
-
-        ``H`` answers the codec hello, ``B`` serves a binary message, ``J``
-        unwraps a tagged JSON envelope; anything else is treated as a
-        legacy untagged JSON envelope and answered untagged, so pre-codec
-        peers interoperate byte-for-byte.
-        """
-        tag = payload[:1]
-        if tag == columnar.TAG_HELLO:
-            return columnar.answer_hello(payload[1:], self.codecs)
-        if tag == columnar.TAG_BINARY:
-            return columnar.TAG_BINARY + self._serve_binary(payload[1:])
-        if tag == columnar.TAG_JSON:
-            reply = self.roundtrip(payload[1:].decode("utf-8", errors="replace"))
-            return columnar.TAG_JSON + reply.encode("utf-8")
-        return self.roundtrip(
-            payload.decode("utf-8", errors="replace")
-        ).encode("utf-8")
-
-    def _serve_binary(self, body: bytes) -> bytes:
-        try:
-            if columnar.CODEC_BINARY not in self.codecs:
-                raise ProtocolError(
-                    "this endpoint does not accept the binary wire codec "
-                    "(wire_codec='json')"
+                    return columnar.encode_response(response, trace=collected.spans)
+                return columnar.encode_response(response)
+            if kind == columnar.MSG_CALL:
+                return columnar.encode_result(
+                    self._dispatch(*columnar.decode_call(payload))
                 )
-            request, context = columnar.decode_request(body)
-            tracer = get_tracer()
-            with tracer.remote_trace(context) as collected:
-                response = self.service.handle(request)
-            if collected is not None and collected.spans:
-                return columnar.encode_response(response, trace=collected.spans)
-            return columnar.encode_response(response)
+            raise ProtocolError(
+                f"a shard endpoint serves request and call messages, got kind {kind}"
+            )
         except Exception as error:  # noqa: BLE001 - faults must cross the wire
             return columnar.encode_error(error)
-
-    def negotiate(self, preference: tuple[str, ...]) -> str:
-        """Pick the first client-preferred codec this endpoint accepts."""
-        chosen = columnar.negotiate_codec(tuple(preference), self.codecs)
-        if chosen is None:
-            raise ProtocolError(
-                f"codec negotiation failed: client offers {tuple(preference)}, "
-                f"server accepts {self.codecs}"
-            )
-        return chosen
-
-    def exchange(self, codec: str, body: bytes) -> tuple[str, bytes]:
-        """One in-process tagged round-trip (the socket transport's twin)."""
-        if codec == columnar.CODEC_BINARY:
-            reply = self.roundtrip_frame(columnar.TAG_BINARY + body)
-        else:
-            reply = self.roundtrip_frame(body)
-        first = reply[:1]
-        if first == columnar.TAG_BINARY:
-            return columnar.CODEC_BINARY, reply[1:]
-        if first == columnar.TAG_JSON:
-            return columnar.CODEC_JSON, reply[1:]
-        return columnar.CODEC_JSON, reply
 
     def _dispatch(self, op: str, params: dict[str, Any]) -> Any:
         if op == "warm":
@@ -270,12 +153,7 @@ class RemoteBackendStub:
     node; re-sending it per request would be absurd).  Everything else —
     requests, responses, canvas metadata — crosses the transport encoded.
 
-    ``codecs`` is the client's codec preference for the ``handle`` hot
-    path (first entry preferred); what actually runs is negotiated with
-    the far side per connection, and a transport without the codec-aware
-    surface (``negotiate``/``exchange``) pins the conversation to legacy
-    JSON.  The stub counts its own payload traffic either way — see
-    :attr:`wire_stats`.
+    The stub counts its own payload traffic — see :attr:`wire_stats`.
     """
 
     def __init__(
@@ -285,17 +163,11 @@ class RemoteBackendStub:
         config: "KyrixConfig",
         *,
         link: "SimulatedLink | None" = None,
-        codecs: tuple[str, ...] | None = None,
     ) -> None:
         self.transport = transport
         self._compiled = compiled
         self._config = config
         self.link = link
-        self.codecs = (
-            tuple(codecs)
-            if codecs
-            else (columnar.CODEC_BINARY, columnar.CODEC_JSON)
-        )
         self._wire_lock = threading.Lock()
         self._wire_calls = 0
         self._wire_sent = 0
@@ -331,63 +203,23 @@ class RemoteBackendStub:
             self._wire_sent += sent + FRAME_HEADER.size
             self._wire_received += received + FRAME_HEADER.size
 
-    def _select_codec(self) -> str:
-        """The codec the ``handle`` hot path uses on this transport."""
-        negotiate = getattr(self.transport, "negotiate", None)
-        if negotiate is None or columnar.CODEC_BINARY not in self.codecs:
-            return columnar.CODEC_JSON
-        return negotiate(self.codecs)
-
-    @staticmethod
-    def _parse_json_reply(reply_text: str) -> Any:
-        reply = json.loads(reply_text)
-        if not reply.get("ok", False):
-            error = reply.get("error", {})
-            raise TransportError(
-                f"{error.get('type', 'Error')}: {error.get('message', 'remote failure')}"
-            )
-        return reply["result"]
-
-    def _call(self, op: str, params: dict[str, Any]) -> Any:
-        payload = encode_envelope(op, params)
-        exchange = getattr(self.transport, "exchange", None)
-        if exchange is not None:
-            body = payload.encode("utf-8")
-            _, reply_body = exchange(columnar.CODEC_JSON, body)
-            self._count_wire(len(body), len(reply_body))
-            reply_text = reply_body.decode("utf-8")
-        else:
-            reply_text = self.transport.roundtrip(payload)
-            self._count_wire(
-                len(payload.encode("utf-8")), len(reply_text.encode("utf-8"))
-            )
+    def _exchange(self, body: bytes) -> bytes:
+        """One round-trip; a reply that is an error message re-raises here."""
+        reply = self.transport.roundtrip(body)
+        self._count_wire(len(body), len(reply))
         if self.link is not None:
             # Charge the measured byte size of the reply (the request side
             # is covered by the link's per-request overhead term).
-            self.link.charge_request(len(reply_text.encode("utf-8")))
-        return self._parse_json_reply(reply_text)
-
-    def _handle_binary(
-        self, request: DataRequest, context: dict[str, Any] | None
-    ) -> tuple[DataResponse, list[dict[str, Any]] | None]:
-        body = columnar.encode_request(request, trace=context)
-        reply_codec, reply_body = self.transport.exchange(
-            columnar.CODEC_BINARY, body
-        )
-        self._count_wire(len(body), len(reply_body))
-        if self.link is not None:
-            self.link.charge_request(len(reply_body))
-        if reply_codec != columnar.CODEC_BINARY:
-            # The far side answered the binary request with a JSON envelope
-            # (an error from a codec-restricted endpoint): decode it the
-            # JSON way so the failure surfaces typed.
-            result = self._parse_json_reply(reply_body.decode("utf-8"))
-            remote_spans = result.pop("trace", None)
-            return DataResponse.from_dict(result), remote_spans
-        if columnar.message_kind(reply_body) == columnar.MSG_ERROR:
-            name, message = columnar.decode_error(reply_body)
+            self.link.charge_request(len(reply))
+        if columnar.message_kind(reply) == columnar.MSG_ERROR:
+            name, message = columnar.decode_error(reply)
             raise TransportError(f"{name}: {message}")
-        return columnar.decode_response(reply_body)
+        return reply
+
+    def _call(self, op: str, params: dict[str, Any]) -> Any:
+        return columnar.decode_result(
+            self._exchange(columnar.encode_call(op, params))
+        )
 
     # -- DataService ------------------------------------------------------------------
 
@@ -398,15 +230,9 @@ class RemoteBackendStub:
             # caller's request object (and any cache keyed on it) never
             # sees it.
             context = tracer.current_context()
-            if self._select_codec() == columnar.CODEC_BINARY:
-                response, remote_spans = self._handle_binary(request, context)
-            else:
-                params = {"request": request.to_dict()}
-                if context is not None:
-                    params["request"]["trace"] = context
-                result = self._call("handle", params)
-                remote_spans = result.pop("trace", None)
-                response = DataResponse.from_dict(result)
+            response, remote_spans = columnar.decode_response(
+                self._exchange(columnar.encode_request(request, trace=context))
+            )
             if remote_spans:
                 # Spans recorded on the far side come home inside the
                 # reply; draining them here keeps the decoded response
@@ -439,30 +265,15 @@ class TransportService(ServiceMiddleware):
     :class:`RemoteBackendStub` (client side) around the inner service; a
     call entering this layer is encoded, decoded, served, re-encoded and
     re-decoded — byte-for-byte what a networked shard would do.
-
-    ``codecs`` (both the server's accepted set and the client's
-    preference — the pair shares one configuration, exactly like a worker
-    deployment rolled out from one config) defaults to the inner service's
-    ``config.cluster.wire_codec``.
     """
 
     def __init__(
-        self,
-        inner: DataService,
-        *,
-        link: "SimulatedLink | None" = None,
-        codecs: tuple[str, ...] | None = None,
+        self, inner: DataService, *, link: "SimulatedLink | None" = None
     ) -> None:
         super().__init__(inner)
-        if codecs is None:
-            try:
-                mode = inner.config.cluster.wire_codec
-            except AttributeError:
-                mode = "auto"
-            codecs = columnar.codec_preference(mode)
-        self.transport = LocalTransport(inner, codecs=codecs)
+        self.transport = LocalTransport(inner)
         self.stub = RemoteBackendStub(
-            self.transport, inner.compiled, inner.config, link=link, codecs=codecs
+            self.transport, inner.compiled, inner.config, link=link
         )
 
     @property

@@ -15,8 +15,7 @@ This module moves each shard replica into its **own worker process**:
   database from the spec, compose the shard's serving stack
   (``LocalTransport ∘ CachingService ∘ SerializedService`` over the
   backend's query core — exactly the per-replica stack the in-process
-  topology builds), then answer tagged wire frames (codec hellos,
-  :mod:`repro.net.columnar` binary messages, JSON envelopes) over
+  topology builds), then answer :mod:`repro.net.columnar` messages over
   length-prefixed frames on a localhost TCP socket until told to stop.
   ``SIGTERM`` drains: in-flight requests finish, the listener closes, the
   process exits 0.
@@ -158,11 +157,6 @@ class ShardSpec:
     #: ``CompiledApplication.to_dict()`` — the plan without live closures.
     plan: dict
     tables: tuple[TableDump, ...]
-    #: Wire codecs the worker's transport endpoint accepts for the
-    #: ``handle`` hot path (from the *effective* ``cluster.wire_codec``,
-    #: which a ``build_cluster`` override may differ from the ``config``
-    #: dict above — hence carried explicitly).
-    codecs: tuple[str, ...] = ("binary", "json")
 
     def checksum(self) -> str:
         return _checksum_dumps(self.tables)
@@ -186,7 +180,6 @@ def build_shard_spec(
     config: KyrixConfig,
     *,
     shard_id: int,
-    codecs: tuple[str, ...] = ("binary", "json"),
 ) -> ShardSpec:
     """Serialise one shard's database into a worker-transportable spec."""
     return ShardSpec(
@@ -194,7 +187,6 @@ def build_shard_spec(
         config=config.to_dict(),
         plan=compiled.to_dict(),
         tables=_dump_database(database),
-        codecs=tuple(codecs),
     )
 
 
@@ -211,7 +203,7 @@ def _build_worker_stack(spec: ShardSpec) -> tuple[LocalTransport, "Database"]:
     config = KyrixConfig.from_dict(spec.config)
     # The worker process has its own telemetry singletons; configuring
     # them from the spec makes spans recorded here flow back across the
-    # socket (LocalTransport ships them inside the reply envelope).
+    # socket (LocalTransport ships them inside the response message).
     configure_telemetry(config.telemetry)
     compiled = CompiledApplication.from_dict(spec.plan)
     database = _restore_database(spec.tables, config)
@@ -220,7 +212,7 @@ def _build_worker_stack(spec: ShardSpec) -> tuple[LocalTransport, "Database"]:
     stack = CachingService(
         SerializedService(backend.query_service()), entries=cache_entries
     )
-    return LocalTransport(stack, codecs=spec.codecs), database
+    return LocalTransport(stack), database
 
 
 def worker_main(payload: bytes, port: int, ready_conn: Any) -> None:
@@ -268,9 +260,7 @@ def worker_main(payload: bytes, port: int, ready_conn: Any) -> None:
     def _serve(conn: socket.socket) -> None:
         with conn:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # Byte frames, not text: the transport's tagged-frame surface
-            # dispatches hello/binary/JSON/legacy payloads per frame.
-            for _ in serve_connection(conn, transport.roundtrip_frame, text=False):
+            for _ in serve_connection(conn, transport.roundtrip):
                 if stop.is_set():
                     # Drain semantics: the reply that was just written
                     # completes the in-flight request; stop reading more.

@@ -8,7 +8,7 @@ itself.  This package provides that answer with two cooperating pieces:
 
 * :class:`~repro.telemetry.tracer.Tracer` — per-request traces made of
   timed spans.  A ``TraceContext`` (trace id + parent span id + sampling
-  decision) rides the JSON envelope across thread pools and the
+  decision) rides the request message across thread pools and the
   length-prefixed socket frames into worker processes, so one trace covers
   the whole scatter/gather fan-out including remote worker time.
 * :class:`~repro.telemetry.registry.TelemetryRegistry` — fixed-bucket
@@ -39,7 +39,7 @@ __all__ = [
 #: Process-wide singletons.  Worker processes configure their own copies
 #: from the pickled ``ShardSpec`` config, so spans recorded behind the
 #: socket boundary flow into the worker's tracer and travel back to the
-#: router inside the reply envelope.
+#: router inside the response message.
 _REGISTRY = TelemetryRegistry()
 _TRACER = Tracer(_REGISTRY)
 

@@ -7,9 +7,9 @@ attempt, rpc, backend execute).  Traces cross three kinds of boundary:
 * **thread pools** — the scatter/gather executor runs shard fan-out on
   worker threads; :meth:`Tracer.attach` re-binds such a thread to the
   caller's trace so its spans land in the same record,
-* **the JSON wire** — :meth:`Tracer.current_context` produces the
+* **the shard wire** — :meth:`Tracer.current_context` produces the
   ``TraceContext`` dict (``trace_id`` / ``span_id`` / ``sampled``) that the
-  transport stub injects into the request envelope,
+  transport stub stamps onto the request message,
 * **process boundaries** — the worker-side transport adopts an incoming
   context with :meth:`Tracer.remote_trace`, collects the spans produced
   while serving the request, and ships them back inside the reply where

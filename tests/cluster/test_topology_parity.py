@@ -6,7 +6,7 @@ topology the cluster supports —
 * ``threads`` — in-process shard stacks called directly (``wire_shards``
   off),
 * ``wire`` — in-process shard stacks behind the ``LocalTransport`` /
-  ``RemoteBackendStub`` JSON wire (the default),
+  ``RemoteBackendStub`` binary wire (the default),
 * ``processes`` — one forked worker process per shard replica behind a
   ``SocketTransport`` speaking length-prefixed frames on localhost TCP —
 
@@ -25,6 +25,7 @@ import json
 import pytest
 
 from repro.cluster import build_cluster
+from repro.serving import collect_wire_stats
 
 from tests.cluster.conftest import parity_requests, payload_bytes
 
@@ -63,6 +64,7 @@ def test_topologies_are_byte_identical_and_attribute_identically(
     payloads: dict[str, list[bytes]] = {}
     attributions: dict[str, dict] = {}
     checksums: dict[str, dict[str, str]] = {}
+    wire_bytes: dict[str, int] = {}
 
     for topology, overrides in TOPOLOGIES.items():
         cluster = build_cluster(
@@ -78,6 +80,7 @@ def test_topologies_are_byte_identical_and_attribute_identically(
             ]
             attributions[topology] = _attribution(cluster.router.stats)
             checksums[topology] = dict(cluster.router.stats.replica_checksums)
+            wire_bytes[topology] = collect_wire_stats(cluster.router).bytes_total
             assert cluster.router.stats.divergent_replicas() == {}
         finally:
             cluster.close()
@@ -93,6 +96,11 @@ def test_topologies_are_byte_identical_and_attribute_identically(
             f"{topology} attribution diverged at "
             f"{shard_count} shards x {replicas} replicas"
         )
+
+    # One wire: the frames a worker's socket carries are the frames the
+    # in-process transport pair exchanges, byte count for byte count.
+    assert wire_bytes["threads"] == 0
+    assert wire_bytes["processes"] == wire_bytes["wire"] > 0
 
     # Identical shard content must hash identically in every topology that
     # records checksums: worker processes always hash their own rebuilt

@@ -1,11 +1,11 @@
-"""Unit tests for the binary columnar codec and the lossless-wire bugfixes.
+"""Unit tests for the shard wire format and the lossless-wire bugfixes.
 
-Covers the three bugfix regressions of this change set — ``default=str``
-coercion removed from the JSON encoder, recursive canonicalisation of
-nested sequence columns, and chatty peers raising
+Covers the three bugfix regressions — ``default=str`` coercion removed
+from the JSON encoder, recursive canonicalisation of nested sequence
+columns, and chatty peers raising
 :class:`~repro.errors.ProtocolViolationError` instead of blaming a
-truncated stream — plus the codec's own round-trips, negotiation, and the
-typed fallbacks that keep it lossless.
+truncated stream — plus every message kind's round-trip, the golden bytes
+that freeze the format, and the typed fallbacks that keep it lossless.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.errors import (
 )
 from repro.net import columnar
 from repro.net.protocol import DataRequest, DataResponse
-from repro.net.socket_transport import encode_frame, read_frame, write_frame
+from repro.net.socket_transport import encode_frame, read_frame
 
 
 def box_request(**overrides):
@@ -72,6 +72,22 @@ def response(objects, **overrides):
     return DataResponse(**fields)
 
 
+#: kind -> (one encoded message of that kind, its decoder).
+MESSAGES = {
+    "request": (columnar.encode_request(box_request()), columnar.decode_request),
+    "response": (
+        columnar.encode_response(response([{"tuple_id": 1}])),
+        columnar.decode_response,
+    ),
+    "error": (columnar.encode_error(ValueError("boom")), columnar.decode_error),
+    "call": (
+        columnar.encode_call("canvas_info", {"canvas_id": "dots"}),
+        columnar.decode_call,
+    ),
+    "result": (columnar.encode_result({"width": 1024.5}), columnar.decode_result),
+}
+
+
 # ---------------------------------------------------------------------------
 # Bugfix regressions
 # ---------------------------------------------------------------------------
@@ -109,7 +125,7 @@ class TestLosslessWireBugfixes:
         assert issubclass(ProtocolViolationError, TruncatedFrameError)
         client, peer = socket.socketpair()
         try:
-            peer.sendall(encode_frame("one") + encode_frame("two"))
+            peer.sendall(encode_frame(b"one") + encode_frame(b"two"))
             with pytest.raises(ProtocolViolationError, match="more than one frame"):
                 read_frame(client)
         finally:
@@ -126,8 +142,9 @@ class TestLosslessWireBugfixes:
             conn, _ = listener.accept()
             with conn:
                 read_frame(conn)
-                write_frame(conn, "first")
-                write_frame(conn, "second")
+                # One sendall: both frames are in the client's first recv,
+                # so the violation cannot race the client's read.
+                conn.sendall(encode_frame(b"first") + encode_frame(b"second"))
 
         thread = threading.Thread(target=chatty_server, daemon=True)
         thread.start()
@@ -136,50 +153,11 @@ class TestLosslessWireBugfixes:
             with pytest.raises(
                 WorkerConnectionError, match="violated the framing protocol"
             ):
-                transport.roundtrip("hello?")
+                transport.roundtrip(b"hello?")
         finally:
             transport.close()
             listener.close()
             thread.join(timeout=5.0)
-
-
-# ---------------------------------------------------------------------------
-# Negotiation
-# ---------------------------------------------------------------------------
-
-
-class TestNegotiation:
-    def test_codec_preference_maps_modes(self):
-        assert columnar.codec_preference("auto") == ("binary", "json")
-        assert columnar.codec_preference("binary") == ("binary",)
-        assert columnar.codec_preference("json") == ("json",)
-
-    def test_hello_picks_first_preferred_codec_the_server_accepts(self):
-        hello = columnar.encode_hello(("binary", "json"))
-        assert hello[:1] == columnar.TAG_HELLO
-        reply = columnar.answer_hello(hello[1:], ("binary", "json"))
-        assert columnar.parse_hello_reply(reply) == "binary"
-
-    def test_hello_falls_back_to_the_servers_codec(self):
-        hello = columnar.encode_hello(("binary", "json"))
-        reply = columnar.answer_hello(hello[1:], ("json",))
-        assert columnar.parse_hello_reply(reply) == "json"
-
-    def test_no_common_codec_is_a_typed_failure(self):
-        hello = columnar.encode_hello(("binary",))
-        reply = columnar.answer_hello(hello[1:], ("json",))
-        with pytest.raises(ProtocolError, match="no common wire codec"):
-            columnar.parse_hello_reply(reply)
-
-    def test_legacy_untagged_reply_reads_as_no_negotiation(self):
-        # A pre-codec server answers the hello with an untagged JSON error
-        # envelope: the client must fall back, not crash.
-        assert columnar.parse_hello_reply(b'{"ok": false}') is None
-
-    def test_garbage_hello_body_negotiates_nothing(self):
-        reply = columnar.answer_hello(b"\xff\xfe", ("binary", "json"))
-        with pytest.raises(ProtocolError):
-            columnar.parse_hello_reply(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +183,25 @@ class TestRequestRoundTrip:
         assert decoded.trace is None
         assert decoded == request
 
-    def test_wrong_kind_raises(self):
-        body = columnar.encode_response(response([]))
-        with pytest.raises(ProtocolError, match="expected a request"):
-            columnar.decode_request(body)
+    @pytest.mark.parametrize("kind", sorted(MESSAGES))
+    def test_wrong_kind_raises(self, kind):
+        _, decode = MESSAGES[kind]
+        for other in sorted(set(MESSAGES) - {kind}):
+            body, _ = MESSAGES[other]
+            with pytest.raises(ProtocolError, match=f"expected an? {kind}"):
+                decode(body)
 
-    def test_truncated_body_raises(self):
-        body = columnar.encode_request(box_request())
+    @pytest.mark.parametrize("kind", sorted(MESSAGES))
+    def test_truncated_body_raises(self, kind):
+        body, decode = MESSAGES[kind]
         with pytest.raises(ProtocolError, match="truncated"):
-            columnar.decode_request(body[: len(body) // 2])
+            decode(body[: len(body) // 2])
 
-    def test_trailing_bytes_raise(self):
-        body = columnar.encode_request(box_request())
+    @pytest.mark.parametrize("kind", sorted(MESSAGES))
+    def test_trailing_bytes_raise(self, kind):
+        body, decode = MESSAGES[kind]
         with pytest.raises(ProtocolError, match="trailing"):
-            columnar.decode_request(body + b"\x00")
+            decode(body + b"\x00")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +295,7 @@ class TestResponseRoundTrip:
         assert len(columnar.encode_response(wide)) < len(wide.to_json().encode())
 
 
-class TestErrors:
+class TestErrorsAndCalls:
     def test_error_roundtrip(self):
         body = columnar.encode_error(ValueError("boom"))
         assert columnar.message_kind(body) == columnar.MSG_ERROR
@@ -321,3 +304,100 @@ class TestErrors:
     def test_empty_message_raises(self):
         with pytest.raises(ProtocolError, match="empty"):
             columnar.message_kind(b"")
+
+    def test_call_roundtrip(self):
+        params = {"canvas_id": "dots", "layer_index": 2}
+        body = columnar.encode_call("layer_density", params)
+        assert columnar.message_kind(body) == columnar.MSG_CALL
+        assert columnar.decode_call(body) == ("layer_density", params)
+
+    @pytest.mark.parametrize("value", [None, 0.0, {}, {"width": 8, "layers": [1, 2]}])
+    def test_result_roundtrip_keeps_falsy_values_distinct(self, value):
+        body = columnar.encode_result(value)
+        assert columnar.message_kind(body) == columnar.MSG_RESULT
+        decoded = columnar.decode_result(body)
+        assert decoded == value and type(decoded) is type(value)
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes: the one wire format, frozen
+# ---------------------------------------------------------------------------
+
+_GOLDEN_REQUEST = (
+    "0100000004646f747300000004646f7473000000000000000000000003626f7800000007"
+    "7370617469616c0000010000000000000000010000000000000000014070000000000000"
+    "014070000000000000010000000000000003"
+)
+_TRACE_CONTEXT = {"trace_id": "t1", "span_id": "s1", "sampled": True}
+_GOLDEN_OBJECTS = [
+    {"tuple_id": 7, "x": 1.5, "label": "a", "flag": True,
+     "bbox": (0.0, 1.0, 2.0, 3.0), "mixed": 1},
+    {"tuple_id": 8, "x": -2.25, "label": "b", "flag": False,
+     "bbox": (4.0, 5.0, 6.0, 7.0), "mixed": 1.0},
+]
+_GOLDEN_SPANS = [{"name": "execute", "duration_ms": 1.0}]
+
+#: name -> (value, encoder, decoder, hex of the encoded message).  The
+#: response covers every column representation: bbox (f64 tuple), bool,
+#: str, JSON-fallback cells (the int/float ``mixed`` column), i64, f64 —
+#: plus a shard timing entry and a trace trailer.
+GOLDEN = {
+    "request": (
+        (box_request(), None),
+        lambda value: columnar.encode_request(value[0]),
+        columnar.decode_request,
+        _GOLDEN_REQUEST + "00000000",
+    ),
+    "request_traced": (
+        (box_request(), _TRACE_CONTEXT),
+        lambda value: columnar.encode_request(value[0], trace=value[1]),
+        columnar.decode_request,
+        _GOLDEN_REQUEST + "000000347b2273616d706c6564223a20747275652c20227370616e5f69"
+        "64223a20227331222c202274726163655f6964223a20227431227d",
+    ),
+    "response": (
+        (
+            response(_GOLDEN_OBJECTS, shard_ms={"shard0": 0.5}),
+            _GOLDEN_SPANS,
+        ),
+        lambda value: columnar.encode_response(value[0], trace=value[1]),
+        columnar.decode_response,
+        "02" + _GOLDEN_REQUEST[2:] + "00000000"
+        "3ff40000000000000000000000000000020100000001000000067368617264303fe00000"
+        "00000000000000295b7b226475726174696f6e5f6d73223a20312e302c20226e616d6522"
+        "3a202265786563757465227d5d00000002000000060000000462626f7805030004000000"
+        "00000000003ff0000000000000400000000000000040080000000000000440100000000000"
+        "0040140000000000004018000000000000401c00000000000000000004666c6167040300"
+        "0100000000056c6162656c03030000000001610000000162000000056d69786564000300"
+        "000000013100000003312e30000000087475706c655f6964010300000000000000000700"
+        "0000000000000800000001780203003ff8000000000000c002000000000000",
+    ),
+    "error": (
+        ("ValueError", "boom"),
+        lambda value: columnar.encode_error(ValueError(value[1])),
+        columnar.decode_error,
+        "030000000a56616c75654572726f7200000004626f6f6d",
+    ),
+    "call": (
+        ("layer_density", {"canvas_id": "dots", "layer_index": 0}),
+        lambda value: columnar.encode_call(*value),
+        columnar.decode_call,
+        "040000000d6c617965725f64656e73697479000000277b2263616e7661735f6964223a20"
+        "22646f7473222c20226c617965725f696e646578223a20307d",
+    ),
+    "result": (
+        {"height": 512, "width": 1024.5},
+        columnar.encode_result,
+        columnar.decode_result,
+        "05000000207b22686569676874223a203531322c20227769647468223a20313032342e35"
+        "7d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_messages_pin_the_wire_format(name):
+    value, encode, decode, golden_hex = GOLDEN[name]
+    golden = bytes.fromhex(golden_hex)
+    assert encode(value) == golden
+    assert decode(golden) == value

@@ -1,10 +1,10 @@
 """Property suite for the binary columnar codec.
 
-Mirrors ``test_property_protocol.py`` on the binary wire: every request and
-response the JSON envelope can carry must survive the columnar codec
-unchanged, and — the cross-codec law — decoding the binary form must yield
-exactly what decoding the JSON form yields, so topologies that negotiate
-different codecs still serve byte-identical payloads.
+Mirrors ``test_property_protocol.py`` on the shard wire: every request and
+response the reference JSON encoding can carry must survive the columnar
+codec unchanged, and — the reference law — decoding the binary form must
+yield exactly what decoding the JSON form yields, so what a shard returns
+over the wire is what the HTTP edge would have serialised.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class TestBinaryResponseRoundTrip:
     @given(responses())
     @settings(max_examples=150, deadline=None)
     def test_decoded_payload_matches_the_json_codec(self, response):
-        # The cross-codec law: both wire forms decode to the same object,
+        # The reference law: both encodings decode to the same object,
         # and re-encoding both decodes to the same canonical JSON bytes.
         via_binary, _ = columnar.decode_response(columnar.encode_response(response))
         via_json = DataResponse.from_json(response.to_json())

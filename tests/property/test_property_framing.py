@@ -1,12 +1,12 @@
 """Property suite for the length-prefixed socket frame codec.
 
 The socket transport's correctness rests entirely on the frame codec
-(:mod:`repro.net.socket_transport`): if a frame survives arbitrary unicode
+(:mod:`repro.net.socket_transport`): if a frame survives arbitrary byte
 payloads and arbitrary chunk boundaries, the worker conversation is exactly
-the in-process envelope exchange.  Hypothesis drives three properties:
+the in-process message exchange.  Hypothesis drives three properties:
 
 * **round-trip** — ``decode(encode(payload)) == payload`` for arbitrary
-  unicode, including frames glued back-to-back in one buffer,
+  bytes, including frames glued back-to-back in one buffer,
 * **chunking-independence** — feeding the encoded bytes to the decoder in
   arbitrary splits (down to single bytes) yields the same frames in order,
 * **typed rejection** — frames larger than the limit raise
@@ -24,13 +24,13 @@ from hypothesis import strategies as st
 from repro.errors import FrameTooLargeError, TruncatedFrameError
 from repro.net.socket_transport import FRAME_HEADER, FrameDecoder, encode_frame
 
-payloads = st.text(max_size=2_000)
+payloads = st.binary(max_size=2_000)
 
 
-def _feed_in_chunks(decoder: FrameDecoder, data: bytes, cuts: list[int]) -> list[str]:
+def _feed_in_chunks(decoder: FrameDecoder, data: bytes, cuts: list[int]) -> list[bytes]:
     """Feed ``data`` split at the (normalised) cut points, collecting frames."""
     boundaries = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
-    frames: list[str] = []
+    frames: list[bytes] = []
     for start, end in zip(boundaries, boundaries[1:]):
         frames.extend(decoder.feed(data[start:end]))
     return frames
@@ -65,14 +65,14 @@ def test_decoding_is_chunking_independent(items, cuts):
 @settings(max_examples=25)
 def test_byte_at_a_time_decoding(payload):
     decoder = FrameDecoder()
-    frames: list[str] = []
+    frames: list[bytes] = []
     for index in range(len(encode_frame(payload))):
         frames.extend(decoder.feed(encode_frame(payload)[index : index + 1]))
     assert frames == [payload]
     decoder.finish()
 
 
-@given(payload=st.text(min_size=1, max_size=500))
+@given(payload=st.binary(min_size=1, max_size=500))
 def test_truncated_stream_raises_typed_error(payload):
     data = encode_frame(payload)
     decoder = FrameDecoder()
@@ -87,7 +87,7 @@ def test_truncated_stream_raises_typed_error(payload):
 def test_oversized_encode_raises(oversize):
     limit = 64
     with pytest.raises(FrameTooLargeError):
-        encode_frame("x" * (limit + oversize), max_bytes=limit)
+        encode_frame(b"x" * (limit + oversize), max_bytes=limit)
 
 
 @given(declared=st.integers(min_value=65, max_value=2**32 - 1))
@@ -102,15 +102,5 @@ def test_oversized_header_rejected_before_payload_arrives(declared):
 
 @given(payload=payloads)
 def test_max_size_frame_is_accepted_exactly_at_the_limit(payload):
-    data = payload.encode("utf-8")
-    decoder = FrameDecoder(max_bytes=len(data))
-    assert decoder.feed(encode_frame(payload, max_bytes=len(data))) == [payload]
-
-
-def test_multibyte_unicode_lengths_are_byte_lengths():
-    # "é" is 1 code point but 2 UTF-8 bytes; the prefix counts bytes.
-    frame = encode_frame("é")
-    (length,) = FRAME_HEADER.unpack_from(frame)
-    assert length == 2
-    decoder = FrameDecoder()
-    assert decoder.feed(frame) == ["é"]
+    decoder = FrameDecoder(max_bytes=len(payload))
+    assert decoder.feed(encode_frame(payload, max_bytes=len(payload))) == [payload]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.net import columnar
 from repro.net.protocol import DataRequest, DataResponse
 
 # -- strategies -------------------------------------------------------------------
@@ -141,10 +142,12 @@ class TestTracedResponseRoundTrip:
 
     @given(traced_responses(), st.lists(span_dicts, min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
-    def test_to_json_trace_override_ships_without_mutating(self, response, spans):
+    def test_wire_trace_override_ships_without_mutating(self, response, spans):
         before = list(response.trace)
-        encoded = DataResponse.from_json(response.to_json(trace=spans))
-        assert encoded.trace == spans
+        _, shipped = columnar.decode_response(
+            columnar.encode_response(response, trace=spans)
+        )
+        assert shipped == spans
         # The override is a pure encoding-time substitution: the (possibly
         # cached, possibly shared) response object is untouched.
         assert response.trace == before

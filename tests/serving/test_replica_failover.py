@@ -7,14 +7,14 @@ Every failure in this suite is injected through the first-class fault seam
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
 
 from repro.cluster import build_cluster
-from repro.errors import AllReplicasFailedError, ReplicaTimeoutError
+from repro.errors import AllReplicasFailedError, ProtocolError, ReplicaTimeoutError
 from repro.metrics.timer import VirtualClock
+from repro.net import columnar
 from repro.net.protocol import DataRequest, DataResponse
 from repro.serving import (
     FaultInjectingService,
@@ -131,41 +131,49 @@ class TestFaultInjectingService:
         assert clean.objects[0]["source"] == "replica"
 
 
+class _ResultTransport:
+    """A far side that answers every message with an empty result."""
+
+    def roundtrip(self, payload: bytes) -> bytes:
+        return columnar.encode_result(None)
+
+    def close(self) -> None:
+        pass
+
+
+class _FrameRecorder:
+    """Records the (request, reply) message kinds crossing a transport."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.frames: list[tuple[int, int]] = []
+
+    def roundtrip(self, payload: bytes) -> bytes:
+        reply = self.inner.roundtrip(payload)
+        self.frames.append(
+            (columnar.message_kind(payload), columnar.message_kind(reply))
+        )
+        return reply
+
+    def close(self) -> None:
+        self.inner.close()
+
+
 class TestFaultInjectingTransport:
     def test_error_fault_raises_before_delivery(self):
-        from repro.serving.transport import LocalTransport
-
-        class _Recorder:
-            def __init__(self):
-                self.delivered = 0
-
-            def roundtrip(self, payload):
-                self.delivered += 1
-                return '{"ok": true, "result": null}'
-
-            def close(self):
-                pass
-
-        inner = _Recorder()
+        inner = _FrameRecorder(_ResultTransport())
         faulty = FaultInjectingTransport(inner, FaultSchedule.fail_always(op="roundtrip"))
         with pytest.raises(InjectedFaultError):
-            faulty.roundtrip("{}")
-        assert inner.delivered == 0
+            faulty.roundtrip(columnar.encode_call("warm", {}))
+        assert inner.frames == []
 
     def test_corruption_fault_garbles_the_reply(self):
-        class _Echo:
-            def roundtrip(self, payload):
-                return '{"ok": true, "result": 1}'
-
-            def close(self):
-                pass
-
         faulty = FaultInjectingTransport(
-            _Echo(), FaultSchedule([FaultRule(kind="corrupt", op="roundtrip")])
+            _ResultTransport(), FaultSchedule([FaultRule(kind="corrupt", op="roundtrip")])
         )
-        reply = faulty.roundtrip("{}")
-        with pytest.raises(ValueError):
-            json.loads(reply)
+        reply = faulty.roundtrip(columnar.encode_call("warm", {}))
+        with pytest.raises(ProtocolError, match="expected a result"):
+            columnar.decode_result(reply)
 
 
 class TestFailover:
@@ -233,7 +241,7 @@ class TestFailover:
             service.handle(request)
         assert isinstance(excinfo.value.causes[0], ReplicaTimeoutError)
 
-    def test_transport_level_faults_fail_over_too(self):
+    def test_corrupted_reply_on_the_real_wire_trips_the_breaker_and_fails_over(self):
         from repro.bench.apps import build_dots_backend, default_config
         from repro.datagen.synthetic import tiny_spec
         from repro.serving.transport import TransportService
@@ -248,16 +256,27 @@ class TestFailover:
         )
         healthy = TransportService(stack.backend.query_service())
         broken = TransportService(stack.backend.query_service())
+        recorder = _FrameRecorder(broken.transport)
         broken.stub.transport = FaultInjectingTransport(
-            broken.transport, FaultSchedule([FaultRule(kind="corrupt", op="roundtrip")])
+            recorder, FaultSchedule([FaultRule(kind="corrupt", op="roundtrip")])
         )
-        service = ReplicaService([broken, healthy], policy="round_robin")
+        # The garbled reply surfaces typed — never as a silently wrong (or
+        # silently re-negotiated) payload.
+        with pytest.raises(ProtocolError, match="expected a response"):
+            broken.handle(request)
+        service = ReplicaService(
+            [broken, healthy], policy="round_robin", breaker_threshold=2
+        )
         expected = stack.backend.handle(request)
         # Wire corruption on replica 0 is caught and failed over, every time.
-        for _ in range(2):
+        for _ in range(4):
             assert _payload_bytes(service.handle(request)) == _payload_bytes(expected)
-        assert service.stats.failures_for(0) == service.stats.requests_for(0) > 0
+        assert service.stats.failures_for(0) == service.stats.requests_for(0) == 2
+        assert service.breaker_open(0)
         assert service.stats.failures_for(1) == 0
+        # The fault-wrapped conversation spoke the production wire: binary
+        # request/response messages, the same frames an unwrapped stub sends.
+        assert recorder.frames == [(columnar.MSG_REQUEST, columnar.MSG_RESPONSE)] * 3
 
 
 class TestCircuitBreaker:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench.apps import build_dots_backend, default_config
 from repro.cluster import ClusterRouter, build_cluster
-from repro.client import ExplorationSession, KyrixFrontend
+from repro.client import KyrixFrontend
 from repro.datagen.synthetic import tiny_spec
 from repro.errors import KyrixError
 from repro.serving import (
@@ -246,38 +246,3 @@ class TestBuildService:
             )
         )
         assert len(full.objects) == spec.num_points
-
-
-class TestDeprecationShims:
-    def test_frontend_backend_alias(self, dots_stack):
-        frontend = KyrixFrontend(dots_stack.backend)
-        with pytest.warns(DeprecationWarning, match="KyrixFrontend.backend"):
-            alias = frontend.backend
-        assert alias is frontend.service is dots_stack.backend
-
-    def test_session_from_backend_alias(self, dots_stack):
-        with pytest.warns(DeprecationWarning, match="from_backend"):
-            session = ExplorationSession.from_backend(dots_stack.backend)
-        assert session.frontend.service is dots_stack.backend
-
-    def test_stack_serving_alias(self, dots_stack):
-        with pytest.warns(DeprecationWarning, match="DotsStack.serving"):
-            alias = dots_stack.serving
-        assert alias is dots_stack.service
-
-    def test_factory_built_endpoints_construct_silently(self, dots_stack):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            KyrixFrontend(dots_stack.backend)
-
-    def test_hand_built_endpoint_warns(self, dots_stack):
-        from repro.server.backend import KyrixBackend
-
-        raw = KyrixBackend(  # repolint: disable=factory-only
-            dots_stack.database, dots_stack.compiled, dots_stack.backend.config
-        )
-        raw.precompute()
-        with pytest.warns(DeprecationWarning, match="hand-constructed KyrixBackend"):
-            KyrixFrontend(raw)

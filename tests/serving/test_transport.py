@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.net import columnar
 from repro.net.link import SimulatedLink
 from repro.net.protocol import DataRequest
 from repro.serving import (
@@ -14,7 +15,6 @@ from repro.serving import (
     TransportError,
     TransportService,
 )
-from repro.serving.transport import encode_envelope
 
 
 class TestTransportParity:
@@ -83,14 +83,27 @@ class TestTransportFaults:
 
     def test_unknown_operation_is_a_wire_fault(self, dots_stack):
         transport = LocalTransport(dots_stack.backend)
-        reply = json.loads(transport.roundtrip(encode_envelope("explode", {})))
-        assert reply["ok"] is False
-        assert "explode" in reply["error"]["message"]
+        reply = transport.roundtrip(columnar.encode_call("explode", {}))
+        name, message = columnar.decode_error(reply)
+        assert name == "FetchError" and "explode" in message
 
-    def test_garbage_payload_is_a_wire_fault(self, dots_stack):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"",
+            b"\xffnot a message at all",
+            columnar.encode_result(None),  # a valid kind no endpoint serves
+            columnar.encode_request(
+                DataRequest("dots", "dots", 0, "box", xmin=0.0, ymin=0.0,
+                            xmax=1.0, ymax=1.0)
+            )[:-3],
+        ],
+        ids=["empty", "unknown-kind", "unserved-kind", "truncated"],
+    )
+    def test_garbage_payload_is_a_wire_fault(self, dots_stack, payload):
         transport = LocalTransport(dots_stack.backend)
-        reply = json.loads(transport.roundtrip("not json at all"))
-        assert reply["ok"] is False
+        name, _ = columnar.decode_error(transport.roundtrip(payload))
+        assert name == "ProtocolError"
 
 
 class TestStubAndLink:
@@ -114,8 +127,8 @@ class TestStubAndLink:
         response = service.handle(box_request)
         assert response.objects
         assert link.stats.requests == 1
-        # The charged payload is the real reply encoding (binary columnar
-        # under the default codec) plus the link's per-request overhead;
+        # The charged payload is the real reply encoding (one binary
+        # columnar message) plus the link's per-request overhead;
         # the stub's own wire accounting sees the same reply plus the
         # 4-byte frame header.
         wire = service.stub.wire_stats
@@ -125,31 +138,3 @@ class TestStubAndLink:
             reply_bytes + backend.config.network.request_overhead_bytes
         )
         assert service.stats is link.stats
-
-    def test_json_pinned_link_charges_the_json_reply(self, dots_stack, box_request):
-        backend = dots_stack.backend
-        backend.cache.clear()
-        link = SimulatedLink(backend.config.network)
-        service = TransportService(backend, link=link, codecs=("json",))
-        response = service.handle(box_request)
-        # Under the pinned JSON codec the charged reply wraps the full
-        # serialized objects, so it is at least that large.
-        assert link.stats.bytes_transferred > len(
-            json.dumps(response.objects).encode()
-        )
-
-    def test_binary_reply_is_smaller_than_json(self, dots_stack, box_request):
-        backend = dots_stack.backend
-        backend.cache.clear()
-        binary_link = SimulatedLink(backend.config.network)
-        TransportService(backend, link=binary_link, codecs=("binary",)).handle(
-            box_request
-        )
-        backend.cache.clear()
-        json_link = SimulatedLink(backend.config.network)
-        TransportService(backend, link=json_link, codecs=("json",)).handle(
-            box_request
-        )
-        assert (
-            binary_link.stats.bytes_transferred < json_link.stats.bytes_transferred
-        )

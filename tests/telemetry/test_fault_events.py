@@ -27,7 +27,7 @@ class _EchoService:
 
 
 class _EchoTransport:
-    def roundtrip(self, payload: str) -> str:
+    def roundtrip(self, payload: bytes) -> bytes:
         return payload
 
     def close(self) -> None:
@@ -84,7 +84,7 @@ class TestTransportSeam:
         )
         with pytest.raises(InjectedFaultError):
             with tracer.span("rpc", op="handle"):
-                injector.roundtrip("{}")
+                injector.roundtrip(b"")
         ((span_name, event),) = _fault_events(tracer)
         assert span_name == "rpc"
         assert event["seam"] == "transport"
@@ -95,5 +95,5 @@ class TestTransportSeam:
             _EchoTransport(), FaultSchedule.fail_nth(0, op="roundtrip")
         )
         with pytest.raises(InjectedFaultError):
-            injector.roundtrip("{}")
+            injector.roundtrip(b"")
         assert disabled_tracer.traces() == []
