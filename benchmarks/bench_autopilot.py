@@ -25,8 +25,10 @@ threads/processes) it reports:
 * ``skew_static_end`` — the control run's final skew (stays pinned at the
   shard count: a static partitioning never recovers on its own).
 * ``p50_shift_ms`` / ``p50_end_ms`` — median request latency in the epoch
-  right after the shift (every session piled onto one cold shard) vs. the
-  final epoch (warm, re-split, settled).  The median must fall; it is the
+  right after the shift (every session piled onto one shard) vs. the
+  final epoch (re-split, settled).  Both are real queries — shards hold
+  no caches and the router's is cleared per replay — so the drop is the
+  re-split's, not a warm cache's.  The median must fall; it is the
   robust statistic this bench gates on.
 * ``p99_shift_ms`` / ``p99_end_ms`` — same epochs, 99th percentile.
   Reported but **not** gated: with every shard in one process the tail

@@ -100,9 +100,9 @@ def default_config(
 def _built_source_backend(service: "DataService") -> KyrixBackend:
     """The full (unsharded) source backend behind a factory-built stack.
 
-    For a non-cluster configuration the factory's outermost service *is*
-    the backend; for a sharded stack the router's cluster handle keeps the
-    source backend the shards were split from.
+    For a non-cluster configuration it is the terminal of the factory's
+    stack; for a sharded stack the router's cluster handle keeps the source
+    backend the shards were split from.
     """
     from ..cluster import ClusterRouter
     from ..serving import unwrap

@@ -36,7 +36,14 @@ from ..server.schemes import (
 from ..server.tile import TileScheme
 from ..serving import collect_wire_stats
 from .apps import DotsStack, build_dots_backend, default_config
-from .harness import ExperimentResult, SchemeResult, run_experiment, run_scheme_on_trace
+from .harness import (
+    ExperimentResult,
+    SchemeResult,
+    _reset_serving_caches,
+    _serving_caches,
+    run_experiment,
+    run_scheme_on_trace,
+)
 
 #: Default number of dots for benchmark-scale runs.  Density matches the
 #: paper's 1e-3 dots per pixel² on a 32768 x 8192 canvas.
@@ -288,14 +295,14 @@ def prefetch_cache_ablation(
     variants.append(("cache+momentum", with_prefetch, MomentumPrefetcher()))
 
     for name, config, prefetcher in variants:
-        stack.backend.cache.clear()
-        stack.backend.cache.stats.reset()
-        # The backend cache honours the variant's cache setting too.
-        stack.backend.cache.capacity = (
-            config.cache.backend_entries if config.cache.enabled else 0
-        )
+        _reset_serving_caches(stack)
+        # The server-side cache honours the variant's cache setting too.
+        for cache in _serving_caches(stack):
+            cache.capacity = (
+                config.cache.backend_entries if config.cache.enabled else 0
+            )
         frontend = KyrixFrontend(
-            stack.backend, dbox_scheme(), config=config, prefetcher=prefetcher
+            stack.service, dbox_scheme(), config=config, prefetcher=prefetcher
         )
         session = ExplorationSession(frontend)
         outcome = session.run_trace(stack.canvas_id, positions)
@@ -308,9 +315,8 @@ def prefetch_cache_ablation(
             )
         )
     # Restore the stack's default cache capacity for later users.
-    stack.backend.cache.capacity = (
-        base.cache.backend_entries if base.cache.enabled else 0
-    )
+    for cache in _serving_caches(stack):
+        cache.capacity = base.cache.backend_entries if base.cache.enabled else 0
     return results
 
 

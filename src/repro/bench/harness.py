@@ -19,8 +19,10 @@ from ..client.session import ExplorationSession
 from ..config import KyrixConfig
 from ..datagen.traces import Trace
 from ..metrics.collector import SummaryStats, summarize
+from ..server.cache import LRUCache
 from ..server.prefetch import Prefetcher
 from ..server.schemes import FetchScheme
+from ..serving.base import stack_layers
 from .apps import DotsStack
 
 
@@ -89,33 +91,20 @@ class ExperimentResult:
         return sum(r.average_response_ms for r in results) / len(results)
 
 
+def _serving_caches(stack: DotsStack) -> list[LRUCache]:
+    """Every server-side response cache on the stack's serving path."""
+    return [
+        layer.cache
+        for layer in stack_layers(stack.service)
+        if getattr(layer, "cache", None) is not None
+    ]
+
+
 def _reset_serving_caches(stack: DotsStack) -> None:
-    """Cold-start every response cache on the stack's serving path.
-
-    Walks the composed middleware stack (plus the shard backends behind a
-    cluster router), clearing every :class:`CachingService` layer it finds.
-    """
-    from ..cluster.router import ClusterRouter
-    from ..serving.base import stack_layers
-    from ..serving.middleware import CachingService
-
-    stack.backend.cache.clear()
-    stack.backend.cache.stats.reset()
-    if stack.service is not None:
-        for layer in stack_layers(stack.service):
-            if isinstance(layer, CachingService):
-                layer.cache.clear()
-                layer.cache.stats.reset()
-            if isinstance(layer, ClusterRouter):
-                layer.cache.clear()
-                layer.cache.stats.reset()
-    if stack.cluster is not None:
-        for shard in stack.cluster.shards:
-            # Process-worker shards detach their parent-side backend (the
-            # worker owns the cache); nothing to clear in the parent then.
-            if shard.backend is not None:
-                shard.backend.cache.clear()
-                shard.backend.cache.stats.reset()
+    """Cold-start the server side of the stack: empty caches, zeroed counters."""
+    for cache in _serving_caches(stack):
+        cache.clear()
+        cache.stats.reset()
 
 
 def run_scheme_on_trace(
@@ -146,7 +135,7 @@ def run_scheme_on_trace(
     # scheme comparison on the tiny test scale.
     gc.collect()
     frontend = KyrixFrontend(
-        stack.service if stack.service is not None else stack.backend,
+        stack.service,
         scheme,
         config=config or stack.backend.config,
         prefetcher=prefetcher,

@@ -71,13 +71,7 @@ percentiles at 1/2/4/8 shards under concurrent pan workloads.
 """
 
 from .autopilot import AutopilotAction, ClusterAutopilot
-from .builder import (
-    ShardedCluster,
-    build_cluster,
-    replica_service,
-    replica_stack,
-    shard_service,
-)
+from .builder import ShardedCluster, build_cluster
 from .coalescer import CoalescerStats, RequestCoalescer
 from .partitioner import (
     BalancedKDPartitioner,
@@ -113,7 +107,4 @@ __all__ = [
     "ShardedIndexer",
     "build_cluster",
     "make_partitioner",
-    "replica_service",
-    "replica_stack",
-    "shard_service",
 ]

@@ -52,7 +52,7 @@ from ..config import AutopilotConfig
 from ..errors import KyrixError
 from ..serving.replica import MonotonicClock, ReplicaService
 from ..serving.transport import RemoteBackendStub
-from ..serving.worker import build_shard_spec, database_checksum
+from ..serving.worker import build_shard_spec, database_checksum, replica_stack
 from ..telemetry import get_registry, get_tracer
 from .rebalancer import LoadRebalancer, RebalanceReport
 from .sharded import ShardedIndexer
@@ -480,8 +480,6 @@ class ClusterAutopilot:
         the *stack* (or its recorded hash) is suspect, and repair is a
         fresh stack plus a truthful re-recorded checksum.
         """
-        from .builder import replica_stack
-
         router = self.router
         shard = next(
             (s for s in router.shards if s.shard_id == shard_id), None
@@ -495,7 +493,9 @@ class ClusterAutopilot:
                 continue
             replica_index = _replica_index(key)
             replacement = replica_stack(
-                shard, router.config, wire=router.cluster_config.wire_shards
+                shard.backend,
+                lock=shard.lock,
+                wire=router.cluster_config.wire_shards,
             )
             replica_set.swap_replica(
                 replica_index,

@@ -1,4 +1,14 @@
-"""One-call assembly of a sharded serving cluster from a single backend."""
+"""One-call assembly of a sharded serving cluster from a single backend.
+
+:func:`build_cluster` shards a precomputed backend, attaches a serving
+stack to every shard (:func:`attach_shard_services`) and puts a
+:class:`~repro.cluster.router.ClusterRouter` in front.  The router owns the
+cluster's one response cache (and its coalescer); every shard replica below
+it is a bare engine behind a lock —
+``[TransportService | LocalTransport] ∘ SerializedService ∘ KyrixBackend``,
+built by :func:`~repro.serving.worker.replica_stack` whether it runs in
+this process or in a worker.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +19,14 @@ from ..config import ClusterConfig, KyrixConfig
 from ..server.backend import KyrixBackend
 from ..telemetry import configure as configure_telemetry
 from ..serving.base import DataService
-from ..serving.middleware import CachingService, SerializedService
 from ..serving.replica import ReplicaService
-from ..serving.transport import RemoteBackendStub, TransportService
+from ..serving.transport import RemoteBackendStub
 from ..serving.worker import (
     ShardSpec,
     WorkerPool,
     build_shard_spec,
     database_checksum,
+    replica_stack,
 )
 from .partitioner import Partitioning
 from .router import ClusterRouter, replica_key
@@ -76,146 +86,6 @@ class ShardedCluster:
             self.worker_pool.close()
 
 
-def shard_service(shard: ShardHandle, *, wire: bool) -> DataService:
-    """The single-copy serving stack of one shard.
-
-    Always a :class:`~repro.serving.middleware.SerializedService` guarding
-    the shard's embedded engine (the stand-in for one single-threaded worker
-    process).  With ``wire=True`` a
-    :class:`~repro.serving.transport.TransportService` sits on top, so every
-    call the router makes crosses the :mod:`repro.net` encoding both ways —
-    exactly the bytes a multi-node deployment would exchange.
-    """
-    stack: DataService = SerializedService(shard.backend, lock=shard.lock)
-    if wire:
-        stack = TransportService(stack)
-    return stack
-
-
-def replica_stack(
-    shard: ShardHandle, config: "KyrixConfig", *, wire: bool
-) -> DataService:
-    """One in-process replica's serving stack over a shard's shared index.
-
-    The unit :func:`replica_service` composes N of — and the rebuild seam
-    the autopilot's read-repair uses to replace a single diverged replica
-    without touching its siblings.
-    """
-    cache_entries = config.cache.backend_entries if config.cache.enabled else 0
-    stack: DataService = SerializedService(
-        shard.backend.query_service(), lock=shard.lock
-    )
-    stack = CachingService(stack, entries=cache_entries)
-    if wire:
-        stack = TransportService(stack)
-    return stack
-
-
-def replica_service(
-    shard: ShardHandle,
-    cluster_config: "ClusterConfig",
-    config: "KyrixConfig",
-    *,
-    wire: bool,
-) -> ReplicaService:
-    """A replica set fronting one shard's immutable index.
-
-    Every replica shares the shard's precomputed database/backend — the
-    index is immutable after sharding, so replicas are interchangeable by
-    construction — but composes its *own* serving stack on top: an
-    independent :class:`~repro.serving.middleware.CachingService` (so
-    ``per_key_affinity`` has per-replica caches to aim at), an independent
-    :class:`~repro.serving.transport.TransportService`, and its own breaker
-    and traffic counters in the :class:`~repro.serving.replica.ReplicaService`.
-    Engine access stays serialised through the shard's single lock (the
-    embedded storage engine is not thread-safe; one lock per shard is the
-    in-process stand-in for each replica process owning a copy of the
-    index).
-    """
-    replicas: list[DataService] = [
-        replica_stack(shard, config, wire=wire)
-        for _ in range(cluster_config.replicas)
-    ]
-    return ReplicaService(
-        replicas,
-        policy=cluster_config.replica_policy,
-        retry_limit=cluster_config.replica_retry_limit,
-        breaker_threshold=cluster_config.breaker_threshold,
-        breaker_reset_s=cluster_config.breaker_reset_s,
-    )
-
-
-def spawn_worker_topology(
-    shards: list[ShardHandle],
-    cluster_config: ClusterConfig,
-    config: KyrixConfig,
-    compiled: Any,
-    *,
-    generation: int = 0,
-) -> WorkerPool:
-    """Fork one worker process per shard replica and attach their stacks.
-
-    Unlike the thread topology, every replica rebuilds its **own copy** of
-    the shard index inside its process (nothing is shared), which is what
-    makes the per-replica divergence checksums in
-    :class:`~repro.cluster.router.ClusterStats` meaningful.  Each shard's
-    serving stack becomes a :class:`~repro.serving.transport.RemoteBackendStub`
-    over a :class:`~repro.net.socket_transport.SocketTransport` per replica
-    — fronted by a :class:`~repro.serving.replica.ReplicaService` when the
-    configuration asks for more than one replica.
-
-    Once the workers are up, the parent-side shard databases are
-    **detached** (:meth:`~repro.cluster.sharded.ShardHandle.detach_database`):
-    they only existed to seed the :class:`ShardSpec` dumps, and keeping
-    them would hold every shard's rows in the parent a second time for the
-    cluster's whole serving lifetime.
-
-    ``generation`` names the rebalance epoch the pool serves (0 for the
-    initial build); during an online rebalance the new generation spawns
-    while the old one still serves, and the generation keeps their process
-    names and fixed-port ranges apart.
-    """
-    specs: list[ShardSpec] = []
-    for shard in shards:
-        # One dump (and one pickled payload) per shard: the pool runs the
-        # same spec object once per replica, so N replicas do not mean N
-        # copies of the rows in the parent.
-        shard_spec = build_shard_spec(
-            shard.database, compiled, config, shard_id=shard.shard_id
-        )
-        specs.extend([shard_spec] * cluster_config.replicas)
-    pool = WorkerPool(
-        specs,
-        port_base=cluster_config.worker_port_base,
-        spawn_timeout_s=cluster_config.worker_spawn_timeout_s,
-        generation=generation,
-    )
-    pool.start()
-    for shard in shards:
-        stubs: list[DataService] = [
-            RemoteBackendStub(
-                pool.handle_for(shard.shard_id, replica_index).transport(),
-                compiled,
-                config,
-            )
-            for replica_index in range(cluster_config.replicas)
-        ]
-        if cluster_config.replicas > 1:
-            shard.service = ReplicaService(
-                stubs,
-                policy=cluster_config.replica_policy,
-                retry_limit=cluster_config.replica_retry_limit,
-                breaker_threshold=cluster_config.breaker_threshold,
-                breaker_reset_s=cluster_config.breaker_reset_s,
-            )
-        else:
-            shard.service = stubs[0]
-        # Slim parent: the workers own the only live copies of the rows
-        # now; the parent keeps counts (rows_by_table), not databases.
-        shard.detach_database()
-    return pool
-
-
 def attach_shard_services(
     shards: list[ShardHandle],
     cluster_config: ClusterConfig,
@@ -227,22 +97,83 @@ def attach_shard_services(
     """Attach the configured serving stack to every shard handle.
 
     The one topology dispatch both :func:`build_cluster` and
-    :class:`~repro.cluster.rebalancer.LoadRebalancer` go through: process
-    mode forks a worker pool (returned), thread mode composes in-process
-    stacks (returns ``None``).
+    :class:`~repro.cluster.rebalancer.LoadRebalancer` go through.  Every
+    replica of every shard is the same chain —
+    :func:`~repro.serving.worker.replica_stack`, a lock over a bare engine,
+    behind the wire — and only where it runs differs:
+
+    * ``threads``: in this process, over the shard's shared immutable index
+      and its one lock (the embedded engine is not thread-safe), crossing
+      an in-process wire when ``cluster.wire_shards`` is set;
+    * ``processes``: in one forked worker per replica (the returned
+      :class:`~repro.serving.worker.WorkerPool`), each rebuilding its **own
+      copy** of the index from one pickled
+      :class:`~repro.serving.worker.ShardSpec` per shard — which is what
+      makes the per-replica divergence checksums in
+      :class:`~repro.cluster.router.ClusterStats` meaningful — reached
+      through a :class:`~repro.serving.transport.RemoteBackendStub` over a
+      socket.  Once the workers are up the parent-side shard databases are
+      **detached**: they only existed to seed the spec dumps, and keeping
+      them would hold every shard's rows in the parent a second time.
+
+    With ``cluster.replicas > 1`` the replicas are fronted by a
+    :class:`~repro.serving.replica.ReplicaService` (load balancing, circuit
+    breaking, failover).  ``generation`` names the rebalance epoch a worker
+    pool serves (0 for the initial build): the new generation spawns while
+    the old one still serves, and the generation keeps their process names
+    and fixed-port ranges apart.
     """
+    pool: WorkerPool | None = None
     if cluster_config.worker_mode == "processes":
-        return spawn_worker_topology(
-            shards, cluster_config, config, compiled, generation=generation
+        specs: list[ShardSpec] = []
+        for shard in shards:
+            # One dump (and one pickled payload) per shard: the pool runs
+            # the same spec object once per replica, so N replicas do not
+            # mean N copies of the rows in the parent.
+            shard_spec = build_shard_spec(
+                shard.database, compiled, config, shard_id=shard.shard_id
+            )
+            specs.extend([shard_spec] * cluster_config.replicas)
+        pool = WorkerPool(
+            specs,
+            port_base=cluster_config.worker_port_base,
+            spawn_timeout_s=cluster_config.worker_spawn_timeout_s,
+            generation=generation,
         )
+        pool.start()
     for shard in shards:
+        replicas: list[DataService]
+        if pool is not None:
+            replicas = [
+                RemoteBackendStub(
+                    pool.handle_for(shard.shard_id, replica_index).transport(),
+                    compiled,
+                    config,
+                )
+                for replica_index in range(cluster_config.replicas)
+            ]
+        else:
+            replicas = [
+                replica_stack(
+                    shard.backend, lock=shard.lock, wire=cluster_config.wire_shards
+                )
+                for _ in range(cluster_config.replicas)
+            ]
         if cluster_config.replicas > 1:
-            shard.service = replica_service(
-                shard, cluster_config, config, wire=cluster_config.wire_shards
+            shard.service = ReplicaService(
+                replicas,
+                policy=cluster_config.replica_policy,
+                retry_limit=cluster_config.replica_retry_limit,
+                breaker_threshold=cluster_config.breaker_threshold,
+                breaker_reset_s=cluster_config.breaker_reset_s,
             )
         else:
-            shard.service = shard_service(shard, wire=cluster_config.wire_shards)
-    return None
+            shard.service = replicas[0]
+        if pool is not None:
+            # Slim parent: the workers own the only live copies of the
+            # rows now; the parent keeps counts (rows_by_table).
+            shard.detach_database()
+    return pool
 
 
 def collect_replica_checksums(

@@ -14,9 +14,8 @@ middleware stack over the scatter-gather core::
    one scatter-gather (:class:`~repro.serving.middleware.CoalescingService`),
 3. the scatter-gather computes the request's canvas rectangle and
    *scatters* the request only to the shards whose regions intersect it
-   (``shard_id``-stamped copies, so per-shard backend caches stay
-   disjoint), executing the shard queries **in parallel** on a thread pool
-   when ``cluster.parallel_shards`` is set, and
+   (``shard_id``-stamped copies), executing the shard queries **in
+   parallel** on a thread pool when ``cluster.parallel_shards`` is set, and
 4. *gathers* the shard responses in shard-id order, merging objects and
    deduplicating boundary-straddling tuples that were replicated into
    several shards — the gathered object list is byte-identical whether the
@@ -51,7 +50,6 @@ from ..config import ClusterConfig, KyrixConfig
 from ..errors import FetchError
 from ..metrics.timer import Timer
 from ..net.protocol import DataRequest, DataResponse
-from ..server.cache import LRUCache
 from ..server.tile import TileScheme
 from ..serving.middleware import CachingService, CoalescingService
 from ..storage.rtree import Rect
@@ -255,10 +253,6 @@ class ClusterRouter:
             canvas_id: LoadHistogram(cluster_config.rebalance_load_samples)
             for canvas_id in partitionings
         }
-        cache_entries = (
-            cluster_config.router_cache_entries if self.config.cache.enabled else 0
-        )
-        self.cache: LRUCache[DataResponse] = LRUCache(cache_entries)
         self.stats = ClusterStats()
         # Counter updates are read-modify-write; concurrent sessions are the
         # router's normal traffic, so they must not lose increments.
@@ -272,7 +266,13 @@ class ClusterRouter:
             coalescing_layer = CoalescingService(stack)
             self.coalescer = coalescing_layer.coalescer
             stack = coalescing_layer
-        self._stack = CachingService(stack, cache=self.cache)
+        # The cluster's one server-side response cache: the shards below
+        # are bare engines, so it is sized like a single backend's.
+        cache = self.config.cache
+        self._stack = CachingService(
+            stack, entries=cache.backend_entries if cache.enabled else 0
+        )
+        self.cache = self._stack.cache
         # The scatter executor is created lazily on the first multi-shard
         # fan-out (many routers are built for single requests or ablations).
         self._executor: ThreadPoolExecutor | None = None

@@ -37,12 +37,11 @@ class ShardHandle:
     """One shard of the cluster: its database, backend and serving stack.
 
     ``service`` is the shard's composed :class:`~repro.serving.base.DataService`
-    (assembled by :func:`repro.cluster.builder.build_cluster`): a
-    :class:`~repro.serving.middleware.SerializedService` guarding the
-    embedded engine, optionally behind a wire-level
-    :class:`~repro.serving.transport.TransportService`.  When no service has
-    been attached (hand-built shards), calls fall back to locking the
-    backend directly.
+    (assembled by :func:`repro.cluster.builder.attach_shard_services`): one
+    :func:`~repro.serving.worker.replica_stack` — a lock over the bare
+    engine, optionally behind the wire — or a replica set of them.  When no
+    service has been attached (hand-built shards), calls fall back to
+    locking the backend directly.
 
     With ``worker_mode="processes"`` the embedded database only exists to
     seed the worker's :class:`~repro.serving.worker.ShardSpec` dump; once
@@ -78,8 +77,6 @@ class ShardHandle:
                 f"shard {self.shard_id} has no serving stack; detaching its "
                 "database would leave it unable to answer"
             )
-        if self.backend is not None:
-            self.backend.close()
         self.backend = None
         self.database = None
 

@@ -83,7 +83,12 @@ class NetworkConfig:
 
 @dataclass
 class CacheConfig:
-    """Sizes of the backend and frontend caches (number of cached responses)."""
+    """Sizes of the two response caches (number of cached responses).
+
+    ``backend_entries`` sizes the one server-side cache of a stack — over
+    the backend of a single-backend server, over the scatter-gather of a
+    cluster router; ``frontend_entries`` sizes each frontend's own.
+    """
 
     backend_entries: int = 256
     frontend_entries: int = 64
@@ -114,7 +119,7 @@ class PrefetchConfig:
 
 #: The replica selection policies a cluster's replica sets understand
 #: (:class:`~repro.serving.replica.ReplicaService` re-exports this).
-REPLICA_POLICIES = ("round_robin", "least_inflight", "per_key_affinity")
+REPLICA_POLICIES = ("round_robin", "least_inflight")
 
 
 @dataclass
@@ -252,8 +257,6 @@ class ClusterConfig:
     coalescing:
         When true, identical in-flight requests from concurrent sessions are
         coalesced behind one backend scatter-gather.
-    router_cache_entries:
-        Size of the router's shared response cache (0 disables it).
     kd_sample_limit:
         Maximum number of object centres sampled per canvas when the KD
         strategy measures the spatial distribution.
@@ -278,10 +281,8 @@ class ClusterConfig:
         circuit-breaks and fails over across the replicas; ``1`` keeps the
         single-copy serving stack.
     replica_policy:
-        Replica selection policy: ``"round_robin"`` (even spread),
-        ``"least_inflight"`` (steer to the least-loaded replica) or
-        ``"per_key_affinity"`` (identical cache keys hit the same replica's
-        cache).
+        Replica selection policy: ``"round_robin"`` (even spread) or
+        ``"least_inflight"`` (steer to the least-loaded replica).
     replica_retry_limit:
         Maximum replica attempts per request; ``0`` means try every replica
         once before raising
@@ -344,7 +345,6 @@ class ClusterConfig:
     shard_count: int = 4
     strategy: str = "grid"
     coalescing: bool = True
-    router_cache_entries: int = 256
     kd_sample_limit: int = 50_000
     parallel_shards: bool = True
     max_parallel_shards: int = 0
@@ -376,8 +376,6 @@ class ClusterConfig:
             raise KyrixError(f"shard_count must be >= 1, got {self.shard_count}")
         if self.strategy not in ("grid", "kd"):
             raise KyrixError(f"unknown partitioning strategy: {self.strategy!r}")
-        if self.router_cache_entries < 0:
-            raise KyrixError("router_cache_entries must be non-negative")
         if self.kd_sample_limit < 1:
             raise KyrixError("kd_sample_limit must be >= 1")
         if self.max_parallel_shards < 0:

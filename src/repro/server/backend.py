@@ -1,9 +1,9 @@
 """The Kyrix backend server.
 
-The backend owns the database, the compiled application plan and the backend
-cache.  It answers :class:`~repro.net.protocol.DataRequest` objects coming
-from the frontend — either a static tile by id or a dynamic box — by
-querying the placement tables built by the
+The backend owns the database and the compiled application plan.  It
+answers :class:`~repro.net.protocol.DataRequest` objects coming from the
+frontend — either a static tile by id or a dynamic box — by querying the
+placement tables built by the
 :class:`~repro.server.indexer.Indexer`, using the database design the
 request names:
 
@@ -15,19 +15,20 @@ Query time is measured per request (wall clock of the embedded engine plus
 any simulated disk latency) and reported in the response so the frontend can
 break down the interaction latency.
 
-The backend implements the :class:`~repro.serving.base.DataService`
-protocol.  Caching is not hard-wired any more: the raw query path is
-:meth:`KyrixBackend.execute`, and :meth:`KyrixBackend.handle` goes through a
-composed :class:`~repro.serving.middleware.CachingService` (``self.cache``
-is that middleware's LRU cache, kept as a public attribute for
-compatibility).  Pointing frontends directly at a ``KyrixBackend`` still
-works but is deprecated in favour of :func:`repro.serving.build_service`,
-which assembles the full middleware stack from configuration.
+The backend is the cache-free engine terminal of every serving stack and
+implements the :class:`~repro.serving.base.DataService` protocol:
+:meth:`KyrixBackend.handle` always runs a real query.  The server-side
+response cache is middleware composed *above* it by
+:func:`repro.serving.build_service` — a
+:class:`~repro.serving.middleware.CachingService` over the backend for a
+single-backend server, the router's cache for a cluster (whose shards are
+bare engines behind a lock) — so a request crosses exactly the paper's two
+caches: the frontend's and the server's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..compiler.plan import CompiledApplication, LayerPlan
@@ -39,7 +40,6 @@ from ..net.protocol import DataRequest, DataResponse
 from ..storage.database import Database
 from ..storage.rtree import Rect
 from ..telemetry import get_tracer
-from .cache import LRUCache
 from .indexer import Indexer, PrecomputeReport
 from .schemes import DESIGN_MAPPING, DESIGN_SPATIAL
 from .tile import TileScheme
@@ -49,56 +49,14 @@ from .tile import TileScheme
 class BackendStats:
     """Aggregate counters over the backend's lifetime."""
 
-    requests: int = 0
-    cache_hits: int = 0
     queries_issued: int = 0
     objects_returned: int = 0
     total_query_ms: float = 0.0
 
     def reset(self) -> None:
-        self.requests = 0
-        self.cache_hits = 0
         self.queries_issued = 0
         self.objects_returned = 0
         self.total_query_ms = 0.0
-
-
-class _BackendQueryService:
-    """The cache-free :class:`DataService` core of one backend.
-
-    ``handle`` runs the raw query path (:meth:`KyrixBackend.execute`); the
-    caching middleware composed by :class:`KyrixBackend` sits on top.
-    """
-
-    def __init__(self, backend: "KyrixBackend") -> None:
-        self.backend = backend
-
-    @property
-    def compiled(self) -> CompiledApplication:
-        return self.backend.compiled
-
-    @property
-    def config(self) -> KyrixConfig:
-        return self.backend.config
-
-    @property
-    def stats(self) -> BackendStats:
-        return self.backend.stats
-
-    def handle(self, request: DataRequest) -> DataResponse:
-        return self.backend.execute(request)
-
-    def warm(self, request: DataRequest) -> None:
-        self.backend.execute(request)
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        return self.backend.canvas_info(canvas_id)
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        return self.backend.layer_density(canvas_id, layer_index)
-
-    def close(self) -> None:
-        pass
 
 
 class KyrixBackend:
@@ -110,20 +68,12 @@ class KyrixBackend:
         compiled: CompiledApplication,
         config: KyrixConfig | None = None,
     ) -> None:
-        # Deferred import: repro.serving imports repro.server (cache), so a
-        # module-level import here would be circular.
-        from ..serving.middleware import CachingService
-
         self.database = database
         self.compiled = compiled
         self.config = config or (compiled.spec.config if compiled.spec else KyrixConfig())
         self.engine = SQLEngine(database)
         self.indexer = Indexer(database, compiled, engine=self.engine)
-        cache_entries = self.config.cache.backend_entries if self.config.cache.enabled else 0
-        self.cache: LRUCache[DataResponse] = LRUCache(cache_entries)
         self.stats = BackendStats()
-        # The serving stack: caching middleware over the raw query core.
-        self._service = CachingService(_BackendQueryService(self), cache=self.cache)
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -140,26 +90,11 @@ class KyrixBackend:
     # -- request handling ----------------------------------------------------------------
 
     def handle(self, request: DataRequest) -> DataResponse:
-        """Answer one data request (from cache or from the database)."""
-        with get_tracer().span(
-            "request",
-            canvas=request.canvas_id,
-            granularity=request.granularity,
-            design=request.design,
-        ) as span:
-            self.stats.requests += 1
-            self._resolve_layer(request)
-            response = self._service.handle(request)
-            if response.from_cache:
-                self.stats.cache_hits += 1
-            span.set_attribute("from_cache", response.from_cache)
-            return response
+        """Answer one data request from the database.
 
-    def execute(self, request: DataRequest) -> DataResponse:
-        """Run the raw query path, bypassing every cache.
-
-        This is the terminal ``handle`` of the backend's serving stack;
-        middleware (caching, transport, metrics) composes on top of it.
+        The terminal ``handle`` of every serving stack: it always runs a
+        real query; middleware (caching, locking, transport, metrics)
+        composes on top of it.
         """
         with get_tracer().span(
             "execute", design=request.design, granularity=request.granularity
@@ -191,22 +126,12 @@ class KyrixBackend:
             return response
 
     def warm(self, request: DataRequest) -> None:
-        """Execute a request purely to populate the backend cache (prefetch)."""
-        if self.cache.peek(request.cache_key()) is None:
-            self.handle(request)
-
-    def query_service(self) -> "_BackendQueryService":
-        """The backend's cache-free :class:`DataService` core.
-
-        Use this to compose custom middleware stacks (every ``handle`` runs
-        a real query); :meth:`handle` already includes the default caching
-        layer.
-        """
-        return _BackendQueryService(self)
+        """Run a request and drop the answer: the engine itself keeps nothing
+        warm (the caching layer above it warms through its own ``handle``)."""
+        self.handle(request)
 
     def close(self) -> None:
-        """Release the backend's serving resources (drops cached responses)."""
-        self.cache.clear()
+        """Nothing to release: the engine holds no serving-side resources."""
 
     # -- per-design fetch paths -------------------------------------------------------------
 

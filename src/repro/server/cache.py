@@ -3,11 +3,14 @@
 Kyrix "employs both a frontend cache and a backend cache.  If there is a
 cache miss in both, Kyrix backend will talk to the backing DBMS to fetch
 data."  Both caches are LRU over request identities
-(:meth:`repro.net.protocol.DataRequest.cache_key`); the same implementation
-is reused on both sides, and as the shared router cache of a sharded
-cluster — which concurrent sessions and the parallel scatter-gather
-executor hammer from many threads at once, so every operation (including
-the hit/miss/eviction accounting) is guarded by one lock.
+(:meth:`repro.net.protocol.DataRequest.cache_key`) and share this one
+implementation: the frontend owns one per session, and every server owns
+exactly one, sized by ``cache.backend_entries`` — in front of the backend
+for a single-backend server, in front of the scatter-gather for a cluster
+router (nothing below the router caches).  Concurrent sessions and the
+parallel scatter-gather executor hammer the server-side cache from many
+threads at once, so every operation (including the hit/miss/eviction
+accounting) is guarded by one lock.
 """
 
 from __future__ import annotations

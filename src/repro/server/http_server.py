@@ -2,9 +2,9 @@
 
 The original Kyrix backend is a web server the browser frontend talks to
 over HTTP; this module exposes the same surface for any
-:class:`~repro.serving.base.DataService` — a single
-:class:`~repro.server.backend.KyrixBackend`, a sharded cluster router, or a
-full middleware stack from :func:`repro.serving.build_service`:
+:class:`~repro.serving.base.DataService` — typically the stack
+:func:`repro.serving.build_service` returns (a cached single backend or a
+sharded cluster router):
 
 * ``GET  /app``                         — application / canvas catalogue,
 * ``GET  /canvas/<canvas_id>``          — canvas size and layer summary,
@@ -100,10 +100,15 @@ def create_app(backend: "DataService"):
 
     @app.get("/stats")
     def stats():
-        payload = _stats_payload(backend.stats)
+        stats = backend.stats
+        cache = getattr(backend, "cache", None)
+        if cache is not None and stats is cache.stats:
+            # A caching endpoint reports its cache's counters as its own;
+            # the query counters are those of the service it wraps.
+            stats = backend.inner.stats
+        payload = _stats_payload(stats)
         if not isinstance(payload, dict):
             payload = {"stats": payload}
-        cache = getattr(backend, "cache", None)
         if cache is not None:
             payload["cache_hit_rate"] = cache.stats.hit_rate()
         return jsonify(payload)

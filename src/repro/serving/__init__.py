@@ -65,6 +65,7 @@ from .worker import (
     WorkerPool,
     build_shard_spec,
     database_checksum,
+    replica_stack,
     worker_main,
 )
 
@@ -99,6 +100,7 @@ __all__ = [
     "database_checksum",
     "fault_replica",
     "kill_worker",
+    "replica_stack",
     "stack_layers",
     "unwrap",
     "worker_main",

@@ -8,7 +8,11 @@ give it a configuration plus either a precomputed backend or the raw
 ``database``/``compiled`` pair, and it returns one composed
 :class:`~repro.serving.base.DataService` driven entirely by
 ``config.cluster`` (sharding, parallel fan-out, wire-level shard calls,
-coalescing) and the keyword overrides.
+coalescing) and the keyword overrides.  Either way the stack holds exactly
+one server-side response cache, sized by ``config.cache.backend_entries``:
+a :class:`~repro.serving.middleware.CachingService` over the backend, or
+the router's own over its scatter-gather (the shards below it are bare
+engines).
 
 Call sites never construct ``KyrixBackend`` / ``ClusterRouter`` as frontend
 endpoints themselves — repolint's ``factory-only`` rule enforces that at
@@ -31,7 +35,7 @@ if TYPE_CHECKING:
 def build_service(
     config: "KyrixConfig | None" = None,
     *,
-    backend: "KyrixBackend | None" = None,
+    backend: "KyrixBackend | DataService | None" = None,
     database: "Database | None" = None,
     compiled: "CompiledApplication | None" = None,
     precompute: bool | None = None,
@@ -58,9 +62,11 @@ def build_service(
         ``config.cluster`` section decides whether the stack is a single
         cached backend or a sharded scatter-gather cluster.
     backend:
-        An existing (typically precomputed) backend to serve from.  When
-        omitted, one is built from ``database`` + ``compiled`` and
-        precomputed unless ``precompute=False``.
+        An existing (typically precomputed) backend to serve from — or a
+        single-backend stack this factory returned earlier, which is
+        unwrapped to its backend (build unsharded first, shard the same
+        backend later).  When omitted, one is built from ``database`` +
+        ``compiled`` and precomputed unless ``precompute=False``.
     precompute:
         Force precomputation on or off.  Default: precompute only when the
         factory constructed the backend itself.
@@ -108,6 +114,7 @@ def build_service(
         recording per-request latency breakdowns.
     """
     from ..server.backend import KyrixBackend
+    from .base import unwrap
 
     if backend is None:
         if database is None or compiled is None:
@@ -117,6 +124,9 @@ def build_service(
         backend = KyrixBackend(database, compiled, config)
         if precompute is None:
             precompute = True
+    else:
+        # A stack this factory returned earlier serves from its terminal.
+        backend = unwrap(backend)
     if precompute:
         backend.precompute(tile_sizes=tile_sizes)
     config = config or backend.config
@@ -147,7 +157,12 @@ def build_service(
 
             overrides = {} if telemetry is None else {"enabled": telemetry}
             configure_telemetry(config.telemetry, **overrides)
-        service = backend
+        from .middleware import CachingService
+
+        service = CachingService(
+            backend,
+            entries=config.cache.backend_entries if config.cache.enabled else 0,
+        )
 
     if metrics:
         from .middleware import MetricsService

@@ -1,21 +1,17 @@
 """Composable middleware over the :class:`~repro.serving.base.DataService` protocol.
 
-These classes are the single home of the cross-cutting serving behaviours
-that used to be hard-wired into :class:`~repro.server.backend.KyrixBackend`
-and :class:`~repro.cluster.router.ClusterRouter`:
+These classes are the single home of the cross-cutting serving behaviours:
 
-* :class:`CachingService` — the LRU response cache (backend cache, router
-  cache and any other layer are all instances of this one middleware),
+* :class:`CachingService` — the server-side LRU response cache.  A stack
+  holds exactly one: :func:`~repro.serving.factory.build_service` puts it
+  over the backend of a single-backend server, and
+  :class:`~repro.cluster.router.ClusterRouter` puts it over its
+  scatter-gather; nothing below a router caches,
 * :class:`CoalescingService` — single-flight deduplication of identical
   in-flight requests from concurrent sessions,
 * :class:`MetricsService` — per-request latency/counter accounting,
 * :class:`SerializedService` — a lock serialising access to a service whose
   implementation is not thread-safe (one embedded shard engine).
-
-``KyrixBackend`` and ``ClusterRouter`` still exist as facades (deprecated
-as *direct* frontend endpoints — see :func:`repro.serving.build_service`)
-but compose these middleware internally, so the behaviour is defined
-exactly once.
 """
 
 from __future__ import annotations
@@ -45,18 +41,9 @@ class CachingService(ServiceMiddleware):
     hits or coalesced hand-me-downs are not re-inserted.
     """
 
-    def __init__(
-        self,
-        inner: DataService,
-        *,
-        entries: int | None = None,
-        cache: "LRUCache[DataResponse] | None" = None,
-    ) -> None:
+    def __init__(self, inner: DataService, *, entries: int) -> None:
         super().__init__(inner)
-        if cache is not None:
-            self.cache = cache
-        else:
-            self.cache = LRUCache(0 if entries is None else entries)
+        self.cache: "LRUCache[DataResponse]" = LRUCache(entries)
 
     @property
     def stats(self) -> Any:

@@ -6,18 +6,16 @@ protocol itself, so it drops into a middleware stack anywhere a single
 service would go (the cluster builder puts it directly behind the router,
 one per shard)::
 
-    ClusterRouter ──> ReplicaService ──┬─> replica 0: Transport∘Caching∘Serialized
-                                       ├─> replica 1: Transport∘Caching∘Serialized
+    ClusterRouter ──> ReplicaService ──┬─> replica 0: Transport∘Serialized∘engine
+                                       ├─> replica 1: Transport∘Serialized∘engine
                                        └─> replica 2: ...
 
 Three concerns live here and nowhere else:
 
 * **Selection** — a pluggable policy picks the replica for each request:
   ``round_robin`` spreads requests evenly (within ±1 across the healthy
-  set), ``least_inflight`` steers to the replica with the fewest requests
-  currently executing, and ``per_key_affinity`` maps a request's cache key
-  to a stable home replica so identical keys always hit the same replica's
-  cache.
+  set) and ``least_inflight`` steers to the replica with the fewest
+  requests currently executing.
 * **Health** — each replica carries a circuit breaker: after
   ``breaker_threshold`` *consecutive* failures the breaker opens and the
   replica stops receiving traffic; after ``breaker_reset_s`` (measured on
@@ -45,8 +43,7 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..config import REPLICA_POLICIES
 from ..errors import (
@@ -73,11 +70,6 @@ class MonotonicClock:
     @property
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
-
-
-def _affinity_hash(key: Hashable) -> int:
-    """A process-stable, deterministic hash for per-key replica affinity."""
-    return zlib.crc32(repr(key).encode("utf-8"))
 
 
 class ReplicaHealth:
@@ -265,7 +257,7 @@ class ReplicaService:
             return False
         return now_ms - health.open_since_ms >= self.breaker_reset_s * 1000.0
 
-    def _select(self, key: Hashable | None, tried: set[int]) -> int | None:
+    def _select(self, tried: set[int]) -> int | None:
         """Pick the next replica to attempt, or ``None`` when exhausted.
 
         Prefers untried replicas whose breakers admit traffic; when every
@@ -282,14 +274,7 @@ class ReplicaService:
                 candidates = untried
             if self.policy == "least_inflight":
                 index = min(candidates, key=lambda i: (self._inflight[i], i))
-            elif self.policy == "per_key_affinity" and key is not None:
-                home = _affinity_hash(key) % len(self._replicas)
-                index = next(
-                    (home + offset) % len(self._replicas)
-                    for offset in range(len(self._replicas))
-                    if (home + offset) % len(self._replicas) in candidates
-                )
-            else:  # round_robin (and keyless affinity calls)
+            else:  # round_robin
                 index = candidates[self._rr_counter % len(candidates)]
                 self._rr_counter += 1
             if self._health[index].open_since_ms is not None:
@@ -379,16 +364,14 @@ class ReplicaService:
 
     # -- failover core ------------------------------------------------------
 
-    def _invoke(
-        self, call: Callable[["DataService"], Any], key: Hashable | None
-    ) -> Any:
+    def _invoke(self, call: Callable[["DataService"], Any]) -> Any:
         self.stats.collector.bump("requests")
         causes: dict[int, BaseException] = {}
         tried: set[int] = set()
         limit = self.retry_limit or len(self._replicas)
         attempts = 0
         while attempts < limit:
-            index = self._select(key, tried)
+            index = self._select(tried)
             if index is None:
                 break
             attempts += 1
@@ -436,20 +419,17 @@ class ReplicaService:
         return self._replicas[0].config
 
     def handle(self, request: "DataRequest") -> "DataResponse":
-        return self._invoke(lambda replica: replica.handle(request), request.cache_key())
+        return self._invoke(lambda replica: replica.handle(request))
 
     def warm(self, request: "DataRequest") -> None:
-        self._invoke(lambda replica: replica.warm(request), request.cache_key())
+        self._invoke(lambda replica: replica.warm(request))
 
     def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        return self._invoke(
-            lambda replica: replica.canvas_info(canvas_id), ("canvas_info", canvas_id)
-        )
+        return self._invoke(lambda replica: replica.canvas_info(canvas_id))
 
     def layer_density(self, canvas_id: str, layer_index: int) -> float:
         return self._invoke(
-            lambda replica: replica.layer_density(canvas_id, layer_index),
-            ("layer_density", canvas_id, layer_index),
+            lambda replica: replica.layer_density(canvas_id, layer_index)
         )
 
     def close(self) -> None:

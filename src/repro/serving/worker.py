@@ -11,11 +11,12 @@ This module moves each shard replica into its **own worker process**:
   shard's database (schema, rows, index definitions).  Replicas run the
   same spec; each worker reports the :func:`database_checksum` of its own
   *rebuilt* index, so divergent replica rebuilds are detectable.
+* :func:`replica_stack` — the serving stack of one shard replica, the same
+  in every topology: a lock over a bare engine
+  (``SerializedService ∘ KyrixBackend``), behind the wire when asked.
 * :func:`worker_main` — the worker process entry point: rebuild the shard
-  database from the spec, compose the shard's serving stack
-  (``LocalTransport ∘ CachingService ∘ SerializedService`` over the
-  backend's query core — exactly the per-replica stack the in-process
-  topology builds), then answer :mod:`repro.net.columnar` messages over
+  database from the spec, put a :class:`LocalTransport` over the replica
+  stack, then answer :mod:`repro.net.columnar` messages over
   length-prefixed frames on a localhost TCP socket until told to stop.
   ``SIGTERM`` drains: in-flight requests finish, the listener closes, the
   process exits 0.
@@ -48,11 +49,13 @@ from ..compiler.plan import CompiledApplication
 from ..config import KyrixConfig
 from ..errors import WorkerError, WorkerSpawnError
 from ..net.socket_transport import SocketTransport, serve_connection
-from .middleware import CachingService, SerializedService
-from .transport import LocalTransport
+from .middleware import SerializedService
+from .transport import LocalTransport, TransportService
 
 if TYPE_CHECKING:
+    from ..server.backend import KyrixBackend
     from ..storage.database import Database
+    from .base import DataService
 
 __all__ = [
     "GENERATION_PORT_STRIDE",
@@ -62,6 +65,7 @@ __all__ = [
     "WorkerPool",
     "build_shard_spec",
     "database_checksum",
+    "replica_stack",
     "worker_main",
 ]
 
@@ -195,8 +199,28 @@ def build_shard_spec(
 # ---------------------------------------------------------------------------
 
 
+def replica_stack(
+    backend: "KyrixBackend",
+    *,
+    lock: threading.Lock | None = None,
+    wire: bool = False,
+) -> "DataService":
+    """The serving stack of one shard replica, identical in every topology.
+
+    A :class:`~repro.serving.middleware.SerializedService` guarding the
+    replica's engine (``lock`` is the shard's, shared by in-process
+    replicas of one index; a worker process owns its own) and nothing else:
+    shards do not cache — the router above them does.  With ``wire=True`` a
+    :class:`~repro.serving.transport.TransportService` sits on top, so
+    every call crosses the :mod:`repro.net.columnar` encoding both ways —
+    exactly the bytes a worker process exchanges over its socket.
+    """
+    stack: "DataService" = SerializedService(backend, lock=lock)
+    return TransportService(stack) if wire else stack
+
+
 def _build_worker_stack(spec: ShardSpec) -> tuple[LocalTransport, "Database"]:
-    """The worker's serving stack: ``LocalTransport ∘ Caching ∘ Serialized``."""
+    """The worker's end of the wire: ``LocalTransport`` over the replica stack."""
     from ..server.backend import KyrixBackend
     from ..telemetry import configure as configure_telemetry
 
@@ -208,11 +232,7 @@ def _build_worker_stack(spec: ShardSpec) -> tuple[LocalTransport, "Database"]:
     compiled = CompiledApplication.from_dict(spec.plan)
     database = _restore_database(spec.tables, config)
     backend = KyrixBackend(database, compiled, config)
-    cache_entries = config.cache.backend_entries if config.cache.enabled else 0
-    stack = CachingService(
-        SerializedService(backend.query_service()), entries=cache_entries
-    )
-    return LocalTransport(stack), database
+    return LocalTransport(replica_stack(backend)), database
 
 
 def worker_main(payload: bytes, port: int, ready_conn: Any) -> None:

@@ -15,7 +15,6 @@ from repro.server.schemes import dbox50_scheme, dbox_scheme, tile_spatial_scheme
 
 @pytest.fixture()
 def frontend(dots_stack):
-    dots_stack.backend.cache.clear()
     return KyrixFrontend(dots_stack.backend, dbox_scheme())
 
 
@@ -47,7 +46,6 @@ class TestLifecycle:
 
 class TestDynamicBoxProtocol:
     def test_pan_within_expanded_box_skips_fetch(self, dots_stack):
-        dots_stack.backend.cache.clear()
         frontend = KyrixFrontend(dots_stack.backend, dbox50_scheme())
         frontend.load_canvas("dots", Viewport(1024, 1024, 512, 512))
         breakdown = frontend.pan_by(50, 0)  # still inside the 50% larger box
@@ -55,7 +53,6 @@ class TestDynamicBoxProtocol:
         assert breakdown.cache_hit is True
 
     def test_pan_outside_box_fetches_again(self, dots_stack):
-        dots_stack.backend.cache.clear()
         frontend = KyrixFrontend(dots_stack.backend, dbox50_scheme())
         frontend.load_canvas("dots", Viewport(1024, 1024, 512, 512))
         breakdown = frontend.pan_by(2000, 0)
@@ -77,7 +74,6 @@ class TestDynamicBoxProtocol:
 
 class TestTileFetching:
     def test_tile_scheme_requests_intersecting_tiles(self, dots_stack):
-        dots_stack.backend.cache.clear()
         frontend = KyrixFrontend(dots_stack.backend, tile_spatial_scheme(512))
         frontend.load_canvas("dots", Viewport(0, 0, 512, 512))
         assert frontend.metrics.steps[0].requests == 1
@@ -86,7 +82,6 @@ class TestTileFetching:
         assert breakdown.requests == 1
 
     def test_frontend_cache_avoids_refetching_tiles(self, dots_stack):
-        dots_stack.backend.cache.clear()
         frontend = KyrixFrontend(dots_stack.backend, tile_spatial_scheme(512))
         frontend.load_canvas("dots", Viewport(0, 0, 512, 512))
         frontend.pan_to(512, 0)
@@ -97,7 +92,6 @@ class TestTileFetching:
         config = KyrixConfig.from_dict(
             {**default_config(viewport=512).to_dict(), "cache": {"enabled": False}}
         )
-        dots_stack.backend.cache.clear()
         frontend = KyrixFrontend(dots_stack.backend, tile_spatial_scheme(512), config=config)
         frontend.load_canvas("dots", Viewport(0, 0, 512, 512))
         frontend.pan_to(512, 0)
@@ -115,7 +109,6 @@ class TestMetricsAndRendering:
         assert frontend.average_response_ms() > 0
 
     def test_rendering_produces_pixels_and_time(self, dots_stack):
-        dots_stack.backend.cache.clear()
         frontend = KyrixFrontend(dots_stack.backend, dbox_scheme(), render=True)
         frontend.load_canvas("dots", Viewport(0, 0, 512, 512))
         assert frontend.renderer.nonzero_pixels() > 0
@@ -131,7 +124,6 @@ class TestMetricsAndRendering:
 
 class TestPrefetching:
     def test_momentum_prefetch_warms_frontend_cache(self, dots_stack):
-        dots_stack.backend.cache.clear()
         config = KyrixConfig.from_dict(
             {
                 **default_config(viewport=512).to_dict(),
@@ -168,7 +160,6 @@ class TestJumps:
 
 class TestSession:
     def test_run_trace_excludes_initial_load(self, dots_stack):
-        dots_stack.backend.cache.clear()
         frontend = KyrixFrontend(dots_stack.backend, dbox_scheme())
         session = ExplorationSession(frontend)
         positions = [(0, 0), (512, 0), (1024, 0)]
@@ -184,7 +175,6 @@ class TestSession:
             ExplorationSession(frontend).run_trace("dots", [])
 
     def test_run_interactions_mixed(self, dots_stack):
-        dots_stack.backend.cache.clear()
         frontend = KyrixFrontend(dots_stack.backend, dbox_scheme())
         session = ExplorationSession(frontend)
         result = session.run_interactions(

@@ -38,7 +38,7 @@ from repro.datagen.usmap import USMapSpec, load_usmap
 from repro.net.protocol import DataRequest
 from repro.server.backend import KyrixBackend
 from repro.server.schemes import DESIGN_MAPPING, DESIGN_SPATIAL
-from repro.serving import build_service
+from repro.serving import build_service, unwrap
 from repro.server.tile import TileScheme
 from repro.storage.database import Database
 
@@ -190,9 +190,11 @@ def build_usmap_parity_stack() -> ParityStack:
     app.add_jump(Jump("statemap", "countymap", "semantic_zoom"))
     app.set_initial_canvas("statemap", 0, 0)
     compiled = compile_application(app)
-    backend = build_service(config, database=database, compiled=compiled, tile_sizes=(1024,))
+    service = build_service(
+        config, database=database, compiled=compiled, tile_sizes=(1024,)
+    )
     return ParityStack(
-        backend=backend,
+        backend=unwrap(service),
         app_name="usmap",
         canvases=[("statemap", 0, 1024), ("countymap", 0, 4096)],
         boxes=[

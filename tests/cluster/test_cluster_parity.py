@@ -125,11 +125,11 @@ def test_cluster_enabled_config_builds_router():
     result = run_scheme_on_trace(stack, dbox_scheme(), trace)
     assert result.steps == 2
     assert stack.cluster.router.stats.requests > 0
-    assert stack.backend.stats.requests == 0  # single backend never queried
+    assert stack.backend.stats.queries_issued == 0  # single backend never queried
 
     plain = build_dots_backend(spec, config=default_config(viewport=512))
     assert plain.cluster is None
-    assert plain.service is plain.backend
+    assert plain.service.inner is plain.backend
 
 
 def test_shard_requests_have_disjoint_cache_keys():

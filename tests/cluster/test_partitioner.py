@@ -22,7 +22,7 @@ from repro.core import App, Canvas, ColumnPlacement, Layer, Transform, dot_rende
 from repro.errors import KyrixError
 from repro.net.protocol import DataRequest
 from repro.server.backend import KyrixBackend
-from repro.serving import build_service
+from repro.serving import build_service, unwrap
 from repro.storage.database import Database
 from repro.storage.rtree import Rect
 from repro.storage.statistics import SpatialDistribution
@@ -256,8 +256,8 @@ def build_straddler_backend() -> KyrixBackend:
     layer.add_rendering_func(dot_renderer("x", "y"))
     app.set_initial_canvas("main", 0, 0)
     compiled = compile_application(app)
-    return build_service(
-        config, database=database, compiled=compiled, tile_sizes=(50,)
+    return unwrap(
+        build_service(config, database=database, compiled=compiled, tile_sizes=(50,))
     )
 
 

@@ -19,7 +19,7 @@ from tests.cluster.conftest import payload_bytes as _payload_bytes
 
 
 @pytest.mark.parametrize("stack_fixture", ["usmap_parity_stack", "eeg_parity_stack"])
-@pytest.mark.parametrize("policy", ["round_robin", "least_inflight", "per_key_affinity"])
+@pytest.mark.parametrize("policy", ["round_robin", "least_inflight"])
 def test_failover_is_byte_identical_to_single_replica(request, stack_fixture, policy):
     stack = request.getfixturevalue(stack_fixture)
     tile_sizes = stack.tile_sizes

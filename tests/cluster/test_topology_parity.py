@@ -21,10 +21,15 @@ stats prove none of them drops, duplicates or re-routes a single request.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.bench.apps import build_dots_backend, default_config
+from repro.bench.harness import _reset_serving_caches
 from repro.cluster import build_cluster
+from repro.datagen.synthetic import tiny_spec
+from repro.net.protocol import DataRequest
 from repro.serving import collect_wire_stats
 
 from tests.cluster.conftest import parity_requests, payload_bytes
@@ -136,6 +141,39 @@ def test_topologies_are_byte_identical_and_attribute_identically(
         assert sum(reference["per_replica_requests"].values()) == (
             reference["shard_queries"]
         )
+
+
+@pytest.mark.parametrize("topology", list(TOPOLOGIES))
+def test_a_replay_after_a_cache_reset_is_cold(topology):
+    """The harness's cold start reaches every cache, wherever the engines run.
+
+    The router's cache is the only one on a cluster's serving path, so once
+    it is cleared a repeated request must query the shard engines again —
+    including engines in worker processes, which the parent cannot reach
+    into.
+    """
+    config = default_config(viewport=512)
+    config.cluster = replace(
+        config.cluster, enabled=True, shard_count=2, **TOPOLOGIES[topology]
+    )
+    stack = build_dots_backend(
+        tiny_spec("uniform", num_points=1_000, seed=5), config=config
+    )
+    box = DataRequest(
+        app_name=stack.compiled.app_name, canvas_id=stack.canvas_id,
+        layer_index=0, granularity="box",
+        xmin=0.0, ymin=0.0, xmax=stack.spec.canvas_width, ymax=512.0,
+    )
+    try:
+        warm_up = stack.service.handle(box)
+        assert stack.service.handle(box).from_cache is True
+        _reset_serving_caches(stack)
+        replay = stack.service.handle(box)
+    finally:
+        stack.service.close()
+    assert warm_up.queries_issued == len(warm_up.shard_ms) == 2
+    assert replay.queries_issued == warm_up.queries_issued
+    assert payload_bytes(replay) == payload_bytes(warm_up)
 
 
 def test_process_topology_rejects_bad_worker_config(usmap_parity_stack):

@@ -6,8 +6,6 @@ deterministic fault schedules and request streams:
 * **masking** — for any schedule that leaves at least one fault-free
   replica, responses are equal to the no-fault baseline (failures and
   timeouts are invisible to the caller),
-* **affinity** — ``per_key_affinity`` maps a given cache key to one stable
-  replica while the replica set is unchanged,
 * **balance** — ``round_robin`` spreads distinct-key requests over the K
   healthy replicas within ±1.
 """
@@ -95,7 +93,7 @@ def fault_assignments(draw):
 class TestFaultMasking:
     @given(
         kinds=fault_assignments(),
-        policy=st.sampled_from(["round_robin", "least_inflight", "per_key_affinity"]),
+        policy=st.sampled_from(["round_robin", "least_inflight"]),
         request_ids=st.lists(
             st.integers(min_value=0, max_value=40), min_size=1, max_size=12
         ),
@@ -138,57 +136,6 @@ class TestFaultMasking:
         for index, kind in enumerate(kinds):
             if kind == "healthy":
                 assert service.stats.failures_for(index) == 0
-
-
-class TestPerKeyAffinity:
-    @given(
-        replica_count=st.integers(min_value=2, max_value=5),
-        request_ids=st.lists(
-            st.integers(min_value=0, max_value=100),
-            min_size=1,
-            max_size=10,
-            unique=True,
-        ),
-        rounds=st.integers(min_value=2, max_value=4),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_a_key_maps_to_a_stable_replica(self, replica_count, request_ids, rounds):
-        replicas = [EchoService() for _ in range(replica_count)]
-        service = ReplicaService(replicas, policy="per_key_affinity")
-        homes: dict[tuple, int] = {}
-        for _ in range(rounds):
-            for i in request_ids:
-                request = _request(i)
-                before = service.stats.per_replica_requests()
-                service.handle(request)
-                after = service.stats.per_replica_requests()
-                (hit,) = [
-                    index
-                    for index in range(replica_count)
-                    if after[index] == before[index] + 1
-                ]
-                key = request.cache_key()
-                assert homes.setdefault(key, hit) == hit, (
-                    "a cache key moved replicas while the set was unchanged"
-                )
-
-    @given(replica_count=st.integers(min_value=2, max_value=5))
-    @settings(max_examples=20, deadline=None)
-    def test_affinity_survives_the_wire(self, replica_count):
-        # The affinity hash keys on cache_key(), which is wire-stable, so a
-        # request decoded from JSON homes on the same replica.
-        service = ReplicaService(
-            [EchoService() for _ in range(replica_count)], policy="per_key_affinity"
-        )
-        from repro.serving.replica import _affinity_hash
-
-        for i in range(12):
-            request = _request(i)
-            decoded = DataRequest.from_json(request.to_json())
-            assert (
-                _affinity_hash(request.cache_key()) % replica_count
-                == _affinity_hash(decoded.cache_key()) % replica_count
-            )
 
 
 class TestRoundRobinBalance:

@@ -126,14 +126,14 @@ class TestBackendSpatialDesign:
         assert response.object_count() > 0
 
     def test_backend_cache_hit_on_repeat(self, dots_stack):
-        dots_stack.backend.cache.clear()
+        dots_stack.service.cache.clear()
         request = DataRequest(
             app_name="dots", canvas_id="dots", layer_index=0,
             granularity="box", design=DESIGN_SPATIAL,
             xmin=100, ymin=100, xmax=600, ymax=600,
         )
-        first = dots_stack.backend.handle(request)
-        second = dots_stack.backend.handle(request)
+        first = dots_stack.service.handle(request)
+        second = dots_stack.service.handle(request)
         assert first.from_cache is False
         assert second.from_cache is True
         assert second.query_ms == 0.0
@@ -142,14 +142,14 @@ class TestBackendSpatialDesign:
         ]
 
     def test_warm_populates_cache(self, dots_stack):
-        dots_stack.backend.cache.clear()
+        dots_stack.service.cache.clear()
         request = DataRequest(
             app_name="dots", canvas_id="dots", layer_index=0,
             granularity="box", design=DESIGN_SPATIAL,
             xmin=0, ymin=0, xmax=256, ymax=256,
         )
-        dots_stack.backend.warm(request)
-        assert dots_stack.backend.handle(request).from_cache is True
+        dots_stack.service.warm(request)
+        assert dots_stack.service.handle(request).from_cache is True
 
     def test_bad_requests_raise(self, dots_stack):
         backend = dots_stack.backend
@@ -179,11 +179,11 @@ class TestBackendSpatialDesign:
 
     def test_stats_accumulate(self, dots_stack):
         stats = dots_stack.backend.stats
-        before = stats.requests
+        before = stats.queries_issued
         dots_stack.backend.handle(
             DataRequest("dots", "dots", 0, "box", xmin=0, ymin=0, xmax=64, ymax=64)
         )
-        assert stats.requests == before + 1
+        assert stats.queries_issued == before + 1
 
 
 class TestBackendMappingDesign:

@@ -117,11 +117,7 @@ class TestConcurrentSessionsThroughSharedStack:
     def test_shared_caching_service_accounts_every_request(self, dots_stack, box_request):
         """The satellite regression: concurrent sessions over one shared stack."""
         backend = dots_stack.backend
-        backend.cache.clear()
-        backend.cache.stats.reset()
-        shared = CachingService(
-            SerializedService(backend.query_service()), entries=64
-        )
+        shared = CachingService(SerializedService(backend), entries=64)
         responses_per_thread = 50
 
         def worker(index):

@@ -218,18 +218,11 @@ class TestFailover:
         assert len(excinfo.value.causes) == 2
 
     def test_timeout_counts_as_failure_and_fails_over(self):
-        from repro.serving.replica import _affinity_hash
-
         clock = VirtualClock()
         replicas = [ScriptedService("slow"), ScriptedService("fast")]
-        service = ReplicaService(
-            replicas, policy="per_key_affinity", timeout_ms=50.0, clock=clock
-        )
-        # A key homed on replica 0, which the fault then makes slow.
-        request = next(
-            _box(i) for i in range(64)
-            if _affinity_hash(_box(i).cache_key()) % 2 == 0
-        )
+        service = ReplicaService(replicas, timeout_ms=50.0, clock=clock)
+        request = _box()
+        # Round robin starts on replica 0, which the fault makes slow.
         fault_replica(service, 0, FaultSchedule.slow(100.0), clock=clock)
         response = service.handle(request)
         assert response.objects[0]["source"] == "replica"
@@ -254,8 +247,8 @@ class TestFailover:
             app_name=stack.compiled.app_name, canvas_id="dots", layer_index=0,
             granularity="box", xmin=0.0, ymin=0.0, xmax=200.0, ymax=200.0,
         )
-        healthy = TransportService(stack.backend.query_service())
-        broken = TransportService(stack.backend.query_service())
+        healthy = TransportService(stack.backend)
+        broken = TransportService(stack.backend)
         recorder = _FrameRecorder(broken.transport)
         broken.stub.transport = FaultInjectingTransport(
             recorder, FaultSchedule([FaultRule(kind="corrupt", op="roundtrip")])

@@ -36,7 +36,7 @@ class TestProtocol:
                 MetricsService(backend),
                 SerializedService(backend),
                 TransportService(backend),
-                ReplicaService([backend.query_service(), backend.query_service()]),
+                ReplicaService([backend, backend]),
             ]
             for endpoint in endpoints:
                 assert isinstance(endpoint, DataService), type(endpoint).__name__
@@ -65,8 +65,8 @@ class TestProtocol:
     def test_unwrap_traverses_into_multi_child_layers(self, dots_stack):
         # A replica layer holds several children; unwrap must both find the
         # layer itself and dig *through* it into a replica's stack.
-        replica_a = CachingService(dots_stack.backend.query_service(), entries=2)
-        replica_b = TransportService(dots_stack.backend.query_service())
+        replica_a = CachingService(dots_stack.backend, entries=2)
+        replica_b = TransportService(dots_stack.backend)
         replica_layer = ReplicaService([replica_a, replica_b])
         outer = MetricsService(replica_layer)
         assert unwrap(outer, ReplicaService) is replica_layer
@@ -79,7 +79,7 @@ class TestProtocol:
 
     def test_unwrap_negative_path_on_absent_layer_kinds(self, dots_stack):
         replica_layer = ReplicaService(
-            [dots_stack.backend.query_service(), dots_stack.backend.query_service()]
+            [dots_stack.backend, dots_stack.backend]
         )
         outer = MetricsService(CachingService(replica_layer, entries=2))
         # Kinds absent from every branch of the stack come back as None.
@@ -90,7 +90,7 @@ class TestProtocol:
 
 class TestCachingService:
     def test_hit_returns_fresh_response_with_cached_objects(self, dots_stack, box_request):
-        service = CachingService(dots_stack.backend.query_service(), entries=8)
+        service = CachingService(dots_stack.backend, entries=8)
         first = service.handle(box_request)
         assert first.from_cache is False
         second = service.handle(box_request)
@@ -101,13 +101,13 @@ class TestCachingService:
         assert service.cache.stats.hits == 1
 
     def test_zero_entries_disables_caching(self, dots_stack, box_request):
-        service = CachingService(dots_stack.backend.query_service(), entries=0)
+        service = CachingService(dots_stack.backend, entries=0)
         assert service.handle(box_request).from_cache is False
         assert service.handle(box_request).from_cache is False
         assert service.cache.stats.hits == 0
 
     def test_warm_populates_without_double_fetch(self, dots_stack, box_request):
-        service = CachingService(dots_stack.backend.query_service(), entries=8)
+        service = CachingService(dots_stack.backend, entries=8)
         service.warm(box_request)
         assert service.cache.stats.inserts == 1
         service.warm(box_request)
@@ -117,7 +117,7 @@ class TestCachingService:
 
 class TestMetricsService:
     def test_records_requests_and_hits(self, dots_stack, box_request):
-        service = MetricsService(CachingService(dots_stack.backend.query_service(), entries=8))
+        service = MetricsService(CachingService(dots_stack.backend, entries=8))
         service.handle(box_request)
         service.handle(box_request)
         assert service.metrics.requests == 2
@@ -137,32 +137,33 @@ class TestMetricsService:
         assert service.metrics.snapshot()["handle_ms_total"] == 0.0
 
 
-class TestBackendFacade:
-    def test_handle_composes_caching_middleware(self, dots_stack, box_request):
+class TestBackendTerminal:
+    def test_handle_always_runs_a_real_query(self, dots_stack, box_request):
         backend = dots_stack.backend
-        backend.cache.clear()
-        backend.cache.stats.reset()
-        before = backend.stats.requests
-        fresh = backend.handle(box_request)
-        hit = backend.handle(box_request)
-        assert fresh.from_cache is False
-        assert hit.from_cache is True
-        assert backend.stats.requests == before + 2
-        # The public cache attribute IS the middleware's cache.
-        caching = unwrap(backend._service, CachingService)
-        assert caching.cache is backend.cache
-
-    def test_execute_bypasses_the_cache(self, dots_stack, box_request):
-        backend = dots_stack.backend
-        backend.handle(box_request)  # populate
-        raw = backend.execute(box_request)
-        assert raw.from_cache is False
+        before = backend.stats.queries_issued
+        assert backend.handle(box_request).from_cache is False
+        assert backend.handle(box_request).from_cache is False
+        assert backend.stats.queries_issued == before + 2
 
 
 class TestBuildService:
     def test_single_backend_when_cluster_disabled(self, dots_stack):
-        service = build_service(dots_stack.backend.config, backend=dots_stack.backend)
-        assert service is dots_stack.backend
+        config = dots_stack.backend.config
+        service = build_service(config, backend=dots_stack.backend)
+        assert stack_layers(service) == [service, dots_stack.backend]
+        assert isinstance(service, CachingService)
+        assert service.cache.capacity == config.cache.backend_entries
+
+    def test_factory_accepts_its_own_output_as_backend(self, dots_stack):
+        config = dots_stack.backend.config
+        single = build_service(config, backend=dots_stack.backend)
+        service = build_service(config, backend=single, shard_count=2)
+        router = unwrap(service, ClusterRouter)
+        try:
+            assert router.cluster.source is dots_stack.backend
+        finally:
+            router.close()
+        assert build_service(config, backend=single).inner is dots_stack.backend
 
     def test_cluster_router_when_enabled(self):
         spec = tiny_spec("uniform", num_points=1_000, seed=5)
@@ -191,14 +192,14 @@ class TestBuildService:
             backend=dots_stack.backend,
             shard_count=2,
             replicas=2,
-            replica_policy="per_key_affinity",
+            replica_policy="least_inflight",
         )
         router = unwrap(service, ClusterRouter)
         assert router is not None
         layer = unwrap(service, ReplicaService)
         assert layer is not None
         assert layer.replica_count == 2
-        assert layer.policy == "per_key_affinity"
+        assert layer.policy == "least_inflight"
         assert set(router.replica_sets()) == {0, 1}
         assert router.describe()["replicas"] == 2
         router.close()

@@ -19,20 +19,17 @@ from repro.serving import (
 
 class TestTransportParity:
     def test_cached_roundtrip_equals_in_process_exactly(self, dots_stack, box_request):
-        backend = dots_stack.backend
-        backend.cache.clear()
-        backend.handle(box_request)  # populate the backend cache
-        in_process = backend.handle(box_request)
+        cached = dots_stack.service
+        cached.handle(box_request)  # populate the server-side cache
+        in_process = cached.handle(box_request)
         assert in_process.from_cache is True  # deterministic (query_ms == 0)
-        wire = TransportService(backend).handle(box_request)
+        wire = TransportService(cached).handle(box_request)
         assert wire == in_process
 
     def test_fresh_roundtrip_carries_identical_payload(self, dots_stack, box_request):
         backend = dots_stack.backend
         service = TransportService(backend)
-        backend.cache.clear()
         wire = service.handle(box_request)
-        backend.cache.clear()
         in_process = backend.handle(box_request)
         # Timings are measurements and may differ; the data-bearing fields
         # must be identical — including tuple-typed columns like bbox.
@@ -44,7 +41,6 @@ class TestTransportParity:
         )
 
     def test_objects_keep_canonical_tuple_columns(self, dots_stack, box_request):
-        dots_stack.backend.cache.clear()
         wire = TransportService(dots_stack.backend).handle(box_request)
         assert wire.objects, "the parity box should not be empty"
         for obj in wire.objects:
@@ -59,10 +55,10 @@ class TestTransportParity:
         )
 
     def test_warm_populates_the_far_side_cache(self, dots_stack, box_request):
-        backend = dots_stack.backend
-        backend.cache.clear()
-        TransportService(backend).warm(box_request)
-        assert backend.cache.peek(box_request.cache_key()) is not None
+        cached = dots_stack.service
+        cached.cache.clear()
+        TransportService(cached).warm(box_request)
+        assert cached.cache.peek(box_request.cache_key()) is not None
 
 
 class TestTransportFaults:
@@ -121,7 +117,6 @@ class TestStubAndLink:
 
     def test_link_charges_shard_boundary_traffic(self, dots_stack, box_request):
         backend = dots_stack.backend
-        backend.cache.clear()
         link = SimulatedLink(backend.config.network)
         service = TransportService(backend, link=link)
         response = service.handle(box_request)

@@ -10,6 +10,8 @@ stack itself cannot drift apart silently.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.bench.apps import build_dots_backend, default_config
 from repro.cluster import ClusterRouter
 from repro.datagen.synthetic import tiny_spec
@@ -46,11 +48,17 @@ def _layer_types(service):
     return [type(layer).__name__ for layer in stack_layers(service)]
 
 
+def _caches(service):
+    return [layer for layer in stack_layers(service) if hasattr(layer, "cache")]
+
+
 class TestSingleBackendTopology:
-    def test_plain_backend_is_the_terminal_stack(self):
+    def test_cached_backend_is_the_single_backend_stack(self):
         spec = tiny_spec("uniform", num_points=400, seed=11)
         stack = build_dots_backend(spec, config=default_config(viewport=256))
-        assert _layer_types(stack.service) == ["KyrixBackend"]
+        assert _layer_types(stack.service) == ["CachingService", "KyrixBackend"]
+        # One server-side cache, and it is the endpoint's.
+        assert _caches(stack.service) == [stack.service]
         assert unwrap(stack.service) is stack.backend
         assert unwrap(stack.service, KyrixBackend) is stack.backend
         assert unwrap(stack.service, ClusterRouter) is None
@@ -61,7 +69,9 @@ class TestSingleBackendTopology:
         service = build_service(
             stack.backend.config, backend=stack.backend, precompute=False, metrics=True
         )
-        assert _layer_types(service) == ["MetricsService", "KyrixBackend"]
+        assert _layer_types(service) == [
+            "MetricsService", "CachingService", "KyrixBackend"
+        ]
         assert isinstance(unwrap(service, MetricsService), MetricsService)
         assert unwrap(service, KyrixBackend) is stack.backend
 
@@ -93,8 +103,8 @@ class TestThreadTopologies:
     def test_threads_replicated_per_replica_stacks(self):
         service = _cluster_stack(wire_shards=True, replicas=REPLICAS)
         try:
-            per_replica = ["TransportService", "CachingService", "SerializedService",
-                           "_BackendQueryService"]
+            # The same chain as a single replica, N times behind a set.
+            per_replica = ["TransportService", "SerializedService", "KyrixBackend"]
             assert _layer_types(service) == (
                 ["ClusterRouter"]
                 + (["ReplicaService"] + per_replica * REPLICAS) * SHARDS
@@ -102,8 +112,25 @@ class TestThreadTopologies:
             replica_layer = unwrap(service, ReplicaService)
             assert isinstance(replica_layer, ReplicaService)
             assert len(replica_layer.children) == REPLICAS
-            # Digging *through* the replica set reaches a replica's cache.
-            assert isinstance(unwrap(service, CachingService), CachingService)
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("replicas", [1, REPLICAS])
+    @pytest.mark.parametrize("wire", [False, True])
+    def test_every_topology_has_the_same_shard_chain_and_one_cache(
+        self, replicas, wire
+    ):
+        service = _cluster_stack(wire_shards=wire, replicas=replicas)
+        try:
+            router = unwrap(service, ClusterRouter)
+            for branch in router.children:
+                for stack in branch.children if replicas > 1 else (branch,):
+                    assert _layer_types(stack)[int(wire):] == [
+                        "SerializedService", "KyrixBackend"
+                    ]
+            # Nothing below the router caches.
+            assert _caches(service) == [router]
+            assert unwrap(service, CachingService) is None
         finally:
             service.close()
 
@@ -119,7 +146,7 @@ class TestThreadTopologies:
                 ]
                 assert len(serialized) == REPLICAS
                 # Replica branches are independent stacks over one index.
-                engines = {id(layer.inner.backend) for layer in serialized}
+                engines = {id(layer.inner) for layer in serialized}
                 assert engines == {id(shard.backend)}
         finally:
             service.close()
@@ -130,8 +157,8 @@ class TestProcessTopologies:
         service = _cluster_stack(worker_mode="processes")
         try:
             # The stub is the terminal parent-side layer: the rest of the
-            # stack (LocalTransport -> CachingService -> SerializedService
-            # over the worker's own rebuilt KyrixBackend) lives across the
+            # stack (LocalTransport -> SerializedService over the
+            # worker's own rebuilt KyrixBackend) lives across the
             # process boundary and is invisible to traversal by design.
             assert _layer_types(service) == (
                 ["ClusterRouter"] + ["RemoteBackendStub"] * SHARDS
