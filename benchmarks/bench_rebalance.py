@@ -115,7 +115,6 @@ def run_cell(
         shard_count=shard_count,
         strategy="grid",
         worker_mode=worker_mode,
-        rebalance=True,
     )
     try:
         router = cluster.router

@@ -83,7 +83,6 @@ def main() -> None:
     stack = build_dots_backend(spec, config=default_config(viewport=1024))
     cluster = build_cluster(
         stack.backend, shard_count=2, strategy="grid", replicas=2,
-        rebalance=True,
     )
     router, rebalancer = cluster.router, cluster.rebalancer
     clock = VirtualClock()

@@ -41,7 +41,7 @@ def main() -> None:
     )
     stack = build_dots_backend(spec, config=default_config(viewport=1024))
     cluster = build_cluster(
-        stack.backend, shard_count=2, strategy="grid", rebalance=True
+        stack.backend, shard_count=2, strategy="grid"
     )
     router, rebalancer = cluster.router, cluster.rebalancer
 

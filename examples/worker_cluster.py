@@ -66,7 +66,7 @@ def main() -> None:
         for worker in processes.worker_pool.describe():
             print(f"  shard{worker['shard_id']}/replica{worker['replica_index']}: "
                   f"pid {worker['pid']} on port {worker['port']}")
-        divergent = processes.router.stats.divergent_replicas()
+        divergent = processes.router.divergent_replicas()
         print(f"replica index divergence: {divergent or 'none — all copies agree'}")
 
         thread_ms, thread_bytes = run(threads, workload)

@@ -63,7 +63,6 @@ from .serving import (
     CachingService,
     CoalescingService,
     DataService,
-    MetricsService,
     TransportService,
     build_service,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "ClusterRouter",
     "CoalescingService",
     "DataService",
-    "MetricsService",
     "ShardedCluster",
     "ColumnPlacement",
     "CompiledApplication",

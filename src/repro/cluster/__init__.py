@@ -50,7 +50,16 @@ a new :class:`~repro.cluster.partitioner.LoadWeightedKDPartitioner`
 partitioning and migrates to it **online** — the new shard set builds
 beside the serving one, the router's shard table swaps atomically, and the
 old generation drains before closing, with byte-identical responses
-throughout.
+throughout.  Every built cluster carries one (``cluster.rebalancer``).
+
+**One generation, one owner** (:mod:`~repro.cluster.builder`).  A
+:class:`~repro.cluster.router.ShardTable` holds everything true of one
+epoch — shards, partitionings, worker pool, replica checksums, epoch, the
+*effective* configuration — and is built by one function,
+:func:`~repro.cluster.builder.build_generation`, for epoch 0 and every
+rebalance after.  The router's ``config``, the ``ShardedCluster`` handle
+and the autopilot all read the router's current table; ``table.close()``
+is the only teardown.
 
 **Self-driving operation** (:mod:`~repro.cluster.autopilot`).  With
 ``cluster.autopilot.enabled`` (or ``build_cluster(..., autopilot=True)``)

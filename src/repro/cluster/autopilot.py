@@ -24,12 +24,17 @@ background daemon thread and steers the cluster through four policies:
    ``replica_pressure`` adds a replica per shard (up to ``max_replicas``);
    the idle path drops back to one.
 4. **Read-repair** — when per-replica index checksums disagree
-   (:meth:`~repro.cluster.router.ClusterStats.divergent_replicas`), the
+   (:meth:`~repro.cluster.router.ShardTable.divergent_replicas`), the
    diverged replica is rebuilt from the cluster's source backend and
    swapped in behind a fresh circuit breaker while its siblings keep
    serving; in-flight requests drain on the old replica before it closes.
    Repair is *not* cooldown-gated — divergence is a correctness problem,
    not a load problem.
+
+Each pass reads the cluster through **one**
+:class:`~repro.cluster.router.ShardTable` snapshot (shard count, replica
+count, worker pool, partitionings and checksums of one epoch), so a
+decision is never assembled from two generations.
 
 The clock is pluggable (anything with ``now_ms``), so tests drive
 cooldown windows deterministically with
@@ -49,7 +54,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..config import AutopilotConfig
-from ..errors import KyrixError
 from ..serving.replica import MonotonicClock, ReplicaService
 from ..serving.transport import RemoteBackendStub
 from ..serving.worker import build_shard_spec, database_checksum, replica_stack
@@ -59,6 +63,7 @@ from .sharded import ShardedIndexer
 
 if TYPE_CHECKING:
     from .builder import ShardedCluster
+    from .router import ShardTable
 
 
 def _replica_index(key: str) -> int:
@@ -119,9 +124,9 @@ class ClusterAutopilot:
     ) -> None:
         self.cluster = cluster
         self.router = cluster.router
-        self.config = config or self.router.cluster_config.autopilot
+        self.config = config or self.router.config.cluster.autopilot
         self.config.validate()
-        self.rebalancer = rebalancer or cluster.rebalancer or LoadRebalancer(cluster)
+        self.rebalancer = rebalancer or cluster.rebalancer
         self.clock = clock or MonotonicClock()
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -182,13 +187,14 @@ class ClusterAutopilot:
         return dict(TallyCounter(action.kind for action in self.actions))
 
     def describe(self) -> dict[str, Any]:
+        table = self.router.table
         with self._lock:
             return {
                 "ticks": self._tick_count,
                 "armed": self._armed,
                 "idle_ticks": self._idle_ticks,
-                "shard_count": self.router.shard_count,
-                "replicas": self.router.cluster_config.replicas,
+                "shard_count": len(table.shards),
+                "replicas": table.config.cluster.replicas,
                 "actions": dict(
                     TallyCounter(action.kind for action in self._actions)
                 ),
@@ -212,8 +218,11 @@ class ClusterAutopilot:
             now = self.clock.now_ms
             actions: list[AutopilotAction] = []
             with tracer.span("autopilot_tick", tick=tick) as span:
+                # One snapshot per pass: repair mutates this generation in
+                # place, and a migration below is the last thing read.
+                table = self.router.table
                 if self.config.read_repair:
-                    actions.extend(self._read_repair_pass(tick, now))
+                    actions.extend(self._read_repair_pass(table, tick, now))
 
                 loads = self.rebalancer.shard_loads()
                 if any(
@@ -254,7 +263,7 @@ class ClusterAutopilot:
                     or now - self._last_migration_ms
                     >= self.config.cooldown_s * 1000.0
                 )
-                decision = self._decide(delta, attempt_delta, skew)
+                decision = self._decide(table, delta, attempt_delta, skew)
                 if decision is not None and cooled:
                     kind, target_shards, target_replicas = decision
                     report = self.rebalancer.rebalance(
@@ -321,14 +330,15 @@ class ClusterAutopilot:
             return sum(router.stats.per_replica_requests.values())
 
     def _decide(
-        self, delta: int, attempt_delta: int, skew: float
+        self, table: "ShardTable", delta: int, attempt_delta: int, skew: float
     ) -> tuple[str, int, int] | None:
         """Pick at most one migration for this pass (kind, shards, replicas)."""
         cfg = self.config
-        current = self.router.shard_count
-        replicas = self.router.cluster_config.replicas
+        current = len(table.shards)
+        replicas = table.config.cluster.replicas
         idle = self._idle_ticks >= cfg.shrink_idle_ticks
         target = self.rebalancer.propose_shard_count(
+            current,
             delta,
             min_shards=cfg.min_shards,
             max_shards=cfg.max_shards,
@@ -361,18 +371,18 @@ class ClusterAutopilot:
 
     # -- read-repair -------------------------------------------------------------------
 
-    def _read_repair_pass(self, tick: int, now: float) -> list[AutopilotAction]:
+    def _read_repair_pass(
+        self, table: "ShardTable", tick: int, now: float
+    ) -> list[AutopilotAction]:
         """Rebuild and swap every replica whose index checksum diverged."""
-        router = self.router
         actions: list[AutopilotAction] = []
-        divergent = router.divergent_replicas()
+        divergent = table.divergent_replicas()
         if not divergent:
             return actions
-        replica_sets = router.replica_sets()
         for shard_id in sorted(divergent):
             checksums = divergent[shard_id]
-            replica_set = replica_sets.get(shard_id)
-            if replica_set is None:
+            replica_set = table.shards[shard_id].service
+            if not isinstance(replica_set, ReplicaService):
                 actions.append(
                     AutopilotAction(
                         kind="repair_skipped",
@@ -382,13 +392,13 @@ class ClusterAutopilot:
                     )
                 )
                 continue
-            if self.cluster.worker_pool is not None:
+            if table.worker_pool is not None:
                 repaired = self._repair_process_shard(
-                    shard_id, checksums, replica_set
+                    table, shard_id, checksums, replica_set
                 )
             else:
                 repaired = self._repair_thread_shard(
-                    shard_id, checksums, replica_set
+                    table, shard_id, checksums, replica_set
                 )
             for detail in repaired:
                 actions.append(
@@ -400,6 +410,7 @@ class ClusterAutopilot:
 
     def _repair_process_shard(
         self,
+        table: "ShardTable",
         shard_id: int,
         checksums: dict[str, str],
         replica_set: ReplicaService,
@@ -407,68 +418,48 @@ class ClusterAutopilot:
         """Respawn diverged worker replicas from a freshly re-sharded spec.
 
         The shard is rebuilt from the cluster's source backend under the
-        *current* partitionings (repair must not move shard boundaries),
-        giving both the replacement index and the ground-truth checksum
-        to repair against.
+        generation's *own* partitionings and configuration (repair must
+        not move shard boundaries), giving both the replacement index and
+        the ground-truth checksum to repair against.
         """
         router = self.router
         cluster = self.cluster
-        if cluster.source is None:
-            raise KyrixError(
-                "read-repair needs the cluster's source backend "
-                "(build the cluster with build_cluster / build_service)"
-            )
-        pool = cluster.worker_pool
-        indexer = ShardedIndexer(
-            cluster.source.database,
-            router.compiled,
-            router.config,
-            cluster_config=router.cluster_config,
-        )
+        config = table.config
+        indexer = ShardedIndexer(cluster.source.database, router.compiled, config)
         shards, _ = indexer.build_shards(
-            dict(cluster.partitionings), tile_sizes=cluster.tile_sizes
+            dict(table.partitionings), tile_sizes=cluster.tile_sizes
         )
+        spec = build_shard_spec(
+            shards[shard_id].database, router.compiled, config, shard_id=shard_id
+        )
+        expected = spec.checksum()
         repaired: list[dict[str, Any]] = []
-        try:
-            target = next(
-                shard for shard in shards if shard.shard_id == shard_id
+        for key in sorted(checksums):
+            if checksums[key] == expected:
+                continue
+            replica_index = _replica_index(key)
+            handle = table.worker_pool.respawn(spec, replica_index=replica_index)
+            stub = RemoteBackendStub(handle.transport(), router.compiled, config)
+            replica_set.swap_replica(
+                replica_index,
+                stub,
+                drain_timeout_s=config.cluster.rebalance_drain_timeout_s,
             )
-            spec = build_shard_spec(
-                target.database, router.compiled, router.config, shard_id=shard_id
+            router.record_replica_checksum(shard_id, replica_index, handle.checksum)
+            repaired.append(
+                {
+                    "shard": shard_id,
+                    "replica": replica_index,
+                    "was": checksums[key],
+                    "now": handle.checksum,
+                    "healthy": handle.checksum == expected,
+                }
             )
-            expected = spec.checksum()
-            for key in sorted(checksums):
-                if checksums[key] == expected:
-                    continue
-                replica_index = _replica_index(key)
-                handle = pool.respawn(spec, replica_index=replica_index)
-                stub = RemoteBackendStub(
-                    handle.transport(), router.compiled, router.config
-                )
-                replica_set.swap_replica(
-                    replica_index,
-                    stub,
-                    drain_timeout_s=router.cluster_config.rebalance_drain_timeout_s,
-                )
-                router.record_replica_checksum(
-                    shard_id, replica_index, handle.checksum
-                )
-                repaired.append(
-                    {
-                        "shard": shard_id,
-                        "replica": replica_index,
-                        "was": checksums[key],
-                        "now": handle.checksum,
-                        "healthy": handle.checksum == expected,
-                    }
-                )
-        finally:
-            for shard in shards:
-                shard.close()
         return repaired
 
     def _repair_thread_shard(
         self,
+        table: "ShardTable",
         shard_id: int,
         checksums: dict[str, str],
         replica_set: ReplicaService,
@@ -480,12 +471,8 @@ class ClusterAutopilot:
         the *stack* (or its recorded hash) is suspect, and repair is a
         fresh stack plus a truthful re-recorded checksum.
         """
-        router = self.router
-        shard = next(
-            (s for s in router.shards if s.shard_id == shard_id), None
-        )
-        if shard is None or shard.database is None:
-            return []
+        shard = table.shards[shard_id]
+        cluster_config = table.config.cluster
         expected = database_checksum(shard.database)
         repaired: list[dict[str, Any]] = []
         for key in sorted(checksums):
@@ -493,16 +480,14 @@ class ClusterAutopilot:
                 continue
             replica_index = _replica_index(key)
             replacement = replica_stack(
-                shard.backend,
-                lock=shard.lock,
-                wire=router.cluster_config.wire_shards,
+                shard.backend, lock=shard.lock, wire=cluster_config.wire_shards
             )
             replica_set.swap_replica(
                 replica_index,
                 replacement,
-                drain_timeout_s=router.cluster_config.rebalance_drain_timeout_s,
+                drain_timeout_s=cluster_config.rebalance_drain_timeout_s,
             )
-            router.record_replica_checksum(shard_id, replica_index, expected)
+            self.router.record_replica_checksum(shard_id, replica_index, expected)
             repaired.append(
                 {
                     "shard": shard_id,

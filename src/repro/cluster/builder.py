@@ -1,10 +1,15 @@
 """One-call assembly of a sharded serving cluster from a single backend.
 
-:func:`build_cluster` shards a precomputed backend, attaches a serving
-stack to every shard (:func:`attach_shard_services`) and puts a
-:class:`~repro.cluster.router.ClusterRouter` in front.  The router owns the
-cluster's one response cache (and its coalescer); every shard replica below
-it is a bare engine behind a lock —
+:func:`build_generation` is the only place a shard generation is made:
+from one source backend and one **effective** configuration it indexes the
+shards, attaches a serving stack to each, collects the replica checksums
+and returns the :class:`~repro.cluster.router.ShardTable` that owns all of
+it.  :func:`build_cluster` folds its keyword overrides into that one
+configuration, builds generation 0 and puts a
+:class:`~repro.cluster.router.ClusterRouter` in front; an online rebalance
+(:mod:`repro.cluster.rebalancer`) builds generation N+1 through the same
+function.  The router owns the cluster's one response cache (and its
+coalescer); every shard replica below it is a bare engine behind a lock —
 ``[TransportService | LocalTransport] ∘ SerializedService ∘ KyrixBackend``,
 built by :func:`~repro.serving.worker.replica_stack` whether it runs in
 this process or in a worker.
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-from ..config import ClusterConfig, KyrixConfig
+from ..config import KyrixConfig
 from ..server.backend import KyrixBackend
 from ..telemetry import configure as configure_telemetry
 from ..serving.base import DataService
@@ -29,7 +34,7 @@ from ..serving.worker import (
     replica_stack,
 )
 from .partitioner import Partitioning
-from .router import ClusterRouter, replica_key
+from .router import ClusterRouter, ShardTable, replica_key
 from .sharded import ShardedIndexer, ShardHandle
 
 if TYPE_CHECKING:
@@ -39,29 +44,42 @@ if TYPE_CHECKING:
 
 @dataclass
 class ShardedCluster:
-    """A built cluster: the router plus everything behind it."""
+    """A built cluster: the router plus what outlives any one generation.
+
+    Shards, partitionings and worker pool belong to the router's current
+    :class:`~repro.cluster.router.ShardTable`; the properties below read
+    it, so the handle cannot disagree with what is being served.
+    """
 
     router: ClusterRouter
-    shards: list[ShardHandle]
-    partitionings: dict[str, Partitioning]
-    #: The worker-process pool serving the shards, when the cluster was
-    #: built with ``worker_mode="processes"``; ``None`` for in-process
-    #: (thread) topologies.
-    worker_pool: WorkerPool | None = None
     #: The source backend the shards were split from.  An online rebalance
     #: re-shards it under a new partitioning, so the cluster keeps the
     #: reference for its whole lifetime (the caller owns the backend; this
     #: is not an extra copy of the data).
-    source: KyrixBackend | None = None
+    source: KyrixBackend
     #: Tile sizes whose tuple–tile mapping tables were prebuilt per shard
     #: (a rebalance prebuilds the same ones on the new shard set).
     tile_sizes: tuple[int, ...] = ()
-    #: The attached load rebalancer, when ``cluster.rebalance_enabled``
-    #: (or the ``rebalance=`` build override) asked for one.
-    rebalancer: "LoadRebalancer | None" = field(default=None, repr=False)
+    #: The load rebalancer every built cluster carries (a lock and two
+    #: thresholds, no thread; it does nothing until asked).
+    rebalancer: "LoadRebalancer" = field(init=False, repr=False)
     #: The running control loop, when ``cluster.autopilot.enabled`` (or
     #: the ``autopilot=`` build override) asked for one.
     autopilot: "ClusterAutopilot | None" = field(default=None, repr=False)
+
+    @property
+    def shards(self) -> list[ShardHandle]:
+        return self.router.table.shards
+
+    @property
+    def partitionings(self) -> dict[str, Partitioning]:
+        return self.router.table.partitionings
+
+    @property
+    def worker_pool(self) -> WorkerPool | None:
+        """The current generation's worker-process pool (``None`` for the
+        in-process thread topologies)."""
+        return self.router.table.worker_pool
 
     @property
     def shard_count(self) -> int:
@@ -69,36 +87,27 @@ class ShardedCluster:
 
     def describe(self) -> dict[str, Any]:
         description = self.router.describe()
-        if self.worker_pool is not None:
-            description["workers"] = self.worker_pool.describe()
+        pool = self.worker_pool
+        if pool is not None:
+            description["workers"] = pool.describe()
         return description
 
     def close(self) -> None:
-        # router.close() parks the autopilot before tearing anything down
-        # (so a mid-flight control pass cannot race the teardown) and then
-        # drains the worker pool; the explicit calls here keep close()
-        # correct for callers holding a cluster whose router was already
-        # closed independently.
+        """Park the autopilot, then close the current generation."""
         self.router.close()
-        if self.autopilot is not None:
-            self.autopilot.close()
-        if self.worker_pool is not None:
-            self.worker_pool.close()
 
 
 def attach_shard_services(
     shards: list[ShardHandle],
-    cluster_config: ClusterConfig,
     config: KyrixConfig,
     compiled: Any,
     *,
     generation: int = 0,
 ) -> WorkerPool | None:
-    """Attach the configured serving stack to every shard handle.
+    """Attach the serving stack ``config.cluster`` asks for to every shard.
 
-    The one topology dispatch both :func:`build_cluster` and
-    :class:`~repro.cluster.rebalancer.LoadRebalancer` go through.  Every
-    replica of every shard is the same chain —
+    The one topology dispatch (called by :func:`build_generation` only).
+    Every replica of every shard is the same chain —
     :func:`~repro.serving.worker.replica_stack`, a lock over a bare engine,
     behind the wire — and only where it runs differs:
 
@@ -109,8 +118,8 @@ def attach_shard_services(
       :class:`~repro.serving.worker.WorkerPool`), each rebuilding its **own
       copy** of the index from one pickled
       :class:`~repro.serving.worker.ShardSpec` per shard — which is what
-      makes the per-replica divergence checksums in
-      :class:`~repro.cluster.router.ClusterStats` meaningful — reached
+      makes the generation's per-replica divergence checksums
+      meaningful — reached
       through a :class:`~repro.serving.transport.RemoteBackendStub` over a
       socket.  Once the workers are up the parent-side shard databases are
       **detached**: they only existed to seed the spec dumps, and keeping
@@ -123,6 +132,7 @@ def attach_shard_services(
     the old one still serves, and the generation keeps their process names
     and fixed-port ranges apart.
     """
+    cluster_config = config.cluster
     pool: WorkerPool | None = None
     if cluster_config.worker_mode == "processes":
         specs: list[ShardSpec] = []
@@ -177,9 +187,7 @@ def attach_shard_services(
 
 
 def collect_replica_checksums(
-    shards: list[ShardHandle],
-    cluster_config: ClusterConfig,
-    pool: WorkerPool | None,
+    shards: list[ShardHandle], replicas: int, pool: WorkerPool | None
 ) -> dict[str, str]:
     """Per-replica index checksums of a freshly assembled shard set.
 
@@ -197,12 +205,46 @@ def collect_replica_checksums(
             checksums[replica_key(handle.shard_id, handle.replica_index)] = (
                 handle.checksum
             )
-    elif cluster_config.replicas > 1:
+    elif replicas > 1:
         for shard in shards:
             checksum = database_checksum(shard.database)
-            for replica_index in range(cluster_config.replicas):
+            for replica_index in range(replicas):
                 checksums[replica_key(shard.shard_id, replica_index)] = checksum
     return checksums
+
+
+def build_generation(
+    source: KyrixBackend,
+    config: KyrixConfig,
+    *,
+    partitionings: dict[str, Partitioning] | None = None,
+    tile_sizes: tuple[int, ...] = (),
+    epoch: int = 0,
+) -> ShardTable:
+    """Build one complete shard generation from one effective configuration.
+
+    The only place that runs index → attach services → collect checksums:
+    :func:`build_cluster` calls it for epoch 0 and
+    :meth:`~repro.cluster.rebalancer.LoadRebalancer.rebalance` for epoch
+    N+1 (new ``partitionings``, shard / replica counts ``replace``d in
+    ``config.cluster``).  ``config`` is recorded on the returned table and
+    shipped to process workers in their ``ShardSpec``.  The caller owns
+    the table until a router takes it; ``table.close()`` tears it down.
+    """
+    config.cluster.validate()
+    indexer = ShardedIndexer(source.database, source.compiled, config)
+    shards, partitionings = indexer.build_shards(partitionings, tile_sizes=tile_sizes)
+    pool = attach_shard_services(shards, config, source.compiled, generation=epoch)
+    return ShardTable(
+        shards=shards,
+        partitionings=partitionings,
+        config=config,
+        epoch=epoch,
+        worker_pool=pool,
+        replica_checksums=collect_replica_checksums(
+            shards, config.cluster.replicas, pool
+        ),
+    )
 
 
 def build_cluster(
@@ -216,7 +258,6 @@ def build_cluster(
     replicas: int | None = None,
     replica_policy: str | None = None,
     worker_mode: str | None = None,
-    rebalance: bool | None = None,
     autopilot: bool | None = None,
     telemetry: bool | None = None,
     tile_sizes: tuple[int, ...] = (),
@@ -226,12 +267,18 @@ def build_cluster(
     ``source_backend`` must have run ``precompute()`` already: its placement
     (or separable source) tables are what gets split across shards.  The
     keyword arguments override the corresponding ``config.cluster`` fields
-    for this build only; ``tile_sizes`` pre-builds per-shard tuple–tile
-    mapping tables so the mapping design serves its first tile request
-    without a lazy build.  With ``worker_mode="processes"`` every shard
-    replica runs in its own forked worker process behind a socket transport
-    (see :mod:`repro.serving.worker`).  With ``rebalance=True`` (or
-    ``cluster.rebalance_enabled``) the cluster carries a ready-to-use
+    (``telemetry``: ``config.telemetry.enabled``) for this build; they are
+    folded into **one** effective configuration up front, and that is the
+    only configuration anything below sees — the router's ``config``, the
+    shard table's, and the :class:`~repro.serving.worker.ShardSpec` dumps
+    worker processes stand up from (same tracing plane, same cluster
+    section).  ``tile_sizes`` pre-builds per-shard tuple–tile mapping
+    tables so the mapping design serves its first tile request without a
+    lazy build.  With ``worker_mode="processes"`` every shard replica runs
+    in its own forked worker process behind a socket transport (see
+    :mod:`repro.serving.worker`).
+
+    Every cluster carries a ready-to-use
     :class:`~repro.cluster.rebalancer.LoadRebalancer` as
     ``cluster.rebalancer``.  With ``autopilot=True`` (or
     ``cluster.autopilot.enabled``) a
@@ -240,85 +287,49 @@ def build_cluster(
     autoscales shard/replica counts and read-repairs diverged replicas on
     its own, and stops automatically when the cluster (or the router, via
     ``build_service`` stacks) closes.
-
-    ``telemetry`` overrides ``config.telemetry.enabled`` for this build:
-    the effective configuration (with the flag folded in) is what the
-    :class:`~repro.serving.worker.ShardSpec` dumps carry, so worker
-    processes stand up the same tracing plane as the router side.
     """
     config = source_backend.config
-    if telemetry is not None and telemetry != config.telemetry.enabled:
-        config = replace(
-            config, telemetry=replace(config.telemetry, enabled=telemetry)
-        )
-    if telemetry is not None or config.telemetry.enabled:
-        configure_telemetry(config.telemetry)
-    cluster_config = config.cluster
-    overrides = {
+    overrides: dict[str, Any] = {
         name: value
         for name, value in (
             ("shard_count", shard_count),
             ("strategy", strategy),
+            ("coalescing", coalescing),
             ("parallel_shards", parallel),
             ("wire_shards", wire_shards),
             ("replicas", replicas),
             ("replica_policy", replica_policy),
             ("worker_mode", worker_mode),
-            ("rebalance_enabled", rebalance),
         )
         if value is not None
     }
-    if autopilot is not None and autopilot != cluster_config.autopilot.enabled:
-        overrides["autopilot"] = replace(
-            cluster_config.autopilot, enabled=autopilot
-        )
+    if autopilot is not None:
+        overrides["autopilot"] = replace(config.cluster.autopilot, enabled=autopilot)
     if overrides:
-        cluster_config = replace(cluster_config, **overrides)
-        cluster_config.validate()
-    indexer = ShardedIndexer(
-        source_backend.database,
-        source_backend.compiled,
-        config,
-        cluster_config=cluster_config,
-    )
-    shards, partitionings = indexer.build_shards(tile_sizes=tile_sizes)
-    pool = attach_shard_services(
-        shards, cluster_config, config, source_backend.compiled
-    )
-    router = ClusterRouter(
-        shards,
-        partitionings,
-        source_backend.compiled,
-        config,
-        cluster_config=cluster_config,
-        coalescing=coalescing,
-    )
-    router.stats.replica_checksums.update(
-        collect_replica_checksums(shards, cluster_config, pool)
-    )
-    # The generation-0 table owns the pool it serves from, so retiring it
-    # after a rebalance closes these workers (not the new generation's).
-    router._table.worker_pool = pool
+        config = replace(config, cluster=replace(config.cluster, **overrides))
+    if telemetry is not None:
+        config = replace(
+            config, telemetry=replace(config.telemetry, enabled=telemetry)
+        )
+    if telemetry is not None or config.telemetry.enabled:
+        configure_telemetry(config.telemetry)
+
+    tile_sizes = tuple(tile_sizes)
+    table = build_generation(source_backend, config, tile_sizes=tile_sizes)
+    router = ClusterRouter(table, source_backend.compiled)
     cluster = ShardedCluster(
-        router=router,
-        shards=shards,
-        partitionings=partitionings,
-        worker_pool=pool,
-        source=source_backend,
-        tile_sizes=tuple(tile_sizes),
+        router=router, source=source_backend, tile_sizes=tile_sizes
     )
     # The router carries its cluster handle so callers that only hold the
     # service stack (e.g. `serving.build_service` output) can reach shard
     # bookkeeping without rebuilding a second ShardedCluster.
     router.cluster = cluster
-    if cluster_config.rebalance_enabled or cluster_config.autopilot.enabled:
-        # Local import: the rebalancer composes builder pieces, so a
-        # top-level import would be circular.  The autopilot steers the
-        # cluster *through* the rebalancer, so enabling it implies one.
-        from .rebalancer import LoadRebalancer
+    # Local imports: the rebalancer builds its generations through this
+    # module, so top-level imports would be circular.
+    from .rebalancer import LoadRebalancer
 
-        cluster.rebalancer = LoadRebalancer(cluster)
-    if cluster_config.autopilot.enabled:
+    cluster.rebalancer = LoadRebalancer(cluster)
+    if config.cluster.autopilot.enabled:
         from .autopilot import ClusterAutopilot
 
         cluster.autopilot = ClusterAutopilot(cluster).start()

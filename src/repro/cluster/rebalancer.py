@@ -18,14 +18,19 @@ owns it while the rest idle.  This module closes the loop:
    new :class:`~repro.cluster.partitioner.Partitioning` per canvas from
    the recorded load, so hot regions split across many shards and cold
    ones merge.
-4. **Migrate online** — the new shard set is built *beside* the serving
-   one (thread mode: fresh index stacks; process mode: fresh
+4. **Migrate online** — the next generation is built *beside* the serving
+   one by the same function that built the first,
+   :func:`~repro.cluster.builder.build_generation` (thread mode: fresh
+   index stacks; process mode: fresh
    :class:`~repro.serving.worker.ShardSpec` dumps and a new
-   :class:`~repro.serving.worker.WorkerPool` generation), then the
-   router's shard table is swapped atomically
+   :class:`~repro.serving.worker.WorkerPool` generation), from the current
+   generation's configuration with the new shard / replica counts
+   ``replace``d in.  Then the router's shard table is swapped atomically
    (:meth:`~repro.cluster.router.ClusterRouter.swap_shards`) and the old
    generation is retired once its in-flight requests drain
-   (:meth:`~repro.cluster.router.ClusterRouter.retire_table`).
+   (:meth:`~repro.cluster.router.ClusterRouter.retire_table`).  The
+   :class:`~repro.cluster.router.ShardTable` is the only record of a
+   generation: nothing is re-pointed after the swap.
 
 Every shard set is rebuilt from the *same* source backend, so responses
 are byte-identical before, during and after a swap — the parity suite
@@ -37,15 +42,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..errors import KyrixError
 from ..metrics.timer import Timer
+from .builder import ShardedCluster, build_generation
 from .partitioner import LoadHistogram, LoadWeightedKDPartitioner, Partitioning
-from .sharded import ShardedIndexer
-
-if TYPE_CHECKING:
-    from .builder import ShardedCluster
 
 
 @dataclass
@@ -99,19 +101,14 @@ class LoadRebalancer:
 
     def __init__(
         self,
-        cluster: "ShardedCluster",
+        cluster: ShardedCluster,
         *,
         skew_threshold: float | None = None,
         min_requests: int | None = None,
     ) -> None:
-        if cluster.source is None:
-            raise KyrixError(
-                "online rebalancing needs the cluster's source backend "
-                "(build the cluster with build_cluster / build_service)"
-            )
         self.cluster = cluster
         self.router = cluster.router
-        cluster_config = self.router.cluster_config
+        cluster_config = self.router.config.cluster
         self.skew_threshold = (
             skew_threshold
             if skew_threshold is not None
@@ -162,6 +159,7 @@ class LoadRebalancer:
 
     def propose_shard_count(
         self,
+        current: int,
         requests_per_tick: float,
         *,
         min_shards: int = 1,
@@ -171,16 +169,15 @@ class LoadRebalancer:
     ) -> int:
         """The shard count the observed traffic volume argues for.
 
-        Pure decision, no migration: sustained load (at least
-        ``grow_requests`` scatter-gathers in the window) doubles the
-        count, an idle window (at most ``shrink_requests``) halves it,
-        anything in between keeps it — always clamped into
+        Pure decision, no migration, no cluster state read: sustained load
+        (at least ``grow_requests`` scatter-gathers in the window) doubles
+        the ``current`` count, an idle window (at most ``shrink_requests``)
+        halves it, anything in between keeps it — always clamped into
         ``[min_shards, max_shards]``.  Doubling/halving (2→4→8 rather
         than 2→3→4) keeps each step a genuine capacity change, so the
         autoscaler cannot creep one shard at a time around its own
         cooldown.
         """
-        current = self.router.shard_count
         if requests_per_tick >= grow_requests:
             proposed = current * 2
         elif requests_per_tick <= shrink_requests:
@@ -228,8 +225,8 @@ class LoadRebalancer:
         ``shard_count`` defaults to the current count (a pure re-split);
         passing a different count re-scales the cluster in the same swap,
         and ``replicas`` likewise re-scales the per-shard replica count
-        (the new generation builds with it, and the router's effective
-        cluster config is updated so later decisions see it).  ``reason``
+        (the new generation builds with it and carries it in its
+        configuration, so later decisions see it).  ``reason``
         labels the resulting :class:`RebalanceReport` (the autopilot
         stamps ``"grow"`` / ``"shrink"`` / ``"replica_scale"`` here).
         Requests keep being served by the old generation for the whole
@@ -243,96 +240,70 @@ class LoadRebalancer:
         self, shard_count: int | None, replicas: int | None, reason: str
     ) -> RebalanceReport:
         router = self.router
-        cluster = self.cluster
-        old_count = router.shard_count
+        current = router.table  # migrations are serialised: still current below
+        cluster_config = current.config.cluster
+        old_count = len(current.shards)
         new_count = shard_count or old_count
         if new_count < 1:
             raise KyrixError(f"shard_count must be >= 1, got {new_count}")
-        new_replicas = replicas or router.cluster_config.replicas
+        new_replicas = replicas or cluster_config.replicas
         skew_before = self.skew()
         loads_before = self.shard_loads()
         if (
             old_count == 1
             and new_count == 1
-            and new_replicas == router.cluster_config.replicas
+            and new_replicas == cluster_config.replicas
         ):
             # Single-shard no-op: there is nothing to move load between.
             return RebalanceReport(
                 swapped=False,
                 reason="single_shard",
-                epoch=router.epoch,
+                epoch=current.epoch,
                 skew_before=skew_before,
                 shard_count_before=old_count,
                 shard_count_after=old_count,
                 per_shard_requests=loads_before,
             )
 
-        cluster_config = replace(
-            router.cluster_config, shard_count=new_count, replicas=new_replicas
+        config = replace(
+            current.config,
+            cluster=replace(
+                cluster_config, shard_count=new_count, replicas=new_replicas
+            ),
         )
-        cluster_config.validate()
-        source = cluster.source
         partitionings = self.repartition(new_count)
 
         # Build the new generation beside the serving one: shard databases
         # and indexes first, then the serving stacks (and, in process
         # mode, a fresh WorkerPool generation with its own spec dumps).
-        from .builder import attach_shard_services, collect_replica_checksums
-
         build_timer = Timer()
         build_timer.start()
-        indexer = ShardedIndexer(
-            source.database,
-            source.compiled,
-            source.config,
-            cluster_config=cluster_config,
+        table = build_generation(
+            self.cluster.source,
+            config,
+            partitionings=partitionings,
+            tile_sizes=self.cluster.tile_sizes,
+            epoch=current.epoch + 1,
         )
-        shards, partitionings = indexer.build_shards(
-            partitionings, tile_sizes=cluster.tile_sizes
-        )
-        pool = attach_shard_services(
-            shards,
-            cluster_config,
-            source.config,
-            source.compiled,
-            generation=router.epoch + 1,
-        )
-        checksums = collect_replica_checksums(shards, cluster_config, pool)
         build_ms = build_timer.stop()
 
         # Atomic swap, then drain and retire the old generation.
         drain_timer = Timer()
         drain_timer.start()
         try:
-            old_table = router.swap_shards(
-                shards,
-                partitionings,
-                worker_pool=pool,
-                replica_checksums=checksums,
-            )
+            old_table = router.swap_shards(table)
         except BaseException:
             # The router refused the swap (e.g. it closed while we were
             # building): the freshly built generation is ours to tear
             # down, or its worker processes would outlive everything.
-            for shard in shards:
-                shard.close()
-            if pool is not None:
-                pool.close()
+            table.close()
             raise
         drained = router.retire_table(old_table)
         drain_ms = drain_timer.stop()
-
-        # Keep the cluster handle's bookkeeping pointing at the live
-        # generation (benchmarks and tests read cluster.shards), and the
-        # router's effective config on the replica count it now serves.
-        cluster.shards = shards
-        cluster.partitionings = partitionings
-        cluster.worker_pool = pool
-        router.cluster_config = cluster_config
         return RebalanceReport(
             swapped=True,
             reason=reason,
-            epoch=router.epoch,
+            epoch=table.epoch,
             skew_before=skew_before,
             shard_count_before=old_count,
             shard_count_after=new_count,

@@ -43,7 +43,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..compiler.plan import CompiledApplication
 from ..config import ClusterConfig, KyrixConfig
@@ -52,46 +52,82 @@ from ..metrics.timer import Timer
 from ..net.protocol import DataRequest, DataResponse
 from ..server.tile import TileScheme
 from ..serving.middleware import CachingService, CoalescingService
+from ..serving.replica import ReplicaService
 from ..storage.rtree import Rect
 from ..telemetry import get_tracer
 from .coalescer import RequestCoalescer
 from .partitioner import LoadHistogram, Partitioning
 from .sharded import ShardHandle
 
+if TYPE_CHECKING:
+    from ..serving.worker import WorkerPool
+
 
 def replica_key(shard_id: int, replica_index: int) -> str:
-    """The canonical ``"shard{S}/replica{R}"`` key of per-replica stats maps.
+    """The canonical ``"shard{S}/replica{R}"`` key of per-replica maps.
 
-    Every producer of :class:`ClusterStats` per-replica entries must format
-    keys through this helper so :meth:`ClusterStats.divergent_replicas`
-    can parse them back.
+    Every producer of per-replica entries (:class:`ClusterStats` traffic
+    counters, :attr:`ShardTable.replica_checksums`) must format keys
+    through this helper so :meth:`ShardTable.divergent_replicas` can parse
+    them back.
     """
     return f"shard{shard_id}/replica{replica_index}"
 
 
 @dataclass
 class ShardTable:
-    """One immutable generation of the router's shard topology.
+    """One generation of the cluster: everything that is true of one epoch.
 
-    The scatter-gather core reads the table exactly once per request and
-    uses it for the whole fan-out, so an online rebalance can swap the
-    router's current table atomically while requests already in flight
-    keep the generation they started on.  ``inflight`` counts those
-    requests (guarded by the router's table lock); the old generation is
-    only closed once it drains.
+    Built in one piece by :func:`repro.cluster.builder.build_generation`.
+    The scatter-gather core reads the router's current table exactly once
+    per request and uses it for the whole fan-out, so an online rebalance
+    can swap the table atomically while requests already in flight keep
+    the generation they started on; the old generation is only closed
+    once it drains.  Only ``inflight`` and ``replica_checksums`` change
+    after the build, and only under the owning router's table lock.
     """
 
     shards: list[ShardHandle]
     partitionings: dict[str, Partitioning]
+    #: The **effective** configuration this generation was built from
+    #: (build overrides and a rebalance's new shard / replica counts folded
+    #: in): ``config.cluster`` is what is served and what workers received.
+    config: KyrixConfig
     epoch: int = 0
     #: The worker-process pool serving this generation's shards, when it
     #: was built with ``worker_mode="processes"``.
-    worker_pool: Any = None
+    worker_pool: "WorkerPool | None" = None
+    #: Content hash of each replica's shard index, keyed
+    #: ``"shard{S}/replica{R}"`` (recorded at build time, re-recorded by
+    #: read-repair).  In-process replicas share the shard's immutable
+    #: index, so their checksums are equal by construction; process workers
+    #: hash their own rebuilt copy, making a corrupted or stale replica
+    #: index detectable.
+    replica_checksums: dict[str, str] = field(default_factory=dict)
     #: Scatter-gathers currently executing against this table.
     inflight: int = 0
 
+    def divergent_replicas(self) -> dict[int, dict[str, str]]:
+        """Shards whose replicas do not all hold the same index content.
+
+        Returns ``{shard_id: {"shard{S}/replica{R}": checksum, ...}}`` for
+        every shard with more than one distinct replica checksum — empty
+        when all replica sets agree (the healthy state).
+        """
+        by_shard: dict[int, dict[str, str]] = {}
+        # Iterate a copy: readers do not take the router's table lock.
+        for key, checksum in list(self.replica_checksums.items()):
+            shard_id = int(key.split("/", 1)[0].removeprefix("shard"))
+            by_shard.setdefault(shard_id, {})[key] = checksum
+        return {
+            shard_id: checksums
+            for shard_id, checksums in by_shard.items()
+            if len(set(checksums.values())) > 1
+        }
+
     def close(self) -> None:
-        """Close this generation's shard stacks and worker pool."""
+        """Close this generation's shard stacks and worker pool (idempotent;
+        the only place a generation is torn down)."""
         for shard in self.shards:
             shard.close()
         if self.worker_pool is not None:
@@ -100,7 +136,11 @@ class ShardTable:
 
 @dataclass
 class ClusterStats:
-    """Aggregate counters over the router's lifetime."""
+    """Traffic counters over the router's lifetime (nothing else).
+
+    What is true of the built topology — replica checksums, the epoch —
+    lives on the current :class:`ShardTable`.
+    """
 
     requests: int = 0
     cache_hits: int = 0
@@ -117,15 +157,6 @@ class ClusterStats:
     per_replica_requests: dict[str, int] = field(default_factory=dict)
     #: Per-replica failed-attempt counts, same keys.
     per_replica_failures: dict[str, int] = field(default_factory=dict)
-    #: Content hash of each replica's shard index, keyed
-    #: ``"shard{S}/replica{R}"`` (recorded at build time).  In-process
-    #: replicas share the shard's immutable index, so their checksums are
-    #: equal by construction; process workers hash their own rebuilt copy,
-    #: making a corrupted or stale replica index detectable.
-    replica_checksums: dict[str, str] = field(default_factory=dict)
-    #: How many online rebalances this router has performed (each swap of
-    #: the shard table increments the epoch by one).
-    rebalance_epochs: int = 0
 
     def record_replica_attempt(self, shard_id: int, replica_index: int, ok: bool) -> None:
         key = replica_key(shard_id, replica_index)
@@ -145,23 +176,6 @@ class ClusterStats:
     def average_fanout(self) -> float:
         return self.shard_queries / self.scatter_gathers if self.scatter_gathers else 0.0
 
-    def divergent_replicas(self) -> dict[int, dict[str, str]]:
-        """Shards whose replicas do not all hold the same index content.
-
-        Returns ``{shard_id: {"shard{S}/replica{R}": checksum, ...}}`` for
-        every shard with more than one distinct replica checksum — empty
-        when all replica sets agree (the healthy state).
-        """
-        by_shard: dict[int, dict[str, str]] = {}
-        for key, checksum in self.replica_checksums.items():
-            shard_id = int(key.split("/", 1)[0].removeprefix("shard"))
-            by_shard.setdefault(shard_id, {})[key] = checksum
-        return {
-            shard_id: checksums
-            for shard_id, checksums in by_shard.items()
-            if len(set(checksums.values())) > 1
-        }
-
     def reset(self) -> None:
         self.requests = 0
         self.cache_hits = 0
@@ -174,9 +188,6 @@ class ClusterStats:
         self.fanout.clear()
         self.per_replica_requests.clear()
         self.per_replica_failures.clear()
-        # replica_checksums and rebalance_epochs describe the built
-        # topology (and its history), not traffic, so a stats reset
-        # deliberately leaves them in place.
 
 
 class _ScatterGatherService:
@@ -216,42 +227,21 @@ class _ScatterGatherService:
 class ClusterRouter:
     """Routes data requests across a set of shard backends."""
 
-    def __init__(
-        self,
-        shards: list[ShardHandle],
-        partitionings: dict[str, Partitioning],
-        compiled: CompiledApplication,
-        config: KyrixConfig | None = None,
-        *,
-        cluster_config: ClusterConfig | None = None,
-        coalescing: bool | None = None,
-        parallel: bool | None = None,
-    ) -> None:
-        if not shards:
-            raise FetchError("a cluster needs at least one shard")
+    def __init__(self, table: ShardTable, compiled: CompiledApplication) -> None:
         # The shard topology lives in a swappable ShardTable so an online
         # rebalance can replace it atomically (see swap_shards).
-        self._table = ShardTable(shards=shards, partitionings=partitionings)
+        self._observe(table)
+        self._table = table
         self._table_lock = threading.Lock()
         self._table_drained = threading.Condition(self._table_lock)
         self.compiled = compiled
-        self.config = config or (compiled.spec.config if compiled.spec else KyrixConfig())
-        # The effective cluster config may carry per-build overrides; the
-        # indexer and router must read the same one.
-        cluster_config = cluster_config or self.config.cluster
-        self.cluster_config = cluster_config
-        if coalescing is None:
-            coalescing = cluster_config.coalescing
-        if parallel is None:
-            parallel = cluster_config.parallel_shards
-        self._parallel_requested = parallel
-        self.parallel = parallel and len(shards) > 1
+        config = table.config
         # Per-canvas request-footprint histograms feeding the load-driven
         # repartitioner (bounded ring buffers; see LoadRebalancer).
         self._load_lock = threading.Lock()
         self.canvas_loads: dict[str, LoadHistogram] = {
-            canvas_id: LoadHistogram(cluster_config.rebalance_load_samples)
-            for canvas_id in partitionings
+            canvas_id: LoadHistogram(config.cluster.rebalance_load_samples)
+            for canvas_id in table.partitionings
         }
         self.stats = ClusterStats()
         # Counter updates are read-modify-write; concurrent sessions are the
@@ -262,15 +252,15 @@ class ClusterRouter:
         # callers (tests, benchmarks) keep their handles.
         stack = _ScatterGatherService(self)
         self.coalescer: RequestCoalescer | None = None
-        if coalescing:
+        if config.cluster.coalescing:
             coalescing_layer = CoalescingService(stack)
             self.coalescer = coalescing_layer.coalescer
             stack = coalescing_layer
         # The cluster's one server-side response cache: the shards below
         # are bare engines, so it is sized like a single backend's.
-        cache = self.config.cache
         self._stack = CachingService(
-            stack, entries=cache.backend_entries if cache.enabled else 0
+            stack,
+            entries=config.cache.backend_entries if config.cache.enabled else 0,
         )
         self.cache = self._stack.cache
         # The scatter executor is created lazily on the first multi-shard
@@ -281,14 +271,34 @@ class ClusterRouter:
         #: Back-reference to the ShardedCluster that built this router
         #: (set by :func:`repro.cluster.builder.build_cluster`).
         self.cluster: Any = None
-        # Shards fronted by a replica set report every attempt back here, so
-        # ClusterStats attributes traffic and failures per replica.
-        from ..serving.replica import ReplicaService
 
-        for shard in shards:
-            layer = getattr(shard, "service", None)
-            if isinstance(layer, ReplicaService):
-                layer.observer = self._replica_observer(shard.shard_id)
+    def _observe(self, table: ShardTable) -> None:
+        """Wire a generation to this router before it serves (construction
+        and every swap): shards fronted by a replica set report each
+        attempt back here, so ClusterStats attributes traffic and failures
+        per replica."""
+        if not table.shards:
+            raise FetchError("a cluster needs at least one shard")
+        for shard in table.shards:
+            if isinstance(shard.service, ReplicaService):
+                shard.service.observer = self._replica_observer(shard.shard_id)
+
+    @property
+    def table(self) -> ShardTable:
+        """The current generation.  Readers that need several facts of one
+        epoch take this once; the per-field properties below may straddle
+        a concurrent swap."""
+        return self._table
+
+    @property
+    def config(self) -> KyrixConfig:
+        """The effective configuration of the generation being served."""
+        return self._table.config
+
+    @property
+    def cluster_config(self) -> ClusterConfig:
+        """``config.cluster`` — exactly what is being served."""
+        return self._table.config.cluster
 
     @property
     def shards(self) -> list[ShardHandle]:
@@ -310,16 +320,19 @@ class ClusterRouter:
         return len(self.shards)
 
     @property
+    def parallel(self) -> bool:
+        """Whether multi-shard scatters fan out on the thread pool."""
+        table = self._table
+        return table.config.cluster.parallel_shards and len(table.shards) > 1
+
+    @property
     def children(self) -> tuple[Any, ...]:
         """The per-shard serving stacks, traversed by :func:`~repro.serving.base.unwrap`.
 
         Makes ``unwrap(router, ReplicaService)`` (or any layer inside a
         shard's stack) reachable from the cluster's outermost service.
         """
-        return tuple(
-            shard.service if shard.service is not None else shard.backend
-            for shard in self.shards
-        )
+        return tuple(shard.service for shard in self.shards)
 
     def _replica_observer(self, shard_id: int):
         def record(replica_index: int, ok: bool) -> None:
@@ -330,12 +343,10 @@ class ClusterRouter:
 
     def replica_sets(self) -> dict[int, Any]:
         """The shards' :class:`~repro.serving.replica.ReplicaService` layers."""
-        from ..serving.replica import ReplicaService
-
         return {
             shard.shard_id: shard.service
             for shard in self.shards
-            if isinstance(getattr(shard, "service", None), ReplicaService)
+            if isinstance(shard.service, ReplicaService)
         }
 
     # -- request handling --------------------------------------------------------------
@@ -387,31 +398,18 @@ class ClusterRouter:
         with self._table_lock:
             table = self._table
         table.close()
-        # Callers that only hold the service stack (build_service output)
-        # must still be able to drain a process-worker topology.  After a
-        # rebalance the cluster handle's pool is the table's pool, whose
-        # close() is idempotent; this covers pre-rebalance builds where the
-        # pool was only recorded on the cluster.
-        pool = getattr(self.cluster, "worker_pool", None)
-        if pool is not None and pool is not table.worker_pool:
-            pool.close()
 
     # -- online rebalancing seam -------------------------------------------------------
 
-    def swap_shards(
-        self,
-        shards: list[ShardHandle],
-        partitionings: dict[str, Partitioning],
-        *,
-        worker_pool: Any = None,
-        replica_checksums: dict[str, str] | None = None,
-    ) -> ShardTable:
+    def swap_shards(self, table: ShardTable) -> ShardTable:
         """Atomically replace the shard table with a new generation.
 
         Requests that already picked up the old table finish against it
         (the caller retires it with :meth:`retire_table` once it drains);
         every request arriving after this call scatters over the new
-        shards.  Returns the retired :class:`ShardTable`.
+        shards.  Returns the retired :class:`ShardTable`; when the swap is
+        refused (closed router) the new ``table`` is still the caller's to
+        close.
 
         Traffic counters keyed by shard or replica id
         (``per_shard_requests`` / ``fanout`` / ``per_replica_*``) are
@@ -420,17 +418,9 @@ class ClusterRouter:
         post-rebalance skew unreadable.  The per-canvas load histograms
         reset for the same reason: the next split must be driven by
         traffic on the new boundaries, not by the hotspot this swap just
-        resolved.  ``replica_checksums`` is replaced with the new
-        generation's hashes and ``rebalance_epochs`` increments.
+        resolved.
         """
-        if not shards:
-            raise FetchError("a rebalance needs at least one shard")
-        from ..serving.replica import ReplicaService
-
-        for shard in shards:
-            layer = getattr(shard, "service", None)
-            if isinstance(layer, ReplicaService):
-                layer.observer = self._replica_observer(shard.shard_id)
+        self._observe(table)
         with self._table_lock:
             # Refuse to install shards on a closed router: close() captures
             # the current table under this same lock, so checking here
@@ -444,25 +434,17 @@ class ClusterRouter:
                 # so the next fan-out rebuilds one for the new topology.
                 executor, self._executor = self._executor, None
             old = self._table
-            self._table = ShardTable(
-                shards=shards,
-                partitionings=partitionings,
-                epoch=old.epoch + 1,
-                worker_pool=worker_pool,
-            )
-            self.parallel = self._parallel_requested and len(shards) > 1
+            self._table = table
             # Clear per-shard/per-replica traffic inside the table lock:
             # no request can pick up the new table until the lock drops,
             # so the new epoch's counters start exactly empty, and
             # old-generation stragglers skip recording via the stale-table
             # guard in _scatter_gather_on.
             with self._stats_lock:
-                self.stats.rebalance_epochs += 1
                 self.stats.per_shard_requests.clear()
                 self.stats.fanout.clear()
                 self.stats.per_replica_requests.clear()
                 self.stats.per_replica_failures.clear()
-                self.stats.replica_checksums = dict(replica_checksums or {})
             # The load histograms drove the split that produced this
             # generation; the *next* boundary decision must be shaped by
             # traffic the new boundaries actually see, not by hotspots
@@ -479,17 +461,15 @@ class ClusterRouter:
             executor.shutdown(wait=False)
         return old
 
-    def retire_table(self, table: ShardTable, *, timeout_s: float | None = None) -> bool:
+    def retire_table(self, table: ShardTable) -> bool:
         """Wait for a swapped-out table's in-flight requests, then close it.
 
-        Returns ``True`` when the table drained within ``timeout_s``
-        (default ``cluster.rebalance_drain_timeout_s``); on timeout the
-        table is closed anyway — serving a request on a closing stack is
-        the lesser evil next to leaking worker processes.
+        Returns ``True`` when the table drained within its
+        ``cluster.rebalance_drain_timeout_s``; on timeout the table is
+        closed anyway — serving a request on a closing stack is the lesser
+        evil next to leaking worker processes.
         """
-        if timeout_s is None:
-            timeout_s = self.cluster_config.rebalance_drain_timeout_s
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + table.config.cluster.rebalance_drain_timeout_s
         with self._table_lock:
             while table.inflight > 0:
                 remaining = deadline - time.monotonic()
@@ -503,9 +483,8 @@ class ClusterRouter:
         return drained
 
     def divergent_replicas(self) -> dict[int, dict[str, str]]:
-        """A consistent snapshot of :meth:`ClusterStats.divergent_replicas`."""
-        with self._stats_lock:
-            return self.stats.divergent_replicas()
+        """The current generation's :meth:`ShardTable.divergent_replicas`."""
+        return self._table.divergent_replicas()
 
     def record_replica_checksum(
         self, shard_id: int, replica_index: int, checksum: str
@@ -513,14 +492,15 @@ class ClusterRouter:
         """Record one replica's index hash; returns the previous one.
 
         The write seam read-repair (and the :func:`~repro.serving.faults.diverge_replica`
-        test seam) go through, so checksum updates happen under the same
-        lock every other stats mutation takes.  Returns the hash the entry
-        previously held (empty string when none was recorded).
+        test seam) go through, so the current generation's checksums change
+        only under the table lock.  Returns the hash the entry previously
+        held (empty string when none was recorded).
         """
         key = replica_key(shard_id, replica_index)
-        with self._stats_lock:
-            previous = self.stats.replica_checksums.get(key, "")
-            self.stats.replica_checksums[key] = checksum
+        with self._table_lock:
+            checksums = self._table.replica_checksums
+            previous = checksums.get(key, "")
+            checksums[key] = checksum
         return previous
 
     def load_snapshot(self) -> dict[str, LoadHistogram]:
@@ -542,7 +522,7 @@ class ClusterRouter:
                 # may exceed the shard count on purpose — concurrent
                 # sessions each fan out, so an operator sizes the pool
                 # for clients x shards, not for one scatter at a time.
-                workers = self.cluster_config.max_parallel_shards or self.shard_count
+                workers = self.config.cluster.max_parallel_shards or self.shard_count
                 self._executor = ThreadPoolExecutor(
                     max_workers=workers,
                     thread_name_prefix="kyrix-shard",
@@ -603,7 +583,7 @@ class ClusterRouter:
             load = self.canvas_loads.get(request.canvas_id)
             if load is None:
                 load = self.canvas_loads[request.canvas_id] = LoadHistogram(
-                    self.cluster_config.rebalance_load_samples
+                    table.config.cluster.rebalance_load_samples
                 )
             load.observe(center_x, center_y)
 
@@ -755,24 +735,26 @@ class ClusterRouter:
 
     def describe(self) -> dict[str, Any]:
         """Cluster topology: shard row counts and per-canvas regions."""
+        table = self._table  # one read: every field from one epoch
+        cluster_config = table.config.cluster
         return {
-            "shard_count": self.shard_count,
-            "rebalance_epoch": self._table.epoch,
+            "shard_count": len(table.shards),
+            "rebalance_epoch": table.epoch,
             "parallel": self.parallel,
-            "wire_shards": self.cluster_config.wire_shards,
-            "replicas": self.cluster_config.replicas,
-            "replica_policy": self.cluster_config.replica_policy,
-            "worker_mode": self.cluster_config.worker_mode,
+            "wire_shards": cluster_config.wire_shards,
+            "replicas": cluster_config.replicas,
+            "replica_policy": cluster_config.replica_policy,
+            "worker_mode": cluster_config.worker_mode,
             "shards": [
                 {
                     "shard_id": shard.shard_id,
                     "rows_by_table": dict(shard.rows_by_table),
                 }
-                for shard in self.shards
+                for shard in table.shards
             ],
             "partitionings": {
                 canvas_id: partitioning.describe()
-                for canvas_id, partitioning in self.partitionings.items()
+                for canvas_id, partitioning in table.partitionings.items()
             },
         }
 

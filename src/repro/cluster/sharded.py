@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..compiler.plan import CompiledApplication
-from ..config import ClusterConfig, KyrixConfig
+from ..config import KyrixConfig
 from ..errors import KyrixError
 from ..server.backend import KyrixBackend
 from ..storage.database import Database
@@ -36,12 +36,12 @@ if TYPE_CHECKING:
 class ShardHandle:
     """One shard of the cluster: its database, backend and serving stack.
 
-    ``service`` is the shard's composed :class:`~repro.serving.base.DataService`
-    (assembled by :func:`repro.cluster.builder.attach_shard_services`): one
-    :func:`~repro.serving.worker.replica_stack` — a lock over the bare
-    engine, optionally behind the wire — or a replica set of them.  When no
-    service has been attached (hand-built shards), calls fall back to
-    locking the backend directly.
+    ``service`` is the shard's composed :class:`~repro.serving.base.DataService`:
+    one :func:`~repro.serving.worker.replica_stack` — a lock over the bare
+    engine, optionally behind the wire — or a replica set of them.  The
+    indexer hands handles out without one;
+    :func:`repro.cluster.builder.build_generation` attaches it before the
+    handle is ever served from, and every call goes through it.
 
     With ``worker_mode="processes"`` the embedded database only exists to
     seed the worker's :class:`~repro.serving.worker.ShardSpec` dump; once
@@ -58,60 +58,31 @@ class ShardHandle:
     #: Serialises queries against this shard's embedded engine so concurrent
     #: sessions can share the cluster (the stand-in for one worker process).
     lock: threading.Lock = field(default_factory=threading.Lock)
-    #: The shard's serving stack (set by the cluster builder).
-    service: "DataService | None" = None
+    #: The shard's serving stack: a plain attribute, read on every call
+    #: (benchmarks slip a recording proxy in here).
+    service: "DataService" = field(init=False, repr=False)
 
     @property
     def total_rows(self) -> int:
         return sum(self.rows_by_table.values())
 
     def detach_database(self) -> None:
-        """Drop the parent-side database/backend (the rows live elsewhere).
-
-        Only valid once a ``service`` is attached that does not need the
-        embedded engine (a worker-process stub): the fallback call paths
-        below would have nothing to serve from.
-        """
-        if self.service is None:
-            raise KyrixError(
-                f"shard {self.shard_id} has no serving stack; detaching its "
-                "database would leave it unable to answer"
-            )
+        """Drop the parent-side database/backend (the rows live in the
+        worker processes ``service`` reaches)."""
         self.backend = None
         self.database = None
 
-    def _require_backend(self) -> KyrixBackend:
-        if self.backend is None:
-            raise KyrixError(
-                f"shard {self.shard_id} was detached from its embedded "
-                "database (process-worker topology); serve through its "
-                "service instead"
-            )
-        return self.backend
-
     def handle(self, request):
-        if self.service is not None:
-            return self.service.handle(request)
-        with self.lock:
-            return self._require_backend().handle(request)
+        return self.service.handle(request)
 
     def canvas_info(self, canvas_id: str):
-        if self.service is not None:
-            return self.service.canvas_info(canvas_id)
-        with self.lock:
-            return self._require_backend().canvas_info(canvas_id)
+        return self.service.canvas_info(canvas_id)
 
     def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        if self.service is not None:
-            return self.service.layer_density(canvas_id, layer_index)
-        with self.lock:
-            return self._require_backend().layer_density(canvas_id, layer_index)
+        return self.service.layer_density(canvas_id, layer_index)
 
     def close(self) -> None:
-        if self.service is not None:
-            self.service.close()
-        elif self.backend is not None:
-            self.backend.close()
+        self.service.close()
 
 
 class ShardedIndexer:
@@ -121,27 +92,25 @@ class ShardedIndexer:
         self,
         source_database: Database,
         compiled: CompiledApplication,
-        config: KyrixConfig | None = None,
-        *,
-        cluster_config: ClusterConfig | None = None,
+        config: KyrixConfig,
     ) -> None:
         self.source_database = source_database
         self.compiled = compiled
-        self.config = config or (compiled.spec.config if compiled.spec else KyrixConfig())
-        self.cluster_config = cluster_config or self.config.cluster
-        self.cluster_config.validate()
+        #: The generation's effective configuration; ``config.cluster``
+        #: (shard count, strategy, KD sampling) drives the split.
+        self.config = config
 
     # -- partitioning -----------------------------------------------------------------
 
     def partition_canvases(self) -> dict[str, Partitioning]:
         """Partition every canvas with the configured strategy."""
         partitioner = make_partitioner(
-            self.cluster_config.strategy, self.cluster_config.shard_count
+            self.config.cluster.strategy, self.config.cluster.shard_count
         )
         partitionings: dict[str, Partitioning] = {}
         for canvas_id, canvas_plan in self.compiled.canvases.items():
             distribution = None
-            if self.cluster_config.strategy == "kd":
+            if self.config.cluster.strategy == "kd":
                 distribution = self._canvas_distribution(canvas_id)
             partitionings[canvas_id] = partitioner.partition(
                 canvas_id, canvas_plan.width, canvas_plan.height, distribution
@@ -162,7 +131,7 @@ class ShardedIndexer:
                 sample_spatial_distribution(
                     table.scan_rows(),
                     table.schema.column_index("bbox"),
-                    sample_limit=self.cluster_config.kd_sample_limit,
+                    sample_limit=self.config.cluster.kd_sample_limit,
                     row_count_hint=table.row_count,
                 )
             )
@@ -178,13 +147,14 @@ class ShardedIndexer:
     ) -> tuple[list[ShardHandle], dict[str, Partitioning]]:
         """Materialise every shard database/backend.
 
-        Returns the shard handles and the partitionings they were built
+        Returns the shard handles — not yet serving: the caller attaches
+        each one's ``service`` — and the partitionings they were built
         from.  ``tile_sizes`` pre-builds the tuple–tile mapping tables per
         shard (the mapping design otherwise builds them lazily on the first
         tile request, polluting measured latencies).
         """
         partitionings = partitionings or self.partition_canvases()
-        shard_count = self.cluster_config.shard_count
+        shard_count = self.config.cluster.shard_count
         databases = [Database(self.config.storage) for _ in range(shard_count)]
 
         # A table may feed layers on several canvases; route each of its rows

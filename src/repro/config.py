@@ -176,7 +176,7 @@ class AutopilotConfig:
         Upper bound of the replica autoscaler.
     read_repair:
         When true, a tick that finds
-        :meth:`~repro.cluster.router.ClusterStats.divergent_replicas`
+        :meth:`~repro.cluster.router.ShardTable.divergent_replicas`
         non-empty rebuilds each flagged replica from a fresh
         :class:`~repro.serving.worker.ShardSpec` and swaps it in behind
         its circuit breaker without dropping in-flight requests.
@@ -309,13 +309,6 @@ class ClusterConfig:
     worker_spawn_timeout_s:
         Seconds the cluster builder waits for each worker process to
         report ready before failing the build.
-    rebalance_enabled:
-        When true, :func:`repro.cluster.builder.build_cluster` attaches a
-        :class:`~repro.cluster.rebalancer.LoadRebalancer` to the built
-        cluster (``cluster.rebalancer``), so callers can snapshot live
-        load skew and perform online shard migration without assembling
-        the rebalancer by hand.  The router records the per-canvas request
-        load either way; this knob only controls the convenience wiring.
     rebalance_skew_threshold:
         Load-skew trigger for :meth:`LoadRebalancer.should_rebalance`:
         the maximum per-shard request count divided by the mean, above
@@ -357,7 +350,6 @@ class ClusterConfig:
     worker_mode: str = "threads"
     worker_port_base: int = 0
     worker_spawn_timeout_s: float = 10.0
-    rebalance_enabled: bool = False
     rebalance_skew_threshold: float = 2.0
     rebalance_min_requests: int = 64
     rebalance_load_samples: int = 4096

@@ -134,10 +134,9 @@ def summarize(values: Iterable[float]) -> SummaryStats:
 class MetricsCollector:
     """Accumulates :class:`LatencyBreakdown` records for a session or run.
 
-    Recording is thread-safe: a collector shared by a
-    :class:`~repro.serving.middleware.MetricsService` sees requests from
-    every concurrent session, so appends and counter bumps hold a lock.
-    Readers take a consistent snapshot under the same lock.
+    Recording is thread-safe: a collector may be shared by concurrent
+    sessions, so appends and counter bumps hold a lock.  Readers take a
+    consistent snapshot under the same lock.
     """
 
     def __init__(self) -> None:

@@ -111,6 +111,12 @@ def create_app(backend: "DataService"):
             payload = {"stats": payload}
         if cache is not None:
             payload["cache_hit_rate"] = cache.stats.hit_rate()
+        table = getattr(backend, "table", None)
+        if table is not None:
+            # A cluster also reports what is true of the generation it is
+            # serving from (its stats are traffic counters only).
+            payload["epoch"] = table.epoch
+            payload["replica_checksums"] = dict(table.replica_checksums)
         return jsonify(payload)
 
     @app.get("/metrics")

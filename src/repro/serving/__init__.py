@@ -8,9 +8,9 @@ frontend and the backend serving surface:
   ``compiled`` / ``config`` / ``stats`` / ``close``) and the
   :class:`ServiceMiddleware` composition primitive,
 * :mod:`repro.serving.middleware` — :class:`CachingService`,
-  :class:`CoalescingService`, :class:`MetricsService` and
-  :class:`SerializedService`, the cross-cutting behaviours previously
-  hard-wired into ``KyrixBackend`` and ``ClusterRouter``,
+  :class:`CoalescingService` and :class:`SerializedService`, the
+  cross-cutting behaviours previously hard-wired into ``KyrixBackend``
+  and ``ClusterRouter``,
 * :mod:`repro.serving.transport` — :class:`LocalTransport` /
   :class:`RemoteBackendStub` / :class:`TransportService`, putting the
   :mod:`repro.net.columnar` binary wire format on the shard boundary,
@@ -45,9 +45,7 @@ from .faults import (
 from .middleware import (
     CachingService,
     CoalescingService,
-    MetricsService,
     SerializedService,
-    ServiceMetrics,
 )
 from .replica import REPLICA_POLICIES, ReplicaService, ReplicaSetStats
 from .transport import (
@@ -80,12 +78,10 @@ __all__ = [
     "FaultSchedule",
     "InjectedFaultError",
     "LocalTransport",
-    "MetricsService",
     "RemoteBackendStub",
     "ReplicaService",
     "ReplicaSetStats",
     "SerializedService",
-    "ServiceMetrics",
     "ServiceMiddleware",
     "ShardSpec",
     "ShardTransport",

@@ -48,12 +48,19 @@ def build_service(
     replicas: int | None = None,
     replica_policy: str | None = None,
     worker_mode: str | None = None,
-    rebalance: bool | None = None,
     autopilot: bool | None = None,
     telemetry: bool | None = None,
-    metrics: bool = False,
 ) -> "DataService":
     """Build the configured serving stack and return its outermost service.
+
+    For a sharded stack the keyword overrides are folded into one
+    effective configuration before anything is built; the returned
+    router's ``config`` (and every worker process's) is that
+    configuration, so ``service.config.cluster`` always describes what is
+    being served — after an online rebalance too.  Every sharded stack
+    carries a :class:`~repro.cluster.rebalancer.LoadRebalancer` (reachable
+    as ``unwrap(service, ClusterRouter).cluster.rebalancer``) ready to
+    migrate the shard set online from observed load skew.
 
     Parameters
     ----------
@@ -87,13 +94,6 @@ def build_service(
         ``"processes"`` forks one worker process per shard replica behind
         a socket transport (:mod:`repro.serving.worker`) instead of the
         in-process thread topology.  Only meaningful for sharded stacks.
-    rebalance:
-        Per-build override of ``config.cluster.rebalance_enabled``: when
-        true the built cluster carries a
-        :class:`~repro.cluster.rebalancer.LoadRebalancer` (reachable as
-        ``unwrap(service, ClusterRouter).cluster.rebalancer``) ready to
-        migrate the shard set online from observed load skew.  Only
-        meaningful for sharded stacks.
     autopilot:
         Per-build override of ``config.cluster.autopilot.enabled``: when
         true the built cluster attaches **and starts** a
@@ -109,9 +109,6 @@ def build_service(
         ``config.telemetry`` and every layer of the built stack opens
         spans.  For sharded stacks the flag is folded into the effective
         configuration, so process-mode workers trace too.
-    metrics:
-        Wrap the stack in a :class:`~repro.serving.middleware.MetricsService`
-        recording per-request latency breakdowns.
     """
     from ..server.backend import KyrixBackend
     from .base import unwrap
@@ -145,7 +142,6 @@ def build_service(
             replicas=replicas,
             replica_policy=replica_policy,
             worker_mode=worker_mode,
-            rebalance=rebalance,
             autopilot=autopilot,
             telemetry=telemetry,
             tile_sizes=tile_sizes,
@@ -163,9 +159,4 @@ def build_service(
             backend,
             entries=config.cache.backend_entries if config.cache.enabled else 0,
         )
-
-    if metrics:
-        from .middleware import MetricsService
-
-        service = MetricsService(service)
     return service

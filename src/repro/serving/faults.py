@@ -306,9 +306,9 @@ def diverge_replica(
     index loses or corrupts rows (the worker hashes its *own* copy at
     spawn), which is not reachable without breaking the process for real —
     so this seam injects the *detection*: it stamps ``checksum`` over the
-    replica's recorded entry in
-    :attr:`~repro.cluster.router.ClusterStats.replica_checksums` under the
-    router's stats lock, exactly as if the spawn-time hash had come back
+    replica's recorded entry in the current generation's
+    :attr:`~repro.cluster.router.ShardTable.replica_checksums` under the
+    router's table lock, exactly as if the spawn-time hash had come back
     wrong.  ``divergent_replicas()`` flags the shard on the next read and
     the autopilot's read-repair rebuilds the replica from a fresh
     :class:`~repro.serving.worker.ShardSpec`, restoring a matching hash.
@@ -326,8 +326,7 @@ def diverge_replica(
         raise KyrixError(
             "diverge_replica needs a built cluster or its ClusterRouter"
         )
-    previous = record(shard_id, replica_index, checksum)
-    return previous
+    return record(shard_id, replica_index, checksum)
 
 
 def kill_worker(cluster: Any, shard_id: int, replica_index: int = 0) -> Any:
@@ -345,9 +344,8 @@ def kill_worker(cluster: Any, shard_id: int, replica_index: int = 0) -> Any:
     """
     pool = getattr(cluster, "worker_pool", None)
     if pool is None:
-        # A router only carries the pool through its cluster backref.
-        owner = getattr(cluster, "cluster", None)
-        pool = getattr(owner, "worker_pool", None)
+        # A router's pool belongs to its current shard table.
+        pool = getattr(getattr(cluster, "table", None), "worker_pool", None)
     if pool is None and hasattr(cluster, "kill"):
         pool = cluster
     if pool is None:

@@ -9,7 +9,6 @@ These classes are the single home of the cross-cutting serving behaviours:
   scatter-gather; nothing below a router caches,
 * :class:`CoalescingService` — single-flight deduplication of identical
   in-flight requests from concurrent sessions,
-* :class:`MetricsService` — per-request latency/counter accounting,
 * :class:`SerializedService` — a lock serialising access to a service whose
   implementation is not thread-safe (one embedded shard engine).
 """
@@ -19,8 +18,6 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from ..metrics.collector import LatencyBreakdown, MetricsCollector
-from ..metrics.timer import Timer
 from ..server.cache import LRUCache
 from ..telemetry import get_tracer
 from .base import DataService, ServiceMiddleware
@@ -118,93 +115,6 @@ class CoalescingService(ServiceMiddleware):
                 shard_ms=dict(response.shard_ms),
                 coalesced=True,
             )
-
-
-class ServiceMetrics:
-    """Thread-safe counters kept by :class:`MetricsService`.
-
-    ``handle_ms_total`` is the *measured* wall-clock spent inside
-    ``handle()`` (middleware and transport included); the collector's
-    breakdowns carry the *modelled* ``query_ms`` — the two stay separate so
-    modelled and measured time are never conflated.
-    """
-
-    def __init__(self) -> None:
-        self.collector = MetricsCollector()
-        self.handle_ms_total: float = 0.0
-        self._lock = threading.Lock()
-
-    def charge_handle_ms(self, elapsed_ms: float) -> None:
-        with self._lock:
-            self.handle_ms_total += elapsed_ms
-
-    @property
-    def requests(self) -> int:
-        return self.collector.counters.get("requests", 0)
-
-    @property
-    def cache_hits(self) -> int:
-        return self.collector.counters.get("cache_hits", 0)
-
-    @property
-    def coalesced(self) -> int:
-        return self.collector.counters.get("coalesced", 0)
-
-    def snapshot(self) -> dict[str, float]:
-        counters: dict[str, float] = dict(self.collector.counters)
-        requests = self.requests
-        counters["handle_ms_total"] = self.handle_ms_total
-        counters["average_handle_ms"] = (
-            self.handle_ms_total / requests if requests else 0.0
-        )
-        counters["average_query_ms"] = self.collector.average_response_ms()
-        return counters
-
-    def reset(self) -> None:
-        self.collector.reset()
-        with self._lock:
-            self.handle_ms_total = 0.0
-
-
-class MetricsService(ServiceMiddleware):
-    """Records one :class:`~repro.metrics.collector.LatencyBreakdown` per request.
-
-    ``query_ms`` of the breakdown is the response's reported (modelled)
-    query time; the measured wall-clock of the whole ``handle`` call
-    (including middleware and transport overhead below this layer) is
-    accumulated separately in ``stats.handle_ms_total``, so modelled and
-    measured time stay distinguishable.
-    """
-
-    def __init__(self, inner: DataService) -> None:
-        super().__init__(inner)
-        self.metrics = ServiceMetrics()
-
-    @property
-    def stats(self) -> ServiceMetrics:
-        return self.metrics
-
-    def handle(self, request: "DataRequest") -> "DataResponse":
-        collector = self.metrics.collector
-        timer = Timer()
-        timer.start()
-        response = self.inner.handle(request)
-        elapsed_ms = timer.stop()
-        collector.record(
-            LatencyBreakdown(
-                query_ms=response.query_ms,
-                cache_hit=response.from_cache,
-                requests=1,
-                objects_fetched=len(response.objects),
-            )
-        )
-        collector.bump("requests")
-        self.metrics.charge_handle_ms(elapsed_ms)
-        if response.from_cache:
-            collector.bump("cache_hits")
-        if response.coalesced:
-            collector.bump("coalesced")
-        return response
 
 
 class SerializedService(ServiceMiddleware):

@@ -139,7 +139,7 @@ def database_checksum(database: "Database") -> str:
     """Content hash of a live database (same algorithm as the worker's).
 
     The in-process topology uses this to record per-replica index checksums
-    in :class:`~repro.cluster.router.ClusterStats`; a worker process hashes
+    on the :class:`~repro.cluster.router.ShardTable`; a worker process hashes
     its rebuilt dump instead — identical content hashes either way, so the
     divergence check is topology-independent.
     """
@@ -367,7 +367,6 @@ class WorkerPool:
         *,
         port_base: int = 0,
         spawn_timeout_s: float = 10.0,
-        start_method: str | None = None,
         generation: int = 0,
     ) -> None:
         if not specs:
@@ -379,65 +378,62 @@ class WorkerPool:
         self.spawn_timeout_s = spawn_timeout_s
         self.generation = generation
         self._port_offset = generation * GENERATION_PORT_STRIDE
-        if start_method is None:
-            # fork is dramatically cheaper than spawn and the specs are
-            # fully picklable either way; fall back where fork is absent.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = multiprocessing.get_context(start_method)
+        # fork is dramatically cheaper than spawn and the specs are fully
+        # picklable either way; fall back where fork is absent.
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
         self.handles: list[WorkerHandle] = []
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> list[WorkerHandle]:
-        """Fork every worker and wait for all of them to report ready."""
-        if self.handles:
-            raise WorkerError("worker pool already started")
-        pending: list[tuple[ShardSpec, int, Any, Any]] = []
+    def _spawn(
+        self, jobs: list[tuple[ShardSpec, int, int, str]]
+    ) -> list[WorkerHandle]:
+        """Fork one worker per ``(spec, replica_index, port, name)`` job and
+        wait for every one of them to report ready.
+
+        All forks go out before the first wait, so the workers rebuild
+        their indexes concurrently.  A worker that does not report within
+        ``spawn_timeout_s`` — or reports an error — fails the whole call
+        with :class:`~repro.errors.WorkerSpawnError` after every process
+        forked here has been terminated and joined.
+        """
         # Replicas of one shard rebuild from identical bytes: pickle each
         # distinct spec object once, not once per replica.
         payloads: dict[int, bytes] = {}
-        replica_counts: dict[int, int] = {}
+        pending: list[tuple[ShardSpec, int, Any, Any]] = []
+        handles: list[WorkerHandle] = []
         try:
-            for index, spec in enumerate(self.specs):
-                replica_index = replica_counts.get(spec.shard_id, 0)
-                replica_counts[spec.shard_id] = replica_index + 1
+            for spec, replica_index, port, name in jobs:
                 payload = payloads.get(id(spec))
                 if payload is None:
                     payload = payloads[id(spec)] = spec.to_payload()
                 parent_conn, child_conn = self._context.Pipe(duplex=False)
-                port = (
-                    self.port_base + self._port_offset + index
-                    if self.port_base
-                    else 0
-                )
                 process = self._context.Process(
                     target=worker_main,
                     args=(payload, port, child_conn),
-                    name=(
-                        f"kyrix-worker-g{self.generation}"
-                        f"-s{spec.shard_id}r{replica_index}"
-                    ),
+                    name=name,
                     daemon=True,
                 )
                 process.start()
                 child_conn.close()
                 pending.append((spec, replica_index, process, parent_conn))
             for spec, replica_index, process, parent_conn in pending:
+                worker = f"worker shard{spec.shard_id}/replica{replica_index}"
                 if not parent_conn.poll(self.spawn_timeout_s):
                     raise WorkerSpawnError(
-                        f"worker shard{spec.shard_id}/replica{replica_index} "
-                        f"did not report ready within {self.spawn_timeout_s}s"
+                        f"{worker} did not report ready within "
+                        f"{self.spawn_timeout_s}s"
                     )
                 report = parent_conn.recv()
-                parent_conn.close()
                 if "error" in report:
                     raise WorkerSpawnError(
-                        f"worker shard{spec.shard_id}/replica{replica_index} "
-                        f"failed to start: {report['error']}"
+                        f"{worker} failed to start: {report['error']}"
                     )
-                self.handles.append(
+                handles.append(
                     WorkerHandle(
                         shard_id=spec.shard_id,
                         replica_index=replica_index,
@@ -452,8 +448,32 @@ class WorkerPool:
                 if process.is_alive():
                     process.terminate()
                 process.join(timeout=2.0)
-            self.handles.clear()
             raise
+        finally:
+            for _, _, _, parent_conn in pending:
+                parent_conn.close()
+        return handles
+
+    def start(self) -> list[WorkerHandle]:
+        """Fork every worker and wait for all of them to report ready."""
+        if self.handles:
+            raise WorkerError("worker pool already started")
+        jobs: list[tuple[ShardSpec, int, int, str]] = []
+        replica_counts: dict[int, int] = {}
+        for index, spec in enumerate(self.specs):
+            replica_index = replica_counts.get(spec.shard_id, 0)
+            replica_counts[spec.shard_id] = replica_index + 1
+            port = self.port_base + self._port_offset + index if self.port_base else 0
+            jobs.append(
+                (
+                    spec,
+                    replica_index,
+                    port,
+                    f"kyrix-worker-g{self.generation}"
+                    f"-s{spec.shard_id}r{replica_index}",
+                )
+            )
+        self.handles = self._spawn(jobs)
         # The specs (full table dumps) were only needed to seed the forks;
         # dropping them keeps the parent from holding every shard's rows a
         # second time for the pool's whole serving lifetime.
@@ -495,49 +515,15 @@ class WorkerPool:
         if old.process.is_alive():
             old.process.terminate()
         old.process.join(timeout=5.0)
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
         # With a fixed port base the dead worker's port is free again (its
         # process is joined above); ephemeral pools let the OS pick.
         port = old.port if self.port_base else 0
-        process = self._context.Process(
-            target=worker_main,
-            args=(spec.to_payload(), port, child_conn),
-            name=(
-                f"kyrix-worker-g{self.generation}"
-                f"-s{spec.shard_id}r{replica_index}-repair"
-            ),
-            daemon=True,
+        name = (
+            f"kyrix-worker-g{self.generation}"
+            f"-s{spec.shard_id}r{replica_index}-repair"
         )
-        process.start()
-        child_conn.close()
-        try:
-            if not parent_conn.poll(self.spawn_timeout_s):
-                raise WorkerSpawnError(
-                    f"replacement worker shard{spec.shard_id}/"
-                    f"replica{replica_index} did not report ready within "
-                    f"{self.spawn_timeout_s}s"
-                )
-            report = parent_conn.recv()
-            if "error" in report:
-                raise WorkerSpawnError(
-                    f"replacement worker shard{spec.shard_id}/"
-                    f"replica{replica_index} failed to start: {report['error']}"
-                )
-        except BaseException:
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=2.0)
-            raise
-        finally:
-            parent_conn.close()
-        replacement = WorkerHandle(
-            shard_id=spec.shard_id,
-            replica_index=replica_index,
-            process=process,
-            port=report["port"],
-            pid=report["pid"],
-            checksum=report["checksum"],
-        )
+        # The slot is only replaced once the replacement is ready.
+        (replacement,) = self._spawn([(spec, replica_index, port, name)])
         self.handles[self.handles.index(old)] = replacement
         return replacement
 
@@ -556,17 +542,6 @@ class WorkerPool:
                 handle.process.join(timeout=5.0)
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def worker_count(self) -> int:
-        return len(self.handles)
-
-    def checksums(self) -> dict[str, str]:
-        """Per-worker index checksums keyed ``"shard{S}/replica{R}"``."""
-        return {
-            f"shard{handle.shard_id}/replica{handle.replica_index}": handle.checksum
-            for handle in self.handles
-        }
 
     def describe(self) -> list[dict[str, Any]]:
         return [

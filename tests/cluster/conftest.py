@@ -13,7 +13,7 @@ parity suite in this package — import them from here instead of redefining
 them per test module.
 
 With ``REPRO_LOCKWATCH=1`` in the environment (CI sets it on the
-autopilot smoke job) the whole package — router swaps, replica sets,
+migration smoke job) the whole package — router swaps, replica sets,
 the autopilot control loop — runs under
 :mod:`repro.analysis.lockwatch`: every lock created after session start
 is instrumented and each test verifies the global lock-order graph is

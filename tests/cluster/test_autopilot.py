@@ -115,7 +115,6 @@ def test_oscillation_at_threshold_one_migration_per_window(dots_stack, worker_mo
         shard_count=2,
         strategy="grid",
         worker_mode=worker_mode,
-        rebalance=True,
     )
     clock = VirtualClock()
     autopilot = ClusterAutopilot(cluster, clock=clock)
@@ -168,7 +167,7 @@ def test_persistent_skew_rearms_after_rearm_windows(dots_stack):
     per window.
     """
     cluster = build_cluster(
-        dots_stack.backend, shard_count=2, strategy="grid", rebalance=True
+        dots_stack.backend, shard_count=2, strategy="grid"
     )
     clock = VirtualClock()
     autopilot = ClusterAutopilot(cluster, clock=clock)
@@ -199,7 +198,7 @@ def test_persistent_skew_rearms_after_rearm_windows(dots_stack):
 
 def test_rebalance_epoch_and_parity_across_autopilot_migration(dots_stack):
     cluster = build_cluster(
-        dots_stack.backend, shard_count=2, strategy="grid", rebalance=True
+        dots_stack.backend, shard_count=2, strategy="grid"
     )
     autopilot = ClusterAutopilot(cluster, clock=VirtualClock())
     try:
@@ -225,7 +224,7 @@ def test_grow_under_sustained_load_and_shrink_when_idle(dots_stack):
         grow_requests=32, shrink_requests=4, shrink_idle_ticks=2, max_shards=4
     )
     cluster = build_cluster(
-        dots_stack.backend, shard_count=2, strategy="grid", rebalance=True
+        dots_stack.backend, shard_count=2, strategy="grid"
     )
     clock = VirtualClock()
     autopilot = ClusterAutopilot(cluster, config=config, clock=clock)
@@ -265,7 +264,7 @@ def test_replica_autoscale_from_pressure(dots_stack):
         max_replicas=2,
     )
     cluster = build_cluster(
-        dots_stack.backend, shard_count=2, strategy="grid", rebalance=True
+        dots_stack.backend, shard_count=2, strategy="grid"
     )
     # Park the skew trigger too (the hotspot trace is maximally skewed by
     # construction): this test isolates the pressure policy.
@@ -290,7 +289,6 @@ def test_replica_autoscale_from_pressure(dots_stack):
 def test_read_repair_thread_mode(dots_stack):
     cluster = build_cluster(
         dots_stack.backend, shard_count=2, strategy="grid", replicas=2,
-        rebalance=True,
     )
     autopilot = ClusterAutopilot(cluster, clock=VirtualClock())
     try:
@@ -324,7 +322,6 @@ def test_read_repair_restores_killed_then_diverged_worker(dots_stack):
         strategy="grid",
         replicas=2,
         worker_mode="processes",
-        rebalance=True,
     )
     autopilot = ClusterAutopilot(cluster, clock=VirtualClock())
     try:
@@ -348,7 +345,7 @@ def test_read_repair_restores_killed_then_diverged_worker(dots_stack):
         assert len(repairs) == 1
         assert repairs[0].detail["healthy"] is True
         assert not cluster.router.divergent_replicas()
-        checksums = cluster.router.stats.replica_checksums
+        checksums = cluster.router.table.replica_checksums
         assert checksums["shard0/replica0"] == checksums["shard0/replica1"]
 
         failed = 0
@@ -369,7 +366,6 @@ def test_read_repair_restores_killed_then_diverged_worker(dots_stack):
 def test_read_repair_can_be_disabled(dots_stack):
     cluster = build_cluster(
         dots_stack.backend, shard_count=2, strategy="grid", replicas=2,
-        rebalance=True,
     )
     autopilot = ClusterAutopilot(
         cluster, config=AutopilotConfig(read_repair=False), clock=VirtualClock()
@@ -399,7 +395,7 @@ def test_build_service_attaches_and_stops_autopilot(dots_stack):
     autopilot = router.cluster.autopilot
     assert autopilot is not None
     assert autopilot._thread is not None and autopilot._thread.is_alive()
-    assert router.cluster.rebalancer is not None, "autopilot implies a rebalancer"
+    assert autopilot.rebalancer is router.cluster.rebalancer
     service.close()
     assert autopilot._thread is None
 
@@ -409,7 +405,6 @@ def test_autopilot_actions_counted_in_telemetry(dots_stack):
     try:
         cluster = build_cluster(
             dots_stack.backend, shard_count=2, strategy="grid", replicas=2,
-            rebalance=True,
         )
         autopilot = ClusterAutopilot(cluster, clock=VirtualClock())
         try:
@@ -447,7 +442,7 @@ def test_decision_state_guarded_by_the_lock(dots_stack):
     )
 
     cluster = build_cluster(
-        dots_stack.backend, shard_count=2, strategy="grid", rebalance=True
+        dots_stack.backend, shard_count=2, strategy="grid"
     )
     autopilot = ClusterAutopilot(cluster, clock=VirtualClock())
     try:

@@ -10,18 +10,22 @@ re-split 2 -> 4 shards **while requests are in flight**, with
 * the post-rebalance max/mean per-shard load ratio on the same hotspot
   trace strictly lower than the pre-rebalance ratio (the whole point of
   load-weighted splits), and
-* the epoch bookkeeping (``ClusterStats.rebalance_epochs``, fresh replica
-  checksums, swapped shard tables) consistent afterwards.
+* the epoch bookkeeping (the generation's epoch, fresh replica
+  checksums, swapped shard tables) consistent afterwards — and consistent
+  *during* the drain too: the cluster handle reads the router's current
+  generation, so there is no window in which the two disagree.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.bench.experiments import hotspot_box_requests
 from repro.cluster import build_cluster
+from repro.serving.faults import FaultInjectingService, FaultSchedule
 
 from tests.cluster.conftest import parity_requests, payload_bytes
 
@@ -57,12 +61,11 @@ def test_live_rebalance_is_byte_invisible_and_lowers_skew(
         shard_count=2,
         strategy="grid",
         worker_mode=worker_mode,
-        rebalance=True,
         tile_sizes=stack.tile_sizes,
     )
     router = cluster.router
     rebalancer = cluster.rebalancer
-    assert rebalancer is not None, "rebalance=True must attach a LoadRebalancer"
+    assert rebalancer is not None, "every built cluster carries a LoadRebalancer"
     try:
         canvas_id = stack.boxes[0][0]
         hotspot = hotspot_requests(stack, cluster.partitionings[canvas_id])
@@ -108,11 +111,12 @@ def test_live_rebalance_is_byte_invisible_and_lowers_skew(
 
         # Post-swap bookkeeping: new epoch, four shards, fresh counters.
         assert router.epoch == 1
-        assert router.stats.rebalance_epochs == 1
+        assert router.table.epoch == 1
         assert router.shard_count == 4
         assert cluster.shards is router.shards
         assert len(cluster.partitionings[canvas_id].regions) == 4
-        assert router.stats.divergent_replicas() == {}
+        assert router.divergent_replicas() == {}
+        assert cluster.worker_pool is router.table.worker_pool
         if worker_mode == "processes":
             assert cluster.worker_pool is not None
             assert cluster.worker_pool.generation == 1
@@ -142,16 +146,112 @@ def test_live_rebalance_is_byte_invisible_and_lowers_skew(
         cluster.close()
 
 
+class _GateClock:
+    """A fault-schedule clock whose ``advance`` parks the caller: the
+    "slow" request stays inside its shard call until released."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def advance(self, _ms: float) -> None:
+        self.entered.set()
+        assert self.release.wait(timeout=60.0), "gate never released"
+
+
+def test_cluster_handle_reads_the_live_generation_during_the_drain(
+    usmap_parity_stack,
+):
+    """The handle has no copy of the generation to fall behind: while a
+    slow request still holds generation 0 in its drain window, cluster and
+    router already agree on generation 1."""
+    stack = usmap_parity_stack
+    cluster = build_cluster(stack.backend, shard_count=2, strategy="grid")
+    router = cluster.router
+    gate = _GateClock()
+    try:
+        canvas_id = stack.boxes[0][0]
+        slow_request = hotspot_requests(
+            stack, cluster.partitionings[canvas_id], count=1
+        )[0]
+        expected = payload_bytes(router.handle(slow_request))
+        router.cache.clear()
+        old_shards = cluster.shards
+        old_shards[0].service = FaultInjectingService(
+            old_shards[0].service, FaultSchedule.slow(1.0, count=1), clock=gate
+        )
+
+        served: list[bytes] = []
+        slow = threading.Thread(
+            target=lambda: served.append(payload_bytes(router.handle(slow_request))),
+            daemon=True,
+        )
+        slow.start()
+        assert gate.entered.wait(timeout=60.0)
+
+        reports: list = []
+        migration = threading.Thread(
+            target=lambda: reports.append(cluster.rebalancer.rebalance(4)),
+            daemon=True,
+        )
+        migration.start()
+        deadline = time.monotonic() + 60.0
+        while router.epoch == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+        # Swapped, and the old generation is still draining.
+        assert router.epoch == 1
+        assert migration.is_alive() and slow.is_alive()
+        assert cluster.shards is router.shards
+        assert cluster.shards is not old_shards and len(cluster.shards) == 4
+        table = router.table
+        assert cluster.shards is table.shards
+        assert cluster.partitionings is router.partitionings is table.partitionings
+        assert cluster.worker_pool is table.worker_pool
+        assert router.config.cluster.shard_count == 4
+
+        gate.release.set()
+        slow.join(timeout=60.0)
+        migration.join(timeout=60.0)
+        assert not slow.is_alive() and not migration.is_alive()
+        assert served == [expected], "the straggler finished on its generation"
+        assert reports[0].swapped and reports[0].drained
+    finally:
+        gate.release.set()
+        cluster.close()
+
+
+@pytest.mark.parametrize("first", ["cluster", "router"])
+def test_either_close_order_terminates_each_worker_once(usmap_parity_stack, first):
+    """One owner: the generation's table closes its pool, whoever asks."""
+    cluster = build_cluster(
+        usmap_parity_stack.backend, shard_count=2, worker_mode="processes"
+    )
+    pool = cluster.worker_pool
+    assert pool is cluster.router.table.worker_pool
+    closers = [cluster.close, cluster.router.close]
+    if first == "router":
+        closers.reverse()
+    closers[0]()
+    assert all(not handle.alive for handle in pool.handles)
+    exit_codes = [handle.process.exitcode for handle in pool.handles]
+    # SIGTERM drains: every worker exited by itself, exactly once.
+    assert exit_codes == [0] * len(pool.handles)
+    closers[1]()
+    assert [handle.process.exitcode for handle in pool.handles] == exit_codes
+    assert cluster.worker_pool is pool
+
+
 def test_single_shard_rebalance_is_a_no_op(usmap_parity_stack):
     cluster = build_cluster(
-        usmap_parity_stack.backend, shard_count=1, rebalance=True
+        usmap_parity_stack.backend, shard_count=1
     )
     try:
         report = cluster.rebalancer.rebalance()
         assert not report.swapped
         assert report.reason == "single_shard"
         assert cluster.router.epoch == 0
-        assert cluster.router.stats.rebalance_epochs == 0
+        assert cluster.router.table.epoch == 0
         # Below the traffic floor, maybe_rebalance declines quietly too.
         assert cluster.rebalancer.maybe_rebalance() is None
     finally:
@@ -167,7 +267,6 @@ def test_rebalance_after_close_refuses_and_leaks_nothing(usmap_parity_stack):
         usmap_parity_stack.backend,
         shard_count=2,
         worker_mode="processes",
-        rebalance=True,
     )
     cluster.close()
     with pytest.raises(KyrixError):
@@ -181,7 +280,7 @@ def test_rebalance_after_close_refuses_and_leaks_nothing(usmap_parity_stack):
 
 def test_should_rebalance_needs_traffic_and_skew(usmap_parity_stack):
     cluster = build_cluster(
-        usmap_parity_stack.backend, shard_count=2, strategy="grid", rebalance=True
+        usmap_parity_stack.backend, shard_count=2, strategy="grid"
     )
     try:
         rebalancer = cluster.rebalancer

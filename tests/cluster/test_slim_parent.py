@@ -16,10 +16,9 @@ from __future__ import annotations
 import gc
 import json
 
-import pytest
-
 from repro.cluster import build_cluster
-from repro.errors import KyrixError
+from repro.config import KyrixConfig
+from repro.serving import RemoteBackendStub, build_shard_spec, stack_layers
 from repro.storage.database import Database
 
 from tests.cluster.conftest import parity_requests, payload_bytes
@@ -80,15 +79,35 @@ def test_thread_cluster_keeps_its_embedded_databases(usmap_parity_stack):
         cluster.close()
 
 
-def test_detach_requires_an_attached_service(usmap_parity_stack):
-    cluster = build_cluster(usmap_parity_stack.backend, shard_count=2)
+def test_worker_specs_carry_the_configuration_being_served(usmap_parity_stack):
+    """A process build dumps every ``ShardSpec`` from the generation's one
+    effective configuration, so the ``cluster`` section a worker stands up
+    from is the overridden one the router reports — not the source
+    backend's defaults."""
+    stack = usmap_parity_stack
+    base = stack.backend.config.cluster
+    assert (base.shard_count, base.replicas) != (2, 2)
+    cluster = build_cluster(
+        stack.backend, shard_count=2, replicas=2, worker_mode="processes"
+    )
     try:
-        bare = cluster.shards[0]
-        service, bare.service = bare.service, None
-        try:
-            with pytest.raises(KyrixError):
-                bare.detach_database()
-        finally:
-            bare.service = service
+        served = cluster.router.config
+        assert (served.cluster.shard_count, served.cluster.replicas) == (2, 2)
+        assert served.cluster.worker_mode == "processes"
+        # The worker-side stub of every replica was handed that same object
+        # together with the spec dumped from it.
+        stubs = [
+            layer
+            for layer in stack_layers(cluster.router)
+            if isinstance(layer, RemoteBackendStub)
+        ]
+        assert len(stubs) == 4
+        assert all(stub.config is served for stub in stubs)
+        spec = build_shard_spec(
+            stack.backend.database, stack.backend.compiled, served, shard_id=0
+        )
+        shipped = KyrixConfig.from_dict(spec.config).cluster
+        assert (shipped.shard_count, shipped.replicas) == (2, 2)
+        assert shipped.worker_mode == "processes"
     finally:
         cluster.close()

@@ -21,13 +21,13 @@ stats prove none of them drops, duplicates or re-routes a single request.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.bench.apps import build_dots_backend, default_config
 from repro.bench.harness import _reset_serving_caches
-from repro.cluster import build_cluster
+from repro.cluster import ClusterStats, build_cluster
 from repro.datagen.synthetic import tiny_spec
 from repro.net.protocol import DataRequest
 from repro.serving import collect_wire_stats
@@ -84,9 +84,9 @@ def test_topologies_are_byte_identical_and_attribute_identically(
                 payload_bytes(cluster.router.handle(r)) for r in requests
             ]
             attributions[topology] = _attribution(cluster.router.stats)
-            checksums[topology] = dict(cluster.router.stats.replica_checksums)
+            checksums[topology] = dict(cluster.router.table.replica_checksums)
             wire_bytes[topology] = collect_wire_stats(cluster.router).bytes_total
-            assert cluster.router.stats.divergent_replicas() == {}
+            assert cluster.router.divergent_replicas() == {}
         finally:
             cluster.close()
 
@@ -141,6 +141,20 @@ def test_topologies_are_byte_identical_and_attribute_identically(
         assert sum(reference["per_replica_requests"].values()) == (
             reference["shard_queries"]
         )
+
+
+def test_cluster_stats_reset_zeroes_every_field():
+    """``ClusterStats`` are traffic counters and nothing else: whatever is
+    true of the built topology lives on the generation, so a reset has no
+    field to spare."""
+    stats = ClusterStats()
+    for spec in fields(stats):
+        if isinstance(getattr(stats, spec.name), dict):
+            getattr(stats, spec.name)[0] = 7
+        else:
+            setattr(stats, spec.name, 7)
+    stats.reset()
+    assert stats == ClusterStats()
 
 
 @pytest.mark.parametrize("topology", list(TOPOLOGIES))

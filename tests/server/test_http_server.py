@@ -88,13 +88,15 @@ class TestStatsSerialization:
     def test_cluster_router_stats_serialize_to_real_json(self, dots_stack):
         from repro.cluster import build_cluster
 
-        cluster = build_cluster(dots_stack.backend, shard_count=2)
+        cluster = build_cluster(dots_stack.backend, shard_count=2, replicas=2)
         app = create_app(cluster.router)
         app.config["TESTING"] = True
         try:
             client = app.test_client()
             client.get("/dbox?canvas=dots&layer=0&xmin=0&ymin=0&xmax=256&ymax=256")
             payload = client.get("/stats").get_json()
+            cluster.router.stats.reset()
+            after_reset = client.get("/stats").get_json()
         finally:
             cluster.close()
         assert payload["requests"] == 1
@@ -102,6 +104,14 @@ class TestStatsSerialization:
         # Nested dicts survive as dicts (keys become strings in JSON).
         assert isinstance(payload["per_shard_requests"], dict)
         assert isinstance(payload["fanout"], dict)
+        # What is true of the generation being served is reported beside
+        # the traffic counters, and a counter reset does not touch it.
+        assert payload["epoch"] == 0
+        assert set(payload["replica_checksums"]) == {
+            f"shard{s}/replica{r}" for s in range(2) for r in range(2)
+        }
+        assert after_reset["requests"] == 0
+        assert after_reset["replica_checksums"] == payload["replica_checksums"]
 
     def test_nested_non_dataclass_stats_are_recursed(self, dots_stack):
         # A stats object mixing every shape the serving layers produce:

@@ -13,7 +13,6 @@ from repro.serving import (
     CachingService,
     CoalescingService,
     DataService,
-    MetricsService,
     ReplicaService,
     SerializedService,
     TransportService,
@@ -33,7 +32,6 @@ class TestProtocol:
                 cluster.router,
                 CachingService(backend, entries=4),
                 CoalescingService(backend),
-                MetricsService(backend),
                 SerializedService(backend),
                 TransportService(backend),
                 ReplicaService([backend, backend]),
@@ -44,7 +42,7 @@ class TestProtocol:
             cluster.close()
 
     def test_middleware_forwards_metadata(self, dots_stack):
-        stacked = MetricsService(CachingService(dots_stack.backend, entries=4))
+        stacked = SerializedService(CachingService(dots_stack.backend, entries=4))
         assert stacked.compiled is dots_stack.backend.compiled
         assert stacked.config is dots_stack.backend.config
         info = stacked.canvas_info("dots")
@@ -55,9 +53,9 @@ class TestProtocol:
 
     def test_unwrap_and_stack_layers(self, dots_stack):
         caching = CachingService(dots_stack.backend, entries=4)
-        outer = MetricsService(caching)
+        outer = SerializedService(caching)
         assert unwrap(outer, CachingService) is caching
-        assert unwrap(outer, MetricsService) is outer
+        assert unwrap(outer, SerializedService) is outer
         assert unwrap(outer) is dots_stack.backend
         assert stack_layers(outer) == [outer, caching, dots_stack.backend]
         assert unwrap(outer, TransportService) is None
@@ -68,7 +66,7 @@ class TestProtocol:
         replica_a = CachingService(dots_stack.backend, entries=2)
         replica_b = TransportService(dots_stack.backend)
         replica_layer = ReplicaService([replica_a, replica_b])
-        outer = MetricsService(replica_layer)
+        outer = SerializedService(replica_layer)
         assert unwrap(outer, ReplicaService) is replica_layer
         assert replica_layer.replicas == [replica_a, replica_b]
         assert unwrap(outer, CachingService) is replica_a
@@ -81,7 +79,7 @@ class TestProtocol:
         replica_layer = ReplicaService(
             [dots_stack.backend, dots_stack.backend]
         )
-        outer = MetricsService(CachingService(replica_layer, entries=2))
+        outer = CoalescingService(CachingService(replica_layer, entries=2))
         # Kinds absent from every branch of the stack come back as None.
         assert unwrap(outer, TransportService) is None
         assert unwrap(outer, SerializedService) is None
@@ -113,28 +111,6 @@ class TestCachingService:
         service.warm(box_request)
         assert service.cache.stats.inserts == 1
         assert service.handle(box_request).from_cache is True
-
-
-class TestMetricsService:
-    def test_records_requests_and_hits(self, dots_stack, box_request):
-        service = MetricsService(CachingService(dots_stack.backend, entries=8))
-        service.handle(box_request)
-        service.handle(box_request)
-        assert service.metrics.requests == 2
-        assert service.metrics.cache_hits == 1
-        assert len(service.metrics.collector) == 2
-        snapshot = service.metrics.snapshot()
-        assert snapshot["requests"] == 2
-        # Measured wall-clock of handle(): strictly positive and in ms
-        # (two sub-second calls can never sum past a minute).
-        assert 0.0 < snapshot["handle_ms_total"] < 60_000.0
-        assert snapshot["average_handle_ms"] == pytest.approx(
-            snapshot["handle_ms_total"] / 2
-        )
-        # Modelled query time is reported separately from measured time.
-        assert "average_query_ms" in snapshot
-        service.metrics.reset()
-        assert service.metrics.snapshot()["handle_ms_total"] == 0.0
 
 
 class TestBackendTerminal:
@@ -204,13 +180,74 @@ class TestBuildService:
         assert router.describe()["replicas"] == 2
         router.close()
 
-    def test_metrics_wrap(self, dots_stack, box_request):
+    @pytest.mark.parametrize(
+        "kwarg, field, value",
+        [
+            ("shard_count", "shard_count", 2),
+            ("strategy", "strategy", "kd"),
+            ("coalescing", "coalescing", False),
+            ("parallel", "parallel_shards", False),
+            ("wire_shards", "wire_shards", False),
+            ("replicas", "replicas", 2),
+            ("replica_policy", "replica_policy", "least_inflight"),
+            ("worker_mode", "worker_mode", "processes"),
+        ],
+    )
+    def test_every_override_lands_in_the_served_config(
+        self, dots_stack, kwarg, field, value
+    ):
+        """One effective configuration: what an override asked for is what
+        ``router.config.cluster`` says is being served."""
+        base = dots_stack.backend.config
+        assert getattr(base.cluster, field) != value, "override must differ"
+        overrides = {"shard_count": 2, kwarg: value}
+        service = build_service(base, backend=dots_stack.backend, **overrides)
+        router = unwrap(service, ClusterRouter)
+        try:
+            assert getattr(router.config.cluster, field) == value
+            assert router.cluster_config is router.config.cluster
+            assert router.config.cluster.shard_count == router.shard_count == 2
+            # The caller's configuration is not edited in place.
+            assert getattr(base.cluster, field) != value
+        finally:
+            service.close()
+
+    def test_telemetry_and_autopilot_overrides_land_in_the_served_config(
+        self, dots_stack
+    ):
+        from repro.telemetry import configure as configure_telemetry
+
+        base = dots_stack.backend.config
         service = build_service(
-            dots_stack.backend.config, backend=dots_stack.backend, metrics=True
+            base, backend=dots_stack.backend, shard_count=2,
+            autopilot=True, telemetry=True,
         )
-        assert isinstance(service, MetricsService)
-        service.handle(box_request)
-        assert service.metrics.requests == 1
+        try:
+            config = unwrap(service, ClusterRouter).config
+            assert config.telemetry.enabled and not base.telemetry.enabled
+            assert config.cluster.autopilot.enabled
+            assert not base.cluster.autopilot.enabled
+        finally:
+            service.close()
+            configure_telemetry(base.telemetry, enabled=False)
+
+    def test_served_config_follows_an_online_rebalance(self, dots_stack):
+        service = build_service(
+            dots_stack.backend.config, backend=dots_stack.backend,
+            shard_count=2, replicas=1,
+        )
+        router = unwrap(service, ClusterRouter)
+        try:
+            report = router.cluster.rebalancer.rebalance(4, replicas=2)
+            assert report.swapped
+            served = router.config.cluster
+            assert (served.shard_count, served.replicas) == (4, 2)
+            assert router.shard_count == 4
+            assert all(
+                layer.replica_count == 2 for layer in router.replica_sets().values()
+            )
+        finally:
+            service.close()
 
     def test_requires_backend_or_database(self):
         with pytest.raises(KyrixError):

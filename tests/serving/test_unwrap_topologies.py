@@ -17,7 +17,6 @@ from repro.cluster import ClusterRouter
 from repro.datagen.synthetic import tiny_spec
 from repro.server.backend import KyrixBackend
 from repro.serving import (
-    MetricsService,
     build_service,
     stack_layers,
     unwrap,
@@ -62,18 +61,6 @@ class TestSingleBackendTopology:
         assert unwrap(stack.service) is stack.backend
         assert unwrap(stack.service, KyrixBackend) is stack.backend
         assert unwrap(stack.service, ClusterRouter) is None
-
-    def test_metrics_wrapper_sits_outermost(self):
-        spec = tiny_spec("uniform", num_points=400, seed=11)
-        stack = build_dots_backend(spec, config=default_config(viewport=256))
-        service = build_service(
-            stack.backend.config, backend=stack.backend, precompute=False, metrics=True
-        )
-        assert _layer_types(service) == [
-            "MetricsService", "CachingService", "KyrixBackend"
-        ]
-        assert isinstance(unwrap(service, MetricsService), MetricsService)
-        assert unwrap(service, KyrixBackend) is stack.backend
 
 
 class TestThreadTopologies:
