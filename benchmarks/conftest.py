@@ -2,8 +2,8 @@
 
 The benchmark scale is controlled by the ``REPRO_BENCH_SCALE`` environment
 variable: ``smoke`` (default, ~30 k dots — finishes in a few minutes),
-``bench`` (~250 k dots — the scale used for the numbers in EXPERIMENTS.md)
-or ``tiny`` (CI sanity runs).  Stacks are session-scoped: dataset loading
+``bench`` (~250 k dots — the paper's 1e-3 dots per pixel² density) or
+``tiny`` (CI sanity runs).  Stacks are session-scoped: dataset loading
 and mapping-table precomputation are deliberately excluded from the measured
 interaction times, exactly as in the paper.
 """

@@ -1,11 +1,12 @@
 """Link-check the docs suite: every cross-reference must resolve.
 
-Scans ``README.md`` and ``docs/*.md`` for
+Scans ``README.md``, ``docs/*.md``, the verify skill and the repolint
+README for
 
 * markdown links to local files (``[text](docs/operations.md#anchor)``)
   — the target file must exist relative to the citing document;
 * inline-backtick code paths (`` `src/repro/cluster/autopilot.py` ``,
-  `` `net/protocol.py` ``, `` `benchmarks/baselines/` `` …) — the path
+  `` `net/protocol.py` ``, `` `benchmarks/suite/` `` …) — the path
   must exist relative to the repo root, or (for the short module forms
   the prose uses) under ``src/repro/``.
 
@@ -76,7 +77,12 @@ def check_document(doc: Path) -> list[str]:
 
 
 def main() -> int:
-    documents = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    documents = [
+        ROOT / "README.md",
+        *sorted((ROOT / "docs").glob("*.md")),
+        ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ROOT / "src" / "repro" / "analysis" / "README.md",
+    ]
     problems = [p for doc in documents for p in check_document(doc)]
     for problem in problems:
         print(problem, file=sys.stderr)

@@ -1,5 +1,6 @@
 """Benchmark harness reproducing the paper's evaluation (Figures 6 and 7)
-plus the ablations listed in DESIGN.md."""
+plus its ablations (fetch footprint, index design, caching/prefetching,
+separability)."""
 
 from .apps import (
     DotsStack,

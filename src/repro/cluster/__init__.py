@@ -74,9 +74,9 @@ protocol, so ``KyrixFrontend`` / ``ExplorationSession`` drive a cluster
 exactly like a single backend; build the whole stack with
 :func:`repro.serving.build_service` rather than wiring routers by hand.
 Configuration lives in ``KyrixConfig.cluster`` (shard count, strategy,
-coalescing, parallel/wire flags);
-``benchmarks/bench_cluster_scaling.py`` measures throughput and latency
-percentiles at 1/2/4/8 shards under concurrent pan workloads.
+coalescing, parallel/wire flags); the ``cluster_cold`` / ``cluster_hot``
+workloads of ``benchmarks/suite/`` measure per-step latency and
+throughput of the default 4-shard cluster under concurrent pan sessions.
 """
 
 from .autopilot import AutopilotAction, ClusterAutopilot

@@ -173,9 +173,6 @@ class ClusterStats:
                 self.per_shard_requests.get(shard_id, 0) + 1
             )
 
-    def average_fanout(self) -> float:
-        return self.shard_queries / self.scatter_gathers if self.scatter_gathers else 0.0
-
     def reset(self) -> None:
         self.requests = 0
         self.cache_hits = 0
@@ -518,13 +515,8 @@ class ClusterRouter:
             return None
         with self._executor_lock:
             if self._executor is None and not self._closed:
-                # ``max_parallel_shards`` is the documented pool size; it
-                # may exceed the shard count on purpose — concurrent
-                # sessions each fan out, so an operator sizes the pool
-                # for clients x shards, not for one scatter at a time.
-                workers = self.config.cluster.max_parallel_shards or self.shard_count
                 self._executor = ThreadPoolExecutor(
-                    max_workers=workers,
+                    max_workers=self.shard_count,
                     thread_name_prefix="kyrix-shard",
                 )
             return self._executor

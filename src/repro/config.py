@@ -266,9 +266,6 @@ class ClusterConfig:
         matches the modelled critical path.  Gathered responses are
         byte-identical to the sequential path (shard results are merged in
         shard-id order either way).
-    max_parallel_shards:
-        Size of the scatter-gather thread pool; 0 means one worker per
-        shard.
     wire_shards:
         When true, every shard call crosses a wire-level transport
         (``encode -> decode -> handle -> encode -> decode`` through
@@ -340,7 +337,6 @@ class ClusterConfig:
     coalescing: bool = True
     kd_sample_limit: int = 50_000
     parallel_shards: bool = True
-    max_parallel_shards: int = 0
     wire_shards: bool = True
     replicas: int = 1
     replica_policy: str = "round_robin"
@@ -370,8 +366,6 @@ class ClusterConfig:
             raise KyrixError(f"unknown partitioning strategy: {self.strategy!r}")
         if self.kd_sample_limit < 1:
             raise KyrixError("kd_sample_limit must be >= 1")
-        if self.max_parallel_shards < 0:
-            raise KyrixError("max_parallel_shards must be non-negative")
         if self.replicas < 1:
             raise KyrixError(f"replicas must be >= 1, got {self.replicas}")
         if self.replica_policy not in REPLICA_POLICIES:
@@ -462,7 +456,6 @@ class KyrixConfig:
     interactivity_budget_ms: float = INTERACTIVITY_BUDGET_MS
     viewport_width: int = 1000
     viewport_height: int = 1000
-    random_seed: int = 1729
 
     def validate(self) -> None:
         """Raise :class:`KyrixError` if any sub-configuration is invalid."""

@@ -39,7 +39,7 @@ from .tile import TileScheme
 
 @dataclass
 class PrecomputeReport:
-    """What precomputation did for one layer (used by tests and EXPERIMENTS.md)."""
+    """What precomputation did for one layer."""
 
     layer: tuple[str, int]
     placement_table: str | None

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the serving stack.
 
 Failover is untestable without controllable failures, so faults are a
-first-class seam rather than ad-hoc monkeypatching: both the test suites and
-``benchmarks/bench_replica_failover.py`` drive the same classes.
+first-class seam rather than ad-hoc monkeypatching: the test suites and
+``examples/replica_cluster.py`` drive the same classes.
 
 * :class:`FaultSchedule` — a deterministic, schedule-driven fault plan: a
   list of :class:`FaultRule` entries matched against a per-operation call

@@ -1,10 +1,11 @@
 """Replica failover parity: the acceptance bar of the replication rework.
 
-A 2-shard × 2-replica cluster whose replica 0 of *every* shard is
-fault-injected to fail each request must return byte-identical dbox/tile
-payloads to a fault-free 1-replica cluster built from the same backend, on
-both evaluation applications (usmap + EEG, both database designs), and the
-router's stats must attribute every failure to the broken replicas.
+A replicated cluster (2 shards × 2 replicas, 4 shards × 3 replicas) whose
+replica 0 of *every* shard is fault-injected to fail each request must
+return byte-identical dbox/tile payloads to a fault-free 1-replica cluster
+built from the same backend, on both evaluation applications (usmap + EEG,
+both database designs), and the router's stats must attribute every
+failure to the broken replicas.
 """
 
 from __future__ import annotations
@@ -20,22 +21,25 @@ from tests.cluster.conftest import payload_bytes as _payload_bytes
 
 @pytest.mark.parametrize("stack_fixture", ["usmap_parity_stack", "eeg_parity_stack"])
 @pytest.mark.parametrize("policy", ["round_robin", "least_inflight"])
-def test_failover_is_byte_identical_to_single_replica(request, stack_fixture, policy):
+@pytest.mark.parametrize("shard_count, replicas", [(2, 2), (4, 3)])
+def test_failover_is_byte_identical_to_single_replica(
+    request, stack_fixture, policy, shard_count, replicas
+):
     stack = request.getfixturevalue(stack_fixture)
     tile_sizes = stack.tile_sizes
     baseline = build_cluster(
-        stack.backend, shard_count=2, replicas=1, tile_sizes=tile_sizes
+        stack.backend, shard_count=shard_count, replicas=1, tile_sizes=tile_sizes
     )
     replicated = build_cluster(
         stack.backend,
-        shard_count=2,
-        replicas=2,
+        shard_count=shard_count,
+        replicas=replicas,
         replica_policy=policy,
         tile_sizes=tile_sizes,
     )
     try:
         replica_sets = replicated.router.replica_sets()
-        assert set(replica_sets) == {0, 1}
+        assert set(replica_sets) == set(range(shard_count))
         # Replica 0 of every shard fails every request it is handed.
         for layer in replica_sets.values():
             fault_replica(layer, 0, FaultSchedule.fail_always())
@@ -55,15 +59,19 @@ def test_failover_is_byte_identical_to_single_replica(request, stack_fixture, po
         assert sum(stats.per_replica_failures.values()) > 0
         assert all(key.endswith("/replica0") for key in stats.per_replica_failures)
         for shard_id, layer in replica_sets.items():
-            assert layer.stats.failures_for(1) == 0
+            assert all(
+                layer.stats.failures_for(index) == 0 for index in range(1, replicas)
+            )
             assert layer.stats.failures_for(0) == layer.stats.requests_for(0)
+            # Every attempt on the dead replica was failed over, none lost.
+            assert layer.stats.failovers == layer.stats.failures_for(0)
             assert stats.per_replica_failures.get(
                 f"shard{shard_id}/replica0", 0
             ) == layer.stats.failures_for(0)
-            # The healthy replica served every scatter that hit the shard.
-            assert layer.stats.requests_for(1) == stats.per_shard_requests.get(
-                shard_id, 0
-            )
+            # The healthy replicas served every scatter that hit the shard.
+            assert sum(
+                layer.stats.requests_for(index) for index in range(1, replicas)
+            ) == stats.per_shard_requests.get(shard_id, 0)
     finally:
         baseline.close()
         replicated.close()
