@@ -8,7 +8,14 @@ README for
 * inline-backtick code paths (`` `src/repro/cluster/autopilot.py` ``,
   `` `net/protocol.py` ``, `` `benchmarks/suite/` `` …) — the path
   must exist relative to the repo root, or (for the short module forms
-  the prose uses) under ``src/repro/``.
+  the prose uses) under ``src/repro/``;
+* inline-backtick settings (`` `cluster.wire_shards` ``,
+  `` `config.cache.backend_entries` ``,
+  `` `cluster.autopilot.cooldown_s` ``) — a dotted name rooted at a
+  ``KyrixConfig`` section must name a field that exists.  The prose also
+  roots two other vocabularies at those words, and they resolve too: the
+  benchmark's metric names (``BENCHMARK.json``) and attributes of the
+  ``ShardedCluster`` handle the examples call ``cluster``.
 
 Fenced code blocks are skipped: they hold example output and
 hypothetical snippets, not citations. A doc that names a file which
@@ -21,11 +28,17 @@ Run with::
 
 from __future__ import annotations
 
+import json
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.cluster.builder import ShardedCluster  # noqa: E402
+from repro.config import KyrixConfig  # noqa: E402
 
 #: ``[text](target)`` — target captured up to the closing paren.
 _MD_LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
@@ -38,6 +51,33 @@ _INLINE_CODE = re.compile(r"`([^`\n]+)`")
 _PATH_WORD = re.compile(
     r"^[A-Za-z0-9_][A-Za-z0-9_.\-/]*(?:\.(?:py|md|json|jsonl|ya?ml|txt|ini)|/)$"
 )
+#: ``section.field[.field]`` rooted at a ``KyrixConfig`` section, either
+#: free-standing or right after ``config.`` (``router.config.cluster.x``).
+_DEFAULTS = KyrixConfig()
+_SETTING = re.compile(
+    r"(?:(?<![\w./])|(?<=config\.))((?:%s)(?!\.py)(?:\.[a-z_]+)+)"
+    % "|".join(
+        spec.name for spec in fields(_DEFAULTS)
+        if is_dataclass(getattr(_DEFAULTS, spec.name))
+    )
+)
+_METRICS = {
+    metric["name"]
+    for kind in ("end_to_end", "per_layer")
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())[kind]
+}
+_CLUSTER_HANDLE = {spec.name for spec in fields(ShardedCluster)} | set(
+    vars(ShardedCluster)
+)
+
+
+def _is_setting(dotted: str) -> bool:
+    node = _DEFAULTS
+    for part in dotted.split("."):
+        if not is_dataclass(node) or part not in {f.name for f in fields(node)}:
+            return False
+        node = getattr(node, part)
+    return True
 
 
 def _strip_fenced_blocks(text: str) -> str:
@@ -66,6 +106,17 @@ def check_document(doc: Path) -> list[str]:
             problems.append(f"{doc.relative_to(ROOT)}: broken link -> {target}")
 
     for span in _INLINE_CODE.finditer(text):
+        for match in _SETTING.finditer(span.group(1)):
+            dotted = match.group(1)
+            section, name = dotted.split(".")[:2]
+            if not (
+                _is_setting(dotted)
+                or dotted in _METRICS
+                or (section == "cluster" and name in _CLUSTER_HANDLE)
+            ):
+                problems.append(
+                    f"{doc.relative_to(ROOT)}: no such config field -> {dotted}"
+                )
         for word in span.group(1).split():
             if "/" not in word or not _PATH_WORD.match(word):
                 continue

@@ -219,10 +219,6 @@ class LockWatch:
         with self._mutex:
             return list(self._violations)
 
-    def clear_violations(self) -> None:
-        with self._mutex:
-            self._violations.clear()
-
     def verify(self) -> None:
         """Raise on anything recorded so far, then re-check the full graph."""
         recorded = self.violations

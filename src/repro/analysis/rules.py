@@ -523,9 +523,11 @@ class ProtocolDriftChecker(Checker):
     def _is_blanket(method: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
         """True for methods that serialize every field structurally —
         ``asdict(self)``, ``vars(self)``, ``self.__dict__``,
-        ``cls(**mapping)`` — or delegate to a sibling codec
-        (``json.dumps(self.to_dict())``, ``cls.from_dict(...)``), whose
-        coverage is checked on the sibling itself."""
+        ``cls(**mapping)``, ``loader(cls, mapping)`` (a helper handed the
+        class itself can only walk its ``fields``) — or delegate to a
+        sibling codec (``json.dumps(self.to_dict())``,
+        ``cls.from_dict(...)``), whose coverage is checked on the sibling
+        itself."""
         siblings = set(_SERIALIZERS) | set(_DESERIALIZERS)
         for node in ast.walk(method):
             if isinstance(node, ast.Call):
@@ -538,6 +540,11 @@ class ProtocolDriftChecker(Checker):
                     isinstance(node.func, ast.Name)
                     and node.func.id == "cls"
                     and any(keyword.arg is None for keyword in node.keywords)
+                ):
+                    return True
+                if any(
+                    isinstance(arg, ast.Name) and arg.id == "cls"
+                    for arg in node.args
                 ):
                     return True
             if isinstance(node, ast.Attribute) and node.attr == "__dict__":

@@ -37,6 +37,9 @@ from .renderer import RasterRenderer
 if TYPE_CHECKING:
     from ..serving.base import DataService
 
+#: Predicted viewports warmed per pan (how far ahead the prefetcher looks).
+LOOKAHEAD_STEPS = 1
+
 
 class KyrixFrontend:
     """A headless frontend driving one Kyrix application.
@@ -70,10 +73,7 @@ class KyrixFrontend:
         self.cache: LRUCache[DataResponse] = LRUCache(cache_entries)
         self.metrics = MetricsCollector()
         if prefetcher is None and self.config.prefetch.enabled:
-            prefetcher = make_prefetcher(
-                self.config.prefetch.strategy,
-                history_window=self.config.prefetch.history_window,
-            )
+            prefetcher = make_prefetcher(self.config.prefetch.strategy)
         self.prefetcher = prefetcher
         self.renderer = (
             RasterRenderer(self.config.viewport_width, self.config.viewport_height)
@@ -274,8 +274,7 @@ class KyrixFrontend:
             return
         canvas_id = self._require_canvas()
         plan = self.service.compiled.canvas_plan(canvas_id)
-        predictions = self.prefetcher.predict(self.config.prefetch.lookahead_steps)
-        for predicted in predictions:
+        for predicted in self.prefetcher.predict(LOOKAHEAD_STEPS):
             clamped = predicted.clamped_to(plan.width, plan.height)
             for layer_plan in plan.dynamic_layers():
                 for request in self._prefetch_requests(layer_plan, clamped, plan):

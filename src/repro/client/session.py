@@ -10,17 +10,11 @@ measures response time per pan step, not cold start).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..core.viewport import Viewport
 from ..metrics.collector import LatencyBreakdown, MetricsCollector
 from .frontend import KyrixFrontend
-
-if TYPE_CHECKING:
-    from ..config import KyrixConfig
-    from ..server.prefetch import Prefetcher
-    from ..server.schemes import FetchScheme
-    from ..serving.base import DataService
 
 
 @dataclass
@@ -47,28 +41,6 @@ class ExplorationSession:
 
     def __init__(self, frontend: KyrixFrontend) -> None:
         self.frontend = frontend
-
-    @classmethod
-    def for_service(
-        cls,
-        service: "DataService",
-        scheme: "FetchScheme | None" = None,
-        *,
-        config: "KyrixConfig | None" = None,
-        prefetcher: "Prefetcher | None" = None,
-        render: bool = False,
-    ) -> "ExplorationSession":
-        """Build a session over a fresh frontend for any ``DataService``.
-
-        ``service`` is whatever :func:`repro.serving.build_service`
-        returned — a cached backend, a sharded cluster router, a composed
-        middleware stack or a remote stub; sessions drive them all through
-        the same frontend.
-        """
-        frontend = KyrixFrontend(
-            service, scheme, config=config, prefetcher=prefetcher, render=render
-        )
-        return cls(frontend)
 
     def run_trace(
         self,

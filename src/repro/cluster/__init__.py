@@ -45,7 +45,7 @@ are exactly what a multi-node deployment would put on the network.
 records every request's canvas footprint into per-canvas
 :class:`~repro.cluster.partitioner.LoadHistogram` ring buffers; a
 :class:`~repro.cluster.rebalancer.LoadRebalancer` turns observed skew
-(``max/mean`` per-shard load vs ``cluster.rebalance_skew_threshold``) into
+(``max/mean`` per-shard load vs the rebalancer's ``SKEW_THRESHOLD``) into
 a new :class:`~repro.cluster.partitioner.LoadWeightedKDPartitioner`
 partitioning and migrates to it **online** — the new shard set builds
 beside the serving one, the router's shard table swaps atomically, and the
@@ -74,7 +74,10 @@ protocol, so ``KyrixFrontend`` / ``ExplorationSession`` drive a cluster
 exactly like a single backend; build the whole stack with
 :func:`repro.serving.build_service` rather than wiring routers by hand.
 Configuration lives in ``KyrixConfig.cluster`` (shard count, strategy,
-coalescing, parallel/wire flags); the ``cluster_cold`` / ``cluster_hot``
+replicas, worker mode, parallel/wire flags) and any field can be overridden
+per build by name (``build_cluster(backend, shard_count=2, replicas=2)``);
+what nobody varies — load-histogram size, skew trigger, drain timeout — is
+a module constant beside its reader.  The ``cluster_cold`` / ``cluster_hot``
 workloads of ``benchmarks/suite/`` measure per-step latency and
 throughput of the default 4-shard cluster under concurrent pan sessions.
 """

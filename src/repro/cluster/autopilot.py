@@ -182,10 +182,6 @@ class ClusterAutopilot:
         with self._lock:
             return list(self._actions)
 
-    def action_counts(self) -> dict[str, int]:
-        """``{kind: count}`` over the retained action log."""
-        return dict(TallyCounter(action.kind for action in self.actions))
-
     def describe(self) -> dict[str, Any]:
         table = self.router.table
         with self._lock:
@@ -440,11 +436,7 @@ class ClusterAutopilot:
             replica_index = _replica_index(key)
             handle = table.worker_pool.respawn(spec, replica_index=replica_index)
             stub = RemoteBackendStub(handle.transport(), router.compiled, config)
-            replica_set.swap_replica(
-                replica_index,
-                stub,
-                drain_timeout_s=config.cluster.rebalance_drain_timeout_s,
-            )
+            replica_set.swap_replica(replica_index, stub)
             router.record_replica_checksum(shard_id, replica_index, handle.checksum)
             repaired.append(
                 {
@@ -482,11 +474,7 @@ class ClusterAutopilot:
             replacement = replica_stack(
                 shard.backend, lock=shard.lock, wire=cluster_config.wire_shards
             )
-            replica_set.swap_replica(
-                replica_index,
-                replacement,
-                drain_timeout_s=cluster_config.rebalance_drain_timeout_s,
-            )
+            replica_set.swap_replica(replica_index, replacement)
             self.router.record_replica_checksum(shard_id, replica_index, expected)
             repaired.append(
                 {

@@ -4,7 +4,8 @@
 from one source backend and one **effective** configuration it indexes the
 shards, attaches a serving stack to each, collects the replica checksums
 and returns the :class:`~repro.cluster.router.ShardTable` that owns all of
-it.  :func:`build_cluster` folds its keyword overrides into that one
+it.  :func:`build_cluster` folds its ``**cluster`` overrides — any
+:class:`~repro.config.ClusterConfig` field, by its own name — into that one
 configuration, builds generation 0 and puts a
 :class:`~repro.cluster.router.ClusterRouter` in front; an online rebalance
 (:mod:`repro.cluster.rebalancer`) builds generation N+1 through the same
@@ -147,7 +148,6 @@ def attach_shard_services(
         pool = WorkerPool(
             specs,
             port_base=cluster_config.worker_port_base,
-            spawn_timeout_s=cluster_config.worker_spawn_timeout_s,
             generation=generation,
         )
         pool.start()
@@ -173,7 +173,6 @@ def attach_shard_services(
             shard.service = ReplicaService(
                 replicas,
                 policy=cluster_config.replica_policy,
-                retry_limit=cluster_config.replica_retry_limit,
                 breaker_threshold=cluster_config.breaker_threshold,
                 breaker_reset_s=cluster_config.breaker_reset_s,
             )
@@ -250,33 +249,27 @@ def build_generation(
 def build_cluster(
     source_backend: KyrixBackend,
     *,
-    shard_count: int | None = None,
-    strategy: str | None = None,
-    coalescing: bool | None = None,
-    parallel: bool | None = None,
-    wire_shards: bool | None = None,
-    replicas: int | None = None,
-    replica_policy: str | None = None,
-    worker_mode: str | None = None,
     autopilot: bool | None = None,
     telemetry: bool | None = None,
     tile_sizes: tuple[int, ...] = (),
+    **cluster: Any,
 ) -> ShardedCluster:
     """Shard a precomputed backend into a scatter-gather serving cluster.
 
     ``source_backend`` must have run ``precompute()`` already: its placement
-    (or separable source) tables are what gets split across shards.  The
-    keyword arguments override the corresponding ``config.cluster`` fields
-    (``telemetry``: ``config.telemetry.enabled``) for this build; they are
-    folded into **one** effective configuration up front, and that is the
-    only configuration anything below sees — the router's ``config``, the
-    shard table's, and the :class:`~repro.serving.worker.ShardSpec` dumps
-    worker processes stand up from (same tracing plane, same cluster
-    section).  ``tile_sizes`` pre-builds per-shard tuple–tile mapping
-    tables so the mapping design serves its first tile request without a
-    lazy build.  With ``worker_mode="processes"`` every shard replica runs
-    in its own forked worker process behind a socket transport (see
-    :mod:`repro.serving.worker`).
+    (or separable source) tables are what gets split across shards.
+    ``**cluster`` overrides :class:`~repro.config.ClusterConfig` fields by
+    their own names for this build (an unknown name is
+    :func:`dataclasses.replace`'s ``TypeError``, raised before anything is
+    built); ``autopilot`` / ``telemetry`` override
+    ``config.cluster.autopilot.enabled`` / ``config.telemetry.enabled``.
+    All of it is folded into **one** effective configuration up front, and
+    that is the only configuration anything below sees — the router's
+    ``config``, the shard table's, and the
+    :class:`~repro.serving.worker.ShardSpec` dumps worker processes stand
+    up from.  ``tile_sizes`` pre-builds per-shard tuple–tile mapping tables
+    so the mapping design serves its first tile request without a lazy
+    build.
 
     Every cluster carries a ready-to-use
     :class:`~repro.cluster.rebalancer.LoadRebalancer` as
@@ -289,24 +282,10 @@ def build_cluster(
     ``build_service`` stacks) closes.
     """
     config = source_backend.config
-    overrides: dict[str, Any] = {
-        name: value
-        for name, value in (
-            ("shard_count", shard_count),
-            ("strategy", strategy),
-            ("coalescing", coalescing),
-            ("parallel_shards", parallel),
-            ("wire_shards", wire_shards),
-            ("replicas", replicas),
-            ("replica_policy", replica_policy),
-            ("worker_mode", worker_mode),
-        )
-        if value is not None
-    }
     if autopilot is not None:
-        overrides["autopilot"] = replace(config.cluster.autopilot, enabled=autopilot)
-    if overrides:
-        config = replace(config, cluster=replace(config.cluster, **overrides))
+        cluster["autopilot"] = replace(config.cluster.autopilot, enabled=autopilot)
+    if cluster:
+        config = replace(config, cluster=replace(config.cluster, **cluster))
     if telemetry is not None:
         config = replace(
             config, telemetry=replace(config.telemetry, enabled=telemetry)

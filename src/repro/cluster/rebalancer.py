@@ -11,8 +11,8 @@ owns it while the rest idle.  This module closes the loop:
    ``ClusterStats.per_shard_requests``.
 2. **Decide** — :meth:`LoadRebalancer.skew` reduces the per-shard counts
    to one number, ``max / mean`` (1.0 is perfect balance); traffic is
-   *skewed* once it crosses ``cluster.rebalance_skew_threshold`` with at
-   least ``cluster.rebalance_min_requests`` scatters observed.
+   *skewed* once it crosses :data:`SKEW_THRESHOLD` with at least
+   :data:`MIN_REQUESTS` scatters observed.
 3. **Repartition** — a
    :class:`~repro.cluster.partitioner.LoadWeightedKDPartitioner` derives a
    new :class:`~repro.cluster.partitioner.Partitioning` per canvas from
@@ -48,6 +48,13 @@ from ..errors import KyrixError
 from ..metrics.timer import Timer
 from .builder import ShardedCluster, build_generation
 from .partitioner import LoadHistogram, LoadWeightedKDPartitioner, Partitioning
+
+#: Skew trigger: max per-shard request count ÷ mean (``1.0`` is perfect
+#: balance; ``2.0`` means one shard carries at least twice the average).
+SKEW_THRESHOLD = 2.0
+#: Scatter-gathers that must have been observed before skew is trusted (a
+#: handful of requests can look arbitrarily skewed without meaning anything).
+MIN_REQUESTS = 64
 
 
 @dataclass
@@ -103,22 +110,13 @@ class LoadRebalancer:
         self,
         cluster: ShardedCluster,
         *,
-        skew_threshold: float | None = None,
-        min_requests: int | None = None,
+        skew_threshold: float = SKEW_THRESHOLD,
+        min_requests: int = MIN_REQUESTS,
     ) -> None:
         self.cluster = cluster
         self.router = cluster.router
-        cluster_config = self.router.config.cluster
-        self.skew_threshold = (
-            skew_threshold
-            if skew_threshold is not None
-            else cluster_config.rebalance_skew_threshold
-        )
-        self.min_requests = (
-            min_requests
-            if min_requests is not None
-            else cluster_config.rebalance_min_requests
-        )
+        self.skew_threshold = skew_threshold
+        self.min_requests = min_requests
         self._migrate_lock = threading.Lock()
 
     # -- observing ---------------------------------------------------------------------

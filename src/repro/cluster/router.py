@@ -52,15 +52,18 @@ from ..metrics.timer import Timer
 from ..net.protocol import DataRequest, DataResponse
 from ..server.tile import TileScheme
 from ..serving.middleware import CachingService, CoalescingService
-from ..serving.replica import ReplicaService
+from ..serving.replica import DRAIN_TIMEOUT_S, ReplicaService
 from ..storage.rtree import Rect
 from ..telemetry import get_tracer
-from .coalescer import RequestCoalescer
 from .partitioner import LoadHistogram, Partitioning
 from .sharded import ShardHandle
 
 if TYPE_CHECKING:
     from ..serving.worker import WorkerPool
+
+#: Per-canvas cap on recorded request-footprint centres (a ring buffer: old
+#: samples fall off, so the load-weighted repartitioner sees *recent* traffic).
+LOAD_SAMPLES = 4096
 
 
 def replica_key(shard_id: int, replica_index: int) -> str:
@@ -237,7 +240,7 @@ class ClusterRouter:
         # repartitioner (bounded ring buffers; see LoadRebalancer).
         self._load_lock = threading.Lock()
         self.canvas_loads: dict[str, LoadHistogram] = {
-            canvas_id: LoadHistogram(config.cluster.rebalance_load_samples)
+            canvas_id: LoadHistogram(LOAD_SAMPLES)
             for canvas_id in table.partitionings
         }
         self.stats = ClusterStats()
@@ -247,16 +250,12 @@ class ClusterRouter:
         # The middleware stack over the scatter-gather core.  ``self.cache``
         # and ``self.coalescer`` alias the middleware internals so existing
         # callers (tests, benchmarks) keep their handles.
-        stack = _ScatterGatherService(self)
-        self.coalescer: RequestCoalescer | None = None
-        if config.cluster.coalescing:
-            coalescing_layer = CoalescingService(stack)
-            self.coalescer = coalescing_layer.coalescer
-            stack = coalescing_layer
+        coalescing_layer = CoalescingService(_ScatterGatherService(self))
+        self.coalescer = coalescing_layer.coalescer
         # The cluster's one server-side response cache: the shards below
         # are bare engines, so it is sized like a single backend's.
         self._stack = CachingService(
-            stack,
+            coalescing_layer,
             entries=config.cache.backend_entries if config.cache.enabled else 0,
         )
         self.cache = self._stack.cache
@@ -461,12 +460,12 @@ class ClusterRouter:
     def retire_table(self, table: ShardTable) -> bool:
         """Wait for a swapped-out table's in-flight requests, then close it.
 
-        Returns ``True`` when the table drained within its
-        ``cluster.rebalance_drain_timeout_s``; on timeout the table is
-        closed anyway — serving a request on a closing stack is the lesser
+        Returns ``True`` when the table drained within
+        :data:`~repro.serving.replica.DRAIN_TIMEOUT_S`; on timeout the table
+        is closed anyway — serving a request on a closing stack is the lesser
         evil next to leaking worker processes.
         """
-        deadline = time.monotonic() + table.config.cluster.rebalance_drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         with self._table_lock:
             while table.inflight > 0:
                 remaining = deadline - time.monotonic()
@@ -574,9 +573,8 @@ class ClusterRouter:
         with self._load_lock:
             load = self.canvas_loads.get(request.canvas_id)
             if load is None:
-                load = self.canvas_loads[request.canvas_id] = LoadHistogram(
-                    table.config.cluster.rebalance_load_samples
-                )
+                load = LoadHistogram(LOAD_SAMPLES)
+                self.canvas_loads[request.canvas_id] = load
             load.observe(center_x, center_y)
 
         executor = self._shard_executor() if len(shard_ids) > 1 else None

@@ -131,7 +131,6 @@ class ShardedIndexer:
                 sample_spatial_distribution(
                     table.scan_rows(),
                     table.schema.column_index("bbox"),
-                    sample_limit=self.config.cluster.kd_sample_limit,
                     row_count_hint=table.row_count,
                 )
             )

@@ -3,14 +3,17 @@
 The original Kyrix reads a ``config.txt`` file naming the backing DBMS and
 the web-server ports.  Here the equivalent is :class:`KyrixConfig`, a plain
 dataclass that applications pass to :class:`repro.core.application.Application`.
-It bundles the storage-engine configuration, the simulated network link
-parameters and the interactivity budget (the paper's 500 ms goal).
+It bundles the storage-engine configuration, the simulated network link,
+the two cache sizes and the cluster / telemetry sections.  A field lives
+here only while a non-test caller sets it to a second value
+(``docs/operations.md`` names that caller per field); a value nobody varies
+is a module constant beside the code that reads it (``docs/extending.md``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -54,7 +57,6 @@ class StorageConfig:
         if self.page_read_ms < 0 or self.page_write_ms < 0:
             raise KyrixError("simulated I/O latencies must be non-negative")
 
-
 @dataclass
 class NetworkConfig:
     """Parameters of the simulated frontend <-> backend link.
@@ -68,17 +70,12 @@ class NetworkConfig:
 
     rtt_ms: float = 2.0
     bandwidth_mbps: float = 1000.0
-    per_object_bytes: int = 64
-    request_overhead_bytes: int = 256
-    simulate_delay: bool = False
 
     def validate(self) -> None:
         if self.rtt_ms < 0:
             raise KyrixError("rtt_ms must be non-negative")
         if self.bandwidth_mbps <= 0:
             raise KyrixError("bandwidth_mbps must be positive")
-        if self.per_object_bytes <= 0:
-            raise KyrixError("per_object_bytes must be positive")
 
 
 @dataclass
@@ -105,20 +102,14 @@ class PrefetchConfig:
 
     enabled: bool = False
     strategy: str = "momentum"
-    lookahead_steps: int = 1
-    history_window: int = 4
 
     def validate(self) -> None:
-        if self.strategy not in ("momentum", "semantic", "none"):
+        # ``enabled`` is the only off-switch; there is no "none" strategy.
+        if self.strategy not in ("momentum", "semantic"):
             raise KyrixError(f"unknown prefetch strategy: {self.strategy!r}")
-        if self.lookahead_steps < 0:
-            raise KyrixError("lookahead_steps must be non-negative")
-        if self.history_window < 1:
-            raise KyrixError("history_window must be >= 1")
 
 
-#: The replica selection policies a cluster's replica sets understand
-#: (:class:`~repro.serving.replica.ReplicaService` re-exports this).
+#: Replica selection policies (:mod:`repro.serving.replica` re-exports this).
 REPLICA_POLICIES = ("round_robin", "least_inflight")
 
 
@@ -130,11 +121,10 @@ class AutopilotConfig:
     ----------
     enabled:
         When true, :func:`repro.cluster.builder.build_cluster` attaches a
-        running :class:`~repro.cluster.autopilot.ClusterAutopilot` to the
-        built cluster: a background daemon thread that periodically
-        snapshots load skew and replica health, triggers online rebalances,
-        autoscales the shard and replica counts, and read-repairs divergent
-        replicas.  Off by default — nothing moves unless asked to.
+        running :class:`~repro.cluster.autopilot.ClusterAutopilot`: a daemon
+        thread that snapshots load skew and replica health, rebalances
+        online, autoscales the shard and replica counts and read-repairs
+        divergent replicas.  Off by default — nothing moves unless asked to.
     interval_s:
         Seconds between control-loop ticks (wall-clock, for the background
         thread; tests drive :meth:`~repro.cluster.autopilot.ClusterAutopilot.tick`
@@ -144,19 +134,18 @@ class AutopilotConfig:
         grow, shrink, replica re-scale).  Damping: however noisy the load
         signal, topology changes cannot happen more often than this.
     hysteresis:
-        Re-arm band below the skew threshold.  After a skew-triggered
-        migration the loop is *disarmed* and stays disarmed until observed
-        skew falls below ``rebalance_skew_threshold - hysteresis`` — a
-        hotspot oscillating right at the threshold therefore produces at
-        most one migration per cooldown window instead of thrashing.
+        Re-arm band below the rebalancer's skew threshold.  After a
+        skew-triggered migration the loop stays *disarmed* until observed
+        skew falls below ``threshold - hysteresis`` — a hotspot oscillating
+        right at the threshold therefore produces at most one migration
+        per cooldown window instead of thrashing.
     rearm_windows:
         Persistent-skew escape hatch for the hysteresis disarm: when skew
         *never* leaves the trigger band (the previous migration did not
         fix it, e.g. it split on a stale load histogram), the loop re-arms
-        anyway after this many cooldown windows and retries with fresher
-        load data.  Without it a single bad split would disarm the
-        autopilot forever; with it, retries still pace at a multiple of
-        the cooldown, so the thrash bound holds.
+        anyway after this many cooldown windows.  Without it a single bad
+        split would disarm the autopilot forever; with it, retries still
+        pace at a multiple of the cooldown, so the thrash bound holds.
     min_shards / max_shards:
         Bounds of the shard-count autoscaler (grow doubles, shrink halves,
         always clamped into ``[min_shards, max_shards]``).
@@ -199,41 +188,30 @@ class AutopilotConfig:
     def validate(self) -> None:
         if self.interval_s <= 0:
             raise KyrixError("autopilot interval_s must be positive")
-        if self.cooldown_s < 0:
-            raise KyrixError("autopilot cooldown_s must be non-negative")
-        if self.hysteresis < 0:
-            raise KyrixError("autopilot hysteresis must be non-negative")
-        if self.rearm_windows < 1:
-            raise KyrixError("autopilot rearm_windows must be >= 1")
-        if self.min_shards < 1:
-            raise KyrixError(
-                f"autopilot min_shards must be >= 1, got {self.min_shards}"
-            )
+        for name in ("cooldown_s", "hysteresis", "shrink_requests"):
+            if getattr(self, name) < 0:
+                raise KyrixError(f"autopilot {name} must be non-negative")
+        for name in (
+            "rearm_windows", "min_shards", "grow_requests",
+            "shrink_idle_ticks", "replica_pressure", "max_replicas",
+        ):
+            if getattr(self, name) < 1:
+                raise KyrixError(
+                    f"autopilot {name} must be >= 1, got {getattr(self, name)}"
+                )
         if self.max_shards < self.min_shards:
             raise KyrixError(
                 "autopilot max_shards must be >= min_shards, got "
                 f"{self.max_shards} < {self.min_shards}"
             )
-        if self.grow_requests < 1:
-            raise KyrixError("autopilot grow_requests must be >= 1")
-        if self.shrink_idle_ticks < 1:
-            raise KyrixError("autopilot shrink_idle_ticks must be >= 1")
-        if self.shrink_requests < 0:
-            raise KyrixError("autopilot shrink_requests must be non-negative")
         if self.shrink_requests >= self.grow_requests:
             raise KyrixError(
                 "autopilot shrink_requests must be below grow_requests "
                 f"(got {self.shrink_requests} >= {self.grow_requests})"
             )
-        if self.replica_pressure < 1:
-            raise KyrixError("autopilot replica_pressure must be >= 1")
-        if self.max_replicas < 1:
-            raise KyrixError("autopilot max_replicas must be >= 1")
 
-#: How shard replicas execute: ``"threads"`` keeps every shard engine in
-#: the router's process behind a lock; ``"processes"`` forks one worker
-#: process per shard replica speaking the shard wire over localhost TCP
-#: (:mod:`repro.serving.worker`), removing the GIL from the scatter path.
+
+#: How shard replicas execute (see :attr:`ClusterConfig.worker_mode`).
 WORKER_MODES = ("threads", "processes")
 
 
@@ -254,18 +232,11 @@ class ClusterConfig:
         Spatial partitioning strategy: ``"grid"`` (uniform grid of shard
         regions) or ``"kd"`` (balanced KD splits driven by the observed
         object-density statistics).
-    coalescing:
-        When true, identical in-flight requests from concurrent sessions are
-        coalesced behind one backend scatter-gather.
-    kd_sample_limit:
-        Maximum number of object centres sampled per canvas when the KD
-        strategy measures the spatial distribution.
     parallel_shards:
         When true, multi-shard scatter-gathers execute their shard queries
         on a thread pool instead of sequentially, so measured wall-clock
         matches the modelled critical path.  Gathered responses are
-        byte-identical to the sequential path (shard results are merged in
-        shard-id order either way).
+        byte-identical to the sequential path.
     wire_shards:
         When true, every shard call crosses a wire-level transport
         (``encode -> decode -> handle -> encode -> decode`` through
@@ -273,17 +244,12 @@ class ClusterConfig:
         a multi-node deployment would put on the network.
     replicas:
         Number of interchangeable replicas serving each shard.  With more
-        than one, the cluster builder fronts every shard with a
+        than one, every shard is fronted by a
         :class:`~repro.serving.replica.ReplicaService` that load-balances,
-        circuit-breaks and fails over across the replicas; ``1`` keeps the
-        single-copy serving stack.
+        circuit-breaks and fails over across them.
     replica_policy:
         Replica selection policy: ``"round_robin"`` (even spread) or
         ``"least_inflight"`` (steer to the least-loaded replica).
-    replica_retry_limit:
-        Maximum replica attempts per request; ``0`` means try every replica
-        once before raising
-        :class:`~repro.errors.AllReplicasFailedError`.
     breaker_threshold:
         Consecutive failures after which a replica's circuit breaker opens
         and the replica stops receiving traffic.
@@ -291,87 +257,43 @@ class ClusterConfig:
         Seconds an open breaker waits before letting one trial request
         probe the replica again.
     worker_mode:
-        ``"threads"`` (default) serves every shard replica in-process
-        behind a :class:`~repro.serving.middleware.SerializedService`
-        lock; ``"processes"`` forks one worker process per shard replica
+        ``"threads"`` serves every shard replica in-process behind a
+        :class:`~repro.serving.middleware.SerializedService` lock;
+        ``"processes"`` forks one worker process per shard replica
         (:mod:`repro.serving.worker`) speaking the shard wire over
-        length-prefixed frames on localhost TCP, so pure-Python shard
-        queries execute on real parallel cores.
+        localhost TCP, so shard queries execute on real parallel cores.
     worker_port_base:
         First TCP port assigned to worker processes (worker ``i`` binds
         ``worker_port_base + i``); ``0`` (default) lets every worker bind
         an ephemeral port and report it back.  Across rebalances, each
         worker generation offsets its ports by ``generation * pool size``
         so a new pool can come up while the old one still serves.
-    worker_spawn_timeout_s:
-        Seconds the cluster builder waits for each worker process to
-        report ready before failing the build.
-    rebalance_skew_threshold:
-        Load-skew trigger for :meth:`LoadRebalancer.should_rebalance`:
-        the maximum per-shard request count divided by the mean, above
-        which the observed traffic counts as skewed.  ``1.0`` is perfect
-        balance; the default ``2.0`` means one shard carries at least
-        twice the average load.
-    rebalance_min_requests:
-        Minimum number of scatter-gathers that must have been observed
-        before the skew metric is trusted (a handful of requests can look
-        arbitrarily skewed without meaning anything).
-    rebalance_load_samples:
-        Per-canvas cap on the recorded request-footprint centres the
-        router keeps for the load-weighted repartitioner (a ring buffer:
-        old samples fall off, so the histogram tracks *recent* traffic).
-    rebalance_drain_timeout_s:
-        Seconds an online swap waits for in-flight requests against the
-        retired shard table to drain before closing its shard stacks (and
-        worker pool) anyway.
     autopilot:
-        The self-driving control loop's own section
-        (:class:`AutopilotConfig`): tick interval, migration cooldown,
-        skew hysteresis band, shard/replica autoscaling bounds and the
-        read-repair switch.
+        The self-driving control loop's own section (:class:`AutopilotConfig`).
     """
 
     enabled: bool = False
     shard_count: int = 4
     strategy: str = "grid"
-    coalescing: bool = True
-    kd_sample_limit: int = 50_000
     parallel_shards: bool = True
     wire_shards: bool = True
     replicas: int = 1
     replica_policy: str = "round_robin"
-    replica_retry_limit: int = 0
     breaker_threshold: int = 3
     breaker_reset_s: float = 30.0
     worker_mode: str = "threads"
     worker_port_base: int = 0
-    worker_spawn_timeout_s: float = 10.0
-    rebalance_skew_threshold: float = 2.0
-    rebalance_min_requests: int = 64
-    rebalance_load_samples: int = 4096
-    rebalance_drain_timeout_s: float = 30.0
     autopilot: AutopilotConfig = field(default_factory=AutopilotConfig)
-
-    def __post_init__(self) -> None:
-        # ``KyrixConfig.from_dict`` builds this section with
-        # ``ClusterConfig(**data)``, so a round-tripped configuration hands
-        # the nested autopilot section in as a plain dict; coerce it back.
-        if isinstance(self.autopilot, dict):
-            self.autopilot = AutopilotConfig(**self.autopilot)
 
     def validate(self) -> None:
         if self.shard_count < 1:
             raise KyrixError(f"shard_count must be >= 1, got {self.shard_count}")
         if self.strategy not in ("grid", "kd"):
             raise KyrixError(f"unknown partitioning strategy: {self.strategy!r}")
-        if self.kd_sample_limit < 1:
-            raise KyrixError("kd_sample_limit must be >= 1")
         if self.replicas < 1:
             raise KyrixError(f"replicas must be >= 1, got {self.replicas}")
         if self.replica_policy not in REPLICA_POLICIES:
             raise KyrixError(f"unknown replica policy: {self.replica_policy!r}")
-        if self.replica_retry_limit < 0:
-            raise KyrixError("replica_retry_limit must be non-negative")
         if self.breaker_threshold < 1:
             raise KyrixError(
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
@@ -384,19 +306,6 @@ class ClusterConfig:
             raise KyrixError(
                 f"worker_port_base must be in [0, 65535], got {self.worker_port_base}"
             )
-        if self.worker_spawn_timeout_s <= 0:
-            raise KyrixError("worker_spawn_timeout_s must be positive")
-        if self.rebalance_skew_threshold < 1.0:
-            raise KyrixError(
-                "rebalance_skew_threshold must be >= 1.0 (1.0 is perfect "
-                f"balance), got {self.rebalance_skew_threshold}"
-            )
-        if self.rebalance_min_requests < 1:
-            raise KyrixError("rebalance_min_requests must be >= 1")
-        if self.rebalance_load_samples < 1:
-            raise KyrixError("rebalance_load_samples must be >= 1")
-        if self.rebalance_drain_timeout_s <= 0:
-            raise KyrixError("rebalance_drain_timeout_s must be positive")
         self.autopilot.validate()
 
 
@@ -415,35 +324,61 @@ class TelemetryConfig:
         every trace).  Sampling is deterministic (counter-based), so a rate
         of ``0.1`` keeps exactly every tenth trace.  Unsampled requests
         still feed the duration histograms.
-    trace_buffer:
-        Number of newest completed traces retained in the in-memory ring
-        buffer served by ``GET /trace/<trace_id>``.
     export_path:
-        Optional path of a JSONL file that every sampled trace is appended
-        to (one line per trace), consumable by
-        ``python -m repro.telemetry.dump``.
+        Optional path of a JSONL file every sampled trace is appended to
+        (one line per trace; ``python -m repro.telemetry.dump`` reads it).
     """
 
     enabled: bool = False
     sample_rate: float = 1.0
-    trace_buffer: int = 256
     export_path: str | None = None
 
     def validate(self) -> None:
         if not 0.0 <= self.sample_rate <= 1.0:
-            raise KyrixError(
-                f"sample_rate must be in [0.0, 1.0], got {self.sample_rate}"
-            )
-        if self.trace_buffer < 1:
-            raise KyrixError(f"trace_buffer must be >= 1, got {self.trace_buffer}")
+            raise KyrixError(f"sample_rate must be in [0, 1], got {self.sample_rate}")
+
+
+#: JSON value types accepted per default-value type (a ``bool`` is an
+#: ``int`` to Python, so it passes only where ``bool`` is listed).
+_SCALAR_TYPES: dict[type, tuple[type, ...]] = {
+    bool: (bool,), int: (int,), float: (int, float), str: (str,),
+    type(None): (str, type(None)),
+}
+
+
+def _load(cls: type, data: Any, where: str) -> Any:
+    """Build config dataclass ``cls`` from outside input (a parsed
+    ``config.txt``).  Every complaint is a :class:`KyrixError` naming section
+    and key — a key deleted since the file was saved included: no aliases."""
+    if not isinstance(data, dict):
+        kind = type(data).__name__
+        raise KyrixError(
+            f"config section {where or '<top level>'!r} must be a mapping, got {kind}"
+        )
+    section = cls()
+    known = {spec.name for spec in fields(cls)}
+    for key, value in data.items():
+        path = f"{where}.{key}" if where else str(key)
+        if key not in known:
+            raise KyrixError(f"unknown config key {path!r}")
+        default = getattr(section, key)
+        if is_dataclass(default):
+            value = _load(type(default), value, path)
+        else:
+            expected = _SCALAR_TYPES[type(default)]
+            if not isinstance(value, expected) or (
+                isinstance(value, bool) and bool not in expected
+            ):
+                names = " or ".join(kind.__name__ for kind in expected)
+                raise KyrixError(f"config key {path!r} must be {names}, got {value!r}")
+        setattr(section, key, value)
+    return section
 
 
 @dataclass
 class KyrixConfig:
-    """Top-level configuration for a Kyrix application.
-
-    The equivalent of the ``config.txt`` file referenced in the paper's
-    example (``new App("usmap", "config.txt")``).
+    """Top-level configuration for a Kyrix application: the equivalent of the
+    ``config.txt`` in the paper's example (``new App("usmap", "config.txt")``).
     """
 
     app_name: str = "kyrix-app"
@@ -453,7 +388,6 @@ class KyrixConfig:
     prefetch: PrefetchConfig = field(default_factory=PrefetchConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    interactivity_budget_ms: float = INTERACTIVITY_BUDGET_MS
     viewport_width: int = 1000
     viewport_height: int = 1000
 
@@ -463,14 +397,9 @@ class KyrixConfig:
             raise KyrixError("app_name must be a non-empty string")
         if self.viewport_width <= 0 or self.viewport_height <= 0:
             raise KyrixError("viewport dimensions must be positive")
-        if self.interactivity_budget_ms <= 0:
-            raise KyrixError("interactivity_budget_ms must be positive")
-        self.storage.validate()
-        self.network.validate()
-        self.cache.validate()
-        self.prefetch.validate()
-        self.cluster.validate()
-        self.telemetry.validate()
+        for section in (self.storage, self.network, self.cache, self.prefetch,
+                        self.cluster, self.telemetry):
+            section.validate()
 
     # -- serialisation ------------------------------------------------------
 
@@ -481,22 +410,7 @@ class KyrixConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "KyrixConfig":
         """Build a configuration from a (possibly partial) dictionary."""
-        known = dict(data)
-        storage = StorageConfig(**known.pop("storage", {}))
-        network = NetworkConfig(**known.pop("network", {}))
-        cache = CacheConfig(**known.pop("cache", {}))
-        prefetch = PrefetchConfig(**known.pop("prefetch", {}))
-        cluster = ClusterConfig(**known.pop("cluster", {}))
-        telemetry = TelemetryConfig(**known.pop("telemetry", {}))
-        config = cls(
-            storage=storage,
-            network=network,
-            cache=cache,
-            prefetch=prefetch,
-            cluster=cluster,
-            telemetry=telemetry,
-            **known,
-        )
+        config = _load(cls, data, "")
         config.validate()
         return config
 

@@ -112,10 +112,6 @@ class Jump:
         """The user-facing label of this jump for a clicked object."""
         return str(self.name(dict(row)))
 
-    @property
-    def changes_canvas(self) -> bool:
-        return self.source != self.destination
-
     def describe(self) -> dict[str, Any]:
         return {
             "source": self.source,

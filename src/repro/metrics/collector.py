@@ -102,10 +102,6 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
-#: Backwards-compatible private alias (pre-telemetry callers).
-_percentile = percentile
-
-
 def summarize(values: Iterable[float]) -> SummaryStats:
     """Compute :class:`SummaryStats` for an iterable of latencies.
 

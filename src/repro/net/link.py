@@ -3,8 +3,7 @@
 The paper's experiments ran frontend and backend on one EC2 instance, so per
 request the dominant network terms are (a) a fixed round-trip overhead and
 (b) payload-proportional transfer time.  The link charges exactly those two
-terms to a virtual clock; it can optionally really ``sleep`` to produce
-wall-clock-visible latency (off by default so tests stay fast).
+terms to a virtual clock; it never sleeps.
 
 This model is what makes the fetching-granularity comparison meaningful:
 schemes that issue many small requests (256-pixel tiles) pay the round trip
@@ -15,11 +14,15 @@ time for data the viewport never shows.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 from ..config import NetworkConfig
 from ..metrics.timer import VirtualClock
+
+#: Bytes of request line + headers charged to every exchange.
+REQUEST_OVERHEAD_BYTES = 256
+#: Estimated serialized size of one returned object.
+PER_OBJECT_BYTES = 64
 
 
 @dataclass
@@ -63,8 +66,9 @@ class SimulatedLink:
 
     def round_trip_ms(self, payload_bytes: int) -> float:
         """Total simulated latency of one request/response exchange."""
-        request_bytes = self.config.request_overhead_bytes
-        return self.config.rtt_ms + self.transfer_ms(request_bytes + payload_bytes)
+        return self.config.rtt_ms + self.transfer_ms(
+            REQUEST_OVERHEAD_BYTES + payload_bytes
+        )
 
     # -- traffic accounting ----------------------------------------------------------
 
@@ -73,20 +77,14 @@ class SimulatedLink:
         latency = self.round_trip_ms(payload_bytes)
         with self._lock:
             self.stats.requests += 1
-            self.stats.bytes_transferred += (
-                payload_bytes + self.config.request_overhead_bytes
-            )
+            self.stats.bytes_transferred += payload_bytes + REQUEST_OVERHEAD_BYTES
             self.stats.simulated_ms += latency
             self.clock.advance(latency)
-        if self.config.simulate_delay:
-            # Sleep outside the lock: concurrent shard charges must overlap
-            # their latency, not serialise it.
-            time.sleep(latency / 1000.0)
         return latency
 
     def estimate_object_payload(self, object_count: int) -> int:
         """Payload size estimate for ``object_count`` serialized objects."""
-        return object_count * self.config.per_object_bytes
+        return object_count * PER_OBJECT_BYTES
 
     def reset(self) -> None:
         with self._lock:

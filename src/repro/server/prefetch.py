@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..core.viewport import Viewport
+from ..errors import KyrixError
 
 
 class Prefetcher:
@@ -104,10 +105,10 @@ class NeighborhoodPrefetcher(Prefetcher):
         self._current = None
 
 
-def make_prefetcher(strategy: str, *, history_window: int = 4) -> Prefetcher:
+def make_prefetcher(strategy: str) -> Prefetcher:
     """Factory from a :class:`~repro.config.PrefetchConfig` strategy name."""
     if strategy == "momentum":
-        return MomentumPrefetcher(history_window=history_window)
+        return MomentumPrefetcher()
     if strategy == "semantic":
         return NeighborhoodPrefetcher()
-    return Prefetcher()
+    raise KyrixError(f"unknown prefetch strategy: {strategy!r}")

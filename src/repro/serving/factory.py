@@ -7,8 +7,9 @@ frontends.  :func:`build_service` replaces those per-call-site builders:
 give it a configuration plus either a precomputed backend or the raw
 ``database``/``compiled`` pair, and it returns one composed
 :class:`~repro.serving.base.DataService` driven entirely by
-``config.cluster`` (sharding, parallel fan-out, wire-level shard calls,
-coalescing) and the keyword overrides.  Either way the stack holds exactly
+``config.cluster`` and the ``**cluster`` keyword overrides of its fields
+(no field is named here: adding or deleting one touches ``config.py`` and
+``docs/operations.md`` only).  Either way the stack holds exactly
 one server-side response cache, sized by ``config.cache.backend_entries``:
 a :class:`~repro.serving.middleware.CachingService` over the backend, or
 the router's own over its scatter-gather (the shards below it are bare
@@ -21,7 +22,7 @@ check time; the building blocks stay public.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..errors import KyrixError
 
@@ -40,26 +41,19 @@ def build_service(
     compiled: "CompiledApplication | None" = None,
     precompute: bool | None = None,
     tile_sizes: tuple[int, ...] = (),
-    shard_count: int | None = None,
-    strategy: str | None = None,
-    coalescing: bool | None = None,
-    parallel: bool | None = None,
-    wire_shards: bool | None = None,
-    replicas: int | None = None,
-    replica_policy: str | None = None,
-    worker_mode: str | None = None,
     autopilot: bool | None = None,
     telemetry: bool | None = None,
+    **cluster: Any,
 ) -> "DataService":
     """Build the configured serving stack and return its outermost service.
 
-    For a sharded stack the keyword overrides are folded into one
-    effective configuration before anything is built; the returned
-    router's ``config`` (and every worker process's) is that
-    configuration, so ``service.config.cluster`` always describes what is
-    being served — after an online rebalance too.  Every sharded stack
-    carries a :class:`~repro.cluster.rebalancer.LoadRebalancer` (reachable
-    as ``unwrap(service, ClusterRouter).cluster.rebalancer``) ready to
+    For a sharded stack the overrides are folded into one effective
+    configuration before anything is built; the returned router's
+    ``config`` (and every worker process's) is that configuration, so
+    ``service.config.cluster`` always describes what is being served —
+    after an online rebalance too.  Every sharded stack carries a
+    :class:`~repro.cluster.rebalancer.LoadRebalancer` (reachable as
+    ``unwrap(service, ClusterRouter).cluster.rebalancer``) ready to
     migrate the shard set online from observed load skew.
 
     Parameters
@@ -79,21 +73,6 @@ def build_service(
         factory constructed the backend itself.
     tile_sizes:
         Tile sizes to pre-build tuple–tile mapping tables for.
-    shard_count / strategy / coalescing / parallel / wire_shards:
-        Per-build overrides of the corresponding ``config.cluster`` fields.
-        Passing ``shard_count`` or ``strategy`` turns sharding on even when
-        ``config.cluster.enabled`` is false.
-    replicas / replica_policy:
-        Per-build overrides of ``config.cluster.replicas`` /
-        ``config.cluster.replica_policy``: with more than one replica every
-        shard serves through a
-        :class:`~repro.serving.replica.ReplicaService` (load balancing,
-        circuit breaking, failover).  Only meaningful for sharded stacks.
-    worker_mode:
-        Per-build override of ``config.cluster.worker_mode``:
-        ``"processes"`` forks one worker process per shard replica behind
-        a socket transport (:mod:`repro.serving.worker`) instead of the
-        in-process thread topology.  Only meaningful for sharded stacks.
     autopilot:
         Per-build override of ``config.cluster.autopilot.enabled``: when
         true the built cluster attaches **and starts** a
@@ -109,6 +88,12 @@ def build_service(
         ``config.telemetry`` and every layer of the built stack opens
         spans.  For sharded stacks the flag is folded into the effective
         configuration, so process-mode workers trace too.
+    **cluster:
+        Per-build overrides of :class:`~repro.config.ClusterConfig` fields,
+        by the field's own name (the table in ``docs/operations.md``).
+        Passing any turns sharding on even when ``config.cluster.enabled``
+        is false; an unknown name is a ``TypeError`` before any shard is
+        built.
     """
     from ..server.backend import KyrixBackend
     from .base import unwrap
@@ -128,25 +113,16 @@ def build_service(
         backend.precompute(tile_sizes=tile_sizes)
     config = config or backend.config
 
-    sharded = config.cluster.enabled or shard_count is not None or strategy is not None
-    if sharded:
+    if cluster or config.cluster.enabled:
         from ..cluster.builder import build_cluster
 
-        cluster = build_cluster(
+        service: "DataService" = build_cluster(
             backend,
-            shard_count=shard_count,
-            strategy=strategy,
-            coalescing=coalescing,
-            parallel=parallel,
-            wire_shards=wire_shards,
-            replicas=replicas,
-            replica_policy=replica_policy,
-            worker_mode=worker_mode,
             autopilot=autopilot,
             telemetry=telemetry,
             tile_sizes=tile_sizes,
-        )
-        service: "DataService" = cluster.router
+            **cluster,
+        ).router
     else:
         if telemetry is not None or config.telemetry.enabled:
             from ..telemetry import configure as configure_telemetry

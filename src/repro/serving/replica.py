@@ -29,8 +29,7 @@ Three concerns live here and nowhere else:
   ``timeout_ms`` of clock time, raised as
   :class:`~repro.errors.ReplicaTimeoutError`) marks the attempt failed and
   the request retries on the next replica the policy picks, never reusing a
-  replica it already tried.  Only when the set is exhausted (or
-  ``retry_limit`` attempts are spent) does
+  replica it already tried.  Only when the set is exhausted does
   :class:`~repro.errors.AllReplicasFailedError` surface, carrying every
   per-replica cause.
 
@@ -62,6 +61,12 @@ if TYPE_CHECKING:
     from .base import DataService
 
 __all__ = ["REPLICA_POLICIES", "ReplicaService", "ReplicaSetStats"]
+
+#: Seconds a swap waits for requests in flight on what it retires — one
+#: replica slot here, a whole shard generation in
+#: :meth:`~repro.cluster.router.ClusterRouter.retire_table` — before
+#: closing it anyway.
+DRAIN_TIMEOUT_S = 30.0
 
 
 class MonotonicClock:
@@ -149,8 +154,6 @@ class ReplicaService:
         The replica services (same data, independent serving stacks).
     policy:
         One of :data:`REPLICA_POLICIES`.
-    retry_limit:
-        Maximum attempts per request; ``0`` tries every replica once.
     breaker_threshold / breaker_reset_s:
         Circuit-breaker tuning (consecutive failures to open; seconds of
         clock time before a trial probe).
@@ -173,7 +176,6 @@ class ReplicaService:
         replicas: Sequence["DataService"],
         *,
         policy: str = "round_robin",
-        retry_limit: int = 0,
         breaker_threshold: int = 3,
         breaker_reset_s: float = 30.0,
         timeout_ms: float | None = None,
@@ -186,13 +188,10 @@ class ReplicaService:
             raise FetchError(
                 f"unknown replica policy {policy!r}; expected one of {REPLICA_POLICIES}"
             )
-        if retry_limit < 0:
-            raise FetchError("retry_limit must be non-negative")
         if breaker_threshold < 1:
             raise FetchError("breaker_threshold must be >= 1")
         self._replicas: list["DataService"] = list(replicas)
         self.policy = policy
-        self.retry_limit = retry_limit
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
         self.timeout_ms = timeout_ms
@@ -325,7 +324,6 @@ class ReplicaService:
         index: int,
         replacement: "DataService",
         *,
-        drain_timeout_s: float = 30.0,
         close_old: bool = True,
     ) -> "DataService":
         """Replace replica ``index`` online and return the old stack.
@@ -337,7 +335,7 @@ class ReplicaService:
         old service object run to completion against it (``_invoke`` reads
         ``self._replicas[index]`` exactly once per attempt), and the old
         stack is only closed once the slot's in-flight count drains (or
-        ``drain_timeout_s`` elapses — closing a straggler's stack beats
+        :data:`DRAIN_TIMEOUT_S` elapses — closing a straggler's stack beats
         leaking a worker process).  New attempts route to the replacement
         from the moment the swap happens.
         """
@@ -346,7 +344,7 @@ class ReplicaService:
                 f"replica index {index} out of range "
                 f"(replica set has {len(self._replicas)})"
             )
-        deadline = time.monotonic() + drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         with self._slot_drained:
             old = self._replicas[index]
             self._replicas[index] = replacement
@@ -368,12 +366,9 @@ class ReplicaService:
         self.stats.collector.bump("requests")
         causes: dict[int, BaseException] = {}
         tried: set[int] = set()
-        limit = self.retry_limit or len(self._replicas)
         attempts = 0
-        while attempts < limit:
-            index = self._select(tried)
-            if index is None:
-                break
+        # Every replica is tried at most once: _select never re-picks one.
+        while (index := self._select(tried)) is not None:
             attempts += 1
             tried.add(index)
             start_ms = self.clock.now_ms

@@ -28,11 +28,10 @@ responses equal their in-process originals — that is the law this seam
 exists to enforce.
 
 An optional :class:`~repro.net.link.SimulatedLink` charges each reply's
-measured byte size, so shard-boundary traffic shows up in link statistics
-(and, with ``simulate_delay``, as real wall-clock latency the parallel
-scatter-gather then overlaps across shards).  Independently of the link,
-every stub counts its real payload traffic (:class:`WireStats`), which is
-what the scaling benchmark reports as ``wire_bytes_per_step``.
+measured byte size, so shard-boundary traffic shows up in link statistics.
+Independently of the link, every stub counts its real payload traffic
+(:class:`WireStats`), which is what the suite reports as
+``wire_bytes_per_step``.
 """
 
 from __future__ import annotations

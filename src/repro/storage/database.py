@@ -78,10 +78,6 @@ class Database:
 
     # -- convenience loaders ---------------------------------------------------------
 
-    def load_rows(self, name: str, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk-load positional rows into an existing table."""
-        return self.table(name).bulk_load(rows)
-
     def create_and_load(
         self,
         name: str,
@@ -98,10 +94,6 @@ class Database:
     @property
     def pager_stats(self) -> PagerStats:
         return self._pool.stats
-
-    def simulated_time_ms(self) -> float:
-        """Total simulated I/O latency charged so far."""
-        return self.clock.now_ms
 
     def flush(self) -> None:
         """Flush the buffer pool (write back all dirty pages)."""

@@ -42,8 +42,3 @@ def decode_row(buffer: bytes, schema: TableSchema) -> tuple[Any, ...]:
         value, offset = decode_value(buffer, offset, column.type)
         values.append(value)
     return tuple(values)
-
-
-def row_size(row: Sequence[Any], schema: TableSchema) -> int:
-    """Return the encoded size of ``row`` in bytes (used for page packing)."""
-    return len(encode_row(row, schema))

@@ -153,10 +153,6 @@ class Table:
         self._stats = None
         return rid
 
-    def insert_many(self, rows: Iterable[Sequence[Any] | dict[str, Any]]) -> list[RecordId]:
-        """Insert many rows; returns the rids in insertion order."""
-        return [self.insert(row) for row in rows]
-
     def bulk_load(self, rows: Iterable[Sequence[Any]]) -> int:
         """Fast-path load of positional rows with deferred index maintenance.
 
@@ -217,9 +213,6 @@ class Table:
     def fetch(self, rid: RecordId) -> tuple[Any, ...]:
         """Return the row stored at ``rid``."""
         return self._heap.fetch(rid)
-
-    def fetch_dict(self, rid: RecordId) -> dict[str, Any]:
-        return self.schema.row_to_dict(self._heap.fetch(rid))
 
     def fetch_many(self, rids: Sequence[RecordId]) -> list[tuple[Any, ...]]:
         return [self._heap.fetch(rid) for rid in rids]

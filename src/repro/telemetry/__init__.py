@@ -58,15 +58,15 @@ def configure(config=None, **overrides) -> Tracer:
     """(Re)configure the process-wide telemetry plane.
 
     ``config`` is anything shaped like :class:`repro.config.TelemetryConfig`
-    (attributes ``enabled``, ``sample_rate``, ``trace_buffer``,
-    ``export_path``); keyword overrides win over the config object.
+    (attributes ``enabled``, ``sample_rate``, ``export_path``); keyword
+    overrides — those three, or the tracer's ``trace_buffer`` ring size —
+    win over the config object.
     Reconfiguring resets both the trace ring buffer and the histogram
     registry so each serving topology starts from a clean plane.
     """
     settings = {
         "enabled": getattr(config, "enabled", False),
         "sample_rate": getattr(config, "sample_rate", 1.0),
-        "trace_buffer": getattr(config, "trace_buffer", 256),
         "export_path": getattr(config, "export_path", None),
     }
     settings.update(overrides)

@@ -16,7 +16,7 @@ attempt, rpc, backend execute).  Traces cross three kinds of boundary:
   the stub re-ingests them.  Worker-side spans therefore carry the
   *parent* trace id even though they were timed in another process.
 
-Completed traces land in a bounded ring buffer (``trace_buffer`` newest
+Completed traces land in a bounded ring buffer (:data:`TRACE_BUFFER` newest
 traces) and, optionally, as one JSON line per trace in ``export_path`` for
 offline analysis via ``python -m repro.telemetry.dump``.
 
@@ -34,6 +34,9 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator
+
+#: Newest completed traces retained for ``GET /trace/<trace_id>``.
+TRACE_BUFFER = 256
 
 
 def _new_id(nbytes: int = 8) -> str:
@@ -202,7 +205,7 @@ class Tracer:
         self._export_lock = threading.Lock()
         self._trace_counter = 0
         self._active: dict[str, _TraceRecord] = {}
-        self._finished: deque[_TraceRecord] = deque(maxlen=256)
+        self._finished: deque[_TraceRecord] = deque(maxlen=TRACE_BUFFER)
 
     # -- configuration -----------------------------------------------------------
 
@@ -211,7 +214,7 @@ class Tracer:
         *,
         enabled: bool = False,
         sample_rate: float = 1.0,
-        trace_buffer: int = 256,
+        trace_buffer: int = TRACE_BUFFER,
         export_path: str | None = None,
     ) -> None:
         """Reconfigure and reset: active traces and the ring buffer are dropped."""

@@ -318,6 +318,10 @@ class TestProtocolDrift:
                 @classmethod
                 def from_json(cls, text):
                     return cls(**json.loads(text))
+
+                @classmethod
+                def from_dict(cls, data):
+                    return _load_fields(cls, data)
         """
         assert lint_source(source, rule="protocol-drift") == []
 

@@ -6,7 +6,7 @@ import pytest
 from repro.bench.apps import default_config
 from repro.client.frontend import KyrixFrontend
 from repro.client.session import ExplorationSession
-from repro.config import KyrixConfig
+from repro.config import INTERACTIVITY_BUDGET_MS, KyrixConfig
 from repro.core.viewport import Viewport
 from repro.errors import JumpError, UnknownCanvasError
 from repro.server.prefetch import MomentumPrefetcher
@@ -114,12 +114,11 @@ class TestMetricsAndRendering:
         assert frontend.renderer.nonzero_pixels() > 0
         assert frontend.metrics.steps[0].render_ms >= 0
 
-    def test_interactivity_budget_met_on_tiny_dataset(self, frontend, dots_stack):
+    def test_interactivity_budget_met_on_tiny_dataset(self, frontend):
         frontend.load_canvas("dots", Viewport(0, 0, 512, 512))
         for _ in range(5):
             frontend.pan_by(512, 0)
-        budget = dots_stack.backend.config.interactivity_budget_ms
-        assert frontend.metrics.summary().within_budget(budget)
+        assert frontend.metrics.summary().within_budget(INTERACTIVITY_BUDGET_MS)
 
 
 class TestPrefetching:
@@ -127,7 +126,7 @@ class TestPrefetching:
         config = KyrixConfig.from_dict(
             {
                 **default_config(viewport=512).to_dict(),
-                "prefetch": {"enabled": True, "strategy": "momentum", "lookahead_steps": 1},
+                "prefetch": {"enabled": True, "strategy": "momentum"},
             }
         )
         frontend = KyrixFrontend(

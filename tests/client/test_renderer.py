@@ -7,7 +7,7 @@ from repro.config import NetworkConfig
 from repro.core.rendering import dot_renderer, legend_renderer, rect_renderer
 from repro.core.viewport import Viewport
 from repro.errors import ClientError
-from repro.net.link import SimulatedLink
+from repro.net.link import PER_OBJECT_BYTES, REQUEST_OVERHEAD_BYTES, SimulatedLink
 from repro.net.protocol import DataRequest, DataResponse
 
 
@@ -78,9 +78,10 @@ class TestSimulatedLink:
         assert link.transfer_ms(1000) == pytest.approx(1.0)
 
     def test_round_trip_includes_rtt_and_overhead(self):
-        config = NetworkConfig(rtt_ms=5.0, bandwidth_mbps=1000.0, request_overhead_bytes=0)
-        link = SimulatedLink(config)
-        assert link.round_trip_ms(0) == pytest.approx(5.0)
+        link = SimulatedLink(NetworkConfig(rtt_ms=5.0, bandwidth_mbps=8.0))
+        # 8 Mbit/s = 1 byte per microsecond: the overhead alone costs time.
+        assert REQUEST_OVERHEAD_BYTES == 256
+        assert link.round_trip_ms(0) == pytest.approx(5.0 + 0.256)
 
     def test_charge_request_advances_clock_and_stats(self):
         link = SimulatedLink(NetworkConfig(rtt_ms=2.0))
@@ -92,8 +93,8 @@ class TestSimulatedLink:
         assert link.stats.requests == 0
 
     def test_estimate_object_payload(self):
-        link = SimulatedLink(NetworkConfig(per_object_bytes=100))
-        assert link.estimate_object_payload(7) == 700
+        assert PER_OBJECT_BYTES == 64
+        assert SimulatedLink().estimate_object_payload(7) == 7 * 64
 
     def test_many_small_requests_cost_more_than_one_big(self):
         """The core reason small tiles lose: per-request RTT dominates."""

@@ -35,7 +35,7 @@ def test_parallel_router_is_byte_identical_to_sequential(
         stack.backend,
         shard_count=shard_count,
         tile_sizes=tile_sizes,
-        parallel=False,
+        parallel_shards=False,
         wire_shards=False,
     )
     try:
@@ -151,7 +151,7 @@ def test_executor_is_lazy_and_close_is_idempotent(usmap_parity_stack):
 
 def test_sequential_config_never_creates_an_executor(usmap_parity_stack):
     stack = usmap_parity_stack
-    cluster = build_cluster(stack.backend, shard_count=2, parallel=False)
+    cluster = build_cluster(stack.backend, shard_count=2, parallel_shards=False)
     try:
         plan = stack.backend.compiled.canvas_plan("statemap")
         wide = DataRequest(

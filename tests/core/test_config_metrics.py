@@ -1,20 +1,49 @@
 """Tests for configuration objects and the metrics utilities."""
 
 import json
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
 from repro.config import (
+    AutopilotConfig,
     CacheConfig,
+    ClusterConfig,
     INTERACTIVITY_BUDGET_MS,
     KyrixConfig,
     NetworkConfig,
     PrefetchConfig,
     StorageConfig,
+    TelemetryConfig,
 )
 from repro.errors import KyrixError
 from repro.metrics.collector import LatencyBreakdown, MetricsCollector, summarize
 from repro.metrics.timer import Timer, VirtualClock
+
+
+INVALID_VALUES = [
+    {"app_name": ""},
+    {"viewport_width": 0},
+    {"storage": {"page_size": 10}},
+    {"network": {"bandwidth_mbps": 0}},
+    {"prefetch": {"strategy": "psychic"}},
+    # ``enabled`` is the one off-switch; "none" is not a strategy.
+    {"prefetch": {"strategy": "none"}},
+    {"cache": {"backend_entries": -1}},
+]
+#: Outside input (a ``config.txt``) that is not shaped like a configuration:
+#: unknown keys — a knob deleted since the file was saved included —
+#: non-mapping sections and wrong-typed scalars.
+MALFORMED_INPUT = [
+    {"cluster": {"nope": 1}},
+    {"nope": 1},
+    {"cluster": {"autopilot": {"nope": 1}}},
+    {"cluster": {"autopilot": 5}},
+    {"cluster": {"shard_count": "4"}},
+    {"interactivity_budget_ms": 500.0},
+]
 
 
 class TestConfig:
@@ -23,7 +52,6 @@ class TestConfig:
 
     def test_interactivity_budget_is_500ms(self):
         assert INTERACTIVITY_BUDGET_MS == 500.0
-        assert KyrixConfig().interactivity_budget_ms == 500.0
 
     def test_round_trip_dict(self):
         config = KyrixConfig(app_name="demo", viewport_width=640)
@@ -46,21 +74,40 @@ class TestConfig:
         assert config.cache.enabled is False
         assert config.network.rtt_ms == NetworkConfig().rtt_ms
 
+    @pytest.mark.parametrize("bad", INVALID_VALUES + MALFORMED_INPUT)
+    def test_invalid_configs_rejected(self, bad):
+        with pytest.raises(KyrixError) as caught:
+            KyrixConfig.from_dict(bad)
+        if bad in MALFORMED_INPUT:
+            # The error names the offending ``section.key`` path.
+            path = []
+            while isinstance(bad, dict):
+                (key, bad), = bad.items()
+                path.append(key)
+            assert repr(".".join(path)) in str(caught.value)
+
     @pytest.mark.parametrize(
-        "bad",
+        "heading, section",
         [
-            {"app_name": ""},
-            {"viewport_width": 0},
-            {"interactivity_budget_ms": -1},
-            {"storage": {"page_size": 10}},
-            {"network": {"bandwidth_mbps": 0}},
-            {"prefetch": {"strategy": "psychic"}},
-            {"cache": {"backend_entries": -1}},
+            ("cluster.*", ClusterConfig()),
+            ("cluster.autopilot.*", AutopilotConfig()),
+            ("telemetry.*", TelemetryConfig()),
         ],
     )
-    def test_invalid_configs_rejected(self, bad):
-        with pytest.raises(KyrixError):
-            KyrixConfig.from_dict(bad)
+    def test_operations_reference_matches_the_dataclasses(self, heading, section):
+        """Both directions: every field has a ``docs/operations.md`` row with
+        its real default, and no row names a field that does not exist."""
+        doc = Path(__file__).resolve().parents[2] / "docs" / "operations.md"
+        table = doc.read_text().split(f"### `{heading}`", 1)[1].split("\n###", 1)[0]
+        documented = {
+            name: json.loads(default)
+            for name, default in re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", table, re.M)
+        }
+        assert documented == {
+            spec.name: getattr(section, spec.name)
+            for spec in fields(section)
+            if not is_dataclass(getattr(section, spec.name))
+        }
 
     def test_storage_config_validation(self):
         with pytest.raises(KyrixError):
@@ -69,7 +116,7 @@ class TestConfig:
     def test_prefetch_config_validation(self):
         PrefetchConfig(strategy="momentum").validate()
         with pytest.raises(KyrixError):
-            PrefetchConfig(lookahead_steps=-1).validate()
+            PrefetchConfig(strategy="none").validate()
 
 
 class TestTimers:

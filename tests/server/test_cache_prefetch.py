@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.viewport import Viewport
+from repro.errors import KyrixError
 from repro.server.cache import LRUCache
 from repro.server.prefetch import (
     MomentumPrefetcher,
@@ -188,7 +189,8 @@ class TestFactory:
     def test_make_prefetcher(self):
         assert isinstance(make_prefetcher("momentum"), MomentumPrefetcher)
         assert isinstance(make_prefetcher("semantic"), NeighborhoodPrefetcher)
-        assert type(make_prefetcher("none")) is Prefetcher
+        with pytest.raises(KyrixError):
+            make_prefetcher("none")
 
     def test_base_prefetcher_is_inert(self):
         prefetcher = Prefetcher()

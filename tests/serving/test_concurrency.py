@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import NetworkConfig
 from repro.metrics.timer import VirtualClock
-from repro.net.link import SimulatedLink
+from repro.net.link import REQUEST_OVERHEAD_BYTES, SimulatedLink
 from repro.net.protocol import DataRequest
 from repro.server.cache import LRUCache
 from repro.serving import (
@@ -92,7 +92,7 @@ class TestSimulatedLinkConcurrency:
         total = THREADS * ROUNDS
         assert link.stats.requests == total
         assert link.stats.bytes_transferred == total * (
-            payload + link.config.request_overhead_bytes
+            payload + REQUEST_OVERHEAD_BYTES
         )
         expected_ms = link.round_trip_ms(payload) * total
         assert link.stats.simulated_ms == pytest.approx(expected_ms)
@@ -147,10 +147,10 @@ class TestReplicatedClusterConcurrency:
             shard_count=2,
             replicas=2,
             replica_policy="least_inflight",
-            # Per-request identities below need every request to really
-            # scatter: no router cache, no coalescing.
-            coalescing=False,
         )
+        # Per-request identities below need every request to really
+        # scatter: no router cache, and every thread asks for its own boxes
+        # so no two requests are ever identical and in flight together.
         cluster.router.cache.capacity = 0
         service = cluster.router
         try:
@@ -158,6 +158,7 @@ class TestReplicatedClusterConcurrency:
             for layer in cluster.router.replica_sets().values():
                 fault_replica(layer, 0, FaultSchedule.fail_always())
             plan = dots_stack.compiled.canvas_plan("dots")
+            per_thread = 6
             requests = [
                 DataRequest(
                     app_name=dots_stack.compiled.app_name, canvas_id="dots",
@@ -166,7 +167,7 @@ class TestReplicatedClusterConcurrency:
                     xmax=min(7.0 * i + 420.0, plan.width),
                     ymax=min(5.0 * i + 420.0, plan.height),
                 )
-                for i in range(6)
+                for i in range(THREADS * per_thread)
             ]
             expected = {
                 req.cache_key(): sorted(
@@ -174,11 +175,12 @@ class TestReplicatedClusterConcurrency:
                 )
                 for req in requests
             }
+            assert len(expected) == len(requests)
             rounds = 12
 
             def worker(index):
                 for _ in range(rounds):
-                    for req in requests:
+                    for req in requests[index::THREADS]:
                         response = service.handle(req)
                         got = sorted(o["tuple_id"] for o in response.objects)
                         # Interleaving corruption would show up as another
@@ -187,9 +189,12 @@ class TestReplicatedClusterConcurrency:
 
             _hammer(worker)
 
-            issued = THREADS * rounds * len(requests)
-            # Exact totals: no lost increments anywhere.
+            issued = rounds * len(requests)
+            # Exact totals: no lost increments anywhere, and every request
+            # led its own scatter-gather.
             assert cluster.router.stats.requests == issued
+            assert cluster.router.stats.scatter_gathers == issued
+            assert cluster.router.coalescer.stats.leaders == issued
             for shard_id, layer in cluster.router.replica_sets().items():
                 # All in-flight counters drained back to zero.
                 assert layer.inflight == [0, 0]

@@ -207,16 +207,6 @@ class TestFailover:
             assert f"replica{index}" in str(error)
         assert service.stats.snapshot()["exhausted"] == 1
 
-    def test_retry_limit_caps_attempts(self):
-        replicas = [ScriptedService() for _ in range(4)]
-        service = ReplicaService(replicas, retry_limit=2)
-        for index in range(4):
-            fault_replica(service, index, FaultSchedule.fail_always())
-        with pytest.raises(AllReplicasFailedError) as excinfo:
-            service.handle(_box())
-        assert excinfo.value.attempts == 2
-        assert len(excinfo.value.causes) == 2
-
     def test_timeout_counts_as_failure_and_fails_over(self):
         clock = VirtualClock()
         replicas = [ScriptedService("slow"), ScriptedService("fast")]

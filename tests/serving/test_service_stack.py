@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench.apps import build_dots_backend, default_config
 from repro.cluster import ClusterRouter, build_cluster
 from repro.client import KyrixFrontend
+from repro.config import ClusterConfig
 from repro.datagen.synthetic import tiny_spec
 from repro.errors import KyrixError
 from repro.serving import (
@@ -20,6 +23,29 @@ from repro.serving import (
     stack_layers,
     unwrap,
 )
+
+
+def _second_value(spec: dataclasses.Field):
+    """A valid non-default value for one scalar ``ClusterConfig`` field."""
+    if isinstance(spec.default, str):
+        return {
+            "strategy": "kd",
+            "replica_policy": "least_inflight",
+            "worker_mode": "processes",
+        }[spec.name]
+    if isinstance(spec.default, bool):
+        return not spec.default
+    return spec.default + 1
+
+
+#: One override per scalar ``ClusterConfig`` field, derived from the
+#: dataclass so the list cannot fall behind it (``autopilot`` is a section
+#: with its own override, tested below).
+OVERRIDES = {
+    spec.name: _second_value(spec)
+    for spec in dataclasses.fields(ClusterConfig)
+    if spec.name != "autopilot"
+}
 
 
 class TestProtocol:
@@ -180,37 +206,45 @@ class TestBuildService:
         assert router.describe()["replicas"] == 2
         router.close()
 
-    @pytest.mark.parametrize(
-        "kwarg, field, value",
-        [
-            ("shard_count", "shard_count", 2),
-            ("strategy", "strategy", "kd"),
-            ("coalescing", "coalescing", False),
-            ("parallel", "parallel_shards", False),
-            ("wire_shards", "wire_shards", False),
-            ("replicas", "replicas", 2),
-            ("replica_policy", "replica_policy", "least_inflight"),
-            ("worker_mode", "worker_mode", "processes"),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", sorted(OVERRIDES.items()))
     def test_every_override_lands_in_the_served_config(
-        self, dots_stack, kwarg, field, value
+        self, dots_stack, field, value
     ):
         """One effective configuration: what an override asked for is what
         ``router.config.cluster`` says is being served."""
         base = dots_stack.backend.config
         assert getattr(base.cluster, field) != value, "override must differ"
-        overrides = {"shard_count": 2, kwarg: value}
+        overrides = {"shard_count": 2, field: value}
         service = build_service(base, backend=dots_stack.backend, **overrides)
         router = unwrap(service, ClusterRouter)
         try:
             assert getattr(router.config.cluster, field) == value
             assert router.cluster_config is router.config.cluster
-            assert router.config.cluster.shard_count == router.shard_count == 2
+            assert (
+                router.config.cluster.shard_count
+                == router.shard_count
+                == overrides["shard_count"]
+            )
             # The caller's configuration is not edited in place.
             assert getattr(base.cluster, field) != value
         finally:
             service.close()
+
+    def test_unknown_override_fails_before_anything_is_built(self, dots_stack):
+        import multiprocessing
+        from dataclasses import astuple
+
+        pager = dots_stack.backend.database.pager_stats
+        pages_before = astuple(pager)
+        workers_before = multiprocessing.active_children()
+        with pytest.raises(TypeError, match="shard_cuont"):
+            build_service(
+                dots_stack.backend.config, backend=dots_stack.backend,
+                shard_cuont=2, worker_mode="processes",
+            )
+        # No shard indexed (not one source page was read), no worker forked.
+        assert astuple(pager) == pages_before
+        assert multiprocessing.active_children() == workers_before
 
     def test_telemetry_and_autopilot_overrides_land_in_the_served_config(
         self, dots_stack

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.net import columnar
-from repro.net.link import SimulatedLink
+from repro.net.link import REQUEST_OVERHEAD_BYTES, SimulatedLink
 from repro.net.protocol import DataRequest
 from repro.serving import (
     LocalTransport,
@@ -129,7 +129,5 @@ class TestStubAndLink:
         wire = service.stub.wire_stats
         assert wire.calls == 1
         reply_bytes = wire.bytes_received - 4
-        assert link.stats.bytes_transferred == (
-            reply_bytes + backend.config.network.request_overhead_bytes
-        )
+        assert link.stats.bytes_transferred == reply_bytes + REQUEST_OVERHEAD_BYTES
         assert service.stats is link.stats

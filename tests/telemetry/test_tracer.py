@@ -186,7 +186,7 @@ class TestExport:
 class TestConfig:
     def test_configure_reads_the_config_section(self, tmp_path):
         section = TelemetryConfig(
-            enabled=True, sample_rate=0.25, trace_buffer=7,
+            enabled=True, sample_rate=0.25,
             export_path=str(tmp_path / "t.jsonl"),
         )
         tracer = configure(section)
@@ -206,5 +206,3 @@ class TestConfig:
     def test_telemetry_config_validates(self):
         with pytest.raises(KyrixError):
             TelemetryConfig(sample_rate=1.5).validate()
-        with pytest.raises(KyrixError):
-            TelemetryConfig(trace_buffer=0).validate()
