@@ -39,6 +39,7 @@ Call sites do not construct a ``ClusterRouter`` themselves; they use
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -135,6 +136,8 @@ class ShardTable:
             shard.close()
         if self.worker_pool is not None:
             self.worker_pool.close()
+        # The factory froze the heap it built; a closed generation is garbage.
+        gc.unfreeze()
 
 
 @dataclass

@@ -1,59 +1,32 @@
 """Executor for planned mini-SQL statements.
 
-The executor walks the physical plan produced by
-:class:`~repro.minisql.planner.Planner`, pulling row contexts (dictionaries
-keyed by both bare and qualified column names) through each operator, and
-returns a :class:`ResultSet`.
+The physical plan produced by :class:`~repro.minisql.planner.Planner` runs
+itself: every node moves flat tuples whose layout, and every expression over
+them, was fixed when the node was built.  The engine here drives the root
+node into a :class:`ResultSet` and carries out data-modification statements
+with the same compiled expressions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterator
 
-from ..errors import SQLExecutionError, SQLPlanError
+from ..errors import SQLExecutionError
 from ..storage.database import Database
-from ..storage.rtree import Rect
 from ..storage.table import Table
 from .ast import (
-    ColumnRef,
     CreateIndexStatement,
     CreateTableStatement,
     DeleteStatement,
     Expression,
-    FunctionCall,
     InsertStatement,
-    SelectItem,
-    SelectStatement,
     Statement,
     UpdateStatement,
 )
-from .functions import (
-    AGGREGATE_FUNCTIONS,
-    evaluate,
-    lookup_column,
-    predicate_matches,
-)
+from .functions import Layout, compile_expression, compile_predicate
 from .parser import parse
-from .planner import (
-    Aggregate,
-    DataModification,
-    Filter,
-    HashJoin,
-    IndexKeyScan,
-    IndexNLJoin,
-    LimitNode,
-    PlanNode,
-    PlannedQuery,
-    Planner,
-    Project,
-    SeqScan,
-    SeqScanConstant,
-    Sort,
-    SpatialScan,
-)
-
-RowContext = dict[str, Any]
+from .planner import DataModification, PlannedQuery, Planner
 
 
 @dataclass
@@ -101,170 +74,20 @@ class SQLEngine:
 
     def execute(self, sql: str) -> ResultSet:
         """Run one SQL statement and return its result set."""
-        statement = parse(sql)
-        planned = self._planner.plan(statement)
-        return self.execute_plan(planned)
+        return self.execute_plan(self._planner.plan(parse(sql)))
 
     def explain(self, sql: str) -> str:
         """Return the physical plan for a statement without executing it."""
-        statement = parse(sql)
-        planned = self._planner.plan(statement)
-        return planned.root.explain()
+        return self._planner.plan(parse(sql)).root.explain()
 
     def execute_plan(self, planned: PlannedQuery) -> ResultSet:
         self.queries_executed += 1
         root = planned.root
         if isinstance(root, DataModification):
             return self._execute_modification(root.statement)
-        rows = list(self._execute_node(root))
-        columns = self._output_columns(planned.statement, rows)
-        ordered = [tuple(row.get(c) for c in columns) for row in rows]
-        return ResultSet(columns=columns, rows=ordered, access_path=planned.access_path)
-
-    # -- SELECT output shaping ----------------------------------------------------
-
-    def _output_columns(self, statement: Statement, rows: list[RowContext]) -> list[str]:
-        if not isinstance(statement, SelectStatement):
-            return []
-        if statement.select_star:
-            columns: list[str] = []
-            if statement.table is not None:
-                table = self.database.table(statement.table.name)
-                columns.extend(table.schema.column_names)
-                for join in statement.joins:
-                    joined = self.database.table(join.table.name)
-                    for name in joined.schema.column_names:
-                        if name not in columns:
-                            columns.append(name)
-            elif rows:
-                columns = [k for k in rows[0] if "." not in k]
-            return columns
-        return _item_names(list(statement.items))
-
-    # -- plan-node execution ---------------------------------------------------------
-
-    def _execute_node(self, node: PlanNode) -> Iterator[RowContext]:
-        if isinstance(node, SeqScanConstant):
-            yield {}
-            return
-        if isinstance(node, SeqScan):
-            yield from self._scan_rows(node.table, node.binding)
-            return
-        if isinstance(node, IndexKeyScan):
-            for key in node.keys:
-                for _, row in node.table.lookup_key(node.column, key):
-                    yield _row_context(node.table, node.binding, row)
-            return
-        if isinstance(node, SpatialScan):
-            for _, row in node.table.spatial_search(node.column, node.rect):
-                yield _row_context(node.table, node.binding, row)
-            return
-        if isinstance(node, Filter):
-            for context in self._execute_node(node.child):
-                if predicate_matches(node.predicate, context):
-                    yield context
-            return
-        if isinstance(node, IndexNLJoin):
-            yield from self._execute_index_join(node)
-            return
-        if isinstance(node, HashJoin):
-            yield from self._execute_hash_join(node)
-            return
-        if isinstance(node, Project):
-            yield from self._execute_project(node)
-            return
-        if isinstance(node, Aggregate):
-            yield from self._execute_aggregate(node)
-            return
-        if isinstance(node, Sort):
-            yield from self._execute_sort(node)
-            return
-        if isinstance(node, LimitNode):
-            yield from self._execute_limit(node)
-            return
-        raise SQLExecutionError(f"unknown plan node {type(node).__name__}")
-
-    def _scan_rows(self, table: Table, binding: str) -> Iterator[RowContext]:
-        for _, row in table.scan():
-            yield _row_context(table, binding, row)
-
-    def _execute_index_join(self, node: IndexNLJoin) -> Iterator[RowContext]:
-        inner = node.inner_table
-        binding = node.inner_binding
-        for outer_context in self._execute_node(node.outer):
-            key = lookup_column(outer_context, node.outer_column)
-            if key is None:
-                continue
-            for _, inner_row in inner.lookup_key(node.inner_column, key):
-                merged = dict(outer_context)
-                merged.update(_row_context(inner, binding, inner_row))
-                yield merged
-
-    def _execute_hash_join(self, node: HashJoin) -> Iterator[RowContext]:
-        build: dict[Any, list[RowContext]] = {}
-        for inner_context in self._execute_node(node.inner):
-            key = lookup_column(inner_context, node.inner_column)
-            if key is None:
-                continue
-            build.setdefault(key, []).append(inner_context)
-        for outer_context in self._execute_node(node.outer):
-            key = lookup_column(outer_context, node.outer_column)
-            if key is None:
-                continue
-            for inner_context in build.get(key, ()):
-                merged = dict(outer_context)
-                merged.update(inner_context)
-                yield merged
-
-    def _execute_project(self, node: Project) -> Iterator[RowContext]:
-        seen: set[tuple[Any, ...]] = set()
-        names = _item_names(node.items)
-        for context in self._execute_node(node.child):
-            if node.select_star:
-                projected = {k: v for k, v in context.items() if "." not in k}
-            else:
-                projected = {}
-                for name, item in zip(names, node.items):
-                    projected[name] = evaluate(item.expression, context)
-            if node.distinct:
-                key = tuple(sorted(projected.items(), key=lambda kv: kv[0]))
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield projected
-
-    def _execute_aggregate(self, node: Aggregate) -> Iterator[RowContext]:
-        groups: dict[tuple[Any, ...], list[RowContext]] = {}
-        for context in self._execute_node(node.child):
-            key = tuple(evaluate(expr, context) for expr in node.group_by)
-            groups.setdefault(key, []).append(context)
-        if not groups and not node.group_by:
-            groups[()] = []
-        names = _item_names(node.items)
-        for key, members in groups.items():
-            output: RowContext = {}
-            for name, item in zip(names, node.items):
-                output[name] = _evaluate_aggregate_item(item.expression, members)
-            yield output
-
-    def _execute_sort(self, node: Sort) -> Iterator[RowContext]:
-        rows = list(self._execute_node(node.child))
-        for order in reversed(node.order_by):
-            rows.sort(
-                key=lambda context: _sort_key(_evaluate_order_key(order.expression, context)),
-                reverse=order.descending,
-            )
-        yield from rows
-
-    def _execute_limit(self, node: LimitNode) -> Iterator[RowContext]:
-        start = node.offset or 0
-        end = None if node.limit is None else start + node.limit
-        for index, context in enumerate(self._execute_node(node.child)):
-            if index < start:
-                continue
-            if end is not None and index >= end:
-                return
-            yield context
+        return ResultSet(
+            columns=root.layout.names, rows=list(root.rows()), access_path=planned.access_path
+        )
 
     # -- data modification --------------------------------------------------------------
 
@@ -292,7 +115,7 @@ class SQLEngine:
         table = self.database.table(statement.table)
         inserted = 0
         for value_tuple in statement.rows:
-            values = [evaluate(expression, {}) for expression in value_tuple]
+            values = [compile_expression(expression, Layout())(()) for expression in value_tuple]
             if statement.columns:
                 if len(values) != len(statement.columns):
                     raise SQLExecutionError(
@@ -304,125 +127,25 @@ class SQLEngine:
             inserted += 1
         return ResultSet(columns=[], rows=[], rowcount=inserted)
 
+    def _matching(self, table_name: str, where: Expression | None) -> tuple[Table, Layout, list]:
+        """The table, its layout and the ``(rid, row)`` pairs ``where`` selects."""
+        table = self.database.table(table_name)
+        layout = Layout.of_table(table, table_name)
+        matches = compile_predicate(where, layout)
+        return table, layout, [(rid, row) for rid, row in table.scan() if matches(row)]
+
     def _execute_update(self, statement: UpdateStatement) -> ResultSet:
-        table = self.database.table(statement.table)
-        targets = []
-        for rid, row in table.scan():
-            context = _row_context(table, statement.table, row)
-            if predicate_matches(statement.where, context):
-                targets.append((rid, context))
-        for rid, context in targets:
-            changes = {
-                column: evaluate(expression, context)
-                for column, expression in statement.assignments
-            }
-            table.update(rid, changes)
+        table, layout, targets = self._matching(statement.table, statement.where)
+        assignments = [
+            (column, compile_expression(expression, layout))
+            for column, expression in statement.assignments
+        ]
+        for rid, row in targets:
+            table.update(rid, {column: evaluate(row) for column, evaluate in assignments})
         return ResultSet(columns=[], rows=[], rowcount=len(targets))
 
     def _execute_delete(self, statement: DeleteStatement) -> ResultSet:
-        table = self.database.table(statement.table)
-        targets = []
-        for rid, row in table.scan():
-            context = _row_context(table, statement.table, row)
-            if predicate_matches(statement.where, context):
-                targets.append(rid)
-        for rid in targets:
+        table, _, targets = self._matching(statement.table, statement.where)
+        for rid, _ in targets:
             table.delete(rid)
         return ResultSet(columns=[], rows=[], rowcount=len(targets))
-
-
-# ---------------------------------------------------------------------------
-# Helpers
-# ---------------------------------------------------------------------------
-
-
-def _row_context(table: Table, binding: str, row: tuple[Any, ...]) -> RowContext:
-    context: RowContext = {}
-    for column, value in zip(table.schema.columns, row):
-        context[column.name] = value
-        context[f"{binding}.{column.name}"] = value
-        if binding != table.name:
-            context[f"{table.name}.{column.name}"] = value
-    return context
-
-
-def _item_name(item: SelectItem, index: int) -> str:
-    if item.alias:
-        return item.alias
-    expression = item.expression
-    if isinstance(expression, ColumnRef):
-        return expression.column
-    if isinstance(expression, FunctionCall):
-        return expression.name
-    return f"column_{index}"
-
-
-def _item_names(items: Sequence[SelectItem]) -> list[str]:
-    """Output column names for a projection, de-duplicated in order.
-
-    Two unaliased ``count(...)`` items would otherwise collide on the name
-    ``count`` and overwrite one another in the output row.
-    """
-    names: list[str] = []
-    seen: set[str] = set()
-    for index, item in enumerate(items):
-        name = _item_name(item, index)
-        if name in seen:
-            name = f"{name}_{index}"
-        seen.add(name)
-        names.append(name)
-    return names
-
-
-def _evaluate_order_key(expression: Expression, context: RowContext) -> Any:
-    """Evaluate an ORDER BY key.
-
-    Sorting runs above the projection, so qualified references
-    (``d.id``) may have been collapsed to their bare output names; fall back
-    to the bare column name when the qualified lookup fails.
-    """
-    try:
-        return evaluate(expression, context)
-    except SQLExecutionError:
-        if isinstance(expression, ColumnRef) and expression.column in context:
-            return context[expression.column]
-        raise
-
-
-def _sort_key(value: Any) -> tuple[int, Any]:
-    # NULLs sort first; mixed types are kept stable by sorting on type name.
-    if value is None:
-        return (0, 0)
-    return (1, value)
-
-
-def _evaluate_aggregate_item(expression: Expression, rows: list[RowContext]) -> Any:
-    if isinstance(expression, FunctionCall) and expression.name in AGGREGATE_FUNCTIONS:
-        name = expression.name
-        if expression.star:
-            if name != "count":
-                raise SQLPlanError(f"{name}(*) is not supported")
-            return len(rows)
-        if len(expression.args) != 1:
-            raise SQLPlanError(f"aggregate {name}() takes exactly one argument")
-        values = [
-            evaluate(expression.args[0], context)
-            for context in rows
-        ]
-        values = [v for v in values if v is not None]
-        if name == "count":
-            return len(values)
-        if not values:
-            return None
-        if name == "sum":
-            return sum(values)
-        if name == "avg":
-            return sum(values) / len(values)
-        if name == "min":
-            return min(values)
-        if name == "max":
-            return max(values)
-    # Group-by key or plain expression: evaluate against the first row.
-    if rows:
-        return evaluate(expression, rows[0])
-    return None

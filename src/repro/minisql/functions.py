@@ -1,17 +1,24 @@
-"""Expression evaluation for the mini-SQL executor.
+"""Expression compilation for the mini-SQL executor.
 
-Rows are evaluated against a *row context*: a dictionary mapping both bare
-column names (``"x"``) and qualified names (``"t.x"``) to values.  SQL
-three-valued logic is approximated with Python ``None`` propagation, which is
-sufficient for the predicates Kyrix applications issue.
+Rows flow between operators as flat tuples.  A :class:`Layout` names what
+sits at each offset, and :func:`compile_expression` turns an expression into
+a closure over such tuples, resolving every column reference to its offset
+once -- so an unknown or ambiguous name fails when the statement is planned,
+whether or not a row ever flows.  SQL three-valued logic is approximated
+with Python ``None`` propagation, which is sufficient for the predicates
+Kyrix applications issue.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..errors import SQLExecutionError, SQLPlanError
 from ..storage.rtree import Rect
+from ..storage.table import Table
 from .ast import (
     Between,
     BinaryOp,
@@ -24,174 +31,200 @@ from .ast import (
     UnaryOp,
 )
 
-RowContext = dict[str, Any]
+Row = tuple[Any, ...]
+Evaluator = Callable[[Row], Any]
 
-#: Names of aggregate functions (evaluated by the executor, not here).
+#: Names of aggregate functions (compiled by the planner, not here).
 AGGREGATE_FUNCTIONS = {"count", "sum", "avg", "min", "max"}
 
 
-def lookup_column(context: RowContext, ref: ColumnRef) -> Any:
-    """Resolve a column reference in a row context."""
-    key = f"{ref.table}.{ref.column}" if ref.table else ref.column
-    if key in context:
-        return context[key]
-    if ref.table is None:
-        # Unqualified reference: fall back to any qualified match.
-        matches = [k for k in context if k.endswith(f".{ref.column}")]
+@dataclass(frozen=True)
+class Layout:
+    """The shape of an operator's output rows: one ``(binding, table,
+    column)`` slot per offset (``binding`` and ``table`` are None for a
+    computed column)."""
+
+    slots: tuple[tuple[str | None, str | None, str], ...] = ()
+
+    @classmethod
+    def of_table(cls, table: Table, binding: str) -> "Layout":
+        return cls(tuple((binding, table.name, name) for name in table.schema.column_names))
+
+    def __add__(self, other: "Layout") -> "Layout":
+        return Layout(self.slots + other.slots)
+
+    @property
+    def names(self) -> list[str]:
+        return [column for _, _, column in self.slots]
+
+    def resolve(self, ref: ColumnRef) -> int:
+        """The offset ``ref`` names; a bare name must be unique in the row."""
+        matches = [
+            offset
+            for offset, (binding, table, column) in enumerate(self.slots)
+            if column == ref.column and (ref.table is None or ref.table in (binding, table))
+        ]
         if len(matches) == 1:
-            return context[matches[0]]
-        if len(matches) > 1:
-            raise SQLExecutionError(f"ambiguous column reference: {ref.column!r}")
-    raise SQLExecutionError(f"unknown column reference: {ref.display()!r}")
+            return matches[0]
+        if matches:
+            raise SQLExecutionError(f"ambiguous column reference: {ref.display()!r}")
+        raise SQLExecutionError(f"unknown column reference: {ref.display()!r}")
 
 
-def _scalar_function(name: str, args: list[Any]) -> Any:
-    """Evaluate a non-aggregate function call."""
-    if name == "intersects":
-        if len(args) == 5:
-            bbox, xmin, ymin, xmax, ymax = args
-            if bbox is None:
-                return False
-            return Rect.from_tuple(bbox).intersects(
-                Rect(float(xmin), float(ymin), float(xmax), float(ymax))
-            )
-        if len(args) == 2:
-            left, right = args
-            if left is None or right is None:
-                return False
-            return Rect.from_tuple(left).intersects(Rect.from_tuple(right))
-        raise SQLExecutionError("intersects() takes (bbox, x1, y1, x2, y2) or (bbox, bbox)")
-    if name == "bbox":
-        if len(args) != 4:
-            raise SQLExecutionError("bbox() takes exactly (xmin, ymin, xmax, ymax)")
-        if any(a is None for a in args):
-            return None
-        return (float(args[0]), float(args[1]), float(args[2]), float(args[3]))
-    if name == "abs":
-        return None if args[0] is None else abs(args[0])
-    if name == "floor":
-        import math
-
-        return None if args[0] is None else math.floor(args[0])
-    if name == "ceil":
-        import math
-
-        return None if args[0] is None else math.ceil(args[0])
-    if name == "min":
-        return min(args)
-    if name == "max":
-        return max(args)
-    raise SQLExecutionError(f"unknown function: {name!r}")
+def _intersects(*args: Any) -> bool:
+    if len(args) == 5:
+        bbox, xmin, ymin, xmax, ymax = args
+        if bbox is None:
+            return False
+        return Rect.from_tuple(bbox).intersects(
+            Rect(float(xmin), float(ymin), float(xmax), float(ymax))
+        )
+    if len(args) == 2:
+        left, right = args
+        if left is None or right is None:
+            return False
+        return Rect.from_tuple(left).intersects(Rect.from_tuple(right))
+    raise SQLExecutionError("intersects() takes (bbox, x1, y1, x2, y2) or (bbox, bbox)")
 
 
-def evaluate(expression: Expression, context: RowContext) -> Any:
-    """Evaluate ``expression`` against a row context."""
+def _bbox(*args: Any) -> tuple[float, float, float, float] | None:
+    if len(args) != 4:
+        raise SQLExecutionError("bbox() takes exactly (xmin, ymin, xmax, ymax)")
+    if any(a is None for a in args):
+        return None
+    return (float(args[0]), float(args[1]), float(args[2]), float(args[3]))
+
+
+def _null_safe(function: Callable[[Any], Any]) -> Callable[..., Any]:
+    return lambda value, *_: None if value is None else function(value)
+
+
+#: Non-aggregate functions, called with the evaluated arguments.
+_SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
+    "intersects": _intersects,
+    "bbox": _bbox,
+    "abs": _null_safe(abs),
+    "floor": _null_safe(math.floor),
+    "ceil": _null_safe(math.ceil),
+    "min": lambda *args: min(args),
+    "max": lambda *args: max(args),
+}
+
+
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise SQLExecutionError("division by zero")
+    return left / right
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise SQLExecutionError("modulo by zero")
+    return left % right
+
+
+#: Comparison and arithmetic operators; a NULL operand makes the result NULL.
+_BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq, "==": operator.eq, "!=": operator.ne, "<>": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": _modulo,
+}
+
+
+def compile_expression(expression: Expression, layout: Layout) -> Evaluator:
+    """Compile ``expression`` into a closure over rows shaped like ``layout``."""
     if isinstance(expression, Literal):
-        return expression.value
+        constant = expression.value
+        return lambda row: constant
     if isinstance(expression, ColumnRef):
-        return lookup_column(context, expression)
+        return operator.itemgetter(layout.resolve(expression))
     if isinstance(expression, UnaryOp):
-        value = evaluate(expression.operand, context)
+        operand = compile_expression(expression.operand, layout)
         if expression.operator == "not":
-            return None if value is None else (not bool(value))
+            return lambda row: None if (value := operand(row)) is None else not value
         if expression.operator == "-":
-            return None if value is None else -value
+            return lambda row: None if (value := operand(row)) is None else -value
         raise SQLExecutionError(f"unknown unary operator {expression.operator!r}")
     if isinstance(expression, BinaryOp):
-        return _evaluate_binary(expression, context)
+        return _compile_binary(expression, layout)
     if isinstance(expression, IsNull):
-        value = evaluate(expression.operand, context)
-        result = value is None
-        return (not result) if expression.negated else result
+        operand, negated = compile_expression(expression.operand, layout), expression.negated
+        return lambda row: (operand(row) is None) != negated
     if isinstance(expression, Between):
-        value = evaluate(expression.operand, context)
-        low = evaluate(expression.low, context)
-        high = evaluate(expression.high, context)
-        if value is None or low is None or high is None:
-            return None
-        result = low <= value <= high
-        return (not result) if expression.negated else result
+        operand, negated = compile_expression(expression.operand, layout), expression.negated
+        low = compile_expression(expression.low, layout)
+        high = compile_expression(expression.high, layout)
+
+        def between(row: Row) -> bool | None:
+            value, lower, upper = operand(row), low(row), high(row)
+            if value is None or lower is None or upper is None:
+                return None
+            return (lower <= value <= upper) != negated
+
+        return between
     if isinstance(expression, InList):
-        value = evaluate(expression.operand, context)
-        if value is None:
-            return None
-        items = [evaluate(item, context) for item in expression.items]
-        result = value in items
-        return (not result) if expression.negated else result
+        operand, negated = compile_expression(expression.operand, layout), expression.negated
+        items = [compile_expression(item, layout) for item in expression.items]
+
+        def in_list(row: Row) -> bool | None:
+            value = operand(row)
+            if value is None:
+                return None
+            return (value in [item(row) for item in items]) != negated
+
+        return in_list
     if isinstance(expression, FunctionCall):
-        if expression.name in AGGREGATE_FUNCTIONS and not expression.star:
-            # Aggregates over rows are handled by the executor; reaching this
-            # point means an aggregate was used in a per-row position with a
-            # single argument -- treat min/max of one value as identity.
-            args = [evaluate(arg, context) for arg in expression.args]
-            if len(args) == 1:
-                return args[0]
-        args = [evaluate(arg, context) for arg in expression.args]
-        return _scalar_function(expression.name, args)
+        args = [compile_expression(arg, layout) for arg in expression.args]
+        if expression.name in AGGREGATE_FUNCTIONS and len(args) == 1:
+            # Aggregates over rows are compiled by the planner; an aggregate
+            # of one value in a per-row position is that value.
+            return args[0]
+        function = _SCALAR_FUNCTIONS.get(expression.name)
+        if function is None:
+            raise SQLExecutionError(f"unknown function: {expression.name!r}")
+        return lambda row: function(*[arg(row) for arg in args])
     raise SQLExecutionError(f"cannot evaluate expression of type {type(expression).__name__}")
 
 
-def _evaluate_binary(expression: BinaryOp, context: RowContext) -> Any:
-    operator = expression.operator
-    if operator == "and":
-        left = evaluate(expression.left, context)
-        if left is False:
-            return False
-        right = evaluate(expression.right, context)
-        if right is False:
-            return False
-        if left is None or right is None:
+def _compile_binary(expression: BinaryOp, layout: Layout) -> Evaluator:
+    left = compile_expression(expression.left, layout)
+    right = compile_expression(expression.right, layout)
+    if expression.operator in ("and", "or"):
+        # AND is decided by a False operand, OR by a True one, NULL or not.
+        decisive = expression.operator == "or"
+
+        def connective(row: Row) -> bool | None:
+            first = left(row)
+            if first is decisive:
+                return decisive
+            second = right(row)
+            if second is decisive:
+                return decisive
+            if first is None or second is None:
+                return None
+            return (bool(first) or bool(second)) if decisive else (bool(first) and bool(second))
+
+        return connective
+    apply = _BINARY_OPERATORS.get(expression.operator)
+    if apply is None:
+        raise SQLExecutionError(f"unknown operator {expression.operator!r}")
+
+    def binary(row: Row) -> Any:
+        first, second = left(row), right(row)
+        if first is None or second is None:
             return None
-        return bool(left) and bool(right)
-    if operator == "or":
-        left = evaluate(expression.left, context)
-        if left is True:
-            return True
-        right = evaluate(expression.right, context)
-        if right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return bool(left) or bool(right)
+        return apply(first, second)
 
-    left = evaluate(expression.left, context)
-    right = evaluate(expression.right, context)
-    if left is None or right is None:
-        return None
-    if operator in ("=", "=="):
-        return left == right
-    if operator in ("!=", "<>"):
-        return left != right
-    if operator == "<":
-        return left < right
-    if operator == "<=":
-        return left <= right
-    if operator == ">":
-        return left > right
-    if operator == ">=":
-        return left >= right
-    if operator == "+":
-        return left + right
-    if operator == "-":
-        return left - right
-    if operator == "*":
-        return left * right
-    if operator == "/":
-        if right == 0:
-            raise SQLExecutionError("division by zero")
-        return left / right
-    if operator == "%":
-        if right == 0:
-            raise SQLExecutionError("modulo by zero")
-        return left % right
-    raise SQLExecutionError(f"unknown operator {operator!r}")
+    return binary
 
 
-def predicate_matches(expression: Expression | None, context: RowContext) -> bool:
-    """Evaluate a WHERE predicate; NULL counts as not matching."""
+def compile_predicate(expression: Expression | None, layout: Layout) -> Callable[[Row], bool]:
+    """Compile a WHERE predicate; NULL counts as not matching."""
     if expression is None:
-        return True
-    return bool(evaluate(expression, context))
+        return lambda row: True
+    evaluator = compile_expression(expression, layout)
+    return lambda row: bool(evaluator(row))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,19 @@ Access-path rules, applied to the driving table's conjuncts:
 Joins become :class:`IndexNLJoin` when the inner table has a key index on
 its join column (the tuple–tile mapping design's ``tuple_id`` join), and
 :class:`HashJoin` otherwise.
+
+A plan node is also its own operator.  Building it fixes the layout of the
+flat tuples it emits and compiles its expressions against its input's
+layout, so every column reference is an offset -- or a typed error -- before
+the first row is read; running it (:meth:`PlanNode.rows`) only moves tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 from ..errors import SQLPlanError
 from ..storage.database import Database
@@ -43,9 +50,12 @@ from .ast import (
 )
 from .functions import (
     AGGREGATE_FUNCTIONS,
+    Layout,
+    Row,
     as_key_lookup,
     as_spatial_lookup,
     combine_conjuncts,
+    compile_expression,
     split_conjuncts,
 )
 
@@ -56,9 +66,15 @@ from .functions import (
 
 
 class PlanNode:
-    """Base class of physical plan nodes."""
+    """Base class of physical plan nodes: ``layout`` is fixed when the node is
+    built, :meth:`rows` produces tuples of that shape."""
+
+    layout: Layout = Layout()
 
     def describe(self) -> str:  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    def rows(self) -> Iterable[Row]:  # pragma: no cover - overridden
         raise NotImplementedError
 
     def explain(self, indent: int = 0) -> str:
@@ -73,18 +89,27 @@ class PlanNode:
 
 
 @dataclass
-class SeqScan(PlanNode):
+class TableScan(PlanNode):
+    """Base of the access paths: rows of one table, shaped like its schema."""
+
     table: Table
     binding: str
 
-    def describe(self) -> str:
-        return f"SeqScan({self.table.name} as {self.binding})"
+    def __post_init__(self) -> None:
+        self.layout = Layout.of_table(self.table, self.binding)
 
 
 @dataclass
-class IndexKeyScan(PlanNode):
-    table: Table
-    binding: str
+class SeqScan(TableScan):
+    def describe(self) -> str:
+        return f"SeqScan({self.table.name} as {self.binding})"
+
+    def rows(self) -> Iterable[Row]:
+        return self.table.scan_rows()
+
+
+@dataclass
+class IndexKeyScan(TableScan):
     column: str
     keys: list[Any]
 
@@ -94,11 +119,14 @@ class IndexKeyScan(PlanNode):
             f"{self.column} in {self.keys!r})"
         )
 
+    def rows(self) -> Iterable[Row]:
+        for key in self.keys:
+            for _, row in self.table.lookup_key(self.column, key):
+                yield row
+
 
 @dataclass
-class SpatialScan(PlanNode):
-    table: Table
-    binding: str
+class SpatialScan(TableScan):
     column: str
     rect: Rect
 
@@ -108,17 +136,27 @@ class SpatialScan(PlanNode):
             f"{self.column} ∩ {self.rect.as_tuple()})"
         )
 
+    def rows(self) -> Iterable[Row]:
+        return [row for _, row in self.table.spatial_search(self.column, self.rect)]
+
 
 @dataclass
 class Filter(PlanNode):
     child: PlanNode
     predicate: Expression
 
+    def __post_init__(self) -> None:
+        self.layout = self.child.layout
+        self._matches = compile_expression(self.predicate, self.layout)
+
     def describe(self) -> str:
         return "Filter"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
+
+    def rows(self) -> Iterable[Row]:
+        return filter(self._matches, self.child.rows())  # NULL is falsy: no match
 
 
 @dataclass
@@ -131,6 +169,10 @@ class IndexNLJoin(PlanNode):
     outer_column: ColumnRef
     inner_column: str
 
+    def __post_init__(self) -> None:
+        self.layout = self.outer.layout + Layout.of_table(self.inner_table, self.inner_binding)
+        self._outer_key = self.outer.layout.resolve(self.outer_column)
+
     def describe(self) -> str:
         return (
             f"IndexNLJoin(inner={self.inner_table.name} as {self.inner_binding} "
@@ -139,6 +181,14 @@ class IndexNLJoin(PlanNode):
 
     def children(self) -> list[PlanNode]:
         return [self.outer]
+
+    def rows(self) -> Iterable[Row]:
+        lookup, column, key_at = self.inner_table.lookup_key, self.inner_column, self._outer_key
+        for outer_row in self.outer.rows():
+            key = outer_row[key_at]
+            if key is not None:
+                for _, inner_row in lookup(column, key):
+                    yield outer_row + inner_row
 
 
 @dataclass
@@ -150,11 +200,26 @@ class HashJoin(PlanNode):
     outer_column: ColumnRef
     inner_column: ColumnRef
 
+    def __post_init__(self) -> None:
+        self.layout = self.outer.layout + self.inner.layout
+        self._outer_key = self.outer.layout.resolve(self.outer_column)
+        self._inner_key = self.inner.layout.resolve(self.inner_column)
+
     def describe(self) -> str:
         return "HashJoin"
 
     def children(self) -> list[PlanNode]:
         return [self.outer, self.inner]
+
+    def rows(self) -> Iterable[Row]:
+        build: dict[Any, list[Row]] = {}
+        for inner_row in self.inner.rows():
+            if inner_row[self._inner_key] is not None:
+                build.setdefault(inner_row[self._inner_key], []).append(inner_row)
+        for outer_row in self.outer.rows():
+            # A NULL outer key finds nothing: NULL keys were never built.
+            for inner_row in build.get(outer_row[self._outer_key], ()):
+                yield outer_row + inner_row
 
 
 @dataclass
@@ -164,11 +229,46 @@ class Project(PlanNode):
     select_star: bool
     distinct: bool = False
 
+    def __post_init__(self) -> None:
+        source = self.child.layout
+        self._shape: Callable[[Row], Row] | None
+        if self.select_star:
+            # Every column once: a bare name an earlier table already gave is dropped.
+            first: dict[str, int] = {}
+            for offset, column in enumerate(source.names):
+                first.setdefault(column, offset)
+            keep = list(first.values())
+            self.layout = Layout(tuple(source.slots[offset] for offset in keep))
+            self._shape = None if len(keep) == len(source.slots) else _pick(keep)
+            return
+        self.layout = _projected_layout(self.items, source)
+        if all(isinstance(item.expression, ColumnRef) for item in self.items):
+            self._shape = _pick([source.resolve(item.expression) for item in self.items])
+        else:
+            evaluators = [compile_expression(item.expression, source) for item in self.items]
+            self._shape = lambda row: tuple(evaluate(row) for evaluate in evaluators)
+
     def describe(self) -> str:
         return "Project(*)" if self.select_star else f"Project({len(self.items)} items)"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
+
+    def rows(self) -> Iterable[Row]:
+        rows = self.child.rows()
+        if self._shape is not None:
+            rows = map(self._shape, rows)
+        return dict.fromkeys(rows) if self.distinct else rows  # first occurrence order
+
+
+#: What each aggregate makes of its non-NULL inputs (``count`` counts them).
+_AGGREGATES: dict[str, Callable[[list[Any]], Any]] = {
+    "count": len,
+    "sum": sum,
+    "avg": lambda values: sum(values) / len(values),
+    "min": min,
+    "max": max,
+}
 
 
 @dataclass
@@ -177,11 +277,48 @@ class Aggregate(PlanNode):
     items: list[SelectItem]
     group_by: list[Expression]
 
+    def __post_init__(self) -> None:
+        source = self.child.layout
+        self.layout = _projected_layout(self.items, source)
+        self._group_key = [compile_expression(key, source) for key in self.group_by]
+        self._outputs = [_compile_group_item(item.expression, source) for item in self.items]
+
     def describe(self) -> str:
         return f"Aggregate(groups={len(self.group_by)})"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
+
+    def rows(self) -> Iterable[Row]:
+        groups: dict[Row, list[Row]] = {}
+        for row in self.child.rows():
+            groups.setdefault(tuple(key(row) for key in self._group_key), []).append(row)
+        if not groups and not self.group_by:
+            groups[()] = []
+        for members in groups.values():
+            yield tuple(output(members) for output in self._outputs)
+
+
+def _compile_group_item(expression: Expression, layout: Layout) -> Callable[[list[Row]], Any]:
+    """Compile one output column of an :class:`Aggregate` over a group's rows."""
+    if isinstance(expression, FunctionCall) and expression.name in AGGREGATE_FUNCTIONS:
+        name = expression.name
+        if expression.star:
+            if name != "count":
+                raise SQLPlanError(f"{name}(*) is not supported")
+            return len
+        if len(expression.args) != 1:
+            raise SQLPlanError(f"aggregate {name}() takes exactly one argument")
+        argument, reduce = compile_expression(expression.args[0], layout), _AGGREGATES[name]
+
+        def aggregate(members: list[Row]) -> Any:
+            values = [value for value in map(argument, members) if value is not None]
+            return reduce(values) if values or name == "count" else None
+
+        return aggregate
+    # Group-by key or plain expression: evaluate against the first row.
+    evaluate = compile_expression(expression, layout)
+    return lambda members: evaluate(members[0]) if members else None
 
 
 @dataclass
@@ -189,11 +326,30 @@ class Sort(PlanNode):
     child: PlanNode
     order_by: list[OrderItem]
 
+    def __post_init__(self) -> None:
+        # Sorting runs above the projection, whose layout keeps the source
+        # binding of plain column items, so ``ORDER BY d.id`` still resolves.
+        self.layout = self.child.layout
+        self._keys = [
+            (compile_expression(order.expression, self.layout), order.descending)
+            for order in self.order_by
+        ]
+
     def describe(self) -> str:
         return f"Sort({len(self.order_by)} keys)"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
+
+    def rows(self) -> Iterable[Row]:
+        rows = list(self.child.rows())
+        for key, descending in reversed(self._keys):
+            # NULLs sort first.
+            rows.sort(
+                key=lambda row: (0, 0) if (value := key(row)) is None else (1, value),
+                reverse=descending,
+            )
+        return rows
 
 
 @dataclass
@@ -202,11 +358,29 @@ class LimitNode(PlanNode):
     limit: int | None
     offset: int | None
 
+    def __post_init__(self) -> None:
+        self.layout = self.child.layout
+
     def describe(self) -> str:
         return f"Limit(limit={self.limit}, offset={self.offset})"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
+
+    def rows(self) -> Iterable[Row]:
+        start = self.offset or 0
+        return islice(self.child.rows(), start, None if self.limit is None else start + self.limit)
+
+
+@dataclass
+class SeqScanConstant(PlanNode):
+    """A scan producing exactly one empty row (for table-less SELECTs)."""
+
+    def describe(self) -> str:
+        return "ConstantScan"
+
+    def rows(self) -> Iterable[Row]:
+        return [()]
 
 
 # Non-SELECT statement "plans" carry the statement through to the executor.
@@ -218,6 +392,45 @@ class DataModification(PlanNode):
 
     def describe(self) -> str:
         return type(self.statement).__name__
+
+
+def _pick(offsets: Sequence[int]) -> Callable[[Row], Row]:
+    """A row of the values at ``offsets`` (``itemgetter`` of one is a scalar)."""
+    if len(offsets) == 1:
+        (only,) = offsets
+        return lambda row: (row[only],)
+    return itemgetter(*offsets)
+
+
+def _item_name(item: SelectItem, index: int) -> str:
+    if item.alias:
+        return item.alias
+    expression = item.expression
+    if isinstance(expression, ColumnRef):
+        return expression.column
+    if isinstance(expression, FunctionCall):
+        return expression.name
+    return f"column_{index}"
+
+
+def _projected_layout(items: Sequence[SelectItem], source: Layout) -> Layout:
+    """Output layout of a projection: item names, de-duplicated in order.
+
+    Two unaliased ``count(...)`` items would otherwise collide on the name
+    ``count``.  An unaliased plain column keeps its source binding and table.
+    """
+    slots: list[tuple[str | None, str | None, str]] = []
+    seen: set[str] = set()
+    for index, item in enumerate(items):
+        name = _item_name(item, index)
+        if name in seen:
+            name = f"{name}_{index}"
+        seen.add(name)
+        binding = table = None
+        if isinstance(item.expression, ColumnRef) and not item.alias:
+            binding, table, _ = source.slots[source.resolve(item.expression)]
+        slots.append((binding, table, name))
+    return Layout(tuple(slots))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +546,9 @@ class Planner:
                 continue
             if table.find_index_on(column_ref.column, kinds=("btree", "hash")) is not None:
                 remaining = conjuncts[:index] + conjuncts[index + 1 :]
+                # A row matches an IN-list once however often its key is
+                # listed, and ``= NULL`` matches nothing.
+                keys = [key for key in dict.fromkeys(keys) if key is not None]
                 scan = IndexKeyScan(
                     table=table, binding=binding, column=column_ref.column, keys=keys
                 )
@@ -391,11 +607,3 @@ class Planner:
             return False
 
         return any(contains_aggregate(item.expression) for item in items)
-
-
-@dataclass
-class SeqScanConstant(PlanNode):
-    """A scan producing exactly one empty row (for table-less SELECTs)."""
-
-    def describe(self) -> str:
-        return "ConstantScan"

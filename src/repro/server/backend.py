@@ -28,6 +28,7 @@ caches: the frontend's and the server's.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Any
 
@@ -131,7 +132,9 @@ class KyrixBackend:
         self.handle(request)
 
     def close(self) -> None:
-        """Nothing to release: the engine holds no serving-side resources."""
+        """The engine holds no serving-side resources; its heap, frozen by
+        :func:`~repro.serving.factory.build_service`, becomes collectable."""
+        gc.unfreeze()
 
     # -- per-design fetch paths -------------------------------------------------------------
 

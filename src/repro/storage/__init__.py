@@ -19,7 +19,7 @@ from .database import Database
 from .hashindex import HashIndex
 from .heapfile import HeapFile
 from .pager import BufferPool, PageStore, PagerStats
-from .row import RecordId, decode_row, encode_row
+from .row import RecordId, compile_decoder, encode_row
 from .rtree import Rect, RTreeIndex
 from .schema import Column, TableSchema
 from .statistics import ColumnStats, TableStats, compute_stats
@@ -45,7 +45,7 @@ __all__ = [
     "TableSchema",
     "TableStats",
     "coerce_value",
+    "compile_decoder",
     "compute_stats",
-    "decode_row",
     "encode_row",
 ]

@@ -18,11 +18,11 @@ pages, so the maximum record size is bounded by the page size.
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import PageError, RecordNotFoundError
 from .pager import BufferPool
-from .row import RecordId, decode_row, encode_row
+from .row import RecordId, compile_decoder, encode_row
 from .schema import TableSchema
 
 _HEADER = struct.Struct("<HH")  # slot_count, free_space_offset
@@ -35,7 +35,10 @@ class HeapFile:
     def __init__(self, pool: BufferPool, schema: TableSchema) -> None:
         self._pool = pool
         self._schema = schema
-        self._page_nos: list[int] = []
+        self._decode = compile_decoder(schema)
+        # This heap's pages: a dict for its order (allocation order is scan
+        # order) and its O(1) membership test (rid ownership).
+        self._page_nos: dict[int, None] = {}
         self._record_count = 0
 
     # -- page-format helpers ---------------------------------------------------
@@ -45,9 +48,6 @@ class HeapFile:
 
     def _page_header(self, page: bytearray) -> tuple[int, int]:
         return _HEADER.unpack_from(page, 0)
-
-    def _slot(self, page: bytearray, slot_no: int) -> tuple[int, int]:
-        return _SLOT.unpack_from(page, _HEADER.size + slot_no * _SLOT.size)
 
     def _set_slot(self, page: bytearray, slot_no: int, offset: int, length: int) -> None:
         _SLOT.pack_into(page, _HEADER.size + slot_no * _SLOT.size, offset, length)
@@ -94,7 +94,7 @@ class HeapFile:
         # Appending workloads dominate (bulk loads), so only the last page is
         # checked before allocating a new one.
         if self._page_nos:
-            last_no = self._page_nos[-1]
+            last_no = next(reversed(self._page_nos))
             page = self._pool.get_page(last_no)
             if self._free_space(page) >= needed:
                 return last_no, page
@@ -102,31 +102,44 @@ class HeapFile:
         page = self._pool.get_page(page_no)
         self._init_page(page)
         self._pool.mark_dirty(page_no)
-        self._page_nos.append(page_no)
+        self._page_nos[page_no] = None
         return page_no, page
+
+    def _locate(self, rids: Iterable[RecordId]) -> Iterator[tuple[bytearray, int, int]]:
+        """Yield ``(page, offset, length)`` of the live record at each rid.
+
+        The one place a rid is validated: the page is this heap's, the slot
+        is in the page's directory and the record is not a tombstone.  A run
+        of rids on one page costs one pool checkout and one header read.
+        """
+        get_page, owned, unpack_slot = self._pool.get_page, self._page_nos, _SLOT.unpack_from
+        page_no, page, slot_count = -1, bytearray(), 0
+        for rid in rids:
+            if rid.page_no != page_no:
+                if rid.page_no not in owned:
+                    raise RecordNotFoundError(f"no such page in heap file: {rid}")
+                page_no = rid.page_no
+                page = get_page(page_no)
+                slot_count, _ = self._page_header(page)
+            if not 0 <= rid.slot_no < slot_count:
+                raise RecordNotFoundError(f"slot out of range: {rid}")
+            offset, length = unpack_slot(page, _HEADER.size + rid.slot_no * _SLOT.size)
+            if length == 0:
+                raise RecordNotFoundError(f"record was deleted: {rid}")
+            yield page, offset, length
+
+    def fetch_many(self, rids: Iterable[RecordId]) -> list[tuple[Any, ...]]:
+        """Return the rows stored at ``rids``, in request order."""
+        decode = self._decode
+        return [decode(page, offset, length) for page, offset, length in self._locate(rids)]
 
     def fetch(self, rid: RecordId) -> tuple[Any, ...]:
         """Return the row stored at ``rid``."""
-        if rid.page_no not in set(self._page_nos):
-            raise RecordNotFoundError(f"no such page in heap file: {rid}")
-        page = self._pool.get_page(rid.page_no)
-        slot_count, _ = self._page_header(page)
-        if rid.slot_no >= slot_count:
-            raise RecordNotFoundError(f"slot out of range: {rid}")
-        offset, length = self._slot(page, rid.slot_no)
-        if length == 0:
-            raise RecordNotFoundError(f"record was deleted: {rid}")
-        return decode_row(bytes(page[offset : offset + length]), self._schema)
+        return self.fetch_many((rid,))[0]
 
     def delete(self, rid: RecordId) -> None:
         """Tombstone the record at ``rid`` (space is not reclaimed)."""
-        page = self._pool.get_page(rid.page_no)
-        slot_count, _ = self._page_header(page)
-        if rid.page_no not in set(self._page_nos) or rid.slot_no >= slot_count:
-            raise RecordNotFoundError(f"cannot delete missing record: {rid}")
-        offset, length = self._slot(page, rid.slot_no)
-        if length == 0:
-            raise RecordNotFoundError(f"record already deleted: {rid}")
+        page, offset, _ = next(self._locate((rid,)))
         self._set_slot(page, rid.slot_no, offset, 0)
         self._pool.mark_dirty(rid.page_no)
         self._record_count -= 1
@@ -134,10 +147,7 @@ class HeapFile:
     def update(self, rid: RecordId, row: Sequence[Any]) -> RecordId:
         """Replace the record at ``rid``; may move it to a new rid."""
         payload = encode_row(row, self._schema)
-        page = self._pool.get_page(rid.page_no)
-        offset, length = self._slot(page, rid.slot_no)
-        if length == 0:
-            raise RecordNotFoundError(f"cannot update deleted record: {rid}")
+        page, offset, length = next(self._locate((rid,)))
         if len(payload) <= length:
             page[offset : offset + len(payload)] = payload
             self._set_slot(page, rid.slot_no, offset, len(payload))
@@ -148,15 +158,14 @@ class HeapFile:
 
     def scan(self) -> Iterator[tuple[RecordId, tuple[Any, ...]]]:
         """Yield every live record as ``(rid, row)`` in physical order."""
+        decode = self._decode
         for page_no in self._page_nos:
             page = self._pool.get_page(page_no)
             slot_count, _ = self._page_header(page)
-            for slot_no in range(slot_count):
-                offset, length = self._slot(page, slot_no)
-                if length == 0:
-                    continue
-                row = decode_row(bytes(page[offset : offset + length]), self._schema)
-                yield RecordId(page_no=page_no, slot_no=slot_no), row
+            directory = page[_HEADER.size : _HEADER.size + slot_count * _SLOT.size]
+            for slot_no, (offset, length) in enumerate(_SLOT.iter_unpack(directory)):
+                if length:
+                    yield RecordId(page_no, slot_no), decode(page, offset, length)
 
     def scan_rows(self) -> Iterator[tuple[Any, ...]]:
         """Yield every live record without its rid."""

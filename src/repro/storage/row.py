@@ -3,15 +3,22 @@
 Records are serialised into a compact binary form so that the heap file can
 store them on fixed-size pages, just like a conventional slotted-page DBMS.
 A :class:`RecordId` names a record by ``(page_no, slot_no)``.
+
+Reading goes through a decoder compiled once per schema: a row
+whose columns are all present and fixed-width is one ``struct`` unpack
+straight off the page buffer; only a row holding a NULL or a TEXT value is
+walked value by value.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Any, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Sequence
 
 from .schema import TableSchema
-from .types import decode_value, encode_value
+from .types import ColumnType, decode_value, encode_value
 
 
 @dataclass(frozen=True, order=True)
@@ -34,11 +41,54 @@ def encode_row(row: Sequence[Any], schema: TableSchema) -> bytes:
     return b"".join(parts)
 
 
-def decode_row(buffer: bytes, schema: TableSchema) -> tuple[Any, ...]:
-    """Deserialise a row previously produced by :func:`encode_row`."""
-    values: list[Any] = []
-    offset = 0
-    for column in schema.columns:
-        value, offset = decode_value(buffer, offset, column.type)
-        values.append(value)
-    return tuple(values)
+#: ``struct`` codes of the fixed-width types; ``x`` skips the presence tag.
+_FIXED_CODES = {ColumnType.INTEGER: "xq", ColumnType.FLOAT: "xd", ColumnType.BBOX: "x4d"}
+
+
+#: A compiled decoder: ``(buffer, offset, length) -> row``.
+RowDecoder = Callable[[bytes | bytearray, int, int], tuple[Any, ...]]
+
+
+def compile_decoder(schema: TableSchema) -> RowDecoder:
+    """Build the decoder for one schema's records.
+
+    A NULL is encoded shorter than any present value, so in a schema without
+    TEXT a record is exactly as long as the all-present layout if and only
+    if every column is present -- the record's length alone picks the path.
+    """
+    types = tuple(column.type for column in schema.columns)
+
+    def walk(buffer: bytes | bytearray, offset: int, length: int) -> tuple[Any, ...]:
+        row: list[Any] = []
+        for column_type in types:
+            value, offset = decode_value(buffer, offset, column_type)
+            row.append(value)
+        return tuple(row)
+
+    if not types or ColumnType.TEXT in types:
+        return walk
+    layout = struct.Struct("<" + "".join(_FIXED_CODES[t] for t in types))
+    fixed_size, unpack_from, shape = layout.size, layout.unpack_from, _row_shape(types)
+
+    def decode(buffer: bytes | bytearray, offset: int, length: int) -> tuple[Any, ...]:
+        if length != fixed_size:
+            return walk(buffer, offset, length)  # some column is NULL
+        values = unpack_from(buffer, offset)
+        return values if shape is None else shape(values)
+
+    return decode
+
+
+def _row_shape(types: Sequence[ColumnType]) -> Callable[[tuple[Any, ...]], tuple[Any, ...]] | None:
+    """Regroup flat unpacked values into a row: a BBOX is four of them."""
+    if ColumnType.BBOX not in types:
+        return None
+    picks: list[int | slice] = []
+    position = 0
+    for column_type in types:
+        width = 4 if column_type is ColumnType.BBOX else 1
+        picks.append(position if width == 1 else slice(position, position + width))
+        position += width
+    if len(picks) == 1:
+        return lambda values: (values,)
+    return itemgetter(*picks)

@@ -215,7 +215,8 @@ class Table:
         return self._heap.fetch(rid)
 
     def fetch_many(self, rids: Sequence[RecordId]) -> list[tuple[Any, ...]]:
-        return [self._heap.fetch(rid) for rid in rids]
+        """Rows at ``rids`` in request order, one page checkout per page run."""
+        return self._heap.fetch_many(rids)
 
     def scan(self) -> Iterator[tuple[RecordId, tuple[Any, ...]]]:
         """Full scan yielding ``(rid, row)``."""
@@ -229,7 +230,7 @@ class Table:
         info = self.find_index_on(column, kinds=("btree", "hash"))
         if info is not None:
             rids = info.index.search(key)  # type: ignore[union-attr]
-            return [(rid, self._heap.fetch(rid)) for rid in rids]
+            return list(zip(rids, self._heap.fetch_many(rids)))
         position = self.schema.column_index(column)
         return [(rid, row) for rid, row in self._heap.scan() if row[position] == key]
 
@@ -238,7 +239,7 @@ class Table:
         info = self.find_index_on(column, kinds=("btree", "hash"))
         if info is not None:
             rids = info.index.search_many(list(keys))  # type: ignore[union-attr]
-            return [(rid, self._heap.fetch(rid)) for rid in rids]
+            return list(zip(rids, self._heap.fetch_many(rids)))
         wanted = set(keys)
         position = self.schema.column_index(column)
         return [(rid, row) for rid, row in self._heap.scan() if row[position] in wanted]
@@ -248,7 +249,7 @@ class Table:
         info = self.find_index_on(column, kinds=("rtree",))
         if info is not None:
             rids = info.index.search(query)  # type: ignore[union-attr]
-            return [(rid, self._heap.fetch(rid)) for rid in rids]
+            return list(zip(rids, self._heap.fetch_many(rids)))
         position = self.schema.column_index(column)
         results = []
         for rid, row in self._heap.scan():

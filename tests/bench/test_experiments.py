@@ -49,14 +49,28 @@ class TestScales:
         assert set(traces) == {"a", "b", "c"}
 
 
+def best_of(measure, runs: int = 3) -> dict[str, float]:
+    """Per-scheme response times, each the lowest of ``runs`` measurements.
+
+    These are wall-clock comparisons with margins of a few tenths of a
+    millisecond; a burst on a shared box only ever adds time, so the minimum
+    is the measurement least disturbed by it.
+    """
+    samples = [measure() for _ in range(runs)]
+    return {scheme: min(sample[scheme] for sample in samples) for scheme in samples[0]}
+
+
 class TestFigure6And7:
     SCHEMES = [dbox_scheme(), dbox50_scheme(), tile_spatial_scheme(1024), tile_mapping_scheme(1024)]
 
     def test_figure6_dbox_wins_overall(self, tiny_uniform_stack):
-        experiment = figure6(stack=tiny_uniform_stack, schemes=self.SCHEMES)
-        assert len(experiment.results) == len(self.SCHEMES) * 3
+        def measure() -> dict[str, float]:
+            experiment = figure6(stack=tiny_uniform_stack, schemes=self.SCHEMES)
+            assert len(experiment.results) == len(self.SCHEMES) * 3
+            return {s.name: experiment.scheme_average(s.name) for s in self.SCHEMES}
+
         # The headline claim: dbox has the best overall (mean) performance.
-        averages = {s.name: experiment.scheme_average(s.name) for s in self.SCHEMES}
+        averages = best_of(measure)
         assert min(averages, key=averages.get) == "dbox"
 
     def test_figure7_dbox_wins_on_skewed_data(self, tiny_skewed_stack):
@@ -67,18 +81,26 @@ class TestFigure6And7:
     def test_tile_spatial_1024_competitive_on_aligned_trace(self, tiny_uniform_stack):
         """Paper observation (2): on trace a the aligned 1024 tiles are
         competitive — better than dbox 50%."""
-        experiment = figure6(
-            stack=tiny_uniform_stack,
-            schemes=[dbox50_scheme(), tile_spatial_scheme(1024)],
-        )
-        trace_a = {r.scheme: r.average_response_ms for r in experiment.by_trace("a")}
+        def measure() -> dict[str, float]:
+            experiment = figure6(
+                stack=tiny_uniform_stack,
+                schemes=[dbox50_scheme(), tile_spatial_scheme(1024)],
+            )
+            return {r.scheme: r.average_response_ms for r in experiment.by_trace("a")}
+
+        trace_a = best_of(measure)
         assert trace_a["tile spatial 1024"] < trace_a["dbox 50%"]
 
     def test_mapping_design_slower_than_spatial_at_same_tile_size(self, tiny_uniform_stack):
-        experiment = index_design_ablation(stack=tiny_uniform_stack, tile_size=1024)
-        spatial = experiment.scheme_average("tile spatial 1024")
-        mapping = experiment.scheme_average("tile mapping 1024")
-        assert mapping > spatial
+        def measure() -> dict[str, float]:
+            experiment = index_design_ablation(stack=tiny_uniform_stack, tile_size=1024)
+            return {
+                name: experiment.scheme_average(name)
+                for name in ("tile spatial 1024", "tile mapping 1024")
+            }
+
+        averages = best_of(measure)
+        assert averages["tile mapping 1024"] > averages["tile spatial 1024"]
 
 
 class TestFootprint:

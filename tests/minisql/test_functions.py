@@ -5,18 +5,33 @@ import pytest
 from repro.errors import SQLExecutionError
 from repro.minisql.ast import ColumnRef
 from repro.minisql.functions import (
+    Layout,
     as_key_lookup,
     as_spatial_lookup,
     combine_conjuncts,
-    evaluate,
-    predicate_matches,
+    compile_expression,
+    compile_predicate,
     split_conjuncts,
 )
 from repro.minisql.parser import parse_expression
 
 
+def compiled(expression, row: dict, compiler=compile_expression):
+    """Compile against the layout ``row``'s keys spell (``"t.x"`` is column
+    ``x`` of binding ``t``) and apply to its values."""
+    slots = []
+    for key in row:
+        binding, _, column = key.rpartition(".")
+        slots.append((binding or None, binding or None, column))
+    return compiler(expression, Layout(tuple(slots)))(tuple(row.values()))
+
+
 def ev(text: str, row: dict | None = None):
-    return evaluate(parse_expression(text), row or {})
+    return compiled(parse_expression(text), row or {})
+
+
+def predicate_matches(expression, row: dict) -> bool:
+    return compiled(expression, row, compile_predicate)
 
 
 class TestEvaluate:
@@ -60,16 +75,21 @@ class TestEvaluate:
         assert ev("x IS NOT NULL", {"x": 1}) is True
 
     def test_column_lookup_qualified_and_bare(self):
-        row = {"x": 5, "t.x": 5}
+        row = {"t.x": 5}
         assert ev("x", row) == 5
         assert ev("t.x", row) == 5
 
     def test_bare_lookup_falls_back_to_single_qualified(self):
-        assert evaluate(ColumnRef(column="x"), {"t.x": 3}) == 3
+        assert compiled(ColumnRef(column="x"), {"t.x": 3, "t.y": 4}) == 3
 
     def test_ambiguous_bare_lookup_raises(self):
-        with pytest.raises(SQLExecutionError):
-            evaluate(ColumnRef(column="x"), {"a.x": 1, "b.x": 2})
+        with pytest.raises(SQLExecutionError, match="ambiguous"):
+            compiled(ColumnRef(column="x"), {"a.x": 1, "b.x": 2})
+        assert ev("b.x", {"a.x": 1, "b.x": 2}) == 2
+
+    def test_names_resolve_when_compiled_not_when_a_row_flows(self):
+        with pytest.raises(SQLExecutionError, match="unknown column"):
+            compile_expression(parse_expression("missing > 1"), Layout())
 
     def test_unknown_column_raises(self):
         with pytest.raises(SQLExecutionError):

@@ -152,6 +152,64 @@ class TestExecutorSelect:
         assert result.access_path == "key"
 
 
+    def test_in_list_repeats_and_nulls_probe_each_key_once(self, engine):
+        # Found by the SQLite differential test: each listed key used to be
+        # probed as often as it was listed, and a NULL key broke the B-tree.
+        result = engine.execute("SELECT id FROM dots WHERE id IN (3, 3, 3.0, null, 5)")
+        assert result.access_path == "key"
+        assert sorted(result.rows) == [(3,), (5,)]
+        assert engine.execute("SELECT id FROM dots WHERE id = null").rows == []
+
+
+class TestNamesResolveAtPlanTime:
+    """Column references are offsets fixed per plan: a bad one fails typed
+    from ``execute`` and ``explain`` alike, whether or not a row matches."""
+
+    @pytest.fixture()
+    def twins(self, engine):
+        engine.execute("CREATE TABLE a (id int, v int)")
+        engine.execute("CREATE TABLE b (id int, v int, w int)")
+        engine.execute("INSERT INTO a VALUES (1, 10), (2, 20)")
+        engine.execute("INSERT INTO b VALUES (1, 100, 7), (2, 200, 8)")
+        return engine
+
+    @pytest.mark.parametrize("run", ["execute", "explain"])
+    def test_bare_name_in_both_join_sides_is_ambiguous(self, twins, run):
+        with pytest.raises(SQLExecutionError, match="ambiguous column reference"):
+            getattr(twins, run)("SELECT v FROM a JOIN b ON a.id = b.id")
+        with pytest.raises(SQLExecutionError, match="ambiguous column reference"):
+            getattr(twins, run)("SELECT a.v FROM a JOIN b ON a.id = b.id WHERE v > 0")
+
+    def test_qualified_names_pick_their_side(self, twins):
+        result = twins.execute("SELECT a.v, b.v FROM a JOIN b ON a.id = b.id ORDER BY a.v")
+        assert result.columns == ["v", "v_1"]
+        assert result.rows == [(10, 100), (20, 200)]
+
+    @pytest.mark.parametrize("run", ["execute", "explain"])
+    def test_unknown_name_fails_even_when_no_row_matches(self, twins, run):
+        for sql in (
+            "SELECT nope FROM a WHERE id = 99",
+            "SELECT id FROM a WHERE nope = 1 AND id = 99",
+            "SELECT id FROM a WHERE id = 99 ORDER BY nope",
+            "SELECT count(nope) FROM a WHERE id = 99",
+            "SELECT b.id FROM a WHERE id = 99",
+        ):
+            with pytest.raises(SQLExecutionError, match="unknown column reference"):
+                getattr(twins, run)(sql)
+
+    def test_update_and_delete_reject_unknown_names_before_touching_a_row(self, twins):
+        with pytest.raises(SQLExecutionError, match="unknown column reference"):
+            twins.execute("UPDATE a SET v = nope + 1")
+        with pytest.raises(SQLExecutionError, match="unknown column reference"):
+            twins.execute("DELETE FROM a WHERE nope = 1")
+        assert twins.execute("SELECT id, v FROM a ORDER BY id").rows == [(1, 10), (2, 20)]
+
+    def test_select_star_over_a_join_lists_each_bare_name_once(self, twins):
+        result = twins.execute("SELECT * FROM a JOIN b ON a.id = b.id ORDER BY a.id")
+        assert result.columns == ["id", "v", "w"]  # outer columns, then the inner's new names
+        assert result.rows == [(1, 10, 7), (2, 20, 8)]
+
+
 class TestExecutorModification:
     def test_update_with_expression(self, engine):
         engine.execute("UPDATE dots SET x = x + 1000 WHERE id = 10")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -282,6 +283,19 @@ class TestBuildService:
             )
         finally:
             service.close()
+
+    @pytest.mark.parametrize("overrides", [{}, {"shard_count": 2}], ids=["single", "cluster"])
+    def test_the_built_heap_is_frozen_until_the_stack_closes(self, dots_stack, overrides):
+        # A full collection must not walk the served data (its pause would
+        # grow with the dataset); a closed stack must be collectable again.
+        gc.unfreeze()
+        service = build_service(dots_stack.backend.config, backend=dots_stack.backend, **overrides)
+        try:
+            assert gc.get_freeze_count() > 0
+            assert not any(obj is dots_stack.backend.database for obj in gc.get_objects())
+        finally:
+            service.close()
+        assert gc.get_freeze_count() == 0
 
     def test_requires_backend_or_database(self):
         with pytest.raises(KyrixError):

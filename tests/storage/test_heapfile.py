@@ -48,6 +48,56 @@ class TestInsertFetch:
             heap.fetch(RecordId(page_no=rid.page_no, slot_no=50))
 
 
+class TestFetchMany:
+    def test_rows_come_back_in_request_order_with_repeats(self, heap):
+        rids = [heap.insert((i, "x" * 200)) for i in range(20)]  # several pages
+        wanted = [rids[17], rids[0], rids[17], rids[9], rids[1]]
+        assert [row[0] for row in heap.fetch_many(wanted)] == [17, 0, 17, 9, 1]
+        assert heap.fetch_many([]) == []
+
+    def test_a_page_run_is_one_checkout(self, heap):
+        rids = [heap.insert((i, "v")) for i in range(10)]  # one page
+        before = heap._pool.stats.hits
+        heap.fetch_many(rids)
+        assert heap._pool.stats.hits == before + 1
+
+    def test_one_bad_rid_fails_the_batch(self, heap):
+        rids = [heap.insert((i, "v")) for i in range(3)]
+        heap.delete(rids[1])
+        with pytest.raises(RecordNotFoundError):
+            heap.fetch_many(rids)
+
+
+class TestRidValidation:
+    """Every rid goes through one check, and it always raises RecordNotFoundError."""
+
+    def test_update_through_another_heaps_rid_raises_and_leaves_it_alone(self, heap):
+        other = HeapFile(heap._pool, TableSchema.build("other", [("v", "int")]))
+        foreign = other.insert((7,))
+        heap.insert((1, "a"))
+        with pytest.raises(RecordNotFoundError):
+            heap.update(foreign, (None, None))
+        with pytest.raises(RecordNotFoundError):
+            heap.delete(foreign)
+        assert list(other.scan_rows()) == [(7,)]
+
+    def test_negative_slot_raises(self, heap):
+        rid = heap.insert((1, "a"))
+        with pytest.raises(RecordNotFoundError):
+            heap.fetch(RecordId(page_no=rid.page_no, slot_no=-1))
+
+    def test_delete_on_unknown_page_raises_record_not_found(self, heap):
+        heap.insert((1, "a"))
+        with pytest.raises(RecordNotFoundError):
+            heap.delete(RecordId(page_no=99, slot_no=0))
+
+    def test_update_beyond_the_slot_directory_raises(self, heap):
+        rid = heap.insert((1, "a"))
+        with pytest.raises(RecordNotFoundError):
+            heap.update(RecordId(page_no=rid.page_no, slot_no=50), (2, "b"))
+        assert heap.fetch(rid) == (1, "a")
+
+
 class TestDeleteUpdate:
     def test_delete_tombstones_record(self, heap):
         rid = heap.insert((1, "a"))
