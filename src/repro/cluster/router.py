@@ -42,6 +42,7 @@ from __future__ import annotations
 import gc
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -628,7 +629,7 @@ class ClusterRouter:
             slowest_ms = only.query_ms
             queries = only.queries_issued
             received = len(only.objects)
-            objects = self._canonical_order(list(only.objects))
+            objects = self._canonical_order(list(only.objects), self._identity)
         else:
             merged: dict[Any, dict[str, Any]] = {}
             for shard_id, shard_response in zip(shard_ids, shard_responses):
@@ -643,7 +644,9 @@ class ClusterRouter:
                 merge_ms += timer.stop()
             timer = Timer()
             timer.start()
-            objects = self._canonical_order(list(merged.values()))
+            # The merge already computed every identity: sort those, not
+            # the objects through a second ``_identity`` call each.
+            objects = [merged[key] for key in self._canonical_order(list(merged))]
             merge_ms += timer.stop()
 
         response = DataResponse(
@@ -688,20 +691,24 @@ class ClusterRouter:
             for name, value in sorted(obj.items())
         )
 
-    @classmethod
-    def _canonical_order(cls, objects: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        """Sort gathered objects by dedup identity (in place; returned).
+    @staticmethod
+    def _canonical_order(
+        items: list[Any], identity: Callable[[Any], Any] | None = None
+    ) -> list[Any]:
+        """Sort ``items`` by dedup identity (in place; returned).
 
         The order every response leaves the router in, whatever the
         partitioning, topology or rebalance epoch that produced it.
+        ``identity`` maps an item to its identity; without it the items
+        are identities already.
         """
         try:
-            objects.sort(key=cls._identity)
+            items.sort(key=identity)
         except TypeError:
             # Mixed identity types (e.g. int and str tuple_ids in one
             # layer) have no natural order; repr gives a deterministic one.
-            objects.sort(key=lambda obj: repr(cls._identity(obj)))
-        return objects
+            items.sort(key=repr if identity is None else lambda item: repr(identity(item)))
+        return items
 
     # -- metadata for the frontend -----------------------------------------------------
 

@@ -51,7 +51,9 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import deque
 from dataclasses import replace
+from itertools import chain, repeat
 from typing import Any
 
 from ..errors import ProtocolError
@@ -103,6 +105,11 @@ _F64 = struct.Struct(">d")
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
+
+#: Most rows an objects block without a column (rows of ``{}``) may declare.
+#: Any other shape is bounded by the bytes that carry it (two bitmaps per
+#: column); this one is eight bytes whatever it claims, so both sides cap it.
+MAX_EMPTY_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +163,23 @@ class _Reader:
         self._data = data
         self._offset = 0
 
-    def raw(self, size: int) -> bytes:
-        end = self._offset + size
-        if size < 0 or end > len(self._data):
+    def require(self, size: int) -> None:
+        """Raise unless ``size`` more bytes follow the cursor."""
+        if size < 0 or self._offset + size > len(self._data):
             raise ProtocolError(
                 f"binary message truncated: needed {size} byte(s) at "
                 f"offset {self._offset} of {len(self._data)}"
             )
-        chunk = self._data[self._offset : end]
-        self._offset = end
+
+    def raw(self, size: int) -> bytes:
+        self.require(size)
+        chunk = self._data[self._offset : self._offset + size]
+        self._offset += size
         return chunk
+
+    def peek(self, size: int) -> bytes:
+        """Up to ``size`` bytes ahead of the cursor, which stays put."""
+        return self._data[self._offset : self._offset + size]
 
     def u8(self) -> int:
         return self.raw(1)[0]
@@ -293,10 +307,51 @@ def decode_request(body: bytes) -> tuple[DataRequest, dict[str, Any] | None]:
 # ---------------------------------------------------------------------------
 # The columnar objects block
 # ---------------------------------------------------------------------------
+# A column travels whole — cells gathered in one pass, each bitmap one
+# integer, the values one ``struct`` call, rows zipped back once — so no
+# statement runs per cell unless the column has absent keys, nulls or
+# cells no typed column can carry.
 
 
-def _column_tag(values: list[Any]) -> int:
-    """Pick the packed representation for one column's non-null values."""
+class _Absent:
+    """The cell of a row that does not carry the column's key."""
+
+
+_ABSENT = _Absent()
+_NONE_TYPE = type(None)
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bitmap(flags: list[bool], size: int) -> bytes:
+    """One bit per row, row 0 first: bit ``row`` of a little-endian integer
+    *is* byte ``row >> 3``, bit ``row & 7`` — the layout the wire always had."""
+    return int(bytes(flags).translate(_BIT_DIGITS)[::-1], 2).to_bytes(size, "little")
+
+
+def _column_tag(kinds: set[type], values: list[Any]) -> int:
+    """Pick the packed representation for one column's non-null values.
+
+    ``kinds`` is ``set(map(type, values))`` and decides a column of one exact
+    builtin type; one that mixes kinds or holds a subclass (``IntEnum``,
+    ``numpy.float64``) goes through the ``isinstance`` rules the shortcuts agree with.
+    """
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if kind is float:
+            return COL_F64
+        if kind is int:
+            in_range = _I64_MIN <= min(values) and max(values) <= _I64_MAX
+            return COL_I64 if in_range else COL_JSON
+        if kind is str:
+            return COL_STR
+        if kind is bool:
+            return COL_BOOL
+        if (
+            kind is tuple
+            and max(map(len, values)) <= 255
+            and set(map(type, chain.from_iterable(values))) <= {float}
+        ):
+            return COL_F64S
     saw_bool = saw_int = saw_float = saw_str = saw_floats = False
     for value in values:
         if isinstance(value, bool):
@@ -328,25 +383,27 @@ def _column_tag(values: list[Any]) -> int:
 
 def _encode_objects(out: bytearray, objects: list[dict[str, Any]]) -> None:
     n_rows = len(objects)
+    names = sorted(set().union(*objects))
+    if not names and n_rows > MAX_EMPTY_ROWS:
+        raise ProtocolError(
+            f"{n_rows} rows without a column exceed the {MAX_EMPTY_ROWS} the wire carries"
+        )
     out += _U32.pack(n_rows)
-    names = sorted({name for obj in objects for name in obj})
     out += _U32.pack(len(names))
     bitmap_size = (n_rows + 7) // 8
+    every_row = ((1 << n_rows) - 1).to_bytes(bitmap_size, "little")
+    no_row = bytes(bitmap_size)
     for name in names:
         _w_text(out, name)
-        presence = bytearray(bitmap_size)
-        nulls = bytearray(bitmap_size)
-        values: list[Any] = []
-        for row, obj in enumerate(objects):
-            if name not in obj:
-                continue
-            presence[row >> 3] |= 1 << (row & 7)
-            value = obj[name]
-            if value is None:
-                nulls[row >> 3] |= 1 << (row & 7)
-            else:
-                values.append(value)
-        tag = _column_tag(values)
+        values = list(map(dict.get, objects, repeat(name), repeat(_ABSENT)))
+        kinds = set(map(type, values))
+        presence, nulls = every_row, no_row
+        if _Absent in kinds or _NONE_TYPE in kinds:
+            presence = _bitmap([cell is not _ABSENT for cell in values], bitmap_size)
+            nulls = _bitmap([cell is None for cell in values], bitmap_size)
+            values = [cell for cell in values if cell is not None and cell is not _ABSENT]
+            kinds -= {_Absent, _NONE_TYPE}
+        tag = _column_tag(kinds, values)
         out += _U8.pack(tag)
         out += presence
         out += nulls
@@ -355,14 +412,24 @@ def _encode_objects(out: bytearray, objects: list[dict[str, Any]]) -> None:
         elif tag == COL_F64:
             out += struct.pack(f">{len(values)}d", *values)
         elif tag == COL_BOOL:
-            out += bytes(1 if value else 0 for value in values)
+            out += bytes(values)
         elif tag == COL_STR:
-            for value in values:
-                _w_text(out, value)
+            texts = list(map(str.encode, values))
+            sizes = map(_U32.pack, map(len, texts))
+            out += b"".join(chain.from_iterable(zip(sizes, texts)))
         elif tag == COL_F64S:
-            for value in values:
-                out += _U8.pack(len(value))
-                out += struct.pack(f">{len(value)}d", *value)
+            sizes = set(map(len, values))
+            if len(sizes) == 1:
+                (size,) = sizes
+                pack = struct.Struct(f">B{size}d").pack
+                rows = map(pack, repeat(size, len(values)), *zip(*values))
+                # Consumed row by row: joining them first holds every packed
+                # row at once, the widest moment of a whole step (+80 kB).
+                deque(map(out.extend, rows), 0)
+            else:
+                for value in values:
+                    out += _U8.pack(len(value))
+                    out += struct.pack(f">{len(value)}d", *value)
         else:
             for value in values:
                 _w_text(
@@ -371,48 +438,82 @@ def _encode_objects(out: bytearray, objects: list[dict[str, Any]]) -> None:
                 )
 
 
+def _read_f64s(reader: _Reader, count: int) -> list[tuple[float, ...]]:
+    """``count`` length-prefixed float tuples.
+
+    A block that lies inside the message with all its length bytes equal
+    is split in one call; anything else — ragged tuples, a truncated tail —
+    is walked tuple by tuple, so the bounds check that fails is the reader's.
+    """
+    head = reader.peek(1)
+    if count and head:
+        stride = 1 + 8 * head[0]
+        block = reader.peek(count * stride)
+        if len(block) == count * stride and block[::stride] == head * count:
+            reader.raw(len(block))
+            return list(struct.Struct(f">x{head[0]}d").iter_unpack(block))
+    values = []
+    for _ in range(count):
+        size = reader.u8()
+        values.append(struct.unpack(f">{size}d", reader.raw(8 * size)))
+    return values
+
+
 def _decode_objects(reader: _Reader) -> list[dict[str, Any]]:
     n_rows = reader.u32()
     n_cols = reader.u32()
-    objects: list[dict[str, Any]] = [{} for _ in range(n_rows)]
     bitmap_size = (n_rows + 7) // 8
+    # The declared shape is checked against the bytes that are left before
+    # anything is sized by it: a short frame cannot ask for a long answer.
+    if n_cols == 0:
+        if n_rows > MAX_EMPTY_ROWS:
+            raise ProtocolError(
+                f"binary message declares {n_rows} rows without a column (> {MAX_EMPTY_ROWS})"
+            )
+        return [{} for _ in range(n_rows)]
+    reader.require(n_cols * (4 + 1 + 2 * bitmap_size))
+    every_row = (1 << n_rows) - 1
+    names: list[str] = []
+    columns: list[Any] = []
+    sparse = False
     for _ in range(n_cols):
-        name = reader.text()
+        names.append(reader.text())
         tag = reader.u8()
         presence = reader.raw(bitmap_size)
         nulls = reader.raw(bitmap_size)
-        present_rows = [
-            row for row in range(n_rows) if presence[row >> 3] & (1 << (row & 7))
-        ]
-        value_rows = [
-            row for row in present_rows if not nulls[row >> 3] & (1 << (row & 7))
-        ]
-        count = len(value_rows)
-        values: list[Any]
+        present = int.from_bytes(presence, "little") & every_row
+        null = int.from_bytes(nulls, "little") & present
+        count = (present ^ null).bit_count()
         if tag == COL_I64:
-            values = list(struct.unpack(f">{count}q", reader.raw(8 * count)))
+            values = struct.unpack(f">{count}q", reader.raw(8 * count))
         elif tag == COL_F64:
-            values = list(struct.unpack(f">{count}d", reader.raw(8 * count)))
+            values = struct.unpack(f">{count}d", reader.raw(8 * count))
         elif tag == COL_BOOL:
-            values = [byte != 0 for byte in reader.raw(count)]
+            values = list(map(bool, reader.raw(count)))
         elif tag == COL_STR:
             values = [reader.text() for _ in range(count)]
         elif tag == COL_F64S:
-            values = []
-            for _ in range(count):
-                size = reader.u8()
-                values.append(struct.unpack(f">{size}d", reader.raw(8 * size)))
+            values = _read_f64s(reader, count)
         elif tag == COL_JSON:
             values = [_canonical_value(reader.json()) for _ in range(count)]
         else:
             raise ProtocolError(f"unknown column type tag {tag}")
-        cursor = iter(values)
-        for row in present_rows:
-            if nulls[row >> 3] & (1 << (row & 7)):
-                objects[row][name] = None
-            else:
-                objects[row][name] = next(cursor)
-    return objects
+        if count != n_rows:
+            sparse = True
+            cursor = iter(values)
+            values = [
+                _ABSENT if not presence[row >> 3] >> (row & 7) & 1
+                else None if nulls[row >> 3] >> (row & 7) & 1
+                else next(cursor)
+                for row in range(n_rows)
+            ]
+        columns.append(values)
+    if sparse:
+        return [
+            {name: cell for name, cell in zip(names, row) if cell is not _ABSENT}
+            for row in zip(*columns)
+        ]
+    return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import threading
 import pytest
 
 from repro.cluster import build_cluster
-from repro.net.protocol import DataRequest
+from repro.net.protocol import DataRequest, DataResponse
+from repro.serving.base import ServiceMiddleware
 
 from tests.cluster.conftest import parity_requests as _all_requests
 from tests.cluster.conftest import payload_bytes as _payload_bytes
@@ -167,5 +168,75 @@ def test_sequential_config_never_creates_an_executor(usmap_parity_stack):
         response = cluster.router.handle(wide)
         assert len(response.shard_ms) == 2
         assert cluster.router._executor is None
+    finally:
+        cluster.close()
+
+
+class _CannedShard(ServiceMiddleware):
+    """A shard that answers every request with the same objects."""
+
+    def __init__(self, inner, objects):
+        super().__init__(inner)
+        self._objects = objects
+
+    def handle(self, request):
+        return DataResponse(
+            request=request, objects=[dict(obj) for obj in self._objects], queries_issued=1
+        )
+
+
+#: What the two shards of the gather-order case return: a boundary
+#: duplicate (``tuple_id`` 7 on both), objects without a ``tuple_id`` (their
+#: whole content is their identity; one of them on both shards), and int
+#: next to str ``tuple_id``s — identities with no natural order, so the
+#: canonical sort takes its ``repr`` fallback.
+_GATHER_SHARD_OBJECTS = (
+    [
+        {"tuple_id": 7, "x": 1.5},
+        {"tuple_id": "b", "x": 2.5},
+        {"label": "loose", "bbox": (0.0, 1.0)},
+        {"tuple_id": 30, "x": 3.5},
+    ],
+    [
+        {"tuple_id": "a", "x": 4.5},
+        {"tuple_id": 7, "x": 1.5},
+        {"tuple_id": 4, "x": 5.5},
+        {"label": "loose", "bbox": (0.0, 1.0)},
+        {"label": "other", "tuple_id": None},
+    ],
+)
+
+#: The gathered objects as ``DataResponse.to_json()`` carries them, recorded
+#: at the parent of PR 20 (which computed an identity per merge *and* per sort).
+_GATHER_EXPECTED_OBJECTS = (
+    '"objects": [{"tuple_id": "a", "x": 4.5}, {"tuple_id": "b", "x": 2.5}, '
+    '{"bbox": [0.0, 1.0], "label": "loose"}, {"label": "other", "tuple_id": null}, '
+    '{"tuple_id": 30, "x": 3.5}, {"tuple_id": 4, "x": 5.5}, {"tuple_id": 7, "x": 1.5}]'
+)
+
+
+def test_gather_keeps_its_order_with_duplicates_and_mixed_identities(
+    usmap_parity_stack,
+):
+    stack = usmap_parity_stack
+    cluster = build_cluster(stack.backend, shard_count=2)
+    try:
+        for shard, objects in zip(cluster.shards, _GATHER_SHARD_OBJECTS):
+            shard.service = _CannedShard(shard.service, objects)
+        plan = stack.backend.compiled.canvas_plan("statemap")
+        wide = DataRequest(
+            app_name=stack.app_name,
+            canvas_id="statemap",
+            layer_index=0,
+            granularity="box",
+            xmin=0.0,
+            ymin=0.0,
+            xmax=plan.width,
+            ymax=plan.height,
+        )
+        response = cluster.router.handle(wide)
+        assert len(response.shard_ms) == 2
+        assert cluster.router.stats.duplicates_removed == 2
+        assert _GATHER_EXPECTED_OBJECTS in response.to_json()
     finally:
         cluster.close()

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import datetime
 import socket
+import struct
 import threading
+import time
+import tracemalloc
 
 import pytest
 
@@ -293,6 +296,50 @@ class TestResponseRoundTrip:
         ]
         wide = response(objects)
         assert len(columnar.encode_response(wide)) < len(wide.to_json().encode())
+
+
+class TestDeclaredShapeIsCheckedBeforeAllocation:
+    """A frame's ``n_rows`` / ``n_cols`` are claims; the bytes are the evidence.
+
+    Regression: the decoder built ``[{} for _ in range(n_rows)]`` before it
+    read a single column, so a 120-byte frame declaring 20 000 000 rows
+    cost 9.9 s and 1.4 GB before it raised, and one declaring 2**32 - 1 got
+    the process killed — on whatever a worker socket delivered.
+    """
+
+    @staticmethod
+    def _declaring(n_rows, n_cols):
+        empty = columnar.encode_response(response([]))
+        return empty[:-8] + struct.pack(">II", n_rows, n_cols)
+
+    @pytest.mark.parametrize("n_rows", [20_000_000, 2**32 - 1])
+    @pytest.mark.parametrize("n_cols", [0, 1])
+    def test_oversized_shape_is_refused_fast_and_flat(self, n_rows, n_cols):
+        frame = self._declaring(n_rows, n_cols)
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(ProtocolError, match="truncated|without a column"):
+                columnar.decode_response(frame)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05
+        assert peak < 64 * 1024
+
+    def test_column_count_is_checked_against_the_bytes_too(self):
+        with pytest.raises(ProtocolError, match="truncated"):
+            columnar.decode_response(self._declaring(0, 2**32 - 1))
+
+    def test_rows_without_a_column_are_capped_on_both_sides(self):
+        # The one shape whose size the bytes cannot vouch for: the encoder
+        # refuses what the decoder would, so decode(encode(r)) == r holds
+        # for everything that can be encoded.
+        most = response([{}] * columnar.MAX_EMPTY_ROWS)
+        assert roundtrip(most) == most
+        with pytest.raises(ProtocolError, match="without a column"):
+            columnar.encode_response(response([{}] * (columnar.MAX_EMPTY_ROWS + 1)))
 
 
 class TestErrorsAndCalls:

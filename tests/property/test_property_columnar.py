@@ -4,15 +4,28 @@ Mirrors ``test_property_protocol.py`` on the shard wire: every request and
 response the reference JSON encoding can carry must survive the columnar
 codec unchanged, and — the reference law — decoding the binary form must
 yield exactly what decoding the JSON form yields, so what a shard returns
-over the wire is what the HTTP edge would have serialised.
+over the wire is what the HTTP edge would have serialised.  The objects
+block is additionally held, byte for byte, to the cell-at-a-time codec it
+replaced, and the decoder to typed errors on anything that is not a message.
 """
 
 from __future__ import annotations
 
+import enum
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ProtocolError
 from repro.net import columnar
 from repro.net.protocol import DataRequest, DataResponse
+
+from tests.net import reference_objects_codec as reference
+
+_BOX = DataRequest(
+    app_name="dots", canvas_id="dots", layer_index=0, granularity="box",
+    xmin=0.0, ymin=0.0, xmax=256.0, ymax=256.0,
+)
 
 # -- strategies (canonical row form, like the JSON protocol suite) ---------------
 
@@ -161,3 +174,149 @@ class TestBinaryResponseRoundTrip:
         ]
         wide = DataResponse(request=response.request, objects=objects)
         assert len(columnar.encode_response(wide)) < len(wide.to_json().encode())
+
+
+# -- the objects block against its reference implementation ---------------------
+#
+# ``tests/net/reference_objects_codec.py`` is the codec as it stood before it
+# packed whole columns: a statement per cell.  The wire did not change, so
+# the two must agree byte for byte on everything either can be given — not
+# only decode to equal rows.
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**40
+
+
+class _Measured(float):
+    """A ``float`` subclass, as ``numpy.float64`` is."""
+
+
+_ABSENT = object()
+_any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+def _float_tuples(sizes):
+    return sizes.flatmap(
+        lambda size: st.lists(_any_float, min_size=size, max_size=size).map(tuple)
+    )
+
+
+#: One strategy per kind of column: what the cells of a column are drawn from.
+_COLUMN_KINDS = [
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=-(2**70), max_value=2**70),  # beyond i64: JSON cells
+    _any_float,
+    _names,
+    st.booleans(),
+    st.one_of(st.booleans(), st.integers(-5, 5)),  # bool beside int
+    st.one_of(st.integers(-5, 5), _any_float),  # mixed int / float
+    st.sampled_from(list(_Level)),
+    st.one_of(st.sampled_from(list(_Level)), st.integers(-5, 5)),
+    _any_float.map(_Measured),
+    st.one_of(_any_float, _any_float.map(_Measured)),
+    _float_tuples(st.just(4)),  # a bbox column: one length throughout
+    _float_tuples(st.sampled_from([0, 1, 4, 255])),  # ragged, still typed
+    _float_tuples(st.sampled_from([0, 4, 256])),  # 256 floats have no length byte
+    st.tuples(_any_float, _any_float.map(_Measured)),
+    st.tuples(_any_float, st.integers(0, 3)),  # not all floats: JSON cells
+    st.none(),
+    _nested,
+]
+
+#: Bitmap byte edges, and the shapes in between.
+_ROW_COUNTS = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]), st.integers(0, 20))
+
+
+@st.composite
+def column_shaped_objects(draw):
+    """Rows assembled from per-column draws, so typed columns actually occur."""
+    n_rows = draw(_ROW_COUNTS)
+    rows = [{} for _ in range(n_rows)]
+    for name in draw(st.lists(_names, max_size=4, unique=True)):
+        cells = draw(st.sampled_from(_COLUMN_KINDS))
+        holes = draw(st.sampled_from([(), (None,), (_ABSENT,), (None, _ABSENT)]))
+        if holes:
+            cells = st.one_of(cells, st.sampled_from(holes))
+        for row, cell in zip(rows, draw(st.lists(cells, min_size=n_rows, max_size=n_rows))):
+            if cell is not _ABSENT:
+                row[name] = cell
+    return rows
+
+
+def _block(encode, objects) -> bytes:
+    out = bytearray()
+    encode(out, objects)
+    return bytes(out)
+
+
+def _rows(decode, block: bytes):
+    reader = columnar._Reader(block)
+    objects = decode(reader)
+    reader.expect_end()
+    # repr, not ==: it tells 1 from 1.0 from True, keeps key order, and
+    # holds NaN equal to itself.
+    return repr(objects)
+
+
+class TestObjectsBlockAgainstReference:
+    @given(st.one_of(column_shaped_objects(), _objects))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_and_rows_equal_the_reference(self, objects):
+        block = _block(columnar._encode_objects, objects)
+        assert block == _block(reference._encode_objects, objects)
+        assert _rows(columnar._decode_objects, block) == _rows(
+            reference._decode_objects, block
+        )
+
+    @pytest.mark.parametrize("cell", [{1, 2}, object(), 1 + 2j, b"raw"])
+    def test_unencodable_cells_fail_alike(self, cell):
+        for encode in (columnar._encode_objects, reference._encode_objects):
+            with pytest.raises(ProtocolError, match="no lossless wire encoding"):
+                encode(bytearray(), [{"v": 1.5}, {"v": cell}])
+
+
+#: Valid messages covering every column representation, sparse and dense.
+_HOSTILE_SEEDS = [
+    [],
+    [{}, {}],
+    [{"tuple_id": row, "x": row * 0.5, "bbox": (0.0, 1.0, 2.0, float(row))} for row in range(9)],
+    [{"a": 1, "b": None}, {"a": 2}, {"b": None, "c": "text"}, {}],
+    [{"s": "é", "flag": True, "big": 2**80}, {"s": "", "flag": False, "big": 1}],
+    [{"bbox": ()}, {"bbox": (1.0,)}, {"bbox": (1.0, 2.0), "nested": ((1, 2), "x")}],
+]
+
+
+class TestHostileBytes:
+    @pytest.mark.parametrize("objects", _HOSTILE_SEEDS)
+    def test_every_strict_prefix_is_a_typed_error(self, objects):
+        message = columnar.encode_response(DataResponse(request=_BOX, objects=objects))
+        for cut in range(len(message)):
+            with pytest.raises(ProtocolError):
+                columnar.decode_response(message[:cut])
+
+    @pytest.mark.parametrize("objects", _HOSTILE_SEEDS)
+    def test_every_byte_flip_decodes_as_ever_or_is_a_typed_error(self, objects):
+        message = columnar.encode_response(DataResponse(request=_BOX, objects=objects))
+        start = len(message) - len(_block(columnar._encode_objects, objects))
+        for index in range(start, len(message)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(message)
+                flipped[index] ^= mask
+                try:
+                    decoded, _ = columnar.decode_response(bytes(flipped))
+                    got = repr(decoded.objects)
+                except ProtocolError:
+                    got = ProtocolError
+                block = bytes(flipped[start:])
+                if int.from_bytes(block[:4], "big") > columnar.MAX_EMPTY_ROWS:
+                    # Nothing this short carries that many rows — and the
+                    # reference would allocate them before finding out.
+                    assert got is ProtocolError
+                    continue
+                try:
+                    expected = _rows(reference._decode_objects, block)
+                except ProtocolError:
+                    expected = ProtocolError
+                assert got == expected
