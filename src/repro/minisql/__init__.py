@@ -9,20 +9,24 @@ provides the dialect and execution machinery for those queries against
 * :mod:`repro.minisql.planner` — rule-based planning with index selection
   (key indexes and R-tree spatial probes) and join strategies;
 * :mod:`repro.minisql.executor` — a pull-based executor returning
-  :class:`~repro.minisql.executor.ResultSet` objects.
+  :class:`~repro.minisql.executor.ResultSet` objects; statements are
+  prepared once (``engine.prepare(sql)``, ``?`` placeholders) and executed
+  with their values bound (``engine.execute(statement.bind(...))``).
 
 The dialect supports SELECT (joins, WHERE, GROUP BY, ORDER BY, LIMIT,
 aggregates, an ``intersects()`` spatial predicate), INSERT, UPDATE, DELETE,
 CREATE TABLE and CREATE INDEX.
 """
 
-from .executor import ResultSet, SQLEngine
+from .executor import BoundStatement, PreparedStatement, ResultSet, SQLEngine
 from .parser import parse, parse_expression
 from .planner import PlannedQuery, Planner
 
 __all__ = [
+    "BoundStatement",
     "PlannedQuery",
     "Planner",
+    "PreparedStatement",
     "ResultSet",
     "SQLEngine",
     "parse",

@@ -23,6 +23,14 @@ class Literal(Expression):
 
 
 @dataclass(frozen=True)
+class Parameter(Expression):
+    """The ``index``-th ``?`` of a statement (from 0): a constant whose value
+    arrives with each execution of the prepared statement."""
+
+    index: int
+
+
+@dataclass(frozen=True)
 class ColumnRef(Expression):
     """A reference to ``column`` or ``table.column``."""
 

@@ -5,6 +5,11 @@ itself: every node moves flat tuples whose layout, and every expression over
 them, was fixed when the node was built.  The engine here drives the root
 node into a :class:`ResultSet` and carries out data-modification statements
 with the same compiled expressions.
+
+There is one way in: :meth:`SQLEngine.prepare` parses and plans a statement
+once, :meth:`PreparedStatement.bind` pairs it with the values of its ``?``
+placeholders, and :meth:`SQLEngine.execute` runs that pair.  Executing SQL
+text is preparing it, binding nothing and running it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from .ast import (
     Statement,
     UpdateStatement,
 )
-from .functions import Layout, compile_expression, compile_predicate
-from .parser import parse
+from .functions import Binds, Layout, compile_expression, compile_predicate
+from .parser import parse_parameterised
 from .planner import DataModification, PlannedQuery, Planner
 
 
@@ -62,6 +67,54 @@ class ResultSet:
         return self.rows[0][0]
 
 
+class PreparedStatement:
+    """A statement parsed and planned once, run any number of times.
+
+    The plan -- access path, layouts, index handles, compiled closures -- is
+    shared by every execution and holds nothing of any one of them, so
+    threads may execute one statement at once.  It was made against one
+    version of the catalog; when a table or an index has come or gone since,
+    the next execution plans again.
+    """
+
+    def __init__(self, sql: str, planner: Planner, database: Database) -> None:
+        self.sql = sql
+        self._statement, self.parameter_count = parse_parameterised(sql)
+        self._planner = planner
+        self._database = database
+        self._plan = self._make_plan()
+
+    def _make_plan(self) -> tuple[int, PlannedQuery]:
+        # The version is read first: a catalog change racing the planner
+        # leaves a plan that is found stale, never one that is trusted.
+        version = self._database.catalog_version
+        return version, self._planner.plan(self._statement)
+
+    def planned(self) -> PlannedQuery:
+        """The plan for the catalog as it is now."""
+        version, planned = self._plan
+        if version != self._database.catalog_version:
+            self._plan = version, planned = self._make_plan()  # one reference: atomic
+        return planned
+
+    def bind(self, *values: Any) -> "BoundStatement":
+        """This statement with ``values`` for its placeholders, in order."""
+        if len(values) != self.parameter_count:
+            raise SQLExecutionError(
+                f"statement takes {self.parameter_count} parameter(s), {len(values)} bound: "
+                f"{self.sql!r}"
+            )
+        return BoundStatement(self, values)
+
+
+@dataclass(frozen=True)
+class BoundStatement:
+    """A prepared statement and one execution's values for its placeholders."""
+
+    prepared: PreparedStatement
+    values: Binds
+
+
 class SQLEngine:
     """Parses, plans and executes mini-SQL statements against a database."""
 
@@ -72,26 +125,34 @@ class SQLEngine:
 
     # -- public API ------------------------------------------------------------
 
-    def execute(self, sql: str) -> ResultSet:
-        """Run one SQL statement and return its result set."""
-        return self.execute_plan(self._planner.plan(parse(sql)))
+    def prepare(self, sql: str) -> PreparedStatement:
+        """Parse and plan one statement (``?`` marks a value bound per execution)."""
+        return PreparedStatement(sql, self._planner, self.database)
 
-    def explain(self, sql: str) -> str:
-        """Return the physical plan for a statement without executing it."""
-        return self._planner.plan(parse(sql)).root.explain()
+    def _bound(self, statement: str | BoundStatement) -> BoundStatement:
+        return self.prepare(statement).bind() if isinstance(statement, str) else statement
 
-    def execute_plan(self, planned: PlannedQuery) -> ResultSet:
+    def execute(self, statement: str | BoundStatement) -> ResultSet:
+        """Run one statement -- SQL text, or a prepared statement with its
+        values bound -- and return its result set."""
+        bound = self._bound(statement)
+        planned, binds = bound.prepared.planned(), bound.values
         self.queries_executed += 1
         root = planned.root
         if isinstance(root, DataModification):
-            return self._execute_modification(root.statement)
+            return self._execute_modification(root.statement, binds)
         return ResultSet(
-            columns=root.layout.names, rows=list(root.rows()), access_path=planned.access_path
+            columns=root.layout.names, rows=list(root.rows(binds)), access_path=planned.access_path
         )
+
+    def explain(self, statement: str | BoundStatement) -> str:
+        """Return the physical plan for a statement without executing it."""
+        bound = self._bound(statement)
+        return bound.prepared.planned().root.explain(binds=bound.values)
 
     # -- data modification --------------------------------------------------------------
 
-    def _execute_modification(self, statement: Statement) -> ResultSet:
+    def _execute_modification(self, statement: Statement, binds: Binds) -> ResultSet:
         if isinstance(statement, CreateTableStatement):
             self.database.create_table(statement.table, list(statement.columns))
             return ResultSet(columns=[], rows=[], rowcount=0)
@@ -102,20 +163,22 @@ class SQLEngine:
             )
             return ResultSet(columns=[], rows=[], rowcount=0)
         if isinstance(statement, InsertStatement):
-            return self._execute_insert(statement)
+            return self._execute_insert(statement, binds)
         if isinstance(statement, UpdateStatement):
-            return self._execute_update(statement)
+            return self._execute_update(statement, binds)
         if isinstance(statement, DeleteStatement):
-            return self._execute_delete(statement)
+            return self._execute_delete(statement, binds)
         raise SQLExecutionError(
             f"unsupported statement {type(statement).__name__}"
         )
 
-    def _execute_insert(self, statement: InsertStatement) -> ResultSet:
+    def _execute_insert(self, statement: InsertStatement, binds: Binds) -> ResultSet:
         table = self.database.table(statement.table)
         inserted = 0
         for value_tuple in statement.rows:
-            values = [compile_expression(expression, Layout())(()) for expression in value_tuple]
+            values = [
+                compile_expression(expression, Layout())((), binds) for expression in value_tuple
+            ]
             if statement.columns:
                 if len(values) != len(statement.columns):
                     raise SQLExecutionError(
@@ -127,25 +190,27 @@ class SQLEngine:
             inserted += 1
         return ResultSet(columns=[], rows=[], rowcount=inserted)
 
-    def _matching(self, table_name: str, where: Expression | None) -> tuple[Table, Layout, list]:
+    def _matching(
+        self, table_name: str, where: Expression | None, binds: Binds
+    ) -> tuple[Table, Layout, list]:
         """The table, its layout and the ``(rid, row)`` pairs ``where`` selects."""
         table = self.database.table(table_name)
         layout = Layout.of_table(table, table_name)
         matches = compile_predicate(where, layout)
-        return table, layout, [(rid, row) for rid, row in table.scan() if matches(row)]
+        return table, layout, [(rid, row) for rid, row in table.scan() if matches(row, binds)]
 
-    def _execute_update(self, statement: UpdateStatement) -> ResultSet:
-        table, layout, targets = self._matching(statement.table, statement.where)
+    def _execute_update(self, statement: UpdateStatement, binds: Binds) -> ResultSet:
+        table, layout, targets = self._matching(statement.table, statement.where, binds)
         assignments = [
             (column, compile_expression(expression, layout))
             for column, expression in statement.assignments
         ]
         for rid, row in targets:
-            table.update(rid, {column: evaluate(row) for column, evaluate in assignments})
+            table.update(rid, {column: evaluate(row, binds) for column, evaluate in assignments})
         return ResultSet(columns=[], rows=[], rowcount=len(targets))
 
-    def _execute_delete(self, statement: DeleteStatement) -> ResultSet:
-        table, _, targets = self._matching(statement.table, statement.where)
+    def _execute_delete(self, statement: DeleteStatement, binds: Binds) -> ResultSet:
+        table, _, targets = self._matching(statement.table, statement.where, binds)
         for rid, _ in targets:
             table.delete(rid)
         return ResultSet(columns=[], rows=[], rowcount=len(targets))

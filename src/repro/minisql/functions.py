@@ -2,11 +2,13 @@
 
 Rows flow between operators as flat tuples.  A :class:`Layout` names what
 sits at each offset, and :func:`compile_expression` turns an expression into
-a closure over such tuples, resolving every column reference to its offset
-once -- so an unknown or ambiguous name fails when the statement is planned,
-whether or not a row ever flows.  SQL three-valued logic is approximated
-with Python ``None`` propagation, which is sufficient for the predicates
-Kyrix applications issue.
+a closure over such a tuple and the bind values of the execution under way,
+resolving every column reference to its offset once -- so an unknown or
+ambiguous name fails when the statement is planned, whether or not a row
+ever flows.  A ``?`` reads its value from the binds it is handed, never from
+the closure, so one compiled statement serves any number of executions at
+once.  SQL three-valued logic is approximated with Python ``None``
+propagation, which is sufficient for the predicates Kyrix applications issue.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from ..errors import SQLExecutionError, SQLPlanError
+from ..errors import SQLExecutionError
 from ..storage.rtree import Rect
 from ..storage.table import Table
 from .ast import (
@@ -28,11 +30,14 @@ from .ast import (
     InList,
     IsNull,
     Literal,
+    Parameter,
     UnaryOp,
 )
 
 Row = tuple[Any, ...]
-Evaluator = Callable[[Row], Any]
+#: The values bound to a statement's ``?`` placeholders for one execution.
+Binds = tuple[Any, ...]
+Evaluator = Callable[[Row, Binds], Any]
 
 #: Names of aggregate functions (compiled by the planner, not here).
 AGGREGATE_FUNCTIONS = {"count", "sum", "avg", "min", "max"}
@@ -133,31 +138,36 @@ _BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
 
 
 def compile_expression(expression: Expression, layout: Layout) -> Evaluator:
-    """Compile ``expression`` into a closure over rows shaped like ``layout``."""
+    """Compile ``expression`` into a closure over ``(row, binds)``: a row
+    shaped like ``layout`` and the execution's bind values."""
     if isinstance(expression, Literal):
         constant = expression.value
-        return lambda row: constant
+        return lambda row, binds: constant
+    if isinstance(expression, Parameter):
+        index = expression.index
+        return lambda row, binds: binds[index]
     if isinstance(expression, ColumnRef):
-        return operator.itemgetter(layout.resolve(expression))
+        offset = layout.resolve(expression)
+        return lambda row, binds: row[offset]
     if isinstance(expression, UnaryOp):
         operand = compile_expression(expression.operand, layout)
         if expression.operator == "not":
-            return lambda row: None if (value := operand(row)) is None else not value
+            return lambda row, binds: None if (value := operand(row, binds)) is None else not value
         if expression.operator == "-":
-            return lambda row: None if (value := operand(row)) is None else -value
+            return lambda row, binds: None if (value := operand(row, binds)) is None else -value
         raise SQLExecutionError(f"unknown unary operator {expression.operator!r}")
     if isinstance(expression, BinaryOp):
         return _compile_binary(expression, layout)
     if isinstance(expression, IsNull):
         operand, negated = compile_expression(expression.operand, layout), expression.negated
-        return lambda row: (operand(row) is None) != negated
+        return lambda row, binds: (operand(row, binds) is None) != negated
     if isinstance(expression, Between):
         operand, negated = compile_expression(expression.operand, layout), expression.negated
         low = compile_expression(expression.low, layout)
         high = compile_expression(expression.high, layout)
 
-        def between(row: Row) -> bool | None:
-            value, lower, upper = operand(row), low(row), high(row)
+        def between(row: Row, binds: Binds) -> bool | None:
+            value, lower, upper = operand(row, binds), low(row, binds), high(row, binds)
             if value is None or lower is None or upper is None:
                 return None
             return (lower <= value <= upper) != negated
@@ -167,11 +177,11 @@ def compile_expression(expression: Expression, layout: Layout) -> Evaluator:
         operand, negated = compile_expression(expression.operand, layout), expression.negated
         items = [compile_expression(item, layout) for item in expression.items]
 
-        def in_list(row: Row) -> bool | None:
-            value = operand(row)
+        def in_list(row: Row, binds: Binds) -> bool | None:
+            value = operand(row, binds)
             if value is None:
                 return None
-            return (value in [item(row) for item in items]) != negated
+            return (value in [item(row, binds) for item in items]) != negated
 
         return in_list
     if isinstance(expression, FunctionCall):
@@ -183,7 +193,7 @@ def compile_expression(expression: Expression, layout: Layout) -> Evaluator:
         function = _SCALAR_FUNCTIONS.get(expression.name)
         if function is None:
             raise SQLExecutionError(f"unknown function: {expression.name!r}")
-        return lambda row: function(*[arg(row) for arg in args])
+        return lambda row, binds: function(*[arg(row, binds) for arg in args])
     raise SQLExecutionError(f"cannot evaluate expression of type {type(expression).__name__}")
 
 
@@ -194,11 +204,11 @@ def _compile_binary(expression: BinaryOp, layout: Layout) -> Evaluator:
         # AND is decided by a False operand, OR by a True one, NULL or not.
         decisive = expression.operator == "or"
 
-        def connective(row: Row) -> bool | None:
-            first = left(row)
+        def connective(row: Row, binds: Binds) -> bool | None:
+            first = left(row, binds)
             if first is decisive:
                 return decisive
-            second = right(row)
+            second = right(row, binds)
             if second is decisive:
                 return decisive
             if first is None or second is None:
@@ -210,8 +220,8 @@ def _compile_binary(expression: BinaryOp, layout: Layout) -> Evaluator:
     if apply is None:
         raise SQLExecutionError(f"unknown operator {expression.operator!r}")
 
-    def binary(row: Row) -> Any:
-        first, second = left(row), right(row)
+    def binary(row: Row, binds: Binds) -> Any:
+        first, second = left(row, binds), right(row, binds)
         if first is None or second is None:
             return None
         return apply(first, second)
@@ -219,12 +229,12 @@ def _compile_binary(expression: BinaryOp, layout: Layout) -> Evaluator:
     return binary
 
 
-def compile_predicate(expression: Expression | None, layout: Layout) -> Callable[[Row], bool]:
+def compile_predicate(expression: Expression | None, layout: Layout) -> Evaluator:
     """Compile a WHERE predicate; NULL counts as not matching."""
     if expression is None:
-        return lambda row: True
+        return lambda row, binds: True
     evaluator = compile_expression(expression, layout)
-    return lambda row: bool(evaluator(row))
+    return lambda row, binds: bool(evaluator(row, binds))
 
 
 # ---------------------------------------------------------------------------
@@ -249,63 +259,48 @@ def combine_conjuncts(conjuncts: Iterable[Expression]) -> Expression | None:
     return result
 
 
-def extract_literal(expression: Expression) -> tuple[bool, Any]:
-    """Return ``(True, value)`` when the expression is a constant literal."""
-    if isinstance(expression, Literal):
-        return True, expression.value
+def is_constant(expression: Expression) -> bool:
+    """True for what an index probe can be keyed on: a literal, a ``?``, or
+    either one negated -- a value no row is needed to know."""
     if isinstance(expression, UnaryOp) and expression.operator == "-":
-        ok, value = extract_literal(expression.operand)
-        if ok and value is not None:
-            return True, -value
-    return False, None
+        return is_constant(expression.operand)
+    return isinstance(expression, (Literal, Parameter))
 
 
-def as_key_lookup(conjunct: Expression) -> tuple[ColumnRef, list[Any]] | None:
-    """Detect ``col = literal`` or ``col IN (literals)`` conjuncts.
+def as_key_lookup(conjunct: Expression) -> tuple[ColumnRef, list[Expression]] | None:
+    """Detect ``col = constant`` or ``col IN (constants)`` conjuncts.
 
-    Returns ``(column_ref, candidate_keys)`` when the conjunct is such a
-    pattern, otherwise None.
+    Returns ``(column_ref, candidate_keys)`` -- the keys as the constant
+    expressions they were written as -- when the conjunct is such a pattern,
+    otherwise None.
     """
     if isinstance(conjunct, BinaryOp) and conjunct.operator in ("=", "=="):
         left, right = conjunct.left, conjunct.right
-        if isinstance(left, ColumnRef):
-            ok, value = extract_literal(right)
-            if ok:
-                return left, [value]
-        if isinstance(right, ColumnRef):
-            ok, value = extract_literal(left)
-            if ok:
-                return right, [value]
+        if isinstance(left, ColumnRef) and is_constant(right):
+            return left, [right]
+        if isinstance(right, ColumnRef) and is_constant(left):
+            return right, [left]
     if isinstance(conjunct, InList) and not conjunct.negated:
-        if isinstance(conjunct.operand, ColumnRef):
-            values = []
-            for item in conjunct.items:
-                ok, value = extract_literal(item)
-                if not ok:
-                    return None
-                values.append(value)
-            return conjunct.operand, values
+        if isinstance(conjunct.operand, ColumnRef) and all(map(is_constant, conjunct.items)):
+            return conjunct.operand, list(conjunct.items)
     return None
 
 
-def as_spatial_lookup(conjunct: Expression) -> tuple[ColumnRef, Rect] | None:
-    """Detect ``intersects(bbox_col, x1, y1, x2, y2)`` conjuncts with literal
-    bounds; these can be answered by an R-tree probe."""
+def as_spatial_lookup(conjunct: Expression) -> tuple[ColumnRef, tuple[Expression, ...]] | None:
+    """Detect ``intersects(bbox_col, x1, y1, x2, y2)`` conjuncts with constant
+    bounds; these can be answered by an R-tree probe.  Returns the column and
+    the four bounds as written."""
     if not isinstance(conjunct, FunctionCall) or conjunct.name != "intersects":
         return None
     if len(conjunct.args) != 5:
         return None
-    column = conjunct.args[0]
-    if not isinstance(column, ColumnRef):
+    column, *bounds = conjunct.args
+    if not isinstance(column, ColumnRef) or not all(map(is_constant, bounds)):
         return None
-    bounds = []
-    for arg in conjunct.args[1:]:
-        ok, value = extract_literal(arg)
-        if not ok or value is None:
-            return None
-        bounds.append(float(value))
-    try:
-        rect = Rect(bounds[0], bounds[1], bounds[2], bounds[3])
-    except Exception as exc:  # degenerate rectangle
-        raise SQLPlanError(f"invalid intersects() bounds: {bounds}") from exc
-    return column, rect
+    return column, tuple(bounds)
+
+
+def constant_value(expression: Expression) -> Callable[[Binds], Any]:
+    """Compile a constant (see :func:`is_constant`) into a function of the binds alone."""
+    evaluate = compile_expression(expression, Layout())
+    return lambda binds: evaluate((), binds)

@@ -3,7 +3,8 @@
 The dialect covers what Kyrix layer queries and the backend's precomputed
 tables need: ``SELECT`` (with joins, ``WHERE``, ``ORDER BY``, ``LIMIT``,
 aggregates), ``INSERT``, ``UPDATE``, ``DELETE``, ``CREATE TABLE`` and
-``CREATE INDEX``.
+``CREATE INDEX``.  A ``?`` stands for a constant bound when a prepared
+statement is executed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class TokenType(enum.Enum):
     STRING = "string"
     OPERATOR = "operator"
     PUNCTUATION = "punctuation"
+    PLACEHOLDER = "placeholder"
     EOF = "eof"
 
 
@@ -128,6 +130,10 @@ def tokenize(text: str) -> list[Token]:
             continue
         if char in _PUNCTUATION:
             tokens.append(Token(TokenType.PUNCTUATION, char, index))
+            index += 1
+            continue
+        if char == "?":
+            tokens.append(Token(TokenType.PLACEHOLDER, char, index))
             index += 1
             continue
         raise SQLSyntaxError(f"unexpected character {char!r}", index)

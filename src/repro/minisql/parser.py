@@ -18,6 +18,7 @@ from .ast import (
     JoinClause,
     Literal,
     OrderItem,
+    Parameter,
     SelectItem,
     SelectStatement,
     Statement,
@@ -32,7 +33,13 @@ _AGGREGATES = {"count", "sum", "avg", "min", "max"}
 
 def parse(text: str) -> Statement:
     """Parse a single SQL statement."""
-    return _Parser(tokenize(text)).parse_statement()
+    return parse_parameterised(text)[0]
+
+
+def parse_parameterised(text: str) -> tuple[Statement, int]:
+    """Parse a single SQL statement; also the number of ``?`` placeholders in it."""
+    parser = _Parser(tokenize(text))
+    return parser.parse_statement(), parser.parameters
 
 
 def parse_expression(text: str) -> Expression:
@@ -47,6 +54,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._position = 0
+        self.parameters = 0  # placeholders met so far: the next one's index
 
     # -- token helpers -------------------------------------------------------
 
@@ -432,6 +440,10 @@ class _Parser:
         if token.type is TokenType.STRING:
             self._advance()
             return Literal(token.value)
+        if token.type is TokenType.PLACEHOLDER:
+            self._advance()
+            self.parameters += 1
+            return Parameter(self.parameters - 1)
         if token.is_keyword("null"):
             self._advance()
             return Literal(None)

@@ -4,11 +4,12 @@ The planner turns a parsed statement into a small physical-plan tree.  Its
 job in this reproduction mirrors what Kyrix relies on PostgreSQL's planner
 for: picking an index access path when the WHERE clause allows it.
 
-Access-path rules, applied to the driving table's conjuncts:
+Access-path rules, applied to the driving table's conjuncts (a constant is
+a literal or a ``?`` placeholder):
 
-1. an ``intersects(bbox_col, x1, y1, x2, y2)`` conjunct with literal bounds
+1. an ``intersects(bbox_col, x1, y1, x2, y2)`` conjunct with constant bounds
    and an R-tree on ``bbox_col``  ->  :class:`SpatialScan`;
-2. a ``col = literal`` / ``col IN (...)`` conjunct with a B-tree or hash
+2. a ``col = constant`` / ``col IN (...)`` conjunct with a B-tree or hash
    index on ``col``  ->  :class:`IndexKeyScan`;
 3. otherwise  ->  :class:`SeqScan`.
 
@@ -20,6 +21,9 @@ A plan node is also its own operator.  Building it fixes the layout of the
 flat tuples it emits and compiles its expressions against its input's
 layout, so every column reference is an offset -- or a typed error -- before
 the first row is read; running it (:meth:`PlanNode.rows`) only moves tuples.
+A plan is shared by every execution of its prepared statement, concurrent
+ones included: what differs between executions -- the bind values -- is handed
+down the tree by :meth:`PlanNode.rows` and never written to a node.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from ..errors import SQLPlanError
+from ..errors import SQLExecutionError, SQLPlanError, StorageError
 from ..storage.database import Database
 from ..storage.rtree import Rect
-from ..storage.table import Table
+from ..storage.table import IndexInfo, Table
 from .ast import (
     ColumnRef,
     CreateIndexStatement,
@@ -50,12 +54,15 @@ from .ast import (
 )
 from .functions import (
     AGGREGATE_FUNCTIONS,
+    Binds,
+    Evaluator,
     Layout,
     Row,
     as_key_lookup,
     as_spatial_lookup,
     combine_conjuncts,
     compile_expression,
+    constant_value,
     split_conjuncts,
 )
 
@@ -67,21 +74,22 @@ from .functions import (
 
 class PlanNode:
     """Base class of physical plan nodes: ``layout`` is fixed when the node is
-    built, :meth:`rows` produces tuples of that shape."""
+    built, :meth:`rows` produces tuples of that shape for one execution's
+    bind values."""
 
     layout: Layout = Layout()
 
-    def describe(self) -> str:  # pragma: no cover - overridden
+    def describe(self, binds: Binds = ()) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def rows(self) -> Iterable[Row]:  # pragma: no cover - overridden
+    def rows(self, binds: Binds) -> Iterable[Row]:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def explain(self, indent: int = 0) -> str:
-        """Pretty-print the plan tree (like EXPLAIN)."""
-        lines = ["  " * indent + self.describe()]
+    def explain(self, indent: int = 0, binds: Binds = ()) -> str:
+        """Pretty-print the plan tree (like EXPLAIN) as ``binds`` would run it."""
+        lines = ["  " * indent + self.describe(binds)]
         for child in self.children():
-            lines.append(child.explain(indent + 1))
+            lines.append(child.explain(indent + 1, binds))
         return "\n".join(lines)
 
     def children(self) -> list["PlanNode"]:
@@ -101,43 +109,70 @@ class TableScan(PlanNode):
 
 @dataclass
 class SeqScan(TableScan):
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return f"SeqScan({self.table.name} as {self.binding})"
 
-    def rows(self) -> Iterable[Row]:
+    def rows(self, binds: Binds) -> Iterable[Row]:
         return self.table.scan_rows()
 
 
 @dataclass
 class IndexKeyScan(TableScan):
-    column: str
-    keys: list[Any]
+    """Probe ``index`` (a key index on ``column``) for every key of the
+    execution and fetch what they find in one batch."""
 
-    def describe(self) -> str:
+    column: str
+    index: IndexInfo
+    keys: list[Expression]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._keys = [constant_value(key) for key in self.keys]
+
+    def _probe_keys(self, binds: Binds) -> list[Any]:
+        # A row matches an IN-list once however often its key is listed, and
+        # ``= NULL`` matches nothing.
+        return [key for key in dict.fromkeys(value(binds) for value in self._keys) if key is not None]
+
+    def describe(self, binds: Binds = ()) -> str:
         return (
             f"IndexKeyScan({self.table.name} as {self.binding}, "
-            f"{self.column} in {self.keys!r})"
+            f"{self.column} in {self._probe_keys(binds)!r})"
         )
 
-    def rows(self) -> Iterable[Row]:
-        for key in self.keys:
-            for _, row in self.table.lookup_key(self.column, key):
-                yield row
+    def rows(self, binds: Binds) -> Iterable[Row]:
+        return self.table.fetch_many(self.index.index.search_many(self._probe_keys(binds)))
 
 
 @dataclass
 class SpatialScan(TableScan):
-    column: str
-    rect: Rect
+    """Probe ``index`` (an R-tree on ``column``) with the execution's rectangle."""
 
-    def describe(self) -> str:
+    column: str
+    index: IndexInfo
+    bounds: tuple[Expression, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._bounds = [constant_value(bound) for bound in self.bounds]
+
+    def _rect(self, binds: Binds) -> Rect:
+        bounds = [value(binds) for value in self._bounds]
+        if None in bounds:
+            raise SQLExecutionError(f"intersects() bounds must not be NULL: {bounds}")
+        try:
+            return Rect(*map(float, bounds))
+        except StorageError as exc:  # degenerate rectangle
+            raise SQLPlanError(f"invalid intersects() bounds: {bounds}") from exc
+
+    def describe(self, binds: Binds = ()) -> str:
         return (
             f"SpatialScan({self.table.name} as {self.binding}, "
-            f"{self.column} ∩ {self.rect.as_tuple()})"
+            f"{self.column} ∩ {self._rect(binds).as_tuple()})"
         )
 
-    def rows(self) -> Iterable[Row]:
-        return [row for _, row in self.table.spatial_search(self.column, self.rect)]
+    def rows(self, binds: Binds) -> Iterable[Row]:
+        return self.table.fetch_many(self.index.index.search(self._rect(binds)))
 
 
 @dataclass
@@ -149,46 +184,56 @@ class Filter(PlanNode):
         self.layout = self.child.layout
         self._matches = compile_expression(self.predicate, self.layout)
 
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return "Filter"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def rows(self) -> Iterable[Row]:
-        return filter(self._matches, self.child.rows())  # NULL is falsy: no match
+    def rows(self, binds: Binds) -> Iterable[Row]:
+        matches = self._matches
+        return (row for row in self.child.rows(binds) if matches(row, binds))  # NULL is falsy
 
 
 @dataclass
 class IndexNLJoin(PlanNode):
-    """Index nested-loop join: probe the inner table's key index per outer row."""
+    """Index join: probe ``inner_index`` (a key index on the inner table's join
+    column) with every outer row's key, then fetch every inner row found in one
+    batch.  Rows come out in outer order, an outer row's matches in index order."""
 
     outer: PlanNode
     inner_table: Table
     inner_binding: str
     outer_column: ColumnRef
-    inner_column: str
+    inner_index: IndexInfo
 
     def __post_init__(self) -> None:
         self.layout = self.outer.layout + Layout.of_table(self.inner_table, self.inner_binding)
         self._outer_key = self.outer.layout.resolve(self.outer_column)
 
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return (
             f"IndexNLJoin(inner={self.inner_table.name} as {self.inner_binding} "
-            f"on {self.inner_column})"
+            f"on {self.inner_index.column})"
         )
 
     def children(self) -> list[PlanNode]:
         return [self.outer]
 
-    def rows(self) -> Iterable[Row]:
-        lookup, column, key_at = self.inner_table.lookup_key, self.inner_column, self._outer_key
-        for outer_row in self.outer.rows():
-            key = outer_row[key_at]
-            if key is not None:
-                for _, inner_row in lookup(column, key):
-                    yield outer_row + inner_row
+    def rows(self, binds: Binds) -> Iterable[Row]:
+        outer_rows = list(self.outer.rows(binds))
+        search, key_at = self.inner_index.index.search, self._outer_key
+        # A NULL outer key joins nothing; an absent one finds no rids.
+        found = [
+            search(key) if (key := outer_row[key_at]) is not None else ()
+            for outer_row in outer_rows
+        ]
+        inner_rows = iter(self.inner_table.fetch_many([rid for rids in found for rid in rids]))
+        return [
+            outer_row + next(inner_rows)
+            for outer_row, rids in zip(outer_rows, found)
+            for _ in rids
+        ]
 
 
 @dataclass
@@ -205,18 +250,18 @@ class HashJoin(PlanNode):
         self._outer_key = self.outer.layout.resolve(self.outer_column)
         self._inner_key = self.inner.layout.resolve(self.inner_column)
 
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return "HashJoin"
 
     def children(self) -> list[PlanNode]:
         return [self.outer, self.inner]
 
-    def rows(self) -> Iterable[Row]:
+    def rows(self, binds: Binds) -> Iterable[Row]:
         build: dict[Any, list[Row]] = {}
-        for inner_row in self.inner.rows():
+        for inner_row in self.inner.rows(binds):
             if inner_row[self._inner_key] is not None:
                 build.setdefault(inner_row[self._inner_key], []).append(inner_row)
-        for outer_row in self.outer.rows():
+        for outer_row in self.outer.rows(binds):
             # A NULL outer key finds nothing: NULL keys were never built.
             for inner_row in build.get(outer_row[self._outer_key], ()):
                 yield outer_row + inner_row
@@ -231,7 +276,9 @@ class Project(PlanNode):
 
     def __post_init__(self) -> None:
         source = self.child.layout
-        self._shape: Callable[[Row], Row] | None
+        # Either a pick of offsets (no binds needed) or one evaluator per item.
+        self._picked: Callable[[Row], Row] | None = None
+        self._evaluators: list[Evaluator] | None = None
         if self.select_star:
             # Every column once: a bare name an earlier table already gave is dropped.
             first: dict[str, int] = {}
@@ -239,25 +286,27 @@ class Project(PlanNode):
                 first.setdefault(column, offset)
             keep = list(first.values())
             self.layout = Layout(tuple(source.slots[offset] for offset in keep))
-            self._shape = None if len(keep) == len(source.slots) else _pick(keep)
+            if len(keep) != len(source.slots):
+                self._picked = _pick(keep)
             return
         self.layout = _projected_layout(self.items, source)
         if all(isinstance(item.expression, ColumnRef) for item in self.items):
-            self._shape = _pick([source.resolve(item.expression) for item in self.items])
+            self._picked = _pick([source.resolve(item.expression) for item in self.items])
         else:
-            evaluators = [compile_expression(item.expression, source) for item in self.items]
-            self._shape = lambda row: tuple(evaluate(row) for evaluate in evaluators)
+            self._evaluators = [compile_expression(item.expression, source) for item in self.items]
 
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return "Project(*)" if self.select_star else f"Project({len(self.items)} items)"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def rows(self) -> Iterable[Row]:
-        rows = self.child.rows()
-        if self._shape is not None:
-            rows = map(self._shape, rows)
+    def rows(self, binds: Binds) -> Iterable[Row]:
+        rows = self.child.rows(binds)
+        if self._picked is not None:
+            rows = map(self._picked, rows)
+        elif (evaluators := self._evaluators) is not None:
+            rows = (tuple(evaluate(row, binds) for evaluate in evaluators) for row in rows)
         return dict.fromkeys(rows) if self.distinct else rows  # first occurrence order
 
 
@@ -283,42 +332,46 @@ class Aggregate(PlanNode):
         self._group_key = [compile_expression(key, source) for key in self.group_by]
         self._outputs = [_compile_group_item(item.expression, source) for item in self.items]
 
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return f"Aggregate(groups={len(self.group_by)})"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def rows(self) -> Iterable[Row]:
+    def rows(self, binds: Binds) -> Iterable[Row]:
         groups: dict[Row, list[Row]] = {}
-        for row in self.child.rows():
-            groups.setdefault(tuple(key(row) for key in self._group_key), []).append(row)
+        for row in self.child.rows(binds):
+            groups.setdefault(tuple(key(row, binds) for key in self._group_key), []).append(row)
         if not groups and not self.group_by:
             groups[()] = []
         for members in groups.values():
-            yield tuple(output(members) for output in self._outputs)
+            yield tuple(output(members, binds) for output in self._outputs)
 
 
-def _compile_group_item(expression: Expression, layout: Layout) -> Callable[[list[Row]], Any]:
+def _compile_group_item(
+    expression: Expression, layout: Layout
+) -> Callable[[list[Row], Binds], Any]:
     """Compile one output column of an :class:`Aggregate` over a group's rows."""
     if isinstance(expression, FunctionCall) and expression.name in AGGREGATE_FUNCTIONS:
         name = expression.name
         if expression.star:
             if name != "count":
                 raise SQLPlanError(f"{name}(*) is not supported")
-            return len
+            return lambda members, binds: len(members)
         if len(expression.args) != 1:
             raise SQLPlanError(f"aggregate {name}() takes exactly one argument")
         argument, reduce = compile_expression(expression.args[0], layout), _AGGREGATES[name]
 
-        def aggregate(members: list[Row]) -> Any:
-            values = [value for value in map(argument, members) if value is not None]
+        def aggregate(members: list[Row], binds: Binds) -> Any:
+            values = [
+                value for row in members if (value := argument(row, binds)) is not None
+            ]
             return reduce(values) if values or name == "count" else None
 
         return aggregate
     # Group-by key or plain expression: evaluate against the first row.
     evaluate = compile_expression(expression, layout)
-    return lambda members: evaluate(members[0]) if members else None
+    return lambda members, binds: evaluate(members[0], binds) if members else None
 
 
 @dataclass
@@ -335,18 +388,18 @@ class Sort(PlanNode):
             for order in self.order_by
         ]
 
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return f"Sort({len(self.order_by)} keys)"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def rows(self) -> Iterable[Row]:
-        rows = list(self.child.rows())
+    def rows(self, binds: Binds) -> Iterable[Row]:
+        rows = list(self.child.rows(binds))
         for key, descending in reversed(self._keys):
             # NULLs sort first.
             rows.sort(
-                key=lambda row: (0, 0) if (value := key(row)) is None else (1, value),
+                key=lambda row: (0, 0) if (value := key(row, binds)) is None else (1, value),
                 reverse=descending,
             )
         return rows
@@ -361,25 +414,25 @@ class LimitNode(PlanNode):
     def __post_init__(self) -> None:
         self.layout = self.child.layout
 
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return f"Limit(limit={self.limit}, offset={self.offset})"
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def rows(self) -> Iterable[Row]:
+    def rows(self, binds: Binds) -> Iterable[Row]:
         start = self.offset or 0
-        return islice(self.child.rows(), start, None if self.limit is None else start + self.limit)
+        return islice(self.child.rows(binds), start, None if self.limit is None else start + self.limit)
 
 
 @dataclass
 class SeqScanConstant(PlanNode):
     """A scan producing exactly one empty row (for table-less SELECTs)."""
 
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return "ConstantScan"
 
-    def rows(self) -> Iterable[Row]:
+    def rows(self, binds: Binds) -> Iterable[Row]:
         return [()]
 
 
@@ -390,7 +443,7 @@ class SeqScanConstant(PlanNode):
 class DataModification(PlanNode):
     statement: Statement
 
-    def describe(self) -> str:
+    def describe(self, binds: Binds = ()) -> str:
         return type(self.statement).__name__
 
 
@@ -527,13 +580,15 @@ class Planner:
             spatial = as_spatial_lookup(conjunct)
             if spatial is None:
                 continue
-            column_ref, rect = spatial
+            column_ref, bounds = spatial
             if not self._column_belongs(column_ref, table, binding):
                 continue
-            if table.find_index_on(column_ref.column, kinds=("rtree",)) is not None:
+            rtree = table.find_index_on(column_ref.column, kinds=("rtree",))
+            if rtree is not None:
                 remaining = conjuncts[:index] + conjuncts[index + 1 :]
                 scan = SpatialScan(
-                    table=table, binding=binding, column=column_ref.column, rect=rect
+                    table=table, binding=binding, column=column_ref.column,
+                    index=rtree, bounds=bounds,
                 )
                 return scan, remaining, "spatial"
         # Rule 2: key lookup.
@@ -544,13 +599,12 @@ class Planner:
             column_ref, keys = lookup
             if not self._column_belongs(column_ref, table, binding):
                 continue
-            if table.find_index_on(column_ref.column, kinds=("btree", "hash")) is not None:
+            key_index = table.find_index_on(column_ref.column, kinds=("btree", "hash"))
+            if key_index is not None:
                 remaining = conjuncts[:index] + conjuncts[index + 1 :]
-                # A row matches an IN-list once however often its key is
-                # listed, and ``= NULL`` matches nothing.
-                keys = [key for key in dict.fromkeys(keys) if key is not None]
                 scan = IndexKeyScan(
-                    table=table, binding=binding, column=column_ref.column, keys=keys
+                    table=table, binding=binding, column=column_ref.column,
+                    index=key_index, keys=keys,
                 )
                 return scan, remaining, "key"
         # Rule 3: sequential scan.
@@ -570,13 +624,14 @@ class Planner:
                 f"join condition does not reference joined table {join.table.name!r}"
             )
 
-        if inner_table.find_index_on(inner_column.column, kinds=("btree", "hash")):
+        inner_index = inner_table.find_index_on(inner_column.column, kinds=("btree", "hash"))
+        if inner_index is not None:
             return IndexNLJoin(
                 outer=outer,
                 inner_table=inner_table,
                 inner_binding=inner_binding,
                 outer_column=outer_column,
-                inner_column=inner_column.column,
+                inner_index=inner_index,
             )
         return HashJoin(
             outer=outer,

@@ -11,6 +11,10 @@ request names:
 * ``mapping``: an equality lookup on the tuple–tile mapping table joined to
   the placement table on ``tuple_id`` (B-tree indexes on both sides).
 
+Each of the two shapes is prepared once per table (pair) on first use and
+executed with the request's rectangle or tile id bound; no SQL text is built
+or parsed per request.
+
 Query time is measured per request (wall clock of the embedded engine plus
 any simulated disk latency) and reported in the response so the frontend can
 break down the interaction latency.
@@ -29,6 +33,7 @@ caches: the frontend's and the server's.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -36,7 +41,7 @@ from ..compiler.plan import CompiledApplication, LayerPlan
 from ..config import KyrixConfig
 from ..errors import FetchError, UnknownCanvasError
 from ..metrics.timer import Timer
-from ..minisql.executor import SQLEngine
+from ..minisql.executor import PreparedStatement, SQLEngine
 from ..net.protocol import DataRequest, DataResponse
 from ..storage.database import Database
 from ..storage.rtree import Rect
@@ -75,6 +80,10 @@ class KyrixBackend:
         self.engine = SQLEngine(database)
         self.indexer = Indexer(database, compiled, engine=self.engine)
         self.stats = BackendStats()
+        # The two query shapes, prepared on first use and keyed by the tables
+        # they read: ``(table,)`` for the spatial one, ``(mapping table,
+        # record table)`` for the mapping join.
+        self._statements: dict[tuple[str, ...], PreparedStatement] = {}
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -157,6 +166,9 @@ class KyrixBackend:
     ) -> tuple[list[dict[str, Any]], int]:
         if None in (request.xmin, request.ymin, request.xmax, request.ymax):
             raise FetchError("box requests need xmin/ymin/xmax/ymax")
+        for name in ("xmin", "ymin", "xmax", "ymax"):
+            if not math.isfinite(bound := getattr(request, name)):
+                raise FetchError(f"box bound {name} must be finite, got {bound!r}")
         rect = Rect(request.xmin, request.ymin, request.xmax, request.ymax)
         return self._query_spatial(layer_plan, rect)
 
@@ -170,11 +182,12 @@ class KyrixBackend:
                 f"layer {layer_plan.layer_name!r} has no queryable table; "
                 "did precompute() run?"
             )
-        sql = (
-            f"SELECT * FROM {table_name} WHERE "
-            f"intersects(bbox, {rect.xmin}, {rect.ymin}, {rect.xmax}, {rect.ymax})"
-        )
-        result = self.engine.execute(sql)
+        statement = self._statements.get((table_name,))
+        if statement is None:
+            statement = self._statements[(table_name,)] = self.engine.prepare(
+                f"SELECT * FROM {table_name} WHERE intersects(bbox, ?, ?, ?, ?)"
+            )
+        result = self.engine.execute(statement.bind(rect.xmin, rect.ymin, rect.xmax, rect.ymax))
         return result.to_dicts(), 1
 
     def _query_mapping(
@@ -194,17 +207,19 @@ class KyrixBackend:
                 "mapping design; did precompute() run?"
             )
         mapping_table = layer_plan.mapping_table_for(tile_size)
-        if not self.database.has_table(mapping_table):
-            self.indexer.build_mapping_table(layer_plan, tile_size)
-        columns = ", ".join(
-            f"p.{name}" for name in self.database.table(place_table).schema.column_names
-        )
-        sql = (
-            f"SELECT {columns} FROM {mapping_table} m "
-            f"JOIN {place_table} p ON m.tuple_id = p.tuple_id "
-            f"WHERE m.tile_id = {tile_id}"
-        )
-        result = self.engine.execute(sql)
+        statement = self._statements.get((mapping_table, place_table))
+        if statement is None:
+            if not self.database.has_table(mapping_table):
+                self.indexer.build_mapping_table(layer_plan, tile_size)
+            columns = ", ".join(
+                f"p.{name}" for name in self.database.table(place_table).schema.column_names
+            )
+            statement = self._statements[mapping_table, place_table] = self.engine.prepare(
+                f"SELECT {columns} FROM {mapping_table} m "
+                f"JOIN {place_table} p ON m.tuple_id = p.tuple_id "
+                f"WHERE m.tile_id = ?"
+            )
+        result = self.engine.execute(statement.bind(tile_id))
         return result.to_dicts(), 1
 
     # -- metadata for the frontend -------------------------------------------------------------

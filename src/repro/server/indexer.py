@@ -22,6 +22,7 @@ created) by the DBA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 from ..compiler.plan import CompiledApplication, LayerPlan
@@ -160,6 +161,10 @@ class Indexer:
                 continue
             for tile_id in scheme.tiles_for_rect(Rect.from_tuple(bbox)):
                 mapping_rows.append((row[id_position], tile_id))
+        # Clustered on tile_id, as CLUSTER would leave a static precomputed
+        # table: a tile's rows sit on a few consecutive heap pages.  The sort
+        # is stable, so within a tile the tuples keep their scan order.
+        mapping_rows.sort(key=itemgetter(1))
 
         mapping = self.database.create_table(
             mapping_name, [("tuple_id", "integer"), ("tile_id", "integer")]

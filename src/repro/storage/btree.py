@@ -23,41 +23,32 @@ DEFAULT_ORDER = 64
 
 
 class _Node:
-    """Base class for B+tree nodes."""
+    """Base class for B+tree nodes; ``is_leaf`` is a constant of the subclass."""
 
     __slots__ = ("keys",)
+    is_leaf: bool
 
     def __init__(self) -> None:
         self.keys: list[Any] = []
 
-    @property
-    def is_leaf(self) -> bool:  # pragma: no cover - overridden
-        raise NotImplementedError
-
 
 class _LeafNode(_Node):
     __slots__ = ("values", "next_leaf")
+    is_leaf = True
 
     def __init__(self) -> None:
         super().__init__()
         self.values: list[list[RecordId]] = []
         self.next_leaf: _LeafNode | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return True
-
 
 class _InternalNode(_Node):
     __slots__ = ("children",)
+    is_leaf = False
 
     def __init__(self) -> None:
         super().__init__()
         self.children: list[_Node] = []
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
 
 class BTreeIndex:
@@ -94,11 +85,9 @@ class BTreeIndex:
     # -- internal helpers -----------------------------------------------------
 
     def _find_leaf(self, key: Any) -> _LeafNode:
-        node = self._root
+        node, bisect_right = self._root, bisect.bisect_right
         while not node.is_leaf:
-            internal = node  # type: ignore[assignment]
-            position = bisect.bisect_right(internal.keys, key)
-            node = internal.children[position]
+            node = node.children[bisect_right(node.keys, key)]  # type: ignore[attr-defined]
         return node  # type: ignore[return-value]
 
     def _leftmost_leaf(self) -> _LeafNode:

@@ -34,6 +34,12 @@ class Database:
         self.clock = clock or VirtualClock()
         self._pool = BufferPool.from_config(self.config, clock=self.clock)
         self._tables: dict[str, Table] = {}
+        #: Moves whenever a table or an index is created or dropped; a plan
+        #: made under another value may name what is gone or miss what is new.
+        self.catalog_version = 0
+
+    def _catalog_changed(self) -> None:
+        self.catalog_version += 1
 
     # -- catalog ------------------------------------------------------------------
 
@@ -57,8 +63,9 @@ class Database:
             schema = TableSchema(name=key, columns=list(columns.columns))
         else:
             schema = TableSchema.build(key, columns)
-        table = Table(schema, self._pool)
+        table = Table(schema, self._pool, catalog_changed=self._catalog_changed)
         self._tables[key] = table
+        self._catalog_changed()
         return table
 
     def drop_table(self, name: str) -> None:
@@ -66,6 +73,7 @@ class Database:
         if key not in self._tables:
             raise UnknownTableError(f"no table named {name!r}")
         del self._tables[key]
+        self._catalog_changed()
 
     def table(self, name: str) -> Table:
         key = name.lower()

@@ -113,6 +113,7 @@ class HeapFile:
         of rids on one page costs one pool checkout and one header read.
         """
         get_page, owned, unpack_slot = self._pool.get_page, self._page_nos, _SLOT.unpack_from
+        unpack_header = _HEADER.unpack_from
         page_no, page, slot_count = -1, bytearray(), 0
         for rid in rids:
             if rid.page_no != page_no:
@@ -120,7 +121,7 @@ class HeapFile:
                     raise RecordNotFoundError(f"no such page in heap file: {rid}")
                 page_no = rid.page_no
                 page = get_page(page_no)
-                slot_count, _ = self._page_header(page)
+                slot_count, _ = unpack_header(page, 0)
             if not 0 <= rid.slot_no < slot_count:
                 raise RecordNotFoundError(f"slot out of range: {rid}")
             offset, length = unpack_slot(page, _HEADER.size + rid.slot_no * _SLOT.size)

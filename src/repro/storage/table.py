@@ -9,7 +9,7 @@ spatial-intersection lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import (
     DuplicateIndexError,
@@ -44,10 +44,18 @@ class IndexInfo:
 class Table:
     """A named table with a schema, a heap file and secondary indexes."""
 
-    def __init__(self, schema: TableSchema, pool: BufferPool) -> None:
+    def __init__(
+        self,
+        schema: TableSchema,
+        pool: BufferPool,
+        *,
+        catalog_changed: Callable[[], None] = lambda: None,
+    ) -> None:
         self.schema = schema
         self._heap = HeapFile(pool, schema)
         self._indexes: dict[str, IndexInfo] = {}
+        # Told of every index created or dropped (the database's catalog version).
+        self._catalog_changed = catalog_changed
         self._stats: TableStats | None = None
 
     # -- basic properties --------------------------------------------------------
@@ -98,6 +106,7 @@ class Table:
         info = IndexInfo(name=name, column=column, kind=kind, unique=unique, index=index)
         self._backfill_index(info)
         self._indexes[name] = info
+        self._catalog_changed()
         return info
 
     def _backfill_index(self, info: IndexInfo) -> None:
@@ -119,6 +128,7 @@ class Table:
         if name not in self._indexes:
             raise UnknownIndexError(f"no index named {name!r} on table {self.name!r}")
         del self._indexes[name]
+        self._catalog_changed()
 
     def get_index(self, name: str) -> IndexInfo:
         if name not in self._indexes:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SQLExecutionError
-from repro.minisql.ast import ColumnRef
+from repro.minisql.ast import ColumnRef, Literal
 from repro.minisql.functions import (
     Layout,
     as_key_lookup,
@@ -11,19 +11,20 @@ from repro.minisql.functions import (
     combine_conjuncts,
     compile_expression,
     compile_predicate,
+    constant_value,
     split_conjuncts,
 )
 from repro.minisql.parser import parse_expression
 
 
-def compiled(expression, row: dict, compiler=compile_expression):
+def compiled(expression, row: dict, compiler=compile_expression, binds: tuple = ()):
     """Compile against the layout ``row``'s keys spell (``"t.x"`` is column
-    ``x`` of binding ``t``) and apply to its values."""
+    ``x`` of binding ``t``) and apply to its values and ``binds``."""
     slots = []
     for key in row:
         binding, _, column = key.rpartition(".")
         slots.append((binding or None, binding or None, column))
-    return compiler(expression, Layout(tuple(slots)))(tuple(row.values()))
+    return compiler(expression, Layout(tuple(slots)))(tuple(row.values()), binds)
 
 
 def ev(text: str, row: dict | None = None):
@@ -139,7 +140,7 @@ class TestPredicateAnalysis:
     def test_as_key_lookup_equality(self):
         column, keys = as_key_lookup(parse_expression("id = 5"))
         assert column.column == "id"
-        assert keys == [5]
+        assert keys == [Literal(5)]
 
     def test_as_key_lookup_reversed(self):
         column, keys = as_key_lookup(parse_expression("5 = id"))
@@ -147,7 +148,12 @@ class TestPredicateAnalysis:
 
     def test_as_key_lookup_in_list(self):
         column, keys = as_key_lookup(parse_expression("id IN (1, 2, 3)"))
-        assert keys == [1, 2, 3]
+        assert keys == [Literal(1), Literal(2), Literal(3)]
+
+    def test_as_key_lookup_takes_placeholders_and_negated_constants(self):
+        column, keys = as_key_lookup(parse_expression("id IN (?, -2, -?)"))
+        assert column.column == "id"
+        assert [constant_value(key)((7, 9)) for key in keys] == [7, -2, -9]
 
     def test_as_key_lookup_rejects_non_literal(self):
         assert as_key_lookup(parse_expression("id = other_col")) is None
@@ -156,9 +162,13 @@ class TestPredicateAnalysis:
     def test_as_spatial_lookup(self):
         result = as_spatial_lookup(parse_expression("intersects(bbox, 0, 0, 10, 20)"))
         assert result is not None
-        column, rect = result
+        column, bounds = result
         assert column.column == "bbox"
-        assert rect.as_tuple() == (0.0, 0.0, 10.0, 20.0)
+        assert bounds == (Literal(0), Literal(0), Literal(10), Literal(20))
+
+    def test_as_spatial_lookup_takes_placeholders(self):
+        _, bounds = as_spatial_lookup(parse_expression("intersects(bbox, ?, 0, ?, -?)"))
+        assert [constant_value(bound)((1, 2, 3)) for bound in bounds] == [1, 0, 2, -3]
 
     def test_as_spatial_lookup_rejects_non_literal_bounds(self):
         assert as_spatial_lookup(parse_expression("intersects(bbox, 0, 0, w, h)")) is None

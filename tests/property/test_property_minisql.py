@@ -9,6 +9,12 @@ Where mini-SQL is *meant* to differ from SQLite the difference is pinned by
 its own assertion in :class:`TestDocumentedDeviations`, and the generator
 stays clear of it: ``/`` is true division, ``%`` takes the divisor's sign,
 dividing by zero raises, and ``ORDER BY`` sees the projected columns only.
+
+Prepared statements get the same treatment against ``sqlite3``'s native
+``?``: one statement prepared once and executed with several sets of values
+must answer as SQLite does for each, and the batched index join must emit
+exactly the rows, in exactly the order, of the row-at-a-time nested loop it
+replaced.
 """
 
 from __future__ import annotations
@@ -179,6 +185,118 @@ class TestMiniSQLAgreesWithSQLite:
             # The indexes followed the heap: a key probe sees what a scan sees.
             via_index = engine.execute("SELECT id FROM t WHERE a = 1")
             assert sorted(via_index.rows) == sorted((row[0],) for row in ours.rows if row[1] == 1)
+
+
+# -- prepared statements ---------------------------------------------------------
+
+int_values = st.integers(-1, 2)
+half_values = st.integers(-2, 4).map(lambda n: n / 2)
+word_values = st.text("abc", max_size=2)
+#: A key the probe may be handed: ``= NULL`` and ``IN (.., NULL)`` match nothing through it.
+key_values = st.one_of(st.none(), int_values)
+
+
+def parameterised(sql: str, *values: st.SearchStrategy) -> st.SearchStrategy[tuple[str, list[tuple]]]:
+    """``sql`` with one to three sets of values for its ``?`` placeholders."""
+    return st.lists(st.tuples(*values), min_size=1, max_size=3).map(lambda sets: (sql, sets))
+
+
+#: ``(sql, [values, ...])``: each statement is prepared once and run with every set.
+prepared_queries = st.one_of(
+    # Key lookup, on a column that may or may not be indexed.
+    parameterised("SELECT id, a, s FROM t WHERE a = ?", key_values),
+    parameterised("SELECT id, f FROM t WHERE ? = id", key_values),
+    # IN-list with repeats and NULLs, alone and under a residual filter.
+    parameterised("SELECT id, a, s FROM t WHERE a IN (?, ?, ?)", key_values, key_values, key_values),
+    parameterised("SELECT id, a FROM t WHERE id IN (?, 1, ?) AND f < ?", key_values, key_values, half_values),
+    # The join, driven by a bound key, a bound IN-list, or filtered by a bound residual.
+    parameterised("SELECT t.id, t.s, u.k, u.label FROM t JOIN u ON t.a = u.k WHERE t.id = ?", key_values),
+    parameterised("SELECT t.id, u.label FROM t JOIN u ON u.k = t.a WHERE t.a IN (?, ?)", key_values, key_values),
+    parameterised("SELECT t.id, u.k FROM t JOIN u ON t.a = u.k WHERE u.label = ? OR t.f >= ?", word_values, half_values),
+    # Residual filters and projections over bound constants.
+    parameterised("SELECT id FROM t WHERE f BETWEEN ? AND ? AND NOT a = ?", half_values, half_values, int_values),
+    parameterised("SELECT id, a + ? AS shifted, s FROM t WHERE s <> ? OR a IS NULL", int_values, word_values),
+    parameterised("SELECT id FROM t WHERE a NOT IN (?, ?) AND -? < id", int_values, int_values, int_values),
+    parameterised("SELECT a, count(*) AS n, sum(f) AS sf FROM t WHERE id > ? GROUP BY a", int_values),
+    parameterised("SELECT id, f AS x FROM t WHERE a <> ? ORDER BY x DESC, id LIMIT 4", int_values),
+)
+
+JOIN_INDEXES = [(("u", "k", "btree"),), (("u", "k", "hash"),), (("u", "k", "hash"), ("t", "a", "btree"))]
+
+
+class TestPreparedStatementsAgreeWithSQLite:
+    @given(t_rows, u_rows, st.sampled_from(INDEX_CHOICES + JOIN_INDEXES),
+           st.lists(prepared_queries, min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_bound_answers_match(self, t, u, indexes, statements):
+        engine, reference = load(t, u, indexes)
+        for sql, value_sets in statements:
+            ordered = "ORDER BY" in sql
+            statement = engine.prepare(sql)
+            for values in value_sets:
+                ours = engine.execute(statement.bind(*values))
+                theirs = reference.execute(sql, values).fetchall()
+                assert normalised(ours.rows, ordered) == normalised(theirs, ordered), (sql, values)
+
+    @given(t_rows, st.lists(st.tuples(st.integers(100, 103), key_values, word_values), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_bound_modifications_leave_the_same_table(self, t, changes):
+        engine, reference = load(t, [], (("t", "a", "btree"),))
+        statements = {
+            sql: engine.prepare(sql)
+            for sql in ("INSERT INTO t VALUES (?, ?, 0.5, ?)", "UPDATE t SET s = ? WHERE a = ?",
+                        "DELETE FROM t WHERE id = ? OR s = ?")
+        }
+        for new_id, key, word in changes:
+            for sql, values in (
+                ("INSERT INTO t VALUES (?, ?, 0.5, ?)", (new_id, key, word)),
+                ("UPDATE t SET s = ? WHERE a = ?", (word + "z", key)),
+                ("DELETE FROM t WHERE id = ? OR s = ?", (new_id - 100, word)),
+            ):
+                ours = engine.execute(statements[sql].bind(*values))
+                assert ours.rowcount == reference.execute(sql, values).rowcount, (sql, values)
+                rows = engine.execute("SELECT * FROM t").rows
+                assert normalised(rows, False) == normalised(reference.execute("SELECT * FROM t").fetchall(), False)
+
+    def test_a_placeholder_count_mismatch_is_a_typed_error(self):
+        engine, _ = load([(0, 1, 0.5, "a")], [], ())
+        statement = engine.prepare("SELECT id FROM t WHERE a = ? AND f < ?")
+        assert statement.parameter_count == 2
+        for values in ((), (1,), (1, 2.0, 3)):
+            with pytest.raises(SQLExecutionError, match=r"takes 2 parameter\(s\), \d bound"):
+                statement.bind(*values)
+        with pytest.raises(SQLExecutionError, match="takes 1 parameter"):
+            engine.execute("SELECT id FROM t WHERE a = ?")  # text binds nothing
+
+
+class TestBatchedJoinEqualsTheNestedLoop:
+    """`IndexNLJoin` probes and fetches in one batch; the loop it replaced --
+    one ``Table.lookup_key`` per outer row -- is the reference, order included."""
+
+    @given(t_rows, u_rows, st.sampled_from(["btree", "hash"]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_rows_in_the_same_order(self, t, u, kind):
+        engine, _ = load(t, u, (("u", "k", kind),))
+        sql = "SELECT * FROM t JOIN u ON t.a = u.k"
+        assert "IndexNLJoin(inner=u as u on k)" in engine.explain(sql)
+        inner = engine.database.table("u")
+        expected = [
+            outer_row + inner_row
+            for outer_row in engine.execute("SELECT * FROM t").rows
+            if outer_row[1] is not None  # a NULL outer key joins nothing
+            for _, inner_row in inner.lookup_key("k", outer_row[1])  # absent: no rows; repeated: all
+        ]
+        assert engine.execute(sql).rows == expected
+
+    def test_null_absent_and_duplicate_keys(self):
+        t = [(0, 1, 0.5, "a"), (1, None, 1.0, "b"), (2, 7, 1.5, "c"), (3, 1, 2.0, "d"), (4, 2, 2.5, "e")]
+        u = [(1, "x"), (2, "y"), (None, "n"), (1, "z")]
+        for kind in ("btree", "hash"):
+            engine, reference = load(t, u, (("u", "k", kind),))
+            sql = "SELECT t.id, u.label FROM t JOIN u ON t.a = u.k"
+            # id 1 has a NULL key, id 2 an absent one, ids 0 and 3 meet key 1 twice, in heap order.
+            assert engine.execute(sql).rows == [(0, "x"), (0, "z"), (3, "x"), (3, "z"), (4, "y")]
+            assert sorted(engine.execute(sql).rows) == sorted(reference.execute(sql).fetchall())
 
 
 class TestDocumentedDeviations:

@@ -44,6 +44,14 @@ class TestHTTPServer:
         assert payload["count"] > 0
         assert payload["queries_issued"] == 1
 
+    def test_dbox_endpoint_non_finite_bound_is_400_naming_the_field(self, client):
+        for field, value in (("xmax", "inf"), ("xmin", "nan"), ("ymin", "-inf")):
+            bounds = {"xmin": "3", "ymin": "3", "xmax": "515", "ymax": "515", field: value}
+            query = "&".join(f"{name}={text}" for name, text in bounds.items())
+            response = client.get(f"/dbox?canvas=dots&layer=0&{query}")
+            assert response.status_code == 400
+            assert f"box bound {field} must be finite" in response.get_json()["error"]
+
     def test_tile_endpoint_spatial_and_mapping_agree(self, client):
         spatial = client.get(
             "/tile?canvas=dots&layer=0&tile_id=0&tile_size=512&design=spatial"
