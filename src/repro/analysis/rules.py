@@ -17,6 +17,10 @@ Rule ids (see ``README.md`` in this package for the full contract):
     Durations are measured with monotonic clocks through the tracer; bare
     ``time.time()`` is wall-clock and forbidden, and ``Tracer`` instances
     outside :mod:`repro.telemetry` bypass the configured pipeline.
+``collector-state``
+    A library does not change process-wide cycle-collector state: no call
+    to the ``gc`` module's ``freeze`` / ``unfreeze`` / ``disable`` /
+    ``set_threshold`` anywhere under ``src/``.
 ``protocol-drift``
     A dataclass with both a serializer (``to_dict``/``to_json``) and a
     deserializer (``from_dict``/``from_json``) must mention every field in
@@ -40,6 +44,8 @@ _ENDPOINT_CLASSES = ("KyrixBackend", "ClusterRouter")
 _FACTORY_ALLOWED_PREFIXES = ("src/repro/serving/", "src/repro/cluster/")
 _FAULT_SEAM_MODULES = ("serving", "cluster", "net")
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
+#: ``gc`` functions that switch collector state for the whole process.
+_COLLECTOR_SWITCHES = {"freeze", "unfreeze", "disable", "set_threshold"}
 _SERIALIZERS = ("to_dict", "to_json")
 _DESERIALIZERS = ("from_dict", "from_json")
 
@@ -373,6 +379,38 @@ class SpanDisciplineChecker(Checker):
         ):
             return True
         return isinstance(func, ast.Name) and func.id in aliases
+
+
+@register
+class CollectorStateChecker(Checker):
+    """Library code switching the process-wide cycle collector."""
+
+    rule = "collector-state"
+    description = (
+        "a library does not change process-wide collector state: no gc "
+        "freeze/unfreeze/disable/set_threshold call under src/"
+    )
+
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        tree = module.tree
+        if tree is None or not module.rel_path.startswith("src/"):
+            return
+        imports = _import_map(tree)
+        for node in ast.walk(tree):
+            dotted = _dotted_name(node.func) if isinstance(node, ast.Call) else None
+            if dotted is None:
+                continue
+            head, _, rest = dotted.partition(".")
+            qualified = imports.get(head, head) + ("." + rest if rest else "")
+            owner, _, function = qualified.rpartition(".")
+            if owner == "gc" and function in _COLLECTOR_SWITCHES:
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    f"{qualified}() changes collector state for the whole process; "
+                    "keep the served data out of the collector's sight instead "
+                    "(packed arrays, untracked values)",
+                )
 
 
 #: Standalone codec modules that re-encode a *sibling* module's protocol

@@ -39,7 +39,6 @@ Call sites do not construct a ``ClusterRouter`` themselves; they use
 
 from __future__ import annotations
 
-import gc
 import threading
 import time
 from collections.abc import Callable
@@ -137,8 +136,6 @@ class ShardTable:
             shard.close()
         if self.worker_pool is not None:
             self.worker_pool.close()
-        # The factory froze the heap it built; a closed generation is garbage.
-        gc.unfreeze()
 
 
 @dataclass

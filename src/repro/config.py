@@ -23,6 +23,11 @@ from .errors import KyrixError
 INTERACTIVITY_BUDGET_MS = 500.0
 
 
+#: Largest heap page: a slotted page names offsets in 16 bits (``<H``), and a
+#: record id keeps the slot number in its low 16.
+MAX_PAGE_SIZE = 0xFFFF
+
+
 @dataclass
 class StorageConfig:
     """Configuration of the embedded storage engine.
@@ -30,8 +35,8 @@ class StorageConfig:
     Attributes
     ----------
     page_size:
-        Size of a heap-file page in bytes.  Records never span pages, so the
-        page size bounds the maximum record size.
+        Size of a heap-file page in bytes, 512 to 65 535.  Records never
+        span pages, so the page size bounds the maximum record size.
     buffer_pool_pages:
         Number of pages the buffer pool keeps in memory before evicting.
     simulate_io:
@@ -48,8 +53,10 @@ class StorageConfig:
     page_write_ms: float = 0.08
 
     def validate(self) -> None:
-        if self.page_size < 512:
-            raise KyrixError(f"page_size must be >= 512 bytes, got {self.page_size}")
+        if not 512 <= self.page_size <= MAX_PAGE_SIZE:
+            raise KyrixError(
+                f"storage.page_size must be 512 to {MAX_PAGE_SIZE} bytes, got {self.page_size}"
+            )
         if self.buffer_pool_pages < 8:
             raise KyrixError(
                 f"buffer_pool_pages must be >= 8, got {self.buffer_pool_pages}"

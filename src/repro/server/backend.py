@@ -32,7 +32,6 @@ caches: the frontend's and the server's.
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -141,9 +140,7 @@ class KyrixBackend:
         self.handle(request)
 
     def close(self) -> None:
-        """The engine holds no serving-side resources; its heap, frozen by
-        :func:`~repro.serving.factory.build_service`, becomes collectable."""
-        gc.unfreeze()
+        """Nothing to release: the engine holds no serving-side resources."""
 
     # -- per-design fetch paths -------------------------------------------------------------
 

@@ -22,7 +22,6 @@ check time; the building blocks stay public.
 
 from __future__ import annotations
 
-import gc
 from typing import TYPE_CHECKING, Any
 
 from ..errors import KyrixError
@@ -136,11 +135,4 @@ def build_service(
             backend,
             entries=config.cache.backend_entries if config.cache.enabled else 0,
         )
-    # What was just built -- pages, index nodes, record ids: five tracked
-    # objects per row -- lives until close(), so the cycle collector is told
-    # not to walk it.  A full collection then costs what requests allocated
-    # since the last one, not a pause that grows with the data (a third of a
-    # second for 100 000 rows, once or twice per thousand cached requests).
-    # ``KyrixBackend.close`` / ``ShardTable.close`` hand the heap back.
-    gc.freeze()
     return service

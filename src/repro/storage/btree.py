@@ -4,20 +4,26 @@ This is the index the paper's *tuple–tile mapping* database design uses:
 a B-tree on the ``tuple_id`` column of the record table and on the
 ``tile_id`` column of the mapping table.  Keys are arbitrary orderable
 Python values (integers and strings in practice); duplicates are allowed
-(each key maps to a list of record ids) unless the index is declared unique.
+unless the index is declared unique.
 
 The implementation is a textbook B+tree: internal nodes hold separator keys
-and child pointers, leaves hold ``(key, [rid, ...])`` pairs and are chained
-left-to-right so that range scans are a linked-list walk.
+and child pointers; a leaf holds its ``keys`` beside a flat ``array('q')``
+of the rids, one per entry, and leaves are chained left-to-right so that
+range scans are a linked-list walk.  A key stored more than once is a run
+of adjacent entries in insertion order; a run may cross from one leaf into
+the next, so a separator can equal the last key of the leaf to its left --
+lookups descend to the *first* leaf that may hold the key and walk right,
+inserts descend to the *last* and append to the run.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, Sequence
+from array import array
+from itertools import groupby
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import DuplicateKeyError, StorageError
-from .row import RecordId
 
 DEFAULT_ORDER = 64
 
@@ -33,12 +39,12 @@ class _Node:
 
 
 class _LeafNode(_Node):
-    __slots__ = ("values", "next_leaf")
+    __slots__ = ("rids", "next_leaf")
     is_leaf = True
 
     def __init__(self) -> None:
         super().__init__()
-        self.values: list[list[RecordId]] = []
+        self.rids = array("q")  # rids[i] is the record keys[i] names
         self.next_leaf: _LeafNode | None = None
 
 
@@ -59,7 +65,7 @@ class BTreeIndex:
     name:
         Index name (used in the catalog and error messages).
     order:
-        Maximum number of keys per node; nodes split when they exceed it.
+        Maximum number of entries per node; nodes split when they exceed it.
     unique:
         When true, inserting a duplicate key raises
         :class:`~repro.errors.DuplicateKeyError`.
@@ -84,25 +90,31 @@ class BTreeIndex:
 
     # -- internal helpers -----------------------------------------------------
 
-    def _find_leaf(self, key: Any) -> _LeafNode:
-        node, bisect_right = self._root, bisect.bisect_right
+    def _first_leaf(self, key: Any) -> _LeafNode:
+        """The leftmost leaf that may hold ``key``."""
+        node, bisect_left = self._root, bisect.bisect_left
         while not node.is_leaf:
-            node = node.children[bisect_right(node.keys, key)]  # type: ignore[attr-defined]
+            node = node.children[bisect_left(node.keys, key)]  # type: ignore[attr-defined]
         return node  # type: ignore[return-value]
 
-    def _leftmost_leaf(self) -> _LeafNode:
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]  # type: ignore[attr-defined]
-        return node  # type: ignore[return-value]
+    def _leaves(self, leaf: _LeafNode | None = None) -> Iterator[_LeafNode]:
+        """The leaf chain left to right, from ``leaf`` or from the leftmost."""
+        if leaf is None:
+            node = self._root
+            while not node.is_leaf:
+                node = node.children[0]  # type: ignore[attr-defined]
+            leaf = node  # type: ignore[assignment]
+        while leaf is not None:
+            yield leaf
+            leaf = leaf.next_leaf
 
     def _split_leaf(self, leaf: _LeafNode) -> tuple[Any, _LeafNode]:
         middle = len(leaf.keys) // 2
         sibling = _LeafNode()
         sibling.keys = leaf.keys[middle:]
-        sibling.values = leaf.values[middle:]
-        leaf.keys = leaf.keys[:middle]
-        leaf.values = leaf.values[:middle]
+        sibling.rids = leaf.rids[middle:]
+        del leaf.keys[middle:]
+        del leaf.rids[middle:]
         sibling.next_leaf = leaf.next_leaf
         leaf.next_leaf = sibling
         return sibling.keys[0], sibling
@@ -118,27 +130,21 @@ class BTreeIndex:
         return separator, sibling
 
     def _insert_recursive(
-        self, node: _Node, key: Any, rid: RecordId
+        self, node: _Node, key: Any, rid: int
     ) -> tuple[Any, _Node] | None:
         """Insert and return a ``(separator, new_sibling)`` pair on split."""
+        position = bisect.bisect_right(node.keys, key)
         if node.is_leaf:
             leaf: _LeafNode = node  # type: ignore[assignment]
-            position = bisect.bisect_left(leaf.keys, key)
-            if position < len(leaf.keys) and leaf.keys[position] == key:
-                if self.unique:
-                    raise DuplicateKeyError(
-                        f"index {self.name!r}: duplicate key {key!r}"
-                    )
-                leaf.values[position].append(rid)
-            else:
-                leaf.keys.insert(position, key)
-                leaf.values.insert(position, [rid])
+            if self.unique and position and leaf.keys[position - 1] == key:
+                raise DuplicateKeyError(f"index {self.name!r}: duplicate key {key!r}")
+            leaf.keys.insert(position, key)
+            leaf.rids.insert(position, rid)
             if len(leaf.keys) > self.order:
                 return self._split_leaf(leaf)
             return None
 
         internal: _InternalNode = node  # type: ignore[assignment]
-        position = bisect.bisect_right(internal.keys, key)
         split = self._insert_recursive(internal.children[position], key, rid)
         if split is None:
             return None
@@ -151,8 +157,8 @@ class BTreeIndex:
 
     # -- public API -------------------------------------------------------------
 
-    def insert(self, key: Any, rid: RecordId) -> None:
-        """Insert one ``key -> rid`` entry."""
+    def insert(self, key: Any, rid: int) -> None:
+        """Insert one ``key -> rid`` entry (after any the key already has)."""
         if key is None:
             raise StorageError(f"index {self.name!r}: cannot index NULL keys")
         self.inserts += 1
@@ -165,39 +171,81 @@ class BTreeIndex:
             self._root = new_root
         self._count += 1
 
-    def delete(self, key: Any, rid: RecordId) -> bool:
+    def bulk_load(self, pairs: Iterable[tuple[Any, int]]) -> None:
+        """Replace the contents with ``pairs``, which arrive sorted by key
+        (equal keys in the order their entries are to be returned): full
+        leaves left to right, then each level of separators above them."""
+        keys: list[Any] = []
+        rids = array("q")
+        for key, rid in pairs:
+            keys.append(key)
+            rids.append(rid)
+        for left, right in zip(keys, keys[1:]):
+            if right < left:
+                raise StorageError(f"index {self.name!r}: bulk load keys out of order")
+            if self.unique and left == right:
+                raise DuplicateKeyError(f"index {self.name!r}: duplicate key {left!r}")
+        level: list[_Node] = []
+        for start in range(0, len(keys), self.order):
+            leaf = _LeafNode()
+            leaf.keys = keys[start : start + self.order]
+            leaf.rids = rids[start : start + self.order]
+            if level:
+                level[-1].next_leaf = leaf  # type: ignore[attr-defined]
+            level.append(leaf)
+        firsts = [leaf.keys[0] for leaf in level]  # lowest key under each node
+        while len(level) > 1:
+            parents: list[_Node] = []
+            for start in range(0, len(level), self.order + 1):
+                parent = _InternalNode()
+                parent.children = level[start : start + self.order + 1]
+                parent.keys = firsts[start + 1 : start + self.order + 1]
+                parents.append(parent)
+            level, firsts = parents, firsts[:: self.order + 1]
+        self._root = level[0] if level else _LeafNode()
+        self._count = len(keys)
+        self.inserts += len(keys)
+
+    def delete(self, key: Any, rid: int) -> bool:
         """Remove one ``key -> rid`` entry.  Returns False when absent.
 
         Nodes are not rebalanced on delete; for the read-mostly workloads of
         Kyrix precomputation this keeps the structure simple without
         affecting lookup correctness.
         """
-        leaf = self._find_leaf(key)
-        position = bisect.bisect_left(leaf.keys, key)
-        if position >= len(leaf.keys) or leaf.keys[position] != key:
-            return False
-        rids = leaf.values[position]
-        if rid not in rids:
-            return False
-        rids.remove(rid)
-        if not rids:
-            leaf.keys.pop(position)
-            leaf.values.pop(position)
-        self._count -= 1
-        return True
+        leaf: _LeafNode | None = self._first_leaf(key)
+        while leaf is not None:
+            start = bisect.bisect_left(leaf.keys, key)
+            stop = bisect.bisect_right(leaf.keys, key, start)
+            for position in range(start, stop):
+                if leaf.rids[position] == rid:
+                    del leaf.keys[position]
+                    del leaf.rids[position]
+                    self._count -= 1
+                    return True
+            if stop < len(leaf.keys):
+                break  # the key's run ended inside this leaf
+            leaf = leaf.next_leaf
+        return False
 
-    def search(self, key: Any) -> list[RecordId]:
+    def search(self, key: Any) -> list[int]:
         """Return every rid stored under ``key`` (empty list when absent)."""
         self.lookups += 1
-        leaf = self._find_leaf(key)
-        position = bisect.bisect_left(leaf.keys, key)
-        if position < len(leaf.keys) and leaf.keys[position] == key:
-            return list(leaf.values[position])
-        return []
+        found: list[int] = []
+        leaf: _LeafNode | None = self._first_leaf(key)
+        while leaf is not None:
+            keys = leaf.keys
+            start = bisect.bisect_left(keys, key)
+            stop = bisect.bisect_right(keys, key, start)
+            found += leaf.rids[start:stop]
+            if stop < len(keys):
+                break  # the key's run ended inside this leaf
+            leaf = leaf.next_leaf
+        return found
 
-    def search_many(self, keys: Sequence[Any]) -> list[RecordId]:
+    def search_many(self, keys: Sequence[Any]) -> list[int]:
         """Union of :meth:`search` over several keys, preserving key order."""
-        results: list[RecordId] = []
+        results: list[int] = []
         for key in keys:
             results.extend(self.search(key))
         return results
@@ -209,46 +257,30 @@ class BTreeIndex:
         *,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> Iterator[tuple[Any, RecordId]]:
+    ) -> Iterator[tuple[Any, int]]:
         """Yield ``(key, rid)`` pairs with ``low <= key <= high`` in key order.
 
         ``None`` bounds are unbounded on that side.
         """
         self.lookups += 1
-        if low is None:
-            leaf: _LeafNode | None = self._leftmost_leaf()
-            position = 0
-        else:
-            leaf = self._find_leaf(low)
-            position = (
-                bisect.bisect_left(leaf.keys, low)
-                if include_low
-                else bisect.bisect_right(leaf.keys, low)
-            )
-        while leaf is not None:
-            while position < len(leaf.keys):
-                key = leaf.keys[position]
-                if high is not None:
-                    if include_high and key > high:
-                        return
-                    if not include_high and key >= high:
-                        return
-                for rid in leaf.values[position]:
+        first = None if low is None else self._first_leaf(low)
+        position = 0 if first is None else bisect.bisect_left(first.keys, low)
+        for leaf in self._leaves(first):
+            for key, rid in zip(leaf.keys[position:], leaf.rids[position:]):
+                if high is not None and (key > high or (key == high and not include_high)):
+                    return
+                if include_low or key != low:
                     yield key, rid
-                position += 1
-            leaf = leaf.next_leaf
             position = 0
 
-    def items(self) -> Iterator[tuple[Any, RecordId]]:
+    def items(self) -> Iterator[tuple[Any, int]]:
         """Yield every ``(key, rid)`` entry in key order."""
         return self.range_search()
 
     def keys(self) -> Iterator[Any]:
         """Yield distinct keys in order."""
-        leaf: _LeafNode | None = self._leftmost_leaf()
-        while leaf is not None:
-            yield from leaf.keys
-            leaf = leaf.next_leaf
+        stored = (key for leaf in self._leaves() for key in leaf.keys)
+        return (key for key, _ in groupby(stored))
 
     def height(self) -> int:
         """Tree height (1 for a single leaf)."""
@@ -262,30 +294,20 @@ class BTreeIndex:
     def validate(self) -> None:
         """Check structural invariants; raises :class:`StorageError` on breakage.
 
-        Used by property-based tests: keys within each node are sorted,
-        leaves are chained in non-decreasing key order, and entry counts add
-        up.
+        Used by property-based tests: every leaf pairs one rid with each
+        key, the leaf chain runs in non-decreasing key order (strictly
+        increasing in a unique index), and entry counts add up.
         """
-        counted = 0
-        previous_key: Any = None
-        leaf: _LeafNode | None = self._leftmost_leaf()
-        while leaf is not None:
-            if leaf.keys != sorted(leaf.keys):
-                raise StorageError(f"index {self.name!r}: leaf keys out of order")
-            for key, rids in zip(leaf.keys, leaf.values):
-                if previous_key is not None and key < previous_key:
-                    raise StorageError(
-                        f"index {self.name!r}: leaf chain out of order"
-                    )
-                if not rids:
-                    raise StorageError(
-                        f"index {self.name!r}: empty rid list for key {key!r}"
-                    )
-                previous_key = key
-                counted += len(rids)
-            leaf = leaf.next_leaf
-        if counted != self._count:
+        stored: list[Any] = []
+        for leaf in self._leaves():
+            if len(leaf.keys) != len(leaf.rids):
+                raise StorageError(f"index {self.name!r}: leaf keys and rids differ in length")
+            stored += leaf.keys
+        for left, right in zip(stored, stored[1:]):
+            if right < left or (self.unique and left == right):
+                raise StorageError(f"index {self.name!r}: leaf chain out of order")
+        if len(stored) != self._count:
             raise StorageError(
                 f"index {self.name!r}: entry count mismatch "
-                f"({counted} found, {self._count} recorded)"
+                f"({len(stored)} found, {self._count} recorded)"
             )

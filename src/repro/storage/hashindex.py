@@ -1,4 +1,5 @@
-"""A hash index mapping equality keys to record ids.
+"""A hash index mapping equality keys to record ids (integers, see
+:class:`~repro.storage.row.RecordId`).
 
 The paper's first database design builds "Btree/hash indexes on the tuple_id
 column of the first table and the tile_id column of the second table"; this
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Iterator, Sequence
 
 from ..errors import DuplicateKeyError, StorageError
-from .row import RecordId
 
 
 class HashIndex:
@@ -22,7 +22,7 @@ class HashIndex:
     def __init__(self, name: str, *, unique: bool = False) -> None:
         self.name = name
         self.unique = unique
-        self._buckets: dict[Any, list[RecordId]] = {}
+        self._buckets: dict[Any, list[int]] = {}
         self._count = 0
         self.lookups = 0
         self.inserts = 0
@@ -31,7 +31,7 @@ class HashIndex:
         """Number of (key, rid) entries stored."""
         return self._count
 
-    def insert(self, key: Any, rid: RecordId) -> None:
+    def insert(self, key: Any, rid: int) -> None:
         """Insert one ``key -> rid`` entry."""
         if key is None:
             raise StorageError(f"index {self.name!r}: cannot index NULL keys")
@@ -45,7 +45,7 @@ class HashIndex:
             bucket.append(rid)
         self._count += 1
 
-    def delete(self, key: Any, rid: RecordId) -> bool:
+    def delete(self, key: Any, rid: int) -> bool:
         """Remove one ``key -> rid`` entry.  Returns False when absent."""
         bucket = self._buckets.get(key)
         if not bucket or rid not in bucket:
@@ -56,19 +56,19 @@ class HashIndex:
         self._count -= 1
         return True
 
-    def search(self, key: Any) -> list[RecordId]:
+    def search(self, key: Any) -> list[int]:
         """Return every rid stored under ``key`` (empty list when absent)."""
         self.lookups += 1
         return list(self._buckets.get(key, ()))
 
-    def search_many(self, keys: Sequence[Any]) -> list[RecordId]:
+    def search_many(self, keys: Sequence[Any]) -> list[int]:
         """Union of :meth:`search` over several keys, preserving key order."""
-        results: list[RecordId] = []
+        results: list[int] = []
         for key in keys:
             results.extend(self.search(key))
         return results
 
-    def items(self) -> Iterator[tuple[Any, RecordId]]:
+    def items(self) -> Iterator[tuple[Any, int]]:
         """Yield every ``(key, rid)`` entry (unordered across keys)."""
         for key, rids in self._buckets.items():
             for rid in rids:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..config import StorageConfig
+from ..config import MAX_PAGE_SIZE, StorageConfig
 from ..errors import PageError
 from ..metrics.timer import VirtualClock
 
@@ -41,6 +41,8 @@ class PageStore:
     def __init__(self, page_size: int) -> None:
         if page_size < 512:
             raise PageError(f"page size too small: {page_size}")
+        if page_size > MAX_PAGE_SIZE:
+            raise PageError(f"page size too large for 16-bit page offsets: {page_size}")
         self.page_size = page_size
         self._pages: dict[int, bytes] = {}
         self._next_page_no = 0

@@ -2,7 +2,8 @@
 
 Records are serialised into a compact binary form so that the heap file can
 store them on fixed-size pages, just like a conventional slotted-page DBMS.
-A :class:`RecordId` names a record by ``(page_no, slot_no)``.
+A record id is the integer ``page_no << 16 | slot_no``; :class:`RecordId`
+names its two halves.
 
 Reading goes through a decoder compiled once per schema: a row
 whose columns are all present and fixed-width is one ``struct`` unpack
@@ -13,7 +14,6 @@ walked value by value.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Sequence
 
@@ -21,12 +21,36 @@ from .schema import TableSchema
 from .types import ColumnType, decode_value, encode_value
 
 
-@dataclass(frozen=True, order=True)
-class RecordId:
-    """Physical address of a record: page number and slot within the page."""
+#: A record id packs ``page_no << SLOT_BITS | slot_no``: slotted-page offsets
+#: are 16-bit, so a page never has 2 ** 16 slots.
+SLOT_BITS = 16
+SLOT_MASK = (1 << SLOT_BITS) - 1
 
-    page_no: int
-    slot_no: int
+
+class RecordId(int):
+    """Physical address of a record: page number and slot within the page.
+
+    A rid *is* the integer ``page_no << 16 | slot_no`` -- what the indexes
+    store and :class:`~repro.storage.heapfile.HeapFile` resolves; this class
+    only names the two halves, for the rid ``insert`` hands back and for
+    error messages.  It orders and compares as its integer.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, page_no: int, slot_no: int) -> "RecordId":
+        return super().__new__(cls, page_no << SLOT_BITS | slot_no)
+
+    def __getnewargs__(self) -> tuple[int, int]:  # copy / pickle rebuild from the halves
+        return (self.page_no, self.slot_no)
+
+    @property
+    def page_no(self) -> int:
+        return self >> SLOT_BITS
+
+    @property
+    def slot_no(self) -> int:
+        return self & SLOT_MASK
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RecordId(page={self.page_no}, slot={self.slot_no})"

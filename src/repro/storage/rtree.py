@@ -6,26 +6,44 @@ request tuples whose bounding boxes intersect with a given rectangle should
 run fast".  Both the dynamic-box fetcher and the spatial static-tile fetcher
 issue exactly such intersection queries.
 
-Two construction paths are provided:
+The tree is a Sort-Tile-Recursive (STR) packing held as columns, not as node
+objects: four ``array('d')`` of coordinates and one ``array('q')`` of
+references, level after level -- the root, its children, ..., the leaf nodes,
+then the entries in leaf order::
 
-* incremental :meth:`RTreeIndex.insert` with quadratic node splitting
-  (Guttman's classic algorithm), and
-* :meth:`RTreeIndex.bulk_load`, a Sort-Tile-Recursive (STR) packing bulk
-  loader that builds a well-filled tree orders of magnitude faster — this is
-  what the backend indexer uses when precomputing placement tables for large
-  layers.
+    position   0      1 .. n1      n1+1 ..         ..    first entry ..
+    item       root   level 1      level 2         ..    entries
+    ref        end of the item's child range             rid
+
+A node's children are contiguous and start where its left neighbour's end
+(``refs[i - 1]``; the root's start at 1), so everything under a node is one
+slice of every deeper level: a node that lies inside the query gives its
+entries whole, untested.  Children are stored in the order a depth-first
+walk visits them, so a search reads every level left to right and emits rids
+in tree order without a stack.
+
+Writes do not restructure: an insert joins a short pending list every search
+scans, a delete of a packed entry blanks its ``xmin`` to NaN (no comparison
+with a NaN holds, so the entry stops matching), and the write that takes the
+two past ``REPACK_THRESHOLD`` packs the live entries afresh.  ``search``
+changes nothing but its counters -- replicas of a shard probe one index from
+under different locks.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import StorageError
-from .row import RecordId
 
 DEFAULT_MAX_ENTRIES = 32
+
+#: Pending inserts plus tombstones a tree carries before a write repacks it:
+#: each costs every search one test (pending) or one dead slot (tombstone).
+REPACK_THRESHOLD = 256
 
 
 @dataclass(frozen=True)
@@ -38,7 +56,7 @@ class Rect:
     ymax: float
 
     def __post_init__(self) -> None:
-        if self.xmin > self.xmax or self.ymin > self.ymax:
+        if not (self.xmin <= self.xmax and self.ymin <= self.ymax):  # NaN compares false
             raise StorageError(f"degenerate rectangle: {self}")
 
     # -- geometry ----------------------------------------------------------
@@ -130,25 +148,36 @@ class Rect:
         return cls(x - half_extent, y - half_extent, x + half_extent, y + half_extent)
 
 
-class _RNode:
-    """An R-tree node; leaves store ``(Rect, RecordId)`` entries, internal
-    nodes store ``(Rect, child_node)`` entries."""
+Box = tuple[float, float, float, float]
 
-    __slots__ = ("is_leaf", "entries", "mbr")
 
-    def __init__(self, is_leaf: bool) -> None:
-        self.is_leaf = is_leaf
-        self.entries: list[tuple[Rect, Any]] = []
-        self.mbr: Rect | None = None
+def _box(bbox: Rect | Sequence[float]) -> Box:
+    """``bbox`` as ``(xmin, ymin, xmax, ymax)`` floats, checked as a
+    :class:`Rect` checks itself but without building one."""
+    if isinstance(bbox, Rect):
+        return bbox.as_tuple()
+    if len(bbox) != 4:
+        raise StorageError(f"bbox must have 4 values, got {bbox!r}")
+    x0, y0, x1, y1 = map(float, bbox)
+    if not (x0 <= x1 and y0 <= y1):  # NaN compares false
+        raise StorageError(f"degenerate rectangle: {bbox!r}")
+    return x0, y0, x1, y1
 
-    def recompute_mbr(self) -> None:
-        if not self.entries:
-            self.mbr = None
-            return
-        mbr = self.entries[0][0]
-        for rect, _ in self.entries[1:]:
-            mbr = mbr.union(rect)
-        self.mbr = mbr
+
+def _str_groups(x0: list, y0: list, x1: list, y1: list, capacity: int) -> list[list[int]]:
+    """Sort-Tile-Recursive: the items (by index) in groups of ``capacity`` --
+    vertical slices by centre x, runs by centre y inside a slice."""
+    total = len(x0)
+    slice_count = math.ceil(math.sqrt(math.ceil(total / capacity)))
+    slice_size = math.ceil(total / slice_count)
+    center_x = [(low + high) / 2.0 for low, high in zip(x0, x1)]
+    center_y = [(low + high) / 2.0 for low, high in zip(y0, y1)]
+    by_x = sorted(range(total), key=center_x.__getitem__)
+    groups: list[list[int]] = []
+    for start in range(0, total, slice_size):
+        column = sorted(by_x[start : start + slice_size], key=center_y.__getitem__)
+        groups.extend(column[i : i + capacity] for i in range(0, len(column), capacity))
+    return groups
 
 
 class RTreeIndex:
@@ -156,323 +185,225 @@ class RTreeIndex:
 
     kind = "rtree"
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        min_fill: float = 0.4,
-    ) -> None:
+    def __init__(self, name: str, *, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 4:
             raise StorageError(f"rtree max_entries must be >= 4, got {max_entries}")
-        if not 0.0 < min_fill <= 0.5:
-            raise StorageError(f"rtree min_fill must be in (0, 0.5], got {min_fill}")
         self.name = name
         self.max_entries = max_entries
-        self.min_entries = max(1, int(math.floor(max_entries * min_fill)))
-        self._root = _RNode(is_leaf=True)
         self._count = 0
         self.lookups = 0
         self.inserts = 0
         self.nodes_visited = 0
+        self._pack([])
 
     def __len__(self) -> int:
         return self._count
 
-    # -- incremental insertion (Guttman quadratic split) ------------------------
+    # -- packing (Sort-Tile-Recursive) -------------------------------------------
 
-    def insert(self, rect: Rect | Sequence[float], rid: RecordId) -> None:
-        """Insert one ``bbox -> rid`` entry."""
-        if not isinstance(rect, Rect):
-            rect = Rect.from_tuple(rect)
-        self.inserts += 1
-        split = self._insert_recursive(self._root, rect, rid)
-        if split is not None:
-            old_root = self._root
-            new_root = _RNode(is_leaf=False)
-            new_root.entries = [
-                (old_root.mbr, old_root),  # type: ignore[list-item]
-                (split.mbr, split),  # type: ignore[list-item]
-            ]
-            new_root.recompute_mbr()
-            self._root = new_root
-        self._count += 1
-
-    def _insert_recursive(self, node: _RNode, rect: Rect, rid: RecordId) -> _RNode | None:
-        if node.is_leaf:
-            node.entries.append((rect, rid))
-            node.mbr = rect if node.mbr is None else node.mbr.union(rect)
-            if len(node.entries) > self.max_entries:
-                return self._split_node(node)
-            return None
-        best_index = self._choose_subtree(node, rect)
-        child_rect, child = node.entries[best_index]
-        split = self._insert_recursive(child, rect, rid)
-        node.entries[best_index] = (child.mbr, child)  # type: ignore[list-item]
-        if split is not None:
-            node.entries.append((split.mbr, split))  # type: ignore[list-item]
-        node.mbr = rect if node.mbr is None else node.mbr.union(rect)
-        if len(node.entries) > self.max_entries:
-            return self._split_node(node)
-        return None
-
-    def _choose_subtree(self, node: _RNode, rect: Rect) -> int:
-        best_index = 0
-        best_enlargement = math.inf
-        best_area = math.inf
-        for index, (child_rect, _) in enumerate(node.entries):
-            enlargement = child_rect.enlargement(rect)
-            area = child_rect.area
-            if enlargement < best_enlargement or (
-                enlargement == best_enlargement and area < best_area
-            ):
-                best_index = index
-                best_enlargement = enlargement
-                best_area = area
-        return best_index
-
-    def _split_node(self, node: _RNode) -> _RNode:
-        """Quadratic split: pick the two entries wasting the most area as
-        seeds, distribute the rest by minimum enlargement."""
-        entries = node.entries
-        seed_a, seed_b = self._pick_seeds(entries)
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        mbr_a = entries[seed_a][0]
-        mbr_b = entries[seed_b][0]
-        remaining = [e for i, e in enumerate(entries) if i not in (seed_a, seed_b)]
-
-        for entry in remaining:
-            rect = entry[0]
-            # Force assignment when one group must take everything left to
-            # reach minimum fill.
-            if len(group_a) + 1 < self.min_entries and len(group_b) >= self.min_entries:
-                group_a.append(entry)
-                mbr_a = mbr_a.union(rect)
-                continue
-            if len(group_b) + 1 < self.min_entries and len(group_a) >= self.min_entries:
-                group_b.append(entry)
-                mbr_b = mbr_b.union(rect)
-                continue
-            growth_a = mbr_a.enlargement(rect)
-            growth_b = mbr_b.enlargement(rect)
-            if growth_a < growth_b or (growth_a == growth_b and mbr_a.area <= mbr_b.area):
-                group_a.append(entry)
-                mbr_a = mbr_a.union(rect)
-            else:
-                group_b.append(entry)
-                mbr_b = mbr_b.union(rect)
-
-        node.entries = group_a
-        node.recompute_mbr()
-        sibling = _RNode(is_leaf=node.is_leaf)
-        sibling.entries = group_b
-        sibling.recompute_mbr()
-        return sibling
-
-    @staticmethod
-    def _pick_seeds(entries: list[tuple[Rect, Any]]) -> tuple[int, int]:
-        worst_pair = (0, 1)
-        worst_waste = -math.inf
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                rect_i, rect_j = entries[i][0], entries[j][0]
-                waste = rect_i.union(rect_j).area - rect_i.area - rect_j.area
-                if waste > worst_waste:
-                    worst_waste = waste
-                    worst_pair = (i, j)
-        return worst_pair
-
-    # -- bulk loading (Sort-Tile-Recursive) --------------------------------------
-
-    def bulk_load(self, entries: Iterable[tuple[Rect | Sequence[float], RecordId]]) -> None:
-        """Replace the tree contents with an STR-packed tree over ``entries``.
-
-        Far faster than repeated :meth:`insert` for large layers; this is the
-        path the backend indexer uses during precomputation.
-        """
-        normalized: list[tuple[Rect, RecordId]] = []
-        for rect, rid in entries:
-            if not isinstance(rect, Rect):
-                rect = Rect.from_tuple(rect)
-            normalized.append((rect, rid))
-        self._count = len(normalized)
-        self.inserts += len(normalized)
-        if not normalized:
-            self._root = _RNode(is_leaf=True)
-            return
-
-        # Build packed leaves.
-        leaves = self._str_pack_leaves(normalized)
-        # Recursively pack internal levels until a single root remains.
-        level: list[_RNode] = leaves
-        while len(level) > 1:
-            level = self._pack_internal_level(level)
-        self._root = level[0]
-
-    def _str_pack_leaves(self, entries: list[tuple[Rect, RecordId]]) -> list[_RNode]:
-        capacity = self.max_entries
-        total = len(entries)
-        leaf_count = math.ceil(total / capacity)
-        slice_count = math.ceil(math.sqrt(leaf_count))
-        entries_sorted = sorted(entries, key=lambda e: e[0].center[0])
-        slice_size = math.ceil(total / slice_count)
-        leaves: list[_RNode] = []
-        for start in range(0, total, slice_size):
-            vertical_slice = sorted(
-                entries_sorted[start : start + slice_size],
-                key=lambda e: e[0].center[1],
-            )
-            for leaf_start in range(0, len(vertical_slice), capacity):
-                node = _RNode(is_leaf=True)
-                node.entries = list(vertical_slice[leaf_start : leaf_start + capacity])
-                node.recompute_mbr()
-                leaves.append(node)
-        return leaves
-
-    def _pack_internal_level(self, children: list[_RNode]) -> list[_RNode]:
-        capacity = self.max_entries
-        total = len(children)
-        node_count = math.ceil(total / capacity)
-        slice_count = math.ceil(math.sqrt(node_count))
-        children_sorted = sorted(children, key=lambda n: n.mbr.center[0])  # type: ignore[union-attr]
-        slice_size = math.ceil(total / slice_count)
-        parents: list[_RNode] = []
-        for start in range(0, total, slice_size):
-            vertical_slice = sorted(
-                children_sorted[start : start + slice_size],
-                key=lambda n: n.mbr.center[1],  # type: ignore[union-attr]
-            )
-            for node_start in range(0, len(vertical_slice), capacity):
-                parent = _RNode(is_leaf=False)
-                parent.entries = [
-                    (child.mbr, child)  # type: ignore[list-item]
-                    for child in vertical_slice[node_start : node_start + capacity]
+    def _pack(self, entries: list[tuple[float, float, float, float, int]]) -> None:
+        """Replace the packed columns with an STR tree over ``entries``."""
+        xmin, ymin, xmax, ymax = array("d"), array("d"), array("d"), array("d")
+        refs = array("q")
+        # Bottom-up: the groups STR makes of a level's items, and the groups'
+        # MBRs (four lists) -- the items of the level above.
+        levels: list[tuple[list[list[int]], list[list[float]]]] = []
+        if entries:
+            *entry_boxes, rids = map(list, zip(*entries))
+            items = entry_boxes
+            while not levels or len(levels[-1][0]) > 1:  # until one group, the root
+                groups = _str_groups(*items, self.max_entries)
+                items = [
+                    [pick(map(column.__getitem__, group)) for group in groups]
+                    for column, pick in zip(items, (min, min, max, max))
                 ]
-                parent.recompute_mbr()
-                parents.append(parent)
-        return parents
+                levels.append((groups, items))
+            # Top-down: lay each level out in the order its parents list it.
+            order, end = [0], 1
+            for depth, (groups, mbrs) in enumerate(reversed(levels), 1):
+                below: list[int] = []
+                for node in order:
+                    # A leaf lists entries as packed; an inner node lists its
+                    # children last first, the order a stack walk pops them.
+                    below += groups[node] if depth == len(levels) else reversed(groups[node])
+                    end += len(groups[node])
+                    refs.append(end)
+                for column, values in zip((xmin, ymin, xmax, ymax), mbrs):
+                    column.extend(map(values.__getitem__, order))
+                order = below
+            for column, values in zip((xmin, ymin, xmax, ymax, refs), (*entry_boxes, rids)):
+                column.extend(map(values.__getitem__, order))
+        # One tuple, swapped whole: a search under another lock sees the old
+        # columns or the new, never a mix.
+        self._packed = (xmin, ymin, xmax, ymax, refs, len(levels), len(refs) - len(entries))
+        self._pending: list[tuple[float, float, float, float, int]] = []
+        self._dead = 0  # packed entries a delete blanked
+
+    def bulk_load(self, entries: Iterable[tuple[Rect | Sequence[float], int]]) -> None:
+        """Replace the tree contents with an STR-packed tree over ``entries``."""
+        packed = [(*_box(bbox), rid) for bbox, rid in entries]
+        self._pack(packed)
+        self._count = len(packed)
+        self.inserts += len(packed)
+
+    def _live(self) -> Iterator[tuple[float, float, float, float, int]]:
+        """Every entry: the packed ones no delete blanked, then the pending."""
+        *columns, _, first = self._packed
+        for entry in zip(*(column[first:] for column in columns)):
+            if entry[0] == entry[0]:
+                yield entry
+        yield from self._pending
+
+    def _written(self) -> None:
+        if len(self._pending) + self._dead > REPACK_THRESHOLD:
+            self._pack(list(self._live()))
+
+    # -- writes -------------------------------------------------------------------
+
+    def insert(self, rect: Rect | Sequence[float], rid: int) -> None:
+        """Insert one ``bbox -> rid`` entry."""
+        self._pending.append((*_box(rect), rid))
+        self._count += 1
+        self.inserts += 1
+        self._written()
+
+    def delete(self, rect: Rect | Sequence[float], rid: int) -> bool:
+        """Remove one entry (exact bbox + rid match).  Returns False if absent."""
+        entry = (*_box(rect), rid)
+        if entry in self._pending:
+            self._pending.remove(entry)
+        else:
+            xmin, ymin, xmax, ymax, refs, _, _ = self._packed
+            for i in self._matches(entry[:4]):
+                if (xmin[i], ymin[i], xmax[i], ymax[i], refs[i]) == entry:
+                    xmin[i] = math.nan
+                    self._dead += 1
+                    break
+            else:
+                return False
+        self._count -= 1
+        self._written()
+        return True
 
     # -- queries ---------------------------------------------------------------
 
-    def search(self, query: Rect | Sequence[float]) -> list[RecordId]:
+    def _entry_ranges(
+        self, qx0: float, qy0: float, qx1: float, qy1: float
+    ) -> list[tuple[int, int, bool]]:
+        """Walk the node levels: ``(start, stop, inside)`` for every run of
+        packed entries under a node the query box meets, in tree order.
+        ``inside`` says the node lies within the box -- so do its entries."""
+        xmin, ymin, xmax, ymax, refs, height, _ = self._packed
+        if not height:
+            return []
+        x0, y0, x1, y1 = xmin[0], ymin[0], xmax[0], ymax[0]
+        if not (x0 <= qx1 and x1 >= qx0 and y0 <= qy1 and y1 >= qy0):
+            self.nodes_visited += 1
+            return []
+        frontier = [(1, refs[0], qx0 <= x0 and x1 <= qx1 and qy0 <= y0 and y1 <= qy1)]
+        visited = 1
+        for _ in range(height - 1):
+            visited += len(frontier)
+            deeper: list[tuple[int, int, bool]] = []
+            for start, stop, inside in frontier:
+                if inside:
+                    deeper.append((refs[start - 1], refs[stop - 1], True))
+                    continue
+                for i, x0, y0, x1, y1 in zip(
+                    range(start, stop), xmin[start:stop], ymin[start:stop],
+                    xmax[start:stop], ymax[start:stop],
+                ):
+                    if x0 <= qx1 and x1 >= qx0 and y0 <= qy1 and y1 >= qy0:
+                        deeper.append((
+                            refs[i - 1], refs[i],
+                            qx0 <= x0 and x1 <= qx1 and qy0 <= y0 and y1 <= qy1,
+                        ))
+            frontier = deeper
+        self.nodes_visited += visited
+        return frontier
+
+    def search(self, query: Rect | Sequence[float]) -> list[int]:
         """Return the rids of every entry whose bbox intersects ``query``."""
-        if not isinstance(query, Rect):
-            query = Rect.from_tuple(query)
+        qx0, qy0, qx1, qy1 = _box(query)
         self.lookups += 1
-        results: list[RecordId] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self.nodes_visited += 1
-            if node.mbr is None or not node.mbr.intersects(query):
-                continue
-            if node.is_leaf:
-                for rect, rid in node.entries:
-                    if rect.intersects(query):
-                        results.append(rid)
+        xmin, ymin, xmax, ymax, refs, _, _ = self._packed
+        results: list[int] = []
+        for start, stop, inside in self._entry_ranges(qx0, qy0, qx1, qy1):
+            if not inside:
+                results += [
+                    rid
+                    for rid, x0, y0, x1, y1 in zip(
+                        refs[start:stop], xmin[start:stop], ymin[start:stop],
+                        xmax[start:stop], ymax[start:stop],
+                    )
+                    if x0 <= qx1 and x1 >= qx0 and y0 <= qy1 and y1 >= qy0
+                ]
+            elif self._dead:  # a blanked entry fails the test above, not a slice
+                results += [
+                    rid for rid, x0 in zip(refs[start:stop], xmin[start:stop]) if x0 == x0
+                ]
             else:
-                for rect, child in node.entries:
-                    if rect.intersects(query):
-                        stack.append(child)
+                results += refs[start:stop]
+        for x0, y0, x1, y1, rid in self._pending:
+            if x0 <= qx1 and x1 >= qx0 and y0 <= qy1 and y1 >= qy0:
+                results.append(rid)
         return results
 
-    def search_entries(self, query: Rect | Sequence[float]) -> list[tuple[Rect, RecordId]]:
+    def _matches(self, box: Box) -> Iterator[int]:
+        """Positions of the packed entries whose bbox intersects ``box``."""
+        xmin, ymin, xmax, ymax, _, _, _ = self._packed
+        qx0, qy0, qx1, qy1 = box
+        for start, stop, _ in self._entry_ranges(*box):
+            for i in range(start, stop):
+                if xmin[i] <= qx1 and xmax[i] >= qx0 and ymin[i] <= qy1 and ymax[i] >= qy0:
+                    yield i
+
+    def search_entries(self, query: Rect | Sequence[float]) -> list[tuple[Rect, int]]:
         """Like :meth:`search` but also returns each entry's bbox."""
-        if not isinstance(query, Rect):
-            query = Rect.from_tuple(query)
+        box = qx0, qy0, qx1, qy1 = _box(query)
         self.lookups += 1
-        results: list[tuple[Rect, RecordId]] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self.nodes_visited += 1
-            if node.mbr is None or not node.mbr.intersects(query):
-                continue
-            if node.is_leaf:
-                for rect, rid in node.entries:
-                    if rect.intersects(query):
-                        results.append((rect, rid))
-            else:
-                for rect, child in node.entries:
-                    if rect.intersects(query):
-                        stack.append(child)
+        xmin, ymin, xmax, ymax, refs, _, _ = self._packed
+        results = [(Rect(xmin[i], ymin[i], xmax[i], ymax[i]), refs[i]) for i in self._matches(box)]
+        for x0, y0, x1, y1, rid in self._pending:
+            if x0 <= qx1 and x1 >= qx0 and y0 <= qy1 and y1 >= qy0:
+                results.append((Rect(x0, y0, x1, y1), rid))
         return results
 
-    def delete(self, rect: Rect | Sequence[float], rid: RecordId) -> bool:
-        """Remove one entry (exact bbox + rid match).  Returns False if absent."""
-        if not isinstance(rect, Rect):
-            rect = Rect.from_tuple(rect)
-        found = self._delete_recursive(self._root, rect, rid)
-        if found:
-            self._count -= 1
-        return found
-
-    def _delete_recursive(self, node: _RNode, rect: Rect, rid: RecordId) -> bool:
-        if node.mbr is None or not node.mbr.intersects(rect):
-            return False
-        if node.is_leaf:
-            for index, (entry_rect, entry_rid) in enumerate(node.entries):
-                if entry_rid == rid and entry_rect == rect:
-                    node.entries.pop(index)
-                    node.recompute_mbr()
-                    return True
-            return False
-        for index, (child_rect, child) in enumerate(node.entries):
-            if child_rect.intersects(rect) and self._delete_recursive(child, rect, rid):
-                node.entries[index] = (child.mbr if child.mbr else child_rect, child)
-                node.recompute_mbr()
-                return True
-        return False
-
-    def all_entries(self) -> Iterator[tuple[Rect, RecordId]]:
+    def all_entries(self) -> Iterator[tuple[Rect, int]]:
         """Yield every ``(bbox, rid)`` entry."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield from node.entries
-            else:
-                stack.extend(child for _, child in node.entries)
+        for x0, y0, x1, y1, rid in self._live():
+            yield Rect(x0, y0, x1, y1), rid
 
     def height(self) -> int:
-        height = 1
-        node = self._root
-        while not node.is_leaf:
-            node = node.entries[0][1]
-            height += 1
-        return height
+        """Node levels from the root to the leaves (1 for an empty tree)."""
+        *_, height, _ = self._packed
+        return max(1, height)
 
     def validate(self) -> None:
-        """Check MBR containment invariants and entry counts."""
-        counted = self._validate_node(self._root)
-        if counted != self._count:
-            raise StorageError(
-                f"index {self.name!r}: entry count mismatch "
-                f"({counted} found, {self._count} recorded)"
-            )
+        """Check the packed layout, MBR containment and the entry count."""
+        xmin, ymin, xmax, ymax, refs, height, first = self._packed
 
-    def _validate_node(self, node: _RNode) -> int:
-        if node.mbr is None:
-            if node.entries:
-                raise StorageError(f"index {self.name!r}: node has entries but no MBR")
-            return 0
-        if node.is_leaf:
-            for rect, _ in node.entries:
-                if not node.mbr.contains(rect):
-                    raise StorageError(
-                        f"index {self.name!r}: leaf MBR does not contain entry"
-                    )
-            return len(node.entries)
-        counted = 0
-        for rect, child in node.entries:
-            if child.mbr is None or not rect.contains(child.mbr):
-                raise StorageError(
-                    f"index {self.name!r}: child MBR not contained in parent entry"
-                )
-            if not node.mbr.contains(rect):
-                raise StorageError(
-                    f"index {self.name!r}: node MBR does not contain child rect"
-                )
-            counted += self._validate_node(child)
-        return counted
+        def broken(what: str) -> StorageError:
+            return StorageError(f"index {self.name!r}: {what}")
+
+        if (first > 0) != (height > 0) or (height and refs[first - 1] != len(refs)):
+            raise broken("entry section does not follow the leaf nodes")
+        start = 1
+        for i in range(first):
+            stop = refs[i]
+            if not start < stop <= len(refs):
+                raise broken(f"node {i} has an empty or unordered child range")
+            for child in range(start, stop):
+                if xmin[child] == xmin[child] and not (
+                    xmin[i] <= xmin[child] and ymin[i] <= ymin[child]
+                    and xmax[i] >= xmax[child] and ymax[i] >= ymax[child]
+                ):
+                    raise broken(f"node {i} MBR does not contain item {child}")
+            start = stop
+        dead = sum(1 for x in xmin[first:] if x != x)
+        counted = len(refs) - first - dead + len(self._pending)
+        if dead != self._dead or counted != self._count:
+            raise broken(
+                f"entry count mismatch ({counted} found, {self._count} recorded; "
+                f"{dead} tombstones found, {self._dead} recorded)"
+            )

@@ -9,6 +9,7 @@ spatial-intersection lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import (
@@ -111,18 +112,16 @@ class Table:
 
     def _backfill_index(self, info: IndexInfo) -> None:
         column_pos = self.schema.column_index(info.column)
-        if info.kind == "rtree":
-            entries = []
-            for rid, row in self._heap.scan():
-                value = row[column_pos]
-                if value is not None:
-                    entries.append((Rect.from_tuple(value), rid))
-            info.index.bulk_load(entries)  # type: ignore[union-attr]
-            return
-        for rid, row in self._heap.scan():
-            value = row[column_pos]
-            if value is not None:
+        entries = [
+            (row[column_pos], rid) for rid, row in self._heap.scan() if row[column_pos] is not None
+        ]
+        if info.kind == "hash":
+            for value, rid in entries:
                 info.index.insert(value, rid)
+            return
+        if info.kind == "btree":
+            entries.sort(key=itemgetter(0))  # stable: equal keys stay in heap order
+        info.index.bulk_load(entries)  # type: ignore[union-attr]
 
     def drop_index(self, name: str) -> None:
         if name not in self._indexes:
@@ -156,10 +155,7 @@ class Table:
             value = row[self.schema.column_index(info.column)]
             if value is None:
                 continue
-            if info.kind == "rtree":
-                info.index.insert(Rect.from_tuple(value), rid)  # type: ignore[arg-type]
-            else:
-                info.index.insert(value, rid)
+            info.index.insert(value, rid)
         self._stats = None
         return rid
 
@@ -186,21 +182,18 @@ class Table:
         self._stats = None
         return count
 
-    def delete(self, rid: RecordId) -> None:
+    def delete(self, rid: int) -> None:
         """Delete the row at ``rid`` and unhook it from every index."""
         row = self._heap.fetch(rid)
         for info in self._indexes.values():
             value = row[self.schema.column_index(info.column)]
             if value is None:
                 continue
-            if info.kind == "rtree":
-                info.index.delete(Rect.from_tuple(value), rid)  # type: ignore[arg-type]
-            else:
-                info.index.delete(value, rid)
+            info.index.delete(value, rid)
         self._heap.delete(rid)
         self._stats = None
 
-    def update(self, rid: RecordId, changes: dict[str, Any]) -> RecordId:
+    def update(self, rid: int, changes: dict[str, Any]) -> RecordId:
         """Update the row at ``rid`` with ``{column: new_value}`` changes."""
         current = self.schema.row_to_dict(self._heap.fetch(rid))
         current.update(changes)
@@ -211,31 +204,28 @@ class Table:
             value = new_row[self.schema.column_index(info.column)]
             if value is None:
                 continue
-            if info.kind == "rtree":
-                info.index.insert(Rect.from_tuple(value), new_rid)  # type: ignore[arg-type]
-            else:
-                info.index.insert(value, new_rid)
+            info.index.insert(value, new_rid)
         self._stats = None
         return new_rid
 
     # -- access paths ------------------------------------------------------------------
 
-    def fetch(self, rid: RecordId) -> tuple[Any, ...]:
+    def fetch(self, rid: int) -> tuple[Any, ...]:
         """Return the row stored at ``rid``."""
         return self._heap.fetch(rid)
 
-    def fetch_many(self, rids: Sequence[RecordId]) -> list[tuple[Any, ...]]:
+    def fetch_many(self, rids: Sequence[int]) -> list[tuple[Any, ...]]:
         """Rows at ``rids`` in request order, one page checkout per page run."""
         return self._heap.fetch_many(rids)
 
-    def scan(self) -> Iterator[tuple[RecordId, tuple[Any, ...]]]:
+    def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Full scan yielding ``(rid, row)``."""
         return self._heap.scan()
 
     def scan_rows(self) -> Iterator[tuple[Any, ...]]:
         return self._heap.scan_rows()
 
-    def lookup_key(self, column: str, key: Any) -> list[tuple[RecordId, tuple[Any, ...]]]:
+    def lookup_key(self, column: str, key: Any) -> list[tuple[int, tuple[Any, ...]]]:
         """Equality lookup, via an index when available, otherwise a scan."""
         info = self.find_index_on(column, kinds=("btree", "hash"))
         if info is not None:
@@ -244,7 +234,7 @@ class Table:
         position = self.schema.column_index(column)
         return [(rid, row) for rid, row in self._heap.scan() if row[position] == key]
 
-    def lookup_keys(self, column: str, keys: Sequence[Any]) -> list[tuple[RecordId, tuple[Any, ...]]]:
+    def lookup_keys(self, column: str, keys: Sequence[Any]) -> list[tuple[int, tuple[Any, ...]]]:
         """Equality lookup for several keys (IN-list)."""
         info = self.find_index_on(column, kinds=("btree", "hash"))
         if info is not None:
@@ -254,7 +244,7 @@ class Table:
         position = self.schema.column_index(column)
         return [(rid, row) for rid, row in self._heap.scan() if row[position] in wanted]
 
-    def spatial_search(self, column: str, query: Rect) -> list[tuple[RecordId, tuple[Any, ...]]]:
+    def spatial_search(self, column: str, query: Rect) -> list[tuple[int, tuple[Any, ...]]]:
         """Bbox-intersection lookup, via an R-tree when available."""
         info = self.find_index_on(column, kinds=("rtree",))
         if info is not None:

@@ -87,9 +87,9 @@ def coerce_value(value: Any, column_type: ColumnType, column_name: str = "?") ->
             f"column {column_name!r} expects a 4-element bbox, got {value!r}"
         )
     xmin, ymin, xmax, ymax = (float(v) for v in value)
-    if xmin > xmax or ymin > ymax:
+    if not (xmin <= xmax and ymin <= ymax):  # a NaN compares false: refused too
         raise TypeMismatchError(
-            f"column {column_name!r}: bbox has min > max: {value!r}"
+            f"column {column_name!r}: bbox has min > max or a NaN: {value!r}"
         )
     return (xmin, ymin, xmax, ymax)
 

@@ -162,12 +162,13 @@ class TestRunner:
         assert result.ok
         assert result.files_checked == 1
 
-    def test_registry_exposes_the_five_rules(self):
+    def test_registry_exposes_the_six_rules(self):
         assert set(all_rules()) == {
             "factory-only",
             "fault-seam",
             "lock-discipline",
             "span-discipline",
+            "collector-state",
             "protocol-drift",
         }
 

@@ -203,6 +203,48 @@ class TestLockDiscipline:
         assert lint_source(source, rule="lock-discipline") == []
 
 
+class TestCollectorState:
+    VIOLATION = """
+        import gc
+        from gc import unfreeze as thaw
+
+        def build():
+            gc.freeze()
+            gc.set_threshold(100_000)
+
+        def close():
+            thaw()
+    """
+
+    def test_fires_on_every_spelling_under_src(self, lint_source):
+        findings = lint_source(
+            self.VIOLATION, path="src/repro/serving/factory.py", rule="collector-state"
+        )
+        assert [f.rule for f in findings] == ["collector-state"] * 3
+        assert "gc.unfreeze()" in findings[2].message
+
+    def test_suppressed_line_is_no_finding(self, lint_source):
+        source = """
+            import gc
+
+            def build():
+                gc.disable()  # repolint: disable=collector-state
+        """
+        assert lint_source(source, path="src/repro/bench/x.py", rule="collector-state") == []
+
+    def test_silent_on_reads_collect_and_outside_src(self, lint_source):
+        source = """
+            import gc
+
+            def measure():
+                gc.collect()
+                return gc.get_stats(), gc.get_freeze_count()
+        """
+        assert lint_source(source, path="src/repro/bench/x.py", rule="collector-state") == []
+        for path in ("tests/serving/test_x.py", "benchmarks/bench_y.py"):
+            assert lint_source(self.VIOLATION, path=path, rule="collector-state") == []
+
+
 class TestSpanDiscipline:
     def test_fires_on_bare_time_time(self, lint_source):
         source = """

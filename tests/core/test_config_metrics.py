@@ -27,6 +27,7 @@ INVALID_VALUES = [
     {"app_name": ""},
     {"viewport_width": 0},
     {"storage": {"page_size": 10}},
+    {"storage": {"page_size": 65_536}},
     {"network": {"bandwidth_mbps": 0}},
     {"prefetch": {"strategy": "psychic"}},
     # ``enabled`` is the one off-switch; "none" is not a strategy.
@@ -85,6 +86,16 @@ class TestConfig:
                 (key, bad), = bad.items()
                 path.append(key)
             assert repr(".".join(path)) in str(caught.value)
+
+    def test_an_oversized_page_is_refused_by_name_and_a_maximal_one_works(self):
+        # Was: accepted, then a bare ``struct.error`` from the first insert.
+        with pytest.raises(KyrixError, match=r"storage\.page_size.*65535"):
+            KyrixConfig.from_dict({"storage": {"page_size": 65_536}})
+        from repro.storage.database import Database
+
+        config = KyrixConfig.from_dict({"storage": {"page_size": 65_535}})
+        table = Database(config.storage).create_table("t", [("v", "int")])
+        assert table.fetch(table.insert((1,))) == (1,)
 
     @pytest.mark.parametrize(
         "heading, section",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import sys
 
 import pytest
 
@@ -24,6 +25,20 @@ from repro.serving import (
     stack_layers,
     unwrap,
 )
+
+
+def _own_containers(index) -> list:
+    """The lists, arrays and dicts an index is made of (not the keys in them)."""
+    if index.kind == "rtree":
+        return [*index._packed[:5], index._pending]
+    if index.kind == "hash":
+        return [index._buckets, *index._buckets.values()]
+    found, nodes = [], [index._root]
+    while nodes:
+        node = nodes.pop()
+        found += [node.keys, node.rids if node.is_leaf else node.children]
+        nodes += [] if node.is_leaf else node.children
+    return found
 
 
 def _second_value(spec: dataclasses.Field):
@@ -285,17 +300,49 @@ class TestBuildService:
             service.close()
 
     @pytest.mark.parametrize("overrides", [{}, {"shard_count": 2}], ids=["single", "cluster"])
-    def test_the_built_heap_is_frozen_until_the_stack_closes(self, dots_stack, overrides):
-        # A full collection must not walk the served data (its pause would
-        # grow with the dataset); a closed stack must be collectable again.
-        gc.unfreeze()
-        service = build_service(dots_stack.backend.config, backend=dots_stack.backend, **overrides)
+    def test_a_served_row_costs_a_tenth_of_a_tracked_object_and_160_index_bytes(self, overrides):
+        # The cost model the packed indexes are held to (docs/architecture.md,
+        # "Packed indexes"): what a full collection walks must not grow with
+        # the data -- so nothing needs hiding from the collector -- and an
+        # index entry is a few array slots, not a handful of objects.
+        def build(num_points):
+            stack = build_dots_backend(
+                tiny_spec("uniform", num_points=num_points, seed=7),
+                config=default_config(viewport=512),
+            )
+            return stack.backend, build_service(stack.backend.config, backend=stack.backend, **overrides)
+
+        build(50)[1].close()  # imports and one-time module state are not per-row costs
+        gc.collect()
+        tracked_before = len(gc.get_objects())
+        source, service = build(20_000)
         try:
-            assert gc.get_freeze_count() > 0
-            assert not any(obj is dots_stack.backend.database for obj in gc.get_objects())
+            gc.collect()
+            grown = len(gc.get_objects()) - tracked_before
+            databases = {
+                id(layer.database): layer.database
+                for layer in stack_layers(source) + stack_layers(service)
+                if hasattr(layer, "database")
+            }
+            indexed = [
+                table
+                for database in databases.values()
+                for table in map(database.table, database.table_names)
+                if table.indexes
+            ]
+            rows = sum(map(len, indexed))
+            assert rows >= 20_000 * (1 + bool(overrides))  # shards index their own copies
+            assert grown <= 0.1 * rows, f"{grown / rows:.3f} tracked objects per indexed row"
+            index_bytes = sum(
+                sys.getsizeof(container)
+                for table in indexed
+                for info in table.indexes.values()
+                for container in _own_containers(info.index)
+            )
+            assert index_bytes <= 160 * rows, f"{index_bytes / rows:.1f} index bytes per indexed row"
+            assert gc.get_freeze_count() == 0
         finally:
             service.close()
-        assert gc.get_freeze_count() == 0
 
     def test_requires_backend_or_database(self):
         with pytest.raises(KyrixError):

@@ -48,6 +48,35 @@ class TestInsertFetch:
             heap.fetch(RecordId(page_no=rid.page_no, slot_no=50))
 
 
+class TestRecordId:
+    def test_a_rid_is_its_packed_integer(self):
+        rid = RecordId(page_no=3, slot_no=5)
+        assert rid == 3 << 16 | 5 and isinstance(rid, int)
+        assert (rid.page_no, rid.slot_no) == (3, 5)
+        assert hash(rid) == hash(3 << 16 | 5) and {rid: "row"}[3 << 16 | 5] == "row"
+        assert RecordId(7, 65_535).slot_no == 65_535
+
+    def test_orders_by_page_then_slot_as_before(self):
+        rids = [RecordId(2, 0), RecordId(1, 9), RecordId(1, 10), RecordId(0, 65_535)]
+        by_halves = sorted(rids, key=lambda rid: (rid.page_no, rid.slot_no))
+        assert sorted(rids) == by_halves == [rids[3], rids[1], rids[2], rids[0]]
+
+    def test_survives_copy_and_pickle(self):
+        import copy
+        import pickle
+
+        rid = RecordId(4, 2)
+        for clone in (copy.deepcopy(rid), pickle.loads(pickle.dumps(rid))):
+            assert clone == rid and type(clone) is RecordId
+
+    def test_heap_hands_back_and_scans_the_same_integers(self, heap):
+        inserted = [heap.insert((i, "x" * 200)) for i in range(12)]  # several pages
+        assert all(type(rid) is RecordId for rid in inserted)
+        scanned = [rid for rid, _ in heap.scan()]
+        assert scanned == inserted and all(type(rid) is int for rid in scanned)
+        assert heap.fetch_many([int(rid) for rid in inserted]) == heap.fetch_many(inserted)
+
+
 class TestFetchMany:
     def test_rows_come_back_in_request_order_with_repeats(self, heap):
         rids = [heap.insert((i, "x" * 200)) for i in range(20)]  # several pages
@@ -85,6 +114,24 @@ class TestRidValidation:
         rid = heap.insert((1, "a"))
         with pytest.raises(RecordNotFoundError):
             heap.fetch(RecordId(page_no=rid.page_no, slot_no=-1))
+
+    @pytest.mark.parametrize("bad", [-1, -(1 << 16), -(5 << 16 | 3), 99 << 16, 1 << 40])
+    def test_negative_or_foreign_integer_raises_from_every_entry_point(self, heap, bad):
+        rid = heap.insert((1, "a"))
+        for call in (
+            heap.fetch,
+            heap.delete,
+            lambda r: heap.update(r, (2, "b")),
+            lambda r: heap.fetch_many([rid, r]),
+        ):
+            with pytest.raises(RecordNotFoundError):
+                call(bad)
+        assert heap.fetch(rid) == (1, "a") and len(heap) == 1
+
+    def test_error_names_page_and_slot(self, heap):
+        heap.insert((1, "a"))
+        with pytest.raises(RecordNotFoundError, match=r"page=99, slot=7"):
+            heap.fetch(99 << 16 | 7)
 
     def test_delete_on_unknown_page_raises_record_not_found(self, heap):
         heap.insert((1, "a"))

@@ -37,6 +37,12 @@ class TestPageStore:
         with pytest.raises(PageError):
             PageStore(64)
 
+    def test_page_size_beyond_16_bit_offsets_rejected(self):
+        # ``<H`` slot offsets and the rid's 16-bit slot field bound the page.
+        with pytest.raises(PageError, match="16-bit"):
+            PageStore(65_536)
+        assert PageStore(65_535).page_size == 65_535
+
 
 class TestBufferPool:
     def _pool(self, capacity=4, simulate_io=False):

@@ -1,10 +1,12 @@
 """Tests for the R-tree spatial index and Rect geometry."""
 
+import math
 import random
 
 import pytest
 
 from repro.errors import StorageError
+from repro.storage import rtree
 from repro.storage.row import RecordId
 from repro.storage.rtree import Rect, RTreeIndex
 
@@ -13,10 +15,30 @@ def rid(n: int) -> RecordId:
     return RecordId(page_no=n // 1000, slot_no=n % 1000)
 
 
+RECORDED_ORDER = [
+    rid(n)
+    for n in (
+        143, 119, 464, 440, 429, 95, 71, 121, 405, 195, 516, 158, 479, 269, 590, 232, 553,
+        193, 514, 180, 156, 501, 477, 503, 169, 145, 490, 466, 132, 108, 453, 577, 243, 219,
+        564, 540, 206, 182, 527, 304, 267, 588, 230, 551, 280, 256,
+    )
+]
+
+
 class TestRect:
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(StorageError):
             Rect(5, 0, 1, 10)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_coordinate_rejected_infinite_ones_are_legal(self, position):
+        coords = [0.0, 0.0, 1.0, 1.0]
+        coords[position] = math.nan
+        with pytest.raises(StorageError):
+            Rect(*coords)
+        with pytest.raises(StorageError):
+            Rect.from_tuple(coords)
+        assert Rect(-math.inf, -math.inf, math.inf, math.inf).contains(Rect(0, 0, 1, 1))
 
     def test_area_width_height(self):
         rect = Rect(0, 0, 4, 3)
@@ -108,9 +130,41 @@ class TestRTreeInsert:
 
     def test_height_grows_with_size(self):
         tree = RTreeIndex("r", max_entries=4)
-        for rect, r in _random_entries(200, seed=2):
-            tree.insert(rect, r)
+        assert tree.height() == 1
+        tree.bulk_load(_random_entries(200, seed=2))
         assert tree.height() >= 3
+
+    def test_inserts_wait_in_the_pending_list_until_a_write_repacks(self, monkeypatch):
+        monkeypatch.setattr(rtree, "REPACK_THRESHOLD", 16)
+        entries = _random_entries(40, seed=8)
+        tree = RTreeIndex("r", max_entries=4)
+        for rect, r in entries[:16]:
+            tree.insert(rect, r)
+        assert tree.height() == 1 and len(tree._pending) == 16
+        tree.insert(*entries[16])  # the write that outgrows the threshold packs
+        assert tree.height() >= 2 and tree._pending == []
+        for rect, r in entries[17:]:
+            tree.insert(rect, r)
+        tree.validate()
+        everything = Rect(0, 0, 1001, 501)
+        assert set(tree.search(everything)) == {r for _, r in entries}
+
+    def test_search_changes_nothing_but_its_counters(self, monkeypatch):
+        # Replicas share a shard's index across their locks: a probe must
+        # never restructure, however much is pending.
+        monkeypatch.setattr(rtree, "REPACK_THRESHOLD", 8)
+        tree = RTreeIndex("r", max_entries=4)
+        tree.bulk_load(_random_entries(50, seed=9))
+        for rect, r in _random_entries(4, seed=10):
+            tree.insert(rect, rid(1000 + r))
+        assert tree.delete(*_random_entries(50, seed=9)[0])
+        packed, pending, dead = tree._packed, list(tree._pending), tree._dead
+        assert len(pending) == 4 and dead == 1
+        before = [bytes(column) for column in packed[:5]]
+        tree.search(Rect(0, 0, 1001, 501))
+        tree.search_entries(Rect(0, 0, 1001, 501))
+        assert tree._packed is packed and [bytes(c) for c in packed[:5]] == before
+        assert (tree._pending, tree._dead) == (pending, dead)
 
 
 class TestRTreeBulkLoad:
@@ -122,6 +176,18 @@ class TestRTreeBulkLoad:
         assert len(tree) == 2000
         for query in (Rect(0, 0, 50, 50), Rect(100, 100, 400, 300), Rect(900, 0, 1000, 500)):
             assert set(tree.search(query)) == _brute_force(entries, query)
+
+    def test_bulk_load_returns_rids_in_the_order_the_node_tree_did(self):
+        # Recorded from the node-object STR tree this index replaced (PR 21's
+        # parent): responses are byte-identical only if the order is.
+        entries = [
+            ((x := (i * 7919) % 1000, y := (i * 104729) % 500, x + i % 7, y + i % 3), rid(i))
+            for i in range(600)
+        ]
+        tree = RTreeIndex("r", max_entries=8)
+        tree.bulk_load(entries)
+        assert tree.height() == 4
+        assert tree.search(Rect(200, 100, 420, 260)) == RECORDED_ORDER
 
     def test_bulk_load_empty(self):
         tree = RTreeIndex("r")
@@ -182,8 +248,6 @@ class TestRTreeConfig:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(StorageError):
             RTreeIndex("r", max_entries=2)
-        with pytest.raises(StorageError):
-            RTreeIndex("r", min_fill=0.9)
 
     def test_validate_detects_count_mismatch(self):
         tree = RTreeIndex("r")

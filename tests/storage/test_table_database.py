@@ -1,14 +1,18 @@
 """Tests for the table abstraction and the database catalog."""
 
+import math
+
 import pytest
 
 from repro.errors import (
     DuplicateIndexError,
     DuplicateTableError,
     SchemaError,
+    TypeMismatchError,
     UnknownIndexError,
     UnknownTableError,
 )
+from repro.minisql import SQLEngine
 from repro.storage.database import Database
 from repro.storage.rtree import Rect
 
@@ -95,6 +99,36 @@ class TestTableModification:
         table = database.create_table("t", [("a", "int"), ("b", "int")])
         with pytest.raises(SchemaError):
             table.insert((1,))
+
+
+class TestNanBbox:
+    """A NaN is not a coordinate: ``xmin > xmax`` is false for one, so the
+    check has to refuse it outright -- the heap scan and the R-tree would
+    disagree on the stored row."""
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_refused_on_every_way_in(self, database, dots_table, position):
+        dots_table.create_index("dots_bbox", "bbox", "rtree")
+        bbox = [5000.0, 0.0, 5001.0, 1.0]
+        bbox[position] = math.nan
+        with pytest.raises(TypeMismatchError, match="NaN"):
+            dots_table.insert((500, 0.0, 0.0, tuple(bbox)))
+        with pytest.raises(TypeMismatchError, match="NaN"):
+            dots_table.insert({"id": 500, "x": 0.0, "y": 0.0, "bbox": bbox})
+        with pytest.raises(TypeMismatchError, match="NaN"):
+            database.create_and_load("other", [("bbox", "bbox")], [(tuple(bbox),)])
+        insert = SQLEngine(database).prepare("INSERT INTO dots VALUES (500, 0, 0, bbox(?, ?, ?, ?))")
+        with pytest.raises(TypeMismatchError, match="NaN"):
+            SQLEngine(database).execute(insert.bind(*bbox))
+        assert len(dots_table) == 100
+        assert dots_table.spatial_search("bbox", Rect(5000, 0, 5001, 1)) == []
+
+    def test_infinite_bounds_stay_legal_and_both_paths_agree(self, dots_table):
+        rid = dots_table.insert((500, 0.0, 0.0, (-math.inf, 2000.0, math.inf, 2001.0)))
+        scanned = dots_table.spatial_search("bbox", Rect(7000, 2000, 7001, 2000.5))
+        dots_table.create_index("dots_bbox", "bbox", "rtree")
+        assert dots_table.spatial_search("bbox", Rect(7000, 2000, 7001, 2000.5)) == scanned
+        assert [found for found, _ in scanned] == [rid]
 
 
 class TestIndexManagement:
