@@ -36,6 +36,7 @@ if str(_ROOT / "src") not in sys.path:
 from repro.bench.apps import build_eeg_backend, default_config
 from repro.cluster import build_cluster
 from repro.datagen.eeg import EEGSpec
+from repro.metrics.timer import VirtualClock
 from repro.net.protocol import DataRequest
 from repro.serving.faults import FaultSchedule, fault_replica
 from repro.serving.replica import ReplicaService
@@ -84,14 +85,14 @@ def main() -> None:
     )
     try:
         # Step 2 -- slow down one replica of shard 0 at the fault seam.
-        # Latency faults charge the *virtual* clock (the simulated-latency
-        # plane the benchmarks measure), so they show up in traces as
-        # fault_injected events rather than longer wall-clock spans.
+        # Latency faults advance the *injected* clock (nothing sleeps),
+        # so they show up in traces as fault_injected events rather than
+        # longer wall-clock spans.
         replica_set = cluster.shards[0].service
         assert isinstance(replica_set, ReplicaService)
         fault_replica(
             replica_set, 0, FaultSchedule.slow(40.0),
-            clock=stack.database.clock,
+            clock=VirtualClock(),
         )
 
         for request in pan_session(stack):

@@ -16,7 +16,9 @@ Rule ids (see ``README.md`` in this package for the full contract):
 ``span-discipline``
     Durations are measured with monotonic clocks through the tracer; bare
     ``time.time()`` is wall-clock and forbidden, and ``Tracer`` instances
-    outside :mod:`repro.telemetry` bypass the configured pipeline.
+    outside :mod:`repro.telemetry` bypass the configured pipeline.  The
+    package never constructs a ``VirtualClock``: every ``*_ms`` it reports
+    is measured, and the clock is what tests inject.
 ``collector-state``
     A library does not change process-wide cycle-collector state: no call
     to the ``gc`` module's ``freeze`` / ``unfreeze`` / ``disable`` /
@@ -321,12 +323,13 @@ class LockDisciplineChecker(Checker):
 
 @register
 class SpanDisciplineChecker(Checker):
-    """Wall-clock timing and out-of-band tracer construction."""
+    """Wall-clock timing, out-of-band tracers and a clock of the package's own."""
 
     rule = "span-discipline"
     description = (
         "durations go through Tracer spans / monotonic clocks; no bare "
-        "time.time(), no Tracer() outside repro.telemetry"
+        "time.time(), no Tracer() outside repro.telemetry, no "
+        "VirtualClock() under src/"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
@@ -356,6 +359,14 @@ class SpanDisciplineChecker(Checker):
                     node.lineno,
                     "direct Tracer() construction bypasses the configured "
                     "pipeline; use repro.telemetry.get_tracer()",
+                )
+            elif in_src and _call_name(node.func) == "VirtualClock":
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    "VirtualClock() under src/ is a second, modelled clock; "
+                    "measure with time.perf_counter() and let tests, examples "
+                    "and benchmarks inject the clock",
                 )
 
     @staticmethod

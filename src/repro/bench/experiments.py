@@ -8,6 +8,7 @@ and returns structured results; the pytest-benchmark targets under
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -374,17 +375,14 @@ class SeparabilityResult:
 
 def separability_ablation(*, scale: str = "smoke") -> list[SeparabilityResult]:
     """Compare the separable shortcut against full placement precomputation."""
-    from ..metrics.timer import Timer
-
     results: list[SeparabilityResult] = []
     for variant, precompute_placement in (("separable", False), ("precomputed", True)):
         spec = dataset_for_scale("uniform", scale)
-        timer = Timer()
-        timer.start()
+        start = time.perf_counter()
         stack = build_dots_backend(
             spec, config=default_config(), precompute_placement=precompute_placement
         )
-        precompute_ms = timer.stop()
+        precompute_ms = (time.perf_counter() - start) * 1000.0
         traces = paper_traces(spec.canvas_width, spec.canvas_height)
         outcome = run_scheme_on_trace(stack, dbox_scheme(), traces["a"])
         results.append(

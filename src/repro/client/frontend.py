@@ -5,9 +5,9 @@ communicating with the backend server to fetch data and rendering the
 visualizations."  :class:`KyrixFrontend` plays that role: it tracks the
 current canvas and viewport, translates pans and jumps into
 :class:`~repro.net.protocol.DataRequest` objects according to the active
-fetching scheme, consults the frontend cache, talks to the backend over the
-simulated link, optionally prefetches ahead of the user, and (optionally)
-rasterises what comes back.
+fetching scheme, consults the frontend cache, asks the service, adds the
+modelled network term of each exchange, optionally prefetches ahead of the
+user, and (optionally) rasterises what comes back.
 
 Every interaction returns a :class:`~repro.metrics.collector.LatencyBreakdown`
 so callers — the examples and the benchmark harness — can report the paper's
@@ -16,6 +16,7 @@ headline metric, average response time per interaction.
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Any
 
 from ..compiler.plan import LayerPlan
@@ -24,7 +25,6 @@ from ..core.jump import Jump, JumpType
 from ..core.viewport import Viewport
 from ..errors import JumpError, UnknownCanvasError
 from ..metrics.collector import LatencyBreakdown, MetricsCollector
-from ..metrics.timer import Timer
 from ..net.link import SimulatedLink
 from ..net.protocol import DataRequest, DataResponse
 from ..server.cache import LRUCache
@@ -244,9 +244,8 @@ class KyrixFrontend:
             return cached, breakdown
         response = self.service.handle(request)
         payload = self.link.estimate_object_payload(response.object_count())
-        network_ms = self.link.charge_request(payload)
         breakdown.query_ms = response.query_ms
-        breakdown.network_ms = network_ms
+        breakdown.network_ms = self.link.round_trip_ms(payload)
         breakdown.requests = 1
         breakdown.objects_fetched = response.object_count()
         breakdown.bytes_fetched = payload
@@ -261,10 +260,9 @@ class KyrixFrontend:
         layer = spec.canvas(layer_plan.canvas_id).layer(layer_plan.layer_index)
         if layer.renderer is None or self.renderer is None:
             return 0.0
-        timer = Timer()
-        timer.start()
+        start = time.perf_counter()
         self.renderer.render_objects(objects, layer.renderer, viewport)
-        return timer.stop()
+        return (time.perf_counter() - start) * 1000.0
 
     # -- prefetching -----------------------------------------------------------------------------
 

@@ -67,7 +67,6 @@ class ExplorationSession:
         )
         # Reset metrics so only the pan steps are measured.
         self.frontend.metrics.reset()
-        self.frontend.link.reset()
 
         for x, y in positions[1:]:
             self.frontend.pan_to(x, y)

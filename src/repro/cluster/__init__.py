@@ -29,7 +29,7 @@ in parallel on a thread pool when ``cluster.parallel_shards`` is set — then
 merges the shard responses in shard-id order and deduplicates replicated
 boundary tuples by ``tuple_id`` (the gathered object list is byte-identical
 between the parallel and sequential paths).  The gathered ``query_ms`` is
-the critical path (slowest shard plus merge time) and per-shard timings are
+the measured wall time of the scatter-gather and per-shard timings are
 surfaced in ``DataResponse.shard_ms`` so latency breakdowns stay
 attributable.  Identical in-flight requests from concurrent sessions are
 coalesced behind one scatter-gather (via

@@ -12,13 +12,14 @@ Two strategies are provided, selected by ``ClusterConfig.strategy``:
   canvas's placement tables.  On skewed datasets this equalises per-shard
   load where the grid would leave most shards idle.
 
-A third partitioner exists outside the precompute-time registry:
-:class:`LoadWeightedKDPartitioner` splits at *weighted* medians of a
-:class:`LoadHistogram` — the observed request footprint recorded by the
-router at serving time — instead of the static object distribution.  It is
-what :class:`~repro.cluster.rebalancer.LoadRebalancer` uses to derive a new
-partitioning from live traffic skew; it is not a ``ClusterConfig.strategy``
-because the load signal only exists once the cluster has served requests.
+Both KD flavours are one split loop: :class:`LoadWeightedKDPartitioner`
+splits at *weighted* medians of a :class:`LoadHistogram` — the observed
+request footprint recorded by the router at serving time — and the ``"kd"``
+strategy is its unit-weight case over the static object distribution.  The
+load-weighted form is what :class:`~repro.cluster.rebalancer.LoadRebalancer`
+uses to derive a new partitioning from live traffic skew; it is not a
+``ClusterConfig.strategy`` because the load signal only exists once the
+cluster has served requests.
 
 All three produce a :class:`Partitioning`: an exact, gap-free cover of the
 canvas by axis-aligned :class:`ShardRegion` rectangles.  Region edges are
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from statistics import median
 
 from ..errors import KyrixError
 from ..storage.rtree import Rect
@@ -161,74 +161,6 @@ class GridPartitioner:
         return columns, rows
 
 
-class BalancedKDPartitioner:
-    """Median-split KD partitioning driven by the object distribution."""
-
-    strategy = STRATEGY_KD
-
-    def __init__(self, shard_count: int) -> None:
-        if shard_count < 1:
-            raise KyrixError(f"shard_count must be >= 1, got {shard_count}")
-        self.shard_count = shard_count
-
-    def partition(
-        self,
-        canvas_id: str,
-        width: float,
-        height: float,
-        distribution: SpatialDistribution | None = None,
-    ) -> Partitioning:
-        if distribution is None or len(distribution) < 2 * self.shard_count:
-            # Not enough signal for data-driven splits — fall back to the grid
-            # so the cover stays exact and balanced by area.
-            return GridPartitioner(self.shard_count).partition(canvas_id, width, height)
-
-        # Each work item is (region, points inside it); repeatedly split the
-        # most heavily loaded region at the median of its points.
-        items: list[tuple[Rect, list[tuple[float, float]]]] = [
-            (Rect(0.0, 0.0, width, height), list(distribution.points))
-        ]
-        while len(items) < self.shard_count:
-            items.sort(key=lambda item: len(item[1]), reverse=True)
-            rect, points = items.pop(0)
-            axis = 0 if rect.width >= rect.height else 1
-            split = self._split_coordinate(rect, points, axis)
-            if axis == 0:
-                left = Rect(rect.xmin, rect.ymin, split, rect.ymax)
-                right = Rect(split, rect.ymin, rect.xmax, rect.ymax)
-            else:
-                left = Rect(rect.xmin, rect.ymin, rect.xmax, split)
-                right = Rect(rect.xmin, split, rect.xmax, rect.ymax)
-            items.append((left, [p for p in points if p[axis] <= split]))
-            items.append((right, [p for p in points if p[axis] > split]))
-
-        # Deterministic shard ids: order regions by position.
-        items.sort(key=lambda item: (item[0].ymin, item[0].xmin))
-        regions = [
-            ShardRegion(shard_id=index, rect=rect)
-            for index, (rect, _) in enumerate(items)
-        ]
-        return Partitioning(canvas_id=canvas_id, strategy=self.strategy, regions=regions)
-
-    def _split_coordinate(
-        self,
-        rect: Rect,
-        points: list[tuple[float, float]],
-        axis: int,
-    ) -> float:
-        low = rect.xmin if axis == 0 else rect.ymin
-        high = rect.xmax if axis == 0 else rect.ymax
-        if points:
-            split = float(median(p[axis] for p in points))
-        else:
-            split = (low + high) / 2.0
-        # A median equal to a region edge would create a degenerate slab;
-        # nudge to the midpoint instead.
-        if not (low < split < high):
-            split = (low + high) / 2.0
-        return split
-
-
 class LoadHistogram:
     """A bounded sample of weighted request-footprint centres on one canvas.
 
@@ -271,8 +203,8 @@ class LoadHistogram:
 class LoadWeightedKDPartitioner:
     """KD splits at weighted medians of the observed request load.
 
-    Where :class:`BalancedKDPartitioner` balances the *data* (object
-    centres, equal counts per shard), this balances the *traffic*: the
+    Where its subclass :class:`BalancedKDPartitioner` balances the *data*
+    (object centres, equal counts per shard), this balances the *traffic*: the
     region carrying the most observed request weight is split at the
     weighted median of its samples, so a hotspot the size of one viewport
     ends up divided across several shards while cold regions merge into
@@ -373,6 +305,33 @@ class LoadWeightedKDPartitioner:
         if split is None or not (low < split < high):
             split = (low + high) / 2.0
         return split
+
+
+class BalancedKDPartitioner(LoadWeightedKDPartitioner):
+    """KD partitioning driven by the object distribution.
+
+    The unit-weight case of :class:`LoadWeightedKDPartitioner`: every
+    sampled object centre counts once, so the splits equalise objects per
+    shard.  Too small a sample falls back to the grid.
+    """
+
+    strategy = STRATEGY_KD
+
+    def partition(
+        self,
+        canvas_id: str,
+        width: float,
+        height: float,
+        distribution: SpatialDistribution | None = None,
+    ) -> Partitioning:
+        if distribution is None or len(distribution) < 2 * self.shard_count:
+            # Not enough signal for data-driven splits — fall back to the grid
+            # so the cover stays exact and balanced by area.
+            return GridPartitioner(self.shard_count).partition(canvas_id, width, height)
+        load = LoadHistogram()
+        for x, y in distribution.points:
+            load.observe(x, y)
+        return super().partition(canvas_id, width, height, load)
 
 
 def make_partitioner(

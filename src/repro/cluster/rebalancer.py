@@ -41,11 +41,11 @@ topologies while a migration is racing the request stream.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..errors import KyrixError
-from ..metrics.timer import Timer
 from .builder import ShardedCluster, build_generation
 from .partitioner import LoadHistogram, LoadWeightedKDPartitioner, Partitioning
 
@@ -274,8 +274,7 @@ class LoadRebalancer:
         # Build the new generation beside the serving one: shard databases
         # and indexes first, then the serving stacks (and, in process
         # mode, a fresh WorkerPool generation with its own spec dumps).
-        build_timer = Timer()
-        build_timer.start()
+        build_start = time.perf_counter()
         table = build_generation(
             self.cluster.source,
             config,
@@ -283,11 +282,10 @@ class LoadRebalancer:
             tile_sizes=self.cluster.tile_sizes,
             epoch=current.epoch + 1,
         )
-        build_ms = build_timer.stop()
+        build_ms = (time.perf_counter() - build_start) * 1000.0
 
         # Atomic swap, then drain and retire the old generation.
-        drain_timer = Timer()
-        drain_timer.start()
+        drain_start = time.perf_counter()
         try:
             old_table = router.swap_shards(table)
         except BaseException:
@@ -297,7 +295,7 @@ class LoadRebalancer:
             table.close()
             raise
         drained = router.retire_table(old_table)
-        drain_ms = drain_timer.stop()
+        drain_ms = (time.perf_counter() - drain_start) * 1000.0
         return RebalanceReport(
             swapped=True,
             reason=reason,

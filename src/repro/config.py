@@ -3,7 +3,7 @@
 The original Kyrix reads a ``config.txt`` file naming the backing DBMS and
 the web-server ports.  Here the equivalent is :class:`KyrixConfig`, a plain
 dataclass that applications pass to :class:`repro.core.application.Application`.
-It bundles the storage-engine configuration, the simulated network link,
+It bundles the storage-engine configuration, the modelled network hop,
 the two cache sizes and the cluster / telemetry sections.  A field lives
 here only while a non-test caller sets it to a second value
 (``docs/operations.md`` names that caller per field); a value nobody varies
@@ -39,18 +39,12 @@ class StorageConfig:
         span pages, so the page size bounds the maximum record size.
     buffer_pool_pages:
         Number of pages the buffer pool keeps in memory before evicting.
-    simulate_io:
-        When true, the pager charges ``page_read_ms`` / ``page_write_ms`` of
-        simulated latency for every page miss, emulating a disk-backed DBMS.
-    page_read_ms / page_write_ms:
-        Simulated latency per page read / write miss, in milliseconds.
+        Misses are counted (``Database.pager_stats``), never charged: the
+        engine's time is what a stopwatch measures.
     """
 
     page_size: int = 8192
     buffer_pool_pages: int = 1024
-    simulate_io: bool = False
-    page_read_ms: float = 0.05
-    page_write_ms: float = 0.08
 
     def validate(self) -> None:
         if not 512 <= self.page_size <= MAX_PAGE_SIZE:
@@ -61,12 +55,16 @@ class StorageConfig:
             raise KyrixError(
                 f"buffer_pool_pages must be >= 8, got {self.buffer_pool_pages}"
             )
-        if self.page_read_ms < 0 or self.page_write_ms < 0:
-            raise KyrixError("simulated I/O latencies must be non-negative")
+
 
 @dataclass
 class NetworkConfig:
-    """Parameters of the simulated frontend <-> backend link.
+    """Parameters of the modelled frontend <-> backend hop.
+
+    The only modelled time in the package: ``LatencyBreakdown.network_ms``
+    is ``rtt_ms`` plus payload bytes over ``bandwidth_mbps`` per request
+    (:class:`~repro.net.link.SimulatedLink`), added by the frontend; nothing
+    on the serving path reads these fields.
 
     The paper's experiments ran the browser and the backend on the same EC2
     instance, so the defaults model a fast local link.  The per-request
@@ -241,8 +239,8 @@ class ClusterConfig:
         object-density statistics).
     parallel_shards:
         When true, multi-shard scatter-gathers execute their shard queries
-        on a thread pool instead of sequentially, so measured wall-clock
-        matches the modelled critical path.  Gathered responses are
+        on a thread pool instead of sequentially, so the measured
+        ``query_ms`` approaches the slowest shard's.  Gathered responses are
         byte-identical to the sequential path.
     wire_shards:
         When true, every shard call crosses a wire-level transport

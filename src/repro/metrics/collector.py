@@ -21,11 +21,13 @@ class LatencyBreakdown:
     Attributes
     ----------
     query_ms:
-        Time spent executing database queries on the backend.
+        Measured wall time the service spent answering the step's requests.
     network_ms:
-        Simulated network time: round trips plus transfer time.
+        The one *modelled* term: per request, the round trip plus the
+        transfer time of the estimated payload (:mod:`repro.net.link`) — a
+        pure function of ``requests`` and ``bytes_fetched``.
     render_ms:
-        Time the frontend spent rasterising the returned objects.
+        Measured wall time the frontend spent rasterising the objects.
     cache_hit:
         True when the step was served entirely from a cache (frontend or
         backend) and no database query ran.
@@ -34,7 +36,7 @@ class LatencyBreakdown:
     objects_fetched:
         Number of data objects returned across all requests of this step.
     bytes_fetched:
-        Serialized payload size across all requests of this step.
+        Estimated serialized payload size across all requests of this step.
     """
 
     query_ms: float = 0.0

@@ -1,71 +1,29 @@
-"""Wall-clock timers and a virtual clock for simulated latency.
+"""An injectable clock for time-dependent control logic.
 
-The benchmark harness mixes two notions of time:
+Every ``*_ms`` the package reports is a ``time.perf_counter()`` difference
+taken where the work happens, with one exception: the modelled
+``LatencyBreakdown.network_ms``, a pure function of the request count and
+payload bytes (:mod:`repro.net.link`).  Neither needs a clock object.
 
-* real elapsed time of our Python storage engine executing a query, and
-* *simulated* time charged by the network link and the pager's disk model
-  (a pure-Python reproduction is orders of magnitude slower per tuple than a
-  C DBMS, but network round trips and disk seeks are properties of the
-  modelled system, not of the host machine).
-
-:class:`Timer` measures the former; :class:`VirtualClock` accumulates the
-latter.  A response-time measurement is the sum of both components.
+What does need one is logic that *waits*: circuit-breaker cooldowns and
+replica timeouts (:mod:`repro.serving.replica`), the autopilot's cadence
+(:mod:`repro.cluster.autopilot`) and the fault seam's latency rules
+(:mod:`repro.serving.faults`).  Production runs them on real time; tests,
+examples and benchmarks inject a :class:`VirtualClock` and move it by hand.
+The package itself never constructs one.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-
-
-class Timer:
-    """A context-manager stopwatch measuring wall-clock milliseconds.
-
-    Example
-    -------
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed_ms >= 0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed_ms: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def start(self) -> None:
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop the timer and return the elapsed milliseconds."""
-        if self._start is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        self.elapsed_ms = (time.perf_counter() - self._start) * 1000.0
-        self._start = None
-        return self.elapsed_ms
-
-    def lap_ms(self) -> float:
-        """Return elapsed milliseconds without stopping the timer."""
-        if self._start is None:
-            raise RuntimeError("Timer.lap_ms() called before start()")
-        return (time.perf_counter() - self._start) * 1000.0
 
 
 class VirtualClock:
-    """Accumulates simulated latency charged by models (network, disk).
+    """A clock that only moves when told to.
 
-    The clock only moves forward when a component explicitly charges time to
-    it via :meth:`advance`.  Nested scopes can be captured with
-    :meth:`checkpoint` / :meth:`since`.  Advancing is atomic: a clock shared
-    across threads (e.g. one link charged by parallel shard transports)
-    never loses charges.
+    Same ``now_ms`` surface as :class:`repro.serving.replica.MonotonicClock`.
+    Advancing is atomic, so fault rules firing on parallel shard threads
+    never lose a charge.
     """
 
     def __init__(self) -> None:
@@ -74,24 +32,12 @@ class VirtualClock:
 
     @property
     def now_ms(self) -> float:
-        """Total simulated milliseconds elapsed so far."""
+        """Total milliseconds the clock has been advanced by."""
         return self._now_ms
 
     def advance(self, milliseconds: float) -> None:
-        """Charge ``milliseconds`` of simulated latency to the clock."""
+        """Move the clock forward by ``milliseconds``."""
         if milliseconds < 0:
             raise ValueError(f"cannot advance the clock by {milliseconds} ms")
         with self._lock:
             self._now_ms += milliseconds
-
-    def checkpoint(self) -> float:
-        """Return an opaque marker for the current simulated time."""
-        return self._now_ms
-
-    def since(self, checkpoint: float) -> float:
-        """Return simulated milliseconds elapsed since ``checkpoint``."""
-        return self._now_ms - checkpoint
-
-    def reset(self) -> None:
-        with self._lock:
-            self._now_ms = 0.0

@@ -1,6 +1,6 @@
 """Frontend <-> backend communication: wire protocol, framing and links."""
 
-from .link import LinkStats, SimulatedLink
+from .link import SimulatedLink
 from .protocol import DataRequest, DataResponse
 from .socket_transport import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -16,7 +16,6 @@ __all__ = [
     "DataRequest",
     "DataResponse",
     "FrameDecoder",
-    "LinkStats",
     "SimulatedLink",
     "SocketTransport",
     "encode_frame",

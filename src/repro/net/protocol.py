@@ -1,8 +1,7 @@
 """Wire protocol between the Kyrix frontend and backend.
 
 Requests and responses are plain dataclasses with a JSON encoding, mirroring
-the HTTP+JSON protocol of the original system.  The encoded payload size is
-what the simulated link charges transfer time for.  Behind the HTTP edge,
+the HTTP+JSON protocol of the original system.  Behind the HTTP edge,
 shard conversations carry the same dataclasses as
 :mod:`repro.net.columnar` binary messages; the JSON encoding here is the
 reference the parity suites compare that codec against.

@@ -15,9 +15,9 @@ Each of the two shapes is prepared once per table (pair) on first use and
 executed with the request's rectangle or tile id bound; no SQL text is built
 or parsed per request.
 
-Query time is measured per request (wall clock of the embedded engine plus
-any simulated disk latency) and reported in the response so the frontend can
-break down the interaction latency.
+Query time is measured per request (wall clock of the embedded engine) and
+reported in the response so the frontend can break down the interaction
+latency.
 
 The backend is the cache-free engine terminal of every serving stack and
 implements the :class:`~repro.serving.base.DataService` protocol:
@@ -33,13 +33,13 @@ caches: the frontend's and the server's.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Any
 
 from ..compiler.plan import CompiledApplication, LayerPlan
 from ..config import KyrixConfig
 from ..errors import FetchError, UnknownCanvasError
-from ..metrics.timer import Timer
 from ..minisql.executor import PreparedStatement, SQLEngine
 from ..net.protocol import DataRequest, DataResponse
 from ..storage.database import Database
@@ -109,16 +109,14 @@ class KyrixBackend:
             "execute", design=request.design, granularity=request.granularity
         ) as span:
             layer_plan = self._resolve_layer(request)
-            timer = Timer()
-            io_checkpoint = self.database.clock.checkpoint()
-            timer.start()
+            start = time.perf_counter()
             if request.granularity == "tile":
                 objects, queries = self._fetch_tile(request, layer_plan)
             elif request.granularity == "box":
                 objects, queries = self._fetch_box(request, layer_plan)
             else:
                 raise FetchError(f"unknown granularity {request.granularity!r}")
-            query_ms = timer.stop() + self.database.clock.since(io_checkpoint)
+            query_ms = (time.perf_counter() - start) * 1000.0
 
             response = DataResponse(
                 request=request,

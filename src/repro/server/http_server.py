@@ -16,8 +16,8 @@ sharded cluster router):
 
 Flask is an optional dependency: importing this module without Flask
 installed raises a clear error only when :func:`create_app` is called, so
-the rest of the library (and the benchmark harness, which uses the simulated
-link instead of HTTP) works without it.
+the rest of the library (and the benchmark harness, which calls services
+in-process instead of over HTTP) works without it.
 """
 
 from __future__ import annotations

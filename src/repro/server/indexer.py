@@ -21,6 +21,7 @@ created) by the DBA.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any
@@ -30,7 +31,6 @@ from ..core.application import Application
 from ..core.placement import Placement
 from ..core.transform import Transform
 from ..errors import PrecomputeError
-from ..metrics.timer import Timer
 from ..minisql.executor import SQLEngine
 from ..storage.database import Database
 from ..storage.rtree import Rect
@@ -89,8 +89,7 @@ class Indexer:
         layer = canvas.layer(layer_plan.layer_index)
         transform = canvas.transform_for(layer)
 
-        timer = Timer()
-        timer.start()
+        start = time.perf_counter()
         if layer_plan.separable:
             self._ensure_separable_index(layer_plan)
             report = PrecomputeReport(
@@ -101,7 +100,7 @@ class Indexer:
                 else 0,
                 separable=True,
                 skipped=True,
-                elapsed_ms=timer.stop(),
+                elapsed_ms=(time.perf_counter() - start) * 1000.0,
             )
             self.reports.append(report)
             return report
@@ -126,7 +125,7 @@ class Indexer:
             rows=row_count,
             separable=False,
             skipped=False,
-            elapsed_ms=timer.stop(),
+            elapsed_ms=(time.perf_counter() - start) * 1000.0,
         )
         self.reports.append(report)
         return report

@@ -27,11 +27,8 @@ server-side failure as an error message the stub re-raises.  Decoded
 responses equal their in-process originals — that is the law this seam
 exists to enforce.
 
-An optional :class:`~repro.net.link.SimulatedLink` charges each reply's
-measured byte size, so shard-boundary traffic shows up in link statistics.
-Independently of the link, every stub counts its real payload traffic
-(:class:`WireStats`), which is what the suite reports as
-``wire_bytes_per_step``.
+Every stub counts its real payload traffic (:class:`WireStats`), which is
+what the suite reports as ``wire_bytes_per_step``.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from .base import DataService, ServiceMiddleware
 if TYPE_CHECKING:
     from ..compiler.plan import CompiledApplication
     from ..config import KyrixConfig
-    from ..net.link import SimulatedLink
 
 
 @runtime_checkable
@@ -160,13 +156,10 @@ class RemoteBackendStub:
         transport: ShardTransport,
         compiled: "CompiledApplication",
         config: "KyrixConfig",
-        *,
-        link: "SimulatedLink | None" = None,
     ) -> None:
         self.transport = transport
         self._compiled = compiled
         self._config = config
-        self.link = link
         self._wire_lock = threading.Lock()
         self._wire_calls = 0
         self._wire_sent = 0
@@ -182,7 +175,8 @@ class RemoteBackendStub:
 
     @property
     def stats(self) -> Any:
-        return self.link.stats if self.link is not None else None
+        """A stub keeps no counters of its own beyond :attr:`wire_stats`."""
+        return None
 
     @property
     def wire_stats(self) -> WireStats:
@@ -206,10 +200,6 @@ class RemoteBackendStub:
         """One round-trip; a reply that is an error message re-raises here."""
         reply = self.transport.roundtrip(body)
         self._count_wire(len(body), len(reply))
-        if self.link is not None:
-            # Charge the measured byte size of the reply (the request side
-            # is covered by the link's per-request overhead term).
-            self.link.charge_request(len(reply))
         if columnar.message_kind(reply) == columnar.MSG_ERROR:
             name, message = columnar.decode_error(reply)
             raise TransportError(f"{name}: {message}")
@@ -266,18 +256,10 @@ class TransportService(ServiceMiddleware):
     re-decoded — byte-for-byte what a networked shard would do.
     """
 
-    def __init__(
-        self, inner: DataService, *, link: "SimulatedLink | None" = None
-    ) -> None:
+    def __init__(self, inner: DataService) -> None:
         super().__init__(inner)
         self.transport = LocalTransport(inner)
-        self.stub = RemoteBackendStub(
-            self.transport, inner.compiled, inner.config, link=link
-        )
-
-    @property
-    def stats(self) -> Any:
-        return self.stub.stats
+        self.stub = RemoteBackendStub(self.transport, inner.compiled, inner.config)
 
     def handle(self, request: DataRequest) -> DataResponse:
         return self.stub.handle(request)

@@ -3,9 +3,8 @@
 The engine provides everything the Kyrix backend needs from its backing
 DBMS:
 
-* slotted-page heap files behind an LRU buffer pool with an optional
-  simulated-disk latency model (:mod:`repro.storage.pager`,
-  :mod:`repro.storage.heapfile`),
+* slotted-page heap files behind an LRU buffer pool
+  (:mod:`repro.storage.pager`, :mod:`repro.storage.heapfile`),
 * B-tree and hash indexes for the tuple–tile mapping database design
   (:mod:`repro.storage.btree`, :mod:`repro.storage.hashindex`),
 * an R-tree spatial index for the bbox database design used by dynamic

@@ -13,7 +13,6 @@ from typing import Any, Iterable, Sequence
 
 from ..config import StorageConfig
 from ..errors import DuplicateTableError, UnknownTableError
-from ..metrics.timer import VirtualClock
 from .pager import BufferPool, PagerStats
 from .schema import Column, TableSchema
 from .table import Table
@@ -23,16 +22,10 @@ from .types import ColumnType
 class Database:
     """An embedded, in-process database holding named tables."""
 
-    def __init__(
-        self,
-        config: StorageConfig | None = None,
-        *,
-        clock: VirtualClock | None = None,
-    ) -> None:
+    def __init__(self, config: StorageConfig | None = None) -> None:
         self.config = config or StorageConfig()
         self.config.validate()
-        self.clock = clock or VirtualClock()
-        self._pool = BufferPool.from_config(self.config, clock=self.clock)
+        self._pool = BufferPool.from_config(self.config)
         self._tables: dict[str, Table] = {}
         #: Moves whenever a table or an index is created or dropped; a plan
         #: made under another value may name what is gone or miss what is new.

@@ -1,12 +1,10 @@
-"""Page store and buffer pool with optional simulated disk latency.
+"""Page store and buffer pool.
 
 The embedded engine keeps every page in a Python-level "disk" (a dict of
-``bytearray`` pages owned by :class:`PageStore`) and accesses them through a
-:class:`BufferPool` with LRU eviction.  When
-:class:`~repro.config.StorageConfig.simulate_io` is enabled, every buffer-pool
-miss charges read/write latency to a :class:`~repro.metrics.timer.VirtualClock`,
-which lets the benchmark harness model a disk-resident DBMS without actually
-touching the filesystem.
+``bytes`` pages owned by :class:`PageStore`) and accesses them through a
+:class:`BufferPool` with LRU eviction.  The pool counts what it does
+(:class:`PagerStats`: hits, misses, reads, writes, evictions) and charges
+nothing: how disk-resident a workload is reads off the miss count.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from dataclasses import dataclass, field
 
 from ..config import MAX_PAGE_SIZE, StorageConfig
 from ..errors import PageError
-from ..metrics.timer import VirtualClock
 
 
 @dataclass
@@ -81,24 +78,11 @@ class BufferPool:
     :meth:`flush`.
     """
 
-    def __init__(
-        self,
-        store: PageStore,
-        capacity_pages: int,
-        *,
-        simulate_io: bool = False,
-        page_read_ms: float = 0.05,
-        page_write_ms: float = 0.08,
-        clock: VirtualClock | None = None,
-    ) -> None:
+    def __init__(self, store: PageStore, capacity_pages: int) -> None:
         if capacity_pages < 1:
             raise PageError("buffer pool capacity must be at least one page")
         self._store = store
         self._capacity = capacity_pages
-        self._simulate_io = simulate_io
-        self._page_read_ms = page_read_ms
-        self._page_write_ms = page_write_ms
-        self.clock = clock or VirtualClock()
         self.stats = PagerStats()
         # page_no -> mutable page image; OrderedDict gives us LRU ordering.
         self._frames: OrderedDict[int, bytearray] = OrderedDict()
@@ -117,14 +101,6 @@ class BufferPool:
 
     # -- internal helpers ----------------------------------------------------
 
-    def _charge_read(self) -> None:
-        if self._simulate_io:
-            self.clock.advance(self._page_read_ms)
-
-    def _charge_write(self) -> None:
-        if self._simulate_io:
-            self.clock.advance(self._page_write_ms)
-
     def _evict_if_needed(self) -> None:
         while len(self._frames) > self._capacity:
             victim_no, victim = self._frames.popitem(last=False)
@@ -132,7 +108,6 @@ class BufferPool:
             if victim_no in self._dirty:
                 self._store.write(victim_no, bytes(victim))
                 self._dirty.discard(victim_no)
-                self._charge_write()
                 self.stats.writes += 1
 
     # -- public API -----------------------------------------------------------
@@ -154,7 +129,6 @@ class BufferPool:
             return self._frames[page_no]
         self.stats.misses += 1
         self.stats.reads += 1
-        self._charge_read()
         frame = bytearray(self._store.read(page_no))
         self._frames[page_no] = frame
         self._frames.move_to_end(page_no)
@@ -172,7 +146,6 @@ class BufferPool:
         for page_no in sorted(self._dirty):
             if page_no in self._frames:
                 self._store.write(page_no, bytes(self._frames[page_no]))
-                self._charge_write()
                 self.stats.writes += 1
         self._dirty.clear()
 
@@ -182,16 +155,6 @@ class BufferPool:
         self._frames.clear()
 
     @classmethod
-    def from_config(
-        cls, config: StorageConfig, clock: VirtualClock | None = None
-    ) -> "BufferPool":
+    def from_config(cls, config: StorageConfig) -> "BufferPool":
         """Build a store + pool pair from a :class:`StorageConfig`."""
-        store = PageStore(config.page_size)
-        return cls(
-            store,
-            config.buffer_pool_pages,
-            simulate_io=config.simulate_io,
-            page_read_ms=config.page_read_ms,
-            page_write_ms=config.page_write_ms,
-            clock=clock,
-        )
+        return cls(PageStore(config.page_size), config.buffer_pool_pages)

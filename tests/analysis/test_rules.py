@@ -301,6 +301,22 @@ class TestSpanDiscipline:
         for path in ("src/repro/telemetry/setup.py", "tests/telemetry/test_t.py"):
             assert lint_source(source, path=path, rule="span-discipline") == []
 
+    def test_virtual_clock_is_constructed_outside_src_only(self, lint_source):
+        source = """
+            from repro.metrics.timer import VirtualClock
+
+            class Pool:
+                def __init__(self, clock=None):
+                    self.clock = clock or VirtualClock()
+        """
+        findings = lint_source(
+            source, path="src/repro/storage/x.py", rule="span-discipline"
+        )
+        assert len(findings) == 1
+        assert "perf_counter" in findings[0].message
+        for path in ("tests/serving/test_t.py", "examples/x.py", "benchmarks/bench_x.py"):
+            assert lint_source(source, path=path, rule="span-discipline") == []
+
 
 class TestProtocolDrift:
     def test_fires_on_dropped_field(self, lint_source):

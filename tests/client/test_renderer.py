@@ -83,14 +83,13 @@ class TestSimulatedLink:
         assert REQUEST_OVERHEAD_BYTES == 256
         assert link.round_trip_ms(0) == pytest.approx(5.0 + 0.256)
 
-    def test_charge_request_advances_clock_and_stats(self):
+    def test_link_is_stateless_arithmetic(self):
         link = SimulatedLink(NetworkConfig(rtt_ms=2.0))
-        latency = link.charge_request(10_000)
+        latency = link.round_trip_ms(10_000)
         assert latency > 2.0
-        assert link.stats.requests == 1
-        assert link.clock.now_ms == pytest.approx(latency)
-        link.reset()
-        assert link.stats.requests == 0
+        # No counters, no clock: asking again changes nothing.
+        assert link.round_trip_ms(10_000) == latency
+        assert vars(link) == {"config": link.config}
 
     def test_estimate_object_payload(self):
         assert PER_OBJECT_BYTES == 64

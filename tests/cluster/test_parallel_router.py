@@ -54,6 +54,11 @@ def test_parallel_router_is_byte_identical_to_sequential(
             assert sorted(o["tuple_id"] for o in par.objects) == sorted(
                 o["tuple_id"] for o in single.objects
             )
+            # ``query_ms`` is the measured scatter-gather, so each shard's
+            # own stopwatch ran inside it (a cache hit reports 0 and is exempt).
+            for gathered in (par, seq):
+                if not gathered.from_cache:
+                    assert gathered.query_ms >= max(gathered.shard_ms.values())
             saw_fanout = saw_fanout or len(par.shard_ms) > 1
             compared += 1
         assert compared > 0

@@ -20,7 +20,7 @@ from repro.config import (
 )
 from repro.errors import KyrixError
 from repro.metrics.collector import LatencyBreakdown, MetricsCollector, summarize
-from repro.metrics.timer import Timer, VirtualClock
+from repro.metrics.timer import VirtualClock
 
 
 INVALID_VALUES = [
@@ -44,6 +44,8 @@ MALFORMED_INPUT = [
     {"cluster": {"autopilot": 5}},
     {"cluster": {"shard_count": "4"}},
     {"interactivity_budget_ms": 500.0},
+    # The pager's latency model went in PR 23; a saved file naming it fails loudly.
+    {"storage": {"simulate_io": True}},
 ]
 
 
@@ -131,35 +133,25 @@ class TestConfig:
 
 
 class TestTimers:
-    def test_timer_measures_elapsed(self):
-        with Timer() as timer:
-            sum(range(10_000))
-        assert timer.elapsed_ms >= 0.0
-
-    def test_timer_misuse_raises(self):
-        timer = Timer()
-        with pytest.raises(RuntimeError):
-            timer.stop()
-        with pytest.raises(RuntimeError):
-            timer.lap_ms()
-
     def test_virtual_clock_advances(self):
         clock = VirtualClock()
+        assert clock.now_ms == 0.0
         clock.advance(5.0)
-        checkpoint = clock.checkpoint()
         clock.advance(2.5)
         assert clock.now_ms == 7.5
-        assert clock.since(checkpoint) == 2.5
 
     def test_virtual_clock_rejects_negative(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-1)
 
-    def test_virtual_clock_reset(self):
-        clock = VirtualClock()
-        clock.advance(3)
-        clock.reset()
-        assert clock.now_ms == 0.0
+    def test_timer_module_exports_the_injectable_clock_only(self):
+        import repro.metrics.timer as timer
+
+        public = {
+            name for name, value in vars(timer).items()
+            if isinstance(value, type) and value.__module__ == timer.__name__
+        }
+        assert public == {"VirtualClock"}
 
 
 class TestMetricsCollector:

@@ -1,4 +1,4 @@
-"""Property-based tests for the load-weighted repartitioner.
+"""Property-based tests for the KD partitioners (one split loop).
 
 The rebalancer swaps a live cluster onto whatever partitioning
 :class:`~repro.cluster.partitioner.LoadWeightedKDPartitioner` derives from
@@ -15,7 +15,9 @@ canvas, or partly outside it:
 
 A second property checks the point of the exercise: with all the weight
 inside one quadrant, the splits subdivide that quadrant instead of the
-cold rest of the canvas.
+cold rest of the canvas.  A third holds the ``"kd"`` strategy — the
+unit-weight case of the same loop, fed an object distribution — to the
+same cover.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import LoadHistogram, LoadWeightedKDPartitioner
+from repro.cluster.partitioner import BalancedKDPartitioner
+from repro.storage.statistics import SpatialDistribution
 
 finite_coord = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -55,6 +59,32 @@ def test_any_histogram_yields_exact_gap_free_overlap_free_cover(
     partitioning = LoadWeightedKDPartitioner(shard_count).partition(
         "c", width, height, histogram
     )
+    assert_exact_cover(partitioning, width, height, shard_count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=load_points,
+    width=canvas_dim,
+    height=canvas_dim,
+    shard_count=st.integers(min_value=1, max_value=16),
+)
+def test_any_distribution_yields_the_same_cover_from_the_kd_strategy(
+    points, width, height, shard_count
+):
+    distribution = SpatialDistribution()
+    for x, y, _ in points:
+        distribution.observe(x, y)
+    partitioning = BalancedKDPartitioner(shard_count).partition(
+        "c", width, height, distribution
+    )
+    # Too small a sample falls back to the grid; the label says which ran.
+    enough = len(points) >= 2 * shard_count
+    assert partitioning.strategy == ("kd" if enough else "grid")
+    assert_exact_cover(partitioning, width, height, shard_count)
+
+
+def assert_exact_cover(partitioning, width, height, shard_count) -> None:
     regions = partitioning.regions
 
     assert len(regions) == shard_count

@@ -1,10 +1,10 @@
-"""Thread-safety regressions: cache, link and clock accounting under load.
+"""Thread-safety regressions: cache and clock accounting under load.
 
-Before the serving redesign, ``LRUCache`` and ``SimulatedLink`` updated
-their counters without locks; concurrent sessions (the cluster's normal
-traffic) silently lost increments.  These tests hammer the shared objects
-from many threads and assert the counter identities hold *exactly* — a
-single lost update fails them.
+Before the serving redesign, ``LRUCache`` updated its counters without
+locks; concurrent sessions (the cluster's normal traffic) silently lost
+increments.  These tests hammer the shared objects from many threads and
+assert the counter identities hold *exactly* — a single lost update fails
+them.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import threading
 
 import pytest
 
-from repro.config import NetworkConfig
 from repro.metrics.timer import VirtualClock
-from repro.net.link import REQUEST_OVERHEAD_BYTES, SimulatedLink
 from repro.net.protocol import DataRequest
 from repro.server.cache import LRUCache
 from repro.serving import (
@@ -77,27 +75,6 @@ class TestLRUCacheConcurrency:
         _hammer(worker)
         assert len(cache) <= cache.capacity
         assert cache.stats.inserts - cache.stats.evictions == len(cache)
-
-
-class TestSimulatedLinkConcurrency:
-    def test_traffic_counters_are_exact(self):
-        link = SimulatedLink(NetworkConfig(rtt_ms=1.0, bandwidth_mbps=1000.0))
-        payload = 1024
-
-        def worker(index):
-            for _ in range(ROUNDS):
-                link.charge_request(payload)
-
-        _hammer(worker)
-        total = THREADS * ROUNDS
-        assert link.stats.requests == total
-        assert link.stats.bytes_transferred == total * (
-            payload + REQUEST_OVERHEAD_BYTES
-        )
-        expected_ms = link.round_trip_ms(payload) * total
-        assert link.stats.simulated_ms == pytest.approx(expected_ms)
-        # The virtual clock saw every charge, too.
-        assert link.clock.now_ms == pytest.approx(expected_ms)
 
 
 class TestVirtualClockConcurrency:

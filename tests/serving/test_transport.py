@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.net import columnar
-from repro.net.link import REQUEST_OVERHEAD_BYTES, SimulatedLink
 from repro.net.protocol import DataRequest
 from repro.serving import (
     LocalTransport,
@@ -102,7 +101,7 @@ class TestTransportFaults:
         assert name == "ProtocolError"
 
 
-class TestStubAndLink:
+class TestStub:
     def test_stub_serves_a_frontend_end_to_end(self, dots_stack):
         from repro.client import KyrixFrontend
 
@@ -115,19 +114,16 @@ class TestStubAndLink:
         frontend.pan_by(256.0, 0.0)
         assert frontend.metrics.total_requests() >= 1
 
-    def test_link_charges_shard_boundary_traffic(self, dots_stack, box_request):
+    def test_wire_stats_count_shard_boundary_traffic(self, dots_stack, box_request):
         backend = dots_stack.backend
-        link = SimulatedLink(backend.config.network)
-        service = TransportService(backend, link=link)
+        service = TransportService(backend)
         response = service.handle(box_request)
         assert response.objects
-        assert link.stats.requests == 1
-        # The charged payload is the real reply encoding (one binary
-        # columnar message) plus the link's per-request overhead;
-        # the stub's own wire accounting sees the same reply plus the
-        # 4-byte frame header.
+        # The stub's wire accounting sees the real encodings (one binary
+        # columnar message each way) plus the 4-byte frame header.
         wire = service.stub.wire_stats
         assert wire.calls == 1
-        reply_bytes = wire.bytes_received - 4
-        assert link.stats.bytes_transferred == reply_bytes + REQUEST_OVERHEAD_BYTES
-        assert service.stats is link.stats
+        assert wire.bytes_sent == len(columnar.encode_request(box_request)) + 4
+        assert wire.bytes_received == len(columnar.encode_response(response)) + 4
+        # The seam keeps no counters of its own: stats are the engine's.
+        assert service.stats is backend.stats

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import StorageConfig
 from repro.errors import PageError
-from repro.metrics.timer import VirtualClock
 from repro.storage.pager import BufferPool, PageStore
 
 
@@ -45,14 +44,9 @@ class TestPageStore:
 
 
 class TestBufferPool:
-    def _pool(self, capacity=4, simulate_io=False):
+    def _pool(self, capacity=4):
         store = PageStore(1024)
-        clock = VirtualClock()
-        pool = BufferPool(
-            store, capacity, simulate_io=simulate_io,
-            page_read_ms=1.0, page_write_ms=2.0, clock=clock,
-        )
-        return store, pool
+        return store, BufferPool(store, capacity)
 
     def test_get_page_after_allocate_is_hit(self):
         _, pool = self._pool()
@@ -84,15 +78,6 @@ class TestBufferPool:
         reloaded = pool.get_page(first)
         assert reloaded[1] == 0x42
         assert pool.stats.misses >= 1
-
-    def test_simulated_io_charges_clock(self):
-        _, pool = self._pool(capacity=2, simulate_io=True)
-        first = pool.allocate_page()
-        pool.get_page(first)
-        for _ in range(3):
-            pool.allocate_page()
-        pool.get_page(first)  # miss -> one simulated read
-        assert pool.clock.now_ms >= 1.0
 
     def test_mark_dirty_requires_residency(self):
         _, pool = self._pool()
