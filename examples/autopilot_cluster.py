@@ -45,7 +45,7 @@ from repro.serving.faults import diverge_replica
 
 
 def payload(response) -> bytes:
-    return json.dumps(response.objects, sort_keys=True).encode("utf-8")
+    return json.dumps(list(response.objects), sort_keys=True).encode("utf-8")
 
 
 def hotspot(cluster, region_index: int, steps: int = 80) -> list[DataRequest]:

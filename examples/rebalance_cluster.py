@@ -32,7 +32,7 @@ from repro.net.protocol import DataRequest
 
 
 def payload(response) -> bytes:
-    return json.dumps(response.objects, sort_keys=True).encode("utf-8")
+    return json.dumps(list(response.objects), sort_keys=True).encode("utf-8")
 
 
 def main() -> None:

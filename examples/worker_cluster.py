@@ -50,7 +50,7 @@ def main() -> None:
     def run(cluster, workload) -> tuple[float, bytes]:
         started = time.perf_counter()
         payloads = [
-            json.dumps(cluster.router.handle(r).objects, sort_keys=True)
+            json.dumps(list(cluster.router.handle(r).objects), sort_keys=True)
             for r in workload
         ]
         elapsed_ms = (time.perf_counter() - started) * 1000.0 / len(workload)

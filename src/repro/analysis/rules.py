@@ -23,6 +23,9 @@ Rule ids (see ``README.md`` in this package for the full contract):
     A library does not change process-wide cycle-collector state: no call
     to the ``gc`` module's ``freeze`` / ``unfreeze`` / ``disable`` /
     ``set_threshold`` anywhere under ``src/``.
+``edge-rows``
+    Rows stay tuples below the edge: ``to_dicts()`` (a dict per row) is called
+    only by the frontend, the HTTP server, the protocol, precompute and bench code.
 ``protocol-drift``
     A dataclass with both a serializer (``to_dict``/``to_json``) and a
     deserializer (``from_dict``/``from_json``) must mention every field in
@@ -48,6 +51,9 @@ _FAULT_SEAM_MODULES = ("serving", "cluster", "net")
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
 #: ``gc`` functions that switch collector state for the whole process.
 _COLLECTOR_SWITCHES = {"freeze", "unfreeze", "disable", "set_threshold"}
+#: Where a row may become a dictionary: the edges, precompute, bench code.
+_EDGE_ROWS_ALLOWED = tuple(f"src/repro/{where}" for where in (
+    "client/", "bench/", "net/protocol.py", "server/http_server.py", "server/indexer.py"))
 _SERIALIZERS = ("to_dict", "to_json")
 _DESERIALIZERS = ("from_dict", "from_json")
 
@@ -98,8 +104,26 @@ def _is_internal_target(qualified: str) -> bool:
     return False
 
 
+class _ZonedCallChecker(Checker):
+    """Calls to ``names`` in files under ``scope`` but outside ``allowed``."""
+
+    names: tuple[str, ...] = ()
+    allowed: tuple[str, ...] = ()
+    scope = ""
+    #: The finding's text; ``{name}`` is the called name.
+    message = ""
+
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        path = module.rel_path
+        if module.tree is None or not path.startswith(self.scope) or path.startswith(self.allowed):
+            return
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call) and (name := _call_name(node.func)) in self.names:
+                yield self.finding(module, node.lineno, self.message.format(name=name))
+
+
 @register
-class FactoryOnlyChecker(Checker):
+class FactoryOnlyChecker(_ZonedCallChecker):
     """Direct endpoint construction outside the sanctioned zones."""
 
     rule = "factory-only"
@@ -107,23 +131,24 @@ class FactoryOnlyChecker(Checker):
         "serving endpoints must come from serving.build_service; no direct "
         "KyrixBackend/ClusterRouter construction outside serving/ and cluster/"
     )
+    names = _ENDPOINT_CLASSES
+    allowed = _FACTORY_ALLOWED_PREFIXES
+    message = "direct {name}(...) construction; build endpoints with repro.serving.build_service"
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.rel_path.startswith(_FACTORY_ALLOWED_PREFIXES):
-            return
-        tree = module.tree
-        if tree is None:
-            return
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = _call_name(node.func)
-                if name in _ENDPOINT_CLASSES:
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        f"direct {name}(...) construction; build endpoints "
-                        "with repro.serving.build_service",
-                    )
+
+@register
+class EdgeRowsChecker(_ZonedCallChecker):
+    """Row dictionaries built between the engine and the edge."""
+
+    rule = "edge-rows"
+    description = "rows stay tuples below the edge: only the edge (client/, http_server) calls to_dicts()"
+    names = ("to_dicts",)
+    allowed = _EDGE_ROWS_ALLOWED
+    scope = "src/"
+    message = (
+        "{name}() builds a dictionary per row below the edge; hand the batch "
+        "(names + row tuples) on and let the edge read it"
+    )
 
 
 @register

@@ -182,7 +182,8 @@ class KyrixFrontend:
             for request in requests:
                 response, request_breakdown = self._issue_request(request)
                 breakdown.merge(request_breakdown)
-                layer_objects.extend(response.objects)
+                # The edge: a batch's rows become dictionaries, for all its holders.
+                layer_objects.extend(response.to_dicts())
             self.visible_objects[layer_plan.layer_index] = layer_objects
             if self.renderer is not None:
                 breakdown.render_ms += self._render_layer(layer_plan, layer_objects, viewport)
@@ -243,11 +244,11 @@ class KyrixFrontend:
             breakdown.objects_fetched = len(cached.objects)
             return cached, breakdown
         response = self.service.handle(request)
-        payload = self.link.estimate_object_payload(response.object_count())
+        breakdown.objects_fetched = response.object_count()
+        payload = self.link.estimate_object_payload(breakdown.objects_fetched)
         breakdown.query_ms = response.query_ms
         breakdown.network_ms = self.link.round_trip_ms(payload)
         breakdown.requests = 1
-        breakdown.objects_fetched = response.object_count()
         breakdown.bytes_fetched = payload
         breakdown.cache_hit = response.from_cache
         self.cache.put(request.cache_key(), response)

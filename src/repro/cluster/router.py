@@ -40,15 +40,17 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from ..compiler.plan import CompiledApplication
 from ..config import ClusterConfig, KyrixConfig
 from ..errors import FetchError
-from ..net.protocol import DataRequest, DataResponse
+from ..net.protocol import ABSENT, DataRequest, DataResponse, RowBatch
 from ..server.tile import TileScheme
 from ..serving.middleware import CachingService, CoalescingService
 from ..serving.replica import DRAIN_TIMEOUT_S, ReplicaService
@@ -187,6 +189,65 @@ class ClusterStats:
         self.fanout.clear()
         self.per_replica_requests.clear()
         self.per_replica_failures.clear()
+
+
+def gather_rows(shard_objects: list[Sequence[dict[str, Any]]]) -> RowBatch:
+    """Merge the shards' rows, as tuples, into one batch in *canonical* order.
+
+    Rows sort by their dedup identity, so the gathered batch is byte-identical
+    between the parallel and sequential paths AND invariant under the
+    partitioning itself — an online rebalance can re-split shards without
+    changing a response byte (a shard returns rows in index order, which
+    depends on what rows it holds; the sort erases that).  A boundary row
+    replicated into several shards is kept once, the first shard's copy; the
+    rows of a fan-out of one are only sorted.  A row's identity is its
+    ``tuple_id``, or without one the row as sorted ``(name, value)`` pairs;
+    identities of mixed types (int and str ``tuple_id``) have no natural
+    order and ``repr`` gives a deterministic one.  The indexer's tables take
+    neither detour: whole-list calls, no statement per row.
+    """
+    filled = [objects for objects in shard_objects if len(objects)]
+    # One layout for the gather: a batch brings its names; a list built by hand (a
+    # canned or fault-injected shard) its rows' keys, and gets ABSENT where one lacks one.
+    names = tuple(dict.fromkeys(chain.from_iterable(
+        objects.names if isinstance(objects, RowBatch) else chain.from_iterable(objects)
+        for objects in filled
+    )))
+    batches = [
+        objects if isinstance(objects, RowBatch)
+        else RowBatch(names, [tuple(map(obj.get, names, repeat(ABSENT))) for obj in objects], True)
+        for objects in filled
+    ]
+    if any(batch.names != names for batch in batches):  # one layer, one table, one schema
+        raise FetchError(f"shards answered with columns other than {names}")
+    rows = list(chain.from_iterable(batch.tuples() for batch in batches))
+    sparse = any(batch.sparse for batch in batches)
+    by_id = itemgetter(names.index("tuple_id")) if "tuple_id" in names else None
+    ids = list(map(by_id, rows)) if by_id else [None]
+    identity: Callable[[tuple[Any, ...]], Any] = by_id
+    if None in ids or (sparse and ABSENT in ids):
+        def identity(row: tuple[Any, ...]) -> Any:
+            tuple_id = by_id(row) if by_id else None
+            if tuple_id is None or tuple_id is ABSENT:
+                return tuple(sorted(pair for pair in zip(names, row) if pair[1] is not ABSENT))
+            return tuple_id
+    if len(shard_objects) == 1:
+        try:
+            rows = sorted(rows, key=identity)
+        except TypeError:
+            rows = sorted(rows, key=lambda row: repr(identity(row)))
+    else:
+        if identity is not by_id:
+            ids = list(map(identity, rows))
+        # Filled back to front, so the row an identity ends up with is its first...
+        first = dict(zip(reversed(ids), reversed(rows)))
+        try:
+            keys = sorted(first)
+        except TypeError:
+            # ...but under its last key object, and ``repr`` tells 1 from True.
+            keys = sorted(dict.fromkeys(ids), key=repr)
+        rows = list(map(first.__getitem__, keys))
+    return RowBatch(names, rows, sparse)
 
 
 class _ScatterGatherService:
@@ -604,36 +665,13 @@ class ClusterRouter:
                 for shard_id in shard_ids
             ]
 
-        # Gather into *canonical* order: objects sort by their dedup
-        # identity, so the merged list is byte-identical between the
-        # parallel and sequential paths AND invariant under the
-        # partitioning itself — an online rebalance can re-split shards
-        # without changing a single response byte (per-shard engines
-        # return rows in index order, which depends on what rows the
-        # shard holds; the sort erases that dependence).
         shard_ms: dict[str, float] = {}
         queries = 0
-        received = 0
-        if len(shard_ids) == 1:
-            # Common case (fan-out 1): no replica can appear twice, so skip
-            # the dedup merge entirely.  Sorted into a fresh list: the
-            # shard's response (possibly a cached object) stays untouched.
-            only = shard_responses[0]
-            shard_ms[f"shard{shard_ids[0]}"] = only.query_ms
-            queries = only.queries_issued
-            received = len(only.objects)
-            objects = self._canonical_order(list(only.objects), self._identity)
-        else:
-            merged: dict[Any, dict[str, Any]] = {}
-            for shard_id, shard_response in zip(shard_ids, shard_responses):
-                shard_ms[f"shard{shard_id}"] = shard_response.query_ms
-                queries += shard_response.queries_issued
-                received += len(shard_response.objects)
-                for obj in shard_response.objects:
-                    merged.setdefault(self._identity(obj), obj)
-            # The merge already computed every identity: sort those, not
-            # the objects through a second ``_identity`` call each.
-            objects = [merged[key] for key in self._canonical_order(list(merged))]
+        for shard_id, shard_response in zip(shard_ids, shard_responses):
+            shard_ms[f"shard{shard_id}"] = shard_response.query_ms
+            queries += shard_response.queries_issued
+        received = sum(len(shard_response.objects) for shard_response in shard_responses)
+        objects = gather_rows([shard_response.objects for shard_response in shard_responses])
 
         response = DataResponse(
             request=request,
@@ -665,36 +703,6 @@ class ClusterRouter:
                 raise FetchError("box requests need xmin/ymin/xmax/ymax")
             return Rect(request.xmin, request.ymin, request.xmax, request.ymax)
         raise FetchError(f"unknown granularity {request.granularity!r}")
-
-    @staticmethod
-    def _identity(obj: dict[str, Any]) -> Any:
-        """Dedup key for a gathered object: ``tuple_id`` when present."""
-        tuple_id = obj.get("tuple_id")
-        if tuple_id is not None:
-            return tuple_id
-        return tuple(
-            (name, tuple(value) if isinstance(value, list) else value)
-            for name, value in sorted(obj.items())
-        )
-
-    @staticmethod
-    def _canonical_order(
-        items: list[Any], identity: Callable[[Any], Any] | None = None
-    ) -> list[Any]:
-        """Sort ``items`` by dedup identity (in place; returned).
-
-        The order every response leaves the router in, whatever the
-        partitioning, topology or rebalance epoch that produced it.
-        ``identity`` maps an item to its identity; without it the items
-        are identities already.
-        """
-        try:
-            items.sort(key=identity)
-        except TypeError:
-            # Mixed identity types (e.g. int and str tuple_ids in one
-            # layer) have no natural order; repr gives a deterministic one.
-            items.sort(key=repr if identity is None else lambda item: repr(identity(item)))
-        return items
 
     # -- metadata for the frontend -----------------------------------------------------
 

@@ -58,8 +58,11 @@ from typing import Any
 
 from ..errors import ProtocolError
 from .protocol import (
+    ABSENT,
     DataRequest,
     DataResponse,
+    RowBatch,
+    _Absent,
     _canonical_value,
     _reject_unencodable,
 )
@@ -310,14 +313,10 @@ def decode_request(body: bytes) -> tuple[DataRequest, dict[str, Any] | None]:
 # A column travels whole — cells gathered in one pass, each bitmap one
 # integer, the values one ``struct`` call, rows zipped back once — so no
 # statement runs per cell unless the column has absent keys, nulls or
-# cells no typed column can carry.
+# cells no typed column can carry.  A :class:`RowBatch` is transposed, rows to
+# columns going out and back coming in: no row dict, and columns only in here.
 
 
-class _Absent:
-    """The cell of a row that does not carry the column's key."""
-
-
-_ABSENT = _Absent()
 _NONE_TYPE = type(None)
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -328,7 +327,7 @@ def _bitmap(flags: list[bool], size: int) -> bytes:
     return int(bytes(flags).translate(_BIT_DIGITS)[::-1], 2).to_bytes(size, "little")
 
 
-def _column_tag(kinds: set[type], values: list[Any]) -> int:
+def _column_tag(kinds: set[type], values: list[Any] | tuple[Any, ...]) -> int:
     """Pick the packed representation for one column's non-null values.
 
     ``kinds`` is ``set(map(type, values))`` and decides a column of one exact
@@ -381,9 +380,18 @@ def _column_tag(kinds: set[type], values: list[Any]) -> int:
     return (COL_BOOL, COL_I64, COL_F64, COL_STR, COL_F64S)[flags.index(True)]
 
 
-def _encode_objects(out: bytearray, objects: list[dict[str, Any]]) -> None:
+def _encode_objects(out: bytearray, objects: RowBatch | list[dict[str, Any]]) -> None:
     n_rows = len(objects)
-    names = sorted(set().union(*objects))
+    if isinstance(objects, RowBatch):
+        # No row, no column: an empty batch is the frame ``[]`` always was.
+        columns = dict(zip(objects.names, zip(*objects.tuples())))
+    else:
+        # Decoded from JSON or built by hand, maybe sparse: gathered key by key.
+        columns = {
+            name: list(map(dict.get, objects, repeat(name), repeat(ABSENT)))
+            for name in set().union(*objects)
+        }
+    names = sorted(columns)
     if not names and n_rows > MAX_EMPTY_ROWS:
         raise ProtocolError(
             f"{n_rows} rows without a column exceed the {MAX_EMPTY_ROWS} the wire carries"
@@ -395,13 +403,13 @@ def _encode_objects(out: bytearray, objects: list[dict[str, Any]]) -> None:
     no_row = bytes(bitmap_size)
     for name in names:
         _w_text(out, name)
-        values = list(map(dict.get, objects, repeat(name), repeat(_ABSENT)))
+        values = columns[name]
         kinds = set(map(type, values))
         presence, nulls = every_row, no_row
         if _Absent in kinds or _NONE_TYPE in kinds:
-            presence = _bitmap([cell is not _ABSENT for cell in values], bitmap_size)
+            presence = _bitmap([cell is not ABSENT for cell in values], bitmap_size)
             nulls = _bitmap([cell is None for cell in values], bitmap_size)
-            values = [cell for cell in values if cell is not None and cell is not _ABSENT]
+            values = [cell for cell in values if cell is not None and cell is not ABSENT]
             kinds -= {_Absent, _NONE_TYPE}
         tag = _column_tag(kinds, values)
         out += _U8.pack(tag)
@@ -459,7 +467,7 @@ def _read_f64s(reader: _Reader, count: int) -> list[tuple[float, ...]]:
     return values
 
 
-def _decode_objects(reader: _Reader) -> list[dict[str, Any]]:
+def _decode_objects(reader: _Reader) -> RowBatch:
     n_rows = reader.u32()
     n_cols = reader.u32()
     bitmap_size = (n_rows + 7) // 8
@@ -470,14 +478,13 @@ def _decode_objects(reader: _Reader) -> list[dict[str, Any]]:
             raise ProtocolError(
                 f"binary message declares {n_rows} rows without a column (> {MAX_EMPTY_ROWS})"
             )
-        return [{} for _ in range(n_rows)]
+        return RowBatch((), [()] * n_rows)
     reader.require(n_cols * (4 + 1 + 2 * bitmap_size))
     every_row = (1 << n_rows) - 1
-    names: list[str] = []
-    columns: list[Any] = []
+    columns: dict[str, Any] = {}
     sparse = False
     for _ in range(n_cols):
-        names.append(reader.text())
+        name = reader.text()
         tag = reader.u8()
         presence = reader.raw(bitmap_size)
         nulls = reader.raw(bitmap_size)
@@ -499,21 +506,20 @@ def _decode_objects(reader: _Reader) -> list[dict[str, Any]]:
         else:
             raise ProtocolError(f"unknown column type tag {tag}")
         if count != n_rows:
-            sparse = True
+            sparse |= present != every_row  # nulls alone leave every row its key
             cursor = iter(values)
             values = [
-                _ABSENT if not presence[row >> 3] >> (row & 7) & 1
+                ABSENT if not presence[row >> 3] >> (row & 7) & 1
                 else None if nulls[row >> 3] >> (row & 7) & 1
                 else next(cursor)
                 for row in range(n_rows)
             ]
-        columns.append(values)
-    if sparse:
-        return [
-            {name: cell for name, cell in zip(names, row) if cell is not _ABSENT}
-            for row in zip(*columns)
-        ]
-    return [dict(zip(names, row)) for row in zip(*columns)]
+        if name in columns:
+            # A frame that repeats a name decodes as its rows always did as
+            # dictionaries: one cell per name, the last that is there.
+            values = [old if new is ABSENT else new for old, new in zip(columns[name], values)]
+        columns[name] = values
+    return RowBatch(columns, list(zip(*columns.values())), sparse)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ reference the parity suites compare that codec against.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from typing import Any
 
 from ..errors import ProtocolError
@@ -122,6 +124,78 @@ def _reject_unencodable(value: Any) -> Any:
     )
 
 
+class _Absent:
+    """The cell of a row that does not carry the column's key."""
+
+
+ABSENT = _Absent()
+
+
+class RowBatch(Sequence):
+    """The objects of a response as the engine made them: names + row tuples.
+
+    To a reader a batch *is* the list of row dictionaries it stands for
+    (``len``, iteration, indexing, ``==``), but below the edge nobody reads a
+    row: the backend hands over ``ResultSet``'s tuples, the shard wire
+    transposes them, the router sorts them, the caches pass the batch along.
+    The first reader has the dictionaries built (:meth:`to_dicts`); they
+    replace the tuples — one form at a time, swapped in one reference
+    assignment, so no lock — and are shared by everyone who holds the batch:
+    a cache hit hands back rows that already exist.  (First readers that race
+    may each build the rows; they are equal and the later list stays.)
+    ``names`` are distinct; a ``sparse`` batch may hold :data:`ABSENT` cells.
+    """
+
+    __slots__ = ("names", "sparse", "_state")
+
+    def __init__(self, names: Iterable[str], tuples: list[tuple], sparse: bool = False) -> None:
+        self.names = tuple(names)
+        self.sparse = sparse
+        #: ``(are they dictionaries yet?, the rows)``.
+        self._state: tuple[bool, list[Any]] = (False, tuples)
+
+    @property
+    def materialised(self) -> bool:
+        """Whether a reader has had the row dictionaries built."""
+        return self._state[0]
+
+    def tuples(self) -> list[tuple[Any, ...]]:
+        """The rows as tuples in ``names`` order (laid out again from the
+        dictionaries once those replaced them); never builds a dict."""
+        built, rows = self._state
+        if built:
+            names = self.names
+            return [tuple(map(row.get, names, repeat(ABSENT))) for row in rows]
+        return rows
+
+    def to_dicts(self) -> list[dict[str, Any]]:
+        """The rows as ``{column: value}`` dictionaries, built once: the edge's
+        call — frontend, HTTP server, JSON — and nobody else's (repolint ``edge-rows``)."""
+        built, rows = self._state
+        if not built:
+            names = self.names
+            rows = [dict(zip(names, row)) for row in rows]
+            if self.sparse:
+                rows = [{k: v for k, v in row.items() if v is not ABSENT} for row in rows]
+            self._state = (True, rows)
+        return rows
+
+    def __len__(self) -> int:
+        return len(self._state[1])
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return iter(self.to_dicts())
+
+    def __getitem__(self, index: Any) -> Any:
+        return self.to_dicts()[index]
+
+    def __eq__(self, other: object) -> bool:
+        return self.to_dicts() == (other.to_dicts() if isinstance(other, RowBatch) else other)
+
+    def __repr__(self) -> str:
+        return repr(self.to_dicts())
+
+
 @dataclass
 class DataResponse:
     """A backend -> frontend response carrying placed objects.
@@ -134,10 +208,11 @@ class DataResponse:
     """
 
     request: DataRequest
-    objects: list[dict[str, Any]] = field(default_factory=list)
+    #: A :class:`RowBatch` below the edge; a list when decoded from JSON or built by hand.
+    objects: Sequence[dict[str, Any]] = field(default_factory=list)
     #: Milliseconds the backend spent running database queries.  For
-    #: scatter-gather responses this is the *critical path*: the slowest
-    #: shard plus the router's merge time (shards run in parallel).
+    #: scatter-gather responses this is the measured wall time of the whole
+    #: scatter-gather, routing to merge — never less than the slowest shard.
     query_ms: float = 0.0
     #: Whether the response was served from the backend cache.
     from_cache: bool = False
@@ -159,12 +234,17 @@ class DataResponse:
     def object_count(self) -> int:
         return len(self.objects)
 
+    def to_dicts(self) -> list[dict[str, Any]]:
+        """The objects as a list of row dictionaries: the edge's read of a response."""
+        objects = self.objects
+        return objects.to_dicts() if isinstance(objects, RowBatch) else objects
+
     def to_json(self) -> str:
         """Canonical JSON encoding."""
         return json.dumps(
             {
                 "request": asdict(self.request),
-                "objects": self.objects,
+                "objects": self.to_dicts(),
                 "query_ms": self.query_ms,
                 "from_cache": self.from_cache,
                 "queries_issued": self.queries_issued,

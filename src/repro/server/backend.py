@@ -41,7 +41,7 @@ from ..compiler.plan import CompiledApplication, LayerPlan
 from ..config import KyrixConfig
 from ..errors import FetchError, UnknownCanvasError
 from ..minisql.executor import PreparedStatement, SQLEngine
-from ..net.protocol import DataRequest, DataResponse
+from ..net.protocol import DataRequest, DataResponse, RowBatch
 from ..storage.database import Database
 from ..storage.rtree import Rect
 from ..telemetry import get_tracer
@@ -144,7 +144,7 @@ class KyrixBackend:
 
     def _fetch_tile(
         self, request: DataRequest, layer_plan: LayerPlan
-    ) -> tuple[list[dict[str, Any]], int]:
+    ) -> tuple[RowBatch, int]:
         if request.tile_id is None or not request.tile_size:
             raise FetchError("tile requests need tile_id and tile_size")
         canvas_plan = self.compiled.canvas_plan(request.canvas_id)
@@ -158,7 +158,7 @@ class KyrixBackend:
 
     def _fetch_box(
         self, request: DataRequest, layer_plan: LayerPlan
-    ) -> tuple[list[dict[str, Any]], int]:
+    ) -> tuple[RowBatch, int]:
         if None in (request.xmin, request.ymin, request.xmax, request.ymax):
             raise FetchError("box requests need xmin/ymin/xmax/ymax")
         for name in ("xmin", "ymin", "xmax", "ymax"):
@@ -169,7 +169,7 @@ class KyrixBackend:
 
     def _query_spatial(
         self, layer_plan: LayerPlan, rect: Rect
-    ) -> tuple[list[dict[str, Any]], int]:
+    ) -> tuple[RowBatch, int]:
         """One bbox-intersection query against the layer's spatial table."""
         table_name = layer_plan.placement_table or layer_plan.source_table
         if table_name is None:
@@ -183,11 +183,11 @@ class KyrixBackend:
                 f"SELECT * FROM {table_name} WHERE intersects(bbox, ?, ?, ?, ?)"
             )
         result = self.engine.execute(statement.bind(rect.xmin, rect.ymin, rect.xmax, rect.ymax))
-        return result.to_dicts(), 1
+        return RowBatch(result.columns, result.rows), 1
 
     def _query_mapping(
         self, layer_plan: LayerPlan, tile_size: int, tile_id: int
-    ) -> tuple[list[dict[str, Any]], int]:
+    ) -> tuple[RowBatch, int]:
         """Tile lookup through the tuple–tile mapping design.
 
         "At runtime, tile queries are answered by joining these two tables on
@@ -215,7 +215,7 @@ class KyrixBackend:
                 f"WHERE m.tile_id = ?"
             )
         result = self.engine.execute(statement.bind(tile_id))
-        return result.to_dicts(), 1
+        return RowBatch(result.columns, result.rows), 1
 
     # -- metadata for the frontend -------------------------------------------------------------
 

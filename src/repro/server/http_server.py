@@ -162,7 +162,7 @@ def create_app(backend: "DataService"):
 
     def _response_payload(response) -> dict[str, Any]:
         return {
-            "objects": response.objects,
+            "objects": response.to_dicts(),
             "count": response.object_count(),
             "query_ms": response.query_ms,
             "from_cache": response.from_cache,

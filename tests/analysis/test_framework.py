@@ -162,13 +162,14 @@ class TestRunner:
         assert result.ok
         assert result.files_checked == 1
 
-    def test_registry_exposes_the_six_rules(self):
+    def test_registry_exposes_every_rule(self):
         assert set(all_rules()) == {
             "factory-only",
             "fault-seam",
             "lock-discipline",
             "span-discipline",
             "collector-state",
+            "edge-rows",
             "protocol-drift",
         }
 

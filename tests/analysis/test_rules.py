@@ -3,6 +3,8 @@ violation and stays silent on the sanctioned pattern."""
 
 from __future__ import annotations
 
+import pytest
+
 
 def rules_fired(findings):
     return sorted({finding.rule for finding in findings})
@@ -243,6 +245,49 @@ class TestCollectorState:
         assert lint_source(source, path="src/repro/bench/x.py", rule="collector-state") == []
         for path in ("tests/serving/test_x.py", "benchmarks/bench_y.py"):
             assert lint_source(self.VIOLATION, path=path, rule="collector-state") == []
+
+
+class TestEdgeRows:
+    VIOLATION = """
+        def _query_spatial(self, statement, rect):
+            result = self.engine.execute(statement.bind(*rect))
+            return result.to_dicts(), 1
+
+        def gather(shard_responses):
+            return [row for response in shard_responses for row in response.objects.to_dicts()]
+    """
+
+    @pytest.mark.parametrize(
+        "path",
+        ["src/repro/server/backend.py", "src/repro/cluster/router.py",
+         "src/repro/serving/middleware.py", "src/repro/net/columnar.py"],
+    )
+    def test_fires_below_the_edge(self, lint_source, path):
+        findings = lint_source(self.VIOLATION, path=path, rule="edge-rows")
+        assert [f.line for f in findings] == [4, 7]
+        assert "below the edge" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "path",
+        ["src/repro/client/frontend.py", "src/repro/server/http_server.py",
+         "src/repro/server/indexer.py", "src/repro/net/protocol.py",
+         "src/repro/bench/harness.py", "tests/minisql/test_executor.py",
+         "examples/quickstart.py", "benchmarks/bench_storage_engine.py"],
+    )
+    def test_silent_at_the_edges_and_outside_src(self, lint_source, path):
+        assert lint_source(self.VIOLATION, path=path, rule="edge-rows") == []
+
+    def test_silent_on_defining_and_passing_it_along(self, lint_source):
+        source = """
+            class ResultSet:
+                def to_dicts(self):
+                    return [dict(zip(self.columns, row)) for row in self.rows]
+
+            def handle(response):
+                reader = response.to_dicts
+                return RowBatch(response.objects.names, response.objects.tuples())
+        """
+        assert lint_source(source, path="src/repro/minisql/executor.py", rule="edge-rows") == []
 
 
 class TestSpanDiscipline:

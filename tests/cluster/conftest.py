@@ -82,7 +82,7 @@ class ParityStack:
 
 def payload_bytes(response) -> bytes:
     """The byte-parity identity of a response's object payload."""
-    return json.dumps(response.objects, sort_keys=True).encode("utf-8")
+    return json.dumps(list(response.objects), sort_keys=True).encode("utf-8")
 
 
 def tile_requests(stack: ParityStack) -> list[DataRequest]:

@@ -26,7 +26,7 @@ from repro.errors import (
     WorkerConnectionError,
 )
 from repro.net import columnar
-from repro.net.protocol import DataRequest, DataResponse
+from repro.net.protocol import DataRequest, DataResponse, RowBatch
 from repro.net.socket_transport import encode_frame, read_frame
 
 
@@ -288,6 +288,23 @@ class TestResponseRoundTrip:
         assert via_binary == via_json
         assert via_binary.to_json() == via_json.to_json()
 
+    def test_a_batch_holds_one_form_at_a_time_and_encodes_the_same_in_either(self):
+        tuples = [(7, 1.5, (0.0, 1.0), None), (8, -2.25, (4.0, 5.0), "b")]
+        batch = RowBatch(("tuple_id", "x", "bbox", "label"), list(tuples))
+        as_tuples = columnar.encode_response(response(batch))
+        assert not batch.materialised, "encoding reads no row"
+        assert as_tuples == columnar.encode_response(response([dict(obj) for obj in batch]))
+        # The first reader had the dictionaries built; the tuples are gone.
+        assert batch._state == (True, batch.to_dicts())
+        assert batch[0] is batch[0] and list(batch)[1] is batch[1]
+        assert columnar.encode_response(response(batch)) == as_tuples
+        assert batch.tuples() == tuples
+
+    def test_a_decoded_dense_block_is_a_batch_nobody_has_read(self):
+        decoded = roundtrip(response([{"tuple_id": 1, "x": 0.5}, {"tuple_id": 2, "x": 1.5}]))
+        assert isinstance(decoded.objects, RowBatch) and not decoded.objects.materialised
+        assert decoded.objects.tuples() == [(1, 0.5), (2, 1.5)]
+
     def test_binary_encoding_is_smaller_than_json_for_wide_rows(self):
         objects = [
             {"tuple_id": row, "x": row * 0.5, "y": row * 0.25,
@@ -383,6 +400,17 @@ _GOLDEN_OBJECTS = [
      "bbox": (4.0, 5.0, 6.0, 7.0), "mixed": 1.0},
 ]
 _GOLDEN_SPANS = [{"name": "execute", "duration_ms": 1.0}]
+_GOLDEN_RESPONSE = (
+    "02" + _GOLDEN_REQUEST[2:] + "00000000"
+    "3ff40000000000000000000000000000020100000001000000067368617264303fe00000"
+    "00000000000000295b7b226475726174696f6e5f6d73223a20312e302c20226e616d6522"
+    "3a202265786563757465227d5d00000002000000060000000462626f7805030004000000"
+    "00000000003ff0000000000000400000000000000040080000000000000440100000000000"
+    "0040140000000000004018000000000000401c00000000000000000004666c6167040300"
+    "0100000000056c6162656c03030000000001610000000162000000056d69786564000300"
+    "000000013100000003312e30000000087475706c655f6964010300000000000000000700"
+    "0000000000000800000001780203003ff8000000000000c002000000000000"
+)
 
 #: name -> (value, encoder, decoder, hex of the encoded message).  The
 #: response covers every column representation: bbox (f64 tuple), bool,
@@ -409,15 +437,31 @@ GOLDEN = {
         ),
         lambda value: columnar.encode_response(value[0], trace=value[1]),
         columnar.decode_response,
+        _GOLDEN_RESPONSE,
+    ),
+    # The same rows as the engine hands them over — names + tuples — are the
+    # same frame, and decode to an equal response.
+    "response_batch": (
+        (
+            response(
+                RowBatch(_GOLDEN_OBJECTS[0], [tuple(obj.values()) for obj in _GOLDEN_OBJECTS]),
+                shard_ms={"shard0": 0.5},
+            ),
+            _GOLDEN_SPANS,
+        ),
+        lambda value: columnar.encode_response(value[0], trace=value[1]),
+        columnar.decode_response,
+        _GOLDEN_RESPONSE,
+    ),
+    # A batch with names and no row is the frame ``objects=[]`` always was:
+    # no row, no column.
+    "response_empty_batch": (
+        (response(RowBatch(("tuple_id", "bbox"), [])), []),
+        lambda value: columnar.encode_response(value[0]),
+        columnar.decode_response,
         "02" + _GOLDEN_REQUEST[2:] + "00000000"
-        "3ff40000000000000000000000000000020100000001000000067368617264303fe00000"
-        "00000000000000295b7b226475726174696f6e5f6d73223a20312e302c20226e616d6522"
-        "3a202265786563757465227d5d00000002000000060000000462626f7805030004000000"
-        "00000000003ff0000000000000400000000000000040080000000000000440100000000000"
-        "0040140000000000004018000000000000401c00000000000000000004666c6167040300"
-        "0100000000056c6162656c03030000000001610000000162000000056d69786564000300"
-        "000000013100000003312e30000000087475706c655f6964010300000000000000000700"
-        "0000000000000800000001780203003ff8000000000000c002000000000000",
+        "3ff40000000000000000000000000000020100000002000000067368617264303fe00000"
+        "00000000000000067368617264313fe8000000000000000000000000000000000000",
     ),
     "error": (
         ("ValueError", "boom"),

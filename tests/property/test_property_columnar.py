@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.net import columnar
-from repro.net.protocol import DataRequest, DataResponse
+from repro.net.protocol import DataRequest, DataResponse, RowBatch
 
 from tests.net import reference_objects_codec as reference
 
@@ -275,6 +275,55 @@ class TestObjectsBlockAgainstReference:
         for encode in (columnar._encode_objects, reference._encode_objects):
             with pytest.raises(ProtocolError, match="no lossless wire encoding"):
                 encode(bytearray(), [{"v": 1.5}, {"v": cell}])
+
+
+# -- a batch against the same rows as dictionaries --------------------------------
+#
+# Below the edge a response's objects are a ``RowBatch`` — names + the engine's
+# row tuples — which the encoder transposes instead of gathering key by key.
+# Same rows, same frame: the wire cannot tell which form it was given.
+
+
+@st.composite
+def dense_rows(draw, kinds):
+    """``(names, row tuples)``: every row carries every column (``None`` allowed)."""
+    names = draw(st.lists(_names, max_size=4, unique=True))
+    n_rows = draw(_ROW_COUNTS)
+    columns = []
+    for _ in names:
+        cells = draw(st.sampled_from(kinds))
+        if draw(st.booleans()):
+            cells = st.one_of(cells, st.none())
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    return names, list(zip(*columns)) if names else [()] * n_rows
+
+
+class TestBatchAgainstItsRowsAsDicts:
+    @given(dense_rows(_COLUMN_KINDS))
+    @settings(max_examples=300, deadline=None)
+    def test_a_batch_is_the_frame_its_rows_are(self, dense):
+        names, tuples = dense
+        batch = RowBatch(names, list(tuples))
+        as_dicts = [dict(zip(names, row)) for row in tuples]
+        frame = columnar.encode_response(DataResponse(request=_BOX, objects=batch))
+        assert frame == columnar.encode_response(DataResponse(request=_BOX, objects=as_dicts))
+        assert not batch.materialised, "encoding read a row"
+        decoded, _ = columnar.decode_response(frame)
+        assert isinstance(decoded.objects, RowBatch) and not decoded.objects.materialised
+        assert columnar.encode_response(decoded) == frame
+        # One form at a time: read the rows, and the frame is still the frame.
+        assert repr(list(batch)) == repr(as_dicts)
+        assert columnar.encode_response(DataResponse(request=_BOX, objects=batch)) == frame
+
+    @given(dense_rows([_scalar, _bbox, _nested, st.one_of(st.integers(-5, 5), _floats)]))
+    @settings(max_examples=200, deadline=None)
+    def test_a_decoded_batch_matches_the_json_codec(self, dense):
+        names, tuples = dense
+        response = DataResponse(request=_BOX, objects=RowBatch(names, list(tuples)))
+        via_binary, _ = columnar.decode_response(columnar.encode_response(response))
+        via_json = DataResponse.from_json(response.to_json())
+        assert via_binary == via_json == response
+        assert via_binary.to_json() == via_json.to_json()
 
 
 #: Valid messages covering every column representation, sparse and dense.

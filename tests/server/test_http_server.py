@@ -6,6 +6,7 @@ import pytest
 
 flask = pytest.importorskip("flask")
 
+from repro.net.protocol import DataRequest
 from repro.server.http_server import create_app
 
 
@@ -43,6 +44,24 @@ class TestHTTPServer:
         assert payload["count"] == len(payload["objects"])
         assert payload["count"] > 0
         assert payload["queries_issued"] == 1
+
+    def test_dbox_endpoint_serialises_rows_not_the_batch(self, client, dots_stack):
+        # The HTTP edge is where a batch's rows become dictionaries: the body
+        # carries the same objects the service's own JSON encoding does —
+        # and the cached batch hands the second request rows already built.
+        url = "/dbox?canvas=dots&layer=0&xmin=7&ymin=7&xmax=519&ymax=519"
+        payload = client.get(url).get_json()
+        request = DataRequest(
+            app_name=dots_stack.compiled.app_name, canvas_id="dots", layer_index=0,
+            granularity="box", xmin=7.0, ymin=7.0, xmax=519.0, ymax=519.0,
+        )
+        served = dots_stack.service.handle(request)
+        assert served.from_cache and served.objects.materialised
+        assert payload["objects"] == json.loads(served.to_json())["objects"]
+        assert payload["count"] == len(served.objects) > 0
+        assert set(payload["objects"][0]) >= {"tuple_id", "bbox"}
+        assert client.get(url).get_json()["objects"] == payload["objects"]
+        assert served.payload_size() == len(served.to_json().encode("utf-8"))
 
     def test_dbox_endpoint_non_finite_bound_is_400_naming_the_field(self, client):
         for field, value in (("xmax", "inf"), ("xmin", "nan"), ("ymin", "-inf")):

@@ -9,12 +9,14 @@ them.
 
 from __future__ import annotations
 
+import operator
+import sys
 import threading
 
 import pytest
 
 from repro.metrics.timer import VirtualClock
-from repro.net.protocol import DataRequest
+from repro.net.protocol import DataRequest, RowBatch
 from repro.server.cache import LRUCache
 from repro.serving import (
     CachingService,
@@ -87,6 +89,43 @@ class TestVirtualClockConcurrency:
 
         _hammer(worker)
         assert clock.now_ms == pytest.approx(0.25 * THREADS * ROUNDS)
+
+
+class TestSharedBatchFirstReaders:
+    """A batch is shared by the caches and every session they answer, and
+    its rows are built by whoever reads one first — with no lock (see
+    ``RowBatch``): the dictionaries replace the tuples in one reference
+    assignment, so no reader may ever find neither, or half of each."""
+
+    NAMES = ("tuple_id", "x", "bbox")
+
+    def test_eight_first_readers_see_equal_rows_and_never_none(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads in the middle of the hand-over
+        try:
+            for _ in range(40):
+                tuples = [(row, row * 0.5, (0.0, float(row))) for row in range(200)]
+                expected = [dict(zip(self.NAMES, row)) for row in tuples]
+                batch = RowBatch(self.NAMES, list(tuples))
+                seen: list = [None] * THREADS
+
+                def worker(index):
+                    # Every way a holder touches a shared batch, racing.
+                    assert len(batch) == 200
+                    if index % 4 == 3:
+                        assert batch.tuples() == tuples
+                    seen[index] = (list(batch), batch[index], batch.to_dicts())
+
+                _hammer(worker)
+                for index, (rows, row, dicts) in enumerate(seen):
+                    assert rows == expected and dicts == expected
+                    assert row == expected[index]
+                # One form at a time, and whoever comes now shares one list.
+                assert batch._state == (True, batch.to_dicts())
+                assert batch.to_dicts() is batch.to_dicts()
+                assert all(map(operator.is_, batch, batch.to_dicts()))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestConcurrentSessionsThroughSharedStack:

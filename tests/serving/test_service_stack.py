@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import operator
 import sys
+import threading
+import time
 
 import pytest
 
@@ -12,8 +15,10 @@ from repro.bench.apps import build_dots_backend, default_config
 from repro.cluster import ClusterRouter, build_cluster
 from repro.client import KyrixFrontend
 from repro.config import ClusterConfig
+from repro.core.viewport import Viewport
 from repro.datagen.synthetic import tiny_spec
 from repro.errors import KyrixError
+from repro.net.protocol import DataRequest, RowBatch
 from repro.serving import (
     CachingService,
     CoalescingService,
@@ -153,6 +158,113 @@ class TestCachingService:
         service.warm(box_request)
         assert service.cache.stats.inserts == 1
         assert service.handle(box_request).from_cache is True
+
+
+#: Every shape ``build_service`` assembles: the single-backend stack, and a
+#: cluster with its shards in process, behind the wire codec, in worker
+#: processes and replicated.
+TOPOLOGIES = {
+    "single": {},
+    "local_shards": {"shard_count": 2, "wire_shards": False},
+    "wire_shards": {"shard_count": 2, "wire_shards": True},
+    "processes": {"shard_count": 2, "worker_mode": "processes"},
+    "replicas": {"shard_count": 2, "replicas": 2},
+}
+
+
+class TestRowsStayTuplesUntilTheEdge:
+    """Below ``KyrixFrontend`` / ``http_server`` nobody reads a row: what
+    ``handle`` returns is a batch whose dictionaries have not been built —
+    the one check that also sees a layer *iterating* a batch, which no lint
+    rule can."""
+
+    @pytest.fixture(params=TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
+    def service(self, request, dots_stack):
+        backend = dots_stack.backend
+        service = build_service(backend.config, backend=backend, **request.param)
+        yield service
+        service.close()
+
+    @pytest.fixture()
+    def whole_canvas(self, dots_stack, box_request):
+        plan = dots_stack.compiled.canvas_plan("dots")
+        return dataclasses.replace(box_request, xmax=plan.width, ymax=plan.height)
+
+    def test_no_topology_reads_a_row(self, service, whole_canvas):
+        for from_cache in (False, True):  # the query, then the server cache's hit
+            response = service.handle(whole_canvas)
+            assert response.from_cache is from_cache
+            assert isinstance(response.objects, RowBatch)
+            assert len(response.objects) == 2_000 and not response.objects.materialised
+        if response.shard_ms:
+            assert len(response.shard_ms) == 2, "the box should cross the shard border"
+
+    def test_every_cache_hands_back_the_first_readers_rows(self, service, whole_canvas):
+        # A hit must not rebuild what a reader already had built (on
+        # ``cluster_hot`` the median step *is* a router-cache hit): the
+        # dictionaries live on the batch, and the caches share the batch.
+        first_session = KyrixFrontend(service)
+        first_session.load_canvas("dots", _viewport_over(whole_canvas))
+        first = first_session.visible_objects[0]
+        assert len(first) == 2_000
+        server_hit = service.handle(_box_of(first_session, whole_canvas))
+        assert server_hit.from_cache and server_hit.objects.materialised
+        assert all(map(operator.is_, server_hit.objects, first))
+        second_session = KyrixFrontend(service)
+        second_session.load_canvas("dots", _viewport_over(whole_canvas))
+        assert all(map(operator.is_, second_session.visible_objects[0], first))
+        # ...and the session's own cache: pan away and back.
+        frontend_hit, breakdown = first_session._issue_request(
+            _box_of(first_session, whole_canvas)
+        )
+        assert breakdown.cache_hit and breakdown.requests == 0
+        assert all(map(operator.is_, frontend_hit.objects, first))
+
+    def test_a_coalesced_follower_shares_the_leaders_batch(self, dots_stack, whole_canvas):
+        release = threading.Event()
+        service = CoalescingService(_Held(dots_stack.backend, release))
+        answers: list = []
+        threads = [
+            threading.Thread(target=lambda: answers.append(service.handle(whole_canvas)))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        while service.coalescer.stats.followers < 1:  # the follower is parked
+            time.sleep(0.001)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        leader, follower = sorted(answers, key=lambda response: response.coalesced)
+        assert follower.coalesced and not leader.coalesced
+        assert follower.objects is leader.objects and not leader.objects.materialised
+        assert all(map(operator.is_, follower.objects, leader.objects))
+
+
+class _Held(SerializedService):
+    """Holds every ``handle`` until released, so a second caller coalesces."""
+
+    def __init__(self, inner, release) -> None:
+        super().__init__(inner)
+        self._release = release
+
+    def handle(self, request):
+        assert self._release.wait(timeout=10)
+        return super().handle(request)
+
+
+def _viewport_over(request: DataRequest) -> Viewport:
+    return Viewport(
+        request.xmin, request.ymin, request.xmax - request.xmin, request.ymax - request.ymin
+    )
+
+
+def _box_of(frontend: KyrixFrontend, template: DataRequest) -> DataRequest:
+    """The dynamic-box request ``frontend`` last issued (its cache's one key)."""
+    box = frontend._dbox_states[0].current_box
+    return dataclasses.replace(
+        template, xmin=box.xmin, ymin=box.ymin, xmax=box.xmax, ymax=box.ymax
+    )
 
 
 class TestBackendTerminal:

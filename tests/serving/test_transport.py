@@ -35,8 +35,8 @@ class TestTransportParity:
         assert wire.request == in_process.request
         assert wire.objects == in_process.objects
         assert wire.queries_issued == in_process.queries_issued
-        assert json.dumps(wire.objects, sort_keys=True) == json.dumps(
-            in_process.objects, sort_keys=True
+        assert json.dumps(list(wire.objects), sort_keys=True) == json.dumps(
+            list(in_process.objects), sort_keys=True
         )
 
     def test_objects_keep_canonical_tuple_columns(self, dots_stack, box_request):
