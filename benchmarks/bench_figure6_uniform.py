@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import run_scheme_on_trace
+from repro.bench.experiments import replay
 from repro.server.schemes import paper_schemes
 
 SCHEMES = {scheme.name: scheme for scheme in paper_schemes()}
@@ -30,8 +30,7 @@ def test_figure6_response_time(benchmark, uniform_stack, uniform_traces, scheme_
     trace = uniform_traces[trace_name]
 
     def run_once():
-        result = run_scheme_on_trace(uniform_stack, scheme, trace)
-        return result.average_response_ms
+        return replay(uniform_stack, scheme, trace.positions).average_response_ms
 
     average_ms = benchmark.pedantic(run_once, rounds=1, iterations=1)
     benchmark.extra_info["dataset"] = "uniform"

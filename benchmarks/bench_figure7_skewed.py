@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import run_scheme_on_trace
+from repro.bench.experiments import figure7, replay
 from repro.server.schemes import paper_schemes
 
 SCHEMES = {scheme.name: scheme for scheme in paper_schemes()}
@@ -24,8 +24,7 @@ def test_figure7_response_time(benchmark, skewed_stack, skewed_traces, scheme_na
     trace = skewed_traces[trace_name]
 
     def run_once():
-        result = run_scheme_on_trace(skewed_stack, scheme, trace)
-        return result.average_response_ms
+        return replay(skewed_stack, scheme, trace.positions).average_response_ms
 
     average_ms = benchmark.pedantic(run_once, rounds=1, iterations=1)
     benchmark.extra_info["dataset"] = "skewed"
@@ -35,7 +34,7 @@ def test_figure7_response_time(benchmark, skewed_stack, skewed_traces, scheme_na
     assert average_ms < 500.0
 
 
-def test_figure7_dbox_beats_every_tile_scheme_overall(skewed_stack, skewed_traces):
+def test_figure7_dbox_beats_every_tile_scheme_overall(skewed_stack):
     """The figure's shape on what does not depend on the box's speed.
 
     Dynamic boxes pay one round trip per step for exactly the viewport's
@@ -44,18 +43,15 @@ def test_figure7_dbox_beats_every_tile_scheme_overall(skewed_stack, skewed_trace
     ``REPRO_BENCH_SCALE``; a stopwatch ordering is not (at ``tiny`` a step is
     mostly the modelled round trip, which big tiles amortise).
     """
-    from repro.bench.harness import run_experiment
-
-    experiment = run_experiment(
-        skewed_stack, list(SCHEMES.values()), list(skewed_traces.values()), name="figure7"
-    )
-    for dbox in experiment.by_scheme("dbox"):
-        assert dbox.requests == dbox.steps
-        for tiles in experiment.by_trace(dbox.trace):
-            if not tiles.scheme.startswith("tile"):
-                continue
-            assert dbox.objects <= tiles.objects
-            if tiles.scheme.endswith(" 256"):
-                assert tiles.requests >= 8 * dbox.requests
-            if tiles.scheme.endswith(" 4096"):
-                assert tiles.objects >= 8 * dbox.objects
+    figure = figure7(stack=skewed_stack, schemes=list(SCHEMES.values()))
+    for (scheme, trace), dbox in figure.items():
+        if scheme != "dbox":
+            continue
+        assert dbox.total_requests() == dbox.steps
+        for tile_scheme in (name for name in SCHEMES if name.startswith("tile")):
+            tiles = figure[(tile_scheme, trace)]
+            assert dbox.total_objects() <= tiles.total_objects()
+            if tile_scheme.endswith(" 256"):
+                assert tiles.total_requests() >= 8 * dbox.total_requests()
+            if tile_scheme.endswith(" 4096"):
+                assert tiles.total_objects() >= 8 * dbox.total_objects()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import run_scheme_on_trace
+from repro.bench.experiments import replay
 from repro.server.schemes import tile_mapping_scheme, tile_spatial_scheme
 
 TILE_SIZE = 1024
@@ -26,7 +26,7 @@ def test_database_design(benchmark, uniform_stack, uniform_traces, design, trace
     trace = uniform_traces[trace_name]
 
     def run_once():
-        return run_scheme_on_trace(uniform_stack, scheme, trace).average_response_ms
+        return replay(uniform_stack, scheme, trace.positions).average_response_ms
 
     average_ms = benchmark.pedantic(run_once, rounds=1, iterations=1)
     benchmark.extra_info["design"] = design

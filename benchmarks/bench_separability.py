@@ -12,8 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.apps import build_dots_backend, default_config
-from repro.bench.experiments import dataset_for_scale
-from repro.bench.harness import run_scheme_on_trace
+from repro.bench.experiments import dataset_for_scale, replay
 from repro.datagen.traces import paper_traces
 from repro.server.schemes import dbox_scheme
 
@@ -34,6 +33,6 @@ def test_setup_cost(benchmark, variant):
     benchmark.extra_info["variant"] = variant
     # Both variants must answer queries with the same latency profile.
     traces = paper_traces(spec.canvas_width, spec.canvas_height)
-    result = run_scheme_on_trace(stack, dbox_scheme(), traces["a"])
+    result = replay(stack, dbox_scheme(), traces["a"].positions)
     benchmark.extra_info["avg_response_ms_per_step"] = round(result.average_response_ms, 2)
     assert result.average_response_ms < 500.0

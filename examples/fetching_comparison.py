@@ -2,52 +2,44 @@
 
 A command-line rendition of Section 3.3: runs the eight fetching schemes of
 Figures 6 and 7 over the three viewport-movement traces of Figure 5, on the
-Uniform and Skewed datasets, and prints the per-trace average response times
-as a table and an ASCII bar chart.
+Uniform and Skewed datasets, and prints one row per (scheme, trace) — the
+average response time per pan step, the requests issued and the objects
+fetched — plus the fastest scheme on each trace.
 
 Run with::
 
-    python examples/fetching_comparison.py            # smoke scale (fast)
-    python examples/fetching_comparison.py --bench    # benchmark scale
+    PYTHONPATH=src python examples/fetching_comparison.py            # smoke scale (fast)
+    PYTHONPATH=src python examples/fetching_comparison.py --bench    # benchmark scale
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.bench import (
-    build_stack,
-    figure6,
-    figure7,
-    format_comparison,
-    format_experiment_table,
-    format_figure,
-    speedup_summary,
-)
+from repro.bench import Figure, figure6, figure7
+
+
+def print_figure(title: str, figure: Figure) -> None:
+    print(title)
+    print(f"  {'scheme':<20} trace {'avg ms':>8} {'requests':>9} {'objects':>9}")
+    for (scheme, trace), result in sorted(figure.items(), key=lambda item: item[0][::-1]):
+        print(
+            f"  {scheme:<20} {trace:>5} {result.average_response_ms:8.2f} "
+            f"{result.total_requests():9d} {result.total_objects():9d}"
+        )
+    for trace in sorted({trace for _, trace in figure}):
+        winner = min(
+            (key for key in figure if key[1] == trace),
+            key=lambda key: figure[key].average_response_ms,
+        )
+        print(f"  trace {trace}: fastest is {winner[0]}")
+    print()
 
 
 def main(scale: str = "smoke") -> None:
     print(f"running the Figure 6 / Figure 7 measurement loop at {scale!r} scale\n")
-
-    uniform = figure6(scale=scale)
-    print(format_figure(uniform, title="Figure 6 — Uniform dataset"))
-    print()
-    print(format_experiment_table(uniform))
-    print()
-
-    skewed = figure7(scale=scale)
-    print(format_figure(skewed, title="Figure 7 — Skewed dataset"))
-    print()
-    print(format_experiment_table(skewed))
-    print()
-
-    print("dbox vs the best static-tile scheme (tile spatial 1024):")
-    for experiment in (uniform, skewed):
-        speedups = speedup_summary(experiment, "tile spatial 1024", "dbox")
-        formatted = ", ".join(f"trace-{t}: {s:.2f}x" for t, s in speedups.items())
-        print(f"  {experiment.dataset:8s} {formatted}")
-    print()
-    print(format_comparison([uniform, skewed], ["dbox", "dbox 50%", "tile spatial 1024"]))
+    print_figure("Figure 6 — Uniform dataset", figure6(scale=scale))
+    print_figure("Figure 7 — Skewed dataset", figure7(scale=scale))
 
 
 if __name__ == "__main__":

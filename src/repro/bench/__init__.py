@@ -1,6 +1,6 @@
-"""Benchmark harness reproducing the paper's evaluation (Figures 6 and 7)
-plus its ablations (fetch footprint, index design, caching/prefetching,
-separability)."""
+"""The paper's evaluation (Figures 6 and 7) plus its ablations (fetch
+footprint, index design, caching/prefetching, separability), replayed
+through one measurement loop, :func:`~repro.bench.experiments.replay`."""
 
 from .apps import (
     DotsStack,
@@ -12,8 +12,8 @@ from .apps import (
     default_config,
 )
 from .experiments import (
+    Figure,
     FootprintResult,
-    PrefetchAblationResult,
     SeparabilityResult,
     build_stack,
     dataset_for_scale,
@@ -22,24 +22,15 @@ from .experiments import (
     figure7,
     index_design_ablation,
     prefetch_cache_ablation,
+    replay,
     separability_ablation,
-)
-from .harness import ExperimentResult, SchemeResult, run_experiment, run_scheme_on_trace
-from .report import (
-    format_comparison,
-    format_experiment_table,
-    format_figure,
-    format_table,
-    speedup_summary,
 )
 
 __all__ = [
     "DotsStack",
     "EEGStack",
-    "ExperimentResult",
+    "Figure",
     "FootprintResult",
-    "PrefetchAblationResult",
-    "SchemeResult",
     "SeparabilityResult",
     "build_dots_application",
     "build_dots_backend",
@@ -51,14 +42,8 @@ __all__ = [
     "fetch_footprint",
     "figure6",
     "figure7",
-    "format_comparison",
-    "format_experiment_table",
-    "format_figure",
-    "format_table",
     "index_design_ablation",
     "prefetch_cache_ablation",
-    "run_experiment",
-    "run_scheme_on_trace",
+    "replay",
     "separability_ablation",
-    "speedup_summary",
 ]

@@ -1,44 +1,41 @@
 """Canned experiments, one per paper figure plus its ablations.
 
 Each function builds its own stack (database + dataset + backend) at the
-requested scale, runs the measurement loop from :mod:`repro.bench.harness`
-and returns structured results; the pytest-benchmark targets under
-``benchmarks/`` call these.
+requested scale, replays the paper's traces through :func:`replay` — the
+one measurement loop — and returns the
+:class:`~repro.client.session.SessionResult` of every replay; the
+pytest-benchmark targets under ``benchmarks/`` call these.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..config import CacheConfig, KyrixConfig, NetworkConfig, PrefetchConfig, StorageConfig
+from ..config import KyrixConfig
 from ..net.protocol import DataRequest
 from ..client.frontend import KyrixFrontend
-from ..client.session import ExplorationSession
+from ..client.session import ExplorationSession, SessionResult
 from ..core.viewport import Viewport
 from ..datagen.synthetic import DotDatasetSpec, skewed_spec, uniform_spec
-from ..datagen.traces import paper_traces
+from ..datagen.traces import Trace, paper_traces
 from ..server.dbox import ExactBoxCalculator, ExpandedBoxCalculator
-from ..server.prefetch import MomentumPrefetcher
+from ..server.prefetch import MomentumPrefetcher, Prefetcher
 from ..server.schemes import (
     FetchScheme,
-    dbox50_scheme,
     dbox_scheme,
     paper_schemes,
     tile_mapping_scheme,
     tile_spatial_scheme,
 )
 from ..server.tile import TileScheme
+from ..serving.base import stack_layers
 from .apps import DotsStack, build_dots_backend, default_config
-from .harness import (
-    ExperimentResult,
-    SchemeResult,
-    _reset_serving_caches,
-    _serving_caches,
-    run_experiment,
-    run_scheme_on_trace,
-)
+
+#: A figure: one replay per bar, keyed ``(scheme name, trace name)``.
+Figure = dict[tuple[str, str], SessionResult]
 
 #: Default number of dots for benchmark-scale runs.  Density matches the
 #: paper's 1e-3 dots per pixel² on a 32768 x 8192 canvas.
@@ -91,6 +88,59 @@ def build_stack(
 
 
 # ---------------------------------------------------------------------------
+# The measurement loop
+# ---------------------------------------------------------------------------
+
+
+def replay(
+    stack: DotsStack,
+    scheme: FetchScheme,
+    positions: Sequence[tuple[float, float]],
+    *,
+    config: KyrixConfig | None = None,
+    prefetcher: Prefetcher | None = None,
+) -> SessionResult:
+    """Replay ``positions`` with ``scheme`` from a cold start.
+
+    The paper's numbers are per-run averages over cold caches, so every
+    server-side response cache on the stack's serving path is emptied and
+    its counters zeroed, and the trace runs on a fresh frontend over
+    ``stack.service`` — the cluster router when the stack was built with
+    ``config.cluster.enabled``, the cached backend otherwise.
+    """
+    for layer in stack_layers(stack.service):
+        cache = getattr(layer, "cache", None)
+        if cache is not None:
+            cache.clear()
+            cache.stats.reset()
+    # Collect pending garbage before the timed replay: the cache clears
+    # above (and whatever the surrounding process did before calling in)
+    # otherwise leave a full young generation behind, and the cyclic
+    # collector then runs *inside* the first few timed steps.  A gen-2
+    # pause on a large heap is tens of milliseconds — enough to invert a
+    # scheme comparison on the tiny test scale.
+    gc.collect()
+    frontend = KyrixFrontend(
+        stack.service,
+        scheme,
+        config=config or stack.backend.config,
+        prefetcher=prefetcher,
+    )
+    return ExplorationSession(frontend).run_trace(stack.canvas_id, positions)
+
+
+def replay_figure(
+    stack: DotsStack, schemes: Sequence[FetchScheme], traces: dict[str, Trace]
+) -> Figure:
+    """Every scheme over every trace, one cold replay each."""
+    return {
+        (scheme.name, name): replay(stack, scheme, trace.positions)
+        for scheme in schemes
+        for name, trace in traces.items()
+    }
+
+
+# ---------------------------------------------------------------------------
 # E1 / E2: Figures 6 and 7
 # ---------------------------------------------------------------------------
 
@@ -100,15 +150,11 @@ def figure6(
     scale: str = "bench",
     stack: DotsStack | None = None,
     schemes: Sequence[FetchScheme] | None = None,
-    repetitions: int = 1,
-) -> ExperimentResult:
+) -> Figure:
     """Figure 6: average response times of all schemes on *Uniform* data."""
     stack = stack or build_stack("uniform", scale=scale)
-    schemes = list(schemes or paper_schemes())
     traces = paper_traces(stack.spec.canvas_width, stack.spec.canvas_height)
-    return run_experiment(
-        stack, schemes, list(traces.values()), name="figure6", repetitions=repetitions
-    )
+    return replay_figure(stack, schemes or paper_schemes(), traces)
 
 
 def figure7(
@@ -116,15 +162,11 @@ def figure7(
     scale: str = "bench",
     stack: DotsStack | None = None,
     schemes: Sequence[FetchScheme] | None = None,
-    repetitions: int = 1,
-) -> ExperimentResult:
+) -> Figure:
     """Figure 7: average response times of all schemes on *Skewed* data."""
     stack = stack or build_stack("skewed", scale=scale)
-    schemes = list(schemes or paper_schemes())
     traces = paper_traces(stack.spec.canvas_width, stack.spec.canvas_height)
-    return run_experiment(
-        stack, schemes, list(traces.values()), name="figure7", repetitions=repetitions
-    )
+    return replay_figure(stack, schemes or paper_schemes(), traces)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +276,12 @@ def index_design_ablation(
     scale: str = "smoke",
     tile_size: int = 1024,
     stack: DotsStack | None = None,
-) -> ExperimentResult:
+) -> Figure:
     """Compare the two database designs of Section 3.1 at one tile size."""
     stack = stack or build_stack("uniform", scale=scale, tile_sizes=(tile_size,))
     schemes = [tile_spatial_scheme(tile_size), tile_mapping_scheme(tile_size)]
     traces = paper_traces(stack.spec.canvas_width, stack.spec.canvas_height)
-    return run_experiment(stack, schemes, list(traces.values()), name="index_design")
+    return replay_figure(stack, schemes, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +289,12 @@ def index_design_ablation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PrefetchAblationResult:
-    """Average response time with/without caches and prefetching."""
-
-    variant: str
-    average_response_ms: float
-    cache_hit_rate: float
-    prefetch_requests: int
-
-
 def prefetch_cache_ablation(
     *,
     scale: str = "smoke",
     stack: DotsStack | None = None,
     trace_name: str = "a",
-) -> list[PrefetchAblationResult]:
+) -> dict[str, SessionResult]:
     """Measure dynamic boxes with caches/prefetching enabled and disabled.
 
     Variants: "no-cache", "cache", "cache+momentum".  The trace is repeated
@@ -274,45 +306,35 @@ def prefetch_cache_ablation(
     trace = traces[trace_name]
     # A back-and-forth trace: out along the trace, then back again.
     positions = list(trace.positions) + list(reversed(trace.positions[:-1]))
-    results: list[PrefetchAblationResult] = []
-
-    variants: list[tuple[str, KyrixConfig, MomentumPrefetcher | None]] = []
     base = stack.backend.config
-    no_cache = KyrixConfig.from_dict(
-        {**base.to_dict(), "cache": {"enabled": False}}
-    )
-    with_cache = KyrixConfig.from_dict(base.to_dict())
-    with_prefetch = KyrixConfig.from_dict(
-        {**base.to_dict(), "prefetch": {"enabled": True, "strategy": "momentum"}}
-    )
-    variants.append(("no-cache", no_cache, None))
-    variants.append(("cache", with_cache, None))
-    variants.append(("cache+momentum", with_prefetch, MomentumPrefetcher()))
-
+    variants: list[tuple[str, KyrixConfig, MomentumPrefetcher | None]] = [
+        ("no-cache", KyrixConfig.from_dict({**base.to_dict(), "cache": {"enabled": False}}), None),
+        ("cache", KyrixConfig.from_dict(base.to_dict()), None),
+        (
+            "cache+momentum",
+            KyrixConfig.from_dict(
+                {**base.to_dict(), "prefetch": {"enabled": True, "strategy": "momentum"}}
+            ),
+            MomentumPrefetcher(),
+        ),
+    ]
+    results: dict[str, SessionResult] = {}
     for name, config, prefetcher in variants:
-        _reset_serving_caches(stack)
         # The server-side cache honours the variant's cache setting too.
-        for cache in _serving_caches(stack):
-            cache.capacity = (
-                config.cache.backend_entries if config.cache.enabled else 0
-            )
-        frontend = KyrixFrontend(
-            stack.service, dbox_scheme(), config=config, prefetcher=prefetcher
-        )
-        session = ExplorationSession(frontend)
-        outcome = session.run_trace(stack.canvas_id, positions)
-        results.append(
-            PrefetchAblationResult(
-                variant=name,
-                average_response_ms=outcome.average_response_ms,
-                cache_hit_rate=outcome.metrics.cache_hit_rate(),
-                prefetch_requests=outcome.metrics.counters.get("prefetch_requests", 0),
-            )
+        _set_serving_cache_capacity(stack, config)
+        results[name] = replay(
+            stack, dbox_scheme(), positions, config=config, prefetcher=prefetcher
         )
     # Restore the stack's default cache capacity for later users.
-    for cache in _serving_caches(stack):
-        cache.capacity = base.cache.backend_entries if base.cache.enabled else 0
+    _set_serving_cache_capacity(stack, base)
     return results
+
+
+def _set_serving_cache_capacity(stack: DotsStack, config: KyrixConfig) -> None:
+    capacity = config.cache.backend_entries if config.cache.enabled else 0
+    for layer in stack_layers(stack.service):
+        if getattr(layer, "cache", None) is not None:
+            layer.cache.capacity = capacity
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +406,7 @@ def separability_ablation(*, scale: str = "smoke") -> list[SeparabilityResult]:
         )
         precompute_ms = (time.perf_counter() - start) * 1000.0
         traces = paper_traces(spec.canvas_width, spec.canvas_height)
-        outcome = run_scheme_on_trace(stack, dbox_scheme(), traces["a"])
+        outcome = replay(stack, dbox_scheme(), traces["a"].positions)
         results.append(
             SeparabilityResult(
                 variant=variant,

@@ -10,7 +10,7 @@ modelled network term of each exchange, optionally prefetches ahead of the
 user, and (optionally) rasterises what comes back.
 
 Every interaction returns a :class:`~repro.metrics.collector.LatencyBreakdown`
-so callers — the examples and the benchmark harness — can report the paper's
+so callers — the examples and the figure replays — can report the paper's
 headline metric, average response time per interaction.
 """
 
@@ -72,6 +72,8 @@ class KyrixFrontend:
         )
         self.cache: LRUCache[DataResponse] = LRUCache(cache_entries)
         self.metrics = MetricsCollector()
+        #: Requests the prefetcher has issued (they record no step).
+        self.prefetch_requests = 0
         if prefetcher is None and self.config.prefetch.enabled:
             prefetcher = make_prefetcher(self.config.prefetch.strategy)
         self.prefetcher = prefetcher
@@ -281,7 +283,7 @@ class KyrixFrontend:
                         continue
                     response = self.service.handle(request)
                     self.cache.put(request.cache_key(), response)
-                    self.metrics.bump("prefetch_requests")
+                    self.prefetch_requests += 1
 
     def _prefetch_requests(
         self, layer_plan: LayerPlan, viewport: Viewport, canvas_plan

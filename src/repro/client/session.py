@@ -1,6 +1,6 @@
 """Exploration sessions: scripted sequences of user interactions.
 
-The benchmark harness and the examples drive the frontend through
+The figure replays and the examples drive the frontend through
 *viewport movement traces* (Figure 5) and jump sequences.  An
 :class:`ExplorationSession` wraps a frontend, replays a trace, and returns
 the per-step latency metrics, excluding the initial canvas load (the paper
@@ -9,7 +9,7 @@ measures response time per pan step, not cold start).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from ..core.viewport import Viewport
@@ -19,12 +19,18 @@ from .frontend import KyrixFrontend
 
 @dataclass
 class SessionResult:
-    """Outcome of replaying one trace."""
+    """Outcome of replaying one trace.
+
+    ``metrics`` holds the result's own copy of the measured steps: later
+    interactions on the same frontend do not change a returned result.
+    """
 
     steps: int
     average_response_ms: float
     metrics: MetricsCollector
     initial_load: LatencyBreakdown | None = None
+    #: Requests the frontend's prefetcher issued during the measured steps.
+    prefetch_requests: int = 0
 
     def component_averages(self) -> dict[str, float]:
         return self.metrics.component_averages()
@@ -60,6 +66,7 @@ class ExplorationSession:
             raise ValueError("a trace needs at least one viewport position")
         width = viewport_width or self.frontend.config.viewport_width
         height = viewport_height or self.frontend.config.viewport_height
+        prefetched = self.frontend.prefetch_requests
 
         first_x, first_y = positions[0]
         initial = self.frontend.load_canvas(
@@ -70,14 +77,7 @@ class ExplorationSession:
 
         for x, y in positions[1:]:
             self.frontend.pan_to(x, y)
-
-        metrics = self.frontend.metrics
-        return SessionResult(
-            steps=len(positions) - 1,
-            average_response_ms=metrics.average_response_ms(),
-            metrics=metrics,
-            initial_load=initial,
-        )
+        return self._result(len(positions) - 1, initial, prefetched)
 
     def run_interactions(self, interactions: Iterable[dict[str, Any]]) -> SessionResult:
         """Replay a mixed sequence of interactions.
@@ -94,6 +94,7 @@ class ExplorationSession:
         """
         initial: LatencyBreakdown | None = None
         steps = 0
+        prefetched = self.frontend.prefetch_requests
         for index, interaction in enumerate(interactions):
             action = interaction["action"]
             if action == "load":
@@ -117,10 +118,17 @@ class ExplorationSession:
             else:
                 raise ValueError(f"unknown interaction action {action!r}")
             steps += 1
-        metrics = self.frontend.metrics
+        return self._result(steps, initial, prefetched)
+
+    def _result(
+        self, steps: int, initial: LatencyBreakdown | None, prefetched: int
+    ) -> SessionResult:
+        # A copy, not the frontend's collector: the next replay resets that.
+        metrics = MetricsCollector(self.frontend.metrics.steps)
         return SessionResult(
             steps=steps,
             average_response_ms=metrics.average_response_ms(),
             metrics=metrics,
             initial_load=initial,
+            prefetch_requests=self.frontend.prefetch_requests - prefetched,
         )

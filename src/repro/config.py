@@ -323,24 +323,15 @@ class TelemetryConfig:
     enabled:
         When true, every serving layer opens timed spans and feeds the
         process-wide latency histograms.  Off by default: disabled tracing
-        reduces to a shared no-op span object on the hot path.
-    sample_rate:
-        Fraction of traces recorded in full span detail (``1.0`` keeps
-        every trace).  Sampling is deterministic (counter-based), so a rate
-        of ``0.1`` keeps exactly every tenth trace.  Unsampled requests
-        still feed the duration histograms.
+        reduces to a shared no-op span object on the hot path.  Enabled,
+        every trace is recorded.
     export_path:
-        Optional path of a JSONL file every sampled trace is appended to
-        (one line per trace; ``python -m repro.telemetry.dump`` reads it).
+        Optional path of a JSONL file every trace is appended to (one line
+        per trace; ``python -m repro.telemetry.dump`` reads it).
     """
 
     enabled: bool = False
-    sample_rate: float = 1.0
     export_path: str | None = None
-
-    def validate(self) -> None:
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise KyrixError(f"sample_rate must be in [0, 1], got {self.sample_rate}")
 
 
 #: JSON value types accepted per default-value type (a ``bool`` is an
@@ -403,7 +394,7 @@ class KyrixConfig:
         if self.viewport_width <= 0 or self.viewport_height <= 0:
             raise KyrixError("viewport dimensions must be positive")
         for section in (self.storage, self.network, self.cache, self.prefetch,
-                        self.cluster, self.telemetry):
+                        self.cluster):
             section.validate()
 
     # -- serialisation ------------------------------------------------------

@@ -1,19 +1,19 @@
-"""Timing and statistics utilities used throughout the reproduction.
+"""Per-step latency records and the clock tests inject.
 
 The paper's evaluation reports the *average response time per interaction
-step*.  :class:`~repro.metrics.collector.MetricsCollector` accumulates
+step*.  :class:`~repro.metrics.collector.MetricsCollector` records the
 per-step latencies (broken down into measured query and render time and the
-modelled network term); :class:`~repro.metrics.timer.VirtualClock` is the
-clock tests inject into breakers, the autopilot and the fault seam.
+modelled network term) and nothing else; percentiles live with the
+telemetry histograms (:func:`repro.telemetry.registry.percentile`).
+:class:`~repro.metrics.timer.VirtualClock` is the clock tests inject into
+breakers, the autopilot and the fault seam.
 """
 
-from .collector import LatencyBreakdown, MetricsCollector, SummaryStats, summarize
+from .collector import LatencyBreakdown, MetricsCollector
 from .timer import VirtualClock
 
 __all__ = [
     "LatencyBreakdown",
     "MetricsCollector",
-    "SummaryStats",
-    "summarize",
     "VirtualClock",
 ]

@@ -2,16 +2,15 @@
 
 Every user interaction (a pan step or a jump) produces one
 :class:`LatencyBreakdown`.  The :class:`MetricsCollector` accumulates them and
-computes the summary statistics the paper reports (average response time per
-step), plus percentiles useful for checking the 500 ms interactivity budget.
+computes what the paper reports: average response time per step, and the
+averages of its components.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass
@@ -63,83 +62,16 @@ class LatencyBreakdown:
         self.cache_hit = self.cache_hit and other.cache_hit
 
 
-@dataclass
-class SummaryStats:
-    """Summary statistics over a sequence of per-step response times.
-
-    Percentiles use nearest-rank semantics (see :func:`percentile`); the
-    tail fields ``p99``/``p999`` default to 0.0 so older call sites and
-    serialized summaries remain valid.
-    """
-
-    count: int
-    mean: float
-    median: float
-    p95: float
-    minimum: float
-    maximum: float
-    stddev: float
-    p99: float = 0.0
-    p999: float = 0.0
-
-    def within_budget(self, budget_ms: float) -> bool:
-        """Check the paper's interactivity requirement against the p95."""
-        return self.p95 <= budget_ms
-
-
-def percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an already sorted sequence.
-
-    The nearest-rank definition: the p-th percentile of ``n`` samples is
-    the value at (1-indexed) rank ``max(1, ceil(p * n))``.  Unlike linear
-    interpolation it always returns an *observed* sample, is exact on
-    small ``n`` (the median of 1..100 is 50, its p95 is 95), and is the
-    single definition shared by bench ``summarize`` rows and the telemetry
-    histograms behind ``GET /metrics`` — the two surfaces agree by
-    construction, not by coincidence.
-    """
-    if not sorted_values:
-        raise ValueError("cannot take a percentile of an empty sequence")
-    rank = max(1, math.ceil(fraction * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
-def summarize(values: Iterable[float]) -> SummaryStats:
-    """Compute :class:`SummaryStats` for an iterable of latencies.
-
-    All percentiles (median, p95, p99, p999) are nearest-rank — see
-    :func:`percentile` for the exact semantics.
-    """
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("cannot summarise an empty latency sequence")
-    count = len(data)
-    mean = sum(data) / count
-    variance = sum((v - mean) ** 2 for v in data) / count
-    return SummaryStats(
-        count=count,
-        mean=mean,
-        median=percentile(data, 0.5),
-        p95=percentile(data, 0.95),
-        minimum=data[0],
-        maximum=data[-1],
-        stddev=math.sqrt(variance),
-        p99=percentile(data, 0.99),
-        p999=percentile(data, 0.999),
-    )
-
-
 class MetricsCollector:
-    """Accumulates :class:`LatencyBreakdown` records for a session or run.
+    """The :class:`LatencyBreakdown` records of a session or run, in order.
 
     Recording is thread-safe: a collector may be shared by concurrent
-    sessions, so appends and counter bumps hold a lock.  Readers take a
-    consistent snapshot under the same lock.
+    sessions, so appends hold a lock.  Readers take a consistent snapshot
+    under the same lock.
     """
 
-    def __init__(self) -> None:
-        self._steps: list[LatencyBreakdown] = []
-        self.counters: dict[str, int] = {}
+    def __init__(self, steps: Iterable[LatencyBreakdown] = ()) -> None:
+        self._steps: list[LatencyBreakdown] = list(steps)
         self._lock = threading.Lock()
 
     # -- recording ----------------------------------------------------------
@@ -149,15 +81,9 @@ class MetricsCollector:
         with self._lock:
             self._steps.append(breakdown)
 
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment a named counter (cache hits, prefetch issues, ...)."""
-        with self._lock:
-            self.counters[counter] = self.counters.get(counter, 0) + amount
-
     def reset(self) -> None:
         with self._lock:
             self._steps.clear()
-            self.counters.clear()
 
     # -- reading ------------------------------------------------------------
 
@@ -174,10 +100,6 @@ class MetricsCollector:
     def total_times(self) -> list[float]:
         with self._lock:
             return [step.total_ms for step in self._steps]
-
-    def summary(self) -> SummaryStats:
-        """Summary statistics of total per-step response time."""
-        return summarize(self.total_times())
 
     def average_response_ms(self) -> float:
         """The paper's headline metric: average response time per step."""

@@ -51,7 +51,6 @@ from ..errors import (
     ReplicaTimeoutError,
     WorkerConnectionError,
 )
-from ..metrics.collector import MetricsCollector
 from ..telemetry import get_tracer
 
 if TYPE_CHECKING:
@@ -93,44 +92,42 @@ class ReplicaHealth:
 class ReplicaSetStats:
     """Per-replica attribution counters kept by a :class:`ReplicaService`.
 
-    All counters live in one thread-safe
-    :class:`~repro.metrics.collector.MetricsCollector` (``requests``,
-    ``failovers``, ``breaker_opens``, ``exhausted`` plus
-    ``replica{i}_requests`` / ``replica{i}_failures`` per replica), so the
-    totals are exact under concurrent traffic.
+    ``requests``, ``failovers``, ``breaker_opens``, ``exhausted`` plus
+    ``replica{i}_requests`` / ``replica{i}_failures`` per replica, in one
+    dict written under the set's own lock, so the totals are exact under
+    concurrent traffic.  A counter appears once it first moves.
     """
 
     def __init__(self, replica_count: int) -> None:
         self.replica_count = replica_count
-        self.collector = MetricsCollector()
+        self._counts: dict[str, int] = {}
+        self._lock = threading.Lock()
 
-    # -- recording (called by ReplicaService) -------------------------------
-
-    def record_attempt(self, index: int) -> None:
-        self.collector.bump(f"replica{index}_requests")
-
-    def record_failure(self, index: int) -> None:
-        self.collector.bump(f"replica{index}_failures")
+    def count(self, *counters: str) -> None:
+        """Add one to each named counter (called by ReplicaService)."""
+        with self._lock:
+            for counter in counters:
+                self._counts[counter] = self._counts.get(counter, 0) + 1
 
     # -- reading ------------------------------------------------------------
 
     @property
     def requests(self) -> int:
-        return self.collector.counters.get("requests", 0)
+        return self._counts.get("requests", 0)
 
     @property
     def failovers(self) -> int:
-        return self.collector.counters.get("failovers", 0)
+        return self._counts.get("failovers", 0)
 
     @property
     def breaker_opens(self) -> int:
-        return self.collector.counters.get("breaker_opens", 0)
+        return self._counts.get("breaker_opens", 0)
 
     def requests_for(self, index: int) -> int:
-        return self.collector.counters.get(f"replica{index}_requests", 0)
+        return self._counts.get(f"replica{index}_requests", 0)
 
     def failures_for(self, index: int) -> int:
-        return self.collector.counters.get(f"replica{index}_failures", 0)
+        return self._counts.get(f"replica{index}_failures", 0)
 
     def per_replica_requests(self) -> dict[int, int]:
         return {i: self.requests_for(i) for i in range(self.replica_count)}
@@ -139,10 +136,12 @@ class ReplicaSetStats:
         return {i: self.failures_for(i) for i in range(self.replica_count)}
 
     def snapshot(self) -> dict[str, int]:
-        return dict(self.collector.counters)
+        with self._lock:
+            return dict(self._counts)
 
     def reset(self) -> None:
-        self.collector.reset()
+        with self._lock:
+            self._counts.clear()
 
 
 class ReplicaService:
@@ -309,11 +308,12 @@ class ReplicaService:
                     # doomed attempts on a dead endpoint.
                     health.open_since_ms = now_ms
                     opened = True
-        self.stats.record_attempt(index)
+        counters = [f"replica{index}_requests"]
         if not ok:
-            self.stats.record_failure(index)
+            counters.append(f"replica{index}_failures")
         if opened:
-            self.stats.collector.bump("breaker_opens")
+            counters.append("breaker_opens")
+        self.stats.count(*counters)
         if self.observer is not None:
             self.observer(index, ok)
 
@@ -363,7 +363,7 @@ class ReplicaService:
     # -- failover core ------------------------------------------------------
 
     def _invoke(self, call: Callable[["DataService"], Any]) -> Any:
-        self.stats.collector.bump("requests")
+        self.stats.count("requests")
         causes: dict[int, BaseException] = {}
         tried: set[int] = set()
         attempts = 0
@@ -398,9 +398,9 @@ class ReplicaService:
                 continue
             self._finish_attempt(index, ok=True)
             if causes:
-                self.stats.collector.bump("failovers")
+                self.stats.count("failovers")
             return result
-        self.stats.collector.bump("exhausted")
+        self.stats.count("exhausted")
         raise AllReplicasFailedError(causes, attempts=attempts)
 
     # -- DataService --------------------------------------------------------

@@ -7,10 +7,10 @@ failover, the socket hop into a worker process, or the backend query
 itself.  This package provides that answer with two cooperating pieces:
 
 * :class:`~repro.telemetry.tracer.Tracer` — per-request traces made of
-  timed spans.  A ``TraceContext`` (trace id + parent span id + sampling
-  decision) rides the request message across thread pools and the
-  length-prefixed socket frames into worker processes, so one trace covers
-  the whole scatter/gather fan-out including remote worker time.
+  timed spans.  A ``TraceContext`` (trace id + parent span id) rides the
+  request message across thread pools and the length-prefixed socket
+  frames into worker processes, so one trace covers the whole
+  scatter/gather fan-out including remote worker time.
 * :class:`~repro.telemetry.registry.TelemetryRegistry` — fixed-bucket
   latency histograms (p50/p95/p99/p999) keyed by span name, fed by every
   finished span and rendered as Prometheus text for ``GET /metrics``.
@@ -58,15 +58,14 @@ def configure(config=None, **overrides) -> Tracer:
     """(Re)configure the process-wide telemetry plane.
 
     ``config`` is anything shaped like :class:`repro.config.TelemetryConfig`
-    (attributes ``enabled``, ``sample_rate``, ``export_path``); keyword
-    overrides — those three, or the tracer's ``trace_buffer`` ring size —
-    win over the config object.
+    (attributes ``enabled``, ``export_path``); keyword overrides — those
+    two, or the tracer's ``trace_buffer`` ring size — win over the config
+    object.
     Reconfiguring resets both the trace ring buffer and the histogram
     registry so each serving topology starts from a clean plane.
     """
     settings = {
         "enabled": getattr(config, "enabled", False),
-        "sample_rate": getattr(config, "sample_rate", 1.0),
         "export_path": getattr(config, "export_path", None),
     }
     settings.update(overrides)

@@ -5,20 +5,18 @@ Histograms serve two audiences with one data structure:
 * **Prometheus scrapes** read the cumulative fixed-bucket counts
   (``_bucket{le=...}`` / ``_sum`` / ``_count``) rendered by
   :meth:`TelemetryRegistry.render_prometheus`.
-* **Benchmarks and humans** read exact nearest-rank percentiles
-  (p50/p95/p99/p999) computed over a bounded ring of retained raw samples
-  with the *same* :func:`repro.metrics.collector.percentile` the bench
-  ``summarize`` uses — so a p99 printed by a benchmark row and a p99
-  scraped from ``/metrics`` agree by construction.
+* **Humans** read exact nearest-rank percentiles (p50/p95/p99/p999)
+  computed with :func:`percentile` over a bounded ring of retained raw
+  samples — the same numbers in a snapshot and in the ``/metrics``
+  quantile gauges.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
-from typing import Any, Iterable
-
-from ..metrics.collector import percentile
+from typing import Any, Iterable, Sequence
 
 #: Cumulative upper bounds in milliseconds, chosen to straddle the paper's
 #: 500 ms interactivity budget with sub-millisecond resolution at the
@@ -28,13 +26,27 @@ DEFAULT_BUCKETS_MS: tuple[float, ...] = (
     100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
 )
 
-#: Percentiles exposed everywhere: snapshots, bench rows, /metrics gauges.
+#: Percentiles exposed everywhere: snapshots and /metrics gauges.
 PERCENTILES: tuple[tuple[str, float], ...] = (
     ("p50", 0.50),
     ("p95", 0.95),
     ("p99", 0.99),
     ("p999", 0.999),
 )
+
+
+def percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of an already sorted sequence.
+
+    The p-th percentile of ``n`` samples is the value at (1-indexed) rank
+    ``max(1, ceil(p * n))``.  Unlike linear interpolation it always returns
+    an *observed* sample and is exact on small ``n`` (the median of 1..100
+    is 50, its p95 is 95).
+    """
+    if not sorted_values:
+        raise ValueError("cannot take a percentile of an empty sequence")
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
+    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 class Histogram:
@@ -78,13 +90,15 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    def percentile(self, fraction: float) -> float:
-        """Exact nearest-rank percentile over the retained sample ring."""
+    def quantiles(self) -> dict[str, float]:
+        """Exact nearest-rank :data:`PERCENTILES` over the retained sample
+        ring (all 0.0 while it is empty)."""
         with self._lock:
             data = sorted(self._samples)
-        if not data:
-            return 0.0
-        return percentile(data, fraction)
+        return {
+            label: percentile(data, fraction) if data else 0.0
+            for label, fraction in PERCENTILES
+        }
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """Cumulative ``(le, count)`` pairs, ending with ``(inf, total)``."""
@@ -100,7 +114,6 @@ class Histogram:
 
     def snapshot(self) -> dict[str, float]:
         with self._lock:
-            data = sorted(self._samples)
             count = self._count
             total = self._sum
         snap: dict[str, float] = {
@@ -108,8 +121,8 @@ class Histogram:
             "sum_ms": round(total, 3),
             "mean_ms": round(total / count, 3) if count else 0.0,
         }
-        for label, fraction in PERCENTILES:
-            snap[label] = round(percentile(data, fraction), 3) if data else 0.0
+        for label, value in self.quantiles().items():
+            snap[label] = round(value, 3)
         return snap
 
 
@@ -209,8 +222,7 @@ class TelemetryRegistry:
         lines.append("# TYPE kyrix_span_duration_ms_quantile gauge")
         for name, histogram in items:
             label = name.replace("\\", "\\\\").replace('"', '\\"')
-            for quantile_label, fraction in PERCENTILES:
-                value = histogram.percentile(fraction)
+            for quantile_label, value in histogram.quantiles().items():
                 lines.append(
                     f"kyrix_span_duration_ms_quantile"
                     f'{{span="{label}",quantile="{quantile_label}"}} {value:.6f}'

@@ -44,7 +44,7 @@ def _new_id(nbytes: int = 8) -> str:
 
 
 class _NullSpan:
-    """Shared no-op span returned while tracing is disabled or unsampled."""
+    """Shared no-op span returned while tracing is disabled."""
 
     __slots__ = ()
 
@@ -143,18 +143,16 @@ class Span:
 class _TraceRecord:
     """Shared per-trace accumulator; appended to from several threads."""
 
-    __slots__ = ("trace_id", "sampled", "remote", "parent_id", "spans", "lock")
+    __slots__ = ("trace_id", "remote", "parent_id", "spans", "lock")
 
     def __init__(
         self,
         trace_id: str,
-        sampled: bool,
         *,
         remote: bool = False,
         parent_id: str | None = None,
     ) -> None:
         self.trace_id = trace_id
-        self.sampled = sampled
         #: Remote records adopt a context from the wire; their spans are
         #: returned to the caller instead of entering the ring buffer.
         self.remote = remote
@@ -193,17 +191,18 @@ class _State(threading.local):
 
 
 class Tracer:
-    """Thread-safe tracer with sampling, a ring buffer and JSONL export."""
+    """Thread-safe tracer with a ring buffer and JSONL export.
+
+    When enabled it records every trace.
+    """
 
     def __init__(self, registry=None) -> None:
         self.registry = registry
         self.enabled = False
-        self.sample_rate = 1.0
         self.export_path: str | None = None
         self._state = _State()
         self._lock = threading.Lock()
         self._export_lock = threading.Lock()
-        self._trace_counter = 0
         self._active: dict[str, _TraceRecord] = {}
         self._finished: deque[_TraceRecord] = deque(maxlen=TRACE_BUFFER)
 
@@ -213,16 +212,13 @@ class Tracer:
         self,
         *,
         enabled: bool = False,
-        sample_rate: float = 1.0,
         trace_buffer: int = TRACE_BUFFER,
         export_path: str | None = None,
     ) -> None:
         """Reconfigure and reset: active traces and the ring buffer are dropped."""
         with self._lock:
             self.enabled = bool(enabled)
-            self.sample_rate = float(sample_rate)
             self.export_path = export_path
-            self._trace_counter = 0
             self._active = {}
             self._finished = deque(maxlen=max(1, int(trace_buffer)))
 
@@ -253,8 +249,7 @@ class Tracer:
     def _finish_span(self, span: Span) -> None:
         state = self._state
         record: _TraceRecord = span._record
-        if record.sampled:
-            record.add(span.to_dict())
+        record.add(span.to_dict())
         if self.registry is not None:
             self.registry.observe_span(span.name, span.duration_ms)
         if state.stack and state.stack[-1] is span:
@@ -274,17 +269,7 @@ class Tracer:
     # -- trace lifecycle ---------------------------------------------------------
 
     def _begin_trace(self) -> _TraceRecord:
-        with self._lock:
-            self._trace_counter += 1
-            count = self._trace_counter
-        rate = self.sample_rate
-        # Deterministic counter-based sampling: trace n is sampled when the
-        # integer part of n*rate advances, giving exactly rate*N sampled
-        # traces out of any N without per-trace randomness.
-        sampled = rate >= 1.0 or (
-            rate > 0.0 and int(count * rate) != int((count - 1) * rate)
-        )
-        record = _TraceRecord(_new_id(16), sampled)
+        record = _TraceRecord(_new_id(16))
         with self._lock:
             self._active[record.trace_id] = record
         return record
@@ -292,9 +277,8 @@ class Tracer:
     def _complete(self, record: _TraceRecord) -> None:
         with self._lock:
             self._active.pop(record.trace_id, None)
-            if record.sampled:
-                self._finished.append(record)
-        if record.sampled and self.export_path:
+            self._finished.append(record)
+        if self.export_path:
             line = json.dumps(record.to_dict(), sort_keys=True)
             with self._export_lock:
                 with open(self.export_path, "a", encoding="utf-8") as handle:
@@ -311,11 +295,8 @@ class Tracer:
         if record is None:
             return None
         parent_id = state.stack[-1].span_id if state.stack else state.base_parent
-        return {
-            "trace_id": record.trace_id,
-            "span_id": parent_id,
-            "sampled": record.sampled,
-        }
+        # ``sampled`` stays in the wire shape; every trace is recorded.
+        return {"trace_id": record.trace_id, "span_id": parent_id, "sampled": True}
 
     @contextmanager
     def attach(self, context: dict[str, Any] | None) -> Iterator[None]:
@@ -366,7 +347,6 @@ class Tracer:
             return
         record = _TraceRecord(
             context.get("trace_id") or _new_id(16),
-            bool(context.get("sampled", True)),
             remote=True,
             parent_id=context.get("span_id"),
         )
@@ -386,7 +366,7 @@ class Tracer:
         if not self.enabled or not spans:
             return
         record = self._state.record
-        if record is None or not record.sampled:
+        if record is None:
             return
         record.extend(spans)
 

@@ -271,7 +271,7 @@ class TestEdgeRows:
         "path",
         ["src/repro/client/frontend.py", "src/repro/server/http_server.py",
          "src/repro/server/indexer.py", "src/repro/net/protocol.py",
-         "src/repro/bench/harness.py", "tests/minisql/test_executor.py",
+         "src/repro/bench/experiments.py", "tests/minisql/test_executor.py",
          "examples/quickstart.py", "benchmarks/bench_storage_engine.py"],
     )
     def test_silent_at_the_edges_and_outside_src(self, lint_source, path):

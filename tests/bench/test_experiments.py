@@ -8,20 +8,26 @@ in which direction the ablations move) rather than absolute numbers.
 import pytest
 
 from repro.client.frontend import KyrixFrontend
+from repro.client.session import SessionResult
+from repro.config import KyrixConfig
 from repro.core.viewport import Viewport
 from repro.datagen.traces import paper_traces
 from repro.net.protocol import DataRequest
 from repro.serving.base import ServiceMiddleware
+from repro.bench.apps import build_dots_backend, default_config
 from repro.bench.experiments import (
     build_stack,
     dataset_for_scale,
     fetch_footprint,
     figure6,
     figure7,
-    index_design_ablation,
     prefetch_cache_ablation,
+    replay,
     separability_ablation,
 )
+from repro.datagen.synthetic import tiny_spec
+from repro.serving.base import stack_layers
+from repro.server.prefetch import MomentumPrefetcher
 from repro.server.schemes import (
     dbox50_scheme,
     dbox_scheme,
@@ -109,6 +115,79 @@ class TestMeasuredAndModelledTime:
         assert sum(requests for requests, *_ in first) > 0
 
 
+class TestReplay:
+    """``replay`` is the one measurement loop behind every figure."""
+
+    def test_a_three_step_trace(self, dots_stack):
+        viewport = dots_stack.backend.config.viewport_width
+        start_x = dots_stack.spec.canvas_width - viewport - 3 * 512
+        positions = [(start_x + i * 512, 512.0) for i in range(4)]
+        result = replay(dots_stack, dbox_scheme(), positions)
+        assert result.steps == 3
+        assert result.total_requests() >= 3
+        assert result.average_response_ms > 0
+
+    @pytest.mark.parametrize("shard_count", [None, 2], ids=["single", "cluster"])
+    def test_replay_is_a_cold_start(self, shard_count):
+        """Replayed twice, a trace issues the same requests for the same
+        objects, and the second replay finds nothing in a server-side cache:
+        every cache on the serving path was emptied before it ran."""
+        config = default_config(viewport=512)
+        if shard_count is not None:
+            config.cluster.enabled = True
+            config.cluster.shard_count = shard_count
+        stack = build_dots_backend(tiny_spec("uniform", num_points=1_000, seed=5), config=config)
+        positions = [(0.0, 0.0), (512.0, 0.0), (1024.0, 256.0), (1536.0, 512.0)]
+
+        def modelled(result) -> list[tuple[int, int, int, float]]:
+            return [
+                (s.requests, s.objects_fetched, s.bytes_fetched, s.network_ms)
+                for s in result.metrics.steps
+            ]
+
+        caches = [
+            layer.cache for layer in stack_layers(stack.service)
+            if getattr(layer, "cache", None) is not None
+        ]
+        try:
+            first = replay(stack, dbox_scheme(), positions)
+            second = replay(stack, dbox_scheme(), positions)
+        finally:
+            stack.service.close()
+        assert modelled(first) == modelled(second)
+        assert sum(step[0] for step in modelled(second)) == 3
+        assert caches and sum(cache.stats.hits for cache in caches) == 0
+        assert not any(step.cache_hit for step in second.metrics.steps)
+
+    def test_a_figure_is_one_replay_per_scheme_and_trace(self, tiny_uniform_stack):
+        spec = tiny_uniform_stack.spec
+        traces = paper_traces(spec.canvas_width, spec.canvas_height)
+        schemes = [dbox_scheme(), tile_spatial_scheme(1024)]
+        figure = figure6(stack=tiny_uniform_stack, schemes=schemes)
+        assert set(figure) == {(s.name, t) for s in schemes for t in traces}
+        for (_, trace), result in figure.items():
+            assert isinstance(result, SessionResult)
+            assert result.steps == len(traces[trace].positions) - 1
+            assert len(result.metrics) == result.steps
+
+    def test_replay_hands_config_and_prefetcher_to_the_frontend(self, tiny_uniform_stack):
+        spec = tiny_uniform_stack.spec
+        positions = paper_traces(spec.canvas_width, spec.canvas_height)["a"].positions
+        base = tiny_uniform_stack.backend.config
+        assert not base.prefetch.enabled
+        prefetching = KyrixConfig.from_dict(
+            {**base.to_dict(), "prefetch": {"enabled": True, "strategy": "momentum"}}
+        )
+        plain = replay(tiny_uniform_stack, dbox_scheme(), positions)
+        handed = replay(
+            tiny_uniform_stack, dbox_scheme(), positions, prefetcher=MomentumPrefetcher()
+        )
+        configured = replay(tiny_uniform_stack, dbox_scheme(), positions, config=prefetching)
+        assert plain.prefetch_requests == 0
+        assert handed.prefetch_requests > 0
+        assert configured.prefetch_requests == handed.prefetch_requests
+
+
 class TestFigure6And7:
     """The figures' shape on what does not depend on the box's speed:
     ``requests``, ``objects`` and the modelled ``network_ms`` (a pure function
@@ -116,18 +195,24 @@ class TestFigure6And7:
 
     SCHEMES = [dbox_scheme(), dbox50_scheme(), tile_spatial_scheme(1024), tile_mapping_scheme(1024)]
 
-    def assert_dbox_wins(self, experiment) -> None:
-        assert len(experiment.results) == len(self.SCHEMES) * 3
-        for dbox in experiment.by_scheme("dbox"):
+    def assert_dbox_wins(self, figure) -> None:
+        assert len(figure) == len(self.SCHEMES) * 3
+
+        def network_ms(result) -> float:
+            return result.component_averages()["network_ms"]
+
+        for trace in ("a", "b", "c"):
+            dbox = figure[("dbox", trace)]
             # One request per step, and nobody is cheaper on any trace.
-            assert dbox.requests == dbox.steps
-            for other in experiment.by_trace(dbox.trace):
-                assert dbox.requests <= other.requests
-                assert dbox.objects <= other.objects
-                assert dbox.network_ms <= other.network_ms
+            assert dbox.total_requests() == dbox.steps
+            for scheme in self.SCHEMES:
+                other = figure[(scheme.name, trace)]
+                assert dbox.total_requests() <= other.total_requests()
+                assert dbox.total_objects() <= other.total_objects()
+                assert network_ms(dbox) <= network_ms(other)
         # The headline claim: dbox has the best overall (mean) performance.
         network = {
-            s.name: sum(r.network_ms for r in experiment.by_scheme(s.name))
+            s.name: sum(network_ms(figure[(s.name, trace)]) for trace in ("a", "b", "c"))
             for s in self.SCHEMES
         }
         assert all(network["dbox"] < ms for name, ms in network.items() if name != "dbox")
@@ -141,15 +226,17 @@ class TestFigure6And7:
     def test_tile_spatial_1024_competitive_on_aligned_trace(self, tiny_uniform_stack):
         """Paper observation (2): on trace a the aligned 1024 tiles are
         competitive — better than dbox 50%: as many requests, fewer objects."""
-        experiment = figure6(
+        figure = figure6(
             stack=tiny_uniform_stack,
             schemes=[dbox50_scheme(), tile_spatial_scheme(1024)],
         )
-        trace_a = {r.scheme: r for r in experiment.by_trace("a")}
-        tiles, dbox50 = trace_a["tile spatial 1024"], trace_a["dbox 50%"]
-        assert tiles.requests == dbox50.requests
-        assert tiles.objects < dbox50.objects
-        assert tiles.network_ms < dbox50.network_ms
+        tiles, dbox50 = figure[("tile spatial 1024", "a")], figure[("dbox 50%", "a")]
+        assert tiles.total_requests() == dbox50.total_requests()
+        assert tiles.total_objects() < dbox50.total_objects()
+        assert (
+            tiles.component_averages()["network_ms"]
+            < dbox50.component_averages()["network_ms"]
+        )
 
     def test_mapping_design_does_the_spatial_designs_work_twice_over(
         self, tiny_uniform_stack, monkeypatch
@@ -222,8 +309,7 @@ class TestFootprint:
 
 class TestAblations:
     def test_prefetch_and_cache_help_dbox(self, tiny_uniform_stack):
-        results = prefetch_cache_ablation(stack=tiny_uniform_stack, trace_name="a")
-        by_variant = {r.variant: r for r in results}
+        by_variant = prefetch_cache_ablation(stack=tiny_uniform_stack, trace_name="a")
         assert set(by_variant) == {"no-cache", "cache", "cache+momentum"}
         # Returning along the same trace, caching cannot be slower than no
         # caching, and momentum prefetching issues prefetch requests.
@@ -232,7 +318,10 @@ class TestAblations:
             <= by_variant["no-cache"].average_response_ms * 1.5
         )
         assert by_variant["cache+momentum"].prefetch_requests > 0
-        assert by_variant["cache"].cache_hit_rate >= by_variant["no-cache"].cache_hit_rate
+        assert (
+            by_variant["cache"].metrics.cache_hit_rate()
+            >= by_variant["no-cache"].metrics.cache_hit_rate()
+        )
 
     def test_separability_skips_precompute_cost(self):
         results = separability_ablation(scale="tiny")

@@ -116,13 +116,11 @@ def test_cluster_enabled_config_builds_router():
     assert stack.cluster.shard_count == 2
     assert stack.service is stack.cluster.router
 
-    # The harness drives the router, not the bypassed single backend.
-    from repro.bench.harness import run_scheme_on_trace
-    from repro.datagen.traces import Trace
+    # A replay drives the router, not the bypassed single backend.
+    from repro.bench.experiments import replay
     from repro.server.schemes import dbox_scheme
 
-    trace = Trace(name="t", positions=((0.0, 0.0), (512.0, 0.0), (1024.0, 256.0)))
-    result = run_scheme_on_trace(stack, dbox_scheme(), trace)
+    result = replay(stack, dbox_scheme(), [(0.0, 0.0), (512.0, 0.0), (1024.0, 256.0)])
     assert result.steps == 2
     assert stack.cluster.router.stats.requests > 0
     assert stack.backend.stats.queries_issued == 0  # single backend never queried

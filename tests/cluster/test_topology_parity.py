@@ -26,10 +26,10 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.bench.apps import build_dots_backend, default_config
-from repro.bench.harness import _reset_serving_caches
+from repro.bench.experiments import replay
 from repro.cluster import ClusterStats, build_cluster
 from repro.datagen.synthetic import tiny_spec
-from repro.net.protocol import DataRequest
+from repro.server.schemes import dbox_scheme
 from repro.serving import collect_wire_stats
 
 from tests.cluster.conftest import parity_requests, payload_bytes
@@ -159,12 +159,12 @@ def test_cluster_stats_reset_zeroes_every_field():
 
 @pytest.mark.parametrize("topology", list(TOPOLOGIES))
 def test_a_replay_after_a_cache_reset_is_cold(topology):
-    """The harness's cold start reaches every cache, wherever the engines run.
+    """``replay``'s cold start reaches every cache, wherever the engines run.
 
-    The router's cache is the only one on a cluster's serving path, so once
-    it is cleared a repeated request must query the shard engines again —
-    including engines in worker processes, which the parent cannot reach
-    into.
+    The router's cache is the only one on a cluster's serving path, so a
+    second replay of the same trace must miss it on every step and query
+    the shard engines again — including engines in worker processes, which
+    the parent cannot reach into.
     """
     config = default_config(viewport=512)
     config.cluster = replace(
@@ -173,21 +173,22 @@ def test_a_replay_after_a_cache_reset_is_cold(topology):
     stack = build_dots_backend(
         tiny_spec("uniform", num_points=1_000, seed=5), config=config
     )
-    box = DataRequest(
-        app_name=stack.compiled.app_name, canvas_id=stack.canvas_id,
-        layer_index=0, granularity="box",
-        xmin=0.0, ymin=0.0, xmax=stack.spec.canvas_width, ymax=512.0,
-    )
+    positions = [(0.0, 0.0), (4096.0, 0.0), (4096.0, 2048.0)]
+    stats = stack.cluster.router.stats
     try:
-        warm_up = stack.service.handle(box)
-        assert stack.service.handle(box).from_cache is True
-        _reset_serving_caches(stack)
-        replay = stack.service.handle(box)
+        queried = [stats.shard_queries]
+        first = replay(stack, dbox_scheme(), positions)
+        queried.append(stats.shard_queries)
+        second = replay(stack, dbox_scheme(), positions)
+        queried.append(stats.shard_queries)
     finally:
         stack.service.close()
-    assert warm_up.queries_issued == len(warm_up.shard_ms) == 2
-    assert replay.queries_issued == warm_up.queries_issued
-    assert payload_bytes(replay) == payload_bytes(warm_up)
+    assert not any(step.cache_hit for step in second.metrics.steps)
+    assert stats.cache_hits == 0
+    assert queried[2] - queried[1] == queried[1] - queried[0] > 0
+    assert [s.objects_fetched for s in second.metrics.steps] == [
+        s.objects_fetched for s in first.metrics.steps
+    ]
 
 
 def test_process_topology_rejects_bad_worker_config(usmap_parity_stack):

@@ -19,7 +19,7 @@ from repro.config import (
     TelemetryConfig,
 )
 from repro.errors import KyrixError
-from repro.metrics.collector import LatencyBreakdown, MetricsCollector, summarize
+from repro.metrics.collector import LatencyBreakdown, MetricsCollector
 from repro.metrics.timer import VirtualClock
 
 
@@ -46,6 +46,8 @@ MALFORMED_INPUT = [
     {"interactivity_budget_ms": 500.0},
     # The pager's latency model went in PR 23; a saved file naming it fails loudly.
     {"storage": {"simulate_io": True}},
+    # Every trace is recorded when tracing is on; there is no sampling knob.
+    {"telemetry": {"sample_rate": 0.5}},
 ]
 
 
@@ -170,15 +172,12 @@ class TestMetricsCollector:
         assert step.objects_fetched == 15
         assert step.cache_hit is False
 
-    def test_average_and_summary(self):
+    def test_average_and_total_times(self):
         collector = MetricsCollector()
         for query in (1.0, 2.0, 3.0):
             collector.record(self._step(query=query, network=0, render=0))
         assert collector.average_response_ms() == pytest.approx(2.0)
-        summary = collector.summary()
-        assert summary.count == 3
-        assert summary.minimum == 1.0
-        assert summary.maximum == 3.0
+        assert collector.total_times() == [1.0, 2.0, 3.0]
 
     def test_component_averages(self):
         collector = MetricsCollector()
@@ -193,41 +192,15 @@ class TestMetricsCollector:
         collector.record(self._step(cache_hit=False))
         assert collector.cache_hit_rate() == 0.5
 
-    def test_counters(self):
-        collector = MetricsCollector()
-        collector.bump("prefetch", 3)
-        collector.bump("prefetch")
-        assert collector.counters["prefetch"] == 4
-
     def test_empty_collector(self):
         collector = MetricsCollector()
         assert collector.average_response_ms() == 0.0
         assert collector.cache_hit_rate() == 0.0
-        with pytest.raises(ValueError):
-            collector.summary()
+        assert collector.total_times() == []
 
-    def test_summarize_percentiles(self):
-        # Nearest-rank percentiles: for samples 1..100 the p-th percentile
-        # is exactly the sample at rank ceil(p * 100).
-        summary = summarize(range(1, 101))
-        assert summary.median == 50
-        assert summary.p95 == 95
-        assert summary.p99 == 99
-        assert summary.p999 == 100
-        assert summary.within_budget(500.0)
-        assert not summary.within_budget(50.0)
-
-    def test_percentile_is_nearest_rank_on_small_n(self):
-        from repro.metrics.collector import percentile
-
-        data = [10.0, 20.0, 30.0]
-        assert percentile(data, 0.5) == 20.0
-        assert percentile(data, 0.95) == 30.0
-        assert percentile(data, 0.0) == 10.0
-        assert percentile([7.0], 0.999) == 7.0
-        with pytest.raises(ValueError):
-            percentile([], 0.5)
-
-    def test_summarize_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
+    def test_a_collector_built_from_steps_owns_them(self):
+        steps = [self._step(query=1.0), self._step(query=3.0)]
+        collector = MetricsCollector(steps)
+        steps.clear()
+        assert len(collector) == 2
+        assert collector.component_averages()["query_ms"] == 2.0

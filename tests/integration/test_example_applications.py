@@ -16,12 +16,15 @@ if str(EXAMPLES_DIR) not in sys.path:
     sys.path.insert(0, str(EXAMPLES_DIR))
 
 from eeg_explorer import build_eeg_application  # noqa: E402
+from fetching_comparison import print_figure  # noqa: E402
 from usmap_crime import build_usmap_application  # noqa: E402
 
 from repro.client import KyrixFrontend  # noqa: E402
+from repro.client.session import SessionResult  # noqa: E402
 from repro.compiler import compile_application  # noqa: E402
 from repro.config import INTERACTIVITY_BUDGET_MS  # noqa: E402
 from repro.datagen import EEGSpec, USMapSpec  # noqa: E402
+from repro.metrics.collector import LatencyBreakdown, MetricsCollector  # noqa: E402
 from repro.server import dbox50_scheme, dbox_scheme  # noqa: E402
 from repro.serving import build_service  # noqa: E402
 
@@ -115,3 +118,32 @@ class TestEEGApplication:
         breakdown = eeg_frontend.pan_by(1000, 0)
         assert breakdown.total_ms < INTERACTIVITY_BUDGET_MS
         assert eeg_frontend.average_response_ms() < INTERACTIVITY_BUDGET_MS
+
+
+class TestFetchingComparison:
+    """``examples/fetching_comparison.py`` renders a figure dict as text."""
+
+    @staticmethod
+    def _result(average_ms: float, requests: int, objects: int) -> SessionResult:
+        step = LatencyBreakdown(query_ms=average_ms, requests=requests, objects_fetched=objects)
+        return SessionResult(steps=1, average_response_ms=average_ms,
+                             metrics=MetricsCollector([step]))
+
+    def test_one_row_per_pair_and_the_fastest_scheme_per_trace(self, capsys):
+        figure = {
+            ("dbox", "a"): self._result(5.0, 3, 30),
+            ("tile spatial 1024", "a"): self._result(9.0, 6, 45),
+            ("dbox", "b"): self._result(7.0, 3, 33),
+            ("tile spatial 1024", "b"): self._result(6.0, 4, 40),
+        }
+        print_figure("Figure 6", figure)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Figure 6"
+        rows = [line.split() for line in lines[2:6]]
+        assert [row[-4:] for row in rows] == [
+            ["a", "5.00", "3", "30"], ["a", "9.00", "6", "45"],
+            ["b", "7.00", "3", "33"], ["b", "6.00", "4", "40"],
+        ]
+        assert lines[6:8] == [
+            "  trace a: fastest is dbox", "  trace b: fastest is tile spatial 1024",
+        ]

@@ -26,6 +26,7 @@ from repro.serving import (
     fault_replica,
     unwrap,
 )
+from repro.serving.replica import ReplicaSetStats
 
 
 class ScriptedService:
@@ -174,6 +175,46 @@ class TestFaultInjectingTransport:
         reply = faulty.roundtrip(columnar.encode_call("warm", {}))
         with pytest.raises(ProtocolError, match="expected a result"):
             columnar.decode_result(reply)
+
+
+class TestReplicaSetStats:
+    """The set's attribution counters, kept under the set's own lock."""
+
+    def test_a_counter_appears_once_it_moves(self):
+        stats = ReplicaSetStats(replica_count=2)
+        assert stats.snapshot() == {}
+        assert (stats.requests, stats.failovers, stats.breaker_opens) == (0, 0, 0)
+        stats.count("requests", "replica1_requests")
+        stats.count("requests", "replica1_requests", "replica1_failures", "failovers")
+        assert stats.snapshot() == {
+            "requests": 2, "replica1_requests": 2, "replica1_failures": 1, "failovers": 1,
+        }
+        assert stats.per_replica_requests() == {0: 0, 1: 2}
+        assert stats.per_replica_failures() == {0: 0, 1: 1}
+
+    def test_reset_clears_every_counter(self):
+        stats = ReplicaSetStats(replica_count=1)
+        stats.count("requests", "replica0_requests", "breaker_opens", "exhausted")
+        stats.reset()
+        assert stats.snapshot() == {}
+        assert stats.requests_for(0) == stats.breaker_opens == 0
+
+    def test_counts_are_exact_under_concurrent_writers(self):
+        stats = ReplicaSetStats(replica_count=4)
+        barrier = threading.Barrier(4)
+
+        def writer(index: int) -> None:
+            barrier.wait()
+            for _ in range(2_000):
+                stats.count("requests", f"replica{index}_requests")
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert stats.requests == 8_000
+        assert stats.per_replica_requests() == {i: 2_000 for i in range(4)}
 
 
 class TestFailover:

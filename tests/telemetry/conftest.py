@@ -14,8 +14,8 @@ from repro.telemetry import configure, get_registry, get_tracer
 
 @pytest.fixture()
 def tracer():
-    """The process tracer, enabled at full sampling; disabled on teardown."""
-    tracer = configure(enabled=True, sample_rate=1.0, trace_buffer=32)
+    """The process tracer, enabled; disabled on teardown."""
+    tracer = configure(enabled=True, trace_buffer=32)
     yield tracer
     configure(enabled=False)
 

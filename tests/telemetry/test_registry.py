@@ -4,8 +4,32 @@ from __future__ import annotations
 
 import math
 
-from repro.metrics.collector import percentile
-from repro.telemetry.registry import DEFAULT_BUCKETS_MS, Histogram, TelemetryRegistry
+import pytest
+
+from repro.telemetry.registry import (
+    DEFAULT_BUCKETS_MS,
+    PERCENTILES,
+    Histogram,
+    TelemetryRegistry,
+    percentile,
+)
+
+
+class TestPercentile:
+    def test_nearest_rank_on_1_to_100(self):
+        # For samples 1..100 the p-th percentile is exactly the sample at
+        # rank ceil(p * 100).
+        data = list(range(1, 101))
+        assert [percentile(data, f) for f in (0.5, 0.95, 0.99, 0.999)] == [50, 95, 99, 100]
+
+    def test_percentile_is_nearest_rank_on_small_n(self):
+        data = [10.0, 20.0, 30.0]
+        assert percentile(data, 0.5) == 20.0
+        assert percentile(data, 0.95) == 30.0
+        assert percentile(data, 0.0) == 10.0
+        assert percentile([7.0], 0.999) == 7.0
+        with pytest.raises(ValueError):
+            percentile([], 0.5)
 
 
 class TestHistogram:
@@ -14,8 +38,10 @@ class TestHistogram:
         values = [float(v) for v in range(1, 101)]
         for value in values:
             histogram.observe(value)
-        for fraction in (0.5, 0.95, 0.99, 0.999):
-            assert histogram.percentile(fraction) == percentile(values, fraction)
+        assert histogram.quantiles() == {
+            label: percentile(values, fraction) for label, fraction in PERCENTILES
+        }
+        assert Histogram().quantiles() == {label: 0.0 for label, _ in PERCENTILES}
 
     def test_bucket_counts_are_cumulative_and_end_at_inf(self):
         histogram = Histogram((1.0, 10.0, 100.0))

@@ -1,4 +1,4 @@
-"""Unit tests for the tracer: spans, sampling, propagation, export."""
+"""Unit tests for the tracer: spans, the trace buffer, propagation, export."""
 
 from __future__ import annotations
 
@@ -78,20 +78,13 @@ class TestSpans:
         assert tracer.current_span() is NULL_SPAN
 
 
-class TestSamplingAndBuffer:
-    def test_sample_rate_keeps_exactly_the_right_fraction(self):
-        tracer = configure(enabled=True, sample_rate=0.5, trace_buffer=64)
+class TestBuffer:
+    def test_every_trace_is_recorded(self):
+        tracer = configure(enabled=True, trace_buffer=64)
         for _ in range(10):
             with tracer.span("op"):
                 pass
-        assert len(tracer.traces()) == 5
-        configure(enabled=False)
-
-    def test_zero_rate_records_nothing(self):
-        tracer = configure(enabled=True, sample_rate=0.0)
-        with tracer.span("op"):
-            pass
-        assert tracer.traces() == []
+        assert len(tracer.traces()) == 10
         configure(enabled=False)
 
     def test_ring_buffer_keeps_the_newest_traces(self):
@@ -110,6 +103,16 @@ class TestSamplingAndBuffer:
             trace_id = span.trace_id
         assert tracer.get_trace(trace_id)["trace_id"] == trace_id
         assert tracer.get_trace("deadbeef") is None
+
+    def test_disabling_drops_the_buffer_and_records_nothing(self):
+        tracer = configure(enabled=True, trace_buffer=8)
+        with tracer.span("op"):
+            pass
+        assert len(tracer.traces()) == 1
+        configure(enabled=False)
+        with tracer.span("op"):
+            pass
+        assert tracer.traces() == []
 
 
 class TestPropagation:
@@ -185,24 +188,24 @@ class TestExport:
 
 class TestConfig:
     def test_configure_reads_the_config_section(self, tmp_path):
-        section = TelemetryConfig(
-            enabled=True, sample_rate=0.25,
-            export_path=str(tmp_path / "t.jsonl"),
-        )
+        section = TelemetryConfig(enabled=True, export_path=str(tmp_path / "t.jsonl"))
         tracer = configure(section)
         assert tracer.enabled is True
-        assert tracer.sample_rate == 0.25
         assert tracer.export_path == section.export_path
         configure(enabled=False)
 
     def test_telemetry_config_round_trips_through_dict(self):
         config = KyrixConfig()
         config.telemetry.enabled = True
-        config.telemetry.sample_rate = 0.5
         restored = KyrixConfig.from_dict(config.to_dict())
         assert restored.telemetry.enabled is True
-        assert restored.telemetry.sample_rate == 0.5
 
     def test_telemetry_config_validates(self):
-        with pytest.raises(KyrixError):
-            TelemetryConfig(sample_rate=1.5).validate()
+        for key, value in (("enabled", "yes"), ("enabled", 1), ("export_path", 3)):
+            with pytest.raises(KyrixError, match=rf"'telemetry\.{key}'"):
+                KyrixConfig.from_dict({"telemetry": {key: value}})
+
+    def test_configure_has_no_sampling_knob(self):
+        with pytest.raises(TypeError):
+            configure(enabled=True, sample_rate=0.5)
+        configure(enabled=False)
