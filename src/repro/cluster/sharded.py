@@ -10,7 +10,8 @@ shard boundary is stored in *every* shard it overlaps, so any shard whose
 region intersects a query rectangle can answer for it; the router
 deduplicates at gather time.  Indexes (B-tree on ``tuple_id``, R-tree on
 ``bbox``, and the tuple–tile mapping tables of the first database design)
-are rebuilt per shard over the shard's own rows.
+are rebuilt per shard over the shard's own rows, and a shard's copy of a
+table is clustered on the index the source is clustered on.
 """
 
 from __future__ import annotations
@@ -186,6 +187,9 @@ class ShardedIndexer:
                     shard_table.create_index(
                         info.name, info.column, info.kind, unique=info.unique
                     )
+                if source.clustered_on is not None:
+                    # The source's clustering, on the shard's own index.
+                    shard_table.cluster(source.clustered_on)
                 rows_by_table[shard_id][table_name] = len(rows)
 
         shards: list[ShardHandle] = []

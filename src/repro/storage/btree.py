@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from itertools import groupby
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import DuplicateKeyError, StorageError
 
@@ -281,6 +281,17 @@ class BTreeIndex:
         """Yield distinct keys in order."""
         stored = (key for leaf in self._leaves() for key in leaf.keys)
         return (key for key, _ in groupby(stored))
+
+    def rids(self) -> list[int]:
+        """Every entry's rid, in entry (key) order."""
+        return [rid for leaf in self._leaves() for rid in leaf.rids]
+
+    def remap(self, old_to_new: Mapping[int, int]) -> None:
+        """Point every entry at the rid its record moved to (a rewritten
+        heap); keys, and the order within an equal-key run, stay."""
+        new = old_to_new.__getitem__
+        for leaf in self._leaves():
+            leaf.rids = array("q", map(new, leaf.rids))
 
     def height(self) -> int:
         """Tree height (1 for a single leaf)."""

@@ -9,7 +9,7 @@ is exactly what tile-id and tuple-id joins need.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from ..errors import DuplicateKeyError, StorageError
 
@@ -67,6 +67,12 @@ class HashIndex:
         for key in keys:
             results.extend(self.search(key))
         return results
+
+    def remap(self, old_to_new: Mapping[int, int]) -> None:
+        """Point every entry at the rid its record moved to (a rewritten heap)."""
+        new = old_to_new.__getitem__
+        for rids in self._buckets.values():
+            rids[:] = map(new, rids)
 
     def items(self) -> Iterator[tuple[Any, int]]:
         """Yield every ``(key, rid)`` entry (unordered across keys)."""

@@ -20,19 +20,25 @@ a ``<H`` offset can name.
 from __future__ import annotations
 
 import struct
+from array import array
+from itertools import accumulate
+from operator import sub
 from typing import Any, Iterable, Iterator, Sequence
 
-from ..errors import PageError, RecordNotFoundError
+from ..errors import PageError, RecordNotFoundError, StorageError
 from .pager import BufferPool
-from .row import SLOT_BITS, SLOT_MASK, RecordId, compile_decoder, encode_row
+from .row import SLOT_BITS, SLOT_MASK, RecordId, compile_decoder, compile_encoder
 from .schema import TableSchema
 
 _HEADER = struct.Struct("<HH")  # slot_count, free_space_offset
 _SLOT = struct.Struct("<HH")  # record offset, record length
 
+#: An encoded record on its way onto a page.
+_Record = bytes | bytearray | memoryview
+
 
 def _named(rid: int) -> RecordId:
-    """``rid`` as page and slot, for an error message."""
+    """``rid`` as page and slot, for a caller or an error message."""
     return RecordId(rid >> SLOT_BITS, rid & SLOT_MASK)
 
 
@@ -43,26 +49,20 @@ class HeapFile:
         self._pool = pool
         self._schema = schema
         self._decode = compile_decoder(schema)
+        self._encode = compile_encoder(schema)
         # This heap's pages: a dict for its order (allocation order is scan
         # order) and its O(1) membership test (rid ownership).
         self._page_nos: dict[int, None] = {}
         self._record_count = 0
+        # ``(slot_count, free_offset)`` of the last page, the only one
+        # records are appended to; ``(0, 0)`` fits nothing, so the first
+        # append allocates.  Only :meth:`_append` writes a page header.
+        self._tail = (0, 0)
 
     # -- page-format helpers ---------------------------------------------------
 
-    def _init_page(self, page: bytearray) -> None:
-        _HEADER.pack_into(page, 0, 0, self._pool.page_size)
-
-    def _page_header(self, page: bytearray) -> tuple[int, int]:
-        return _HEADER.unpack_from(page, 0)
-
     def _set_slot(self, page: bytearray, slot_no: int, offset: int, length: int) -> None:
         _SLOT.pack_into(page, _HEADER.size + slot_no * _SLOT.size, offset, length)
-
-    def _free_space(self, page: bytearray) -> int:
-        slot_count, free_offset = self._page_header(page)
-        directory_end = _HEADER.size + slot_count * _SLOT.size
-        return free_offset - directory_end
 
     # -- public API -------------------------------------------------------------
 
@@ -79,38 +79,93 @@ class HeapFile:
 
     def insert(self, row: Sequence[Any]) -> RecordId:
         """Append an (already coerced) row; returns its :class:`RecordId`."""
-        payload = encode_row(row, self._schema)
-        needed = len(payload) + _SLOT.size
-        max_payload = self._pool.page_size - _HEADER.size - _SLOT.size
-        if len(payload) > max_payload:
-            raise PageError(
-                f"record of {len(payload)} bytes exceeds page capacity "
-                f"({max_payload} bytes)"
-            )
-        page_no, page = self._find_page_with_space(needed)
-        slot_count, free_offset = self._page_header(page)
-        record_offset = free_offset - len(payload)
-        page[record_offset:free_offset] = payload
-        self._set_slot(page, slot_count, record_offset, len(payload))
-        _HEADER.pack_into(page, 0, slot_count + 1, record_offset)
-        self._pool.mark_dirty(page_no)
-        self._record_count += 1
-        return RecordId(page_no=page_no, slot_no=slot_count)
+        (rid,) = self._append((self._encode(row),))
+        return _named(rid)
 
-    def _find_page_with_space(self, needed: int) -> tuple[int, bytearray]:
-        # Appending workloads dominate (bulk loads), so only the last page is
-        # checked before allocating a new one.
-        if self._page_nos:
-            last_no = next(reversed(self._page_nos))
-            page = self._pool.get_page(last_no)
-            if self._free_space(page) >= needed:
-                return last_no, page
-        page_no = self._pool.allocate_page()
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> list[int]:
+        """Append (already coerced) rows in order; returns their rids."""
+        return self._append(map(self._encode, rows))
+
+    def rewrite(self, rids: Sequence[int]) -> list[int]:
+        """Store every live record afresh, in ``rids`` order; the rids they
+        move to, position for position.
+
+        ``rids`` names each live record exactly once.  The bytes are copied
+        as stored -- nothing is decoded or encoded -- into new pages, and
+        the old pages are freed from the pool and the store: every old rid
+        stops resolving.  Not for use under concurrent readers.
+        """
+        if len(rids) != self._record_count or len(set(rids)) != len(rids):
+            raise StorageError(
+                f"a rewrite names each of the {self._record_count} live records once; "
+                f"got {len(rids)} rids"
+            )
+        # Copied out whole, then the old pages go before the new ones come:
+        # a new page's frame takes the memory an old one gave back.
+        stored, lengths = bytearray(), array("H")
+        for page, offset, length in self._locate(rids):
+            stored += page[offset : offset + length]
+            lengths.append(length)
+        for page_no in self._page_nos:
+            self._pool.free_page(page_no)
+        self._page_nos, self._tail, self._record_count = {}, (0, 0), 0
+        view = memoryview(stored)
+        return self._append(
+            view[end - length : end] for end, length in zip(accumulate(lengths), lengths)
+        )
+
+    def _append(self, records: Iterable[_Record]) -> list[int]:
+        """Append encoded records, a page at a time: records are gathered
+        while they fit on the last page, then written with one checkout and
+        one header write.  Returns their rids."""
+        rids: list[int] = []
+        batch: list[_Record] = []
+        slot_count, free_offset = self._tail
+        try:
+            for record in records:
+                slot_count += 1
+                free_offset -= len(record)
+                if free_offset < _HEADER.size + slot_count * _SLOT.size:
+                    max_record = self._pool.page_size - _HEADER.size - _SLOT.size
+                    if len(record) > max_record:
+                        raise PageError(
+                            f"record of {len(record)} bytes exceeds page capacity "
+                            f"({max_record} bytes)"
+                        )
+                    rids += self._write_tail(batch)
+                    batch = []
+                    self._page_nos[self._pool.allocate_page()] = None
+                    self._tail = (0, self._pool.page_size)
+                    slot_count, free_offset = 1, self._pool.page_size - len(record)
+                batch.append(record)
+        finally:  # what was appended before a failure stays, as with insert
+            rids += self._write_tail(batch)
+        return rids
+
+    def _write_tail(self, records: list[_Record]) -> list[int]:
+        """Write ``records`` after the last page's, which have room for them:
+        the payloads as one slice (they sit end to end, growing down from the
+        free offset) and their slots as one pack."""
+        if not records:
+            return []
+        page_no = next(reversed(self._page_nos))
+        slot_count, free_offset = self._tail
+        lengths = [len(record) for record in records]
+        offsets = list(accumulate(lengths, sub, initial=free_offset))[1:]
+        # Every byte written follows from ``_tail``: a fresh page the pool
+        # evicted before now reads back as zeros, and that is fine.
         page = self._pool.get_page(page_no)
-        self._init_page(page)
+        page[offsets[-1] : free_offset] = b"".join(reversed(records))
+        slots = [value for slot in zip(offsets, lengths) for value in slot]
+        struct.pack_into(
+            f"<{len(slots)}H", page, _HEADER.size + slot_count * _SLOT.size, *slots
+        )
+        first, slot_count = page_no << SLOT_BITS | slot_count, slot_count + len(records)
+        _HEADER.pack_into(page, 0, slot_count, offsets[-1])
         self._pool.mark_dirty(page_no)
-        self._page_nos[page_no] = None
-        return page_no, page
+        self._tail = (slot_count, offsets[-1])
+        self._record_count += len(records)
+        return list(range(first, first + len(records)))
 
     def _locate(self, rids: Iterable[int]) -> Iterator[tuple[bytearray, int, int]]:
         """Yield ``(page, offset, length)`` of the live record at each rid.
@@ -157,7 +212,7 @@ class HeapFile:
 
     def update(self, rid: int, row: Sequence[Any]) -> int:
         """Replace the record at ``rid``; may move it to a new rid."""
-        payload = encode_row(row, self._schema)
+        payload = self._encode(row)
         page, offset, length = next(self._locate((rid,)))
         if len(payload) <= length:
             page[offset : offset + len(payload)] = payload
@@ -172,7 +227,7 @@ class HeapFile:
         decode = self._decode
         for page_no in self._page_nos:
             page = self._pool.get_page(page_no)
-            slot_count, _ = self._page_header(page)
+            slot_count, _ = _HEADER.unpack_from(page, 0)
             directory = page[_HEADER.size : _HEADER.size + slot_count * _SLOT.size]
             first = page_no << SLOT_BITS
             for rid, (offset, length) in enumerate(_SLOT.iter_unpack(directory), first):

@@ -43,6 +43,10 @@ class PageStore:
         self.page_size = page_size
         self._pages: dict[int, bytes] = {}
         self._next_page_no = 0
+        # Every page starts as this one immutable image: a fresh page costs
+        # the store a dict slot, not a page of zeros (the pool holds its
+        # real bytes until it is evicted or flushed).
+        self._zero_page = bytes(page_size)
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -51,8 +55,13 @@ class PageStore:
         """Allocate a new zeroed page and return its page number."""
         page_no = self._next_page_no
         self._next_page_no += 1
-        self._pages[page_no] = bytes(self.page_size)
+        self._pages[page_no] = self._zero_page
         return page_no
+
+    def free(self, page_no: int) -> None:
+        """Release a page; its number is never handed out again."""
+        if self._pages.pop(page_no, None) is None:
+            raise PageError(f"page {page_no} does not exist")
 
     def read(self, page_no: int) -> bytes:
         if page_no not in self._pages:
@@ -134,6 +143,12 @@ class BufferPool:
         self._frames.move_to_end(page_no)
         self._evict_if_needed()
         return frame
+
+    def free_page(self, page_no: int) -> None:
+        """Drop a page from the pool, unwritten, and from the store."""
+        self._frames.pop(page_no, None)
+        self._dirty.discard(page_no)
+        self._store.free(page_no)
 
     def mark_dirty(self, page_no: int) -> None:
         """Record that the cached image of ``page_no`` was modified."""

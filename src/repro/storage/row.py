@@ -8,12 +8,15 @@ names its two halves.
 Reading goes through a decoder compiled once per schema: a row
 whose columns are all present and fixed-width is one ``struct`` unpack
 straight off the page buffer; only a row holding a NULL or a TEXT value is
-walked value by value.
+walked value by value.  Writing mirrors it: an encoder compiled once per
+schema packs such a row in one ``struct`` call, and :func:`encode_row` --
+the reference it must equal byte for byte -- encodes every other row.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 from operator import itemgetter
 from typing import Any, Callable, Sequence
 
@@ -65,7 +68,8 @@ def encode_row(row: Sequence[Any], schema: TableSchema) -> bytes:
     return b"".join(parts)
 
 
-#: ``struct`` codes of the fixed-width types; ``x`` skips the presence tag.
+#: ``struct`` codes of the fixed-width types; ``x`` skips the presence tag
+#: (packing writes it as 0, and the encoder sets it).
 _FIXED_CODES = {ColumnType.INTEGER: "xq", ColumnType.FLOAT: "xd", ColumnType.BBOX: "x4d"}
 
 
@@ -116,3 +120,35 @@ def _row_shape(types: Sequence[ColumnType]) -> Callable[[tuple[Any, ...]], tuple
     if len(picks) == 1:
         return lambda values: (values,)
     return itemgetter(*picks)
+
+
+#: A compiled encoder: ``row -> record bytes``.
+RowEncoder = Callable[[Sequence[Any]], bytes | bytearray]
+
+
+def compile_encoder(schema: TableSchema) -> RowEncoder:
+    """Build the encoder for one schema's (already coerced) rows: the
+    all-present fixed-width layout :func:`compile_decoder` reads, packed
+    in one call, and :func:`encode_row` for a row holding a NULL (or any
+    row of a schema with TEXT)."""
+    types = tuple(column.type for column in schema.columns)
+    if not types or ColumnType.TEXT in types:
+        return lambda row: encode_row(row, schema)
+    codes = [_FIXED_CODES[t] for t in types]
+    pack = struct.Struct("<" + "".join(codes)).pack
+    # Where each presence tag lands, and which values are four floats.
+    tags = list(accumulate((struct.calcsize("<" + code) for code in codes[:-1]), initial=0))
+    boxes = [i for i in reversed(range(len(types))) if types[i] is ColumnType.BBOX]
+
+    def encode(row: Sequence[Any]) -> bytes | bytearray:
+        if None in row:
+            return encode_row(row, schema)
+        values = list(row)
+        for i in boxes:  # right to left: a splice leaves the positions before it
+            values[i : i + 1] = values[i]
+        record = bytearray(pack(*values))
+        for offset in tags:
+            record[offset] = 1
+        return record
+
+    return encode

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..errors import StorageError
 
@@ -373,6 +373,22 @@ class RTreeIndex:
         """Yield every ``(bbox, rid)`` entry."""
         for x0, y0, x1, y1, rid in self._live():
             yield Rect(x0, y0, x1, y1), rid
+
+    def rids(self) -> list[int]:
+        """Every entry's rid, in entry order: packed (leaf by leaf), then pending."""
+        xmin, _, _, _, refs, _, first = self._packed
+        packed = [rid for x0, rid in zip(xmin[first:], refs[first:]) if x0 == x0]
+        return packed + [entry[4] for entry in self._pending]
+
+    def remap(self, old_to_new: Mapping[int, int]) -> None:
+        """Point every entry at the rid its record moved to (a rewritten
+        heap); the tree keeps its shape and order.  A tombstone keeps its
+        dead rid: no search returns it."""
+        xmin, _, _, _, refs, _, first = self._packed
+        new = old_to_new.__getitem__
+        moved = (new(rid) if x0 == x0 else rid for x0, rid in zip(xmin[first:], refs[first:]))
+        refs[first:] = array("q", moved)
+        self._pending = [(*entry[:4], new(entry[4])) for entry in self._pending]
 
     def height(self) -> int:
         """Node levels from the root to the leaves (1 for an empty tree)."""

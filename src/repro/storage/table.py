@@ -9,7 +9,7 @@ spatial-intersection lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import (
@@ -58,6 +58,9 @@ class Table:
         # Told of every index created or dropped (the database's catalog version).
         self._catalog_changed = catalog_changed
         self._stats: TableStats | None = None
+        #: The index the heap was last clustered on (PostgreSQL's
+        #: ``indisclustered``); a copy of the table is clustered on it too.
+        self.clustered_on: str | None = None
 
     # -- basic properties --------------------------------------------------------
 
@@ -127,6 +130,8 @@ class Table:
         if name not in self._indexes:
             raise UnknownIndexError(f"no index named {name!r} on table {self.name!r}")
         del self._indexes[name]
+        if self.clustered_on == name:
+            self.clustered_on = None
         self._catalog_changed()
 
     def get_index(self, name: str) -> IndexInfo:
@@ -166,11 +171,7 @@ class Table:
         in one pass (using the R-tree STR bulk loader where applicable).
         Returns the number of rows loaded.
         """
-        count = 0
-        for values in rows:
-            row = self.schema.coerce_row(values)
-            self._heap.insert(row)
-            count += 1
+        count = len(self._heap.insert_many(map(self.schema.coerce_row, rows)))
         for info in self._indexes.values():
             if info.kind == "rtree":
                 info.index = RTreeIndex(info.name)
@@ -181,6 +182,33 @@ class Table:
             self._backfill_index(info)
         self._stats = None
         return count
+
+    def cluster(self, index_name: str) -> None:
+        """Rewrite the heap in the order of ``index_name``'s entries, as
+        PostgreSQL's ``CLUSTER`` does.
+
+        An R-tree's order is its STR-packed entry order, so the rows under
+        one leaf land on one or two pages and a box query's rows come back
+        in page runs; a B-tree's is key order.  Rows the index does not hold
+        (a NULL key) go last, in heap order.  Every index then maps its
+        entries to the new rids in place -- none is repacked or re-sorted,
+        so each answers as it did, rid for moved rid.  A heap already in
+        that order is left as it is.  Like ``CLUSTER`` this wants the table
+        to itself: no reader may run alongside.
+        """
+        info = self.get_index(index_name)
+        if info.kind == "hash":
+            raise StorageError(f"cannot cluster {self.name!r} on hash index {index_name!r}")
+        order = info.index.rids()  # type: ignore[union-attr]
+        if len(order) < len(self._heap):
+            position = self.schema.column_index(info.column)
+            order += [rid for rid, row in self._heap.scan() if row[position] is None]
+        self.clustered_on = info.name
+        if all(map(lt, order, order[1:])):  # rids ascend: already in this order
+            return
+        old_to_new = dict(zip(order, self._heap.rewrite(order)))
+        for other in self._indexes.values():
+            other.index.remap(old_to_new)
 
     def delete(self, rid: int) -> None:
         """Delete the row at ``rid`` and unhook it from every index."""

@@ -2,18 +2,21 @@
 
 A fixed, seeded sequence of 20 box and 20 tile-mapping requests runs against
 a database whose buffer pool (8 pages) is far smaller than the table, so
-nearly every page run is a miss.  ``GOLDEN_BOXES`` was recorded from the
-commit before the batched row path (PR 17, 20ca1a5) with this very script
-and has not moved since: same pages read in the same order means the same
-misses and reads.  (Until PR 23 a fourth number was pinned, the pager's
-modelled clock; it was ``0.05 ms × misses`` and went with the model.)
-``GOLDEN_TILES`` was re-recorded with this script at PR 21 (parent 05fb78d,
-where it read ``(783, 734, 734)``): the same 783 objects, but the mapping table is now
-loaded clustered on ``tile_id``, so a tile's 39 mapping rows sit on 1.15 heap
-pages (mean of the 20 tiles) instead of 12.6 -- every one of the 229 misses
-saved is a mapping-table page (the batched join alone leaves 734: it fetches
-the same rids in the same order).  ``hits`` is deliberately not pinned: one checkout
-serves a run of rids on the same page.
+nearly every page run is a miss.  Misses may only fall from one recording to
+the next; the objects returned never change.
+
+``GOLDEN_BOXES`` was recorded before the batched row path (commit 20ca1a5)
+as ``(1122, 905, 905)`` and held until every served table was clustered on
+its R-tree (``Table.cluster``, PostgreSQL's ``CLUSTER``): the rows under one
+leaf now sit on one or two heap pages, so a box's rids arrive in page runs
+and the same 1122 objects cost 68 misses instead of 905.  ``GOLDEN_TILES``
+read ``(783, 734, 734)`` until the mapping table was loaded clustered on
+``tile_id`` (parent 05fb78d; a tile's 39 mapping rows on 1.15 heap pages
+instead of 12.6), then ``(783, 505, 505)``; with the record table clustered
+too, a tile's tuples -- spatially close -- share a few pages and 76 misses
+remain.  (A fourth number, the pager's modelled clock, was pinned until the
+latency model was removed; it was ``0.05 ms × misses``.)  ``hits`` is
+deliberately not pinned: one checkout serves a run of rids on the same page.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from repro.datagen.synthetic import tiny_spec
 from repro.net.protocol import DataRequest
 
 #: (objects returned, misses, reads); see the docstring for which commit.
-GOLDEN_BOXES = (1122, 905, 905)
-GOLDEN_TILES = (783, 505, 505)
+GOLDEN_BOXES = (1122, 68, 68)
+GOLDEN_TILES = (783, 76, 76)
 
 
 def _replay() -> tuple[tuple, tuple]:

@@ -1,10 +1,11 @@
 """Model-based property tests for the heap file and the compiled row decoder.
 
-A generated schema and a generated sequence of ``insert`` / ``update`` /
-``delete`` / ``fetch`` / ``fetch_many`` / ``scan`` calls run against a
-:class:`HeapFile` on small pages (so records spread over many) and against a
-plain dict; the two must agree after every step, and a rid the model does
-not hold -- deleted, moved away by an update, or another heap's -- must raise
+A generated schema and a generated sequence of ``insert`` / ``insert_many``
+/ ``update`` / ``delete`` / ``rewrite`` / ``fetch`` / ``fetch_many`` /
+``scan`` calls run against a :class:`HeapFile` on small pages (so records
+spread over many) in a pool of 4 or 8 pages and against a plain dict; the two
+must agree after every step, and a rid the model does not hold -- deleted,
+moved away by an update or a rewrite, or another heap's -- must raise
 :class:`RecordNotFoundError` from every entry point.
 """
 
@@ -13,10 +14,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import RecordNotFoundError
+from repro.errors import RecordNotFoundError, StorageError
 from repro.storage.heapfile import HeapFile
 from repro.storage.pager import BufferPool, PageStore
-from repro.storage.row import RecordId, compile_decoder, encode_row
+from repro.storage.row import RecordId, compile_decoder, compile_encoder, encode_row
 from repro.storage.schema import TableSchema
 from repro.storage.types import ColumnType, decode_value
 
@@ -48,11 +49,12 @@ def reference_decode(payload: bytes, schema: TableSchema) -> tuple:
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_compiled_decoder_matches_the_per_value_reference(data):
+def test_compiled_codec_matches_the_per_value_reference(data):
     schema = data.draw(schemas)
-    decode = compile_decoder(schema)
+    decode, encode = compile_decoder(schema), compile_encoder(schema)
     for row in data.draw(st.lists(rows_of(schema), min_size=1, max_size=6)):
         payload = encode_row(row, schema)
+        assert bytes(encode(row)) == payload
         assert decode(payload, 0, len(payload)) == reference_decode(payload, schema) == row
         # Off a larger buffer at an offset, the way the heap file calls it.
         page = bytearray(b"\xff" * 7 + payload + b"\xff" * 5)
@@ -63,7 +65,8 @@ def test_compiled_decoder_matches_the_per_value_reference(data):
 @settings(max_examples=60, deadline=None)
 def test_heap_file_agrees_with_a_dict_model(data):
     schema = data.draw(schemas)
-    pool = BufferPool(PageStore(512), 4)  # smaller than the heap: pages get evicted
+    # Smaller than the heap: pages get evicted, mid-rewrite too.
+    pool = BufferPool(PageStore(512), data.draw(st.sampled_from([4, 8])))
     heap = HeapFile(pool, schema)
     stranger = HeapFile(pool, schema)
     model: dict[RecordId, tuple] = {}
@@ -74,12 +77,30 @@ def test_heap_file_agrees_with_a_dict_model(data):
         return data.draw(st.sampled_from(sorted(model)))
 
     for _ in range(data.draw(st.integers(1, 40))):
-        action = data.draw(st.sampled_from(["insert"] * 3 + ["update", "delete", "fetch_many"]))
+        action = data.draw(st.sampled_from(
+            ["insert"] * 3 + ["insert_many", "update", "delete", "rewrite", "fetch_many"]
+        ))
         if action == "insert" or not model:
             row = data.draw(rows_of(schema))
             rid = heap.insert(row)
             assert rid not in model
             model[rid] = row
+        elif action == "insert_many":
+            rows = data.draw(st.lists(rows_of(schema), max_size=8))
+            rids = heap.insert_many(rows)
+            assert len(set(rids)) == len(rows) and not set(rids) & set(model)
+            model.update(zip(rids, rows))
+        elif action == "rewrite":
+            order = data.draw(st.permutations(sorted(model)))
+            # One missing, one stale, one named twice.
+            wrongs = [order[:-1], [*order[:-1], dead[-1]], [order[0], *order[1:-1], order[0]]]
+            for wrong in wrongs[: 2 + (len(order) > 1)]:
+                with pytest.raises(StorageError):  # and nothing moved
+                    heap.rewrite(wrong)
+            moved = heap.rewrite(order)
+            assert [rid for rid, _ in heap.scan()] == moved  # the new physical order
+            dead.extend(order)
+            model = {new: model[old] for old, new in zip(order, moved)}
         elif action == "update":
             rid, row = some_rid(), data.draw(rows_of(schema))
             moved = heap.update(rid, row)

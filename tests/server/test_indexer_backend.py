@@ -1,5 +1,7 @@
 """Tests for placement precomputation and the backend server."""
 
+import json
+
 import pytest
 
 from repro.bench.apps import build_dots_backend, default_config
@@ -216,6 +218,30 @@ class TestBackendMappingDesign:
         mapping_ids = {obj["tuple_id"] for obj in mapping.objects}
         assert spatial_ids == mapping_ids
         assert len(spatial_ids) > 0
+
+    def test_tile_responses_do_not_follow_the_heap_order(self):
+        """The mapping table lists a tile's tuples by ``tuple_id``, so a tile
+        answers byte for byte the same whichever order the raw table's heap
+        was in when the mapping was built."""
+        stack = build_dots_backend(
+            tiny_spec("uniform", num_points=2_000, seed=9), config=default_config(viewport=512)
+        )
+        table = stack.database.table(stack.spec.name)
+        assert table.clustered_on == f"{stack.spec.name}_bbox"  # precompute clustered it
+        requests = [
+            DataRequest(
+                "dots", "dots", 0, "tile", design=DESIGN_MAPPING, tile_id=tile_id, tile_size=512
+            )
+            for tile_id in range(0, 128, 9)
+        ]
+        stack.backend.ensure_mapping_tables(512)
+        before = [json.dumps(stack.backend.handle(request).to_dicts()) for request in requests]
+
+        table.cluster(f"{stack.spec.name}_tuple_id")  # back to load order
+        stack.database.drop_table(stack.compiled.layer_plan("dots", 0).mapping_table_for(512))
+        stack.backend.ensure_mapping_tables(512)
+        after = [json.dumps(stack.backend.handle(request).to_dicts()) for request in requests]
+        assert after == before
 
     def test_mapping_design_builds_missing_table_lazily(self):
         stack = build_precomputed_stack(num_points=300)

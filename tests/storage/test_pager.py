@@ -36,6 +36,25 @@ class TestPageStore:
         with pytest.raises(PageError):
             PageStore(64)
 
+    def test_fresh_pages_share_one_zero_image(self):
+        store = PageStore(1024)
+        first, second = store.allocate(), store.allocate()
+        assert store.read(first) == bytes(1024)
+        assert store.read(first) is store.read(second)
+        store.write(first, bytes([1]) * 1024)
+        assert store.read(second) == bytes(1024)
+
+    def test_free_forgets_the_page_and_never_reuses_its_number(self):
+        store = PageStore(1024)
+        page = store.allocate()
+        store.free(page)
+        assert len(store) == 0
+        with pytest.raises(PageError):
+            store.read(page)
+        with pytest.raises(PageError):
+            store.free(page)
+        assert store.allocate() == page + 1
+
     def test_page_size_beyond_16_bit_offsets_rejected(self):
         # ``<H`` slot offsets and the rid's 16-bit slot field bound the page.
         with pytest.raises(PageError, match="16-bit"):
@@ -98,6 +117,19 @@ class TestBufferPool:
         page_no = pool.allocate_page()
         pool.clear()
         assert page_no not in pool
+
+    def test_free_page_drops_a_dirty_frame_unwritten(self):
+        store, pool = self._pool()
+        page_no = pool.allocate_page()
+        pool.get_page(page_no)[0] = 1
+        pool.mark_dirty(page_no)
+        pool.free_page(page_no)
+        assert page_no not in pool
+        assert len(store) == 0
+        pool.flush()  # nothing left to write back
+        assert pool.stats.writes == 0
+        with pytest.raises(PageError):
+            pool.get_page(page_no)
 
     def test_from_config(self):
         pool = BufferPool.from_config(StorageConfig(page_size=2048, buffer_pool_pages=16))

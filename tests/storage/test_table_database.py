@@ -8,6 +8,7 @@ from repro.errors import (
     DuplicateIndexError,
     DuplicateTableError,
     SchemaError,
+    StorageError,
     TypeMismatchError,
     UnknownIndexError,
     UnknownTableError,
@@ -150,6 +151,19 @@ class TestIndexManagement:
         dots_table.drop_index("i")
         with pytest.raises(UnknownIndexError):
             dots_table.get_index("i")
+
+    def test_cluster_is_recorded_until_its_index_is_dropped(self, dots_table):
+        dots_table.create_index("by_x", "x", "btree")
+        dots_table.create_index("by_id", "id", "hash")
+        with pytest.raises(StorageError, match="hash"):
+            dots_table.cluster("by_id")
+        assert dots_table.clustered_on is None
+        dots_table.cluster("by_x")
+        assert dots_table.clustered_on == "by_x"
+        dots_table.drop_index("by_id")
+        assert dots_table.clustered_on == "by_x"
+        dots_table.drop_index("by_x")  # a copy of the table has nothing to follow
+        assert dots_table.clustered_on is None
 
     def test_find_index_on(self, dots_table):
         dots_table.create_index("i_hash", "id", "hash")
