@@ -25,7 +25,7 @@ Rule ids (see ``README.md`` in this package for the full contract):
     ``set_threshold`` anywhere under ``src/``.
 ``edge-rows``
     Rows stay tuples below the edge: ``to_dicts()`` (a dict per row) is called
-    only by the frontend, the HTTP server, the protocol, precompute and bench code.
+    only by the HTTP server, the protocol and precompute.
 ``protocol-drift``
     A dataclass with both a serializer (``to_dict``/``to_json``) and a
     deserializer (``from_dict``/``from_json``) must mention every field in
@@ -51,9 +51,9 @@ _FAULT_SEAM_MODULES = ("serving", "cluster", "net")
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
 #: ``gc`` functions that switch collector state for the whole process.
 _COLLECTOR_SWITCHES = {"freeze", "unfreeze", "disable", "set_threshold"}
-#: Where a row may become a dictionary: the edges, precompute, bench code.
+#: Where a row may become a dictionary: the HTTP edge, the JSON encoding, precompute.
 _EDGE_ROWS_ALLOWED = tuple(f"src/repro/{where}" for where in (
-    "client/", "bench/", "net/protocol.py", "server/http_server.py", "server/indexer.py"))
+    "net/protocol.py", "server/http_server.py", "server/indexer.py"))
 _SERIALIZERS = ("to_dict", "to_json")
 _DESERIALIZERS = ("from_dict", "from_json")
 
@@ -141,7 +141,7 @@ class EdgeRowsChecker(_ZonedCallChecker):
     """Row dictionaries built between the engine and the edge."""
 
     rule = "edge-rows"
-    description = "rows stay tuples below the edge: only the edge (client/, http_server) calls to_dicts()"
+    description = "rows stay tuples below the edge: only the edge (http_server, JSON) calls to_dicts()"
     names = ("to_dicts",)
     allowed = _EDGE_ROWS_ALLOWED
     scope = "src/"

@@ -26,7 +26,7 @@ from ..core.viewport import Viewport
 from ..errors import JumpError, UnknownCanvasError
 from ..metrics.collector import LatencyBreakdown, MetricsCollector
 from ..net.link import SimulatedLink
-from ..net.protocol import DataRequest, DataResponse
+from ..net.protocol import DataRequest, DataResponse, RowBatch, concat_rows
 from ..server.cache import LRUCache
 from ..server.dbox import DynamicBoxState
 from ..server.prefetch import Prefetcher, make_prefetcher
@@ -86,8 +86,9 @@ class KyrixFrontend:
         self.current_canvas_id: str | None = None
         self.viewport: Viewport | None = None
         self._dbox_states: dict[int, DynamicBoxState] = {}
-        #: Objects currently visible, per layer index (for jump hit-testing).
-        self.visible_objects: dict[int, list[dict[str, Any]]] = {}
+        #: Objects currently visible, per layer index (for jump hit-testing):
+        #: one batch per layer, whose rows become dicts as they are read.
+        self.visible_objects: dict[int, RowBatch] = {}
 
     # -- application lifecycle ---------------------------------------------------------
 
@@ -105,6 +106,7 @@ class KyrixFrontend:
         self.current_canvas_id = canvas_id
         self.viewport = viewport.clamped_to(plan.width, plan.height)
         self._dbox_states = {}
+        self.visible_objects = {}
         if self.prefetcher is not None:
             self.prefetcher.reset()
             self.prefetcher.observe(self.viewport)
@@ -173,22 +175,26 @@ class KyrixFrontend:
         viewport = self._require_viewport()
         plan = self.service.compiled.canvas_plan(canvas_id)
         breakdown = LatencyBreakdown(cache_hit=True)
-        self.visible_objects = {}
 
         if self.renderer is not None:
             self.renderer.clear()
 
         for layer_plan in plan.dynamic_layers():
             requests = self._requests_for_layer(layer_plan, viewport, plan)
-            layer_objects: list[dict[str, Any]] = []
-            for request in requests:
-                response, request_breakdown = self._issue_request(request)
-                breakdown.merge(request_breakdown)
-                # The edge: a batch's rows become dictionaries, for all its holders.
-                layer_objects.extend(response.to_dicts())
-            self.visible_objects[layer_plan.layer_index] = layer_objects
+            # No requests: the viewport is still inside the layer's dynamic
+            # box, and the layer keeps the objects it has.
+            if requests:
+                parts = []
+                for request in requests:
+                    response, request_breakdown = self._issue_request(request)
+                    breakdown.merge(request_breakdown)
+                    parts.append(response.objects)
+                # Rows stay tuples: whoever reads one has its dict built.
+                self.visible_objects[layer_plan.layer_index] = concat_rows(parts)
             if self.renderer is not None:
-                breakdown.render_ms += self._render_layer(layer_plan, layer_objects, viewport)
+                breakdown.render_ms += self._render_layer(
+                    layer_plan, self.visible_objects[layer_plan.layer_index], viewport
+                )
         if breakdown.requests == 0:
             # Nothing needed fetching (e.g. viewport still inside the dynamic
             # box): the step is a pure cache hit.
@@ -257,7 +263,7 @@ class KyrixFrontend:
         return response, breakdown
 
     def _render_layer(
-        self, layer_plan: LayerPlan, objects: list[dict[str, Any]], viewport: Viewport
+        self, layer_plan: LayerPlan, objects: RowBatch, viewport: Viewport
     ) -> float:
         spec = self._spec()
         layer = spec.canvas(layer_plan.canvas_id).layer(layer_plan.layer_index)

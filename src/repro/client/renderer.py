@@ -9,6 +9,8 @@ collector can attribute render time per interaction step.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -48,7 +50,7 @@ class RasterRenderer:
 
     def render_objects(
         self,
-        objects: list[dict[str, Any]],
+        objects: Iterable[dict[str, Any]],
         renderer: Renderer,
         viewport: Viewport,
     ) -> int:
@@ -94,10 +96,11 @@ class RasterRenderer:
         raise ClientError(f"unknown render primitive kind {kind!r}")
 
     def _draw_rect(self, x: float, y: float, width: float, height: float, intensity: float) -> bool:
-        x0 = max(0, int(np.floor(x)))
-        y0 = max(0, int(np.floor(y)))
-        x1 = min(self.width, int(np.ceil(x + width)))
-        y1 = min(self.height, int(np.ceil(y + height)))
+        # Scalar math, not numpy: a numpy ufunc on one float costs twice as much.
+        x0 = max(0, math.floor(x))
+        y0 = max(0, math.floor(y))
+        x1 = min(self.width, math.ceil(x + width))
+        y1 = min(self.height, math.ceil(y + height))
         if x0 >= x1 or y0 >= y1:
             return False
         self.buffer[y0:y1, x0:x1] += intensity

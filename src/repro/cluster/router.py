@@ -43,14 +43,13 @@ import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from ..compiler.plan import CompiledApplication
 from ..config import ClusterConfig, KyrixConfig
 from ..errors import FetchError
-from ..net.protocol import ABSENT, DataRequest, DataResponse, RowBatch
+from ..net.protocol import ABSENT, DataRequest, DataResponse, RowBatch, concat_rows
 from ..server.tile import TileScheme
 from ..serving.middleware import CachingService, CoalescingService
 from ..serving.replica import DRAIN_TIMEOUT_S, ReplicaService
@@ -206,22 +205,10 @@ def gather_rows(shard_objects: list[Sequence[dict[str, Any]]]) -> RowBatch:
     order and ``repr`` gives a deterministic one.  The indexer's tables take
     neither detour: whole-list calls, no statement per row.
     """
-    filled = [objects for objects in shard_objects if len(objects)]
-    # One layout for the gather: a batch brings its names; a list built by hand (a
-    # canned or fault-injected shard) its rows' keys, and gets ABSENT where one lacks one.
-    names = tuple(dict.fromkeys(chain.from_iterable(
-        objects.names if isinstance(objects, RowBatch) else chain.from_iterable(objects)
-        for objects in filled
-    )))
-    batches = [
-        objects if isinstance(objects, RowBatch)
-        else RowBatch(names, [tuple(map(obj.get, names, repeat(ABSENT))) for obj in objects], True)
-        for objects in filled
-    ]
-    if any(batch.names != names for batch in batches):  # one layer, one table, one schema
-        raise FetchError(f"shards answered with columns other than {names}")
-    rows = list(chain.from_iterable(batch.tuples() for batch in batches))
-    sparse = any(batch.sparse for batch in batches)
+    # One layout for the gather (a canned or fault-injected shard answers with
+    # a list built by hand), and one set of columns on every shard.
+    gathered = concat_rows(shard_objects)
+    names, rows, sparse = gathered.names, gathered.rows, gathered.sparse
     by_id = itemgetter(names.index("tuple_id")) if "tuple_id" in names else None
     ids = list(map(by_id, rows)) if by_id else [None]
     identity: Callable[[tuple[Any, ...]], Any] = by_id

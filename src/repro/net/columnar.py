@@ -384,7 +384,7 @@ def _encode_objects(out: bytearray, objects: RowBatch | list[dict[str, Any]]) ->
     n_rows = len(objects)
     if isinstance(objects, RowBatch):
         # No row, no column: an empty batch is the frame ``[]`` always was.
-        columns = dict(zip(objects.names, zip(*objects.tuples())))
+        columns = dict(zip(objects.names, zip(*objects.rows)))
     else:
         # Decoded from JSON or built by hand, maybe sparse: gathered key by key.
         columns = {

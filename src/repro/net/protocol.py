@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, replace
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any
 
-from ..errors import ProtocolError
+from ..errors import FetchError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -134,66 +134,77 @@ ABSENT = _Absent()
 class RowBatch(Sequence):
     """The objects of a response as the engine made them: names + row tuples.
 
-    To a reader a batch *is* the list of row dictionaries it stands for
-    (``len``, iteration, indexing, ``==``), but below the edge nobody reads a
-    row: the backend hands over ``ResultSet``'s tuples, the shard wire
-    transposes them, the router sorts them, the caches pass the batch along.
-    The first reader has the dictionaries built (:meth:`to_dicts`); they
-    replace the tuples — one form at a time, swapped in one reference
-    assignment, so no lock — and are shared by everyone who holds the batch:
-    a cache hit hands back rows that already exist.  (First readers that race
-    may each build the rows; they are equal and the later list stays.)
-    ``names`` are distinct; a ``sparse`` batch may hold :data:`ABSENT` cells.
+    To a reader a batch *is* the list of row dictionaries it stands for (``len``,
+    iteration, indexing, ``==``), but it holds no dictionary: a read builds the
+    rows it reads, fresh, and keeps none.  Below the edge nobody reads a row:
+    the backend hands over ``ResultSet``'s tuples, the shard wire transposes
+    them, the router sorts them, the caches and the frontend pass the batch on.
+    Nobody writes a batch once it is built, so its holders share it without a
+    lock, and no reader's edit reaches another.  ``rows`` are tuples in
+    ``names`` order; ``names`` are distinct; a ``sparse`` batch may hold
+    :data:`ABSENT` cells.
     """
 
-    __slots__ = ("names", "sparse", "_state")
+    __slots__ = ("names", "rows", "sparse")
 
-    def __init__(self, names: Iterable[str], tuples: list[tuple], sparse: bool = False) -> None:
+    def __init__(self, names: Iterable[str], rows: list[tuple], sparse: bool = False) -> None:
         self.names = tuple(names)
+        self.rows = rows
         self.sparse = sparse
-        #: ``(are they dictionaries yet?, the rows)``.
-        self._state: tuple[bool, list[Any]] = (False, tuples)
 
-    @property
-    def materialised(self) -> bool:
-        """Whether a reader has had the row dictionaries built."""
-        return self._state[0]
-
-    def tuples(self) -> list[tuple[Any, ...]]:
-        """The rows as tuples in ``names`` order (laid out again from the
-        dictionaries once those replaced them); never builds a dict."""
-        built, rows = self._state
-        if built:
-            names = self.names
-            return [tuple(map(row.get, names, repeat(ABSENT))) for row in rows]
-        return rows
+    def _dict(self, row: tuple[Any, ...]) -> dict[str, Any]:
+        if self.sparse:
+            return {name: cell for name, cell in zip(self.names, row) if cell is not ABSENT}
+        return dict(zip(self.names, row))
 
     def to_dicts(self) -> list[dict[str, Any]]:
-        """The rows as ``{column: value}`` dictionaries, built once: the edge's
-        call — frontend, HTTP server, JSON — and nobody else's (repolint ``edge-rows``)."""
-        built, rows = self._state
-        if not built:
-            names = self.names
-            rows = [dict(zip(names, row)) for row in rows]
-            if self.sparse:
-                rows = [{k: v for k, v in row.items() if v is not ABSENT} for row in rows]
-            self._state = (True, rows)
-        return rows
+        """New ``{column: value}`` rows on every call: the edge's call (repolint ``edge-rows``)."""
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self._state[1])
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self.to_dicts())
+        if self.sparse:
+            return map(self._dict, self.rows)
+        return map(dict, map(zip, repeat(self.names), self.rows))
 
     def __getitem__(self, index: Any) -> Any:
-        return self.to_dicts()[index]
+        if isinstance(index, slice):
+            return list(map(self._dict, self.rows[index]))
+        return self._dict(self.rows[index])
 
     def __eq__(self, other: object) -> bool:
         return self.to_dicts() == (other.to_dicts() if isinstance(other, RowBatch) else other)
 
     def __repr__(self) -> str:
         return repr(self.to_dicts())
+
+
+def concat_rows(parts: Sequence[Sequence[dict[str, Any]]]) -> RowBatch:
+    """The parts' rows in order as one batch: a layer's tiles, a request's shards.
+
+    A lone batch is the answer itself; empty parts are skipped (the codec
+    decodes zero rows with names ``()``).  A list of dictionaries (from JSON,
+    or built by hand) is laid out against all the parts' names, ABSENT where a
+    row lacks one.  One layer, one table: other names are a :class:`FetchError`.
+    """
+    if len(parts) == 1 and isinstance(parts[0], RowBatch):
+        return parts[0]
+    filled = [part for part in parts if len(part)]
+    names = tuple(dict.fromkeys(chain(  # the batches' names first: JSON sorts a row's keys
+        *(part.names for part in filled if isinstance(part, RowBatch)),
+        *(chain.from_iterable(part) for part in filled if not isinstance(part, RowBatch)),
+    )))
+    batches = [
+        part if isinstance(part, RowBatch)
+        else RowBatch(names, [tuple(map(obj.get, names, repeat(ABSENT))) for obj in part], True)
+        for part in filled
+    ]
+    if any(batch.names != names for batch in batches):  # one layer, one table, one schema
+        raise FetchError(f"parts answered with columns other than {names}")
+    rows = list(chain.from_iterable(batch.rows for batch in batches))
+    return RowBatch(names, rows, any(batch.sparse for batch in batches))
 
 
 @dataclass

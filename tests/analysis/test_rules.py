@@ -260,7 +260,8 @@ class TestEdgeRows:
     @pytest.mark.parametrize(
         "path",
         ["src/repro/server/backend.py", "src/repro/cluster/router.py",
-         "src/repro/serving/middleware.py", "src/repro/net/columnar.py"],
+         "src/repro/serving/middleware.py", "src/repro/net/columnar.py",
+         "src/repro/client/frontend.py", "src/repro/bench/experiments.py"],
     )
     def test_fires_below_the_edge(self, lint_source, path):
         findings = lint_source(self.VIOLATION, path=path, rule="edge-rows")
@@ -269,9 +270,9 @@ class TestEdgeRows:
 
     @pytest.mark.parametrize(
         "path",
-        ["src/repro/client/frontend.py", "src/repro/server/http_server.py",
+        ["src/repro/server/http_server.py",
          "src/repro/server/indexer.py", "src/repro/net/protocol.py",
-         "src/repro/bench/experiments.py", "tests/minisql/test_executor.py",
+         "tests/minisql/test_executor.py",
          "examples/quickstart.py", "benchmarks/bench_storage_engine.py"],
     )
     def test_silent_at_the_edges_and_outside_src(self, lint_source, path):
@@ -285,9 +286,20 @@ class TestEdgeRows:
 
             def handle(response):
                 reader = response.to_dicts
-                return RowBatch(response.objects.names, response.objects.tuples())
+                return RowBatch(response.objects.names, response.objects.rows)
         """
         assert lint_source(source, path="src/repro/minisql/executor.py", rule="edge-rows") == []
+
+    def test_fires_in_the_frontend_that_keeps_batches(self, lint_source):
+        # The frontend hands each layer's batch to its readers (the renderer,
+        # a click), which read a row at a time: a whole-batch to_dicts() there
+        # is a dict per object nobody asked for.
+        source = """
+            def _fetch_current_viewport(self, response):
+                self.visible_objects[0] = response.to_dicts()
+        """
+        findings = lint_source(source, path="src/repro/client/frontend.py", rule="edge-rows")
+        assert [f.line for f in findings] == [3]
 
 
 class TestSpanDiscipline:

@@ -3,14 +3,19 @@ prefetching and session replay."""
 
 import pytest
 
-from repro.bench.apps import default_config
+from repro.bench.apps import build_dots_application, default_config
 from repro.client.frontend import KyrixFrontend
 from repro.client.session import ExplorationSession
+from repro.compiler import compile_application
 from repro.config import INTERACTIVITY_BUDGET_MS, KyrixConfig
+from repro.core.jump import Jump
 from repro.core.viewport import Viewport
+from repro.datagen.synthetic import load_dots
 from repro.errors import JumpError, UnknownCanvasError
 from repro.server.prefetch import MomentumPrefetcher
 from repro.server.schemes import dbox50_scheme, dbox_scheme, tile_spatial_scheme
+from repro.serving import build_service
+from repro.storage.database import Database
 
 
 @pytest.fixture()
@@ -44,13 +49,34 @@ class TestLifecycle:
         assert viewport.y + viewport.height <= dots_stack.spec.canvas_height
 
 
+@pytest.fixture(scope="module")
+def clickable_dots(tiny_uniform_spec):
+    """The dots application plus a self-jump: clicking a dot centres on it."""
+    config = default_config(viewport=512)
+    app = build_dots_application(tiny_uniform_spec, config)
+    app.add_jump(Jump("dots", "dots", "pan", new_viewport=lambda row: (row["x"], row["y"])))
+    database = Database(config.storage)
+    load_dots(database, tiny_uniform_spec)
+    return build_service(config, database=database, compiled=compile_application(app))
+
+
 class TestDynamicBoxProtocol:
-    def test_pan_within_expanded_box_skips_fetch(self, dots_stack):
-        frontend = KyrixFrontend(dots_stack.backend, dbox50_scheme())
+    def test_pan_within_expanded_box_skips_fetch(self, clickable_dots):
+        frontend = KyrixFrontend(clickable_dots, dbox50_scheme(), render=True)
         frontend.load_canvas("dots", Viewport(1024, 1024, 512, 512))
+        shown = list(frontend.visible_objects[0])
+        assert shown
         breakdown = frontend.pan_by(50, 0)  # still inside the 50% larger box
         assert breakdown.requests == 0
         assert breakdown.cache_hit is True
+        # The layer keeps what it showed, and draws it into the new frame.
+        assert list(frontend.visible_objects[0]) == shown
+        assert frontend.renderer.stats.frames == 2
+        assert frontend.renderer.nonzero_pixels() > 0
+        # ...and a visible object still takes its jump.
+        clicked = frontend.visible_objects[0][0]
+        assert frontend.click(clicked).requests == 1
+        assert frontend.viewport == frontend.viewport.centered_at(clicked["x"], clicked["y"])
 
     def test_pan_outside_box_fetches_again(self, dots_stack):
         frontend = KyrixFrontend(dots_stack.backend, dbox50_scheme())

@@ -11,6 +11,7 @@ that freeze the format, and the typed fallbacks that keep it lossless.
 from __future__ import annotations
 
 import datetime
+import operator
 import socket
 import struct
 import threading
@@ -288,22 +289,25 @@ class TestResponseRoundTrip:
         assert via_binary == via_json
         assert via_binary.to_json() == via_json.to_json()
 
-    def test_a_batch_holds_one_form_at_a_time_and_encodes_the_same_in_either(self):
+    def test_a_batch_encodes_as_its_rows_and_reading_it_builds_new_ones(self):
         tuples = [(7, 1.5, (0.0, 1.0), None), (8, -2.25, (4.0, 5.0), "b")]
         batch = RowBatch(("tuple_id", "x", "bbox", "label"), list(tuples))
         as_tuples = columnar.encode_response(response(batch))
-        assert not batch.materialised, "encoding reads no row"
         assert as_tuples == columnar.encode_response(response([dict(obj) for obj in batch]))
-        # The first reader had the dictionaries built; the tuples are gone.
-        assert batch._state == (True, batch.to_dicts())
-        assert batch[0] is batch[0] and list(batch)[1] is batch[1]
+        # Every read builds the rows afresh: equal, never the same objects...
+        first, second = batch.to_dicts(), batch.to_dicts()
+        assert first == second and first is not second
+        assert not any(map(operator.is_, first, second))
+        assert batch[0] is not batch[0] and batch[:1] == first[:1]
+        # ...so an edit stays with the reader, and the batch is as it was.
+        first[0]["x"] = 0.0
+        assert batch[0]["x"] == 1.5 and batch.rows == tuples
         assert columnar.encode_response(response(batch)) == as_tuples
-        assert batch.tuples() == tuples
 
     def test_a_decoded_dense_block_is_a_batch_nobody_has_read(self):
         decoded = roundtrip(response([{"tuple_id": 1, "x": 0.5}, {"tuple_id": 2, "x": 1.5}]))
-        assert isinstance(decoded.objects, RowBatch) and not decoded.objects.materialised
-        assert decoded.objects.tuples() == [(1, 0.5), (2, 1.5)]
+        assert isinstance(decoded.objects, RowBatch) and not decoded.objects.sparse
+        assert decoded.objects.rows == [(1, 0.5), (2, 1.5)]
 
     def test_binary_encoding_is_smaller_than_json_for_wide_rows(self):
         objects = [

@@ -307,12 +307,13 @@ class TestBatchAgainstItsRowsAsDicts:
         as_dicts = [dict(zip(names, row)) for row in tuples]
         frame = columnar.encode_response(DataResponse(request=_BOX, objects=batch))
         assert frame == columnar.encode_response(DataResponse(request=_BOX, objects=as_dicts))
-        assert not batch.materialised, "encoding read a row"
         decoded, _ = columnar.decode_response(frame)
-        assert isinstance(decoded.objects, RowBatch) and not decoded.objects.materialised
+        assert isinstance(decoded.objects, RowBatch)
+        assert all(type(row) is tuple for row in decoded.objects.rows)
         assert columnar.encode_response(decoded) == frame
-        # One form at a time: read the rows, and the frame is still the frame.
-        assert repr(list(batch)) == repr(as_dicts)
+        # Reading the rows leaves the batch as it was, and the frame the frame.
+        assert repr(list(batch)) == repr(as_dicts) == repr(batch.to_dicts())
+        assert batch.rows == list(tuples)
         assert columnar.encode_response(DataResponse(request=_BOX, objects=batch)) == frame
 
     @given(dense_rows([_scalar, _bbox, _nested, st.one_of(st.integers(-5, 5), _floats)]))

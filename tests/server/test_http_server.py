@@ -6,7 +6,7 @@ import pytest
 
 flask = pytest.importorskip("flask")
 
-from repro.net.protocol import DataRequest
+from repro.net.protocol import DataRequest, RowBatch
 from repro.server.http_server import create_app
 
 
@@ -47,8 +47,8 @@ class TestHTTPServer:
 
     def test_dbox_endpoint_serialises_rows_not_the_batch(self, client, dots_stack):
         # The HTTP edge is where a batch's rows become dictionaries: the body
-        # carries the same objects the service's own JSON encoding does —
-        # and the cached batch hands the second request rows already built.
+        # carries the same objects the service's own JSON encoding does, and
+        # the cached batch answers the second request with the same body.
         url = "/dbox?canvas=dots&layer=0&xmin=7&ymin=7&xmax=519&ymax=519"
         payload = client.get(url).get_json()
         request = DataRequest(
@@ -56,7 +56,7 @@ class TestHTTPServer:
             granularity="box", xmin=7.0, ymin=7.0, xmax=519.0, ymax=519.0,
         )
         served = dots_stack.service.handle(request)
-        assert served.from_cache and served.objects.materialised
+        assert served.from_cache and isinstance(served.objects, RowBatch)
         assert payload["objects"] == json.loads(served.to_json())["objects"]
         assert payload["count"] == len(served.objects) > 0
         assert set(payload["objects"][0]) >= {"tuple_id", "bbox"}

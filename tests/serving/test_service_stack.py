@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import operator
 import sys
 import threading
 import time
@@ -173,10 +172,9 @@ TOPOLOGIES = {
 
 
 class TestRowsStayTuplesUntilTheEdge:
-    """Below ``KyrixFrontend`` / ``http_server`` nobody reads a row: what
-    ``handle`` returns is a batch whose dictionaries have not been built —
-    the one check that also sees a layer *iterating* a batch, which no lint
-    rule can."""
+    """Below ``http_server`` nobody reads a row: what ``handle`` returns is a
+    batch of the engine's tuples, and the caches and the frontend pass that
+    one batch along — a hit builds nothing."""
 
     @pytest.fixture(params=TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
     def service(self, request, dots_stack):
@@ -194,31 +192,30 @@ class TestRowsStayTuplesUntilTheEdge:
         for from_cache in (False, True):  # the query, then the server cache's hit
             response = service.handle(whole_canvas)
             assert response.from_cache is from_cache
-            assert isinstance(response.objects, RowBatch)
-            assert len(response.objects) == 2_000 and not response.objects.materialised
+            assert isinstance(response.objects, RowBatch) and not response.objects.sparse
+            assert len(response.objects) == 2_000
+            assert all(type(row) is tuple for row in response.objects.rows)
         if response.shard_ms:
             assert len(response.shard_ms) == 2, "the box should cross the shard border"
 
     def test_every_cache_hands_back_the_first_readers_rows(self, service, whole_canvas):
-        # A hit must not rebuild what a reader already had built (on
-        # ``cluster_hot`` the median step *is* a router-cache hit): the
-        # dictionaries live on the batch, and the caches share the batch.
+        # On ``cluster_hot`` the median step *is* a router-cache hit: the
+        # caches share the batch, and a dynamic-box layer shows it as it is.
         first_session = KyrixFrontend(service)
         first_session.load_canvas("dots", _viewport_over(whole_canvas))
         first = first_session.visible_objects[0]
-        assert len(first) == 2_000
+        assert isinstance(first, RowBatch) and len(first) == 2_000
         server_hit = service.handle(_box_of(first_session, whole_canvas))
-        assert server_hit.from_cache and server_hit.objects.materialised
-        assert all(map(operator.is_, server_hit.objects, first))
+        assert server_hit.from_cache and server_hit.objects is first
         second_session = KyrixFrontend(service)
         second_session.load_canvas("dots", _viewport_over(whole_canvas))
-        assert all(map(operator.is_, second_session.visible_objects[0], first))
+        assert second_session.visible_objects[0] is first
         # ...and the session's own cache: pan away and back.
         frontend_hit, breakdown = first_session._issue_request(
             _box_of(first_session, whole_canvas)
         )
         assert breakdown.cache_hit and breakdown.requests == 0
-        assert all(map(operator.is_, frontend_hit.objects, first))
+        assert frontend_hit.objects is first
 
     def test_a_coalesced_follower_shares_the_leaders_batch(self, dots_stack, whole_canvas):
         release = threading.Event()
@@ -237,8 +234,8 @@ class TestRowsStayTuplesUntilTheEdge:
             thread.join(timeout=10)
         leader, follower = sorted(answers, key=lambda response: response.coalesced)
         assert follower.coalesced and not leader.coalesced
-        assert follower.objects is leader.objects and not leader.objects.materialised
-        assert all(map(operator.is_, follower.objects, leader.objects))
+        assert follower.objects is leader.objects
+        assert all(type(row) is tuple for row in leader.objects.rows)
 
 
 class _Held(SerializedService):
