@@ -70,11 +70,10 @@ def main(num_points: int = 20_000) -> None:
 
     print(f"degraded pan: {pan(8, 8):,} objects over 8 steps "
           "(failover masked every fault)")
-    stats = router.stats
-    print("per-replica requests:", stats.per_replica_requests)
-    print("per-replica failures:", stats.per_replica_failures)
     for shard_id, layer in router.replica_sets().items():
         state = "open" if layer.breaker_open(0) else "closed"
+        print(f"shard {shard_id} requests per replica:", layer.stats.per_replica_requests())
+        print(f"shard {shard_id} failures per replica:", layer.stats.per_replica_failures())
         print(f"shard {shard_id} replica 0 breaker: {state}")
     service.close()
 

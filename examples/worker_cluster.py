@@ -91,8 +91,8 @@ def main() -> None:
         replica_set = processes.router.replica_sets()[0]
         state = "open" if replica_set.breaker_open(0) else "closed"
         print(f"served through the kill; shard0/replica0 breaker: {state}")
-        print("per-replica failures:",
-              processes.router.stats.per_replica_failures or "{}")
+        print("shard0 failures per replica:",
+              replica_set.stats.per_replica_failures())
     finally:
         threads.close()
         processes.close()

@@ -36,6 +36,7 @@ from .renderer import RasterRenderer
 
 if TYPE_CHECKING:
     from ..serving.base import DataService
+    from ..storage.rtree import Rect
 
 #: Predicted viewports warmed per pan (how far ahead the prefetcher looks).
 LOOKAHEAD_STEPS = 1
@@ -226,22 +227,23 @@ class KyrixFrontend:
         if not state.needs_fetch(viewport):
             state.record_skip()
             return []
-        calculator = scheme.box_calculator()
-        box = calculator.compute(viewport, canvas_plan.width, canvas_plan.height)
+        box = scheme.box_calculator().compute(viewport, canvas_plan.width, canvas_plan.height)
         state.record_fetch(box)
-        return [
-            DataRequest(
-                app_name=self.service.compiled.app_name,
-                canvas_id=layer_plan.canvas_id,
-                layer_index=layer_plan.layer_index,
-                granularity="box",
-                design=scheme.design,
-                xmin=box.xmin,
-                ymin=box.ymin,
-                xmax=box.xmax,
-                ymax=box.ymax,
-            )
-        ]
+        return [self._box_request(layer_plan, box)]
+
+    def _box_request(self, layer_plan: LayerPlan, box: Rect) -> DataRequest:
+        """The request for one layer's objects inside ``box``."""
+        return DataRequest(
+            app_name=self.service.compiled.app_name,
+            canvas_id=layer_plan.canvas_id,
+            layer_index=layer_plan.layer_index,
+            granularity="box",
+            design=self.scheme.design,
+            xmin=box.xmin,
+            ymin=box.ymin,
+            xmax=box.xmax,
+            ymax=box.ymax,
+        )
 
     def _issue_request(self, request: DataRequest) -> tuple[DataResponse, LatencyBreakdown]:
         """Serve a request from the frontend cache or from the backend."""
@@ -295,24 +297,12 @@ class KyrixFrontend:
         self, layer_plan: LayerPlan, viewport: Viewport, canvas_plan
     ) -> list[DataRequest]:
         """Requests covering a *predicted* viewport (does not disturb dbox state)."""
-        scheme = self.scheme
-        if scheme.is_tile:
+        if self.scheme.is_tile:
             return self._requests_for_layer(layer_plan, viewport, canvas_plan)
-        calculator = scheme.box_calculator()
-        box = calculator.compute(viewport, canvas_plan.width, canvas_plan.height)
-        return [
-            DataRequest(
-                app_name=self.service.compiled.app_name,
-                canvas_id=layer_plan.canvas_id,
-                layer_index=layer_plan.layer_index,
-                granularity="box",
-                design=scheme.design,
-                xmin=box.xmin,
-                ymin=box.ymin,
-                xmax=box.xmax,
-                ymax=box.ymax,
-            )
-        ]
+        box = self.scheme.box_calculator().compute(
+            viewport, canvas_plan.width, canvas_plan.height
+        )
+        return [self._box_request(layer_plan, box)]
 
     # -- helpers --------------------------------------------------------------------------------
 

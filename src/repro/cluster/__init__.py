@@ -36,7 +36,10 @@ coalesced behind one scatter-gather (via
 :class:`~repro.serving.middleware.CoalescingService` /
 :mod:`~repro.cluster.coalescer`), and a shared router LRU cache
 (:class:`~repro.serving.middleware.CachingService`) sits in front of
-everything.  With ``cluster.wire_shards`` (the default), every shard call
+everything.  Each layer counts its own events (``router.cache.stats``,
+``router.coalescer.stats``, each replica set's ``stats``);
+:class:`~repro.cluster.router.ClusterStats` counts only the
+scatter-gather's.  With ``cluster.wire_shards`` (the default), every shard call
 crosses the :mod:`repro.net.columnar` binary wire format through a
 :class:`~repro.serving.transport.TransportService`, so shard conversations
 are exactly what a multi-node deployment would put on the network.

@@ -318,12 +318,14 @@ class ClusterAutopilot:
         )
 
     def _replica_attempts(self) -> int:
-        """Total per-replica attempts recorded since the last swap."""
-        router = self.router
-        # Summing needs a consistent iteration; per-replica keys appear as
-        # replicas first take traffic, so iterate under the stats lock.
-        with router._stats_lock:
-            return sum(router.stats.per_replica_requests.values())
+        """Total replica attempts on the current generation's sets (each
+        generation builds its own, so the count starts at the last swap)."""
+        return sum(
+            count
+            for replica_set in self.router.replica_sets().values()
+            for counter, count in replica_set.stats.snapshot().items()
+            if counter.startswith("replica") and counter.endswith("_requests")
+        )
 
     def _decide(
         self, table: "ShardTable", delta: int, attempt_delta: int, skew: float

@@ -23,9 +23,14 @@ middleware stack over the scatter-gather core::
 
 With ``cluster.replicas > 1`` each shard call lands on a
 :class:`~repro.serving.replica.ReplicaService` that load-balances across
-the shard's replicas and fails over on replica faults; every replica
-attempt is reported back into :class:`ClusterStats` (``per_replica_requests``
-/ ``per_replica_failures``) so outages stay attributable.
+the shard's replicas and fails over on replica faults; each set counts its
+own attempts and failures per replica (``router.replica_sets()[shard].stats``),
+so outages stay attributable.
+
+Each event is counted once, by the layer it happens in: the router cache
+its hits and misses (``router.cache.stats``), the coalescer its leaders and
+followers (``router.coalescer.stats``), and :class:`ClusterStats` only what
+the scatter-gather itself does.
 
 ``DataResponse.query_ms`` of a gathered response is the measured wall time
 of the scatter-gather, routing to merge (so never less than the slowest
@@ -69,10 +74,9 @@ LOAD_SAMPLES = 4096
 def replica_key(shard_id: int, replica_index: int) -> str:
     """The canonical ``"shard{S}/replica{R}"`` key of per-replica maps.
 
-    Every producer of per-replica entries (:class:`ClusterStats` traffic
-    counters, :attr:`ShardTable.replica_checksums`) must format keys
-    through this helper so :meth:`ShardTable.divergent_replicas` can parse
-    them back.
+    Every producer of :attr:`ShardTable.replica_checksums` entries must
+    format keys through this helper so :meth:`ShardTable.divergent_replicas`
+    can parse them back.
     """
     return f"shard{shard_id}/replica{replica_index}"
 
@@ -137,17 +141,21 @@ class ShardTable:
             self.worker_pool.close()
 
 
+def _require_shards(table: ShardTable) -> None:
+    """Refuse a generation with nothing to serve (construction and every swap)."""
+    if not table.shards:
+        raise FetchError("a cluster needs at least one shard")
+
+
 @dataclass
 class ClusterStats:
-    """Traffic counters over the router's lifetime (nothing else).
+    """The scatter-gather's own counters over the router's lifetime.
 
     What is true of the built topology — replica checksums, the epoch —
-    lives on the current :class:`ShardTable`.
+    lives on the current :class:`ShardTable`; cache, coalescer and replica
+    traffic is counted by those layers' own stats.
     """
 
-    requests: int = 0
-    cache_hits: int = 0
-    coalesced_requests: int = 0
     scatter_gathers: int = 0
     shard_queries: int = 0
     duplicates_removed: int = 0
@@ -155,17 +163,6 @@ class ClusterStats:
     per_shard_requests: dict[int, int] = field(default_factory=dict)
     #: How many scatter-gathers touched exactly N shards (fan-out histogram).
     fanout: dict[int, int] = field(default_factory=dict)
-    #: Per-replica attempt counts, keyed ``"shard{S}/replica{R}"`` (only
-    #: populated when shards serve through a replica set).
-    per_replica_requests: dict[str, int] = field(default_factory=dict)
-    #: Per-replica failed-attempt counts, same keys.
-    per_replica_failures: dict[str, int] = field(default_factory=dict)
-
-    def record_replica_attempt(self, shard_id: int, replica_index: int, ok: bool) -> None:
-        key = replica_key(shard_id, replica_index)
-        self.per_replica_requests[key] = self.per_replica_requests.get(key, 0) + 1
-        if not ok:
-            self.per_replica_failures[key] = self.per_replica_failures.get(key, 0) + 1
 
     def record_scatter(self, shard_ids: list[int]) -> None:
         self.scatter_gathers += 1
@@ -177,17 +174,12 @@ class ClusterStats:
             )
 
     def reset(self) -> None:
-        self.requests = 0
-        self.cache_hits = 0
-        self.coalesced_requests = 0
         self.scatter_gathers = 0
         self.shard_queries = 0
         self.duplicates_removed = 0
         self.objects_returned = 0
         self.per_shard_requests.clear()
         self.fanout.clear()
-        self.per_replica_requests.clear()
-        self.per_replica_failures.clear()
 
 
 def gather_rows(shard_objects: list[Sequence[dict[str, Any]]]) -> RowBatch:
@@ -277,7 +269,7 @@ class ClusterRouter:
     def __init__(self, table: ShardTable, compiled: CompiledApplication) -> None:
         # The shard topology lives in a swappable ShardTable so an online
         # rebalance can replace it atomically (see swap_shards).
-        self._observe(table)
+        _require_shards(table)
         self._table = table
         self._table_lock = threading.Lock()
         self._table_drained = threading.Condition(self._table_lock)
@@ -290,10 +282,11 @@ class ClusterRouter:
             canvas_id: LoadHistogram(LOAD_SAMPLES)
             for canvas_id in table.partitionings
         }
+        # Written under the table lock: concurrent sessions are the router's
+        # normal traffic, so the read-modify-write updates must not lose
+        # increments, and a swap clears the per-shard ones atomically with
+        # installing the generation they describe.
         self.stats = ClusterStats()
-        # Counter updates are read-modify-write; concurrent sessions are the
-        # router's normal traffic, so they must not lose increments.
-        self._stats_lock = threading.Lock()
         # The middleware stack over the scatter-gather core.  ``self.cache``
         # and ``self.coalescer`` alias the middleware internals so existing
         # callers (tests, benchmarks) keep their handles.
@@ -314,17 +307,6 @@ class ClusterRouter:
         #: Back-reference to the ShardedCluster that built this router
         #: (set by :func:`repro.cluster.builder.build_cluster`).
         self.cluster: Any = None
-
-    def _observe(self, table: ShardTable) -> None:
-        """Wire a generation to this router before it serves (construction
-        and every swap): shards fronted by a replica set report each
-        attempt back here, so ClusterStats attributes traffic and failures
-        per replica."""
-        if not table.shards:
-            raise FetchError("a cluster needs at least one shard")
-        for shard in table.shards:
-            if isinstance(shard.service, ReplicaService):
-                shard.service.observer = self._replica_observer(shard.shard_id)
 
     @property
     def table(self) -> ShardTable:
@@ -377,14 +359,7 @@ class ClusterRouter:
         """
         return tuple(shard.service for shard in self.shards)
 
-    def _replica_observer(self, shard_id: int):
-        def record(replica_index: int, ok: bool) -> None:
-            with self._stats_lock:
-                self.stats.record_replica_attempt(shard_id, replica_index, ok)
-
-        return record
-
-    def replica_sets(self) -> dict[int, Any]:
+    def replica_sets(self) -> dict[int, ReplicaService]:
         """The shards' :class:`~repro.serving.replica.ReplicaService` layers."""
         return {
             shard.shard_id: shard.service
@@ -402,16 +377,8 @@ class ClusterRouter:
             granularity=request.granularity,
             design=request.design,
         ) as span:
-            with self._stats_lock:
-                self.stats.requests += 1
             self._resolve_layer(request)
             response = self._stack.handle(request)
-            if response.from_cache:
-                with self._stats_lock:
-                    self.stats.cache_hits += 1
-            elif response.coalesced:
-                with self._stats_lock:
-                    self.stats.coalesced_requests += 1
             span.set_attribute("from_cache", response.from_cache)
             span.set_attribute("coalesced", response.coalesced)
             return response
@@ -454,16 +421,16 @@ class ClusterRouter:
         refused (closed router) the new ``table`` is still the caller's to
         close.
 
-        Traffic counters keyed by shard or replica id
-        (``per_shard_requests`` / ``fanout`` / ``per_replica_*``) are
-        cleared: shard ids name *regions*, and the new generation's
-        regions are different objects — mixing the two would make the
-        post-rebalance skew unreadable.  The per-canvas load histograms
-        reset for the same reason: the next split must be driven by
-        traffic on the new boundaries, not by the hotspot this swap just
-        resolved.
+        Traffic counters keyed by shard id (``per_shard_requests`` /
+        ``fanout``) are cleared: shard ids name *regions*, and the new
+        generation's regions are different objects — mixing the two would
+        make the post-rebalance skew unreadable.  (Replica counters need no
+        clearing: every generation builds its own replica sets.)  The
+        per-canvas load histograms reset for the same reason: the next
+        split must be driven by traffic on the new boundaries, not by the
+        hotspot this swap just resolved.
         """
-        self._observe(table)
+        _require_shards(table)
         with self._table_lock:
             # Refuse to install shards on a closed router: close() captures
             # the current table under this same lock, so checking here
@@ -478,16 +445,13 @@ class ClusterRouter:
                 executor, self._executor = self._executor, None
             old = self._table
             self._table = table
-            # Clear per-shard/per-replica traffic inside the table lock:
-            # no request can pick up the new table until the lock drops,
-            # so the new epoch's counters start exactly empty, and
-            # old-generation stragglers skip recording via the stale-table
-            # guard in _scatter_gather_on.
-            with self._stats_lock:
-                self.stats.per_shard_requests.clear()
-                self.stats.fanout.clear()
-                self.stats.per_replica_requests.clear()
-                self.stats.per_replica_failures.clear()
+            # Clear per-shard traffic inside the table lock: no request can
+            # pick up the new table until the lock drops, so the new epoch's
+            # counters start exactly empty, and old-generation stragglers
+            # skip recording via the stale-table guard in
+            # _scatter_gather_traced.
+            self.stats.per_shard_requests.clear()
+            self.stats.fanout.clear()
             # The load histograms drove the split that produced this
             # generation; the *next* boundary decision must be shaped by
             # traffic the new boundaries actually see, not by hotspots
@@ -611,7 +575,7 @@ class ClusterRouter:
         partitioning = table.partitionings[request.canvas_id]
         shard_ids = partitioning.shards_for_rect(rect)
         scatter_span.set_attribute("fanout", len(shard_ids))
-        with self._stats_lock:
+        with self._table_lock:
             # Shard ids name *regions* of one epoch: a straggler still
             # finishing against a swapped-out table must not count its old
             # region ids against the new epoch's cleared counters.
@@ -670,7 +634,7 @@ class ClusterRouter:
             queries_issued=queries,
             shard_ms=shard_ms,
         )
-        with self._stats_lock:
+        with self._table_lock:
             self.stats.duplicates_removed += received - len(objects)
             self.stats.objects_returned += len(objects)
         return response
@@ -709,10 +673,6 @@ class ClusterRouter:
         return sum(
             shard.layer_density(canvas_id, layer_index) for shard in self.shards
         )
-
-    def cache_stats(self) -> dict[str, float]:
-        """Hit/miss counters of the shared router cache."""
-        return self.cache.stats.snapshot()
 
     def describe(self) -> dict[str, Any]:
         """Cluster topology: shard row counts and per-canvas regions."""

@@ -42,8 +42,8 @@ def _stats_payload(value: Any, depth: int = 0) -> Any:
     """Recursively turn a stats object into JSON-encodable data.
 
     Services expose heterogeneous stats: dataclasses (``BackendStats``),
-    objects with a ``snapshot()`` method (``ClusterStats``, middleware
-    counters), plain dicts/lists, and scalars — often *nested* (a cluster's
+    objects with a ``snapshot()`` method (middleware counters), plain
+    dicts/lists, and scalars — often *nested* (a cluster's
     snapshot holds per-shard stats objects).  Each level is resolved with
     the same rules, so every topology's ``/stats`` serves real JSON instead
     of ``str()`` debris.
@@ -113,8 +113,15 @@ def create_app(backend: "DataService"):
             payload["cache_hit_rate"] = cache.stats.hit_rate()
         table = getattr(backend, "table", None)
         if table is not None:
-            # A cluster also reports what is true of the generation it is
-            # serving from (its stats are traffic counters only).
+            # A cluster's own stats are the scatter-gather's counters; each
+            # layer above and below it counts its own events, and what is
+            # true of the generation it is serving from sits beside them.
+            payload["cache"] = cache.stats.snapshot()
+            payload["coalescer"] = asdict(backend.coalescer.stats)
+            payload["replica_sets"] = {
+                str(shard_id): replica_set.stats.snapshot()
+                for shard_id, replica_set in backend.replica_sets().items()
+            }
             payload["epoch"] = table.epoch
             payload["replica_checksums"] = dict(table.replica_checksums)
         return jsonify(payload)

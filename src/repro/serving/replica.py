@@ -164,10 +164,6 @@ class ReplicaService:
         Anything with a ``now_ms`` property — a
         :class:`~repro.metrics.timer.VirtualClock` for deterministic tests,
         real time by default.
-    observer:
-        Optional ``(replica_index, ok) -> None`` hook called after every
-        attempt; the cluster router uses it to attribute replica traffic in
-        :class:`~repro.cluster.router.ClusterStats`.
     """
 
     def __init__(
@@ -179,7 +175,6 @@ class ReplicaService:
         breaker_reset_s: float = 30.0,
         timeout_ms: float | None = None,
         clock: Any | None = None,
-        observer: Callable[[int, bool], None] | None = None,
     ) -> None:
         if not replicas:
             raise FetchError("a replica set needs at least one replica")
@@ -195,7 +190,6 @@ class ReplicaService:
         self.breaker_reset_s = breaker_reset_s
         self.timeout_ms = timeout_ms
         self.clock = clock if clock is not None else MonotonicClock()
-        self.observer = observer
         self.stats = ReplicaSetStats(len(self._replicas))
         self._lock = threading.Lock()
         # Condition over the same lock: swap_replica waits on it for the
@@ -314,8 +308,6 @@ class ReplicaService:
         if opened:
             counters.append("breaker_opens")
         self.stats.count(*counters)
-        if self.observer is not None:
-            self.observer(index, ok)
 
     # -- online replica replacement -----------------------------------------
 

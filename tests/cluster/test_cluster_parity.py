@@ -103,7 +103,7 @@ def test_router_cache_and_per_shard_timers(eeg_parity_stack):
     second = cluster.router.handle(data_request)
     assert second.from_cache is True
     assert second.objects == first.objects
-    assert cluster.router.cache_stats()["hits"] == 1
+    assert cluster.router.cache.stats.hits == 1
 
 
 def test_cluster_enabled_config_builds_router():
@@ -122,7 +122,7 @@ def test_cluster_enabled_config_builds_router():
 
     result = replay(stack, dbox_scheme(), [(0.0, 0.0), (512.0, 0.0), (1024.0, 256.0)])
     assert result.steps == 2
-    assert stack.cluster.router.stats.requests > 0
+    assert stack.cluster.router.stats.scatter_gathers > 0
     assert stack.backend.stats.queries_issued == 0  # single backend never queried
 
     plain = build_dots_backend(spec, config=default_config(viewport=512))

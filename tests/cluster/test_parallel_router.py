@@ -104,13 +104,14 @@ def test_parallel_router_under_concurrent_sessions(usmap_parity_stack):
         for thread in pool:
             thread.join()
         assert not errors, errors[0]
-        # No lost increments: every handle() call was counted.
-        assert cluster.router.stats.requests == threads * rounds * len(requests)
-        # Every request after the first per key is a cache hit or coalesced.
-        stats = cluster.router.stats
-        assert stats.cache_hits + stats.coalesced_requests + stats.scatter_gathers == (
-            stats.requests
-        )
+        # No lost increments, each event counted once by its own layer:
+        # every handle() call looked up the cache once, every miss led or
+        # followed exactly one coalesced call, every leader scattered once.
+        cache = cluster.router.cache.stats
+        coalescer = cluster.router.coalescer.stats
+        assert cache.hits + cache.misses == threads * rounds * len(requests)
+        assert coalescer.leaders == cluster.router.stats.scatter_gathers
+        assert coalescer.leaders + coalescer.followers == cache.misses
     finally:
         cluster.close()
 

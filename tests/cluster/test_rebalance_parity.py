@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -159,14 +160,18 @@ class _GateClock:
         assert self.release.wait(timeout=60.0), "gate never released"
 
 
+@pytest.mark.parametrize("replicas", [1, 2])
 def test_cluster_handle_reads_the_live_generation_during_the_drain(
-    usmap_parity_stack,
+    usmap_parity_stack, replicas
 ):
     """The handle has no copy of the generation to fall behind: while a
     slow request still holds generation 0 in its drain window, cluster and
-    router already agree on generation 1."""
+    router already agree on generation 1 — and once the straggler finishes,
+    no counter reachable from the router counts it against generation 1."""
     stack = usmap_parity_stack
-    cluster = build_cluster(stack.backend, shard_count=2, strategy="grid")
+    cluster = build_cluster(
+        stack.backend, shard_count=2, strategy="grid", replicas=replicas
+    )
     router = cluster.router
     gate = _GateClock()
     try:
@@ -216,6 +221,18 @@ def test_cluster_handle_reads_the_live_generation_during_the_drain(
         assert not slow.is_alive() and not migration.is_alive()
         assert served == [expected], "the straggler finished on its generation"
         assert reports[0].swapped and reports[0].drained
+
+        # Nothing has been served on generation 1 yet: every counter keyed
+        # by its shards or replicas is still empty.
+        keyed = {
+            name: value
+            for name, value in asdict(router.stats).items()
+            if isinstance(value, dict)
+        }
+        assert not any(keyed.values()), keyed
+        assert len(router.replica_sets()) == (4 if replicas > 1 else 0)
+        for shard_id, replica_set in router.replica_sets().items():
+            assert replica_set.stats.snapshot() == {}, shard_id
     finally:
         gate.release.set()
         cluster.close()

@@ -56,8 +56,7 @@ def test_failover_is_byte_identical_to_single_replica(
 
         stats = replicated.router.stats
         # Failures are attributed to the broken replicas and nothing else.
-        assert sum(stats.per_replica_failures.values()) > 0
-        assert all(key.endswith("/replica0") for key in stats.per_replica_failures)
+        assert sum(layer.stats.failures_for(0) for layer in replica_sets.values()) > 0
         for shard_id, layer in replica_sets.items():
             assert all(
                 layer.stats.failures_for(index) == 0 for index in range(1, replicas)
@@ -65,9 +64,6 @@ def test_failover_is_byte_identical_to_single_replica(
             assert layer.stats.failures_for(0) == layer.stats.requests_for(0)
             # Every attempt on the dead replica was failed over, none lost.
             assert layer.stats.failovers == layer.stats.failures_for(0)
-            assert stats.per_replica_failures.get(
-                f"shard{shard_id}/replica0", 0
-            ) == layer.stats.failures_for(0)
             # The healthy replicas served every scatter that hit the shard.
             assert sum(
                 layer.stats.requests_for(index) for index in range(1, replicas)
@@ -92,7 +88,8 @@ def test_replicated_cluster_without_faults_matches_baseline(usmap_parity_stack):
             assert _payload_bytes(replicated.router.handle(data_request)) == (
                 _payload_bytes(baseline.router.handle(data_request))
             )
-        assert not replicated.router.stats.per_replica_failures
+        for layer in replicated.router.replica_sets().values():
+            assert not any(layer.stats.per_replica_failures().values())
     finally:
         baseline.close()
         replicated.close()

@@ -11,8 +11,9 @@ topology the cluster supports —
   ``SocketTransport`` speaking length-prefixed frames on localhost TCP —
 
 the same request stream must produce **byte-identical** ``DataResponse``
-payloads and exactly the same ``ClusterStats`` attribution (scatter counts,
-per-shard requests, fan-out histogram, per-replica attempts) on both
+payloads and exactly the same traffic attribution (router-cache hits and
+misses, scatter counts, per-shard requests, fan-out histogram, per-replica
+attempts, each read from the layer that counts it) on both
 evaluation applications (usmap + EEG), at 2 and 4 shards, with 1 and 2
 replicas per shard.  The router cannot tell the topologies apart, and the
 stats prove none of them drops, duplicates or re-routes a single request.
@@ -21,7 +22,7 @@ stats prove none of them drops, duplicates or re-routes a single request.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -42,19 +43,18 @@ TOPOLOGIES = {
 }
 
 
-def _attribution(stats) -> dict:
-    """The traffic-attribution identity of one router's ClusterStats."""
+def _attribution(router) -> dict:
+    """The traffic-attribution identity of one router: its cache's counters,
+    its ``ClusterStats`` and each replica set's own counters."""
+    cache = router.cache.stats
     return {
-        "requests": stats.requests,
-        "cache_hits": stats.cache_hits,
-        "scatter_gathers": stats.scatter_gathers,
-        "shard_queries": stats.shard_queries,
-        "duplicates_removed": stats.duplicates_removed,
-        "objects_returned": stats.objects_returned,
-        "per_shard_requests": dict(stats.per_shard_requests),
-        "fanout": dict(stats.fanout),
-        "per_replica_requests": dict(stats.per_replica_requests),
-        "per_replica_failures": dict(stats.per_replica_failures),
+        "cache_hits": cache.hits,
+        "cache_misses": cache.misses,
+        **asdict(router.stats),
+        "replica_sets": {
+            shard_id: replica_set.stats.snapshot()
+            for shard_id, replica_set in router.replica_sets().items()
+        },
     }
 
 
@@ -83,7 +83,7 @@ def test_topologies_are_byte_identical_and_attribute_identically(
             payloads[topology] = [
                 payload_bytes(cluster.router.handle(r)) for r in requests
             ]
-            attributions[topology] = _attribution(cluster.router.stats)
+            attributions[topology] = _attribution(cluster.router)
             checksums[topology] = dict(cluster.router.table.replica_checksums)
             wire_bytes[topology] = collect_wire_stats(cluster.router).bytes_total
             assert cluster.router.divergent_replicas() == {}
@@ -138,9 +138,12 @@ def test_topologies_are_byte_identical_and_attribute_identically(
     assert reference["scatter_gathers"] > 0
     assert sum(reference["per_shard_requests"].values()) == reference["shard_queries"]
     if replicas > 1:
-        assert sum(reference["per_replica_requests"].values()) == (
-            reference["shard_queries"]
-        )
+        assert len(reference["replica_sets"]) == shard_count
+        for shard_id, counts in reference["replica_sets"].items():
+            attempts = sum(counts.get(f"replica{r}_requests", 0) for r in range(replicas))
+            assert attempts == counts["requests"] == (
+                reference["per_shard_requests"].get(shard_id, 0)
+            )
 
 
 def test_cluster_stats_reset_zeroes_every_field():
@@ -174,7 +177,8 @@ def test_a_replay_after_a_cache_reset_is_cold(topology):
         tiny_spec("uniform", num_points=1_000, seed=5), config=config
     )
     positions = [(0.0, 0.0), (4096.0, 0.0), (4096.0, 2048.0)]
-    stats = stack.cluster.router.stats
+    router = stack.cluster.router
+    stats = router.stats
     try:
         queried = [stats.shard_queries]
         first = replay(stack, dbox_scheme(), positions)
@@ -184,7 +188,7 @@ def test_a_replay_after_a_cache_reset_is_cold(topology):
     finally:
         stack.service.close()
     assert not any(step.cache_hit for step in second.metrics.steps)
-    assert stats.cache_hits == 0
+    assert router.cache.stats.hits == 0
     assert queried[2] - queried[1] == queried[1] - queried[0] > 0
     assert [s.objects_fetched for s in second.metrics.steps] == [
         s.objects_fetched for s in first.metrics.steps

@@ -121,13 +121,30 @@ class TestStatsSerialization:
         try:
             client = app.test_client()
             client.get("/dbox?canvas=dots&layer=0&xmin=0&ymin=0&xmax=256&ymax=256")
+            client.get("/dbox?canvas=dots&layer=0&xmin=0&ymin=0&xmax=256&ymax=256")
             payload = client.get("/stats").get_json()
-            cluster.router.stats.reset()
+            # A cold reset: every stats object on the serving path.
+            router = cluster.router
+            router.stats.reset()
+            router.cache.stats.reset()
+            router.coalescer.stats.reset()
+            for replica_set in router.replica_sets().values():
+                replica_set.stats.reset()
             after_reset = client.get("/stats").get_json()
         finally:
             cluster.close()
-        assert payload["requests"] == 1
         assert payload["scatter_gathers"] == 1
+        # Each layer's own counters, served beside the scatter-gather's.
+        assert payload["cache"]["hits"] == payload["cache"]["misses"] == 1
+        assert payload["coalescer"] == {"leaders": 1, "followers": 0}
+        replica_sets = payload["replica_sets"]
+        assert set(replica_sets) == {"0", "1"}
+        attempts = sum(
+            counts.get(f"replica{index}_requests", 0)
+            for counts in replica_sets.values()
+            for index in range(2)
+        )
+        assert attempts == payload["shard_queries"] > 0
         # Nested dicts survive as dicts (keys become strings in JSON).
         assert isinstance(payload["per_shard_requests"], dict)
         assert isinstance(payload["fanout"], dict)
@@ -137,7 +154,10 @@ class TestStatsSerialization:
         assert set(payload["replica_checksums"]) == {
             f"shard{s}/replica{r}" for s in range(2) for r in range(2)
         }
-        assert after_reset["requests"] == 0
+        assert after_reset["scatter_gathers"] == 0
+        assert after_reset["cache"]["hits"] == after_reset["cache"]["misses"] == 0
+        assert after_reset["coalescer"] == {"leaders": 0, "followers": 0}
+        assert after_reset["replica_sets"] == {"0": {}, "1": {}}
         assert after_reset["replica_checksums"] == payload["replica_checksums"]
 
     def test_nested_non_dataclass_stats_are_recursed(self, dots_stack):

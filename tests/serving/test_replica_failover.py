@@ -452,12 +452,10 @@ class TestKillReplicaMidSession:
                 assert _payload_bytes(replicated.router.handle(request)) == (
                     _payload_bytes(baseline.router.handle(request))
                 )
-            stats = replicated.router.stats
             # Failures are attributed to replica 0 only.
-            assert all(
-                key.endswith("/replica0") for key in stats.per_replica_failures
-            )
-            assert sum(stats.per_replica_failures.values()) > 0
+            replica_sets = replicated.router.replica_sets().values()
+            assert all(layer.stats.failures_for(1) == 0 for layer in replica_sets)
+            assert sum(layer.stats.failures_for(0) for layer in replica_sets) > 0
         finally:
             baseline.close()
             replicated.close()

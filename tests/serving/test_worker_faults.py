@@ -71,18 +71,22 @@ def test_worker_death_is_fatal_and_opens_the_breaker(dots_stack, worker_cluster)
     # Drive traffic at shard 0 until the dead replica has been attempted.
     for i in range(4):
         worker_cluster.router.handle(_box(dots_stack, i + 1))
-    replica_set = worker_cluster.router.replica_sets()[0]
-    stats = worker_cluster.router.stats
+    replica_sets = worker_cluster.router.replica_sets()
+    replica_set = replica_sets[0]
 
-    failures = stats.per_replica_failures.get("shard0/replica0", 0)
+    failures = replica_set.stats.failures_for(0)
     # Fatal failure: the very first WorkerConnectionError opens the breaker
     # (breaker_threshold is 3, but a dead process earns no doomed retries),
     # and the open breaker shields the replica from further attempts.
     assert failures == 1, "expected exactly one fatal attempt at the dead worker"
     assert replica_set.breaker_open(0)
     # Every failure is attributed to the killed replica and nothing else.
-    assert set(stats.per_replica_failures) == {"shard0/replica0"}
-    assert replica_set.stats.failures_for(1) == 0
+    assert {
+        (shard_id, index): count
+        for shard_id, layer in replica_sets.items()
+        for index, count in layer.stats.per_replica_failures().items()
+        if count
+    } == {(0, 0): 1}
 
 
 def test_single_replica_worker_death_surfaces_typed_error(dots_stack):
