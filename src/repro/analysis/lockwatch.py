@@ -11,7 +11,7 @@ when the interleaving that would actually deadlock never fires in the run.
 
 Opt-in, two ways:
 
-* ``REPRO_LOCKWATCH=1`` in the environment — ``tests/serving/conftest.py``
+* ``REPRO_LOCKWATCH=1`` in the environment — ``tests/conftest.py``
   installs the watch for the whole session and verifies the graph after
   every test (this is how CI runs the concurrency hammers);
 * programmatic — ``watch = LockWatch(); lock = watch.wrap(threading.Lock(),

@@ -1,10 +1,11 @@
 """The cluster router: parallel scatter-gather over shard backends.
 
 A :class:`ClusterRouter` implements the :class:`~repro.serving.base.DataService`
-protocol (``handle`` / ``warm`` / ``canvas_info`` / ``layer_density`` plus
-``compiled`` / ``config`` / ``stats`` / ``close``), so frontends and sessions
-drive a cluster exactly like a single backend.  Internally it is a composed
-middleware stack over the scatter-gather core::
+protocol (``handle`` plus ``compiled`` / ``config`` / ``stats`` /
+``close``), so frontends and sessions drive a cluster exactly like a single
+backend; canvas metadata is the compiled plan's (``compiled.canvas_info``),
+never a shard's, so it outlives any shard.  Internally the router is a
+composed middleware stack over the scatter-gather core::
 
     CachingService( CoalescingService( scatter-gather ) )
 
@@ -55,6 +56,7 @@ from ..compiler.plan import CompiledApplication
 from ..config import ClusterConfig, KyrixConfig
 from ..errors import FetchError
 from ..net.protocol import ABSENT, DataRequest, DataResponse, RowBatch, concat_rows
+from ..server.backend import box_rect
 from ..server.tile import TileScheme
 from ..serving.middleware import CachingService, CoalescingService
 from ..serving.replica import DRAIN_TIMEOUT_S, ReplicaService
@@ -250,15 +252,6 @@ class _ScatterGatherService:
     def handle(self, request: DataRequest) -> DataResponse:
         return self.router._scatter_gather(request)
 
-    def warm(self, request: DataRequest) -> None:
-        self.router._scatter_gather(request)
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        return self.router.canvas_info(canvas_id)
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        return self.router.layer_density(canvas_id, layer_index)
-
     def close(self) -> None:
         pass
 
@@ -382,11 +375,6 @@ class ClusterRouter:
             span.set_attribute("from_cache", response.from_cache)
             span.set_attribute("coalesced", response.coalesced)
             return response
-
-    def warm(self, request: DataRequest) -> None:
-        """Execute a request purely to populate the router cache (prefetch)."""
-        if self.cache.peek(request.cache_key()) is None:
-            self.handle(request)
 
     def close(self) -> None:
         """Shut down the scatter executor, shard stacks and worker processes."""
@@ -650,29 +638,8 @@ class ClusterRouter:
             )
             return scheme.tile_rect(request.tile_id)
         if request.granularity == "box":
-            if None in (request.xmin, request.ymin, request.xmax, request.ymax):
-                raise FetchError("box requests need xmin/ymin/xmax/ymax")
-            return Rect(request.xmin, request.ymin, request.xmax, request.ymax)
+            return box_rect(request)
         raise FetchError(f"unknown granularity {request.granularity!r}")
-
-    # -- metadata for the frontend -----------------------------------------------------
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        """Canvas summary plus the shard regions serving it."""
-        table = self._table  # one read: shards and regions from one epoch
-        info = table.shards[0].canvas_info(canvas_id)
-        info["shards"] = table.partitionings[canvas_id].describe()["regions"]
-        return info
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        """Average objects per canvas pixel² for one layer.
-
-        Summed over shards, so boundary replicas are counted once per shard
-        that stores them — a slight overestimate on heavily straddled data.
-        """
-        return sum(
-            shard.layer_density(canvas_id, layer_index) for shard in self.shards
-        )
 
     def describe(self) -> dict[str, Any]:
         """Cluster topology: shard row counts and per-canvas regions."""

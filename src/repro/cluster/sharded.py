@@ -76,12 +76,6 @@ class ShardHandle:
     def handle(self, request):
         return self.service.handle(request)
 
-    def canvas_info(self, canvas_id: str):
-        return self.service.canvas_info(canvas_id)
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        return self.service.layer_density(canvas_id, layer_index)
-
     def close(self) -> None:
         self.service.close()
 

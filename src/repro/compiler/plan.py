@@ -144,6 +144,26 @@ class CompiledApplication:
             )
         return canvas_plan.layers[layer_index]
 
+    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
+        """Size and layer summary of a canvas (the frontend's bootstrap call)."""
+        if canvas_id not in self.canvases:
+            raise UnknownCanvasError(f"no canvas {canvas_id!r}")
+        plan = self.canvas_plan(canvas_id)
+        return {
+            "canvas_id": canvas_id,
+            "width": plan.width,
+            "height": plan.height,
+            "layers": [
+                {
+                    "index": layer.layer_index,
+                    "name": layer.layer_name,
+                    "static": layer.static,
+                    "separable": layer.separable,
+                }
+                for layer in plan.layers
+            ],
+        }
+
     def all_layer_plans(self) -> list[LayerPlan]:
         plans: list[LayerPlan] = []
         for canvas in self.canvases.values():

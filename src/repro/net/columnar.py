@@ -24,13 +24,12 @@ selects the kind:
   (a JSON blob), and the objects as a columnar block.
 * ``MSG_ERROR`` — an exception type name and message; the stub re-raises
   it as a :class:`~repro.serving.transport.TransportError`.
-* ``MSG_CALL`` / ``MSG_RESULT`` — the metadata operations (``warm`` /
-  ``canvas_info`` / ``layer_density``): an operation name plus a small
-  JSON parameter body one way, a JSON value the other.
 
-An unknown kind byte, a truncated body or trailing bytes raise a typed
-:class:`~repro.errors.ProtocolError` — a garbled frame never decodes to a
-plausible value.
+There is no other kind: ``handle`` is the one operation a shard serves
+(canvas metadata is a function of the compiled plan, which never crosses
+the wire).  An unknown kind byte, a truncated body or trailing bytes raise
+a typed :class:`~repro.errors.ProtocolError` — a garbled frame never
+decodes to a plausible value.
 
 The columnar block stores, per column: the name, a one-byte type tag, a
 presence bitmap (key absent vs present), a null bitmap, then the packed
@@ -68,21 +67,15 @@ from .protocol import (
 )
 
 __all__ = [
-    "MSG_CALL",
     "MSG_ERROR",
     "MSG_REQUEST",
     "MSG_RESPONSE",
-    "MSG_RESULT",
-    "decode_call",
     "decode_error",
     "decode_request",
     "decode_response",
-    "decode_result",
-    "encode_call",
     "encode_error",
     "encode_request",
     "encode_response",
-    "encode_result",
     "message_kind",
 ]
 
@@ -90,8 +83,6 @@ __all__ = [
 MSG_REQUEST = 1
 MSG_RESPONSE = 2
 MSG_ERROR = 3
-MSG_CALL = 4
-MSG_RESULT = 5
 
 #: Column type tags of the columnar block.
 COL_JSON = 0  # per-cell canonical JSON (mixed / nested / exotic columns)
@@ -600,42 +591,6 @@ def decode_error(body: bytes) -> tuple[str, str]:
     message = reader.text()
     reader.expect_end()
     return name, message
-
-
-def encode_call(op: str, params: dict[str, Any]) -> bytes:
-    """Encode one metadata operation as a ``MSG_CALL`` message."""
-    out = bytearray()
-    out += _U8.pack(MSG_CALL)
-    _w_text(out, op)
-    _w_text(out, json.dumps(params, sort_keys=True))
-    return bytes(out)
-
-
-def decode_call(body: bytes) -> tuple[str, dict[str, Any]]:
-    """Decode a call message into ``(op, params)``."""
-    reader = _open(body, MSG_CALL, "a call")
-    op = reader.text()
-    params = reader.json()
-    reader.expect_end()
-    if not isinstance(params, dict):
-        raise ProtocolError("call parameters must be a JSON object")
-    return op, params
-
-
-def encode_result(value: Any) -> bytes:
-    """Encode a metadata operation's return value as a ``MSG_RESULT`` message."""
-    out = bytearray()
-    out += _U8.pack(MSG_RESULT)
-    _w_text(out, json.dumps(value, sort_keys=True, default=_reject_unencodable))
-    return bytes(out)
-
-
-def decode_result(body: bytes) -> Any:
-    """Decode a result message into the value it carries."""
-    reader = _open(body, MSG_RESULT, "a result")
-    value = reader.json()
-    reader.expect_end()
-    return value
 
 
 def message_kind(body: bytes) -> int:

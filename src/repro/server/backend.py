@@ -35,11 +35,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any
 
 from ..compiler.plan import CompiledApplication, LayerPlan
 from ..config import KyrixConfig
-from ..errors import FetchError, UnknownCanvasError
+from ..errors import FetchError
 from ..minisql.executor import PreparedStatement, SQLEngine
 from ..net.protocol import DataRequest, DataResponse, RowBatch
 from ..storage.database import Database
@@ -48,6 +47,21 @@ from ..telemetry import get_tracer
 from .indexer import Indexer, PrecomputeReport
 from .schemes import DESIGN_MAPPING, DESIGN_SPATIAL
 from .tile import TileScheme
+
+
+def box_rect(request: DataRequest) -> Rect:
+    """The rectangle a box request covers, its four bounds present and finite.
+
+    Checked wherever a box is first read — here and in the cluster router,
+    before any shard sees it — so bad bounds are the caller's error in
+    every topology, never a failing shard's.
+    """
+    if None in (request.xmin, request.ymin, request.xmax, request.ymax):
+        raise FetchError("box requests need xmin/ymin/xmax/ymax")
+    for name in ("xmin", "ymin", "xmax", "ymax"):
+        if not math.isfinite(bound := getattr(request, name)):
+            raise FetchError(f"box bound {name} must be finite, got {bound!r}")
+    return Rect(request.xmin, request.ymin, request.xmax, request.ymax)
 
 
 @dataclass
@@ -108,7 +122,9 @@ class KyrixBackend:
         with get_tracer().span(
             "execute", design=request.design, granularity=request.granularity
         ) as span:
-            layer_plan = self._resolve_layer(request)
+            layer_plan = self.compiled.require_layer_plan(
+                request.canvas_id, request.layer_index
+            )
             start = time.perf_counter()
             if request.granularity == "tile":
                 objects, queries = self._fetch_tile(request, layer_plan)
@@ -132,11 +148,6 @@ class KyrixBackend:
             span.set_attribute("objects", len(objects))
             return response
 
-    def warm(self, request: DataRequest) -> None:
-        """Run a request and drop the answer: the engine itself keeps nothing
-        warm (the caching layer above it warms through its own ``handle``)."""
-        self.handle(request)
-
     def close(self) -> None:
         """Nothing to release: the engine holds no serving-side resources."""
 
@@ -159,13 +170,7 @@ class KyrixBackend:
     def _fetch_box(
         self, request: DataRequest, layer_plan: LayerPlan
     ) -> tuple[RowBatch, int]:
-        if None in (request.xmin, request.ymin, request.xmax, request.ymax):
-            raise FetchError("box requests need xmin/ymin/xmax/ymax")
-        for name in ("xmin", "ymin", "xmax", "ymax"):
-            if not math.isfinite(bound := getattr(request, name)):
-                raise FetchError(f"box bound {name} must be finite, got {bound!r}")
-        rect = Rect(request.xmin, request.ymin, request.xmax, request.ymax)
-        return self._query_spatial(layer_plan, rect)
+        return self._query_spatial(layer_plan, box_rect(request))
 
     def _query_spatial(
         self, layer_plan: LayerPlan, rect: Rect
@@ -216,45 +221,3 @@ class KyrixBackend:
             )
         result = self.engine.execute(statement.bind(tile_id))
         return RowBatch(result.columns, result.rows), 1
-
-    # -- metadata for the frontend -------------------------------------------------------------
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        """Size and layer summary of a canvas (the frontend's bootstrap call)."""
-        if canvas_id not in self.compiled.canvases:
-            raise UnknownCanvasError(f"no canvas {canvas_id!r}")
-        plan = self.compiled.canvas_plan(canvas_id)
-        return {
-            "canvas_id": canvas_id,
-            "width": plan.width,
-            "height": plan.height,
-            "layers": [
-                {
-                    "index": layer.layer_index,
-                    "name": layer.layer_name,
-                    "static": layer.static,
-                    "separable": layer.separable,
-                }
-                for layer in plan.layers
-            ],
-        }
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        """Average objects per canvas pixel² for one layer (box sizing hint)."""
-        layer_plan = self._layer_plan(canvas_id, layer_index)
-        table_name = layer_plan.placement_table or layer_plan.source_table
-        if table_name is None or not self.database.has_table(table_name):
-            return 0.0
-        plan = self.compiled.canvas_plan(canvas_id)
-        area = plan.width * plan.height
-        if area <= 0:
-            return 0.0
-        return self.database.table(table_name).row_count / area
-
-    # -- helpers -------------------------------------------------------------------------------
-
-    def _resolve_layer(self, request: DataRequest) -> LayerPlan:
-        return self._layer_plan(request.canvas_id, request.layer_index)
-
-    def _layer_plan(self, canvas_id: str, layer_index: int) -> LayerPlan:
-        return self.compiled.require_layer_plan(canvas_id, layer_index)

@@ -7,12 +7,18 @@ over HTTP; this module exposes the same surface for any
 sharded cluster router):
 
 * ``GET  /app``                         — application / canvas catalogue,
-* ``GET  /canvas/<canvas_id>``          — canvas size and layer summary,
+* ``GET  /canvas/<canvas_id>``          — canvas size and layer summary
+  (read from the compiled plan, so it answers whatever the shards do),
 * ``GET  /tile``                        — one static tile of one layer,
 * ``GET  /dbox``                        — one dynamic box of one layer,
-* ``GET  /stats``                       — backend counters,
+* ``GET  /stats``                       — backend counters (a cluster's also
+  name its generation: epoch, shard regions, replica checksums),
 * ``GET  /metrics``                     — Prometheus-text span histograms,
 * ``GET  /trace/<trace_id>``            — one finished trace as JSON.
+
+A failure answers ``{"error": ...}``: 400 when the request was bad, 503
+when a part of the server was out (every replica of a shard, a worker
+process, the far side of a shard's wire).
 
 Flask is an optional dependency: importing this module without Flask
 installed raises a clear error only when :func:`create_app` is called, so
@@ -25,8 +31,9 @@ from __future__ import annotations
 from dataclasses import asdict, is_dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..errors import KyrixError, ServerError
+from ..errors import AllReplicasFailedError, KyrixError, ServerError, WorkerError
 from ..net.protocol import DataRequest
+from ..serving.transport import TransportError
 from ..telemetry import get_registry, get_tracer
 from .schemes import DESIGN_MAPPING, DESIGN_SPATIAL
 
@@ -78,13 +85,21 @@ def create_app(backend: "DataService"):
     def _handle_kyrix_error(error: KyrixError):
         return jsonify({"error": str(error)}), 400
 
+    # A part of the server failed, not the request: every replica of a
+    # shard, a worker process, or the far side of a shard's wire.
+    @app.errorhandler(AllReplicasFailedError)
+    @app.errorhandler(WorkerError)
+    @app.errorhandler(TransportError)
+    def _handle_outage(error: KyrixError):
+        return jsonify({"error": str(error)}), 503
+
     @app.get("/app")
     def application_info():
         return jsonify(backend.compiled.describe())
 
     @app.get("/canvas/<canvas_id>")
-    def canvas_info(canvas_id: str):
-        return jsonify(backend.canvas_info(canvas_id))
+    def canvas_metadata(canvas_id: str):
+        return jsonify(backend.compiled.canvas_info(canvas_id))
 
     @app.get("/tile")
     def fetch_tile():
@@ -123,6 +138,10 @@ def create_app(backend: "DataService"):
                 for shard_id, replica_set in backend.replica_sets().items()
             }
             payload["epoch"] = table.epoch
+            payload["partitionings"] = {
+                canvas_id: partitioning.describe()
+                for canvas_id, partitioning in table.partitionings.items()
+            }
             payload["replica_checksums"] = dict(table.replica_checksums)
         return jsonify(payload)
 

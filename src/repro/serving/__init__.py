@@ -3,9 +3,9 @@
 This package is the explicit form of the seam the paper draws between the
 frontend and the backend serving surface:
 
-* :mod:`repro.serving.base` — the :class:`DataService` protocol
-  (``handle`` / ``warm`` / ``canvas_info`` / ``layer_density`` plus
-  ``compiled`` / ``config`` / ``stats`` / ``close``) and the
+* :mod:`repro.serving.base` — the :class:`DataService` protocol (one
+  operation, ``handle``, plus ``compiled`` / ``config`` / ``stats`` /
+  ``close``; canvas metadata is ``compiled.canvas_info``) and the
   :class:`ServiceMiddleware` composition primitive,
 * :mod:`repro.serving.middleware` — :class:`CachingService`,
   :class:`CoalescingService` and :class:`SerializedService`, the

@@ -35,7 +35,9 @@ if TYPE_CHECKING:
 class DataService(Protocol):
     """The serving surface every backend, router, stub and middleware exposes.
 
-    ``compiled`` and ``config`` are the metadata frontends bootstrap from;
+    :meth:`handle` is the one operation.  ``compiled`` and ``config`` are
+    the metadata frontends bootstrap from — canvas metadata is a function of
+    the plan (``compiled.canvas_info``), so no layer serves it — and
     ``stats`` is an implementation-specific counters object (every layer of
     a stack keeps its own).  ``isinstance(obj, DataService)`` performs a
     structural check, so existing duck-typed callers keep working.
@@ -54,18 +56,6 @@ class DataService(Protocol):
         """Answer one data request."""
         ...
 
-    def warm(self, request: "DataRequest") -> None:
-        """Execute a request purely to populate caches (prefetch path)."""
-        ...
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        """Size and layer summary of a canvas (the frontend's bootstrap call)."""
-        ...
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        """Average objects per canvas pixel² for one layer."""
-        ...
-
     def close(self) -> None:
         """Release resources (worker pools, transports) held by the service."""
         ...
@@ -75,8 +65,8 @@ class ServiceMiddleware:
     """A ``DataService`` that wraps another and forwards everything.
 
     Subclasses override only the members they intercept (usually
-    :meth:`handle` and sometimes :meth:`warm` / ``stats``); metadata and
-    lifecycle calls pass straight through to ``inner``.
+    :meth:`handle` and sometimes ``stats``); metadata and lifecycle calls
+    pass straight through to ``inner``.
     """
 
     def __init__(self, inner: DataService) -> None:
@@ -96,15 +86,6 @@ class ServiceMiddleware:
 
     def handle(self, request: "DataRequest") -> "DataResponse":
         return self.inner.handle(request)
-
-    def warm(self, request: "DataRequest") -> None:
-        self.inner.warm(request)
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        return self.inner.canvas_info(canvas_id)
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        return self.inner.layer_density(canvas_id, layer_index)
 
     def close(self) -> None:
         self.inner.close()

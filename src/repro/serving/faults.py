@@ -52,7 +52,8 @@ class FaultRule:
     ``kind`` is ``"error"`` (raise :class:`InjectedFaultError`),
     ``"latency"`` (advance the virtual clock by ``latency_ms``) or
     ``"corrupt"`` (return a wrong payload).  The rule matches the calls of
-    operation ``op`` (``"*"`` for any) whose zero-based per-op call index
+    operation ``op`` — ``"handle"`` (a service), ``"roundtrip"`` (a
+    transport) or ``"*"`` for either — whose zero-based per-op call index
     lies in ``[start, start + count)``; ``count=None`` means forever.
     """
 
@@ -66,6 +67,10 @@ class FaultRule:
     def __post_init__(self) -> None:
         if self.kind not in ("error", "latency", "corrupt"):
             raise KyrixError(f"unknown fault kind {self.kind!r}")
+        if self.op not in ("handle", "roundtrip", "*"):
+            # Nothing consults a schedule for any other operation, so such a
+            # rule would never fire.
+            raise KyrixError(f"unknown fault op {self.op!r}")
         if self.start < 0 or (self.count is not None and self.count < 0):
             raise KyrixError("fault rule start/count must be non-negative")
 
@@ -218,18 +223,6 @@ class FaultInjectingService(ServiceMiddleware):
         if any(rule.kind == "corrupt" for rule in rules):
             return corrupted_response(request)
         return response
-
-    def warm(self, request: "DataRequest") -> None:
-        self._apply_pre(self.schedule.consult("warm"))
-        self.inner.warm(request)
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        self._apply_pre(self.schedule.consult("canvas_info"))
-        return self.inner.canvas_info(canvas_id)
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        self._apply_pre(self.schedule.consult("layer_density"))
-        return self.inner.layer_density(canvas_id, layer_index)
 
 
 class FaultInjectingTransport:

@@ -68,10 +68,6 @@ class CachingService(ServiceMiddleware):
                 self.cache.put(key, response)
             return response
 
-    def warm(self, request: "DataRequest") -> None:
-        if self.cache.peek(request.cache_key()) is None:
-            self.handle(request)
-
 
 class CoalescingService(ServiceMiddleware):
     """Single-flight request coalescing in front of any :class:`DataService`.
@@ -133,15 +129,3 @@ class SerializedService(ServiceMiddleware):
     def handle(self, request: "DataRequest") -> "DataResponse":
         with self.lock:
             return self.inner.handle(request)
-
-    def warm(self, request: "DataRequest") -> None:
-        with self.lock:
-            self.inner.warm(request)
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        with self.lock:
-            return self.inner.canvas_info(canvas_id)
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        with self.lock:
-            return self.inner.layer_density(canvas_id, layer_index)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..config import REPLICA_POLICIES
 from ..errors import (
@@ -324,7 +324,7 @@ class ReplicaService:
         breaker** — the slot's circuit-breaker state resets to closed, so
         the replacement starts taking traffic immediately — and **without
         dropping in-flight requests**: attempts that already picked up the
-        old service object run to completion against it (``_invoke`` reads
+        old service object run to completion against it (``handle`` reads
         ``self._replicas[index]`` exactly once per attempt), and the old
         stack is only closed once the slot's in-flight count drains (or
         :data:`DRAIN_TIMEOUT_S` elapses — closing a straggler's stack beats
@@ -354,7 +354,8 @@ class ReplicaService:
 
     # -- failover core ------------------------------------------------------
 
-    def _invoke(self, call: Callable[["DataService"], Any]) -> Any:
+    def handle(self, request: "DataRequest") -> "DataResponse":
+        """Answer on one replica, failing over until one answers or all fail."""
         self.stats.count("requests")
         causes: dict[int, BaseException] = {}
         tried: set[int] = set()
@@ -371,7 +372,7 @@ class ReplicaService:
                     attempt=attempts,
                     breaker_open=self.breaker_open(index),
                 ) as span:
-                    result = call(self._replicas[index])
+                    response = self._replicas[index].handle(request)
                     if (
                         self.timeout_ms is not None
                         and self.clock.now_ms - start_ms > self.timeout_ms
@@ -391,7 +392,7 @@ class ReplicaService:
             self._finish_attempt(index, ok=True)
             if causes:
                 self.stats.count("failovers")
-            return result
+            return response
         self.stats.count("exhausted")
         raise AllReplicasFailedError(causes, attempts=attempts)
 
@@ -404,20 +405,6 @@ class ReplicaService:
     @property
     def config(self) -> "KyrixConfig":
         return self._replicas[0].config
-
-    def handle(self, request: "DataRequest") -> "DataResponse":
-        return self._invoke(lambda replica: replica.handle(request))
-
-    def warm(self, request: "DataRequest") -> None:
-        self._invoke(lambda replica: replica.warm(request))
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        return self._invoke(lambda replica: replica.canvas_info(canvas_id))
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        return self._invoke(
-            lambda replica: replica.layer_density(canvas_id, layer_index)
-        )
 
     def close(self) -> None:
         for replica in self._replicas:

@@ -19,13 +19,12 @@ This module puts the wire on the shard boundary for real:
   inner service, so ``TransportService(shard)`` makes every shard call
   round-trip ``encode -> decode -> handle -> encode -> decode``.
 
-There is one wire format: every payload is a :mod:`repro.net.columnar`
-message selected by its kind byte — ``handle`` crosses as a
-request/response pair, the metadata operations (``warm`` /
-``canvas_info`` / ``layer_density``) as a call/result pair, and a
-server-side failure as an error message the stub re-raises.  Decoded
-responses equal their in-process originals — that is the law this seam
-exists to enforce.
+There is one wire format and one operation on it: every payload is a
+:mod:`repro.net.columnar` message selected by its kind byte — ``handle``
+crosses as a request/response pair, and a server-side failure as an error
+message the stub re-raises.  Canvas metadata never crosses: it is a
+function of the compiled plan both sides hold.  Decoded responses equal
+their in-process originals — that is the law this seam exists to enforce.
 
 Every stub counts its real payload traffic (:class:`WireStats`), which is
 what the suite reports as ``wire_bytes_per_step``.
@@ -37,7 +36,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
-from ..errors import FetchError, KyrixError, ProtocolError
+from ..errors import KyrixError
 from ..net import columnar
 from ..net.protocol import DataRequest, DataResponse
 from ..net.socket_transport import FRAME_HEADER
@@ -90,12 +89,13 @@ class WireStats:
 
 
 class LocalTransport:
-    """The server end of the wire, dispatching messages to a service.
+    """The server end of the wire, answering request messages from a service.
 
-    Every operation crosses fully encoded both ways and never leaks live
+    Every call crosses fully encoded both ways and never leaks live
     objects, which is what makes the pair wire-faithful.  A failure while
-    serving — including an undecodable or unexpected message — is answered
-    with an error message rather than raised, so faults cross the wire.
+    serving — including an undecodable message or one that is not a
+    request — is answered with an error message rather than raised, so
+    faults cross the wire.
     """
 
     def __init__(self, service: DataService) -> None:
@@ -103,38 +103,18 @@ class LocalTransport:
 
     def roundtrip(self, payload: bytes) -> bytes:
         try:
-            kind = columnar.message_kind(payload)
-            if kind == columnar.MSG_REQUEST:
-                # A trace context riding the request is lifted off before
-                # the request is rebuilt, so server-side caches and
-                # responses stay identical whether or not the caller traces.
-                request, context = columnar.decode_request(payload)
-                with get_tracer().remote_trace(context) as collected:
-                    response = self.service.handle(request)
-                if collected is not None and collected.spans:
-                    return columnar.encode_response(response, trace=collected.spans)
-                return columnar.encode_response(response)
-            if kind == columnar.MSG_CALL:
-                return columnar.encode_result(
-                    self._dispatch(*columnar.decode_call(payload))
-                )
-            raise ProtocolError(
-                f"a shard endpoint serves request and call messages, got kind {kind}"
-            )
+            # A trace context riding the request is lifted off before the
+            # request is rebuilt, so server-side caches and responses stay
+            # identical whether or not the caller traces.  Any message but a
+            # request is a ProtocolError here, answered like every failure.
+            request, context = columnar.decode_request(payload)
+            with get_tracer().remote_trace(context) as collected:
+                response = self.service.handle(request)
+            if collected is not None and collected.spans:
+                return columnar.encode_response(response, trace=collected.spans)
+            return columnar.encode_response(response)
         except Exception as error:  # noqa: BLE001 - faults must cross the wire
             return columnar.encode_error(error)
-
-    def _dispatch(self, op: str, params: dict[str, Any]) -> Any:
-        if op == "warm":
-            self.service.warm(DataRequest(**params["request"]))
-            return None
-        if op == "canvas_info":
-            return self.service.canvas_info(params["canvas_id"])
-        if op == "layer_density":
-            return self.service.layer_density(
-                params["canvas_id"], params["layer_index"]
-            )
-        raise FetchError(f"unknown transport operation {op!r}")
 
     def close(self) -> None:
         self.service.close()
@@ -145,8 +125,8 @@ class RemoteBackendStub:
 
     ``compiled`` and ``config`` are client-side metadata handed to the stub
     at construction (a remote deployment ships the compiled plan to every
-    node; re-sending it per request would be absurd).  Everything else —
-    requests, responses, canvas metadata — crosses the transport encoded.
+    node; re-sending it per request would be absurd).  Requests and
+    responses cross the transport encoded.
 
     The stub counts its own payload traffic — see :attr:`wire_stats`.
     """
@@ -205,11 +185,6 @@ class RemoteBackendStub:
             raise TransportError(f"{name}: {message}")
         return reply
 
-    def _call(self, op: str, params: dict[str, Any]) -> Any:
-        return columnar.decode_result(
-            self._exchange(columnar.encode_call(op, params))
-        )
-
     # -- DataService ------------------------------------------------------------------
 
     def handle(self, request: DataRequest) -> DataResponse:
@@ -229,19 +204,6 @@ class RemoteBackendStub:
                 tracer.ingest(remote_spans)
                 span.set_attribute("remote_spans", len(remote_spans))
             return response
-
-    def warm(self, request: DataRequest) -> None:
-        self._call("warm", {"request": request.to_dict()})
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        return self._call("canvas_info", {"canvas_id": canvas_id})
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        return float(
-            self._call(
-                "layer_density", {"canvas_id": canvas_id, "layer_index": layer_index}
-            )
-        )
 
     def close(self) -> None:
         self.transport.close()
@@ -263,15 +225,6 @@ class TransportService(ServiceMiddleware):
 
     def handle(self, request: DataRequest) -> DataResponse:
         return self.stub.handle(request)
-
-    def warm(self, request: DataRequest) -> None:
-        self.stub.warm(request)
-
-    def canvas_info(self, canvas_id: str) -> dict[str, Any]:
-        return self.stub.canvas_info(canvas_id)
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        return self.stub.layer_density(canvas_id, layer_index)
 
 
 def collect_wire_stats(service: DataService) -> WireStats:

@@ -12,14 +12,10 @@ The request-building helpers (:func:`tile_requests` / :func:`box_requests`
 parity suite in this package — import them from here instead of redefining
 them per test module.
 
-With ``REPRO_LOCKWATCH=1`` in the environment (CI sets it on the
-migration smoke job) the whole package — router swaps, replica sets,
-the autopilot control loop — runs under
-:mod:`repro.analysis.lockwatch`: every lock created after session start
-is instrumented and each test verifies the global lock-order graph is
-acyclic, so a lock-order cycle between e.g. the autopilot's decision
-lock and the router's table lock fails even when the deadlock never
-fires.
+Under ``REPRO_LOCKWATCH=1`` (see ``tests/conftest.py``) router swaps,
+replica sets and the autopilot control loop run under the lock-order
+watch, so a cycle between e.g. the autopilot's decision lock and the
+router's table lock fails even when the deadlock never fires.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.analysis import lockwatch
 from repro.bench.apps import build_eeg_backend, default_config
 from repro.compiler import compile_application
 from repro.core import App, Canvas, ColumnPlacement, Jump, Layer, Transform, dot_renderer
@@ -41,26 +36,6 @@ from repro.server.schemes import DESIGN_MAPPING, DESIGN_SPATIAL
 from repro.serving import build_service, unwrap
 from repro.server.tile import TileScheme
 from repro.storage.database import Database
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _lockwatch_session():
-    if not lockwatch.watching_requested() or lockwatch.installed():
-        yield None
-        return
-    watch = lockwatch.install()
-    try:
-        yield watch
-    finally:
-        lockwatch.uninstall()
-        watch.verify()
-
-
-@pytest.fixture(autouse=True)
-def _lockwatch_verify(_lockwatch_session):
-    yield
-    if _lockwatch_session is not None:
-        _lockwatch_session.verify()
 
 
 @dataclass

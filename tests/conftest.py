@@ -3,16 +3,43 @@
 Expensive fixtures (the dots stack, the US-map database) are session-scoped:
 they are read-only from the tests' perspective, and rebuilding them per test
 would dominate the suite's runtime.
+
+With ``REPRO_LOCKWATCH=1`` in the environment (CI sets it on the smoke
+jobs) every test runs under :mod:`repro.analysis.lockwatch`: every lock
+created after session start is instrumented, the global
+lock-acquisition-order graph accumulates across tests, and each test ends
+by verifying the graph is acyclic with no unguarded-write violations.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis import lockwatch
 from repro.bench.apps import build_dots_backend, default_config
 from repro.config import KyrixConfig
 from repro.datagen.synthetic import DotDatasetSpec, tiny_spec
 from repro.storage.database import Database
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _lockwatch_session():
+    if not lockwatch.watching_requested() or lockwatch.installed():
+        yield None
+        return
+    watch = lockwatch.install()
+    try:
+        yield watch
+    finally:
+        lockwatch.uninstall()
+        watch.verify()
+
+
+@pytest.fixture(autouse=True)
+def _lockwatch_verify(_lockwatch_session):
+    yield
+    if _lockwatch_session is not None:
+        _lockwatch_session.verify()
 
 
 @pytest.fixture()

@@ -84,11 +84,6 @@ MESSAGES = {
         columnar.decode_response,
     ),
     "error": (columnar.encode_error(ValueError("boom")), columnar.decode_error),
-    "call": (
-        columnar.encode_call("canvas_info", {"canvas_id": "dots"}),
-        columnar.decode_call,
-    ),
-    "result": (columnar.encode_result({"width": 1024.5}), columnar.decode_result),
 }
 
 
@@ -363,7 +358,7 @@ class TestDeclaredShapeIsCheckedBeforeAllocation:
             columnar.encode_response(response([{}] * (columnar.MAX_EMPTY_ROWS + 1)))
 
 
-class TestErrorsAndCalls:
+class TestErrors:
     def test_error_roundtrip(self):
         body = columnar.encode_error(ValueError("boom"))
         assert columnar.message_kind(body) == columnar.MSG_ERROR
@@ -373,18 +368,14 @@ class TestErrorsAndCalls:
         with pytest.raises(ProtocolError, match="empty"):
             columnar.message_kind(b"")
 
-    def test_call_roundtrip(self):
-        params = {"canvas_id": "dots", "layer_index": 2}
-        body = columnar.encode_call("layer_density", params)
-        assert columnar.message_kind(body) == columnar.MSG_CALL
-        assert columnar.decode_call(body) == ("layer_density", params)
-
-    @pytest.mark.parametrize("value", [None, 0.0, {}, {"width": 8, "layers": [1, 2]}])
-    def test_result_roundtrip_keeps_falsy_values_distinct(self, value):
-        body = columnar.encode_result(value)
-        assert columnar.message_kind(body) == columnar.MSG_RESULT
-        decoded = columnar.decode_result(body)
-        assert decoded == value and type(decoded) is type(value)
+    @pytest.mark.parametrize("kind", [4, 5, 6, 0xFF])
+    def test_a_kind_past_error_is_unknown_to_every_decoder(self, kind):
+        # Three kinds exist; 4 and 5 (the retired metadata call and result)
+        # are as unknown as any other byte.
+        assert (columnar.MSG_REQUEST, columnar.MSG_RESPONSE, columnar.MSG_ERROR) == (1, 2, 3)
+        for body, decode in MESSAGES.values():
+            with pytest.raises(ProtocolError, match=f"got kind {kind}"):
+                decode(bytes([kind]) + body[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +463,6 @@ GOLDEN = {
         lambda value: columnar.encode_error(ValueError(value[1])),
         columnar.decode_error,
         "030000000a56616c75654572726f7200000004626f6f6d",
-    ),
-    "call": (
-        ("layer_density", {"canvas_id": "dots", "layer_index": 0}),
-        lambda value: columnar.encode_call(*value),
-        columnar.decode_call,
-        "040000000d6c617965725f64656e73697479000000277b2263616e7661735f6964223a20"
-        "22646f7473222c20226c617965725f696e646578223a20307d",
-    ),
-    "result": (
-        {"height": 512, "width": 1024.5},
-        columnar.encode_result,
-        columnar.decode_result,
-        "05000000207b22686569676874223a203531322c20227769647468223a20313032342e35"
-        "7d",
     ),
 }
 

@@ -370,3 +370,45 @@ class TestHostileBytes:
                 except ProtocolError:
                     expected = ProtocolError
                 assert got == expected
+
+
+_TILE = DataRequest(
+    app_name="dots", canvas_id="dots", layer_index=1, granularity="tile",
+    design="mapping", tile_id=42, tile_size=1024, shard_id=3,
+)
+_TRACE = {"trace_id": "t1", "span_id": "s1", "sampled": True}
+
+#: One message of each other kind a shard exchanges: a request (box and
+#: tile, with and without a trace context) and an error.
+_HOSTILE_MESSAGES = {
+    "request-box": (columnar.encode_request(_BOX), columnar.decode_request),
+    "request-box-traced": (
+        columnar.encode_request(_BOX, trace=_TRACE), columnar.decode_request
+    ),
+    "request-tile": (columnar.encode_request(_TILE), columnar.decode_request),
+    "request-tile-traced": (
+        columnar.encode_request(_TILE, trace=_TRACE), columnar.decode_request
+    ),
+    "error": (columnar.encode_error(ValueError("boom — é")), columnar.decode_error),
+}
+
+
+class TestHostileMessages:
+    @pytest.mark.parametrize("name", sorted(_HOSTILE_MESSAGES))
+    def test_every_strict_prefix_is_a_typed_error(self, name):
+        message, decode = _HOSTILE_MESSAGES[name]
+        for cut in range(len(message)):
+            with pytest.raises(ProtocolError):
+                decode(message[:cut])
+
+    @pytest.mark.parametrize("name", sorted(_HOSTILE_MESSAGES))
+    def test_every_byte_flip_decodes_or_is_a_typed_error(self, name):
+        message, decode = _HOSTILE_MESSAGES[name]
+        for index in range(len(message)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(message)
+                flipped[index] ^= mask
+                try:
+                    decode(bytes(flipped))
+                except ProtocolError:
+                    pass

@@ -36,15 +36,6 @@ class EchoService:
             request=request, objects=objects, query_ms=1.0, queries_issued=1
         )
 
-    def warm(self, request: DataRequest) -> None:
-        pass
-
-    def canvas_info(self, canvas_id: str) -> dict:
-        return {"canvas_id": canvas_id}
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        return 0.0
-
     def close(self) -> None:
         pass
 

@@ -154,6 +154,12 @@ class TestStatsSerialization:
         assert set(payload["replica_checksums"]) == {
             f"shard{s}/replica{r}" for s in range(2) for r in range(2)
         }
+        # The shard regions are a fact of the generation too (a cluster's
+        # /canvas is the plan's, like any other topology's).
+        assert payload["partitionings"] == json.loads(
+            json.dumps({"dots": router.partitionings["dots"].describe()})
+        )
+        assert len(payload["partitionings"]["dots"]["regions"]) == 2
         assert after_reset["scatter_gathers"] == 0
         assert after_reset["cache"]["hits"] == after_reset["cache"]["misses"] == 0
         assert after_reset["coalescer"] == {"leaders": 0, "followers": 0}
@@ -188,6 +194,86 @@ class TestStatsSerialization:
         assert payload["nested"]["inner"]["hits"] == 3
         assert payload["nested"]["values"] == [1, 2.5, None]
         assert payload["nested"]["label"] == "x"
+
+
+def _box_url(rect, margin: float = 16.0) -> str:
+    """A /dbox URL for a box well inside ``rect``."""
+    return (
+        f"/dbox?canvas=dots&layer=0&xmin={rect.xmin + margin}&ymin={rect.ymin + margin}"
+        f"&xmax={rect.xmin + 8 * margin}&ymax={rect.ymin + 8 * margin}"
+    )
+
+
+class TestShardOutage:
+    """Shard 0 is out: every replica faulted, or its worker process killed.
+
+    Canvas metadata is the compiled plan's, so it answers as a single
+    backend does; a fetch over the dead shard is the server's failure, a
+    503; bad input is still the caller's, a 400.
+    """
+
+    @pytest.fixture(params=["threads", "processes"])
+    def outage(self, request, dots_stack):
+        from repro.cluster.router import ClusterRouter
+        from repro.serving import (
+            FaultSchedule,
+            build_service,
+            fault_replica,
+            kill_worker,
+            unwrap,
+        )
+
+        config = dots_stack.backend.config
+        if request.param == "threads":
+            service = build_service(
+                config, backend=dots_stack.backend, shard_count=2, replicas=2
+            )
+            router = unwrap(service, ClusterRouter)
+            replica_set = router.replica_sets()[0]
+            for index in range(replica_set.replica_count):
+                fault_replica(replica_set, index, FaultSchedule.fail_always())
+        else:
+            service = build_service(
+                config, backend=dots_stack.backend, shard_count=2,
+                worker_mode="processes",
+            )
+            router = unwrap(service, ClusterRouter)
+            kill_worker(router, 0)
+        app = create_app(service)
+        app.config["TESTING"] = True
+        try:
+            yield app.test_client(), router
+        finally:
+            service.close()
+
+    def test_canvas_metadata_survives_a_dead_shard(self, outage, client):
+        cluster_client, _ = outage
+        response = cluster_client.get("/canvas/dots")
+        assert response.status_code == 200
+        assert response.get_json() == client.get("/canvas/dots").get_json()
+
+    def test_a_fetch_over_the_dead_shard_is_a_503(self, outage):
+        cluster_client, router = outage
+        regions = router.partitionings["dots"]
+        response = cluster_client.get(_box_url(regions.region(0).rect))
+        assert response.status_code == 503
+        assert "error" in response.get_json()
+        # The live shard keeps serving its own region.
+        assert cluster_client.get(_box_url(regions.region(1).rect)).status_code == 200
+
+    def test_bad_input_is_still_a_400(self, outage):
+        cluster_client, _ = outage
+        assert cluster_client.get("/canvas/nope").status_code == 400
+        bad_design = cluster_client.get(
+            "/tile?canvas=dots&layer=0&tile_id=0&tile_size=512&design=quantum"
+        )
+        assert bad_design.status_code == 400
+        for field, value in (("xmax", "inf"), ("xmin", "nan")):
+            bounds = {"xmin": "3", "ymin": "3", "xmax": "515", "ymax": "515", field: value}
+            query = "&".join(f"{name}={text}" for name, text in bounds.items())
+            response = cluster_client.get(f"/dbox?canvas=dots&layer=0&{query}")
+            assert response.status_code == 400
+            assert f"box bound {field} must be finite" in response.get_json()["error"]
 
 
 class TestTelemetryEndpoints:

@@ -143,16 +143,6 @@ class TestBackendSpatialDesign:
             o["tuple_id"] for o in second.objects
         ]
 
-    def test_warm_populates_cache(self, dots_stack):
-        dots_stack.service.cache.clear()
-        request = DataRequest(
-            app_name="dots", canvas_id="dots", layer_index=0,
-            granularity="box", design=DESIGN_SPATIAL,
-            xmin=0, ymin=0, xmax=256, ymax=256,
-        )
-        dots_stack.service.warm(request)
-        assert dots_stack.service.handle(request).from_cache is True
-
     def test_bad_requests_raise(self, dots_stack):
         backend = dots_stack.backend
         with pytest.raises(UnknownCanvasError):
@@ -178,15 +168,12 @@ class TestBackendSpatialDesign:
             dots_stack.backend.handle(DataRequest("dots", "dots", 0, "box", **bounds))
 
     def test_canvas_info(self, dots_stack):
-        info = dots_stack.backend.canvas_info("dots")
+        # Canvas metadata is a function of the compiled plan, not a query.
+        info = dots_stack.compiled.canvas_info("dots")
         assert info["width"] == dots_stack.spec.canvas_width
         assert info["layers"][0]["separable"] is True
         with pytest.raises(UnknownCanvasError):
-            dots_stack.backend.canvas_info("missing")
-
-    def test_layer_density(self, dots_stack):
-        density = dots_stack.backend.layer_density("dots", 0)
-        assert density == pytest.approx(dots_stack.spec.density, rel=0.01)
+            dots_stack.compiled.canvas_info("missing")
 
     def test_stats_accumulate(self, dots_stack):
         stats = dots_stack.backend.stats

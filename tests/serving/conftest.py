@@ -1,41 +1,16 @@
 """Fixtures for the serving-API tests: one small precomputed dots stack.
 
-With ``REPRO_LOCKWATCH=1`` in the environment (CI sets it on the smoke
-jobs) the whole suite — notably the concurrency hammers in
-``test_concurrency.py`` — runs under :mod:`repro.analysis.lockwatch`:
-every lock created after session start is instrumented, the global
-lock-acquisition-order graph accumulates across tests, and each test ends
-by verifying the graph is acyclic with no unguarded-write violations.
+The concurrency hammers in ``test_concurrency.py`` are what the lock-order
+watch (``REPRO_LOCKWATCH=1``, see ``tests/conftest.py``) is mostly for.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import lockwatch
 from repro.bench.apps import build_dots_backend, default_config
 from repro.datagen.synthetic import tiny_spec
 from repro.net.protocol import DataRequest
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _lockwatch_session():
-    if not lockwatch.watching_requested() or lockwatch.installed():
-        yield None
-        return
-    watch = lockwatch.install()
-    try:
-        yield watch
-    finally:
-        lockwatch.uninstall()
-        watch.verify()
-
-
-@pytest.fixture(autouse=True)
-def _lockwatch_verify(_lockwatch_session):
-    yield
-    if _lockwatch_session is not None:
-        _lockwatch_session.verify()
 
 
 @pytest.fixture(scope="module")

@@ -54,17 +54,6 @@ class ScriptedService:
             queries_issued=1,
         )
 
-    def warm(self, request: DataRequest) -> None:
-        self.calls += 1
-
-    def canvas_info(self, canvas_id: str) -> dict:
-        self.calls += 1
-        return {"canvas_id": canvas_id, "marker": self.marker}
-
-    def layer_density(self, canvas_id: str, layer_index: int) -> float:
-        self.calls += 1
-        return 0.5
-
     def close(self) -> None:
         self.closed = True
 
@@ -93,16 +82,20 @@ class TestFaultSchedule:
 
     def test_per_op_counters_are_independent(self):
         schedule = FaultSchedule.fail_nth(0, op="handle")
-        assert not schedule.consult("warm")
+        assert not schedule.consult("roundtrip")
         assert schedule.consult("handle")
         assert schedule.calls("handle") == 1
-        assert schedule.calls("warm") == 1
+        assert schedule.calls("roundtrip") == 1
 
     def test_rule_validation(self):
         from repro.errors import KyrixError
 
         with pytest.raises(KyrixError):
             FaultRule(kind="explode")
+        # Only ``handle`` (a service) and ``roundtrip`` (a transport) are
+        # ever consulted, so a rule for any other operation could not fire.
+        with pytest.raises(KyrixError, match="unknown fault op 'warm'"):
+            FaultRule(kind="error", op="warm")
         with pytest.raises(KyrixError):
             FaultRule(kind="error", start=-1)
 
@@ -132,11 +125,12 @@ class TestFaultInjectingService:
         assert clean.objects[0]["source"] == "replica"
 
 
-class _ResultTransport:
-    """A far side that answers every message with an empty result."""
+class _EmptyTransport:
+    """A far side that answers every request with no objects."""
 
     def roundtrip(self, payload: bytes) -> bytes:
-        return columnar.encode_result(None)
+        request, _ = columnar.decode_request(payload)
+        return columnar.encode_response(DataResponse(request=request, objects=[]))
 
     def close(self) -> None:
         pass
@@ -162,19 +156,19 @@ class _FrameRecorder:
 
 class TestFaultInjectingTransport:
     def test_error_fault_raises_before_delivery(self):
-        inner = _FrameRecorder(_ResultTransport())
+        inner = _FrameRecorder(_EmptyTransport())
         faulty = FaultInjectingTransport(inner, FaultSchedule.fail_always(op="roundtrip"))
         with pytest.raises(InjectedFaultError):
-            faulty.roundtrip(columnar.encode_call("warm", {}))
+            faulty.roundtrip(columnar.encode_request(_box()))
         assert inner.frames == []
 
     def test_corruption_fault_garbles_the_reply(self):
         faulty = FaultInjectingTransport(
-            _ResultTransport(), FaultSchedule([FaultRule(kind="corrupt", op="roundtrip")])
+            _EmptyTransport(), FaultSchedule([FaultRule(kind="corrupt", op="roundtrip")])
         )
-        reply = faulty.roundtrip(columnar.encode_call("warm", {}))
-        with pytest.raises(ProtocolError, match="expected a result"):
-            columnar.decode_result(reply)
+        reply = faulty.roundtrip(columnar.encode_request(_box()))
+        with pytest.raises(ProtocolError, match="expected a response"):
+            columnar.decode_response(reply)
 
 
 class TestReplicaSetStats:

@@ -91,11 +91,6 @@ class TestProtocol:
         stacked = SerializedService(CachingService(dots_stack.backend, entries=4))
         assert stacked.compiled is dots_stack.backend.compiled
         assert stacked.config is dots_stack.backend.config
-        info = stacked.canvas_info("dots")
-        assert info["canvas_id"] == "dots"
-        assert stacked.layer_density("dots", 0) == dots_stack.backend.layer_density(
-            "dots", 0
-        )
 
     def test_unwrap_and_stack_layers(self, dots_stack):
         caching = CachingService(dots_stack.backend, entries=4)
@@ -149,14 +144,6 @@ class TestCachingService:
         assert service.handle(box_request).from_cache is False
         assert service.handle(box_request).from_cache is False
         assert service.cache.stats.hits == 0
-
-    def test_warm_populates_without_double_fetch(self, dots_stack, box_request):
-        service = CachingService(dots_stack.backend, entries=8)
-        service.warm(box_request)
-        assert service.cache.stats.inserts == 1
-        service.warm(box_request)
-        assert service.cache.stats.inserts == 1
-        assert service.handle(box_request).from_cache is True
 
 
 #: Every shape ``build_service`` assembles: the single-backend stack, and a

@@ -45,20 +45,6 @@ class TestTransportParity:
         for obj in wire.objects:
             assert isinstance(obj["bbox"], tuple)
 
-    def test_metadata_calls_cross_the_wire(self, dots_stack):
-        backend = dots_stack.backend
-        service = TransportService(backend)
-        assert service.canvas_info("dots") == backend.canvas_info("dots")
-        assert service.layer_density("dots", 0) == pytest.approx(
-            backend.layer_density("dots", 0)
-        )
-
-    def test_warm_populates_the_far_side_cache(self, dots_stack, box_request):
-        cached = dots_stack.service
-        cached.cache.clear()
-        TransportService(cached).warm(box_request)
-        assert cached.cache.peek(box_request.cache_key()) is not None
-
 
 class TestTransportFaults:
     def test_server_errors_reraise_client_side(self, dots_stack):
@@ -76,18 +62,30 @@ class TestTransportFaults:
         with pytest.raises(TransportError, match="no-such-canvas"):
             service.handle(bad)
 
-    def test_unknown_operation_is_a_wire_fault(self, dots_stack):
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            # A canvas_info call and a result, as kinds 4 and 5 once carried
+            # them: a shard serves requests alone, so both are unknown kinds.
+            "040000000b63616e7661735f696e666f000000157b2263616e7661735f6964223a2022"
+            "646f7473227d",
+            "050000000e7b227769647468223a20382e307d",
+        ],
+        ids=["kind-4", "kind-5"],
+    )
+    def test_retired_call_and_result_kinds_are_wire_faults(self, dots_stack, frame):
+        payload = bytes.fromhex(frame)
         transport = LocalTransport(dots_stack.backend)
-        reply = transport.roundtrip(columnar.encode_call("explode", {}))
-        name, message = columnar.decode_error(reply)
-        assert name == "FetchError" and "explode" in message
+        name, message = columnar.decode_error(transport.roundtrip(payload))
+        assert name == "ProtocolError"
+        assert f"got kind {payload[0]}" in message
 
     @pytest.mark.parametrize(
         "payload",
         [
             b"",
             b"\xffnot a message at all",
-            columnar.encode_result(None),  # a valid kind no endpoint serves
+            columnar.encode_error(ValueError("boom")),  # a valid kind no endpoint serves
             columnar.encode_request(
                 DataRequest("dots", "dots", 0, "box", xmin=0.0, ymin=0.0,
                             xmax=1.0, ymax=1.0)
