@@ -9,11 +9,12 @@ out of; tracking them separately makes regressions attributable.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 import pytest
 
 from repro.minisql import SQLEngine
-from repro.storage import BTreeIndex, Database, HashIndex, RecordId, Rect, RTreeIndex
+from repro.storage import BTreeIndex, Database, RecordId, Rect, RTreeIndex
 
 N_ROWS = 20_000
 
@@ -36,32 +37,24 @@ def loaded_database():
     return database, engine, table
 
 
-def test_btree_insert_throughput(benchmark):
+def test_btree_bulk_load(benchmark):
+    keys = list(range(N_ROWS))
+    random.Random(2).shuffle(keys)
+    entries = [(key, RecordId(0, key % 100)) for key in keys]
+
     def build():
+        # As a table builds its index: entries sorted by key, then packed.
         index = BTreeIndex("bench")
-        for i in range(5_000):
-            index.insert(i, RecordId(0, i % 100))
+        index.bulk_load(sorted(entries, key=itemgetter(0)))
         return index
 
     index = benchmark(build)
-    assert len(index) == 5_000
+    assert len(index) == N_ROWS
 
 
 def test_btree_point_lookup(benchmark, loaded_database):
     _, _, table = loaded_database
     index = table.get_index("dots_id").index
-    keys = list(range(0, N_ROWS, 97))
-
-    def lookup():
-        return sum(len(index.search(key)) for key in keys)
-
-    assert benchmark(lookup) == len(keys)
-
-
-def test_hash_point_lookup(benchmark):
-    index = HashIndex("bench")
-    for i in range(N_ROWS):
-        index.insert(i, RecordId(0, i % 100))
     keys = list(range(0, N_ROWS, 97))
 
     def lookup():

@@ -14,8 +14,8 @@ provides the dialect and execution machinery for those queries against
   with their values bound (``engine.execute(statement.bind(...))``).
 
 The dialect supports SELECT (joins, WHERE, GROUP BY, ORDER BY, LIMIT,
-aggregates, an ``intersects()`` spatial predicate), INSERT, UPDATE, DELETE,
-CREATE TABLE and CREATE INDEX.
+aggregates, an ``intersects()`` spatial predicate), INSERT, CREATE TABLE and
+CREATE INDEX.  Tables are built and then read: there is no UPDATE or DELETE.
 """
 
 from .executor import BoundStatement, PreparedStatement, ResultSet, SQLEngine

@@ -167,23 +167,6 @@ class InsertStatement(Statement):
 
 
 @dataclass(frozen=True)
-class UpdateStatement(Statement):
-    """``UPDATE table SET col = expr, ... [WHERE ...]``."""
-
-    table: str
-    assignments: tuple[tuple[str, Expression], ...]
-    where: Expression | None = None
-
-
-@dataclass(frozen=True)
-class DeleteStatement(Statement):
-    """``DELETE FROM table [WHERE ...]``."""
-
-    table: str
-    where: Expression | None = None
-
-
-@dataclass(frozen=True)
 class CreateTableStatement(Statement):
     """``CREATE TABLE name (col type, ...)``."""
 

@@ -3,8 +3,9 @@
 The physical plan produced by :class:`~repro.minisql.planner.Planner` runs
 itself: every node moves flat tuples whose layout, and every expression over
 them, was fixed when the node was built.  The engine here drives the root
-node into a :class:`ResultSet` and carries out data-modification statements
-with the same compiled expressions.
+node into a :class:`ResultSet` and carries out the statements that build
+a database -- ``CREATE TABLE``, ``CREATE INDEX`` and ``INSERT`` (an append,
+see :meth:`~repro.storage.table.Table.insert`).
 
 There is one way in: :meth:`SQLEngine.prepare` parses and plans a statement
 once, :meth:`PreparedStatement.bind` pairs it with the values of its ``?``
@@ -19,17 +20,13 @@ from typing import Any, Iterator
 
 from ..errors import SQLExecutionError
 from ..storage.database import Database
-from ..storage.table import Table
 from .ast import (
     CreateIndexStatement,
     CreateTableStatement,
-    DeleteStatement,
-    Expression,
     InsertStatement,
     Statement,
-    UpdateStatement,
 )
-from .functions import Binds, Layout, compile_expression, compile_predicate
+from .functions import Binds, Layout, compile_expression
 from .parser import parse_parameterised
 from .planner import DataModification, PlannedQuery, Planner
 
@@ -164,17 +161,14 @@ class SQLEngine:
             return ResultSet(columns=[], rows=[], rowcount=0)
         if isinstance(statement, InsertStatement):
             return self._execute_insert(statement, binds)
-        if isinstance(statement, UpdateStatement):
-            return self._execute_update(statement, binds)
-        if isinstance(statement, DeleteStatement):
-            return self._execute_delete(statement, binds)
         raise SQLExecutionError(
             f"unsupported statement {type(statement).__name__}"
         )
 
     def _execute_insert(self, statement: InsertStatement, binds: Binds) -> ResultSet:
+        """Every VALUES row goes in as one load: a refused row refuses them all."""
         table = self.database.table(statement.table)
-        inserted = 0
+        rows = []
         for value_tuple in statement.rows:
             values = [
                 compile_expression(expression, Layout())((), binds) for expression in value_tuple
@@ -184,33 +178,6 @@ class SQLEngine:
                     raise SQLExecutionError(
                         "INSERT column list and VALUES length mismatch"
                     )
-                table.insert(dict(zip(statement.columns, values)))
-            else:
-                table.insert(values)
-            inserted += 1
-        return ResultSet(columns=[], rows=[], rowcount=inserted)
-
-    def _matching(
-        self, table_name: str, where: Expression | None, binds: Binds
-    ) -> tuple[Table, Layout, list]:
-        """The table, its layout and the ``(rid, row)`` pairs ``where`` selects."""
-        table = self.database.table(table_name)
-        layout = Layout.of_table(table, table_name)
-        matches = compile_predicate(where, layout)
-        return table, layout, [(rid, row) for rid, row in table.scan() if matches(row, binds)]
-
-    def _execute_update(self, statement: UpdateStatement, binds: Binds) -> ResultSet:
-        table, layout, targets = self._matching(statement.table, statement.where, binds)
-        assignments = [
-            (column, compile_expression(expression, layout))
-            for column, expression in statement.assignments
-        ]
-        for rid, row in targets:
-            table.update(rid, {column: evaluate(row, binds) for column, evaluate in assignments})
-        return ResultSet(columns=[], rows=[], rowcount=len(targets))
-
-    def _execute_delete(self, statement: DeleteStatement, binds: Binds) -> ResultSet:
-        table, _, targets = self._matching(statement.table, statement.where, binds)
-        for rid, _ in targets:
-            table.delete(rid)
-        return ResultSet(columns=[], rows=[], rowcount=len(targets))
+                values = table.schema.coerce_mapping(dict(zip(statement.columns, values)))
+            rows.append(values)
+        return ResultSet(columns=[], rows=[], rowcount=table.bulk_load(rows))

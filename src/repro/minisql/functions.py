@@ -229,14 +229,6 @@ def _compile_binary(expression: BinaryOp, layout: Layout) -> Evaluator:
     return binary
 
 
-def compile_predicate(expression: Expression | None, layout: Layout) -> Evaluator:
-    """Compile a WHERE predicate; NULL counts as not matching."""
-    if expression is None:
-        return lambda row, binds: True
-    evaluator = compile_expression(expression, layout)
-    return lambda row, binds: bool(evaluator(row, binds))
-
-
 # ---------------------------------------------------------------------------
 # Predicate analysis helpers used by the planner
 # ---------------------------------------------------------------------------

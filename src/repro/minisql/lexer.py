@@ -2,9 +2,9 @@
 
 The dialect covers what Kyrix layer queries and the backend's precomputed
 tables need: ``SELECT`` (with joins, ``WHERE``, ``ORDER BY``, ``LIMIT``,
-aggregates), ``INSERT``, ``UPDATE``, ``DELETE``, ``CREATE TABLE`` and
-``CREATE INDEX``.  A ``?`` stands for a constant bound when a prepared
-statement is executed.
+aggregates), ``INSERT``, ``CREATE TABLE`` and ``CREATE INDEX``; ``UPDATE``,
+``SET`` and ``DELETE`` stay reserved words.  A ``?`` stands for a constant
+bound when a prepared statement is executed.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from .ast import (
     ColumnRef,
     CreateIndexStatement,
     CreateTableStatement,
-    DeleteStatement,
     Expression,
     FunctionCall,
     InList,
@@ -24,7 +23,6 @@ from .ast import (
     Statement,
     TableRef,
     UnaryOp,
-    UpdateStatement,
 )
 from .lexer import Token, TokenType, tokenize
 
@@ -133,10 +131,6 @@ class _Parser:
             statement: Statement = self._parse_select()
         elif token.is_keyword("insert"):
             statement = self._parse_insert()
-        elif token.is_keyword("update"):
-            statement = self._parse_update()
-        elif token.is_keyword("delete"):
-            statement = self._parse_delete()
         elif token.is_keyword("create"):
             statement = self._parse_create()
         else:
@@ -257,7 +251,7 @@ class _Parser:
                 f"expected an integer, got {token.value!r}", token.position
             ) from exc
 
-    # INSERT / UPDATE / DELETE ----------------------------------------------------
+    # INSERT ------------------------------------------------------------------------
 
     def _parse_insert(self) -> InsertStatement:
         self._expect_keyword("insert")
@@ -283,29 +277,6 @@ class _Parser:
             values.append(self._parse_or())
         self._expect_punct(")")
         return tuple(values)
-
-    def _parse_update(self) -> UpdateStatement:
-        self._expect_keyword("update")
-        table = self._expect_identifier()
-        self._expect_keyword("set")
-        assignments: list[tuple[str, Expression]] = []
-        while True:
-            column = self._expect_identifier()
-            operator = self._advance()
-            if operator.type is not TokenType.OPERATOR or operator.value not in ("=", "=="):
-                raise self._error("expected '=' in SET clause")
-            assignments.append((column, self._parse_or()))
-            if not self._accept_punct(","):
-                break
-        where = self._parse_or() if self._accept_keyword("where") else None
-        return UpdateStatement(table=table, assignments=tuple(assignments), where=where)
-
-    def _parse_delete(self) -> DeleteStatement:
-        self._expect_keyword("delete")
-        self._expect_keyword("from")
-        table = self._expect_identifier()
-        where = self._parse_or() if self._accept_keyword("where") else None
-        return DeleteStatement(table=table, where=where)
 
     # CREATE ------------------------------------------------------------------------
 

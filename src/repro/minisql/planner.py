@@ -9,8 +9,8 @@ a literal or a ``?`` placeholder):
 
 1. an ``intersects(bbox_col, x1, y1, x2, y2)`` conjunct with constant bounds
    and an R-tree on ``bbox_col``  ->  :class:`SpatialScan`;
-2. a ``col = constant`` / ``col IN (...)`` conjunct with a B-tree or hash
-   index on ``col``  ->  :class:`IndexKeyScan`;
+2. a ``col = constant`` / ``col IN (...)`` conjunct with a B-tree index
+   on ``col``  ->  :class:`IndexKeyScan`;
 3. otherwise  ->  :class:`SeqScan`.
 
 Joins become :class:`IndexNLJoin` when the inner table has a key index on
@@ -41,7 +41,6 @@ from .ast import (
     ColumnRef,
     CreateIndexStatement,
     CreateTableStatement,
-    DeleteStatement,
     Expression,
     FunctionCall,
     InsertStatement,
@@ -50,7 +49,6 @@ from .ast import (
     SelectItem,
     SelectStatement,
     Statement,
-    UpdateStatement,
 )
 from .functions import (
     AGGREGATE_FUNCTIONS,
@@ -512,8 +510,7 @@ class Planner:
             return self._plan_select(statement)
         if isinstance(
             statement,
-            (InsertStatement, UpdateStatement, DeleteStatement,
-             CreateTableStatement, CreateIndexStatement),
+            (InsertStatement, CreateTableStatement, CreateIndexStatement),
         ):
             return PlannedQuery(root=DataModification(statement), statement=statement)
         raise SQLPlanError(f"cannot plan statement of type {type(statement).__name__}")
@@ -599,7 +596,7 @@ class Planner:
             column_ref, keys = lookup
             if not self._column_belongs(column_ref, table, binding):
                 continue
-            key_index = table.find_index_on(column_ref.column, kinds=("btree", "hash"))
+            key_index = table.find_index_on(column_ref.column, kinds=("btree",))
             if key_index is not None:
                 remaining = conjuncts[:index] + conjuncts[index + 1 :]
                 scan = IndexKeyScan(
@@ -624,7 +621,7 @@ class Planner:
                 f"join condition does not reference joined table {join.table.name!r}"
             )
 
-        inner_index = inner_table.find_index_on(inner_column.column, kinds=("btree", "hash"))
+        inner_index = inner_table.find_index_on(inner_column.column, kinds=("btree",))
         if inner_index is not None:
             return IndexNLJoin(
                 outer=outer,

@@ -284,7 +284,7 @@ class Indexer:
             rtree = table.create_index(f"{layer_plan.source_table}_bbox_auto", "bbox", "rtree")
         table.cluster(rtree.name)
         if table.schema.has_column("tuple_id") and table.find_index_on(
-            "tuple_id", kinds=("btree", "hash")
+            "tuple_id", kinds=("btree",)
         ) is None:
             table.create_index(
                 f"{layer_plan.source_table}_tuple_auto", "tuple_id", "btree"

@@ -5,17 +5,20 @@ DBMS:
 
 * slotted-page heap files behind an LRU buffer pool
   (:mod:`repro.storage.pager`, :mod:`repro.storage.heapfile`),
-* B-tree and hash indexes for the tuple–tile mapping database design
-  (:mod:`repro.storage.btree`, :mod:`repro.storage.hashindex`),
+* B-tree indexes for the tuple–tile mapping database design
+  (:mod:`repro.storage.btree`),
 * an R-tree spatial index for the bbox database design used by dynamic
   boxes and spatial static tiles (:mod:`repro.storage.rtree`),
 * a table/catalog layer tying them together (:mod:`repro.storage.table`,
   :mod:`repro.storage.database`).
+
+Like the precomputed tables the paper serves, a table is built, indexed
+and then read: rows come in only by appending, and every append rebuilds
+the table's indexes from the heap.  Nothing is updated or deleted in place.
 """
 
 from .btree import BTreeIndex
 from .database import Database
-from .hashindex import HashIndex
 from .heapfile import HeapFile
 from .pager import BufferPool, PageStore, PagerStats
 from .row import RecordId, compile_decoder, encode_row
@@ -32,7 +35,6 @@ __all__ = [
     "ColumnStats",
     "ColumnType",
     "Database",
-    "HashIndex",
     "HeapFile",
     "IndexInfo",
     "PageStore",

@@ -6,14 +6,15 @@ a B-tree on the ``tuple_id`` column of the record table and on the
 Python values (integers and strings in practice); duplicates are allowed
 unless the index is declared unique.
 
-The implementation is a textbook B+tree: internal nodes hold separator keys
-and child pointers; a leaf holds its ``keys`` beside a flat ``array('q')``
-of the rids, one per entry, and leaves are chained left-to-right so that
-range scans are a linked-list walk.  A key stored more than once is a run
-of adjacent entries in insertion order; a run may cross from one leaf into
-the next, so a separator can equal the last key of the leaf to its left --
-lookups descend to the *first* leaf that may hold the key and walk right,
-inserts descend to the *last* and append to the run.
+The implementation is a B+tree built bottom-up from sorted entries
+(:meth:`BTreeIndex.bulk_load`, the only write): internal nodes hold
+separator keys and child pointers; a leaf holds its ``keys`` beside a flat
+``array('q')`` of the rids, one per entry, and leaves are chained
+left-to-right so that range scans are a linked-list walk.  A key stored
+more than once is a run of adjacent entries in load order; a run may cross
+from one leaf into the next, so a separator can equal the last key of the
+leaf to its left -- lookups descend to the *first* leaf that may hold the
+key and walk right.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ class BTreeIndex:
     name:
         Index name (used in the catalog and error messages).
     order:
-        Maximum number of entries per node; nodes split when they exceed it.
+        Maximum number of entries per node.
     unique:
-        When true, inserting a duplicate key raises
+        When true, loading a duplicate key raises
         :class:`~repro.errors.DuplicateKeyError`.
     """
 
@@ -82,7 +83,6 @@ class BTreeIndex:
         self._root: _Node = _LeafNode()
         self._count = 0
         self.lookups = 0
-        self.inserts = 0
 
     def __len__(self) -> int:
         """Number of (key, rid) entries stored."""
@@ -108,68 +108,7 @@ class BTreeIndex:
             yield leaf
             leaf = leaf.next_leaf
 
-    def _split_leaf(self, leaf: _LeafNode) -> tuple[Any, _LeafNode]:
-        middle = len(leaf.keys) // 2
-        sibling = _LeafNode()
-        sibling.keys = leaf.keys[middle:]
-        sibling.rids = leaf.rids[middle:]
-        del leaf.keys[middle:]
-        del leaf.rids[middle:]
-        sibling.next_leaf = leaf.next_leaf
-        leaf.next_leaf = sibling
-        return sibling.keys[0], sibling
-
-    def _split_internal(self, node: _InternalNode) -> tuple[Any, _InternalNode]:
-        middle = len(node.keys) // 2
-        separator = node.keys[middle]
-        sibling = _InternalNode()
-        sibling.keys = node.keys[middle + 1 :]
-        sibling.children = node.children[middle + 1 :]
-        node.keys = node.keys[:middle]
-        node.children = node.children[: middle + 1]
-        return separator, sibling
-
-    def _insert_recursive(
-        self, node: _Node, key: Any, rid: int
-    ) -> tuple[Any, _Node] | None:
-        """Insert and return a ``(separator, new_sibling)`` pair on split."""
-        position = bisect.bisect_right(node.keys, key)
-        if node.is_leaf:
-            leaf: _LeafNode = node  # type: ignore[assignment]
-            if self.unique and position and leaf.keys[position - 1] == key:
-                raise DuplicateKeyError(f"index {self.name!r}: duplicate key {key!r}")
-            leaf.keys.insert(position, key)
-            leaf.rids.insert(position, rid)
-            if len(leaf.keys) > self.order:
-                return self._split_leaf(leaf)
-            return None
-
-        internal: _InternalNode = node  # type: ignore[assignment]
-        split = self._insert_recursive(internal.children[position], key, rid)
-        if split is None:
-            return None
-        separator, sibling = split
-        internal.keys.insert(position, separator)
-        internal.children.insert(position + 1, sibling)
-        if len(internal.keys) > self.order:
-            return self._split_internal(internal)
-        return None
-
     # -- public API -------------------------------------------------------------
-
-    def insert(self, key: Any, rid: int) -> None:
-        """Insert one ``key -> rid`` entry (after any the key already has)."""
-        if key is None:
-            raise StorageError(f"index {self.name!r}: cannot index NULL keys")
-        self.inserts += 1
-        split = self._insert_recursive(self._root, key, rid)
-        if split is not None:
-            separator, sibling = split
-            new_root = _InternalNode()
-            new_root.keys = [separator]
-            new_root.children = [self._root, sibling]
-            self._root = new_root
-        self._count += 1
 
     def bulk_load(self, pairs: Iterable[tuple[Any, int]]) -> None:
         """Replace the contents with ``pairs``, which arrive sorted by key
@@ -204,29 +143,6 @@ class BTreeIndex:
             level, firsts = parents, firsts[:: self.order + 1]
         self._root = level[0] if level else _LeafNode()
         self._count = len(keys)
-        self.inserts += len(keys)
-
-    def delete(self, key: Any, rid: int) -> bool:
-        """Remove one ``key -> rid`` entry.  Returns False when absent.
-
-        Nodes are not rebalanced on delete; for the read-mostly workloads of
-        Kyrix precomputation this keeps the structure simple without
-        affecting lookup correctness.
-        """
-        leaf: _LeafNode | None = self._first_leaf(key)
-        while leaf is not None:
-            start = bisect.bisect_left(leaf.keys, key)
-            stop = bisect.bisect_right(leaf.keys, key, start)
-            for position in range(start, stop):
-                if leaf.rids[position] == rid:
-                    del leaf.keys[position]
-                    del leaf.rids[position]
-                    self._count -= 1
-                    return True
-            if stop < len(leaf.keys):
-                break  # the key's run ended inside this leaf
-            leaf = leaf.next_leaf
-        return False
 
     def search(self, key: Any) -> list[int]:
         """Return every rid stored under ``key`` (empty list when absent)."""

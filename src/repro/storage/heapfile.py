@@ -9,7 +9,11 @@ Each heap page has the classic slotted layout::
     +--------+-----------------------+----------------------+
 
 Header: ``<H`` slot_count, ``<H`` free_space_offset.
-Each slot: ``<H`` offset, ``<H`` length; a length of 0 marks a deleted slot.
+Each slot: ``<H`` offset, ``<H`` length.
+
+Records are only ever appended (or, by :meth:`HeapFile.rewrite`, copied
+whole into fresh pages): no record is updated or deleted in place, so every
+slot holds a live record.
 
 Records are addressed by an integer rid, ``page_no << 16 | slot_no``
 (:class:`~repro.storage.row.RecordId`), and never span pages, so the maximum
@@ -59,11 +63,6 @@ class HeapFile:
         # append allocates.  Only :meth:`_append` writes a page header.
         self._tail = (0, 0)
 
-    # -- page-format helpers ---------------------------------------------------
-
-    def _set_slot(self, page: bytearray, slot_no: int, offset: int, length: int) -> None:
-        _SLOT.pack_into(page, _HEADER.size + slot_no * _SLOT.size, offset, length)
-
     # -- public API -------------------------------------------------------------
 
     @property
@@ -77,27 +76,22 @@ class HeapFile:
     def __len__(self) -> int:
         return self._record_count
 
-    def insert(self, row: Sequence[Any]) -> RecordId:
-        """Append an (already coerced) row; returns its :class:`RecordId`."""
-        (rid,) = self._append((self._encode(row),))
-        return _named(rid)
-
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> list[int]:
         """Append (already coerced) rows in order; returns their rids."""
         return self._append(map(self._encode, rows))
 
     def rewrite(self, rids: Sequence[int]) -> list[int]:
-        """Store every live record afresh, in ``rids`` order; the rids they
-        move to, position for position.
+        """Store every record afresh, in ``rids`` order; the rids they move
+        to, position for position.
 
-        ``rids`` names each live record exactly once.  The bytes are copied
+        ``rids`` names each record exactly once.  The bytes are copied
         as stored -- nothing is decoded or encoded -- into new pages, and
         the old pages are freed from the pool and the store: every old rid
         stops resolving.  Not for use under concurrent readers.
         """
         if len(rids) != self._record_count or len(set(rids)) != len(rids):
             raise StorageError(
-                f"a rewrite names each of the {self._record_count} live records once; "
+                f"a rewrite names each of the {self._record_count} records once; "
                 f"got {len(rids)} rids"
             )
         # Copied out whole, then the old pages go before the new ones come:
@@ -138,7 +132,7 @@ class HeapFile:
                     self._tail = (0, self._pool.page_size)
                     slot_count, free_offset = 1, self._pool.page_size - len(record)
                 batch.append(record)
-        finally:  # what was appended before a failure stays, as with insert
+        finally:  # what was appended before a failure stays
             rids += self._write_tail(batch)
         return rids
 
@@ -168,12 +162,12 @@ class HeapFile:
         return list(range(first, first + len(records)))
 
     def _locate(self, rids: Iterable[int]) -> Iterator[tuple[bytearray, int, int]]:
-        """Yield ``(page, offset, length)`` of the live record at each rid.
+        """Yield ``(page, offset, length)`` of the record at each rid.
 
-        The one place a rid is validated: the page is this heap's, the slot
-        is in the page's directory and the record is not a tombstone (a
-        negative rid names page -1 or below, which no heap owns).  A run of
-        rids on one page costs one pool checkout and one header read.
+        The one place a rid is validated: the page is this heap's and the
+        slot is in the page's directory (a negative rid names page -1 or
+        below, which no heap owns).  A run of rids on one page costs one
+        pool checkout and one header read.
         """
         get_page, owned, unpack_slot = self._pool.get_page, self._page_nos, _SLOT.unpack_from
         unpack_header = _HEADER.unpack_from
@@ -190,8 +184,6 @@ class HeapFile:
             if slot_no >= slot_count:
                 raise RecordNotFoundError(f"slot out of range: {_named(rid)}")
             offset, length = unpack_slot(page, _HEADER.size + slot_no * _SLOT.size)
-            if length == 0:
-                raise RecordNotFoundError(f"record was deleted: {_named(rid)}")
             yield page, offset, length
 
     def fetch_many(self, rids: Iterable[int]) -> list[tuple[Any, ...]]:
@@ -203,27 +195,8 @@ class HeapFile:
         """Return the row stored at ``rid``."""
         return self.fetch_many((rid,))[0]
 
-    def delete(self, rid: int) -> None:
-        """Tombstone the record at ``rid`` (space is not reclaimed)."""
-        page, offset, _ = next(self._locate((rid,)))
-        self._set_slot(page, rid & SLOT_MASK, offset, 0)
-        self._pool.mark_dirty(rid >> SLOT_BITS)
-        self._record_count -= 1
-
-    def update(self, rid: int, row: Sequence[Any]) -> int:
-        """Replace the record at ``rid``; may move it to a new rid."""
-        payload = self._encode(row)
-        page, offset, length = next(self._locate((rid,)))
-        if len(payload) <= length:
-            page[offset : offset + len(payload)] = payload
-            self._set_slot(page, rid & SLOT_MASK, offset, len(payload))
-            self._pool.mark_dirty(rid >> SLOT_BITS)
-            return rid
-        self.delete(rid)
-        return self.insert(row)
-
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Yield every live record as ``(rid, row)`` in physical order."""
+        """Yield every record as ``(rid, row)`` in physical order."""
         decode = self._decode
         for page_no in self._page_nos:
             page = self._pool.get_page(page_no)
@@ -231,10 +204,9 @@ class HeapFile:
             directory = page[_HEADER.size : _HEADER.size + slot_count * _SLOT.size]
             first = page_no << SLOT_BITS
             for rid, (offset, length) in enumerate(_SLOT.iter_unpack(directory), first):
-                if length:
-                    yield rid, decode(page, offset, length)
+                yield rid, decode(page, offset, length)
 
     def scan_rows(self) -> Iterator[tuple[Any, ...]]:
-        """Yield every live record without its rid."""
+        """Yield every record without its rid."""
         for _, row in self.scan():
             yield row

@@ -35,8 +35,8 @@ class RecordId(int):
 
     A rid *is* the integer ``page_no << 16 | slot_no`` -- what the indexes
     store and :class:`~repro.storage.heapfile.HeapFile` resolves; this class
-    only names the two halves, for the rid ``insert`` hands back and for
-    error messages.  It orders and compares as its integer.
+    only names the two halves, for error messages.  It orders and compares
+    as its integer.
     """
 
     __slots__ = ()

@@ -22,12 +22,11 @@ entries whole, untested.  Children are stored in the order a depth-first
 walk visits them, so a search reads every level left to right and emits rids
 in tree order without a stack.
 
-Writes do not restructure: an insert joins a short pending list every search
-scans, a delete of a packed entry blanks its ``xmin`` to NaN (no comparison
-with a NaN holds, so the entry stops matching), and the write that takes the
-two past ``REPACK_THRESHOLD`` packs the live entries afresh.  ``search``
-changes nothing but its counters -- replicas of a shard probe one index from
-under different locks.
+The tree is built whole by :meth:`RTreeIndex.bulk_load`; a table that
+takes more rows packs its tree afresh, and only :meth:`RTreeIndex.remap`
+(a clustered heap's new rids) writes into a built one.  ``search`` changes
+nothing but its counter -- replicas of a shard probe one index from under
+different locks.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from ..errors import StorageError
 
 DEFAULT_MAX_ENTRIES = 32
-
-#: Pending inserts plus tombstones a tree carries before a write repacks it:
-#: each costs every search one test (pending) or one dead slot (tombstone).
-REPACK_THRESHOLD = 256
 
 
 @dataclass(frozen=True)
@@ -190,14 +185,12 @@ class RTreeIndex:
             raise StorageError(f"rtree max_entries must be >= 4, got {max_entries}")
         self.name = name
         self.max_entries = max_entries
-        self._count = 0
         self.lookups = 0
-        self.inserts = 0
-        self.nodes_visited = 0
         self._pack([])
 
     def __len__(self) -> int:
-        return self._count
+        *_, refs, _, first = self._packed
+        return len(refs) - first
 
     # -- packing (Sort-Tile-Recursive) -------------------------------------------
 
@@ -236,54 +229,10 @@ class RTreeIndex:
         # One tuple, swapped whole: a search under another lock sees the old
         # columns or the new, never a mix.
         self._packed = (xmin, ymin, xmax, ymax, refs, len(levels), len(refs) - len(entries))
-        self._pending: list[tuple[float, float, float, float, int]] = []
-        self._dead = 0  # packed entries a delete blanked
 
     def bulk_load(self, entries: Iterable[tuple[Rect | Sequence[float], int]]) -> None:
         """Replace the tree contents with an STR-packed tree over ``entries``."""
-        packed = [(*_box(bbox), rid) for bbox, rid in entries]
-        self._pack(packed)
-        self._count = len(packed)
-        self.inserts += len(packed)
-
-    def _live(self) -> Iterator[tuple[float, float, float, float, int]]:
-        """Every entry: the packed ones no delete blanked, then the pending."""
-        *columns, _, first = self._packed
-        for entry in zip(*(column[first:] for column in columns)):
-            if entry[0] == entry[0]:
-                yield entry
-        yield from self._pending
-
-    def _written(self) -> None:
-        if len(self._pending) + self._dead > REPACK_THRESHOLD:
-            self._pack(list(self._live()))
-
-    # -- writes -------------------------------------------------------------------
-
-    def insert(self, rect: Rect | Sequence[float], rid: int) -> None:
-        """Insert one ``bbox -> rid`` entry."""
-        self._pending.append((*_box(rect), rid))
-        self._count += 1
-        self.inserts += 1
-        self._written()
-
-    def delete(self, rect: Rect | Sequence[float], rid: int) -> bool:
-        """Remove one entry (exact bbox + rid match).  Returns False if absent."""
-        entry = (*_box(rect), rid)
-        if entry in self._pending:
-            self._pending.remove(entry)
-        else:
-            xmin, ymin, xmax, ymax, refs, _, _ = self._packed
-            for i in self._matches(entry[:4]):
-                if (xmin[i], ymin[i], xmax[i], ymax[i], refs[i]) == entry:
-                    xmin[i] = math.nan
-                    self._dead += 1
-                    break
-            else:
-                return False
-        self._count -= 1
-        self._written()
-        return True
+        self._pack([(*_box(bbox), rid) for bbox, rid in entries])
 
     # -- queries ---------------------------------------------------------------
 
@@ -298,12 +247,9 @@ class RTreeIndex:
             return []
         x0, y0, x1, y1 = xmin[0], ymin[0], xmax[0], ymax[0]
         if not (x0 <= qx1 and x1 >= qx0 and y0 <= qy1 and y1 >= qy0):
-            self.nodes_visited += 1
             return []
         frontier = [(1, refs[0], qx0 <= x0 and x1 <= qx1 and qy0 <= y0 and y1 <= qy1)]
-        visited = 1
         for _ in range(height - 1):
-            visited += len(frontier)
             deeper: list[tuple[int, int, bool]] = []
             for start, stop, inside in frontier:
                 if inside:
@@ -319,7 +265,6 @@ class RTreeIndex:
                             qx0 <= x0 and x1 <= qx1 and qy0 <= y0 and y1 <= qy1,
                         ))
             frontier = deeper
-        self.nodes_visited += visited
         return frontier
 
     def search(self, query: Rect | Sequence[float]) -> list[int]:
@@ -338,57 +283,26 @@ class RTreeIndex:
                     )
                     if x0 <= qx1 and x1 >= qx0 and y0 <= qy1 and y1 >= qy0
                 ]
-            elif self._dead:  # a blanked entry fails the test above, not a slice
-                results += [
-                    rid for rid, x0 in zip(refs[start:stop], xmin[start:stop]) if x0 == x0
-                ]
             else:
                 results += refs[start:stop]
-        for x0, y0, x1, y1, rid in self._pending:
-            if x0 <= qx1 and x1 >= qx0 and y0 <= qy1 and y1 >= qy0:
-                results.append(rid)
-        return results
-
-    def _matches(self, box: Box) -> Iterator[int]:
-        """Positions of the packed entries whose bbox intersects ``box``."""
-        xmin, ymin, xmax, ymax, _, _, _ = self._packed
-        qx0, qy0, qx1, qy1 = box
-        for start, stop, _ in self._entry_ranges(*box):
-            for i in range(start, stop):
-                if xmin[i] <= qx1 and xmax[i] >= qx0 and ymin[i] <= qy1 and ymax[i] >= qy0:
-                    yield i
-
-    def search_entries(self, query: Rect | Sequence[float]) -> list[tuple[Rect, int]]:
-        """Like :meth:`search` but also returns each entry's bbox."""
-        box = qx0, qy0, qx1, qy1 = _box(query)
-        self.lookups += 1
-        xmin, ymin, xmax, ymax, refs, _, _ = self._packed
-        results = [(Rect(xmin[i], ymin[i], xmax[i], ymax[i]), refs[i]) for i in self._matches(box)]
-        for x0, y0, x1, y1, rid in self._pending:
-            if x0 <= qx1 and x1 >= qx0 and y0 <= qy1 and y1 >= qy0:
-                results.append((Rect(x0, y0, x1, y1), rid))
         return results
 
     def all_entries(self) -> Iterator[tuple[Rect, int]]:
-        """Yield every ``(bbox, rid)`` entry."""
-        for x0, y0, x1, y1, rid in self._live():
+        """Yield every ``(bbox, rid)`` entry, in entry order."""
+        *columns, _, first = self._packed
+        for x0, y0, x1, y1, rid in zip(*(column[first:] for column in columns)):
             yield Rect(x0, y0, x1, y1), rid
 
     def rids(self) -> list[int]:
-        """Every entry's rid, in entry order: packed (leaf by leaf), then pending."""
-        xmin, _, _, _, refs, _, first = self._packed
-        packed = [rid for x0, rid in zip(xmin[first:], refs[first:]) if x0 == x0]
-        return packed + [entry[4] for entry in self._pending]
+        """Every entry's rid, in entry order (leaf by leaf)."""
+        *_, refs, _, first = self._packed
+        return refs[first:].tolist()
 
     def remap(self, old_to_new: Mapping[int, int]) -> None:
         """Point every entry at the rid its record moved to (a rewritten
-        heap); the tree keeps its shape and order.  A tombstone keeps its
-        dead rid: no search returns it."""
-        xmin, _, _, _, refs, _, first = self._packed
-        new = old_to_new.__getitem__
-        moved = (new(rid) if x0 == x0 else rid for x0, rid in zip(xmin[first:], refs[first:]))
-        refs[first:] = array("q", moved)
-        self._pending = [(*entry[:4], new(entry[4])) for entry in self._pending]
+        heap); the tree keeps its shape and order."""
+        *_, refs, _, first = self._packed
+        refs[first:] = array("q", map(old_to_new.__getitem__, refs[first:]))
 
     def height(self) -> int:
         """Node levels from the root to the leaves (1 for an empty tree)."""
@@ -396,7 +310,7 @@ class RTreeIndex:
         return max(1, height)
 
     def validate(self) -> None:
-        """Check the packed layout, MBR containment and the entry count."""
+        """Check the packed layout and MBR containment."""
         xmin, ymin, xmax, ymax, refs, height, first = self._packed
 
         def broken(what: str) -> StorageError:
@@ -410,16 +324,9 @@ class RTreeIndex:
             if not start < stop <= len(refs):
                 raise broken(f"node {i} has an empty or unordered child range")
             for child in range(start, stop):
-                if xmin[child] == xmin[child] and not (
+                if not (
                     xmin[i] <= xmin[child] and ymin[i] <= ymin[child]
                     and xmax[i] >= xmax[child] and ymax[i] >= ymax[child]
                 ):
                     raise broken(f"node {i} MBR does not contain item {child}")
             start = stop
-        dead = sum(1 for x in xmin[first:] if x != x)
-        counted = len(refs) - first - dead + len(self._pending)
-        if dead != self._dead or counted != self._count:
-            raise broken(
-                f"entry count mismatch ({counted} found, {self._count} recorded; "
-                f"{dead} tombstones found, {self._dead} recorded)"
-            )

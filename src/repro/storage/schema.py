@@ -112,10 +112,6 @@ class TableSchema:
         row = [mapping.get(column.name) for column in self.columns]
         return self.coerce_row(row)
 
-    def row_to_dict(self, row: Sequence[Any]) -> dict[str, Any]:
-        """Pair a positional row with column names."""
-        return {column.name: value for column, value in zip(self.columns, row)}
-
     # -- schema evolution ------------------------------------------------------
 
     def with_column(self, column: Column) -> "TableSchema":

@@ -1,9 +1,11 @@
 """A table: heap file storage plus its secondary indexes.
 
-The table keeps every index (B-tree, hash or R-tree) synchronised with the
-heap on insert / delete / update, and exposes the access paths the mini-SQL
-executor and the Kyrix backend use: full scans, key-index lookups and
-spatial-intersection lookups.
+A table is loaded, indexed and then only read, as Kyrix's precomputed
+tables are.  Its one write is an append: :meth:`Table.bulk_load` (and
+:meth:`Table.insert`, a one-row load) adds rows to the heap, then rebuilds
+every index (B-tree or R-tree) from the heap in one pass.  It exposes the
+access paths the mini-SQL executor and the Kyrix backend use: full scans,
+key-index lookups and spatial-intersection lookups.
 """
 
 from __future__ import annotations
@@ -14,21 +16,20 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import (
     DuplicateIndexError,
+    DuplicateKeyError,
     SchemaError,
     StorageError,
     UnknownIndexError,
 )
 from .btree import BTreeIndex
-from .hashindex import HashIndex
 from .heapfile import HeapFile
 from .pager import BufferPool
-from .row import RecordId
 from .rtree import Rect, RTreeIndex
 from .schema import TableSchema
 from .statistics import TableStats
 
 #: Union of the index implementations a table may carry.
-AnyIndex = BTreeIndex | HashIndex | RTreeIndex
+AnyIndex = BTreeIndex | RTreeIndex
 
 
 @dataclass
@@ -37,7 +38,7 @@ class IndexInfo:
 
     name: str
     column: str
-    kind: str  # "btree" | "hash" | "rtree"
+    kind: str  # "btree" | "rtree"
     unique: bool
     index: AnyIndex
 
@@ -91,8 +92,8 @@ class Table:
     ) -> IndexInfo:
         """Create an index on ``column`` and backfill it from existing rows.
 
-        ``kind`` is one of ``"btree"``, ``"hash"`` or ``"rtree"``.  R-tree
-        indexes require a BBOX column.
+        ``kind`` is ``"btree"`` or ``"rtree"``.  R-tree indexes require a
+        BBOX column.
         """
         if name in self._indexes:
             raise DuplicateIndexError(f"index {name!r} already exists on {self.name!r}")
@@ -101,8 +102,6 @@ class Table:
         column = column.lower()
         if kind == "btree":
             index: AnyIndex = BTreeIndex(name, unique=unique)
-        elif kind == "hash":
-            index = HashIndex(name, unique=unique)
         elif kind == "rtree":
             index = RTreeIndex(name)
         else:
@@ -118,13 +117,9 @@ class Table:
         entries = [
             (row[column_pos], rid) for rid, row in self._heap.scan() if row[column_pos] is not None
         ]
-        if info.kind == "hash":
-            for value, rid in entries:
-                info.index.insert(value, rid)
-            return
         if info.kind == "btree":
             entries.sort(key=itemgetter(0))  # stable: equal keys stay in heap order
-        info.index.bulk_load(entries)  # type: ignore[union-attr]
+        info.index.bulk_load(entries)
 
     def drop_index(self, name: str) -> None:
         if name not in self._indexes:
@@ -139,7 +134,7 @@ class Table:
             raise UnknownIndexError(f"no index named {name!r} on table {self.name!r}")
         return self._indexes[name]
 
-    def find_index_on(self, column: str, kinds: Sequence[str] = ("btree", "hash", "rtree")) -> IndexInfo | None:
+    def find_index_on(self, column: str, kinds: Sequence[str] = ("btree", "rtree")) -> IndexInfo | None:
         """Return an index on ``column`` of one of the given kinds, or None."""
         column = column.lower()
         for info in self._indexes.values():
@@ -147,41 +142,52 @@ class Table:
                 return info
         return None
 
-    # -- data modification ------------------------------------------------------------
+    # -- loading ------------------------------------------------------------------------
 
-    def insert(self, values: Sequence[Any] | dict[str, Any]) -> RecordId:
-        """Insert one row (positional sequence or column mapping)."""
+    def insert(self, values: Sequence[Any] | dict[str, Any]) -> int:
+        """Append one row (positional sequence or column mapping) as a
+        one-row :meth:`bulk_load`; returns its rid."""
         if isinstance(values, dict):
             row = self.schema.coerce_mapping(values)
         else:
             row = self.schema.coerce_row(values)
-        rid = self._heap.insert(row)
-        for info in self._indexes.values():
-            value = row[self.schema.column_index(info.column)]
-            if value is None:
-                continue
-            info.index.insert(value, rid)
-        self._stats = None
+        (rid,) = self._load([row])
         return rid
 
     def bulk_load(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Fast-path load of positional rows with deferred index maintenance.
+        """Append positional rows to the heap, then rebuild every index in
+        one pass (the R-tree's STR packing, the B-tree's sorted build).
 
-        All rows are appended to the heap first; every index is then rebuilt
-        in one pass (using the R-tree STR bulk loader where applicable).
+        A key a unique index holds already, or one the rows repeat, raises
+        :class:`~repro.errors.DuplicateKeyError` before the heap is touched.
         Returns the number of rows loaded.
         """
-        count = len(self._heap.insert_many(map(self.schema.coerce_row, rows)))
-        for info in self._indexes.values():
-            if info.kind == "rtree":
-                info.index = RTreeIndex(info.name)
-            elif info.kind == "hash":
-                info.index = HashIndex(info.name, unique=info.unique)
-            else:
-                info.index = BTreeIndex(info.name, unique=info.unique)
-            self._backfill_index(info)
-        self._stats = None
-        return count
+        return len(self._load(map(self.schema.coerce_row, rows)))
+
+    def _load(self, rows: Iterable[tuple[Any, ...]]) -> list[int]:
+        """The one write path: check unique keys, append, rebuild the indexes."""
+        unique = [info for info in self._indexes.values() if info.unique and info.kind == "btree"]
+        if unique:  # the rows are held back: a refused load writes nothing
+            rows = list(rows)
+            for info in unique:
+                self._check_unique(info, rows)
+        try:
+            return self._heap.insert_many(rows)
+        finally:  # what reached the heap reaches every index, failure or not
+            for info in self._indexes.values():
+                self._backfill_index(info)
+            self._stats = None
+
+    def _check_unique(self, info: IndexInfo, rows: list[tuple[Any, ...]]) -> None:
+        position = self.schema.column_index(info.column)
+        seen = set(info.index.keys())  # type: ignore[union-attr]
+        for row in rows:
+            key = row[position]
+            if key is None:
+                continue
+            if key in seen:
+                raise DuplicateKeyError(f"index {info.name!r}: duplicate key {key!r}")
+            seen.add(key)
 
     def cluster(self, index_name: str) -> None:
         """Rewrite the heap in the order of ``index_name``'s entries, as
@@ -197,9 +203,7 @@ class Table:
         to itself: no reader may run alongside.
         """
         info = self.get_index(index_name)
-        if info.kind == "hash":
-            raise StorageError(f"cannot cluster {self.name!r} on hash index {index_name!r}")
-        order = info.index.rids()  # type: ignore[union-attr]
+        order = info.index.rids()
         if len(order) < len(self._heap):
             position = self.schema.column_index(info.column)
             order += [rid for rid, row in self._heap.scan() if row[position] is None]
@@ -209,32 +213,6 @@ class Table:
         old_to_new = dict(zip(order, self._heap.rewrite(order)))
         for other in self._indexes.values():
             other.index.remap(old_to_new)
-
-    def delete(self, rid: int) -> None:
-        """Delete the row at ``rid`` and unhook it from every index."""
-        row = self._heap.fetch(rid)
-        for info in self._indexes.values():
-            value = row[self.schema.column_index(info.column)]
-            if value is None:
-                continue
-            info.index.delete(value, rid)
-        self._heap.delete(rid)
-        self._stats = None
-
-    def update(self, rid: int, changes: dict[str, Any]) -> RecordId:
-        """Update the row at ``rid`` with ``{column: new_value}`` changes."""
-        current = self.schema.row_to_dict(self._heap.fetch(rid))
-        current.update(changes)
-        new_row = self.schema.coerce_mapping(current)
-        self.delete(rid)
-        new_rid = self._heap.insert(new_row)
-        for info in self._indexes.values():
-            value = new_row[self.schema.column_index(info.column)]
-            if value is None:
-                continue
-            info.index.insert(value, new_rid)
-        self._stats = None
-        return new_rid
 
     # -- access paths ------------------------------------------------------------------
 
@@ -255,7 +233,7 @@ class Table:
 
     def lookup_key(self, column: str, key: Any) -> list[tuple[int, tuple[Any, ...]]]:
         """Equality lookup, via an index when available, otherwise a scan."""
-        info = self.find_index_on(column, kinds=("btree", "hash"))
+        info = self.find_index_on(column, kinds=("btree",))
         if info is not None:
             rids = info.index.search(key)  # type: ignore[union-attr]
             return list(zip(rids, self._heap.fetch_many(rids)))
@@ -264,7 +242,7 @@ class Table:
 
     def lookup_keys(self, column: str, keys: Sequence[Any]) -> list[tuple[int, tuple[Any, ...]]]:
         """Equality lookup for several keys (IN-list)."""
-        info = self.find_index_on(column, kinds=("btree", "hash"))
+        info = self.find_index_on(column, kinds=("btree",))
         if info is not None:
             rids = info.index.search_many(list(keys))  # type: ignore[union-attr]
             return list(zip(rids, self._heap.fetch_many(rids)))

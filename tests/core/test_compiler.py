@@ -87,7 +87,7 @@ class TestValidator:
 
     def test_non_select_layer_query(self):
         app = make_valid_app()
-        app.canvas("overview").transforms["data"].query = "DELETE FROM dots"
+        app.canvas("overview").transforms["data"].query = "INSERT INTO dots VALUES (1)"
         assert any("must be a SELECT" in issue for issue in collect_issues(app))
 
     def test_jump_to_unknown_canvas(self):

@@ -10,29 +10,24 @@ from repro.minisql.functions import (
     as_spatial_lookup,
     combine_conjuncts,
     compile_expression,
-    compile_predicate,
     constant_value,
     split_conjuncts,
 )
 from repro.minisql.parser import parse_expression
 
 
-def compiled(expression, row: dict, compiler=compile_expression, binds: tuple = ()):
+def compiled(expression, row: dict, binds: tuple = ()):
     """Compile against the layout ``row``'s keys spell (``"t.x"`` is column
     ``x`` of binding ``t``) and apply to its values and ``binds``."""
     slots = []
     for key in row:
         binding, _, column = key.rpartition(".")
         slots.append((binding or None, binding or None, column))
-    return compiler(expression, Layout(tuple(slots)))(tuple(row.values()), binds)
+    return compile_expression(expression, Layout(tuple(slots)))(tuple(row.values()), binds)
 
 
 def ev(text: str, row: dict | None = None):
     return compiled(parse_expression(text), row or {})
-
-
-def predicate_matches(expression, row: dict) -> bool:
-    return compiled(expression, row, compile_predicate)
 
 
 class TestEvaluate:
@@ -116,10 +111,6 @@ class TestEvaluate:
         with pytest.raises(SQLExecutionError):
             ev("frobnicate(1)")
 
-    def test_predicate_matches_treats_null_as_false(self):
-        assert predicate_matches(parse_expression("x > 1"), {"x": None}) is False
-        assert predicate_matches(None, {}) is True
-
 
 class TestPredicateAnalysis:
     def test_split_and_combine_conjuncts(self):
@@ -127,8 +118,8 @@ class TestPredicateAnalysis:
         conjuncts = split_conjuncts(expression)
         assert len(conjuncts) == 3
         rebuilt = combine_conjuncts(conjuncts)
-        assert predicate_matches(rebuilt, {"a": 1, "b": 2, "c": 3}) is True
-        assert predicate_matches(rebuilt, {"a": 1, "b": 2, "c": 4}) is False
+        assert compiled(rebuilt, {"a": 1, "b": 2, "c": 3}) is True
+        assert compiled(rebuilt, {"a": 1, "b": 2, "c": 4}) is False
 
     def test_split_none(self):
         assert split_conjuncts(None) == []

@@ -9,14 +9,12 @@ from repro.minisql.ast import (
     ColumnRef,
     CreateIndexStatement,
     CreateTableStatement,
-    DeleteStatement,
     FunctionCall,
     InList,
     InsertStatement,
     IsNull,
     Literal,
     SelectStatement,
-    UpdateStatement,
 )
 from repro.minisql.parser import parse, parse_expression
 
@@ -157,15 +155,20 @@ class TestOtherStatements:
         statement = parse("INSERT INTO t (a, b) VALUES (1, 2)")
         assert statement.columns == ("a", "b")
 
-    def test_update(self):
-        statement = parse("UPDATE t SET a = 1, b = b + 1 WHERE id = 3")
-        assert isinstance(statement, UpdateStatement)
-        assert statement.assignments[0][0] == "a"
-        assert statement.where is not None
-
-    def test_delete(self):
-        statement = parse("DELETE FROM t WHERE x < 0")
-        assert isinstance(statement, DeleteStatement)
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "UPDATE t SET a = 1, b = b + 1 WHERE id = 3",
+            "DELETE FROM t WHERE x < 0",
+            "UPDATE t SET a = 1",
+            "DELETE FROM t",
+            "update t set a = ? where id = ?",
+        ],
+    )
+    def test_update_and_delete_are_not_statements(self, sql):
+        with pytest.raises(SQLSyntaxError, match="expected a statement") as caught:
+            parse(sql)
+        assert caught.value.position == 0
 
     def test_create_table(self):
         statement = parse("CREATE TABLE t (a int, b text, c bbox)")

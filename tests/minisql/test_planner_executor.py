@@ -1,5 +1,7 @@
 """Tests for the query planner and executor."""
 
+from unittest import mock
+
 import pytest
 
 from repro.errors import SQLExecutionError, UnknownTableError
@@ -110,7 +112,6 @@ class TestExecutorSelect:
         engine.execute("INSERT INTO dots VALUES (99, null, null, null, null)")
         result = engine.execute("SELECT count(x), count(*) FROM dots")
         assert result.rows[0] == (50, 51)
-        engine.execute("DELETE FROM dots WHERE id = 99")
 
     def test_group_by_with_aggregate(self, engine):
         result = engine.execute(
@@ -197,11 +198,11 @@ class TestNamesResolveAtPlanTime:
             with pytest.raises(SQLExecutionError, match="unknown column reference"):
                 getattr(twins, run)(sql)
 
-    def test_update_and_delete_reject_unknown_names_before_touching_a_row(self, twins):
+    def test_insert_rejects_unknown_names_before_touching_a_row(self, twins):
         with pytest.raises(SQLExecutionError, match="unknown column reference"):
-            twins.execute("UPDATE a SET v = nope + 1")
+            twins.execute("INSERT INTO a VALUES (3, nope + 1)")
         with pytest.raises(SQLExecutionError, match="unknown column reference"):
-            twins.execute("DELETE FROM a WHERE nope = 1")
+            twins.execute("INSERT INTO a VALUES (3, 30), (4, nope)")  # the first row too
         assert twins.execute("SELECT id, v FROM a ORDER BY id").rows == [(1, 10), (2, 20)]
 
     def test_select_star_over_a_join_lists_each_bare_name_once(self, twins):
@@ -211,21 +212,45 @@ class TestNamesResolveAtPlanTime:
 
 
 class TestExecutorModification:
-    def test_update_with_expression(self, engine):
-        engine.execute("UPDATE dots SET x = x + 1000 WHERE id = 10")
-        assert engine.execute("SELECT x FROM dots WHERE id = 10").scalar() == 1020.0
-        engine.execute("UPDATE dots SET x = x - 1000 WHERE id = 10")
-
-    def test_delete_returns_rowcount(self, engine):
-        engine.execute("INSERT INTO dots VALUES (1000, 0, 0, 'tmp', bbox(0,0,1,1))")
-        result = engine.execute("DELETE FROM dots WHERE id = 1000")
-        assert result.rowcount == 1
+    def test_insert_returns_rowcount_and_its_rows_are_indexed(self, engine):
+        result = engine.execute(
+            "INSERT INTO dots VALUES (1000, 0, 0, 'a', bbox(500, 500, 501, 501)), "
+            "(1001, 0, 0, 'b', bbox(500, 500, 501, 501))"
+        )
+        assert result.rowcount == 2
+        assert engine.execute("SELECT name FROM dots WHERE id = 1001").rows == [("b",)]
+        spatial = engine.execute("SELECT id FROM dots WHERE intersects(bbox, 500, 500, 501, 501)")
+        assert spatial.access_path == "spatial" and sorted(spatial.rows) == [(1000,), (1001,)]
 
     def test_insert_with_column_list(self, engine):
         engine.execute("INSERT INTO dots (id, name) VALUES (2000, 'partial')")
         row = engine.execute("SELECT x, name FROM dots WHERE id = 2000").rows[0]
         assert row == (None, "partial")
-        engine.execute("DELETE FROM dots WHERE id = 2000")
+
+    def test_a_null_key_is_stored_but_not_indexed(self, engine):
+        engine.execute("INSERT INTO dots (name) VALUES ('keyless')")
+        assert engine.execute("SELECT id FROM dots WHERE name = 'keyless'").rows == [(None,)]
+        assert engine.execute("SELECT count(*) FROM dots").rows == [(51,)]
+        assert len(engine.database.table("dots").get_index("dots_id").index) == 50
+        assert len(engine.database.table("dots").get_index("dots_bbox").index) == 50
+
+    def test_a_multi_row_insert_is_one_load(self, engine):
+        table = engine.database.table("dots")
+        index = table.get_index("dots_id").index
+        values = ", ".join(f"({i}, 0, 0, 'n{i}', bbox(0, 0, 1, 1))" for i in range(100, 110))
+        with mock.patch.object(index, "bulk_load", wraps=index.bulk_load) as build:
+            assert engine.execute(f"INSERT INTO dots VALUES {values}").rowcount == 10
+        assert build.call_count == 1  # the ten rows went in together: one rebuild
+        found = engine.execute("SELECT id FROM dots WHERE id IN (100, 105, 109)").rows
+        assert sorted(found) == [(100,), (105,), (109,)]
+
+    def test_a_comparison_with_null_filters_the_row_out(self, engine):
+        engine.execute("INSERT INTO dots (id, name) VALUES (3000, 'nowhere')")
+        assert engine.execute("SELECT id FROM dots WHERE x > 90 ORDER BY id").rows == [
+            (46,), (47,), (48,), (49,)
+        ]
+        assert engine.execute("SELECT id FROM dots WHERE NOT (x > 90) AND id > 2000").rows == []
+        assert engine.execute("SELECT id FROM dots WHERE x IS NULL").rows == [(3000,)]
 
     def test_insert_arity_mismatch_raises(self, engine):
         with pytest.raises(SQLExecutionError):

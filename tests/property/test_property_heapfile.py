@@ -1,12 +1,12 @@
 """Model-based property tests for the heap file and the compiled row decoder.
 
-A generated schema and a generated sequence of ``insert`` / ``insert_many``
-/ ``update`` / ``delete`` / ``rewrite`` / ``fetch`` / ``fetch_many`` /
-``scan`` calls run against a :class:`HeapFile` on small pages (so records
-spread over many) in a pool of 4 or 8 pages and against a plain dict; the two
-must agree after every step, and a rid the model does not hold -- deleted,
-moved away by an update or a rewrite, or another heap's -- must raise
-:class:`RecordNotFoundError` from every entry point.
+A generated schema and a generated sequence of ``insert_many`` (of one row
+or several) / ``rewrite`` / ``fetch`` / ``fetch_many`` / ``scan`` calls run
+against a :class:`HeapFile` on small pages (so records spread over many) in
+a pool of 4 or 8 pages and against a plain dict; the two must agree after
+every step, and a rid the model does not hold -- moved away by a rewrite,
+or another heap's -- must raise :class:`RecordNotFoundError` from every
+entry point.
 """
 
 from __future__ import annotations
@@ -69,20 +69,14 @@ def test_heap_file_agrees_with_a_dict_model(data):
     pool = BufferPool(PageStore(512), data.draw(st.sampled_from([4, 8])))
     heap = HeapFile(pool, schema)
     stranger = HeapFile(pool, schema)
-    model: dict[RecordId, tuple] = {}
-    spare_row = data.draw(rows_of(schema))
-    dead: list[RecordId] = [stranger.insert(spare_row), RecordId(10_000, 0)]
-
-    def some_rid() -> RecordId:
-        return data.draw(st.sampled_from(sorted(model)))
+    model: dict[int, tuple] = {}
+    dead: list[int] = [*stranger.insert_many([data.draw(rows_of(schema))]), RecordId(10_000, 0)]
 
     for _ in range(data.draw(st.integers(1, 40))):
-        action = data.draw(st.sampled_from(
-            ["insert"] * 3 + ["insert_many", "update", "delete", "rewrite", "fetch_many"]
-        ))
+        action = data.draw(st.sampled_from(["insert"] * 3 + ["insert_many", "rewrite", "fetch_many"]))
         if action == "insert" or not model:
             row = data.draw(rows_of(schema))
-            rid = heap.insert(row)
+            (rid,) = heap.insert_many([row])
             assert rid not in model
             model[rid] = row
         elif action == "insert_many":
@@ -101,18 +95,6 @@ def test_heap_file_agrees_with_a_dict_model(data):
             assert [rid for rid, _ in heap.scan()] == moved  # the new physical order
             dead.extend(order)
             model = {new: model[old] for old, new in zip(order, moved)}
-        elif action == "update":
-            rid, row = some_rid(), data.draw(rows_of(schema))
-            moved = heap.update(rid, row)
-            if moved != rid:
-                dead.append(rid)
-                del model[rid]
-            model[moved] = row
-        elif action == "delete":
-            rid = some_rid()
-            heap.delete(rid)
-            dead.append(rid)
-            del model[rid]
         else:
             wanted = data.draw(st.lists(st.sampled_from(sorted(model)), max_size=12))
             assert heap.fetch_many(wanted) == [model[rid] for rid in wanted]  # request order
@@ -123,7 +105,7 @@ def test_heap_file_agrees_with_a_dict_model(data):
 
         assert len(heap) == len(model)
         gone = data.draw(st.sampled_from(dead))
-        for call in (heap.fetch, heap.delete, lambda rid: heap.update(rid, spare_row)):
+        for call in (heap.fetch, lambda rid: heap.fetch_many([rid])):
             with pytest.raises(RecordNotFoundError):
                 call(gone)
 

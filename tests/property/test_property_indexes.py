@@ -1,21 +1,22 @@
 """Property-based tests (hypothesis) for the index structures.
 
-These check the invariants the rest of the system leans on: indexes agree
-with brute force, structural invariants survive arbitrary insert/delete
-sequences, and lookups never return phantom entries.
+These check the invariants the rest of the system leans on: a bulk-loaded
+index agrees with brute force, keeps its structural invariants whatever it
+is loaded with, and never returns a phantom entry; a table a unique index
+refuses a load for is left as it was; and rows inserted one at a time land
+as one load of them would.
 """
 
 from __future__ import annotations
 
-from unittest import mock
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DuplicateKeyError
-from repro.storage import rtree
 from repro.storage.btree import BTreeIndex
-from repro.storage.hashindex import HashIndex
+from repro.storage.database import Database
 from repro.storage.row import RecordId
 from repro.storage.rtree import Rect, RTreeIndex
 
@@ -25,137 +26,139 @@ def rid(n: int) -> RecordId:
 
 
 keys = st.integers(min_value=-1000, max_value=1000)
+# A table's bbox cell: NULL, or a box on a coarse grid (equal and touching boxes occur).
+boxes = st.one_of(
+    st.none(),
+    st.tuples(st.integers(0, 900), st.integers(0, 450), st.integers(0, 60), st.integers(0, 60)).map(
+        lambda c: (float(c[0]), float(c[1]), float(c[0] + c[2]), float(c[1] + c[3]))
+    ),
+)
+
+
+def loaded(values, *, order: int = 8) -> BTreeIndex:
+    """A B-tree over ``value -> rid(position)``, loaded as a table loads it:
+    stably sorted by key, so equal keys keep their position order."""
+    index = BTreeIndex("p", order=order)
+    index.bulk_load(sorted(((key, rid(p)) for p, key in enumerate(values)), key=itemgetter(0)))
+    return index
 
 
 class TestBTreeProperties:
     @given(st.lists(keys, max_size=300))
     @settings(max_examples=60, deadline=None)
     def test_search_matches_brute_force(self, values):
-        index = BTreeIndex("p", order=8)
+        index = loaded(values)
         reference: dict[int, list[RecordId]] = {}
         for position, key in enumerate(values):
-            index.insert(key, rid(position))
             reference.setdefault(key, []).append(rid(position))
         index.validate()
         for key in set(values) | {0, 1234}:
-            assert sorted(index.search(key)) == sorted(reference.get(key, []))
+            assert index.search(key) == reference.get(key, [])  # position order kept
 
     @given(st.lists(keys, min_size=1, max_size=200), st.data())
     @settings(max_examples=40, deadline=None)
     def test_range_search_matches_sorted_filter(self, values, data):
-        index = BTreeIndex("p", order=8)
-        for position, key in enumerate(values):
-            index.insert(key, rid(position))
+        index = loaded(values)
         low = data.draw(keys)
         high = data.draw(st.integers(min_value=low, max_value=1000))
         result = [k for k, _ in index.range_search(low, high)]
         expected = sorted(k for k in values if low <= k <= high)
         assert result == expected
 
-    @given(st.lists(st.tuples(keys, st.booleans()), max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_interleaved_insert_delete_keeps_invariants(self, operations):
-        index = BTreeIndex("p", order=8)
-        live: dict[int, list[RecordId]] = {}
-        counter = 0
-        for key, is_insert in operations:
-            if is_insert or not live.get(key):
-                index.insert(key, rid(counter))
-                live.setdefault(key, []).append(rid(counter))
-                counter += 1
-            else:
-                victim = live[key].pop()
-                assert index.delete(key, victim) is True
-        index.validate()
-        assert len(index) == sum(len(v) for v in live.values())
-        for key, rids in live.items():
-            assert sorted(index.search(key)) == sorted(rids)
-
-
     # Six keys, leaves of four: a key's run of entries outgrows a leaf and
     # crosses into the next ones.
     few_keys = st.integers(min_value=0, max_value=5)
 
-    @given(
-        st.integers(min_value=4, max_value=8),
-        st.lists(st.tuples(st.sampled_from("iiiidsb"), few_keys, st.integers(0, 400)), max_size=200),
-    )
+    @given(st.integers(min_value=4, max_value=8), st.lists(few_keys, max_size=200))
     @settings(max_examples=80, deadline=None)
-    def test_duplicate_runs_match_a_dict_of_lists(self, order, operations):
-        index = BTreeIndex("p", order=order)
+    def test_duplicate_runs_match_a_dict_of_lists(self, order, values):
+        index = loaded(values, order=order)
         model: dict[int, list[int]] = {}
-        fresh = iter(range(10_000, 20_000))
-        for op, key, pick in operations:
-            if op == "i":
-                model.setdefault(key, []).append(rid := next(fresh))
-                index.insert(key, rid)
-            elif op == "d":  # a stored entry when there is one, else an absent one
-                stored = model.get(key, [])
-                victim = stored[pick % len(stored)] if stored and pick % 3 else 9
-                assert index.delete(key, victim) is (victim in stored)
-                if victim in stored:
-                    stored.remove(victim)
-            elif op == "b":  # reload everything in bulk: same answers, same order
-                index.bulk_load((k, rid) for k in sorted(model) for rid in model[k])
-            index.validate()
-            assert index.search(key) == model.get(key, [])  # insertion order kept
-        assert len(index) == sum(map(len, model.values()))
+        for position, key in enumerate(values):
+            model.setdefault(key, []).append(rid(position))
+        index.validate()
+        for key in range(7):
+            assert index.search(key) == model.get(key, [])  # load order kept
+        assert len(index) == len(values)
         assert list(index.items()) == [(k, rid) for k in sorted(model) for rid in model[k]]
-        assert list(index.keys()) == [k for k in sorted(model) if model[k]]
+        assert list(index.keys()) == sorted(model)
         assert index.search_many([5, 0, 7]) == model.get(5, []) + model.get(0, [])
 
     @given(st.integers(min_value=4, max_value=8), st.lists(keys, max_size=200))
     @settings(max_examples=40, deadline=None)
-    def test_bulk_load_equals_repeated_insert(self, order, values):
+    def test_bulk_load_equals_the_sorted_pairs(self, order, values):
         pairs = sorted((key, position) for position, key in enumerate(values))
-        loaded, grown = BTreeIndex("b", order=order), BTreeIndex("i", order=order)
-        loaded.bulk_load(pairs)
-        for key, rid in pairs:
-            grown.insert(key, rid)
-        loaded.validate()
-        assert len(loaded) == len(grown) == len(values)
-        assert list(loaded.items()) == list(grown.items()) == pairs
+        index = BTreeIndex("b", order=order)
+        index.bulk_load(pairs)
+        index.validate()
+        assert len(index) == len(values)
+        assert list(index.items()) == pairs
         for key in set(values) | {1234}:
-            assert loaded.search(key) == grown.search(key)
+            assert index.search(key) == [position for k, position in pairs if k == key]
         low, high = min(values, default=0), max(values, default=0)
-        assert list(loaded.range_search(low, high, include_low=False, include_high=False)) == [
+        assert list(index.range_search(low, high, include_low=False, include_high=False)) == [
             pair for pair in pairs if low < pair[0] < high
         ]
 
     @given(st.lists(keys, min_size=1, max_size=50, unique=True), st.data())
     @settings(max_examples=30, deadline=None)
-    def test_unique_index_still_refuses_a_second_entry(self, values, data):
+    def test_unique_index_refuses_a_second_entry(self, values, data):
         duplicate = data.draw(st.sampled_from(values))
         index = BTreeIndex("u", order=4, unique=True)
         index.bulk_load((key, rid(key + 1000)) for key in sorted(values))
         with pytest.raises(DuplicateKeyError):
-            index.insert(duplicate, rid(1))
-        with pytest.raises(DuplicateKeyError):
-            BTreeIndex("u", unique=True).bulk_load(
-                (key, rid(1)) for key in sorted(values + [duplicate])
-            )
-        index.validate()
+            index.bulk_load((key, rid(1)) for key in sorted(values + [duplicate]))
+        index.validate()  # a refused load leaves the contents as they were
         assert index.search(duplicate) == [rid(duplicate + 1000)]
 
 
-class TestHashIndexProperties:
-    @given(st.lists(st.tuples(keys, st.booleans()), max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_dict_semantics(self, operations):
-        index = HashIndex("p")
-        reference: dict[int, list[RecordId]] = {}
-        counter = 0
-        for key, is_insert in operations:
-            if is_insert or not reference.get(key):
-                index.insert(key, rid(counter))
-                reference.setdefault(key, []).append(rid(counter))
-                counter += 1
+class TestUniqueLoads:
+    @given(st.lists(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 12)), keys), max_size=5),
+                    max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_a_load_goes_in_whole_or_not_at_all(self, batches):
+        table = Database().create_table("t", [("id", "int"), ("a", "int")])
+        table.create_index("t_id", "id", "btree", unique=True)
+        table.create_index("t_a", "a", "btree")
+        model: list[tuple] = []
+        for batch in batches:
+            ids = [row[0] for row in model + batch if row[0] is not None]
+            if len(set(ids)) == len(ids):
+                assert table.bulk_load(batch) == len(batch)
+                model += batch
             else:
-                victim = reference[key].pop()
-                index.delete(key, victim)
-        index.validate()
-        for key in set(k for k, _ in operations):
-            assert sorted(index.search(key)) == sorted(reference.get(key, []))
+                with pytest.raises(DuplicateKeyError):
+                    table.bulk_load(batch)
+            assert list(table.scan_rows()) == model
+            for info in table.indexes.values():
+                info.index.validate()
+            for key in range(13):
+                assert [row for _, row in table.lookup_key("id", key)] == [
+                    row for row in model if row[0] == key
+                ]
+            for _, a in batch:
+                assert [row for _, row in table.lookup_key("a", a)] == [
+                    row for row in model if row[1] == a
+                ]
+
+    @given(st.lists(st.tuples(st.integers(0, 6), boxes), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_inserting_row_by_row_equals_one_load(self, rows):
+        tables = []
+        for name in ("one_by_one", "at_once"):
+            table = Database().create_table(name, [("k", "int"), ("box", "bbox")])
+            table.create_index(f"{name}_k", "k", "btree")
+            table.create_index(f"{name}_box", "box", "rtree")
+            tables.append(table)
+        for row in rows:
+            tables[0].insert(row)
+        tables[1].bulk_load(rows)
+        one_by_one, at_once = tables
+        assert list(one_by_one.scan()) == list(at_once.scan())
+        for key in range(7):
+            assert one_by_one.lookup_key("k", key) == at_once.lookup_key("k", key)
+        query = Rect(100.0, 50.0, 600.0, 400.0)
+        assert one_by_one.spatial_search("box", query) == at_once.spatial_search("box", query)
 
 
 rect_coords = st.tuples(
@@ -186,61 +189,37 @@ def _meets(box, query) -> bool:
 class TestPackedRTreeModel:
     @given(
         st.integers(min_value=4, max_value=32),
-        st.integers(min_value=1, max_value=12),
         st.lists(
             st.one_of(
                 st.tuples(st.just("load"), st.lists(grid_entry, max_size=80)),
-                st.tuples(st.just("insert"), grid_entry),
-                st.tuples(st.just("delete"), st.integers(0, 1000), grid_entry),
                 st.tuples(st.just("search"), grid_box),
             ),
-            max_size=60,
+            max_size=30,
         ),
     )
     @settings(max_examples=120, deadline=None)
-    def test_any_interleaving_equals_the_brute_force_model(self, max_entries, threshold, steps):
-        with mock.patch.object(rtree, "REPACK_THRESHOLD", threshold):
-            tree = RTreeIndex("p", max_entries=max_entries)
-            model: list[tuple[tuple[float, float, float, float], int]] = []
-            for step in steps:
-                queries = [EVERYTHING]  # a box every node lies inside: slices, not tests
-                if step[0] == "load":
-                    model = list(step[1])
-                    tree.bulk_load(model)
-                elif step[0] == "insert":
-                    model.append(step[1])
-                    tree.insert(*step[1])
-                elif step[0] == "delete":  # mostly a stored entry, sometimes an absent one
-                    entry = model[step[1] % len(model)] if model and step[1] % 4 else step[2]
-                    assert tree.delete(*entry) is (entry in model)
-                    if entry in model:
-                        model.remove(entry)
-                    queries.append(entry[0])
-                else:
-                    queries.append(step[1])
-                tree.validate()
-                assert len(tree) == len(model)
-                assert sorted((rect.as_tuple(), r) for rect, r in tree.all_entries()) == sorted(model)
-                for query in queries:
-                    expected = sorted(entry for entry in model if _meets(entry[0], query))
-                    assert sorted(tree.search(query)) == sorted(r for _, r in expected)
-                    found = tree.search_entries(Rect(*query))
-                    assert sorted((rect.as_tuple(), r) for rect, r in found) == expected
+    def test_any_load_equals_the_brute_force_model(self, max_entries, steps):
+        tree = RTreeIndex("p", max_entries=max_entries)
+        model: list[tuple[tuple[float, float, float, float], int]] = []
+        for step in steps:
+            queries = [EVERYTHING]  # a box every node lies inside: slices, not tests
+            if step[0] == "load":
+                model = list(step[1])
+                tree.bulk_load(model)
+                queries += [box for box, _ in model[:3]]
+            else:
+                queries.append(step[1])
+            tree.validate()
+            assert len(tree) == len(model)
+            entries = [(rect.as_tuple(), r) for rect, r in tree.all_entries()]
+            assert sorted(entries) == sorted(model)
+            assert [r for _, r in entries] == tree.rids()  # one entry order
+            for query in queries:
+                expected = sorted(r for box, r in model if _meets(box, query))
+                assert sorted(tree.search(query)) == expected
 
 
 class TestRTreeProperties:
-    @given(st.lists(rect_coords, max_size=200), rect_coords)
-    @settings(max_examples=50, deadline=None)
-    def test_incremental_search_matches_brute_force(self, coords, query_coords):
-        entries = [(make_rect(c), rid(i)) for i, c in enumerate(coords)]
-        tree = RTreeIndex("p", max_entries=6)
-        for rect, r in entries:
-            tree.insert(rect, r)
-        tree.validate()
-        query = make_rect(query_coords)
-        expected = {r for rect, r in entries if rect.intersects(query)}
-        assert set(tree.search(query)) == expected
-
     @given(st.lists(rect_coords, max_size=400), rect_coords)
     @settings(max_examples=40, deadline=None)
     def test_bulk_load_search_matches_brute_force(self, coords, query_coords):

@@ -41,8 +41,8 @@ t_rows = st.lists(st.tuples(small_ints, halves, words), max_size=14).map(
 #: u(k, label): the join's inner side; k repeats and may be NULL.
 u_rows = st.lists(st.tuples(small_ints, words), max_size=8)
 
-INDEX_CHOICES = [(), (("t", "a", "btree"),), (("t", "id", "hash"),), (("u", "k", "btree"),),
-                 (("t", "a", "hash"), ("u", "k", "hash"))]
+INDEX_CHOICES = [(), (("t", "a", "btree"),), (("t", "id", "btree"),), (("u", "k", "btree"),),
+                 (("t", "a", "btree"), ("u", "k", "btree"))]
 
 
 def load(t: list[tuple], u: list[tuple], indexes: tuple) -> tuple[SQLEngine, sqlite3.Connection]:
@@ -164,18 +164,16 @@ class TestMiniSQLAgreesWithSQLite:
         t_rows,
         st.sampled_from(INDEX_CHOICES[:3]),
         st.lists(
-            st.one_of(
-                st.tuples(st.sampled_from(["a = a + 1", "f = f * 2, a = id", "s = 'z', f = a"]), where())
-                .map(lambda p: f"UPDATE t SET {p[0]}{p[1]}"),
-                where().map(lambda w: f"DELETE FROM t{w}"),
-                st.tuples(st.integers(100, 103), small_ints)
-                .map(lambda p: f"INSERT INTO t VALUES ({p[0]}, {'null' if p[1] is None else p[1]}, 1.5, 'n')"),
+            st.lists(st.tuples(st.integers(100, 103), small_ints), min_size=1, max_size=3).map(
+                lambda rows: "INSERT INTO t VALUES " + ", ".join(
+                    f"({i}, {'null' if a is None else a}, 1.5, 'n')" for i, a in rows
+                )
             ),
             min_size=1, max_size=4,
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_modifications_leave_the_same_table(self, t, indexes, statements):
+    def test_inserts_leave_the_same_table(self, t, indexes, statements):
         engine, reference = load(t, [], indexes)
         for sql in statements:
             assert engine.execute(sql).rowcount == reference.execute(sql).rowcount, sql
@@ -221,7 +219,7 @@ prepared_queries = st.one_of(
     parameterised("SELECT id, f AS x FROM t WHERE a <> ? ORDER BY x DESC, id LIMIT 4", int_values),
 )
 
-JOIN_INDEXES = [(("u", "k", "btree"),), (("u", "k", "hash"),), (("u", "k", "hash"), ("t", "a", "btree"))]
+JOIN_INDEXES = [(("u", "k", "btree"), ("t", "id", "btree"))]
 
 
 class TestPreparedStatementsAgreeWithSQLite:
@@ -240,23 +238,20 @@ class TestPreparedStatementsAgreeWithSQLite:
 
     @given(t_rows, st.lists(st.tuples(st.integers(100, 103), key_values, word_values), min_size=1, max_size=3))
     @settings(max_examples=40, deadline=None)
-    def test_bound_modifications_leave_the_same_table(self, t, changes):
+    def test_bound_inserts_leave_the_same_table(self, t, changes):
         engine, reference = load(t, [], (("t", "a", "btree"),))
-        statements = {
-            sql: engine.prepare(sql)
-            for sql in ("INSERT INTO t VALUES (?, ?, 0.5, ?)", "UPDATE t SET s = ? WHERE a = ?",
-                        "DELETE FROM t WHERE id = ? OR s = ?")
-        }
-        for new_id, key, word in changes:
-            for sql, values in (
-                ("INSERT INTO t VALUES (?, ?, 0.5, ?)", (new_id, key, word)),
-                ("UPDATE t SET s = ? WHERE a = ?", (word + "z", key)),
-                ("DELETE FROM t WHERE id = ? OR s = ?", (new_id - 100, word)),
-            ):
-                ours = engine.execute(statements[sql].bind(*values))
-                assert ours.rowcount == reference.execute(sql, values).rowcount, (sql, values)
-                rows = engine.execute("SELECT * FROM t").rows
-                assert normalised(rows, False) == normalised(reference.execute("SELECT * FROM t").fetchall(), False)
+        sql = "INSERT INTO t VALUES (?, ?, 0.5, ?)"
+        insert, probe = engine.prepare(sql), engine.prepare("SELECT id, s FROM t WHERE a = ?")
+        for values in changes:
+            ours = engine.execute(insert.bind(*values))
+            assert ours.rowcount == reference.execute(sql, values).rowcount, values
+            rows = engine.execute("SELECT * FROM t").rows
+            assert normalised(rows, False) == normalised(reference.execute("SELECT * FROM t").fetchall(), False)
+            # The plan prepared before the insert reads the rebuilt index.
+            key = values[1]
+            assert sorted(engine.execute(probe.bind(key)).rows, key=repr) == sorted(
+                ((row[0], row[3]) for row in rows if key is not None and row[1] == key), key=repr
+            )
 
     def test_a_placeholder_count_mismatch_is_a_typed_error(self):
         engine, _ = load([(0, 1, 0.5, "a")], [], ())
@@ -273,10 +268,10 @@ class TestBatchedJoinEqualsTheNestedLoop:
     """`IndexNLJoin` probes and fetches in one batch; the loop it replaced --
     one ``Table.lookup_key`` per outer row -- is the reference, order included."""
 
-    @given(t_rows, u_rows, st.sampled_from(["btree", "hash"]))
+    @given(t_rows, u_rows)
     @settings(max_examples=200, deadline=None)
-    def test_same_rows_in_the_same_order(self, t, u, kind):
-        engine, _ = load(t, u, (("u", "k", kind),))
+    def test_same_rows_in_the_same_order(self, t, u):
+        engine, _ = load(t, u, (("u", "k", "btree"),))
         sql = "SELECT * FROM t JOIN u ON t.a = u.k"
         assert "IndexNLJoin(inner=u as u on k)" in engine.explain(sql)
         inner = engine.database.table("u")
@@ -291,12 +286,11 @@ class TestBatchedJoinEqualsTheNestedLoop:
     def test_null_absent_and_duplicate_keys(self):
         t = [(0, 1, 0.5, "a"), (1, None, 1.0, "b"), (2, 7, 1.5, "c"), (3, 1, 2.0, "d"), (4, 2, 2.5, "e")]
         u = [(1, "x"), (2, "y"), (None, "n"), (1, "z")]
-        for kind in ("btree", "hash"):
-            engine, reference = load(t, u, (("u", "k", kind),))
-            sql = "SELECT t.id, u.label FROM t JOIN u ON t.a = u.k"
-            # id 1 has a NULL key, id 2 an absent one, ids 0 and 3 meet key 1 twice, in heap order.
-            assert engine.execute(sql).rows == [(0, "x"), (0, "z"), (3, "x"), (3, "z"), (4, "y")]
-            assert sorted(engine.execute(sql).rows) == sorted(reference.execute(sql).fetchall())
+        engine, reference = load(t, u, (("u", "k", "btree"),))
+        sql = "SELECT t.id, u.label FROM t JOIN u ON t.a = u.k"
+        # id 1 has a NULL key, id 2 an absent one, ids 0 and 3 meet key 1 twice, in heap order.
+        assert engine.execute(sql).rows == [(0, "x"), (0, "z"), (3, "x"), (3, "z"), (4, "y")]
+        assert sorted(engine.execute(sql).rows) == sorted(reference.execute(sql).fetchall())
 
 
 class TestDocumentedDeviations:

@@ -34,9 +34,7 @@ from repro.serving import (
 def _own_containers(index) -> list:
     """The lists, arrays and dicts an index is made of (not the keys in them)."""
     if index.kind == "rtree":
-        return [*index._packed[:5], index._pending]
-    if index.kind == "hash":
-        return [index._buckets, *index._buckets.values()]
+        return list(index._packed[:5])
     found, nodes = [], [index._root]
     while nodes:
         node = nodes.pop()

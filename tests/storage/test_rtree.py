@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import rtree
 from repro.storage.row import RecordId
 from repro.storage.rtree import Rect, RTreeIndex
 
@@ -103,29 +102,20 @@ def _brute_force(entries, query: Rect) -> set[RecordId]:
     return {r for rect, r in entries if rect.intersects(query)}
 
 
-class TestRTreeInsert:
+class TestRTreeSearch:
     def test_empty_tree_returns_nothing(self):
         tree = RTreeIndex("r")
         assert tree.search(Rect(0, 0, 10, 10)) == []
 
-    def test_insert_and_search_single(self):
+    def test_load_and_search_single(self):
         tree = RTreeIndex("r")
-        tree.insert(Rect(0, 0, 1, 1), rid(1))
+        tree.bulk_load([(Rect(0, 0, 1, 1), rid(1))])
         assert tree.search(Rect(0.5, 0.5, 2, 2)) == [rid(1)]
         assert tree.search(Rect(5, 5, 6, 6)) == []
 
-    def test_incremental_inserts_match_brute_force(self):
-        entries = _random_entries(400, seed=1)
-        tree = RTreeIndex("r", max_entries=8)
-        for rect, r in entries:
-            tree.insert(rect, r)
-        tree.validate()
-        for query in (Rect(0, 0, 100, 100), Rect(500, 200, 700, 400), Rect(999, 499, 1000, 500)):
-            assert set(tree.search(query)) == _brute_force(entries, query)
-
     def test_accepts_tuple_bboxes(self):
         tree = RTreeIndex("r")
-        tree.insert((0, 0, 1, 1), rid(1))
+        tree.bulk_load([((0, 0, 1, 1), rid(1))])
         assert tree.search((0, 0, 2, 2)) == [rid(1)]
 
     def test_height_grows_with_size(self):
@@ -134,37 +124,17 @@ class TestRTreeInsert:
         tree.bulk_load(_random_entries(200, seed=2))
         assert tree.height() >= 3
 
-    def test_inserts_wait_in_the_pending_list_until_a_write_repacks(self, monkeypatch):
-        monkeypatch.setattr(rtree, "REPACK_THRESHOLD", 16)
-        entries = _random_entries(40, seed=8)
-        tree = RTreeIndex("r", max_entries=4)
-        for rect, r in entries[:16]:
-            tree.insert(rect, r)
-        assert tree.height() == 1 and len(tree._pending) == 16
-        tree.insert(*entries[16])  # the write that outgrows the threshold packs
-        assert tree.height() >= 2 and tree._pending == []
-        for rect, r in entries[17:]:
-            tree.insert(rect, r)
-        tree.validate()
-        everything = Rect(0, 0, 1001, 501)
-        assert set(tree.search(everything)) == {r for _, r in entries}
-
-    def test_search_changes_nothing_but_its_counters(self, monkeypatch):
+    def test_search_changes_nothing_but_its_counter(self):
         # Replicas share a shard's index across their locks: a probe must
-        # never restructure, however much is pending.
-        monkeypatch.setattr(rtree, "REPACK_THRESHOLD", 8)
+        # never restructure.
         tree = RTreeIndex("r", max_entries=4)
         tree.bulk_load(_random_entries(50, seed=9))
-        for rect, r in _random_entries(4, seed=10):
-            tree.insert(rect, rid(1000 + r))
-        assert tree.delete(*_random_entries(50, seed=9)[0])
-        packed, pending, dead = tree._packed, list(tree._pending), tree._dead
-        assert len(pending) == 4 and dead == 1
+        packed = tree._packed
         before = [bytes(column) for column in packed[:5]]
-        tree.search(Rect(0, 0, 1001, 501))
-        tree.search_entries(Rect(0, 0, 1001, 501))
+        assert len(tree.search(Rect(0, 0, 1001, 501))) == 50
+        tree.search(Rect(10, 10, 200, 300))
         assert tree._packed is packed and [bytes(c) for c in packed[:5]] == before
-        assert (tree._pending, tree._dead) == (pending, dead)
+        assert tree.lookups == 2
 
 
 class TestRTreeBulkLoad:
@@ -197,51 +167,59 @@ class TestRTreeBulkLoad:
 
     def test_bulk_load_replaces_existing_contents(self):
         tree = RTreeIndex("r")
-        tree.insert(Rect(0, 0, 1, 1), rid(999))
+        tree.bulk_load([(Rect(0, 0, 1, 1), rid(999))])
         tree.bulk_load(_random_entries(10, seed=4))
         assert len(tree) == 10
-
-    def test_search_entries_returns_bboxes(self):
-        entries = _random_entries(50, seed=5)
-        tree = RTreeIndex("r")
-        tree.bulk_load(entries)
-        results = tree.search_entries(Rect(0, 0, 1000, 500))
-        assert len(results) == 50
-        assert all(isinstance(rect, Rect) for rect, _ in results)
+        assert rid(999) not in tree.rids()
 
     def test_all_entries(self):
         entries = _random_entries(64, seed=6)
         tree = RTreeIndex("r", max_entries=8)
         tree.bulk_load(entries)
-        assert len(list(tree.all_entries())) == 64
+        assert sorted((rect.as_tuple(), r) for rect, r in tree.all_entries()) == sorted(
+            (rect.as_tuple(), r) for rect, r in entries
+        )
+        assert [r for _, r in tree.all_entries()] == tree.rids()
 
 
-class TestRTreeDelete:
-    def test_delete_existing(self):
-        tree = RTreeIndex("r")
-        rect = Rect(0, 0, 1, 1)
-        tree.insert(rect, rid(1))
-        assert tree.delete(rect, rid(1)) is True
-        assert tree.search(Rect(0, 0, 2, 2)) == []
-        assert len(tree) == 0
+class TestRTreeRemap:
+    """A rewritten heap moves the rids; the packed tree keeps its shape."""
 
-    def test_delete_missing_returns_false(self):
-        tree = RTreeIndex("r")
-        assert tree.delete(Rect(0, 0, 1, 1), rid(1)) is False
-
-    def test_delete_requires_exact_match(self):
-        tree = RTreeIndex("r")
-        tree.insert(Rect(0, 0, 1, 1), rid(1))
-        assert tree.delete(Rect(0, 0, 1, 2), rid(1)) is False
-        assert tree.delete(Rect(0, 0, 1, 1), rid(2)) is False
-
-    def test_delete_from_bulk_loaded_tree(self):
-        entries = _random_entries(100, seed=7)
-        tree = RTreeIndex("r", max_entries=8)
+    def test_answers_follow_their_records_in_the_same_order(self):
+        entries = _random_entries(120, seed=12)
+        tree = RTreeIndex("r", max_entries=6)
         tree.bulk_load(entries)
-        rect, target = entries[42]
-        assert tree.delete(rect, target) is True
-        assert target not in set(tree.search(rect))
+        query = Rect(100, 50, 700, 400)
+        before, order = tree.search(query), tree.rids()
+        moved = {r: rid(5000 + n) for n, r in enumerate(reversed(order))}
+        tree.remap(moved)
+        assert tree.search(query) == [moved[r] for r in before]
+        assert tree.rids() == [moved[r] for r in order]
+        tree.validate()
+
+    def test_remap_leaves_the_boxes_alone(self):
+        tree = RTreeIndex("r", max_entries=4)
+        tree.bulk_load(_random_entries(30, seed=13))
+        boxes = [bytes(column) for column in tree._packed[:4]]
+        tree.remap({r: r + 1 for r in tree.rids()})
+        assert [bytes(column) for column in tree._packed[:4]] == boxes
+
+
+class TestRTreeLoadChecks:
+    @pytest.mark.parametrize(
+        "bbox", [(0, 0, 1), (1, 0, 0, 1), (0.0, math.nan, 1.0, 1.0)], ids=["arity", "inverted", "nan"]
+    )
+    def test_a_bad_box_refuses_the_whole_load(self, bbox):
+        tree = RTreeIndex("r")
+        tree.bulk_load([((0, 0, 1, 1), rid(1))])
+        with pytest.raises(StorageError):
+            tree.bulk_load([((0, 0, 2, 2), rid(2)), (bbox, rid(3))])
+        assert tree.rids() == [rid(1)]  # the old tree still stands
+
+    def test_an_empty_tree_validates(self):
+        tree = RTreeIndex("r")
+        tree.validate()
+        assert tree.rids() == [] and list(tree.all_entries()) == []
 
 
 class TestRTreeConfig:
@@ -249,9 +227,11 @@ class TestRTreeConfig:
         with pytest.raises(StorageError):
             RTreeIndex("r", max_entries=2)
 
-    def test_validate_detects_count_mismatch(self):
-        tree = RTreeIndex("r")
-        tree.insert(Rect(0, 0, 1, 1), rid(1))
-        tree._count = 3
-        with pytest.raises(StorageError):
+    def test_validate_detects_an_entry_outside_its_leaf(self):
+        tree = RTreeIndex("r", max_entries=4)
+        tree.bulk_load(_random_entries(40, seed=11))
+        tree.validate()
+        *_, first = tree._packed
+        tree._packed[2][first] += 5000.0  # an entry's xmax past every node's
+        with pytest.raises(StorageError, match="does not contain"):
             tree.validate()

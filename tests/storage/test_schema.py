@@ -68,12 +68,6 @@ class TestRowCoercion:
         with pytest.raises(SchemaError):
             schema.coerce_mapping({"nope": 1})
 
-    def test_row_to_dict(self, schema):
-        row = schema.coerce_row([1, 2.5, "a", None])
-        assert schema.row_to_dict(row) == {
-            "tuple_id": 1, "x": 2.5, "name": "a", "bbox": None,
-        }
-
 
 class TestSchemaEvolution:
     def test_with_column(self, schema):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import (
     DuplicateIndexError,
+    DuplicateKeyError,
     DuplicateTableError,
     SchemaError,
     StorageError,
@@ -81,25 +82,112 @@ class TestTableModification:
         rows = sorted(table.scan_rows())
         assert rows == [(1, "x"), (2, "y")]
 
-    def test_delete_removes_from_indexes(self, dots_table):
+    def test_insert_into_an_indexed_table_rebuilds_every_index(self, dots_table):
         dots_table.create_index("dots_id", "id", "btree")
-        rid = dots_table.lookup_key("id", 5)[0][0]
-        dots_table.delete(rid)
-        assert dots_table.lookup_key("id", 5) == []
-        assert dots_table.row_count == 99
+        dots_table.create_index("dots_bbox", "bbox", "rtree")
+        rid = dots_table.insert({"id": 5, "x": 999.0, "y": 0.0, "bbox": (998, -1, 1000, 1)})
+        assert [found for found, _ in dots_table.lookup_key("id", 5)][-1] == rid
+        assert [row[0] for _, row in dots_table.spatial_search("bbox", Rect(999, 0, 999, 0))] == [5]
+        assert len(dots_table.get_index("dots_id").index) == 101
+        dots_table.get_index("dots_bbox").index.validate()
 
-    def test_update_changes_values_and_indexes(self, dots_table):
-        dots_table.create_index("dots_id", "id", "btree")
-        rid = dots_table.lookup_key("id", 7)[0][0]
-        dots_table.update(rid, {"x": 999.0})
-        results = dots_table.lookup_key("id", 7)
-        assert len(results) == 1
-        assert results[0][1][1] == 999.0
+    def test_inserted_rows_go_last_in_the_heap(self, dots_table):
+        before = list(dots_table.scan())
+        rid = dots_table.insert((500, 0.0, 0.0, None))
+        after = list(dots_table.scan())
+        assert after[:-1] == before and after[-1] == (rid, (500, 0.0, 0.0, None))
+
+    def test_insert_after_cluster_keeps_the_order_and_every_index(self, dots_table):
+        dots_table.create_index("by_x", "x", "btree")
+        dots_table.create_index("by_box", "bbox", "rtree")
+        dots_table.cluster("by_box")
+        clustered = list(dots_table.scan_rows())
+        dots_table.insert((100, 3.0, 3.0, (2.0, 2.0, 4.0, 4.0)))
+        assert list(dots_table.scan_rows()) == clustered + [(100, 3.0, 3.0, (2.0, 2.0, 4.0, 4.0))]
+        assert [row[0] for _, row in dots_table.lookup_key("x", 3.0)] == [100]
+        hits = sorted(row[0] for _, row in dots_table.spatial_search("bbox", Rect(3, 3, 3, 3)))
+        assert hits == [100]
+        for info in dots_table.indexes.values():
+            info.index.validate()
 
     def test_insert_wrong_arity_rejected(self, database):
         table = database.create_table("t", [("a", "int"), ("b", "int")])
         with pytest.raises(SchemaError):
             table.insert((1,))
+
+
+class TestUniqueKeys:
+    """A load a unique index refuses is refused before the heap is touched:
+    afterwards the scan and every index probe still see the table as it was."""
+
+    @pytest.fixture()
+    def table(self, database):
+        table = database.create_table("t", [("id", "int"), ("a", "int")])
+        table.create_index("t_id", "id", "btree", unique=True)
+        table.create_index("t_a", "a", "btree")
+        table.bulk_load([(1, 10), (2, 20)])
+        return table
+
+    @staticmethod
+    def assert_unchanged(table):
+        assert list(table.scan_rows()) == [(1, 10), (2, 20)]
+        assert [len(info.index) for info in table.indexes.values()] == [2, 2]
+        for id_, a in ((1, 10), (2, 20)):
+            assert [row for _, row in table.lookup_key("id", id_)] == [(id_, a)]
+            assert [row for _, row in table.lookup_key("a", a)] == [(id_, a)]
+        assert table.lookup_key("a", 99) == table.lookup_key("a", 30) == []
+
+    def test_a_refused_sql_insert_writes_nothing(self, database, table):
+        engine = SQLEngine(database)
+        for sql in (
+            "INSERT INTO t VALUES (1, 99)",  # a key the index holds
+            "INSERT INTO t VALUES (3, 30), (3, 31)",  # a key the rows repeat
+        ):
+            with pytest.raises(DuplicateKeyError, match="t_id"):
+                engine.execute(sql)
+            self.assert_unchanged(table)
+        assert engine.execute("SELECT * FROM t").rows == [(1, 10), (2, 20)]
+        assert engine.execute("SELECT id FROM t WHERE a = 99").rows == []
+        assert engine.execute("INSERT INTO t VALUES (3, 30), (4, 99)").rowcount == 2
+        assert engine.execute("SELECT id FROM t WHERE a = 99").rows == [(4,)]
+
+    def test_a_refused_table_insert_writes_nothing(self, table):
+        for row in ((1, 99), {"id": 2, "a": 99}):
+            with pytest.raises(DuplicateKeyError, match="t_id"):
+                table.insert(row)
+            self.assert_unchanged(table)
+        table.insert({"id": 3, "a": 99})
+        assert [row for _, row in table.lookup_key("a", 99)] == [(3, 99)]
+
+    def test_a_refused_prepared_insert_writes_nothing(self, database, table):
+        engine = SQLEngine(database)
+        statement = engine.prepare("INSERT INTO t VALUES (?, ?), (?, ?)")
+        for values in ((3, 30, 2, 99), (4, 40, 4, 99)):
+            with pytest.raises(DuplicateKeyError, match="t_id"):
+                engine.execute(statement.bind(*values))
+            self.assert_unchanged(table)
+        assert engine.execute(statement.bind(3, 30, 4, 40)).rowcount == 2
+        assert engine.execute("SELECT a FROM t WHERE id = 4").rows == [(40,)]
+
+    def test_a_unique_index_over_repeated_keys_is_refused(self, database):
+        table = database.create_and_load("r", [("id", "int")], [(1,), (2,), (1,)])
+        version = database.catalog_version
+        with pytest.raises(DuplicateKeyError):
+            table.create_index("r_id", "id", "btree", unique=True)
+        assert table.indexes == {} and database.catalog_version == version
+        assert list(table.scan_rows()) == [(1,), (2,), (1,)]
+
+    def test_a_refused_bulk_load_writes_nothing(self, table):
+        for rows in ([(3, 30), (1, 99)], [(3, 30), (3, 31)]):
+            with pytest.raises(DuplicateKeyError, match="t_id"):
+                table.bulk_load(rows)
+            self.assert_unchanged(table)
+        with pytest.raises(DuplicateKeyError):
+            table.insert((2, 99))
+        self.assert_unchanged(table)
+        # NULL is no key: any number of them load.
+        assert table.bulk_load([(None, 30), (None, 31)]) == 2
+        assert len(table.get_index("t_id").index) == 2
 
 
 class TestNanBbox:
@@ -154,9 +242,7 @@ class TestIndexManagement:
 
     def test_cluster_is_recorded_until_its_index_is_dropped(self, dots_table):
         dots_table.create_index("by_x", "x", "btree")
-        dots_table.create_index("by_id", "id", "hash")
-        with pytest.raises(StorageError, match="hash"):
-            dots_table.cluster("by_id")
+        dots_table.create_index("by_id", "id", "btree")
         assert dots_table.clustered_on is None
         dots_table.cluster("by_x")
         assert dots_table.clustered_on == "by_x"
@@ -166,10 +252,17 @@ class TestIndexManagement:
         assert dots_table.clustered_on is None
 
     def test_find_index_on(self, dots_table):
-        dots_table.create_index("i_hash", "id", "hash")
-        assert dots_table.find_index_on("id").kind == "hash"
-        assert dots_table.find_index_on("id", kinds=("btree",)) is None
+        dots_table.create_index("i_box", "bbox", "rtree")
+        assert dots_table.find_index_on("bbox").kind == "rtree"
+        assert dots_table.find_index_on("bbox", kinds=("btree",)) is None
         assert dots_table.find_index_on("x") is None
+
+    def test_a_hash_index_is_an_unknown_kind(self, database, dots_table):
+        with pytest.raises(StorageError, match="unknown index kind: 'hash'"):
+            dots_table.create_index("by_id", "id", "hash")
+        with pytest.raises(StorageError, match="unknown index kind: 'hash'"):
+            SQLEngine(database).execute("CREATE INDEX by_id ON dots (id) USING hash")
+        assert dots_table.indexes == {}
 
 
 class TestAccessPaths:
@@ -203,6 +296,14 @@ class TestAccessPaths:
         table.bulk_load([(i,) for i in range(50)])
         assert len(table.get_index("t_a").index) == 50
         assert table.lookup_key("a", 25)[0][1] == (25,)
+
+    def test_a_load_that_fails_part_way_leaves_every_index_agreeing_with_the_heap(self, database):
+        table = database.create_table("t", [("a", "int")])
+        table.create_index("t_a", "a", "btree")
+        with pytest.raises(SchemaError):
+            table.bulk_load(iter([(1,), (2,), (3, 4)]))  # the third row is refused
+        index = table.get_index("t_a").index
+        assert list(index.items()) == [(row[0], rid) for rid, row in table.scan()]
 
 
 class TestStatistics:
