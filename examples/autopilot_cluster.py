@@ -1,4 +1,4 @@
-"""The self-driving cluster: a hotspot shift detected, rebalanced, repaired.
+"""The self-driving cluster: a hotspot shift detected and rebalanced.
 
 Everything ``examples/rebalance_cluster.py`` did by hand, the
 :class:`~repro.cluster.autopilot.ClusterAutopilot` does unattended.  This
@@ -12,10 +12,8 @@ every decision is deterministic and narrated:
 3. show the stability machinery: a settled window re-arms the hysteresis
    trigger, and when the hotspot **shifts** to the other end of the
    canvas, the cooldown holds the thrash bound (no second migration
-   until the window expires) before the loop converges again;
-4. corrupt one replica's recorded index checksum through the fault seam
-   — the next tick **read-repairs** it: rebuilds the replica, swaps it
-   in behind the breaker, and payloads stay byte-identical throughout.
+   until the window expires) before the loop converges again, with
+   payloads byte-identical across every swap.
 
 In production you would not tick by hand: ``build_service(...,
 autopilot=True)`` (or ``config.cluster.autopilot.enabled``) attaches and
@@ -41,7 +39,6 @@ from repro.cluster import ClusterAutopilot, build_cluster
 from repro.datagen.synthetic import skewed_spec
 from repro.metrics.timer import VirtualClock
 from repro.net.protocol import DataRequest
-from repro.serving.faults import diverge_replica
 
 
 def payload(response) -> bytes:
@@ -127,19 +124,6 @@ def main() -> None:
     print(f"  shifted hotspot after the second migration: "
           f"load {rebalancer.shard_loads()} -> skew {rebalancer.skew():.3f}; "
           f"payload mismatches across the swap: {mismatches}")
-
-    print("\nphase 3 -- a replica diverges, the next tick read-repairs it")
-    probes = session_b[:5]
-    router.cache.clear()
-    before = [payload(router.handle(r)) for r in probes]
-    diverge_replica(cluster, 0, 1)
-    print(f"  divergent replicas flagged: {router.divergent_replicas()}")
-    for action in pilot.tick():
-        print(f"  tick {action.tick}: {action.describe()}")
-    router.cache.clear()
-    after = [payload(router.handle(r)) for r in probes]
-    print(f"  divergence cleared: {not router.divergent_replicas()}; "
-          f"payloads byte-identical through the repair: {after == before}")
 
     print(f"\nautopilot summary: {pilot.describe()}")
     pilot.close()

@@ -66,8 +66,8 @@ def main() -> None:
         for worker in processes.worker_pool.describe():
             print(f"  shard{worker['shard_id']}/replica{worker['replica_index']}: "
                   f"pid {worker['pid']} on port {worker['port']}")
-        divergent = processes.router.divergent_replicas()
-        print(f"replica index divergence: {divergent or 'none — all copies agree'}")
+        print("every worker's rebuilt index matched its spec's checksum at spawn "
+              "(a mismatch fails the spawn)")
 
         thread_ms, thread_bytes = run(threads, workload)
         process_ms, process_bytes = run(processes, workload)

@@ -57,7 +57,7 @@ throughout.  Every built cluster carries one (``cluster.rebalancer``).
 
 **One generation, one owner** (:mod:`~repro.cluster.builder`).  A
 :class:`~repro.cluster.router.ShardTable` holds everything true of one
-epoch — shards, partitionings, worker pool, replica checksums, epoch, the
+epoch — shards, partitionings, worker pool, epoch, the
 *effective* configuration — and is built by one function,
 :func:`~repro.cluster.builder.build_generation`, for epoch 0 and every
 rebalance after.  The router's ``config``, the ``ShardedCluster`` handle
@@ -69,8 +69,7 @@ is the only teardown.
 a :class:`~repro.cluster.autopilot.ClusterAutopilot` background loop runs
 the whole feedback cycle unattended: cooldown/hysteresis-gated skew
 rebalances, shard-count autoscaling (2→4→8 under sustained load, back
-down when idle), replica autoscaling from per-replica pressure, and
-read-repair of replicas whose index checksums diverge.
+down when idle) and replica autoscaling from per-replica pressure.
 
 The router implements the :class:`~repro.serving.base.DataService`
 protocol, so ``KyrixFrontend`` / ``ExplorationSession`` drive a cluster

@@ -1,11 +1,10 @@
 """The self-driving control loop: observe, decide, act — continuously.
 
 Everything the cluster can already do on demand — online rebalancing
-(:mod:`repro.cluster.rebalancer`), shard-count changes, replica-count
-changes, replica swaps (:meth:`~repro.serving.replica.ReplicaService.swap_replica`)
-— this module does *unattended*.  A :class:`ClusterAutopilot` runs one
-control pass (:meth:`~ClusterAutopilot.tick`) on a fixed interval from a
-background daemon thread and steers the cluster through four policies:
+(:mod:`repro.cluster.rebalancer`), shard-count changes and replica-count
+changes — this module does *unattended*.  A :class:`ClusterAutopilot` runs
+one control pass (:meth:`~ClusterAutopilot.tick`) on a fixed interval from
+a background daemon thread and steers the cluster through three policies:
 
 1. **Skew rebalancing** — when per-shard traffic skew crosses the
    rebalancer's threshold, trigger a load-weighted re-split.  Guarded by
@@ -23,17 +22,10 @@ background daemon thread and steers the cluster through four policies:
 3. **Replica autoscaling** — per-replica attempt pressure above
    ``replica_pressure`` adds a replica per shard (up to ``max_replicas``);
    the idle path drops back to one.
-4. **Read-repair** — when per-replica index checksums disagree
-   (:meth:`~repro.cluster.router.ShardTable.divergent_replicas`), the
-   diverged replica is rebuilt from the cluster's source backend and
-   swapped in behind a fresh circuit breaker while its siblings keep
-   serving; in-flight requests drain on the old replica before it closes.
-   Repair is *not* cooldown-gated — divergence is a correctness problem,
-   not a load problem.
 
 Each pass reads the cluster through **one**
 :class:`~repro.cluster.router.ShardTable` snapshot (shard count, replica
-count, worker pool, partitionings and checksums of one epoch), so a
+count, worker pool and partitionings of one epoch), so a
 decision is never assembled from two generations.
 
 The clock is pluggable (anything with ``now_ms``), so tests drive
@@ -54,21 +46,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..config import AutopilotConfig
-from ..serving.replica import MonotonicClock, ReplicaService
-from ..serving.transport import RemoteBackendStub
-from ..serving.worker import build_shard_spec, database_checksum, replica_stack
+from ..serving.replica import MonotonicClock
 from ..telemetry import get_registry, get_tracer
 from .rebalancer import LoadRebalancer, RebalanceReport
-from .sharded import ShardedIndexer
 
 if TYPE_CHECKING:
     from .builder import ShardedCluster
     from .router import ShardTable
-
-
-def _replica_index(key: str) -> int:
-    """The replica index back out of a ``"shard{S}/replica{R}"`` key."""
-    return int(key.rsplit("replica", 1)[1])
 
 
 def _window_skew(window: dict[int, int]) -> float:
@@ -84,7 +68,7 @@ class AutopilotAction:
     """One decision the control loop acted on (or explicitly skipped)."""
 
     #: ``"rebalance"`` / ``"grow"`` / ``"shrink"`` / ``"replica_scale"`` /
-    #: ``"read_repair"`` / ``"repair_skipped"`` / ``"error"``.
+    #: ``"error"``.
     kind: str
     #: The control pass that produced it (1-based).
     tick: int
@@ -122,7 +106,6 @@ class ClusterAutopilot:
         clock: Any = None,
         rebalancer: LoadRebalancer | None = None,
     ) -> None:
-        self.cluster = cluster
         self.router = cluster.router
         self.config = config or self.router.config.cluster.autopilot
         self.config.validate()
@@ -201,10 +184,9 @@ class ClusterAutopilot:
     def tick(self) -> list[AutopilotAction]:
         """Run one synchronous control pass; returns the actions it took.
 
-        Order inside a pass: read-repair first (correctness, never
-        cooldown-gated), then at most **one** migration decision —
-        grow/shrink beats skew-rebalance beats replica scaling — gated by
-        the cooldown window.
+        A pass takes at most **one** migration decision — grow/shrink
+        beats skew-rebalance beats replica scaling — gated by the cooldown
+        window.
         """
         registry = get_registry()
         tracer = get_tracer()
@@ -214,11 +196,9 @@ class ClusterAutopilot:
             now = self.clock.now_ms
             actions: list[AutopilotAction] = []
             with tracer.span("autopilot_tick", tick=tick) as span:
-                # One snapshot per pass: repair mutates this generation in
-                # place, and a migration below is the last thing read.
+                # One snapshot per pass: every decision below reads this
+                # generation, never a half-swapped one.
                 table = self.router.table
-                if self.config.read_repair:
-                    actions.extend(self._read_repair_pass(table, tick, now))
 
                 loads = self.rebalancer.shard_loads()
                 if any(
@@ -366,125 +346,3 @@ class ClusterAutopilot:
         if pressure >= cfg.replica_pressure and replicas < cfg.max_replicas:
             return ("replica_scale", current, replicas + 1)
         return None
-
-    # -- read-repair -------------------------------------------------------------------
-
-    def _read_repair_pass(
-        self, table: "ShardTable", tick: int, now: float
-    ) -> list[AutopilotAction]:
-        """Rebuild and swap every replica whose index checksum diverged."""
-        actions: list[AutopilotAction] = []
-        divergent = table.divergent_replicas()
-        if not divergent:
-            return actions
-        for shard_id in sorted(divergent):
-            checksums = divergent[shard_id]
-            replica_set = table.shards[shard_id].service
-            if not isinstance(replica_set, ReplicaService):
-                actions.append(
-                    AutopilotAction(
-                        kind="repair_skipped",
-                        tick=tick,
-                        at_ms=now,
-                        detail={"shard": shard_id, "why": "no_replica_set"},
-                    )
-                )
-                continue
-            if table.worker_pool is not None:
-                repaired = self._repair_process_shard(
-                    table, shard_id, checksums, replica_set
-                )
-            else:
-                repaired = self._repair_thread_shard(
-                    table, shard_id, checksums, replica_set
-                )
-            for detail in repaired:
-                actions.append(
-                    AutopilotAction(
-                        kind="read_repair", tick=tick, at_ms=now, detail=detail
-                    )
-                )
-        return actions
-
-    def _repair_process_shard(
-        self,
-        table: "ShardTable",
-        shard_id: int,
-        checksums: dict[str, str],
-        replica_set: ReplicaService,
-    ) -> list[dict[str, Any]]:
-        """Respawn diverged worker replicas from a freshly re-sharded spec.
-
-        The shard is rebuilt from the cluster's source backend under the
-        generation's *own* partitionings and configuration (repair must
-        not move shard boundaries), giving both the replacement index and
-        the ground-truth checksum to repair against.
-        """
-        router = self.router
-        cluster = self.cluster
-        config = table.config
-        indexer = ShardedIndexer(cluster.source.database, router.compiled, config)
-        shards, _ = indexer.build_shards(
-            dict(table.partitionings), tile_sizes=cluster.tile_sizes
-        )
-        spec = build_shard_spec(
-            shards[shard_id].database, router.compiled, config, shard_id=shard_id
-        )
-        expected = spec.checksum()
-        repaired: list[dict[str, Any]] = []
-        for key in sorted(checksums):
-            if checksums[key] == expected:
-                continue
-            replica_index = _replica_index(key)
-            handle = table.worker_pool.respawn(spec, replica_index=replica_index)
-            stub = RemoteBackendStub(handle.transport(), router.compiled, config)
-            replica_set.swap_replica(replica_index, stub)
-            router.record_replica_checksum(shard_id, replica_index, handle.checksum)
-            repaired.append(
-                {
-                    "shard": shard_id,
-                    "replica": replica_index,
-                    "was": checksums[key],
-                    "now": handle.checksum,
-                    "healthy": handle.checksum == expected,
-                }
-            )
-        return repaired
-
-    def _repair_thread_shard(
-        self,
-        table: "ShardTable",
-        shard_id: int,
-        checksums: dict[str, str],
-        replica_set: ReplicaService,
-    ) -> list[dict[str, Any]]:
-        """Rebuild diverged in-process replica stacks over the shared index.
-
-        Thread replicas share the shard's immutable database, so the
-        database's own hash is the ground truth; a diverged entry means
-        the *stack* (or its recorded hash) is suspect, and repair is a
-        fresh stack plus a truthful re-recorded checksum.
-        """
-        shard = table.shards[shard_id]
-        cluster_config = table.config.cluster
-        expected = database_checksum(shard.database)
-        repaired: list[dict[str, Any]] = []
-        for key in sorted(checksums):
-            if checksums[key] == expected:
-                continue
-            replica_index = _replica_index(key)
-            replacement = replica_stack(
-                shard.backend, lock=shard.lock, wire=cluster_config.wire_shards
-            )
-            replica_set.swap_replica(replica_index, replacement)
-            self.router.record_replica_checksum(shard_id, replica_index, expected)
-            repaired.append(
-                {
-                    "shard": shard_id,
-                    "replica": replica_index,
-                    "was": checksums[key],
-                    "now": expected,
-                    "healthy": True,
-                }
-            )
-        return repaired

@@ -2,9 +2,9 @@
 
 :func:`build_generation` is the only place a shard generation is made:
 from one source backend and one **effective** configuration it indexes the
-shards, attaches a serving stack to each, collects the replica checksums
-and returns the :class:`~repro.cluster.router.ShardTable` that owns all of
-it.  :func:`build_cluster` folds its ``**cluster`` overrides — any
+shards, attaches a serving stack to each and returns the
+:class:`~repro.cluster.router.ShardTable` that owns all of it.
+:func:`build_cluster` folds its ``**cluster`` overrides — any
 :class:`~repro.config.ClusterConfig` field, by its own name — into that one
 configuration, builds generation 0 and puts a
 :class:`~repro.cluster.router.ClusterRouter` in front; an online rebalance
@@ -27,15 +27,9 @@ from ..telemetry import configure as configure_telemetry
 from ..serving.base import DataService
 from ..serving.replica import ReplicaService
 from ..serving.transport import RemoteBackendStub
-from ..serving.worker import (
-    ShardSpec,
-    WorkerPool,
-    build_shard_spec,
-    database_checksum,
-    replica_stack,
-)
+from ..serving.worker import ShardSpec, WorkerPool, build_shard_spec, replica_stack
 from .partitioner import Partitioning
-from .router import ClusterRouter, ShardTable, replica_key
+from .router import ClusterRouter, ShardTable
 from .sharded import ShardedIndexer, ShardHandle
 
 if TYPE_CHECKING:
@@ -118,9 +112,8 @@ def attach_shard_services(
     * ``processes``: in one forked worker per replica (the returned
       :class:`~repro.serving.worker.WorkerPool`), each rebuilding its **own
       copy** of the index from one pickled
-      :class:`~repro.serving.worker.ShardSpec` per shard — which is what
-      makes the generation's per-replica divergence checksums
-      meaningful — reached
+      :class:`~repro.serving.worker.ShardSpec` per shard and checking it
+      against the spec's checksum before it reports ready — reached
       through a :class:`~repro.serving.transport.RemoteBackendStub` over a
       socket.  Once the workers are up the parent-side shard databases are
       **detached**: they only existed to seed the spec dumps, and keeping
@@ -185,33 +178,6 @@ def attach_shard_services(
     return pool
 
 
-def collect_replica_checksums(
-    shards: list[ShardHandle], replicas: int, pool: WorkerPool | None
-) -> dict[str, str]:
-    """Per-replica index checksums of a freshly assembled shard set.
-
-    Workers report the hash of their own rebuilt copy; in-process *replica
-    sets* share the shard's index, so its hash is recorded once per
-    replica.  Either way the same content hashes to the same value, so
-    divergence detection is topology-blind.  Single-replica thread
-    clusters (the common fast path) skip the hash entirely — with one
-    in-process copy per shard there is nothing to diverge from, and
-    hashing every row would tax every build.
-    """
-    checksums: dict[str, str] = {}
-    if pool is not None:
-        for handle in pool.handles:
-            checksums[replica_key(handle.shard_id, handle.replica_index)] = (
-                handle.checksum
-            )
-    elif replicas > 1:
-        for shard in shards:
-            checksum = database_checksum(shard.database)
-            for replica_index in range(replicas):
-                checksums[replica_key(shard.shard_id, replica_index)] = checksum
-    return checksums
-
-
 def build_generation(
     source: KyrixBackend,
     config: KyrixConfig,
@@ -222,7 +188,7 @@ def build_generation(
 ) -> ShardTable:
     """Build one complete shard generation from one effective configuration.
 
-    The only place that runs index → attach services → collect checksums:
+    The only place that runs index → attach services:
     :func:`build_cluster` calls it for epoch 0 and
     :meth:`~repro.cluster.rebalancer.LoadRebalancer.rebalance` for epoch
     N+1 (new ``partitionings``, shard / replica counts ``replace``d in
@@ -240,9 +206,6 @@ def build_generation(
         config=config,
         epoch=epoch,
         worker_pool=pool,
-        replica_checksums=collect_replica_checksums(
-            shards, config.cluster.replicas, pool
-        ),
     )
 
 
@@ -276,10 +239,9 @@ def build_cluster(
     ``cluster.rebalancer``.  With ``autopilot=True`` (or
     ``cluster.autopilot.enabled``) a
     :class:`~repro.cluster.autopilot.ClusterAutopilot` background control
-    loop is attached *and started*: it snapshots load, rebalances,
-    autoscales shard/replica counts and read-repairs diverged replicas on
-    its own, and stops automatically when the cluster (or the router, via
-    ``build_service`` stacks) closes.
+    loop is attached *and started*: it snapshots load, rebalances and
+    autoscales shard/replica counts on its own, and stops automatically
+    when the cluster (or the router, via ``build_service`` stacks) closes.
     """
     config = source_backend.config
     if autopilot is not None:

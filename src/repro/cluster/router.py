@@ -59,7 +59,7 @@ from ..net.protocol import ABSENT, DataRequest, DataResponse, RowBatch, concat_r
 from ..server.backend import box_rect
 from ..server.tile import TileScheme
 from ..serving.middleware import CachingService, CoalescingService
-from ..serving.replica import DRAIN_TIMEOUT_S, ReplicaService
+from ..serving.replica import ReplicaService
 from ..storage.rtree import Rect
 from ..telemetry import get_tracer
 from .partitioner import LoadHistogram, Partitioning
@@ -72,15 +72,9 @@ if TYPE_CHECKING:
 #: samples fall off, so the load-weighted repartitioner sees *recent* traffic).
 LOAD_SAMPLES = 4096
 
-
-def replica_key(shard_id: int, replica_index: int) -> str:
-    """The canonical ``"shard{S}/replica{R}"`` key of per-replica maps.
-
-    Every producer of :attr:`ShardTable.replica_checksums` entries must
-    format keys through this helper so :meth:`ShardTable.divergent_replicas`
-    can parse them back.
-    """
-    return f"shard{shard_id}/replica{replica_index}"
+#: Seconds :meth:`ClusterRouter.retire_table` waits for a swapped-out
+#: generation's in-flight requests before closing it anyway.
+DRAIN_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -92,8 +86,8 @@ class ShardTable:
     per request and uses it for the whole fan-out, so an online rebalance
     can swap the table atomically while requests already in flight keep
     the generation they started on; the old generation is only closed
-    once it drains.  Only ``inflight`` and ``replica_checksums`` change
-    after the build, and only under the owning router's table lock.
+    once it drains.  Only ``inflight`` changes after the build, and only
+    under the owning router's table lock.
     """
 
     shards: list[ShardHandle]
@@ -106,33 +100,8 @@ class ShardTable:
     #: The worker-process pool serving this generation's shards, when it
     #: was built with ``worker_mode="processes"``.
     worker_pool: "WorkerPool | None" = None
-    #: Content hash of each replica's shard index, keyed
-    #: ``"shard{S}/replica{R}"`` (recorded at build time, re-recorded by
-    #: read-repair).  In-process replicas share the shard's immutable
-    #: index, so their checksums are equal by construction; process workers
-    #: hash their own rebuilt copy, making a corrupted or stale replica
-    #: index detectable.
-    replica_checksums: dict[str, str] = field(default_factory=dict)
     #: Scatter-gathers currently executing against this table.
     inflight: int = 0
-
-    def divergent_replicas(self) -> dict[int, dict[str, str]]:
-        """Shards whose replicas do not all hold the same index content.
-
-        Returns ``{shard_id: {"shard{S}/replica{R}": checksum, ...}}`` for
-        every shard with more than one distinct replica checksum — empty
-        when all replica sets agree (the healthy state).
-        """
-        by_shard: dict[int, dict[str, str]] = {}
-        # Iterate a copy: readers do not take the router's table lock.
-        for key, checksum in list(self.replica_checksums.items()):
-            shard_id = int(key.split("/", 1)[0].removeprefix("shard"))
-            by_shard.setdefault(shard_id, {})[key] = checksum
-        return {
-            shard_id: checksums
-            for shard_id, checksums in by_shard.items()
-            if len(set(checksums.values())) > 1
-        }
 
     def close(self) -> None:
         """Close this generation's shard stacks and worker pool (idempotent;
@@ -153,9 +122,9 @@ def _require_shards(table: ShardTable) -> None:
 class ClusterStats:
     """The scatter-gather's own counters over the router's lifetime.
 
-    What is true of the built topology — replica checksums, the epoch —
-    lives on the current :class:`ShardTable`; cache, coalescer and replica
-    traffic is counted by those layers' own stats.
+    What is true of the built topology — its shards, the epoch — lives on
+    the current :class:`ShardTable`; cache, coalescer and replica traffic
+    is counted by those layers' own stats.
     """
 
     scatter_gathers: int = 0
@@ -460,9 +429,9 @@ class ClusterRouter:
         """Wait for a swapped-out table's in-flight requests, then close it.
 
         Returns ``True`` when the table drained within
-        :data:`~repro.serving.replica.DRAIN_TIMEOUT_S`; on timeout the table
-        is closed anyway — serving a request on a closing stack is the lesser
-        evil next to leaking worker processes.
+        :data:`DRAIN_TIMEOUT_S`; on timeout the table is closed anyway —
+        serving a request on a closing stack is the lesser evil next to
+        leaking worker processes.
         """
         deadline = time.monotonic() + DRAIN_TIMEOUT_S
         with self._table_lock:
@@ -476,27 +445,6 @@ class ClusterRouter:
             drained = table.inflight == 0
         table.close()
         return drained
-
-    def divergent_replicas(self) -> dict[int, dict[str, str]]:
-        """The current generation's :meth:`ShardTable.divergent_replicas`."""
-        return self._table.divergent_replicas()
-
-    def record_replica_checksum(
-        self, shard_id: int, replica_index: int, checksum: str
-    ) -> str:
-        """Record one replica's index hash; returns the previous one.
-
-        The write seam read-repair (and the :func:`~repro.serving.faults.diverge_replica`
-        test seam) go through, so the current generation's checksums change
-        only under the table lock.  Returns the hash the entry previously
-        held (empty string when none was recorded).
-        """
-        key = replica_key(shard_id, replica_index)
-        with self._table_lock:
-            checksums = self._table.replica_checksums
-            previous = checksums.get(key, "")
-            checksums[key] = checksum
-        return previous
 
     def load_snapshot(self) -> dict[str, LoadHistogram]:
         """A copy of the per-canvas request-load histograms (for rebalancing)."""

@@ -127,9 +127,8 @@ class AutopilotConfig:
     enabled:
         When true, :func:`repro.cluster.builder.build_cluster` attaches a
         running :class:`~repro.cluster.autopilot.ClusterAutopilot`: a daemon
-        thread that snapshots load skew and replica health, rebalances
-        online, autoscales the shard and replica counts and read-repairs
-        divergent replicas.  Off by default — nothing moves unless asked to.
+        thread that snapshots load skew and replica pressure, rebalances
+        online and autoscales the shard and replica counts.  Off by default — nothing moves unless asked to.
     interval_s:
         Seconds between control-loop ticks (wall-clock, for the background
         thread; tests drive :meth:`~repro.cluster.autopilot.ClusterAutopilot.tick`
@@ -168,12 +167,6 @@ class AutopilotConfig:
         replica count back toward 1.
     max_replicas:
         Upper bound of the replica autoscaler.
-    read_repair:
-        When true, a tick that finds
-        :meth:`~repro.cluster.router.ShardTable.divergent_replicas`
-        non-empty rebuilds each flagged replica from a fresh
-        :class:`~repro.serving.worker.ShardSpec` and swaps it in behind
-        its circuit breaker without dropping in-flight requests.
     """
 
     enabled: bool = False
@@ -188,7 +181,6 @@ class AutopilotConfig:
     shrink_requests: int = 8
     replica_pressure: int = 128
     max_replicas: int = 4
-    read_repair: bool = True
 
     def validate(self) -> None:
         if self.interval_s <= 0:

@@ -12,7 +12,7 @@ sharded cluster router):
 * ``GET  /tile``                        — one static tile of one layer,
 * ``GET  /dbox``                        — one dynamic box of one layer,
 * ``GET  /stats``                       — backend counters (a cluster's also
-  name its generation: epoch, shard regions, replica checksums),
+  name its generation: epoch and shard regions),
 * ``GET  /metrics``                     — Prometheus-text span histograms,
 * ``GET  /trace/<trace_id>``            — one finished trace as JSON.
 
@@ -142,7 +142,6 @@ def create_app(backend: "DataService"):
                 canvas_id: partitioning.describe()
                 for canvas_id, partitioning in table.partitionings.items()
             }
-            payload["replica_checksums"] = dict(table.replica_checksums)
         return jsonify(payload)
 
     @app.get("/metrics")

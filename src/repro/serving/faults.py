@@ -285,43 +285,6 @@ def fault_replica(
     return injector
 
 
-def diverge_replica(
-    cluster: Any,
-    shard_id: int,
-    replica_index: int = 0,
-    *,
-    checksum: str = "deadbeef-diverged",
-) -> str:
-    """Mark one replica's index checksum as divergent (a detected bad copy).
-
-    The read-repair counterpart of :func:`fault_replica` /
-    :func:`kill_worker`: real divergence happens when a replica's rebuilt
-    index loses or corrupts rows (the worker hashes its *own* copy at
-    spawn), which is not reachable without breaking the process for real —
-    so this seam injects the *detection*: it stamps ``checksum`` over the
-    replica's recorded entry in the current generation's
-    :attr:`~repro.cluster.router.ShardTable.replica_checksums` under the
-    router's table lock, exactly as if the spawn-time hash had come back
-    wrong.  ``divergent_replicas()`` flags the shard on the next read and
-    the autopilot's read-repair rebuilds the replica from a fresh
-    :class:`~repro.serving.worker.ShardSpec`, restoring a matching hash.
-    Pair with :func:`kill_worker` (process mode) or :func:`fault_replica`
-    to make the divergence behaviourally visible too.
-
-    Accepts a :class:`~repro.cluster.builder.ShardedCluster` or a
-    :class:`~repro.cluster.router.ClusterRouter`; returns the checksum the
-    poisoned entry previously held (empty string when the topology
-    recorded none — e.g. a single-replica thread cluster).
-    """
-    router = getattr(cluster, "router", cluster)
-    record = getattr(router, "record_replica_checksum", None)
-    if record is None:
-        raise KyrixError(
-            "diverge_replica needs a built cluster or its ClusterRouter"
-        )
-    return record(shard_id, replica_index, checksum)
-
-
 def kill_worker(cluster: Any, shard_id: int, replica_index: int = 0) -> Any:
     """SIGKILL one shard worker process of a process-topology cluster.
 

@@ -61,13 +61,6 @@ if TYPE_CHECKING:
 
 __all__ = ["REPLICA_POLICIES", "ReplicaService", "ReplicaSetStats"]
 
-#: Seconds a swap waits for requests in flight on what it retires — one
-#: replica slot here, a whole shard generation in
-#: :meth:`~repro.cluster.router.ClusterRouter.retire_table` — before
-#: closing it anyway.
-DRAIN_TIMEOUT_S = 30.0
-
-
 class MonotonicClock:
     """Real time behind the same ``now_ms`` surface as ``VirtualClock``."""
 
@@ -192,9 +185,6 @@ class ReplicaService:
         self.clock = clock if clock is not None else MonotonicClock()
         self.stats = ReplicaSetStats(len(self._replicas))
         self._lock = threading.Lock()
-        # Condition over the same lock: swap_replica waits on it for the
-        # slot's in-flight requests to drain before closing the old stack.
-        self._slot_drained = threading.Condition(self._lock)
         self._rr_counter = 0
         self._inflight = [0] * len(self._replicas)
         self._health = [ReplicaHealth() for _ in self._replicas]
@@ -280,10 +270,6 @@ class ReplicaService:
         opened = False
         with self._lock:
             self._inflight[index] -= 1
-            if self._inflight[index] == 0:
-                # Wake a swap_replica drain wait; notify while holding the
-                # condition's own lock (``_slot_drained`` wraps ``_lock``).
-                self._slot_drained.notify_all()
             health = self._health[index]
             health.trial_inflight = False
             if ok:
@@ -308,49 +294,6 @@ class ReplicaService:
         if opened:
             counters.append("breaker_opens")
         self.stats.count(*counters)
-
-    # -- online replica replacement -----------------------------------------
-
-    def swap_replica(
-        self,
-        index: int,
-        replacement: "DataService",
-        *,
-        close_old: bool = True,
-    ) -> "DataService":
-        """Replace replica ``index`` online and return the old stack.
-
-        The read-repair seam: a rebuilt replica swaps in **behind the
-        breaker** — the slot's circuit-breaker state resets to closed, so
-        the replacement starts taking traffic immediately — and **without
-        dropping in-flight requests**: attempts that already picked up the
-        old service object run to completion against it (``handle`` reads
-        ``self._replicas[index]`` exactly once per attempt), and the old
-        stack is only closed once the slot's in-flight count drains (or
-        :data:`DRAIN_TIMEOUT_S` elapses — closing a straggler's stack beats
-        leaking a worker process).  New attempts route to the replacement
-        from the moment the swap happens.
-        """
-        if not 0 <= index < len(self._replicas):
-            raise FetchError(
-                f"replica index {index} out of range "
-                f"(replica set has {len(self._replicas)})"
-            )
-        deadline = time.monotonic() + DRAIN_TIMEOUT_S
-        with self._slot_drained:
-            old = self._replicas[index]
-            self._replicas[index] = replacement
-            # Fresh breaker: the replacement has no failure history.
-            self._health[index] = ReplicaHealth()
-            while self._inflight[index] > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                # wait() releases the lock, letting _finish_attempt drain.
-                self._slot_drained.wait(remaining)
-        if close_old:
-            old.close()
-        return old
 
     # -- failover core ------------------------------------------------------
 

@@ -9,8 +9,9 @@ This module moves each shard replica into its **own worker process**:
   application's compiled plan (:meth:`CompiledApplication.to_dict`,
   closures dropped), the configuration, and a dump of every table in the
   shard's database (schema, rows, index definitions).  Replicas run the
-  same spec; each worker reports the :func:`database_checksum` of its own
-  *rebuilt* index, so divergent replica rebuilds are detectable.
+  same spec; each worker checks the :func:`database_checksum` of its own
+  *rebuilt* index against :meth:`ShardSpec.checksum` before it reports
+  ready, so a rebuild that differs from its spec is a failed spawn.
 * :func:`replica_stack` — the serving stack of one shard replica, the same
   in every topology: a lock over a bare engine
   (``SerializedService ∘ KyrixBackend``), behind the wire when asked.
@@ -21,8 +22,8 @@ This module moves each shard replica into its **own worker process**:
   ``SIGTERM`` drains: in-flight requests finish, the listener closes, the
   process exits 0.
 * :class:`WorkerPool` — the parent-side manager: forks one process per
-  spec, waits for each worker's ready report (bound port + index checksum)
-  within ``spawn_timeout_s``, hands out
+  spec, waits for each worker's ready report (bound port) within
+  ``spawn_timeout_s``, hands out
   :class:`~repro.net.socket_transport.SocketTransport` endpoints, and on
   ``close()`` terminates and joins every worker.
 
@@ -136,12 +137,10 @@ def _checksum_dumps(dumps: tuple[TableDump, ...]) -> str:
 
 
 def database_checksum(database: "Database") -> str:
-    """Content hash of a live database (same algorithm as the worker's).
+    """Content hash of a live database (the algorithm of :meth:`ShardSpec.checksum`).
 
-    The in-process topology uses this to record per-replica index checksums
-    on the :class:`~repro.cluster.router.ShardTable`; a worker process hashes
-    its rebuilt dump instead — identical content hashes either way, so the
-    divergence check is topology-independent.
+    A worker hashes its rebuilt database with it and refuses to report
+    ready when the hash differs from its spec's.
     """
     return _checksum_dumps(_dump_database(database))
 
@@ -240,8 +239,9 @@ def worker_main(payload: bytes, port: int, ready_conn: Any) -> None:
 
     ``payload`` is a pickled :class:`ShardSpec`; ``port`` the TCP port to
     bind (0 for an ephemeral port); ``ready_conn`` a pipe the worker reports
-    ``{"port", "pid", "checksum"}`` on once it is accepting connections (or
-    ``{"error": ...}`` if it failed to come up).
+    ``{"port", "pid"}`` on once it is accepting connections (or
+    ``{"error": ...}`` if it failed to come up — including a rebuilt
+    database whose checksum differs from the spec's).
     """
     stop = threading.Event()
 
@@ -254,6 +254,14 @@ def worker_main(payload: bytes, port: int, ready_conn: Any) -> None:
     try:
         spec = ShardSpec.from_payload(payload)
         transport, database = _build_worker_stack(spec)
+        # Hash of the *rebuilt* database, not of the received spec: the
+        # served copy is read-only, so this one check at spawn covers the
+        # worker's whole lifetime.
+        rebuilt, expected = database_checksum(database), spec.checksum()
+        if rebuilt != expected:
+            raise WorkerError(
+                f"rebuilt index checksum mismatch: {rebuilt} != spec {expected}"
+            )
         listener = socket.create_server(("127.0.0.1", port))
     except Exception as error:  # noqa: BLE001 - reported to the parent
         try:
@@ -263,16 +271,7 @@ def worker_main(payload: bytes, port: int, ready_conn: Any) -> None:
         return
 
     listener.settimeout(0.1)
-    ready_conn.send(
-        {
-            "port": listener.getsockname()[1],
-            "pid": os.getpid(),
-            # Hash of the *rebuilt* database, not of the received spec —
-            # a rebuild that lost or corrupted rows must hash differently
-            # from its siblings so divergent_replicas() can catch it.
-            "checksum": database_checksum(database),
-        }
-    )
+    ready_conn.send({"port": listener.getsockname()[1], "pid": os.getpid()})
     ready_conn.close()
 
     active: list[threading.Thread] = []
@@ -324,9 +323,6 @@ class WorkerHandle:
     process: Any
     port: int
     pid: int
-    #: Content hash of the worker's rebuilt shard index, as reported by the
-    #: worker itself (not recomputed in the parent).
-    checksum: str
 
     @property
     def alive(self) -> bool:
@@ -389,25 +385,31 @@ class WorkerPool:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _spawn(
-        self, jobs: list[tuple[ShardSpec, int, int, str]]
-    ) -> list[WorkerHandle]:
-        """Fork one worker per ``(spec, replica_index, port, name)`` job and
-        wait for every one of them to report ready.
+    def start(self) -> list[WorkerHandle]:
+        """Fork every worker and wait for all of them to report ready.
 
         All forks go out before the first wait, so the workers rebuild
         their indexes concurrently.  A worker that does not report within
-        ``spawn_timeout_s`` — or reports an error — fails the whole call
-        with :class:`~repro.errors.WorkerSpawnError` after every process
-        forked here has been terminated and joined.
+        ``spawn_timeout_s`` — or reports an error, such as a rebuilt index
+        whose checksum differs from its spec's — fails the whole call with
+        :class:`~repro.errors.WorkerSpawnError` after every process forked
+        here has been terminated and joined.
         """
+        if self.handles:
+            raise WorkerError("worker pool already started")
         # Replicas of one shard rebuild from identical bytes: pickle each
         # distinct spec object once, not once per replica.
         payloads: dict[int, bytes] = {}
+        replica_counts: dict[int, int] = {}
         pending: list[tuple[ShardSpec, int, Any, Any]] = []
         handles: list[WorkerHandle] = []
         try:
-            for spec, replica_index, port, name in jobs:
+            for index, spec in enumerate(self.specs):
+                replica_index = replica_counts.get(spec.shard_id, 0)
+                replica_counts[spec.shard_id] = replica_index + 1
+                port = (
+                    self.port_base + self._port_offset + index if self.port_base else 0
+                )
                 payload = payloads.get(id(spec))
                 if payload is None:
                     payload = payloads[id(spec)] = spec.to_payload()
@@ -415,7 +417,8 @@ class WorkerPool:
                 process = self._context.Process(
                     target=worker_main,
                     args=(payload, port, child_conn),
-                    name=name,
+                    name=f"kyrix-worker-g{self.generation}"
+                    f"-s{spec.shard_id}r{replica_index}",
                     daemon=True,
                 )
                 process.start()
@@ -440,7 +443,6 @@ class WorkerPool:
                         process=process,
                         port=report["port"],
                         pid=report["pid"],
-                        checksum=report["checksum"],
                     )
                 )
         except BaseException:
@@ -452,28 +454,7 @@ class WorkerPool:
         finally:
             for _, _, _, parent_conn in pending:
                 parent_conn.close()
-        return handles
-
-    def start(self) -> list[WorkerHandle]:
-        """Fork every worker and wait for all of them to report ready."""
-        if self.handles:
-            raise WorkerError("worker pool already started")
-        jobs: list[tuple[ShardSpec, int, int, str]] = []
-        replica_counts: dict[int, int] = {}
-        for index, spec in enumerate(self.specs):
-            replica_index = replica_counts.get(spec.shard_id, 0)
-            replica_counts[spec.shard_id] = replica_index + 1
-            port = self.port_base + self._port_offset + index if self.port_base else 0
-            jobs.append(
-                (
-                    spec,
-                    replica_index,
-                    port,
-                    f"kyrix-worker-g{self.generation}"
-                    f"-s{spec.shard_id}r{replica_index}",
-                )
-            )
-        self.handles = self._spawn(jobs)
+        self.handles = handles
         # The specs (full table dumps) were only needed to seed the forks;
         # dropping them keeps the parent from holding every shard's rows a
         # second time for the pool's whole serving lifetime.
@@ -495,37 +476,6 @@ class WorkerPool:
             handle.process.kill()
         handle.process.join(timeout=5.0)
         return handle
-
-    def respawn(
-        self, spec: ShardSpec, *, replica_index: int = 0
-    ) -> WorkerHandle:
-        """Fork a replacement worker for one replica slot of this pool.
-
-        The read-repair seam: the old worker (dead, killed or divergent)
-        is terminated and its :class:`WorkerHandle` slot replaced by a
-        fresh process rebuilt from ``spec`` — the new worker reports its
-        own index checksum, so a repair is verifiable against the shard's
-        healthy siblings.  The replacement stays owned by this pool:
-        :meth:`close` (and the shard table retiring it) tears it down with
-        the rest of the generation.
-        """
-        if self._closed:
-            raise WorkerError("cannot respawn a worker on a closed pool")
-        old = self.handle_for(spec.shard_id, replica_index)
-        if old.process.is_alive():
-            old.process.terminate()
-        old.process.join(timeout=5.0)
-        # With a fixed port base the dead worker's port is free again (its
-        # process is joined above); ephemeral pools let the OS pick.
-        port = old.port if self.port_base else 0
-        name = (
-            f"kyrix-worker-g{self.generation}"
-            f"-s{spec.shard_id}r{replica_index}-repair"
-        )
-        # The slot is only replaced once the replacement is ready.
-        (replacement,) = self._spawn([(spec, replica_index, port, name)])
-        self.handles[self.handles.index(old)] = replacement
-        return replacement
 
     def close(self) -> None:
         """SIGTERM every worker (drain) and join them all."""

@@ -113,13 +113,6 @@ class Rect:
             min(self.ymax, other.ymax),
         )
 
-    def enlargement(self, other: "Rect") -> float:
-        """Area growth required to cover ``other``."""
-        return self.union(other).area - self.area
-
-    def translated(self, dx: float, dy: float) -> "Rect":
-        return Rect(self.xmin + dx, self.ymin + dy, self.xmax + dx, self.ymax + dy)
-
     def scaled(self, factor: float) -> "Rect":
         """Scale about the center by ``factor`` (>1 grows, <1 shrinks)."""
         if factor <= 0:
@@ -137,10 +130,6 @@ class Rect:
         if len(values) != 4:
             raise StorageError(f"bbox must have 4 values, got {values!r}")
         return cls(float(values[0]), float(values[1]), float(values[2]), float(values[3]))
-
-    @classmethod
-    def from_point(cls, x: float, y: float, half_extent: float = 0.0) -> "Rect":
-        return cls(x - half_extent, y - half_extent, x + half_extent, y + half_extent)
 
 
 Box = tuple[float, float, float, float]

@@ -15,6 +15,29 @@ from repro.analysis.lockwatch import (
 )
 
 
+@pytest.fixture(autouse=True)
+def _suspend_session_watch():
+    """Run each test with no process-wide watch installed.
+
+    These tests build, install and uninstall their own watches and assert
+    on exactly the edges they make.  Under ``REPRO_LOCKWATCH=1`` the
+    session watch is set aside around each of them and put back after, so
+    it neither wraps their locks nor records their deliberate inversions.
+    """
+    saved = lockwatch.current()
+    lockwatch.uninstall()
+    yield
+    lockwatch.uninstall()
+    if saved is not None:
+        lockwatch.install(saved)
+
+
+def test_session_watch_is_set_aside_for_these_tests():
+    # Holds with and without REPRO_LOCKWATCH=1: the fixture above
+    # uninstalls the session watch before every test of this module.
+    assert lockwatch.current() is None
+
+
 def two_locks(watch):
     return watch.wrap(threading.Lock(), "A"), watch.wrap(threading.Lock(), "B")
 

@@ -1,4 +1,4 @@
-"""Autopilot control-loop behaviour: hysteresis, autoscaling, read-repair.
+"""Autopilot control-loop behaviour: hysteresis, autoscaling, telemetry.
 
 Every test drives :meth:`~repro.cluster.autopilot.ClusterAutopilot.tick`
 directly with a :class:`~repro.metrics.timer.VirtualClock` — the
@@ -24,7 +24,6 @@ from repro.config import AutopilotConfig
 from repro.errors import KyrixError
 from repro.metrics.timer import VirtualClock
 from repro.serving import build_service, unwrap
-from repro.serving.faults import diverge_replica, kill_worker
 from repro.telemetry import configure as configure_telemetry
 from repro.telemetry import get_registry
 
@@ -380,102 +379,6 @@ def test_replica_autoscale_from_pressure(dots_stack):
         cluster.close()
 
 
-# -- read-repair -------------------------------------------------------------------
-
-
-def test_read_repair_thread_mode(dots_stack):
-    cluster = build_cluster(
-        dots_stack.backend, shard_count=2, strategy="grid", replicas=2,
-    )
-    autopilot = ClusterAutopilot(cluster, clock=VirtualClock())
-    try:
-        requests = hotspot_trace(dots_stack, cluster, steps=20)
-        cluster.router.cache.clear()
-        before = [payload_bytes(cluster.router.handle(r)) for r in requests[:5]]
-
-        previous = diverge_replica(cluster, 0, 1)
-        assert previous  # replica sets record spawn-time hashes
-        assert cluster.router.divergent_replicas()
-        actions = autopilot.tick()
-        repairs = [a for a in actions if a.kind == "read_repair"]
-        assert len(repairs) == 1
-        assert repairs[0].detail["healthy"] is True
-        assert not cluster.router.divergent_replicas()
-
-        cluster.router.cache.clear()
-        after = [payload_bytes(cluster.router.handle(r)) for r in requests[:5]]
-        assert after == before
-    finally:
-        cluster.close()
-
-
-def test_read_repair_restores_killed_then_diverged_worker(dots_stack):
-    """The acceptance scenario: kill a worker replica, flag it diverged,
-    and the autopilot must restore a matching checksum with zero failed
-    requests — failover covers the gap, repair closes it."""
-    cluster = build_cluster(
-        dots_stack.backend,
-        shard_count=2,
-        strategy="grid",
-        replicas=2,
-        worker_mode="processes",
-    )
-    autopilot = ClusterAutopilot(cluster, clock=VirtualClock())
-    try:
-        requests = hotspot_trace(dots_stack, cluster, steps=20)
-        cluster.router.cache.clear()
-        before = [payload_bytes(cluster.router.handle(r)) for r in requests[:5]]
-
-        kill_worker(cluster, 0, 1)
-        diverge_replica(cluster, 0, 1)
-        failed = 0
-        for request in requests:
-            cluster.router.cache.clear()
-            try:
-                cluster.router.handle(request)
-            except Exception:
-                failed += 1
-        assert failed == 0, "failover must absorb the dead replica"
-
-        actions = autopilot.tick()
-        repairs = [a for a in actions if a.kind == "read_repair"]
-        assert len(repairs) == 1
-        assert repairs[0].detail["healthy"] is True
-        assert not cluster.router.divergent_replicas()
-        checksums = cluster.router.table.replica_checksums
-        assert checksums["shard0/replica0"] == checksums["shard0/replica1"]
-
-        failed = 0
-        for request in requests:
-            cluster.router.cache.clear()
-            try:
-                cluster.router.handle(request)
-            except Exception:
-                failed += 1
-        assert failed == 0
-        cluster.router.cache.clear()
-        after = [payload_bytes(cluster.router.handle(r)) for r in requests[:5]]
-        assert after == before
-    finally:
-        cluster.close()
-
-
-def test_read_repair_can_be_disabled(dots_stack):
-    cluster = build_cluster(
-        dots_stack.backend, shard_count=2, strategy="grid", replicas=2,
-    )
-    autopilot = ClusterAutopilot(
-        cluster, config=AutopilotConfig(read_repair=False), clock=VirtualClock()
-    )
-    try:
-        diverge_replica(cluster, 0, 1)
-        actions = autopilot.tick()
-        assert not [a for a in actions if a.kind == "read_repair"]
-        assert cluster.router.divergent_replicas()
-    finally:
-        cluster.close()
-
-
 # -- lifecycle / telemetry ---------------------------------------------------------
 
 
@@ -500,21 +403,19 @@ def test_build_service_attaches_and_stops_autopilot(dots_stack):
 def test_autopilot_actions_counted_in_telemetry(dots_stack):
     configure_telemetry(dots_stack.backend.config.telemetry, enabled=True)
     try:
-        cluster = build_cluster(
-            dots_stack.backend, shard_count=2, strategy="grid", replicas=2,
-        )
+        cluster = build_cluster(dots_stack.backend, shard_count=2, strategy="grid")
         autopilot = ClusterAutopilot(cluster, clock=VirtualClock())
         try:
-            diverge_replica(cluster, 0, 1)
+            replay(cluster.router, hotspot_trace(dots_stack, cluster))
             autopilot.tick()
             counters = get_registry().counters_snapshot()
             assert counters.get("autopilot_actions", 0) >= 1
-            assert counters.get("autopilot_read_repair", 0) >= 1
+            assert counters.get("autopilot_rebalance", 0) >= 1
             rendered = get_registry().render_prometheus()
-            assert 'kyrix_events_total{event="autopilot_read_repair"}' in rendered
+            assert 'kyrix_events_total{event="autopilot_rebalance"}' in rendered
             described = autopilot.describe()
             assert described["ticks"] == 1
-            assert described["actions"].get("read_repair") == 1
+            assert described["actions"].get("rebalance") == 1
         finally:
             cluster.close()
     finally:

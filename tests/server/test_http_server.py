@@ -151,9 +151,6 @@ class TestStatsSerialization:
         # What is true of the generation being served is reported beside
         # the traffic counters, and a counter reset does not touch it.
         assert payload["epoch"] == 0
-        assert set(payload["replica_checksums"]) == {
-            f"shard{s}/replica{r}" for s in range(2) for r in range(2)
-        }
         # The shard regions are a fact of the generation too (a cluster's
         # /canvas is the plan's, like any other topology's).
         assert payload["partitionings"] == json.loads(
@@ -164,7 +161,7 @@ class TestStatsSerialization:
         assert after_reset["cache"]["hits"] == after_reset["cache"]["misses"] == 0
         assert after_reset["coalescer"] == {"leaders": 0, "followers": 0}
         assert after_reset["replica_sets"] == {"0": {}, "1": {}}
-        assert after_reset["replica_checksums"] == payload["replica_checksums"]
+        assert after_reset["epoch"] == payload["epoch"]
 
     def test_nested_non_dataclass_stats_are_recursed(self, dots_stack):
         # A stats object mixing every shape the serving layers produce:

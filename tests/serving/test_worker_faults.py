@@ -12,13 +12,15 @@ request fails over to a healthy replica with a byte-identical payload.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.cluster import build_cluster
 from repro.errors import WorkerConnectionError, WorkerSpawnError
 from repro.net.protocol import DataRequest
 from repro.serving import ReplicaService, WorkerPool, kill_worker, unwrap
-from repro.serving.worker import build_shard_spec
+from repro.serving.worker import ShardSpec, TableDump, build_shard_spec
 
 from tests.cluster.conftest import payload_bytes
 
@@ -138,3 +140,112 @@ def test_worker_spawn_failure_is_typed_and_cleans_up(dots_stack):
         assert pool.handles == []
     finally:
         blocker.close()
+
+
+def _hand_built_spec(stack, *tables: TableDump, shard_id: int = 0) -> ShardSpec:
+    return ShardSpec(
+        shard_id=shard_id,
+        config=stack.backend.config.to_dict(),
+        plan=stack.compiled.to_dict(),
+        tables=tables,
+    )
+
+
+def _new_workers(before: set) -> list:
+    """Worker processes alive now that were not alive at ``before``."""
+    return [
+        process
+        for process in set(multiprocessing.active_children()) - before
+        if process.name.startswith("kyrix-worker")
+    ]
+
+
+def test_worker_whose_rebuild_differs_from_its_spec_fails_to_start(dots_stack):
+    # A float column dumped with an int value: the worker's ``bulk_load``
+    # coerces 1 -> 1.0, so its rebuilt copy hashes differently from the
+    # spec it was sent, and the worker refuses to report ready.
+    spec = _hand_built_spec(
+        dots_stack,
+        TableDump(name="t", columns=(("x", "float"),), rows=((1,),), indexes=()),
+    )
+    before = set(multiprocessing.active_children())
+    pool = WorkerPool([spec])
+    with pytest.raises(WorkerSpawnError, match="checksum mismatch"):
+        pool.start()
+    assert pool.handles == []
+    assert not _new_workers(before)
+
+
+#: Specs whose rows load fine but whose rebuilt copy is not the spec's bytes:
+#: ``bulk_load`` widens bbox ints to floats and lists to tuples, and the
+#: rebuilt database dumps its tables in name order and its indexes sorted.
+_DRIFTING_TABLES = {
+    "bbox_of_ints": (
+        TableDump(name="t", columns=(("b", "bbox"),), rows=(((0, 0, 1, 1),),), indexes=()),
+    ),
+    "bbox_as_list": (
+        TableDump(
+            name="t", columns=(("b", "bbox"),), rows=(([0.0, 0.0, 1.0, 1.0],),), indexes=()
+        ),
+    ),
+    "tables_out_of_name_order": (
+        TableDump(name="u", columns=(("x", "float"),), rows=((1.0,),), indexes=()),
+        TableDump(name="t", columns=(("x", "float"),), rows=((1.0,),), indexes=()),
+    ),
+    "indexes_out_of_order": (
+        TableDump(
+            name="t",
+            columns=(("x", "float"), ("y", "float")),
+            rows=((1.0, 2.0),),
+            indexes=(("iy", "y", "btree", False), ("ix", "x", "btree", False)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DRIFTING_TABLES))
+def test_spawn_check_refuses_every_kind_of_rebuild_drift(dots_stack, case):
+    pool = WorkerPool([_hand_built_spec(dots_stack, *_DRIFTING_TABLES[case])])
+    with pytest.raises(WorkerSpawnError, match="checksum mismatch"):
+        pool.start()
+    assert pool.handles == []
+
+
+def test_hand_built_spec_in_stored_form_spawns(dots_stack):
+    # The same one-row table as above with the value already in its stored
+    # form (1.0): the rebuild reproduces the spec byte for byte, so the
+    # check at spawn lets the worker report ready.
+    spec = _hand_built_spec(
+        dots_stack,
+        TableDump(name="t", columns=(("x", "float"),), rows=((1.0,),), indexes=()),
+    )
+    pool = WorkerPool([spec])
+    try:
+        (handle,) = pool.start()
+        assert handle.alive and handle.port > 0
+    finally:
+        pool.close()
+    assert not handle.alive
+
+
+def test_spawn_check_failure_tears_down_sibling_workers(dots_stack):
+    # Shard 0 is a real shard whose worker comes up; shard 1's rebuild
+    # drifts.  The whole start() fails, and the healthy sibling it had
+    # already forked is terminated with it.
+    good = build_shard_spec(
+        dots_stack.database,
+        dots_stack.compiled,
+        dots_stack.backend.config,
+        shard_id=0,
+    )
+    bad = _hand_built_spec(
+        dots_stack,
+        TableDump(name="t", columns=(("x", "float"),), rows=((1,),), indexes=()),
+        shard_id=1,
+    )
+    before = set(multiprocessing.active_children())
+    pool = WorkerPool([good, bad])
+    with pytest.raises(WorkerSpawnError, match=r"shard1/replica0 .*checksum mismatch"):
+        pool.start()
+    assert pool.handles == []
+    assert not _new_workers(before)

@@ -64,11 +64,6 @@ class TestRect:
         assert a.intersection(b) == Rect(1, 1, 2, 2)
         assert a.intersection(Rect(5, 5, 6, 6)) is None
 
-    def test_enlargement(self):
-        a = Rect(0, 0, 2, 2)
-        assert a.enlargement(Rect(0, 0, 1, 1)) == 0.0
-        assert a.enlargement(Rect(0, 0, 4, 2)) == pytest.approx(4.0)
-
     def test_scaled(self):
         rect = Rect(0, 0, 2, 2).scaled(1.5)
         assert rect.width == pytest.approx(3.0)
@@ -76,16 +71,9 @@ class TestRect:
         with pytest.raises(StorageError):
             Rect(0, 0, 1, 1).scaled(0)
 
-    def test_translated(self):
-        assert Rect(0, 0, 1, 1).translated(5, 3) == Rect(5, 3, 6, 4)
-
     def test_tuple_roundtrip(self):
         rect = Rect(1, 2, 3, 4)
         assert Rect.from_tuple(rect.as_tuple()) == rect
-
-    def test_from_point(self):
-        rect = Rect.from_point(5, 5, 0.5)
-        assert rect == Rect(4.5, 4.5, 5.5, 5.5)
 
 
 def _random_entries(count: int, seed: int = 0) -> list[tuple[Rect, RecordId]]:
