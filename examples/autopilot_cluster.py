@@ -1,7 +1,8 @@
 """The self-driving cluster: a hotspot shift detected and rebalanced.
 
-Everything ``examples/rebalance_cluster.py`` did by hand, the
-:class:`~repro.cluster.autopilot.ClusterAutopilot` does unattended.  This
+The load-weighted re-split ``examples/rebalance_cluster.py`` did by
+hand, the :class:`~repro.cluster.autopilot.ClusterAutopilot` does
+unattended, at the same shard and replica counts.  This
 walkthrough drives the control loop tick by tick on a virtual clock so
 every decision is deterministic and narrated:
 
@@ -73,7 +74,8 @@ def replay(router, requests) -> None:
         router.handle(request)
 
 
-def main() -> None:
+def main() -> int:
+    """Run the walkthrough; returns the payload mismatches across swaps."""
     spec = skewed_spec(
         num_points=20_000, canvas_width=16_384.0, canvas_height=8_192.0
     )
@@ -128,7 +130,8 @@ def main() -> None:
     print(f"\nautopilot summary: {pilot.describe()}")
     pilot.close()
     cluster.close()
+    return mismatches
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

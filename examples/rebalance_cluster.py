@@ -35,7 +35,8 @@ def payload(response) -> bytes:
     return json.dumps(list(response.objects), sort_keys=True).encode("utf-8")
 
 
-def main() -> None:
+def main() -> int:
+    """Run the demo; returns the payload mismatches seen during the swap."""
     spec = skewed_spec(
         num_points=20_000, canvas_width=16_384.0, canvas_height=8_192.0
     )
@@ -93,7 +94,8 @@ def main() -> None:
     print(f"  per-shard load: {rebalancer.shard_loads()}")
     print(f"  skew (max/mean): {rebalancer.skew():.3f}")
     cluster.close()
+    return len(mismatches)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -67,9 +67,10 @@ is the only teardown.
 **Self-driving operation** (:mod:`~repro.cluster.autopilot`).  With
 ``cluster.autopilot.enabled`` (or ``build_cluster(..., autopilot=True)``)
 a :class:`~repro.cluster.autopilot.ClusterAutopilot` background loop runs
-the whole feedback cycle unattended: cooldown/hysteresis-gated skew
-rebalances, shard-count autoscaling (2→4→8 under sustained load, back
-down when idle) and replica autoscaling from per-replica pressure.
+the feedback cycle unattended: when window skew crosses the threshold it
+re-splits the shards, gated by a cooldown and hysteresis.  It never
+changes the shard or replica count; that is an operator's
+``rebalance(shard_count)`` or a rebuild.
 
 The router implements the :class:`~repro.serving.base.DataService`
 protocol, so ``KyrixFrontend`` / ``ExplorationSession`` drive a cluster

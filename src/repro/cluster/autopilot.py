@@ -1,32 +1,19 @@
 """The self-driving control loop: observe, decide, act — continuously.
 
-Everything the cluster can already do on demand — online rebalancing
-(:mod:`repro.cluster.rebalancer`), shard-count changes and replica-count
-changes — this module does *unattended*.  A :class:`ClusterAutopilot` runs
+What :meth:`~repro.cluster.rebalancer.LoadRebalancer.rebalance` does on
+demand, this module does *unattended*.  A :class:`ClusterAutopilot` runs
 one control pass (:meth:`~ClusterAutopilot.tick`) on a fixed interval from
-a background daemon thread and steers the cluster through three policies:
-
-1. **Skew rebalancing** — when per-shard traffic skew crosses the
-   rebalancer's threshold, trigger a load-weighted re-split.  Guarded by
-   a *cooldown* (at most one migration per window) and *hysteresis* (a
-   migration disarms the trigger; it re-arms once skew falls below
-   ``threshold - hysteresis``, or — the persistent-skew escape hatch —
-   after ``rearm_windows`` full cooldown windows if skew never left the
-   band, so one bad split cannot disarm the loop forever), so an
-   oscillating hotspot cannot thrash the cluster with back-to-back
-   migrations.
-2. **Shard autoscaling** — sustained volume doubles the shard count
-   (2→4→8, clamped to ``[min_shards, max_shards]``); a configurable run
-   of idle ticks halves it.  Decisions delegate to
-   :meth:`~repro.cluster.rebalancer.LoadRebalancer.propose_shard_count`.
-3. **Replica autoscaling** — per-replica attempt pressure above
-   ``replica_pressure`` adds a replica per shard (up to ``max_replicas``);
-   the idle path drops back to one.
-
-Each pass reads the cluster through **one**
-:class:`~repro.cluster.router.ShardTable` snapshot (shard count, replica
-count, worker pool and partitionings of one epoch), so a
-decision is never assembled from two generations.
+a background daemon thread and steers the cluster by one policy, **skew
+rebalancing**: when per-shard traffic skew crosses the rebalancer's
+threshold, trigger a load-weighted re-split at the same shard count.
+Guarded by a *cooldown* (at most one migration per window) and
+*hysteresis* (a migration disarms the trigger; it re-arms once skew falls
+below ``threshold - hysteresis``, or — the persistent-skew escape hatch —
+after ``rearm_windows`` full cooldown windows if skew never left the
+band, so one bad split cannot disarm the loop forever), so an oscillating
+hotspot cannot thrash the cluster with back-to-back migrations.  Request
+volume alone never moves anything: the shard and replica counts change
+only when an operator asks.
 
 The clock is pluggable (anything with ``now_ms``), so tests drive
 cooldown windows deterministically with
@@ -48,27 +35,17 @@ from typing import TYPE_CHECKING, Any
 from ..config import AutopilotConfig
 from ..serving.replica import MonotonicClock
 from ..telemetry import get_registry, get_tracer
-from .rebalancer import LoadRebalancer, RebalanceReport
+from .rebalancer import LoadRebalancer, RebalanceReport, load_skew
 
 if TYPE_CHECKING:
     from .builder import ShardedCluster
-    from .router import ShardTable
-
-
-def _window_skew(window: dict[int, int]) -> float:
-    """``max / mean`` over one pass's per-shard request counts."""
-    total = sum(window.values())
-    if not window or total <= 0:
-        return 1.0
-    return max(window.values()) / (total / len(window))
 
 
 @dataclass
 class AutopilotAction:
     """One decision the control loop acted on (or explicitly skipped)."""
 
-    #: ``"rebalance"`` / ``"grow"`` / ``"shrink"`` / ``"replica_scale"`` /
-    #: ``"error"``.
+    #: ``"rebalance"`` or ``"error"``.
     kind: str
     #: The control pass that produced it (1-based).
     tick: int
@@ -87,7 +64,7 @@ class AutopilotAction:
 
 
 class ClusterAutopilot:
-    """Background controller that keeps one cluster balanced and healthy.
+    """Background controller that keeps one cluster's load balanced.
 
     Construct over a built :class:`~repro.cluster.builder.ShardedCluster`
     (``build_cluster(..., autopilot=True)`` does this and calls
@@ -116,10 +93,8 @@ class ClusterAutopilot:
         self._thread: threading.Thread | None = None
         self._tick_count = 0
         self._armed = True
-        self._idle_ticks = 0
         self._last_migration_ms: float | None = None
         self._last_loads: dict[int, int] = {}
-        self._last_attempts = 0
         self._actions: deque[AutopilotAction] = deque(maxlen=256)
 
     # -- lifecycle ---------------------------------------------------------------------
@@ -147,15 +122,23 @@ class ClusterAutopilot:
         while not self._stop.wait(self.config.interval_s):
             try:
                 self.tick()
-            except Exception as error:  # pragma: no cover - defensive loop guard
-                self._actions.append(
-                    AutopilotAction(
-                        kind="error",
-                        tick=self._tick_count,
-                        at_ms=self.clock.now_ms,
-                        detail={"error": f"{type(error).__name__}: {error}"},
+            except Exception as error:
+                with self._lock:
+                    self._record(
+                        AutopilotAction(
+                            kind="error",
+                            tick=self._tick_count,
+                            at_ms=self.clock.now_ms,
+                            detail={"error": f"{type(error).__name__}: {error}"},
+                        )
                     )
-                )
+
+    def _record(self, action: AutopilotAction) -> None:
+        """Log one action and count it; the caller holds ``_lock``."""
+        self._actions.append(action)
+        registry = get_registry()
+        registry.counter("autopilot_actions").bump()
+        registry.counter(f"autopilot_{action.kind}").bump()
 
     # -- introspection -----------------------------------------------------------------
 
@@ -171,7 +154,6 @@ class ClusterAutopilot:
             return {
                 "ticks": self._tick_count,
                 "armed": self._armed,
-                "idle_ticks": self._idle_ticks,
                 "shard_count": len(table.shards),
                 "replicas": table.config.cluster.replicas,
                 "actions": dict(
@@ -184,11 +166,11 @@ class ClusterAutopilot:
     def tick(self) -> list[AutopilotAction]:
         """Run one synchronous control pass; returns the actions it took.
 
-        A pass takes at most **one** migration decision — grow/shrink
-        beats skew-rebalance beats replica scaling — gated by the cooldown
-        window.
+        A pass migrates at most once, and only when the loop is armed, the
+        cluster has at least two shards, the window saw ``min_requests``
+        scatters with skew at or above the threshold, and the cooldown
+        window since the last migration has passed.
         """
-        registry = get_registry()
         tracer = get_tracer()
         with self._lock:
             self._tick_count += 1
@@ -196,10 +178,6 @@ class ClusterAutopilot:
             now = self.clock.now_ms
             actions: list[AutopilotAction] = []
             with tracer.span("autopilot_tick", tick=tick) as span:
-                # One snapshot per pass: every decision below reads this
-                # generation, never a half-swapped one.
-                table = self.router.table
-
                 loads = self.rebalancer.shard_loads()
                 if any(
                     loads.get(shard_id, 0) < count
@@ -213,24 +191,16 @@ class ClusterAutopilot:
                         for shard_id, count in loads.items()
                     }
                 delta = sum(window.values())
-                attempts = self._replica_attempts()
-                attempt_delta = attempts - self._last_attempts
-                if attempt_delta < 0:
-                    attempt_delta = attempts
                 # Skew over *this pass's* traffic, not the cumulative
                 # counters: a control loop must react to what the load is
                 # doing now, and hysteresis must be able to re-arm once a
                 # hotspot genuinely dissipates — cumulative history would
                 # pin the old skew forever.
-                skew = _window_skew(window)
+                skew = load_skew(window)
                 span.add_event(
                     "observed", skew=round(skew, 3), requests=delta, tick=tick
                 )
 
-                if self._idle_ticks_qualify(delta):
-                    self._idle_ticks += 1
-                else:
-                    self._idle_ticks = 0
                 if not self._armed and self._should_rearm(skew, now):
                     self._armed = True
 
@@ -239,45 +209,37 @@ class ClusterAutopilot:
                     or now - self._last_migration_ms
                     >= self.config.cooldown_s * 1000.0
                 )
-                decision = self._decide(table, delta, attempt_delta, skew)
-                if decision is not None and cooled:
-                    kind, target_shards, target_replicas = decision
-                    report = self.rebalancer.rebalance(
-                        target_shards, replicas=target_replicas, reason=kind
-                    )
+                if (
+                    cooled
+                    and self._armed
+                    and self.router.shard_count >= 2
+                    and skew >= self.rebalancer.skew_threshold
+                    and delta >= self.rebalancer.min_requests
+                ):
+                    report = self.rebalancer.rebalance()
                     action = AutopilotAction(
-                        kind=kind,
+                        kind="rebalance",
                         tick=tick,
                         at_ms=now,
                         detail={
                             "shards": f"{report.shard_count_before}->"
                             f"{report.shard_count_after}",
-                            "replicas": target_replicas,
                             "skew": round(skew, 3),
                             "swapped": report.swapped,
                         },
                         report=report,
                     )
                     actions.append(action)
+                    self._record(action)
+                    span.add_event("autopilot_rebalance", **action.detail)
                     if report.swapped:
                         self._last_migration_ms = now
                         self._armed = False
-                        self._idle_ticks = 0
                         # The swap cleared the traffic counters.
                         loads = {}
-                        attempts = 0
 
                 self._last_loads = dict(loads)
-                self._last_attempts = attempts
-                for action in actions:
-                    self._actions.append(action)
-                    registry.counter("autopilot_actions").bump()
-                    registry.counter(f"autopilot_{action.kind}").bump()
-                    span.add_event(f"autopilot_{action.kind}", **action.detail)
             return actions
-
-    def _idle_ticks_qualify(self, delta: int) -> bool:
-        return delta <= self.config.shrink_requests
 
     def _should_rearm(self, skew: float, now: float) -> bool:
         """Whether the disarmed skew trigger may fire again.
@@ -296,53 +258,3 @@ class ClusterAutopilot:
             and now - self._last_migration_ms
             >= self.config.rearm_windows * self.config.cooldown_s * 1000.0
         )
-
-    def _replica_attempts(self) -> int:
-        """Total replica attempts on the current generation's sets (each
-        generation builds its own, so the count starts at the last swap)."""
-        return sum(
-            count
-            for replica_set in self.router.replica_sets().values()
-            for counter, count in replica_set.stats.snapshot().items()
-            if counter.startswith("replica") and counter.endswith("_requests")
-        )
-
-    def _decide(
-        self, table: "ShardTable", delta: int, attempt_delta: int, skew: float
-    ) -> tuple[str, int, int] | None:
-        """Pick at most one migration for this pass (kind, shards, replicas)."""
-        cfg = self.config
-        current = len(table.shards)
-        replicas = table.config.cluster.replicas
-        idle = self._idle_ticks >= cfg.shrink_idle_ticks
-        target = self.rebalancer.propose_shard_count(
-            current,
-            delta,
-            min_shards=cfg.min_shards,
-            max_shards=cfg.max_shards,
-            grow_requests=cfg.grow_requests,
-            # Halving only after a sustained idle run, not one quiet tick.
-            shrink_requests=cfg.shrink_requests if idle else -1,
-        )
-        if target > current:
-            return ("grow", target, replicas)
-        if target < current:
-            # Shrinking shards also folds replicas back to one: an idle
-            # cluster needs neither the capacity nor the redundancy cost.
-            return ("shrink", target, 1 if replicas > 1 else replicas)
-        if idle and replicas > 1:
-            return ("replica_scale", current, replicas - 1)
-        if (
-            self._armed
-            and current >= 2
-            and skew >= self.rebalancer.skew_threshold
-            and delta >= self.rebalancer.min_requests
-        ):
-            return ("rebalance", current, replicas)
-        slots = max(1, current * replicas)
-        # Process/replica topologies report per-attempt counts; plain
-        # thread shards do not, so fall back to the scatter volume.
-        pressure = (attempt_delta or delta) / slots
-        if pressure >= cfg.replica_pressure and replicas < cfg.max_replicas:
-            return ("replica_scale", current, replicas + 1)
-        return None

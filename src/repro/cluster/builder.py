@@ -239,8 +239,8 @@ def build_cluster(
     ``cluster.rebalancer``.  With ``autopilot=True`` (or
     ``cluster.autopilot.enabled``) a
     :class:`~repro.cluster.autopilot.ClusterAutopilot` background control
-    loop is attached *and started*: it snapshots load, rebalances and
-    autoscales shard/replica counts on its own, and stops automatically
+    loop is attached *and started*: it watches load skew, re-splits the
+    shards on its own, and stops automatically
     when the cluster (or the router, via ``build_service`` stacks) closes.
     """
     config = source_backend.config

@@ -9,7 +9,7 @@ owns it while the rest idle.  This module closes the loop:
    footprint into per-canvas :class:`~repro.cluster.partitioner.LoadHistogram`
    ring buffers, and counts per-shard traffic in
    ``ClusterStats.per_shard_requests``.
-2. **Decide** — :meth:`LoadRebalancer.skew` reduces the per-shard counts
+2. **Decide** — :func:`load_skew` reduces the per-shard counts
    to one number, ``max / mean`` (1.0 is perfect balance); traffic is
    *skewed* once it crosses :data:`SKEW_THRESHOLD` with at least
    :data:`MIN_REQUESTS` scatters observed.
@@ -24,8 +24,8 @@ owns it while the rest idle.  This module closes the loop:
    index stacks; process mode: fresh
    :class:`~repro.serving.worker.ShardSpec` dumps and a new
    :class:`~repro.serving.worker.WorkerPool` generation), from the current
-   generation's configuration with the new shard / replica counts
-   ``replace``d in.  Then the router's shard table is swapped atomically
+   generation's configuration with the new shard count ``replace``d in.
+   Then the router's shard table is swapped atomically
    (:meth:`~repro.cluster.router.ClusterRouter.swap_shards`) and the old
    generation is retired once its in-flight requests drain
    (:meth:`~repro.cluster.router.ClusterRouter.retire_table`).  The
@@ -57,14 +57,23 @@ SKEW_THRESHOLD = 2.0
 MIN_REQUESTS = 64
 
 
+def load_skew(loads: dict[int, int]) -> float:
+    """``max / mean`` of per-shard request counts (1.0 is perfect balance,
+    and also the answer when there was no traffic)."""
+    total = sum(loads.values())
+    if not loads or total <= 0:
+        return 1.0
+    return max(loads.values()) / (total / len(loads))
+
+
 @dataclass
 class RebalanceReport:
     """What one :meth:`LoadRebalancer.rebalance` call did (or skipped)."""
 
     #: Whether the router's shard table was actually swapped.
     swapped: bool
-    #: Why not, when it was not (``"below_threshold"`` / ``"single_shard"``
-    #: / ``"too_few_requests"``); ``"rebalanced"`` when it was.
+    #: ``"rebalanced"`` when it was; ``"single_shard"`` when a one-shard
+    #: cluster was asked to stay at one shard (nothing to move load between).
     reason: str
     #: The router epoch after the call.
     epoch: int
@@ -135,13 +144,8 @@ class LoadRebalancer:
         }
 
     def skew(self) -> float:
-        """``max / mean`` of the per-shard loads (1.0 is perfect balance)."""
-        loads = self.shard_loads()
-        total = sum(loads.values())
-        if not loads or total == 0:
-            return 1.0
-        mean = total / len(loads)
-        return max(loads.values()) / mean
+        """:func:`load_skew` of the per-shard loads since the last swap."""
+        return load_skew(self.shard_loads())
 
     def observed_requests(self) -> int:
         """Scatter-gathers observed since the last swap."""
@@ -154,35 +158,6 @@ class LoadRebalancer:
         if self.observed_requests() < self.min_requests:
             return False
         return self.skew() >= self.skew_threshold
-
-    def propose_shard_count(
-        self,
-        current: int,
-        requests_per_tick: float,
-        *,
-        min_shards: int = 1,
-        max_shards: int = 8,
-        grow_requests: int = 256,
-        shrink_requests: int = 8,
-    ) -> int:
-        """The shard count the observed traffic volume argues for.
-
-        Pure decision, no migration, no cluster state read: sustained load
-        (at least ``grow_requests`` scatter-gathers in the window) doubles
-        the ``current`` count, an idle window (at most ``shrink_requests``)
-        halves it, anything in between keeps it — always clamped into
-        ``[min_shards, max_shards]``.  Doubling/halving (2→4→8 rather
-        than 2→3→4) keeps each step a genuine capacity change, so the
-        autoscaler cannot creep one shard at a time around its own
-        cooldown.
-        """
-        if requests_per_tick >= grow_requests:
-            proposed = current * 2
-        elif requests_per_tick <= shrink_requests:
-            proposed = current // 2
-        else:
-            proposed = current
-        return max(min_shards, min(max_shards, proposed))
 
     # -- migrating ---------------------------------------------------------------------
 
@@ -211,47 +186,30 @@ class LoadRebalancer:
             return None
         return self.rebalance(shard_count)
 
-    def rebalance(
-        self,
-        shard_count: int | None = None,
-        *,
-        replicas: int | None = None,
-        reason: str = "rebalanced",
-    ) -> RebalanceReport:
+    def rebalance(self, shard_count: int | None = None) -> RebalanceReport:
         """Build a load-weighted shard set and swap it in online.
 
         ``shard_count`` defaults to the current count (a pure re-split);
-        passing a different count re-scales the cluster in the same swap,
-        and ``replicas`` likewise re-scales the per-shard replica count
-        (the new generation builds with it and carries it in its
-        configuration, so later decisions see it).  ``reason``
-        labels the resulting :class:`RebalanceReport` (the autopilot
-        stamps ``"grow"`` / ``"shrink"`` / ``"replica_scale"`` here).
-        Requests keep being served by the old generation for the whole
-        build; the swap itself is one atomic table replacement, after
-        which the old generation drains and closes.
+        passing a different count re-sizes the cluster in the same swap.
+        The new generation keeps every other setting of the current one,
+        ``replicas`` included.  Requests keep being served by the old
+        generation for the whole build; the swap itself is one atomic
+        table replacement, after which the old generation drains and
+        closes.
         """
         with self._migrate_lock:
-            return self._rebalance_locked(shard_count, replicas, reason)
+            return self._rebalance_locked(shard_count)
 
-    def _rebalance_locked(
-        self, shard_count: int | None, replicas: int | None, reason: str
-    ) -> RebalanceReport:
+    def _rebalance_locked(self, shard_count: int | None) -> RebalanceReport:
         router = self.router
         current = router.table  # migrations are serialised: still current below
-        cluster_config = current.config.cluster
         old_count = len(current.shards)
         new_count = shard_count or old_count
         if new_count < 1:
             raise KyrixError(f"shard_count must be >= 1, got {new_count}")
-        new_replicas = replicas or cluster_config.replicas
-        skew_before = self.skew()
         loads_before = self.shard_loads()
-        if (
-            old_count == 1
-            and new_count == 1
-            and new_replicas == cluster_config.replicas
-        ):
+        skew_before = load_skew(loads_before)
+        if old_count == 1 and new_count == 1:
             # Single-shard no-op: there is nothing to move load between.
             return RebalanceReport(
                 swapped=False,
@@ -265,9 +223,7 @@ class LoadRebalancer:
 
         config = replace(
             current.config,
-            cluster=replace(
-                cluster_config, shard_count=new_count, replicas=new_replicas
-            ),
+            cluster=replace(current.config.cluster, shard_count=new_count),
         )
         partitionings = self.repartition(new_count)
 
@@ -298,7 +254,7 @@ class LoadRebalancer:
         drain_ms = (time.perf_counter() - drain_start) * 1000.0
         return RebalanceReport(
             swapped=True,
-            reason=reason,
+            reason="rebalanced",
             epoch=table.epoch,
             skew_before=skew_before,
             shard_count_before=old_count,

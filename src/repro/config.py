@@ -127,16 +127,17 @@ class AutopilotConfig:
     enabled:
         When true, :func:`repro.cluster.builder.build_cluster` attaches a
         running :class:`~repro.cluster.autopilot.ClusterAutopilot`: a daemon
-        thread that snapshots load skew and replica pressure, rebalances
-        online and autoscales the shard and replica counts.  Off by default — nothing moves unless asked to.
+        thread that watches per-shard load skew and re-splits the shards
+        online when it crosses the rebalancer's threshold.  Off by
+        default — nothing moves unless asked to.
     interval_s:
         Seconds between control-loop ticks (wall-clock, for the background
         thread; tests drive :meth:`~repro.cluster.autopilot.ClusterAutopilot.tick`
         directly on a :class:`~repro.metrics.timer.VirtualClock`).
     cooldown_s:
-        Minimum clock time between two autopilot *migrations* (rebalance,
-        grow, shrink, replica re-scale).  Damping: however noisy the load
-        signal, topology changes cannot happen more often than this.
+        Minimum clock time between two autopilot migrations.  Damping:
+        however noisy the load signal, re-splits cannot happen more often
+        than this.
     hysteresis:
         Re-arm band below the rebalancer's skew threshold.  After a
         skew-triggered migration the loop stays *disarmed* until observed
@@ -150,23 +151,6 @@ class AutopilotConfig:
         anyway after this many cooldown windows.  Without it a single bad
         split would disarm the autopilot forever; with it, retries still
         pace at a multiple of the cooldown, so the thrash bound holds.
-    min_shards / max_shards:
-        Bounds of the shard-count autoscaler (grow doubles, shrink halves,
-        always clamped into ``[min_shards, max_shards]``).
-    grow_requests:
-        Scatter-gathers per tick above which traffic counts as sustained
-        load and the shard count grows (2→4→8 under a heavy workload).
-    shrink_idle_ticks:
-        Consecutive idle ticks (fewer than ``shrink_requests`` scatters
-        each) after which the shard count shrinks toward ``min_shards``.
-    shrink_requests:
-        Scatter-gathers per tick at or below which a tick counts as idle.
-    replica_pressure:
-        Mean per-replica attempts per tick above which every shard gains a
-        replica (capped at ``max_replicas``); an idle shrink drops the
-        replica count back toward 1.
-    max_replicas:
-        Upper bound of the replica autoscaler.
     """
 
     enabled: bool = False
@@ -174,37 +158,16 @@ class AutopilotConfig:
     cooldown_s: float = 30.0
     hysteresis: float = 0.25
     rearm_windows: int = 2
-    min_shards: int = 1
-    max_shards: int = 8
-    grow_requests: int = 256
-    shrink_idle_ticks: int = 3
-    shrink_requests: int = 8
-    replica_pressure: int = 128
-    max_replicas: int = 4
 
     def validate(self) -> None:
         if self.interval_s <= 0:
             raise KyrixError("autopilot interval_s must be positive")
-        for name in ("cooldown_s", "hysteresis", "shrink_requests"):
+        for name in ("cooldown_s", "hysteresis"):
             if getattr(self, name) < 0:
                 raise KyrixError(f"autopilot {name} must be non-negative")
-        for name in (
-            "rearm_windows", "min_shards", "grow_requests",
-            "shrink_idle_ticks", "replica_pressure", "max_replicas",
-        ):
-            if getattr(self, name) < 1:
-                raise KyrixError(
-                    f"autopilot {name} must be >= 1, got {getattr(self, name)}"
-                )
-        if self.max_shards < self.min_shards:
+        if self.rearm_windows < 1:
             raise KyrixError(
-                "autopilot max_shards must be >= min_shards, got "
-                f"{self.max_shards} < {self.min_shards}"
-            )
-        if self.shrink_requests >= self.grow_requests:
-            raise KyrixError(
-                "autopilot shrink_requests must be below grow_requests "
-                f"(got {self.shrink_requests} >= {self.grow_requests})"
+                f"autopilot rearm_windows must be >= 1, got {self.rearm_windows}"
             )
 
 

@@ -79,7 +79,7 @@ def build_service(
         :class:`~repro.cluster.autopilot.ClusterAutopilot` background
         control loop (reachable as
         ``unwrap(service, ClusterRouter).cluster.autopilot``) that
-        rebalances and autoscales shards/replicas on its own; closing the returned stack stops it.  Only
+        re-splits skewed shards on its own; closing the returned stack stops it.  Only
         meaningful for sharded stacks.
     telemetry:
         Per-build override of ``config.telemetry.enabled``: when true the

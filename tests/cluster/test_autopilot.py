@@ -1,15 +1,17 @@
-"""Autopilot control-loop behaviour: hysteresis, autoscaling, telemetry.
+"""Autopilot control-loop behaviour: hysteresis, cooldown, telemetry.
 
 Every test drives :meth:`~repro.cluster.autopilot.ClusterAutopilot.tick`
 directly with a :class:`~repro.metrics.timer.VirtualClock` — the
-background thread is exercised only by the lifecycle test, so nothing
-here sleeps or races.  The hysteresis suite pins the nastiest edge: a
+background thread is exercised only by the lifecycle tests, so nothing
+else here sleeps or races.  The hysteresis suite pins the nastiest edge: a
 hotspot whose skew sits *exactly at* the rebalance threshold on every
 pass must still produce at most one migration per cooldown window, in
 both worker topologies.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.cluster import (
     LoadRebalancer,
     build_cluster,
 )
-from repro.config import AutopilotConfig
+from repro.config import AutopilotConfig, KyrixConfig
 from repro.errors import KyrixError
 from repro.metrics.timer import VirtualClock
 from repro.serving import build_service, unwrap
@@ -43,7 +45,7 @@ def hotspot_trace(stack, cluster, steps=80):
     With traffic strictly inside one region of an N-shard partitioning
     the per-shard load is ``{0: steps, others: 0}``, so the measured skew
     is exactly ``N == max/mean`` — for a 2-shard grid that is exactly the
-    default ``rebalance_skew_threshold`` of 2.0, the hysteresis edge.
+    default ``SKEW_THRESHOLD`` of 2.0, the hysteresis edge.
     """
     region = cluster.partitionings[stack.canvas_id].region(0).rect
     return hotspot_box_requests("dots", stack.canvas_id, 0, region, steps=steps)
@@ -61,7 +63,7 @@ def migrations(autopilot):
     return [
         action
         for action in autopilot.actions
-        if action.kind in ("rebalance", "grow", "shrink", "replica_scale")
+        if action.kind == "rebalance"
         and action.report is not None
         and action.report.swapped
     ]
@@ -75,18 +77,12 @@ def test_autopilot_config_validation():
     with pytest.raises(KyrixError):
         AutopilotConfig(interval_s=0.0).validate()
     with pytest.raises(KyrixError):
-        AutopilotConfig(min_shards=4, max_shards=2).validate()
-    with pytest.raises(KyrixError):
-        AutopilotConfig(shrink_requests=512, grow_requests=256).validate()
-    with pytest.raises(KyrixError):
         AutopilotConfig(hysteresis=-0.1).validate()
     with pytest.raises(KyrixError):
         AutopilotConfig(rearm_windows=0).validate()
 
 
 def test_autopilot_config_round_trips_through_dict(dots_stack):
-    from repro.config import KyrixConfig
-
     config = KyrixConfig()
     config.cluster.autopilot.enabled = True
     config.cluster.autopilot.cooldown_s = 12.0
@@ -94,6 +90,13 @@ def test_autopilot_config_round_trips_through_dict(dots_stack):
     assert isinstance(restored.cluster.autopilot, AutopilotConfig)
     assert restored.cluster.autopilot.enabled is True
     assert restored.cluster.autopilot.cooldown_s == 12.0
+
+
+def test_a_deleted_autoscaling_key_is_refused_by_name():
+    """The shard/replica autoscaling knobs are gone, with no aliases: a
+    saved configuration naming one fails loudly instead of being ignored."""
+    with pytest.raises(KyrixError, match=r"cluster\.autopilot\.grow_requests"):
+        KyrixConfig.from_dict({"cluster": {"autopilot": {"grow_requests": 256}}})
 
 
 # -- hysteresis / cooldown ---------------------------------------------------------
@@ -312,69 +315,29 @@ def test_rebalance_epoch_and_parity_across_autopilot_migration(dots_stack):
         cluster.close()
 
 
-# -- autoscaling -------------------------------------------------------------------
+# -- volume alone moves nothing ---------------------------------------------------
 
 
-def test_grow_under_sustained_load_and_shrink_when_idle(dots_stack):
-    config = AutopilotConfig(
-        grow_requests=32, shrink_requests=4, shrink_idle_ticks=2, max_shards=4
-    )
-    cluster = build_cluster(
-        dots_stack.backend, shard_count=2, strategy="grid"
-    )
-    clock = VirtualClock()
-    autopilot = ClusterAutopilot(cluster, config=config, clock=clock)
-    cooldown_ms = config.cooldown_s * 1000.0
+def test_sustained_balanced_load_takes_no_action(dots_stack):
+    """Heavy traffic spread evenly over the shards is not a reason to
+    migrate: the pass leaves the shard and replica counts as they are."""
+    cluster = build_cluster(dots_stack.backend, shard_count=2, strategy="grid")
+    autopilot = ClusterAutopilot(cluster, clock=VirtualClock())
     try:
-        requests = hotspot_trace(dots_stack, cluster)
-        cluster.router.cache.clear()
-        before = [payload_bytes(cluster.router.handle(r)) for r in requests[:10]]
-
-        replay(cluster.router, requests)
-        actions = autopilot.tick()
-        assert [a.kind for a in actions] == ["grow"]
-        assert cluster.router.shard_count == 4
-
-        # Idle passes: the first shrink_idle_ticks quiet ticks only count
-        # up; then the halving starts, one cooldown window per step.
-        shrinks = 0
-        for _ in range(8):
-            clock.advance(cooldown_ms)
-            shrinks += sum(1 for a in autopilot.tick() if a.kind == "shrink")
-            if cluster.router.shard_count == 1:
-                break
-        assert cluster.router.shard_count == 1
-        assert shrinks == 2  # 4 -> 2 -> 1, one halving per window
-
-        cluster.router.cache.clear()
-        after = [payload_bytes(cluster.router.handle(r)) for r in requests[:10]]
-        assert after == before
-    finally:
-        cluster.close()
-
-
-def test_replica_autoscale_from_pressure(dots_stack):
-    config = AutopilotConfig(
-        grow_requests=10_000,  # park shard growth: isolate replica pressure
-        replica_pressure=16,
-        max_replicas=2,
-    )
-    cluster = build_cluster(
-        dots_stack.backend, shard_count=2, strategy="grid"
-    )
-    # Park the skew trigger too (the hotspot trace is maximally skewed by
-    # construction): this test isolates the pressure policy.
-    rebalancer = LoadRebalancer(cluster, skew_threshold=1000.0)
-    autopilot = ClusterAutopilot(
-        cluster, config=config, clock=VirtualClock(), rebalancer=rebalancer
-    )
-    try:
-        replay(cluster.router, hotspot_trace(dots_stack, cluster, steps=80))
-        actions = autopilot.tick()
-        kinds = [a.kind for a in actions]
-        assert "replica_scale" in kinds
-        assert cluster.router.cluster_config.replicas == 2
-        assert cluster.router.replica_sets(), "shards must now front replica sets"
+        partitioning = cluster.partitionings[dots_stack.canvas_id]
+        for shard in (0, 1):
+            replay(
+                cluster.router,
+                hotspot_box_requests(
+                    "dots", dots_stack.canvas_id, 0,
+                    partitioning.region(shard).rect, steps=150,
+                ),
+            )
+        assert cluster.rebalancer.shard_loads() == {0: 150, 1: 150}
+        assert autopilot.tick() == []
+        served = cluster.router.config.cluster
+        assert (cluster.router.shard_count, served.replicas) == (2, 1)
+        assert cluster.router.epoch == 0
     finally:
         cluster.close()
 
@@ -398,6 +361,40 @@ def test_build_service_attaches_and_stops_autopilot(dots_stack):
     assert autopilot.rebalancer is router.cluster.rebalancer
     service.close()
     assert autopilot._thread is None
+
+
+class _BrokenSensor(LoadRebalancer):
+    def shard_loads(self):
+        raise RuntimeError("load sensor down")
+
+
+def test_background_pass_errors_are_logged_and_counted(dots_stack):
+    """A pass that raises on the real thread leaves an ``error`` action in
+    the log and bumps ``autopilot_actions`` and ``autopilot_error``, like
+    any other action; the thread keeps ticking."""
+    cluster = build_cluster(dots_stack.backend, shard_count=2, strategy="grid")
+    autopilot = ClusterAutopilot(
+        cluster,
+        config=AutopilotConfig(interval_s=0.01),
+        rebalancer=_BrokenSensor(cluster),
+    )
+    before = get_registry().counters_snapshot()
+    try:
+        thread = autopilot.start()._thread
+        deadline = time.monotonic() + 10.0
+        while len(autopilot.actions) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        autopilot.close()
+        cluster.close()
+    assert not thread.is_alive()
+    errors = autopilot.actions
+    assert len(errors) >= 2
+    assert {action.kind for action in errors} == {"error"}
+    assert errors[0].detail == {"error": "RuntimeError: load sensor down"}
+    after = get_registry().counters_snapshot()
+    for counter in ("autopilot_actions", "autopilot_error"):
+        assert after.get(counter, 0) - before.get(counter, 0) == len(errors)
 
 
 def test_autopilot_actions_counted_in_telemetry(dots_stack):
@@ -452,10 +449,8 @@ def test_decision_state_guarded_by_the_lock(dots_stack):
             [
                 "_tick_count",
                 "_armed",
-                "_idle_ticks",
                 "_last_migration_ms",
                 "_last_loads",
-                "_last_attempts",
             ],
         )
         replay(cluster.router, hotspot_trace(dots_stack, cluster, steps=20))

@@ -15,6 +15,8 @@ EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 if str(EXAMPLES_DIR) not in sys.path:
     sys.path.insert(0, str(EXAMPLES_DIR))
 
+import autopilot_cluster  # noqa: E402
+import rebalance_cluster  # noqa: E402
 from eeg_explorer import build_eeg_application  # noqa: E402
 from fetching_comparison import print_figure  # noqa: E402
 from usmap_crime import build_usmap_application  # noqa: E402
@@ -147,3 +149,18 @@ class TestFetchingComparison:
         assert lines[6:8] == [
             "  trace a: fastest is dbox", "  trace b: fastest is tile spatial 1024",
         ]
+
+
+class TestClusterExamples:
+    """The narrated migration walkthroughs run end to end, and no payload
+    changes across any of their online swaps."""
+
+    def test_manual_rebalance_keeps_every_payload(self, capsys):
+        assert rebalance_cluster.main() == 0
+        assert "payload mismatches during the swap: 0" in capsys.readouterr().out
+
+    def test_autopilot_walkthrough_keeps_every_payload(self, capsys):
+        assert autopilot_cluster.main() == 0
+        out = capsys.readouterr().out
+        assert "payload mismatches across the swap: 0" in out
+        assert "'actions': {'rebalance': 2}" in out

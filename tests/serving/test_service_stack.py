@@ -378,18 +378,18 @@ class TestBuildService:
     def test_served_config_follows_an_online_rebalance(self, dots_stack):
         service = build_service(
             dots_stack.backend.config, backend=dots_stack.backend,
-            shard_count=2, replicas=1,
+            shard_count=2, replicas=2,
         )
         router = unwrap(service, ClusterRouter)
         try:
-            report = router.cluster.rebalancer.rebalance(4, replicas=2)
+            report = router.cluster.rebalancer.rebalance(4)
             assert report.swapped
             served = router.config.cluster
             assert (served.shard_count, served.replicas) == (4, 2)
             assert router.shard_count == 4
-            assert all(
-                layer.replica_count == 2 for layer in router.replica_sets().values()
-            )
+            replica_sets = router.replica_sets()
+            assert len(replica_sets) == 4
+            assert all(layer.replica_count == 2 for layer in replica_sets.values())
         finally:
             service.close()
 
