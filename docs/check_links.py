@@ -5,13 +5,13 @@ README for
 
 * markdown links to local files (``[text](docs/operations.md#anchor)``)
   — the target file must exist relative to the citing document;
-* inline-backtick code paths (`` `src/repro/cluster/autopilot.py` ``,
+* inline-backtick code paths (`` `src/repro/cluster/rebalancer.py` ``,
   `` `net/protocol.py` ``, `` `benchmarks/suite/` `` …) — the path
   must exist relative to the repo root, or (for the short module forms
   the prose uses) under ``src/repro/``;
 * inline-backtick settings (`` `cluster.wire_shards` ``,
   `` `config.cache.backend_entries` ``,
-  `` `cluster.autopilot.cooldown_s` ``) — a dotted name rooted at a
+  `` `cluster.breaker_reset_s` ``) — a dotted name rooted at a
   ``KyrixConfig`` section must name a field that exists.  The prose also
   roots two other vocabularies at those words, and they resolve too: the
   benchmark's metric names (``BENCHMARK.json``) and attributes of the

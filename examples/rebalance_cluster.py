@@ -64,7 +64,7 @@ def main() -> int:
     print(f"static grid @ 2 shards, hotspot session of {len(hotspot)} pans:")
     print(f"  per-shard load: {rebalancer.shard_loads()}")
     print(f"  skew (max/mean): {rebalancer.skew():.3f}"
-          f"  -> should_rebalance: {rebalancer.should_rebalance()}")
+          "  -> the operator asks for a rebalance")
 
     # Rebalance online while a concurrent session keeps reading.
     expected = [payload(router.handle(r)) for r in hotspot]

@@ -5,7 +5,10 @@ shards, once with one forked worker process per shard replica speaking the
 wire envelope over localhost TCP — proves both topologies serve
 byte-identical payloads, compares their wall-clock on the same pan
 workload, then SIGKILLs one worker mid-session and shows the replica layer
-failing over with the dead worker's breaker open.
+failing over with the dead worker's breaker open.  ``main()`` returns the
+number of problems seen — unserved requests, payloads that differ from
+the thread topology's, workers still alive after ``close()`` — 0 when
+there were none.
 
 Run with::
 
@@ -26,11 +29,14 @@ if str(_ROOT / "src") not in sys.path:
 from repro.bench.apps import build_eeg_backend, default_config
 from repro.cluster import build_cluster
 from repro.datagen.eeg import EEGSpec
+from repro.errors import KyrixError
 from repro.net.protocol import DataRequest
 from repro.serving import kill_worker
 
 
-def main() -> None:
+def main() -> int:
+    """Run the demo; returns unserved requests, payload mismatches and
+    workers that outlived ``close()``, summed."""
     spec = EEGSpec(channels=4, sample_rate_hz=32.0, duration_s=240.0)
     stack = build_eeg_backend(spec, config=default_config(viewport=512))
     width, height = stack.canvas_width, stack.canvas_height
@@ -47,33 +53,46 @@ def main() -> None:
             for i in range(count)
         ]
 
-    def run(cluster, workload) -> tuple[float, bytes]:
+    def run(cluster, workload) -> tuple[float, list[bytes | None]]:
+        """Mean ms per request and one payload per request (``None`` when
+        the request failed)."""
         started = time.perf_counter()
-        payloads = [
-            json.dumps(list(cluster.router.handle(r).objects), sort_keys=True)
-            for r in workload
-        ]
+        payloads: list[bytes | None] = []
+        for request in workload:
+            try:
+                objects = list(cluster.router.handle(request).objects)
+            except KyrixError as error:
+                print(f"  unserved: {type(error).__name__}: {error}")
+                payloads.append(None)
+            else:
+                payloads.append(json.dumps(objects, sort_keys=True).encode("utf-8"))
         elapsed_ms = (time.perf_counter() - started) * 1000.0 / len(workload)
-        return elapsed_ms, "".join(payloads).encode("utf-8")
+        return elapsed_ms, payloads
+
+    def differing(want: list[bytes | None], got: list[bytes | None]) -> int:
+        """Requests both sides served with different payloads."""
+        return sum(None not in pair and pair[0] != pair[1] for pair in zip(want, got))
 
     workload = requests()
     threads = build_cluster(stack.backend, shard_count=4, worker_mode="threads")
     processes = build_cluster(
         stack.backend, shard_count=4, replicas=2, worker_mode="processes"
     )
+    pool = processes.worker_pool
     try:
         print("worker processes:")
-        for worker in processes.worker_pool.describe():
+        for worker in pool.describe():
             print(f"  shard{worker['shard_id']}/replica{worker['replica_index']}: "
                   f"pid {worker['pid']} on port {worker['port']}")
         print("every worker's rebuilt index matched its spec's checksum at spawn "
               "(a mismatch fails the spawn)")
 
-        thread_ms, thread_bytes = run(threads, workload)
-        process_ms, process_bytes = run(processes, workload)
+        thread_ms, thread_payloads = run(threads, workload)
+        process_ms, process_payloads = run(processes, workload)
+        mismatches = differing(thread_payloads, process_payloads)
         print(f"threads:   {thread_ms:7.2f} ms/step")
         print(f"processes: {process_ms:7.2f} ms/step")
-        print(f"payloads byte-identical: {thread_bytes == process_bytes}")
+        print(f"payload mismatches between the topologies: {mismatches}")
 
         handle = kill_worker(processes, shard_id=0, replica_index=0)
         print(f"\nSIGKILLed shard0/replica0 (pid {handle.pid})")
@@ -87,18 +106,28 @@ def main() -> None:
             )
             for i in range(6)
         ]
-        run(processes, degraded)
+        _, killed_payloads = run(processes, degraded)
+        _, reference_payloads = run(threads, degraded)
+        killed_mismatches = differing(reference_payloads, killed_payloads)
+        mismatches += killed_mismatches
         replica_set = processes.router.replica_sets()[0]
         state = "open" if replica_set.breaker_open(0) else "closed"
         print(f"served through the kill; shard0/replica0 breaker: {state}")
+        print(f"payload mismatches through the kill: {killed_mismatches}")
         print("shard0 failures per replica:",
               replica_set.stats.per_replica_failures())
     finally:
         threads.close()
         processes.close()
-    alive = [h.alive for h in processes.worker_pool.handles]
+    alive = [h.alive for h in pool.handles]
     print(f"after close(): workers alive = {alive}")
+    unserved = sum(
+        payloads.count(None)
+        for payloads in (thread_payloads, process_payloads,
+                         killed_payloads, reference_payloads)
+    )
+    return unserved + mismatches + sum(alive)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

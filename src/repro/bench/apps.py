@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..compiler import CompiledApplication, compile_application
-from ..config import CacheConfig, KyrixConfig, NetworkConfig, PrefetchConfig, StorageConfig
+from ..config import KyrixConfig, NetworkConfig, PrefetchConfig, StorageConfig
 from ..core import (
     App,
     Application,
@@ -80,7 +80,6 @@ class EEGStack:
 def default_config(
     *,
     viewport: int = 1024,
-    cache_enabled: bool = True,
     prefetch_enabled: bool = False,
     rtt_ms: float = 2.0,
     bandwidth_mbps: float = 1000.0,
@@ -90,7 +89,6 @@ def default_config(
         app_name="dots",
         storage=StorageConfig(),
         network=NetworkConfig(rtt_ms=rtt_ms, bandwidth_mbps=bandwidth_mbps),
-        cache=CacheConfig(enabled=cache_enabled),
         prefetch=PrefetchConfig(enabled=prefetch_enabled),
         viewport_width=viewport,
         viewport_height=viewport,

@@ -22,7 +22,7 @@ from ..core.viewport import Viewport
 from ..datagen.synthetic import DotDatasetSpec, skewed_spec, uniform_spec
 from ..datagen.traces import Trace, paper_traces
 from ..server.dbox import ExactBoxCalculator, ExpandedBoxCalculator
-from ..server.prefetch import MomentumPrefetcher, Prefetcher
+from ..server.prefetch import MomentumPrefetcher
 from ..server.schemes import (
     FetchScheme,
     dbox_scheme,
@@ -98,7 +98,7 @@ def replay(
     positions: Sequence[tuple[float, float]],
     *,
     config: KyrixConfig | None = None,
-    prefetcher: Prefetcher | None = None,
+    prefetcher: MomentumPrefetcher | None = None,
 ) -> SessionResult:
     """Replay ``positions`` with ``scheme`` from a cold start.
 
@@ -308,12 +308,18 @@ def prefetch_cache_ablation(
     positions = list(trace.positions) + list(reversed(trace.positions[:-1]))
     base = stack.backend.config
     variants: list[tuple[str, KyrixConfig, MomentumPrefetcher | None]] = [
-        ("no-cache", KyrixConfig.from_dict({**base.to_dict(), "cache": {"enabled": False}}), None),
+        (
+            "no-cache",
+            KyrixConfig.from_dict(
+                {**base.to_dict(), "cache": {"backend_entries": 0, "frontend_entries": 0}}
+            ),
+            None,
+        ),
         ("cache", KyrixConfig.from_dict(base.to_dict()), None),
         (
             "cache+momentum",
             KyrixConfig.from_dict(
-                {**base.to_dict(), "prefetch": {"enabled": True, "strategy": "momentum"}}
+                {**base.to_dict(), "prefetch": {"enabled": True}}
             ),
             MomentumPrefetcher(),
         ),
@@ -331,10 +337,9 @@ def prefetch_cache_ablation(
 
 
 def _set_serving_cache_capacity(stack: DotsStack, config: KyrixConfig) -> None:
-    capacity = config.cache.backend_entries if config.cache.enabled else 0
     for layer in stack_layers(stack.service):
         if getattr(layer, "cache", None) is not None:
-            layer.cache.capacity = capacity
+            layer.cache.capacity = config.cache.backend_entries
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,7 @@ def hotspot_box_requests(
     """A skewed pan trace: box requests confined to one shard region.
 
     The "everyone pans over Manhattan" traffic shape used by the
-    live-rebalance and autopilot tests: every request's rectangle stays
+    live-rebalance tests: every request's rectangle stays
     strictly inside ``region`` (a :class:`~repro.storage.rtree.Rect`,
     typically shard 0's region of a static partitioning), so the whole
     trace lands on a single shard while the rest of the cluster idles —

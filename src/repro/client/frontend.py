@@ -29,7 +29,7 @@ from ..net.link import SimulatedLink
 from ..net.protocol import DataRequest, DataResponse, RowBatch, concat_rows
 from ..server.cache import LRUCache
 from ..server.dbox import DynamicBoxState
-from ..server.prefetch import Prefetcher, make_prefetcher
+from ..server.prefetch import MomentumPrefetcher
 from ..server.schemes import FetchScheme, dbox_scheme
 from ..server.tile import TileScheme
 from .renderer import RasterRenderer
@@ -61,22 +61,21 @@ class KyrixFrontend:
         *,
         config: KyrixConfig | None = None,
         link: SimulatedLink | None = None,
-        prefetcher: Prefetcher | None = None,
+        prefetcher: MomentumPrefetcher | None = None,
         render: bool = False,
     ) -> None:
         self.service = service
         self.scheme = scheme or dbox_scheme()
         self.config = config or service.config
         self.link = link or SimulatedLink(self.config.network)
-        cache_entries = (
-            self.config.cache.frontend_entries if self.config.cache.enabled else 0
+        self.cache: LRUCache[DataResponse] = LRUCache(
+            self.config.cache.frontend_entries
         )
-        self.cache: LRUCache[DataResponse] = LRUCache(cache_entries)
         self.metrics = MetricsCollector()
         #: Requests the prefetcher has issued (they record no step).
         self.prefetch_requests = 0
         if prefetcher is None and self.config.prefetch.enabled:
-            prefetcher = make_prefetcher(self.config.prefetch.strategy)
+            prefetcher = MomentumPrefetcher()
         self.prefetcher = prefetcher
         self.renderer = (
             RasterRenderer(self.config.viewport_width, self.config.viewport_height)

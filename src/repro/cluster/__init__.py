@@ -46,10 +46,11 @@ are exactly what a multi-node deployment would put on the network.
 
 **Adaptive repartitioning** (:mod:`~repro.cluster.rebalancer`).  The router
 records every request's canvas footprint into per-canvas
-:class:`~repro.cluster.partitioner.LoadHistogram` ring buffers; a
-:class:`~repro.cluster.rebalancer.LoadRebalancer` turns observed skew
-(``max/mean`` per-shard load vs the rebalancer's ``SKEW_THRESHOLD``) into
-a new :class:`~repro.cluster.partitioner.LoadWeightedKDPartitioner`
+:class:`~repro.cluster.partitioner.LoadHistogram` ring buffers; when an
+operator calls :meth:`~repro.cluster.rebalancer.LoadRebalancer.rebalance`
+(after reading its ``skew()``, ``max/mean`` per-shard load), the
+rebalancer turns that load into a new
+:class:`~repro.cluster.partitioner.LoadWeightedKDPartitioner`
 partitioning and migrates to it **online** — the new shard set builds
 beside the serving one, the router's shard table swaps atomically, and the
 old generation drains before closing, with byte-identical responses
@@ -60,16 +61,9 @@ throughout.  Every built cluster carries one (``cluster.rebalancer``).
 epoch — shards, partitionings, worker pool, epoch, the
 *effective* configuration — and is built by one function,
 :func:`~repro.cluster.builder.build_generation`, for epoch 0 and every
-rebalance after.  The router's ``config``, the ``ShardedCluster`` handle
-and the autopilot all read the router's current table; ``table.close()``
-is the only teardown.
-
-**Self-driving operation** (:mod:`~repro.cluster.autopilot`).  With
-``cluster.autopilot.enabled`` (or ``build_cluster(..., autopilot=True)``)
-a :class:`~repro.cluster.autopilot.ClusterAutopilot` background loop runs
-the feedback cycle unattended: when window skew crosses the threshold it
-re-splits the shards, gated by a cooldown and hysteresis.  It never
-changes the shard or replica count; that is an operator's
+rebalance after.  The router's ``config`` and the ``ShardedCluster`` handle
+both read the router's current table; ``table.close()`` is the only
+teardown.  Nothing migrates on its own: a migration is an operator's
 ``rebalance(shard_count)`` or a rebuild.
 
 The router implements the :class:`~repro.serving.base.DataService`
@@ -79,13 +73,12 @@ exactly like a single backend; build the whole stack with
 Configuration lives in ``KyrixConfig.cluster`` (shard count, strategy,
 replicas, worker mode, parallel/wire flags) and any field can be overridden
 per build by name (``build_cluster(backend, shard_count=2, replicas=2)``);
-what nobody varies — load-histogram size, skew trigger, drain timeout — is
+what nobody varies — load-histogram size, drain timeout — is
 a module constant beside its reader.  The ``cluster_cold`` / ``cluster_hot``
 workloads of ``benchmarks/suite/`` measure per-step latency and
 throughput of the default 4-shard cluster under concurrent pan sessions.
 """
 
-from .autopilot import AutopilotAction, ClusterAutopilot
 from .builder import ShardedCluster, build_cluster
 from .coalescer import CoalescerStats, RequestCoalescer
 from .partitioner import (
@@ -102,9 +95,7 @@ from .router import ClusterRouter, ClusterStats, ShardTable
 from .sharded import ShardedIndexer, ShardHandle
 
 __all__ = [
-    "AutopilotAction",
     "BalancedKDPartitioner",
-    "ClusterAutopilot",
     "ClusterRouter",
     "ClusterStats",
     "CoalescerStats",

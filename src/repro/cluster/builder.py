@@ -33,7 +33,6 @@ from .router import ClusterRouter, ShardTable
 from .sharded import ShardedIndexer, ShardHandle
 
 if TYPE_CHECKING:
-    from .autopilot import ClusterAutopilot
     from .rebalancer import LoadRebalancer
 
 
@@ -55,12 +54,9 @@ class ShardedCluster:
     #: Tile sizes whose tuple–tile mapping tables were prebuilt per shard
     #: (a rebalance prebuilds the same ones on the new shard set).
     tile_sizes: tuple[int, ...] = ()
-    #: The load rebalancer every built cluster carries (a lock and two
-    #: thresholds, no thread; it does nothing until asked).
+    #: The load rebalancer every built cluster carries (a lock, no
+    #: thread; it does nothing until asked).
     rebalancer: "LoadRebalancer" = field(init=False, repr=False)
-    #: The running control loop, when ``cluster.autopilot.enabled`` (or
-    #: the ``autopilot=`` build override) asked for one.
-    autopilot: "ClusterAutopilot | None" = field(default=None, repr=False)
 
     @property
     def shards(self) -> list[ShardHandle]:
@@ -88,7 +84,7 @@ class ShardedCluster:
         return description
 
     def close(self) -> None:
-        """Park the autopilot, then close the current generation."""
+        """Close the router and, with it, the current generation."""
         self.router.close()
 
 
@@ -212,7 +208,6 @@ def build_generation(
 def build_cluster(
     source_backend: KyrixBackend,
     *,
-    autopilot: bool | None = None,
     telemetry: bool | None = None,
     tile_sizes: tuple[int, ...] = (),
     **cluster: Any,
@@ -224,8 +219,7 @@ def build_cluster(
     ``**cluster`` overrides :class:`~repro.config.ClusterConfig` fields by
     their own names for this build (an unknown name is
     :func:`dataclasses.replace`'s ``TypeError``, raised before anything is
-    built); ``autopilot`` / ``telemetry`` override
-    ``config.cluster.autopilot.enabled`` / ``config.telemetry.enabled``.
+    built); ``telemetry`` overrides ``config.telemetry.enabled``.
     All of it is folded into **one** effective configuration up front, and
     that is the only configuration anything below sees — the router's
     ``config``, the shard table's, and the
@@ -236,16 +230,9 @@ def build_cluster(
 
     Every cluster carries a ready-to-use
     :class:`~repro.cluster.rebalancer.LoadRebalancer` as
-    ``cluster.rebalancer``.  With ``autopilot=True`` (or
-    ``cluster.autopilot.enabled``) a
-    :class:`~repro.cluster.autopilot.ClusterAutopilot` background control
-    loop is attached *and started*: it watches load skew, re-splits the
-    shards on its own, and stops automatically
-    when the cluster (or the router, via ``build_service`` stacks) closes.
+    ``cluster.rebalancer``; it migrates the shard set only when called.
     """
     config = source_backend.config
-    if autopilot is not None:
-        cluster["autopilot"] = replace(config.cluster.autopilot, enabled=autopilot)
     if cluster:
         config = replace(config, cluster=replace(config.cluster, **cluster))
     if telemetry is not None:
@@ -270,8 +257,4 @@ def build_cluster(
     from .rebalancer import LoadRebalancer
 
     cluster.rebalancer = LoadRebalancer(cluster)
-    if config.cluster.autopilot.enabled:
-        from .autopilot import ClusterAutopilot
-
-        cluster.autopilot = ClusterAutopilot(cluster).start()
     return cluster

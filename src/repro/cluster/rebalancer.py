@@ -3,16 +3,17 @@
 The precompute-time partitioners place shard boundaries from *data*
 density, fixed for the cluster's lifetime.  Real exploration traffic is
 not data-shaped: a session panning over one city hammers the shard that
-owns it while the rest idle.  This module closes the loop:
+owns it while the rest idle.  This module re-splits the shards by the
+load they actually carry, when an operator asks:
 
 1. **Observe** — the router records every scatter-gather's canvas
    footprint into per-canvas :class:`~repro.cluster.partitioner.LoadHistogram`
    ring buffers, and counts per-shard traffic in
    ``ClusterStats.per_shard_requests``.
-2. **Decide** — :func:`load_skew` reduces the per-shard counts
-   to one number, ``max / mean`` (1.0 is perfect balance); traffic is
-   *skewed* once it crosses :data:`SKEW_THRESHOLD` with at least
-   :data:`MIN_REQUESTS` scatters observed.
+2. **Measure** — :func:`load_skew` reduces the per-shard counts
+   to one number, ``max / mean`` (1.0 is perfect balance).  Whether that
+   number is worth a migration is the operator's call:
+   :meth:`LoadRebalancer.rebalance` acts when asked and never on its own.
 3. **Repartition** — a
    :class:`~repro.cluster.partitioner.LoadWeightedKDPartitioner` derives a
    new :class:`~repro.cluster.partitioner.Partitioning` per canvas from
@@ -48,14 +49,6 @@ from typing import Any
 from ..errors import KyrixError
 from .builder import ShardedCluster, build_generation
 from .partitioner import LoadHistogram, LoadWeightedKDPartitioner, Partitioning
-
-#: Skew trigger: max per-shard request count ÷ mean (``1.0`` is perfect
-#: balance; ``2.0`` means one shard carries at least twice the average).
-SKEW_THRESHOLD = 2.0
-#: Scatter-gathers that must have been observed before skew is trusted (a
-#: handful of requests can look arbitrarily skewed without meaning anything).
-MIN_REQUESTS = 64
-
 
 def load_skew(loads: dict[int, int]) -> float:
     """``max / mean`` of per-shard request counts (1.0 is perfect balance,
@@ -115,17 +108,9 @@ class LoadRebalancer:
     benefit.
     """
 
-    def __init__(
-        self,
-        cluster: ShardedCluster,
-        *,
-        skew_threshold: float = SKEW_THRESHOLD,
-        min_requests: int = MIN_REQUESTS,
-    ) -> None:
+    def __init__(self, cluster: ShardedCluster) -> None:
         self.cluster = cluster
         self.router = cluster.router
-        self.skew_threshold = skew_threshold
-        self.min_requests = min_requests
         self._migrate_lock = threading.Lock()
 
     # -- observing ---------------------------------------------------------------------
@@ -147,18 +132,6 @@ class LoadRebalancer:
         """:func:`load_skew` of the per-shard loads since the last swap."""
         return load_skew(self.shard_loads())
 
-    def observed_requests(self) -> int:
-        """Scatter-gathers observed since the last swap."""
-        return sum(self.shard_loads().values())
-
-    def should_rebalance(self) -> bool:
-        """True when observed traffic is skewed enough to act on."""
-        if self.router.shard_count < 2:
-            return False
-        if self.observed_requests() < self.min_requests:
-            return False
-        return self.skew() >= self.skew_threshold
-
     # -- migrating ---------------------------------------------------------------------
 
     def repartition(
@@ -177,14 +150,6 @@ class LoadRebalancer:
                 loads.get(canvas_id, LoadHistogram()),
             )
         return partitionings
-
-    def maybe_rebalance(
-        self, shard_count: int | None = None
-    ) -> RebalanceReport | None:
-        """Rebalance only if :meth:`should_rebalance`; None when skipped."""
-        if not self.should_rebalance():
-            return None
-        return self.rebalance(shard_count)
 
     def rebalance(self, shard_count: int | None = None) -> RebalanceReport:
         """Build a load-weighted shard set and swap it in online.

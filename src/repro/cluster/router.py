@@ -258,7 +258,7 @@ class ClusterRouter:
         # are bare engines, so it is sized like a single backend's.
         self._stack = CachingService(
             coalescing_layer,
-            entries=config.cache.backend_entries if config.cache.enabled else 0,
+            entries=config.cache.backend_entries,
         )
         self.cache = self._stack.cache
         # The scatter executor is created lazily on the first multi-shard
@@ -347,12 +347,6 @@ class ClusterRouter:
 
     def close(self) -> None:
         """Shut down the scatter executor, shard stacks and worker processes."""
-        # Stop the autopilot first: its control loop calls back into the
-        # router (rebalances, replica swaps), so it must be parked before
-        # the serving structures it steers are torn down.
-        autopilot = getattr(self.cluster, "autopilot", None)
-        if autopilot is not None:
-            autopilot.close()
         with self._executor_lock:
             executor, self._executor = self._executor, None
             self._closed = True

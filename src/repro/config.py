@@ -89,12 +89,12 @@ class CacheConfig:
 
     ``backend_entries`` sizes the one server-side cache of a stack — over
     the backend of a single-backend server, over the scatter-gather of a
-    cluster router; ``frontend_entries`` sizes each frontend's own.
+    cluster router; ``frontend_entries`` sizes each frontend's own.  ``0``
+    turns that cache off.
     """
 
     backend_entries: int = 256
     frontend_entries: int = 64
-    enabled: bool = True
 
     def validate(self) -> None:
         if self.backend_entries < 0 or self.frontend_entries < 0:
@@ -103,72 +103,17 @@ class CacheConfig:
 
 @dataclass
 class PrefetchConfig:
-    """Configuration of the momentum-based prefetcher (Section 4)."""
+    """Configuration of the momentum-based prefetcher (Section 4).
+
+    With ``enabled``, a frontend that is not handed a prefetcher builds a
+    :class:`~repro.server.prefetch.MomentumPrefetcher` of its own.
+    """
 
     enabled: bool = False
-    strategy: str = "momentum"
-
-    def validate(self) -> None:
-        # ``enabled`` is the only off-switch; there is no "none" strategy.
-        if self.strategy not in ("momentum", "semantic"):
-            raise KyrixError(f"unknown prefetch strategy: {self.strategy!r}")
 
 
 #: Replica selection policies (:mod:`repro.serving.replica` re-exports this).
 REPLICA_POLICIES = ("round_robin", "least_inflight")
-
-
-@dataclass
-class AutopilotConfig:
-    """Configuration of the self-driving control loop (:mod:`repro.cluster.autopilot`).
-
-    Attributes
-    ----------
-    enabled:
-        When true, :func:`repro.cluster.builder.build_cluster` attaches a
-        running :class:`~repro.cluster.autopilot.ClusterAutopilot`: a daemon
-        thread that watches per-shard load skew and re-splits the shards
-        online when it crosses the rebalancer's threshold.  Off by
-        default — nothing moves unless asked to.
-    interval_s:
-        Seconds between control-loop ticks (wall-clock, for the background
-        thread; tests drive :meth:`~repro.cluster.autopilot.ClusterAutopilot.tick`
-        directly on a :class:`~repro.metrics.timer.VirtualClock`).
-    cooldown_s:
-        Minimum clock time between two autopilot migrations.  Damping:
-        however noisy the load signal, re-splits cannot happen more often
-        than this.
-    hysteresis:
-        Re-arm band below the rebalancer's skew threshold.  After a
-        skew-triggered migration the loop stays *disarmed* until observed
-        skew falls below ``threshold - hysteresis`` — a hotspot oscillating
-        right at the threshold therefore produces at most one migration
-        per cooldown window instead of thrashing.
-    rearm_windows:
-        Persistent-skew escape hatch for the hysteresis disarm: when skew
-        *never* leaves the trigger band (the previous migration did not
-        fix it, e.g. it split on a stale load histogram), the loop re-arms
-        anyway after this many cooldown windows.  Without it a single bad
-        split would disarm the autopilot forever; with it, retries still
-        pace at a multiple of the cooldown, so the thrash bound holds.
-    """
-
-    enabled: bool = False
-    interval_s: float = 5.0
-    cooldown_s: float = 30.0
-    hysteresis: float = 0.25
-    rearm_windows: int = 2
-
-    def validate(self) -> None:
-        if self.interval_s <= 0:
-            raise KyrixError("autopilot interval_s must be positive")
-        for name in ("cooldown_s", "hysteresis"):
-            if getattr(self, name) < 0:
-                raise KyrixError(f"autopilot {name} must be non-negative")
-        if self.rearm_windows < 1:
-            raise KyrixError(
-                f"autopilot rearm_windows must be >= 1, got {self.rearm_windows}"
-            )
 
 
 #: How shard replicas execute (see :attr:`ClusterConfig.worker_mode`).
@@ -228,8 +173,6 @@ class ClusterConfig:
         an ephemeral port and report it back.  Across rebalances, each
         worker generation offsets its ports by ``generation * pool size``
         so a new pool can come up while the old one still serves.
-    autopilot:
-        The self-driving control loop's own section (:class:`AutopilotConfig`).
     """
 
     enabled: bool = False
@@ -243,7 +186,6 @@ class ClusterConfig:
     breaker_reset_s: float = 30.0
     worker_mode: str = "threads"
     worker_port_base: int = 0
-    autopilot: AutopilotConfig = field(default_factory=AutopilotConfig)
 
     def validate(self) -> None:
         if self.shard_count < 1:
@@ -266,7 +208,6 @@ class ClusterConfig:
             raise KyrixError(
                 f"worker_port_base must be in [0, 65535], got {self.worker_port_base}"
             )
-        self.autopilot.validate()
 
 
 @dataclass
@@ -348,8 +289,7 @@ class KyrixConfig:
             raise KyrixError("app_name must be a non-empty string")
         if self.viewport_width <= 0 or self.viewport_height <= 0:
             raise KyrixError("viewport dimensions must be positive")
-        for section in (self.storage, self.network, self.cache, self.prefetch,
-                        self.cluster):
+        for section in (self.storage, self.network, self.cache, self.cluster):
             section.validate()
 
     # -- serialisation ------------------------------------------------------

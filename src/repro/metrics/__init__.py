@@ -6,7 +6,7 @@ per-step latencies (broken down into measured query and render time and the
 modelled network term) and nothing else; percentiles live with the
 telemetry histograms (:func:`repro.telemetry.registry.percentile`).
 :class:`~repro.metrics.timer.VirtualClock` is the clock tests inject into
-breakers, the autopilot and the fault seam.
+breakers and the fault seam.
 """
 
 from .collector import LatencyBreakdown, MetricsCollector

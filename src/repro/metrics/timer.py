@@ -6,9 +6,8 @@ taken where the work happens, with one exception: the modelled
 payload bytes (:mod:`repro.net.link`).  Neither needs a clock object.
 
 What does need one is logic that *waits*: circuit-breaker cooldowns and
-replica timeouts (:mod:`repro.serving.replica`), the autopilot's cadence
-(:mod:`repro.cluster.autopilot`) and the fault seam's latency rules
-(:mod:`repro.serving.faults`).  Production runs them on real time; tests,
+replica timeouts (:mod:`repro.serving.replica`) and the fault seam's
+latency rules (:mod:`repro.serving.faults`).  Production runs them on real time; tests,
 examples and benchmarks inject a :class:`VirtualClock` and move it by hand.
 The package itself never constructs one.
 """

@@ -9,7 +9,7 @@ Sub-modules:
   evaluation (Figures 6/7),
 * :mod:`repro.server.cache` — the LRU response cache (shared implementation
   with the frontend cache),
-* :mod:`repro.server.prefetch` — momentum / neighbourhood prefetch predictors,
+* :mod:`repro.server.prefetch` — the momentum prefetch predictor,
 * :mod:`repro.server.backend` — the request-serving backend itself,
 * :mod:`repro.server.http_server` — optional Flask HTTP deployment.
 """
@@ -25,7 +25,7 @@ from .dbox import (
     make_box_calculator,
 )
 from .indexer import Indexer, PrecomputeReport
-from .prefetch import MomentumPrefetcher, NeighborhoodPrefetcher, Prefetcher, make_prefetcher
+from .prefetch import MomentumPrefetcher
 from .schemes import (
     DESIGN_MAPPING,
     DESIGN_SPATIAL,
@@ -54,15 +54,12 @@ __all__ = [
     "KyrixBackend",
     "LRUCache",
     "MomentumPrefetcher",
-    "NeighborhoodPrefetcher",
     "PAPER_TILE_SIZES",
     "PrecomputeReport",
-    "Prefetcher",
     "TileScheme",
     "dbox50_scheme",
     "dbox_scheme",
     "make_box_calculator",
-    "make_prefetcher",
     "paper_schemes",
     "scheme_by_name",
     "tile_mapping_scheme",

@@ -41,7 +41,6 @@ def build_service(
     compiled: "CompiledApplication | None" = None,
     precompute: bool | None = None,
     tile_sizes: tuple[int, ...] = (),
-    autopilot: bool | None = None,
     telemetry: bool | None = None,
     **cluster: Any,
 ) -> "DataService":
@@ -73,14 +72,6 @@ def build_service(
         factory constructed the backend itself.
     tile_sizes:
         Tile sizes to pre-build tuple–tile mapping tables for.
-    autopilot:
-        Per-build override of ``config.cluster.autopilot.enabled``: when
-        true the built cluster attaches **and starts** a
-        :class:`~repro.cluster.autopilot.ClusterAutopilot` background
-        control loop (reachable as
-        ``unwrap(service, ClusterRouter).cluster.autopilot``) that
-        re-splits skewed shards on its own; closing the returned stack stops it.  Only
-        meaningful for sharded stacks.
     telemetry:
         Per-build override of ``config.telemetry.enabled``: when true the
         process-wide :mod:`repro.telemetry` tracer is (re)configured from
@@ -117,7 +108,6 @@ def build_service(
 
         service: "DataService" = build_cluster(
             backend,
-            autopilot=autopilot,
             telemetry=telemetry,
             tile_sizes=tile_sizes,
             **cluster,
@@ -130,8 +120,5 @@ def build_service(
             configure_telemetry(config.telemetry, **overrides)
         from .middleware import CachingService
 
-        service = CachingService(
-            backend,
-            entries=config.cache.backend_entries if config.cache.enabled else 0,
-        )
+        service = CachingService(backend, entries=config.cache.backend_entries)
     return service

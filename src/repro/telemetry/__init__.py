@@ -21,11 +21,10 @@ shared no-op span object so the serving hot path stays unchanged.
 
 from __future__ import annotations
 
-from .registry import Counter, Histogram, TelemetryRegistry
+from .registry import Histogram, TelemetryRegistry
 from .tracer import NULL_SPAN, Span, Tracer
 
 __all__ = [
-    "Counter",
     "Histogram",
     "NULL_SPAN",
     "Span",

@@ -126,36 +126,11 @@ class Histogram:
         return snap
 
 
-class Counter:
-    """A thread-safe monotonically increasing event counter.
-
-    The registry's non-duration metric: decisions and actions (how many
-    times did the autopilot migrate?) are counts, not latencies, so they
-    get a cumulative counter rendered as ``kyrix_events_total`` instead of
-    a histogram.
-    """
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self) -> None:
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def bump(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-
 class TelemetryRegistry:
-    """Process-wide map of span name -> duration histogram (+ event counters)."""
+    """Process-wide map of span name -> duration histogram."""
 
     def __init__(self) -> None:
         self._histograms: dict[str, Histogram] = {}
-        self._counters: dict[str, Counter] = {}
         self._lock = threading.Lock()
 
     def histogram(self, name: str) -> Histogram:
@@ -165,32 +140,18 @@ class TelemetryRegistry:
                 histogram = self._histograms[name] = Histogram()
             return histogram
 
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = self._counters[name] = Counter()
-            return counter
-
     def observe_span(self, name: str, duration_ms: float) -> None:
         self.histogram(name).observe(duration_ms)
 
     def reset(self) -> None:
         with self._lock:
             self._histograms = {}
-            self._counters = {}
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """``{span_name: {count, sum_ms, mean_ms, p50, p95, p99, p999}}``."""
         with self._lock:
             items = sorted(self._histograms.items())
         return {name: histogram.snapshot() for name, histogram in items}
-
-    def counters_snapshot(self) -> dict[str, int]:
-        """``{counter_name: value}`` for every registered event counter."""
-        with self._lock:
-            items = sorted(self._counters.items())
-        return {name: counter.value for name, counter in items}
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition (v0.0.4) of every span histogram."""
@@ -227,14 +188,4 @@ class TelemetryRegistry:
                     f"kyrix_span_duration_ms_quantile"
                     f'{{span="{label}",quantile="{quantile_label}"}} {value:.6f}'
                 )
-        counters = self.counters_snapshot()
-        if counters:
-            lines.append(
-                "# HELP kyrix_events_total Cumulative event counters "
-                "(autopilot decisions and other non-duration metrics)."
-            )
-            lines.append("# TYPE kyrix_events_total counter")
-            for name, value in counters.items():
-                label = name.replace("\\", "\\\\").replace('"', '\\"')
-                lines.append(f'kyrix_events_total{{event="{label}"}} {value}')
         return "\n".join(lines) + "\n"

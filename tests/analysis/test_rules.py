@@ -552,14 +552,14 @@ class TestProtocolDriftCodecCompanion:
         assert findings == []
 
 
-class TestAutopilotCoverage:
-    """The control loop's module is covered by the concurrency rules.
+class TestReplicaSetCoverage:
+    """The replica set's module is covered by the concurrency rules.
 
-    The autopilot owns the lock every decision runs under; these tests
-    pin both directions: the real module lints clean *without a single
-    suppression*, and the exact shapes a careless edit would introduce
-    (control state written outside the lock, wall-clock cooldown
-    arithmetic) are caught by the existing rules.
+    ``ReplicaService`` owns the lock its breaker state and selection
+    counters live under; these tests pin both directions: the real module
+    lints clean *without a single suppression*, and the exact shapes a
+    careless edit would introduce (breaker state written outside the lock,
+    wall-clock breaker-reset arithmetic) are caught by the existing rules.
     """
 
     def _lint_real_module(self, rule):
@@ -568,51 +568,51 @@ class TestAutopilotCoverage:
         from repro.analysis import ModuleSource, all_rules
         from repro.analysis.core import check_module
 
-        rel_path = "src/repro/cluster/autopilot.py"
+        rel_path = "src/repro/serving/replica.py"
         module = ModuleSource(Path(rel_path), rel_path)
         findings, suppressed = check_module(module, [all_rules()[rule]()])
         return findings, suppressed
 
-    def test_autopilot_module_is_lock_discipline_clean(self):
+    def test_replica_module_is_lock_discipline_clean(self):
         findings, suppressed = self._lint_real_module("lock-discipline")
         assert findings == []
-        assert suppressed == 0, "autopilot must not need suppressions"
+        assert suppressed == 0, "the replica set must not need suppressions"
 
-    def test_autopilot_module_is_span_discipline_clean(self):
+    def test_replica_module_is_span_discipline_clean(self):
         findings, suppressed = self._lint_real_module("span-discipline")
         assert findings == []
-        assert suppressed == 0, "autopilot must not need suppressions"
+        assert suppressed == 0, "the replica set must not need suppressions"
 
-    def test_fires_on_control_state_written_outside_the_lock(self, lint_source):
+    def test_fires_on_breaker_state_written_outside_the_lock(self, lint_source):
         source = """
             import threading
 
-            class Pilot:
+            class Replicas:
                 def __init__(self):
                     self._lock = threading.Lock()
-                    self._armed = True
-                    self._tick_count = 0
+                    self._inflight = [0, 0]
+                    self._open_since_ms = None
 
-                def tick(self):
+                def finish(self, index, now_ms):
                     with self._lock:
-                        self._tick_count += 1
-                    self._armed = False  # decision state, lock released
+                        self._inflight[index] -= 1
+                    self._open_since_ms = now_ms  # breaker state, lock released
         """
         findings = lint_source(
-            source, path="src/repro/cluster/autopilot.py", rule="lock-discipline"
+            source, path="src/repro/serving/replica.py", rule="lock-discipline"
         )
         assert [f.rule for f in findings] == ["lock-discipline"]
-        assert "_armed" in findings[0].message
+        assert "_open_since_ms" in findings[0].message
 
-    def test_fires_on_wall_clock_cooldown_arithmetic(self, lint_source):
+    def test_fires_on_wall_clock_breaker_reset_arithmetic(self, lint_source):
         source = """
             import time
 
-            class Pilot:
-                def cooled(self, cooldown_s):
-                    return time.time() - self.last_ms >= cooldown_s
+            class Replicas:
+                def admits(self, reset_s):
+                    return time.time() - self.open_since_s >= reset_s
         """
         findings = lint_source(
-            source, path="src/repro/cluster/autopilot.py", rule="span-discipline"
+            source, path="src/repro/serving/replica.py", rule="span-discipline"
         )
         assert [f.rule for f in findings] == ["span-discipline"]

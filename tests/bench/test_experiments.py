@@ -176,7 +176,7 @@ class TestReplay:
         base = tiny_uniform_stack.backend.config
         assert not base.prefetch.enabled
         prefetching = KyrixConfig.from_dict(
-            {**base.to_dict(), "prefetch": {"enabled": True, "strategy": "momentum"}}
+            {**base.to_dict(), "prefetch": {"enabled": True}}
         )
         plain = replay(tiny_uniform_stack, dbox_scheme(), positions)
         handed = replay(

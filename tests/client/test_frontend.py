@@ -116,7 +116,7 @@ class TestTileFetching:
 
     def test_disabled_cache_refetches(self, dots_stack):
         config = KyrixConfig.from_dict(
-            {**default_config(viewport=512).to_dict(), "cache": {"enabled": False}}
+            {**default_config(viewport=512).to_dict(), "cache": {"frontend_entries": 0}}
         )
         frontend = KyrixFrontend(dots_stack.backend, tile_spatial_scheme(512), config=config)
         frontend.load_canvas("dots", Viewport(0, 0, 512, 512))
@@ -148,11 +148,25 @@ class TestMetricsAndRendering:
 
 
 class TestPrefetching:
+    def test_prefetch_enabled_builds_a_momentum_prefetcher(self, dots_stack):
+        """``prefetch.enabled`` is the one prefetch switch; a handed-in
+        prefetcher wins over the one the frontend would build."""
+        base = default_config(viewport=512).to_dict()
+        enabled = KyrixConfig.from_dict({**base, "prefetch": {"enabled": True}})
+        assert isinstance(
+            KyrixFrontend(dots_stack.backend, config=enabled).prefetcher,
+            MomentumPrefetcher,
+        )
+        assert KyrixFrontend(dots_stack.backend).prefetcher is None
+        handed = MomentumPrefetcher()
+        frontend = KyrixFrontend(dots_stack.backend, config=enabled, prefetcher=handed)
+        assert frontend.prefetcher is handed
+
     def test_momentum_prefetch_warms_frontend_cache(self, dots_stack):
         config = KyrixConfig.from_dict(
             {
                 **default_config(viewport=512).to_dict(),
-                "prefetch": {"enabled": True, "strategy": "momentum"},
+                "prefetch": {"enabled": True},
             }
         )
         frontend = KyrixFrontend(

@@ -13,9 +13,9 @@ parity suite in this package — import them from here instead of redefining
 them per test module.
 
 Under ``REPRO_LOCKWATCH=1`` (see ``tests/conftest.py``) router swaps,
-replica sets and the autopilot control loop run under the lock-order
-watch, so a cycle between e.g. the autopilot's decision lock and the
-router's table lock fails even when the deadlock never fires.
+replica sets and the rebalancer run under the lock-order watch, so a
+cycle between e.g. the rebalancer's migration lock and the router's table
+lock fails even when the deadlock never fires.
 """
 
 from __future__ import annotations

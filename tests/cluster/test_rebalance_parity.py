@@ -26,6 +26,7 @@ import pytest
 
 from repro.bench.experiments import hotspot_box_requests
 from repro.cluster import build_cluster
+from repro.cluster.rebalancer import load_skew
 from repro.serving.faults import FaultInjectingService, FaultSchedule
 
 from tests.cluster.conftest import parity_requests, payload_bytes
@@ -81,11 +82,11 @@ def test_live_rebalance_is_byte_invisible_and_lowers_skew(
         router.cache.clear()
         for data_request in hotspot:
             router.handle(data_request)
+        # The reading an operator acts on: all load on one of two shards.
         skew_before = rebalancer.skew()
         assert skew_before == pytest.approx(2.0), (
             "hotspot requests must all land on shard 0 of the grid split"
         )
-        assert rebalancer.should_rebalance()
 
         # Live migration: re-split 2 -> 4 in the background while the
         # foreground keeps hammering the hotspot (cache cleared every
@@ -258,6 +259,39 @@ def test_either_close_order_terminates_each_worker_once(usmap_parity_stack, firs
     assert cluster.worker_pool is pool
 
 
+def test_load_skew_is_max_over_mean_with_idle_shards_counted():
+    assert load_skew({}) == 1.0
+    assert load_skew({0: 0, 1: 0}) == 1.0, "no traffic is no skew"
+    assert load_skew({0: 5, 1: 5, 2: 5}) == 1.0
+    assert load_skew({0: 6, 1: 2}) == 1.5
+    # An idle shard is what makes a cluster skewed: it stays in the mean.
+    assert load_skew({0: 8, 1: 0, 2: 0, 3: 0}) == 4.0
+
+
+def test_nothing_migrates_until_rebalance_is_called(usmap_parity_stack):
+    """Maximal skew on a heavy hotspot is a reading, not a trigger: the
+    cluster keeps its generation until an operator calls ``rebalance()``."""
+    stack = usmap_parity_stack
+    cluster = build_cluster(stack.backend, shard_count=2, strategy="grid")
+    try:
+        router = cluster.router
+        partitioning = cluster.partitionings[stack.boxes[0][0]]
+        hotspot = hotspot_requests(stack, partitioning, count=300)
+        for data_request in hotspot:
+            router.cache.clear()
+            router.handle(data_request)
+        assert cluster.rebalancer.shard_loads() == {0: len(hotspot), 1: 0}
+        assert cluster.rebalancer.skew() == pytest.approx(2.0)
+        assert (router.epoch, router.shard_count) == (0, 2)
+        assert cluster.partitionings[stack.boxes[0][0]] is partitioning
+
+        report = cluster.rebalancer.rebalance(2)
+        assert report.swapped and report.skew_before == pytest.approx(2.0)
+        assert (router.epoch, router.shard_count) == (1, 2)
+    finally:
+        cluster.close()
+
+
 def test_single_shard_rebalance_is_a_no_op(usmap_parity_stack):
     cluster = build_cluster(
         usmap_parity_stack.backend, shard_count=1
@@ -268,8 +302,6 @@ def test_single_shard_rebalance_is_a_no_op(usmap_parity_stack):
         assert report.reason == "single_shard"
         assert cluster.router.epoch == 0
         assert cluster.router.table.epoch == 0
-        # Below the traffic floor, maybe_rebalance declines quietly too.
-        assert cluster.rebalancer.maybe_rebalance() is None
     finally:
         cluster.close()
 
@@ -292,25 +324,3 @@ def test_rebalance_after_close_refuses_and_leaks_nothing(usmap_parity_stack):
     assert cluster.worker_pool.generation == 0
     assert all(not handle.alive for handle in cluster.worker_pool.handles)
     assert cluster.router.epoch == 0
-
-
-def test_should_rebalance_needs_traffic_and_skew(usmap_parity_stack):
-    cluster = build_cluster(
-        usmap_parity_stack.backend, shard_count=2, strategy="grid"
-    )
-    try:
-        rebalancer = cluster.rebalancer
-        # No traffic at all: perfectly balanced by definition.
-        assert rebalancer.skew() == 1.0
-        assert not rebalancer.should_rebalance()
-
-        # Plenty of traffic, evenly spread: still no reason to act.
-        requests = parity_requests(usmap_parity_stack)
-        for data_request in requests:
-            cluster.router.handle(data_request)
-        assert rebalancer.observed_requests() >= rebalancer.min_requests
-        assert rebalancer.skew() < rebalancer.skew_threshold
-        assert not rebalancer.should_rebalance()
-        assert rebalancer.maybe_rebalance() is None
-    finally:
-        cluster.close()

@@ -1,5 +1,7 @@
 """Tests for configuration objects and the metrics utilities."""
 
+import importlib
+import inspect
 import json
 import re
 from dataclasses import fields, is_dataclass
@@ -8,13 +10,11 @@ from pathlib import Path
 import pytest
 
 from repro.config import (
-    AutopilotConfig,
     CacheConfig,
     ClusterConfig,
     INTERACTIVITY_BUDGET_MS,
     KyrixConfig,
     NetworkConfig,
-    PrefetchConfig,
     StorageConfig,
     TelemetryConfig,
 )
@@ -29,10 +29,21 @@ INVALID_VALUES = [
     {"storage": {"page_size": 10}},
     {"storage": {"page_size": 65_536}},
     {"network": {"bandwidth_mbps": 0}},
-    {"prefetch": {"strategy": "psychic"}},
-    # ``enabled`` is the one off-switch; "none" is not a strategy.
-    {"prefetch": {"strategy": "none"}},
     {"cache": {"backend_entries": -1}},
+    # One row per remaining ``validate()`` branch, so a check that is
+    # dropped by accident shows up here by name.
+    {"viewport_height": -1},
+    {"storage": {"buffer_pool_pages": 2}},
+    {"network": {"rtt_ms": -1.0}},
+    {"cache": {"frontend_entries": -1}},
+    {"cluster": {"shard_count": 0}},
+    {"cluster": {"strategy": "hilbert"}},
+    {"cluster": {"replicas": 0}},
+    {"cluster": {"replica_policy": "random"}},
+    {"cluster": {"breaker_threshold": 0}},
+    {"cluster": {"breaker_reset_s": -1.0}},
+    {"cluster": {"worker_mode": "fibers"}},
+    {"cluster": {"worker_port_base": 70_000}},
 ]
 #: Outside input (a ``config.txt``) that is not shaped like a configuration:
 #: unknown keys — a knob deleted since the file was saved included —
@@ -40,8 +51,7 @@ INVALID_VALUES = [
 MALFORMED_INPUT = [
     {"cluster": {"nope": 1}},
     {"nope": 1},
-    {"cluster": {"autopilot": {"nope": 1}}},
-    {"cluster": {"autopilot": 5}},
+    {"storage": 5},
     {"cluster": {"shard_count": "4"}},
     {"interactivity_budget_ms": 500.0},
     # The pager's latency model went in PR 23; a saved file naming it fails loudly.
@@ -49,6 +59,32 @@ MALFORMED_INPUT = [
     # Every trace is recorded when tracing is on; there is no sampling knob.
     {"telemetry": {"sample_rate": 0.5}},
 ]
+#: A saved ``config.txt`` carrying a key deleted since, keyed by the dotted
+#: name its refusal must cite.  There are no aliases.
+DELETED_KEYS = {
+    "cluster.autopilot": {"cluster": {"autopilot": {"enabled": True}}},
+    "cache.enabled": {"cache": {"enabled": False}},
+    "prefetch.strategy": {"prefetch": {"strategy": "momentum"}},
+}
+
+OPERATIONS_DOC = Path(__file__).resolve().parents[2] / "docs" / "operations.md"
+
+
+def _not_a_knob_rows():
+    """The rows of ``docs/operations.md``'s "What is not a knob" table:
+    ``(names, module, values)`` with one value per name."""
+    table = OPERATIONS_DOC.read_text().split("### What is not a knob", 1)[1]
+    table = table.split("\n#", 1)[0]
+    rows = re.findall(r"^\| (`.+?`) in `([\w/]+)\.py` \| (`.+?`) \|", table, re.M)
+    return [
+        pytest.param(
+            re.findall(r"`([^`]+)`", names),
+            "repro." + module.replace("/", "."),
+            [json.loads(value) for value in re.findall(r"`([^`]+)`", values)],
+            id="-".join(re.findall(r"`([^`]+)`", names)),
+        )
+        for names, module, values in rows
+    ]
 
 
 class TestConfig:
@@ -75,8 +111,9 @@ class TestConfig:
         assert json.loads(config.to_json())["app_name"] == "demo"
 
     def test_partial_dict_uses_defaults(self):
-        config = KyrixConfig.from_dict({"app_name": "x", "cache": {"enabled": False}})
-        assert config.cache.enabled is False
+        config = KyrixConfig.from_dict({"app_name": "x", "cache": {"frontend_entries": 0}})
+        assert config.cache.frontend_entries == 0
+        assert config.cache.backend_entries == CacheConfig().backend_entries
         assert config.network.rtt_ms == NetworkConfig().rtt_ms
 
     @pytest.mark.parametrize("bad", INVALID_VALUES + MALFORMED_INPUT)
@@ -90,6 +127,13 @@ class TestConfig:
                 (key, bad), = bad.items()
                 path.append(key)
             assert repr(".".join(path)) in str(caught.value)
+
+    @pytest.mark.parametrize("key", DELETED_KEYS)
+    def test_a_deleted_key_in_a_saved_config_is_refused_by_name(self, key, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(DELETED_KEYS[key]))
+        with pytest.raises(KyrixError, match=re.escape(repr(key))):
+            KyrixConfig.from_file(path)
 
     def test_an_oversized_page_is_refused_by_name_and_a_maximal_one_works(self):
         # Was: accepted, then a bare ``struct.error`` from the first insert.
@@ -105,15 +149,14 @@ class TestConfig:
         "heading, section",
         [
             ("cluster.*", ClusterConfig()),
-            ("cluster.autopilot.*", AutopilotConfig()),
+            ("cache.*", CacheConfig()),
             ("telemetry.*", TelemetryConfig()),
         ],
     )
     def test_operations_reference_matches_the_dataclasses(self, heading, section):
         """Both directions: every field has a ``docs/operations.md`` row with
         its real default, and no row names a field that does not exist."""
-        doc = Path(__file__).resolve().parents[2] / "docs" / "operations.md"
-        table = doc.read_text().split(f"### `{heading}`", 1)[1].split("\n###", 1)[0]
+        table = OPERATIONS_DOC.read_text().split(f"### `{heading}`", 1)[1].split("\n###", 1)[0]
         documented = {
             name: json.loads(default)
             for name, default in re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", table, re.M)
@@ -124,14 +167,30 @@ class TestConfig:
             if not is_dataclass(getattr(section, spec.name))
         }
 
+    @pytest.mark.parametrize("names, module, values", _not_a_knob_rows())
+    def test_every_constant_that_is_not_a_knob_exists_with_its_documented_value(
+        self, names, module, values
+    ):
+        """A constant the runbook lists is read where it says, with the value
+        it says; a deleted one leaves no row behind.  ``Owner(arg=)`` names
+        a keyword default."""
+        source = importlib.import_module(module)
+        assert len(names) == len(values)
+        for name, value in zip(names, values):
+            if name.endswith("=)"):
+                owner, argument = name[:-2].split("(")
+                actual = (
+                    inspect.signature(getattr(source, owner))
+                    .parameters[argument]
+                    .default
+                )
+            else:
+                actual = getattr(source, name)
+            assert actual == value, f"{name} in {module}"
+
     def test_storage_config_validation(self):
         with pytest.raises(KyrixError):
             StorageConfig(buffer_pool_pages=2).validate()
-
-    def test_prefetch_config_validation(self):
-        PrefetchConfig(strategy="momentum").validate()
-        with pytest.raises(KyrixError):
-            PrefetchConfig(strategy="none").validate()
 
 
 class TestTimers:

@@ -15,8 +15,9 @@ EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 if str(EXAMPLES_DIR) not in sys.path:
     sys.path.insert(0, str(EXAMPLES_DIR))
 
-import autopilot_cluster  # noqa: E402
 import rebalance_cluster  # noqa: E402
+import replica_cluster  # noqa: E402
+import worker_cluster  # noqa: E402
 from eeg_explorer import build_eeg_application  # noqa: E402
 from fetching_comparison import print_figure  # noqa: E402
 from usmap_crime import build_usmap_application  # noqa: E402
@@ -152,15 +153,22 @@ class TestFetchingComparison:
 
 
 class TestClusterExamples:
-    """The narrated migration walkthroughs run end to end, and no payload
-    changes across any of their online swaps."""
+    """The narrated cluster walkthroughs run end to end: every request is
+    served, no payload changes across a swap, a failover or a topology, and
+    no worker process outlives ``close()``."""
 
     def test_manual_rebalance_keeps_every_payload(self, capsys):
         assert rebalance_cluster.main() == 0
         assert "payload mismatches during the swap: 0" in capsys.readouterr().out
 
-    def test_autopilot_walkthrough_keeps_every_payload(self, capsys):
-        assert autopilot_cluster.main() == 0
+    def test_replica_failover_serves_every_request_unchanged(self, capsys):
+        assert replica_cluster.main() == 0
         out = capsys.readouterr().out
-        assert "payload mismatches across the swap: 0" in out
-        assert "'actions': {'rebalance': 2}" in out
+        assert "payload mismatches against the healthy pan: 0" in out
+        assert "shard 0 replica 0 breaker: open" in out
+
+    def test_process_workers_serve_through_a_kill_and_drain(self, capsys):
+        assert worker_cluster.main() == 0
+        out = capsys.readouterr().out
+        assert "payload mismatches through the kill: 0" in out
+        assert "shard0/replica0 breaker: open" in out

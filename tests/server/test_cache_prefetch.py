@@ -1,16 +1,10 @@
-"""Tests for the LRU cache and the prefetch predictors."""
+"""Tests for the LRU cache and the momentum prefetch predictor."""
 
 import pytest
 
 from repro.core.viewport import Viewport
-from repro.errors import KyrixError
 from repro.server.cache import LRUCache
-from repro.server.prefetch import (
-    MomentumPrefetcher,
-    NeighborhoodPrefetcher,
-    Prefetcher,
-    make_prefetcher,
-)
+from repro.server.prefetch import MomentumPrefetcher
 
 
 class TestLRUCache:
@@ -163,36 +157,4 @@ class TestMomentumPrefetcher:
         prefetcher.observe(Viewport(0, 0, 10, 10))
         prefetcher.observe(Viewport(10, 0, 10, 10))
         prefetcher.reset()
-        assert prefetcher.predict() == []
-
-
-class TestNeighborhoodPrefetcher:
-    def test_predicts_four_neighbours(self):
-        prefetcher = NeighborhoodPrefetcher()
-        prefetcher.observe(Viewport(500, 500, 100, 100))
-        neighbours = prefetcher.predict(4)
-        assert len(neighbours) == 4
-        assert {(n.x, n.y) for n in neighbours} == {
-            (600, 500), (400, 500), (500, 600), (500, 400),
-        }
-
-    def test_count_limits_predictions(self):
-        prefetcher = NeighborhoodPrefetcher()
-        prefetcher.observe(Viewport(0, 0, 10, 10))
-        assert len(prefetcher.predict(2)) == 2
-
-    def test_no_observation_no_prediction(self):
-        assert NeighborhoodPrefetcher().predict() == []
-
-
-class TestFactory:
-    def test_make_prefetcher(self):
-        assert isinstance(make_prefetcher("momentum"), MomentumPrefetcher)
-        assert isinstance(make_prefetcher("semantic"), NeighborhoodPrefetcher)
-        with pytest.raises(KyrixError):
-            make_prefetcher("none")
-
-    def test_base_prefetcher_is_inert(self):
-        prefetcher = Prefetcher()
-        prefetcher.observe(Viewport(0, 0, 1, 1))
         assert prefetcher.predict() == []

@@ -56,13 +56,10 @@ def _second_value(spec: dataclasses.Field):
     return spec.default + 1
 
 
-#: One override per scalar ``ClusterConfig`` field, derived from the
-#: dataclass so the list cannot fall behind it (``autopilot`` is a section
-#: with its own override, tested below).
+#: One override per ``ClusterConfig`` field, derived from the dataclass so
+#: the list cannot fall behind it.
 OVERRIDES = {
-    spec.name: _second_value(spec)
-    for spec in dataclasses.fields(ClusterConfig)
-    if spec.name != "autopilot"
+    spec.name: _second_value(spec) for spec in dataclasses.fields(ClusterConfig)
 }
 
 
@@ -290,6 +287,29 @@ class TestBuildService:
         assert stack.cluster.router is router
         router.close()
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "cluster"])
+    def test_zero_backend_entries_turns_the_server_cache_off(self, sharded, box_request):
+        """``cache.backend_entries: 0`` is the one off-switch of a stack's
+        server-side cache, whichever layer holds it: a repeated request is
+        answered by a real query every time."""
+        config = default_config(viewport=512)
+        config.cache.backend_entries = 0
+        config.cluster.enabled = sharded
+        config.cluster.shard_count = 2
+        stack = build_dots_backend(
+            tiny_spec("uniform", num_points=1_000, seed=5), config=config
+        )
+        try:
+            cache = stack.service.cache
+            assert isinstance(stack.service, ClusterRouter) is sharded
+            first = stack.service.handle(box_request)
+            second = stack.service.handle(box_request)
+            assert (first.from_cache, second.from_cache) == (False, False)
+            assert second.objects == first.objects
+            assert cache.capacity == 0 and cache.stats.hits == 0
+        finally:
+            stack.service.close()
+
     def test_shard_count_override_turns_sharding_on(self, dots_stack):
         service = build_service(
             dots_stack.backend.config, backend=dots_stack.backend, shard_count=2
@@ -356,21 +376,16 @@ class TestBuildService:
         assert astuple(pager) == pages_before
         assert multiprocessing.active_children() == workers_before
 
-    def test_telemetry_and_autopilot_overrides_land_in_the_served_config(
-        self, dots_stack
-    ):
+    def test_the_telemetry_override_lands_in_the_served_config(self, dots_stack):
         from repro.telemetry import configure as configure_telemetry
 
         base = dots_stack.backend.config
         service = build_service(
-            base, backend=dots_stack.backend, shard_count=2,
-            autopilot=True, telemetry=True,
+            base, backend=dots_stack.backend, shard_count=2, telemetry=True
         )
         try:
             config = unwrap(service, ClusterRouter).config
             assert config.telemetry.enabled and not base.telemetry.enabled
-            assert config.cluster.autopilot.enabled
-            assert not base.cluster.autopilot.enabled
         finally:
             service.close()
             configure_telemetry(base.telemetry, enabled=False)

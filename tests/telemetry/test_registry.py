@@ -97,6 +97,21 @@ class TestRegistry:
             in lines
         )
 
+    def test_prometheus_exposes_only_the_span_families(self):
+        """``/metrics`` is the span histograms and their quantile gauges;
+        there is no event-counter family."""
+        registry = TelemetryRegistry()
+        registry.observe_span("shard", 3.0)
+        lines = registry.render_prometheus().splitlines()
+        assert [line for line in lines if line.startswith("# TYPE")] == [
+            "# TYPE kyrix_span_duration_ms histogram",
+            "# TYPE kyrix_span_duration_ms_quantile gauge",
+        ]
+        samples = [line for line in lines if not line.startswith("#")]
+        assert samples and all(
+            line.startswith("kyrix_span_duration_ms") for line in samples
+        )
+
     def test_prometheus_escapes_label_values(self):
         registry = TelemetryRegistry()
         registry.observe_span('we"ird\\name', 1.0)
