@@ -120,7 +120,7 @@ def attach_shard_services(
     breaking, failover).  ``generation`` names the rebalance epoch a worker
     pool serves (0 for the initial build): the new generation spawns while
     the old one still serves, and the generation keeps their process names
-    and fixed-port ranges apart.
+    apart.
     """
     cluster_config = config.cluster
     pool: WorkerPool | None = None
@@ -134,11 +134,7 @@ def attach_shard_services(
                 shard.database, compiled, config, shard_id=shard.shard_id
             )
             specs.extend([shard_spec] * cluster_config.replicas)
-        pool = WorkerPool(
-            specs,
-            port_base=cluster_config.worker_port_base,
-            generation=generation,
-        )
+        pool = WorkerPool(specs, generation=generation)
         pool.start()
     for shard in shards:
         replicas: list[DataService]
@@ -159,12 +155,7 @@ def attach_shard_services(
                 for _ in range(cluster_config.replicas)
             ]
         if cluster_config.replicas > 1:
-            shard.service = ReplicaService(
-                replicas,
-                policy=cluster_config.replica_policy,
-                breaker_threshold=cluster_config.breaker_threshold,
-                breaker_reset_s=cluster_config.breaker_reset_s,
-            )
+            shard.service = ReplicaService(replicas, policy=cluster_config.replica_policy)
         else:
             shard.service = replicas[0]
         if pool is not None:

@@ -6,7 +6,6 @@ from ..core.application import Application
 from ..core.placement import ColumnPlacement
 from ..core.transform import Transform
 from ..errors import CompileError
-from ..minisql.ast import SelectStatement
 from ..minisql.parser import parse
 from .plan import CanvasPlan, CompiledApplication, LayerPlan, placement_table_name
 from .validator import validate
@@ -87,9 +86,4 @@ def _source_table(transform: Transform) -> str:
         raise CompileError(
             f"transform {transform.transform_id!r}: cannot parse query"
         ) from exc
-    if not isinstance(statement, SelectStatement) or statement.table is None:
-        raise CompileError(
-            f"transform {transform.transform_id!r}: separable transforms need a "
-            "single-table SELECT query"
-        )
     return statement.table.name

@@ -151,28 +151,17 @@ class ClusterConfig:
         Number of interchangeable replicas serving each shard.  With more
         than one, every shard is fronted by a
         :class:`~repro.serving.replica.ReplicaService` that load-balances,
-        circuit-breaks and fails over across them.
+        circuit-breaks (with that class's own breaker defaults) and fails
+        over across them.
     replica_policy:
         Replica selection policy: ``"round_robin"`` (even spread) or
         ``"least_inflight"`` (steer to the least-loaded replica).
-    breaker_threshold:
-        Consecutive failures after which a replica's circuit breaker opens
-        and the replica stops receiving traffic.
-    breaker_reset_s:
-        Seconds an open breaker waits before letting one trial request
-        probe the replica again.
     worker_mode:
         ``"threads"`` serves every shard replica in-process behind a
         :class:`~repro.serving.middleware.SerializedService` lock;
         ``"processes"`` forks one worker process per shard replica
         (:mod:`repro.serving.worker`) speaking the shard wire over
         localhost TCP, so shard queries execute on real parallel cores.
-    worker_port_base:
-        First TCP port assigned to worker processes (worker ``i`` binds
-        ``worker_port_base + i``); ``0`` (default) lets every worker bind
-        an ephemeral port and report it back.  Across rebalances, each
-        worker generation offsets its ports by ``generation * pool size``
-        so a new pool can come up while the old one still serves.
     """
 
     enabled: bool = False
@@ -182,10 +171,7 @@ class ClusterConfig:
     wire_shards: bool = True
     replicas: int = 1
     replica_policy: str = "round_robin"
-    breaker_threshold: int = 3
-    breaker_reset_s: float = 30.0
     worker_mode: str = "threads"
-    worker_port_base: int = 0
 
     def validate(self) -> None:
         if self.shard_count < 1:
@@ -196,18 +182,8 @@ class ClusterConfig:
             raise KyrixError(f"replicas must be >= 1, got {self.replicas}")
         if self.replica_policy not in REPLICA_POLICIES:
             raise KyrixError(f"unknown replica policy: {self.replica_policy!r}")
-        if self.breaker_threshold < 1:
-            raise KyrixError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.breaker_reset_s < 0:
-            raise KyrixError("breaker_reset_s must be non-negative")
         if self.worker_mode not in WORKER_MODES:
             raise KyrixError(f"unknown worker mode: {self.worker_mode!r}")
-        if not 0 <= self.worker_port_base <= 65535:
-            raise KyrixError(
-                f"worker_port_base must be in [0, 65535], got {self.worker_port_base}"
-            )
 
 
 @dataclass

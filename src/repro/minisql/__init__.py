@@ -13,9 +13,13 @@ provides the dialect and execution machinery for those queries against
   prepared once (``engine.prepare(sql)``, ``?`` placeholders) and executed
   with their values bound (``engine.execute(statement.bind(...))``).
 
-The dialect supports SELECT (joins, WHERE, GROUP BY, ORDER BY, LIMIT,
-aggregates, an ``intersects()`` spatial predicate), INSERT, CREATE TABLE and
-CREATE INDEX.  Tables are built and then read: there is no UPDATE or DELETE.
+The dialect is the one statement Kyrix sends:
+``SELECT (* | expr [AS a], ...) FROM t [a] [[INNER] JOIN u [b] ON x = y]...
+[WHERE expr]`` -- a transform's query, the dynamic-box range query
+(``intersects(bbox, ?, ?, ?, ?)``) and the tile query joined through the
+tuple-tile mapping table.  It only reads: tables are built through
+:class:`repro.storage.Database` (``create_table``, ``bulk_load``,
+``create_index``).
 """
 
 from .executor import BoundStatement, PreparedStatement, ResultSet, SQLEngine

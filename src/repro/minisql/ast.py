@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -60,12 +60,10 @@ class UnaryOp(Expression):
 
 @dataclass(frozen=True)
 class FunctionCall(Expression):
-    """A scalar or aggregate function call, e.g. ``count(*)`` or
-    ``intersects(bbox, 0, 0, 100, 100)``."""
+    """A scalar function call, e.g. ``intersects(bbox, 0, 0, 100, 100)``."""
 
     name: str
     args: tuple[Expression, ...]
-    star: bool = False  # count(*)
 
 
 @dataclass(frozen=True)
@@ -96,12 +94,8 @@ class IsNull(Expression):
 
 
 # ---------------------------------------------------------------------------
-# Statements
+# The statement
 # ---------------------------------------------------------------------------
-
-
-class Statement:
-    """Base class for statement nodes."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ class TableRef:
 
 @dataclass(frozen=True)
 class JoinClause:
-    """``JOIN table ON left = right`` (equi-joins only)."""
+    """``JOIN table ON left = right`` (inner equi-joins only)."""
 
     table: TableRef
     left: ColumnRef
@@ -134,52 +128,12 @@ class SelectItem:
 
 
 @dataclass(frozen=True)
-class OrderItem:
-    """One ORDER BY item."""
-
-    expression: Expression
-    descending: bool = False
-
-
-@dataclass(frozen=True)
-class SelectStatement(Statement):
-    """A SELECT query."""
+class SelectStatement:
+    """``SELECT (* | items) FROM table [JOIN ...]... [WHERE ...]``: the one
+    statement the dialect has."""
 
     items: tuple[SelectItem, ...]
-    table: TableRef | None
+    table: TableRef
     joins: tuple[JoinClause, ...] = ()
     where: Expression | None = None
-    group_by: tuple[Expression, ...] = ()
-    order_by: tuple[OrderItem, ...] = ()
-    limit: int | None = None
-    offset: int | None = None
-    distinct: bool = False
     select_star: bool = False
-
-
-@dataclass(frozen=True)
-class InsertStatement(Statement):
-    """``INSERT INTO table [(cols)] VALUES (...), (...)``."""
-
-    table: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple[Expression, ...], ...]
-
-
-@dataclass(frozen=True)
-class CreateTableStatement(Statement):
-    """``CREATE TABLE name (col type, ...)``."""
-
-    table: str
-    columns: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class CreateIndexStatement(Statement):
-    """``CREATE [UNIQUE] INDEX name ON table (column) [USING kind]``."""
-
-    name: str
-    table: str
-    column: str
-    kind: str = "btree"
-    unique: bool = False

@@ -3,9 +3,10 @@
 The physical plan produced by :class:`~repro.minisql.planner.Planner` runs
 itself: every node moves flat tuples whose layout, and every expression over
 them, was fixed when the node was built.  The engine here drives the root
-node into a :class:`ResultSet` and carries out the statements that build
-a database -- ``CREATE TABLE``, ``CREATE INDEX`` and ``INSERT`` (an append,
-see :meth:`~repro.storage.table.Table.insert`).
+node into a :class:`ResultSet`.  It only reads: a database is built through
+:meth:`~repro.storage.database.Database.create_table`,
+:meth:`~repro.storage.table.Table.bulk_load` and
+:meth:`~repro.storage.table.Table.create_index`.
 
 There is one way in: :meth:`SQLEngine.prepare` parses and plans a statement
 once, :meth:`PreparedStatement.bind` pairs it with the values of its ``?``
@@ -20,15 +21,9 @@ from typing import Any, Iterator
 
 from ..errors import SQLExecutionError
 from ..storage.database import Database
-from .ast import (
-    CreateIndexStatement,
-    CreateTableStatement,
-    InsertStatement,
-    Statement,
-)
-from .functions import Binds, Layout, compile_expression
+from .functions import Binds
 from .parser import parse_parameterised
-from .planner import DataModification, PlannedQuery, Planner
+from .planner import PlannedQuery, Planner
 
 
 @dataclass
@@ -37,12 +32,7 @@ class ResultSet:
 
     columns: list[str]
     rows: list[tuple[Any, ...]]
-    rowcount: int = 0
     access_path: str = "seqscan"
-
-    def __post_init__(self) -> None:
-        if not self.rowcount:
-            self.rowcount = len(self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -53,15 +43,6 @@ class ResultSet:
     def to_dicts(self) -> list[dict[str, Any]]:
         """Rows as ``{column: value}`` dictionaries."""
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def scalar(self) -> Any:
-        """The single value of a one-row, one-column result."""
-        if len(self.rows) != 1 or len(self.columns) != 1:
-            raise SQLExecutionError(
-                f"scalar() requires a 1x1 result, got "
-                f"{len(self.rows)}x{len(self.columns)}"
-            )
-        return self.rows[0][0]
 
 
 class PreparedStatement:
@@ -136,8 +117,6 @@ class SQLEngine:
         planned, binds = bound.prepared.planned(), bound.values
         self.queries_executed += 1
         root = planned.root
-        if isinstance(root, DataModification):
-            return self._execute_modification(root.statement, binds)
         return ResultSet(
             columns=root.layout.names, rows=list(root.rows(binds)), access_path=planned.access_path
         )
@@ -146,38 +125,3 @@ class SQLEngine:
         """Return the physical plan for a statement without executing it."""
         bound = self._bound(statement)
         return bound.prepared.planned().root.explain(binds=bound.values)
-
-    # -- data modification --------------------------------------------------------------
-
-    def _execute_modification(self, statement: Statement, binds: Binds) -> ResultSet:
-        if isinstance(statement, CreateTableStatement):
-            self.database.create_table(statement.table, list(statement.columns))
-            return ResultSet(columns=[], rows=[], rowcount=0)
-        if isinstance(statement, CreateIndexStatement):
-            table = self.database.table(statement.table)
-            table.create_index(
-                statement.name, statement.column, statement.kind, unique=statement.unique
-            )
-            return ResultSet(columns=[], rows=[], rowcount=0)
-        if isinstance(statement, InsertStatement):
-            return self._execute_insert(statement, binds)
-        raise SQLExecutionError(
-            f"unsupported statement {type(statement).__name__}"
-        )
-
-    def _execute_insert(self, statement: InsertStatement, binds: Binds) -> ResultSet:
-        """Every VALUES row goes in as one load: a refused row refuses them all."""
-        table = self.database.table(statement.table)
-        rows = []
-        for value_tuple in statement.rows:
-            values = [
-                compile_expression(expression, Layout())((), binds) for expression in value_tuple
-            ]
-            if statement.columns:
-                if len(values) != len(statement.columns):
-                    raise SQLExecutionError(
-                        "INSERT column list and VALUES length mismatch"
-                    )
-                values = table.schema.coerce_mapping(dict(zip(statement.columns, values)))
-            rows.append(values)
-        return ResultSet(columns=[], rows=[], rowcount=table.bulk_load(rows))

@@ -39,10 +39,6 @@ Row = tuple[Any, ...]
 Binds = tuple[Any, ...]
 Evaluator = Callable[[Row, Binds], Any]
 
-#: Names of aggregate functions (compiled by the planner, not here).
-AGGREGATE_FUNCTIONS = {"count", "sum", "avg", "min", "max"}
-
-
 @dataclass(frozen=True)
 class Layout:
     """The shape of an operator's output rows: one ``(binding, table,
@@ -104,15 +100,20 @@ def _null_safe(function: Callable[[Any], Any]) -> Callable[..., Any]:
     return lambda value, *_: None if value is None else function(value)
 
 
-#: Non-aggregate functions, called with the evaluated arguments.
-_SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
+def _of_all(function: Callable[[tuple[Any, ...]], Any]) -> Callable[..., Any]:
+    """``min`` / ``max`` of their arguments; NULL if any is NULL, as in SQLite."""
+    return lambda *args: None if None in args else function(args)
+
+
+#: The functions a statement may call, called with the evaluated arguments.
+SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "intersects": _intersects,
     "bbox": _bbox,
     "abs": _null_safe(abs),
     "floor": _null_safe(math.floor),
     "ceil": _null_safe(math.ceil),
-    "min": lambda *args: min(args),
-    "max": lambda *args: max(args),
+    "min": _of_all(min),
+    "max": _of_all(max),
 }
 
 
@@ -186,13 +187,7 @@ def compile_expression(expression: Expression, layout: Layout) -> Evaluator:
         return in_list
     if isinstance(expression, FunctionCall):
         args = [compile_expression(arg, layout) for arg in expression.args]
-        if expression.name in AGGREGATE_FUNCTIONS and len(args) == 1:
-            # Aggregates over rows are compiled by the planner; an aggregate
-            # of one value in a per-row position is that value.
-            return args[0]
-        function = _SCALAR_FUNCTIONS.get(expression.name)
-        if function is None:
-            raise SQLExecutionError(f"unknown function: {expression.name!r}")
+        function = SCALAR_FUNCTIONS[expression.name]  # the parser admits no other name
         return lambda row, binds: function(*[arg(row, binds) for arg in args])
     raise SQLExecutionError(f"cannot evaluate expression of type {type(expression).__name__}")
 

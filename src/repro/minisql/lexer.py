@@ -1,10 +1,10 @@
 """Tokeniser for the mini-SQL dialect.
 
-The dialect covers what Kyrix layer queries and the backend's precomputed
-tables need: ``SELECT`` (with joins, ``WHERE``, ``ORDER BY``, ``LIMIT``,
-aggregates), ``INSERT``, ``CREATE TABLE`` and ``CREATE INDEX``; ``UPDATE``,
-``SET`` and ``DELETE`` stay reserved words.  A ``?`` stands for a constant
-bound when a prepared statement is executed.
+The dialect is the one statement Kyrix sends its database:
+``SELECT (* | expr [AS a], ...) FROM t [a] [[INNER] JOIN u [b] ON x = y]...
+[WHERE expr]``.  Only the words that grammar reads are reserved, so a column
+may be called ``count``, ``max`` or ``index``.  A ``?`` stands for a
+constant bound when a prepared statement is executed.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ from dataclasses import dataclass
 from ..errors import SQLSyntaxError
 
 KEYWORDS = {
-    "select", "from", "where", "and", "or", "not", "insert", "into", "values",
-    "update", "set", "delete", "create", "table", "index", "on", "using",
-    "unique", "order", "by", "asc", "desc", "limit", "offset", "join", "inner",
-    "left", "as", "in", "between", "is", "null", "true", "false", "group",
-    "having", "distinct", "count", "sum", "avg", "min", "max", "intersects",
+    "select", "from", "where", "join", "inner", "on", "as", "and", "or", "not",
+    "in", "between", "is", "null", "true", "false",
 }
 
 

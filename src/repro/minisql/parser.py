@@ -1,4 +1,17 @@
-"""Recursive-descent parser for the mini-SQL dialect."""
+"""Recursive-descent parser for the mini-SQL dialect.
+
+The grammar is the whole dialect (every ``expr`` may hold ``?``)::
+
+    SELECT (* | expr [AS a], ...) FROM t [[AS] a]
+        [[INNER] JOIN u [[AS] b] ON x = y]... [WHERE expr]
+
+An ``expr`` is built from literals, column references, arithmetic,
+comparisons, ``IN``, ``BETWEEN``, ``IS [NOT] NULL``, ``AND``/``OR``/``NOT``
+and calls of the scalar functions (``intersects``, ``bbox``, ``abs``,
+``floor``, ``ceil``, ``min``, ``max``).  Anything else -- another statement,
+an outer join, an unknown function, a clause after ``WHERE`` -- is a
+:class:`~repro.errors.SQLSyntaxError`.
+"""
 
 from __future__ import annotations
 
@@ -7,34 +20,32 @@ from .ast import (
     Between,
     BinaryOp,
     ColumnRef,
-    CreateIndexStatement,
-    CreateTableStatement,
     Expression,
     FunctionCall,
     InList,
-    InsertStatement,
     IsNull,
     JoinClause,
     Literal,
-    OrderItem,
     Parameter,
     SelectItem,
     SelectStatement,
-    Statement,
     TableRef,
     UnaryOp,
 )
+from .functions import SCALAR_FUNCTIONS
 from .lexer import Token, TokenType, tokenize
 
-_AGGREGATES = {"count", "sum", "avg", "min", "max"}
+#: Words that open an outer or cross join; never read as a table's alias, so
+#: ``FROM t LEFT JOIN u`` is refused instead of joining ``t AS left``.
+_OTHER_JOINS = {"left", "right", "full", "cross", "natural"}
 
 
-def parse(text: str) -> Statement:
+def parse(text: str) -> SelectStatement:
     """Parse a single SQL statement."""
     return parse_parameterised(text)[0]
 
 
-def parse_parameterised(text: str) -> tuple[Statement, int]:
+def parse_parameterised(text: str) -> tuple[SelectStatement, int]:
     """Parse a single SQL statement; also the number of ``?`` placeholders in it."""
     parser = _Parser(tokenize(text))
     return parser.parse_statement(), parser.parameters
@@ -111,11 +122,6 @@ class _Parser:
         if token.type is TokenType.IDENTIFIER:
             self._advance()
             return token.value
-        # Non-reserved use of keywords as identifiers is allowed for a few
-        # common column names (count, min, max ...) when followed by no '('.
-        if token.type is TokenType.KEYWORD and token.value in _AGGREGATES:
-            self._advance()
-            return token.value
         raise self._error("expected an identifier")
 
     def _expect_eof(self) -> None:
@@ -123,26 +129,10 @@ class _Parser:
         if self._current.type is not TokenType.EOF:
             raise self._error("unexpected trailing input")
 
-    # -- statements -----------------------------------------------------------
+    # -- the statement -------------------------------------------------------
 
-    def parse_statement(self) -> Statement:
-        token = self._current
-        if token.is_keyword("select"):
-            statement: Statement = self._parse_select()
-        elif token.is_keyword("insert"):
-            statement = self._parse_insert()
-        elif token.is_keyword("create"):
-            statement = self._parse_create()
-        else:
-            raise self._error("expected a statement")
-        self._expect_eof()
-        return statement
-
-    # SELECT -------------------------------------------------------------------
-
-    def _parse_select(self) -> SelectStatement:
+    def parse_statement(self) -> SelectStatement:
         self._expect_keyword("select")
-        distinct = self._accept_keyword("distinct")
         select_star = False
         items: list[SelectItem] = []
         if self._accept_star():
@@ -151,57 +141,21 @@ class _Parser:
             items.append(self._parse_select_item())
             while self._accept_punct(","):
                 items.append(self._parse_select_item())
-
-        table: TableRef | None = None
+        self._expect_keyword("from")
+        table = self._parse_table_ref()
         joins: list[JoinClause] = []
-        if self._accept_keyword("from"):
-            table = self._parse_table_ref()
-            while self._current.is_keyword("join", "inner", "left"):
-                joins.append(self._parse_join())
-
+        while self._current.is_keyword("join", "inner"):
+            joins.append(self._parse_join())
         where = self._parse_or() if self._accept_keyword("where") else None
-
-        group_by: list[Expression] = []
-        if self._accept_keyword("group"):
-            self._expect_keyword("by")
-            group_by.append(self._parse_or())
-            while self._accept_punct(","):
-                group_by.append(self._parse_or())
-
-        order_by: list[OrderItem] = []
-        if self._accept_keyword("order"):
-            self._expect_keyword("by")
-            order_by.append(self._parse_order_item())
-            while self._accept_punct(","):
-                order_by.append(self._parse_order_item())
-
-        limit = None
-        offset = None
-        if self._accept_keyword("limit"):
-            limit = self._parse_integer()
-        if self._accept_keyword("offset"):
-            offset = self._parse_integer()
-
+        self._expect_eof()
         return SelectStatement(
-            items=tuple(items),
-            table=table,
-            joins=tuple(joins),
-            where=where,
-            group_by=tuple(group_by),
-            order_by=tuple(order_by),
-            limit=limit,
-            offset=offset,
-            distinct=distinct,
+            items=tuple(items), table=table, joins=tuple(joins), where=where,
             select_star=select_star,
         )
 
     def _parse_select_item(self) -> SelectItem:
         expression = self._parse_or()
-        alias = None
-        if self._accept_keyword("as"):
-            alias = self._expect_identifier()
-        elif self._current.type is TokenType.IDENTIFIER:
-            alias = self._advance().value
+        alias = self._expect_identifier() if self._accept_keyword("as") else None
         return SelectItem(expression=expression, alias=alias)
 
     def _parse_table_ref(self) -> TableRef:
@@ -210,17 +164,14 @@ class _Parser:
         if self._accept_keyword("as"):
             alias = self._expect_identifier()
         elif self._current.type is TokenType.IDENTIFIER:
+            if self._current.value in _OTHER_JOINS:
+                raise self._error("only inner joins are supported")
             alias = self._advance().value
         return TableRef(name=name, alias=alias)
 
     def _parse_join(self) -> JoinClause:
-        # Accept JOIN / INNER JOIN / LEFT JOIN (all treated as inner equi-join;
-        # Kyrix's tile queries only need the inner join of record and mapping
-        # tables).
-        if self._accept_keyword("inner") or self._accept_keyword("left"):
-            self._expect_keyword("join")
-        else:
-            self._expect_keyword("join")
+        self._accept_keyword("inner")
+        self._expect_keyword("join")
         table = self._parse_table_ref()
         self._expect_keyword("on")
         left = self._parse_column_ref()
@@ -229,91 +180,6 @@ class _Parser:
             raise self._error("only equi-joins are supported")
         right = self._parse_column_ref()
         return JoinClause(table=table, left=left, right=right)
-
-    def _parse_order_item(self) -> OrderItem:
-        expression = self._parse_or()
-        descending = False
-        if self._accept_keyword("desc"):
-            descending = True
-        else:
-            self._accept_keyword("asc")
-        return OrderItem(expression=expression, descending=descending)
-
-    def _parse_integer(self) -> int:
-        token = self._current
-        if token.type is not TokenType.NUMBER:
-            raise self._error("expected an integer")
-        self._advance()
-        try:
-            return int(token.value)
-        except ValueError as exc:
-            raise SQLSyntaxError(
-                f"expected an integer, got {token.value!r}", token.position
-            ) from exc
-
-    # INSERT ------------------------------------------------------------------------
-
-    def _parse_insert(self) -> InsertStatement:
-        self._expect_keyword("insert")
-        self._expect_keyword("into")
-        table = self._expect_identifier()
-        columns: list[str] = []
-        if self._accept_punct("("):
-            columns.append(self._expect_identifier())
-            while self._accept_punct(","):
-                columns.append(self._expect_identifier())
-            self._expect_punct(")")
-        self._expect_keyword("values")
-        rows: list[tuple[Expression, ...]] = []
-        rows.append(self._parse_value_tuple())
-        while self._accept_punct(","):
-            rows.append(self._parse_value_tuple())
-        return InsertStatement(table=table, columns=tuple(columns), rows=tuple(rows))
-
-    def _parse_value_tuple(self) -> tuple[Expression, ...]:
-        self._expect_punct("(")
-        values = [self._parse_or()]
-        while self._accept_punct(","):
-            values.append(self._parse_or())
-        self._expect_punct(")")
-        return tuple(values)
-
-    # CREATE ------------------------------------------------------------------------
-
-    def _parse_create(self) -> Statement:
-        self._expect_keyword("create")
-        if self._accept_keyword("table"):
-            return self._parse_create_table()
-        unique = self._accept_keyword("unique")
-        self._expect_keyword("index")
-        return self._parse_create_index(unique=unique)
-
-    def _parse_create_table(self) -> CreateTableStatement:
-        table = self._expect_identifier()
-        self._expect_punct("(")
-        columns: list[tuple[str, str]] = []
-        while True:
-            name = self._expect_identifier()
-            type_name = self._expect_identifier()
-            columns.append((name, type_name))
-            if not self._accept_punct(","):
-                break
-        self._expect_punct(")")
-        return CreateTableStatement(table=table, columns=tuple(columns))
-
-    def _parse_create_index(self, *, unique: bool) -> CreateIndexStatement:
-        name = self._expect_identifier()
-        self._expect_keyword("on")
-        table = self._expect_identifier()
-        self._expect_punct("(")
-        column = self._expect_identifier()
-        self._expect_punct(")")
-        kind = "btree"
-        if self._accept_keyword("using"):
-            kind = self._expect_identifier()
-        return CreateIndexStatement(
-            name=name, table=table, column=column, kind=kind, unique=unique
-        )
 
     # -- expressions (precedence-climbing) ----------------------------------------------
 
@@ -364,13 +230,19 @@ class _Parser:
                 high = self._parse_additive()
                 return Between(operand=left, low=low, high=high, negated=True)
             self._expect_keyword("in")
-            items = self._parse_value_tuple()
-            return InList(operand=left, items=items, negated=True)
+            return InList(operand=left, items=self._parse_list(), negated=True)
         if token.is_keyword("in"):
             self._advance()
-            items = self._parse_value_tuple()
-            return InList(operand=left, items=items)
+            return InList(operand=left, items=self._parse_list())
         return left
+
+    def _parse_list(self) -> tuple[Expression, ...]:
+        self._expect_punct("(")
+        values = [self._parse_or()]
+        while self._accept_punct(","):
+            values.append(self._parse_or())
+        self._expect_punct(")")
+        return tuple(values)
 
     def _parse_additive(self) -> Expression:
         left = self._parse_multiplicative()
@@ -424,8 +296,6 @@ class _Parser:
         if token.is_keyword("false"):
             self._advance()
             return Literal(False)
-        if token.is_keyword(*_AGGREGATES, "intersects"):
-            return self._parse_function_call(token.value)
         if token.type is TokenType.IDENTIFIER:
             next_token = self._tokens[self._position + 1]
             if next_token.type is TokenType.PUNCTUATION and next_token.value == "(":
@@ -439,11 +309,10 @@ class _Parser:
         raise self._error("expected an expression")
 
     def _parse_function_call(self, name: str) -> FunctionCall:
+        if name not in SCALAR_FUNCTIONS:
+            raise self._error(f"unknown function {name!r}")
         self._advance()  # function name
         self._expect_punct("(")
-        if self._accept_star():
-            self._expect_punct(")")
-            return FunctionCall(name=name, args=(), star=True)
         args: list[Expression] = []
         if not self._accept_punct(")"):
             args.append(self._parse_or())

@@ -1,6 +1,7 @@
 """Rule-based query planner.
 
-The planner turns a parsed statement into a small physical-plan tree.  Its
+The planner turns a parsed ``SELECT`` into a small physical-plan tree:
+an access path, its joins, a residual :class:`Filter`, a :class:`Project`.  Its
 job in this reproduction mirrors what Kyrix relies on PostgreSQL's planner
 for: picking an index access path when the WHERE clause allows it.
 
@@ -29,7 +30,6 @@ down the tree by :meth:`PlanNode.rows` and never written to a node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -37,21 +37,8 @@ from ..errors import SQLExecutionError, SQLPlanError, StorageError
 from ..storage.database import Database
 from ..storage.rtree import Rect
 from ..storage.table import IndexInfo, Table
-from .ast import (
-    ColumnRef,
-    CreateIndexStatement,
-    CreateTableStatement,
-    Expression,
-    FunctionCall,
-    InsertStatement,
-    JoinClause,
-    OrderItem,
-    SelectItem,
-    SelectStatement,
-    Statement,
-)
+from .ast import ColumnRef, Expression, FunctionCall, JoinClause, SelectItem, SelectStatement
 from .functions import (
-    AGGREGATE_FUNCTIONS,
     Binds,
     Evaluator,
     Layout,
@@ -270,7 +257,6 @@ class Project(PlanNode):
     child: PlanNode
     items: list[SelectItem]
     select_star: bool
-    distinct: bool = False
 
     def __post_init__(self) -> None:
         source = self.child.layout
@@ -302,147 +288,10 @@ class Project(PlanNode):
     def rows(self, binds: Binds) -> Iterable[Row]:
         rows = self.child.rows(binds)
         if self._picked is not None:
-            rows = map(self._picked, rows)
-        elif (evaluators := self._evaluators) is not None:
-            rows = (tuple(evaluate(row, binds) for evaluate in evaluators) for row in rows)
-        return dict.fromkeys(rows) if self.distinct else rows  # first occurrence order
-
-
-#: What each aggregate makes of its non-NULL inputs (``count`` counts them).
-_AGGREGATES: dict[str, Callable[[list[Any]], Any]] = {
-    "count": len,
-    "sum": sum,
-    "avg": lambda values: sum(values) / len(values),
-    "min": min,
-    "max": max,
-}
-
-
-@dataclass
-class Aggregate(PlanNode):
-    child: PlanNode
-    items: list[SelectItem]
-    group_by: list[Expression]
-
-    def __post_init__(self) -> None:
-        source = self.child.layout
-        self.layout = _projected_layout(self.items, source)
-        self._group_key = [compile_expression(key, source) for key in self.group_by]
-        self._outputs = [_compile_group_item(item.expression, source) for item in self.items]
-
-    def describe(self, binds: Binds = ()) -> str:
-        return f"Aggregate(groups={len(self.group_by)})"
-
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    def rows(self, binds: Binds) -> Iterable[Row]:
-        groups: dict[Row, list[Row]] = {}
-        for row in self.child.rows(binds):
-            groups.setdefault(tuple(key(row, binds) for key in self._group_key), []).append(row)
-        if not groups and not self.group_by:
-            groups[()] = []
-        for members in groups.values():
-            yield tuple(output(members, binds) for output in self._outputs)
-
-
-def _compile_group_item(
-    expression: Expression, layout: Layout
-) -> Callable[[list[Row], Binds], Any]:
-    """Compile one output column of an :class:`Aggregate` over a group's rows."""
-    if isinstance(expression, FunctionCall) and expression.name in AGGREGATE_FUNCTIONS:
-        name = expression.name
-        if expression.star:
-            if name != "count":
-                raise SQLPlanError(f"{name}(*) is not supported")
-            return lambda members, binds: len(members)
-        if len(expression.args) != 1:
-            raise SQLPlanError(f"aggregate {name}() takes exactly one argument")
-        argument, reduce = compile_expression(expression.args[0], layout), _AGGREGATES[name]
-
-        def aggregate(members: list[Row], binds: Binds) -> Any:
-            values = [
-                value for row in members if (value := argument(row, binds)) is not None
-            ]
-            return reduce(values) if values or name == "count" else None
-
-        return aggregate
-    # Group-by key or plain expression: evaluate against the first row.
-    evaluate = compile_expression(expression, layout)
-    return lambda members, binds: evaluate(members[0], binds) if members else None
-
-
-@dataclass
-class Sort(PlanNode):
-    child: PlanNode
-    order_by: list[OrderItem]
-
-    def __post_init__(self) -> None:
-        # Sorting runs above the projection, whose layout keeps the source
-        # binding of plain column items, so ``ORDER BY d.id`` still resolves.
-        self.layout = self.child.layout
-        self._keys = [
-            (compile_expression(order.expression, self.layout), order.descending)
-            for order in self.order_by
-        ]
-
-    def describe(self, binds: Binds = ()) -> str:
-        return f"Sort({len(self.order_by)} keys)"
-
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    def rows(self, binds: Binds) -> Iterable[Row]:
-        rows = list(self.child.rows(binds))
-        for key, descending in reversed(self._keys):
-            # NULLs sort first.
-            rows.sort(
-                key=lambda row: (0, 0) if (value := key(row, binds)) is None else (1, value),
-                reverse=descending,
-            )
+            return map(self._picked, rows)
+        if (evaluators := self._evaluators) is not None:
+            return (tuple(evaluate(row, binds) for evaluate in evaluators) for row in rows)
         return rows
-
-
-@dataclass
-class LimitNode(PlanNode):
-    child: PlanNode
-    limit: int | None
-    offset: int | None
-
-    def __post_init__(self) -> None:
-        self.layout = self.child.layout
-
-    def describe(self, binds: Binds = ()) -> str:
-        return f"Limit(limit={self.limit}, offset={self.offset})"
-
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    def rows(self, binds: Binds) -> Iterable[Row]:
-        start = self.offset or 0
-        return islice(self.child.rows(binds), start, None if self.limit is None else start + self.limit)
-
-
-@dataclass
-class SeqScanConstant(PlanNode):
-    """A scan producing exactly one empty row (for table-less SELECTs)."""
-
-    def describe(self, binds: Binds = ()) -> str:
-        return "ConstantScan"
-
-    def rows(self, binds: Binds) -> Iterable[Row]:
-        return [()]
-
-
-# Non-SELECT statement "plans" carry the statement through to the executor.
-
-
-@dataclass
-class DataModification(PlanNode):
-    statement: Statement
-
-    def describe(self, binds: Binds = ()) -> str:
-        return type(self.statement).__name__
 
 
 def _pick(offsets: Sequence[int]) -> Callable[[Row], Row]:
@@ -467,8 +316,8 @@ def _item_name(item: SelectItem, index: int) -> str:
 def _projected_layout(items: Sequence[SelectItem], source: Layout) -> Layout:
     """Output layout of a projection: item names, de-duplicated in order.
 
-    Two unaliased ``count(...)`` items would otherwise collide on the name
-    ``count``.  An unaliased plain column keeps its source binding and table.
+    ``SELECT a.v, b.v`` would otherwise give two columns named ``v``.  An
+    unaliased plain column keeps its source binding and table.
     """
     slots: list[tuple[str | None, str | None, str]] = []
     seen: set[str] = set()
@@ -491,11 +340,9 @@ def _projected_layout(items: Sequence[SelectItem], source: Layout) -> Layout:
 
 @dataclass
 class PlannedQuery:
-    """A plan plus metadata the executor needs."""
+    """A plan plus the access path that drives it."""
 
     root: PlanNode
-    statement: Statement
-    uses_index: bool = False
     access_path: str = "seqscan"
 
 
@@ -505,68 +352,19 @@ class Planner:
     def __init__(self, database: Database) -> None:
         self._db = database
 
-    def plan(self, statement: Statement) -> PlannedQuery:
-        if isinstance(statement, SelectStatement):
-            return self._plan_select(statement)
-        if isinstance(
-            statement,
-            (InsertStatement, CreateTableStatement, CreateIndexStatement),
-        ):
-            return PlannedQuery(root=DataModification(statement), statement=statement)
-        raise SQLPlanError(f"cannot plan statement of type {type(statement).__name__}")
-
-    # -- SELECT planning -------------------------------------------------------
-
-    def _plan_select(self, statement: SelectStatement) -> PlannedQuery:
-        if statement.table is None:
-            # SELECT of constant expressions only.
-            root: PlanNode = Project(
-                child=SeqScanConstant(), items=list(statement.items),
-                select_star=False, distinct=statement.distinct,
-            )
-            return PlannedQuery(root=root, statement=statement, access_path="constant")
-
+    def plan(self, statement: SelectStatement) -> PlannedQuery:
         table = self._db.table(statement.table.name)
         binding = statement.table.binding
         conjuncts = split_conjuncts(statement.where)
 
-        access, remaining, access_path = self._choose_access_path(
-            table, binding, conjuncts
-        )
-        node: PlanNode = access
-
+        node, remaining, access_path = self._choose_access_path(table, binding, conjuncts)
         for join in statement.joins:
             node = self._plan_join(node, join)
-
         residual = combine_conjuncts(remaining)
         if residual is not None:
             node = Filter(child=node, predicate=residual)
-
-        if statement.group_by or self._has_aggregates(statement.items):
-            node = Aggregate(
-                child=node,
-                items=list(statement.items),
-                group_by=list(statement.group_by),
-            )
-        else:
-            node = Project(
-                child=node,
-                items=list(statement.items),
-                select_star=statement.select_star,
-                distinct=statement.distinct,
-            )
-
-        if statement.order_by:
-            node = Sort(child=node, order_by=list(statement.order_by))
-        if statement.limit is not None or statement.offset is not None:
-            node = LimitNode(child=node, limit=statement.limit, offset=statement.offset)
-
-        return PlannedQuery(
-            root=node,
-            statement=statement,
-            uses_index=access_path != "seqscan",
-            access_path=access_path,
-        )
+        node = Project(child=node, items=list(statement.items), select_star=statement.select_star)
+        return PlannedQuery(root=node, access_path=access_path)
 
     def _choose_access_path(
         self, table: Table, binding: str, conjuncts: list[Expression]
@@ -642,20 +440,3 @@ class Planner:
         if ref.table is not None and ref.table not in (binding, table.name):
             return False
         return table.schema.has_column(ref.column)
-
-    @staticmethod
-    def _has_aggregates(items: list[SelectItem]) -> bool:
-        def contains_aggregate(expression: Expression) -> bool:
-            if isinstance(expression, FunctionCall):
-                if expression.name in AGGREGATE_FUNCTIONS and (
-                    expression.star or len(expression.args) == 1
-                ):
-                    return True
-                return any(contains_aggregate(a) for a in expression.args)
-            for attr in ("left", "right", "operand"):
-                child = getattr(expression, attr, None)
-                if isinstance(child, Expression) and contains_aggregate(child):
-                    return True
-            return False
-
-        return any(contains_aggregate(item.expression) for item in items)

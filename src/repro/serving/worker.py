@@ -59,7 +59,6 @@ if TYPE_CHECKING:
     from .base import DataService
 
 __all__ = [
-    "GENERATION_PORT_STRIDE",
     "ShardSpec",
     "TableDump",
     "WorkerHandle",
@@ -234,12 +233,12 @@ def _build_worker_stack(spec: ShardSpec) -> tuple[LocalTransport, "Database"]:
     return LocalTransport(replica_stack(backend)), database
 
 
-def worker_main(payload: bytes, port: int, ready_conn: Any) -> None:
+def worker_main(payload: bytes, ready_conn: Any) -> None:
     """Entry point of one shard worker process.
 
-    ``payload`` is a pickled :class:`ShardSpec`; ``port`` the TCP port to
-    bind (0 for an ephemeral port); ``ready_conn`` a pipe the worker reports
-    ``{"port", "pid"}`` on once it is accepting connections (or
+    ``payload`` is a pickled :class:`ShardSpec`; ``ready_conn`` a pipe the
+    worker reports ``{"port", "pid"}`` on once it is accepting connections
+    on an ephemeral localhost port (or
     ``{"error": ...}`` if it failed to come up — including a rebuilt
     database whose checksum differs from the spec's).
     """
@@ -262,7 +261,7 @@ def worker_main(payload: bytes, port: int, ready_conn: Any) -> None:
             raise WorkerError(
                 f"rebuilt index checksum mismatch: {rebuilt} != spec {expected}"
             )
-        listener = socket.create_server(("127.0.0.1", port))
+        listener = socket.create_server(("127.0.0.1", 0))
     except Exception as error:  # noqa: BLE001 - reported to the parent
         try:
             ready_conn.send({"error": f"{type(error).__name__}: {error}"})
@@ -309,11 +308,6 @@ def worker_main(payload: bytes, port: int, ready_conn: Any) -> None:
 # Parent-side pool
 # ---------------------------------------------------------------------------
 
-#: Fixed-port pools reserve this many ports per rebalance generation, so a
-#: new pool can bind while the previous generation still serves its block.
-GENERATION_PORT_STRIDE = 128
-
-
 @dataclass
 class WorkerHandle:
     """One live worker process as seen from the parent."""
@@ -338,30 +332,23 @@ class WorkerPool:
     ``specs`` holds one entry per worker; passing the *same* spec object
     several times runs that many replicas of the shard (the payload is
     pickled once per distinct spec and replica indexes are assigned in
-    list order per shard).  ``port_base`` of 0 (the default) lets every
-    worker bind an ephemeral port and report it back; a positive base
-    assigns ``base + index`` per worker (useful when firewalls need
-    predictable ports).  Workers that do not report ready within
+    list order per shard).  Every worker binds an ephemeral localhost port
+    and reports it back; nothing outside this machine dials a worker, so
+    no port is configured.  Workers that do not report ready within
     ``spawn_timeout_s`` — or report an error — fail the whole
     :meth:`start`, which tears down anything already running.
 
-    ``generation`` supports the online-rebalance handoff: while a new
-    shard set spawns, the previous generation's pool is still serving, so
-    the new one must not collide with it.  The generation is baked into
-    the worker process names (``kyrix-worker-g1-s0r0``, so both
-    generations stay tellable apart in ``ps`` during the handoff) and,
-    with a fixed ``port_base``, offsets the port range by
-    ``generation * GENERATION_PORT_STRIDE`` — the old pool keeps its ports
-    until it drains and the new one binds its own block (the stride, not
-    the pool size, keeps a shrinking rebalance from landing inside the
-    still-bound old range).
+    ``generation`` names the rebalance epoch the pool serves: while a new
+    shard set spawns, the previous generation's pool is still serving, and
+    the generation baked into the worker process names
+    (``kyrix-worker-g1-s0r0``) keeps both tellable apart in ``ps`` during
+    the handoff.
     """
 
     def __init__(
         self,
         specs: list[ShardSpec],
         *,
-        port_base: int = 0,
         spawn_timeout_s: float = 10.0,
         generation: int = 0,
     ) -> None:
@@ -370,10 +357,8 @@ class WorkerPool:
         if generation < 0:
             raise WorkerError(f"generation must be >= 0, got {generation}")
         self.specs = list(specs)
-        self.port_base = port_base
         self.spawn_timeout_s = spawn_timeout_s
         self.generation = generation
-        self._port_offset = generation * GENERATION_PORT_STRIDE
         # fork is dramatically cheaper than spawn and the specs are fully
         # picklable either way; fall back where fork is absent.
         methods = multiprocessing.get_all_start_methods()
@@ -404,19 +389,16 @@ class WorkerPool:
         pending: list[tuple[ShardSpec, int, Any, Any]] = []
         handles: list[WorkerHandle] = []
         try:
-            for index, spec in enumerate(self.specs):
+            for spec in self.specs:
                 replica_index = replica_counts.get(spec.shard_id, 0)
                 replica_counts[spec.shard_id] = replica_index + 1
-                port = (
-                    self.port_base + self._port_offset + index if self.port_base else 0
-                )
                 payload = payloads.get(id(spec))
                 if payload is None:
                     payload = payloads[id(spec)] = spec.to_payload()
                 parent_conn, child_conn = self._context.Pipe(duplex=False)
                 process = self._context.Process(
                     target=worker_main,
-                    args=(payload, port, child_conn),
+                    args=(payload, child_conn),
                     name=f"kyrix-worker-g{self.generation}"
                     f"-s{spec.shard_id}r{replica_index}",
                     daemon=True,

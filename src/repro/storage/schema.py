@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..errors import SchemaError
 from .types import ColumnType, coerce_value
@@ -117,9 +117,3 @@ class TableSchema:
     def with_column(self, column: Column) -> "TableSchema":
         """Return a new schema with ``column`` appended."""
         return TableSchema(name=self.name, columns=[*self.columns, column])
-
-    def project(self, names: Iterable[str]) -> "TableSchema":
-        """Return a schema containing only the named columns, in the given order."""
-        return TableSchema(
-            name=self.name, columns=[self.column(name) for name in names]
-        )

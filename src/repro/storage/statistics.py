@@ -1,9 +1,8 @@
-"""Per-table statistics used by the mini-SQL planner and the benchmark report.
+"""Per-table statistics and the spatial sample the KD partitioner reads.
 
 The statistics are deliberately simple — row counts, per-column min/max and
-distinct-value estimates — which is enough for the planner to choose between
-a full scan, a key-index lookup and a spatial-index probe, and for the
-benchmark harness to report dataset characteristics.
+distinct-value estimates — enough to report dataset characteristics.  The
+mini-SQL planner is rule-based and reads none of them.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .schema import TableSchema
-from .types import ColumnType
 
 
 @dataclass
@@ -57,22 +55,6 @@ class TableStats:
         self.row_count += 1
         for column, value in zip(schema.columns, row):
             self.columns[column.name].observe(value)
-
-    def selectivity_estimate(self, column: str, schema: TableSchema) -> float:
-        """Crude equality-selectivity estimate for ``column``.
-
-        Returns the expected fraction of rows matching one key.  Used by the
-        planner to prefer an index lookup over a scan.
-        """
-        stats = self.columns.get(column)
-        if stats is None or self.row_count == 0 or stats.non_null_count == 0:
-            return 1.0
-        column_type = schema.column(column).type
-        if column_type is ColumnType.INTEGER and stats.min_value is not None:
-            spread = int(stats.max_value) - int(stats.min_value) + 1
-            return 1.0 / max(1, min(spread, self.row_count))
-        return 1.0 / max(1, self.row_count)
-
 
 def compute_stats(schema: TableSchema, rows: list[tuple[Any, ...]]) -> TableStats:
     """Build :class:`TableStats` by scanning ``rows`` once."""

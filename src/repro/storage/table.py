@@ -240,16 +240,6 @@ class Table:
         position = self.schema.column_index(column)
         return [(rid, row) for rid, row in self._heap.scan() if row[position] == key]
 
-    def lookup_keys(self, column: str, keys: Sequence[Any]) -> list[tuple[int, tuple[Any, ...]]]:
-        """Equality lookup for several keys (IN-list)."""
-        info = self.find_index_on(column, kinds=("btree",))
-        if info is not None:
-            rids = info.index.search_many(list(keys))  # type: ignore[union-attr]
-            return list(zip(rids, self._heap.fetch_many(rids)))
-        wanted = set(keys)
-        position = self.schema.column_index(column)
-        return [(rid, row) for rid, row in self._heap.scan() if row[position] in wanted]
-
     def spatial_search(self, column: str, query: Rect) -> list[tuple[int, tuple[Any, ...]]]:
         """Bbox-intersection lookup, via an R-tree when available."""
         info = self.find_index_on(column, kinds=("rtree",))

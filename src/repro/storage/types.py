@@ -28,8 +28,8 @@ class ColumnType(enum.Enum):
         """Resolve a type from its SQL-ish name (case-insensitive).
 
         Accepts a few common aliases (``int``, ``bigint``, ``double``,
-        ``real``, ``varchar``, ``string``) so that mini-SQL ``CREATE TABLE``
-        statements read naturally.
+        ``real``, ``varchar``, ``string``) so that the column lists handed to
+        :meth:`~repro.storage.database.Database.create_table` read naturally.
         """
         normalized = name.strip().lower()
         aliases = {

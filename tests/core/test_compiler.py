@@ -1,5 +1,7 @@
 """Tests for the compiler: constraint checking and plan generation."""
 
+import re
+
 import pytest
 
 from repro.bench.apps import build_dots_application, default_config
@@ -85,10 +87,24 @@ class TestValidator:
         app.canvas("overview").transforms["data"].query = "SELEC x FRM t"
         assert any("does not parse" in issue for issue in collect_issues(app))
 
-    def test_non_select_layer_query(self):
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("INSERT INTO dots VALUES (1)", "expected SELECT (near 'insert')"),
+            ("SELECT x, y FROM dots GROUP BY x, y", "unexpected trailing input (near 'by')"),
+            ("SELECT count(x) AS n FROM dots", "unknown function 'count'"),
+            ("SELECT x, y FROM dots LEFT JOIN t ON dots.x = t.x", "only inner joins"),
+            ("SELECT 1 AS x, 2 AS y", "expected FROM"),
+        ],
+    )
+    def test_a_layer_query_outside_the_dialect_fails_validation(self, query, message):
+        """Refused when the application compiles, not when precompute runs it."""
         app = make_valid_app()
-        app.canvas("overview").transforms["data"].query = "INSERT INTO dots VALUES (1)"
-        assert any("must be a SELECT" in issue for issue in collect_issues(app))
+        app.canvas("overview").transforms["data"].query = query
+        issue = f"canvas 'overview' layer 0: layer query does not parse: {message}"
+        assert any(found.startswith(issue) for found in collect_issues(app))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            validate(app)
 
     def test_jump_to_unknown_canvas(self):
         app = make_valid_app()

@@ -40,10 +40,7 @@ INVALID_VALUES = [
     {"cluster": {"strategy": "hilbert"}},
     {"cluster": {"replicas": 0}},
     {"cluster": {"replica_policy": "random"}},
-    {"cluster": {"breaker_threshold": 0}},
-    {"cluster": {"breaker_reset_s": -1.0}},
     {"cluster": {"worker_mode": "fibers"}},
-    {"cluster": {"worker_port_base": 70_000}},
 ]
 #: Outside input (a ``config.txt``) that is not shaped like a configuration:
 #: unknown keys — a knob deleted since the file was saved included —
@@ -65,6 +62,11 @@ DELETED_KEYS = {
     "cluster.autopilot": {"cluster": {"autopilot": {"enabled": True}}},
     "cache.enabled": {"cache": {"enabled": False}},
     "prefetch.strategy": {"prefetch": {"strategy": "momentum"}},
+    # Breaker tuning is ``ReplicaService``'s keyword defaults; workers bind
+    # ephemeral localhost ports.
+    "cluster.breaker_threshold": {"cluster": {"breaker_threshold": 5}},
+    "cluster.breaker_reset_s": {"cluster": {"breaker_reset_s": 10.0}},
+    "cluster.worker_port_base": {"cluster": {"worker_port_base": 9000}},
 }
 
 OPERATIONS_DOC = Path(__file__).resolve().parents[2] / "docs" / "operations.md"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SQLExecutionError
+from repro.errors import SQLExecutionError, SQLSyntaxError
 from repro.minisql.ast import ColumnRef, Literal
 from repro.minisql.functions import (
     Layout,
@@ -107,8 +107,15 @@ class TestEvaluate:
         assert ev("floor(2.7)") == 2
         assert ev("ceil(2.1)") == 3
 
+    def test_two_argument_min_max_are_null_when_an_argument_is(self):
+        assert ev("min(3, 1.5)") == 1.5
+        assert ev("max(3, 1.5)") == 3
+        assert ev("min(x, 1)", {"x": None}) is None
+        assert ev("max(1, x)", {"x": None}) is None
+
     def test_unknown_function_raises(self):
-        with pytest.raises(SQLExecutionError):
+        # Refused by the parser, so a layer query calling one fails validation.
+        with pytest.raises(SQLSyntaxError, match="unknown function 'frobnicate'"):
             ev("frobnicate(1)")
 
 
@@ -165,4 +172,4 @@ class TestPredicateAnalysis:
         assert as_spatial_lookup(parse_expression("intersects(bbox, 0, 0, w, h)")) is None
 
     def test_as_spatial_lookup_rejects_other_functions(self):
-        assert as_spatial_lookup(parse_expression("count(*)")) is None
+        assert as_spatial_lookup(parse_expression("abs(x)")) is None

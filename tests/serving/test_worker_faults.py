@@ -126,20 +126,20 @@ def test_worker_spawn_failure_is_typed_and_cleans_up(dots_stack):
         dots_stack.backend.config,
         shard_id=0,
     )
-    # Two workers racing for the same fixed port: the second cannot bind,
+    # A good worker and one whose rows do not match its checksum: the second
     # reports the failure, and start() fails with a typed error after
     # tearing the first worker down again.
-    import socket
-
-    blocker = socket.create_server(("127.0.0.1", 0))
-    port = blocker.getsockname()[1]
-    try:
-        pool = WorkerPool([shard], port_base=port, spawn_timeout_s=5.0)
-        with pytest.raises(WorkerSpawnError):
-            pool.start()
-        assert pool.handles == []
-    finally:
-        blocker.close()
+    bad = _hand_built_spec(
+        dots_stack,
+        TableDump(name="t", columns=(("x", "float"),), rows=((1,),), indexes=()),
+        shard_id=1,
+    )
+    before = set(multiprocessing.active_children())
+    pool = WorkerPool([shard, bad], spawn_timeout_s=5.0)
+    with pytest.raises(WorkerSpawnError, match="shard1/replica0 failed to start"):
+        pool.start()
+    assert pool.handles == []
+    assert _new_workers(before) == []
 
 
 def _hand_built_spec(stack, *tables: TableDump, shard_id: int = 0) -> ShardSpec:

@@ -74,7 +74,3 @@ class TestSchemaEvolution:
         extended = schema.with_column(Column("extra", ColumnType.FLOAT))
         assert extended.has_column("extra")
         assert not schema.has_column("extra")
-
-    def test_project(self, schema):
-        projected = schema.project(["x", "name"])
-        assert projected.column_names == ["x", "name"]

@@ -137,18 +137,18 @@ class TestUniqueKeys:
             assert [row for _, row in table.lookup_key("a", a)] == [(id_, a)]
         assert table.lookup_key("a", 99) == table.lookup_key("a", 30) == []
 
-    def test_a_refused_sql_insert_writes_nothing(self, database, table):
+    def test_a_refused_load_is_invisible_to_sql(self, database, table):
         engine = SQLEngine(database)
-        for sql in (
-            "INSERT INTO t VALUES (1, 99)",  # a key the index holds
-            "INSERT INTO t VALUES (3, 30), (3, 31)",  # a key the rows repeat
+        for rows in (
+            [(1, 99)],  # a key the index holds
+            [(3, 30), (3, 31)],  # a key the rows repeat
         ):
             with pytest.raises(DuplicateKeyError, match="t_id"):
-                engine.execute(sql)
+                table.bulk_load(rows)
             self.assert_unchanged(table)
         assert engine.execute("SELECT * FROM t").rows == [(1, 10), (2, 20)]
         assert engine.execute("SELECT id FROM t WHERE a = 99").rows == []
-        assert engine.execute("INSERT INTO t VALUES (3, 30), (4, 99)").rowcount == 2
+        assert table.bulk_load([(3, 30), (4, 99)]) == 2
         assert engine.execute("SELECT id FROM t WHERE a = 99").rows == [(4,)]
 
     def test_a_refused_table_insert_writes_nothing(self, table):
@@ -159,15 +159,16 @@ class TestUniqueKeys:
         table.insert({"id": 3, "a": 99})
         assert [row for _, row in table.lookup_key("a", 99)] == [(3, 99)]
 
-    def test_a_refused_prepared_insert_writes_nothing(self, database, table):
+    def test_a_refused_load_leaves_a_prepared_statement_reading_the_old_rows(self, database, table):
         engine = SQLEngine(database)
-        statement = engine.prepare("INSERT INTO t VALUES (?, ?), (?, ?)")
-        for values in ((3, 30, 2, 99), (4, 40, 4, 99)):
+        statement = engine.prepare("SELECT id FROM t WHERE a = ?")
+        for rows in ([(3, 30), (2, 99)], [(4, 40), (4, 99)]):
             with pytest.raises(DuplicateKeyError, match="t_id"):
-                engine.execute(statement.bind(*values))
+                table.bulk_load(rows)
             self.assert_unchanged(table)
-        assert engine.execute(statement.bind(3, 30, 4, 40)).rowcount == 2
-        assert engine.execute("SELECT a FROM t WHERE id = 4").rows == [(40,)]
+            assert engine.execute(statement.bind(99)).rows == []
+        assert table.bulk_load([(3, 30), (4, 40)]) == 2
+        assert engine.execute(statement.bind(40)).rows == [(4,)]
 
     def test_a_unique_index_over_repeated_keys_is_refused(self, database):
         table = database.create_and_load("r", [("id", "int")], [(1,), (2,), (1,)])
@@ -206,9 +207,8 @@ class TestNanBbox:
             dots_table.insert({"id": 500, "x": 0.0, "y": 0.0, "bbox": bbox})
         with pytest.raises(TypeMismatchError, match="NaN"):
             database.create_and_load("other", [("bbox", "bbox")], [(tuple(bbox),)])
-        insert = SQLEngine(database).prepare("INSERT INTO dots VALUES (500, 0, 0, bbox(?, ?, ?, ?))")
         with pytest.raises(TypeMismatchError, match="NaN"):
-            SQLEngine(database).execute(insert.bind(*bbox))
+            dots_table.bulk_load([(500, 0.0, 0.0, tuple(bbox))])
         assert len(dots_table) == 100
         assert dots_table.spatial_search("bbox", Rect(5000, 0, 5001, 1)) == []
 
@@ -258,11 +258,10 @@ class TestIndexManagement:
         assert dots_table.find_index_on("x") is None
 
     def test_a_hash_index_is_an_unknown_kind(self, database, dots_table):
+        version = database.catalog_version
         with pytest.raises(StorageError, match="unknown index kind: 'hash'"):
             dots_table.create_index("by_id", "id", "hash")
-        with pytest.raises(StorageError, match="unknown index kind: 'hash'"):
-            SQLEngine(database).execute("CREATE INDEX by_id ON dots (id) USING hash")
-        assert dots_table.indexes == {}
+        assert dots_table.indexes == {} and database.catalog_version == version
 
 
 class TestAccessPaths:
@@ -271,11 +270,6 @@ class TestAccessPaths:
         dots_table.create_index("dots_id", "id", "btree")
         with_index = dots_table.lookup_key("id", 10)
         assert [row for _, row in no_index] == [row for _, row in with_index]
-
-    def test_lookup_keys(self, dots_table):
-        dots_table.create_index("dots_id", "id", "btree")
-        results = dots_table.lookup_keys("id", [1, 3, 5])
-        assert sorted(row[0] for _, row in results) == [1, 3, 5]
 
     def test_spatial_search_with_and_without_index(self, dots_table):
         query = Rect(0, 0, 200, 100)
@@ -319,8 +313,3 @@ class TestStatistics:
         dots_table.insert((100, 1.0, 1.0, (0, 0, 1, 1)))
         refreshed = dots_table.statistics()
         assert refreshed.row_count == 101
-
-    def test_selectivity_estimate(self, dots_table):
-        stats = dots_table.statistics()
-        estimate = stats.selectivity_estimate("id", dots_table.schema)
-        assert 0 < estimate <= 1.0 / 50
