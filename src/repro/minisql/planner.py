@@ -16,7 +16,11 @@ a literal or a ``?`` placeholder):
 
 Joins become :class:`IndexNLJoin` when the inner table has a key index on
 its join column (the tuple–tile mapping design's ``tuple_id`` join), and
-:class:`HashJoin` otherwise.
+:class:`HashJoin` otherwise.  When the select list names only plain columns
+of the last index join's inner table and no residual filter is left, the
+projection is pushed into that join: it returns the fetched inner rows as
+they are, and the projection over them is the identity when it keeps every
+column in order.
 
 A plan node is also its own operator.  Building it fixes the layout of the
 flat tuples it emits and compiles its expressions against its input's
@@ -29,7 +33,7 @@ down the tree by :meth:`PlanNode.rows` and never written to a node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -183,23 +187,27 @@ class Filter(PlanNode):
 @dataclass
 class IndexNLJoin(PlanNode):
     """Index join: probe ``inner_index`` (a key index on the inner table's join
-    column) with every outer row's key, then fetch every inner row found in one
-    batch.  Rows come out in outer order, an outer row's matches in index order."""
+    column) with every outer row's key in one batch, then fetch every inner row
+    found in one batch.  Rows come out in outer order, an outer row's matches in
+    index order.  With ``inner_only`` (the select list names inner columns
+    alone) a row is the inner row as fetched, shaped like the inner table."""
 
     outer: PlanNode
     inner_table: Table
     inner_binding: str
     outer_column: ColumnRef
     inner_index: IndexInfo
+    inner_only: bool = False
 
     def __post_init__(self) -> None:
-        self.layout = self.outer.layout + Layout.of_table(self.inner_table, self.inner_binding)
+        inner = Layout.of_table(self.inner_table, self.inner_binding)
+        self.layout = inner if self.inner_only else self.outer.layout + inner
         self._outer_key = self.outer.layout.resolve(self.outer_column)
 
     def describe(self, binds: Binds = ()) -> str:
         return (
             f"IndexNLJoin(inner={self.inner_table.name} as {self.inner_binding} "
-            f"on {self.inner_index.column})"
+            f"on {self.inner_index.column}{', inner rows' if self.inner_only else ''})"
         )
 
     def children(self) -> list[PlanNode]:
@@ -207,8 +215,12 @@ class IndexNLJoin(PlanNode):
 
     def rows(self, binds: Binds) -> Iterable[Row]:
         outer_rows = list(self.outer.rows(binds))
-        search, key_at = self.inner_index.index.search, self._outer_key
+        key_at, index = self._outer_key, self.inner_index.index
         # A NULL outer key joins nothing; an absent one finds no rids.
+        if self.inner_only:
+            keys = [key for outer_row in outer_rows if (key := outer_row[key_at]) is not None]
+            return self.inner_table.fetch_many(index.search_many(keys))
+        search = index.search
         found = [
             search(key) if (key := outer_row[key_at]) is not None else ()
             for outer_row in outer_rows
@@ -275,7 +287,9 @@ class Project(PlanNode):
             return
         self.layout = _projected_layout(self.items, source)
         if all(isinstance(item.expression, ColumnRef) for item in self.items):
-            self._picked = _pick([source.resolve(item.expression) for item in self.items])
+            offsets = [source.resolve(item.expression) for item in self.items]
+            if offsets != list(range(len(source.slots))):  # else each row is its own pick
+                self._picked = _pick(offsets)
         else:
             self._evaluators = [compile_expression(item.expression, source) for item in self.items]
 
@@ -300,6 +314,20 @@ def _pick(offsets: Sequence[int]) -> Callable[[Row], Row]:
         (only,) = offsets
         return lambda row: (row[only],)
     return itemgetter(*offsets)
+
+
+def _selects_inner_only(join: IndexNLJoin, statement: SelectStatement) -> bool:
+    """Whether every select item is a plain column of ``join``'s inner table,
+    resolved against the whole joined row (a bare name both sides have stays
+    ambiguous)."""
+    if statement.select_star:
+        return False
+    inner_from = len(join.outer.layout.slots)
+    return all(
+        isinstance(item.expression, ColumnRef)
+        and join.layout.resolve(item.expression) >= inner_from
+        for item in statement.items
+    )
 
 
 def _item_name(item: SelectItem, index: int) -> str:
@@ -363,6 +391,8 @@ class Planner:
         residual = combine_conjuncts(remaining)
         if residual is not None:
             node = Filter(child=node, predicate=residual)
+        elif isinstance(node, IndexNLJoin) and _selects_inner_only(node, statement):
+            node = replace(node, inner_only=True)
         node = Project(child=node, items=list(statement.items), select_star=statement.select_star)
         return PlannedQuery(root=node, access_path=access_path)
 

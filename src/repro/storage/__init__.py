@@ -5,8 +5,8 @@ DBMS:
 
 * slotted-page heap files behind an LRU buffer pool
   (:mod:`repro.storage.pager`, :mod:`repro.storage.heapfile`),
-* B-tree indexes for the tuple–tile mapping database design
-  (:mod:`repro.storage.btree`),
+* B-tree indexes, each one sorted array of keys beside their record ids,
+  for the tuple–tile mapping database design (:mod:`repro.storage.btree`),
 * an R-tree spatial index for the bbox database design used by dynamic
   boxes and spatial static tiles (:mod:`repro.storage.rtree`),
 * a table/catalog layer tying them together (:mod:`repro.storage.table`,

@@ -267,14 +267,29 @@ class TestFigure6And7:
 
             monkeypatch.setattr(table, "fetch_many", counting)
 
+        btree_probes = 0  # one per key looked up, one at a time or in a batch
+        for index in (by_tile, by_tuple):
+            def counting_search(key, search=index.search):
+                nonlocal btree_probes
+                btree_probes += 1
+                return search(key)
+
+            def counting_search_many(keys, search_many=index.search_many):
+                nonlocal btree_probes
+                btree_probes += len(keys)
+                return search_many(keys)
+
+            monkeypatch.setattr(index, "search", counting_search)
+            monkeypatch.setattr(index, "search_many", counting_search_many)
+
         def work(design: str, tile_id: int) -> tuple[list, int, int, int]:
             """The objects of one tile, and the (B-tree, R-tree, heap) work they cost."""
-            before = (by_tile.lookups + by_tuple.lookups, rtree.lookups, heap_records)
+            before = (btree_probes, rtree.lookups, heap_records)
             request = DataRequest(
                 "dots", "dots", 0, "tile", design=design, tile_id=tile_id, tile_size=1024
             )
             objects = backend.handle(request).objects
-            after = (by_tile.lookups + by_tuple.lookups, rtree.lookups, heap_records)
+            after = (btree_probes, rtree.lookups, heap_records)
             return (sorted(objects, key=lambda o: o["tuple_id"]),
                     *(b - a for a, b in zip(before, after)))
 

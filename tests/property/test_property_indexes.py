@@ -35,10 +35,10 @@ boxes = st.one_of(
 )
 
 
-def loaded(values, *, order: int = 8) -> BTreeIndex:
+def loaded(values, *, unique: bool = False) -> BTreeIndex:
     """A B-tree over ``value -> rid(position)``, loaded as a table loads it:
     stably sorted by key, so equal keys keep their position order."""
-    index = BTreeIndex("p", order=order)
+    index = BTreeIndex("p", unique=unique)
     index.bulk_load(sorted(((key, rid(p)) for p, key in enumerate(values)), key=itemgetter(0)))
     return index
 
@@ -55,24 +55,13 @@ class TestBTreeProperties:
         for key in set(values) | {0, 1234}:
             assert index.search(key) == reference.get(key, [])  # position order kept
 
-    @given(st.lists(keys, min_size=1, max_size=200), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_range_search_matches_sorted_filter(self, values, data):
-        index = loaded(values)
-        low = data.draw(keys)
-        high = data.draw(st.integers(min_value=low, max_value=1000))
-        result = [k for k, _ in index.range_search(low, high)]
-        expected = sorted(k for k in values if low <= k <= high)
-        assert result == expected
-
-    # Six keys, leaves of four: a key's run of entries outgrows a leaf and
-    # crosses into the next ones.
+    # Six keys: every key's run of entries is long.
     few_keys = st.integers(min_value=0, max_value=5)
 
-    @given(st.integers(min_value=4, max_value=8), st.lists(few_keys, max_size=200))
+    @given(st.lists(few_keys, max_size=200))
     @settings(max_examples=80, deadline=None)
-    def test_duplicate_runs_match_a_dict_of_lists(self, order, values):
-        index = loaded(values, order=order)
+    def test_duplicate_runs_match_a_dict_of_lists(self, values):
+        index = loaded(values)
         model: dict[int, list[int]] = {}
         for position, key in enumerate(values):
             model.setdefault(key, []).append(rid(position))
@@ -80,31 +69,37 @@ class TestBTreeProperties:
         for key in range(7):
             assert index.search(key) == model.get(key, [])  # load order kept
         assert len(index) == len(values)
-        assert list(index.items()) == [(k, rid) for k in sorted(model) for rid in model[k]]
+        assert index.rids() == [rid for k in sorted(model) for rid in model[k]]
         assert list(index.keys()) == sorted(model)
         assert index.search_many([5, 0, 7]) == model.get(5, []) + model.get(0, [])
 
-    @given(st.integers(min_value=4, max_value=8), st.lists(keys, max_size=200))
+    @given(st.lists(keys, max_size=200))
     @settings(max_examples=40, deadline=None)
-    def test_bulk_load_equals_the_sorted_pairs(self, order, values):
+    def test_bulk_load_equals_the_sorted_pairs(self, values):
         pairs = sorted((key, position) for position, key in enumerate(values))
-        index = BTreeIndex("b", order=order)
+        index = BTreeIndex("b")
         index.bulk_load(pairs)
         index.validate()
         assert len(index) == len(values)
-        assert list(index.items()) == pairs
+        assert index.rids() == [position for _, position in pairs]
+        assert list(index.keys()) == sorted(set(values))
         for key in set(values) | {1234}:
             assert index.search(key) == [position for k, position in pairs if k == key]
-        low, high = min(values, default=0), max(values, default=0)
-        assert list(index.range_search(low, high, include_low=False, include_high=False)) == [
-            pair for pair in pairs if low < pair[0] < high
-        ]
+
+    @given(st.booleans(), st.lists(keys, max_size=200), st.lists(keys, max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_search_many_is_the_concatenation_of_search_in_key_order(self, unique, values, probes):
+        if unique:
+            values = list(dict.fromkeys(values))
+        index = loaded(values, unique=unique)
+        probes = probes + values[::7]  # keys present, some listed twice
+        assert index.search_many(probes) == [found for key in probes for found in index.search(key)]
 
     @given(st.lists(keys, min_size=1, max_size=50, unique=True), st.data())
     @settings(max_examples=30, deadline=None)
     def test_unique_index_refuses_a_second_entry(self, values, data):
         duplicate = data.draw(st.sampled_from(values))
-        index = BTreeIndex("u", order=4, unique=True)
+        index = BTreeIndex("u", unique=True)
         index.bulk_load((key, rid(key + 1000)) for key in sorted(values))
         with pytest.raises(DuplicateKeyError):
             index.bulk_load((key, rid(1)) for key in sorted(values + [duplicate]))

@@ -278,6 +278,73 @@ class TestBatchedJoinEqualsTheNestedLoop:
         assert engine.execute(sql).rows == [(0, "x"), (0, "z"), (3, "x"), (3, "z"), (4, "y")]
         assert sorted(engine.execute(sql).rows) == sorted(reference.execute(sql).fetchall())
 
+    # Inner-only select lists: the join hands back the fetched inner rows as
+    # they are (``inner rows`` in its plan line) and the projection picks from
+    # them.  Each is (select list, the inner columns it names, by offset in u).
+    INNER_ONLY = [("u.k, u.label", (0, 1)), ("u.label, u.k", (1, 0)),
+                  ("u.label, u.k, u.label", (1, 0, 1)), ("label", (1,))]
+
+    @staticmethod
+    def nested_loop(engine, pick, where=lambda outer_row, inner_row: True):
+        """The reference: one ``lookup_key`` per outer row, in outer order."""
+        inner = engine.database.table("u")
+        return [
+            pick(outer_row, inner_row)
+            for outer_row in engine.execute("SELECT * FROM t").rows
+            if outer_row[1] is not None
+            for _, inner_row in inner.lookup_key("k", outer_row[1])
+            if where(outer_row, inner_row)
+        ]
+
+    @pytest.mark.parametrize("select, columns", INNER_ONLY, ids=[c for c, _ in INNER_ONLY])
+    @given(t=t_rows, u=u_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_an_inner_only_select_list_returns_the_inner_rows(self, select, columns, t, u):
+        engine, _ = load(t, u, (("u", "k", "btree"),))
+        sql = f"SELECT {select} FROM t JOIN u ON t.a = u.k"
+        assert "IndexNLJoin(inner=u as u on k, inner rows)" in engine.explain(sql)
+        pick = lambda outer_row, inner_row: tuple(inner_row[c] for c in columns)
+        assert engine.execute(sql).rows == self.nested_loop(engine, pick)
+
+    def test_inner_rows_for_null_absent_and_duplicate_keys(self):
+        t = [(0, 1, 0.5, "a"), (1, None, 1.0, "b"), (2, 7, 1.5, "c"), (3, 1, 2.0, "d"), (4, 2, 2.5, "e")]
+        u = [(1, "x"), (2, "y"), (None, "n"), (1, "z")]
+        engine, _ = load(t, u, (("u", "k", "btree"),))
+        sql = "SELECT u.label, u.k FROM t JOIN u ON t.a = u.k"
+        assert engine.explain(sql).splitlines()[1].endswith(", inner rows)")
+        assert engine.execute(sql).rows == [("x", 1), ("z", 1), ("x", 1), ("z", 1), ("y", 2)]
+
+    def test_a_where_the_access_path_consumes_leaves_the_inner_rows(self):
+        # The served tile statement's shape: the WHERE is the outer scan's key probe.
+        t = [(0, 1, 0.5, "a"), (1, 2, 1.0, "b"), (2, 1, 1.5, "c")]
+        engine, _ = load(t, [(1, "x"), (2, "y"), (1, "z")], (("t", "id", "btree"), ("u", "k", "btree")))
+        sql = "SELECT u.label FROM t JOIN u ON t.a = u.k WHERE t.id = 2"
+        plan = engine.explain(sql)
+        assert "IndexKeyScan" in plan and "Filter" not in plan and ", inner rows)" in plan
+        assert engine.execute(sql).rows == [("x",), ("z",)]
+
+    # Shapes that keep joining outer row and inner row: (SQL, reference pick, reference filter).
+    CONCATENATING = {
+        "outer column": ("SELECT u.label, t.id FROM t JOIN u ON t.a = u.k",
+                         lambda o, i: (i[1], o[0]), lambda o, i: True),
+        "outer residual": ("SELECT u.k, u.label FROM t JOIN u ON t.a = u.k WHERE t.f > 0",
+                           lambda o, i: i, lambda o, i: o[2] is not None and o[2] > 0),
+        "inner residual": ("SELECT u.label FROM t JOIN u ON t.a = u.k WHERE u.label = 'a'",
+                           lambda o, i: (i[1],), lambda o, i: i[1] == "a"),
+        "select star": ("SELECT * FROM t JOIN u ON t.a = u.k",
+                        lambda o, i: o + i, lambda o, i: True),
+    }
+
+    @pytest.mark.parametrize("shape", list(CONCATENATING))
+    @given(t=t_rows, u=u_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_other_shapes_keep_the_concatenating_join(self, shape, t, u):
+        sql, pick, where = self.CONCATENATING[shape]
+        engine, _ = load(t, u, (("u", "k", "btree"),))
+        plan = engine.explain(sql)
+        assert "IndexNLJoin(inner=u as u on k)" in plan and "inner rows" not in plan
+        assert engine.execute(sql).rows == self.nested_loop(engine, pick, where)
+
 
 class TestDocumentedDeviations:
     """What mini-SQL answers differently from SQLite, on purpose."""

@@ -292,6 +292,9 @@ class TestPreparedShapes:
         assert box_a.prepared is box_b.prepared and tile_a.prepared is tile_b.prepared
         assert box_a.values == (0, 0, 300, 300) and tile_b.values == (1,)
         assert "SpatialScan" in seam.explain(box_a) and "IndexNLJoin" in seam.explain(tile_a)
+        # The tile join selects the placement table alone: it returns the fetched
+        # rows as they are, never an outer row and an inner row joined.
+        assert "on tuple_id, inner rows)" in seam.explain(tile_a)
 
     def test_statements_survive_a_second_precompute(self):
         """``precompute`` drops and rebuilds the placement table under the

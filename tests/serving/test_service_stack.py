@@ -35,12 +35,7 @@ def _own_containers(index) -> list:
     """The lists, arrays and dicts an index is made of (not the keys in them)."""
     if index.kind == "rtree":
         return list(index._packed[:5])
-    found, nodes = [], [index._root]
-    while nodes:
-        node = nodes.pop()
-        found += [node.keys, node.rids if node.is_leaf else node.children]
-        nodes += [] if node.is_leaf else node.children
-    return found
+    return [index._keys, index._rids]
 
 
 def _second_value(spec: dataclasses.Field):

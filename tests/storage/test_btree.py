@@ -1,4 +1,4 @@
-"""Tests for the B+tree index."""
+"""Tests for the B-tree index (one sorted array of keys beside the rids)."""
 
 import random
 
@@ -15,7 +15,7 @@ def rid(n: int) -> RecordId:
 
 @pytest.fixture()
 def index() -> BTreeIndex:
-    return BTreeIndex("idx", order=8)
+    return BTreeIndex("idx")
 
 
 def load(index: BTreeIndex, keys) -> BTreeIndex:
@@ -45,11 +45,11 @@ class TestLoadSearch:
         with pytest.raises(StorageError, match="out of order"):
             index.bulk_load([(2, rid(2)), (1, rid(1))])
 
-    def test_a_large_load_builds_levels_and_stays_searchable(self, index):
+    def test_a_large_load_stays_searchable(self, index):
         keys = list(range(500))
         random.Random(3).shuffle(keys)
         load(index, keys)
-        assert index.height() > 1
+        assert len(index) == 500
         for key in (0, 17, 250, 499):
             assert index.search(key) == [rid(key)]
         index.validate()
@@ -71,24 +71,29 @@ class TestLoadSearch:
     def test_an_empty_load_is_an_empty_index(self, index):
         load(index, range(20))
         index.bulk_load([])
-        assert len(index) == 0 and index.height() == 1
-        assert index.search(3) == [] and list(index.items()) == []
+        assert len(index) == 0 and index.rids() == [] and list(index.keys()) == []
+        assert index.search(3) == [] and index.search_many([3, 4]) == []
         index.validate()
 
     def test_search_many_skips_missing_keys_and_keeps_key_order(self, index):
         index.bulk_load([(1, rid(1)), (3, rid(3)), (3, rid(4)), (5, rid(5))])
         assert index.search_many([5, 2, 3, 9]) == [rid(5), rid(3), rid(4)]
 
-    def test_a_unique_load_over_many_leaves_validates(self):
-        index = load(BTreeIndex("u", order=4, unique=True), range(300))
-        assert index.height() > 2 and len(index) == 300
-        assert index.search_many([0, 150, 299]) == [rid(0), rid(150), rid(299)]
+    def test_a_300_key_unique_load_validates_and_finds_every_key(self):
+        index = load(BTreeIndex("u", unique=True), range(300))
         index.validate()
+        assert len(index) == 300
+        assert index.search_many(range(300)) == [rid(key) for key in range(300)]
+        assert index.search_many([299, 0, 150, 300, -1, 0]) == [rid(299), rid(0), rid(150), rid(0)]
 
-    def test_an_equal_key_run_across_leaves_comes_back_whole(self, index):
+    def test_an_equal_key_run_comes_back_whole(self, index):
         index.bulk_load([(1, rid(0))] + [(2, rid(n)) for n in range(1, 30)] + [(3, rid(30))])
         assert index.search(2) == [rid(n) for n in range(1, 30)]
-        assert [k for k, _ in index.range_search(2, 2)] == [2] * 29
+        assert index.search_many([3, 2, 1]) == [rid(30)] + [rid(n) for n in range(1, 30)] + [rid(0)]
+
+    def test_search_many_repeats_a_repeated_key(self, index):
+        index.bulk_load([(1, rid(1)), (1, rid(2)), (4, rid(4))])
+        assert index.search_many([1, 4, 1]) == [rid(1), rid(2), rid(4), rid(1), rid(2)]
 
 
 class TestRemap:
@@ -109,48 +114,38 @@ class TestRemap:
             index.remap({rid(0): rid(9)})
 
 
-class TestRangeSearch:
-    def test_string_key_ranges(self, index):
-        words = ["apple", "banana", "cherry", "date", "elder", "fig"]
+class TestKeys:
+    def test_string_keys_in_order(self, index):
+        words = ["apple", "banana", "cherry", "date"]
         index.bulk_load((word, rid(n)) for n, word in enumerate(words))
-        assert [k for k, _ in index.range_search("b", "e")] == ["banana", "cherry", "date"]
-
-
-    def test_full_range_in_key_order(self, index):
-        keys = [7, 3, 9, 1, 5]
-        load(index, keys)
-        assert [k for k, _ in index.items()] == sorted(keys)
-
-    def test_bounded_range(self, index):
-        load(index, range(20))
-        result = [k for k, _ in index.range_search(5, 10)]
-        assert result == [5, 6, 7, 8, 9, 10]
-
-    def test_exclusive_bounds(self, index):
-        load(index, range(10))
-        result = [
-            k for k, _ in index.range_search(2, 6, include_low=False, include_high=False)
-        ]
-        assert result == [3, 4, 5]
-
-    def test_open_ended_ranges(self, index):
-        load(index, range(10))
-        assert [k for k, _ in index.range_search(low=7)] == [7, 8, 9]
-        assert [k for k, _ in index.range_search(high=2)] == [0, 1, 2]
+        assert list(index.keys()) == words
+        assert index.search_many(["cherry", "b", "apple"]) == [rid(2), rid(0)]
 
     def test_keys_iterator(self, index):
         load(index, (3, 1, 2))
         assert list(index.keys()) == [1, 2, 3]
 
+    def test_keys_are_distinct_and_rids_are_every_entry(self, index):
+        index.bulk_load([(1, rid(5)), (1, rid(3)), (2, rid(4))])
+        assert list(index.keys()) == [1, 2]
+        assert index.rids() == [rid(5), rid(3), rid(4)]
+
 
 class TestValidation:
-    def test_order_too_small_rejected(self):
-        with pytest.raises(StorageError):
-            BTreeIndex("bad", order=2)
-
-    def test_validate_detects_corruption(self, index):
+    def test_validate_detects_keys_planted_out_of_order(self, index):
         load(index, range(100))
-        # Corrupt the recorded count deliberately.
-        index._count += 1
-        with pytest.raises(StorageError):
+        index._keys[40], index._keys[41] = index._keys[41], index._keys[40]
+        with pytest.raises(StorageError, match="out of order"):
+            index.validate()
+
+    def test_validate_detects_a_duplicate_planted_in_a_unique_index(self):
+        index = load(BTreeIndex("u", unique=True), range(100))
+        index._keys[41] = 40
+        with pytest.raises(DuplicateKeyError):
+            index.validate()
+
+    def test_validate_detects_keys_and_rids_of_different_lengths(self, index):
+        load(index, range(100))
+        index._rids.pop()
+        with pytest.raises(StorageError, match="differ in length"):
             index.validate()

@@ -297,7 +297,8 @@ class TestAccessPaths:
         with pytest.raises(SchemaError):
             table.bulk_load(iter([(1,), (2,), (3, 4)]))  # the third row is refused
         index = table.get_index("t_a").index
-        assert list(index.items()) == [(row[0], rid) for rid, row in table.scan()]
+        assert index.rids() == [rid for rid, _ in table.scan()]
+        assert list(index.keys()) == [row[0] for _, row in table.scan()]
 
 
 class TestStatistics:
