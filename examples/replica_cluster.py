@@ -43,15 +43,13 @@ def main(num_points: int = 20_000) -> int:
     config.cluster.enabled = True
     config.cluster.shard_count = 2
     config.cluster.replicas = 2
-    config.cluster.replica_policy = "least_inflight"
     database = Database(config.storage)
     load_dots(database, dataset)
     compiled = compile_application(build_dots_application(dataset, config))
     service = build_service(config, database=database, compiled=compiled)
     router = unwrap(service, ClusterRouter)
     print(f"cluster: {router.describe()['shard_count']} shards x "
-          f"{router.describe()['replicas']} replicas "
-          f"({router.describe()['replica_policy']})")
+          f"{router.describe()['replicas']} replicas")
 
     session = []
     for step in range(16):

@@ -21,10 +21,10 @@ from ..client.session import ExplorationSession, SessionResult
 from ..core.viewport import Viewport
 from ..datagen.synthetic import DotDatasetSpec, skewed_spec, uniform_spec
 from ..datagen.traces import Trace, paper_traces
-from ..server.dbox import ExactBoxCalculator, ExpandedBoxCalculator
 from ..server.prefetch import MomentumPrefetcher
 from ..server.schemes import (
     FetchScheme,
+    dbox50_scheme,
     dbox_scheme,
     paper_schemes,
     tile_mapping_scheme,
@@ -215,10 +215,7 @@ def fetch_footprint(
     for trace in traces.values():
         viewport_area = len(trace.positions) * viewport_w * viewport_h
         # Dynamic boxes (exact and 50%).
-        for name, calculator in (
-            ("dbox", ExactBoxCalculator()),
-            ("dbox 50%", ExpandedBoxCalculator(expansion=0.5)),
-        ):
+        for box_scheme in (dbox_scheme(), dbox50_scheme()):
             fetched_area = 0.0
             requests = 0
             current_box = None
@@ -226,12 +223,12 @@ def fetch_footprint(
                 viewport = Viewport(x, y, viewport_w, viewport_h)
                 if current_box is not None and current_box.contains(viewport.to_rect()):
                     continue
-                current_box = calculator.compute(viewport, spec.canvas_width, spec.canvas_height)
+                current_box = box_scheme.box_for(viewport, spec.canvas_width, spec.canvas_height)
                 fetched_area += current_box.area
                 requests += 1
             results.append(
                 FootprintResult(
-                    scheme=name,
+                    scheme=box_scheme.name,
                     trace=trace.name,
                     requests=requests,
                     objects=int(fetched_area * spec.density),

@@ -226,7 +226,7 @@ class KyrixFrontend:
         if not state.needs_fetch(viewport):
             state.record_skip()
             return []
-        box = scheme.box_calculator().compute(viewport, canvas_plan.width, canvas_plan.height)
+        box = scheme.box_for(viewport, canvas_plan.width, canvas_plan.height)
         state.record_fetch(box)
         return [self._box_request(layer_plan, box)]
 
@@ -298,9 +298,7 @@ class KyrixFrontend:
         """Requests covering a *predicted* viewport (does not disturb dbox state)."""
         if self.scheme.is_tile:
             return self._requests_for_layer(layer_plan, viewport, canvas_plan)
-        box = self.scheme.box_calculator().compute(
-            viewport, canvas_plan.width, canvas_plan.height
-        )
+        box = self.scheme.box_for(viewport, canvas_plan.width, canvas_plan.height)
         return [self._box_request(layer_plan, box)]
 
     # -- helpers --------------------------------------------------------------------------------

@@ -71,7 +71,8 @@ protocol, so ``KyrixFrontend`` / ``ExplorationSession`` drive a cluster
 exactly like a single backend; build the whole stack with
 :func:`repro.serving.build_service` rather than wiring routers by hand.
 Configuration lives in ``KyrixConfig.cluster`` (shard count, strategy,
-replicas, worker mode, parallel/wire flags) and any field can be overridden
+replicas, worker mode, parallel/wire flags; a replica set always picks
+round-robin among the replicas whose breakers admit traffic) and any field can be overridden
 per build by name (``build_cluster(backend, shard_count=2, replicas=2)``);
 what nobody varies — load-histogram size, drain timeout — is
 a module constant beside its reader.  The ``cluster_cold`` / ``cluster_hot``

@@ -155,7 +155,7 @@ def attach_shard_services(
                 for _ in range(cluster_config.replicas)
             ]
         if cluster_config.replicas > 1:
-            shard.service = ReplicaService(replicas, policy=cluster_config.replica_policy)
+            shard.service = ReplicaService(replicas)
         else:
             shard.service = replicas[0]
         if pool is not None:

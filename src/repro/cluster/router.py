@@ -593,7 +593,6 @@ class ClusterRouter:
             "parallel": self.parallel,
             "wire_shards": cluster_config.wire_shards,
             "replicas": cluster_config.replicas,
-            "replica_policy": cluster_config.replica_policy,
             "worker_mode": cluster_config.worker_mode,
             "shards": [
                 {

@@ -7,7 +7,9 @@ It bundles the storage-engine configuration, the modelled network hop,
 the two cache sizes and the cluster / telemetry sections.  A field lives
 here only while a non-test caller sets it to a second value
 (``docs/operations.md`` names that caller per field); a value nobody varies
-is a module constant beside the code that reads it (``docs/extending.md``).
+is a module constant beside the code that reads it (``docs/extending.md``),
+and a choice nobody makes is made once in code (a replica set always picks
+round-robin).
 """
 
 from __future__ import annotations
@@ -112,10 +114,6 @@ class PrefetchConfig:
     enabled: bool = False
 
 
-#: Replica selection policies (:mod:`repro.serving.replica` re-exports this).
-REPLICA_POLICIES = ("round_robin", "least_inflight")
-
-
 #: How shard replicas execute (see :attr:`ClusterConfig.worker_mode`).
 WORKER_MODES = ("threads", "processes")
 
@@ -152,10 +150,8 @@ class ClusterConfig:
         than one, every shard is fronted by a
         :class:`~repro.serving.replica.ReplicaService` that load-balances,
         circuit-breaks (with that class's own breaker defaults) and fails
-        over across them.
-    replica_policy:
-        Replica selection policy: ``"round_robin"`` (even spread) or
-        ``"least_inflight"`` (steer to the least-loaded replica).
+        over across them, picking round-robin among the replicas whose
+        breakers admit traffic.
     worker_mode:
         ``"threads"`` serves every shard replica in-process behind a
         :class:`~repro.serving.middleware.SerializedService` lock;
@@ -170,7 +166,6 @@ class ClusterConfig:
     parallel_shards: bool = True
     wire_shards: bool = True
     replicas: int = 1
-    replica_policy: str = "round_robin"
     worker_mode: str = "threads"
 
     def validate(self) -> None:
@@ -180,8 +175,6 @@ class ClusterConfig:
             raise KyrixError(f"unknown partitioning strategy: {self.strategy!r}")
         if self.replicas < 1:
             raise KyrixError(f"replicas must be >= 1, got {self.replicas}")
-        if self.replica_policy not in REPLICA_POLICIES:
-            raise KyrixError(f"unknown replica policy: {self.replica_policy!r}")
         if self.worker_mode not in WORKER_MODES:
             raise KyrixError(f"unknown worker mode: {self.worker_mode!r}")
 

@@ -134,16 +134,6 @@ class PrecomputeError(ServerError):
     """Placement precomputation / indexing failed."""
 
 
-class ReplicaTimeoutError(ServerError):
-    """A replica answered, but only after the replica set's timeout budget.
-
-    Raised by :class:`~repro.serving.replica.ReplicaService` when the
-    (virtual) clock advanced past ``timeout_ms`` during one replica call;
-    the slow response is discarded and the request fails over to the next
-    healthy replica.
-    """
-
-
 class AllReplicasFailedError(ServerError):
     """Every attempted replica of a shard failed for one request.
 

@@ -16,14 +16,7 @@ Sub-modules:
 
 from .backend import BackendStats, KyrixBackend
 from .cache import CacheStats, LRUCache
-from .dbox import (
-    BoxCalculator,
-    DensityAwareBoxCalculator,
-    DynamicBoxState,
-    ExactBoxCalculator,
-    ExpandedBoxCalculator,
-    make_box_calculator,
-)
+from .dbox import DynamicBoxState
 from .indexer import Indexer, PrecomputeReport
 from .prefetch import MomentumPrefetcher
 from .schemes import (
@@ -33,7 +26,6 @@ from .schemes import (
     dbox50_scheme,
     dbox_scheme,
     paper_schemes,
-    scheme_by_name,
     tile_mapping_scheme,
     tile_spatial_scheme,
 )
@@ -41,14 +33,10 @@ from .tile import PAPER_TILE_SIZES, TileScheme
 
 __all__ = [
     "BackendStats",
-    "BoxCalculator",
     "CacheStats",
     "DESIGN_MAPPING",
     "DESIGN_SPATIAL",
-    "DensityAwareBoxCalculator",
     "DynamicBoxState",
-    "ExactBoxCalculator",
-    "ExpandedBoxCalculator",
     "FetchScheme",
     "Indexer",
     "KyrixBackend",
@@ -59,9 +47,7 @@ __all__ = [
     "TileScheme",
     "dbox50_scheme",
     "dbox_scheme",
-    "make_box_calculator",
     "paper_schemes",
-    "scheme_by_name",
     "tile_mapping_scheme",
     "tile_spatial_scheme",
 ]

@@ -6,104 +6,22 @@ location changes dynamically.  Whenever the viewport moves outside the
 current box, the frontend sends the current viewport location to the backend
 and requests a new box."
 
-Two box calculators reproduce the schemes evaluated in Section 3.3:
-
-* :class:`ExactBoxCalculator` — "the box fetched is exactly the viewport in
-  each step" (the *Dbox* scheme);
-* :class:`ExpandedBoxCalculator` — "a box centered at the viewport center
-  having width (height) 50% larger than the viewport width (height)" (the
-  *Dbox 50%* scheme).
-
-A third, :class:`DensityAwareBoxCalculator`, implements the paper's
-observation (3) that "dynamic boxes can adjust their sizes and locations
-based on data sparsity": it grows the box only while an object-count budget
-is not exceeded, using per-layer density statistics.
+Section 3.3 evaluates the scheme in two forms, which differ in one
+parameter, :attr:`~repro.server.schemes.FetchScheme.box_expansion`:
+*Dbox* ("the box fetched is exactly the viewport in each step") and
+*Dbox 50%* ("a box centered at the viewport center having width (height)
+50% larger than the viewport width (height)").
+:meth:`~repro.server.schemes.FetchScheme.box_for` computes the box; this
+module keeps the canvas clip it applies and the frontend's per-layer
+:class:`DynamicBoxState`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.viewport import Viewport
-from ..errors import FetchError
 from ..storage.rtree import Rect
-
-
-class BoxCalculator:
-    """Strategy deciding the box to fetch for a viewport."""
-
-    #: Name used by benchmark reports.
-    name: str = "box"
-
-    def compute(self, viewport: Viewport, canvas_width: float, canvas_height: float) -> Rect:
-        """Return the canvas-space box to fetch for ``viewport``."""
-        raise NotImplementedError  # pragma: no cover - overridden
-
-
-@dataclass
-class ExactBoxCalculator(BoxCalculator):
-    """Fetch exactly the viewport (the paper's *Dbox* scheme)."""
-
-    name: str = "dbox"
-
-    def compute(self, viewport: Viewport, canvas_width: float, canvas_height: float) -> Rect:
-        return _clip(viewport.to_rect(), canvas_width, canvas_height)
-
-
-@dataclass
-class ExpandedBoxCalculator(BoxCalculator):
-    """Fetch a box ``expansion`` larger than the viewport, centred on it.
-
-    ``expansion = 0.5`` reproduces the paper's *Dbox 50%* scheme.
-    """
-
-    expansion: float = 0.5
-    name: str = "dbox50"
-
-    def __post_init__(self) -> None:
-        if self.expansion < 0:
-            raise FetchError(f"box expansion must be non-negative, got {self.expansion}")
-
-    def compute(self, viewport: Viewport, canvas_width: float, canvas_height: float) -> Rect:
-        rect = viewport.to_rect().scaled(1.0 + self.expansion)
-        return _clip(rect, canvas_width, canvas_height)
-
-
-@dataclass
-class DensityAwareBoxCalculator(BoxCalculator):
-    """Grow the box while the expected number of objects stays under budget.
-
-    ``density`` is the layer's average objects per canvas pixel² (available
-    from table statistics); the calculator expands the viewport in steps of
-    ``step`` (fraction of viewport size) until either ``max_expansion`` or
-    the ``object_budget`` is reached.  In dense regions the box stays close
-    to the viewport; in sparse regions it grows to amortise future pans.
-    """
-
-    density: float
-    object_budget: int = 20_000
-    step: float = 0.25
-    max_expansion: float = 2.0
-    name: str = "dbox-adaptive"
-
-    def __post_init__(self) -> None:
-        if self.density < 0:
-            raise FetchError("density must be non-negative")
-        if self.object_budget <= 0:
-            raise FetchError("object_budget must be positive")
-
-    def compute(self, viewport: Viewport, canvas_width: float, canvas_height: float) -> Rect:
-        expansion = 0.0
-        best = viewport.to_rect()
-        while expansion + self.step <= self.max_expansion:
-            candidate = viewport.to_rect().scaled(1.0 + expansion + self.step)
-            candidate = _clip(candidate, canvas_width, canvas_height)
-            expected_objects = candidate.area * self.density
-            if expected_objects > self.object_budget:
-                break
-            best = candidate
-            expansion += self.step
-        return _clip(best, canvas_width, canvas_height)
 
 
 def _clip(rect: Rect, canvas_width: float, canvas_height: float) -> Rect:
@@ -145,14 +63,3 @@ class DynamicBoxState:
         self.current_box = None
         self.fetches = 0
         self.skips = 0
-
-
-def make_box_calculator(name: str, *, expansion: float = 0.5, density: float = 0.0) -> BoxCalculator:
-    """Factory used by the benchmark harness and the frontend."""
-    if name == "dbox":
-        return ExactBoxCalculator()
-    if name == "dbox50":
-        return ExpandedBoxCalculator(expansion=expansion)
-    if name == "dbox-adaptive":
-        return DensityAwareBoxCalculator(density=density)
-    raise FetchError(f"unknown box calculator {name!r}")

@@ -2,17 +2,19 @@
 
 Section 3.3 evaluates eight schemes; :func:`paper_schemes` builds exactly
 that list.  A :class:`FetchScheme` tells the frontend *what to request*
-(tiles of a given size, or a dynamic box computed by a box calculator) and
-tells the backend *how to answer* (spatial bbox index, or the tuple–tile
-mapping design).
+(tiles of a given size, or the dynamic box :meth:`FetchScheme.box_for`
+computes) and tells the backend *how to answer* (spatial bbox index, or the
+tuple–tile mapping design).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.viewport import Viewport
 from ..errors import FetchError
-from .dbox import BoxCalculator, ExactBoxCalculator, ExpandedBoxCalculator
+from ..storage.rtree import Rect
+from .dbox import _clip
 
 #: Database designs from Section 3.1.
 DESIGN_SPATIAL = "spatial"
@@ -59,6 +61,8 @@ class FetchScheme:
             raise FetchError("tile schemes require a tile_size")
         if self.granularity == GRANULARITY_BOX and self.design != DESIGN_SPATIAL:
             raise FetchError("dynamic boxes require the spatial database design")
+        if self.box_expansion < 0:
+            raise FetchError(f"box expansion must be non-negative, got {self.box_expansion}")
 
     @property
     def is_tile(self) -> bool:
@@ -68,13 +72,19 @@ class FetchScheme:
     def is_box(self) -> bool:
         return self.granularity == GRANULARITY_BOX
 
-    def box_calculator(self) -> BoxCalculator:
-        """The box calculator for box schemes."""
+    def box_for(self, viewport: Viewport, canvas_width: float, canvas_height: float) -> Rect:
+        """The canvas-clipped dynamic box to fetch for ``viewport``.
+
+        With no expansion the box is the viewport's own rectangle, unscaled:
+        ``Rect.scaled(1.0)`` recomputes each edge from the centre and can
+        round differently, and box edges are cache keys and wire bytes.
+        """
         if not self.is_box:
             raise FetchError(f"scheme {self.name!r} is not a box scheme")
-        if self.box_expansion <= 0:
-            return ExactBoxCalculator()
-        return ExpandedBoxCalculator(expansion=self.box_expansion)
+        rect = viewport.to_rect()
+        if self.box_expansion:
+            rect = rect.scaled(1.0 + self.box_expansion)
+        return _clip(rect, canvas_width, canvas_height)
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +134,3 @@ def paper_schemes(tile_sizes: tuple[int, ...] = (1024, 256, 4096)) -> list[Fetch
     schemes.extend(tile_mapping_scheme(size) for size in tile_sizes)
     return schemes
 
-
-def scheme_by_name(name: str) -> FetchScheme:
-    """Resolve a scheme from its report label (case/space tolerant)."""
-    normalized = name.strip().lower().replace("_", " ")
-    for scheme in paper_schemes():
-        if scheme.name.lower() == normalized:
-            return scheme
-    if normalized in ("dbox", "dynamic box"):
-        return dbox_scheme()
-    if normalized in ("dbox 50%", "dbox50", "dbox 50"):
-        return dbox50_scheme()
-    parts = normalized.split()
-    if len(parts) == 3 and parts[0] == "tile":
-        size = int(parts[2])
-        if parts[1] == "spatial":
-            return tile_spatial_scheme(size)
-        if parts[1] == "mapping":
-            return tile_mapping_scheme(size)
-    raise FetchError(f"unknown fetching scheme {name!r}")

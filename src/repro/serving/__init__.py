@@ -47,7 +47,7 @@ from .middleware import (
     CoalescingService,
     SerializedService,
 )
-from .replica import REPLICA_POLICIES, ReplicaService, ReplicaSetStats
+from .replica import ReplicaService, ReplicaSetStats
 from .transport import (
     LocalTransport,
     RemoteBackendStub,
@@ -68,7 +68,6 @@ from .worker import (
 )
 
 __all__ = [
-    "REPLICA_POLICIES",
     "CachingService",
     "CoalescingService",
     "DataService",

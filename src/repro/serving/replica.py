@@ -12,10 +12,8 @@ one per shard)::
 
 Three concerns live here and nowhere else:
 
-* **Selection** — a pluggable policy picks the replica for each request:
-  ``round_robin`` spreads requests evenly (within ±1 across the healthy
-  set) and ``least_inflight`` steers to the replica with the fewest
-  requests currently executing.
+* **Selection** — round-robin among the replicas whose breakers admit
+  traffic, so requests spread evenly (within ±1) across the healthy set.
 * **Health** — each replica carries a circuit breaker: after
   ``breaker_threshold`` *consecutive* failures the breaker opens and the
   replica stops receiving traffic; after ``breaker_reset_s`` (measured on
@@ -25,11 +23,9 @@ Three concerns live here and nowhere else:
   timer.  A :class:`~repro.errors.WorkerConnectionError` (the replica's
   worker process refused or tore the connection — it is *gone*, not
   merely erroring) is fatal and opens the breaker on the first failure.
-* **Failover** — a replica exception (or a response that arrived after
-  ``timeout_ms`` of clock time, raised as
-  :class:`~repro.errors.ReplicaTimeoutError`) marks the attempt failed and
-  the request retries on the next replica the policy picks, never reusing a
-  replica it already tried.  Only when the set is exhausted does
+* **Failover** — a replica exception marks the attempt failed and the
+  request retries on the next replica in turn, never reusing a replica it
+  already tried.  Only when the set is exhausted does
   :class:`~repro.errors.AllReplicasFailedError` surface, carrying every
   per-replica cause.
 
@@ -44,13 +40,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..config import REPLICA_POLICIES
-from ..errors import (
-    AllReplicasFailedError,
-    FetchError,
-    ReplicaTimeoutError,
-    WorkerConnectionError,
-)
+from ..errors import AllReplicasFailedError, FetchError, WorkerConnectionError
 from ..telemetry import get_tracer
 
 if TYPE_CHECKING:
@@ -59,7 +49,7 @@ if TYPE_CHECKING:
     from ..net.protocol import DataRequest, DataResponse
     from .base import DataService
 
-__all__ = ["REPLICA_POLICIES", "ReplicaService", "ReplicaSetStats"]
+__all__ = ["ReplicaService", "ReplicaSetStats"]
 
 class MonotonicClock:
     """Real time behind the same ``now_ms`` surface as ``VirtualClock``."""
@@ -144,15 +134,9 @@ class ReplicaService:
     ----------
     replicas:
         The replica services (same data, independent serving stacks).
-    policy:
-        One of :data:`REPLICA_POLICIES`.
     breaker_threshold / breaker_reset_s:
         Circuit-breaker tuning (consecutive failures to open; seconds of
         clock time before a trial probe).
-    timeout_ms:
-        When set, a replica call during which the clock advanced past this
-        budget counts as a failure (:class:`ReplicaTimeoutError`) and fails
-        over, discarding the late response.
     clock:
         Anything with a ``now_ms`` property — a
         :class:`~repro.metrics.timer.VirtualClock` for deterministic tests,
@@ -163,30 +147,21 @@ class ReplicaService:
         self,
         replicas: Sequence["DataService"],
         *,
-        policy: str = "round_robin",
         breaker_threshold: int = 3,
         breaker_reset_s: float = 30.0,
-        timeout_ms: float | None = None,
         clock: Any | None = None,
     ) -> None:
         if not replicas:
             raise FetchError("a replica set needs at least one replica")
-        if policy not in REPLICA_POLICIES:
-            raise FetchError(
-                f"unknown replica policy {policy!r}; expected one of {REPLICA_POLICIES}"
-            )
         if breaker_threshold < 1:
             raise FetchError("breaker_threshold must be >= 1")
         self._replicas: list["DataService"] = list(replicas)
-        self.policy = policy
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
-        self.timeout_ms = timeout_ms
         self.clock = clock if clock is not None else MonotonicClock()
         self.stats = ReplicaSetStats(len(self._replicas))
         self._lock = threading.Lock()
         self._rr_counter = 0
-        self._inflight = [0] * len(self._replicas)
         self._health = [ReplicaHealth() for _ in self._replicas]
 
     # -- topology -----------------------------------------------------------
@@ -205,22 +180,13 @@ class ReplicaService:
     def replica_count(self) -> int:
         return len(self._replicas)
 
-    @property
-    def inflight(self) -> list[int]:
-        """A snapshot of per-replica in-flight request counts."""
-        with self._lock:
-            return list(self._inflight)
-
     def breaker_open(self, index: int) -> bool:
         """Whether replica ``index``'s circuit breaker is currently open."""
         with self._lock:
             return self._health[index].open_since_ms is not None
 
     def __repr__(self) -> str:
-        return (
-            f"ReplicaService(policy={self.policy!r}, "
-            f"replicas={len(self._replicas)})"
-        )
+        return f"ReplicaService(replicas={len(self._replicas)})"
 
     # -- selection ----------------------------------------------------------
 
@@ -254,14 +220,10 @@ class ReplicaService:
             candidates = [i for i in untried if self._admits(i, now_ms)]
             if not candidates:
                 candidates = untried
-            if self.policy == "least_inflight":
-                index = min(candidates, key=lambda i: (self._inflight[i], i))
-            else:  # round_robin
-                index = candidates[self._rr_counter % len(candidates)]
-                self._rr_counter += 1
+            index = candidates[self._rr_counter % len(candidates)]
+            self._rr_counter += 1
             if self._health[index].open_since_ms is not None:
                 self._health[index].trial_inflight = True
-            self._inflight[index] += 1
             return index
 
     # -- health -------------------------------------------------------------
@@ -269,7 +231,6 @@ class ReplicaService:
     def _finish_attempt(self, index: int, ok: bool, *, fatal: bool = False) -> None:
         opened = False
         with self._lock:
-            self._inflight[index] -= 1
             health = self._health[index]
             health.trial_inflight = False
             if ok:
@@ -307,7 +268,6 @@ class ReplicaService:
         while (index := self._select(tried)) is not None:
             attempts += 1
             tried.add(index)
-            start_ms = self.clock.now_ms
             try:
                 with get_tracer().span(
                     "replica_attempt",
@@ -316,15 +276,6 @@ class ReplicaService:
                     breaker_open=self.breaker_open(index),
                 ) as span:
                     response = self._replicas[index].handle(request)
-                    if (
-                        self.timeout_ms is not None
-                        and self.clock.now_ms - start_ms > self.timeout_ms
-                    ):
-                        raise ReplicaTimeoutError(
-                            f"replica {index} took "
-                            f"{self.clock.now_ms - start_ms:.1f} ms "
-                            f"(> {self.timeout_ms} ms budget)"
-                        )
                     span.set_attribute("ok", True)
             except Exception as error:  # noqa: BLE001 - failover boundary
                 causes[index] = error

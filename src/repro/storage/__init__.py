@@ -24,7 +24,6 @@ from .pager import BufferPool, PageStore, PagerStats
 from .row import RecordId, compile_decoder, encode_row
 from .rtree import Rect, RTreeIndex
 from .schema import Column, TableSchema
-from .statistics import ColumnStats, TableStats, compute_stats
 from .table import IndexInfo, Table
 from .types import ColumnType, coerce_value
 
@@ -32,7 +31,6 @@ __all__ = [
     "BTreeIndex",
     "BufferPool",
     "Column",
-    "ColumnStats",
     "ColumnType",
     "Database",
     "HeapFile",
@@ -44,9 +42,7 @@ __all__ = [
     "RTreeIndex",
     "Table",
     "TableSchema",
-    "TableStats",
     "coerce_value",
     "compile_decoder",
-    "compute_stats",
     "encode_row",
 ]

@@ -174,7 +174,6 @@ class RTreeIndex:
             raise StorageError(f"rtree max_entries must be >= 4, got {max_entries}")
         self.name = name
         self.max_entries = max_entries
-        self.lookups = 0
         self._pack([])
 
     def __len__(self) -> int:
@@ -259,7 +258,6 @@ class RTreeIndex:
     def search(self, query: Rect | Sequence[float]) -> list[int]:
         """Return the rids of every entry whose bbox intersects ``query``."""
         qx0, qy0, qx1, qy1 = _box(query)
-        self.lookups += 1
         xmin, ymin, xmax, ymax, refs, _, _ = self._packed
         results: list[int] = []
         for start, stop, inside in self._entry_ranges(qx0, qy0, qx1, qy1):

@@ -1,67 +1,13 @@
-"""Per-table statistics and the spatial sample the KD partitioner reads.
+"""The spatial sample of a canvas's objects that the KD partitioner reads.
 
-The statistics are deliberately simple — row counts, per-column min/max and
-distinct-value estimates — enough to report dataset characteristics.  The
-mini-SQL planner is rule-based and reads none of them.
+This is the storage layer's only statistic: the mini-SQL planner is
+rule-based and keeps no per-table or per-column statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
-
-from .schema import TableSchema
-
-
-@dataclass
-class ColumnStats:
-    """Statistics for a single column."""
-
-    name: str
-    non_null_count: int = 0
-    null_count: int = 0
-    min_value: Any = None
-    max_value: Any = None
-    approx_distinct: int = 0
-
-    def observe(self, value: Any) -> None:
-        if value is None:
-            self.null_count += 1
-            return
-        self.non_null_count += 1
-        comparable = value if not isinstance(value, (tuple, list)) else tuple(value)
-        if self.min_value is None or comparable < self.min_value:
-            self.min_value = comparable
-        if self.max_value is None or comparable > self.max_value:
-            self.max_value = comparable
-
-
-@dataclass
-class TableStats:
-    """Statistics for a whole table."""
-
-    table_name: str
-    row_count: int = 0
-    columns: dict[str, ColumnStats] = field(default_factory=dict)
-
-    @classmethod
-    def empty(cls, schema: TableSchema) -> "TableStats":
-        return cls(
-            table_name=schema.name,
-            columns={c.name: ColumnStats(name=c.name) for c in schema.columns},
-        )
-
-    def observe_row(self, schema: TableSchema, row: tuple[Any, ...]) -> None:
-        self.row_count += 1
-        for column, value in zip(schema.columns, row):
-            self.columns[column.name].observe(value)
-
-def compute_stats(schema: TableSchema, rows: list[tuple[Any, ...]]) -> TableStats:
-    """Build :class:`TableStats` by scanning ``rows`` once."""
-    stats = TableStats.empty(schema)
-    for row in rows:
-        stats.observe_row(schema, row)
-    return stats
 
 
 @dataclass

@@ -26,7 +26,6 @@ from .heapfile import HeapFile
 from .pager import BufferPool
 from .rtree import Rect, RTreeIndex
 from .schema import TableSchema
-from .statistics import TableStats
 
 #: Union of the index implementations a table may carry.
 AnyIndex = BTreeIndex | RTreeIndex
@@ -58,7 +57,6 @@ class Table:
         self._indexes: dict[str, IndexInfo] = {}
         # Told of every index created or dropped (the database's catalog version).
         self._catalog_changed = catalog_changed
-        self._stats: TableStats | None = None
         #: The index the heap was last clustered on (PostgreSQL's
         #: ``indisclustered``); a copy of the table is clustered on it too.
         self.clustered_on: str | None = None
@@ -176,7 +174,6 @@ class Table:
         finally:  # what reached the heap reaches every index, failure or not
             for info in self._indexes.values():
                 self._backfill_index(info)
-            self._stats = None
 
     def _check_unique(self, info: IndexInfo, rows: list[tuple[Any, ...]]) -> None:
         position = self.schema.column_index(info.column)
@@ -253,14 +250,3 @@ class Table:
             if value is not None and Rect.from_tuple(value).intersects(query):
                 results.append((rid, row))
         return results
-
-    # -- statistics ------------------------------------------------------------------
-
-    def statistics(self, *, refresh: bool = False) -> TableStats:
-        """Return (possibly cached) table statistics."""
-        if self._stats is None or refresh:
-            stats = TableStats.empty(self.schema)
-            for _, row in self._heap.scan():
-                stats.observe_row(self.schema, row)
-            self._stats = stats
-        return self._stats

@@ -282,14 +282,23 @@ class TestFigure6And7:
             monkeypatch.setattr(index, "search", counting_search)
             monkeypatch.setattr(index, "search_many", counting_search_many)
 
+        rtree_searches = 0
+
+        def counting_rtree_search(query, search=rtree.search):
+            nonlocal rtree_searches
+            rtree_searches += 1
+            return search(query)
+
+        monkeypatch.setattr(rtree, "search", counting_rtree_search)
+
         def work(design: str, tile_id: int) -> tuple[list, int, int, int]:
             """The objects of one tile, and the (B-tree, R-tree, heap) work they cost."""
-            before = (btree_probes, rtree.lookups, heap_records)
+            before = (btree_probes, rtree_searches, heap_records)
             request = DataRequest(
                 "dots", "dots", 0, "tile", design=design, tile_id=tile_id, tile_size=1024
             )
             objects = backend.handle(request).objects
-            after = (btree_probes, rtree.lookups, heap_records)
+            after = (btree_probes, rtree_searches, heap_records)
             return (sorted(objects, key=lambda o: o["tuple_id"]),
                     *(b - a for a, b in zip(before, after)))
 

@@ -20,10 +20,9 @@ from tests.cluster.conftest import payload_bytes as _payload_bytes
 
 
 @pytest.mark.parametrize("stack_fixture", ["usmap_parity_stack", "eeg_parity_stack"])
-@pytest.mark.parametrize("policy", ["round_robin", "least_inflight"])
 @pytest.mark.parametrize("shard_count, replicas", [(2, 2), (4, 3)])
 def test_failover_is_byte_identical_to_single_replica(
-    request, stack_fixture, policy, shard_count, replicas
+    request, stack_fixture, shard_count, replicas
 ):
     stack = request.getfixturevalue(stack_fixture)
     tile_sizes = stack.tile_sizes
@@ -34,7 +33,6 @@ def test_failover_is_byte_identical_to_single_replica(
         stack.backend,
         shard_count=shard_count,
         replicas=replicas,
-        replica_policy=policy,
         tile_sizes=tile_sizes,
     )
     try:

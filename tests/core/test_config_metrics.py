@@ -39,7 +39,6 @@ INVALID_VALUES = [
     {"cluster": {"shard_count": 0}},
     {"cluster": {"strategy": "hilbert"}},
     {"cluster": {"replicas": 0}},
-    {"cluster": {"replica_policy": "random"}},
     {"cluster": {"worker_mode": "fibers"}},
 ]
 #: Outside input (a ``config.txt``) that is not shaped like a configuration:
@@ -67,6 +66,8 @@ DELETED_KEYS = {
     "cluster.breaker_threshold": {"cluster": {"breaker_threshold": 5}},
     "cluster.breaker_reset_s": {"cluster": {"breaker_reset_s": 10.0}},
     "cluster.worker_port_base": {"cluster": {"worker_port_base": 9000}},
+    # A replica set always picks round-robin; there is no policy to name.
+    "cluster.replica_policy": {"cluster": {"replica_policy": "round_robin"}},
 }
 
 OPERATIONS_DOC = Path(__file__).resolve().parents[2] / "docs" / "operations.md"

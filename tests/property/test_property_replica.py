@@ -4,9 +4,9 @@ The replica layer's contract, stated as properties over arbitrary
 deterministic fault schedules and request streams:
 
 * **masking** — for any schedule that leaves at least one fault-free
-  replica, responses are equal to the no-fault baseline (failures and
-  timeouts are invisible to the caller),
-* **balance** — ``round_robin`` spreads distinct-key requests over the K
+  replica, responses are equal to the no-fault baseline (failures are
+  invisible to the caller, and a slow replica's answer is kept),
+* **balance** — round-robin spreads distinct-key requests over the K
   healthy replicas within ±1.
 """
 
@@ -63,8 +63,8 @@ def _schedule_for(kind: str) -> FaultSchedule | None:
     if kind == "flaky_nth":
         return FaultSchedule.fail_nth(1)
     if kind == "slow":
-        # 200 ms of virtual latency per call: over the 50 ms timeout below,
-        # so slow replicas are failed over, never waited for.
+        # 200 ms of virtual latency per call: slow, but not a failure —
+        # its answer is served and nothing is charged against it.
         return FaultSchedule.slow(200.0)
     raise AssertionError(kind)
 
@@ -84,21 +84,18 @@ def fault_assignments(draw):
 class TestFaultMasking:
     @given(
         kinds=fault_assignments(),
-        policy=st.sampled_from(["round_robin", "least_inflight"]),
         request_ids=st.lists(
             st.integers(min_value=0, max_value=40), min_size=1, max_size=12
         ),
     )
     @settings(max_examples=60, deadline=None)
     def test_any_schedule_with_a_healthy_replica_masks_faults(
-        self, kinds, policy, request_ids
+        self, kinds, request_ids
     ):
         clock = VirtualClock()
         baseline = EchoService()
         service = ReplicaService(
             [EchoService() for _ in kinds],
-            policy=policy,
-            timeout_ms=50.0,
             breaker_threshold=2,
             breaker_reset_s=10.0,
             clock=clock,
@@ -113,11 +110,9 @@ class TestFaultMasking:
 
     @given(kinds=fault_assignments())
     @settings(max_examples=30, deadline=None)
-    def test_no_failures_are_charged_to_healthy_replicas(self, kinds):
+    def test_no_failures_are_charged_to_healthy_or_slow_replicas(self, kinds):
         clock = VirtualClock()
-        service = ReplicaService(
-            [EchoService() for _ in kinds], timeout_ms=50.0, clock=clock
-        )
+        service = ReplicaService([EchoService() for _ in kinds], clock=clock)
         for index, kind in enumerate(kinds):
             schedule = _schedule_for(kind)
             if schedule is not None:
@@ -125,7 +120,7 @@ class TestFaultMasking:
         for i in range(10):
             service.handle(_request(i))
         for index, kind in enumerate(kinds):
-            if kind == "healthy":
+            if kind in ("healthy", "slow"):
                 assert service.stats.failures_for(index) == 0
 
 
@@ -148,7 +143,6 @@ class TestRoundRobinBalance:
         clock = VirtualClock()
         service = ReplicaService(
             [EchoService() for _ in range(replica_count)],
-            policy="round_robin",
             breaker_threshold=1,
             breaker_reset_s=1e9,
             clock=clock,

@@ -1,16 +1,10 @@
-"""Tests for dynamic-box calculators and the fetching-scheme registry."""
+"""Tests for the dynamic box (``FetchScheme.box_for``) and the fetching-scheme registry."""
 
 import pytest
 
 from repro.core.viewport import Viewport
 from repro.errors import FetchError
-from repro.server.dbox import (
-    DensityAwareBoxCalculator,
-    DynamicBoxState,
-    ExactBoxCalculator,
-    ExpandedBoxCalculator,
-    make_box_calculator,
-)
+from repro.server.dbox import DynamicBoxState
 from repro.server.schemes import (
     DESIGN_MAPPING,
     DESIGN_SPATIAL,
@@ -18,52 +12,34 @@ from repro.server.schemes import (
     dbox50_scheme,
     dbox_scheme,
     paper_schemes,
-    scheme_by_name,
     tile_mapping_scheme,
     tile_spatial_scheme,
 )
 
 
-class TestBoxCalculators:
+class TestBoxFor:
     def test_exact_box_equals_viewport(self):
         viewport = Viewport(100, 200, 50, 60)
-        box = ExactBoxCalculator().compute(viewport, 1000, 1000)
+        box = dbox_scheme().box_for(viewport, 1000, 1000)
         assert box == viewport.to_rect()
 
     def test_expanded_box_is_50_percent_larger(self):
         viewport = Viewport(100, 100, 100, 100)
-        box = ExpandedBoxCalculator(expansion=0.5).compute(viewport, 10_000, 10_000)
+        box = dbox50_scheme().box_for(viewport, 10_000, 10_000)
         assert box.width == pytest.approx(150)
         assert box.height == pytest.approx(150)
         assert box.center == viewport.center
 
     def test_boxes_clipped_to_canvas(self):
         viewport = Viewport(0, 0, 100, 100)
-        box = ExpandedBoxCalculator(expansion=1.0).compute(viewport, 150, 150)
+        scheme = FetchScheme(name="dbox 100%", granularity="box", box_expansion=1.0)
+        box = scheme.box_for(viewport, 150, 150)
         assert box.xmin == 0
         assert box.xmax <= 150
 
     def test_negative_expansion_rejected(self):
         with pytest.raises(FetchError):
-            ExpandedBoxCalculator(expansion=-0.1)
-
-    def test_density_aware_grows_in_sparse_data(self):
-        viewport = Viewport(1000, 1000, 100, 100)
-        sparse = DensityAwareBoxCalculator(density=0.0001, object_budget=10_000)
-        dense = DensityAwareBoxCalculator(density=10.0, object_budget=10_000)
-        sparse_box = sparse.compute(viewport, 100_000, 100_000)
-        dense_box = dense.compute(viewport, 100_000, 100_000)
-        assert sparse_box.area > dense_box.area
-        assert dense_box.area <= viewport.area() * 1.1
-
-    def test_make_box_calculator(self):
-        assert isinstance(make_box_calculator("dbox"), ExactBoxCalculator)
-        assert isinstance(make_box_calculator("dbox50"), ExpandedBoxCalculator)
-        assert isinstance(
-            make_box_calculator("dbox-adaptive", density=0.1), DensityAwareBoxCalculator
-        )
-        with pytest.raises(FetchError):
-            make_box_calculator("wormhole")
+            FetchScheme(name="dbox -10%", granularity="box", box_expansion=-0.1)
 
 
 class TestDynamicBoxState:
@@ -74,7 +50,7 @@ class TestDynamicBoxState:
     def test_viewport_inside_box_skips_fetch(self):
         state = DynamicBoxState()
         viewport = Viewport(100, 100, 100, 100)
-        box = ExpandedBoxCalculator(expansion=0.5).compute(viewport, 10_000, 10_000)
+        box = dbox50_scheme().box_for(viewport, 10_000, 10_000)
         state.record_fetch(box)
         assert not state.needs_fetch(Viewport(110, 110, 100, 100))
         assert state.needs_fetch(Viewport(400, 400, 100, 100))
@@ -107,22 +83,18 @@ class TestFetchSchemes:
         with pytest.raises(FetchError):
             FetchScheme(name="bad", granularity="box", design=DESIGN_MAPPING)
 
-    def test_box_calculator_from_scheme(self):
-        assert isinstance(dbox_scheme().box_calculator(), ExactBoxCalculator)
-        calculator = dbox50_scheme().box_calculator()
-        assert isinstance(calculator, ExpandedBoxCalculator)
-        assert calculator.expansion == 0.5
+    def test_box_for_from_scheme(self):
+        # Box edges are cache keys and wire bytes: the Dbox box is the
+        # viewport's own rectangle, not ``scaled(1.0)``, which rounds these
+        # edges differently.
+        viewport = Viewport(0.3, 0.3, 0.1, 1000)
+        exact = viewport.to_rect()
+        assert exact.scaled(1.0).as_tuple() != exact.as_tuple()
+        assert dbox_scheme().box_for(viewport, 2000, 2000).as_tuple() == exact.as_tuple()
         with pytest.raises(FetchError):
-            tile_spatial_scheme(1024).box_calculator()
+            tile_spatial_scheme(1024).box_for(viewport, 1000, 1000)
 
     def test_tile_schemes_carry_design(self):
         assert tile_spatial_scheme(1024).design == DESIGN_SPATIAL
         assert tile_mapping_scheme(1024).design == DESIGN_MAPPING
 
-    def test_scheme_by_name(self):
-        assert scheme_by_name("dbox").granularity == "box"
-        assert scheme_by_name("DBOX 50%").box_expansion == 0.5
-        assert scheme_by_name("tile spatial 4096").tile_size == 4096
-        assert scheme_by_name("tile_mapping_256").design == DESIGN_MAPPING
-        with pytest.raises(FetchError):
-            scheme_by_name("carrier pigeon")

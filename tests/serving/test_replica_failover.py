@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.cluster import build_cluster
-from repro.errors import AllReplicasFailedError, ProtocolError, ReplicaTimeoutError
+from repro.errors import AllReplicasFailedError, ProtocolError
 from repro.metrics.timer import VirtualClock
 from repro.net import columnar
 from repro.net.protocol import DataRequest, DataResponse
@@ -214,7 +214,7 @@ class TestReplicaSetStats:
 class TestFailover:
     def test_failover_masks_a_dead_replica(self):
         replicas = [ScriptedService("r0"), ScriptedService("r1")]
-        service = ReplicaService(replicas, policy="round_robin")
+        service = ReplicaService(replicas)
         fault_replica(service, 0, FaultSchedule.fail_always())
         baseline = ReplicaService([ScriptedService("solo")])
         for i in range(6):
@@ -242,23 +242,6 @@ class TestFailover:
             assert f"replica{index}" in str(error)
         assert service.stats.snapshot()["exhausted"] == 1
 
-    def test_timeout_counts_as_failure_and_fails_over(self):
-        clock = VirtualClock()
-        replicas = [ScriptedService("slow"), ScriptedService("fast")]
-        service = ReplicaService(replicas, timeout_ms=50.0, clock=clock)
-        request = _box()
-        # Round robin starts on replica 0, which the fault makes slow.
-        fault_replica(service, 0, FaultSchedule.slow(100.0), clock=clock)
-        response = service.handle(request)
-        assert response.objects[0]["source"] == "replica"
-        assert service.stats.failures_for(0) == 1
-        assert service.stats.requests_for(1) == 1
-        # The slow attempt surfaced as a timeout, not a generic error.
-        fault_replica(service, 1, FaultSchedule.fail_always())
-        with pytest.raises(AllReplicasFailedError) as excinfo:
-            service.handle(request)
-        assert isinstance(excinfo.value.causes[0], ReplicaTimeoutError)
-
     def test_corrupted_reply_on_the_real_wire_trips_the_breaker_and_fails_over(self):
         from repro.bench.apps import build_dots_backend, default_config
         from repro.datagen.synthetic import tiny_spec
@@ -282,9 +265,7 @@ class TestFailover:
         # silently re-negotiated) payload.
         with pytest.raises(ProtocolError, match="expected a response"):
             broken.handle(request)
-        service = ReplicaService(
-            [broken, healthy], policy="round_robin", breaker_threshold=2
-        )
+        service = ReplicaService([broken, healthy], breaker_threshold=2)
         expected = stack.backend.handle(request)
         # Wire corruption on replica 0 is caught and failed over, every time.
         for _ in range(4):
@@ -302,7 +283,6 @@ class TestCircuitBreaker:
         replicas = [ScriptedService("r0"), ScriptedService("r1")]
         service = ReplicaService(
             replicas,
-            policy="round_robin",
             breaker_threshold=threshold,
             breaker_reset_s=reset_s,
             clock=clock,
@@ -387,7 +367,6 @@ class TestCircuitBreaker:
         # open replica instead of piling more probes onto it.
         response = service.handle(_box(3))
         assert all(o["source"] == "replica" for o in response.objects)
-        assert service.inflight == [1, 0]
         release.set()
         trial.join(timeout=5.0)
         assert not trial.is_alive()
@@ -420,10 +399,7 @@ class TestKillReplicaMidSession:
 
     def test_byte_identical_to_single_replica_run(self, dots_stack):
         baseline = build_cluster(dots_stack.backend, shard_count=2, replicas=1)
-        replicated = build_cluster(
-            dots_stack.backend, shard_count=2, replicas=2,
-            replica_policy="least_inflight",
-        )
+        replicated = build_cluster(dots_stack.backend, shard_count=2, replicas=2)
         try:
             requests = [
                 DataRequest(

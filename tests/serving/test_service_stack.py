@@ -43,7 +43,6 @@ def _second_value(spec: dataclasses.Field):
     if isinstance(spec.default, str):
         return {
             "strategy": "kd",
-            "replica_policy": "least_inflight",
             "worker_mode": "processes",
         }[spec.name]
     if isinstance(spec.default, bool):
@@ -319,14 +318,12 @@ class TestBuildService:
             backend=dots_stack.backend,
             shard_count=2,
             replicas=2,
-            replica_policy="least_inflight",
         )
         router = unwrap(service, ClusterRouter)
         assert router is not None
         layer = unwrap(service, ReplicaService)
         assert layer is not None
         assert layer.replica_count == 2
-        assert layer.policy == "least_inflight"
         assert set(router.replica_sets()) == {0, 1}
         assert router.describe()["replicas"] == 2
         router.close()

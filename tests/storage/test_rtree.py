@@ -112,7 +112,7 @@ class TestRTreeSearch:
         tree.bulk_load(_random_entries(200, seed=2))
         assert tree.height() >= 3
 
-    def test_search_changes_nothing_but_its_counter(self):
+    def test_search_changes_nothing(self):
         # Replicas share a shard's index across their locks: a probe must
         # never restructure.
         tree = RTreeIndex("r", max_entries=4)
@@ -122,7 +122,6 @@ class TestRTreeSearch:
         assert len(tree.search(Rect(0, 0, 1001, 501))) == 50
         tree.search(Rect(10, 10, 200, 300))
         assert tree._packed is packed and [bytes(c) for c in packed[:5]] == before
-        assert tree.lookups == 2
 
 
 class TestRTreeBulkLoad:

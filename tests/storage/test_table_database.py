@@ -300,17 +300,3 @@ class TestAccessPaths:
         assert index.rids() == [rid for rid, _ in table.scan()]
         assert list(index.keys()) == [row[0] for _, row in table.scan()]
 
-
-class TestStatistics:
-    def test_statistics_counts_and_ranges(self, dots_table):
-        stats = dots_table.statistics()
-        assert stats.row_count == 100
-        assert stats.columns["id"].min_value == 0
-        assert stats.columns["id"].max_value == 99
-
-    def test_statistics_cached_until_refresh(self, dots_table):
-        first = dots_table.statistics()
-        assert dots_table.statistics() is first
-        dots_table.insert((100, 1.0, 1.0, (0, 0, 1, 1)))
-        refreshed = dots_table.statistics()
-        assert refreshed.row_count == 101
