@@ -41,6 +41,48 @@ class TestBoxFor:
         with pytest.raises(FetchError):
             FetchScheme(name="dbox -10%", granularity="box", box_expansion=-0.1)
 
+    # Box edges are cache keys and wire bytes, so they are pinned exactly:
+    # these are the edges the former per-fetch box calculators produced.
+    @pytest.mark.parametrize(
+        "scheme, viewport, canvas, edges",
+        [
+            (dbox_scheme(), (1000, 2000, 1024, 768), (8192, 8192), (1000, 2000, 2024, 2768)),
+            (dbox_scheme(), (0, 0, 1024, 1024), (8192, 8192), (0.0, 0.0, 1024, 1024)),
+            (dbox_scheme(), (7500, 7900, 1024, 1024), (8192, 8192), (7500, 7900, 8192, 8192)),
+            (dbox_scheme(), (0.3, 0.3, 0.1, 1000), (2000, 2000), (0.3, 0.3, 0.4, 1000.3)),
+            (dbox_scheme(), (-100, -50, 5000, 4000), (4096, 2048), (0.0, 0.0, 4096, 2048)),
+            (
+                dbox_scheme(),
+                (123.4, 56.7, 333.3, 222.2),
+                (1e4, 1e4),
+                (123.4, 56.7, 456.70000000000005, 278.9),
+            ),
+            (dbox50_scheme(), (1000, 2000, 1024, 768), (8192, 8192), (744.0, 1808.0, 2280.0, 2960.0)),
+            (dbox50_scheme(), (0, 0, 1024, 1024), (8192, 8192), (0.0, 0.0, 1280.0, 1280.0)),
+            (dbox50_scheme(), (7500, 7900, 1024, 1024), (8192, 8192), (7244.0, 7644.0, 8192, 8192)),
+            (
+                dbox50_scheme(),
+                (0.3, 0.3, 0.1, 1000),
+                (2000, 2000),
+                (0.27499999999999997, 0.0, 0.425, 1250.3),
+            ),
+            (dbox50_scheme(), (-100, -50, 5000, 4000), (4096, 2048), (0.0, 0.0, 4096, 2048)),
+            (
+                dbox50_scheme(),
+                (123.4, 56.7, 333.3, 222.2),
+                (1e4, 1e4),
+                (40.07499999999996, 1.1500000000000057, 540.0250000000001, 334.44999999999993),
+            ),
+        ],
+        ids=[
+            f"{name}-{case}"
+            for name in ("dbox", "dbox50")
+            for case in ("interior", "origin", "far-corner", "fractional", "oversized", "inexact")
+        ],
+    )
+    def test_box_edges_are_pinned(self, scheme, viewport, canvas, edges):
+        assert scheme.box_for(Viewport(*viewport), *canvas).as_tuple() == edges
+
 
 class TestDynamicBoxState:
     def test_first_viewport_needs_fetch(self):

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.cluster import build_cluster
-from repro.errors import AllReplicasFailedError, ProtocolError
+from repro.errors import AllReplicasFailedError, FetchError, ProtocolError
 from repro.metrics.timer import VirtualClock
 from repro.net import columnar
 from repro.net.protocol import DataRequest, DataResponse
@@ -209,6 +209,44 @@ class TestReplicaSetStats:
             thread.join(timeout=30)
         assert stats.requests == 8_000
         assert stats.per_replica_requests() == {i: 2_000 for i in range(4)}
+
+
+class TestSelection:
+    def test_replica_set_validation(self):
+        with pytest.raises(FetchError, match="at least one replica"):
+            ReplicaService([])
+        with pytest.raises(FetchError, match="breaker_threshold"):
+            ReplicaService([ScriptedService()], breaker_threshold=0)
+
+    def test_healthy_replicas_are_visited_round_robin(self):
+        replicas = [ScriptedService(f"r{i}") for i in range(3)]
+        service = ReplicaService(replicas)
+        order = []
+        for i in range(7):
+            before = [replica.calls for replica in replicas]
+            service.handle(_box(i))
+            order.append(
+                next(n for n, r in enumerate(replicas) if r.calls > before[n])
+            )
+        assert order == [0, 1, 2, 0, 1, 2, 0]
+        assert service.stats.per_replica_requests() == {0: 3, 1: 2, 2: 2}
+        assert service.stats.failovers == 0
+
+    def test_a_slow_reply_is_served_and_charged_no_failure(self):
+        # There is no reply deadline: a replica that answers late still
+        # answers correctly, and its answer is the one served.
+        clock = VirtualClock()
+        replicas = [ScriptedService("slow"), ScriptedService("fast")]
+        service = ReplicaService(replicas, clock=clock)
+        fault_replica(service, 0, FaultSchedule.slow(10_000.0), clock=clock)
+        baseline = ReplicaService([ScriptedService("solo")])
+        response = service.handle(_box(5))
+        assert clock.now_ms == pytest.approx(10_000.0)
+        assert _payload_bytes(response) == _payload_bytes(baseline.handle(_box(5)))
+        assert replicas[0].calls == 1 and replicas[1].calls == 0
+        assert service.stats.failures_for(0) == 0
+        assert service.stats.failovers == 0
+        assert not service.breaker_open(0)
 
 
 class TestFailover:
