@@ -11,10 +11,12 @@ README for
   the prose uses) under ``src/repro/``;
 * inline-backtick settings (`` `cluster.wire_shards` ``,
   `` `config.cache.backend_entries` ``,
-  `` `cluster.breaker_reset_s` ``) — a dotted name rooted at a
-  ``KyrixConfig`` section must name a field that exists.  The prose also
-  roots two other vocabularies at those words, and they resolve too: the
-  benchmark's metric names (``BENCHMARK.json``) and attributes of the
+  `` `config.viewport_width` ``) — a dotted name rooted at a
+  ``KyrixConfig`` section, and any dotted name right after ``config.``
+  whatever its first word (`` `config.network.rtt_ms` `` of a deleted
+  section included), must name a field that exists.  The prose also
+  roots two other vocabularies at section names, and they resolve too:
+  the benchmark's metric names (``BENCHMARK.json``) and attributes of the
   ``ShardedCluster`` handle the examples call ``cluster``.
 
 Fenced code blocks are skipped: they hold example output and
@@ -44,21 +46,27 @@ from repro.config import KyrixConfig  # noqa: E402
 _MD_LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 #: Inline code spans (single backticks; fenced blocks are stripped first).
 _INLINE_CODE = re.compile(r"`([^`\n]+)`")
+#: File extensions a cited path ends in (``config.py`` is a file, not a field).
+_EXTENSIONS = r"py|md|json|jsonl|ya?ml|txt|ini"
 #: A word inside a code span that cites a checkable path: contains a
 #: slash and ends in a known file extension or a trailing slash
 #: (directory citation). Everything else — dotted module names, config
 #: knobs, HTTP endpoints, metric labels — is not a filesystem claim.
 _PATH_WORD = re.compile(
-    r"^[A-Za-z0-9_][A-Za-z0-9_.\-/]*(?:\.(?:py|md|json|jsonl|ya?ml|txt|ini)|/)$"
+    r"^[A-Za-z0-9_][A-Za-z0-9_.\-/]*(?:\.(?:%s)|/)$" % _EXTENSIONS
 )
-#: ``section.field[.field]`` rooted at a ``KyrixConfig`` section, either
-#: free-standing or right after ``config.`` (``router.config.cluster.x``).
+#: A setting: ``section.field[.field]`` rooted at a ``KyrixConfig`` section
+#: (group 1), or any dotted name right after ``config.`` (group 2,
+#: ``router.config.cluster.x``, ``config.viewport_width``).
 _DEFAULTS = KyrixConfig()
 _SETTING = re.compile(
-    r"(?:(?<![\w./])|(?<=config\.))((?:%s)(?!\.py)(?:\.[a-z_]+)+)"
-    % "|".join(
-        spec.name for spec in fields(_DEFAULTS)
-        if is_dataclass(getattr(_DEFAULTS, spec.name))
+    r"(?<![\w./])((?:%s)(?!\.py)(?:\.[a-z_]+)+)|(?<!\w)config\.(?!(?:%s)\b)([a-z_]+(?:\.[a-z_]+)*)"
+    % (
+        "|".join(
+            spec.name for spec in fields(_DEFAULTS)
+            if is_dataclass(getattr(_DEFAULTS, spec.name))
+        ),
+        _EXTENSIONS,
     )
 )
 _METRICS = {
@@ -107,12 +115,12 @@ def check_document(doc: Path) -> list[str]:
 
     for span in _INLINE_CODE.finditer(text):
         for match in _SETTING.finditer(span.group(1)):
-            dotted = match.group(1)
-            section, name = dotted.split(".")[:2]
+            dotted = match.group(1) or match.group(2)
+            root, _, rest = dotted.partition(".")
             if not (
                 _is_setting(dotted)
                 or dotted in _METRICS
-                or (section == "cluster" and name in _CLUSTER_HANDLE)
+                or (root == "cluster" and rest.split(".")[0] in _CLUSTER_HANDLE)
             ):
                 problems.append(
                     f"{doc.relative_to(ROOT)}: no such config field -> {dotted}"

@@ -37,8 +37,6 @@ from .config import (
     ClusterConfig,
     INTERACTIVITY_BUDGET_MS,
     KyrixConfig,
-    NetworkConfig,
-    PrefetchConfig,
     StorageConfig,
 )
 from .cluster import ClusterRouter, ShardedCluster, build_cluster
@@ -97,8 +95,6 @@ __all__ = [
     "KyrixError",
     "KyrixFrontend",
     "Layer",
-    "NetworkConfig",
-    "PrefetchConfig",
     "Renderer",
     "StorageConfig",
     "Transform",

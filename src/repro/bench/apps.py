@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..compiler import CompiledApplication, compile_application
-from ..config import KyrixConfig, NetworkConfig, PrefetchConfig, StorageConfig
+from ..config import KyrixConfig
 from ..core import (
     App,
     Application,
@@ -77,22 +77,9 @@ class EEGStack:
         return self.spec.channels * eeg_lane_height(self.spec)
 
 
-def default_config(
-    *,
-    viewport: int = 1024,
-    prefetch_enabled: bool = False,
-    rtt_ms: float = 2.0,
-    bandwidth_mbps: float = 1000.0,
-) -> KyrixConfig:
-    """The configuration used by the benchmarks (LAN-like link, caches on)."""
-    return KyrixConfig(
-        app_name="dots",
-        storage=StorageConfig(),
-        network=NetworkConfig(rtt_ms=rtt_ms, bandwidth_mbps=bandwidth_mbps),
-        prefetch=PrefetchConfig(enabled=prefetch_enabled),
-        viewport_width=viewport,
-        viewport_height=viewport,
-    )
+def default_config(*, viewport: int = 1024) -> KyrixConfig:
+    """The configuration used by the benchmarks (a square viewport, caches on)."""
+    return KyrixConfig(viewport_width=viewport, viewport_height=viewport)
 
 
 def _built_source_backend(service: "DataService") -> KyrixBackend:

@@ -313,13 +313,7 @@ def prefetch_cache_ablation(
             None,
         ),
         ("cache", KyrixConfig.from_dict(base.to_dict()), None),
-        (
-            "cache+momentum",
-            KyrixConfig.from_dict(
-                {**base.to_dict(), "prefetch": {"enabled": True}}
-            ),
-            MomentumPrefetcher(),
-        ),
+        ("cache+momentum", KyrixConfig.from_dict(base.to_dict()), MomentumPrefetcher()),
     ]
     results: dict[str, SessionResult] = {}
     for name, config, prefetcher in variants:

@@ -28,7 +28,6 @@ from ..metrics.collector import LatencyBreakdown, MetricsCollector
 from ..net.link import SimulatedLink
 from ..net.protocol import DataRequest, DataResponse, RowBatch, concat_rows
 from ..server.cache import LRUCache
-from ..server.dbox import DynamicBoxState
 from ..server.prefetch import MomentumPrefetcher
 from ..server.schemes import FetchScheme, dbox_scheme
 from ..server.tile import TileScheme
@@ -60,22 +59,20 @@ class KyrixFrontend:
         scheme: FetchScheme | None = None,
         *,
         config: KyrixConfig | None = None,
-        link: SimulatedLink | None = None,
         prefetcher: MomentumPrefetcher | None = None,
         render: bool = False,
     ) -> None:
         self.service = service
         self.scheme = scheme or dbox_scheme()
         self.config = config or service.config
-        self.link = link or SimulatedLink(self.config.network)
+        self.link = SimulatedLink()
         self.cache: LRUCache[DataResponse] = LRUCache(
             self.config.cache.frontend_entries
         )
         self.metrics = MetricsCollector()
         #: Requests the prefetcher has issued (they record no step).
         self.prefetch_requests = 0
-        if prefetcher is None and self.config.prefetch.enabled:
-            prefetcher = MomentumPrefetcher()
+        #: The one prefetch switch: ``None`` prefetches nothing.
         self.prefetcher = prefetcher
         self.renderer = (
             RasterRenderer(self.config.viewport_width, self.config.viewport_height)
@@ -85,7 +82,8 @@ class KyrixFrontend:
 
         self.current_canvas_id: str | None = None
         self.viewport: Viewport | None = None
-        self._dbox_states: dict[int, DynamicBoxState] = {}
+        #: The dynamic box last fetched, per layer index.
+        self._boxes: dict[int, Rect] = {}
         #: Objects currently visible, per layer index (for jump hit-testing):
         #: one batch per layer, whose rows become dicts as they are read.
         self.visible_objects: dict[int, RowBatch] = {}
@@ -105,7 +103,7 @@ class KyrixFrontend:
         plan = self.service.compiled.canvas_plan(canvas_id)
         self.current_canvas_id = canvas_id
         self.viewport = viewport.clamped_to(plan.width, plan.height)
-        self._dbox_states = {}
+        self._boxes = {}
         self.visible_objects = {}
         if self.prefetcher is not None:
             self.prefetcher.reset()
@@ -222,12 +220,11 @@ class KyrixFrontend:
                 for tile_id in tile_scheme.tiles_for_rect(viewport.to_rect())
             ]
         # Dynamic box: only fetch when the viewport escapes the current box.
-        state = self._dbox_states.setdefault(layer_plan.layer_index, DynamicBoxState())
-        if not state.needs_fetch(viewport):
-            state.record_skip()
+        box = self._boxes.get(layer_plan.layer_index)
+        if box is not None and box.contains(viewport.to_rect()):
             return []
         box = scheme.box_for(viewport, canvas_plan.width, canvas_plan.height)
-        state.record_fetch(box)
+        self._boxes[layer_plan.layer_index] = box
         return [self._box_request(layer_plan, box)]
 
     def _box_request(self, layer_plan: LayerPlan, box: Rect) -> DataRequest:
@@ -295,7 +292,7 @@ class KyrixFrontend:
     def _prefetch_requests(
         self, layer_plan: LayerPlan, viewport: Viewport, canvas_plan
     ) -> list[DataRequest]:
-        """Requests covering a *predicted* viewport (does not disturb dbox state)."""
+        """Requests covering a *predicted* viewport (the layer's box stays)."""
         if self.scheme.is_tile:
             return self._requests_for_layer(layer_plan, viewport, canvas_plan)
         box = self.scheme.box_for(viewport, canvas_plan.width, canvas_plan.height)

@@ -3,13 +3,13 @@
 The original Kyrix reads a ``config.txt`` file naming the backing DBMS and
 the web-server ports.  Here the equivalent is :class:`KyrixConfig`, a plain
 dataclass that applications pass to :class:`repro.core.application.Application`.
-It bundles the storage-engine configuration, the modelled network hop,
-the two cache sizes and the cluster / telemetry sections.  A field lives
+It bundles the storage-engine configuration, the two cache sizes, the
+cluster / telemetry sections and the viewport size.  A field lives
 here only while a non-test caller sets it to a second value
 (``docs/operations.md`` names that caller per field); a value nobody varies
 is a module constant beside the code that reads it (``docs/extending.md``),
 and a choice nobody makes is made once in code (a replica set always picks
-round-robin).
+round-robin; a frontend prefetches exactly when it is handed a prefetcher).
 """
 
 from __future__ import annotations
@@ -60,32 +60,6 @@ class StorageConfig:
 
 
 @dataclass
-class NetworkConfig:
-    """Parameters of the modelled frontend <-> backend hop.
-
-    The only modelled time in the package: ``LatencyBreakdown.network_ms``
-    is ``rtt_ms`` plus payload bytes over ``bandwidth_mbps`` per request
-    (:class:`~repro.net.link.SimulatedLink`), added by the frontend; nothing
-    on the serving path reads these fields.
-
-    The paper's experiments ran the browser and the backend on the same EC2
-    instance, so the defaults model a fast local link.  The per-request
-    round-trip time is the term that penalises fetching schemes that issue
-    many small requests (e.g. 256-pixel tiles); the bandwidth term penalises
-    schemes that transfer a lot of data (e.g. 4096-pixel tiles).
-    """
-
-    rtt_ms: float = 2.0
-    bandwidth_mbps: float = 1000.0
-
-    def validate(self) -> None:
-        if self.rtt_ms < 0:
-            raise KyrixError("rtt_ms must be non-negative")
-        if self.bandwidth_mbps <= 0:
-            raise KyrixError("bandwidth_mbps must be positive")
-
-
-@dataclass
 class CacheConfig:
     """Sizes of the two response caches (number of cached responses).
 
@@ -101,17 +75,6 @@ class CacheConfig:
     def validate(self) -> None:
         if self.backend_entries < 0 or self.frontend_entries < 0:
             raise KyrixError("cache sizes must be non-negative")
-
-
-@dataclass
-class PrefetchConfig:
-    """Configuration of the momentum-based prefetcher (Section 4).
-
-    With ``enabled``, a frontend that is not handed a prefetcher builds a
-    :class:`~repro.server.prefetch.MomentumPrefetcher` of its own.
-    """
-
-    enabled: bool = False
 
 
 #: How shard replicas execute (see :attr:`ClusterConfig.worker_mode`).
@@ -202,7 +165,7 @@ class TelemetryConfig:
 #: JSON value types accepted per default-value type (a ``bool`` is an
 #: ``int`` to Python, so it passes only where ``bool`` is listed).
 _SCALAR_TYPES: dict[type, tuple[type, ...]] = {
-    bool: (bool,), int: (int,), float: (int, float), str: (str,),
+    bool: (bool,), int: (int,), str: (str,),
     type(None): (str, type(None)),
 }
 
@@ -242,11 +205,8 @@ class KyrixConfig:
     ``config.txt`` in the paper's example (``new App("usmap", "config.txt")``).
     """
 
-    app_name: str = "kyrix-app"
     storage: StorageConfig = field(default_factory=StorageConfig)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    prefetch: PrefetchConfig = field(default_factory=PrefetchConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     viewport_width: int = 1000
@@ -254,11 +214,9 @@ class KyrixConfig:
 
     def validate(self) -> None:
         """Raise :class:`KyrixError` if any sub-configuration is invalid."""
-        if not self.app_name:
-            raise KyrixError("app_name must be a non-empty string")
         if self.viewport_width <= 0 or self.viewport_height <= 0:
             raise KyrixError("viewport dimensions must be positive")
-        for section in (self.storage, self.network, self.cache, self.cluster):
+        for section in (self.storage, self.cache, self.cluster):
             section.validate()
 
     # -- serialisation ------------------------------------------------------

@@ -32,7 +32,6 @@ class Application:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("application name must be non-empty")
-        self.config.app_name = self.name
 
     # -- JS-style builder API (Figure 3) -------------------------------------------
 

@@ -3,10 +3,10 @@
 Sub-modules:
 
 * :mod:`repro.server.indexer` — placement precomputation and index building,
-* :mod:`repro.server.tile` / :mod:`repro.server.dbox` — the two fetching
-  granularities (static tiles and dynamic boxes),
+* :mod:`repro.server.tile` — static tiles, one of the two fetching
+  granularities,
 * :mod:`repro.server.schemes` — the fetching-scheme registry used by the
-  evaluation (Figures 6/7),
+  evaluation (Figures 6/7), dynamic boxes included,
 * :mod:`repro.server.cache` — the LRU response cache (shared implementation
   with the frontend cache),
 * :mod:`repro.server.prefetch` — the momentum prefetch predictor,
@@ -16,7 +16,6 @@ Sub-modules:
 
 from .backend import BackendStats, KyrixBackend
 from .cache import CacheStats, LRUCache
-from .dbox import DynamicBoxState
 from .indexer import Indexer, PrecomputeReport
 from .prefetch import MomentumPrefetcher
 from .schemes import (
@@ -36,7 +35,6 @@ __all__ = [
     "CacheStats",
     "DESIGN_MAPPING",
     "DESIGN_SPATIAL",
-    "DynamicBoxState",
     "FetchScheme",
     "Indexer",
     "KyrixBackend",

@@ -5,6 +5,17 @@ that list.  A :class:`FetchScheme` tells the frontend *what to request*
 (tiles of a given size, or the dynamic box :meth:`FetchScheme.box_for`
 computes) and tells the backend *how to answer* (spatial bbox index, or the
 tuple–tile mapping design).
+
+The dynamic box is the paper's novel fetching granularity: "Dynamic box
+fetching amounts to requesting a box that contains the given viewport. [...]
+Whenever the viewport moves outside the current box, the frontend sends the
+current viewport location to the backend and requests a new box."  Section
+3.3 evaluates it in two forms that differ in one parameter,
+:attr:`FetchScheme.box_expansion`: *Dbox* ("the box fetched is exactly the
+viewport in each step") and *Dbox 50%* ("a box centered at the viewport
+center having width (height) 50% larger than the viewport width (height)").
+The frontend keeps the box it last fetched per layer and fetches again only
+when the viewport is no longer inside it.
 """
 
 from __future__ import annotations
@@ -14,7 +25,6 @@ from dataclasses import dataclass
 from ..core.viewport import Viewport
 from ..errors import FetchError
 from ..storage.rtree import Rect
-from .dbox import _clip
 
 #: Database designs from Section 3.1.
 DESIGN_SPATIAL = "spatial"
@@ -84,7 +94,12 @@ class FetchScheme:
         rect = viewport.to_rect()
         if self.box_expansion:
             rect = rect.scaled(1.0 + self.box_expansion)
-        return _clip(rect, canvas_width, canvas_height)
+        return Rect(
+            max(0.0, rect.xmin),
+            max(0.0, rect.ymin),
+            min(canvas_width, rect.xmax),
+            min(canvas_height, rect.ymax),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 
 from repro.client.frontend import KyrixFrontend
 from repro.client.session import SessionResult
-from repro.config import KyrixConfig
 from repro.core.viewport import Viewport
 from repro.datagen.traces import paper_traces
 from repro.net.protocol import DataRequest
@@ -170,22 +169,15 @@ class TestReplay:
             assert result.steps == len(traces[trace].positions) - 1
             assert len(result.metrics) == result.steps
 
-    def test_replay_hands_config_and_prefetcher_to_the_frontend(self, tiny_uniform_stack):
+    def test_replay_hands_its_prefetcher_to_the_frontend(self, tiny_uniform_stack):
         spec = tiny_uniform_stack.spec
         positions = paper_traces(spec.canvas_width, spec.canvas_height)["a"].positions
-        base = tiny_uniform_stack.backend.config
-        assert not base.prefetch.enabled
-        prefetching = KyrixConfig.from_dict(
-            {**base.to_dict(), "prefetch": {"enabled": True}}
-        )
         plain = replay(tiny_uniform_stack, dbox_scheme(), positions)
         handed = replay(
             tiny_uniform_stack, dbox_scheme(), positions, prefetcher=MomentumPrefetcher()
         )
-        configured = replay(tiny_uniform_stack, dbox_scheme(), positions, config=prefetching)
         assert plain.prefetch_requests == 0
         assert handed.prefetch_requests > 0
-        assert configured.prefetch_requests == handed.prefetch_requests
 
 
 class TestFigure6And7:

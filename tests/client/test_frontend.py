@@ -61,6 +61,18 @@ def clickable_dots(tiny_uniform_spec):
 
 
 class TestDynamicBoxProtocol:
+    def test_first_viewport_needs_fetch(self, dots_stack):
+        frontend = KyrixFrontend(dots_stack.backend, dbox50_scheme())
+        assert frontend.load_canvas("dots", Viewport(100, 100, 100, 100)).requests == 1
+
+    def test_viewport_inside_box_skips_fetch(self, dots_stack):
+        frontend = KyrixFrontend(dots_stack.backend, dbox50_scheme())
+        frontend.load_canvas("dots", Viewport(100, 100, 100, 100))
+        # The box is (75, 75)-(225, 225): a pan inside it asks nothing...
+        assert frontend.pan_to(110, 110).requests == 0
+        # ...and one that escapes it fetches a new box.
+        assert frontend.pan_to(400, 400).requests == 1
+
     def test_pan_within_expanded_box_skips_fetch(self, clickable_dots):
         frontend = KyrixFrontend(clickable_dots, dbox50_scheme(), render=True)
         frontend.load_canvas("dots", Viewport(1024, 1024, 512, 512))
@@ -148,30 +160,9 @@ class TestMetricsAndRendering:
 
 
 class TestPrefetching:
-    def test_prefetch_enabled_builds_a_momentum_prefetcher(self, dots_stack):
-        """``prefetch.enabled`` is the one prefetch switch; a handed-in
-        prefetcher wins over the one the frontend would build."""
-        base = default_config(viewport=512).to_dict()
-        enabled = KyrixConfig.from_dict({**base, "prefetch": {"enabled": True}})
-        assert isinstance(
-            KyrixFrontend(dots_stack.backend, config=enabled).prefetcher,
-            MomentumPrefetcher,
-        )
-        assert KyrixFrontend(dots_stack.backend).prefetcher is None
-        handed = MomentumPrefetcher()
-        frontend = KyrixFrontend(dots_stack.backend, config=enabled, prefetcher=handed)
-        assert frontend.prefetcher is handed
-
     def test_momentum_prefetch_warms_frontend_cache(self, dots_stack):
-        config = KyrixConfig.from_dict(
-            {
-                **default_config(viewport=512).to_dict(),
-                "prefetch": {"enabled": True},
-            }
-        )
         frontend = KyrixFrontend(
-            dots_stack.backend, dbox_scheme(), config=config,
-            prefetcher=MomentumPrefetcher(),
+            dots_stack.backend, dbox_scheme(), prefetcher=MomentumPrefetcher()
         )
         frontend.load_canvas("dots", Viewport(0, 0, 512, 512))
         frontend.pan_by(512, 0)
@@ -220,10 +211,9 @@ class TestSession:
         assert (first.steps, first.total_requests(), len(first.metrics)) == before
 
     def test_run_trace_counts_its_own_prefetches(self, dots_stack):
-        config = KyrixConfig.from_dict(
-            {**default_config(viewport=512).to_dict(), "prefetch": {"enabled": True}}
+        session = ExplorationSession(
+            KyrixFrontend(dots_stack.backend, prefetcher=MomentumPrefetcher())
         )
-        session = ExplorationSession(KyrixFrontend(dots_stack.backend, config=config))
         first = session.run_trace("dots", [(0, 0), (512, 0), (1024, 0), (1536, 0)])
         second = session.run_trace("dots", [(0, 2048), (512, 2048), (1024, 2048)])
         assert first.prefetch_requests > second.prefetch_requests > 0

@@ -3,11 +3,16 @@
 import pytest
 
 from repro.client.renderer import RasterRenderer
-from repro.config import NetworkConfig
 from repro.core.rendering import dot_renderer, legend_renderer, rect_renderer
 from repro.core.viewport import Viewport
-from repro.errors import ClientError
-from repro.net.link import PER_OBJECT_BYTES, REQUEST_OVERHEAD_BYTES, SimulatedLink
+from repro.errors import ClientError, KyrixError
+from repro.net.link import (
+    BANDWIDTH_MBPS,
+    PER_OBJECT_BYTES,
+    REQUEST_OVERHEAD_BYTES,
+    RTT_MS,
+    SimulatedLink,
+)
 from repro.net.protocol import DataRequest, DataResponse
 
 
@@ -73,23 +78,31 @@ class TestRasterRenderer:
 
 class TestSimulatedLink:
     def test_transfer_time_scales_with_bytes(self):
-        link = SimulatedLink(NetworkConfig(rtt_ms=1.0, bandwidth_mbps=8.0))
+        link = SimulatedLink(rtt_ms=1.0, bandwidth_mbps=8.0)
         # 8 Mbit/s = 1 byte per microsecond: 1000 bytes -> 1 ms.
         assert link.transfer_ms(1000) == pytest.approx(1.0)
 
     def test_round_trip_includes_rtt_and_overhead(self):
-        link = SimulatedLink(NetworkConfig(rtt_ms=5.0, bandwidth_mbps=8.0))
+        link = SimulatedLink(rtt_ms=5.0, bandwidth_mbps=8.0)
         # 8 Mbit/s = 1 byte per microsecond: the overhead alone costs time.
         assert REQUEST_OVERHEAD_BYTES == 256
         assert link.round_trip_ms(0) == pytest.approx(5.0 + 0.256)
 
     def test_link_is_stateless_arithmetic(self):
-        link = SimulatedLink(NetworkConfig(rtt_ms=2.0))
+        link = SimulatedLink()
         latency = link.round_trip_ms(10_000)
-        assert latency > 2.0
+        assert latency > RTT_MS
         # No counters, no clock: asking again changes nothing.
         assert link.round_trip_ms(10_000) == latency
-        assert vars(link) == {"config": link.config}
+        assert vars(link) == {"rtt_ms": RTT_MS, "bandwidth_mbps": BANDWIDTH_MBPS}
+
+    def test_a_negative_rtt_is_rejected(self):
+        with pytest.raises(KyrixError, match="rtt_ms"):
+            SimulatedLink(rtt_ms=-1.0)
+
+    def test_a_zero_bandwidth_is_rejected(self):
+        with pytest.raises(KyrixError, match="bandwidth_mbps"):
+            SimulatedLink(bandwidth_mbps=0)
 
     def test_estimate_object_payload(self):
         assert PER_OBJECT_BYTES == 64
@@ -97,7 +110,7 @@ class TestSimulatedLink:
 
     def test_many_small_requests_cost_more_than_one_big(self):
         """The core reason small tiles lose: per-request RTT dominates."""
-        link = SimulatedLink(NetworkConfig(rtt_ms=2.0, bandwidth_mbps=1000.0))
+        link = SimulatedLink()
         one_big = link.round_trip_ms(16 * 4096)
         sixteen_small = 16 * link.round_trip_ms(4096)
         assert sixteen_small > one_big

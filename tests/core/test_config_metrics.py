@@ -11,12 +11,9 @@ import pytest
 
 from repro.config import (
     CacheConfig,
-    ClusterConfig,
     INTERACTIVITY_BUDGET_MS,
     KyrixConfig,
-    NetworkConfig,
     StorageConfig,
-    TelemetryConfig,
 )
 from repro.errors import KyrixError
 from repro.metrics.collector import LatencyBreakdown, MetricsCollector
@@ -24,17 +21,14 @@ from repro.metrics.timer import VirtualClock
 
 
 INVALID_VALUES = [
-    {"app_name": ""},
     {"viewport_width": 0},
     {"storage": {"page_size": 10}},
     {"storage": {"page_size": 65_536}},
-    {"network": {"bandwidth_mbps": 0}},
     {"cache": {"backend_entries": -1}},
     # One row per remaining ``validate()`` branch, so a check that is
     # dropped by accident shows up here by name.
     {"viewport_height": -1},
     {"storage": {"buffer_pool_pages": 2}},
-    {"network": {"rtt_ms": -1.0}},
     {"cache": {"frontend_entries": -1}},
     {"cluster": {"shard_count": 0}},
     {"cluster": {"strategy": "hilbert"}},
@@ -60,7 +54,11 @@ MALFORMED_INPUT = [
 DELETED_KEYS = {
     "cluster.autopilot": {"cluster": {"autopilot": {"enabled": True}}},
     "cache.enabled": {"cache": {"enabled": False}},
-    "prefetch.strategy": {"prefetch": {"strategy": "momentum"}},
+    # The modelled hop is ``SimulatedLink``'s keyword defaults; a frontend
+    # prefetches when it is handed a prefetcher; the name is the App's.
+    "network": {"network": {"rtt_ms": 2.0, "bandwidth_mbps": 1000.0}},
+    "prefetch": {"prefetch": {"strategy": "momentum"}},
+    "app_name": {"app_name": "usmap"},
     # Breaker tuning is ``ReplicaService``'s keyword defaults; workers bind
     # ephemeral localhost ports.
     "cluster.breaker_threshold": {"cluster": {"breaker_threshold": 5}},
@@ -69,6 +67,9 @@ DELETED_KEYS = {
     # A replica set always picks round-robin; there is no policy to name.
     "cluster.replica_policy": {"cluster": {"replica_policy": "round_robin"}},
 }
+
+#: The ``KyrixConfig`` sections, each one table of ``docs/operations.md``.
+SECTIONS = [name for name, value in vars(KyrixConfig()).items() if is_dataclass(value)]
 
 OPERATIONS_DOC = Path(__file__).resolve().parents[2] / "docs" / "operations.md"
 
@@ -90,6 +91,20 @@ def _not_a_knob_rows():
     ]
 
 
+def _offending(bad):
+    """The dotted key and the value of a one-key-per-level config row."""
+    path = []
+    while isinstance(bad, dict):
+        (key, bad), = bad.items()
+        path.append(key)
+    return ".".join(path), bad
+
+
+def _row_id(bad):
+    key, value = _offending(bad)
+    return f"{key}={json.dumps(value)}"
+
+
 class TestConfig:
     def test_defaults_validate(self):
         KyrixConfig().validate()
@@ -98,38 +113,37 @@ class TestConfig:
         assert INTERACTIVITY_BUDGET_MS == 500.0
 
     def test_round_trip_dict(self):
-        config = KyrixConfig(app_name="demo", viewport_width=640)
-        config.network.rtt_ms = 7.5
+        config = KyrixConfig(viewport_width=640)
+        config.cluster.shard_count = 2
         restored = KyrixConfig.from_dict(config.to_dict())
-        assert restored.app_name == "demo"
         assert restored.viewport_width == 640
-        assert restored.network.rtt_ms == 7.5
+        assert restored.cluster.shard_count == 2
 
     def test_round_trip_json_and_file(self, tmp_path):
-        config = KyrixConfig(app_name="demo")
+        config = KyrixConfig(viewport_width=640)
         path = tmp_path / "config.json"
         config.save(path)
         restored = KyrixConfig.from_file(path)
-        assert restored.app_name == "demo"
-        assert json.loads(config.to_json())["app_name"] == "demo"
+        assert restored == config
+        assert json.loads(config.to_json())["viewport_width"] == 640
 
     def test_partial_dict_uses_defaults(self):
-        config = KyrixConfig.from_dict({"app_name": "x", "cache": {"frontend_entries": 0}})
+        config = KyrixConfig.from_dict({"cache": {"frontend_entries": 0}})
         assert config.cache.frontend_entries == 0
         assert config.cache.backend_entries == CacheConfig().backend_entries
-        assert config.network.rtt_ms == NetworkConfig().rtt_ms
+        assert config.storage == StorageConfig()
 
-    @pytest.mark.parametrize("bad", INVALID_VALUES + MALFORMED_INPUT)
+    @pytest.mark.parametrize(
+        "bad",
+        INVALID_VALUES + MALFORMED_INPUT,
+        ids=_row_id,
+    )
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(KyrixError) as caught:
             KyrixConfig.from_dict(bad)
         if bad in MALFORMED_INPUT:
             # The error names the offending ``section.key`` path.
-            path = []
-            while isinstance(bad, dict):
-                (key, bad), = bad.items()
-                path.append(key)
-            assert repr(".".join(path)) in str(caught.value)
+            assert repr(_offending(bad)[0]) in str(caught.value)
 
     @pytest.mark.parametrize("key", DELETED_KEYS)
     def test_a_deleted_key_in_a_saved_config_is_refused_by_name(self, key, tmp_path):
@@ -149,26 +163,24 @@ class TestConfig:
         assert table.fetch(table.insert((1,))) == (1,)
 
     @pytest.mark.parametrize(
-        "heading, section",
-        [
-            ("cluster.*", ClusterConfig()),
-            ("cache.*", CacheConfig()),
-            ("telemetry.*", TelemetryConfig()),
-        ],
+        "heading", [f"{name}.*" for name in SECTIONS] + ["KyrixConfig"]
     )
-    def test_operations_reference_matches_the_dataclasses(self, heading, section):
-        """Both directions: every field has a ``docs/operations.md`` row with
-        its real default, and no row names a field that does not exist."""
+    def test_operations_reference_matches_the_dataclasses(self, heading):
+        """Both directions: every leaf of every section, and of the top
+        level, has a ``docs/operations.md`` row with its real default and its
+        evidence, and no row names a field that does not exist."""
+        section = KyrixConfig()
+        if heading.endswith(".*"):
+            section = getattr(section, heading[:-2])
         table = OPERATIONS_DOC.read_text().split(f"### `{heading}`", 1)[1].split("\n###", 1)[0]
-        documented = {
-            name: json.loads(default)
-            for name, default in re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", table, re.M)
-        }
-        assert documented == {
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|(.*)\|$", table, re.M)
+        assert {name: json.loads(default) for name, default, _ in rows} == {
             spec.name: getattr(section, spec.name)
             for spec in fields(section)
             if not is_dataclass(getattr(section, spec.name))
         }
+        for name, _, cells in rows:
+            assert cells.split(" | ")[-1].strip(), f"{heading} {name} names no evidence"
 
     @pytest.mark.parametrize("names, module, values", _not_a_knob_rows())
     def test_every_constant_that_is_not_a_knob_exists_with_its_documented_value(

@@ -261,6 +261,8 @@ class TestApplication:
         assert "c" in description["canvases"]
         assert description["jumps"][0]["type"] == "pan"
 
-    def test_config_app_name_is_synced(self):
-        app = App(name="demo")
-        assert app.config.app_name == "demo"
+    def test_the_config_is_left_as_handed_in(self):
+        config = KyrixConfig()
+        app = App(name="demo", config=config)
+        assert app.name == "demo"
+        assert config == KyrixConfig()

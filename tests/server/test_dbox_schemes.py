@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.viewport import Viewport
 from repro.errors import FetchError
-from repro.server.dbox import DynamicBoxState
 from repro.server.schemes import (
     DESIGN_MAPPING,
     DESIGN_SPATIAL,
@@ -82,29 +81,6 @@ class TestBoxFor:
     )
     def test_box_edges_are_pinned(self, scheme, viewport, canvas, edges):
         assert scheme.box_for(Viewport(*viewport), *canvas).as_tuple() == edges
-
-
-class TestDynamicBoxState:
-    def test_first_viewport_needs_fetch(self):
-        state = DynamicBoxState()
-        assert state.needs_fetch(Viewport(0, 0, 10, 10))
-
-    def test_viewport_inside_box_skips_fetch(self):
-        state = DynamicBoxState()
-        viewport = Viewport(100, 100, 100, 100)
-        box = dbox50_scheme().box_for(viewport, 10_000, 10_000)
-        state.record_fetch(box)
-        assert not state.needs_fetch(Viewport(110, 110, 100, 100))
-        assert state.needs_fetch(Viewport(400, 400, 100, 100))
-
-    def test_counters_and_reset(self):
-        state = DynamicBoxState()
-        state.record_fetch(Viewport(0, 0, 10, 10).to_rect())
-        state.record_skip()
-        assert (state.fetches, state.skips) == (1, 1)
-        state.reset()
-        assert state.current_box is None
-        assert state.fetches == 0
 
 
 class TestFetchSchemes:

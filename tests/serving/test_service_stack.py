@@ -234,7 +234,7 @@ def _viewport_over(request: DataRequest) -> Viewport:
 
 def _box_of(frontend: KyrixFrontend, template: DataRequest) -> DataRequest:
     """The dynamic-box request ``frontend`` last issued (its cache's one key)."""
-    box = frontend._dbox_states[0].current_box
+    box = frontend._boxes[0]
     return dataclasses.replace(
         template, xmin=box.xmin, ymin=box.ymin, xmax=box.xmax, ymax=box.ymax
     )
