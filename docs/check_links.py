@@ -12,9 +12,9 @@ README for
 * inline-backtick settings (`` `cluster.wire_shards` ``,
   `` `config.cache.backend_entries` ``,
   `` `config.viewport_width` ``) — a dotted name rooted at a
-  ``KyrixConfig`` section, and any dotted name right after ``config.``
-  whatever its first word (`` `config.network.rtt_ms` `` of a deleted
-  section included), must name a field that exists.  The prose also
+  ``KyrixConfig`` section or at a retired one (`` `network.rtt_ms` ``),
+  and any dotted name right after ``config.`` whatever its first word,
+  must name a field that exists.  The prose also
   roots two other vocabularies at section names, and they resolve too:
   the benchmark's metric names (``BENCHMARK.json``) and attributes of the
   ``ShardedCluster`` handle the examples call ``cluster``.
@@ -55,16 +55,22 @@ _EXTENSIONS = r"py|md|json|jsonl|ya?ml|txt|ini"
 _PATH_WORD = re.compile(
     r"^[A-Za-z0-9_][A-Za-z0-9_.\-/]*(?:\.(?:%s)|/)$" % _EXTENSIONS
 )
+#: Sections ``KyrixConfig`` no longer has: a setting cited under one of
+#: them names nothing, so it is checked (and fails) like any other.
+_RETIRED_SECTIONS = ("network", "prefetch")
 #: A setting: ``section.field[.field]`` rooted at a ``KyrixConfig`` section
-#: (group 1), or any dotted name right after ``config.`` (group 2,
-#: ``router.config.cluster.x``, ``config.viewport_width``).
+#: or a retired one (group 1), or any dotted name right after ``config.``
+#: (group 2, ``router.config.cluster.x``, ``config.viewport_width``).
 _DEFAULTS = KyrixConfig()
 _SETTING = re.compile(
     r"(?<![\w./])((?:%s)(?!\.py)(?:\.[a-z_]+)+)|(?<!\w)config\.(?!(?:%s)\b)([a-z_]+(?:\.[a-z_]+)*)"
     % (
         "|".join(
-            spec.name for spec in fields(_DEFAULTS)
-            if is_dataclass(getattr(_DEFAULTS, spec.name))
+            [
+                spec.name for spec in fields(_DEFAULTS)
+                if is_dataclass(getattr(_DEFAULTS, spec.name))
+            ]
+            + list(_RETIRED_SECTIONS)
         ),
         _EXTENSIONS,
     )

@@ -1,7 +1,7 @@
-"""Exploration sessions: scripted sequences of user interactions.
+"""Exploration sessions: replayed viewport movement traces.
 
 The figure replays and the examples drive the frontend through
-*viewport movement traces* (Figure 5) and jump sequences.  An
+*viewport movement traces* (Figure 5).  An
 :class:`ExplorationSession` wraps a frontend, replays a trace, and returns
 the per-step latency metrics, excluding the initial canvas load (the paper
 measures response time per pan step, not cold start).
@@ -10,7 +10,7 @@ measures response time per pan step, not cold start).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Sequence
 
 from ..core.viewport import Viewport
 from ..metrics.collector import LatencyBreakdown, MetricsCollector
@@ -78,47 +78,6 @@ class ExplorationSession:
         for x, y in positions[1:]:
             self.frontend.pan_to(x, y)
         return self._result(len(positions) - 1, initial, prefetched)
-
-    def run_interactions(self, interactions: Iterable[dict[str, Any]]) -> SessionResult:
-        """Replay a mixed sequence of interactions.
-
-        Each interaction is a dictionary with an ``action`` key:
-
-        * ``{"action": "load", "canvas": ..., "x": ..., "y": ...}``
-        * ``{"action": "pan_to", "x": ..., "y": ...}``
-        * ``{"action": "pan_by", "dx": ..., "dy": ...}``
-        * ``{"action": "click", "row": {...}, "layer": 0}``
-
-        The initial ``load`` (if first) is excluded from metrics, as in
-        :meth:`run_trace`.
-        """
-        initial: LatencyBreakdown | None = None
-        steps = 0
-        prefetched = self.frontend.prefetch_requests
-        for index, interaction in enumerate(interactions):
-            action = interaction["action"]
-            if action == "load":
-                viewport = Viewport(
-                    interaction.get("x", 0.0),
-                    interaction.get("y", 0.0),
-                    interaction.get("width", self.frontend.config.viewport_width),
-                    interaction.get("height", self.frontend.config.viewport_height),
-                )
-                breakdown = self.frontend.load_canvas(interaction["canvas"], viewport)
-                if index == 0:
-                    initial = breakdown
-                    self.frontend.metrics.reset()
-                    continue
-            elif action == "pan_to":
-                self.frontend.pan_to(interaction["x"], interaction["y"])
-            elif action == "pan_by":
-                self.frontend.pan_by(interaction["dx"], interaction["dy"])
-            elif action == "click":
-                self.frontend.click(interaction["row"], interaction.get("layer", 0))
-            else:
-                raise ValueError(f"unknown interaction action {action!r}")
-            steps += 1
-        return self._result(steps, initial, prefetched)
 
     def _result(
         self, steps: int, initial: LatencyBreakdown | None, prefetched: int

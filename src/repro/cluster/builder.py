@@ -2,7 +2,8 @@
 
 :func:`build_generation` is the only place a shard generation is made:
 from one source backend and one **effective** configuration it indexes the
-shards, attaches a serving stack to each and returns the
+shards, attaches a serving stack to each, creates the generation's scatter
+pool and per-canvas load histograms and returns the
 :class:`~repro.cluster.router.ShardTable` that owns all of it.
 :func:`build_cluster` folds its ``**cluster`` overrides — any
 :class:`~repro.config.ClusterConfig` field, by its own name — into that one
@@ -18,6 +19,7 @@ this process or in a worker.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -28,8 +30,8 @@ from ..serving.base import DataService
 from ..serving.replica import ReplicaService
 from ..serving.transport import RemoteBackendStub
 from ..serving.worker import ShardSpec, WorkerPool, build_shard_spec, replica_stack
-from .partitioner import Partitioning
-from .router import ClusterRouter, ShardTable
+from .partitioner import LoadHistogram, Partitioning
+from .router import LOAD_SAMPLES, ClusterRouter, ShardTable
 from .sharded import ShardedIndexer, ShardHandle
 
 if TYPE_CHECKING:
@@ -180,19 +182,31 @@ def build_generation(
     :meth:`~repro.cluster.rebalancer.LoadRebalancer.rebalance` for epoch
     N+1 (new ``partitionings``, shard / replica counts ``replace``d in
     ``config.cluster``).  ``config`` is recorded on the returned table and
-    shipped to process workers in their ``ShardSpec``.  The caller owns
-    the table until a router takes it; ``table.close()`` tears it down.
+    shipped to process workers in their ``ShardSpec``.  With
+    ``cluster.parallel_shards`` and more than one shard the generation gets
+    its scatter pool, one worker per shard (CPython starts a pool thread
+    only on a submit, so a generation that never fans out starts none);
+    every canvas gets an empty :class:`~repro.cluster.partitioner.LoadHistogram`.
+    The caller owns the table until a router takes it; ``table.close()``
+    tears it down.
     """
     config.cluster.validate()
     indexer = ShardedIndexer(source.database, source.compiled, config)
     shards, partitionings = indexer.build_shards(partitionings, tile_sizes=tile_sizes)
     pool = attach_shard_services(shards, config, source.compiled, generation=epoch)
+    executor = None
+    if config.cluster.parallel_shards and len(shards) > 1:
+        executor = ThreadPoolExecutor(
+            max_workers=len(shards), thread_name_prefix="kyrix-shard"
+        )
     return ShardTable(
         shards=shards,
         partitionings=partitionings,
         config=config,
         epoch=epoch,
         worker_pool=pool,
+        executor=executor,
+        loads={canvas_id: LoadHistogram(LOAD_SAMPLES) for canvas_id in partitionings},
     )
 
 

@@ -16,7 +16,8 @@ composed middleware stack over the scatter-gather core::
 3. the scatter-gather computes the request's canvas rectangle and
    *scatters* the request only to the shards whose regions intersect it
    (``shard_id``-stamped copies), executing the shard queries **in
-   parallel** on a thread pool when ``cluster.parallel_shards`` is set, and
+   parallel** on the generation's thread pool when
+   ``cluster.parallel_shards`` is set, and
 4. *gathers* the shard responses in shard-id order, merging objects and
    deduplicating boundary-straddling tuples that were replicated into
    several shards — the gathered object list is byte-identical whether the
@@ -32,6 +33,12 @@ Each event is counted once, by the layer it happens in: the router cache
 its hits and misses (``router.cache.stats``), the coalescer its leaders and
 followers (``router.coalescer.stats``), and :class:`ClusterStats` only what
 the scatter-gather itself does.
+
+The router has one lock, the table lock.  A scatter-gather takes it twice:
+on entry to pick the generation, count the scatter and sample its footprint
+on that generation's load histogram; on exit to drain and add its duplicate
+and object counts.  Everything per-generation — shards, scatter pool, load
+sample — lives on the :class:`ShardTable`, so a swap is one assignment.
 
 ``DataResponse.query_ms`` of a gathered response is the measured wall time
 of the scatter-gather, routing to merge (so never less than the slowest
@@ -86,8 +93,8 @@ class ShardTable:
     per request and uses it for the whole fan-out, so an online rebalance
     can swap the table atomically while requests already in flight keep
     the generation they started on; the old generation is only closed
-    once it drains.  Only ``inflight`` changes after the build, and only
-    under the owning router's table lock.
+    once it drains.  Only ``inflight`` and the ``loads`` samples change
+    after the build, and only under the owning router's table lock.
     """
 
     shards: list[ShardHandle]
@@ -100,12 +107,23 @@ class ShardTable:
     #: The worker-process pool serving this generation's shards, when it
     #: was built with ``worker_mode="processes"``.
     worker_pool: "WorkerPool | None" = None
+    #: The thread pool multi-shard scatters fan out on (one worker per
+    #: shard), or ``None`` when this generation scatters sequentially.
+    executor: ThreadPoolExecutor | None = None
+    #: Per-canvas request-footprint centres (:data:`LOAD_SAMPLES` newest)
+    #: recorded on this generation, feeding the load-weighted repartitioner:
+    #: the next split is shaped by traffic these boundaries saw.
+    loads: dict[str, LoadHistogram] = field(default_factory=dict)
     #: Scatter-gathers currently executing against this table.
     inflight: int = 0
 
     def close(self) -> None:
-        """Close this generation's shard stacks and worker pool (idempotent;
-        the only place a generation is torn down)."""
+        """Shut down this generation's scatter pool, then close its shard
+        stacks and worker pool (idempotent; the only place a generation is
+        torn down).  The pool is not waited on, so a drain timeout stays
+        a bound; work already queued still runs."""
+        if self.executor is not None:
+            self.executor.shutdown(wait=False)
         for shard in self.shards:
             shard.close()
         if self.worker_pool is not None:
@@ -235,15 +253,9 @@ class ClusterRouter:
         self._table = table
         self._table_lock = threading.Lock()
         self._table_drained = threading.Condition(self._table_lock)
+        self._closed = False
         self.compiled = compiled
         config = table.config
-        # Per-canvas request-footprint histograms feeding the load-driven
-        # repartitioner (bounded ring buffers; see LoadRebalancer).
-        self._load_lock = threading.Lock()
-        self.canvas_loads: dict[str, LoadHistogram] = {
-            canvas_id: LoadHistogram(LOAD_SAMPLES)
-            for canvas_id in table.partitionings
-        }
         # Written under the table lock: concurrent sessions are the router's
         # normal traffic, so the read-modify-write updates must not lose
         # increments, and a swap clears the per-shard ones atomically with
@@ -261,11 +273,6 @@ class ClusterRouter:
             entries=config.cache.backend_entries,
         )
         self.cache = self._stack.cache
-        # The scatter executor is created lazily on the first multi-shard
-        # fan-out (many routers are built for single requests or ablations).
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
-        self._closed = False
         #: Back-reference to the ShardedCluster that built this router
         #: (set by :func:`repro.cluster.builder.build_cluster`).
         self.cluster: Any = None
@@ -308,9 +315,8 @@ class ClusterRouter:
 
     @property
     def parallel(self) -> bool:
-        """Whether multi-shard scatters fan out on the thread pool."""
-        table = self._table
-        return table.config.cluster.parallel_shards and len(table.shards) > 1
+        """Whether multi-shard scatters fan out on the generation's pool."""
+        return self._table.executor is not None
 
     @property
     def children(self) -> tuple[Any, ...]:
@@ -346,17 +352,14 @@ class ClusterRouter:
             return response
 
     def close(self) -> None:
-        """Shut down the scatter executor, shard stacks and worker processes."""
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-            self._closed = True
-        if executor is not None:
-            executor.shutdown(wait=True)
-        # Serialise with swap_shards: reading the table under the table
-        # lock guarantees we close whichever generation a concurrent
-        # rebalance installed (or that the rebalance failed its closed
-        # check before installing anything).
+        """Close the current generation: its scatter pool, shard stacks and
+        worker processes."""
+        # Serialise with swap_shards: marking closed and reading the table
+        # under the table lock guarantees we close whichever generation a
+        # concurrent rebalance installed (or that the rebalance failed its
+        # closed check before installing anything).
         with self._table_lock:
+            self._closed = True
             table = self._table
         table.close()
 
@@ -372,14 +375,14 @@ class ClusterRouter:
         refused (closed router) the new ``table`` is still the caller's to
         close.
 
-        Traffic counters keyed by shard id (``per_shard_requests`` /
-        ``fanout``) are cleared: shard ids name *regions*, and the new
-        generation's regions are different objects — mixing the two would
-        make the post-rebalance skew unreadable.  (Replica counters need no
-        clearing: every generation builds its own replica sets.)  The
-        per-canvas load histograms reset for the same reason: the next
-        split must be driven by traffic on the new boundaries, not by the
-        hotspot this swap just resolved.
+        The new generation brings its own scatter pool and empty load
+        histograms, so the next split is shaped by traffic the new
+        boundaries see.  Traffic counters keyed by shard id
+        (``per_shard_requests`` / ``fanout``) are cleared: shard ids name
+        *regions*, and the new generation's regions are different objects —
+        mixing the two would make the post-rebalance skew unreadable.
+        (Replica counters need no clearing: every generation builds its own
+        replica sets.)
         """
         _require_shards(table)
         with self._table_lock:
@@ -388,35 +391,14 @@ class ClusterRouter:
             # guarantees either close() sees the new table (and closes it)
             # or this swap fails before installing anything — a rebalance
             # racing a shutdown must not strand a worker-pool generation.
-            with self._executor_lock:
-                if self._closed:
-                    raise FetchError("cannot swap shards on a closed router")
-                # The executor was sized for the old shard count; drop it
-                # so the next fan-out rebuilds one for the new topology.
-                executor, self._executor = self._executor, None
-            old = self._table
-            self._table = table
-            # Clear per-shard traffic inside the table lock: no request can
-            # pick up the new table until the lock drops, so the new epoch's
-            # counters start exactly empty, and old-generation stragglers
-            # skip recording via the stale-table guard in
-            # _scatter_gather_traced.
+            if self._closed:
+                raise FetchError("cannot swap shards on a closed router")
+            old, self._table = self._table, table
+            # No request can pick up the new table until the lock drops, so
+            # the new epoch's counters start exactly empty; a straggler
+            # recorded its scatter on entry, before this swap.
             self.stats.per_shard_requests.clear()
             self.stats.fanout.clear()
-            # The load histograms drove the split that produced this
-            # generation; the *next* boundary decision must be shaped by
-            # traffic the new boundaries actually see, not by hotspots
-            # this swap already resolved — a stale histogram would pin
-            # every future split onto the old hot region.
-            with self._load_lock:
-                for canvas_id, load in self.canvas_loads.items():
-                    self.canvas_loads[canvas_id] = LoadHistogram(load.limit)
-        if executor is not None:
-            # Old-generation scatters may still hold futures; wait=False
-            # lets them finish on the dying executor while new requests
-            # get a fresh one (a submit that loses this race falls back to
-            # the sequential path — see _scatter_gather_on).
-            executor.shutdown(wait=False)
         return old
 
     def retire_table(self, table: ShardTable) -> bool:
@@ -441,25 +423,15 @@ class ClusterRouter:
         return drained
 
     def load_snapshot(self) -> dict[str, LoadHistogram]:
-        """A copy of the per-canvas request-load histograms (for rebalancing)."""
-        with self._load_lock:
+        """A copy of the current generation's per-canvas request-load
+        histograms (for rebalancing)."""
+        with self._table_lock:
             return {
                 canvas_id: load.copy()
-                for canvas_id, load in self.canvas_loads.items()
+                for canvas_id, load in self._table.loads.items()
             }
 
     # -- scatter-gather ----------------------------------------------------------------
-
-    def _shard_executor(self) -> ThreadPoolExecutor | None:
-        if not self.parallel:
-            return None
-        with self._executor_lock:
-            if self._executor is None and not self._closed:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.shard_count,
-                    thread_name_prefix="kyrix-shard",
-                )
-            return self._executor
 
     def _query_shard(
         self,
@@ -477,97 +449,62 @@ class ClusterRouter:
                 return table.shards[shard_id].handle(request.for_shard(shard_id))
 
     def _scatter_gather(self, request: DataRequest) -> DataResponse:
+        start = time.perf_counter()
+        rect = self.request_rect(request)
         # One table read per request: the whole fan-out (shard-id
         # resolution AND shard calls) uses the same generation, so an
-        # online swap between the two steps cannot mis-route.
+        # online swap between the two steps cannot mis-route, and the
+        # scatter is counted and sampled on the generation it runs on.
         with self._table_lock:
             table = self._table
+            shard_ids = table.partitionings[request.canvas_id].shards_for_rect(rect)
             table.inflight += 1
+            self.stats.record_scatter(shard_ids)
+            table.loads[request.canvas_id].observe(*rect.center)
+        received = returned = 0
         try:
-            return self._scatter_gather_on(table, request)
+            with get_tracer().span("scatter", epoch=table.epoch, fanout=len(shard_ids)):
+                # Captured once on the scattering thread so every fan-out
+                # thread parents its shard span under this scatter span.
+                trace_context = get_tracer().current_context()
+                if table.executor is not None and len(shard_ids) > 1:
+                    futures = [
+                        table.executor.submit(
+                            self._query_shard, table, shard_id, request, trace_context
+                        )
+                        for shard_id in shard_ids
+                    ]
+                    shard_responses = [future.result() for future in futures]
+                else:
+                    shard_responses = [
+                        self._query_shard(table, shard_id, request, trace_context)
+                        for shard_id in shard_ids
+                    ]
+                shard_ms: dict[str, float] = {}
+                queries = 0
+                for shard_id, shard_response in zip(shard_ids, shard_responses):
+                    shard_ms[f"shard{shard_id}"] = shard_response.query_ms
+                    queries += shard_response.queries_issued
+                received = sum(len(shard_response.objects) for shard_response in shard_responses)
+                objects = gather_rows([shard_response.objects for shard_response in shard_responses])
+                returned = len(objects)
+                return DataResponse(
+                    request=request,
+                    objects=objects,
+                    # Measured here, routing to merge: never less than the
+                    # slowest shard, whose own stopwatch ran inside this one.
+                    query_ms=(time.perf_counter() - start) * 1000.0,
+                    from_cache=False,
+                    queries_issued=queries,
+                    shard_ms=shard_ms,
+                )
         finally:
             with self._table_lock:
                 table.inflight -= 1
                 if table.inflight == 0:
                     self._table_drained.notify_all()
-
-    def _scatter_gather_on(
-        self, table: ShardTable, request: DataRequest
-    ) -> DataResponse:
-        with get_tracer().span("scatter", epoch=table.epoch) as scatter_span:
-            return self._scatter_gather_traced(table, request, scatter_span)
-
-    def _scatter_gather_traced(
-        self, table: ShardTable, request: DataRequest, scatter_span: Any
-    ) -> DataResponse:
-        start = time.perf_counter()
-        rect = self.request_rect(request)
-        partitioning = table.partitionings[request.canvas_id]
-        shard_ids = partitioning.shards_for_rect(rect)
-        scatter_span.set_attribute("fanout", len(shard_ids))
-        with self._table_lock:
-            # Shard ids name *regions* of one epoch: a straggler still
-            # finishing against a swapped-out table must not count its old
-            # region ids against the new epoch's cleared counters.
-            if table is self._table:
-                self.stats.record_scatter(shard_ids)
-        center_x, center_y = rect.center
-        with self._load_lock:
-            load = self.canvas_loads.get(request.canvas_id)
-            if load is None:
-                load = LoadHistogram(LOAD_SAMPLES)
-                self.canvas_loads[request.canvas_id] = load
-            load.observe(center_x, center_y)
-
-        executor = self._shard_executor() if len(shard_ids) > 1 else None
-        # Captured once on the scattering thread so every fan-out thread
-        # parents its shard span under this request's scatter span.
-        trace_context = get_tracer().current_context()
-        shard_responses: list[DataResponse] | None = None
-        if executor is not None:
-            try:
-                futures = [
-                    executor.submit(
-                        self._query_shard, table, shard_id, request, trace_context
-                    )
-                    for shard_id in shard_ids
-                ]
-            except RuntimeError:
-                # A concurrent swap shut this executor down between our
-                # fetch and the submit; any futures that did get in still
-                # run (idempotent reads) but are discarded — this request
-                # simply degrades to the sequential path below.
-                shard_responses = None
-            else:
-                shard_responses = [future.result() for future in futures]
-        if shard_responses is None:
-            shard_responses = [
-                self._query_shard(table, shard_id, request, trace_context)
-                for shard_id in shard_ids
-            ]
-
-        shard_ms: dict[str, float] = {}
-        queries = 0
-        for shard_id, shard_response in zip(shard_ids, shard_responses):
-            shard_ms[f"shard{shard_id}"] = shard_response.query_ms
-            queries += shard_response.queries_issued
-        received = sum(len(shard_response.objects) for shard_response in shard_responses)
-        objects = gather_rows([shard_response.objects for shard_response in shard_responses])
-
-        response = DataResponse(
-            request=request,
-            objects=objects,
-            # Measured here, routing to merge: never less than the slowest
-            # shard, whose own stopwatch ran inside this one.
-            query_ms=(time.perf_counter() - start) * 1000.0,
-            from_cache=False,
-            queries_issued=queries,
-            shard_ms=shard_ms,
-        )
-        with self._table_lock:
-            self.stats.duplicates_removed += received - len(objects)
-            self.stats.objects_returned += len(objects)
-        return response
+                self.stats.duplicates_removed += received - returned
+                self.stats.objects_returned += returned
 
     def request_rect(self, request: DataRequest) -> Rect:
         """The canvas rectangle a request covers (scatter footprint)."""

@@ -133,6 +133,3 @@ class MetricsCollector:
 
     def total_objects(self) -> int:
         return sum(s.objects_fetched for s in self.steps)
-
-    def total_bytes(self) -> int:
-        return sum(s.bytes_fetched for s in self.steps)

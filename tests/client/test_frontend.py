@@ -225,21 +225,3 @@ class TestSession:
         frontend = KyrixFrontend(dots_stack.backend, dbox_scheme())
         with pytest.raises(ValueError):
             ExplorationSession(frontend).run_trace("dots", [])
-
-    def test_run_interactions_mixed(self, dots_stack):
-        frontend = KyrixFrontend(dots_stack.backend, dbox_scheme())
-        session = ExplorationSession(frontend)
-        result = session.run_interactions(
-            [
-                {"action": "load", "canvas": "dots", "x": 0, "y": 0},
-                {"action": "pan_by", "dx": 512, "dy": 0},
-                {"action": "pan_to", "x": 1024, "y": 512},
-            ]
-        )
-        assert result.steps == 2
-
-    def test_run_interactions_unknown_action(self, dots_stack):
-        frontend = KyrixFrontend(dots_stack.backend, dbox_scheme())
-        session = ExplorationSession(frontend)
-        with pytest.raises(ValueError):
-            session.run_interactions([{"action": "wave"}])

@@ -116,64 +116,72 @@ def test_parallel_router_under_concurrent_sessions(usmap_parity_stack):
         cluster.close()
 
 
+def _pool_threads() -> set[threading.Thread]:
+    """The live threads of every generation's scatter pool."""
+    return {
+        thread for thread in threading.enumerate() if thread.name.startswith("kyrix-shard")
+    }
+
+
+def _statemap_box(stack, xmin, ymin, xmax, ymax) -> DataRequest:
+    return DataRequest(
+        app_name=stack.app_name,
+        canvas_id="statemap",
+        layer_index=0,
+        granularity="box",
+        xmin=xmin,
+        ymin=ymin,
+        xmax=xmax,
+        ymax=ymax,
+    )
+
+
 def test_executor_is_lazy_and_close_is_idempotent(usmap_parity_stack):
     stack = usmap_parity_stack
     cluster = build_cluster(stack.backend, shard_count=2)
+    before = _pool_threads()
     try:
         router = cluster.router
-        assert router._executor is None
-        # A fan-out 1 request does not spin up the pool.
+        assert router.table.executor is not None
+        # A fan-out 1 request does not start a pool thread.
         region = cluster.partitionings["statemap"].regions[0].rect
-        small = DataRequest(
-            app_name=stack.app_name,
-            canvas_id="statemap",
-            layer_index=0,
-            granularity="box",
-            xmin=region.xmin + 1.0,
-            ymin=region.ymin + 1.0,
-            xmax=region.xmin + 4.0,
-            ymax=region.ymin + 4.0,
+        small = _statemap_box(
+            stack, region.xmin + 1.0, region.ymin + 1.0, region.xmin + 4.0, region.ymin + 4.0
         )
-        router.handle(small)
-        assert router._executor is None
-        # A full-canvas box fans out and creates it.
+        assert len(router.handle(small).shard_ms) == 1
+        assert _pool_threads() <= before
+        # A full-canvas box fans out on the pool.
         plan = stack.backend.compiled.canvas_plan("statemap")
-        wide = DataRequest(
-            app_name=stack.app_name,
-            canvas_id="statemap",
-            layer_index=0,
-            granularity="box",
-            xmin=0.0,
-            ymin=0.0,
-            xmax=plan.width,
-            ymax=plan.height,
-        )
-        response = router.handle(wide)
-        assert len(response.shard_ms) == 2
-        assert router._executor is not None
+        wide = _statemap_box(stack, 0.0, 0.0, plan.width, plan.height)
+        assert len(router.handle(wide).shard_ms) == 2
+        assert _pool_threads() - before
+        # The pool is the generation's: retiring the table shuts it down,
+        # and the next generation scatters on its own.
+        retired = router.table
+        assert cluster.rebalancer.rebalance(4).swapped
+        with pytest.raises(RuntimeError):
+            retired.executor.submit(int)
+        assert router.table.executor is not retired.executor
+        router.cache.clear()
+        assert len(router.handle(wide).shard_ms) == 4
     finally:
         cluster.close()
         cluster.close()  # idempotent
+    with pytest.raises(RuntimeError):
+        router.table.executor.submit(int)
 
 
 def test_sequential_config_never_creates_an_executor(usmap_parity_stack):
     stack = usmap_parity_stack
     cluster = build_cluster(stack.backend, shard_count=2, parallel_shards=False)
+    before = _pool_threads()
     try:
+        assert cluster.router.table.executor is None
+        assert cluster.router.parallel is False
         plan = stack.backend.compiled.canvas_plan("statemap")
-        wide = DataRequest(
-            app_name=stack.app_name,
-            canvas_id="statemap",
-            layer_index=0,
-            granularity="box",
-            xmin=0.0,
-            ymin=0.0,
-            xmax=plan.width,
-            ymax=plan.height,
-        )
-        response = cluster.router.handle(wide)
-        assert len(response.shard_ms) == 2
-        assert cluster.router._executor is None
+        wide = _statemap_box(stack, 0.0, 0.0, plan.width, plan.height)
+        assert len(cluster.router.handle(wide).shard_ms) == 2
+        assert _pool_threads() <= before
     finally:
         cluster.close()
 
@@ -230,16 +238,7 @@ def test_gather_keeps_its_order_with_duplicates_and_mixed_identities(
         for shard, objects in zip(cluster.shards, _GATHER_SHARD_OBJECTS):
             shard.service = _CannedShard(shard.service, objects)
         plan = stack.backend.compiled.canvas_plan("statemap")
-        wide = DataRequest(
-            app_name=stack.app_name,
-            canvas_id="statemap",
-            layer_index=0,
-            granularity="box",
-            xmin=0.0,
-            ymin=0.0,
-            xmax=plan.width,
-            ymax=plan.height,
-        )
+        wide = _statemap_box(stack, 0.0, 0.0, plan.width, plan.height)
         response = cluster.router.handle(wide)
         assert len(response.shard_ms) == 2
         assert cluster.router.stats.duplicates_removed == 2

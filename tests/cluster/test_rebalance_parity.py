@@ -167,7 +167,8 @@ def test_cluster_handle_reads_the_live_generation_during_the_drain(
     """The handle has no copy of the generation to fall behind: while a
     slow request still holds generation 0 in its drain window, cluster and
     router already agree on generation 1 — and once the straggler finishes,
-    no counter reachable from the router counts it against generation 1."""
+    no counter or load sample reachable from the router counts it against
+    generation 1."""
     stack = usmap_parity_stack
     cluster = build_cluster(
         stack.backend, shard_count=2, strategy="grid", replicas=replicas
@@ -233,6 +234,12 @@ def test_cluster_handle_reads_the_live_generation_during_the_drain(
         assert len(router.replica_sets()) == (4 if replicas > 1 else 0)
         for shard_id, replica_set in router.replica_sets().items():
             assert replica_set.stats.snapshot() == {}, shard_id
+        # The straggler sampled its footprint on generation 0's histogram,
+        # and counted its scatter once, on entry.
+        assert {canvas: len(load) for canvas, load in router.load_snapshot().items()} == {
+            canvas: 0 for canvas in router.partitionings
+        }
+        assert router.stats.scatter_gathers == router.coalescer.stats.leaders
     finally:
         gate.release.set()
         cluster.close()

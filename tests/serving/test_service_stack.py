@@ -24,6 +24,7 @@ from repro.serving import (
     DataService,
     ReplicaService,
     SerializedService,
+    ServiceMiddleware,
     TransportService,
     build_service,
     stack_layers,
@@ -177,21 +178,22 @@ class TestRowsStayTuplesUntilTheEdge:
     def test_every_cache_hands_back_the_first_readers_rows(self, service, whole_canvas):
         # On ``cluster_hot`` the median step *is* a router-cache hit: the
         # caches share the batch, and a dynamic-box layer shows it as it is.
-        first_session = KyrixFrontend(service)
+        recorder = _Recording(service)
+        first_session = KyrixFrontend(recorder)
         first_session.load_canvas("dots", _viewport_over(whole_canvas))
         first = first_session.visible_objects[0]
         assert isinstance(first, RowBatch) and len(first) == 2_000
-        server_hit = service.handle(_box_of(first_session, whole_canvas))
+        [sent] = recorder.requests
+        server_hit = service.handle(sent)
         assert server_hit.from_cache and server_hit.objects is first
         second_session = KyrixFrontend(service)
         second_session.load_canvas("dots", _viewport_over(whole_canvas))
         assert second_session.visible_objects[0] is first
-        # ...and the session's own cache: pan away and back.
-        frontend_hit, breakdown = first_session._issue_request(
-            _box_of(first_session, whole_canvas)
-        )
+        # ...and the session's own cache: load the same viewport again.
+        breakdown = first_session.load_canvas("dots", _viewport_over(whole_canvas))
         assert breakdown.cache_hit and breakdown.requests == 0
-        assert frontend_hit.objects is first
+        assert recorder.requests == [sent], "the frontend cache answered"
+        assert first_session.visible_objects[0] is first
 
     def test_a_coalesced_follower_shares_the_leaders_batch(self, dots_stack, whole_canvas):
         release = threading.Event()
@@ -232,12 +234,16 @@ def _viewport_over(request: DataRequest) -> Viewport:
     )
 
 
-def _box_of(frontend: KyrixFrontend, template: DataRequest) -> DataRequest:
-    """The dynamic-box request ``frontend`` last issued (its cache's one key)."""
-    box = frontend._boxes[0]
-    return dataclasses.replace(
-        template, xmin=box.xmin, ymin=box.ymin, xmax=box.xmax, ymax=box.ymax
-    )
+class _Recording(ServiceMiddleware):
+    """Records every request that reaches the service it wraps."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.requests: list[DataRequest] = []
+
+    def handle(self, request):
+        self.requests.append(request)
+        return super().handle(request)
 
 
 class TestBackendTerminal:
