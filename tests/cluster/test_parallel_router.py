@@ -186,6 +186,28 @@ def test_sequential_config_never_creates_an_executor(usmap_parity_stack):
         cluster.close()
 
 
+def test_closing_a_generation_does_not_wait_on_its_running_pool_calls(usmap_parity_stack):
+    """``ShardTable.close()`` shuts the pool down without waiting, so a
+    straggling shard call cannot stretch a drain timeout; the call it left
+    running still completes."""
+    cluster = build_cluster(usmap_parity_stack.backend, shard_count=2)
+    executor = cluster.router.table.executor
+    release = threading.Event()
+    running = executor.submit(lambda: release.wait(10.0))
+    closer = threading.Thread(target=cluster.close)
+    try:
+        closer.start()
+        closer.join(5.0)
+        assert not closer.is_alive()
+        assert not running.done()
+        with pytest.raises(RuntimeError):
+            executor.submit(int)
+    finally:
+        release.set()
+        closer.join(5.0)
+    assert running.result(5.0) is True
+
+
 class _CannedShard(ServiceMiddleware):
     """A shard that answers every request with the same objects."""
 
