@@ -7,7 +7,9 @@ registered checker, drops findings that are suppressed inline
 (``# repolint: disable=<rule>`` on the offending line or on the enclosing
 ``def``/``class`` line) and splits the rest into *baselined* (grandfathered
 in ``baseline.json``) and *fresh* findings.  Only fresh findings fail the
-build.
+build.  A suppression comment that suppressed nothing is itself a finding
+(``inert-suppression``): removing it would change nothing, so it only
+hides what a later edit there might break.
 
 Baseline entries match on ``(rule, path, message)`` — deliberately not on
 line number, so grandfathered findings survive unrelated edits above them.
@@ -16,8 +18,10 @@ line number, so grandfathered findings survive unrelated edits above them.
 from __future__ import annotations
 
 import ast
+import io
 import json
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -75,7 +79,6 @@ class ModuleSource:
         self.path = path
         self.rel_path = rel_path
         self.text = path.read_text(encoding="utf-8") if text is None else text
-        self.lines = self.text.splitlines()
         self._tree: ast.Module | None = None
         self._parse_error: SyntaxError | None = None
         self._suppressions: dict[int, set[str]] | None = None
@@ -97,14 +100,23 @@ class ModuleSource:
         self.tree
         return self._parse_error
 
-    def _suppression_map(self) -> dict[int, set[str]]:
+    def suppressions(self) -> dict[int, set[str]]:
+        """Line number -> rule ids disabled by the ``# repolint: disable=``
+        comment on that line (the module must parse).  Only real comments
+        count: the same text inside a string (a test's fixture source)
+        suppresses nothing."""
         if self._suppressions is None:
             suppressions: dict[int, set[str]] = {}
-            for number, line in enumerate(self.lines, start=1):
-                match = _SUPPRESS_RE.search(line)
-                if match:
-                    rules = {part.strip() for part in match.group(1).split(",")}
-                    suppressions[number] = {rule for rule in rules if rule}
+            # Most files carry no suppression; only those pay for tokenizing.
+            if "repolint:" in self.text:
+                readline = io.StringIO(self.text).readline
+                for token in tokenize.generate_tokens(readline):
+                    if token.type != tokenize.COMMENT:
+                        continue
+                    match = _SUPPRESS_RE.search(token.string)
+                    if match:
+                        rules = {part.strip() for part in match.group(1).split(",")}
+                        suppressions[token.start[0]] = {rule for rule in rules if rule}
             self._suppressions = suppressions
         return self._suppressions
 
@@ -135,24 +147,24 @@ class ModuleSource:
             self._scopes = scopes
         return self._scopes
 
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        """True when ``rule`` is disabled for ``line`` — either by a comment
-        on the line itself or by one on the header of an enclosing
-        ``def``/``class``."""
-        suppressions = self._suppression_map()
+    def suppression_for(self, rule: str, line: int) -> int | None:
+        """The line of the comment that disables ``rule`` for ``line`` —
+        the line itself, or the header of an enclosing ``def``/``class`` —
+        or ``None`` when nothing does."""
+        suppressions = self.suppressions()
 
         def disabled_at(number: int) -> bool:
             rules = suppressions.get(number)
             return bool(rules) and (rule in rules or "all" in rules)
 
         if disabled_at(line):
-            return True
+            return line
         for scope in self._scope_spans():
-            if scope.start <= line <= scope.end and any(
-                disabled_at(header) for header in scope.header_lines
-            ):
-                return True
-        return False
+            if scope.start <= line <= scope.end:
+                for header in scope.header_lines:
+                    if disabled_at(header):
+                        return header
+        return None
 
 
 class Checker:
@@ -265,7 +277,10 @@ def check_module(
     checkers: Iterable[Checker],
 ) -> tuple[list[Finding], int]:
     """All non-suppressed findings for one module, plus how many were
-    suppressed inline."""
+    suppressed inline.  Each suppression that suppressed nothing is an
+    ``inert-suppression`` finding — judged only for the rules that ran
+    (``disable=all`` only when every registered rule did), so a narrowed
+    run never blames a comment aimed at a rule it skipped."""
     findings: list[Finding] = []
     suppressed = 0
     if module.parse_error is not None:
@@ -279,13 +294,42 @@ def check_module(
             )
         )
         return findings, suppressed
+    checkers = list(checkers)
+    used: set[tuple[int, str]] = set()
     for checker in checkers:
         for finding in checker.check(module):
-            if module.is_suppressed(finding.rule, finding.line):
-                suppressed += 1
-            else:
+            where = module.suppression_for(finding.rule, finding.line)
+            if where is None:
                 findings.append(finding)
+            else:
+                suppressed += 1
+                named = finding.rule in module.suppressions()[where]
+                used.add((where, finding.rule if named else "all"))
+    findings.extend(_inert_suppressions(module, used, {c.rule for c in checkers}))
     return findings, suppressed
+
+
+def _inert_suppressions(
+    module: ModuleSource, used: set[tuple[int, str]], ran: set[str]
+) -> Iterator[Finding]:
+    known = set(all_rules())
+    for line, rules in sorted(module.suppressions().items()):
+        for rule in sorted(rules):
+            if (line, rule) in used:
+                continue
+            if rule == "all":
+                if not known <= ran:
+                    continue
+                message = "`disable=all` suppresses nothing"
+            elif rule not in known:
+                message = f"suppression names {rule!r}, which is no rule"
+            elif rule not in ran:
+                continue
+            else:
+                message = f"suppression of {rule} suppresses nothing"
+            yield Finding(
+                rule="inert-suppression", path=module.rel_path, line=line, message=message
+            )
 
 
 def run_analysis(

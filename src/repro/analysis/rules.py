@@ -219,6 +219,19 @@ class FaultSeamChecker(Checker):
         return qualified if _is_internal_target(qualified) else None
 
 
+def _flatten_targets(targets: list[ast.expr]) -> Iterator[ast.expr]:
+    """Every name, attribute and subscript an assignment writes, looking
+    through tuple / list unpacking (``sock, self._sock = ...``) and
+    starred targets."""
+    for target in targets:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            yield from _flatten_targets(target.elts)
+        elif isinstance(target, ast.Starred):
+            yield from _flatten_targets([target.value])
+        else:
+            yield target
+
+
 @register
 class LockDisciplineChecker(Checker):
     """Shared-attribute writes outside the class's own lock."""
@@ -325,7 +338,7 @@ class LockDisciplineChecker(Checker):
                 elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                     if getattr(node, "value", None) is not None:
                         targets = [node.target]
-                for target in targets:
+                for target in _flatten_targets(targets):
                     attribute = self_attribute(target)
                     if attribute is not None and attribute not in guards:
                         findings.append(

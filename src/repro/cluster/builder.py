@@ -213,6 +213,7 @@ def build_generation(
 def build_cluster(
     source_backend: KyrixBackend,
     *,
+    config: KyrixConfig | None = None,
     telemetry: bool | None = None,
     tile_sizes: tuple[int, ...] = (),
     **cluster: Any,
@@ -221,6 +222,7 @@ def build_cluster(
 
     ``source_backend`` must have run ``precompute()`` already: its placement
     (or separable source) tables are what gets split across shards.
+    ``config`` is the configuration to serve (default: the backend's).
     ``**cluster`` overrides :class:`~repro.config.ClusterConfig` fields by
     their own names for this build (an unknown name is
     :func:`dataclasses.replace`'s ``TypeError``, raised before anything is
@@ -237,7 +239,7 @@ def build_cluster(
     :class:`~repro.cluster.rebalancer.LoadRebalancer` as
     ``cluster.rebalancer``; it migrates the shard set only when called.
     """
-    config = source_backend.config
+    config = config or source_backend.config
     if cluster:
         config = replace(config, cluster=replace(config.cluster, **cluster))
     if telemetry is not None:

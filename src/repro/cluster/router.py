@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..compiler.plan import CompiledApplication
 from ..config import ClusterConfig, KyrixConfig
-from ..errors import FetchError
+from ..errors import FetchError, ServiceClosedError
 from ..net.protocol import ABSENT, DataRequest, DataResponse, RowBatch, concat_rows
 from ..server.backend import box_rect
 from ..server.tile import TileScheme
@@ -456,6 +456,11 @@ class ClusterRouter:
         # online swap between the two steps cannot mis-route, and the
         # scatter is counted and sampled on the generation it runs on.
         with self._table_lock:
+            if self._closed:
+                # Refused here, before the closed generation's pool or
+                # sockets are touched: every topology and fan-out fails the
+                # same typed way.
+                raise ServiceClosedError("the cluster router is closed")
             table = self._table
             shard_ids = table.partitionings[request.canvas_id].shards_for_rect(rect)
             table.inflight += 1

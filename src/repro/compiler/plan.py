@@ -5,17 +5,21 @@ into a :class:`CompiledApplication`: a per-layer description of which
 database tables hold the layer's placed objects, which indexes exist, and
 which fetching granularity the backend should use.  The backend server and
 the indexer work exclusively from this plan, never from the raw spec.
+
+The plan has no serialised form of its own.  A shard worker process gets
+it pickled inside its :class:`~repro.serving.worker.ShardSpec`, with
+``spec=None`` (the live application holds transform closures and
+renderer callables a worker never calls); :meth:`CompiledApplication.describe`
+is the summary ``GET /app`` serves.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.application import Application
 from ..core.canvas import Canvas
-from ..core.layer import Layer
-from ..core.transform import Transform
 from ..errors import UnknownCanvasError, UnknownLayerError
 
 
@@ -67,18 +71,6 @@ class LayerPlan:
     def key(self) -> tuple[str, int]:
         return (self.canvas_id, self.layer_index)
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-serialisable form (``columns`` stays a list on the wire)."""
-        data = asdict(self)
-        data["columns"] = list(self.columns)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LayerPlan":
-        data = dict(data)
-        data["columns"] = tuple(data.get("columns", ()))
-        return cls(**data)
-
 
 @dataclass
 class CanvasPlan:
@@ -93,25 +85,6 @@ class CanvasPlan:
     def dynamic_layers(self) -> list[LayerPlan]:
         return [layer for layer in self.layers if not layer.static]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "canvas_id": self.canvas_id,
-            "width": self.width,
-            "height": self.height,
-            "zoom_level": self.zoom_level,
-            "layers": [layer.to_dict() for layer in self.layers],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CanvasPlan":
-        return cls(
-            canvas_id=data["canvas_id"],
-            width=data["width"],
-            height=data["height"],
-            zoom_level=data["zoom_level"],
-            layers=[LayerPlan.from_dict(layer) for layer in data.get("layers", [])],
-        )
-
 
 @dataclass
 class CompiledApplication:
@@ -120,7 +93,7 @@ class CompiledApplication:
     app_name: str
     canvases: dict[str, CanvasPlan] = field(default_factory=dict)
     #: The original (validated) specification, kept for jump resolution and
-    #: renderer access at runtime.
+    #: renderer access at runtime; ``None`` in a shard worker process.
     spec: Application | None = None
 
     def canvas_plan(self, canvas_id: str) -> CanvasPlan:
@@ -170,35 +143,8 @@ class CompiledApplication:
             plans.extend(canvas.layers)
         return plans
 
-    def to_dict(self) -> dict[str, Any]:  # repolint: disable=protocol-drift
-        """The plan as plain JSON-serialisable data.
-
-        The attached ``spec`` (live :class:`Application` with transform
-        closures and renderer callables) is deliberately dropped: the dict
-        form is what ships to shard worker processes, which serve purely
-        from the compiled plan and the precomputed tables.
-        """
-        return {
-            "app_name": self.app_name,
-            "canvases": {
-                canvas_id: plan.to_dict()
-                for canvas_id, plan in self.canvases.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CompiledApplication":
-        """Rebuild a (spec-less) plan from its :meth:`to_dict` form."""
-        return cls(
-            app_name=data["app_name"],
-            canvases={
-                canvas_id: CanvasPlan.from_dict(plan)
-                for canvas_id, plan in data.get("canvases", {}).items()
-            },
-            spec=None,
-        )
-
     def describe(self) -> dict[str, Any]:
+        """The plan summary ``GET /app`` serves."""
         return {
             "app": self.app_name,
             "canvases": {

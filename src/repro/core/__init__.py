@@ -6,17 +6,16 @@ query + post-processing function), a *placement* function and a *rendering*
 function.  An :class:`~repro.core.application.Application` ties them
 together, and the JS-flavoured aliases (``App``, ``addCanvas``, ``addJump``,
 ``initialCanvas`` ...) let the examples read like the paper's Figure 3.
+
+The Python objects are the developer's spec, and its only form: there is
+no JSON document of it and no dict summary.  The compiler
+(:mod:`repro.compiler`) turns an application into the
+:class:`~repro.compiler.plan.CompiledApplication` every server-side layer
+serves from.
 """
 
 from .application import App, Application
 from .canvas import Canvas
-from .spec import (
-    FunctionRegistry,
-    application_from_dict,
-    application_from_json,
-    application_to_dict,
-    application_to_json,
-)
 from .jump import Jump, JumpType
 from .layer import Layer
 from .placement import CallablePlacement, ColumnPlacement, Placement
@@ -34,11 +33,6 @@ from .viewport import Viewport
 __all__ = [
     "App",
     "Application",
-    "FunctionRegistry",
-    "application_from_dict",
-    "application_from_json",
-    "application_to_dict",
-    "application_to_json",
     "CallablePlacement",
     "Canvas",
     "ColumnPlacement",

@@ -8,7 +8,6 @@ configuration naming the backing database and performance knobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..config import KyrixConfig
 from ..errors import SpecError
@@ -91,16 +90,6 @@ class Application:
             self.config.viewport_width,
             self.config.viewport_height,
         )
-
-    def describe(self) -> dict[str, Any]:
-        """A JSON-friendly summary of the whole specification."""
-        return {
-            "name": self.name,
-            "initial_canvas": self.initial_canvas_id,
-            "initial_viewport": [self.initial_viewport_x, self.initial_viewport_y],
-            "canvases": {cid: canvas.describe() for cid, canvas in self.canvases.items()},
-            "jumps": [jump.describe() for jump in self.jumps],
-        }
 
 
 #: JS-flavoured alias so examples can read like the paper's Figure 3.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..errors import SpecError
 from .layer import Layer
@@ -90,13 +89,3 @@ class Canvas:
             for index, layer in enumerate(self.layers)
             if not layer.static and not layer.is_empty
         ]
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "id": self.canvas_id,
-            "width": self.width,
-            "height": self.height,
-            "zoom_level": self.zoom_level,
-            "layers": [layer.describe() for layer in self.layers],
-            "transforms": {tid: t.describe() for tid, t in self.transforms.items()},
-        }

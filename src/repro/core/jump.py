@@ -11,7 +11,7 @@ row) and a *name* function (the label shown to the user).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import SpecError
@@ -111,12 +111,3 @@ class Jump:
     def label_for(self, row: dict[str, Any]) -> str:
         """The user-facing label of this jump for a clicked object."""
         return str(self.name(dict(row)))
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "source": self.source,
-            "destination": self.destination,
-            "type": self.jump_type.value,
-            "has_selector": self.selector is not _default_selector,
-            "has_new_viewport": self.new_viewport is not None,
-        }

@@ -8,8 +8,7 @@ placed on the canvas and how they are rendered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from ..errors import SpecError
 from .placement import Placement
@@ -72,13 +71,3 @@ class Layer:
     def needs_placement(self) -> bool:
         """Dynamic, data-backed layers must define where objects go."""
         return not self.static and not self.is_empty
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "transform": self.transform_id,
-            "static": self.static,
-            "has_placement": self.placement is not None,
-            "has_renderer": self.renderer is not None,
-            "fetching": self.fetching,
-        }

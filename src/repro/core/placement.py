@@ -34,9 +34,6 @@ class Placement:
         """Return the object's bounding box on the canvas."""
         raise NotImplementedError
 
-    def describe(self) -> dict[str, Any]:  # pragma: no cover - overridden
-        raise NotImplementedError
-
 
 @dataclass
 class ColumnPlacement(Placement):
@@ -78,18 +75,6 @@ class ColumnPlacement(Placement):
         half_h = self._dimension(row, self.height, "height") / 2.0
         return Rect(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            "kind": "column",
-            "x_column": self.x_column,
-            "y_column": self.y_column,
-            "width": self.width,
-            "height": self.height,
-            "x_scale": self.x_scale,
-            "y_scale": self.y_scale,
-            "separable": True,
-        }
-
 
 @dataclass
 class CallablePlacement(Placement):
@@ -122,6 +107,3 @@ class CallablePlacement(Placement):
                 f"({width}x{height})"
             )
         return Rect(cx - width / 2.0, cy - height / 2.0, cx + width / 2.0, cy + height / 2.0)
-
-    def describe(self) -> dict[str, Any]:
-        return {"kind": "callable", "name": self.name, "separable": False}

@@ -14,7 +14,7 @@ scale factors describe that case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import SpecError
@@ -96,15 +96,3 @@ class Transform:
     def empty(cls) -> "Transform":
         """The canonical empty transform (``transforms.emptyTransform``)."""
         return cls(transform_id=EMPTY_TRANSFORM_ID, query="")
-
-    def describe(self) -> dict[str, Any]:
-        """A JSON-friendly summary (callables are reported by name only)."""
-        return {
-            "id": self.transform_id,
-            "query": self.query,
-            "has_transform_func": self.transform_func is not None,
-            "columns": list(self.columns),
-            "separable": self.separable,
-            "x_column": self.x_column,
-            "y_column": self.y_column,
-        }

@@ -158,6 +158,14 @@ class AllReplicasFailedError(ServerError):
         )
 
 
+class ServiceClosedError(ServerError):
+    """A request reached a cluster router after ``close()``.
+
+    Raised before any shard is touched, whatever the topology or fan-out;
+    the HTTP edge answers it with 503, like any other outage.
+    """
+
+
 class WorkerError(ServerError):
     """Base class for shard-worker-process failures."""
 

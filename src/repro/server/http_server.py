@@ -18,7 +18,7 @@ sharded cluster router):
 
 A failure answers ``{"error": ...}``: 400 when the request was bad, 503
 when a part of the server was out (every replica of a shard, a worker
-process, the far side of a shard's wire).
+process, the far side of a shard's wire) or the cluster router was closed.
 
 Flask is an optional dependency: importing this module without Flask
 installed raises a clear error only when :func:`create_app` is called, so
@@ -31,7 +31,13 @@ from __future__ import annotations
 from dataclasses import asdict, is_dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..errors import AllReplicasFailedError, KyrixError, ServerError, WorkerError
+from ..errors import (
+    AllReplicasFailedError,
+    KyrixError,
+    ServerError,
+    ServiceClosedError,
+    WorkerError,
+)
 from ..net.protocol import DataRequest
 from ..serving.transport import TransportError
 from ..telemetry import get_registry, get_tracer
@@ -86,10 +92,12 @@ def create_app(backend: "DataService"):
         return jsonify({"error": str(error)}), 400
 
     # A part of the server failed, not the request: every replica of a
-    # shard, a worker process, or the far side of a shard's wire.
+    # shard, a worker process, the far side of a shard's wire, or a closed
+    # cluster router.
     @app.errorhandler(AllReplicasFailedError)
     @app.errorhandler(WorkerError)
     @app.errorhandler(TransportError)
+    @app.errorhandler(ServiceClosedError)
     def _handle_outage(error: KyrixError):
         return jsonify({"error": str(error)}), 503
 

@@ -108,6 +108,7 @@ def build_service(
 
         service: "DataService" = build_cluster(
             backend,
+            config=config,
             telemetry=telemetry,
             tile_sizes=tile_sizes,
             **cluster,

@@ -5,9 +5,10 @@ Every topology so far kept shard engines in the router's process behind a
 scatter-gathers parallelised I/O but never pure-Python query execution.
 This module moves each shard replica into its **own worker process**:
 
-* :class:`ShardSpec` — a fully serialisable description of one shard: the
-  application's compiled plan (:meth:`CompiledApplication.to_dict`,
-  closures dropped), the configuration, and a dump of every table in the
+* :class:`ShardSpec` — everything one shard's worker needs, pickled whole:
+  the application's :class:`~repro.compiler.plan.CompiledApplication`
+  without its live spec (``spec=None``: no closures cross), the
+  :class:`~repro.config.KyrixConfig`, and a dump of every table in the
   shard's database (schema, rows, index definitions).  Replicas run the
   same spec; each worker checks the :func:`database_checksum` of its own
   *rebuilt* index against :meth:`ShardSpec.checksum` before it reports
@@ -43,7 +44,7 @@ import pickle
 import signal
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from ..compiler.plan import CompiledApplication
@@ -154,10 +155,10 @@ class ShardSpec:
     """
 
     shard_id: int
-    #: ``KyrixConfig.to_dict()`` of the cluster's configuration.
-    config: dict
-    #: ``CompiledApplication.to_dict()`` — the plan without live closures.
-    plan: dict
+    #: The cluster's effective configuration.
+    config: KyrixConfig
+    #: The compiled plan with ``spec=None`` — no live closures.
+    plan: CompiledApplication
     tables: tuple[TableDump, ...]
 
     def checksum(self) -> str:
@@ -186,8 +187,8 @@ def build_shard_spec(
     """Serialise one shard's database into a worker-transportable spec."""
     return ShardSpec(
         shard_id=shard_id,
-        config=config.to_dict(),
-        plan=compiled.to_dict(),
+        config=config,
+        plan=replace(compiled, spec=None),
         tables=_dump_database(database),
     )
 
@@ -222,14 +223,14 @@ def _build_worker_stack(spec: ShardSpec) -> tuple[LocalTransport, "Database"]:
     from ..server.backend import KyrixBackend
     from ..telemetry import configure as configure_telemetry
 
-    config = KyrixConfig.from_dict(spec.config)
+    config = spec.config
+    config.validate()
     # The worker process has its own telemetry singletons; configuring
     # them from the spec makes spans recorded here flow back across the
     # socket (LocalTransport ships them inside the response message).
     configure_telemetry(config.telemetry)
-    compiled = CompiledApplication.from_dict(spec.plan)
     database = _restore_database(spec.tables, config)
-    backend = KyrixBackend(database, compiled, config)
+    backend = KyrixBackend(database, spec.plan, config)
     return LocalTransport(replica_stack(backend)), database
 
 

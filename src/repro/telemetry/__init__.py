@@ -57,9 +57,8 @@ def configure(config=None, **overrides) -> Tracer:
     """(Re)configure the process-wide telemetry plane.
 
     ``config`` is anything shaped like :class:`repro.config.TelemetryConfig`
-    (attributes ``enabled``, ``export_path``); keyword overrides — those
-    two, or the tracer's ``trace_buffer`` ring size — win over the config
-    object.
+    (attributes ``enabled``, ``export_path``); keyword overrides of those
+    two win over the config object.
     Reconfiguring resets both the trace ring buffer and the histogram
     registry so each serving topology starts from a clean plane.
     """

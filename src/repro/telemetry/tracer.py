@@ -212,7 +212,6 @@ class Tracer:
         self,
         *,
         enabled: bool = False,
-        trace_buffer: int = TRACE_BUFFER,
         export_path: str | None = None,
     ) -> None:
         """Reconfigure and reset: active traces and the ring buffer are dropped."""
@@ -220,7 +219,7 @@ class Tracer:
             self.enabled = bool(enabled)
             self.export_path = export_path
             self._active = {}
-            self._finished = deque(maxlen=max(1, int(trace_buffer)))
+            self._finished = deque(maxlen=TRACE_BUFFER)
 
     # -- span lifecycle ----------------------------------------------------------
 
@@ -373,7 +372,7 @@ class Tracer:
     # -- inspection --------------------------------------------------------------
 
     def traces(self) -> list[dict[str, Any]]:
-        """Completed traces, oldest first (bounded by ``trace_buffer``)."""
+        """Completed traces, oldest first (the newest :data:`TRACE_BUFFER`)."""
         with self._lock:
             records = list(self._finished)
         return [record.to_dict() for record in records]

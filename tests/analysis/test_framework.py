@@ -80,6 +80,68 @@ class TestSuppressions:
         assert result.fresh == []
 
 
+class TestInertSuppressions:
+    """A suppression that suppresses nothing is a finding of its own."""
+
+    def test_a_suppression_over_clean_code_is_a_finding(self, fake_repo):
+        source = """
+            def make():  # repolint: disable=factory-only
+                return 1
+        """
+        write_tree(fake_repo, "src/repro/a.py", source)
+        result = run_analysis(fake_repo, rules=["factory-only"])
+        assert [(f.rule, f.line) for f in result.fresh] == [("inert-suppression", 2)]
+        assert "factory-only suppresses nothing" in result.fresh[0].message
+
+    def test_a_suppression_that_fires_is_no_finding(self, fake_repo):
+        write_tree(fake_repo, "src/repro/a.py", SUPPRESSED_DEF)
+        assert run_analysis(fake_repo, rules=["factory-only"]).fresh == []
+
+    def test_each_named_rule_is_judged_on_its_own(self, fake_repo):
+        source = """
+            from repro.server.backend import KyrixBackend
+
+            def make():
+                return KyrixBackend(db, compiled, config)  # repolint: disable=factory-only, span-discipline
+        """
+        write_tree(fake_repo, "src/repro/a.py", source)
+        result = run_analysis(fake_repo)
+        assert [(f.rule, f.line) for f in result.fresh] == [("inert-suppression", 5)]
+        assert "span-discipline suppresses nothing" in result.fresh[0].message
+
+    def test_a_rule_that_did_not_run_is_not_judged(self, fake_repo):
+        source = """
+            def make():  # repolint: disable=factory-only
+                return 1
+        """
+        write_tree(fake_repo, "src/repro/a.py", source)
+        assert run_analysis(fake_repo, rules=["span-discipline"]).fresh == []
+
+    def test_an_unknown_rule_and_an_idle_disable_all_are_findings(self, fake_repo):
+        source = """
+            x = 1  # repolint: disable=lock-dicipline
+            y = 2  # repolint: disable=all
+        """
+        write_tree(fake_repo, "src/repro/a.py", source)
+        messages = [f.message for f in run_analysis(fake_repo).fresh]
+        assert messages == [
+            "suppression names 'lock-dicipline', which is no rule",
+            "`disable=all` suppresses nothing",
+        ]
+        # A narrowed run does not judge ``all``; an unknown name it does.
+        narrowed = run_analysis(fake_repo, rules=["factory-only"]).fresh
+        assert [f.line for f in narrowed] == [2]
+
+    def test_the_same_text_inside_a_string_is_not_a_suppression(self, fake_repo):
+        write_tree(fake_repo, "tests/test_a.py", "FIXTURE = 'x = 1  # repolint: disable=all'\n")
+        assert run_analysis(fake_repo).fresh == []
+
+    def test_the_tree_has_no_inert_suppression(self):
+        result = run_analysis(REPO_ROOT)
+        assert [f for f in result.fresh if f.rule == "inert-suppression"] == []
+        assert result.suppressed_count == 4
+
+
 class TestBaseline:
     def test_baselined_finding_does_not_fail(self, fake_repo):
         write_tree(fake_repo, "src/repro/a.py", VIOLATION)

@@ -147,6 +147,43 @@ class TestLockDiscipline:
         findings = lint_source(source, rule="lock-discipline")
         assert len(findings) == 2
 
+    def test_fires_on_writes_made_by_unpacking(self, lint_source):
+        source = """
+            import threading
+
+            class Transport:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._sock = None
+                    self.sent = 0
+                    self.names = []
+
+                def teardown(self):
+                    sock, self._sock = self._sock, None
+                    [self.sent, *self.names] = (0, "a", "b")
+        """
+        findings = lint_source(source, rule="lock-discipline")
+        assert [finding.line for finding in findings] == [12, 13, 13]
+        assert [finding.message.split()[2] for finding in findings] == [
+            "self._sock", "self.sent", "self.names",
+        ]
+
+    def test_silent_on_unpacking_under_the_lock(self, lint_source):
+        source = """
+            import threading
+
+            class Transport:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._sock = None
+
+                def teardown(self):
+                    with self._lock:
+                        sock, self._sock = self._sock, None
+                    first, second = sock, sock
+        """
+        assert lint_source(source, rule="lock-discipline") == []
+
     def test_silent_when_guarded(self, lint_source):
         source = """
             import threading

@@ -17,7 +17,6 @@ import gc
 import json
 
 from repro.cluster import build_cluster
-from repro.config import KyrixConfig
 from repro.serving import RemoteBackendStub, build_shard_spec, stack_layers
 from repro.storage.database import Database
 
@@ -106,7 +105,9 @@ def test_worker_specs_carry_the_configuration_being_served(usmap_parity_stack):
         spec = build_shard_spec(
             stack.backend.database, stack.backend.compiled, served, shard_id=0
         )
-        shipped = KyrixConfig.from_dict(spec.config).cluster
+        assert spec.config is served
+        assert spec.plan.spec is None
+        shipped = spec.config.cluster
         assert (shipped.shard_count, shipped.replicas) == (2, 2)
         assert shipped.worker_mode == "processes"
     finally:

@@ -52,14 +52,15 @@ class TestTransform:
         with pytest.raises(SpecError):
             transform.apply({"x": 1})
 
-    def test_describe(self):
+    def test_separable_transform_keeps_its_placement_columns(self):
         transform = Transform(
-            transform_id="t", query="SELECT x, y FROM t",
+            transform_id="t", query="SELECT x, y FROM t", columns=["x", "y"],
             separable=True, x_column="x", y_column="y",
         )
-        description = transform.describe()
-        assert description["separable"] is True
-        assert description["x_column"] == "x"
+        assert transform.separable is True
+        assert (transform.x_column, transform.y_column) == ("x", "y")
+        assert transform.columns == ("x", "y")
+        assert transform.transform_func is None
 
 
 class TestPlacements:
@@ -253,13 +254,14 @@ class TestApplication:
         with pytest.raises(SpecError):
             app.canvas("missing")
 
-    def test_describe_lists_canvases_and_jumps(self):
+    def test_registered_canvases_and_jumps_are_reachable(self):
         app = App(name="demo")
-        app.add_canvas(Canvas(canvas_id="c", width=100, height=100))
+        canvas = Canvas(canvas_id="c", width=100, height=100)
+        app.add_canvas(canvas)
         app.add_jump(Jump("c", "c", jump_type="pan"))
-        description = app.describe()
-        assert "c" in description["canvases"]
-        assert description["jumps"][0]["type"] == "pan"
+        assert list(app.canvases) == ["c"]
+        assert app.canvas("c") is canvas
+        assert [jump.jump_type for jump in app.jumps] == [JumpType.PAN]
 
     def test_the_config_is_left_as_handed_in(self):
         config = KyrixConfig()

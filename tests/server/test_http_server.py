@@ -273,6 +273,52 @@ class TestShardOutage:
             assert f"box bound {field} must be finite" in response.get_json()["error"]
 
 
+class TestClosedCluster:
+    """A closed router refuses every request that reaches its scatter with
+    one typed error, whatever the topology or the fan-out; HTTP says 503."""
+
+    @pytest.fixture(params=["threads", "processes"])
+    def closed(self, request, dots_stack):
+        from repro.cluster.router import ClusterRouter
+        from repro.serving import build_service, unwrap
+
+        service = build_service(
+            dots_stack.backend.config, backend=dots_stack.backend, shard_count=2,
+            worker_mode=request.param,
+        )
+        router = unwrap(service, ClusterRouter)
+        app = create_app(service)
+        app.config["TESTING"] = True
+        service.close()
+        return app.test_client(), router
+
+    @pytest.mark.parametrize("fanout", [1, 2])
+    def test_every_fanout_is_refused_the_same_typed_way(self, closed, dots_stack, fanout):
+        from repro.errors import ServiceClosedError
+
+        cluster_client, router = closed
+        region = router.partitionings["dots"].region(0).rect
+        if fanout == 1:
+            box = (region.xmin + 16, region.ymin + 16, region.xmin + 128, region.ymin + 128)
+        else:
+            plan = dots_stack.compiled.canvas_plan("dots")
+            box = (0.0, 0.0, plan.width, plan.height)
+        request = DataRequest(
+            app_name=dots_stack.compiled.app_name, canvas_id="dots", layer_index=0,
+            granularity="box", xmin=box[0], ymin=box[1], xmax=box[2], ymax=box[3],
+        )
+        rect = router.request_rect(request)
+        assert len(router.partitionings["dots"].shards_for_rect(rect)) == fanout
+        with pytest.raises(ServiceClosedError, match="closed"):
+            router.handle(request)
+        query = "&".join(
+            f"{name}={value}" for name, value in zip(("xmin", "ymin", "xmax", "ymax"), box)
+        )
+        response = cluster_client.get(f"/dbox?canvas=dots&layer=0&{query}")
+        assert response.status_code == 503
+        assert "closed" in response.get_json()["error"]
+
+
 class TestTelemetryEndpoints:
     @pytest.fixture()
     def traced_client(self, dots_stack):

@@ -388,6 +388,33 @@ class TestBuildService:
             service.close()
             configure_telemetry(base.telemetry, enabled=False)
 
+    @pytest.mark.parametrize("overrides", [{}, {"shard_count": 2}], ids=["single", "cluster"])
+    def test_the_handed_in_config_is_the_one_served(self, dots_stack, overrides):
+        """``build_service(config, backend=...)`` serves ``config``, not the
+        backend's own: its cache size and its telemetry switch hold on the
+        single stack and on the cluster alike."""
+        from repro.telemetry import configure as configure_telemetry
+        from repro.telemetry import get_tracer
+
+        base = dots_stack.backend.config
+        config = dataclasses.replace(
+            base,
+            cache=dataclasses.replace(base.cache, backend_entries=0),
+            telemetry=dataclasses.replace(base.telemetry, enabled=True),
+        )
+        assert base.cache.backend_entries > 0 and not base.telemetry.enabled
+        service = build_service(config, backend=dots_stack.backend, **overrides)
+        try:
+            assert service.cache.capacity == 0
+            assert get_tracer().enabled
+            if overrides:
+                served = unwrap(service, ClusterRouter).config
+                assert served.cache.backend_entries == 0 and served.telemetry.enabled
+                assert served.cluster.shard_count == 2
+        finally:
+            service.close()
+            configure_telemetry(base.telemetry, enabled=False)
+
     def test_served_config_follows_an_online_rebalance(self, dots_stack):
         service = build_service(
             dots_stack.backend.config, backend=dots_stack.backend,

@@ -13,6 +13,7 @@ request fails over to a healthy replica with a byte-identical payload.
 from __future__ import annotations
 
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -145,8 +146,8 @@ def test_worker_spawn_failure_is_typed_and_cleans_up(dots_stack):
 def _hand_built_spec(stack, *tables: TableDump, shard_id: int = 0) -> ShardSpec:
     return ShardSpec(
         shard_id=shard_id,
-        config=stack.backend.config.to_dict(),
-        plan=stack.compiled.to_dict(),
+        config=stack.backend.config,
+        plan=replace(stack.compiled, spec=None),
         tables=tables,
     )
 

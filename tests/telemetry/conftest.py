@@ -15,7 +15,7 @@ from repro.telemetry import configure, get_registry, get_tracer
 @pytest.fixture()
 def tracer():
     """The process tracer, enabled; disabled on teardown."""
-    tracer = configure(enabled=True, trace_buffer=32)
+    tracer = configure(enabled=True)
     yield tracer
     configure(enabled=False)
 

@@ -10,7 +10,7 @@ import pytest
 from repro.config import KyrixConfig, TelemetryConfig
 from repro.errors import KyrixError
 from repro.telemetry import configure
-from repro.telemetry.tracer import NULL_SPAN
+from repro.telemetry.tracer import NULL_SPAN, TRACE_BUFFER
 
 
 class TestDisabled:
@@ -80,7 +80,7 @@ class TestSpans:
 
 class TestBuffer:
     def test_every_trace_is_recorded(self):
-        tracer = configure(enabled=True, trace_buffer=64)
+        tracer = configure(enabled=True)
         for _ in range(10):
             with tracer.span("op"):
                 pass
@@ -88,14 +88,14 @@ class TestBuffer:
         configure(enabled=False)
 
     def test_ring_buffer_keeps_the_newest_traces(self):
-        tracer = configure(enabled=True, trace_buffer=3)
-        for index in range(5):
+        tracer = configure(enabled=True)
+        for index in range(TRACE_BUFFER + 2):
             with tracer.span("op", index=index):
                 pass
         traces = tracer.traces()
-        assert len(traces) == 3
+        assert len(traces) == TRACE_BUFFER
         kept = [t["spans"][0]["attributes"]["index"] for t in traces]
-        assert kept == [2, 3, 4]
+        assert kept == list(range(2, TRACE_BUFFER + 2))
         configure(enabled=False)
 
     def test_get_trace_by_id(self, tracer):
@@ -105,7 +105,7 @@ class TestBuffer:
         assert tracer.get_trace("deadbeef") is None
 
     def test_disabling_drops_the_buffer_and_records_nothing(self):
-        tracer = configure(enabled=True, trace_buffer=8)
+        tracer = configure(enabled=True)
         with tracer.span("op"):
             pass
         assert len(tracer.traces()) == 1
