@@ -17,7 +17,13 @@ README for
   must name a field that exists.  The prose also
   roots two other vocabularies at section names, and they resolve too:
   the benchmark's metric names (``BENCHMARK.json``) and attributes of the
-  ``ShardedCluster`` handle the examples call ``cluster``.
+  ``ShardedCluster`` handle the examples call ``cluster``;
+* inline-backtick symbol citations (`` `cluster/router.py::gather_rows` ``,
+  `` `tests/x.py::TestClass::test_case[param]` ``) — the file must exist
+  as a cited path does, and the name after ``::`` must be a class,
+  function or assigned constant at its top level; a further ``::member``
+  must be defined in that class's body.  A parametrize id in brackets is
+  not part of the name.
 
 Fenced code blocks are skipped: they hold example output and
 hypothetical snippets, not citations. A doc that names a file which
@@ -30,6 +36,7 @@ Run with::
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import sys
@@ -55,6 +62,8 @@ _EXTENSIONS = r"py|md|json|jsonl|ya?ml|txt|ini"
 _PATH_WORD = re.compile(
     r"^[A-Za-z0-9_][A-Za-z0-9_.\-/]*(?:\.(?:%s)|/)$" % _EXTENSIONS
 )
+#: A symbol citation: ``path.py::Name[::member][[param id]]``.
+_SYMBOL_WORD = re.compile(r"^([A-Za-z0-9_][A-Za-z0-9_.\-/]*\.py)((?:::\w+)+)(?:\[[^\]]*\])?$")
 #: Sections ``KyrixConfig`` no longer has: a setting cited under one of
 #: them names nothing, so it is checked (and fails) like any other.
 _RETIRED_SECTIONS = ("network", "prefetch")
@@ -108,6 +117,40 @@ def _candidates(word: str) -> list[Path]:
     return [ROOT / word, ROOT / "src" / "repro" / word]
 
 
+def _defined(body: list[ast.stmt], name: str) -> ast.stmt | None:
+    """The statement of ``body`` that defines ``name``: a class, a function
+    or an assignment to it."""
+    for node in body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [
+                target.id
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)
+            ]
+        else:
+            continue
+        if name in targets:
+            return node
+    return None
+
+
+def _symbol_problem(word: str) -> str | None:
+    """Why a ``path.py::Name[::member]`` citation names nothing, or ``None``."""
+    cited, symbols = _SYMBOL_WORD.match(word).groups()
+    source = next((path for path in _candidates(cited) if path.is_file()), None)
+    if source is None:
+        return f"cited path does not exist -> {word}"
+    node: ast.AST | None = ast.parse(source.read_text(encoding="utf-8"))
+    for name in symbols.split("::")[1:]:
+        body = node.body if isinstance(node, (ast.Module, ast.ClassDef)) else []
+        node = _defined(body, name)
+        if node is None:
+            return f"cited symbol is not defined -> {word}"
+    return None
+
+
 def check_document(doc: Path) -> list[str]:
     text = _strip_fenced_blocks(doc.read_text(encoding="utf-8"))
     problems = []
@@ -132,6 +175,11 @@ def check_document(doc: Path) -> list[str]:
                     f"{doc.relative_to(ROOT)}: no such config field -> {dotted}"
                 )
         for word in span.group(1).split():
+            if _SYMBOL_WORD.match(word):
+                problem = _symbol_problem(word)
+                if problem:
+                    problems.append(f"{doc.relative_to(ROOT)}: {problem}")
+                continue
             if "/" not in word or not _PATH_WORD.match(word):
                 continue
             if not any(path.exists() for path in _candidates(word)):

@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Any
 from ..compiler.plan import CompiledApplication
 from ..config import ClusterConfig, KyrixConfig
 from ..errors import FetchError, ServiceClosedError
-from ..net.protocol import ABSENT, DataRequest, DataResponse, RowBatch, concat_rows
+from ..net.protocol import DataRequest, DataResponse, RowBatch, concat_rows
 from ..server.backend import box_rect
 from ..server.tile import TileScheme
 from ..serving.middleware import CachingService, CoalescingService
@@ -181,24 +181,23 @@ def gather_rows(shard_objects: list[Sequence[dict[str, Any]]]) -> RowBatch:
     depends on what rows it holds; the sort erases that).  A boundary row
     replicated into several shards is kept once, the first shard's copy; the
     rows of a fan-out of one are only sorted.  A row's identity is its
-    ``tuple_id``, or without one the row as sorted ``(name, value)`` pairs;
-    identities of mixed types (int and str ``tuple_id``) have no natural
-    order and ``repr`` gives a deterministic one.  The indexer's tables take
+    ``tuple_id``, or without one (a NULL, or a raw table without the column)
+    the row as sorted ``(name, value)`` pairs; identities of mixed types (an
+    int ``tuple_id`` beside such a row) have no natural order and ``repr``
+    gives a deterministic one.  The indexer's tables take
     neither detour: whole-list calls, no statement per row.
     """
     # One layout for the gather (a canned or fault-injected shard answers with
     # a list built by hand), and one set of columns on every shard.
     gathered = concat_rows(shard_objects)
-    names, rows, sparse = gathered.names, gathered.rows, gathered.sparse
+    names, rows = gathered.names, gathered.rows
     by_id = itemgetter(names.index("tuple_id")) if "tuple_id" in names else None
     ids = list(map(by_id, rows)) if by_id else [None]
     identity: Callable[[tuple[Any, ...]], Any] = by_id
-    if None in ids or (sparse and ABSENT in ids):
+    if None in ids:
         def identity(row: tuple[Any, ...]) -> Any:
             tuple_id = by_id(row) if by_id else None
-            if tuple_id is None or tuple_id is ABSENT:
-                return tuple(sorted(pair for pair in zip(names, row) if pair[1] is not ABSENT))
-            return tuple_id
+            return tuple(sorted(zip(names, row))) if tuple_id is None else tuple_id
     if len(shard_objects) == 1:
         try:
             rows = sorted(rows, key=identity)
@@ -215,7 +214,7 @@ def gather_rows(shard_objects: list[Sequence[dict[str, Any]]]) -> RowBatch:
             # ...but under its last key object, and ``repr`` tells 1 from True.
             keys = sorted(dict.fromkeys(ids), key=repr)
         rows = list(map(first.__getitem__, keys))
-    return RowBatch(names, rows, sparse)
+    return RowBatch(names, rows)
 
 
 class _ScatterGatherService:

@@ -31,19 +31,24 @@ the wire).  An unknown kind byte, a truncated body or trailing bytes raise
 a typed :class:`~repro.errors.ProtocolError` — a garbled frame never
 decodes to a plausible value.
 
-The columnar block stores, per column: the name, a one-byte type tag, a
-presence bitmap (key absent vs present), a null bitmap, then the packed
-values of the present non-null rows in row order.  Columns that are not
-homogeneously typed — or hold values with no fixed-width representation —
-fall back to per-cell canonical JSON, decoded through the same recursive
-canonicalisation as :meth:`DataResponse.from_json`, so **a decoded payload
-equals its JSON-decoded twin** and ``decode(encode(r)) == r`` holds for
-every response the JSON encoding can carry (and some it cannot, e.g. NaN
-floats).
+The objects block carries what storage holds: the rows of one placement
+table, every row with every column (a NULL is ``None``).  It stores the
+row and column counts, then per column, in name order: the name, a
+one-byte type tag, a null bitmap, and the packed non-null values in row
+order.  There are four tags, one per storage column type
+(:mod:`repro.storage.types`): ``COL_I64`` (signed 64-bit integers),
+``COL_F64`` (doubles), ``COL_STR`` (length-prefixed UTF-8) and
+``COL_BBOX`` (four doubles per row, no length byte).  A column's tag is
+the one type of its non-null cells; a column of NULLs only is
+``COL_I64`` and carries no value.  A decoded payload equals its
+JSON-decoded twin: ``decode(encode(r)) == DataResponse.from_json(r.to_json())``.
 
-Integers outside the signed 64-bit range and mixed int/float columns use
-the JSON fallback deliberately: packing them as doubles would round or
-retype them, and the law of this wire is losslessness first.
+Anything else is refused with a typed :class:`~repro.errors.ProtocolError`
+naming the column, never packed lossily or retyped: a ``bool``, a column
+mixing types (``1`` beside ``1.0``), an integer outside the signed 64-bit
+range, a tuple that is not four floats, any other value, and a list of
+dictionaries whose rows carry different keys.  The decoder refuses a
+repeated column name, rows without a column and an unknown tag.
 """
 
 from __future__ import annotations
@@ -52,19 +57,11 @@ import json
 import struct
 from collections import deque
 from dataclasses import replace
-from itertools import chain, repeat
+from itertools import chain, starmap
 from typing import Any
 
-from ..errors import ProtocolError
-from .protocol import (
-    ABSENT,
-    DataRequest,
-    DataResponse,
-    RowBatch,
-    _Absent,
-    _canonical_value,
-    _reject_unencodable,
-)
+from ..errors import FetchError, ProtocolError
+from .protocol import DataRequest, DataResponse, RowBatch, _reject_unencodable, concat_rows
 
 __all__ = [
     "MSG_ERROR",
@@ -84,26 +81,20 @@ MSG_REQUEST = 1
 MSG_RESPONSE = 2
 MSG_ERROR = 3
 
-#: Column type tags of the columnar block.
-COL_JSON = 0  # per-cell canonical JSON (mixed / nested / exotic columns)
+#: Column type tags of the columnar block: one per storage column type.
 COL_I64 = 1
 COL_F64 = 2
 COL_STR = 3
-COL_BOOL = 4
-COL_F64S = 5  # tuple of floats (e.g. the ``bbox`` placement column)
+COL_BBOX = 4
 
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
+_BBOX = struct.Struct(">4d")
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
-
-#: Most rows an objects block without a column (rows of ``{}``) may declare.
-#: Any other shape is bounded by the bytes that carry it (two bitmaps per
-#: column); this one is eight bytes whatever it claims, so both sides cap it.
-MAX_EMPTY_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +161,6 @@ class _Reader:
         chunk = self._data[self._offset : self._offset + size]
         self._offset += size
         return chunk
-
-    def peek(self, size: int) -> bytes:
-        """Up to ``size`` bytes ahead of the cursor, which stays put."""
-        return self._data[self._offset : self._offset + size]
 
     def u8(self) -> int:
         return self.raw(1)[0]
@@ -301,11 +288,11 @@ def decode_request(body: bytes) -> tuple[DataRequest, dict[str, Any] | None]:
 # ---------------------------------------------------------------------------
 # The columnar objects block
 # ---------------------------------------------------------------------------
-# A column travels whole — cells gathered in one pass, each bitmap one
+# A column travels whole — cells gathered in one pass, the null bitmap one
 # integer, the values one ``struct`` call, rows zipped back once — so no
-# statement runs per cell unless the column has absent keys, nulls or
-# cells no typed column can carry.  A :class:`RowBatch` is transposed, rows to
-# columns going out and back coming in: no row dict, and columns only in here.
+# statement runs per cell unless the column has nulls.  A :class:`RowBatch`
+# is transposed, rows to columns going out and back coming in: no row dict,
+# and columns only in here.
 
 
 _NONE_TYPE = type(None)
@@ -318,199 +305,108 @@ def _bitmap(flags: list[bool], size: int) -> bytes:
     return int(bytes(flags).translate(_BIT_DIGITS)[::-1], 2).to_bytes(size, "little")
 
 
-def _column_tag(kinds: set[type], values: list[Any] | tuple[Any, ...]) -> int:
-    """Pick the packed representation for one column's non-null values.
+def _column_tag(name: str, kinds: set[type], values: list[Any] | tuple[Any, ...]) -> int:
+    """The tag of one column from ``kinds``, the set of its non-null cells' types.
 
-    ``kinds`` is ``set(map(type, values))`` and decides a column of one exact
-    builtin type; one that mixes kinds or holds a subclass (``IntEnum``,
-    ``numpy.float64``) goes through the ``isinstance`` rules the shortcuts agree with.
+    One exact builtin type, the storage's, or a typed refusal naming the column.
     """
-    if len(kinds) == 1:
-        (kind,) = kinds
-        if kind is float:
-            return COL_F64
-        if kind is int:
-            in_range = _I64_MIN <= min(values) and max(values) <= _I64_MAX
-            return COL_I64 if in_range else COL_JSON
-        if kind is str:
-            return COL_STR
-        if kind is bool:
-            return COL_BOOL
-        if (
-            kind is tuple
-            and max(map(len, values)) <= 255
-            and set(map(type, chain.from_iterable(values))) <= {float}
-        ):
-            return COL_F64S
-    saw_bool = saw_int = saw_float = saw_str = saw_floats = False
-    for value in values:
-        if isinstance(value, bool):
-            saw_bool = True
-        elif isinstance(value, int):
-            if not _I64_MIN <= value <= _I64_MAX:
-                return COL_JSON
-            saw_int = True
-        elif isinstance(value, float):
-            saw_float = True
-        elif isinstance(value, str):
-            saw_str = True
-        elif (
-            isinstance(value, tuple)
-            and len(value) <= 255
-            and all(isinstance(item, float) for item in value)
-        ):
-            saw_floats = True
-        else:
-            return COL_JSON
-    flags = (saw_bool, saw_int, saw_float, saw_str, saw_floats)
-    if sum(flags) != 1:
-        # Mixed columns (including int/float mixes) fall back to JSON
-        # cells: packing 1 and 1.0 into one numeric column would retype
-        # one of them, and losslessness outranks compactness.
-        return COL_JSON
-    return (COL_BOOL, COL_I64, COL_F64, COL_STR, COL_F64S)[flags.index(True)]
+    if not kinds:
+        return COL_I64  # NULLs only: no value follows, any tag would do
+    if kinds == {float}:
+        return COL_F64
+    if kinds == {str}:
+        return COL_STR
+    if kinds == {int}:
+        if _I64_MIN <= min(values) and max(values) <= _I64_MAX:
+            return COL_I64
+        held = "an integer outside the signed 64-bit range"
+    elif kinds == {tuple}:
+        if set(map(len, values)) == {4} and set(map(type, chain.from_iterable(values))) == {float}:
+            return COL_BBOX
+        held = "a tuple that is not four floats"
+    else:
+        held = " and ".join(sorted(kind.__name__ for kind in kinds)) + " values"
+    raise ProtocolError(f"column {name!r} holds {held}: it has no lossless wire encoding")
 
 
 def _encode_objects(out: bytearray, objects: RowBatch | list[dict[str, Any]]) -> None:
     n_rows = len(objects)
-    if isinstance(objects, RowBatch):
-        # No row, no column: an empty batch is the frame ``[]`` always was.
-        columns = dict(zip(objects.names, zip(*objects.rows)))
-    else:
-        # Decoded from JSON or built by hand, maybe sparse: gathered key by key.
-        columns = {
-            name: list(map(dict.get, objects, repeat(name), repeat(ABSENT)))
-            for name in set().union(*objects)
-        }
-    names = sorted(columns)
-    if not names and n_rows > MAX_EMPTY_ROWS:
-        raise ProtocolError(
-            f"{n_rows} rows without a column exceed the {MAX_EMPTY_ROWS} the wire carries"
-        )
+    try:  # decoded from JSON or built by hand: laid out as the gather does it
+        batch = concat_rows([objects])
+    except FetchError as error:
+        raise ProtocolError(f"the wire carries dense rows only: {error}") from error
+    names, columns = batch.names, list(zip(*batch.rows))
+    if not n_rows:
+        names = ()  # no row, no column: an empty batch is the frame ``[]`` always was
+    elif not names:
+        raise ProtocolError(f"{n_rows} rows without a column have no wire encoding")
+    elif len(columns) != len(names) or len(set(names)) != len(names):
+        raise ProtocolError(f"rows do not match their distinct column names {names}")
     out += _U32.pack(n_rows)
     out += _U32.pack(len(names))
     bitmap_size = (n_rows + 7) // 8
-    every_row = ((1 << n_rows) - 1).to_bytes(bitmap_size, "little")
     no_row = bytes(bitmap_size)
-    for name in names:
+    for name, values in sorted(zip(names, columns)):  # names are distinct: no column compared
         _w_text(out, name)
-        values = columns[name]
         kinds = set(map(type, values))
-        presence, nulls = every_row, no_row
-        if _Absent in kinds or _NONE_TYPE in kinds:
-            presence = _bitmap([cell is not ABSENT for cell in values], bitmap_size)
+        nulls = no_row
+        if _NONE_TYPE in kinds:
             nulls = _bitmap([cell is None for cell in values], bitmap_size)
-            values = [cell for cell in values if cell is not None and cell is not ABSENT]
-            kinds -= {_Absent, _NONE_TYPE}
-        tag = _column_tag(kinds, values)
+            values = [cell for cell in values if cell is not None]
+            kinds.discard(_NONE_TYPE)
+        tag = _column_tag(name, kinds, values)
         out += _U8.pack(tag)
-        out += presence
         out += nulls
         if tag == COL_I64:
             out += struct.pack(f">{len(values)}q", *values)
         elif tag == COL_F64:
             out += struct.pack(f">{len(values)}d", *values)
-        elif tag == COL_BOOL:
-            out += bytes(values)
         elif tag == COL_STR:
             texts = list(map(str.encode, values))
             sizes = map(_U32.pack, map(len, texts))
             out += b"".join(chain.from_iterable(zip(sizes, texts)))
-        elif tag == COL_F64S:
-            sizes = set(map(len, values))
-            if len(sizes) == 1:
-                (size,) = sizes
-                pack = struct.Struct(f">B{size}d").pack
-                rows = map(pack, repeat(size, len(values)), *zip(*values))
-                # Consumed row by row: joining them first holds every packed
-                # row at once, the widest moment of a whole step (+80 kB).
-                deque(map(out.extend, rows), 0)
-            else:
-                for value in values:
-                    out += _U8.pack(len(value))
-                    out += struct.pack(f">{len(value)}d", *value)
         else:
-            for value in values:
-                _w_text(
-                    out,
-                    json.dumps(value, sort_keys=True, default=_reject_unencodable),
-                )
-
-
-def _read_f64s(reader: _Reader, count: int) -> list[tuple[float, ...]]:
-    """``count`` length-prefixed float tuples.
-
-    A block that lies inside the message with all its length bytes equal
-    is split in one call; anything else — ragged tuples, a truncated tail —
-    is walked tuple by tuple, so the bounds check that fails is the reader's.
-    """
-    head = reader.peek(1)
-    if count and head:
-        stride = 1 + 8 * head[0]
-        block = reader.peek(count * stride)
-        if len(block) == count * stride and block[::stride] == head * count:
-            reader.raw(len(block))
-            return list(struct.Struct(f">x{head[0]}d").iter_unpack(block))
-    values = []
-    for _ in range(count):
-        size = reader.u8()
-        values.append(struct.unpack(f">{size}d", reader.raw(8 * size)))
-    return values
+            # Consumed row by row: joining them first holds every packed
+            # row at once, the widest moment of a whole step (+80 kB).
+            deque(map(out.extend, starmap(_BBOX.pack, values)), 0)
 
 
 def _decode_objects(reader: _Reader) -> RowBatch:
     n_rows = reader.u32()
     n_cols = reader.u32()
+    if n_rows and not n_cols:
+        raise ProtocolError(f"binary message declares {n_rows} rows without a column")
     bitmap_size = (n_rows + 7) // 8
     # The declared shape is checked against the bytes that are left before
     # anything is sized by it: a short frame cannot ask for a long answer.
-    if n_cols == 0:
-        if n_rows > MAX_EMPTY_ROWS:
-            raise ProtocolError(
-                f"binary message declares {n_rows} rows without a column (> {MAX_EMPTY_ROWS})"
-            )
-        return RowBatch((), [()] * n_rows)
-    reader.require(n_cols * (4 + 1 + 2 * bitmap_size))
+    reader.require(n_cols * (4 + 1 + bitmap_size))
     every_row = (1 << n_rows) - 1
     columns: dict[str, Any] = {}
-    sparse = False
     for _ in range(n_cols):
         name = reader.text()
+        if name in columns:
+            raise ProtocolError(f"binary message repeats column {name!r}")
         tag = reader.u8()
-        presence = reader.raw(bitmap_size)
         nulls = reader.raw(bitmap_size)
-        present = int.from_bytes(presence, "little") & every_row
-        null = int.from_bytes(nulls, "little") & present
-        count = (present ^ null).bit_count()
+        count = n_rows - (int.from_bytes(nulls, "little") & every_row).bit_count()
         if tag == COL_I64:
             values = struct.unpack(f">{count}q", reader.raw(8 * count))
         elif tag == COL_F64:
             values = struct.unpack(f">{count}d", reader.raw(8 * count))
-        elif tag == COL_BOOL:
-            values = list(map(bool, reader.raw(count)))
         elif tag == COL_STR:
             values = [reader.text() for _ in range(count)]
-        elif tag == COL_F64S:
-            values = _read_f64s(reader, count)
-        elif tag == COL_JSON:
-            values = [_canonical_value(reader.json()) for _ in range(count)]
+        elif tag == COL_BBOX:
+            values = list(_BBOX.iter_unpack(reader.raw(32 * count)))
         else:
             raise ProtocolError(f"unknown column type tag {tag}")
         if count != n_rows:
-            sparse |= present != every_row  # nulls alone leave every row its key
             cursor = iter(values)
             values = [
-                ABSENT if not presence[row >> 3] >> (row & 7) & 1
-                else None if nulls[row >> 3] >> (row & 7) & 1
-                else next(cursor)
+                None if nulls[row >> 3] >> (row & 7) & 1 else next(cursor)
                 for row in range(n_rows)
             ]
-        if name in columns:
-            # A frame that repeats a name decodes as its rows always did as
-            # dictionaries: one cell per name, the last that is there.
-            values = [old if new is ABSENT else new for old, new in zip(columns[name], values)]
         columns[name] = values
-    return RowBatch(columns, list(zip(*columns.values())), sparse)
+    return RowBatch(columns, list(zip(*columns.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -124,13 +124,6 @@ def _reject_unencodable(value: Any) -> Any:
     )
 
 
-class _Absent:
-    """The cell of a row that does not carry the column's key."""
-
-
-ABSENT = _Absent()
-
-
 class RowBatch(Sequence):
     """The objects of a response as the engine made them: names + row tuples.
 
@@ -141,20 +134,17 @@ class RowBatch(Sequence):
     them, the router sorts them, the caches and the frontend pass the batch on.
     Nobody writes a batch once it is built, so its holders share it without a
     lock, and no reader's edit reaches another.  ``rows`` are tuples in
-    ``names`` order; ``names`` are distinct; a ``sparse`` batch may hold
-    :data:`ABSENT` cells.
+    ``names`` order and ``names`` are distinct: every row carries every name,
+    and a NULL is ``None``.
     """
 
-    __slots__ = ("names", "rows", "sparse")
+    __slots__ = ("names", "rows")
 
-    def __init__(self, names: Iterable[str], rows: list[tuple], sparse: bool = False) -> None:
+    def __init__(self, names: Iterable[str], rows: list[tuple]) -> None:
         self.names = tuple(names)
         self.rows = rows
-        self.sparse = sparse
 
     def _dict(self, row: tuple[Any, ...]) -> dict[str, Any]:
-        if self.sparse:
-            return {name: cell for name, cell in zip(self.names, row) if cell is not ABSENT}
         return dict(zip(self.names, row))
 
     def to_dicts(self) -> list[dict[str, Any]]:
@@ -165,8 +155,6 @@ class RowBatch(Sequence):
         return len(self.rows)
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
-        if self.sparse:
-            return map(self._dict, self.rows)
         return map(dict, map(zip, repeat(self.names), self.rows))
 
     def __getitem__(self, index: Any) -> Any:
@@ -186,25 +174,28 @@ def concat_rows(parts: Sequence[Sequence[dict[str, Any]]]) -> RowBatch:
 
     A lone batch is the answer itself; empty parts are skipped (the codec
     decodes zero rows with names ``()``).  A list of dictionaries (from JSON,
-    or built by hand) is laid out against all the parts' names, ABSENT where a
-    row lacks one.  One layer, one table: other names are a :class:`FetchError`.
+    or built by hand) is laid out against the first batch's names, or else the
+    first row's keys, and every row must carry exactly those keys.  One layer,
+    one table: other names, or a ragged list, are a :class:`FetchError`.
     """
     if len(parts) == 1 and isinstance(parts[0], RowBatch):
         return parts[0]
     filled = [part for part in parts if len(part)]
-    names = tuple(dict.fromkeys(chain(  # the batches' names first: JSON sorts a row's keys
-        *(part.names for part in filled if isinstance(part, RowBatch)),
-        *(chain.from_iterable(part) for part in filled if not isinstance(part, RowBatch)),
-    )))
-    batches = [
-        part if isinstance(part, RowBatch)
-        else RowBatch(names, [tuple(map(obj.get, names, repeat(ABSENT))) for obj in part], True)
-        for part in filled
-    ]
+    names = next((part.names for part in filled if isinstance(part, RowBatch)), None)
+    if names is None:
+        names = tuple(filled[0][0]) if filled else ()
+    batches = [part if isinstance(part, RowBatch) else _laid_out(part, names) for part in filled]
     if any(batch.names != names for batch in batches):  # one layer, one table, one schema
         raise FetchError(f"parts answered with columns other than {names}")
-    rows = list(chain.from_iterable(batch.rows for batch in batches))
-    return RowBatch(names, rows, any(batch.sparse for batch in batches))
+    return RowBatch(names, list(chain.from_iterable(batch.rows for batch in batches)))
+
+
+def _laid_out(objects: Sequence[dict[str, Any]], names: tuple[str, ...]) -> RowBatch:
+    """Dictionaries as rows of ``names``: each must carry exactly those keys."""
+    keys = set(names)
+    if any(obj.keys() != keys for obj in objects):
+        raise FetchError(f"parts answered with rows keyed other than {names}")
+    return RowBatch(names, [tuple(map(obj.__getitem__, names)) for obj in objects])
 
 
 @dataclass
@@ -284,13 +275,3 @@ class DataResponse:
     @classmethod
     def from_json(cls, text: str) -> "DataResponse":
         return cls.from_dict(json.loads(text))
-
-    def payload_size(self, per_object_bytes: int | None = None) -> int:
-        """Estimated serialized size in bytes.
-
-        When ``per_object_bytes`` is given, a fast estimate (count x bytes)
-        is used; otherwise the exact JSON encoding is measured.
-        """
-        if per_object_bytes is not None:
-            return len(self.objects) * per_object_bytes
-        return len(self.to_json().encode("utf-8"))

@@ -60,7 +60,8 @@ def build_service(
     config:
         The application configuration; defaults to the backend's.  The
         ``config.cluster`` section decides whether the stack is a single
-        cached backend or a sharded scatter-gather cluster.
+        cached backend or a sharded scatter-gather cluster.  Either
+        stack's ``config`` reports it, not the backend's own.
     backend:
         An existing (typically precomputed) backend to serve from — or a
         single-backend stack this factory returned earlier, which is
@@ -121,5 +122,5 @@ def build_service(
             configure_telemetry(config.telemetry, **overrides)
         from .middleware import CachingService
 
-        service = CachingService(backend, entries=config.cache.backend_entries)
+        service = CachingService(backend, entries=config.cache.backend_entries, config=config)
     return service

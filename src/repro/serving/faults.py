@@ -153,12 +153,17 @@ class FaultSchedule:
 
 
 def corrupted_response(request: "DataRequest") -> "DataResponse":
-    """The recognisably-wrong payload a corruption fault substitutes."""
+    """The recognisably-wrong payload a corruption fault substitutes.
+
+    Its cells are storage types (an int marker, not a bool), so the shard
+    wire carries it: a ``corrupt`` rule under a transport hands the caller
+    a wrong payload, not a refused frame.
+    """
     from ..net.protocol import DataResponse
 
     return DataResponse(
         request=request,
-        objects=[{"tuple_id": -1, "corrupted": True}],
+        objects=[{"tuple_id": -1, "corrupted": 1}],
         query_ms=0.0,
         from_cache=False,
         queries_issued=0,

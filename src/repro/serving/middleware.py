@@ -24,6 +24,7 @@ from .base import DataService, ServiceMiddleware
 
 if TYPE_CHECKING:
     from ..cluster.coalescer import RequestCoalescer
+    from ..config import KyrixConfig
     from ..net.protocol import DataRequest, DataResponse
 
 
@@ -35,12 +36,21 @@ class CachingService(ServiceMiddleware):
     addressed to the incoming request with ``from_cache=True`` and zero
     query time (the per-shard timing breakdown of a cached scatter-gather
     is preserved for attribution).  Responses that were themselves cache
-    hits or coalesced hand-me-downs are not re-inserted.
+    hits or coalesced hand-me-downs are not re-inserted.  ``config``, when
+    given, is the configuration the stack serves (the one its cache was
+    sized from); otherwise ``inner``'s is reported.
     """
 
-    def __init__(self, inner: DataService, *, entries: int) -> None:
+    def __init__(
+        self, inner: DataService, *, entries: int, config: "KyrixConfig | None" = None
+    ) -> None:
         super().__init__(inner)
         self.cache: "LRUCache[DataResponse]" = LRUCache(entries)
+        self._config = config
+
+    @property
+    def config(self) -> "KyrixConfig":
+        return self._config or self.inner.config
 
     @property
     def stats(self) -> Any:

@@ -35,3 +35,57 @@ def test_a_live_setting_and_fenced_citations_pass(tmp_path, monkeypatch):
         "```\n`network.rtt_ms` inside a fence is example output\n```\n"
     )
     assert _problems(tmp_path, monkeypatch, prose) == []
+
+
+_MODULE = '''\
+LIMIT = 3
+TOTAL: int = 4
+
+
+def gather_rows():
+    pass
+
+
+class TestShapes:
+    STRIDE = 2
+
+    def test_refused(self):
+        pass
+'''
+
+
+@pytest.mark.parametrize(
+    "citation",
+    [
+        "net/columnar.py::gather_rows",
+        "src/repro/net/columnar.py::LIMIT",
+        "net/columnar.py::TOTAL",
+        "net/columnar.py::TestShapes",
+        "net/columnar.py::TestShapes::test_refused",
+        "net/columnar.py::TestShapes::STRIDE",
+        "net/columnar.py::TestShapes::test_refused[single]",
+    ],
+)
+def test_a_live_symbol_citation_passes(tmp_path, monkeypatch, citation):
+    module = tmp_path / "src" / "repro" / "net" / "columnar.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(_MODULE, encoding="utf-8")
+    assert _problems(tmp_path, monkeypatch, f"See `{citation}`.\n") == []
+
+
+@pytest.mark.parametrize(
+    ("citation", "problem"),
+    [
+        ("net/columnar.py::MAX_EMPTY_ROWS", "cited symbol is not defined"),
+        ("net/columnar.py::TestShapes::test_sparse", "cited symbol is not defined"),
+        ("net/columnar.py::gather_rows::inner", "cited symbol is not defined"),
+        ("net/columnar.py::STRIDE", "cited symbol is not defined"),  # a member, not top level
+        ("net/gone.py::gather_rows", "cited path does not exist"),
+    ],
+)
+def test_a_stale_symbol_citation_is_broken(tmp_path, monkeypatch, citation, problem):
+    module = tmp_path / "src" / "repro" / "net" / "columnar.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(_MODULE, encoding="utf-8")
+    problems = _problems(tmp_path, monkeypatch, f"See `{citation}`.\n")
+    assert problems == [f"doc.md: {problem} -> {citation}"]

@@ -145,8 +145,3 @@ class TestProtocol:
         assert restored.objects == [{"x": 1}]
         assert restored.request.tile_id == 3
 
-    def test_payload_size_estimate_vs_exact(self):
-        request = DataRequest("a", "c", 0, "tile", tile_id=3, tile_size=256)
-        response = DataResponse(request=request, objects=[{"x": 1}] * 10)
-        assert response.payload_size(per_object_bytes=64) == 640
-        assert response.payload_size() > 0

@@ -221,33 +221,33 @@ class _CannedShard(ServiceMiddleware):
         )
 
 
-#: What the two shards of the gather-order case return: a boundary
-#: duplicate (``tuple_id`` 7 on both), objects without a ``tuple_id`` (their
-#: whole content is their identity; one of them on both shards), and int
-#: next to str ``tuple_id``s — identities with no natural order, so the
-#: canonical sort takes its ``repr`` fallback.
+#: What the two shards of the gather-order case return, rows of one table:
+#: a boundary duplicate (``tuple_id`` 7 on both), rows with a NULL
+#: ``tuple_id`` (their whole content is their identity; one of them on both
+#: shards) next to int ones — identities with no natural order, so the
+#: canonical sort takes its ``repr`` fallback, which puts 12 before 4.
 _GATHER_SHARD_OBJECTS = (
     [
-        {"tuple_id": 7, "x": 1.5},
-        {"tuple_id": "b", "x": 2.5},
-        {"label": "loose", "bbox": (0.0, 1.0)},
-        {"tuple_id": 30, "x": 3.5},
+        {"tuple_id": 7, "x": 1.5, "label": "a"},
+        {"tuple_id": None, "x": 0.5, "label": "loose"},
+        {"tuple_id": 30, "x": 3.5, "label": "c"},
     ],
     [
-        {"tuple_id": "a", "x": 4.5},
-        {"tuple_id": 7, "x": 1.5},
-        {"tuple_id": 4, "x": 5.5},
-        {"label": "loose", "bbox": (0.0, 1.0)},
-        {"label": "other", "tuple_id": None},
+        {"tuple_id": 12, "x": 4.5, "label": "d"},
+        {"tuple_id": 7, "x": 1.5, "label": "a"},
+        {"tuple_id": 4, "x": 5.5, "label": "e"},
+        {"tuple_id": None, "x": 0.5, "label": "loose"},
+        {"tuple_id": None, "x": None, "label": "other"},
     ],
 )
 
-#: The gathered objects as ``DataResponse.to_json()`` carries them, recorded
-#: at the parent of PR 20 (which computed an identity per merge *and* per sort).
+#: The gathered objects as ``DataResponse.to_json()`` carries them: the
+#: order ``tests/cluster/reference_merge.py`` gives the same two shards.
 _GATHER_EXPECTED_OBJECTS = (
-    '"objects": [{"tuple_id": "a", "x": 4.5}, {"tuple_id": "b", "x": 2.5}, '
-    '{"bbox": [0.0, 1.0], "label": "loose"}, {"label": "other", "tuple_id": null}, '
-    '{"tuple_id": 30, "x": 3.5}, {"tuple_id": 4, "x": 5.5}, {"tuple_id": 7, "x": 1.5}]'
+    '"objects": [{"label": "loose", "tuple_id": null, "x": 0.5}, '
+    '{"label": "other", "tuple_id": null, "x": null}, '
+    '{"label": "d", "tuple_id": 12, "x": 4.5}, {"label": "c", "tuple_id": 30, "x": 3.5}, '
+    '{"label": "e", "tuple_id": 4, "x": 5.5}, {"label": "a", "tuple_id": 7, "x": 1.5}]'
 )
 
 

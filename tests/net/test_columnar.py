@@ -5,7 +5,7 @@ from the JSON encoder, recursive canonicalisation of nested sequence
 columns, and chatty peers raising
 :class:`~repro.errors.ProtocolViolationError` instead of blaming a
 truncated stream — plus every message kind's round-trip, the golden bytes
-that freeze the format, and the typed fallbacks that keep it lossless.
+that freeze the format, and the typed refusals that keep it lossless.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ class TestResponseRoundTrip:
                 "tuple_id": row,
                 "x": row * 1.5,
                 "label": f"row{row}",
-                "flag": row % 2 == 0,
+                "count": row if row % 2 else None,
                 "bbox": (0.0 + row, 1.0, 2.0, 3.0),
             }
             for row in range(10)
@@ -235,34 +235,38 @@ class TestResponseRoundTrip:
         assert decoded.coalesced is True
         assert decoded.shard_ms == {"shard0": 0.5, "shard1": 0.75}
 
-    def test_nulls_and_missing_keys_are_distinct(self):
-        objects = [{"a": 1, "b": None}, {"a": 2}, {"b": None}]
-        decoded = roundtrip(response(objects))
-        assert decoded.objects == objects
-        assert "b" not in decoded.objects[1]
+    def test_nulls_roundtrip_and_missing_keys_are_refused(self):
+        # The wire is dense: a NULL is a cell, a missing key is no shape the
+        # engine makes.
+        objects = [{"a": 1, "b": None}, {"a": None, "b": None}]
+        assert roundtrip(response(objects)).objects == objects
+        with pytest.raises(ProtocolError, match="dense rows only: .*keyed other than"):
+            columnar.encode_response(response([{"a": 1, "b": None}, {"a": 2}, {"b": None}]))
 
-    def test_mixed_int_float_column_stays_lossless(self):
+    def test_mixed_int_float_column_is_refused(self):
         # Packing 1 and 1.0 into one numeric column would retype one of
-        # them; the codec must fall back to JSON cells instead.
-        objects = [{"v": 1}, {"v": 1.0}, {"v": 2}]
-        decoded = roundtrip(response(objects))
-        assert decoded.objects == objects
-        assert isinstance(decoded.objects[0]["v"], int)
-        assert isinstance(decoded.objects[1]["v"], float)
+        # them; the codec refuses the column instead.
+        with pytest.raises(ProtocolError, match="'v' holds float and int values"):
+            columnar.encode_response(response([{"v": 1}, {"v": 1.0}, {"v": 2}]))
 
-    def test_out_of_i64_range_integers_survive(self):
-        objects = [{"big": 2**80}, {"big": -(2**70)}]
+    @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 2**80])
+    def test_out_of_i64_range_integers_are_refused(self, big):
+        objects = [{"big": 2**63 - 1}, {"big": -(2**63)}]
         assert roundtrip(response(objects)).objects == objects
+        with pytest.raises(ProtocolError, match="'big' holds an integer outside"):
+            columnar.encode_response(response([*objects, {"big": big}]))
 
-    def test_bools_are_not_packed_as_ints(self):
-        objects = [{"v": True}, {"v": 1}]
-        decoded = roundtrip(response(objects))
-        assert decoded.objects[0]["v"] is True
-        assert isinstance(decoded.objects[1]["v"], int)
+    @pytest.mark.parametrize("column", [[True, False], [True, 1], [1, False]])
+    def test_bools_are_refused_not_packed_as_ints(self, column):
+        with pytest.raises(ProtocolError, match="'v' holds bool"):
+            columnar.encode_response(response([{"v": cell} for cell in column]))
 
-    def test_nested_sequence_columns_roundtrip_canonically(self):
-        objects = [{"polygon": ((0.0, 0.0), (1.0, 0.0))}]
-        assert roundtrip(response(objects)).objects == objects
+    @pytest.mark.parametrize(
+        "cell", [((0.0, 0.0), (1.0, 0.0)), (0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3), ()]
+    )
+    def test_nested_and_ragged_tuples_are_refused(self, cell):
+        with pytest.raises(ProtocolError, match="'bbox' holds a tuple that is not four floats"):
+            columnar.encode_response(response([{"bbox": (0.0, 1.0, 2.0, 3.0)}, {"bbox": cell}]))
 
     def test_remote_spans_ride_the_message(self):
         spans = [{"name": "query", "duration_ms": 1.0}]
@@ -275,8 +279,8 @@ class TestResponseRoundTrip:
 
     def test_decoded_payload_matches_the_json_codec_byte_for_byte(self):
         objects = [
-            {"tuple_id": 7, "x": 1.5, "bbox": (0.0, 1.0, 2.0, 3.0)},
-            {"tuple_id": 8, "label": "s", "nested": ((1.0, 2.0),)},
+            {"tuple_id": 7, "x": 1.5, "label": None, "bbox": (0.0, 1.0, 2.0, 3.0)},
+            {"tuple_id": 8, "x": None, "label": "s", "bbox": None},
         ]
         original = response(objects)
         via_binary = roundtrip(original)
@@ -285,7 +289,7 @@ class TestResponseRoundTrip:
         assert via_binary.to_json() == via_json.to_json()
 
     def test_a_batch_encodes_as_its_rows_and_reading_it_builds_new_ones(self):
-        tuples = [(7, 1.5, (0.0, 1.0), None), (8, -2.25, (4.0, 5.0), "b")]
+        tuples = [(7, 1.5, (0.0, 1.0, 2.0, 3.0), None), (8, -2.25, (4.0, 5.0, 6.0, 7.0), "b")]
         batch = RowBatch(("tuple_id", "x", "bbox", "label"), list(tuples))
         as_tuples = columnar.encode_response(response(batch))
         assert as_tuples == columnar.encode_response(response([dict(obj) for obj in batch]))
@@ -301,7 +305,8 @@ class TestResponseRoundTrip:
 
     def test_a_decoded_dense_block_is_a_batch_nobody_has_read(self):
         decoded = roundtrip(response([{"tuple_id": 1, "x": 0.5}, {"tuple_id": 2, "x": 1.5}]))
-        assert isinstance(decoded.objects, RowBatch) and not decoded.objects.sparse
+        assert isinstance(decoded.objects, RowBatch)
+        assert decoded.objects.names == ("tuple_id", "x")
         assert decoded.objects.rows == [(1, 0.5), (2, 1.5)]
 
     def test_binary_encoding_is_smaller_than_json_for_wide_rows(self):
@@ -348,14 +353,33 @@ class TestDeclaredShapeIsCheckedBeforeAllocation:
         with pytest.raises(ProtocolError, match="truncated"):
             columnar.decode_response(self._declaring(0, 2**32 - 1))
 
-    def test_rows_without_a_column_are_capped_on_both_sides(self):
-        # The one shape whose size the bytes cannot vouch for: the encoder
-        # refuses what the decoder would, so decode(encode(r)) == r holds
-        # for everything that can be encoded.
-        most = response([{}] * columnar.MAX_EMPTY_ROWS)
-        assert roundtrip(most) == most
+    def test_rows_without_a_column_are_refused_on_both_sides(self):
+        # The one shape whose size the bytes cannot vouch for, and no shape
+        # the engine makes: the encoder refuses what the decoder would.
+        assert roundtrip(response([])).objects == []
         with pytest.raises(ProtocolError, match="without a column"):
-            columnar.encode_response(response([{}] * (columnar.MAX_EMPTY_ROWS + 1)))
+            columnar.encode_response(response([{}]))
+        with pytest.raises(ProtocolError, match="without a column"):
+            columnar.decode_response(self._declaring(1, 0))
+
+
+class TestDecodeRefusals:
+    """Bytes no encoder writes decode to a typed error, not a plausible batch."""
+
+    _FRAME = columnar.encode_response(response([{"aa": 1, "bb": 2.5}]))
+    _SECOND = _FRAME.index(b"bb")
+
+    def test_a_repeated_column_name_is_refused(self):
+        frame = self._FRAME[: self._SECOND] + b"aa" + self._FRAME[self._SECOND + 2 :]
+        with pytest.raises(ProtocolError, match="repeats column 'aa'"):
+            columnar.decode_response(frame)
+
+    @pytest.mark.parametrize("tag", [0, 5, 0xFF])
+    def test_an_unknown_tag_is_refused(self, tag):
+        at = self._SECOND + 2
+        frame = self._FRAME[:at] + bytes([tag]) + self._FRAME[at + 1 :]
+        with pytest.raises(ProtocolError, match=f"unknown column type tag {tag}"):
+            columnar.decode_response(frame)
 
 
 class TestErrors:
@@ -389,28 +413,28 @@ _GOLDEN_REQUEST = (
 )
 _TRACE_CONTEXT = {"trace_id": "t1", "span_id": "s1", "sampled": True}
 _GOLDEN_OBJECTS = [
-    {"tuple_id": 7, "x": 1.5, "label": "a", "flag": True,
-     "bbox": (0.0, 1.0, 2.0, 3.0), "mixed": 1},
-    {"tuple_id": 8, "x": -2.25, "label": "b", "flag": False,
-     "bbox": (4.0, 5.0, 6.0, 7.0), "mixed": 1.0},
+    {"tuple_id": 7, "x": 1.5, "label": "a", "bbox": (0.0, 1.0, 2.0, 3.0),
+     "count": 3, "note": None},
+    {"tuple_id": 8, "x": -2.25, "label": "b", "bbox": (4.0, 5.0, 6.0, 7.0),
+     "count": None, "note": None},
 ]
 _GOLDEN_SPANS = [{"name": "execute", "duration_ms": 1.0}]
 _GOLDEN_RESPONSE = (
     "02" + _GOLDEN_REQUEST[2:] + "00000000"
     "3ff40000000000000000000000000000020100000001000000067368617264303fe00000"
     "00000000000000295b7b226475726174696f6e5f6d73223a20312e302c20226e616d6522"
-    "3a202265786563757465227d5d00000002000000060000000462626f7805030004000000"
-    "00000000003ff0000000000000400000000000000040080000000000000440100000000000"
-    "0040140000000000004018000000000000401c00000000000000000004666c6167040300"
-    "0100000000056c6162656c03030000000001610000000162000000056d69786564000300"
-    "000000013100000003312e30000000087475706c655f6964010300000000000000000700"
-    "0000000000000800000001780203003ff8000000000000c002000000000000"
+    "3a202265786563757465227d5d00000002000000060000000462626f7804000000000000"
+    "0000003ff000000000000040000000000000004008000000000000401000000000000040"
+    "140000000000004018000000000000401c00000000000000000005636f756e7401020000"
+    "000000000003000000056c6162656c030000000001610000000162000000046e6f746501"
+    "03000000087475706c655f69640100000000000000000700000000000000080000000178"
+    "02003ff8000000000000c002000000000000"
 )
 
 #: name -> (value, encoder, decoder, hex of the encoded message).  The
-#: response covers every column representation: bbox (f64 tuple), bool,
-#: str, JSON-fallback cells (the int/float ``mixed`` column), i64, f64 —
-#: plus a shard timing entry and a trace trailer.
+#: response covers every column tag — bbox, i64, str, f64 — an i64 column
+#: with a NULL (``count``), a column of NULLs only (``note``), a shard
+#: timing entry and a trace trailer.
 GOLDEN = {
     "request": (
         (box_request(), None),

@@ -1,12 +1,14 @@
 """Property suite for the binary columnar codec.
 
 Mirrors ``test_property_protocol.py`` on the shard wire: every request and
-response the reference JSON encoding can carry must survive the columnar
-codec unchanged, and — the reference law — decoding the binary form must
-yield exactly what decoding the JSON form yields, so what a shard returns
-over the wire is what the HTTP edge would have serialised.  The objects
-block is additionally held, byte for byte, to the cell-at-a-time codec it
-replaced, and the decoder to typed errors on anything that is not a message.
+every response shaped like the engine's output (one storage type per
+column, ``None`` for NULL, every row carrying every column) must survive
+the columnar codec unchanged, and — the reference law — decoding the binary
+form must yield exactly what decoding the JSON form yields, so what a shard
+returns over the wire is what the HTTP edge would have serialised.  The
+objects block is additionally held, byte for byte and refusal for refusal,
+to the cell-at-a-time reference codec, and the decoder to typed errors on
+anything that is not a message.
 """
 
 from __future__ import annotations
@@ -71,32 +73,55 @@ def requests(draw):
     )
 
 
-# Scalars include integers *beyond* the i64 range (the JSON-cell fallback)
-# and both int and float so mixed columns exercise the retype guard.
-_scalar = st.one_of(
-    st.integers(min_value=-(2**70), max_value=2**70),
-    _floats,
-    _names,
-    st.booleans(),
-    st.none(),
-)
-_bbox = st.tuples(_floats, _floats, _floats, _floats)
-_nested = st.recursive(
-    _scalar,
-    lambda inner: st.lists(inner, min_size=0, max_size=3).map(tuple),
-    max_leaves=6,
-)
-_value = st.one_of(_scalar, _bbox, _nested)
-_objects = st.lists(
-    st.dictionaries(_names, _value, min_size=0, max_size=5), min_size=0, max_size=6
-)
+_any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+def _bboxes(floats):
+    return st.tuples(floats, floats, floats, floats)
+
+
+#: What an engine column holds, one strategy per storage column type
+#: (``storage/types.py``: INTEGER, FLOAT, TEXT, BBOX).  The JSON law needs
+#: finite floats (NaN is not equal to itself); the reference comparison
+#: takes any double.
+_STORAGE_KINDS = [st.integers(-(2**63), 2**63 - 1), _floats, _text, _bboxes(_floats)]
+_ANY_DOUBLE_KINDS = [st.integers(-(2**63), 2**63 - 1), _any_float, _text, _bboxes(_any_float)]
+
+#: Bitmap byte edges, and the shapes in between.
+_ROW_COUNTS = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]), st.integers(0, 20))
+
+
+@st.composite
+def engine_rows(draw, kinds=_STORAGE_KINDS):
+    """``(names, row tuples)`` as the engine makes them: a storage type per
+    column, ``None`` for NULL, every row carrying every column."""
+    names = draw(st.lists(_names, min_size=1, max_size=5, unique=True))
+    n_rows = draw(_ROW_COUNTS)
+    columns = []
+    for _ in names:
+        cells = draw(st.sampled_from(kinds))
+        if draw(st.booleans()):
+            cells = st.one_of(cells, st.none())
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    return names, list(zip(*columns))
+
+
+@st.composite
+def engine_objects(draw, kinds=_STORAGE_KINDS):
+    """A response's objects: the engine's batch, or its rows as dictionaries
+    (decoded from JSON, or built by hand)."""
+    names, rows = draw(engine_rows(kinds))
+    if draw(st.booleans()):
+        return RowBatch(names, rows)
+    return [dict(zip(names, row)) for row in rows]
 
 
 @st.composite
 def responses(draw):
     return DataResponse(
         request=draw(requests()),
-        objects=draw(_objects),
+        objects=draw(engine_objects()),
         query_ms=draw(st.floats(min_value=0, max_value=1e9, allow_nan=False)),
         from_cache=draw(st.booleans()),
         queries_issued=draw(st.integers(min_value=0, max_value=1000)),
@@ -178,71 +203,64 @@ class TestBinaryResponseRoundTrip:
 
 # -- the objects block against its reference implementation ---------------------
 #
-# ``tests/net/reference_objects_codec.py`` is the codec as it stood before it
-# packed whole columns: a statement per cell.  The wire did not change, so
-# the two must agree byte for byte on everything either can be given — not
-# only decode to equal rows.
+# ``tests/net/reference_objects_codec.py`` is the same layout written a
+# statement per cell.  The two must agree byte for byte on every shape the
+# engine makes — not only decode to equal rows — and refuse the same shapes.
 
 
 class _Level(enum.IntEnum):
     LOW = 1
-    HIGH = 2**40
 
 
 class _Measured(float):
     """A ``float`` subclass, as ``numpy.float64`` is."""
 
 
-_ABSENT = object()
-_any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
-
-
-def _float_tuples(sizes):
-    return sizes.flatmap(
-        lambda size: st.lists(_any_float, min_size=size, max_size=size).map(tuple)
-    )
-
-
-#: One strategy per kind of column: what the cells of a column are drawn from.
-_COLUMN_KINDS = [
-    st.integers(min_value=-(2**63), max_value=2**63 - 1),
-    st.integers(min_value=-(2**70), max_value=2**70),  # beyond i64: JSON cells
-    _any_float,
-    _names,
-    st.booleans(),
-    st.one_of(st.booleans(), st.integers(-5, 5)),  # bool beside int
-    st.one_of(st.integers(-5, 5), _any_float),  # mixed int / float
-    st.sampled_from(list(_Level)),
-    st.one_of(st.sampled_from(list(_Level)), st.integers(-5, 5)),
-    _any_float.map(_Measured),
-    st.one_of(_any_float, _any_float.map(_Measured)),
-    _float_tuples(st.just(4)),  # a bbox column: one length throughout
-    _float_tuples(st.sampled_from([0, 1, 4, 255])),  # ragged, still typed
-    _float_tuples(st.sampled_from([0, 4, 256])),  # 256 floats have no length byte
-    st.tuples(_any_float, _any_float.map(_Measured)),
-    st.tuples(_any_float, st.integers(0, 3)),  # not all floats: JSON cells
-    st.none(),
-    _nested,
+#: ``(what the column otherwise holds, one cell no wire column carries)``.
+_REFUSED_COLUMNS = [
+    (st.integers(-5, 5), True),  # a bool beside ints
+    (st.booleans(), False),  # a column of bools
+    (st.integers(-5, 5), 1.5),  # a float beside ints
+    (_floats, 1),  # an int beside floats
+    (st.integers(-5, 5), 2**63),  # past the signed 64-bit range
+    (st.integers(-5, 5), -(2**63) - 1),
+    (st.integers(-5, 5), _Level.LOW),  # an int subclass
+    (_floats, _Measured(0.5)),  # a float subclass
+    (_bboxes(_floats), (0.0, 1.0, 2.0)),  # a ragged tuple
+    (_bboxes(_floats), (0.0, 1.0, 2.0, 3.0, 4.0)),
+    (_bboxes(_floats), (0.0, 1.0, 2.0, 3)),  # not four floats
+    (_bboxes(_floats), ((0.0, 1.0), (2.0, 3.0))),  # nested
+    (_text, ("a", "b")),
+    (_text, b"raw"),
 ]
-
-#: Bitmap byte edges, and the shapes in between.
-_ROW_COUNTS = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]), st.integers(0, 20))
 
 
 @st.composite
-def column_shaped_objects(draw):
-    """Rows assembled from per-column draws, so typed columns actually occur."""
-    n_rows = draw(_ROW_COUNTS)
-    rows = [{} for _ in range(n_rows)]
-    for name in draw(st.lists(_names, max_size=4, unique=True)):
-        cells = draw(st.sampled_from(_COLUMN_KINDS))
-        holes = draw(st.sampled_from([(), (None,), (_ABSENT,), (None, _ABSENT)]))
-        if holes:
-            cells = st.one_of(cells, st.sampled_from(holes))
-        for row, cell in zip(rows, draw(st.lists(cells, min_size=n_rows, max_size=n_rows))):
-            if cell is not _ABSENT:
-                row[name] = cell
-    return rows
+def refused_objects(draw):
+    """Engine-shaped rows with one shape the wire refuses planted in them."""
+    names, rows = draw(engine_rows())
+    rows = [dict(zip(names, row)) for row in rows]
+    while len(rows) < 2:  # one row alone cannot be ragged
+        rows.append(dict.fromkeys(names))
+    row = draw(st.integers(0, len(rows) - 1))
+    shape = draw(st.sampled_from(["column", "missing key", "extra key", "no column"]))
+    if shape == "column":
+        cells, offender = draw(st.sampled_from(_REFUSED_COLUMNS))
+        name = draw(_names.filter(lambda name: name not in names))
+        for obj in rows:
+            obj[name] = draw(st.one_of(cells, st.none()))
+        # Beside at least one other non-null cell: alone, 1.5 or 1 is a column.
+        rows[(row + 1) % len(rows)][name] = draw(cells)
+        rows[row][name] = offender
+    elif shape == "missing key":
+        del rows[row][draw(st.sampled_from(names))]
+    elif shape == "extra key":
+        rows[row][draw(_names.filter(lambda name: name not in names))] = None
+    else:
+        rows = [{} for _ in rows]
+    return RowBatch(rows[0], [tuple(obj.values()) for obj in rows]) if (
+        shape == "column" and draw(st.booleans())
+    ) else rows
 
 
 def _block(encode, objects) -> bytes:
@@ -255,13 +273,13 @@ def _rows(decode, block: bytes):
     reader = columnar._Reader(block)
     objects = decode(reader)
     reader.expect_end()
-    # repr, not ==: it tells 1 from 1.0 from True, keeps key order, and
-    # holds NaN equal to itself.
+    # repr, not ==: it tells 1 from 1.0, keeps key order, and holds NaN
+    # equal to itself.
     return repr(objects)
 
 
 class TestObjectsBlockAgainstReference:
-    @given(st.one_of(column_shaped_objects(), _objects))
+    @given(engine_objects(_ANY_DOUBLE_KINDS))
     @settings(max_examples=300, deadline=None)
     def test_bytes_and_rows_equal_the_reference(self, objects):
         block = _block(columnar._encode_objects, objects)
@@ -270,10 +288,19 @@ class TestObjectsBlockAgainstReference:
             reference._decode_objects, block
         )
 
-    @pytest.mark.parametrize("cell", [{1, 2}, object(), 1 + 2j, b"raw"])
+    @given(refused_objects())
+    @settings(max_examples=300, deadline=None)
+    def test_every_refused_shape_fails_typed_alike(self, objects):
+        for encode in (columnar._encode_objects, reference._encode_objects):
+            with pytest.raises(ProtocolError):
+                encode(bytearray(), objects)
+        with pytest.raises(ProtocolError):
+            columnar.encode_response(DataResponse(request=_BOX, objects=objects))
+
+    @pytest.mark.parametrize("cell", [{1, 2}, object(), 1 + 2j, b"raw", True, 2**64])
     def test_unencodable_cells_fail_alike(self, cell):
         for encode in (columnar._encode_objects, reference._encode_objects):
-            with pytest.raises(ProtocolError, match="no lossless wire encoding"):
+            with pytest.raises(ProtocolError, match="'v' holds .*no lossless wire encoding"):
                 encode(bytearray(), [{"v": 1.5}, {"v": cell}])
 
 
@@ -284,22 +311,8 @@ class TestObjectsBlockAgainstReference:
 # Same rows, same frame: the wire cannot tell which form it was given.
 
 
-@st.composite
-def dense_rows(draw, kinds):
-    """``(names, row tuples)``: every row carries every column (``None`` allowed)."""
-    names = draw(st.lists(_names, max_size=4, unique=True))
-    n_rows = draw(_ROW_COUNTS)
-    columns = []
-    for _ in names:
-        cells = draw(st.sampled_from(kinds))
-        if draw(st.booleans()):
-            cells = st.one_of(cells, st.none())
-        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
-    return names, list(zip(*columns)) if names else [()] * n_rows
-
-
 class TestBatchAgainstItsRowsAsDicts:
-    @given(dense_rows(_COLUMN_KINDS))
+    @given(engine_rows(_ANY_DOUBLE_KINDS))
     @settings(max_examples=300, deadline=None)
     def test_a_batch_is_the_frame_its_rows_are(self, dense):
         names, tuples = dense
@@ -310,13 +323,14 @@ class TestBatchAgainstItsRowsAsDicts:
         decoded, _ = columnar.decode_response(frame)
         assert isinstance(decoded.objects, RowBatch)
         assert all(type(row) is tuple for row in decoded.objects.rows)
+        assert all(len(row) == len(decoded.objects.names) for row in decoded.objects.rows)
         assert columnar.encode_response(decoded) == frame
         # Reading the rows leaves the batch as it was, and the frame the frame.
         assert repr(list(batch)) == repr(as_dicts) == repr(batch.to_dicts())
         assert batch.rows == list(tuples)
         assert columnar.encode_response(DataResponse(request=_BOX, objects=batch)) == frame
 
-    @given(dense_rows([_scalar, _bbox, _nested, st.one_of(st.integers(-5, 5), _floats)]))
+    @given(engine_rows())
     @settings(max_examples=200, deadline=None)
     def test_a_decoded_batch_matches_the_json_codec(self, dense):
         names, tuples = dense
@@ -327,14 +341,12 @@ class TestBatchAgainstItsRowsAsDicts:
         assert via_binary.to_json() == via_json.to_json()
 
 
-#: Valid messages covering every column representation, sparse and dense.
+#: Valid messages covering every column representation, with and without NULLs.
 _HOSTILE_SEEDS = [
     [],
-    [{}, {}],
     [{"tuple_id": row, "x": row * 0.5, "bbox": (0.0, 1.0, 2.0, float(row))} for row in range(9)],
-    [{"a": 1, "b": None}, {"a": 2}, {"b": None, "c": "text"}, {}],
-    [{"s": "é", "flag": True, "big": 2**80}, {"s": "", "flag": False, "big": 1}],
-    [{"bbox": ()}, {"bbox": (1.0,)}, {"bbox": (1.0, 2.0), "nested": ((1, 2), "x")}],
+    [{"a": 1, "b": None, "c": "text"}, {"a": None, "b": None, "c": None}, {"a": 2, "b": None, "c": ""}],
+    [{"s": "é", "v": 2.5, "bbox": None}, {"s": "", "v": None, "bbox": (0.0, 0.0, 1.0, 1.0)}],
 ]
 
 
@@ -359,14 +371,8 @@ class TestHostileBytes:
                     got = repr(decoded.objects)
                 except ProtocolError:
                     got = ProtocolError
-                block = bytes(flipped[start:])
-                if int.from_bytes(block[:4], "big") > columnar.MAX_EMPTY_ROWS:
-                    # Nothing this short carries that many rows — and the
-                    # reference would allocate them before finding out.
-                    assert got is ProtocolError
-                    continue
                 try:
-                    expected = _rows(reference._decode_objects, block)
+                    expected = _rows(reference._decode_objects, bytes(flipped[start:]))
                 except ProtocolError:
                     expected = ProtocolError
                 assert got == expected

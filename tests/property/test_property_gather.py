@@ -3,11 +3,13 @@
 ``repro.cluster.router.gather_rows`` merges the shards' rows as tuples —
 one ``itemgetter``, one ``dict``, one ``sorted`` — where the router used to
 walk a dictionary per object.  ``tests/cluster/reference_merge.py`` is that
-walk, kept; every scatter hypothesis can build — boundary duplicates, shard
-frames in any order, ``None`` / mixed-type / missing ``tuple_id``, empty
+walk, kept; every scatter of engine-shaped rows hypothesis can build —
+boundary duplicates, shard frames in any order, ``None`` or missing
+``tuple_id`` (a separable layer's raw table may lack the column), empty
 shards, fan-out 1 to 4, local batches, wire- and JSON-decoded parts and lists
 built by hand — must come out of both as the same rows in the same order with
-the same number of duplicates removed.  The same parts read as one layer's
+the same number of duplicates removed.  A part whose rows carry different
+keys is no shape a shard makes, and is refused typed.  The same parts read as one layer's
 tiles go through ``concat_rows``, the layout step the gather starts with, and
 must come out as the list the frontend once extended with each part's dicts.
 """
@@ -15,10 +17,10 @@ must come out as the list the frontend once extended with each part's dicts.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.cluster.router import gather_rows
-from repro.errors import FetchError
+from repro.errors import FetchError, ProtocolError
 from repro.net import columnar
 from repro.net.protocol import DataRequest, DataResponse, RowBatch, concat_rows
 
@@ -29,16 +31,18 @@ _BOX = DataRequest(
     xmin=0.0, ymin=0.0, xmax=256.0, ymax=256.0,
 )
 
-#: What a ``tuple_id`` column may hold, narrowest first.  The last two mix
-#: types with no natural order (the ``repr`` fallback) and values that are
-#: equal across types (1 == 1.0 == True) but print differently.
-_ID_KINDS = [
-    st.integers(0, 12),
-    st.one_of(st.none(), st.integers(0, 6)),
-    st.one_of(st.integers(0, 4), st.sampled_from(["a", "b", "3"])),
-    st.one_of(st.none(), st.integers(0, 2), st.booleans(), st.sampled_from([1.0, 2.5, "a"])),
+#: What a ``tuple_id`` column holds: the engine's INTEGER, with or without
+#: NULLs.  A NULL's identity is the whole row, and the ints and those row
+#: identities have no common order (the ``repr`` fallback).
+_ID_KINDS = [st.integers(0, 12), st.one_of(st.none(), st.integers(0, 6))]
+#: One storage type per other column, from small pools so that rows without
+#: a ``tuple_id`` repeat whole.
+_CELL_KINDS = [
+    st.integers(0, 2),
+    st.sampled_from([0.5, -1.5]),
+    st.sampled_from(["p", "q"]),
+    st.sampled_from([(0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 2.0, 2.0)]),
 ]
-_cells = st.one_of(st.integers(0, 2), st.none(), st.sampled_from([0.5, "p", (0.0, 1.0)]))
 
 
 def _strict(rows) -> str:
@@ -47,17 +51,17 @@ def _strict(rows) -> str:
 
 
 @st.composite
-def scatters(draw, *, sparse: bool):
+def scatters(draw):
     """``(rows per shard as dicts, names)``: a pool of rows dealt to 1-4 shards."""
     names = draw(st.sampled_from([("tuple_id", "x", "label"), ("x", "label"), ("label", "tuple_id")]))
-    ids = draw(st.sampled_from(_ID_KINDS))
-    pool = []
-    for _ in range(draw(st.integers(0, 8))):
-        row = {name: draw(ids if name == "tuple_id" else _cells) for name in names}
-        if sparse:
-            for name in draw(st.sets(st.sampled_from(names))):
-                del row[name]
-        pool.append(row)
+    kinds = {
+        name: draw(st.sampled_from(_ID_KINDS)) if name == "tuple_id"
+        else st.one_of(draw(st.sampled_from(_CELL_KINDS)), st.none())
+        for name in names
+    }
+    pool = [
+        {name: draw(kinds[name]) for name in names} for _ in range(draw(st.integers(0, 8)))
+    ]
     fan_out = draw(st.integers(1, 4))
     # Drawn with replacement and in any order: a row may sit on several
     # shards (a boundary duplicate), twice on one, or on none.
@@ -82,7 +86,7 @@ def _check(shard_objects, shard_rows) -> None:
 
 
 class TestGatherAgainstReference:
-    @given(scatters(sparse=False), st.data())
+    @given(scatters(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_dense_rows_as_batches_and_lists(self, scatter, data):
         shard_rows, names = scatter
@@ -96,7 +100,7 @@ class TestGatherAgainstReference:
         ]
         _check(shard_objects, shard_rows)
 
-    @given(scatters(sparse=False), st.booleans())
+    @given(scatters(), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_dense_rows_off_the_wire(self, scatter, binary):
         shard_rows, _ = scatter
@@ -110,18 +114,25 @@ class TestGatherAgainstReference:
         ]
         _check(shard_objects, shard_rows)
 
-    @given(scatters(sparse=True), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_rows_that_lack_keys(self, scatter, data):
-        shard_rows, _ = scatter
-        # Built by hand, or decoded from JSON (canonical dicts, keys sorted).
-        _check(
-            [
-                _json_decoded(rows) if data.draw(st.booleans()) else [dict(row) for row in rows]
-                for rows in shard_rows
-            ],
-            shard_rows,
-        )
+    @given(scatters(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_that_lack_keys_are_refused(self, scatter, data):
+        shard_rows, names = scatter
+        assume(any(shard_rows))
+        # A row without one of the table's keys, in a part built by hand or
+        # decoded from JSON, beside at least one complete row.
+        ragged = dict(data.draw(st.sampled_from([row for rows in shard_rows for row in rows])))
+        del ragged[data.draw(st.sampled_from(names))]
+        target = data.draw(st.integers(0, len(shard_rows) - 1))
+        shard_objects = [
+            [*rows, ragged] if shard == target else _json_decoded(rows)
+            for shard, rows in enumerate(shard_rows)
+        ]
+        for merge in (gather_rows, concat_rows):
+            with pytest.raises(FetchError, match="other than"):
+                merge(shard_objects)
+        with pytest.raises(ProtocolError, match="dense rows only: .*keyed other than"):
+            columnar.encode_response(_sent([row for part in shard_objects for row in part]))
 
 
 def _sent(rows) -> DataResponse:

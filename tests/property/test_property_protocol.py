@@ -164,11 +164,6 @@ class TestDataResponseRoundTrip:
         once = response.to_json()
         assert DataResponse.from_json(once).to_json() == once
 
-    @given(responses())
-    @settings(max_examples=100, deadline=None)
-    def test_payload_size_matches_exact_encoding(self, response):
-        assert response.payload_size() == len(response.to_json().encode("utf-8"))
-
     @given(_objects)
     @settings(max_examples=100, deadline=None)
     def test_objects_decode_to_canonical_tuples(self, objects):

@@ -153,11 +153,6 @@ class TestTracedResponseRoundTrip:
         assert response.trace == before
         assert DataResponse.from_json(response.to_json()).trace == before
 
-    @given(traced_responses())
-    @settings(max_examples=100, deadline=None)
-    def test_payload_size_matches_exact_encoding(self, response):
-        assert response.payload_size() == len(response.to_json().encode("utf-8"))
-
     def test_old_peers_without_trace_fields_still_decode(self):
         # A pre-telemetry peer omits both fields entirely.
         legacy_request = (

@@ -15,7 +15,7 @@ from repro.cluster import build_cluster
 from repro.errors import AllReplicasFailedError, FetchError, ProtocolError
 from repro.metrics.timer import VirtualClock
 from repro.net import columnar
-from repro.net.protocol import DataRequest, DataResponse
+from repro.net.protocol import DataRequest, DataResponse, RowBatch
 from repro.serving import (
     FaultInjectingService,
     FaultInjectingTransport,
@@ -120,9 +120,25 @@ class TestFaultInjectingService:
     def test_corruption_fault_returns_wrong_payload(self):
         faulty = FaultInjectingService(ScriptedService(), FaultSchedule.corrupt_nth(0))
         corrupted = faulty.handle(_box())
-        assert corrupted.objects == [{"tuple_id": -1, "corrupted": True}]
+        assert corrupted.objects == [{"tuple_id": -1, "corrupted": 1}]
+        assert type(corrupted.objects[0]["corrupted"]) is int  # a storage type, not a bool
         clean = faulty.handle(_box())
         assert clean.objects[0]["source"] == "replica"
+
+    def test_corruption_under_a_transport_is_a_wrong_payload_off_the_wire(self):
+        # The substituted payload is one the shard wire carries: the caller
+        # above the transport decodes the wrong rows, it is not refused.
+        from repro.serving.transport import TransportService
+
+        wired = TransportService(
+            FaultInjectingService(ScriptedService(), FaultSchedule.corrupt_nth(0))
+        )
+        corrupted = wired.handle(_box())
+        assert isinstance(corrupted.objects, RowBatch)
+        assert corrupted.objects.names == ("corrupted", "tuple_id")  # wire order: sorted
+        assert corrupted.objects.rows == [(1, -1)]
+        assert wired.stub.wire_stats.calls == 1
+        assert wired.handle(_box()).objects[0]["source"] == "replica"
 
 
 class _EmptyTransport:

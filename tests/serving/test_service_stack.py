@@ -169,9 +169,10 @@ class TestRowsStayTuplesUntilTheEdge:
         for from_cache in (False, True):  # the query, then the server cache's hit
             response = service.handle(whole_canvas)
             assert response.from_cache is from_cache
-            assert isinstance(response.objects, RowBatch) and not response.objects.sparse
+            assert isinstance(response.objects, RowBatch)
             assert len(response.objects) == 2_000
-            assert all(type(row) is tuple for row in response.objects.rows)
+            width = len(response.objects.names)  # dense: every row carries every name
+            assert all(type(row) is tuple and len(row) == width for row in response.objects.rows)
         if response.shard_ms:
             assert len(response.shard_ms) == 2, "the box should cross the shard border"
 
@@ -407,9 +408,13 @@ class TestBuildService:
         try:
             assert service.cache.capacity == 0
             assert get_tracer().enabled
+            # The stack reports the config it was built from (the single
+            # stack's used to read the backend's own).
+            assert service.config.cache.backend_entries == 0
+            assert service.config.telemetry.enabled
             if overrides:
                 served = unwrap(service, ClusterRouter).config
-                assert served.cache.backend_entries == 0 and served.telemetry.enabled
+                assert served is service.config
                 assert served.cluster.shard_count == 2
         finally:
             service.close()
