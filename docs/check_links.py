@@ -18,7 +18,7 @@ README for
   roots two other vocabularies at section names, and they resolve too:
   the benchmark's metric names (``BENCHMARK.json``) and attributes of the
   ``ShardedCluster`` handle the examples call ``cluster``;
-* inline-backtick symbol citations (`` `cluster/router.py::gather_rows` ``,
+* inline-backtick symbol citations (`` `net/protocol.py::gather_rows` ``,
   `` `tests/x.py::TestClass::test_case[param]` ``) — the file must exist
   as a cited path does, and the name after ``::`` must be a class,
   function or assigned constant at its top level; a further ``::member``

@@ -51,7 +51,7 @@ def main() -> int:
     box_w, box_h = region.width / 8.0, region.height / 8.0
     hotspot = [
         DataRequest(
-            app_name="dots", canvas_id="dots", layer_index=0, granularity="box",
+            canvas_id="dots", layer_index=0, granularity="box",
             xmin=(x := region.xmin + (step * 311.0) % (region.width - box_w)),
             ymin=(y := region.ymin + (step * 173.0) % (region.height - box_h)),
             xmax=x + box_w, ymax=y + box_h,

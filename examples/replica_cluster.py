@@ -57,7 +57,7 @@ def main(num_points: int = 20_000) -> int:
         y = (step * 256.0) % (dataset.canvas_height - 1024.0)
         session.append(
             DataRequest(
-                app_name=compiled.app_name, canvas_id="dots", layer_index=0,
+                canvas_id="dots", layer_index=0,
                 granularity="box", xmin=x, ymin=y, xmax=x + 1024.0,
                 ymax=y + 1024.0,
             )

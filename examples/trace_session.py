@@ -51,7 +51,7 @@ def pan_session(stack, steps: int = 8) -> list[DataRequest]:
     stride = (width - window) / steps
     requests = [
         DataRequest(
-            app_name="eeg", canvas_id="temporal", layer_index=0,
+            canvas_id="temporal", layer_index=0,
             granularity="box", xmin=step * stride, ymin=0.0,
             xmax=step * stride + window, ymax=height,
         )

@@ -46,7 +46,7 @@ def main() -> int:
         step = (width - window_ms) / count
         return [
             DataRequest(
-                app_name="eeg", canvas_id=stack.canvas_id, layer_index=0,
+                canvas_id=stack.canvas_id, layer_index=0,
                 granularity="box", xmin=i * step, ymin=0.0,
                 xmax=i * step + window_ms, ymax=height,
             )
@@ -100,7 +100,7 @@ def main() -> int:
         shard0_span = width / 4.0
         degraded = [
             DataRequest(
-                app_name="eeg", canvas_id=stack.canvas_id, layer_index=0,
+                canvas_id=stack.canvas_id, layer_index=0,
                 granularity="box", xmin=i * 1000.0, ymin=0.0,
                 xmax=i * 1000.0 + shard0_span / 2.0, ymax=height,
             )

@@ -339,7 +339,6 @@ def _set_serving_cache_capacity(stack: DotsStack, config: KyrixConfig) -> None:
 
 
 def hotspot_box_requests(
-    app_name: str,
     canvas_id: str,
     layer_index: int,
     region,
@@ -364,7 +363,6 @@ def hotspot_box_requests(
         y = region.ymin + margin_y + (step * span_y / 11.9) % span_y
         requests.append(
             DataRequest(
-                app_name=app_name,
                 canvas_id=canvas_id,
                 layer_index=layer_index,
                 granularity="box",

@@ -209,7 +209,6 @@ class KyrixFrontend:
             tile_scheme = TileScheme(canvas_plan.width, canvas_plan.height, scheme.tile_size)
             return [
                 DataRequest(
-                    app_name=self.service.compiled.app_name,
                     canvas_id=layer_plan.canvas_id,
                     layer_index=layer_plan.layer_index,
                     granularity="tile",
@@ -230,7 +229,6 @@ class KyrixFrontend:
     def _box_request(self, layer_plan: LayerPlan, box: Rect) -> DataRequest:
         """The request for one layer's objects inside ``box``."""
         return DataRequest(
-            app_name=self.service.compiled.app_name,
             canvas_id=layer_plan.canvas_id,
             layer_index=layer_plan.layer_index,
             granularity="box",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -19,15 +18,6 @@ import numpy as np
 from ..core.rendering import Renderer
 from ..core.viewport import Viewport
 from ..errors import ClientError
-
-
-@dataclass
-class RenderStats:
-    """Counters for one renderer instance."""
-
-    objects_rendered: int = 0
-    primitives_rendered: int = 0
-    frames: int = 0
 
 
 class RasterRenderer:
@@ -39,14 +29,12 @@ class RasterRenderer:
         self.width = int(width)
         self.height = int(height)
         self.buffer = np.zeros((self.height, self.width), dtype=np.float64)
-        self.stats = RenderStats()
 
     # -- frame lifecycle ------------------------------------------------------------
 
     def clear(self) -> None:
         """Start a new frame."""
         self.buffer.fill(0.0)
-        self.stats.frames += 1
 
     def render_objects(
         self,
@@ -61,12 +49,9 @@ class RasterRenderer:
         """
         drawn = 0
         for row in objects:
-            primitives = renderer.render(row)
-            self.stats.objects_rendered += 1
-            for primitive in primitives:
+            for primitive in renderer.render(row):
                 if self._draw(primitive, viewport):
                     drawn += 1
-                    self.stats.primitives_rendered += 1
         return drawn
 
     # -- primitive drawing ------------------------------------------------------------

@@ -30,13 +30,6 @@ class CoalescerStats:
     leaders: int = 0
     followers: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.leaders + self.followers
-
-    def coalesce_rate(self) -> float:
-        return self.followers / self.total if self.total else 0.0
-
     def reset(self) -> None:
         self.leaders = 0
         self.followers = 0

@@ -15,8 +15,8 @@ composed middleware stack over the scatter-gather core::
    one scatter-gather (:class:`~repro.serving.middleware.CoalescingService`),
 3. the scatter-gather computes the request's canvas rectangle and
    *scatters* the request only to the shards whose regions intersect it
-   (``shard_id``-stamped copies), executing the shard queries **in
-   parallel** on the generation's thread pool when
+   (each shard is handed the caller's own request), executing the shard
+   queries **in parallel** on the generation's thread pool when
    ``cluster.parallel_shards`` is set, and
 4. *gathers* the shard responses in shard-id order, merging objects and
    deduplicating boundary-straddling tuples that were replicated into
@@ -42,8 +42,7 @@ sample — lives on the :class:`ShardTable`, so a swap is one assignment.
 
 ``DataResponse.query_ms`` of a gathered response is the measured wall time
 of the scatter-gather, routing to merge (so never less than the slowest
-shard).  ``DataResponse.shard_ms`` keeps the per-shard timings so latency
-breakdowns stay attributable.
+shard).  Per-shard time is the traced ``shard`` span's, one per shard call.
 
 Call sites do not construct a ``ClusterRouter`` themselves; they use
 :func:`repro.serving.build_service` (repolint's ``factory-only`` rule).
@@ -53,16 +52,14 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from ..compiler.plan import CompiledApplication
 from ..config import ClusterConfig, KyrixConfig
 from ..errors import FetchError, ServiceClosedError
-from ..net.protocol import DataRequest, DataResponse, RowBatch, concat_rows
+from ..net.protocol import DataRequest, DataResponse, gather_rows
 from ..server.backend import box_rect
 from ..server.tile import TileScheme
 from ..serving.middleware import CachingService, CoalescingService
@@ -169,52 +166,6 @@ class ClusterStats:
         self.objects_returned = 0
         self.per_shard_requests.clear()
         self.fanout.clear()
-
-
-def gather_rows(shard_objects: list[Sequence[dict[str, Any]]]) -> RowBatch:
-    """Merge the shards' rows, as tuples, into one batch in *canonical* order.
-
-    Rows sort by their dedup identity, so the gathered batch is byte-identical
-    between the parallel and sequential paths AND invariant under the
-    partitioning itself — an online rebalance can re-split shards without
-    changing a response byte (a shard returns rows in index order, which
-    depends on what rows it holds; the sort erases that).  A boundary row
-    replicated into several shards is kept once, the first shard's copy; the
-    rows of a fan-out of one are only sorted.  A row's identity is its
-    ``tuple_id``, or without one (a NULL, or a raw table without the column)
-    the row as sorted ``(name, value)`` pairs; identities of mixed types (an
-    int ``tuple_id`` beside such a row) have no natural order and ``repr``
-    gives a deterministic one.  The indexer's tables take
-    neither detour: whole-list calls, no statement per row.
-    """
-    # One layout for the gather (a canned or fault-injected shard answers with
-    # a list built by hand), and one set of columns on every shard.
-    gathered = concat_rows(shard_objects)
-    names, rows = gathered.names, gathered.rows
-    by_id = itemgetter(names.index("tuple_id")) if "tuple_id" in names else None
-    ids = list(map(by_id, rows)) if by_id else [None]
-    identity: Callable[[tuple[Any, ...]], Any] = by_id
-    if None in ids:
-        def identity(row: tuple[Any, ...]) -> Any:
-            tuple_id = by_id(row) if by_id else None
-            return tuple(sorted(zip(names, row))) if tuple_id is None else tuple_id
-    if len(shard_objects) == 1:
-        try:
-            rows = sorted(rows, key=identity)
-        except TypeError:
-            rows = sorted(rows, key=lambda row: repr(identity(row)))
-    else:
-        if identity is not by_id:
-            ids = list(map(identity, rows))
-        # Filled back to front, so the row an identity ends up with is its first...
-        first = dict(zip(reversed(ids), reversed(rows)))
-        try:
-            keys = sorted(first)
-        except TypeError:
-            # ...but under its last key object, and ``repr`` tells 1 from True.
-            keys = sorted(dict.fromkeys(ids), key=repr)
-        rows = list(map(first.__getitem__, keys))
-    return RowBatch(names, rows)
 
 
 class _ScatterGatherService:
@@ -445,7 +396,7 @@ class ClusterRouter:
         tracer = get_tracer()
         with tracer.attach(trace_context):
             with tracer.span("shard", shard_id=shard_id):
-                return table.shards[shard_id].handle(request.for_shard(shard_id))
+                return table.shards[shard_id].handle(request)
 
     def _scatter_gather(self, request: DataRequest) -> DataResponse:
         start = time.perf_counter()
@@ -484,11 +435,7 @@ class ClusterRouter:
                         self._query_shard(table, shard_id, request, trace_context)
                         for shard_id in shard_ids
                     ]
-                shard_ms: dict[str, float] = {}
-                queries = 0
-                for shard_id, shard_response in zip(shard_ids, shard_responses):
-                    shard_ms[f"shard{shard_id}"] = shard_response.query_ms
-                    queries += shard_response.queries_issued
+                queries = sum(shard_response.queries_issued for shard_response in shard_responses)
                 received = sum(len(shard_response.objects) for shard_response in shard_responses)
                 objects = gather_rows([shard_response.objects for shard_response in shard_responses])
                 returned = len(objects)
@@ -500,7 +447,6 @@ class ClusterRouter:
                     query_ms=(time.perf_counter() - start) * 1000.0,
                     from_cache=False,
                     queries_issued=queries,
-                    shard_ms=shard_ms,
                 )
         finally:
             with self._table_lock:

@@ -16,12 +16,16 @@ the bytes; a frame's payload is exactly one message, and its first byte
 selects the kind:
 
 * ``MSG_REQUEST`` — a packed :class:`~repro.net.protocol.DataRequest`
-  (the ``handle`` hot path).  A trace context rides the message on the
-  wire form only: stamped at encode time, popped server-side before the
-  request object is rebuilt, so caches never see it.
+  (the ``handle`` hot path: the region of one layer), then the caller's
+  trace context (a JSON blob, empty when untraced).
 * ``MSG_RESPONSE`` — a packed :class:`~repro.net.protocol.DataResponse`:
-  scalar fields, the per-shard timing map, remotely-collected trace spans
-  (a JSON blob), and the objects as a columnar block.
+  its request, the scalar fields, the spans recorded on the far side (a
+  JSON blob, empty when untraced), and the objects as a columnar block.
+
+The trace slots are not fields of either object: ``encode_request(trace=)``
+and ``encode_response(trace=)`` fill them, and the decoders return them
+beside the object they rebuild, so a request or response is the same
+whether or not anyone traced it.
 * ``MSG_ERROR`` — an exception type name and message; the stub re-raises
   it as a :class:`~repro.serving.transport.TransportError`.
 
@@ -56,7 +60,6 @@ from __future__ import annotations
 import json
 import struct
 from collections import deque
-from dataclasses import replace
 from itertools import chain, starmap
 from typing import Any
 
@@ -132,13 +135,6 @@ def _w_json_or_none(out: bytearray, value: Any) -> None:
     _w_text(out, json.dumps(value, sort_keys=True, default=_reject_unencodable))
 
 
-def _loads(text: str) -> Any:
-    try:
-        return json.loads(text)
-    except ValueError as error:
-        raise ProtocolError(f"binary message holds invalid JSON: {error}") from error
-
-
 class _Reader:
     """A bounds-checked cursor over one binary message body."""
 
@@ -187,12 +183,14 @@ class _Reader:
     def opt_f64(self) -> float | None:
         return self.f64() if self.u8() else None
 
-    def json(self) -> Any:
-        return _loads(self.text())
-
     def json_or_none(self) -> Any:
         text = self.text()
-        return _loads(text) if text else None
+        if not text:
+            return None
+        try:
+            return json.loads(text)
+        except ValueError as error:
+            raise ProtocolError(f"binary message holds invalid JSON: {error}") from error
 
     def expect_end(self) -> None:
         if self._offset != len(self._data):
@@ -216,16 +214,8 @@ def _open(body: bytes, kind: int, name: str) -> _Reader:
 # ---------------------------------------------------------------------------
 
 
-def _pack_request(
-    out: bytearray, request: DataRequest, trace: dict[str, Any] | None
-) -> None:
-    """Pack every :class:`DataRequest` field, wire order.
-
-    ``trace`` overrides the request's own ``trace`` field for this one
-    encoding — the transport stub stamps the caller's context onto the
-    wire form only.
-    """
-    _w_text(out, request.app_name)
+def _pack_request(out: bytearray, request: DataRequest) -> None:
+    """Pack every :class:`DataRequest` field, wire order."""
     _w_text(out, request.canvas_id)
     out += _I64.pack(request.layer_index)
     _w_text(out, request.granularity)
@@ -236,14 +226,11 @@ def _pack_request(
     _w_opt_f64(out, request.ymin)
     _w_opt_f64(out, request.xmax)
     _w_opt_f64(out, request.ymax)
-    _w_opt_i64(out, request.shard_id)
-    _w_json_or_none(out, request.trace if trace is None else trace)
 
 
 def _unpack_request(reader: _Reader) -> DataRequest:
     """The inverse of :func:`_pack_request`: every field, same order."""
     return DataRequest(
-        app_name=reader.text(),
         canvas_id=reader.text(),
         layer_index=reader.i64(),
         granularity=reader.text(),
@@ -254,34 +241,26 @@ def _unpack_request(reader: _Reader) -> DataRequest:
         ymin=reader.opt_f64(),
         xmax=reader.opt_f64(),
         ymax=reader.opt_f64(),
-        shard_id=reader.opt_i64(),
-        trace=reader.json_or_none(),
     )
 
 
 def encode_request(
     request: DataRequest, *, trace: dict[str, Any] | None = None
 ) -> bytes:
-    """Encode one ``handle`` request as a ``MSG_REQUEST`` message."""
+    """Encode one ``handle`` request, and the caller's trace context, as a ``MSG_REQUEST`` message."""
     out = bytearray()
     out += _U8.pack(MSG_REQUEST)
-    _pack_request(out, request, trace)
+    _pack_request(out, request)
+    _w_json_or_none(out, trace)
     return bytes(out)
 
 
 def decode_request(body: bytes) -> tuple[DataRequest, dict[str, Any] | None]:
-    """Decode a request body into ``(request, trace_context)``.
-
-    The trace context is popped off the rebuilt request — server-side
-    caches and responses must stay identical whether or not the caller
-    traces.
-    """
+    """Decode a request body into ``(request, trace_context)``."""
     reader = _open(body, MSG_REQUEST, "a request")
     request = _unpack_request(reader)
+    context = reader.json_or_none()
     reader.expect_end()
-    context = request.trace
-    if context is not None:
-        request = replace(request, trace=None)
     return request, context
 
 
@@ -417,44 +396,27 @@ def _decode_objects(reader: _Reader) -> RowBatch:
 def encode_response(
     response: DataResponse, *, trace: list[dict[str, Any]] | None = None
 ) -> bytes:
-    """Encode one response as a ``MSG_RESPONSE`` message.
-
-    ``trace`` overrides the response's own span list for this one
-    encoding — transports ship remotely-collected spans home without
-    mutating a cached response.
-    """
+    """Encode one response, and the spans recorded serving it, as a ``MSG_RESPONSE`` message."""
     out = bytearray()
     out += _U8.pack(MSG_RESPONSE)
-    _pack_request(out, response.request, None)
+    _pack_request(out, response.request)
     out += _F64.pack(response.query_ms)
     out += _U8.pack(1 if response.from_cache else 0)
     out += _I64.pack(response.queries_issued)
     out += _U8.pack(1 if response.coalesced else 0)
-    shard_ms = response.shard_ms
-    out += _U32.pack(len(shard_ms))
-    for shard_name in sorted(shard_ms):
-        _w_text(out, shard_name)
-        out += _F64.pack(shard_ms[shard_name])
-    _w_json_or_none(out, response.trace if trace is None else trace)
+    _w_json_or_none(out, trace)
     _encode_objects(out, response.objects)
     return bytes(out)
 
 
 def decode_response(body: bytes) -> tuple[DataResponse, list[dict[str, Any]]]:
-    """Decode a response body into ``(response, remote_spans)``.
-
-    Spans that rode the message come back separately and the decoded
-    response carries an empty ``trace`` — the stub drains them into its
-    own tracer, keeping responses above transports byte-identical whether
-    or not the far side traced.
-    """
+    """Decode a response body into ``(response, remote_spans)``."""
     reader = _open(body, MSG_RESPONSE, "a response")
     request = _unpack_request(reader)
     query_ms = reader.f64()
     from_cache = reader.u8() != 0
     queries_issued = reader.i64()
     coalesced = reader.u8() != 0
-    shard_ms = {reader.text(): reader.f64() for _ in range(reader.u32())}
     spans = reader.json_or_none() or []
     objects = _decode_objects(reader)
     reader.expect_end()
@@ -464,9 +426,7 @@ def decode_response(body: bytes) -> tuple[DataResponse, list[dict[str, Any]]]:
         query_ms=query_ms,
         from_cache=from_cache,
         queries_issued=queries_issued,
-        shard_ms=shard_ms,
         coalesced=coalesced,
-        trace=[],
     )
     return response, spans
 

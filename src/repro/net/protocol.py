@@ -10,9 +10,10 @@ reference the parity suites compare that codec against.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any
 
 from ..errors import FetchError, ProtocolError
@@ -26,7 +27,6 @@ class DataRequest:
     (fetch an arbitrary rectangle — the dynamic-box scheme).
     """
 
-    app_name: str
     canvas_id: str
     layer_index: int
     granularity: str
@@ -40,33 +40,18 @@ class DataRequest:
     ymin: float | None = None
     xmax: float | None = None
     ymax: float | None = None
-    #: When routed through a sharded cluster, the shard this copy of the
-    #: request targets.  ``None`` for direct (single-backend) requests and
-    #: for the router-level identity of a scatter-gather request, so shard
-    #: caches and the shared router cache never alias each other.
-    shard_id: int | None = None
-    #: Optional distributed-tracing context (``{"trace_id", "span_id",
-    #: "sampled"}``) stamped onto the wire form by the transport stub so a
-    #: worker on the far side can parent its spans under the caller's
-    #: trace.  Never part of the cache identity; old peers that don't
-    #: understand tracing simply carry it through untouched.
-    trace: dict[str, Any] | None = None
 
     def cache_key(self) -> tuple[Any, ...]:
-        """A hashable identity used by the frontend, backend and router caches."""
+        """The region as a hashable identity: the frontend, backend and router caches' key."""
         if self.granularity == "tile":
             return (
-                self.app_name, self.canvas_id, self.layer_index,
-                "tile", self.design, self.tile_size, self.tile_id, self.shard_id,
+                self.canvas_id, self.layer_index,
+                "tile", self.design, self.tile_size, self.tile_id,
             )
         return (
-            self.app_name, self.canvas_id, self.layer_index,
-            "box", self.xmin, self.ymin, self.xmax, self.ymax, self.shard_id,
+            self.canvas_id, self.layer_index,
+            "box", self.xmin, self.ymin, self.xmax, self.ymax,
         )
-
-    def for_shard(self, shard_id: int) -> "DataRequest":
-        """The same request addressed to one shard (shard-aware cache key)."""
-        return replace(self, shard_id=shard_id)
 
     def to_dict(self) -> dict[str, Any]:
         """The JSON-serialisable form."""
@@ -198,6 +183,54 @@ def _laid_out(objects: Sequence[dict[str, Any]], names: tuple[str, ...]) -> RowB
     return RowBatch(names, [tuple(map(obj.__getitem__, names)) for obj in objects])
 
 
+def gather_rows(shard_objects: list[Sequence[dict[str, Any]]]) -> RowBatch:
+    """Merge the shards' rows, as tuples, into one batch in *canonical* order.
+
+    Rows sort by their dedup identity, so the gathered batch is byte-identical
+    between the parallel and sequential paths AND invariant under the
+    partitioning itself — an online rebalance can re-split shards without
+    changing a response byte (a shard returns rows in index order, which
+    depends on what rows it holds; the sort erases that).  A boundary row
+    replicated into several shards is kept once, the first shard's copy; the
+    rows of a fan-out of one are only sorted.  A row's identity is its
+    ``tuple_id``, or without one (a NULL, or a raw table without the column)
+    the row as sorted ``(name, value)`` pairs; identities of mixed types (an
+    int ``tuple_id`` beside such a row) have no natural order and ``repr``
+    gives a deterministic one.  The indexer's tables take
+    neither detour: whole-list calls, no statement per row.  The HTTP edge
+    sorts every response through here as one part, so ``/dbox`` and
+    ``/tile`` answer in this order on every topology.
+    """
+    # One layout for the gather (a canned or fault-injected shard answers with
+    # a list built by hand), and one set of columns on every shard.
+    gathered = concat_rows(shard_objects)
+    names, rows = gathered.names, gathered.rows
+    by_id = itemgetter(names.index("tuple_id")) if "tuple_id" in names else None
+    ids = list(map(by_id, rows)) if by_id else [None]
+    identity: Callable[[tuple[Any, ...]], Any] = by_id
+    if None in ids:
+        def identity(row: tuple[Any, ...]) -> Any:
+            tuple_id = by_id(row) if by_id else None
+            return tuple(sorted(zip(names, row))) if tuple_id is None else tuple_id
+    if len(shard_objects) == 1:
+        try:
+            rows = sorted(rows, key=identity)
+        except TypeError:
+            rows = sorted(rows, key=lambda row: repr(identity(row)))
+    else:
+        if identity is not by_id:
+            ids = list(map(identity, rows))
+        # Filled back to front, so the row an identity ends up with is its first...
+        first = dict(zip(reversed(ids), reversed(rows)))
+        try:
+            keys = sorted(first)
+        except TypeError:
+            # ...but under its last key object, and ``repr`` tells 1 from True.
+            keys = sorted(dict.fromkeys(ids), key=repr)
+        rows = list(map(first.__getitem__, keys))
+    return RowBatch(names, rows)
+
+
 @dataclass
 class DataResponse:
     """A backend -> frontend response carrying placed objects.
@@ -220,18 +253,9 @@ class DataResponse:
     from_cache: bool = False
     #: Number of distinct DBMS queries issued to produce this response.
     queries_issued: int = 0
-    #: Per-shard query milliseconds (``{"shard0": 1.2, ...}``) when the
-    #: response was produced by a cluster scatter-gather; empty otherwise.
-    #: Keeps latency breakdowns attributable per shard.
-    shard_ms: dict[str, float] = field(default_factory=dict)
     #: Whether this response was shared from a coalesced in-flight request
     #: issued by another concurrent session.
     coalesced: bool = False
-    #: Span dictionaries recorded on the far side of a transport while the
-    #: request was served there; the near-side stub drains these into its
-    #: own tracer, so responses above the transport always carry ``[]`` and
-    #: stay byte-identical across topologies.
-    trace: list[dict[str, Any]] = field(default_factory=list)
 
     def object_count(self) -> int:
         return len(self.objects)
@@ -250,9 +274,7 @@ class DataResponse:
                 "query_ms": self.query_ms,
                 "from_cache": self.from_cache,
                 "queries_issued": self.queries_issued,
-                "shard_ms": self.shard_ms,
                 "coalesced": self.coalesced,
-                "trace": self.trace,
             },
             sort_keys=True,
             default=_reject_unencodable,
@@ -266,10 +288,8 @@ class DataResponse:
             objects=[_canonical_object(obj) for obj in data["objects"]],
             query_ms=data["query_ms"],
             from_cache=data["from_cache"],
-            queries_issued=data.get("queries_issued", 0),
-            shard_ms=data.get("shard_ms", {}),
-            coalesced=data.get("coalesced", False),
-            trace=list(data.get("trace", [])),
+            queries_issued=data["queries_issued"],
+            coalesced=data["coalesced"],
         )
 
     @classmethod

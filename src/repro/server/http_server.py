@@ -38,7 +38,7 @@ from ..errors import (
     ServiceClosedError,
     WorkerError,
 )
-from ..net.protocol import DataRequest
+from ..net.protocol import DataRequest, gather_rows
 from ..serving.transport import TransportError
 from ..telemetry import get_registry, get_tracer
 from .schemes import DESIGN_MAPPING, DESIGN_SPATIAL
@@ -171,7 +171,6 @@ def create_app(backend: "DataService"):
         if design not in (DESIGN_SPATIAL, DESIGN_MAPPING):
             raise ServerError(f"unknown design {design!r}")
         return DataRequest(
-            app_name=backend.compiled.app_name,
             canvas_id=args["canvas"],
             layer_index=int(args.get("layer", 0)),
             granularity="tile",
@@ -182,7 +181,6 @@ def create_app(backend: "DataService"):
 
     def _box_params(args: Any) -> DataRequest:
         return DataRequest(
-            app_name=backend.compiled.app_name,
             canvas_id=args["canvas"],
             layer_index=int(args.get("layer", 0)),
             granularity="box",
@@ -194,9 +192,12 @@ def create_app(backend: "DataService"):
         )
 
     def _response_payload(response) -> dict[str, Any]:
+        # The gather's canonical order on every topology: a single backend
+        # answers in index order, which depends on what its tables hold.
+        objects = gather_rows([response.objects])
         return {
-            "objects": response.to_dicts(),
-            "count": response.object_count(),
+            "objects": objects.to_dicts(),
+            "count": len(objects),
             "query_ms": response.query_ms,
             "from_cache": response.from_cache,
             "queries_issued": response.queries_issued,

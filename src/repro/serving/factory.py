@@ -66,7 +66,9 @@ def build_service(
         An existing (typically precomputed) backend to serve from — or a
         single-backend stack this factory returned earlier, which is
         unwrapped to its backend (build unsharded first, shard the same
-        backend later).  When omitted, one is built from ``database`` +
+        backend later).  A sharded or replicated stack is refused with a
+        :class:`~repro.errors.KyrixError`: no one of its terminals holds
+        every row.  When omitted, one is built from ``database`` +
         ``compiled`` and precomputed unless ``precompute=False``.
     precompute:
         Force precomputation on or off.  Default: precompute only when the
@@ -87,7 +89,7 @@ def build_service(
         built.
     """
     from ..server.backend import KyrixBackend
-    from .base import unwrap
+    from .base import stack_layers, unwrap
 
     if backend is None:
         if database is None or compiled is None:
@@ -98,7 +100,13 @@ def build_service(
         if precompute is None:
             precompute = True
     else:
-        # A stack this factory returned earlier serves from its terminal.
+        # A stack this factory returned earlier serves from its terminal —
+        # unless it fans out: each of its terminals holds one shard's rows.
+        if any(getattr(layer, "children", None) for layer in stack_layers(backend)):
+            raise KyrixError(
+                "build_service(backend=...) takes a backend or a single-backend "
+                "stack; a sharded or replicated stack holds no one backend to serve"
+            )
         backend = unwrap(backend)
     if precompute:
         backend.precompute(tile_sizes=tile_sizes)

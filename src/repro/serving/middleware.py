@@ -34,11 +34,10 @@ class CachingService(ServiceMiddleware):
     A cache hit is answered without touching ``inner``: the cached objects
     are re-wrapped in a fresh :class:`~repro.net.protocol.DataResponse`
     addressed to the incoming request with ``from_cache=True`` and zero
-    query time (the per-shard timing breakdown of a cached scatter-gather
-    is preserved for attribution).  Responses that were themselves cache
-    hits or coalesced hand-me-downs are not re-inserted.  ``config``, when
-    given, is the configuration the stack serves (the one its cache was
-    sized from); otherwise ``inner``'s is reported.
+    query time.  Responses that were themselves cache hits or coalesced
+    hand-me-downs are not re-inserted.  ``config``, when given, is the
+    configuration the stack serves (the one its cache was sized from);
+    otherwise ``inner``'s is reported.
     """
 
     def __init__(
@@ -70,7 +69,6 @@ class CachingService(ServiceMiddleware):
                     query_ms=0.0,
                     from_cache=True,
                     queries_issued=0,
-                    shard_ms=dict(cached.shard_ms),
                 )
             span.set_attribute("hit", False)
             response = self.inner.handle(request)
@@ -118,7 +116,6 @@ class CoalescingService(ServiceMiddleware):
                 query_ms=response.query_ms,
                 from_cache=False,
                 queries_issued=0,
-                shard_ms=dict(response.shard_ms),
                 coalesced=True,
             )
 

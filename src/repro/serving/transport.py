@@ -103,16 +103,14 @@ class LocalTransport:
 
     def roundtrip(self, payload: bytes) -> bytes:
         try:
-            # A trace context riding the request is lifted off before the
-            # request is rebuilt, so server-side caches and responses stay
-            # identical whether or not the caller traces.  Any message but a
-            # request is a ProtocolError here, answered like every failure.
+            # The caller's trace context rides beside the request, not in
+            # it.  Any message but a request is a ProtocolError here,
+            # answered like every failure.
             request, context = columnar.decode_request(payload)
             with get_tracer().remote_trace(context) as collected:
                 response = self.service.handle(request)
-            if collected is not None and collected.spans:
-                return columnar.encode_response(response, trace=collected.spans)
-            return columnar.encode_response(response)
+            spans = collected.spans if collected is not None else None
+            return columnar.encode_response(response, trace=spans)
         except Exception as error:  # noqa: BLE001 - faults must cross the wire
             return columnar.encode_error(error)
 
@@ -190,17 +188,13 @@ class RemoteBackendStub:
     def handle(self, request: DataRequest) -> DataResponse:
         tracer = get_tracer()
         with tracer.span("rpc", op="handle") as span:
-            # The trace context is stamped onto the wire form only — the
-            # caller's request object (and any cache keyed on it) never
-            # sees it.
             context = tracer.current_context()
             response, remote_spans = columnar.decode_response(
                 self._exchange(columnar.encode_request(request, trace=context))
             )
             if remote_spans:
-                # Spans recorded on the far side come home inside the
-                # reply; draining them here keeps the decoded response
-                # byte-identical to an untraced one.
+                # Spans recorded on the far side come home beside the
+                # response, into this side's tracer.
                 tracer.ingest(remote_spans)
                 span.set_attribute("remote_spans", len(remote_spans))
             return response

@@ -247,7 +247,6 @@ class TestServingStackUnderWatch:
             )
             try:
                 request = DataRequest(
-                    app_name="dots",
                     canvas_id="dots",
                     layer_index=0,
                     granularity="box",

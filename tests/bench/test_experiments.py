@@ -287,7 +287,7 @@ class TestFigure6And7:
             """The objects of one tile, and the (B-tree, R-tree, heap) work they cost."""
             before = (btree_probes, rtree_searches, heap_records)
             request = DataRequest(
-                "dots", "dots", 0, "tile", design=design, tile_id=tile_id, tile_size=1024
+                "dots", 0, "tile", design=design, tile_id=tile_id, tile_size=1024
             )
             objects = backend.handle(request).objects
             after = (btree_probes, rtree_searches, heap_records)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench.apps import build_dots_application, default_config
 from repro.client.frontend import KyrixFrontend
+from repro.client.renderer import RasterRenderer
 from repro.client.session import ExplorationSession
 from repro.compiler import compile_application
 from repro.config import INTERACTIVITY_BUDGET_MS, KyrixConfig
@@ -78,13 +79,20 @@ class TestDynamicBoxProtocol:
         frontend.load_canvas("dots", Viewport(1024, 1024, 512, 512))
         shown = list(frontend.visible_objects[0])
         assert shown
+        first_frame = frontend.renderer.buffer.copy()
         breakdown = frontend.pan_by(50, 0)  # still inside the 50% larger box
         assert breakdown.requests == 0
         assert breakdown.cache_hit is True
         # The layer keeps what it showed, and draws it into the new frame.
         assert list(frontend.visible_objects[0]) == shown
-        assert frontend.renderer.stats.frames == 2
         assert frontend.renderer.nonzero_pixels() > 0
+        assert not (frontend.renderer.buffer == first_frame).all()  # a new frame, 50 px over
+        # The new frame starts from an empty buffer: it is exactly what the
+        # kept rows draw at the new viewport, with nothing of the old frame.
+        layer = clickable_dots.compiled.spec.canvas("dots").layer(0)
+        fresh = RasterRenderer(frontend.renderer.width, frontend.renderer.height)
+        fresh.render_objects(frontend.visible_objects[0], layer.renderer, frontend.viewport)
+        assert (frontend.renderer.buffer == fresh.buffer).all()
         # ...and a visible object still takes its jump.
         clicked = frontend.visible_objects[0][0]
         assert frontend.click(clicked).requests == 1

@@ -66,9 +66,12 @@ class TestRasterRenderer:
         renderer = RasterRenderer(50, 50)
         viewport = Viewport(0, 0, 50, 50)
         renderer.render_objects([{"x": 10, "y": 10}], dot_renderer("x", "y"), viewport)
+        first = renderer.total_intensity()
         renderer.clear()
         assert renderer.nonzero_pixels() == 0
-        assert renderer.stats.frames == 1
+        # The next frame starts from nothing: the same draw, the same pixels.
+        renderer.render_objects([{"x": 10, "y": 10}], dot_renderer("x", "y"), viewport)
+        assert renderer.total_intensity() == first > 0
 
     def test_unknown_primitive_kind_raises(self):
         renderer = RasterRenderer(10, 10)
@@ -119,25 +122,25 @@ class TestSimulatedLink:
 class TestProtocol:
     def test_request_json_roundtrip(self):
         request = DataRequest(
-            app_name="a", canvas_id="c", layer_index=1, granularity="box",
+            canvas_id="c", layer_index=1, granularity="box",
             xmin=0, ymin=1, xmax=2, ymax=3,
         )
         assert DataRequest.from_json(request.to_json()) == request
 
     def test_tile_and_box_cache_keys_differ(self):
-        tile = DataRequest("a", "c", 0, "tile", tile_id=1, tile_size=256)
-        box = DataRequest("a", "c", 0, "box", xmin=0, ymin=0, xmax=1, ymax=1)
+        tile = DataRequest("c", 0, "tile", tile_id=1, tile_size=256)
+        box = DataRequest("c", 0, "box", xmin=0, ymin=0, xmax=1, ymax=1)
         assert tile.cache_key() != box.cache_key()
 
     def test_tile_cache_key_includes_design_and_size(self):
-        spatial = DataRequest("a", "c", 0, "tile", design="spatial", tile_id=1, tile_size=256)
-        mapping = DataRequest("a", "c", 0, "tile", design="mapping", tile_id=1, tile_size=256)
-        other_size = DataRequest("a", "c", 0, "tile", design="spatial", tile_id=1, tile_size=512)
+        spatial = DataRequest("c", 0, "tile", design="spatial", tile_id=1, tile_size=256)
+        mapping = DataRequest("c", 0, "tile", design="mapping", tile_id=1, tile_size=256)
+        other_size = DataRequest("c", 0, "tile", design="spatial", tile_id=1, tile_size=512)
         assert spatial.cache_key() != mapping.cache_key()
         assert spatial.cache_key() != other_size.cache_key()
 
     def test_response_json_roundtrip(self):
-        request = DataRequest("a", "c", 0, "tile", tile_id=3, tile_size=256)
+        request = DataRequest("c", 0, "tile", tile_id=3, tile_size=256)
         response = DataResponse(
             request=request, objects=[{"x": 1}], query_ms=1.5, queries_issued=1
         )

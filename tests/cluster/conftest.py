@@ -43,7 +43,6 @@ class ParityStack:
     """A precomputed single backend plus the request shapes to test."""
 
     backend: KyrixBackend
-    app_name: str
     #: (canvas_id, layer_index, tile_size) triples to issue tile requests on.
     canvases: list[tuple[str, int, int]]
     #: (canvas_id, layer_index, rect-tuple) dynamic-box requests to issue.
@@ -70,7 +69,6 @@ def tile_requests(stack: ParityStack) -> list[DataRequest]:
             for tile_id in range(scheme.tile_count):
                 requests.append(
                     DataRequest(
-                        app_name=stack.app_name,
                         canvas_id=canvas_id,
                         layer_index=layer_index,
                         granularity="tile",
@@ -88,7 +86,6 @@ def box_requests(stack: ParityStack) -> list[DataRequest]:
     for canvas_id, layer_index, (xmin, ymin, xmax, ymax) in stack.boxes:
         requests.append(
             DataRequest(
-                app_name=stack.app_name,
                 canvas_id=canvas_id,
                 layer_index=layer_index,
                 granularity="box",
@@ -170,7 +167,6 @@ def build_usmap_parity_stack() -> ParityStack:
     )
     return ParityStack(
         backend=unwrap(service),
-        app_name="usmap",
         canvases=[("statemap", 0, 1024), ("countymap", 0, 4096)],
         boxes=[
             ("statemap", 0, (0.0, 0.0, 4096.0, 4096.0)),
@@ -193,7 +189,6 @@ def build_eeg_parity_stack() -> ParityStack:
     )
     return ParityStack(
         backend=stack.backend,
-        app_name="eeg",
         canvases=[("temporal", 0, 32768)],
         boxes=[
             ("temporal", 0, (0.0, 0.0, stack.canvas_width, stack.canvas_height)),

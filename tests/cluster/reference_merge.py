@@ -3,7 +3,7 @@
 ``ClusterRouter._identity`` / ``_canonical_order`` and the two gather
 branches of ``_scatter_gather_traced`` at the parent commit, moved here: a
 dictionary per object, a Python statement per object, obviously right.  The
-production gather (``repro.cluster.router.gather_rows``) works on row tuples
+production gather (``repro.net.protocol.gather_rows``) works on row tuples
 with whole-list calls; ``tests/property/test_property_gather.py`` holds its
 rows, their order and its duplicate count to this one.
 

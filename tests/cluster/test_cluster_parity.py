@@ -15,6 +15,7 @@ from repro.bench.apps import build_dots_backend, default_config
 from repro.cluster import build_cluster
 from repro.datagen.synthetic import tiny_spec
 from repro.net.protocol import DataRequest, DataResponse
+from repro.telemetry import configure, get_tracer
 
 from tests.cluster.conftest import parity_requests
 
@@ -65,7 +66,6 @@ def test_scatter_only_touches_overlapping_shards(usmap_parity_stack):
     partitioning = cluster.partitionings["statemap"]
     region = partitioning.regions[0].rect
     data_request = DataRequest(
-        app_name=stack.app_name,
         canvas_id="statemap",
         layer_index=0,
         granularity="box",
@@ -74,18 +74,16 @@ def test_scatter_only_touches_overlapping_shards(usmap_parity_stack):
         xmax=region.xmin + 10.0,
         ymax=region.ymin + 10.0,
     )
-    response = cluster.router.handle(data_request)
-    assert len(response.shard_ms) == 1
+    cluster.router.handle(data_request)
     assert cluster.router.stats.fanout == {1: 1}
 
 
 def test_router_cache_and_per_shard_timers(eeg_parity_stack):
     stack = eeg_parity_stack
-    cluster = build_cluster(stack.backend, shard_count=2, strategy="grid")
+    cluster = build_cluster(stack.backend, shard_count=2, strategy="grid", telemetry=True)
     canvas_id, layer_index, _ = stack.canvases[0]
     plan = stack.backend.compiled.canvas_plan(canvas_id)
     data_request = DataRequest(
-        app_name=stack.app_name,
         canvas_id=canvas_id,
         layer_index=layer_index,
         granularity="box",
@@ -94,11 +92,18 @@ def test_router_cache_and_per_shard_timers(eeg_parity_stack):
         xmax=plan.width,
         ymax=plan.height,
     )
-    first = cluster.router.handle(data_request)
+    try:
+        first = cluster.router.handle(data_request)
+        (trace,) = get_tracer().traces()
+    finally:
+        configure(enabled=False)
     assert first.from_cache is False
-    assert set(first.shard_ms) == {"shard0", "shard1"}
-    # Critical path: slowest shard plus merge overhead.
-    assert first.query_ms >= max(first.shard_ms.values())
+    assert cluster.router.stats.fanout == {2: 1}
+    # One ``shard`` span per shard call; the critical path is the slowest
+    # shard plus merge overhead.
+    shard_spans = [span for span in trace["spans"] if span["name"] == "shard"]
+    assert sorted(span["attributes"]["shard_id"] for span in shard_spans) == [0, 1]
+    assert first.query_ms >= max(span["duration_ms"] for span in shard_spans)
 
     second = cluster.router.handle(data_request)
     assert second.from_cache is True
@@ -130,18 +135,9 @@ def test_cluster_enabled_config_builds_router():
     assert plain.service.inner is plain.backend
 
 
-def test_shard_requests_have_disjoint_cache_keys():
+def test_response_json_roundtrip_preserves_gather_fields():
     base = DataRequest(
-        app_name="a", canvas_id="c", layer_index=0, granularity="box",
-        xmin=0.0, ymin=0.0, xmax=1.0, ymax=1.0,
-    )
-    keys = {base.cache_key(), base.for_shard(0).cache_key(), base.for_shard(1).cache_key()}
-    assert len(keys) == 3
-
-
-def test_response_json_roundtrip_preserves_shard_fields():
-    base = DataRequest(
-        app_name="a", canvas_id="c", layer_index=0, granularity="box",
+        canvas_id="c", layer_index=0, granularity="box",
         xmin=0.0, ymin=0.0, xmax=1.0, ymax=1.0,
     )
     response = DataResponse(
@@ -149,10 +145,9 @@ def test_response_json_roundtrip_preserves_shard_fields():
         objects=[{"tuple_id": 1}],
         query_ms=2.5,
         queries_issued=2,
-        shard_ms={"shard0": 1.0, "shard1": 2.5},
         coalesced=True,
     )
     decoded = DataResponse.from_json(response.to_json())
-    assert decoded.shard_ms == response.shard_ms
+    assert decoded.queries_issued == 2
     assert decoded.coalesced is True
     assert decoded.request == base

@@ -17,9 +17,17 @@ import pytest
 from repro.cluster import build_cluster
 from repro.net.protocol import DataRequest, DataResponse
 from repro.serving.base import ServiceMiddleware
+from repro.telemetry import configure, get_tracer
 
 from tests.cluster.conftest import parity_requests as _all_requests
 from tests.cluster.conftest import payload_bytes as _payload_bytes
+
+
+def _handle_traced(router, data_request):
+    """The response and the durations of its traced ``shard`` spans."""
+    response = router.handle(data_request)
+    spans = get_tracer().last_trace()["spans"]
+    return response, [span["duration_ms"] for span in spans if span["name"] == "shard"]
 
 
 @pytest.mark.parametrize("stack_fixture", ["usmap_parity_stack", "eeg_parity_stack"])
@@ -30,7 +38,7 @@ def test_parallel_router_is_byte_identical_to_sequential(
     stack = request.getfixturevalue(stack_fixture)
     tile_sizes = stack.tile_sizes
     parallel = build_cluster(
-        stack.backend, shard_count=shard_count, tile_sizes=tile_sizes
+        stack.backend, shard_count=shard_count, tile_sizes=tile_sizes, telemetry=True
     )
     sequential = build_cluster(
         stack.backend,
@@ -38,15 +46,15 @@ def test_parallel_router_is_byte_identical_to_sequential(
         tile_sizes=tile_sizes,
         parallel_shards=False,
         wire_shards=False,
+        telemetry=True,
     )
     try:
         assert parallel.router.parallel is True
         assert sequential.router.parallel is False
         compared = 0
-        saw_fanout = False
         for data_request in _all_requests(stack):
-            par = parallel.router.handle(data_request)
-            seq = sequential.router.handle(data_request)
+            par, par_shards = _handle_traced(parallel.router, data_request)
+            seq, seq_shards = _handle_traced(sequential.router, data_request)
             assert _payload_bytes(par) == _payload_bytes(seq), (
                 f"parallel/sequential payloads diverged for {data_request}"
             )
@@ -54,16 +62,18 @@ def test_parallel_router_is_byte_identical_to_sequential(
             assert sorted(o["tuple_id"] for o in par.objects) == sorted(
                 o["tuple_id"] for o in single.objects
             )
-            # ``query_ms`` is the measured scatter-gather, so each shard's
-            # own stopwatch ran inside it (a cache hit reports 0 and is exempt).
-            for gathered in (par, seq):
+            # ``query_ms`` is the measured scatter-gather, so each ``shard``
+            # span ran inside it (a cache hit reports 0 and is exempt).
+            for gathered, spans_ms in ((par, par_shards), (seq, seq_shards)):
                 if not gathered.from_cache:
-                    assert gathered.query_ms >= max(gathered.shard_ms.values())
-            saw_fanout = saw_fanout or len(par.shard_ms) > 1
+                    assert gathered.query_ms >= max(spans_ms)
             compared += 1
         assert compared > 0
-        assert saw_fanout, "the parity suite never exercised a multi-shard fan-out"
+        assert max(parallel.router.stats.fanout) > 1, (
+            "the parity suite never exercised a multi-shard fan-out"
+        )
     finally:
+        configure(enabled=False)
         parallel.close()
         sequential.close()
 
@@ -125,7 +135,6 @@ def _pool_threads() -> set[threading.Thread]:
 
 def _statemap_box(stack, xmin, ymin, xmax, ymax) -> DataRequest:
     return DataRequest(
-        app_name=stack.app_name,
         canvas_id="statemap",
         layer_index=0,
         granularity="box",
@@ -148,12 +157,14 @@ def test_executor_is_lazy_and_close_is_idempotent(usmap_parity_stack):
         small = _statemap_box(
             stack, region.xmin + 1.0, region.ymin + 1.0, region.xmin + 4.0, region.ymin + 4.0
         )
-        assert len(router.handle(small).shard_ms) == 1
+        router.handle(small)
+        assert router.stats.fanout == {1: 1}
         assert _pool_threads() <= before
         # A full-canvas box fans out on the pool.
         plan = stack.backend.compiled.canvas_plan("statemap")
         wide = _statemap_box(stack, 0.0, 0.0, plan.width, plan.height)
-        assert len(router.handle(wide).shard_ms) == 2
+        router.handle(wide)
+        assert router.stats.fanout == {1: 1, 2: 1}
         assert _pool_threads() - before
         # The pool is the generation's: retiring the table shuts it down,
         # and the next generation scatters on its own.
@@ -163,7 +174,8 @@ def test_executor_is_lazy_and_close_is_idempotent(usmap_parity_stack):
             retired.executor.submit(int)
         assert router.table.executor is not retired.executor
         router.cache.clear()
-        assert len(router.handle(wide).shard_ms) == 4
+        router.handle(wide)
+        assert router.stats.fanout == {4: 1}
     finally:
         cluster.close()
         cluster.close()  # idempotent
@@ -180,7 +192,8 @@ def test_sequential_config_never_creates_an_executor(usmap_parity_stack):
         assert cluster.router.parallel is False
         plan = stack.backend.compiled.canvas_plan("statemap")
         wide = _statemap_box(stack, 0.0, 0.0, plan.width, plan.height)
-        assert len(cluster.router.handle(wide).shard_ms) == 2
+        cluster.router.handle(wide)
+        assert cluster.router.stats.fanout == {2: 1}
         assert _pool_threads() <= before
     finally:
         cluster.close()
@@ -262,8 +275,37 @@ def test_gather_keeps_its_order_with_duplicates_and_mixed_identities(
         plan = stack.backend.compiled.canvas_plan("statemap")
         wide = _statemap_box(stack, 0.0, 0.0, plan.width, plan.height)
         response = cluster.router.handle(wide)
-        assert len(response.shard_ms) == 2
+        assert cluster.router.stats.fanout == {2: 1}
         assert cluster.router.stats.duplicates_removed == 2
         assert _GATHER_EXPECTED_OBJECTS in response.to_json()
+    finally:
+        cluster.close()
+
+
+class _Recording(ServiceMiddleware):
+    """A shard that notes each request it is handed, then serves it."""
+
+    def __init__(self, inner, seen):
+        super().__init__(inner)
+        self._seen = seen
+
+    def handle(self, request):
+        self._seen.append(request)
+        return self.inner.handle(request)
+
+
+def test_every_shard_is_handed_the_callers_own_request(usmap_parity_stack):
+    stack = usmap_parity_stack
+    cluster = build_cluster(stack.backend, shard_count=4)
+    seen: list[DataRequest] = []
+    try:
+        for shard in cluster.shards:
+            shard.service = _Recording(shard.service, seen)
+        plan = stack.backend.compiled.canvas_plan("statemap")
+        wide = _statemap_box(stack, 0.0, 0.0, plan.width, plan.height)
+        cluster.router.handle(wide)
+        # No per-shard copy: a request names a region, whichever shard serves it.
+        assert len(seen) == 4
+        assert all(request is wide for request in seen)
     finally:
         cluster.close()

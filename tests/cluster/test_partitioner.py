@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -273,7 +274,7 @@ def test_straddling_object_replicated_but_deduplicated():
 
     # ... but a gathered query returns it exactly once.
     box = DataRequest(
-        app_name="straddle", canvas_id="main", layer_index=0, granularity="box",
+        canvas_id="main", layer_index=0, granularity="box",
         xmin=0.0, ymin=0.0, xmax=100.0, ymax=100.0,
     )
     response = cluster.router.handle(box)
@@ -284,7 +285,7 @@ def test_straddling_object_replicated_but_deduplicated():
     # holding the straddler returns it once.
     for tile_id, expected in ((2, [0, 2]), (3, [1, 2])):
         tile = DataRequest(
-            app_name="straddle", canvas_id="main", layer_index=0,
+            canvas_id="main", layer_index=0,
             granularity="tile", design="mapping", tile_id=tile_id, tile_size=50,
         )
         routed = cluster.router.handle(tile)
@@ -329,9 +330,8 @@ def test_coalescer_runs_leader_once_for_concurrent_followers():
     assert len(compute_calls) == 1
     assert sorted(follower for _, follower in results) == [False, True, True, True]
     assert all(value == "payload" for value, _ in results)
-    assert coalescer.stats.leaders == 1
-    assert coalescer.stats.followers == 3
-    assert coalescer.stats.coalesce_rate() == pytest.approx(0.75)
+    # Two counters, nothing derived: the share coalesced is 3 of 4.
+    assert asdict(coalescer.stats) == {"leaders": 1, "followers": 3}
 
 
 def test_coalescer_sequential_requests_each_lead():

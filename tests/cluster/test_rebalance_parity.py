@@ -46,9 +46,7 @@ def hotspot_requests(stack, partitioning, count: int = 200):
     """
     canvas_id, layer_index, _ = stack.boxes[0]
     region = partitioning.region(0).rect
-    return hotspot_box_requests(
-        stack.app_name, canvas_id, layer_index, region, steps=count
-    )
+    return hotspot_box_requests(canvas_id, layer_index, region, steps=count)
 
 
 @pytest.mark.parametrize("stack_fixture", ["usmap_parity_stack", "eeg_parity_stack"])

@@ -45,7 +45,7 @@ def box_requests(stack, count: int = 24) -> list[DataRequest]:
         x = rng.uniform(0, spec.canvas_width - 1024)
         y = rng.uniform(0, spec.canvas_height - 1024)
         requests.append(
-            DataRequest("dots", "dots", 0, "box", xmin=x, ymin=y, xmax=x + 1024, ymax=y + 1024)
+            DataRequest("dots", 0, "box", xmin=x, ymin=y, xmax=x + 1024, ymax=y + 1024)
         )
     return requests
 

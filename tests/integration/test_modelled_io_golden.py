@@ -52,10 +52,10 @@ def _replay() -> tuple[tuple, tuple]:
     for _ in range(20):
         x, y = rng.uniform(0, spec.canvas_width - 600), rng.uniform(0, spec.canvas_height - 600)
         boxes.append(
-            DataRequest("dots", "dots", 0, "box", xmin=x, ymin=y, xmax=x + 600, ymax=y + 600)
+            DataRequest("dots", 0, "box", xmin=x, ymin=y, xmax=x + 600, ymax=y + 600)
         )
     tiles = [
-        DataRequest("dots", "dots", 0, "tile", design="mapping", tile_id=tile_id, tile_size=512)
+        DataRequest("dots", 0, "tile", design="mapping", tile_id=tile_id, tile_size=512)
         for tile_id in rng.sample(range(16 * 8), 20)
     ]
     return measure(boxes), measure(tiles)

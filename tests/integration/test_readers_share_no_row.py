@@ -66,4 +66,5 @@ def test_an_edited_object_reaches_no_other_reader(service):
         f"{edge}={getattr(request, edge)!r}" for edge in ("xmin", "ymin", "xmax", "ymax")
     )
     payload = create_app(service).test_client().get(f"/dbox?canvas=dots&layer=0&{box}")
-    assert payload.get_json()["objects"] == objects
+    # The edge answers in the gather's ``tuple_id`` order on every topology.
+    assert payload.get_json()["objects"] == sorted(objects, key=lambda obj: obj["tuple_id"])

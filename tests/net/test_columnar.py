@@ -33,7 +33,6 @@ from repro.net.socket_transport import encode_frame, read_frame
 
 def box_request(**overrides):
     fields = dict(
-        app_name="dots",
         canvas_id="dots",
         layer_index=0,
         granularity="box",
@@ -42,7 +41,6 @@ def box_request(**overrides):
         ymin=0.0,
         xmax=256.0,
         ymax=256.0,
-        shard_id=3,
     )
     fields.update(overrides)
     return DataRequest(**fields)
@@ -50,7 +48,6 @@ def box_request(**overrides):
 
 def tile_request(**overrides):
     fields = dict(
-        app_name="dots",
         canvas_id="dots",
         layer_index=1,
         granularity="tile",
@@ -69,7 +66,6 @@ def response(objects, **overrides):
         query_ms=1.25,
         from_cache=False,
         queries_issued=2,
-        shard_ms={"shard0": 0.5, "shard1": 0.75},
         coalesced=True,
     )
     fields.update(overrides)
@@ -171,16 +167,17 @@ class TestRequestRoundTrip:
         assert decoded == request_
         assert context is None
 
-    def test_trace_context_is_stamped_and_popped(self):
+    def test_trace_context_rides_beside_the_request(self):
         request = box_request()
         context = {"trace_id": "t1", "span_id": "s1", "sampled": True}
         body = columnar.encode_request(request, trace=context)
-        decoded, popped = columnar.decode_request(body)
-        # The context rides the wire form only; the rebuilt request (and
-        # any cache keyed on it) never sees it — exactly the JSON path.
-        assert popped == context
-        assert decoded.trace is None
+        decoded, carried = columnar.decode_request(body)
+        # The context has its own slot after the request's fields: the
+        # rebuilt request (and any cache keyed on it) is the untraced one.
+        assert carried == context
         assert decoded == request
+        untraced = columnar.encode_request(request)
+        assert body[: len(untraced) - 4] == untraced[:-4]
 
     @pytest.mark.parametrize("kind", sorted(MESSAGES))
     def test_wrong_kind_raises(self, kind):
@@ -228,12 +225,11 @@ class TestResponseRoundTrip:
         ]
         assert roundtrip(response(objects)) == response(objects)
 
-    def test_scalar_fields_and_shard_ms_survive(self):
+    def test_scalar_fields_survive(self):
         decoded = roundtrip(response([]))
         assert decoded.query_ms == 1.25
         assert decoded.queries_issued == 2
         assert decoded.coalesced is True
-        assert decoded.shard_ms == {"shard0": 0.5, "shard1": 0.75}
 
     def test_nulls_roundtrip_and_missing_keys_are_refused(self):
         # The wire is dense: a NULL is a cell, a missing key is no shape the
@@ -273,9 +269,8 @@ class TestResponseRoundTrip:
         body = columnar.encode_response(response([]), trace=spans)
         decoded, shipped = columnar.decode_response(body)
         assert shipped == spans
-        # Decoded responses stay byte-identical whether or not the far
-        # side traced: the span list never lands on the response itself.
-        assert decoded.trace == []
+        # The spans come back beside the response, which is the untraced one.
+        assert decoded == roundtrip(response([]))
 
     def test_decoded_payload_matches_the_json_codec_byte_for_byte(self):
         objects = [
@@ -407,9 +402,9 @@ class TestErrors:
 # ---------------------------------------------------------------------------
 
 _GOLDEN_REQUEST = (
-    "0100000004646f747300000004646f7473000000000000000000000003626f7800000007"
-    "7370617469616c0000010000000000000000010000000000000000014070000000000000"
-    "014070000000000000010000000000000003"
+    "0100000004646f7473000000000000000000000003626f78000000077370617469616c00"
+    "000100000000000000000100000000000000000140700000000000000140700000000000"
+    "00"
 )
 _TRACE_CONTEXT = {"trace_id": "t1", "span_id": "s1", "sampled": True}
 _GOLDEN_OBJECTS = [
@@ -420,21 +415,20 @@ _GOLDEN_OBJECTS = [
 ]
 _GOLDEN_SPANS = [{"name": "execute", "duration_ms": 1.0}]
 _GOLDEN_RESPONSE = (
-    "02" + _GOLDEN_REQUEST[2:] + "00000000"
-    "3ff40000000000000000000000000000020100000001000000067368617264303fe00000"
-    "00000000000000295b7b226475726174696f6e5f6d73223a20312e302c20226e616d6522"
-    "3a202265786563757465227d5d00000002000000060000000462626f7804000000000000"
-    "0000003ff000000000000040000000000000004008000000000000401000000000000040"
-    "140000000000004018000000000000401c00000000000000000005636f756e7401020000"
-    "000000000003000000056c6162656c030000000001610000000162000000046e6f746501"
-    "03000000087475706c655f69640100000000000000000700000000000000080000000178"
-    "02003ff8000000000000c002000000000000"
+    "02" + _GOLDEN_REQUEST[2:] +
+    "3ff400000000000000000000000000000201000000295b7b226475726174696f6e5f6d73"
+    "223a20312e302c20226e616d65223a202265786563757465227d5d000000020000000600"
+    "00000462626f78040000000000000000003ff00000000000004000000000000000400800"
+    "0000000000401000000000000040140000000000004018000000000000401c0000000000"
+    "0000000005636f756e7401020000000000000003000000056c6162656c03000000000161"
+    "0000000162000000046e6f74650103000000087475706c655f6964010000000000000000"
+    "070000000000000008000000017802003ff8000000000000c002000000000000"
 )
 
 #: name -> (value, encoder, decoder, hex of the encoded message).  The
 #: response covers every column tag — bbox, i64, str, f64 — an i64 column
-#: with a NULL (``count``), a column of NULLs only (``note``), a shard
-#: timing entry and a trace trailer.
+#: with a NULL (``count``), a column of NULLs only (``note``) and a trace
+#: trailer.
 GOLDEN = {
     "request": (
         (box_request(), None),
@@ -450,10 +444,7 @@ GOLDEN = {
         "64223a20227331222c202274726163655f6964223a20227431227d",
     ),
     "response": (
-        (
-            response(_GOLDEN_OBJECTS, shard_ms={"shard0": 0.5}),
-            _GOLDEN_SPANS,
-        ),
+        (response(_GOLDEN_OBJECTS), _GOLDEN_SPANS),
         lambda value: columnar.encode_response(value[0], trace=value[1]),
         columnar.decode_response,
         _GOLDEN_RESPONSE,
@@ -464,7 +455,6 @@ GOLDEN = {
         (
             response(
                 RowBatch(_GOLDEN_OBJECTS[0], [tuple(obj.values()) for obj in _GOLDEN_OBJECTS]),
-                shard_ms={"shard0": 0.5},
             ),
             _GOLDEN_SPANS,
         ),
@@ -478,9 +468,8 @@ GOLDEN = {
         (response(RowBatch(("tuple_id", "bbox"), [])), []),
         lambda value: columnar.encode_response(value[0]),
         columnar.decode_response,
-        "02" + _GOLDEN_REQUEST[2:] + "00000000"
-        "3ff40000000000000000000000000000020100000002000000067368617264303fe00000"
-        "00000000000000067368617264313fe8000000000000000000000000000000000000",
+        "02" + _GOLDEN_REQUEST[2:] +
+        "3ff400000000000000000000000000000201000000000000000000000000",
     ),
     "error": (
         ("ValueError", "boom"),

@@ -25,7 +25,7 @@ from repro.net.protocol import DataRequest, DataResponse, RowBatch
 from tests.net import reference_objects_codec as reference
 
 _BOX = DataRequest(
-    app_name="dots", canvas_id="dots", layer_index=0, granularity="box",
+    canvas_id="dots", layer_index=0, granularity="box",
     xmin=0.0, ymin=0.0, xmax=256.0, ymax=256.0,
 )
 
@@ -37,7 +37,6 @@ _names = st.text(
     max_size=12,
 )
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-_shard_ids = st.one_of(st.none(), st.integers(min_value=0, max_value=63))
 _traces = st.one_of(
     st.none(),
     st.fixed_dictionaries(
@@ -50,17 +49,14 @@ _traces = st.one_of(
 def requests(draw):
     if draw(st.booleans()):
         return DataRequest(
-            app_name=draw(_names),
             canvas_id=draw(_names),
             layer_index=draw(st.integers(min_value=0, max_value=7)),
             granularity="tile",
             design=draw(st.sampled_from(["spatial", "mapping"])),
             tile_id=draw(st.integers(min_value=0, max_value=10_000)),
             tile_size=draw(st.sampled_from([256, 512, 1024, 4096])),
-            shard_id=draw(_shard_ids),
         )
     return DataRequest(
-        app_name=draw(_names),
         canvas_id=draw(_names),
         layer_index=draw(st.integers(min_value=0, max_value=7)),
         granularity="box",
@@ -69,7 +65,6 @@ def requests(draw):
         ymin=draw(_floats),
         xmax=draw(_floats),
         ymax=draw(_floats),
-        shard_id=draw(_shard_ids),
     )
 
 
@@ -125,13 +120,6 @@ def responses(draw):
         query_ms=draw(st.floats(min_value=0, max_value=1e9, allow_nan=False)),
         from_cache=draw(st.booleans()),
         queries_issued=draw(st.integers(min_value=0, max_value=1000)),
-        shard_ms=draw(
-            st.dictionaries(
-                st.from_regex(r"shard[0-9]{1,2}", fullmatch=True),
-                st.floats(min_value=0, max_value=1e6, allow_nan=False),
-                max_size=8,
-            )
-        ),
         coalesced=draw(st.booleans()),
     )
 
@@ -155,11 +143,10 @@ class TestBinaryRequestRoundTrip:
 
     @given(requests(), _traces)
     @settings(max_examples=100, deadline=None)
-    def test_trace_context_rides_the_wire_form_only(self, request, context):
+    def test_trace_context_rides_beside_the_request(self, request, context):
         body = columnar.encode_request(request, trace=context)
-        decoded, popped = columnar.decode_request(body)
-        assert popped == context
-        assert decoded.trace is None
+        decoded, carried = columnar.decode_request(body)
+        assert carried == context
         assert decoded == request
 
 
@@ -379,8 +366,8 @@ class TestHostileBytes:
 
 
 _TILE = DataRequest(
-    app_name="dots", canvas_id="dots", layer_index=1, granularity="tile",
-    design="mapping", tile_id=42, tile_size=1024, shard_id=3,
+    canvas_id="dots", layer_index=1, granularity="tile",
+    design="mapping", tile_id=42, tile_size=1024,
 )
 _TRACE = {"trace_id": "t1", "span_id": "s1", "sampled": True}
 

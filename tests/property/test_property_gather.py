@@ -1,6 +1,6 @@
 """Property suite for the router's gather and the frontend's concatenation.
 
-``repro.cluster.router.gather_rows`` merges the shards' rows as tuples —
+``repro.net.protocol.gather_rows`` merges the shards' rows as tuples —
 one ``itemgetter``, one ``dict``, one ``sorted`` — where the router used to
 walk a dictionary per object.  ``tests/cluster/reference_merge.py`` is that
 walk, kept; every scatter of engine-shaped rows hypothesis can build —
@@ -19,15 +19,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.cluster.router import gather_rows
 from repro.errors import FetchError, ProtocolError
 from repro.net import columnar
-from repro.net.protocol import DataRequest, DataResponse, RowBatch, concat_rows
+from repro.net.protocol import DataRequest, DataResponse, RowBatch, concat_rows, gather_rows
 
 from tests.cluster import reference_merge as reference
 
 _BOX = DataRequest(
-    app_name="dots", canvas_id="dots", layer_index=0, granularity="box",
+    canvas_id="dots", layer_index=0, granularity="box",
     xmin=0.0, ymin=0.0, xmax=256.0, ymax=256.0,
 )
 

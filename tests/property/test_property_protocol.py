@@ -1,10 +1,9 @@
 """Property-based tests for the wire protocol's lossless JSON encoding.
 
 The shard transport (``repro.serving.transport``) depends on
-``DataRequest``/``DataResponse`` surviving encode -> decode unchanged —
-including the cluster-era fields ``shard_id`` and ``shard_ms`` — and on
-``cache_key`` being stable across the wire (shard caches on the far side of
-a transport must key exactly like in-process ones).
+``DataRequest``/``DataResponse`` surviving encode -> decode unchanged, and
+on ``cache_key`` being stable across the wire (a cache on the far side of a
+transport must key exactly like an in-process one).
 """
 
 from __future__ import annotations
@@ -23,27 +22,23 @@ _names = st.text(
     max_size=12,
 )
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-_shard_ids = st.one_of(st.none(), st.integers(min_value=0, max_value=63))
 
 
 @st.composite
 def tile_requests(draw):
     return DataRequest(
-        app_name=draw(_names),
         canvas_id=draw(_names),
         layer_index=draw(st.integers(min_value=0, max_value=7)),
         granularity="tile",
         design=draw(st.sampled_from(["spatial", "mapping"])),
         tile_id=draw(st.integers(min_value=0, max_value=10_000)),
         tile_size=draw(st.sampled_from([256, 512, 1024, 4096])),
-        shard_id=draw(_shard_ids),
     )
 
 
 @st.composite
 def box_requests(draw):
     return DataRequest(
-        app_name=draw(_names),
         canvas_id=draw(_names),
         layer_index=draw(st.integers(min_value=0, max_value=7)),
         granularity="box",
@@ -52,7 +47,6 @@ def box_requests(draw):
         ymin=draw(_floats),
         xmax=draw(_floats),
         ymax=draw(_floats),
-        shard_id=draw(_shard_ids),
     )
 
 
@@ -84,21 +78,12 @@ _objects = st.lists(
 
 @st.composite
 def responses(draw):
-    request = draw(requests)
-    shard_ms = draw(
-        st.dictionaries(
-            st.from_regex(r"shard[0-9]{1,2}", fullmatch=True),
-            st.floats(min_value=0, max_value=1e6, allow_nan=False),
-            max_size=8,
-        )
-    )
     return DataResponse(
-        request=request,
+        request=draw(requests),
         objects=draw(_objects),
         query_ms=draw(st.floats(min_value=0, max_value=1e9, allow_nan=False)),
         from_cache=draw(st.booleans()),
         queries_issued=draw(st.integers(min_value=0, max_value=1000)),
-        shard_ms=shard_ms,
         coalesced=draw(st.booleans()),
     )
 
@@ -125,19 +110,6 @@ class TestDataRequestRoundTrip:
         once = request.to_json()
         assert DataRequest.from_json(once).to_json() == once
 
-    @given(requests, st.integers(min_value=0, max_value=63))
-    @settings(max_examples=100, deadline=None)
-    def test_shard_stamping_changes_the_cache_key(self, request, shard_id):
-        stamped = request.for_shard(shard_id)
-        assert stamped.shard_id == shard_id
-        if request.shard_id != shard_id:
-            assert stamped.cache_key() != request.cache_key()
-        # Stamping survives the wire too.
-        assert (
-            DataRequest.from_json(stamped.to_json()).cache_key()
-            == stamped.cache_key()
-        )
-
 
 # -- response properties ----------------------------------------------------------
 
@@ -151,10 +123,9 @@ class TestDataResponseRoundTrip:
 
     @given(responses())
     @settings(max_examples=100, deadline=None)
-    def test_shard_fields_survive(self, response):
+    def test_scalar_fields_survive(self, response):
         decoded = DataResponse.from_json(response.to_json())
-        assert decoded.shard_ms == response.shard_ms
-        assert decoded.request.shard_id == response.request.shard_id
+        assert decoded.from_cache == response.from_cache
         assert decoded.coalesced == response.coalesced
         assert decoded.queries_issued == response.queries_issued
 
@@ -171,7 +142,7 @@ class TestDataResponseRoundTrip:
         decoded = DataResponse.from_json(
             DataResponse(
                 request=DataRequest(
-                    app_name="a", canvas_id="c", layer_index=0, granularity="box",
+                    canvas_id="c", layer_index=0, granularity="box",
                     xmin=0.0, ymin=0.0, xmax=1.0, ymax=1.0,
                 ),
                 objects=json.loads(encoded),

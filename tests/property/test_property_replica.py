@@ -42,7 +42,7 @@ class EchoService:
 
 def _request(i: int) -> DataRequest:
     return DataRequest(
-        app_name="echo", canvas_id="c", layer_index=0, granularity="box",
+        canvas_id="c", layer_index=0, granularity="box",
         xmin=float(i), ymin=float(i % 7), xmax=float(i) + 5.0, ymax=50.0,
     )
 

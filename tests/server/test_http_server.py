@@ -47,17 +47,19 @@ class TestHTTPServer:
 
     def test_dbox_endpoint_serialises_rows_not_the_batch(self, client, dots_stack):
         # The HTTP edge is where a batch's rows become dictionaries: the body
-        # carries the same objects the service's own JSON encoding does, and
-        # the cached batch answers the second request with the same body.
+        # carries the same objects the service's own JSON encoding does, in
+        # the gather's ``tuple_id`` order, and the cached batch answers the
+        # second request with the same body.
         url = "/dbox?canvas=dots&layer=0&xmin=7&ymin=7&xmax=519&ymax=519"
         payload = client.get(url).get_json()
         request = DataRequest(
-            app_name=dots_stack.compiled.app_name, canvas_id="dots", layer_index=0,
+            canvas_id="dots", layer_index=0,
             granularity="box", xmin=7.0, ymin=7.0, xmax=519.0, ymax=519.0,
         )
         served = dots_stack.service.handle(request)
         assert served.from_cache and isinstance(served.objects, RowBatch)
-        assert payload["objects"] == json.loads(served.to_json())["objects"]
+        served_objects = json.loads(served.to_json())["objects"]
+        assert payload["objects"] == sorted(served_objects, key=lambda obj: obj["tuple_id"])
         assert payload["count"] == len(served.objects) > 0
         assert set(payload["objects"][0]) >= {"tuple_id", "bbox"}
         assert client.get(url).get_json()["objects"] == payload["objects"]
@@ -108,6 +110,64 @@ class TestHTTPServer:
         second = client.get(url).get_json()
         assert first["from_cache"] is False
         assert second["from_cache"] is True
+
+
+class TestRowOrderAtTheEdge:
+    """``/dbox`` and ``/tile`` answer in the gather's canonical order on every
+    topology: a single backend's rows come in index order, a cluster's in
+    identity order, and the edge sorts both through ``gather_rows``."""
+
+    TOPOLOGIES = {
+        "threads": {"shard_count": 2},
+        "processes": {"shard_count": 2, "worker_mode": "processes"},
+    }
+
+    @staticmethod
+    def _urls(dots_stack) -> list[str]:
+        width, height = dots_stack.spec.canvas_width, dots_stack.spec.canvas_height
+        boxes = [
+            f"/dbox?canvas=dots&layer=0&xmin={x}&ymin={y}&xmax={x + 700}&ymax={y + 500}"
+            for x in (0, width / 2 - 350, width - 700)
+            for y in (0, height / 2 - 250, height - 500)
+        ]
+        tiles_per_row = int(width // 512)
+        tile_ids = [0, tiles_per_row // 2, tiles_per_row + 1, tiles_per_row * 2 - 1]
+        tiles = [
+            f"/tile?canvas=dots&layer=0&tile_id={tile_id}&tile_size=512&design={design}"
+            for design in ("spatial", "mapping")
+            for tile_id in tile_ids
+        ]
+        return boxes + tiles
+
+    @staticmethod
+    def _objects(client, urls) -> list[bytes]:
+        bodies = [client.get(url) for url in urls]
+        assert all(body.status_code == 200 for body in bodies)
+        return [
+            json.dumps(body.get_json()["objects"], sort_keys=True).encode() for body in bodies
+        ]
+
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_a_cluster_answers_the_single_stacks_rows_in_its_order(
+        self, client, dots_stack, topology
+    ):
+        from repro.serving import build_service
+
+        urls = self._urls(dots_stack)
+        single = self._objects(client, urls)
+        assert sum(len(json.loads(objects)) for objects in single) > 0
+        service = build_service(
+            dots_stack.backend.config,
+            backend=dots_stack.backend,
+            tile_sizes=(512,),
+            **self.TOPOLOGIES[topology],
+        )
+        try:
+            app = create_app(service)
+            app.config["TESTING"] = True
+            assert self._objects(app.test_client(), urls) == single
+        finally:
+            service.close()
 
 
 class TestStatsSerialization:
@@ -303,7 +363,7 @@ class TestClosedCluster:
             plan = dots_stack.compiled.canvas_plan("dots")
             box = (0.0, 0.0, plan.width, plan.height)
         request = DataRequest(
-            app_name=dots_stack.compiled.app_name, canvas_id="dots", layer_index=0,
+            canvas_id="dots", layer_index=0,
             granularity="box", xmin=box[0], ymin=box[1], xmax=box[2], ymax=box[3],
         )
         rect = router.request_rect(request)

@@ -108,7 +108,7 @@ class TestIndexer:
 class TestBackendSpatialDesign:
     def test_box_request_returns_objects_in_box(self, dots_stack):
         request = DataRequest(
-            app_name="dots", canvas_id="dots", layer_index=0,
+            canvas_id="dots", layer_index=0,
             granularity="box", design=DESIGN_SPATIAL,
             xmin=0, ymin=0, xmax=1024, ymax=1024,
         )
@@ -121,7 +121,7 @@ class TestBackendSpatialDesign:
 
     def test_tile_request_spatial(self, dots_stack):
         request = DataRequest(
-            app_name="dots", canvas_id="dots", layer_index=0,
+            canvas_id="dots", layer_index=0,
             granularity="tile", design=DESIGN_SPATIAL, tile_id=0, tile_size=512,
         )
         response = dots_stack.backend.handle(request)
@@ -130,7 +130,7 @@ class TestBackendSpatialDesign:
     def test_backend_cache_hit_on_repeat(self, dots_stack):
         dots_stack.service.cache.clear()
         request = DataRequest(
-            app_name="dots", canvas_id="dots", layer_index=0,
+            canvas_id="dots", layer_index=0,
             granularity="box", design=DESIGN_SPATIAL,
             xmin=100, ymin=100, xmax=600, ymax=600,
         )
@@ -146,16 +146,16 @@ class TestBackendSpatialDesign:
     def test_bad_requests_raise(self, dots_stack):
         backend = dots_stack.backend
         with pytest.raises(UnknownCanvasError):
-            backend.handle(DataRequest("dots", "missing", 0, "box", xmin=0, ymin=0, xmax=1, ymax=1))
+            backend.handle(DataRequest("missing", 0, "box", xmin=0, ymin=0, xmax=1, ymax=1))
         with pytest.raises(UnknownLayerError):
-            backend.handle(DataRequest("dots", "dots", 7, "box", xmin=0, ymin=0, xmax=1, ymax=1))
+            backend.handle(DataRequest("dots", 7, "box", xmin=0, ymin=0, xmax=1, ymax=1))
         with pytest.raises(FetchError):
-            backend.handle(DataRequest("dots", "dots", 0, "box"))
+            backend.handle(DataRequest("dots", 0, "box"))
         with pytest.raises(FetchError):
-            backend.handle(DataRequest("dots", "dots", 0, "tile", tile_id=None, tile_size=None))
+            backend.handle(DataRequest("dots", 0, "tile", tile_id=None, tile_size=None))
         with pytest.raises(FetchError):
             backend.handle(
-                DataRequest("dots", "dots", 0, "teleport", xmin=0, ymin=0, xmax=1, ymax=1)
+                DataRequest("dots", 0, "teleport", xmin=0, ymin=0, xmax=1, ymax=1)
             )
 
     @pytest.mark.parametrize("field", ["xmin", "ymin", "xmax", "ymax"])
@@ -165,7 +165,7 @@ class TestBackendSpatialDesign:
         rectangle (which every bbox would "intersect")."""
         bounds = {"xmin": 0.0, "ymin": 0.0, "xmax": 64.0, "ymax": 64.0, field: value}
         with pytest.raises(FetchError, match=rf"box bound {field} must be finite"):
-            dots_stack.backend.handle(DataRequest("dots", "dots", 0, "box", **bounds))
+            dots_stack.backend.handle(DataRequest("dots", 0, "box", **bounds))
 
     def test_canvas_info(self, dots_stack):
         # Canvas metadata is a function of the compiled plan, not a query.
@@ -179,7 +179,7 @@ class TestBackendSpatialDesign:
         stats = dots_stack.backend.stats
         before = stats.queries_issued
         dots_stack.backend.handle(
-            DataRequest("dots", "dots", 0, "box", xmin=0, ymin=0, xmax=64, ymax=64)
+            DataRequest("dots", 0, "box", xmin=0, ymin=0, xmax=64, ymax=64)
         )
         assert stats.queries_issued == before + 1
 
@@ -194,11 +194,11 @@ class TestBackendMappingDesign:
             dots_stack.spec.canvas_width / 2, dots_stack.spec.canvas_height / 2
         )
         spatial = dots_stack.backend.handle(
-            DataRequest("dots", "dots", 0, "tile", design=DESIGN_SPATIAL,
+            DataRequest("dots", 0, "tile", design=DESIGN_SPATIAL,
                         tile_id=tile_id, tile_size=512)
         )
         mapping = dots_stack.backend.handle(
-            DataRequest("dots", "dots", 0, "tile", design=DESIGN_MAPPING,
+            DataRequest("dots", 0, "tile", design=DESIGN_MAPPING,
                         tile_id=tile_id, tile_size=512)
         )
         spatial_ids = {obj["tuple_id"] for obj in spatial.objects}
@@ -217,7 +217,7 @@ class TestBackendMappingDesign:
         assert table.clustered_on == f"{stack.spec.name}_bbox"  # precompute clustered it
         requests = [
             DataRequest(
-                "dots", "dots", 0, "tile", design=DESIGN_MAPPING, tile_id=tile_id, tile_size=512
+                "dots", 0, "tile", design=DESIGN_MAPPING, tile_id=tile_id, tile_size=512
             )
             for tile_id in range(0, 128, 9)
         ]
@@ -234,7 +234,7 @@ class TestBackendMappingDesign:
         stack = build_precomputed_stack(num_points=300)
         # No mapping tables were prebuilt for size 1024.
         response = stack.backend.handle(
-            DataRequest("dots", "dots", 0, "tile", design=DESIGN_MAPPING,
+            DataRequest("dots", 0, "tile", design=DESIGN_MAPPING,
                         tile_id=0, tile_size=1024)
         )
         layer = stack.compiled.layer_plan("dots", 0)
@@ -244,7 +244,7 @@ class TestBackendMappingDesign:
     def test_unknown_design_rejected(self, dots_stack):
         with pytest.raises(FetchError):
             dots_stack.backend.handle(
-                DataRequest("dots", "dots", 0, "tile", design="quantum",
+                DataRequest("dots", 0, "tile", design="quantum",
                             tile_id=0, tile_size=512)
             )
 
@@ -272,10 +272,10 @@ class _EngineSeam:
 
 class TestPreparedShapes:
     def box(self, x: float) -> DataRequest:
-        return DataRequest("dots", "dots", 0, "box", xmin=x, ymin=0, xmax=x + 300, ymax=300)
+        return DataRequest("dots", 0, "box", xmin=x, ymin=0, xmax=x + 300, ymax=300)
 
     def tile(self, tile_id: int) -> DataRequest:
-        return DataRequest("dots", "dots", 0, "tile", design=DESIGN_MAPPING,
+        return DataRequest("dots", 0, "tile", design=DESIGN_MAPPING,
                            tile_id=tile_id, tile_size=512)
 
     def test_each_shape_is_prepared_once_and_bound_per_request(self):

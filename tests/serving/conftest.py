@@ -24,7 +24,6 @@ def dots_stack():
 @pytest.fixture()
 def box_request(dots_stack):
     return DataRequest(
-        app_name=dots_stack.compiled.app_name,
         canvas_id="dots",
         layer_index=0,
         granularity="box",

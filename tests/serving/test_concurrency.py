@@ -171,7 +171,7 @@ class TestReplicatedClusterConcurrency:
             per_thread = 6
             requests = [
                 DataRequest(
-                    app_name=dots_stack.compiled.app_name, canvas_id="dots",
+                    canvas_id="dots",
                     layer_index=0, granularity="box",
                     xmin=7.0 * i, ymin=5.0 * i,
                     xmax=min(7.0 * i + 420.0, plan.width),

@@ -60,7 +60,7 @@ class ScriptedService:
 
 def _box(i: int = 0) -> DataRequest:
     return DataRequest(
-        app_name="scripted", canvas_id="c", layer_index=0, granularity="box",
+        canvas_id="c", layer_index=0, granularity="box",
         xmin=float(i), ymin=0.0, xmax=float(i) + 10.0, ymax=10.0,
     )
 
@@ -306,7 +306,7 @@ class TestFailover:
             config=default_config(viewport=256),
         )
         request = DataRequest(
-            app_name=stack.compiled.app_name, canvas_id="dots", layer_index=0,
+            canvas_id="dots", layer_index=0,
             granularity="box", xmin=0.0, ymin=0.0, xmax=200.0, ymax=200.0,
         )
         healthy = TransportService(stack.backend)
@@ -457,7 +457,7 @@ class TestKillReplicaMidSession:
         try:
             requests = [
                 DataRequest(
-                    app_name=dots_stack.compiled.app_name, canvas_id="dots",
+                    canvas_id="dots",
                     layer_index=0, granularity="box",
                     xmin=30.0 * i, ymin=20.0 * i,
                     xmax=30.0 * i + 400.0, ymax=20.0 * i + 400.0,

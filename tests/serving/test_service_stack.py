@@ -173,8 +173,9 @@ class TestRowsStayTuplesUntilTheEdge:
             assert len(response.objects) == 2_000
             width = len(response.objects.names)  # dense: every row carries every name
             assert all(type(row) is tuple and len(row) == width for row in response.objects.rows)
-        if response.shard_ms:
-            assert len(response.shard_ms) == 2, "the box should cross the shard border"
+        router = unwrap(service, ClusterRouter)
+        if router is not None:
+            assert router.stats.fanout == {2: 1}, "the box should cross the shard border"
 
     def test_every_cache_hands_back_the_first_readers_rows(self, service, whole_canvas):
         # On ``cluster_hot`` the median step *is* a router-cache hit: the
@@ -274,6 +275,20 @@ class TestBuildService:
         finally:
             router.close()
         assert build_service(config, backend=single).inner is dots_stack.backend
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_factory_refuses_a_sharded_stack_as_backend(self, dots_stack, replicas):
+        # Each terminal of a cluster holds one shard's rows: serving the
+        # first would answer a whole-canvas box with about half of them.
+        config = dots_stack.backend.config
+        cluster = build_service(
+            config, backend=dots_stack.backend, shard_count=2, replicas=replicas
+        )
+        try:
+            with pytest.raises(KyrixError, match="sharded or replicated stack"):
+                build_service(config, backend=cluster)
+        finally:
+            cluster.close()
 
     def test_cluster_router_when_enabled(self):
         spec = tiny_spec("uniform", num_points=1_000, seed=5)
@@ -507,7 +522,6 @@ class TestBuildService:
 
         full = service.handle(
             DataRequest(
-                app_name=compiled.app_name,
                 canvas_id="dots",
                 layer_index=0,
                 granularity="box",

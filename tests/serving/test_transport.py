@@ -50,7 +50,6 @@ class TestTransportFaults:
     def test_server_errors_reraise_client_side(self, dots_stack):
         service = TransportService(dots_stack.backend)
         bad = DataRequest(
-            app_name="dots",
             canvas_id="no-such-canvas",
             layer_index=0,
             granularity="box",
@@ -87,7 +86,7 @@ class TestTransportFaults:
             b"\xffnot a message at all",
             columnar.encode_error(ValueError("boom")),  # a valid kind no endpoint serves
             columnar.encode_request(
-                DataRequest("dots", "dots", 0, "box", xmin=0.0, ymin=0.0,
+                DataRequest("dots", 0, "box", xmin=0.0, ymin=0.0,
                             xmax=1.0, ymax=1.0)
             )[:-3],
         ],

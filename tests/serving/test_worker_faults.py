@@ -29,7 +29,6 @@ from tests.cluster.conftest import payload_bytes
 def _box(stack, nudge: float = 0.0) -> DataRequest:
     """A full-canvas box (touches every shard); ``nudge`` defeats caches."""
     return DataRequest(
-        app_name=stack.compiled.app_name,
         canvas_id="dots",
         layer_index=0,
         granularity="box",

@@ -15,7 +15,7 @@ from repro.serving.faults import (
 
 def _request() -> DataRequest:
     return DataRequest(
-        app_name="app", canvas_id="c", layer_index=0, granularity="box",
+        canvas_id="c", layer_index=0, granularity="box",
         xmin=0.0, ymin=0.0, xmax=1.0, ymax=1.0,
     )
 

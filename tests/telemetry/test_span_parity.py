@@ -13,6 +13,9 @@ least 90% of its duration (nothing substantial happens untraced).
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.cluster import build_cluster
@@ -94,24 +97,28 @@ def test_wire_and_process_topologies_trace_identically(parity_stack, clean_trace
 
 
 def test_responses_stay_trace_free_above_the_transport(parity_stack, clean_tracer):
-    # Worker-side spans travel inside the reply envelope, but the decoded
-    # response object hands them to the tracer and drops them — a traced
-    # response must be byte-identical to an untraced one.
+    # Worker-side spans travel in their own slot of the reply and go to the
+    # tracer; a traced response is byte-identical to an untraced one, its
+    # measured time aside.
     requests = parity_requests(parity_stack)[:4]
-    cluster = build_cluster(
-        parity_stack.backend,
-        shard_count=2,
-        tile_sizes=parity_stack.tile_sizes,
-        worker_mode="processes",
-        telemetry=True,
-    )
-    try:
-        for request in requests:
-            response = cluster.router.handle(request)
-            assert response.trace == []
-            assert "\"trace\": []" in response.to_json()
-    finally:
-        cluster.close()
+    answers = {}
+    for telemetry in (False, True):
+        cluster = build_cluster(
+            parity_stack.backend,
+            shard_count=2,
+            tile_sizes=parity_stack.tile_sizes,
+            worker_mode="processes",
+            telemetry=telemetry,
+        )
+        try:
+            answers[telemetry] = [
+                dataclasses.replace(cluster.router.handle(request), query_ms=0.0).to_json()
+                for request in requests
+            ]
+        finally:
+            cluster.close()
+    assert any('"name": "execute"' in json.dumps(trace) for trace in get_tracer().traces())
+    assert answers[True] == answers[False]
 
 
 def test_process_trace_crosses_the_socket_boundary(parity_stack, clean_tracer):
