@@ -78,7 +78,8 @@ def main() -> None:
 
     # Step 1 -- a traced process cluster: telemetry=True configures the
     # process-wide tracer from config.telemetry and folds the flag into
-    # the ShardSpec dumps, so the forked workers trace their side too.
+    # the shard backends' config, so the forked workers trace their side
+    # too.
     cluster = build_cluster(
         stack.backend, shard_count=2, replicas=2,
         worker_mode="processes", telemetry=True,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..config import KyrixConfig
-from ..net.protocol import DataRequest
 from ..client.frontend import KyrixFrontend
 from ..client.session import ExplorationSession, SessionResult
 from ..core.viewport import Viewport
@@ -331,48 +330,6 @@ def _set_serving_cache_capacity(stack: DotsStack, config: KyrixConfig) -> None:
     for layer in stack_layers(stack.service):
         if getattr(layer, "cache", None) is not None:
             layer.cache.capacity = config.cache.backend_entries
-
-
-# ---------------------------------------------------------------------------
-# Skewed cluster traffic
-# ---------------------------------------------------------------------------
-
-
-def hotspot_box_requests(
-    canvas_id: str,
-    layer_index: int,
-    region,
-    steps: int = 200,
-) -> list[DataRequest]:
-    """A skewed pan trace: box requests confined to one shard region.
-
-    The "everyone pans over Manhattan" traffic shape used by the
-    live-rebalance tests: every request's rectangle stays
-    strictly inside ``region`` (a :class:`~repro.storage.rtree.Rect`,
-    typically shard 0's region of a static partitioning), so the whole
-    trace lands on a single shard while the rest of the cluster idles —
-    maximal per-shard load skew by construction.
-    """
-    margin_x, margin_y = region.width / 16.0, region.height / 16.0
-    box_w, box_h = region.width / 8.0, region.height / 8.0
-    span_x = region.width - 2 * margin_x - box_w
-    span_y = region.height - 2 * margin_y - box_h
-    requests: list[DataRequest] = []
-    for step in range(steps):
-        x = region.xmin + margin_x + (step * span_x / 7.3) % span_x
-        y = region.ymin + margin_y + (step * span_y / 11.9) % span_y
-        requests.append(
-            DataRequest(
-                canvas_id=canvas_id,
-                layer_index=layer_index,
-                granularity="box",
-                xmin=x,
-                ymin=y,
-                xmax=x + box_w,
-                ymax=y + box_h,
-            )
-        )
-    return requests
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from ..telemetry import configure as configure_telemetry
 from ..serving.base import DataService
 from ..serving.replica import ReplicaService
 from ..serving.transport import RemoteBackendStub
-from ..serving.worker import ShardSpec, WorkerPool, build_shard_spec, replica_stack
+from ..serving.worker import WorkerPool, replica_stack
 from .partitioner import LoadHistogram, Partitioning
 from .router import LOAD_SAMPLES, ClusterRouter, ShardTable
 from .sharded import ShardedIndexer, ShardHandle
@@ -108,14 +108,13 @@ def attach_shard_services(
       and its one lock (the embedded engine is not thread-safe), crossing
       an in-process wire when ``cluster.wire_shards`` is set;
     * ``processes``: in one forked worker per replica (the returned
-      :class:`~repro.serving.worker.WorkerPool`), each rebuilding its **own
-      copy** of the index from one pickled
-      :class:`~repro.serving.worker.ShardSpec` per shard and checking it
-      against the spec's checksum before it reports ready — reached
-      through a :class:`~repro.serving.transport.RemoteBackendStub` over a
-      socket.  Once the workers are up the parent-side shard databases are
-      **detached**: they only existed to seed the spec dumps, and keeping
-      them would hold every shard's rows in the parent a second time.
+      :class:`~repro.serving.worker.WorkerPool`), each serving the shard's
+      backend it inherited from the fork — the index the caller built —
+      reached through a
+      :class:`~repro.serving.transport.RemoteBackendStub` over a socket.
+      Once the workers are up the parent-side shard databases are
+      **detached**: they only existed to be forked, and keeping them would
+      hold every shard's rows in the parent beside the workers' copies.
 
     With ``cluster.replicas > 1`` the replicas are fronted by a
     :class:`~repro.serving.replica.ReplicaService` (load balancing, circuit
@@ -127,16 +126,14 @@ def attach_shard_services(
     cluster_config = config.cluster
     pool: WorkerPool | None = None
     if cluster_config.worker_mode == "processes":
-        specs: list[ShardSpec] = []
-        for shard in shards:
-            # One dump (and one pickled payload) per shard: the pool runs
-            # the same spec object once per replica, so N replicas do not
-            # mean N copies of the rows in the parent.
-            shard_spec = build_shard_spec(
-                shard.database, compiled, config, shard_id=shard.shard_id
-            )
-            specs.extend([shard_spec] * cluster_config.replicas)
-        pool = WorkerPool(specs, generation=generation)
+        pool = WorkerPool(
+            [
+                (shard.shard_id, shard.backend)
+                for shard in shards
+                for _ in range(cluster_config.replicas)
+            ],
+            generation=generation,
+        )
         pool.start()
     for shard in shards:
         replicas: list[DataService]
@@ -182,7 +179,8 @@ def build_generation(
     :meth:`~repro.cluster.rebalancer.LoadRebalancer.rebalance` for epoch
     N+1 (new ``partitionings``, shard / replica counts ``replace``d in
     ``config.cluster``).  ``config`` is recorded on the returned table and
-    shipped to process workers in their ``ShardSpec``.  With
+    is every shard backend's configuration, which process workers inherit
+    and serve.  With
     ``cluster.parallel_shards`` and more than one shard the generation gets
     its scatter pool, one worker per shard (CPython starts a pool thread
     only on a submit, so a generation that never fans out starts none);
@@ -229,11 +227,10 @@ def build_cluster(
     built); ``telemetry`` overrides ``config.telemetry.enabled``.
     All of it is folded into **one** effective configuration up front, and
     that is the only configuration anything below sees — the router's
-    ``config``, the shard table's, and the
-    :class:`~repro.serving.worker.ShardSpec` dumps worker processes stand
-    up from.  ``tile_sizes`` pre-builds per-shard tuple–tile mapping tables
-    so the mapping design serves its first tile request without a lazy
-    build.
+    ``config``, the shard table's, and the shard backends' — the ones
+    worker processes inherit and serve.  ``tile_sizes`` pre-builds
+    per-shard tuple–tile mapping tables so the mapping design serves its
+    first tile request without a lazy build.
 
     Every cluster carries a ready-to-use
     :class:`~repro.cluster.rebalancer.LoadRebalancer` as

@@ -22,9 +22,9 @@ load they actually carry, when an operator asks:
 4. **Migrate online** — the next generation is built *beside* the serving
    one by the same function that built the first,
    :func:`~repro.cluster.builder.build_generation` (thread mode: fresh
-   index stacks; process mode: fresh
-   :class:`~repro.serving.worker.ShardSpec` dumps and a new
-   :class:`~repro.serving.worker.WorkerPool` generation), from the current
+   index stacks; process mode: a new
+   :class:`~repro.serving.worker.WorkerPool` generation forked from the
+   fresh shard backends), from the current
    generation's configuration with the new shard count ``replace``d in.
    Then the router's shard table is swapped atomically
    (:meth:`~repro.cluster.router.ClusterRouter.swap_shards`) and the old
@@ -194,7 +194,7 @@ class LoadRebalancer:
 
         # Build the new generation beside the serving one: shard databases
         # and indexes first, then the serving stacks (and, in process
-        # mode, a fresh WorkerPool generation with its own spec dumps).
+        # mode, a fresh WorkerPool generation forked from them).
         build_start = time.perf_counter()
         table = build_generation(
             self.cluster.source,

@@ -44,11 +44,11 @@ class ShardHandle:
     :func:`repro.cluster.builder.build_generation` attaches it before the
     handle is ever served from, and every call goes through it.
 
-    With ``worker_mode="processes"`` the embedded database only exists to
-    seed the worker's :class:`~repro.serving.worker.ShardSpec` dump; once
-    the workers are up the parent calls :meth:`detach_database` so it does
-    not hold every shard's rows a second time for the cluster's whole
-    serving lifetime (``rows_by_table`` keeps the counts).
+    With ``worker_mode="processes"`` the embedded backend only exists to be
+    forked: each worker serves the copy it inherits.  Once the workers are
+    up the parent calls :meth:`detach_database` so it does not hold every
+    shard's rows beside the workers' for the cluster's whole serving
+    lifetime (``rows_by_table`` keeps the counts).
     """
 
     shard_id: int

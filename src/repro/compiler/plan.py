@@ -6,11 +6,10 @@ database tables hold the layer's placed objects, which indexes exist, and
 which fetching granularity the backend should use.  The backend server and
 the indexer work exclusively from this plan, never from the raw spec.
 
-The plan has no serialised form of its own.  A shard worker process gets
-it pickled inside its :class:`~repro.serving.worker.ShardSpec`, with
-``spec=None`` (the live application holds transform closures and
-renderer callables a worker never calls); :meth:`CompiledApplication.describe`
-is the summary ``GET /app`` serves.
+The plan has no serialised form of its own.  A shard worker process
+inherits it, with the rest of its shard's backend, when it is forked
+(:mod:`repro.serving.worker`), so nothing ever encodes it;
+:meth:`CompiledApplication.describe` is the summary ``GET /app`` serves.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ round-robin; a frontend prefetches exactly when it is handed a prefetcher).
 from __future__ import annotations
 
 import json
+import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
@@ -121,6 +122,8 @@ class ClusterConfig:
         ``"processes"`` forks one worker process per shard replica
         (:mod:`repro.serving.worker`) speaking the shard wire over
         localhost TCP, so shard queries execute on real parallel cores.
+        Each worker serves the shard index it inherits from the fork, so
+        a platform without the ``fork`` start method refuses this mode.
     """
 
     enabled: bool = False
@@ -140,6 +143,15 @@ class ClusterConfig:
             raise KyrixError(f"replicas must be >= 1, got {self.replicas}")
         if self.worker_mode not in WORKER_MODES:
             raise KyrixError(f"unknown worker mode: {self.worker_mode!r}")
+        if (
+            self.worker_mode == "processes"
+            and "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            raise KyrixError(
+                "worker_mode 'processes' needs the 'fork' start method, which "
+                "this platform lacks: a worker serves the shard index it "
+                "inherits from the fork"
+            )
 
 
 @dataclass

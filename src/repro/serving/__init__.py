@@ -57,15 +57,7 @@ from .transport import (
     WireStats,
     collect_wire_stats,
 )
-from .worker import (
-    ShardSpec,
-    WorkerHandle,
-    WorkerPool,
-    build_shard_spec,
-    database_checksum,
-    replica_stack,
-    worker_main,
-)
+from .worker import WorkerHandle, WorkerPool, replica_stack, worker_main
 
 __all__ = [
     "CachingService",
@@ -82,7 +74,6 @@ __all__ = [
     "ReplicaSetStats",
     "SerializedService",
     "ServiceMiddleware",
-    "ShardSpec",
     "ShardTransport",
     "TransportError",
     "TransportService",
@@ -91,8 +82,6 @@ __all__ = [
     "WorkerPool",
     "build_service",
     "collect_wire_stats",
-    "build_shard_spec",
-    "database_checksum",
     "fault_replica",
     "kill_worker",
     "replica_stack",

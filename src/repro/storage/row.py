@@ -44,7 +44,7 @@ class RecordId(int):
     def __new__(cls, page_no: int, slot_no: int) -> "RecordId":
         return super().__new__(cls, page_no << SLOT_BITS | slot_no)
 
-    def __getnewargs__(self) -> tuple[int, int]:  # copy / pickle rebuild from the halves
+    def __getnewargs__(self) -> tuple[int, int]:  # copy.copy / deepcopy rebuild from the halves
         return (self.page_no, self.slot_no)
 
     @property

@@ -35,8 +35,8 @@ __all__ = [
     "get_tracer",
 ]
 
-#: Process-wide singletons.  Worker processes configure their own copies
-#: from the pickled ``ShardSpec`` config, so spans recorded behind the
+#: Process-wide singletons.  A forked worker process reconfigures its own
+#: copies from its shard backend's config, so spans recorded behind the
 #: socket boundary flow into the worker's tracer and travel back to the
 #: router inside the response message.
 _REGISTRY = TelemetryRegistry()

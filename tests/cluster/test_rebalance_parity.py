@@ -24,9 +24,9 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.bench.experiments import hotspot_box_requests
 from repro.cluster import build_cluster
 from repro.cluster.rebalancer import load_skew
+from repro.net.protocol import DataRequest
 from repro.serving.faults import FaultInjectingService, FaultSchedule
 
 from tests.cluster.conftest import parity_requests, payload_bytes
@@ -34,19 +34,38 @@ from tests.cluster.conftest import parity_requests, payload_bytes
 TOPOLOGIES = ("threads", "processes")
 
 
-def hotspot_requests(stack, partitioning, count: int = 200):
-    """Box requests confined to the interior of shard 0's region.
+def hotspot_requests(stack, partitioning, count: int = 200) -> list[DataRequest]:
+    """A skewed pan trace: box requests confined to shard 0's region.
 
-    Every request lands on one shard of the pre-rebalance partitioning, so
-    the observed per-shard load is maximally skewed (skew == shard count)
-    and the recorded load histogram concentrates in that region.  The
-    trace itself is the benchmark's skewed pan workload
-    (:func:`repro.bench.experiments.hotspot_box_requests`), so the test
-    asserts on exactly the traffic shape the benchmark measures.
+    The "everyone pans over Manhattan" traffic shape: every request's
+    rectangle stays strictly inside the interior of shard 0's region of
+    the pre-rebalance partitioning, so the whole trace lands on one shard
+    while the rest of the cluster idles.  The observed per-shard load is
+    maximally skewed (skew == shard count) and the recorded load histogram
+    concentrates in that region.
     """
     canvas_id, layer_index, _ = stack.boxes[0]
     region = partitioning.region(0).rect
-    return hotspot_box_requests(canvas_id, layer_index, region, steps=count)
+    margin_x, margin_y = region.width / 16.0, region.height / 16.0
+    box_w, box_h = region.width / 8.0, region.height / 8.0
+    span_x = region.width - 2 * margin_x - box_w
+    span_y = region.height - 2 * margin_y - box_h
+    requests: list[DataRequest] = []
+    for step in range(count):
+        x = region.xmin + margin_x + (step * span_x / 7.3) % span_x
+        y = region.ymin + margin_y + (step * span_y / 11.9) % span_y
+        requests.append(
+            DataRequest(
+                canvas_id=canvas_id,
+                layer_index=layer_index,
+                granularity="box",
+                xmin=x,
+                ymin=y,
+                xmax=x + box_w,
+                ymax=y + box_h,
+            )
+        )
+    return requests
 
 
 @pytest.mark.parametrize("stack_fixture", ["usmap_parity_stack", "eeg_parity_stack"])

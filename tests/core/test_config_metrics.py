@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import json
+import multiprocessing
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from repro.config import (
     CacheConfig,
+    ClusterConfig,
     INTERACTIVITY_BUDGET_MS,
     KyrixConfig,
     StorageConfig,
@@ -206,6 +208,20 @@ class TestConfig:
     def test_storage_config_validation(self):
         with pytest.raises(KyrixError):
             StorageConfig(buffer_pool_pages=2).validate()
+
+    def test_process_workers_are_refused_by_name_where_fork_is_missing(
+        self, monkeypatch
+    ):
+        # A worker serves the shard index it inherits from the fork; a
+        # platform that cannot fork gets a typed refusal, not a fallback.
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+        with pytest.raises(KyrixError, match="'fork' start method"):
+            ClusterConfig(worker_mode="processes").validate()
+        with pytest.raises(KyrixError, match="'fork' start method"):
+            KyrixConfig.from_dict({"cluster": {"worker_mode": "processes"}})
+        ClusterConfig(worker_mode="threads").validate()
 
 
 class TestTimers:

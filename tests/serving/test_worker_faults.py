@@ -12,16 +12,24 @@ request fails over to a healthy replica with a byte-identical payload.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
-from dataclasses import replace
+import weakref
 
 import pytest
 
 from repro.cluster import build_cluster
-from repro.errors import WorkerConnectionError, WorkerSpawnError
+from repro.config import ClusterConfig, KyrixConfig, StorageConfig
+from repro.errors import KyrixError, WorkerConnectionError, WorkerSpawnError
 from repro.net.protocol import DataRequest
-from repro.serving import ReplicaService, WorkerPool, kill_worker, unwrap
-from repro.serving.worker import ShardSpec, TableDump, build_shard_spec
+from repro.serving import (
+    RemoteBackendStub,
+    ReplicaService,
+    WorkerPool,
+    build_service,
+    kill_worker,
+    unwrap,
+)
 
 from tests.cluster.conftest import payload_bytes
 
@@ -119,36 +127,32 @@ def test_unwrap_reaches_replica_sets_in_process_topology(worker_cluster):
     assert replica_layer.replica_count == 2
 
 
-def test_worker_spawn_failure_is_typed_and_cleans_up(dots_stack):
-    shard = build_shard_spec(
-        dots_stack.database,
-        dots_stack.compiled,
-        dots_stack.backend.config,
-        shard_id=0,
-    )
-    # A good worker and one whose rows do not match its checksum: the second
-    # reports the failure, and start() fails with a typed error after
-    # tearing the first worker down again.
-    bad = _hand_built_spec(
-        dots_stack,
-        TableDump(name="t", columns=(("x", "float"),), rows=((1,),), indexes=()),
-        shard_id=1,
-    )
-    before = set(multiprocessing.active_children())
-    pool = WorkerPool([shard, bad], spawn_timeout_s=5.0)
-    with pytest.raises(WorkerSpawnError, match="shard1/replica0 failed to start"):
-        pool.start()
-    assert pool.handles == []
-    assert _new_workers(before) == []
+#: Configurations that build a backend but fail ``validate()``, one per
+#: section the worker checks, with the reason its error report names.
+_UNSERVABLE_CONFIGS = {
+    "viewport": (KyrixConfig(viewport_width=0), "viewport dimensions"),
+    "storage": (
+        KyrixConfig(storage=StorageConfig(buffer_pool_pages=2)),
+        "buffer_pool_pages must be >= 8",
+    ),
+    "cluster": (
+        KyrixConfig(cluster=ClusterConfig(shard_count=0)),
+        "shard_count must be >= 1",
+    ),
+}
 
 
-def _hand_built_spec(stack, *tables: TableDump, shard_id: int = 0) -> ShardSpec:
-    return ShardSpec(
-        shard_id=shard_id,
-        config=stack.backend.config,
-        plan=replace(stack.compiled, spec=None),
-        tables=tables,
+def _unservable_backend(stack, case: str = "viewport"):
+    """The stack's database and plan under a configuration that fails
+    ``validate()``: a worker forked with it reports the error instead of
+    ready."""
+    service = build_service(
+        _UNSERVABLE_CONFIGS[case][0],
+        database=stack.database,
+        compiled=stack.compiled,
+        precompute=False,
     )
+    return unwrap(service)
 
 
 def _new_workers(before: set) -> list:
@@ -160,92 +164,93 @@ def _new_workers(before: set) -> list:
     ]
 
 
-def test_worker_whose_rebuild_differs_from_its_spec_fails_to_start(dots_stack):
-    # A float column dumped with an int value: the worker's ``bulk_load``
-    # coerces 1 -> 1.0, so its rebuilt copy hashes differently from the
-    # spec it was sent, and the worker refuses to report ready.
-    spec = _hand_built_spec(
-        dots_stack,
-        TableDump(name="t", columns=(("x", "float"),), rows=((1,),), indexes=()),
-    )
+@pytest.mark.parametrize("case", sorted(_UNSERVABLE_CONFIGS))
+def test_worker_whose_config_does_not_validate_fails_to_start(dots_stack, case):
+    # The worker validates every section of the configuration it inherits
+    # before it binds a port, and reports the first failure by name.
     before = set(multiprocessing.active_children())
-    pool = WorkerPool([spec])
-    with pytest.raises(WorkerSpawnError, match="checksum mismatch"):
+    pool = WorkerPool([(0, _unservable_backend(dots_stack, case))])
+    reason = _UNSERVABLE_CONFIGS[case][1]
+    with pytest.raises(
+        WorkerSpawnError,
+        match=rf"shard0/replica0 failed to start: KyrixError: {reason}",
+    ):
         pool.start()
     assert pool.handles == []
     assert not _new_workers(before)
 
 
-#: Specs whose rows load fine but whose rebuilt copy is not the spec's bytes:
-#: ``bulk_load`` widens bbox ints to floats and lists to tuples, and the
-#: rebuilt database dumps its tables in name order and its indexes sorted.
-_DRIFTING_TABLES = {
-    "bbox_of_ints": (
-        TableDump(name="t", columns=(("b", "bbox"),), rows=(((0, 0, 1, 1),),), indexes=()),
-    ),
-    "bbox_as_list": (
-        TableDump(
-            name="t", columns=(("b", "bbox"),), rows=(([0.0, 0.0, 1.0, 1.0],),), indexes=()
-        ),
-    ),
-    "tables_out_of_name_order": (
-        TableDump(name="u", columns=(("x", "float"),), rows=((1.0,),), indexes=()),
-        TableDump(name="t", columns=(("x", "float"),), rows=((1.0,),), indexes=()),
-    ),
-    "indexes_out_of_order": (
-        TableDump(
-            name="t",
-            columns=(("x", "float"), ("y", "float")),
-            rows=((1.0, 2.0),),
-            indexes=(("iy", "y", "btree", False), ("ix", "x", "btree", False)),
-        ),
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_DRIFTING_TABLES))
-def test_spawn_check_refuses_every_kind_of_rebuild_drift(dots_stack, case):
-    pool = WorkerPool([_hand_built_spec(dots_stack, *_DRIFTING_TABLES[case])])
-    with pytest.raises(WorkerSpawnError, match="checksum mismatch"):
-        pool.start()
-    assert pool.handles == []
-
-
-def test_hand_built_spec_in_stored_form_spawns(dots_stack):
-    # The same one-row table as above with the value already in its stored
-    # form (1.0): the rebuild reproduces the spec byte for byte, so the
-    # check at spawn lets the worker report ready.
-    spec = _hand_built_spec(
-        dots_stack,
-        TableDump(name="t", columns=(("x", "float"),), rows=((1.0,),), indexes=()),
-    )
-    pool = WorkerPool([spec])
+def test_workers_serve_the_backend_they_inherit(dots_stack, box_request):
+    # One backend listed twice is two replicas of shard 0.  Each forked
+    # worker answers from the parent's built index: the payload that comes
+    # back over its socket is byte-identical to the backend's own.
+    backend = dots_stack.backend
+    expected = payload_bytes(backend.handle(box_request))
+    assert expected != b"[]"
+    pool = WorkerPool([(0, backend), (0, backend)], spawn_timeout_s=5.0)
     try:
-        (handle,) = pool.start()
-        assert handle.alive and handle.port > 0
+        handles = pool.start()
+        assert [(h.shard_id, h.replica_index) for h in handles] == [(0, 0), (0, 1)]
+        assert len({h.pid for h in handles}) == 2
+        for handle in handles:
+            assert handle.alive and handle.port > 0
+            stub = RemoteBackendStub(handle.transport(), backend.compiled, backend.config)
+            try:
+                assert payload_bytes(stub.handle(box_request)) == expected
+            finally:
+                stub.close()
     finally:
         pool.close()
-    assert not handle.alive
+    assert not any(handle.alive for handle in handles)
 
 
-def test_spawn_check_failure_tears_down_sibling_workers(dots_stack):
-    # Shard 0 is a real shard whose worker comes up; shard 1's rebuild
-    # drifts.  The whole start() fails, and the healthy sibling it had
-    # already forked is terminated with it.
-    good = build_shard_spec(
-        dots_stack.database,
-        dots_stack.compiled,
-        dots_stack.backend.config,
-        shard_id=0,
+def test_started_pool_keeps_no_reference_to_its_backends(dots_stack):
+    # The backends only seed the forks: once start() returns, neither the
+    # pool nor its handles reach them, so the parent can free the shard.
+    backend = unwrap(
+        build_service(
+            dots_stack.backend.config,
+            database=dots_stack.database,
+            compiled=dots_stack.compiled,
+            precompute=False,
+        )
     )
-    bad = _hand_built_spec(
-        dots_stack,
-        TableDump(name="t", columns=(("x", "float"),), rows=((1,),), indexes=()),
-        shard_id=1,
-    )
+    ref = weakref.ref(backend)
+    pool = WorkerPool([(0, backend), (1, backend)], spawn_timeout_s=5.0)
+    try:
+        del backend
+        pool.start()
+        assert pool.backends == []
+        gc.collect()
+        assert ref() is None, "the started worker pool still holds a backend"
+        assert all(handle.alive for handle in pool.handles)
+    finally:
+        pool.close()
+
+
+def test_spawn_failure_tears_down_sibling_workers(dots_stack):
+    # Shard 0 is a real shard served by two replicas that come up; shard
+    # 1's worker reports an error.  The whole start() fails with a typed
+    # error, and the healthy siblings it had already forked are
+    # terminated with it.
+    good = dots_stack.backend
     before = set(multiprocessing.active_children())
-    pool = WorkerPool([good, bad])
-    with pytest.raises(WorkerSpawnError, match=r"shard1/replica0 .*checksum mismatch"):
+    pool = WorkerPool(
+        [(0, good), (0, good), (1, _unservable_backend(dots_stack))],
+        spawn_timeout_s=5.0,
+    )
+    with pytest.raises(WorkerSpawnError, match="shard1/replica0 failed to start"):
         pool.start()
     assert pool.handles == []
+    assert not _new_workers(before)
+
+
+def test_process_build_without_fork_is_refused_before_any_worker(dots_stack, monkeypatch):
+    # Where the platform cannot fork, a processes build stops at config
+    # validation with a typed refusal: no worker is started and nothing
+    # falls back to another start method.
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    before = set(multiprocessing.active_children())
+    with pytest.raises(KyrixError, match="'fork' start method"):
+        build_cluster(dots_stack.backend, shard_count=2, worker_mode="processes")
     assert not _new_workers(before)
