@@ -25,7 +25,6 @@ from ..config import KyrixConfig
 from ..errors import KyrixError
 from ..server.backend import KyrixBackend
 from ..storage.database import Database
-from ..storage.rtree import Rect
 from ..storage.statistics import SpatialDistribution, sample_spatial_distribution
 from .partitioner import Partitioning, make_partitioner
 
@@ -220,14 +219,22 @@ class ShardedIndexer:
                     rows.append(row)
             return per_shard
         bbox_position = source.schema.column_index("bbox")
-        for row in source.scan_rows():
+        # Partitioning.shards_for_rect on every row, the regions read once:
+        # per shard, the bounds of each region it holds on a referencing
+        # canvas.  A box that touches a region goes to its shard, once.
+        bounds: list[list[tuple[float, float, float, float]]] = [[] for _ in range(shard_count)]
+        for partitioning in referencing:
+            for region in partitioning.regions:
+                bounds[region.shard_id].append(region.rect.as_tuple())
+        targets = [(rows, regions) for rows, regions in zip(per_shard, bounds) if regions]
+        for _, row in source.scan():
             bbox = row[bbox_position]
             if bbox is None:
                 continue
-            rect = Rect.from_tuple(bbox)
-            targets: set[int] = set()
-            for partitioning in referencing:
-                targets.update(partitioning.shards_for_rect(rect))
-            for shard_id in targets:
-                per_shard[shard_id].append(row)
+            xmin, ymin, xmax, ymax = bbox
+            for rows, regions in targets:
+                for rx0, ry0, rx1, ry1 in regions:
+                    if rx0 <= xmax and xmin <= rx1 and ry0 <= ymax and ymin <= ry1:
+                        rows.append(row)
+                        break
         return per_shard

@@ -21,8 +21,10 @@ created) by the DBA.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import Any
 
@@ -33,7 +35,6 @@ from ..core.transform import Transform
 from ..errors import PrecomputeError
 from ..minisql.executor import SQLEngine
 from ..storage.database import Database
-from ..storage.rtree import Rect
 from ..storage.types import ColumnType
 from .tile import TileScheme
 
@@ -151,13 +152,30 @@ class Indexer:
         bbox_position = source.schema.column_index("bbox")
         id_position = source.schema.column_index("tuple_id")
 
+        # scheme.tiles_for_rect on every row, the grid read once: a stored
+        # bbox needs no Rect's check, and a right or bottom edge exactly on
+        # a tile boundary belongs to the tile before it (``_inclusive``; a
+        # coordinate that is a multiple of the tile size is a whole number).
+        size, columns = scheme.tile_size, scheme.columns
+        last_column, last_row = columns - 1, scheme.rows - 1
         mapping_rows: list[tuple[int, int]] = []
         for _, row in source.scan():
             bbox = row[bbox_position]
             if bbox is None:
                 continue
-            for tile_id in scheme.tiles_for_rect(Rect.from_tuple(bbox)):
-                mapping_rows.append((row[id_position], tile_id))
+            tuple_id = row[id_position]
+            xmin, ymin, xmax, ymax = bbox
+            if xmax > 0 and xmax % size == 0:
+                xmax -= 1
+            if ymax > 0 and ymax % size == 0:
+                ymax -= 1
+            first = max(0, math.floor(xmin / size))
+            last = min(last_column, math.floor(xmax / size))
+            for grid_row in range(
+                max(0, math.floor(ymin / size)), min(last_row, math.floor(ymax / size)) + 1
+            ):
+                base = grid_row * columns
+                mapping_rows += zip(repeat(tuple_id), range(base + first, base + last + 1))
         # Clustered on tile_id, as CLUSTER would leave a static precomputed
         # table: a tile's rows sit on a few consecutive heap pages.  Within a
         # tile the tuples go in tuple_id order, which the source's heap

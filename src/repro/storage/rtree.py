@@ -34,6 +34,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..errors import StorageError
@@ -148,6 +150,25 @@ def _box(bbox: Rect | Sequence[float]) -> Box:
     return x0, y0, x1, y1
 
 
+def _box_columns(boxes: list) -> list[list[float]] | None:
+    """``boxes`` as four coordinate columns, when every box is a 4-tuple of
+    floats with ``xmin <= xmax`` and ``ymin <= ymax``; None otherwise."""
+    if not boxes:
+        return [[], [], [], []]
+    if set(map(type, boxes)) != {tuple} or set(map(len, boxes)) != {4}:
+        return None
+    # Lists, not zip's tuples: _pack reads them through ``__getitem__``,
+    # which a tuple answers by a slower call.
+    columns = list(map(list, zip(*boxes)))
+    x0, y0, x1, y1 = columns
+    if set(map(type, chain(*columns))) != {float}:
+        return None
+    # NaN compares false: the per-entry check refuses it by name.
+    if not (all(map(le, x0, x1)) and all(map(le, y0, y1))):
+        return None
+    return columns
+
+
 def _str_groups(x0: list, y0: list, x1: list, y1: list, capacity: int) -> list[list[int]]:
     """Sort-Tile-Recursive: the items (by index) in groups of ``capacity`` --
     vertical slices by centre x, runs by centre y inside a slice."""
@@ -174,7 +195,7 @@ class RTreeIndex:
             raise StorageError(f"rtree max_entries must be >= 4, got {max_entries}")
         self.name = name
         self.max_entries = max_entries
-        self._pack([])
+        self._pack([[], [], [], []], [])
 
     def __len__(self) -> int:
         *_, refs, _, first = self._packed
@@ -182,15 +203,16 @@ class RTreeIndex:
 
     # -- packing (Sort-Tile-Recursive) -------------------------------------------
 
-    def _pack(self, entries: list[tuple[float, float, float, float, int]]) -> None:
-        """Replace the packed columns with an STR tree over ``entries``."""
+    def _pack(self, entry_boxes: Sequence[Sequence[float]], rids: Sequence[int]) -> None:
+        """Replace the packed columns with an STR tree over the entries
+        ``entry_boxes`` (four checked columns, xmin / ymin / xmax / ymax)
+        and ``rids`` describe."""
         xmin, ymin, xmax, ymax = array("d"), array("d"), array("d"), array("d")
         refs = array("q")
         # Bottom-up: the groups STR makes of a level's items, and the groups'
         # MBRs (four lists) -- the items of the level above.
         levels: list[tuple[list[list[int]], list[list[float]]]] = []
-        if entries:
-            *entry_boxes, rids = map(list, zip(*entries))
+        if rids:
             items = entry_boxes
             while not levels or len(levels[-1][0]) > 1:  # until one group, the root
                 groups = _str_groups(*items, self.max_entries)
@@ -216,11 +238,22 @@ class RTreeIndex:
                 column.extend(map(values.__getitem__, order))
         # One tuple, swapped whole: a search under another lock sees the old
         # columns or the new, never a mix.
-        self._packed = (xmin, ymin, xmax, ymax, refs, len(levels), len(refs) - len(entries))
+        self._packed = (xmin, ymin, xmax, ymax, refs, len(levels), len(refs) - len(rids))
 
     def bulk_load(self, entries: Iterable[tuple[Rect | Sequence[float], int]]) -> None:
-        """Replace the tree contents with an STR-packed tree over ``entries``."""
-        self._pack([(*_box(bbox), rid) for bbox, rid in entries])
+        """Replace the tree contents with an STR-packed tree over ``entries``.
+
+        Boxes that are all 4-tuples of floats -- what a BBOX column stores
+        -- are transposed once and checked a column at a time; any other
+        input is checked entry by entry by :func:`_box`, which names the
+        first box it refuses.
+        """
+        entries = list(entries)
+        boxes = list(map(itemgetter(0), entries))
+        columns = _box_columns(boxes)
+        if columns is None:
+            columns = list(map(list, zip(*map(_box, boxes))))
+        self._pack(columns, list(map(itemgetter(1), entries)))
 
     # -- queries ---------------------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Tests for placement precomputation and the backend server."""
 
 import json
+import random
 
 import pytest
 
-from repro.bench.apps import build_dots_backend, default_config
+from repro.bench.apps import build_dots_application, build_dots_backend, default_config
 from repro.compiler import compile_application
 from repro.core import App, Canvas, ColumnPlacement, Layer, Transform, dot_renderer
-from repro.datagen.synthetic import tiny_spec, load_dots
+from repro.datagen.synthetic import DotDatasetSpec, tiny_spec, load_dots
 from repro.errors import FetchError, UnknownCanvasError, UnknownLayerError
 from repro.net.protocol import DataRequest
 from repro.server.backend import KyrixBackend
@@ -15,6 +16,7 @@ from repro.server.indexer import Indexer
 from repro.server.schemes import DESIGN_MAPPING, DESIGN_SPATIAL
 from repro.server.tile import TileScheme
 from repro.storage.database import Database
+from repro.storage.rtree import Rect
 
 
 def build_precomputed_stack(num_points: int = 800):
@@ -103,6 +105,83 @@ class TestIndexer:
         indexer = Indexer(database, compiled)
         report = indexer.precompute_all()[0]
         assert report.rows == 1
+
+
+def mapping_reference(database, layer_plan, scheme: TileScheme) -> list[tuple[int, int]]:
+    """The mapping table's rows by ``scheme.tiles_for_rect`` on each source row."""
+    source = database.table(layer_plan.source_table)
+    rows = [
+        (row[0], tile_id)
+        for row in source.scan_rows()
+        if row[3] is not None
+        for tile_id in scheme.tiles_for_rect(Rect.from_tuple(row[3]))
+    ]
+    return sorted(rows, key=lambda row: (row[1], row[0]))
+
+
+class TestMappingTableReference:
+    """The mapping table equals a per-row ``tiles_for_rect`` reference, row
+    for row: on a box ending exactly on a tile edge (which belongs to the
+    tile before it), straddling a corner, hanging off the canvas, lying
+    wholly off it, and with a NULL bbox."""
+
+    WIDTH, HEIGHT = 1000.0, 700.0  # partial tiles on the right and bottom
+
+    EDGE_BOXES = [
+        (10.0, 10.0, 256.0, 256.0),  # ends on an edge: one tile, not four
+        (256.0, 0.0, 300.0, 10.0),  # starts on an edge
+        (512.0, 512.0, 512.0, 512.0),  # a point on a corner: no tile at all
+        (250.0, 250.0, 260.0, 260.0),  # straddles a corner: four tiles
+        (0.0, 0.0, 0.0, 0.0),
+        (-50.0, -50.0, 10.0, 10.0),  # off the top-left corner
+        (990.0, 690.0, 1100.0, 800.0),  # off the bottom-right corner
+        (-100.0, 300.0, 1200.0, 310.0),  # wider than the canvas
+        (2000.0, 2000.0, 2100.0, 2100.0),  # wholly off the canvas
+        (-100.0, -100.0, -50.0, -50.0),
+        (768.0, 0.0, 1024.0, 768.0),  # ends on the grid's last edges
+        None,
+    ]
+
+    def _stack(self, tile_size: int, seed: int):
+        rng = random.Random(seed)
+        boxes = list(self.EDGE_BOXES)
+        for _ in range(300):  # on a 32-grid, so many land on tile edges
+            x, y = rng.randrange(-2, 34) * 32.0, rng.randrange(-2, 24) * 32.0
+            boxes.append((x, y, x + rng.randrange(0, 12) * 32.0, y + rng.randrange(0, 12) * 32.0))
+        spec = DotDatasetSpec("edges", canvas_width=self.WIDTH, canvas_height=self.HEIGHT,
+                              num_points=len(boxes))
+        database = Database()
+        table = database.create_table(
+            "edges", [("tuple_id", "int"), ("x", "float"), ("y", "float"), ("bbox", "bbox")]
+        )
+        table.bulk_load(
+            (i, 0.0, 0.0, box) for i, box in enumerate(reversed(boxes))  # ids against heap order
+        )
+        compiled = compile_application(build_dots_application(spec, default_config(viewport=512)))
+        layer = compiled.layer_plan("dots", 0)
+        indexer = Indexer(database, compiled)
+        name = indexer.build_mapping_table(layer, tile_size)
+        return database, layer, list(database.table(name).scan_rows())
+
+    @pytest.mark.parametrize("tile_size", [256, 128, 300])
+    def test_rows_equal_the_per_row_reference(self, tile_size):
+        database, layer, rows = self._stack(tile_size, seed=tile_size)
+        scheme = TileScheme(self.WIDTH, self.HEIGHT, tile_size)
+        assert rows == mapping_reference(database, layer, scheme)
+
+    def test_the_edge_boxes_map_as_the_grid_says(self):
+        database, layer, rows = self._stack(256, seed=1)
+        first = len(database.table("edges")) - 1  # the first edge box's tuple_id
+        tiles = {}
+        for tuple_id, tile_id in rows:
+            tiles.setdefault(first - tuple_id, []).append(tile_id)
+        assert tiles[0] == [0]
+        assert tiles[1] == [1]
+        assert 2 not in tiles
+        assert tiles[3] == [0, 1, 4, 5]
+        assert tiles[5] == [0] and tiles[6] == [11]
+        assert 8 not in tiles and 9 not in tiles and 11 not in tiles
+        assert tiles[10] == [3, 7, 11]
 
 
 class TestBackendSpatialDesign:

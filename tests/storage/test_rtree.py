@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage.row import RecordId
-from repro.storage.rtree import Rect, RTreeIndex
+from repro.storage.rtree import DEFAULT_MAX_ENTRIES, Rect, RTreeIndex
 
 
 def rid(n: int) -> RecordId:
@@ -84,6 +84,27 @@ def _random_entries(count: int, seed: int = 0) -> list[tuple[Rect, RecordId]]:
         y = rng.uniform(0, 500)
         entries.append((Rect(x, y, x + 1, y + 1), rid(i)))
     return entries
+
+
+def reference_box(bbox) -> tuple[float, float, float, float]:
+    """The per-entry check the load must agree with: one box at a time."""
+    if isinstance(bbox, Rect):
+        return bbox.as_tuple()
+    if len(bbox) != 4:
+        raise StorageError(f"bbox must have 4 values, got {bbox!r}")
+    x0, y0, x1, y1 = map(float, bbox)
+    if not (x0 <= x1 and y0 <= y1):
+        raise StorageError(f"degenerate rectangle: {bbox!r}")
+    return x0, y0, x1, y1
+
+
+def reference_packed(entries, *, max_entries: int = DEFAULT_MAX_ENTRIES) -> tuple:
+    """The packed columns of a tree whose entries were checked one by one."""
+    checked = [(*reference_box(bbox), r) for bbox, r in entries]
+    *columns, rids = map(list, zip(*checked))
+    tree = RTreeIndex("reference", max_entries=max_entries)
+    tree._pack(columns, rids)
+    return tree._packed
 
 
 def _brute_force(entries, query: Rect) -> set[RecordId]:
@@ -202,6 +223,61 @@ class TestRTreeLoadChecks:
         with pytest.raises(StorageError):
             tree.bulk_load([((0, 0, 2, 2), rid(2)), (bbox, rid(3))])
         assert tree.rids() == [rid(1)]  # the old tree still stands
+
+    @pytest.mark.parametrize(
+        "bbox, message",
+        [
+            ((0.0, math.nan, 1.0, 1.0), "degenerate rectangle: (0.0, nan, 1.0, 1.0)"),
+            ((1.0, 0.0, 0.0, 1.0), "degenerate rectangle: (1.0, 0.0, 0.0, 1.0)"),
+            ((0.0, 0.0, 1.0), "bbox must have 4 values, got (0.0, 0.0, 1.0)"),
+            (("3", 0.0, 1.0, 1.0), "degenerate rectangle: ('3', 0.0, 1.0, 1.0)"),
+        ],
+        ids=["nan", "inverted", "arity", "string"],
+    )
+    def test_the_bulk_check_refuses_what_the_entry_check_refused(self, bbox, message):
+        """Among float boxes the load checks a column at a time, yet the
+        refusal is the per-entry one's, naming the first bad box."""
+        later_bad = (5.0, 5.0, 4.0, 4.0)
+        entries = [((0.0, 0.0, 2.0, 2.0), rid(1)), (bbox, rid(2)), (later_bad, rid(3))]
+        with pytest.raises(StorageError) as refused:
+            RTreeIndex("r").bulk_load(entries)
+        assert str(refused.value) == message
+        with pytest.raises(StorageError) as reference:
+            for box, _ in entries:
+                reference_box(box)
+        assert str(reference.value) == message
+
+    def test_a_coordinate_float_cannot_read_is_refused_as_before(self):
+        with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+            RTreeIndex("r").bulk_load([((0.0, 0.0, 1.0, 1.0), rid(1)), (("a", 0.0, 1.0, 1.0), rid(2))])
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(Rect(0, 0, 1, 1), rid(1)), ((2.0, 2.0, 3.0, 3.0), rid(2))],
+            [((0, 0, 1, 1), rid(1)), ((2.0, 2.0, 3.0, 3.0), rid(2))],
+            [([0.0, 0.0, 1.0, 1.0], rid(1)), ((2.0, 2.0, 3.0, 3.0), rid(2))],
+            [(("0.5", 0.0, 1.0, 1.0), rid(1)), ((2.0, 2.0, 3.0, 3.0), rid(2))],
+        ],
+        ids=["rect", "ints", "list", "numeric-string"],
+    )
+    def test_rects_and_other_coordinates_are_still_accepted(self, entries):
+        tree = RTreeIndex("r")
+        tree.bulk_load(entries)
+        assert tree._packed == reference_packed(entries)
+        assert tree.search(Rect(0, 0, 3, 3)) == [rid(1), rid(2)]
+
+    @pytest.mark.parametrize("floats", [True, False], ids=["float-tuples", "rects"])
+    def test_the_packed_columns_equal_the_per_entry_reference(self, floats):
+        entries = _random_entries(700, seed=21)
+        if floats:
+            entries = [(rect.as_tuple(), r) for rect, r in entries]
+            assert all(type(v) is float for box, _ in entries for v in box)
+        entries.append(((-math.inf, 3.0, math.inf, 3.0), rid(9999)))  # infinite, flat: legal
+        tree = RTreeIndex("r", max_entries=8)
+        tree.bulk_load(iter(entries))
+        assert tree._packed == reference_packed(entries, max_entries=8)
+        tree.validate()
 
     def test_an_empty_tree_validates(self):
         tree = RTreeIndex("r")
