@@ -1,4 +1,4 @@
-"""Sharded precompute: route placement rows to per-shard backends.
+"""Sharded precompute: copy placement rows to per-shard backends.
 
 The :class:`ShardedIndexer` takes a *source* backend whose placement tables
 have already been precomputed by :class:`repro.server.indexer.Indexer`,
@@ -8,10 +8,11 @@ embedded :class:`~repro.storage.database.Database` (plus a
 exactly the rows whose bbox intersects its region — an object straddling a
 shard boundary is stored in *every* shard it overlaps, so any shard whose
 region intersects a query rectangle can answer for it; the router
-deduplicates at gather time.  Indexes (B-tree on ``tuple_id``, R-tree on
-``bbox``, and the tuple–tile mapping tables of the first database design)
-are rebuilt per shard over the shard's own rows, and a shard's copy of a
-table is clustered on the index the source is clustered on.
+deduplicates at gather time.  A shard's copy of a table is the source's
+records routed to it, copied as stored.  Indexes (B-tree on ``tuple_id``,
+R-tree on ``bbox``, and the tuple–tile mapping tables of the first database
+design) are rebuilt per shard over the shard's own rows, and a shard's copy
+of a table is clustered on the index the source is clustered on.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ..errors import KyrixError
 from ..server.backend import KyrixBackend
 from ..storage.database import Database
 from ..storage.statistics import SpatialDistribution, sample_spatial_distribution
+from ..storage.table import Table
 from .partitioner import Partitioning, make_partitioner
 
 if TYPE_CHECKING:
@@ -121,13 +123,7 @@ class ShardedIndexer:
             table = self.source_database.table(table_name)
             if not table.schema.has_column("bbox"):
                 continue
-            distribution.extend(
-                sample_spatial_distribution(
-                    table.scan_rows(),
-                    table.schema.column_index("bbox"),
-                    row_count_hint=table.row_count,
-                )
-            )
+            distribution.extend(sample_spatial_distribution(table.column("bbox")))
         return distribution
 
     # -- shard building ---------------------------------------------------------------
@@ -169,13 +165,12 @@ class ShardedIndexer:
 
         rows_by_table: list[dict[str, int]] = [dict() for _ in range(shard_count)]
         for table_name, referencing in table_partitionings.items():
-            per_shard = self._route_table(table_name, referencing, shard_count)
             source = self.source_database.table(table_name)
-            for shard_id, rows in enumerate(per_shard):
+            for shard_id, rids in enumerate(_route(source, referencing, shard_count)):
                 shard_table = databases[shard_id].create_table(
                     table_name, source.schema
                 )
-                shard_table.bulk_load(rows)
+                shard_table.copy_records(source, rids)
                 for info in source.indexes.values():
                     shard_table.create_index(
                         info.name, info.column, info.kind, unique=info.unique
@@ -183,7 +178,7 @@ class ShardedIndexer:
                 if source.clustered_on is not None:
                     # The source's clustering, on the shard's own index.
                     shard_table.cluster(source.clustered_on)
-                rows_by_table[shard_id][table_name] = len(rows)
+                rows_by_table[shard_id][table_name] = len(rids)
 
         shards: list[ShardHandle] = []
         for shard_id in range(shard_count):
@@ -202,39 +197,31 @@ class ShardedIndexer:
                 shard.backend.ensure_mapping_tables(tile_size)
         return shards, partitionings
 
-    def _route_table(
-        self,
-        table_name: str,
-        referencing: list[Partitioning],
-        shard_count: int,
-    ) -> list[list[tuple]]:
-        """Split one source table into per-shard row lists by bbox overlap."""
-        source = self.source_database.table(table_name)
-        per_shard: list[list[tuple]] = [[] for _ in range(shard_count)]
-        if not source.schema.has_column("bbox"):
-            # No spatial column to route by: replicate everywhere (correct,
-            # just not partitioned — e.g. pure lookup side tables).
-            for row in source.scan_rows():
-                for rows in per_shard:
-                    rows.append(row)
-            return per_shard
-        bbox_position = source.schema.column_index("bbox")
-        # Partitioning.shards_for_rect on every row, the regions read once:
-        # per shard, the bounds of each region it holds on a referencing
-        # canvas.  A box that touches a region goes to its shard, once.
-        bounds: list[list[tuple[float, float, float, float]]] = [[] for _ in range(shard_count)]
-        for partitioning in referencing:
-            for region in partitioning.regions:
-                bounds[region.shard_id].append(region.rect.as_tuple())
-        targets = [(rows, regions) for rows, regions in zip(per_shard, bounds) if regions]
-        for _, row in source.scan():
-            bbox = row[bbox_position]
-            if bbox is None:
-                continue
-            xmin, ymin, xmax, ymax = bbox
-            for rows, regions in targets:
-                for rx0, ry0, rx1, ry1 in regions:
-                    if rx0 <= xmax and xmin <= rx1 and ry0 <= ymax and ymin <= ry1:
-                        rows.append(row)
-                        break
-        return per_shard
+
+def _route(source: Table, referencing: list[Partitioning], shard_count: int) -> list[list[int]]:
+    """Per shard, the rids of the source rows whose bbox touches one of its
+    regions on a referencing canvas, in source heap order: the bbox column
+    is read alone, and each region's bounds once."""
+    rids = source.rids()
+    if not source.schema.has_column("bbox"):
+        # No spatial column to route by: replicate everywhere (correct,
+        # just not partitioned — e.g. pure lookup side tables).
+        return [rids] * shard_count
+    # Partitioning.shards_for_rect on every row: a box that touches a
+    # region goes to its shard, once; a NULL bbox goes nowhere.
+    bounds: list[list[tuple[float, float, float, float]]] = [[] for _ in range(shard_count)]
+    for partitioning in referencing:
+        for region in partitioning.regions:
+            bounds[region.shard_id].append(region.rect.as_tuple())
+    per_shard: list[list[int]] = [[] for _ in range(shard_count)]
+    targets = [(routed, regions) for routed, regions in zip(per_shard, bounds) if regions]
+    for rid, bbox in zip(rids, source.column("bbox")):
+        if bbox is None:
+            continue
+        xmin, ymin, xmax, ymax = bbox
+        for routed, regions in targets:
+            for rx0, ry0, rx1, ry1 in regions:
+                if rx0 <= xmax and xmin <= rx1 and ry0 <= ymax and ymin <= ry1:
+                    routed.append(rid)
+                    break
+    return per_shard

@@ -149,8 +149,6 @@ class Indexer:
                 f"layer {layer_plan.layer_name!r} has no table to map tiles from"
             )
         source = self.database.table(source_name)
-        bbox_position = source.schema.column_index("bbox")
-        id_position = source.schema.column_index("tuple_id")
 
         # scheme.tiles_for_rect on every row, the grid read once: a stored
         # bbox needs no Rect's check, and a right or bottom edge exactly on
@@ -159,11 +157,9 @@ class Indexer:
         size, columns = scheme.tile_size, scheme.columns
         last_column, last_row = columns - 1, scheme.rows - 1
         mapping_rows: list[tuple[int, int]] = []
-        for _, row in source.scan():
-            bbox = row[bbox_position]
+        for tuple_id, bbox in zip(source.column("tuple_id"), source.column("bbox")):
             if bbox is None:
                 continue
-            tuple_id = row[id_position]
             xmin, ymin, xmax, ymax = bbox
             if xmax > 0 and xmax % size == 0:
                 xmax -= 1

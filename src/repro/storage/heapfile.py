@@ -11,9 +11,10 @@ Each heap page has the classic slotted layout::
 Header: ``<H`` slot_count, ``<H`` free_space_offset.
 Each slot: ``<H`` offset, ``<H`` length.
 
-Records are only ever appended (or, by :meth:`HeapFile.rewrite`, copied
-whole into fresh pages): no record is updated or deleted in place, so every
-slot holds a live record.
+Records are only ever appended -- encoded, or copied whole as stored
+(:meth:`HeapFile.records`, which :meth:`HeapFile.rewrite` moves into fresh
+pages): no record is updated or deleted in place, so every slot holds a live
+record, and a page's records sit end to end below its free offset.
 
 Records are addressed by an integer rid, ``page_no << 16 | slot_no``
 (:class:`~repro.storage.row.RecordId`), and never span pages, so the maximum
@@ -26,13 +27,14 @@ from __future__ import annotations
 import struct
 from array import array
 from itertools import accumulate
-from operator import sub
+from operator import itemgetter, sub
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import PageError, RecordNotFoundError, StorageError
 from .pager import BufferPool
-from .row import SLOT_BITS, SLOT_MASK, RecordId, compile_decoder, compile_encoder
+from .row import SLOT_BITS, SLOT_MASK, RecordId, column_layout, compile_decoder, compile_encoder
 from .schema import TableSchema
+from .types import ColumnType
 
 _HEADER = struct.Struct("<HH")  # slot_count, free_space_offset
 _SLOT = struct.Struct("<HH")  # record offset, record length
@@ -53,14 +55,15 @@ class HeapFile:
         self._pool = pool
         self._schema = schema
         self._decode = compile_decoder(schema)
-        self._encode = compile_encoder(schema)
+        #: The schema's compiled row encoder: a coerced row to its record.
+        self.encode = compile_encoder(schema)
         # This heap's pages: a dict for its order (allocation order is scan
         # order) and its O(1) membership test (rid ownership).
         self._page_nos: dict[int, None] = {}
         self._record_count = 0
         # ``(slot_count, free_offset)`` of the last page, the only one
         # records are appended to; ``(0, 0)`` fits nothing, so the first
-        # append allocates.  Only :meth:`_append` writes a page header.
+        # append allocates.  Only :meth:`append` writes a page header.
         self._tail = (0, 0)
 
     # -- public API -------------------------------------------------------------
@@ -78,7 +81,7 @@ class HeapFile:
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> list[int]:
         """Append (already coerced) rows in order; returns their rids."""
-        return self._append(map(self._encode, rows))
+        return self.append(map(self.encode, rows))
 
     def rewrite(self, rids: Sequence[int]) -> list[int]:
         """Store every record afresh, in ``rids`` order; the rids they move
@@ -96,19 +99,25 @@ class HeapFile:
             )
         # Copied out whole, then the old pages go before the new ones come:
         # a new page's frame takes the memory an old one gave back.
+        records = self.records(rids)
+        for page_no in self._page_nos:
+            self._pool.free_page(page_no)
+        self._page_nos, self._tail, self._record_count = {}, (0, 0), 0
+        return self.append(records)
+
+    def records(self, rids: Iterable[int]) -> Iterator[memoryview]:
+        """The records stored at ``rids``, in request order, as stored:
+        copied into one buffer before this returns, and handed out as
+        slices of it -- nothing is decoded, and no record is an object of
+        its own until it is asked for."""
         stored, lengths = bytearray(), array("H")
         for page, offset, length in self._locate(rids):
             stored += page[offset : offset + length]
             lengths.append(length)
-        for page_no in self._page_nos:
-            self._pool.free_page(page_no)
-        self._page_nos, self._tail, self._record_count = {}, (0, 0), 0
-        view = memoryview(stored)
-        return self._append(
-            view[end - length : end] for end, length in zip(accumulate(lengths), lengths)
-        )
+        bounds = map(slice, accumulate(lengths, initial=0), accumulate(lengths))
+        return map(memoryview(stored).__getitem__, bounds)
 
-    def _append(self, records: Iterable[_Record]) -> list[int]:
+    def append(self, records: Iterable[_Record]) -> list[int]:
         """Append encoded records, a page at a time: records are gathered
         while they fit on the last page, then written with one checkout and
         one header write.  Returns their rids."""
@@ -210,3 +219,33 @@ class HeapFile:
         """Yield every record without its rid."""
         for _, row in self.scan():
             yield row
+
+    def rids(self) -> list[int]:
+        """Every record's rid, in physical order."""
+        rids: list[int] = []
+        for page_no in self._page_nos:
+            slot_count, _ = _HEADER.unpack_from(self._pool.get_page(page_no), 0)
+            rids += range(page_no << SLOT_BITS, (page_no << SLOT_BITS) + slot_count)
+        return rids
+
+    def column(self, position: int) -> list[Any]:
+        """Column ``position``'s values in physical order, a page at a time:
+        a page whose records all have the all-present fixed width (a NULL
+        makes a record shorter, so their total length says so) is one
+        column-only unpack of its records, which sit end to end in reverse
+        slot order; any other page, and every page of a TEXT schema, is
+        decoded record by record (``row.compile_decoder``'s split)."""
+        layout, decode = column_layout(self._schema, position), self._decode
+        box = self._schema.columns[position].type is ColumnType.BBOX
+        page_size, values = self._pool.page_size, []
+        for page_no in self._page_nos:
+            page = self._pool.get_page(page_no)
+            slot_count, free_offset = _HEADER.unpack_from(page, 0)
+            if layout is not None and slot_count * layout.size == page_size - free_offset:
+                unpacked = [*layout.iter_unpack(page[free_offset:page_size])]
+                unpacked.reverse()
+                values += unpacked if box else map(itemgetter(0), unpacked)
+            else:
+                directory = page[_HEADER.size : _HEADER.size + slot_count * _SLOT.size]
+                values += [decode(page, *slot)[position] for slot in _SLOT.iter_unpack(directory)]
+        return values

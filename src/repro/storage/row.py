@@ -122,6 +122,18 @@ def _row_shape(types: Sequence[ColumnType]) -> Callable[[tuple[Any, ...]], tuple
     return itemgetter(*picks)
 
 
+def column_layout(schema: TableSchema, position: int) -> struct.Struct | None:
+    """The all-present fixed-width record layout reading column ``position``
+    alone (every other byte is padding), or ``None`` for a schema with TEXT,
+    whose records have no fixed width."""
+    types = [column.type for column in schema.columns]
+    if ColumnType.TEXT in types:
+        return None
+    sizes = [struct.calcsize("<" + _FIXED_CODES[t]) for t in types]
+    before, after = sum(sizes[:position]) + 1, sum(sizes[position + 1 :])
+    return struct.Struct(f"<{before}x{_FIXED_CODES[types[position]][1:]}{after}x")
+
+
 #: A compiled encoder: ``row -> record bytes``.
 RowEncoder = Callable[[Sequence[Any]], bytes | bytearray]
 

@@ -7,7 +7,7 @@ rule-based and keeps no per-table or per-column statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Sequence
 
 
 @dataclass
@@ -37,30 +37,24 @@ class SpatialDistribution:
 
 
 def sample_spatial_distribution(
-    rows: "Any",
-    bbox_position: int,
+    bboxes: Sequence[tuple[float, float, float, float] | None],
     *,
     sample_limit: int = 50_000,
-    row_count_hint: int | None = None,
 ) -> SpatialDistribution:
-    """Sample bbox centres from an iterable of positional rows.
+    """Sample bbox centres from one table's bbox column.
 
-    ``rows`` yields storage tuples with a bbox at ``bbox_position``; at most
-    ``sample_limit`` centres are kept, taken at a uniform stride when
-    ``row_count_hint`` says the table is larger than the limit.
+    At most ``sample_limit`` centres are kept, taken at a uniform stride
+    when the column is longer than the limit; a NULL bbox is passed over.
     """
     stride = 1
-    if row_count_hint and row_count_hint > sample_limit:
+    if len(bboxes) > sample_limit:
         # Ceiling division: a floor stride of 1 would sample a prefix of the
         # table instead of spanning it, biasing the KD splits.
-        stride = -(-row_count_hint // sample_limit)
+        stride = -(-len(bboxes) // sample_limit)
     distribution = SpatialDistribution()
-    for index, row in enumerate(rows):
+    for index, bbox in enumerate(bboxes):
         distribution.observed_rows += 1
-        if index % stride:
-            continue
-        bbox = row[bbox_position]
-        if bbox is None:
+        if index % stride or bbox is None:
             continue
         xmin, ymin, xmax, ymax = bbox
         distribution.observe((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)

@@ -2,9 +2,10 @@
 
 A table is loaded, indexed and then only read, as Kyrix's precomputed
 tables are.  Its one write is an append: :meth:`Table.bulk_load` (and
-:meth:`Table.insert`, a one-row load) adds rows to the heap, then rebuilds
-every index (B-tree or R-tree) from the heap in one pass.  It exposes the
-access paths the mini-SQL executor and the Kyrix backend use: full scans,
+:meth:`Table.insert`, a one-row load) adds rows, :meth:`Table.copy_records`
+another table's stored records, to the heap, then every index (B-tree or
+R-tree) is rebuilt from its column in one pass.  It exposes the access
+paths the mini-SQL executor and the Kyrix backend use: full scans,
 key-index lookups and spatial-intersection lookups.
 """
 
@@ -111,9 +112,11 @@ class Table:
         return info
 
     def _backfill_index(self, info: IndexInfo) -> None:
-        column_pos = self.schema.column_index(info.column)
+        position = self.schema.column_index(info.column)
         entries = [
-            (row[column_pos], rid) for rid, row in self._heap.scan() if row[column_pos] is not None
+            entry
+            for entry in zip(self._heap.column(position), self._heap.rids())
+            if entry[0] is not None
         ]
         if info.kind == "btree":
             entries.sort(key=itemgetter(0))  # stable: equal keys stay in heap order
@@ -149,7 +152,7 @@ class Table:
             row = self.schema.coerce_mapping(values)
         else:
             row = self.schema.coerce_row(values)
-        (rid,) = self._load([row])
+        (rid,) = self._load([self._heap.encode(row)], lambda position: [row[position]])
         return rid
 
     def bulk_load(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -160,26 +163,47 @@ class Table:
         :class:`~repro.errors.DuplicateKeyError` before the heap is touched.
         Returns the number of rows loaded.
         """
-        return len(self._load(map(self.schema.coerce_row, rows)))
-
-    def _load(self, rows: Iterable[tuple[Any, ...]]) -> list[int]:
-        """The one write path: check unique keys, append, rebuild the indexes."""
-        unique = [info for info in self._indexes.values() if info.unique and info.kind == "btree"]
-        if unique:  # the rows are held back: a refused load writes nothing
+        rows = map(self.schema.coerce_row, rows)
+        if self._unique_indexes():  # the rows are held back: a refused load writes nothing
             rows = list(rows)
-            for info in unique:
-                self._check_unique(info, rows)
+        records = map(self._heap.encode, rows)
+        return len(self._load(records, lambda position: [row[position] for row in rows]))
+
+    def copy_records(self, source: "Table", rids: Sequence[int]) -> int:
+        """Append ``source``'s records at ``rids``, in that order, as they
+        are stored: nothing is decoded, coerced or encoded.  ``source`` has
+        this table's columns.  Otherwise a :meth:`bulk_load` of those rows,
+        unique-key check included (the keys are read from ``source``'s
+        column).  Returns the number copied."""
+        if source.schema.columns != self.schema.columns:
+            raise SchemaError(f"cannot copy {source.name!r}'s records into {self.name!r}")
+
+        def keys(position: int) -> list[Any]:
+            stored = dict(zip(source._heap.rids(), source._heap.column(position)))
+            return [stored[rid] for rid in rids]
+
+        return len(self._load(source._heap.records(rids), keys))
+
+    def _unique_indexes(self) -> list[IndexInfo]:
+        return [info for info in self._indexes.values() if info.unique and info.kind == "btree"]
+
+    def _load(self, records: Iterable[Any], keys: Callable[[int], list[Any]]) -> list[int]:
+        """The one write path: check unique keys, append, rebuild the indexes.
+
+        ``records`` are encoded; ``keys(position)`` is that column's values
+        in ``records`` order, read for a unique index only.
+        """
+        for info in self._unique_indexes():
+            self._check_unique(info, keys(self.schema.column_index(info.column)))
         try:
-            return self._heap.insert_many(rows)
+            return self._heap.append(records)
         finally:  # what reached the heap reaches every index, failure or not
             for info in self._indexes.values():
                 self._backfill_index(info)
 
-    def _check_unique(self, info: IndexInfo, rows: list[tuple[Any, ...]]) -> None:
-        position = self.schema.column_index(info.column)
+    def _check_unique(self, info: IndexInfo, keys: list[Any]) -> None:
         seen = set(info.index.keys())  # type: ignore[union-attr]
-        for row in rows:
-            key = row[position]
+        for key in keys:
             if key is None:
                 continue
             if key in seen:
@@ -202,8 +226,8 @@ class Table:
         info = self.get_index(index_name)
         order = info.index.rids()
         if len(order) < len(self._heap):
-            position = self.schema.column_index(info.column)
-            order += [rid for rid, row in self._heap.scan() if row[position] is None]
+            keys = self._heap.column(self.schema.column_index(info.column))
+            order += [rid for rid, key in zip(self._heap.rids(), keys) if key is None]
         self.clustered_on = info.name
         if all(map(lt, order, order[1:])):  # rids ascend: already in this order
             return
@@ -227,6 +251,14 @@ class Table:
 
     def scan_rows(self) -> Iterator[tuple[Any, ...]]:
         return self._heap.scan_rows()
+
+    def rids(self) -> list[int]:
+        """Every row's rid, in heap order."""
+        return self._heap.rids()
+
+    def column(self, name: str) -> list[Any]:
+        """One column's values in heap order (:meth:`HeapFile.column`)."""
+        return self._heap.column(self.schema.column_index(name))
 
     def lookup_key(self, column: str, key: Any) -> list[tuple[int, tuple[Any, ...]]]:
         """Equality lookup, via an index when available, otherwise a scan."""

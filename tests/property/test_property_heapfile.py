@@ -114,3 +114,79 @@ def test_heap_file_agrees_with_a_dict_model(data):
     assert [rid for rid, _ in scanned] == sorted(model)  # physical order
     assert list(heap.scan_rows()) == [row for _, row in scanned]
     assert len(stranger) == 1  # nothing reached the other heap through this one
+
+
+#: A column the fixed-width reader can read: every type but TEXT.
+FIXED_TYPES = [ColumnType.INTEGER, ColumnType.FLOAT, ColumnType.BBOX]
+
+
+def fixed_schemas_with_or_without_text() -> st.SearchStrategy[TableSchema]:
+    """INTEGER / FLOAT / BBOX columns, and a TEXT column among them or not."""
+
+    def build(types: list[ColumnType], text_at: int | None) -> TableSchema:
+        if text_at is not None:
+            types = [*types[:text_at], ColumnType.TEXT, *types[text_at:]]
+        return TableSchema.build("t", [(f"c{i}", t) for i, t in enumerate(types)])
+
+    return st.lists(st.sampled_from(FIXED_TYPES), min_size=1, max_size=4).flatmap(
+        lambda types: st.builds(build, st.just(types), st.none() | st.integers(0, len(types)))
+    )
+
+
+def random_value(rng, column_type: ColumnType):
+    if column_type is ColumnType.INTEGER:
+        return rng.randrange(-(2**63), 2**63)
+    if column_type is ColumnType.FLOAT:
+        return rng.uniform(-1e9, 1e9)
+    if column_type is ColumnType.TEXT:
+        return "".join(rng.choice("abcé☃") for _ in range(rng.randrange(8)))
+    x, y = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+    return (x, y, x + rng.uniform(0, 50), y + rng.uniform(0, 50))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_column_read_equals_the_decoded_rows_column(data):
+    """``column(i)`` is ``[row[i] for row in scan_rows()]`` and ``rids()``
+    is ``scan()``'s rids: on pages whose records all have the fixed width
+    (one column-only unpack), on pages mixing NULL and present records and
+    on a TEXT schema's pages (decoded record by record), after loads and
+    after a rewrite."""
+    schema = data.draw(fixed_schemas_with_or_without_text())
+    page_size = data.draw(st.sampled_from([512, 1024, 2048, 4096, 8192]))
+    heap = HeapFile(BufferPool(PageStore(page_size), data.draw(st.sampled_from([4, 64]))), schema)
+    rng = data.draw(st.randoms(use_true_random=False))
+    null_rate = data.draw(st.sampled_from([0.0, 0.05, 0.3]))
+    all_null = data.draw(st.none() | st.integers(0, len(schema.columns) - 1))
+
+    def rows(count: int, null_rate: float) -> list[tuple]:
+        return [
+            tuple(
+                None if i == all_null or rng.random() < null_rate else random_value(rng, column.type)
+                for i, column in enumerate(schema.columns)
+            )
+            for _ in range(count)
+        ]
+
+    def check(model: list[tuple]) -> None:
+        scanned = list(heap.scan())
+        assert [row for _, row in scanned] == model
+        assert heap.rids() == [rid for rid, _ in scanned]
+        for i in range(len(schema.columns)):
+            assert heap.column(i) == [row[i] for row in model]
+
+    # Whole pages of all-present records, then a page that mixes NULL and
+    # present ones between them (one NULL in a run), then random NULLs.
+    model = rows(data.draw(st.integers(0, 2 * page_size // 16)), 0.0)
+    model += [*rows(3, 0.0), tuple(None for _ in schema.columns), *rows(3, 0.0)]
+    model += rows(data.draw(st.integers(0, 200)), null_rate)
+    at = 0
+    while at < len(model):  # in loads of one row or many
+        step = data.draw(st.integers(1, 80))
+        heap.insert_many(model[at : at + step])
+        at += step
+        check(model[:at])
+    order = data.draw(st.permutations(heap.rids()))
+    by_rid = dict(zip(heap.rids(), model))
+    heap.rewrite(order)
+    check([by_rid[rid] for rid in order])
