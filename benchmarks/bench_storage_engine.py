@@ -9,12 +9,11 @@ out of; tracking them separately makes regressions attributable.
 from __future__ import annotations
 
 import random
-from operator import itemgetter
 
 import pytest
 
 from repro.minisql import SQLEngine
-from repro.storage import BTreeIndex, Database, RecordId, Rect, RTreeIndex
+from repro.storage import BTreeIndex, Database, Rect, RTreeIndex
 
 N_ROWS = 20_000
 
@@ -40,12 +39,12 @@ def loaded_database():
 def test_btree_bulk_load(benchmark):
     keys = list(range(N_ROWS))
     random.Random(2).shuffle(keys)
-    entries = [(key, RecordId(0, key % 100)) for key in keys]
+    rids = list(range(N_ROWS))
 
     def build():
-        # As a table builds its index: entries sorted by key, then packed.
+        # As a table builds its index: from the key column and its rids.
         index = BTreeIndex("bench")
-        index.bulk_load(sorted(entries, key=itemgetter(0)))
+        index.bulk_load(keys, rids)
         return index
 
     index = benchmark(build)
@@ -65,14 +64,16 @@ def test_btree_point_lookup(benchmark, loaded_database):
 
 def test_rtree_bulk_load(benchmark):
     rng = random.Random(1)
-    entries = []
-    for i in range(N_ROWS):
+    boxes = []
+    for _ in range(N_ROWS):
         x, y = rng.uniform(0, 10_000), rng.uniform(0, 5_000)
-        entries.append((Rect(x, y, x + 1, y + 1), RecordId(0, i % 100)))
+        boxes.append((x, y, x + 1, y + 1))
+    rids = list(range(N_ROWS))
 
     def build():
+        # As a table builds its index: from the bbox column and its rids.
         tree = RTreeIndex("bench")
-        tree.bulk_load(entries)
+        tree.bulk_load(boxes, rids)
         return tree
 
     tree = benchmark(build)

@@ -28,6 +28,7 @@ in-process instead of over HTTP) works without it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, is_dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -79,13 +80,18 @@ def _stats_payload(value: Any, depth: int = 0) -> Any:
 def create_app(backend: "DataService"):
     """Create a Flask application serving any :class:`DataService`."""
     try:
-        from flask import Flask, jsonify, request
+        from flask import Flask, request
     except ImportError as exc:  # pragma: no cover - flask is installed in CI
         raise ServerError(
             "Flask is required for the HTTP server; install repro[dev]"
         ) from exc
 
     app = Flask(f"kyrix-{backend.compiled.app_name}")
+
+    def jsonify(payload: Any):
+        # One form whatever ``app.debug`` says: Flask's compact ``jsonify``.
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return app.response_class(body + "\n", mimetype="application/json")
 
     @app.errorhandler(KyrixError)
     def _handle_kyrix_error(error: KyrixError):

@@ -21,7 +21,7 @@ from .btree import BTreeIndex
 from .database import Database
 from .heapfile import HeapFile
 from .pager import BufferPool, PageStore, PagerStats
-from .row import RecordId, compile_decoder, encode_row
+from .row import compile_decoder, encode_row
 from .rtree import Rect, RTreeIndex
 from .schema import Column, TableSchema
 from .table import IndexInfo, Table
@@ -37,7 +37,6 @@ __all__ = [
     "IndexInfo",
     "PageStore",
     "PagerStats",
-    "RecordId",
     "Rect",
     "RTreeIndex",
     "Table",

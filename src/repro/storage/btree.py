@@ -6,19 +6,20 @@ a B-tree on the ``tuple_id`` column of the record table and on the
 Python values (integers and strings in practice); duplicates are allowed
 unless the index is declared unique.
 
-An index is bulk-loaded from sorted entries (:meth:`BTreeIndex.bulk_load`,
-the only write) and then only read, so it is one sorted array: a list of
-the ``keys`` beside an ``array('q')`` of the rids, one per entry.  A probe
-is a binary search of ``keys``; a key stored more than once is a run of
-adjacent entries in load order, and comes back as a slice of the rids.
+An index is bulk-loaded from its column (:meth:`BTreeIndex.bulk_load`, the
+only write) and then only read, so it is one sorted array: a list of the
+``keys`` beside an ``array('q')`` of the rids, one per entry.  A probe is a
+binary search of ``keys``; a key stored more than once is a run of adjacent
+entries in column order, and comes back as a slice of the rids.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import groupby
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from itertools import compress, groupby, repeat
+from operator import eq, is_not
+from typing import Any, Iterator, Mapping, Sequence
 
 from ..errors import DuplicateKeyError, StorageError
 
@@ -47,18 +48,20 @@ class BTreeIndex:
         """Number of (key, rid) entries stored."""
         return len(self._keys)
 
-    def bulk_load(self, pairs: Iterable[tuple[Any, int]]) -> None:
-        """Replace the contents with ``pairs``, which arrive sorted by key
-        (equal keys in the order their entries are to be returned).  A load
-        out of order, or a duplicate key in a unique index, is refused
-        before the contents change."""
-        keys: list[Any] = []
-        rids = array("q")
-        for key, rid in pairs:
-            keys.append(key)
-            rids.append(rid)
-        self._check_order(keys)
-        self._keys, self._rids = keys, rids
+    def bulk_load(self, keys: Sequence[Any], rids: Sequence[int]) -> None:
+        """Replace the contents with an entry per key of ``keys``, a column
+        as the heap stores it, ``rids[i]`` naming the record ``keys[i]`` is
+        read from; a NULL key is not indexed.  One stable sort orders the
+        entries, so equal keys keep the column's order.  A duplicate key in
+        a unique index is refused before the contents change."""
+        order = sorted(
+            compress(range(len(keys)), map(is_not, keys, repeat(None))), key=keys.__getitem__
+        )
+        ordered = list(map(keys.__getitem__, order))
+        if self.unique and True in (repeats := list(map(eq, ordered, ordered[1:]))):
+            duplicate = ordered[repeats.index(True)]
+            raise DuplicateKeyError(f"index {self.name!r}: duplicate key {duplicate!r}")
+        self._keys, self._rids = ordered, array("q", map(rids.__getitem__, order))
 
     def _check_order(self, keys: list[Any]) -> None:
         for left, right in zip(keys, keys[1:]):

@@ -16,10 +16,9 @@ Records are only ever appended -- encoded, or copied whole as stored
 pages): no record is updated or deleted in place, so every slot holds a live
 record, and a page's records sit end to end below its free offset.
 
-Records are addressed by an integer rid, ``page_no << 16 | slot_no``
-(:class:`~repro.storage.row.RecordId`), and never span pages, so the maximum
-record size is bounded by the page size -- itself at most 65 535 bytes, what
-a ``<H`` offset can name.
+Records are addressed by an integer rid, ``page_no << 16 | slot_no``, and
+never span pages, so the maximum record size is bounded by the page size --
+itself at most 65 535 bytes, what a ``<H`` offset can name.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import PageError, RecordNotFoundError, StorageError
 from .pager import BufferPool
-from .row import SLOT_BITS, SLOT_MASK, RecordId, column_layout, compile_decoder, compile_encoder
+from .row import SLOT_BITS, SLOT_MASK, column_layout, compile_decoder, compile_encoder
 from .schema import TableSchema
 from .types import ColumnType
 
@@ -41,11 +40,6 @@ _SLOT = struct.Struct("<HH")  # record offset, record length
 
 #: An encoded record on its way onto a page.
 _Record = bytes | bytearray | memoryview
-
-
-def _named(rid: int) -> RecordId:
-    """``rid`` as page and slot, for a caller or an error message."""
-    return RecordId(rid >> SLOT_BITS, rid & SLOT_MASK)
 
 
 class HeapFile:
@@ -185,13 +179,15 @@ class HeapFile:
             rid_page = rid >> SLOT_BITS
             if rid_page != page_no:
                 if rid_page not in owned:
-                    raise RecordNotFoundError(f"no such page in heap file: {_named(rid)}")
+                    raise RecordNotFoundError(
+                        f"no such page in heap file: page={rid_page}, slot={rid & SLOT_MASK}"
+                    )
                 page_no = rid_page
                 page = get_page(page_no)
                 slot_count, _ = unpack_header(page, 0)
             slot_no = rid & SLOT_MASK
             if slot_no >= slot_count:
-                raise RecordNotFoundError(f"slot out of range: {_named(rid)}")
+                raise RecordNotFoundError(f"slot out of range: page={page_no}, slot={slot_no}")
             offset, length = unpack_slot(page, _HEADER.size + slot_no * _SLOT.size)
             yield page, offset, length
 

@@ -2,8 +2,7 @@
 
 Records are serialised into a compact binary form so that the heap file can
 store them on fixed-size pages, just like a conventional slotted-page DBMS.
-A record id is the integer ``page_no << 16 | slot_no``; :class:`RecordId`
-names its two halves.
+A record id is the integer ``page_no << 16 | slot_no``.
 
 Reading goes through a decoder compiled once per schema: a row
 whose columns are all present and fixed-width is one ``struct`` unpack
@@ -28,35 +27,6 @@ from .types import ColumnType, decode_value, encode_value
 #: are 16-bit, so a page never has 2 ** 16 slots.
 SLOT_BITS = 16
 SLOT_MASK = (1 << SLOT_BITS) - 1
-
-
-class RecordId(int):
-    """Physical address of a record: page number and slot within the page.
-
-    A rid *is* the integer ``page_no << 16 | slot_no`` -- what the indexes
-    store and :class:`~repro.storage.heapfile.HeapFile` resolves; this class
-    only names the two halves, for error messages.  It orders and compares
-    as its integer.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, page_no: int, slot_no: int) -> "RecordId":
-        return super().__new__(cls, page_no << SLOT_BITS | slot_no)
-
-    def __getnewargs__(self) -> tuple[int, int]:  # copy.copy / deepcopy rebuild from the halves
-        return (self.page_no, self.slot_no)
-
-    @property
-    def page_no(self) -> int:
-        return self >> SLOT_BITS
-
-    @property
-    def slot_no(self) -> int:
-        return self & SLOT_MASK
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RecordId(page={self.page_no}, slot={self.slot_no})"
 
 
 def encode_row(row: Sequence[Any], schema: TableSchema) -> bytes:

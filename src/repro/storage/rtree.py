@@ -35,8 +35,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, le
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import le
+from typing import Iterator, Mapping, Sequence
 
 from ..errors import StorageError
 
@@ -150,23 +150,38 @@ def _box(bbox: Rect | Sequence[float]) -> Box:
     return x0, y0, x1, y1
 
 
-def _box_columns(boxes: list) -> list[list[float]] | None:
-    """``boxes`` as four coordinate columns, when every box is a 4-tuple of
-    floats with ``xmin <= xmax`` and ``ymin <= ymax``; None otherwise."""
+def _box_columns(boxes: Sequence[Box]) -> list[list[float]]:
+    """``boxes`` as four coordinate columns, xmin / ymin / xmax / ymax, when
+    every box is what a BBOX column stores: a 4-tuple of floats with
+    ``xmin <= xmax`` and ``ymin <= ymax``.  Otherwise the first box that is
+    not is refused by name."""
     if not boxes:
         return [[], [], [], []]
-    if set(map(type, boxes)) != {tuple} or set(map(len, boxes)) != {4}:
-        return None
-    # Lists, not zip's tuples: _pack reads them through ``__getitem__``,
-    # which a tuple answers by a slower call.
-    columns = list(map(list, zip(*boxes)))
-    x0, y0, x1, y1 = columns
-    if set(map(type, chain(*columns))) != {float}:
-        return None
-    # NaN compares false: the per-entry check refuses it by name.
-    if not (all(map(le, x0, x1)) and all(map(le, y0, y1))):
-        return None
-    return columns
+    if set(map(type, boxes)) == {tuple} and set(map(len, boxes)) == {4}:
+        # Lists, not zip's tuples: _pack reads them through ``__getitem__``,
+        # which a tuple answers by a slower call.
+        columns = list(map(list, zip(*boxes)))
+        x0, y0, x1, y1 = columns
+        # NaN compares false, so a box holding one is refused below.
+        if (
+            set(map(type, chain(*columns))) == {float}
+            and all(map(le, x0, x1))
+            and all(map(le, y0, y1))
+        ):
+            return columns
+    raise StorageError(next(filter(None, map(_refusal, boxes))))
+
+
+def _refusal(box: object) -> str | None:
+    """Why ``box`` is not a BBOX column's value, or None when it is one."""
+    if type(box) is not tuple or set(map(type, box)) - {float}:
+        return f"bbox must be a tuple of floats, got {box!r}"
+    if len(box) != 4:
+        return f"bbox must have 4 values, got {box!r}"
+    x0, y0, x1, y1 = box
+    if not (x0 <= x1 and y0 <= y1):  # NaN compares false
+        return f"degenerate rectangle: {box!r}"
+    return None
 
 
 def _str_groups(x0: list, y0: list, x1: list, y1: list, capacity: int) -> list[list[int]]:
@@ -240,20 +255,16 @@ class RTreeIndex:
         # columns or the new, never a mix.
         self._packed = (xmin, ymin, xmax, ymax, refs, len(levels), len(refs) - len(rids))
 
-    def bulk_load(self, entries: Iterable[tuple[Rect | Sequence[float], int]]) -> None:
-        """Replace the tree contents with an STR-packed tree over ``entries``.
-
-        Boxes that are all 4-tuples of floats -- what a BBOX column stores
-        -- are transposed once and checked a column at a time; any other
-        input is checked entry by entry by :func:`_box`, which names the
-        first box it refuses.
-        """
-        entries = list(entries)
-        boxes = list(map(itemgetter(0), entries))
-        columns = _box_columns(boxes)
-        if columns is None:
-            columns = list(map(list, zip(*map(_box, boxes))))
-        self._pack(columns, list(map(itemgetter(1), entries)))
+    def bulk_load(self, boxes: Sequence[Box | None], rids: Sequence[int]) -> None:
+        """Replace the tree contents with an STR-packed tree over ``boxes``,
+        a BBOX column as the heap stores it, ``rids[i]`` naming the record
+        ``boxes[i]`` is read from; a NULL box is not indexed.  A box that is
+        not an ordered 4-tuple of floats refuses the load, named, before the
+        tree changes."""
+        if None in boxes:
+            present = [i for i, box in enumerate(boxes) if box is not None]
+            boxes, rids = [boxes[i] for i in present], [rids[i] for i in present]
+        self._pack(_box_columns(boxes), rids)
 
     # -- queries ---------------------------------------------------------------
 

@@ -4,15 +4,15 @@ A table is loaded, indexed and then only read, as Kyrix's precomputed
 tables are.  Its one write is an append: :meth:`Table.bulk_load` (and
 :meth:`Table.insert`, a one-row load) adds rows, :meth:`Table.copy_records`
 another table's stored records, to the heap, then every index (B-tree or
-R-tree) is rebuilt from its column in one pass.  It exposes the access
-paths the mini-SQL executor and the Kyrix backend use: full scans,
-key-index lookups and spatial-intersection lookups.
+R-tree) is rebuilt from its column in one pass.  It exposes what the
+mini-SQL planner builds its access paths from: full scans, one column in
+heap order, its indexes (``find_index_on``) and fetches by rid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, lt
+from operator import lt
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import (
@@ -25,8 +25,9 @@ from ..errors import (
 from .btree import BTreeIndex
 from .heapfile import HeapFile
 from .pager import BufferPool
-from .rtree import Rect, RTreeIndex
+from .rtree import RTreeIndex
 from .schema import TableSchema
+from .types import ColumnType
 
 #: Union of the index implementations a table may carry.
 AnyIndex = BTreeIndex | RTreeIndex
@@ -91,14 +92,19 @@ class Table:
     ) -> IndexInfo:
         """Create an index on ``column`` and backfill it from existing rows.
 
-        ``kind`` is ``"btree"`` or ``"rtree"``.  R-tree indexes require a
-        BBOX column.
+        ``kind`` is ``"btree"`` or ``"rtree"``.  An R-tree on a column that
+        is not BBOX is a :class:`~repro.errors.SchemaError`.
         """
         if name in self._indexes:
             raise DuplicateIndexError(f"index {name!r} already exists on {self.name!r}")
         if not self.schema.has_column(column):
             raise SchemaError(f"table {self.name!r} has no column {column!r}")
         column = column.lower()
+        column_type = self.schema.column(column).type
+        if kind == "rtree" and column_type is not ColumnType.BBOX:
+            raise SchemaError(
+                f"an rtree needs a BBOX column; {self.name}.{column} is {column_type.name}"
+            )
         if kind == "btree":
             index: AnyIndex = BTreeIndex(name, unique=unique)
         elif kind == "rtree":
@@ -112,15 +118,7 @@ class Table:
         return info
 
     def _backfill_index(self, info: IndexInfo) -> None:
-        position = self.schema.column_index(info.column)
-        entries = [
-            entry
-            for entry in zip(self._heap.column(position), self._heap.rids())
-            if entry[0] is not None
-        ]
-        if info.kind == "btree":
-            entries.sort(key=itemgetter(0))  # stable: equal keys stay in heap order
-        info.index.bulk_load(entries)
+        info.index.bulk_load(self.column(info.column), self._heap.rids())
 
     def drop_index(self, name: str) -> None:
         if name not in self._indexes:
@@ -259,26 +257,3 @@ class Table:
     def column(self, name: str) -> list[Any]:
         """One column's values in heap order (:meth:`HeapFile.column`)."""
         return self._heap.column(self.schema.column_index(name))
-
-    def lookup_key(self, column: str, key: Any) -> list[tuple[int, tuple[Any, ...]]]:
-        """Equality lookup, via an index when available, otherwise a scan."""
-        info = self.find_index_on(column, kinds=("btree",))
-        if info is not None:
-            rids = info.index.search(key)  # type: ignore[union-attr]
-            return list(zip(rids, self._heap.fetch_many(rids)))
-        position = self.schema.column_index(column)
-        return [(rid, row) for rid, row in self._heap.scan() if row[position] == key]
-
-    def spatial_search(self, column: str, query: Rect) -> list[tuple[int, tuple[Any, ...]]]:
-        """Bbox-intersection lookup, via an R-tree when available."""
-        info = self.find_index_on(column, kinds=("rtree",))
-        if info is not None:
-            rids = info.index.search(query)  # type: ignore[union-attr]
-            return list(zip(rids, self._heap.fetch_many(rids)))
-        position = self.schema.column_index(column)
-        results = []
-        for rid, row in self._heap.scan():
-            value = row[position]
-            if value is not None and Rect.from_tuple(value).intersects(query):
-                results.append((rid, row))
-        return results

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import RecordNotFoundError, StorageError
 from repro.storage.heapfile import HeapFile
 from repro.storage.pager import BufferPool, PageStore
-from repro.storage.row import RecordId, compile_decoder, compile_encoder, encode_row
+from repro.storage.row import compile_decoder, compile_encoder, encode_row
 from repro.storage.schema import TableSchema
 from repro.storage.types import ColumnType, decode_value
 
@@ -70,7 +70,7 @@ def test_heap_file_agrees_with_a_dict_model(data):
     heap = HeapFile(pool, schema)
     stranger = HeapFile(pool, schema)
     model: dict[int, tuple] = {}
-    dead: list[int] = [*stranger.insert_many([data.draw(rows_of(schema))]), RecordId(10_000, 0)]
+    dead: list[int] = [*stranger.insert_many([data.draw(rows_of(schema))]), 10_000 << 16]
 
     for _ in range(data.draw(st.integers(1, 40))):
         action = data.draw(st.sampled_from(["insert"] * 3 + ["insert_many", "rewrite", "fetch_many"]))

@@ -2,14 +2,13 @@
 
 These check the invariants the rest of the system leans on: a bulk-loaded
 index agrees with brute force, keeps its structural invariants whatever it
-is loaded with, and never returns a phantom entry; a table a unique index
-refuses a load for is left as it was; and rows inserted one at a time land
-as one load of them would.
+is loaded with, and never returns a phantom entry; a load from a column
+stores what a load from its sorted ``(value, rid)`` pairs did; a table a
+unique index refuses a load for is left as it was; and rows inserted one at
+a time land as one load of them would.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +16,15 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import DuplicateKeyError
 from repro.storage.btree import BTreeIndex
 from repro.storage.database import Database
-from repro.storage.row import RecordId
 from repro.storage.rtree import Rect, RTreeIndex
+from tests.storage.reference import lookup_key, probe, spatial_search
+from tests.storage.test_btree import reference_entries
+from tests.storage.test_rtree import reference_packed
 
 
-def rid(n: int) -> RecordId:
-    return RecordId(page_no=n // 64, slot_no=n % 64)
+def rid(n: int) -> int:
+    """Record ``n % 64`` of page ``n // 64``."""
+    return n // 64 << 16 | n % 64
 
 
 keys = st.integers(min_value=-1000, max_value=1000)
@@ -36,10 +38,9 @@ boxes = st.one_of(
 
 
 def loaded(values, *, unique: bool = False) -> BTreeIndex:
-    """A B-tree over ``value -> rid(position)``, loaded as a table loads it:
-    stably sorted by key, so equal keys keep their position order."""
+    """A B-tree over ``value -> rid(position)``, loaded as a table loads it."""
     index = BTreeIndex("p", unique=unique)
-    index.bulk_load(sorted(((key, rid(p)) for p, key in enumerate(values)), key=itemgetter(0)))
+    index.bulk_load(values, [rid(p) for p in range(len(values))])
     return index
 
 
@@ -48,7 +49,7 @@ class TestBTreeProperties:
     @settings(max_examples=60, deadline=None)
     def test_search_matches_brute_force(self, values):
         index = loaded(values)
-        reference: dict[int, list[RecordId]] = {}
+        reference: dict[int, list[int]] = {}
         for position, key in enumerate(values):
             reference.setdefault(key, []).append(rid(position))
         index.validate()
@@ -73,17 +74,17 @@ class TestBTreeProperties:
         assert list(index.keys()) == sorted(model)
         assert index.search_many([5, 0, 7]) == model.get(5, []) + model.get(0, [])
 
-    @given(st.lists(keys, max_size=200))
+    @given(st.lists(st.one_of(st.none(), keys), max_size=200))
     @settings(max_examples=40, deadline=None)
     def test_bulk_load_equals_the_sorted_pairs(self, values):
-        pairs = sorted((key, position) for position, key in enumerate(values))
+        pairs = sorted((key, position) for position, key in enumerate(values) if key is not None)
         index = BTreeIndex("b")
-        index.bulk_load(pairs)
+        index.bulk_load(values, range(len(values)))
         index.validate()
-        assert len(index) == len(values)
+        assert len(index) == len(pairs)
         assert index.rids() == [position for _, position in pairs]
-        assert list(index.keys()) == sorted(set(values))
-        for key in set(values) | {1234}:
+        assert list(index.keys()) == sorted({key for key, _ in pairs})
+        for key in {key for key, _ in pairs} | {1234}:
             assert index.search(key) == [position for k, position in pairs if k == key]
 
     @given(st.booleans(), st.lists(keys, max_size=200), st.lists(keys, max_size=60))
@@ -100,9 +101,9 @@ class TestBTreeProperties:
     def test_unique_index_refuses_a_second_entry(self, values, data):
         duplicate = data.draw(st.sampled_from(values))
         index = BTreeIndex("u", unique=True)
-        index.bulk_load((key, rid(key + 1000)) for key in sorted(values))
+        index.bulk_load(values, [rid(key + 1000) for key in values])
         with pytest.raises(DuplicateKeyError):
-            index.bulk_load((key, rid(1)) for key in sorted(values + [duplicate]))
+            index.bulk_load(values + [duplicate], [rid(1)] * (len(values) + 1))
         index.validate()  # a refused load leaves the contents as they were
         assert index.search(duplicate) == [rid(duplicate + 1000)]
 
@@ -128,11 +129,12 @@ class TestUniqueLoads:
             for info in table.indexes.values():
                 info.index.validate()
             for key in range(13):
-                assert [row for _, row in table.lookup_key("id", key)] == [
+                assert probe(table, "id", key) == lookup_key(table, "id", key)
+                assert [row for _, row in probe(table, "id", key)] == [
                     row for row in model if row[0] == key
                 ]
             for _, a in batch:
-                assert [row for _, row in table.lookup_key("a", a)] == [
+                assert [row for _, row in probe(table, "a", a)] == [
                     row for row in model if row[1] == a
                 ]
 
@@ -151,9 +153,11 @@ class TestUniqueLoads:
         one_by_one, at_once = tables
         assert list(one_by_one.scan()) == list(at_once.scan())
         for key in range(7):
-            assert one_by_one.lookup_key("k", key) == at_once.lookup_key("k", key)
+            assert probe(one_by_one, "k", key) == probe(at_once, "k", key)
+            assert probe(at_once, "k", key) == lookup_key(at_once, "k", key)
         query = Rect(100.0, 50.0, 600.0, 400.0)
-        assert one_by_one.spatial_search("box", query) == at_once.spatial_search("box", query)
+        assert probe(one_by_one, "box", query) == probe(at_once, "box", query)
+        assert sorted(probe(at_once, "box", query)) == spatial_search(at_once, "box", query.as_tuple())
 
 
 rect_coords = st.tuples(
@@ -200,7 +204,7 @@ class TestPackedRTreeModel:
             queries = [EVERYTHING]  # a box every node lies inside: slices, not tests
             if step[0] == "load":
                 model = list(step[1])
-                tree.bulk_load(model)
+                tree.bulk_load([box for box, _ in model], [r for _, r in model])
                 queries += [box for box, _ in model[:3]]
             else:
                 queries.append(step[1])
@@ -220,7 +224,7 @@ class TestRTreeProperties:
     def test_bulk_load_search_matches_brute_force(self, coords, query_coords):
         entries = [(make_rect(c), rid(i)) for i, c in enumerate(coords)]
         tree = RTreeIndex("p", max_entries=8)
-        tree.bulk_load(entries)
+        tree.bulk_load([rect.as_tuple() for rect, _ in entries], [r for _, r in entries])
         tree.validate()
         query = make_rect(query_coords)
         expected = {r for rect, r in entries if rect.intersects(query)}
@@ -231,7 +235,7 @@ class TestRTreeProperties:
     def test_everything_found_by_enclosing_query(self, coords):
         entries = [(make_rect(c), rid(i)) for i, c in enumerate(coords)]
         tree = RTreeIndex("p", max_entries=6)
-        tree.bulk_load(entries)
+        tree.bulk_load([rect.as_tuple() for rect, _ in entries], [r for _, r in entries])
         everything = tree.search(Rect(-1, -1, 2000, 1000))
         assert len(everything) == len(entries)
 
@@ -244,3 +248,36 @@ class TestRTreeProperties:
         assert scaled.center[1] == pytest.approx(rect.center[1], abs=1e-6)
         assert scaled.area == pytest.approx(rect.area * factor * factor, rel=1e-6, abs=1e-9)
 
+
+class TestColumnLoads:
+    """A load from a column, NULLs and all, stores what a load from its
+    sorted ``(value, rid)`` pairs stored: the references build from pairs."""
+
+    @given(st.lists(st.one_of(st.none(), st.integers(0, 8)), max_size=200), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_a_btree_equals_the_pair_reference(self, values, unique):
+        if unique:
+            values = [None if key in values[:at] else key for at, key in enumerate(values)]
+        rids = [rid(p) for p in range(len(values))]
+        index = BTreeIndex("c", unique=unique)
+        index.bulk_load(values, rids)
+        assert (index._keys, index._rids) == reference_entries(values, rids)
+        index.validate()
+
+    @given(st.integers(min_value=4, max_value=32), st.lists(st.one_of(st.none(), grid_box), max_size=150))
+    @settings(max_examples=80, deadline=None)
+    def test_an_rtree_equals_the_pair_reference(self, max_entries, column):
+        rids = [rid(p) for p in range(len(column))]
+        tree = RTreeIndex("c", max_entries=max_entries)
+        tree.bulk_load(column, rids)
+        assert tree._packed == reference_packed(column, rids, max_entries=max_entries)
+        tree.validate()
+
+    @given(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 6)), boxes), max_size=60))
+    @settings(max_examples=40, deadline=None)
+    def test_a_tables_indexes_equal_the_pair_references(self, rows):
+        table = Database().create_and_load("t", [("k", "int"), ("box", "bbox")], rows)
+        keys = table.create_index("t_k", "k", "btree").index
+        tree = table.create_index("t_box", "box", "rtree").index
+        assert (keys._keys, keys._rids) == reference_entries(table.column("k"), table.rids())
+        assert tree._packed == reference_packed(table.column("box"), table.rids())

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SQLExecutionError, SQLSyntaxError
 from repro.minisql import SQLEngine
 from repro.storage.database import Database
+from tests.storage.reference import lookup_key
 
 # -- data ----------------------------------------------------------------------
 
@@ -251,8 +252,9 @@ class TestPreparedStatementsAgreeWithSQLite:
 
 
 class TestBatchedJoinEqualsTheNestedLoop:
-    """`IndexNLJoin` probes and fetches in one batch; the loop it replaced --
-    one ``Table.lookup_key`` per outer row -- is the reference, order included."""
+    """`IndexNLJoin` probes and fetches in one batch; a nested loop that
+    scans the inner table once per outer row -- no index -- is the
+    reference, order included."""
 
     @given(t_rows, u_rows)
     @settings(max_examples=200, deadline=None)
@@ -265,7 +267,7 @@ class TestBatchedJoinEqualsTheNestedLoop:
             outer_row + inner_row
             for outer_row in engine.execute("SELECT * FROM t").rows
             if outer_row[1] is not None  # a NULL outer key joins nothing
-            for _, inner_row in inner.lookup_key("k", outer_row[1])  # absent: no rows; repeated: all
+            for _, inner_row in lookup_key(inner, "k", outer_row[1])  # absent: none; repeated: all
         ]
         assert engine.execute(sql).rows == expected
 
@@ -286,13 +288,13 @@ class TestBatchedJoinEqualsTheNestedLoop:
 
     @staticmethod
     def nested_loop(engine, pick, where=lambda outer_row, inner_row: True):
-        """The reference: one ``lookup_key`` per outer row, in outer order."""
+        """The reference: one inner scan per outer row, in outer order."""
         inner = engine.database.table("u")
         return [
             pick(outer_row, inner_row)
             for outer_row in engine.execute("SELECT * FROM t").rows
             if outer_row[1] is not None
-            for _, inner_row in inner.lookup_key("k", outer_row[1])
+            for _, inner_row in lookup_key(inner, "k", outer_row[1])
             if where(outer_row, inner_row)
         ]
 

@@ -1,6 +1,8 @@
 """Tests for the Flask HTTP deployment of the backend."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -168,6 +170,97 @@ class TestRowOrderAtTheEdge:
             assert self._objects(app.test_client(), urls) == single
         finally:
             service.close()
+
+
+#: sha256 of every body ``TestRowOrderAtTheEdge``'s requests answer, in
+#: request order, each on a fresh stack, with the timing in ``query_ms``
+#: written as 0 (the only part of a body that varies from run to run).
+EDGE_GOLDEN = {
+    "single": [
+        "100da5ded20cc33892907f7a9777656c0a5f72f0c8c4edd38e46a68fe40534cd",
+        "5f4507776a9aa2f1427e5590166cffeadd6f1bb261b7a6449aaab6ab36b27e23",
+        "ad69df3344e6a3f63173a08fb9871cf8a103b9ac65c3ed95de3a4395e0df736c",
+        "966ff398834390599e30152180a32d83c5761f9c74a88a31635b72ba9923caa3",
+        "7701156fb485541d33b18a715d8267b7766fe292c3f462a6e9ac3322a16451e3",
+        "d3e0ad89fbcc971a9877ee70df0b47ab099bc4b8dc905e1b1b6e6c7c1ada3e4e",
+        "fd0cfadaccb296b9d04b46c89d60914d60536ce0edf43298bfdd643a9a201e7b",
+        "cc2eb88e8f38cec5c9b2d88a62acc931b7412632b52ee3dc5ff8e2e228ae9202",
+        "5dfe0a5bad61766d19960cd9f8c4e7cff925527843013543bfb810bd676e689e",
+        "d6274b4febdf58d53621f4f8ef6fc596a7c68bbbeea1896e5d338135d7c2cbc0",
+        "fa6f7fc2f6817e52824e03b1e28a6c1bcd051800c632c07e6e884deac3297354",
+        "fdba9c84ea169b3440b52f1de264bb53c97acd57fec429ad4461635944bf9b64",
+        "3c624f701e998d9b2b1d3d409e0db001b4535e55adbd7337a5826e04e3529a35",
+        "d6274b4febdf58d53621f4f8ef6fc596a7c68bbbeea1896e5d338135d7c2cbc0",
+        "fa6f7fc2f6817e52824e03b1e28a6c1bcd051800c632c07e6e884deac3297354",
+        "fdba9c84ea169b3440b52f1de264bb53c97acd57fec429ad4461635944bf9b64",
+        "3c624f701e998d9b2b1d3d409e0db001b4535e55adbd7337a5826e04e3529a35",
+    ],
+    "cluster": [
+        "100da5ded20cc33892907f7a9777656c0a5f72f0c8c4edd38e46a68fe40534cd",
+        "5f4507776a9aa2f1427e5590166cffeadd6f1bb261b7a6449aaab6ab36b27e23",
+        "ad69df3344e6a3f63173a08fb9871cf8a103b9ac65c3ed95de3a4395e0df736c",
+        "0a3c3964dce35b741d4204a69d63c06201d439d136c369783ecb854b98031e50",
+        "2f39d1e4fe7d7d8bd6558045fa3506c6ac2cc847b9da322464b0f8fb75db52bf",
+        "9f0679266b506417136c49acc9095686ca8bacfd44771f09494c79770a3a72c3",
+        "fd0cfadaccb296b9d04b46c89d60914d60536ce0edf43298bfdd643a9a201e7b",
+        "cc2eb88e8f38cec5c9b2d88a62acc931b7412632b52ee3dc5ff8e2e228ae9202",
+        "5dfe0a5bad61766d19960cd9f8c4e7cff925527843013543bfb810bd676e689e",
+        "d6274b4febdf58d53621f4f8ef6fc596a7c68bbbeea1896e5d338135d7c2cbc0",
+        "7de58cd377c4bae0cf139a459b3ce8fb41c6ee48e4449f84a6625d39958d94a9",
+        "fdba9c84ea169b3440b52f1de264bb53c97acd57fec429ad4461635944bf9b64",
+        "3c624f701e998d9b2b1d3d409e0db001b4535e55adbd7337a5826e04e3529a35",
+        "d6274b4febdf58d53621f4f8ef6fc596a7c68bbbeea1896e5d338135d7c2cbc0",
+        "7de58cd377c4bae0cf139a459b3ce8fb41c6ee48e4449f84a6625d39958d94a9",
+        "fdba9c84ea169b3440b52f1de264bb53c97acd57fec429ad4461635944bf9b64",
+        "3c624f701e998d9b2b1d3d409e0db001b4535e55adbd7337a5826e04e3529a35",
+    ],
+}
+
+
+def edge_bodies(dots_stack, urls, *, debug: bool = False, **cluster) -> list[bytes]:
+    """The bodies a fresh stack over ``dots_stack``'s backend answers
+    ``urls`` with, ``query_ms`` written as 0."""
+    from repro.serving import build_service
+
+    service = build_service(dots_stack.backend.config, backend=dots_stack.backend, **cluster)
+    try:
+        app = create_app(service)
+        app.config["TESTING"] = True
+        app.debug = debug
+        client = app.test_client()
+        bodies = [client.get(url) for url in urls]
+    finally:
+        service.close()
+    assert all(body.status_code == 200 for body in bodies)
+    assert all(body.mimetype == "application/json" for body in bodies)
+    return [re.sub(rb'"query_ms":[^,}]+', b'"query_ms":0', body.get_data()) for body in bodies]
+
+
+def edge_digests(dots_stack) -> dict[str, list[str]]:
+    """Each topology's :data:`EDGE_GOLDEN` list, read afresh."""
+    urls = TestRowOrderAtTheEdge._urls(dots_stack)
+    topologies = {"single": {}, "cluster": {"tile_sizes": (512,), "shard_count": 2}}
+    return {
+        topology: [
+            hashlib.sha256(body).hexdigest()
+            for body in edge_bodies(dots_stack, urls, **cluster)
+        ]
+        for topology, cluster in topologies.items()
+    }
+
+
+class TestOneJSONForm:
+    """Every body is one ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+    and a newline, whatever the app's debug flag says."""
+
+    def test_the_edge_answers_its_golden_bytes(self, dots_stack):
+        assert edge_digests(dots_stack) == EDGE_GOLDEN
+
+    def test_a_debug_app_answers_byte_identically(self, dots_stack):
+        urls = TestRowOrderAtTheEdge._urls(dots_stack)[:3] + ["/app", "/canvas/dots"]
+        debug = edge_bodies(dots_stack, urls, debug=True)
+        assert debug == edge_bodies(dots_stack, urls)
+        assert all(body.endswith(b"}\n") for body in debug)
 
 
 class TestStatsSerialization:

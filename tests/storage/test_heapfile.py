@@ -5,7 +5,6 @@ import pytest
 from repro.errors import PageError, RecordNotFoundError, StorageError
 from repro.storage.heapfile import HeapFile
 from repro.storage.pager import BufferPool, PageStore
-from repro.storage.row import RecordId
 from repro.storage.schema import TableSchema
 
 
@@ -16,10 +15,15 @@ def heap() -> HeapFile:
     return HeapFile(pool, schema)
 
 
-def put(heap: HeapFile, row: tuple) -> RecordId:
-    """Append one row; its rid, page and slot named."""
+def put(heap: HeapFile, row: tuple) -> int:
+    """Append one row; its rid."""
     (rid,) = heap.insert_many([row])
-    return RecordId(rid >> 16, rid & 0xFFFF)
+    return rid
+
+
+def at(page_no: int, slot_no: int) -> int:
+    """The rid of slot ``slot_no`` on page ``page_no``."""
+    return page_no << 16 | slot_no
 
 
 class TestInsertFetch:
@@ -46,41 +50,12 @@ class TestInsertFetch:
     def test_fetch_unknown_page_raises(self, heap):
         put(heap, (1, "a"))
         with pytest.raises(RecordNotFoundError):
-            heap.fetch(RecordId(page_no=99, slot_no=0))
+            heap.fetch(at(99, 0))
 
     def test_fetch_unknown_slot_raises(self, heap):
         rid = put(heap, (1, "a"))
         with pytest.raises(RecordNotFoundError):
-            heap.fetch(RecordId(page_no=rid.page_no, slot_no=50))
-
-
-class TestRecordId:
-    def test_a_rid_is_its_packed_integer(self):
-        rid = RecordId(page_no=3, slot_no=5)
-        assert rid == 3 << 16 | 5 and isinstance(rid, int)
-        assert (rid.page_no, rid.slot_no) == (3, 5)
-        assert hash(rid) == hash(3 << 16 | 5) and {rid: "row"}[3 << 16 | 5] == "row"
-        assert RecordId(7, 65_535).slot_no == 65_535
-
-    def test_orders_by_page_then_slot_as_before(self):
-        rids = [RecordId(2, 0), RecordId(1, 9), RecordId(1, 10), RecordId(0, 65_535)]
-        by_halves = sorted(rids, key=lambda rid: (rid.page_no, rid.slot_no))
-        assert sorted(rids) == by_halves == [rids[3], rids[1], rids[2], rids[0]]
-
-    def test_survives_copy_and_pickle(self):
-        import copy
-        import pickle
-
-        rid = RecordId(4, 2)
-        for clone in (copy.deepcopy(rid), pickle.loads(pickle.dumps(rid))):
-            assert clone == rid and type(clone) is RecordId
-
-    def test_heap_hands_back_and_scans_the_same_integers(self, heap):
-        inserted = heap.insert_many([(i, "x" * 200) for i in range(12)])  # several pages
-        scanned = [rid for rid, _ in heap.scan()]
-        assert scanned == inserted and all(type(rid) is int for rid in scanned)
-        named = [RecordId(rid >> 16, rid & 0xFFFF) for rid in inserted]
-        assert heap.fetch_many(named) == heap.fetch_many(inserted)
+            heap.fetch(at(rid >> 16, 50))
 
 
 class TestFetchMany:
@@ -99,7 +74,7 @@ class TestFetchMany:
     def test_one_bad_rid_fails_the_batch(self, heap):
         rids = [put(heap, (i, "v")) for i in range(3)]
         with pytest.raises(RecordNotFoundError):
-            heap.fetch_many([rids[0], RecordId(rids[1].page_no, 50), rids[2]])
+            heap.fetch_many([rids[0], at(rids[1] >> 16, 50), rids[2]])
 
 
 class TestRidValidation:
@@ -116,7 +91,7 @@ class TestRidValidation:
     def test_negative_slot_raises(self, heap):
         rid = put(heap, (1, "a"))
         with pytest.raises(RecordNotFoundError):
-            heap.fetch(RecordId(page_no=rid.page_no, slot_no=-1))
+            heap.fetch(at(rid >> 16, -1))
 
     @pytest.mark.parametrize("bad", [-1, -(1 << 16), -(5 << 16 | 3), 99 << 16, 1 << 40])
     def test_negative_or_foreign_integer_raises_from_every_entry_point(self, heap, bad):
@@ -139,6 +114,12 @@ class TestRidValidation:
 
 
 class TestScan:
+    def test_heap_hands_back_and_scans_the_same_integers(self, heap):
+        inserted = heap.insert_many([(i, "x" * 200) for i in range(12)])  # several pages
+        scanned = [rid for rid, _ in heap.scan()]
+        assert scanned == inserted and all(type(rid) is int for rid in scanned)
+        assert [row[0] for row in heap.fetch_many(inserted)] == list(range(12))
+
     def test_scan_yields_all_live_rows_in_order(self, heap):
         for i in range(25):
             put(heap, (i, f"row{i}"))

@@ -17,6 +17,8 @@ from repro.errors import (
 from repro.minisql import SQLEngine
 from repro.storage.database import Database
 from repro.storage.rtree import Rect
+from tests.storage import reference
+from tests.storage.reference import probe
 
 
 @pytest.fixture()
@@ -86,8 +88,8 @@ class TestTableModification:
         dots_table.create_index("dots_id", "id", "btree")
         dots_table.create_index("dots_bbox", "bbox", "rtree")
         rid = dots_table.insert({"id": 5, "x": 999.0, "y": 0.0, "bbox": (998, -1, 1000, 1)})
-        assert [found for found, _ in dots_table.lookup_key("id", 5)][-1] == rid
-        assert [row[0] for _, row in dots_table.spatial_search("bbox", Rect(999, 0, 999, 0))] == [5]
+        assert [found for found, _ in probe(dots_table, "id", 5)][-1] == rid
+        assert [row[0] for _, row in probe(dots_table, "bbox", Rect(999, 0, 999, 0))] == [5]
         assert len(dots_table.get_index("dots_id").index) == 101
         dots_table.get_index("dots_bbox").index.validate()
 
@@ -104,8 +106,8 @@ class TestTableModification:
         clustered = list(dots_table.scan_rows())
         dots_table.insert((100, 3.0, 3.0, (2.0, 2.0, 4.0, 4.0)))
         assert list(dots_table.scan_rows()) == clustered + [(100, 3.0, 3.0, (2.0, 2.0, 4.0, 4.0))]
-        assert [row[0] for _, row in dots_table.lookup_key("x", 3.0)] == [100]
-        hits = sorted(row[0] for _, row in dots_table.spatial_search("bbox", Rect(3, 3, 3, 3)))
+        assert [row[0] for _, row in probe(dots_table, "x", 3.0)] == [100]
+        hits = sorted(row[0] for _, row in probe(dots_table, "bbox", Rect(3, 3, 3, 3)))
         assert hits == [100]
         for info in dots_table.indexes.values():
             info.index.validate()
@@ -133,9 +135,9 @@ class TestUniqueKeys:
         assert list(table.scan_rows()) == [(1, 10), (2, 20)]
         assert [len(info.index) for info in table.indexes.values()] == [2, 2]
         for id_, a in ((1, 10), (2, 20)):
-            assert [row for _, row in table.lookup_key("id", id_)] == [(id_, a)]
-            assert [row for _, row in table.lookup_key("a", a)] == [(id_, a)]
-        assert table.lookup_key("a", 99) == table.lookup_key("a", 30) == []
+            assert [row for _, row in probe(table, "id", id_)] == [(id_, a)]
+            assert [row for _, row in probe(table, "a", a)] == [(id_, a)]
+        assert probe(table, "a", 99) == probe(table, "a", 30) == []
 
     def test_a_refused_load_is_invisible_to_sql(self, database, table):
         engine = SQLEngine(database)
@@ -157,7 +159,7 @@ class TestUniqueKeys:
                 table.insert(row)
             self.assert_unchanged(table)
         table.insert({"id": 3, "a": 99})
-        assert [row for _, row in table.lookup_key("a", 99)] == [(3, 99)]
+        assert [row for _, row in probe(table, "a", 99)] == [(3, 99)]
 
     def test_a_refused_load_leaves_a_prepared_statement_reading_the_old_rows(self, database, table):
         engine = SQLEngine(database)
@@ -210,13 +212,13 @@ class TestNanBbox:
         with pytest.raises(TypeMismatchError, match="NaN"):
             dots_table.bulk_load([(500, 0.0, 0.0, tuple(bbox))])
         assert len(dots_table) == 100
-        assert dots_table.spatial_search("bbox", Rect(5000, 0, 5001, 1)) == []
+        assert probe(dots_table, "bbox", Rect(5000, 0, 5001, 1)) == []
 
     def test_infinite_bounds_stay_legal_and_both_paths_agree(self, dots_table):
         rid = dots_table.insert((500, 0.0, 0.0, (-math.inf, 2000.0, math.inf, 2001.0)))
-        scanned = dots_table.spatial_search("bbox", Rect(7000, 2000, 7001, 2000.5))
+        scanned = reference.spatial_search(dots_table, "bbox", (7000, 2000, 7001, 2000.5))
         dots_table.create_index("dots_bbox", "bbox", "rtree")
-        assert dots_table.spatial_search("bbox", Rect(7000, 2000, 7001, 2000.5)) == scanned
+        assert probe(dots_table, "bbox", Rect(7000, 2000, 7001, 2000.5)) == scanned
         assert [found for found, _ in scanned] == [rid]
 
 
@@ -257,6 +259,19 @@ class TestIndexManagement:
         assert dots_table.find_index_on("bbox", kinds=("btree",)) is None
         assert dots_table.find_index_on("x") is None
 
+    @pytest.mark.parametrize("column, kind", [("id", "INTEGER"), ("x", "FLOAT"), ("label", "TEXT")])
+    def test_an_rtree_on_a_column_that_is_no_bbox_is_refused(self, database, column, kind):
+        table = database.create_and_load(
+            "t", [("id", "int"), ("x", "float"), ("label", "text"), ("bbox", "bbox")],
+            [(11, 0.5, "0011", (0.0, 0.0, 1.0, 1.0)), (1234, 1.5, "12", None)],
+        )
+        version = database.catalog_version
+        with pytest.raises(SchemaError, match=f"an rtree needs a BBOX column; t.{column} is {kind}"):
+            table.create_index("by_it", column, "rtree")
+        assert table.indexes == {} and database.catalog_version == version
+        table.create_index("by_box", "bbox", "rtree")
+        assert [row[0] for _, row in probe(table, "bbox", Rect(0, 0, 1, 1))] == [11]
+
     def test_a_hash_index_is_an_unknown_kind(self, database, dots_table):
         version = database.catalog_version
         with pytest.raises(StorageError, match="unknown index kind: 'hash'"):
@@ -265,19 +280,18 @@ class TestIndexManagement:
 
 
 class TestAccessPaths:
-    def test_lookup_key_with_and_without_index(self, dots_table):
-        no_index = dots_table.lookup_key("id", 10)
+    def test_a_key_probe_equals_the_scan_reference(self, dots_table):
+        dots_table.insert((10, 0.0, 0.0, None))  # a repeated key
         dots_table.create_index("dots_id", "id", "btree")
-        with_index = dots_table.lookup_key("id", 10)
-        assert [row for _, row in no_index] == [row for _, row in with_index]
+        assert probe(dots_table, "id", 10) == reference.lookup_key(dots_table, "id", 10)
+        assert len(probe(dots_table, "id", 10)) == 2
 
-    def test_spatial_search_with_and_without_index(self, dots_table):
+    def test_a_box_probe_equals_the_scan_reference(self, dots_table):
         query = Rect(0, 0, 200, 100)
-        no_index = {row[0] for _, row in dots_table.spatial_search("bbox", query)}
         dots_table.create_index("dots_bbox", "bbox", "rtree")
-        with_index = {row[0] for _, row in dots_table.spatial_search("bbox", query)}
-        assert no_index == with_index
-        assert with_index  # the query rectangle does contain dots
+        found = sorted(probe(dots_table, "bbox", query))
+        assert found == reference.spatial_search(dots_table, "bbox", query.as_tuple())
+        assert found  # the query rectangle does contain dots
 
     def test_fetch_many(self, dots_table):
         rids = [rid for rid, _ in list(dots_table.scan())[:5]]
@@ -289,7 +303,7 @@ class TestAccessPaths:
         table.create_index("t_a", "a", "btree")
         table.bulk_load([(i,) for i in range(50)])
         assert len(table.get_index("t_a").index) == 50
-        assert table.lookup_key("a", 25)[0][1] == (25,)
+        assert probe(table, "a", 25)[0][1] == (25,)
 
     def test_a_load_that_fails_part_way_leaves_every_index_agreeing_with_the_heap(self, database):
         table = database.create_table("t", [("a", "int")])
