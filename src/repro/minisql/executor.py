@@ -21,6 +21,7 @@ from typing import Any, Iterator
 
 from ..errors import SQLExecutionError
 from ..storage.database import Database
+from ..storage.types import ColumnType
 from .functions import Binds
 from .parser import parse_parameterised
 from .planner import PlannedQuery, Planner
@@ -33,6 +34,8 @@ class ResultSet:
     columns: list[str]
     rows: list[tuple[Any, ...]]
     access_path: str = "seqscan"
+    #: Each column's storage type, None for a computed column.
+    types: tuple[ColumnType | None, ...] = ()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -118,7 +121,10 @@ class SQLEngine:
         self.queries_executed += 1
         root = planned.root
         return ResultSet(
-            columns=root.layout.names, rows=list(root.rows(binds)), access_path=planned.access_path
+            columns=root.layout.names,
+            rows=list(root.rows(binds)),
+            access_path=planned.access_path,
+            types=root.layout.types,
         )
 
     def explain(self, statement: str | BoundStatement) -> str:

@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterable
 from ..errors import SQLExecutionError
 from ..storage.rtree import Rect
 from ..storage.table import Table
+from ..storage.types import ColumnType
 from .ast import (
     Between,
     BinaryOp,
@@ -43,16 +44,23 @@ Evaluator = Callable[[Row, Binds], Any]
 class Layout:
     """The shape of an operator's output rows: one ``(binding, table,
     column)`` slot per offset (``binding`` and ``table`` are None for a
-    computed column)."""
+    computed column), and beside it the storage type of each offset's
+    stored column (None for a computed one; no types at all for a layout
+    built by hand)."""
 
     slots: tuple[tuple[str | None, str | None, str], ...] = ()
+    types: tuple[ColumnType | None, ...] = ()
 
     @classmethod
     def of_table(cls, table: Table, binding: str) -> "Layout":
-        return cls(tuple((binding, table.name, name) for name in table.schema.column_names))
+        columns = table.schema.columns
+        return cls(
+            tuple((binding, table.name, column.name) for column in columns),
+            tuple(column.type for column in columns),
+        )
 
     def __add__(self, other: "Layout") -> "Layout":
-        return Layout(self.slots + other.slots)
+        return Layout(self.slots + other.slots, self.types + other.types)
 
     @property
     def names(self) -> list[str]:

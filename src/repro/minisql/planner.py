@@ -41,6 +41,7 @@ from ..errors import SQLExecutionError, SQLPlanError, StorageError
 from ..storage.database import Database
 from ..storage.rtree import Rect
 from ..storage.table import IndexInfo, Table
+from ..storage.types import ColumnType
 from .ast import ColumnRef, Expression, FunctionCall, JoinClause, SelectItem, SelectStatement
 from .functions import (
     Binds,
@@ -281,7 +282,10 @@ class Project(PlanNode):
             for offset, column in enumerate(source.names):
                 first.setdefault(column, offset)
             keep = list(first.values())
-            self.layout = Layout(tuple(source.slots[offset] for offset in keep))
+            self.layout = Layout(
+                tuple(source.slots[offset] for offset in keep),
+                tuple(source.types[offset] for offset in keep),
+            )
             if len(keep) != len(source.slots):
                 self._picked = _pick(keep)
             return
@@ -345,20 +349,26 @@ def _projected_layout(items: Sequence[SelectItem], source: Layout) -> Layout:
     """Output layout of a projection: item names, de-duplicated in order.
 
     ``SELECT a.v, b.v`` would otherwise give two columns named ``v``.  An
-    unaliased plain column keeps its source binding and table.
+    unaliased plain column keeps its source binding and table; a plain
+    column keeps its storage type, aliased or not.
     """
     slots: list[tuple[str | None, str | None, str]] = []
+    types: list[ColumnType | None] = []
     seen: set[str] = set()
     for index, item in enumerate(items):
         name = _item_name(item, index)
         if name in seen:
             name = f"{name}_{index}"
         seen.add(name)
-        binding = table = None
-        if isinstance(item.expression, ColumnRef) and not item.alias:
-            binding, table, _ = source.slots[source.resolve(item.expression)]
+        binding = table = column_type = None
+        if isinstance(item.expression, ColumnRef):
+            offset = source.resolve(item.expression)
+            column_type = source.types[offset]
+            if not item.alias:
+                binding, table, _ = source.slots[offset]
         slots.append((binding, table, name))
-    return Layout(tuple(slots))
+        types.append(column_type)
+    return Layout(tuple(slots), tuple(types))
 
 
 # ---------------------------------------------------------------------------

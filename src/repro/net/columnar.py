@@ -44,14 +44,19 @@ order.  There are four tags, one per storage column type
 ``COL_F64`` (doubles), ``COL_STR`` (length-prefixed UTF-8) and
 ``COL_BBOX`` (four doubles per row, no length byte).  A column's tag is
 the one type of its non-null cells; a column of NULLs only is
-``COL_I64`` and carries no value.  A decoded payload equals its
-JSON-decoded twin: ``decode(encode(r)) == DataResponse.from_json(r.to_json())``.
+``COL_I64`` and carries no value.  A column of an engine batch carries
+its storage type (:attr:`~repro.net.protocol.RowBatch.types`), and its
+tag is that type's: storage decodes nothing else, so no cell is
+inspected but for ``None``, and the bytes are those an inspection
+gives.  A decoded payload equals its JSON-decoded twin:
+``decode(encode(r)) == DataResponse.from_json(r.to_json())``.
 
-Anything else is refused with a typed :class:`~repro.errors.ProtocolError`
-naming the column, never packed lossily or retyped: a ``bool``, a column
-mixing types (``1`` beside ``1.0``), an integer outside the signed 64-bit
-range, a tuple that is not four floats, any other value, and a list of
-dictionaries whose rows carry different keys.  The decoder refuses a
+Anything else in an untyped column is refused with a typed
+:class:`~repro.errors.ProtocolError` naming the column, never packed
+lossily or retyped: a ``bool``, a column mixing types (``1`` beside
+``1.0``), an integer outside the signed 64-bit range, a tuple that is not
+four floats, any other value, and a list of dictionaries whose rows carry
+different keys.  The decoder refuses a
 repeated column name, rows without a column and an unknown tag.
 """
 
@@ -60,10 +65,11 @@ from __future__ import annotations
 import json
 import struct
 from collections import deque
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 from typing import Any
 
 from ..errors import FetchError, ProtocolError
+from ..storage.types import ColumnType
 from .protocol import DataRequest, DataResponse, RowBatch, _reject_unencodable, concat_rows
 
 __all__ = [
@@ -95,6 +101,14 @@ _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _BBOX = struct.Struct(">4d")
+
+#: The tag of each storage column type: the one type storage decodes for it.
+_STORED_TAGS = {
+    ColumnType.INTEGER: COL_I64,
+    ColumnType.FLOAT: COL_F64,
+    ColumnType.TEXT: COL_STR,
+    ColumnType.BBOX: COL_BBOX,
+}
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
@@ -284,6 +298,11 @@ def _bitmap(flags: list[bool], size: int) -> bytes:
     return int(bytes(flags).translate(_BIT_DIGITS)[::-1], 2).to_bytes(size, "little")
 
 
+def _split_nulls(values: list[Any] | tuple[Any, ...], size: int) -> tuple[bytes, list[Any]]:
+    """The null bitmap of ``values`` and their non-null cells, in row order."""
+    return _bitmap([cell is None for cell in values], size), [cell for cell in values if cell is not None]
+
+
 def _column_tag(name: str, kinds: set[type], values: list[Any] | tuple[Any, ...]) -> int:
     """The tag of one column from ``kinds``, the set of its non-null cells' types.
 
@@ -325,15 +344,21 @@ def _encode_objects(out: bytearray, objects: RowBatch | list[dict[str, Any]]) ->
     out += _U32.pack(len(names))
     bitmap_size = (n_rows + 7) // 8
     no_row = bytes(bitmap_size)
-    for name, values in sorted(zip(names, columns)):  # names are distinct: no column compared
+    types = batch.types if len(batch.types) == len(names) else repeat(None)
+    # Names are distinct: no column, and no type, is compared.
+    for name, values, stored in sorted(zip(names, columns, types)):
         _w_text(out, name)
-        kinds = set(map(type, values))
-        nulls = no_row
-        if _NONE_TYPE in kinds:
-            nulls = _bitmap([cell is None for cell in values], bitmap_size)
-            values = [cell for cell in values if cell is not None]
-            kinds.discard(_NONE_TYPE)
-        tag = _column_tag(name, kinds, values)
+        nulls, tag = no_row, _STORED_TAGS.get(stored)
+        if tag is None:  # not a stored column: its cells' types decide, or refuse
+            kinds = set(map(type, values))
+            if _NONE_TYPE in kinds:
+                nulls, values = _split_nulls(values, bitmap_size)
+                kinds.discard(_NONE_TYPE)
+            tag = _column_tag(name, kinds, values)
+        elif None in values:
+            nulls, values = _split_nulls(values, bitmap_size)
+            if not values:
+                tag = COL_I64  # NULLs only: the tag an inspection gives them
         out += _U8.pack(tag)
         out += nulls
         if tag == COL_I64:

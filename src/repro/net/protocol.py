@@ -121,13 +121,21 @@ class RowBatch(Sequence):
     lock, and no reader's edit reaches another.  ``rows`` are tuples in
     ``names`` order and ``names`` are distinct: every row carries every name,
     and a NULL is ``None``.
+
+    ``types`` is what the engine knows of each column: its storage type
+    (a :class:`~repro.storage.types.ColumnType`, whose values storage
+    decodes to exact ``int`` / ``float`` / ``str`` / 4-float tuples or
+    ``None``), or None for a computed column.  Only the engine's batches
+    carry types; any other batch (gathered, decoded, built by hand) has
+    none, and the shard wire inspects its cells instead.
     """
 
-    __slots__ = ("names", "rows")
+    __slots__ = ("names", "rows", "types")
 
-    def __init__(self, names: Iterable[str], rows: list[tuple]) -> None:
+    def __init__(self, names: Iterable[str], rows: list[tuple], types: Iterable[Any] = ()) -> None:
         self.names = tuple(names)
         self.rows = rows
+        self.types = tuple(types)
 
     def _dict(self, row: tuple[Any, ...]) -> dict[str, Any]:
         return dict(zip(self.names, row))

@@ -188,7 +188,7 @@ class KyrixBackend:
                 f"SELECT * FROM {table_name} WHERE intersects(bbox, ?, ?, ?, ?)"
             )
         result = self.engine.execute(statement.bind(rect.xmin, rect.ymin, rect.xmax, rect.ymax))
-        return RowBatch(result.columns, result.rows), 1
+        return RowBatch(result.columns, result.rows, result.types), 1
 
     def _query_mapping(
         self, layer_plan: LayerPlan, tile_size: int, tile_id: int
@@ -220,4 +220,4 @@ class KyrixBackend:
                 f"WHERE m.tile_id = ?"
             )
         result = self.engine.execute(statement.bind(tile_id))
-        return RowBatch(result.columns, result.rows), 1
+        return RowBatch(result.columns, result.rows, result.types), 1

@@ -7,17 +7,19 @@ A record id is the integer ``page_no << 16 | slot_no``.
 Reading goes through a decoder compiled once per schema: a row
 whose columns are all present and fixed-width is one ``struct`` unpack
 straight off the page buffer; only a row holding a NULL or a TEXT value is
-walked value by value.  Writing mirrors it: an encoder compiled once per
-schema packs such a row in one ``struct`` call, and :func:`encode_row` --
-the reference it must equal byte for byte -- encodes every other row.
+walked value by value.  A run of all-present records, at offsets a page
+computes, is one C-level pass of that unpack (:func:`compile_run_decoder`).
+Writing mirrors it: an encoder compiled once per schema packs such a row
+in one ``struct`` call, and :func:`encode_row` -- the reference it must
+equal byte for byte -- encodes every other row.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .schema import TableSchema
 from .types import ColumnType, decode_value, encode_value
@@ -63,9 +65,9 @@ def compile_decoder(schema: TableSchema) -> RowDecoder:
             row.append(value)
         return tuple(row)
 
-    if not types or ColumnType.TEXT in types:
+    layout = _fixed_layout(types)
+    if layout is None:
         return walk
-    layout = struct.Struct("<" + "".join(_FIXED_CODES[t] for t in types))
     fixed_size, unpack_from, shape = layout.size, layout.unpack_from, _row_shape(types)
 
     def decode(buffer: bytes | bytearray, offset: int, length: int) -> tuple[Any, ...]:
@@ -75,6 +77,42 @@ def compile_decoder(schema: TableSchema) -> RowDecoder:
         return values if shape is None else shape(values)
 
     return decode
+
+
+def _fixed_layout(types: Sequence[ColumnType]) -> struct.Struct | None:
+    """The all-present record layout, or ``None`` when records have no
+    fixed width (a TEXT column) or no column."""
+    if not types or ColumnType.TEXT in types:
+        return None
+    return struct.Struct("<" + "".join(_FIXED_CODES[t] for t in types))
+
+
+#: A compiled run decoder: ``(buffer, offsets) -> rows``, every record at
+#: ``offsets`` all-present.
+RunDecoder = Callable[[bytes | bytearray, Iterable[int]], Iterator[tuple[Any, ...]]]
+
+
+def compile_run_decoder(schema: TableSchema) -> tuple[int, RunDecoder] | None:
+    """The all-present record width and the decoder of a run of such
+    records: one ``map`` of the layout's unpack over the offsets (and of
+    the BBOX regrouping over its values), so no Python statement runs per
+    record.  ``None`` for a schema whose records have no fixed width.
+
+    Each row equals what :func:`compile_decoder`'s decoder returns for a
+    record of that width."""
+    types = tuple(column.type for column in schema.columns)
+    layout = _fixed_layout(types)
+    if layout is None:
+        return None
+    unpack_from, shape, lone = layout.unpack_from, _row_shape(types), len(types) == 1
+
+    def decode_run(buffer: bytes | bytearray, offsets: Iterable[int]) -> Iterator[tuple[Any, ...]]:
+        values = map(unpack_from, repeat(buffer), offsets)
+        if shape is None:
+            return values
+        return zip(values) if lone else map(shape, values)  # a lone BBOX: its 4-tuple, wrapped
+
+    return layout.size, decode_run
 
 
 def _row_shape(types: Sequence[ColumnType]) -> Callable[[tuple[Any, ...]], tuple[Any, ...]] | None:

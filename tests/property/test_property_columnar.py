@@ -20,7 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.net import columnar
+from repro.minisql.executor import SQLEngine
 from repro.net.protocol import DataRequest, DataResponse, RowBatch
+from repro.storage.database import Database
+from repro.storage.types import ColumnType
 
 from tests.net import reference_objects_codec as reference
 
@@ -289,6 +292,132 @@ class TestObjectsBlockAgainstReference:
         for encode in (columnar._encode_objects, reference._encode_objects):
             with pytest.raises(ProtocolError, match="'v' holds .*no lossless wire encoding"):
                 encode(bytearray(), [{"v": 1.5}, {"v": cell}])
+
+
+# -- an engine batch against its untyped twin -------------------------------------
+#
+# The engine's batch carries each stored column's type, and the encoder takes
+# the column's tag from it instead of inspecting the cells.  Storage decodes
+# exact ints, floats, strs, 4-float tuples or None for those types, so the
+# frame is the one the untyped batch -- the same rows, cells inspected -- gives.
+
+_STORED_VALUES = {
+    ColumnType.INTEGER: st.integers(-(2**63), 2**63 - 1),
+    ColumnType.FLOAT: _any_float,
+    ColumnType.TEXT: _text,
+    ColumnType.BBOX: st.tuples(_floats, _floats, _floats, _floats).map(
+        lambda box: (min(box[0], box[2]), min(box[1], box[3]), max(box[0], box[2]), max(box[1], box[3]))
+    ),
+}
+
+
+@st.composite
+def stored_tables(draw):
+    """A loaded table: random storage types, NULLs, a column of NULLs only
+    or not, and zero rows or several."""
+    types = draw(st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=5))
+    all_null = draw(st.none() | st.integers(0, len(types) - 1))
+    n_rows = draw(_ROW_COUNTS)
+    database = Database()
+    table = database.create_table("t", [(f"c{i}", t.value) for i, t in enumerate(types)])
+    cells = [
+        st.none() if i == all_null else st.one_of(st.none(), _STORED_VALUES[t])
+        for i, t in enumerate(types)
+    ]
+    table.bulk_load(draw(st.lists(st.tuples(*cells), min_size=n_rows, max_size=n_rows)))
+    return database, types
+
+
+def _frame_or_refusal(objects) -> bytes | str:
+    try:
+        return columnar.encode_response(DataResponse(request=_BOX, objects=objects))
+    except ProtocolError as error:
+        return f"refused: {error}"
+
+
+#: Hand-built objects and the refusal each met before batches carried types.
+_HAND_BUILT_REFUSALS = {
+    "bool": (
+        RowBatch(["v"], [(True,), (None,)]),
+        "column 'v' holds bool values: it has no lossless wire encoding",
+    ),
+    "mixed": (
+        RowBatch(["v"], [(1,), (1.0,)]),
+        "column 'v' holds float and int values: it has no lossless wire encoding",
+    ),
+    "wide int": (
+        RowBatch(["v"], [(2**63,)]),
+        "column 'v' holds an integer outside the signed 64-bit range: it has no lossless wire encoding",
+    ),
+    "short tuple": (
+        RowBatch(["v"], [((1.0, 2.0, 3.0),)]),
+        "column 'v' holds a tuple that is not four floats: it has no lossless wire encoding",
+    ),
+    "int tuple": (
+        [{"v": (1, 2, 3, 4)}],
+        "column 'v' holds a tuple that is not four floats: it has no lossless wire encoding",
+    ),
+    "other": (
+        RowBatch(["v"], [(b"raw",)]),
+        "column 'v' holds bytes values: it has no lossless wire encoding",
+    ),
+    "no column": (RowBatch([], [(), ()]), "2 rows without a column have no wire encoding"),
+    "ragged": (
+        [{"a": 1}, {"b": 2}],
+        "the wire carries dense rows only: parts answered with rows keyed other than ('a',)",
+    ),
+    "repeated": (
+        RowBatch(["a", "a"], [(1, 2)]),
+        "rows do not match their distinct column names ('a', 'a')",
+    ),
+}
+
+
+class TestEngineBatchAgainstItsUntypedTwin:
+    @given(stored_tables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_typed_batch_is_the_frame_its_untyped_twin_is(self, stored, data):
+        database, types = stored
+        last = f"c{len(types) - 1}"
+        statements = [
+            "SELECT * FROM t",
+            "SELECT * FROM t WHERE c0 IS NULL",
+            "SELECT * FROM t WHERE c0 IS NOT NULL AND c0 IS NULL",  # no row
+            f"SELECT {last}, c0 AS renamed FROM t",
+            f"SELECT c0, {last} IS NULL AS computed FROM t",
+        ]
+        engine = SQLEngine(database)
+        for sql in statements:
+            result = engine.execute(sql)
+            typed = RowBatch(result.columns, result.rows, result.types)
+            untyped = RowBatch(result.columns, result.rows)
+            assert untyped.types == ()
+            assert len(typed.types) == len(typed.names)
+            frame = _frame_or_refusal(typed)
+            assert frame == _frame_or_refusal(untyped)
+            if sql == "SELECT * FROM t":
+                assert list(typed.types) == types
+                assert isinstance(frame, bytes)  # stored values always encode
+            if isinstance(frame, bytes):
+                decoded, _ = columnar.decode_response(frame)
+                assert repr(decoded.objects) == repr(untyped)
+
+    def test_only_stored_columns_are_typed(self):
+        database = Database()
+        database.create_table("t", [("id", "integer"), ("box", "bbox")]).bulk_load(
+            [(1, (0.0, 0.0, 1.0, 1.0))]
+        )
+        result = SQLEngine(database).execute("SELECT box, id AS key, id + 1 AS next FROM t")
+        assert result.types == (ColumnType.BBOX, ColumnType.INTEGER, None)
+
+    @pytest.mark.parametrize("name", sorted(_HAND_BUILT_REFUSALS))
+    def test_a_hand_built_batch_has_no_types_and_is_refused_as_before(self, name):
+        objects, message = _HAND_BUILT_REFUSALS[name]
+        if isinstance(objects, RowBatch):
+            assert objects.types == ()
+        with pytest.raises(ProtocolError) as refused:
+            columnar.encode_response(DataResponse(request=_BOX, objects=objects))
+        assert str(refused.value) == message
 
 
 # -- a batch against the same rows as dictionaries --------------------------------

@@ -177,6 +177,18 @@ class TestRowsStayTuplesUntilTheEdge:
         if router is not None:
             assert router.stats.fanout == {2: 1}, "the box should cross the shard border"
 
+    def test_only_the_engine_tags_a_batch_with_storage_types(self, service, whole_canvas, dots_stack):
+        """The engine's batch carries its table's column types (the shard
+        wire takes each column's tag from them); a gathered batch has none."""
+        backend = dots_stack.backend
+        plan = backend.compiled.require_layer_plan(whole_canvas.canvas_id, whole_canvas.layer_index)
+        schema = backend.database.table(plan.placement_table or plan.source_table).schema
+        engine_batch = backend.handle(whole_canvas).objects
+        assert engine_batch.names == tuple(schema.column_names)
+        assert engine_batch.types == tuple(column.type for column in schema.columns)
+        served = service.handle(whole_canvas).objects
+        assert served.types == (() if unwrap(service, ClusterRouter) else engine_batch.types)
+
     def test_every_cache_hands_back_the_first_readers_rows(self, service, whole_canvas):
         # On ``cluster_hot`` the median step *is* a router-cache hit: the
         # caches share the batch, and a dynamic-box layer shows it as it is.
